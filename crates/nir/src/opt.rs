@@ -557,38 +557,34 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
 /// side effects are kept; pure instructions whose destination is never
 /// read afterwards are dropped with jump-target remapping.
 fn dce(f: &mut Function) {
+    // The keep-set is the least fixed point of "kept if effectful, or if
+    // it defines a register some kept instruction reads" (flow-
+    // insensitive). `defs` maps each register to the pure instructions
+    // defining it; liveness then spreads from the effectful roots along a
+    // worklist, visiting every instruction at most once.
     let mut keep = vec![false; f.code.len()];
+    let mut defs: Vec<Vec<usize>> = vec![Vec::new(); f.regs.len()];
+    let mut work = Vec::new();
     for (i, ins) in f.code.iter().enumerate() {
         // Self-moves are pure no-ops (SROA leaves them for pc alignment).
         if matches!(ins, Instr::Mov(d, s) if d == s) {
             continue;
         }
-        if ins.has_side_effects() || ins.dst().is_none() {
-            keep[i] = true;
+        match ins.dst() {
+            Some(d) if !ins.has_side_effects() => defs[d as usize].push(i),
+            _ => {
+                keep[i] = true;
+                work.push(i);
+            }
         }
     }
-    loop {
-        let mut live: Vec<bool> = vec![false; f.regs.len()];
-        for (i, ins) in f.code.iter().enumerate() {
-            if keep[i] {
-                for s in ins.sources() {
-                    live[s as usize] = true;
-                }
+    while let Some(i) = work.pop() {
+        for s in f.code[i].sources() {
+            // Every definition of a read register becomes live, once.
+            for d in std::mem::take(&mut defs[s as usize]) {
+                keep[d] = true;
+                work.push(d);
             }
-        }
-        let mut changed = false;
-        for (i, ins) in f.code.iter().enumerate() {
-            if !keep[i] {
-                if let Some(d) = ins.dst() {
-                    if live[d as usize] && !matches!(ins, Instr::Mov(a, b) if a == b) {
-                        keep[i] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
         }
     }
     if keep.iter().all(|k| *k) {
