@@ -2393,7 +2393,10 @@ fn incr_sources(k: usize) -> Vec<(String, String)> {
 /// quick variant): the incremental body edit executes strictly fewer
 /// queries than a cold build, the incremental artifact is bit-identical
 /// to a from-scratch build of the same sources, and the median body-edit
-/// re-JIT is ≥10× faster than cold.
+/// re-JIT is ≥5× faster than cold. (The bound was 10× while whole-program
+/// dce cost a cold build ~40 ms per 10 k instructions; since dce became a
+/// worklist the cold side is about twice as fast and the edit side, which
+/// re-optimizes one function, is unchanged: 8–13× measured.)
 pub fn incremental(quick: bool) -> Figure {
     use wootinj::Workspace;
 
@@ -2467,7 +2470,7 @@ pub fn incremental(quick: bool) -> Figure {
     ));
     fig.note(
         "asserted: body-edit executes strictly fewer queries than cold, incremental \
-         artifact is bit-identical to from-scratch, median body-edit speedup >= 10x",
+         artifact is bit-identical to from-scratch, median body-edit speedup >= 5x",
     );
 
     let mut cold_series = Series::new("cold-ms");
@@ -2567,8 +2570,8 @@ pub fn incremental(quick: bool) -> Figure {
         );
     }
     assert!(
-        speedup >= 10.0,
-        "incremental: median body-edit re-JIT must be >= 10x faster than cold: \
+        speedup >= 5.0,
+        "incremental: median body-edit re-JIT must be >= 5x faster than cold: \
          cold {cold_wall:?}, incremental {body_wall:?} ({speedup:.1}x)"
     );
     fig

@@ -79,9 +79,13 @@ impl Figure {
             .max_by_key(|s| s.points.len())
             .map(|s| s.points.iter().map(|p| p.x).collect())
             .unwrap_or_default();
+        // One width for every series column: the historical 20, or the
+        // longest name plus a separating space.
+        let longest = self.series.iter().map(|s| s.name.chars().count());
+        let w = longest.max().map_or(20, |n| (n + 1).max(20));
         let _ = write!(out, "{:>14}", self.x_label);
         for s in &self.series {
-            let _ = write!(out, "{:>20}", s.name);
+            let _ = write!(out, "{:>w$}", s.name);
         }
         let _ = writeln!(out);
         for (i, x) in xs.iter().enumerate() {
@@ -94,10 +98,10 @@ impl Figure {
                     .or(s.points.get(i))
                 {
                     Some(p) => {
-                        let _ = write!(out, "{:>20.3}", p.y);
+                        let _ = write!(out, "{:>w$.3}", p.y);
                     }
                     None => {
-                        let _ = write!(out, "{:>20}", "-");
+                        let _ = write!(out, "{:>w$}", "-");
                     }
                 }
             }
@@ -458,12 +462,23 @@ mod tests {
         let mut b = Series::new("B");
         b.push(1.0, 11.0);
         b.push(2.0, 21.0);
+        // A name wider than the historical 20-column field.
+        let mut c = Series::new("a-series-name-of-thirty-chars!");
+        c.push(1.0, 12.0);
         fig.series.push(a);
         fig.series.push(b);
+        fig.series.push(c);
         let r = fig.render();
         assert!(r.contains("figX"));
-        assert!(r.contains("A"));
         assert!(r.contains("21.000"));
+        // Adjacent headers stay separated, and rows line up under them.
+        let lines: Vec<&str> = r.lines().collect();
+        assert_eq!(
+            lines[1].split_whitespace().collect::<Vec<_>>(),
+            ["ranks", "A", "B", "a-series-name-of-thirty-chars!"]
+        );
+        assert_eq!(lines[1].len(), lines[2].len());
+        assert_eq!(lines[3].split_whitespace().last(), Some("-"));
     }
 
     #[test]

@@ -461,10 +461,10 @@ pub fn read_machine_rest(r: &mut Reader, arrays: Vec<ArrStore>) -> Result<Machin
 /// Serialize a resumable call stack into an open payload.
 pub fn write_thread(w: &mut Writer, t: &Thread) {
     w.len(t.frames.len());
-    for f in &t.frames {
+    for (i, f) in t.frames.iter().enumerate() {
         w.u32(f.func.0);
         w.u32(f.pc);
-        write_vals(w, &f.regs);
+        write_vals(w, t.frame_regs(i));
         match f.ret_to {
             Some(reg) => {
                 w.bool(true);
@@ -489,6 +489,7 @@ pub fn write_thread(w: &mut Writer, t: &Thread) {
 pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptError> {
     let n_frames = r.len()?;
     let mut frames = Vec::with_capacity(n_frames);
+    let mut stack = Vec::new();
     for _ in 0..n_frames {
         let func = r.u32()?;
         let pc = r.u32()?;
@@ -517,14 +518,16 @@ pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptErro
         frames.push(Frame {
             func: FuncId(func),
             pc,
-            regs,
+            base: stack.len(),
             ret_to,
         });
+        stack.extend(regs);
     }
     let pending_dst = if r.bool()? { Some(r.u32()?) } else { None };
     let done = r.bool()?;
     Ok(Thread {
         frames,
+        stack,
         pending_dst,
         done,
     })
@@ -661,7 +664,7 @@ mod tests {
         let mut p = Program::default();
         let entry = p.add_func(fb.finish().unwrap());
 
-        let t = Thread::new(&p, entry, vec![]).unwrap();
+        let t = Thread::new(&p, entry, &[]).unwrap();
         let mut w = begin(TAG_WORLD);
         write_thread(&mut w, &t);
         let bytes = finish(w);

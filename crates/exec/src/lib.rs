@@ -24,13 +24,15 @@
 
 pub mod ckpt;
 pub mod fault;
+mod image;
 pub mod pool;
 
 pub use ckpt::CkptError;
 pub use fault::{FaultConfig, FaultPlan, FaultRng, MsgFault, ResilienceStats, TransportFault};
+pub use image::Image;
 pub use pool::{ExecMode, Executor, ExecutorCfg, SimExecutor, ThreadExecutor};
 
-use jlang::ast::BinOp;
+use image::{reg_of, Op, OpKind};
 use jlang::types::PrimKind;
 use nir::{ElemTy, FuncId, Instr, IntrinOp, Program, Reg};
 
@@ -49,57 +51,67 @@ pub enum Val {
     Unit,
 }
 
+/// The tag-mismatch error every typed operand check raises.
+#[cold]
+#[inline(never)]
+fn expected(what: &str, found: Val) -> ExecError {
+    ExecError::msg(format!("expected {what}, found {found:?}"))
+}
+
 impl Val {
+    #[inline]
     pub fn as_i32(self) -> Result<i32, ExecError> {
         match self {
             Val::I32(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected i32, found {other:?}"))),
+            other => Err(expected("i32", other)),
         }
     }
 
+    #[inline]
     pub fn as_i64(self) -> Result<i64, ExecError> {
         match self {
             Val::I64(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected i64, found {other:?}"))),
+            other => Err(expected("i64", other)),
         }
     }
 
+    #[inline]
     pub fn as_f32(self) -> Result<f32, ExecError> {
         match self {
             Val::F32(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected f32, found {other:?}"))),
+            other => Err(expected("f32", other)),
         }
     }
 
+    #[inline]
     pub fn as_f64(self) -> Result<f64, ExecError> {
         match self {
             Val::F64(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected f64, found {other:?}"))),
+            other => Err(expected("f64", other)),
         }
     }
 
+    #[inline]
     pub fn as_bool(self) -> Result<bool, ExecError> {
         match self {
             Val::Bool(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected bool, found {other:?}"))),
+            other => Err(expected("bool", other)),
         }
     }
 
+    #[inline]
     pub fn as_arr(self) -> Result<u32, ExecError> {
         match self {
             Val::Arr(v) => Ok(v),
-            other => Err(ExecError::msg(format!(
-                "expected array handle, found {other:?}"
-            ))),
+            other => Err(expected("array handle", other)),
         }
     }
 
+    #[inline]
     pub fn as_obj(self) -> Result<u32, ExecError> {
         match self {
             Val::Obj(v) => Ok(v),
-            other => Err(ExecError::msg(format!(
-                "expected object handle, found {other:?}"
-            ))),
+            other => Err(expected("object handle", other)),
         }
     }
 }
@@ -142,44 +154,54 @@ impl ArrStore {
         matches!(self.len(), Ok(0))
     }
 
+    #[inline]
     pub fn get(&self, i: usize) -> Result<Val, ExecError> {
-        let n = self.len()?;
-        if i >= n {
-            return Err(ExecError::msg(format!(
-                "array index {i} out of bounds (len {n})"
-            )));
-        }
-        Ok(match self {
-            ArrStore::I32(v) => Val::I32(v[i]),
-            ArrStore::I64(v) => Val::I64(v[i]),
-            ArrStore::F32(v) => Val::F32(v[i]),
-            ArrStore::F64(v) => Val::F64(v[i]),
-            ArrStore::Bool(v) => Val::Bool(v[i]),
-            ArrStore::Freed => unreachable!(),
-        })
+        let v = match self {
+            ArrStore::I32(v) => v.get(i).map(|x| Val::I32(*x)),
+            ArrStore::I64(v) => v.get(i).map(|x| Val::I64(*x)),
+            ArrStore::F32(v) => v.get(i).map(|x| Val::F32(*x)),
+            ArrStore::F64(v) => v.get(i).map(|x| Val::F64(*x)),
+            ArrStore::Bool(v) => v.get(i).map(|x| Val::Bool(*x)),
+            ArrStore::Freed => None,
+        };
+        v.ok_or_else(|| self.access_error(i, None))
     }
 
+    #[inline]
     pub fn set(&mut self, i: usize, val: Val) -> Result<(), ExecError> {
-        let n = self.len()?;
-        if i >= n {
-            return Err(ExecError::msg(format!(
-                "array index {i} out of bounds (len {n})"
-            )));
-        }
-        match (self, val) {
-            (ArrStore::I32(v), Val::I32(x)) => v[i] = x,
-            (ArrStore::I64(v), Val::I64(x)) => v[i] = x,
-            (ArrStore::F32(v), Val::F32(x)) => v[i] = x,
-            (ArrStore::F64(v), Val::F64(x)) => v[i] = x,
-            (ArrStore::Bool(v), Val::Bool(x)) => v[i] = x,
-            (s, x) => {
-                return Err(ExecError::msg(format!(
-                    "type mismatch storing {x:?} into {s:?}"
-                )))
-            }
-        }
-        Ok(())
+        let slot = match (&mut *self, val) {
+            (ArrStore::I32(v), Val::I32(x)) => v.get_mut(i).map(|s| *s = x),
+            (ArrStore::I64(v), Val::I64(x)) => v.get_mut(i).map(|s| *s = x),
+            (ArrStore::F32(v), Val::F32(x)) => v.get_mut(i).map(|s| *s = x),
+            (ArrStore::F64(v), Val::F64(x)) => v.get_mut(i).map(|s| *s = x),
+            (ArrStore::Bool(v), Val::Bool(x)) => v.get_mut(i).map(|s| *s = x),
+            _ => None,
+        };
+        slot.ok_or_else(|| self.access_error(i, Some(val)))
     }
+
+    /// Why element `i` could not be read (or `stored` written): freed,
+    /// out of bounds, or an element of another type — in that order.
+    #[cold]
+    #[inline(never)]
+    fn access_error(&self, i: usize, stored: Option<Val>) -> ExecError {
+        match (self.len(), stored) {
+            (Err(freed), _) => freed,
+            (Ok(n), _) if i >= n => {
+                ExecError::msg(format!("array index {i} out of bounds (len {n})"))
+            }
+            (Ok(_), Some(x)) => {
+                ExecError::msg(format!("type mismatch storing {x:?} into {self:?}"))
+            }
+            (Ok(_), None) => unreachable!("an in-bounds read of a live array succeeds"),
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_handle(h: u32) -> ExecError {
+    ExecError::msg(format!("bad array handle {h}"))
 }
 
 /// A flat memory space (host, one per MPI rank, or a GPU device space).
@@ -198,16 +220,14 @@ impl MemSpace {
         self.arrays.len() as u32 - 1
     }
 
+    #[inline]
     pub fn arr(&self, h: u32) -> Result<&ArrStore, ExecError> {
-        self.arrays
-            .get(h as usize)
-            .ok_or_else(|| ExecError::msg(format!("bad array handle {h}")))
+        self.arrays.get(h as usize).ok_or_else(|| bad_handle(h))
     }
 
+    #[inline]
     pub fn arr_mut(&mut self, h: u32) -> Result<&mut ArrStore, ExecError> {
-        self.arrays
-            .get_mut(h as usize)
-            .ok_or_else(|| ExecError::msg(format!("bad array handle {h}")))
+        self.arrays.get_mut(h as usize).ok_or_else(|| bad_handle(h))
     }
 
     pub fn free(&mut self, h: u32) -> Result<(), ExecError> {
@@ -232,6 +252,7 @@ impl ObjHeap {
         self.objects.len() as u32 - 1
     }
 
+    #[inline]
     pub fn class_of(&self, h: u32) -> Result<u32, ExecError> {
         self.objects
             .get(h as usize)
@@ -239,6 +260,7 @@ impl ObjHeap {
             .ok_or_else(|| ExecError::msg(format!("bad object {h}")))
     }
 
+    #[inline]
     pub fn get(&self, h: u32, slot: u32) -> Result<Val, ExecError> {
         self.objects
             .get(h as usize)
@@ -246,6 +268,7 @@ impl ObjHeap {
             .ok_or_else(|| ExecError::msg(format!("bad field {slot} of object {h}")))
     }
 
+    #[inline]
     pub fn set(&mut self, h: u32, slot: u32, v: Val) -> Result<(), ExecError> {
         let rec = self
             .objects
@@ -491,7 +514,9 @@ impl From<&str> for ExecError {
 struct Frame {
     func: FuncId,
     pc: u32,
-    regs: Vec<Val>,
+    /// Where this frame's registers start in [`Thread::stack`]; they end
+    /// where the next frame's start (or at the top of the stack).
+    base: usize,
     /// Register in the *caller* frame to receive our return value.
     ret_to: Option<Reg>,
 }
@@ -501,6 +526,8 @@ struct Frame {
 #[derive(Debug)]
 pub struct Thread {
     frames: Vec<Frame>,
+    /// The registers of every live frame, outermost first.
+    stack: Vec<Val>,
     /// Where to deliver a value provided by `resume_with`.
     pending_dst: Option<Reg>,
     done: bool,
@@ -508,7 +535,26 @@ pub struct Thread {
 
 impl Thread {
     /// Create a thread poised to execute `func(args)`.
-    pub fn new(program: &Program, func: FuncId, args: Vec<Val>) -> Result<Thread, ExecError> {
+    pub fn new(program: &Program, func: FuncId, args: &[Val]) -> Result<Thread, ExecError> {
+        let mut thread = Thread {
+            frames: Vec::new(),
+            stack: Vec::new(),
+            pending_dst: None,
+            done: false,
+        };
+        thread.reset(program, func, args)?;
+        Ok(thread)
+    }
+
+    /// Discard whatever this thread was doing and poise it to execute
+    /// `func(args)`, keeping its allocations (gpu-sim re-arms one set of
+    /// threads block after block).
+    pub fn reset(
+        &mut self,
+        program: &Program,
+        func: FuncId,
+        args: &[Val],
+    ) -> Result<(), ExecError> {
         let f = program.func(func);
         if f.params.len() != args.len() {
             return Err(ExecError {
@@ -522,18 +568,19 @@ impl Thread {
                 pc: 0,
             });
         }
-        let mut regs = vec![Val::Unit; f.regs.len()];
-        regs[..args.len()].copy_from_slice(&args);
-        Ok(Thread {
-            frames: vec![Frame {
-                func,
-                pc: 0,
-                regs,
-                ret_to: None,
-            }],
-            pending_dst: None,
-            done: false,
-        })
+        self.stack.clear();
+        self.stack.resize(f.regs.len(), Val::Unit);
+        self.stack[..args.len()].copy_from_slice(args);
+        self.frames.clear();
+        self.frames.push(Frame {
+            func,
+            pc: 0,
+            base: 0,
+            ret_to: None,
+        });
+        self.pending_dst = None;
+        self.done = false;
+        Ok(())
     }
 
     pub fn is_done(&self) -> bool {
@@ -543,8 +590,8 @@ impl Thread {
     /// Deliver the result of a serviced yield (pass `Val::Unit` for void).
     pub fn resume_with(&mut self, v: Val) {
         if let Some(dst) = self.pending_dst.take() {
-            if let Some(top) = self.frames.last_mut() {
-                top.regs[dst as usize] = v;
+            if let Some(top) = self.frames.last() {
+                self.stack[top.base + dst as usize] = v;
             }
         }
     }
@@ -562,17 +609,64 @@ impl Thread {
     pub fn frame_location(&self) -> Option<(FuncId, u32)> {
         self.frames.last().map(|f| (f.func, f.pc))
     }
+
+    /// The registers of frame `i` (0 = outermost).
+    fn frame_regs(&self, i: usize) -> &[Val] {
+        let end = self.frames.get(i + 1).map_or(self.stack.len(), |f| f.base);
+        &self.stack[self.frames[i].base..end]
+    }
 }
 
 /// Maximum call depth (the coding rules forbid recursion, so this only
 /// guards against translator bugs).
 const MAX_DEPTH: usize = 256;
 
+/// A formatted error, built out of line so the dispatch loop carries no
+/// formatting code.
+#[cold]
+#[inline(never)]
+fn error(message: std::fmt::Arguments<'_>) -> ExecError {
+    ExecError::msg(message.to_string())
+}
+
+/// The error of a `Bin` whose operator does not exist for its operand
+/// kind. Operand tags are checked first, as every well-formed `Bin` does.
+#[cold]
+fn bad_bin(kind: PrimKind, l: Val, r: Val) -> ExecError {
+    let (tags, message) = match kind {
+        PrimKind::Int => (l.as_i32().and(r.as_i32()).err(), "logical op on int"),
+        PrimKind::Long => (l.as_i64().and(r.as_i64()).err(), "logical op on long"),
+        PrimKind::Float => (l.as_f32().and(r.as_f32()).err(), "bitwise op on float"),
+        PrimKind::Double => (l.as_f64().and(r.as_f64()).err(), "bitwise op on double"),
+        PrimKind::Boolean => (l.as_bool().and(r.as_bool()).err(), "arith op on bool"),
+    };
+    tags.unwrap_or_else(|| message.into())
+}
+
+/// Why the dispatch loop left the current frame.
+enum Exit {
+    /// Enter `callee`; `pc` still names the call instruction, whose
+    /// operand list the frame switch reads. `recv` is the receiver of a
+    /// virtual call (the callee's register 0).
+    Call {
+        callee: FuncId,
+        recv: Option<Val>,
+        dst: Option<Reg>,
+    },
+    Ret(Option<Val>),
+    Yield(Yield),
+    Fail(ExecError),
+}
+
 /// Run `thread` until completion, a yield point, or `fuel` retired
 /// instructions.
+///
+/// The loop dispatches on the image's decoded ops; the innermost frame's
+/// op stream, registers and pc live in locals and are written back only
+/// where control leaves the frame (call, return, yield, fuel-out, error).
 pub fn run(
     thread: &mut Thread,
-    program: &Program,
+    image: &Image<'_>,
     machine: &mut Machine,
     mut fuel: u64,
 ) -> Result<Yield, ExecError> {
@@ -584,467 +678,553 @@ pub fn run(
     if let Some(plan) = machine.fault.as_mut() {
         fuel = plan.slice_fuel(fuel);
     }
-    loop {
-        if fuel == 0 {
-            return Ok(Yield::OutOfFuel);
-        }
-        let (func_id, pc) = {
-            let top = thread.frames.last().unwrap();
-            (top.func, top.pc)
+    let program = image.program();
+    // What this slice adds to `machine.counters`. Every retired
+    // instruction burns one unit of fuel, so the retired count is the fuel
+    // spent; only cycles need an accumulator of their own.
+    let granted = fuel;
+    let mut cycles = 0u64;
+    let outcome = loop {
+        let depth = thread.frames.len();
+        let Some(frame) = thread.frames.last_mut() else {
+            break Err(ExecError::msg("thread has no frame to run"));
         };
-        let f = program.func(func_id);
-        let err = |e: ExecError| e.at(&f.name, pc);
-        if pc as usize >= f.code.len() {
-            return Err(err("fell off the end of function".into()));
-        }
-        let ins = &f.code[pc as usize];
-        machine.counters.instrs += 1;
-        machine.counters.cycles += weight(ins);
-        fuel -= 1;
+        let f = program.func(frame.func);
+        let code = &f.code[..];
+        let ops = image.ops(frame.func);
+        let base = frame.base;
+        let regs = &mut thread.stack[base..];
+        let mut pc = frame.pc as usize;
 
-        // Helpers on the current frame.
-        macro_rules! reg {
-            ($r:expr) => {
-                thread.frames.last().unwrap().regs[$r as usize]
+        let exit = loop {
+            if fuel == 0 {
+                break Exit::Yield(Yield::OutOfFuel);
+            }
+            let Some(&op) = ops.get(pc) else {
+                break Exit::Fail("fell off the end of function".into());
             };
-        }
-        macro_rules! set {
-            ($r:expr, $v:expr) => {
-                thread.frames.last_mut().unwrap().regs[$r as usize] = $v
-            };
-        }
-        macro_rules! bump {
-            () => {
-                thread.frames.last_mut().unwrap().pc = pc + 1
-            };
-        }
-        // Fault injection: yield points are the places an execution
-        // context can crash. The draw happens *before* the yield is
-        // surfaced, so the runtime never services an op the crashed rank
-        // would not have issued.
-        macro_rules! crash_check {
-            () => {
-                if let Some(plan) = machine.fault.as_mut() {
-                    if plan.crash_at_yield() {
-                        thread.done = true;
-                        return Ok(Yield::Crashed {
-                            step: machine.counters.instrs,
-                        });
-                    }
-                }
-            };
-        }
+            cycles += op.weight as u64;
+            fuel -= 1;
+            let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
 
-        match ins {
-            Instr::ConstI32(d, v) => {
-                set!(*d, Val::I32(*v));
-                bump!();
-            }
-            Instr::ConstI64(d, v) => {
-                set!(*d, Val::I64(*v));
-                bump!();
-            }
-            Instr::ConstF32(d, v) => {
-                set!(*d, Val::F32(*v));
-                bump!();
-            }
-            Instr::ConstF64(d, v) => {
-                set!(*d, Val::F64(*v));
-                bump!();
-            }
-            Instr::ConstBool(d, v) => {
-                set!(*d, Val::Bool(*v));
-                bump!();
-            }
-            Instr::Mov(d, s) => {
-                let v = reg!(*s);
-                set!(*d, v);
-                bump!();
-            }
-            Instr::Bin {
-                op,
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let v = binop(*op, *kind, reg!(*lhs), reg!(*rhs)).map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::Neg { kind, dst, src } => {
-                let v = match (kind, reg!(*src)) {
-                    (PrimKind::Int, Val::I32(x)) => Val::I32(x.wrapping_neg()),
-                    (PrimKind::Long, Val::I64(x)) => Val::I64(x.wrapping_neg()),
-                    (PrimKind::Float, Val::F32(x)) => Val::F32(-x),
-                    (PrimKind::Double, Val::F64(x)) => Val::F64(-x),
-                    (k, v) => return Err(err(format!("bad neg {k:?} on {v:?}").into())),
+            macro_rules! fail {
+                ($e:expr) => {
+                    break Exit::Fail($e)
                 };
-                set!(*dst, v);
-                bump!();
             }
-            Instr::Not { dst, src } => {
-                let v = reg!(*src).as_bool().map_err(err)?;
-                set!(*dst, Val::Bool(!v));
-                bump!();
-            }
-            Instr::Cast { to, dst, src, .. } => {
-                let v = numcast(*to, reg!(*src)).map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::Jmp(t) => {
-                thread.frames.last_mut().unwrap().pc = *t;
-            }
-            Instr::Br { cond, t, f: fl } => {
-                let c = reg!(*cond).as_bool().map_err(err)?;
-                thread.frames.last_mut().unwrap().pc = if c { *t } else { *fl };
-            }
-            Instr::Ret(r) => {
-                let v = r.map(|r| reg!(r));
-                let finished = thread.frames.pop().unwrap();
-                if let Some(caller) = thread.frames.last_mut() {
-                    if let Some(dst) = finished.ret_to {
-                        caller.regs[dst as usize] = v.unwrap_or(Val::Unit);
+            // dst = f(x) over one operand of variant $T.
+            macro_rules! un {
+                ($T:ident $what:literal => $R:ident, |$x:ident| $e:expr) => {
+                    match regs[b] {
+                        Val::$T($x) => regs[a] = Val::$R($e),
+                        other => fail!(expected($what, other)),
                     }
-                } else {
-                    thread.done = true;
-                    return Ok(Yield::Done(v));
+                };
+            }
+            // dst = f(x, y) over two operands of variant $T; the left
+            // operand's tag is checked first.
+            macro_rules! bin {
+                ($T:ident $what:literal => $R:ident, |$x:ident, $y:ident| $e:expr) => {
+                    // Matched in place: a by-value pair would be built
+                    // on the stack and read back.
+                    match (&regs[b], &regs[c]) {
+                        (&Val::$T($x), &Val::$T($y)) => regs[a] = Val::$R($e),
+                        (&Val::$T(_), &other) | (&other, _) => fail!(expected($what, other)),
+                    }
+                };
+            }
+            macro_rules! neg {
+                ($T:ident, $kind:ident, |$x:ident| $e:expr) => {
+                    match regs[b] {
+                        Val::$T($x) => regs[a] = Val::$T($e),
+                        v => fail!(error(format_args!(
+                            "bad neg {:?} on {v:?}",
+                            PrimKind::$kind
+                        ))),
+                    }
+                };
+            }
+            macro_rules! cast {
+                ($to:ident) => {
+                    match numcast(PrimKind::$to, regs[b]) {
+                        Ok(v) => regs[a] = v,
+                        Err(e) => fail!(e),
+                    }
+                };
+            }
+            // The operand in register $r, which must be of variant $T.
+            // Matched in place: `Val::as_*` take `self` by value, which
+            // costs a copy to the stack on this path.
+            macro_rules! expect {
+                ($r:expr, $T:ident $what:literal) => {
+                    match regs[$r] {
+                        Val::$T(v) => v,
+                        other => fail!(expected($what, other)),
+                    }
+                };
+            }
+            macro_rules! attempt {
+                ($e:expr) => {
+                    match $e {
+                        Ok(v) => v,
+                        Err(e) => fail!(e),
+                    }
+                };
+            }
+
+            match op.kind {
+                OpKind::ConstI32 => regs[a] = Val::I32(op.b as i32),
+                OpKind::ConstI64 => regs[a] = Val::I64(((op.c as u64) << 32 | op.b as u64) as i64),
+                OpKind::ConstF32 => regs[a] = Val::F32(f32::from_bits(op.b)),
+                OpKind::ConstF64 => {
+                    regs[a] = Val::F64(f64::from_bits((op.c as u64) << 32 | op.b as u64))
                 }
-            }
-            Instr::CallHost { host, args, dst } => {
-                crash_check!();
-                let argv: Vec<Val> = args.iter().map(|a| reg!(*a)).collect();
-                thread.pending_dst = *dst;
-                bump!();
-                return Ok(Yield::Host {
-                    host: *host,
-                    args: argv,
-                });
-            }
-            Instr::Call { func, args, dst } => {
-                if thread.frames.len() >= MAX_DEPTH {
-                    return Err(err("call depth limit exceeded".into()));
+                OpKind::ConstBool => regs[a] = Val::Bool(op.b != 0),
+                OpKind::Mov => regs[a] = regs[b],
+
+                OpKind::AddI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_add(y)),
+                OpKind::SubI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_sub(y)),
+                OpKind::MulI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_mul(y)),
+                OpKind::DivI32 => bin!(I32 "i32" => I32, |x, y| {
+                    if y == 0 {
+                        fail!("division by zero".into());
+                    }
+                    x.wrapping_div(y)
+                }),
+                OpKind::RemI32 => bin!(I32 "i32" => I32, |x, y| {
+                    if y == 0 {
+                        fail!("remainder by zero".into());
+                    }
+                    x.wrapping_rem(y)
+                }),
+                OpKind::LtI32 => bin!(I32 "i32" => Bool, |x, y| x < y),
+                OpKind::LeI32 => bin!(I32 "i32" => Bool, |x, y| x <= y),
+                OpKind::GtI32 => bin!(I32 "i32" => Bool, |x, y| x > y),
+                OpKind::GeI32 => bin!(I32 "i32" => Bool, |x, y| x >= y),
+                OpKind::EqI32 => bin!(I32 "i32" => Bool, |x, y| x == y),
+                OpKind::NeI32 => bin!(I32 "i32" => Bool, |x, y| x != y),
+                OpKind::ShlI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_shl(y as u32 & 31)),
+                OpKind::ShrI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_shr(y as u32 & 31)),
+                OpKind::AndI32 => bin!(I32 "i32" => I32, |x, y| x & y),
+                OpKind::OrI32 => bin!(I32 "i32" => I32, |x, y| x | y),
+                OpKind::XorI32 => bin!(I32 "i32" => I32, |x, y| x ^ y),
+
+                OpKind::AddI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_add(y)),
+                OpKind::SubI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_sub(y)),
+                OpKind::MulI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_mul(y)),
+                OpKind::DivI64 => bin!(I64 "i64" => I64, |x, y| {
+                    if y == 0 {
+                        fail!("division by zero".into());
+                    }
+                    x.wrapping_div(y)
+                }),
+                OpKind::RemI64 => bin!(I64 "i64" => I64, |x, y| {
+                    if y == 0 {
+                        fail!("remainder by zero".into());
+                    }
+                    x.wrapping_rem(y)
+                }),
+                OpKind::LtI64 => bin!(I64 "i64" => Bool, |x, y| x < y),
+                OpKind::LeI64 => bin!(I64 "i64" => Bool, |x, y| x <= y),
+                OpKind::GtI64 => bin!(I64 "i64" => Bool, |x, y| x > y),
+                OpKind::GeI64 => bin!(I64 "i64" => Bool, |x, y| x >= y),
+                OpKind::EqI64 => bin!(I64 "i64" => Bool, |x, y| x == y),
+                OpKind::NeI64 => bin!(I64 "i64" => Bool, |x, y| x != y),
+                OpKind::ShlI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_shl(y as u32 & 63)),
+                OpKind::ShrI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_shr(y as u32 & 63)),
+                OpKind::AndI64 => bin!(I64 "i64" => I64, |x, y| x & y),
+                OpKind::OrI64 => bin!(I64 "i64" => I64, |x, y| x | y),
+                OpKind::XorI64 => bin!(I64 "i64" => I64, |x, y| x ^ y),
+
+                OpKind::AddF32 => bin!(F32 "f32" => F32, |x, y| x + y),
+                OpKind::SubF32 => bin!(F32 "f32" => F32, |x, y| x - y),
+                OpKind::MulF32 => bin!(F32 "f32" => F32, |x, y| x * y),
+                OpKind::DivF32 => bin!(F32 "f32" => F32, |x, y| x / y),
+                OpKind::RemF32 => bin!(F32 "f32" => F32, |x, y| x % y),
+                OpKind::LtF32 => bin!(F32 "f32" => Bool, |x, y| x < y),
+                OpKind::LeF32 => bin!(F32 "f32" => Bool, |x, y| x <= y),
+                OpKind::GtF32 => bin!(F32 "f32" => Bool, |x, y| x > y),
+                OpKind::GeF32 => bin!(F32 "f32" => Bool, |x, y| x >= y),
+                OpKind::EqF32 => bin!(F32 "f32" => Bool, |x, y| x == y),
+                OpKind::NeF32 => bin!(F32 "f32" => Bool, |x, y| x != y),
+
+                OpKind::AddF64 => bin!(F64 "f64" => F64, |x, y| x + y),
+                OpKind::SubF64 => bin!(F64 "f64" => F64, |x, y| x - y),
+                OpKind::MulF64 => bin!(F64 "f64" => F64, |x, y| x * y),
+                OpKind::DivF64 => bin!(F64 "f64" => F64, |x, y| x / y),
+                OpKind::RemF64 => bin!(F64 "f64" => F64, |x, y| x % y),
+                OpKind::LtF64 => bin!(F64 "f64" => Bool, |x, y| x < y),
+                OpKind::LeF64 => bin!(F64 "f64" => Bool, |x, y| x <= y),
+                OpKind::GtF64 => bin!(F64 "f64" => Bool, |x, y| x > y),
+                OpKind::GeF64 => bin!(F64 "f64" => Bool, |x, y| x >= y),
+                OpKind::EqF64 => bin!(F64 "f64" => Bool, |x, y| x == y),
+                OpKind::NeF64 => bin!(F64 "f64" => Bool, |x, y| x != y),
+
+                OpKind::EqBool => bin!(Bool "bool" => Bool, |x, y| x == y),
+                OpKind::NeBool => bin!(Bool "bool" => Bool, |x, y| x != y),
+                OpKind::AndBool => bin!(Bool "bool" => Bool, |x, y| x && y),
+                OpKind::OrBool => bin!(Bool "bool" => Bool, |x, y| x || y),
+                OpKind::BadBin => {
+                    let Instr::Bin { kind, .. } = &code[pc] else {
+                        unreachable!("ops[pc] decodes code[pc]")
+                    };
+                    fail!(bad_bin(*kind, regs[b], regs[c]))
                 }
-                let callee = program.func(*func);
-                let mut regs = vec![Val::Unit; callee.regs.len()];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = reg!(*a);
+
+                OpKind::NegI32 => neg!(I32, Int, |x| x.wrapping_neg()),
+                OpKind::NegI64 => neg!(I64, Long, |x| x.wrapping_neg()),
+                OpKind::NegF32 => neg!(F32, Float, |x| -x),
+                OpKind::NegF64 => neg!(F64, Double, |x| -x),
+                OpKind::NegBad => fail!(error(format_args!(
+                    "bad neg {:?} on {:?}",
+                    PrimKind::Boolean,
+                    regs[b]
+                ))),
+                OpKind::Not => un!(Bool "bool" => Bool, |x| !x),
+                OpKind::CastI32 => cast!(Int),
+                OpKind::CastI64 => cast!(Long),
+                OpKind::CastF32 => cast!(Float),
+                OpKind::CastF64 => cast!(Double),
+                OpKind::CastBool => cast!(Boolean),
+
+                OpKind::Jmp => {
+                    pc = a;
+                    continue;
                 }
-                bump!();
-                thread.frames.push(Frame {
-                    func: *func,
-                    pc: 0,
-                    regs,
-                    ret_to: *dst,
-                });
-            }
-            Instr::NewObj { class, dst } => {
-                let meta = &program.classes[*class as usize];
-                let h = machine.objs.alloc(*class, meta.field_count as usize);
-                set!(*dst, Val::Obj(h));
-                bump!();
-            }
-            Instr::GetField { obj, slot, dst } => {
-                let h = reg!(*obj).as_obj().map_err(err)?;
-                let v = machine.objs.get(h, *slot).map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::PutField { obj, slot, src } => {
-                let h = reg!(*obj).as_obj().map_err(err)?;
-                let v = reg!(*src);
-                machine.objs.set(h, *slot, v).map_err(err)?;
-                bump!();
-            }
-            Instr::CallVirt {
-                selector,
-                recv,
-                args,
-                dst,
-            } => {
-                if thread.frames.len() >= MAX_DEPTH {
-                    return Err(err("call depth limit exceeded".into()));
+                OpKind::Br => {
+                    pc = if expect!(a, Bool "bool") { b } else { c };
+                    continue;
                 }
-                let h = reg!(*recv).as_obj().map_err(err)?;
-                let class = machine.objs.class_of(h).map_err(err)?;
-                let meta = &program.classes[class as usize];
-                let target = meta
-                    .vtable
-                    .iter()
-                    .find(|(s, _)| s == selector)
-                    .map(|(_, f)| *f)
-                    .ok_or_else(|| {
-                        err(ExecError::msg(format!(
+                OpKind::Ret => break Exit::Ret(reg_of(op.a).map(|r| regs[r as usize])),
+                OpKind::Call => {
+                    if depth >= MAX_DEPTH {
+                        fail!("call depth limit exceeded".into());
+                    }
+                    break Exit::Call {
+                        callee: FuncId(op.a),
+                        recv: None,
+                        dst: reg_of(op.b),
+                    };
+                }
+                OpKind::CallVirt => {
+                    if depth >= MAX_DEPTH {
+                        fail!("call depth limit exceeded".into());
+                    }
+                    let h = expect!(b, Obj "object handle");
+                    let class = attempt!(machine.objs.class_of(h));
+                    let meta = &program.classes[class as usize];
+                    let Some(&(_, callee)) = meta.vtable.iter().find(|(s, _)| *s == op.a) else {
+                        fail!(error(format_args!(
                             "class `{}` has no vtable entry for `{}`",
-                            meta.name, program.selectors[*selector as usize]
-                        )))
-                    })?;
-                let callee = program.func(target);
-                let mut regs = vec![Val::Unit; callee.regs.len()];
-                regs[0] = Val::Obj(h);
-                for (i, a) in args.iter().enumerate() {
-                    regs[i + 1] = reg!(*a);
+                            meta.name, program.selectors[a]
+                        )));
+                    };
+                    break Exit::Call {
+                        callee,
+                        recv: Some(Val::Obj(h)),
+                        dst: reg_of(op.c),
+                    };
                 }
-                bump!();
+                OpKind::NewObj => regs[a] = Val::Obj(machine.objs.alloc(op.b, c)),
+                OpKind::GetField => {
+                    let h = expect!(b, Obj "object handle");
+                    regs[a] = attempt!(machine.objs.get(h, op.c));
+                }
+                OpKind::PutField => {
+                    let h = expect!(a, Obj "object handle");
+                    attempt!(machine.objs.set(h, op.b, regs[c]));
+                }
+
+                OpKind::LdArr => {
+                    let h = expect!(b, Arr "array handle");
+                    let i = expect!(c, I32 "i32");
+                    if i < 0 {
+                        fail!(error(format_args!("negative index {i}")));
+                    }
+                    let store = attempt!(machine.mem.arr(h));
+                    regs[a] = attempt!(store.get(i as usize));
+                }
+                OpKind::StArr => {
+                    let h = expect!(a, Arr "array handle");
+                    let i = expect!(b, I32 "i32");
+                    if i < 0 {
+                        fail!(error(format_args!("negative index {i}")));
+                    }
+                    let store = attempt!(machine.mem.arr_mut(h));
+                    attempt!(store.set(i as usize, regs[c]));
+                }
+                OpKind::ArrLen => {
+                    let h = expect!(b, Arr "array handle");
+                    let n = attempt!(attempt!(machine.mem.arr(h)).len());
+                    regs[a] = Val::I32(n as i32);
+                }
+                OpKind::SqrtF64 => un!(F64 "f64" => F64, |x| x.sqrt()),
+                OpKind::SqrtF32 => un!(F32 "f32" => F32, |x| x.sqrt()),
+                OpKind::PowF64 => bin!(F64 "f64" => F64, |x, y| x.powf(y)),
+                OpKind::ExpF64 => un!(F64 "f64" => F64, |x| x.exp()),
+                OpKind::AbsF32 => un!(F32 "f32" => F32, |x| x.abs()),
+                OpKind::AbsF64 => un!(F64 "f64" => F64, |x| x.abs()),
+                OpKind::AbsI32 => un!(I32 "i32" => I32, |x| x.wrapping_abs()),
+                OpKind::MinI32 => bin!(I32 "i32" => I32, |x, y| x.min(y)),
+                OpKind::MaxI32 => bin!(I32 "i32" => I32, |x, y| x.max(y)),
+                OpKind::MinF32 => bin!(F32 "f32" => F32, |x, y| x.min(y)),
+                OpKind::MaxF32 => bin!(F32 "f32" => F32, |x, y| x.max(y)),
+
+                OpKind::CallHost
+                | OpKind::NewArr
+                | OpKind::FreeArr
+                | OpKind::Print
+                | OpKind::ArrayCopyF32
+                | OpKind::YieldGpu
+                | OpKind::YieldMpi
+                | OpKind::Launch
+                | OpKind::SharedAlloc
+                | OpKind::Sync => {
+                    match attempt!(slow_op(op, &code[pc], pc as u32, regs, machine)) {
+                        Slow::Next => {}
+                        Slow::Crashed => {
+                            thread.done = true;
+                            break Exit::Yield(Yield::Crashed {
+                                step: machine.counters.instrs + (granted - fuel),
+                            });
+                        }
+                        // The frame resumes after the yielding instruction.
+                        Slow::Yield(dst, y) => {
+                            thread.pending_dst = dst;
+                            pc += 1;
+                            break Exit::Yield(y);
+                        }
+                    }
+                }
+            }
+            pc += 1;
+        };
+
+        // Control leaves the frame: write its pc back, then switch.
+        frame.pc = pc as u32;
+        match exit {
+            Exit::Yield(y) => break Ok(y),
+            Exit::Fail(e) => break Err(e.at(&f.name, pc as u32)),
+            Exit::Ret(v) => {
+                let ret_to = frame.ret_to;
+                thread.frames.pop();
+                thread.stack.truncate(base);
+                let Some(caller) = thread.frames.last() else {
+                    thread.done = true;
+                    break Ok(Yield::Done(v));
+                };
+                if let Some(dst) = ret_to {
+                    thread.stack[caller.base + dst as usize] = v.unwrap_or(Val::Unit);
+                }
+            }
+            Exit::Call { callee, recv, dst } => {
+                frame.pc += 1;
+                let args = match &code[pc] {
+                    Instr::Call { args, .. } | Instr::CallVirt { args, .. } => args,
+                    _ => unreachable!("ops[pc] decodes code[pc]"),
+                };
+                let callee_base = thread.stack.len();
+                let first_arg = callee_base + recv.is_some() as usize;
+                thread
+                    .stack
+                    .resize(callee_base + program.func(callee).regs.len(), Val::Unit);
+                if let Some(recv) = recv {
+                    thread.stack[callee_base] = recv;
+                }
+                for (i, a) in args.iter().enumerate() {
+                    thread.stack[first_arg + i] = thread.stack[base + *a as usize];
+                }
                 thread.frames.push(Frame {
-                    func: target,
+                    func: callee,
                     pc: 0,
-                    regs,
-                    ret_to: *dst,
+                    base: callee_base,
+                    ret_to: dst,
                 });
             }
-            Instr::NewArr { elem, len, dst } => {
-                let n = reg!(*len).as_i32().map_err(err)?;
-                if n < 0 {
-                    return Err(err(format!("negative array size {n}").into()));
-                }
-                // Charge zero-fill cost proportional to the allocation.
-                machine.counters.cycles += (n as u64) / 16;
-                let h = machine.mem.alloc(ArrStore::new(*elem, n as usize));
-                set!(*dst, Val::Arr(h));
-                bump!();
+        }
+    };
+    machine.counters.instrs += granted - fuel;
+    machine.counters.cycles += cycles;
+    outcome
+}
+
+/// What an out-of-line op asks of the dispatch loop.
+enum Slow {
+    Next,
+    /// Surface the yield; its result, if any, goes to the register.
+    Yield(Option<Reg>, Yield),
+    /// The fault plan killed this context at a yield point.
+    Crashed,
+}
+
+/// The ops that allocate, print or leave the loop. They run out of line,
+/// reading operand lists from the `nir::Instr` the op decodes, so that
+/// the dispatch loop stays small enough to keep its state in registers.
+#[inline(never)]
+fn slow_op(
+    op: Op,
+    ins: &Instr,
+    pc: u32,
+    regs: &mut [Val],
+    machine: &mut Machine,
+) -> Result<Slow, ExecError> {
+    let (a, b) = (op.a as usize, op.b as usize);
+    let read = |list: &[Reg]| list.iter().map(|r| regs[*r as usize]).collect::<Vec<Val>>();
+    // Fault injection: yield points are the places an execution context
+    // can crash. The draw happens *before* the yield is surfaced, so the
+    // runtime never services an op the crashed rank would not have issued.
+    let yields = !matches!(
+        op.kind,
+        OpKind::NewArr | OpKind::FreeArr | OpKind::Print | OpKind::ArrayCopyF32
+    );
+    if yields {
+        if let Some(plan) = machine.fault.as_mut() {
+            if plan.crash_at_yield() {
+                return Ok(Slow::Crashed);
             }
-            Instr::LdArr { arr, idx, dst } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                let i = reg!(*idx).as_i32().map_err(err)?;
-                if i < 0 {
-                    return Err(err(format!("negative index {i}").into()));
-                }
-                let v = machine
-                    .mem
-                    .arr(h)
-                    .map_err(err)?
-                    .get(i as usize)
-                    .map_err(err)?;
-                set!(*dst, v);
-                bump!();
+        }
+    }
+    Ok(match (op.kind, ins) {
+        (OpKind::CallHost, Instr::CallHost { args, .. }) => Slow::Yield(
+            reg_of(op.b),
+            Yield::Host {
+                host: op.a,
+                args: read(args),
+            },
+        ),
+        (OpKind::NewArr, Instr::NewArr { elem, .. }) => {
+            let n = regs[b].as_i32()?;
+            if n < 0 {
+                return Err(format!("negative array size {n}").into());
             }
-            Instr::StArr { arr, idx, src } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                let i = reg!(*idx).as_i32().map_err(err)?;
-                if i < 0 {
-                    return Err(err(format!("negative index {i}").into()));
-                }
-                let v = reg!(*src);
-                machine
-                    .mem
-                    .arr_mut(h)
-                    .map_err(err)?
-                    .set(i as usize, v)
-                    .map_err(err)?;
-                bump!();
-            }
-            Instr::ArrLen { arr, dst } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                let n = machine.mem.arr(h).map_err(err)?.len().map_err(err)?;
-                set!(*dst, Val::I32(n as i32));
-                bump!();
-            }
-            Instr::FreeArr { arr } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                machine.mem.free(h).map_err(err)?;
-                bump!();
-            }
-            Instr::Intrin { op, args, dst } => {
-                let argv: Vec<Val> = args.iter().map(|a| reg!(*a)).collect();
-                match op {
-                    IntrinOp::SqrtF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.sqrt()));
-                        bump!();
-                    }
-                    IntrinOp::SqrtF32 => {
-                        let x = argv[0].as_f32().map_err(err)?;
-                        set!(dst.unwrap(), Val::F32(x.sqrt()));
-                        bump!();
-                    }
-                    IntrinOp::PowF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        let y = argv[1].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.powf(y)));
-                        bump!();
-                    }
-                    IntrinOp::ExpF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.exp()));
-                        bump!();
-                    }
-                    IntrinOp::AbsF32 => {
-                        let x = argv[0].as_f32().map_err(err)?;
-                        set!(dst.unwrap(), Val::F32(x.abs()));
-                        bump!();
-                    }
-                    IntrinOp::AbsF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.abs()));
-                        bump!();
-                    }
-                    IntrinOp::AbsI32 => {
-                        let x = argv[0].as_i32().map_err(err)?;
-                        set!(dst.unwrap(), Val::I32(x.wrapping_abs()));
-                        bump!();
-                    }
-                    IntrinOp::MinI32 | IntrinOp::MaxI32 => {
-                        let x = argv[0].as_i32().map_err(err)?;
-                        let y = argv[1].as_i32().map_err(err)?;
-                        let v = if matches!(op, IntrinOp::MinI32) {
-                            x.min(y)
-                        } else {
-                            x.max(y)
-                        };
-                        set!(dst.unwrap(), Val::I32(v));
-                        bump!();
-                    }
-                    IntrinOp::MinF32 | IntrinOp::MaxF32 => {
-                        let x = argv[0].as_f32().map_err(err)?;
-                        let y = argv[1].as_f32().map_err(err)?;
-                        let v = if matches!(op, IntrinOp::MinF32) {
-                            x.min(y)
-                        } else {
-                            x.max(y)
-                        };
-                        set!(dst.unwrap(), Val::F32(v));
-                        bump!();
-                    }
-                    IntrinOp::PrintI32
-                    | IntrinOp::PrintI64
-                    | IntrinOp::PrintF32
-                    | IntrinOp::PrintF64
-                    | IntrinOp::PrintBool => {
-                        let line = match argv[0] {
-                            Val::I32(v) => v.to_string(),
-                            Val::I64(v) => v.to_string(),
-                            Val::F32(v) => format!("{v}"),
-                            Val::F64(v) => format!("{v}"),
-                            Val::Bool(v) => v.to_string(),
-                            other => return Err(err(format!("bad print arg {other:?}").into())),
-                        };
-                        machine.output.push(line);
-                        bump!();
-                    }
-                    IntrinOp::ArrayCopyF32 => {
-                        let src = argv[0].as_arr().map_err(err)?;
-                        let spos = argv[1].as_i32().map_err(err)? as usize;
-                        let dsth = argv[2].as_arr().map_err(err)?;
-                        let dpos = argv[3].as_i32().map_err(err)? as usize;
-                        let n = argv[4].as_i32().map_err(err)? as usize;
-                        machine.counters.cycles += (n as u64) / 8;
-                        let data: Vec<f32> = match machine.mem.arr(src).map_err(err)? {
-                            ArrStore::F32(v) => v
-                                .get(spos..spos + n)
-                                .ok_or_else(|| err("arraycopy src out of range".into()))?
-                                .to_vec(),
-                            _ => return Err(err("arraycopy on non-f32 array".into())),
-                        };
-                        match machine.mem.arr_mut(dsth).map_err(err)? {
-                            ArrStore::F32(v) => {
-                                let tgt = v
-                                    .get_mut(dpos..dpos + n)
-                                    .ok_or_else(|| err("arraycopy dst out of range".into()))?;
-                                tgt.copy_from_slice(&data);
-                            }
-                            _ => return Err(err("arraycopy on non-f32 array".into())),
-                        }
-                        bump!();
-                    }
-                    // CUDA thread-register reads are serviced by gpu-sim:
-                    // yield with the op so the runtime substitutes the
-                    // coordinate of the executing CUDA thread.
-                    IntrinOp::ThreadIdx(_)
-                    | IntrinOp::BlockIdx(_)
-                    | IntrinOp::BlockDim(_)
-                    | IntrinOp::GridDim(_) => {
-                        crash_check!();
-                        thread.pending_dst = *dst;
-                        bump!();
-                        return Ok(Yield::GpuMem {
-                            op: *op,
-                            args: argv,
-                        });
-                    }
-                    IntrinOp::CopyToGpu
-                    | IntrinOp::CopyFromGpu
-                    | IntrinOp::CopyToGpuRange
-                    | IntrinOp::CopyFromGpuRange
-                    | IntrinOp::GpuAllocF32
-                    | IntrinOp::GpuFree => {
-                        crash_check!();
-                        thread.pending_dst = *dst;
-                        bump!();
-                        return Ok(Yield::GpuMem {
-                            op: *op,
-                            args: argv,
-                        });
-                    }
-                    IntrinOp::MpiRank
-                    | IntrinOp::MpiSize
-                    | IntrinOp::MpiBarrier
-                    | IntrinOp::MpiSendF32
-                    | IntrinOp::MpiRecvF32
-                    | IntrinOp::MpiSendRecvF32
-                    | IntrinOp::MpiBcastF32
-                    | IntrinOp::MpiAllreduceSumF64
-                    | IntrinOp::MpiAllreduceSumF32
-                    | IntrinOp::MpiAllreduceMaxF64 => {
-                        crash_check!();
-                        thread.pending_dst = *dst;
-                        bump!();
-                        return Ok(Yield::Mpi {
-                            op: *op,
-                            args: argv,
-                        });
-                    }
-                }
-            }
+            // Charge zero-fill cost proportional to the allocation.
+            machine.counters.cycles += (n as u64) / 16;
+            regs[a] = Val::Arr(machine.mem.alloc(ArrStore::new(*elem, n as usize)));
+            Slow::Next
+        }
+        (OpKind::FreeArr, _) => {
+            machine.mem.free(regs[a].as_arr()?)?;
+            Slow::Next
+        }
+        (OpKind::Print, _) => {
+            let line = match regs[a] {
+                Val::I32(v) => v.to_string(),
+                Val::I64(v) => v.to_string(),
+                Val::F32(v) => format!("{v}"),
+                Val::F64(v) => format!("{v}"),
+                Val::Bool(v) => v.to_string(),
+                other => return Err(format!("bad print arg {other:?}").into()),
+            };
+            machine.output.push(line);
+            Slow::Next
+        }
+        (OpKind::ArrayCopyF32, Instr::Intrin { args, .. }) => {
+            let argv = read(args);
+            let src = argv[0].as_arr()?;
+            let spos = argv[1].as_i32()? as usize;
+            let dst = argv[2].as_arr()?;
+            let dpos = argv[3].as_i32()? as usize;
+            let n = argv[4].as_i32()? as usize;
+            machine.counters.cycles += (n as u64) / 8;
+            array_copy_f32(&mut machine.mem, src, spos, dst, dpos, n)?;
+            Slow::Next
+        }
+        // CUDA thread-register reads and GPU memory operations are
+        // serviced by gpu-sim / the device runtime, MPI by mpi-sim.
+        (
+            OpKind::YieldGpu,
+            Instr::Intrin {
+                op: intrin, args, ..
+            },
+        ) => Slow::Yield(
+            reg_of(op.a),
+            Yield::GpuMem {
+                op: *intrin,
+                args: read(args),
+            },
+        ),
+        (
+            OpKind::YieldMpi,
+            Instr::Intrin {
+                op: intrin, args, ..
+            },
+        ) => Slow::Yield(
+            reg_of(op.a),
+            Yield::Mpi {
+                op: *intrin,
+                args: read(args),
+            },
+        ),
+        (
+            OpKind::Launch,
             Instr::Launch {
                 kernel,
                 grid,
                 block,
                 args,
-            } => {
-                let rd = |r: Reg| -> Result<u32, ExecError> {
-                    let v = reg!(r).as_i32().map_err(err)?;
-                    if v <= 0 {
-                        Err(err(format!("non-positive launch dimension {v}").into()))
-                    } else {
-                        Ok(v as u32)
-                    }
-                };
-                crash_check!();
-                let g = [rd(grid[0])?, rd(grid[1])?, rd(grid[2])?];
-                let b = [rd(block[0])?, rd(block[1])?, rd(block[2])?];
-                let argv: Vec<Val> = args.iter().map(|a| reg!(*a)).collect();
-                thread.pending_dst = None;
-                bump!();
-                return Ok(Yield::Launch {
-                    kernel: *kernel,
-                    grid: g,
-                    block: b,
-                    args: argv,
-                });
-            }
-            Instr::SharedAlloc { elem, len, dst } => {
-                crash_check!();
-                let n = reg!(*len).as_i32().map_err(err)?;
-                if n < 0 {
-                    return Err(err(format!("negative shared allocation {n}").into()));
+            },
+        ) => {
+            let dim = |r: Reg| -> Result<u32, ExecError> {
+                let v = regs[r as usize].as_i32()?;
+                if v <= 0 {
+                    return Err(format!("non-positive launch dimension {v}").into());
                 }
-                thread.pending_dst = Some(*dst);
-                bump!();
-                return Ok(Yield::SharedAlloc {
+                Ok(v as u32)
+            };
+            Slow::Yield(
+                None,
+                Yield::Launch {
+                    kernel: *kernel,
+                    grid: [dim(grid[0])?, dim(grid[1])?, dim(grid[2])?],
+                    block: [dim(block[0])?, dim(block[1])?, dim(block[2])?],
+                    args: read(args),
+                },
+            )
+        }
+        (OpKind::SharedAlloc, Instr::SharedAlloc { elem, .. }) => {
+            let n = regs[b].as_i32()?;
+            if n < 0 {
+                return Err(format!("negative shared allocation {n}").into());
+            }
+            Slow::Yield(
+                Some(op.a),
+                Yield::SharedAlloc {
                     elem: *elem,
                     len: n as usize,
                     pc,
-                });
-            }
-            Instr::Sync => {
-                crash_check!();
-                bump!();
-                return Ok(Yield::Sync);
-            }
+                },
+            )
         }
+        (OpKind::Sync, _) => Slow::Yield(None, Yield::Sync),
+        _ => unreachable!("ops[pc] decodes code[pc], and only these ops run out of line"),
+    })
+}
+
+/// `System.arraycopy` over two float arrays of one memory space.
+fn array_copy_f32(
+    mem: &mut MemSpace,
+    src: u32,
+    spos: usize,
+    dst: u32,
+    dpos: usize,
+    n: usize,
+) -> Result<(), ExecError> {
+    let range = |v: &[f32], pos: usize| pos.checked_add(n).filter(|end| *end <= v.len());
+    let data: Vec<f32> = match mem.arr(src)? {
+        ArrStore::F32(v) => match range(v, spos) {
+            Some(end) => v[spos..end].to_vec(),
+            None => return Err("arraycopy src out of range".into()),
+        },
+        _ => return Err("arraycopy on non-f32 array".into()),
+    };
+    match mem.arr_mut(dst)? {
+        ArrStore::F32(v) => match range(v, dpos) {
+            Some(end) => v[dpos..end].copy_from_slice(&data),
+            None => return Err("arraycopy dst out of range".into()),
+        },
+        _ => return Err("arraycopy on non-f32 array".into()),
     }
+    Ok(())
 }
 
 /// Convenience: run a function to completion in a machine, servicing no
@@ -1055,9 +1235,10 @@ pub fn run_to_completion(
     args: Vec<Val>,
     machine: &mut Machine,
 ) -> Result<Option<Val>, ExecError> {
-    let mut t = Thread::new(program, func, args)?;
+    let image = Image::build(program)?;
+    let mut t = Thread::new(program, func, &args)?;
     loop {
-        match run(&mut t, program, machine, u64::MAX)? {
+        match run(&mut t, &image, machine, u64::MAX)? {
             Yield::Done(v) => return Ok(v),
             Yield::OutOfFuel => {}
             Yield::Crashed { step } => {
@@ -1078,120 +1259,7 @@ pub fn run_to_completion(
     }
 }
 
-fn binop(op: BinOp, kind: PrimKind, l: Val, r: Val) -> Result<Val, ExecError> {
-    use BinOp::*;
-    Ok(match kind {
-        PrimKind::Int => {
-            let (a, b) = (l.as_i32()?, r.as_i32()?);
-            match op {
-                Add => Val::I32(a.wrapping_add(b)),
-                Sub => Val::I32(a.wrapping_sub(b)),
-                Mul => Val::I32(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err("division by zero".into());
-                    }
-                    Val::I32(a.wrapping_div(b))
-                }
-                Rem => {
-                    if b == 0 {
-                        return Err("remainder by zero".into());
-                    }
-                    Val::I32(a.wrapping_rem(b))
-                }
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                Shl => Val::I32(a.wrapping_shl(b as u32 & 31)),
-                Shr => Val::I32(a.wrapping_shr(b as u32 & 31)),
-                BitAnd => Val::I32(a & b),
-                BitOr => Val::I32(a | b),
-                BitXor => Val::I32(a ^ b),
-                And | Or => return Err("logical op on int".into()),
-            }
-        }
-        PrimKind::Long => {
-            let (a, b) = (l.as_i64()?, r.as_i64()?);
-            match op {
-                Add => Val::I64(a.wrapping_add(b)),
-                Sub => Val::I64(a.wrapping_sub(b)),
-                Mul => Val::I64(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err("division by zero".into());
-                    }
-                    Val::I64(a.wrapping_div(b))
-                }
-                Rem => {
-                    if b == 0 {
-                        return Err("remainder by zero".into());
-                    }
-                    Val::I64(a.wrapping_rem(b))
-                }
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                Shl => Val::I64(a.wrapping_shl(b as u32 & 63)),
-                Shr => Val::I64(a.wrapping_shr(b as u32 & 63)),
-                BitAnd => Val::I64(a & b),
-                BitOr => Val::I64(a | b),
-                BitXor => Val::I64(a ^ b),
-                And | Or => return Err("logical op on long".into()),
-            }
-        }
-        PrimKind::Float => {
-            let (a, b) = (l.as_f32()?, r.as_f32()?);
-            match op {
-                Add => Val::F32(a + b),
-                Sub => Val::F32(a - b),
-                Mul => Val::F32(a * b),
-                Div => Val::F32(a / b),
-                Rem => Val::F32(a % b),
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                _ => return Err("bitwise op on float".into()),
-            }
-        }
-        PrimKind::Double => {
-            let (a, b) = (l.as_f64()?, r.as_f64()?);
-            match op {
-                Add => Val::F64(a + b),
-                Sub => Val::F64(a - b),
-                Mul => Val::F64(a * b),
-                Div => Val::F64(a / b),
-                Rem => Val::F64(a % b),
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                _ => return Err("bitwise op on double".into()),
-            }
-        }
-        PrimKind::Boolean => {
-            let (a, b) = (l.as_bool()?, r.as_bool()?);
-            match op {
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                And => Val::Bool(a && b),
-                Or => Val::Bool(a || b),
-                _ => return Err("arith op on bool".into()),
-            }
-        }
-    })
-}
-
+#[inline]
 fn numcast(to: PrimKind, v: Val) -> Result<Val, ExecError> {
     Ok(match to {
         PrimKind::Int => Val::I32(match v {
@@ -1232,6 +1300,7 @@ fn numcast(to: PrimKind, v: Val) -> Result<Val, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jlang::ast::BinOp;
     use nir::{FuncBuilder, FuncKind, Ty};
 
     fn program_sum_to(n: i32) -> (Program, FuncId) {
@@ -1296,10 +1365,11 @@ mod tests {
     fn fuel_suspends_and_resumes() {
         let (p, id) = program_sum_to(1000);
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, id, vec![]).unwrap();
+        let image = Image::build(&p).unwrap();
+        let mut t = Thread::new(&p, id, &[]).unwrap();
         let mut rounds = 0;
         let v = loop {
-            match run(&mut t, &p, &mut m, 100).unwrap() {
+            match run(&mut t, &image, &mut m, 100).unwrap() {
                 Yield::Done(v) => break v,
                 Yield::OutOfFuel => rounds += 1,
                 other => panic!("unexpected {other:?}"),
@@ -1561,8 +1631,9 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, id, vec![]).unwrap();
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        let image = Image::build(&p).unwrap();
+        let mut t = Thread::new(&p, id, &[]).unwrap();
+        match run(&mut t, &image, &mut m, u64::MAX).unwrap() {
             Yield::Mpi {
                 op: IntrinOp::MpiRank,
                 ..
@@ -1571,7 +1642,7 @@ mod tests {
         }
         // Service the yield: this is rank 3.
         t.resume_with(Val::I32(3));
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        match run(&mut t, &image, &mut m, u64::MAX).unwrap() {
             Yield::Done(Some(Val::I32(3))) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -1597,12 +1668,13 @@ mod tests {
         let id = p.add_func(fb.finish().unwrap());
         p.validate().unwrap();
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, id, vec![]).unwrap();
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        let image = Image::build(&p).unwrap();
+        let mut t = Thread::new(&p, id, &[]).unwrap();
+        match run(&mut t, &image, &mut m, u64::MAX).unwrap() {
             Yield::Sync => {}
             other => panic!("expected sync, got {other:?}"),
         }
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        match run(&mut t, &image, &mut m, u64::MAX).unwrap() {
             Yield::Done(Some(Val::I32(3))) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -1631,8 +1703,9 @@ mod tests {
         let f = p.add_func(fb.finish().unwrap());
         p.validate().unwrap();
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, f, vec![]).unwrap();
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        let image = Image::build(&p).unwrap();
+        let mut t = Thread::new(&p, f, &[]).unwrap();
+        match run(&mut t, &image, &mut m, u64::MAX).unwrap() {
             Yield::Launch {
                 kernel,
                 grid,

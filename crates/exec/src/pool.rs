@@ -34,8 +34,7 @@
 //! via [`parallel_map`], which preserves input-index order so FuncId
 //! assignment stays deterministic.
 
-use crate::{run, ExecError, Machine, Thread, Yield};
-use nir::Program;
+use crate::{run, ExecError, Image, Machine, Thread, Yield};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -128,20 +127,20 @@ pub struct SliceDone {
 /// [`ThreadExecutor`] return results in batch order (the seeded
 /// schedule); free-running mode returns completion order.
 pub trait Executor: Send + Sync {
-    fn run_batch(&self, program: &Program, jobs: Vec<SliceJob>) -> Vec<SliceDone>;
+    fn run_batch(&self, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone>;
 
     /// Stable name for reports (`sim`, `threads-replay`, `threads-free`).
     fn name(&self) -> &'static str;
 }
 
-fn exec_one(program: &Program, job: SliceJob) -> SliceDone {
+fn exec_one(image: &Image<'_>, job: SliceJob) -> SliceDone {
     let SliceJob {
         rank,
         mut thread,
         mut machine,
         slice,
     } = job;
-    let outcome = run(&mut thread, program, &mut machine, slice);
+    let outcome = run(&mut thread, image, &mut machine, slice);
     SliceDone {
         rank,
         thread,
@@ -156,8 +155,8 @@ fn exec_one(program: &Program, job: SliceJob) -> SliceDone {
 pub struct SimExecutor;
 
 impl Executor for SimExecutor {
-    fn run_batch(&self, program: &Program, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
-        jobs.into_iter().map(|j| exec_one(program, j)).collect()
+    fn run_batch(&self, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
+        jobs.into_iter().map(|j| exec_one(image, j)).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -185,12 +184,12 @@ impl ThreadExecutor {
 }
 
 impl Executor for ThreadExecutor {
-    fn run_batch(&self, program: &Program, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
+    fn run_batch(&self, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
         let n = jobs.len();
         let workers = (self.workers.max(1) as usize).min(n);
         if workers <= 1 {
             // One worker (or one job) degenerates to the serial loop.
-            return SimExecutor.run_batch(program, jobs);
+            return SimExecutor.run_batch(image, jobs);
         }
         // Seed the deques round-robin so every worker starts loaded.
         let queues: Vec<Mutex<VecDeque<(usize, SliceJob)>>> =
@@ -220,7 +219,7 @@ impl Executor for ThreadExecutor {
                     }
                     match job {
                         Some((i, j)) => {
-                            let r = exec_one(program, j);
+                            let r = exec_one(image, j);
                             done.lock().unwrap().push((i, r));
                         }
                         // All deques drained: no new work arrives

@@ -236,14 +236,15 @@ fn fuel_boundary_never_changes_results() {
     };
     let small = {
         let mut m = exec::Machine::new();
+        let image = exec::Image::build(&p).unwrap();
         let mut t = exec::Thread::new(
             &p,
             p.entry.unwrap(),
-            vec![exec::Val::I32(7), exec::Val::I32(35)],
+            &[exec::Val::I32(7), exec::Val::I32(35)],
         )
         .unwrap();
         loop {
-            match exec::run(&mut t, &p, &mut m, 1).unwrap() {
+            match exec::run(&mut t, &image, &mut m, 1).unwrap() {
                 exec::Yield::Done(v) => break (v, m.counters.instrs),
                 exec::Yield::OutOfFuel => {}
                 other => panic!("unexpected {other:?}"),

@@ -23,9 +23,10 @@
 #![forbid(unsafe_code)]
 
 use exec::{
-    run, ArrStore, ExecError, FaultConfig, FaultPlan, Machine, ResilienceStats, Thread, Val, Yield,
+    run, ArrStore, ExecError, FaultConfig, FaultPlan, Image, Machine, ResilienceStats, Thread, Val,
+    Yield,
 };
-use nir::{FuncId, IntrinOp, Program};
+use nir::{FuncId, IntrinOp};
 use std::collections::HashMap;
 
 /// Device model parameters (defaults shaped after the paper's M2050).
@@ -117,6 +118,20 @@ fn err(message: impl Into<String>) -> GpuError {
         message: message.into(),
         kind: GpuErrorKind::Fatal,
     }
+}
+
+#[derive(PartialEq)]
+enum St {
+    Runnable,
+    AtBarrier,
+    Done,
+}
+
+/// One CUDA thread of the block being executed.
+struct Ctx {
+    thread: Thread,
+    idx: [u32; 3],
+    st: St,
 }
 
 /// The simulated device: its own [`Machine`] (memory space + counters)
@@ -244,7 +259,7 @@ impl Gpu {
     /// semantics and return the launch statistics.
     pub fn launch(
         &mut self,
-        program: &Program,
+        image: &Image<'_>,
         kernel: FuncId,
         grid: [u32; 3],
         block: [u32; 3],
@@ -262,6 +277,21 @@ impl Gpu {
         }
         let start_cycles = self.machine.counters.cycles;
 
+        // One resumable context per thread position of a block; every
+        // block re-arms the same contexts instead of allocating its own.
+        let mut threads = Vec::with_capacity(threads_per_block as usize);
+        for tz in 0..block[2] {
+            for ty in 0..block[1] {
+                for tx in 0..block[0] {
+                    threads.push(Ctx {
+                        thread: Thread::new(image.program(), kernel, &args)?,
+                        idx: [tx, ty, tz],
+                        st: St::Runnable,
+                    });
+                }
+            }
+        }
+
         let mut linear: u64 = 0;
         for bz in 0..grid[2] {
             for by in 0..grid[1] {
@@ -276,13 +306,14 @@ impl Gpu {
                         self.machine.fault = Some(self.sm_plans[sm].clone());
                     }
                     let res = self.run_block(
-                        program,
+                        image,
                         kernel,
                         grid,
                         block,
                         [bx, by, bz],
                         &args,
                         sm as u32,
+                        &mut threads,
                     );
                     if armed {
                         if let Some(plan) = self.machine.fault.take() {
@@ -313,36 +344,18 @@ impl Gpu {
     #[allow(clippy::too_many_arguments)]
     fn run_block(
         &mut self,
-        program: &Program,
+        image: &Image<'_>,
         kernel: FuncId,
         grid: [u32; 3],
         block: [u32; 3],
         block_idx: [u32; 3],
         args: &[Val],
         sm: u32,
+        threads: &mut [Ctx],
     ) -> Result<(), GpuError> {
-        #[derive(PartialEq)]
-        enum St {
-            Runnable,
-            AtBarrier,
-            Done,
-        }
-        struct Ctx {
-            thread: Thread,
-            idx: [u32; 3],
-            st: St,
-        }
-        let mut threads = Vec::new();
-        for tz in 0..block[2] {
-            for ty in 0..block[1] {
-                for tx in 0..block[0] {
-                    threads.push(Ctx {
-                        thread: Thread::new(program, kernel, args.to_vec())?,
-                        idx: [tx, ty, tz],
-                        st: St::Runnable,
-                    });
-                }
-            }
+        for ctx in threads.iter_mut() {
+            ctx.thread.reset(image.program(), kernel, args)?;
+            ctx.st = St::Runnable;
         }
         // Per-block shared arrays, keyed by allocation site (pc).
         let mut shared: HashMap<u32, u32> = HashMap::new();
@@ -356,7 +369,7 @@ impl Gpu {
                 any_progress = true;
                 // Run this thread until it blocks at a barrier or finishes.
                 loop {
-                    match run(&mut ctx.thread, program, &mut self.machine, u64::MAX)? {
+                    match run(&mut ctx.thread, image, &mut self.machine, u64::MAX)? {
                         Yield::Done(_) => {
                             ctx.st = St::Done;
                             break;
@@ -449,7 +462,7 @@ mod tests {
     use super::*;
     use jlang::ast::BinOp;
     use jlang::types::PrimKind;
-    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Ty};
+    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Program, Ty};
 
     /// Build a kernel: a[global_id] = a[global_id] * 2
     fn scale_kernel(p: &mut Program) -> FuncId {
@@ -551,13 +564,14 @@ mod tests {
     fn kernel_scales_array_across_blocks() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         p.validate().unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
             .unwrap();
         let stats = gpu
-            .launch(&p, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+            .launch(&image, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         assert_eq!(stats.blocks, 3);
         assert_eq!(stats.threads, 12);
@@ -638,12 +652,13 @@ mod tests {
     fn syncthreads_is_barrier_correct() {
         let mut p = Program::default();
         let k = reverse_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         p.validate().unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu
             .copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
             .unwrap();
-        gpu.launch(&p, k, [1, 1, 1], [5, 1, 1], vec![Val::Arr(dev)])
+        gpu.launch(&image, k, [1, 1, 1], [5, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 5]);
         gpu.copy_out(dev, &mut out).unwrap();
@@ -659,9 +674,10 @@ mod tests {
         // arrays (a shared global would corrupt the second pass).
         let mut p = Program::default();
         let k = reverse_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu.copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0])).unwrap();
-        gpu.launch(&p, k, [2, 1, 1], [3, 1, 1], vec![Val::Arr(dev)])
+        gpu.launch(&image, k, [2, 1, 1], [3, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 3]);
         gpu.copy_out(dev, &mut out).unwrap();
@@ -672,14 +688,15 @@ mod tests {
     fn launch_time_scales_with_work() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let small = gpu.copy_in(&ArrStore::F32(vec![0.0; 64])).unwrap();
         let s1 = gpu
-            .launch(&p, k, [2, 1, 1], [32, 1, 1], vec![Val::Arr(small)])
+            .launch(&image, k, [2, 1, 1], [32, 1, 1], vec![Val::Arr(small)])
             .unwrap();
         let big = gpu.copy_in(&ArrStore::F32(vec![0.0; 4096])).unwrap();
         let s2 = gpu
-            .launch(&p, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big)])
+            .launch(&image, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big)])
             .unwrap();
         assert!(s2.executed_cycles > s1.executed_cycles);
         assert!(s2.kernel_time > s1.kernel_time);
@@ -690,7 +707,7 @@ mod tests {
         });
         let big2 = fat.copy_in(&ArrStore::F32(vec![0.0; 4096])).unwrap();
         let s3 = fat
-            .launch(&p, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big2)])
+            .launch(&image, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big2)])
             .unwrap();
         assert!(s3.kernel_time < s2.kernel_time);
     }
@@ -699,10 +716,11 @@ mod tests {
     fn oversized_block_rejected() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu.copy_in(&ArrStore::F32(vec![0.0; 4])).unwrap();
         let e = gpu
-            .launch(&p, k, [1, 1, 1], [2048, 1, 1], vec![Val::Arr(dev)])
+            .launch(&image, k, [1, 1, 1], [2048, 1, 1], vec![Val::Arr(dev)])
             .unwrap_err();
         assert!(e.message.contains("1024"), "{e}");
     }
@@ -711,6 +729,7 @@ mod tests {
     fn injected_device_crash_is_typed_and_deterministic() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         p.validate().unwrap();
         let run_once = || {
             let mut gpu = Gpu::new(GpuConfig::default());
@@ -720,7 +739,7 @@ mod tests {
             });
             let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 16])).unwrap();
             let e = gpu
-                .launch(&p, k, [2, 1, 1], [8, 1, 1], vec![Val::Arr(dev)])
+                .launch(&image, k, [2, 1, 1], [8, 1, 1], vec![Val::Arr(dev)])
                 .unwrap_err();
             assert!(e.is_injected(), "{e}");
             assert!(gpu.fault_stats().crashes >= 1);
@@ -736,6 +755,7 @@ mod tests {
     fn zero_rate_device_plans_change_nothing() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         p.validate().unwrap();
         let mut armed = Gpu::new(GpuConfig::default());
         armed.set_fault(FaultConfig::seeded(5));
@@ -743,7 +763,7 @@ mod tests {
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
             .unwrap();
         armed
-            .launch(&p, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+            .launch(&image, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 10]);
         armed.copy_out(dev, &mut out).unwrap();
@@ -758,11 +778,12 @@ mod tests {
     fn determinism_across_runs() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
         let run_once = || {
             let mut gpu = Gpu::new(GpuConfig::default());
             let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 100])).unwrap();
             let stats = gpu
-                .launch(&p, k, [4, 1, 1], [32, 1, 1], vec![Val::Arr(dev)])
+                .launch(&image, k, [4, 1, 1], [32, 1, 1], vec![Val::Arr(dev)])
                 .unwrap();
             (stats.executed_cycles, stats.kernel_time, gpu.vtime)
         };
@@ -775,7 +796,7 @@ mod tests_3d {
     use super::*;
     use jlang::ast::BinOp;
     use jlang::types::PrimKind;
-    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Reg, Ty};
+    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Program, Reg, Ty};
 
     /// Kernel writing a[linear(gid3)] = bx*100 + by*10 + bz + tz*0.5 over a
     /// 3-D grid of 3-D blocks, exercising the y/z coordinate registers.
@@ -924,11 +945,12 @@ mod tests_3d {
         let mut p = Program::default();
         let k = p.add_func(kb.finish().unwrap());
         p.validate().unwrap();
+        let image = Image::build(&p).unwrap();
 
         let mut gpu = Gpu::new(GpuConfig::default());
         // grid 2x3x2, block 1x1x2 -> 24 cells
         let dev = gpu.copy_in(&ArrStore::F32(vec![-1.0; 24])).unwrap();
-        gpu.launch(&p, k, [2, 3, 2], [1, 1, 2], vec![Val::Arr(dev)])
+        gpu.launch(&image, k, [2, 3, 2], [1, 1, 2], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 24]);
         gpu.copy_out(dev, &mut out).unwrap();

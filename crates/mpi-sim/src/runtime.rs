@@ -21,12 +21,13 @@
 //!   [`RankPool`] methods.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use exec::ckpt::{self, chain, CkptError};
 use exec::pool::{SliceDone, SliceJob};
 use exec::{
-    run, ArrStore, ExecError, Executor, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Machine,
-    MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
+    run, ArrStore, ExecError, Executor, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Image,
+    Machine, MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuConfig, GpuErrorKind};
 use nir::codec::{Reader, Writer};
@@ -405,7 +406,7 @@ pub fn write_floats(
 /// continues past the launch on its own); GPU memory ops resume with
 /// their result.
 pub fn service_device_yield(
-    program: &Program,
+    image: &Image<'_>,
     thread: &mut Thread,
     machine: &mut Machine,
     gpu: &mut Option<Gpu>,
@@ -422,7 +423,7 @@ pub fn service_device_yield(
             let gpu = gpu
                 .as_mut()
                 .ok_or_else(|| err_on(r, "kernel launch but no GPU configured for this run"))?;
-            match gpu.launch(program, kernel, grid, block, args) {
+            match gpu.launch(image, kernel, grid, block, args) {
                 Ok(stats) => Ok(DeviceOutcome::Advance(stats.kernel_time)),
                 // An injected device fault kills the rank (typed),
                 // exactly like a host-side crash — the restart path can
@@ -437,7 +438,7 @@ pub fn service_device_yield(
             }
         }
         Yield::GpuMem { op, args } => {
-            let loc = yield_location(program, thread);
+            let loc = yield_location(image.program(), thread);
             let gpu = gpu.as_mut().ok_or_else(|| {
                 err_on(
                     r,
@@ -1643,6 +1644,11 @@ pub struct LocalPool<'p, 'a> {
     /// OS-thread executor for batched slice execution; `None` keeps the
     /// historical in-process serial loop (the `run_slices` default).
     executor: Option<Box<dyn Executor>>,
+    /// The program decoded for `exec::run`: built by the first slice of
+    /// the run, then shared by every rank, pool worker and device launch
+    /// (restarts included). A pool that never runs — `dist`'s cold-start
+    /// seed — never builds one.
+    image: Option<Arc<Image<'p>>>,
 }
 
 impl<'p, 'a> LocalPool<'p, 'a> {
@@ -1666,6 +1672,7 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             ranks: Vec::new(),
             pending: Vec::new(),
             executor: None,
+            image: None,
         }
     }
 
@@ -1678,6 +1685,18 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             threads => Some(threads.build()),
         };
         self
+    }
+
+    fn image(&mut self) -> Result<Arc<Image<'p>>, SimError> {
+        if let Some(image) = &self.image {
+            return Ok(Arc::clone(image));
+        }
+        let image = Image::build(self.program).map_err(|e| SimError::World {
+            message: e.to_string(),
+        })?;
+        let image = Arc::new(image);
+        self.image = Some(Arc::clone(&image));
+        Ok(image)
     }
 
     fn rank_mut(&mut self, r: u32) -> Result<&mut LocalRank, SimError> {
@@ -1723,7 +1742,7 @@ impl RankPool for LocalPool<'_, '_> {
             }
             let args = (self.make_args)(r, &mut machine)
                 .map_err(|m| err_on(r, format!("building entry args: {m}")))?;
-            let thread = Thread::new(self.program, self.entry, args)
+            let thread = Thread::new(self.program, self.entry, &args)
                 .map_err(|e| err_on(r, e.to_string()))?;
             let mut gpu = self.gpu.map(Gpu::new);
             if let (Some(g), Some(cfg)) = (gpu.as_mut(), self.fault) {
@@ -1740,10 +1759,10 @@ impl RankPool for LocalPool<'_, '_> {
     }
 
     fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        let program = self.program;
+        let image = self.image()?;
         let (y, delta) = {
             let rank = self.rank_mut(r)?;
-            let y = run(&mut rank.thread, program, &mut rank.machine, slice)
+            let y = run(&mut rank.thread, &image, &mut rank.machine, slice)
                 .map_err(|e| err_on(r, e.to_string()))?;
             let delta = rank.machine.counters.cycles - rank.last_cycles;
             rank.last_cycles = rank.machine.counters.cycles;
@@ -1772,6 +1791,7 @@ impl RankPool for LocalPool<'_, '_> {
         ranks: &[u32],
         slice: u64,
     ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
+        let image = self.image()?;
         let Some(executor) = self.executor.as_ref() else {
             // No executor attached: the historical serial loop.
             let mut out = Vec::with_capacity(ranks.len());
@@ -1802,7 +1822,7 @@ impl RankPool for LocalPool<'_, '_> {
                 slice,
             });
         }
-        let results = executor.run_batch(self.program, jobs);
+        let results = executor.run_batch(&image, jobs);
         // Reinstall every rank before surfacing any error so no state
         // is stranded, then classify yields in the executor's returned
         // (service) order.
@@ -1860,10 +1880,10 @@ impl RankPool for LocalPool<'_, '_> {
         let y = self.pending[r as usize]
             .take()
             .ok_or_else(|| err_on(r, "no pending device yield"))?;
-        let program = self.program;
+        let image = self.image()?;
         let rank = self.rank_mut(r)?;
         service_device_yield(
-            program,
+            &image,
             &mut rank.thread,
             &mut rank.machine,
             &mut rank.gpu,

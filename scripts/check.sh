@@ -45,9 +45,15 @@ echo "== service smoke run (jitd daemon: in-process boot, seeded client  =="
 echo "==   storm; every request ends in a reply or typed shed in-deadline) =="
 cargo run --release --offline -q -p bench --bin repro -- service --quick
 
-echo "== incremental re-JIT smoke run (asserts >=10x body-edit speedup, =="
+echo "== incremental re-JIT smoke run (asserts >=5x body-edit speedup,  =="
 echo "==   strictly fewer queries than cold, bit-identical artifacts)   =="
 cargo run --release --offline -q -p bench --bin repro -- incremental --quick
+
+echo "== the ruler: benchmark/ is frozen and builds against layer-internal =="
+echo "==   names, so a source-incompatible change must fail here, not in   =="
+echo "==   the driver; then one smoke pass over all seven workloads        =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --bin wjbench -- run --smoke
 
 echo "== disk-cache round-trip smoke =="
 # jit once (cold, persists the artifact), then re-jit from a fresh
