@@ -339,6 +339,14 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
 /// Opcode, operand count, and whether the interpreter writes a
 /// destination itself (yielding intrinsics hand `dst` to the runtime that
 /// services them, which tolerates its absence).
+///
+/// This is the one table of intrinsic operand counts. The loop reads the
+/// math, print and array-copy operands by position; the yielding ones
+/// travel as `Yield::{Mpi, GpuMem}` argument lists that
+/// `mpi_sim::runtime::{service_mpi, service_device_yield}` index by
+/// position without a length check, because a program whose counts
+/// differ from these never gets an image. An intrinsic whose operand
+/// layout changes there changes here too.
 fn intrin_shape(op: IntrinOp) -> (OpKind, usize, bool) {
     use IntrinOp as I;
     use OpKind as K;

@@ -21,7 +21,6 @@
 //!   [`RankPool`] methods.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use exec::ckpt::{self, chain, CkptError};
 use exec::pool::{SliceDone, SliceJob};
@@ -404,7 +403,9 @@ pub fn write_floats(
 ///
 /// A successful launch does **not** resume the thread (the interpreter
 /// continues past the launch on its own); GPU memory ops resume with
-/// their result.
+/// their result. `args` has the operand count `exec::Image::build`
+/// checked for `op` (`intrin_shape` in `exec/src/image.rs`), so it is
+/// indexed by position.
 pub fn service_device_yield(
     image: &Image<'_>,
     thread: &mut Thread,
@@ -729,7 +730,8 @@ fn check_rank(pool: &mut dyn RankPool, size: u32, r: u32, v: i32) -> Result<u32,
 
 /// Service one MPI yield against the scheduler's collective rendezvous
 /// state — the pre-refactor `service_mpi`, reading and writing rank
-/// memory through the pool seam.
+/// memory through the pool seam. `args` has the operand count
+/// `exec::Image::build` checked for `op`, so it is indexed by position.
 #[allow(clippy::too_many_arguments)]
 fn service_mpi(
     cfg: &RunCfg,
@@ -1645,10 +1647,33 @@ pub struct LocalPool<'p, 'a> {
     /// historical in-process serial loop (the `run_slices` default).
     executor: Option<Box<dyn Executor>>,
     /// The program decoded for `exec::run`: built by the first slice of
-    /// the run, then shared by every rank, pool worker and device launch
-    /// (restarts included). A pool that never runs — `dist`'s cold-start
-    /// seed — never builds one.
-    image: Option<Arc<Image<'p>>>,
+    /// the run, then borrowed by every rank, pool worker and device
+    /// launch (restarts included). A pool that never runs — `dist`'s
+    /// cold-start seed — never builds one.
+    image: Option<Image<'p>>,
+}
+
+/// The pool's image, built on first use. A free function over the two
+/// fields it needs so callers can hold it next to `&mut` ranks.
+fn image_of<'i, 'p>(
+    slot: &'i mut Option<Image<'p>>,
+    program: &'p Program,
+) -> Result<&'i Image<'p>, SimError> {
+    if slot.is_none() {
+        *slot = Some(Image::build(program).map_err(|e| SimError::World {
+            message: e.to_string(),
+        })?);
+    }
+    Ok(slot.as_ref().expect("filled above"))
+}
+
+fn live_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<&mut LocalRank, SimError> {
+    ranks
+        .get_mut(r as usize)
+        .and_then(|o| o.as_mut())
+        .ok_or_else(|| SimError::World {
+            message: format!("rank {r} is not live in the local pool"),
+        })
 }
 
 impl<'p, 'a> LocalPool<'p, 'a> {
@@ -1687,25 +1712,8 @@ impl<'p, 'a> LocalPool<'p, 'a> {
         self
     }
 
-    fn image(&mut self) -> Result<Arc<Image<'p>>, SimError> {
-        if let Some(image) = &self.image {
-            return Ok(Arc::clone(image));
-        }
-        let image = Image::build(self.program).map_err(|e| SimError::World {
-            message: e.to_string(),
-        })?;
-        let image = Arc::new(image);
-        self.image = Some(Arc::clone(&image));
-        Ok(image)
-    }
-
     fn rank_mut(&mut self, r: u32) -> Result<&mut LocalRank, SimError> {
-        self.ranks
-            .get_mut(r as usize)
-            .and_then(|o| o.as_mut())
-            .ok_or_else(|| SimError::World {
-                message: format!("rank {r} is not live in the local pool"),
-            })
+        live_rank(&mut self.ranks, r)
     }
 
     /// Drain one rank into its final outcome — the per-rank half of
@@ -1759,10 +1767,10 @@ impl RankPool for LocalPool<'_, '_> {
     }
 
     fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        let image = self.image()?;
+        let image = image_of(&mut self.image, self.program)?;
         let (y, delta) = {
-            let rank = self.rank_mut(r)?;
-            let y = run(&mut rank.thread, &image, &mut rank.machine, slice)
+            let rank = live_rank(&mut self.ranks, r)?;
+            let y = run(&mut rank.thread, image, &mut rank.machine, slice)
                 .map_err(|e| err_on(r, e.to_string()))?;
             let delta = rank.machine.counters.cycles - rank.last_cycles;
             rank.last_cycles = rank.machine.counters.cycles;
@@ -1791,7 +1799,6 @@ impl RankPool for LocalPool<'_, '_> {
         ranks: &[u32],
         slice: u64,
     ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
-        let image = self.image()?;
         let Some(executor) = self.executor.as_ref() else {
             // No executor attached: the historical serial loop.
             let mut out = Vec::with_capacity(ranks.len());
@@ -1801,6 +1808,7 @@ impl RankPool for LocalPool<'_, '_> {
             }
             return Ok(out);
         };
+        let image = image_of(&mut self.image, self.program)?;
         // Move each ready rank's execution state into a job. The device
         // and the cycle watermark stay pool-side — slices never touch
         // them (device yields are serviced after the batch).
@@ -1822,7 +1830,7 @@ impl RankPool for LocalPool<'_, '_> {
                 slice,
             });
         }
-        let results = executor.run_batch(&image, jobs);
+        let results = executor.run_batch(image, jobs);
         // Reinstall every rank before surfacing any error so no state
         // is stranded, then classify yields in the executor's returned
         // (service) order.
@@ -1880,10 +1888,10 @@ impl RankPool for LocalPool<'_, '_> {
         let y = self.pending[r as usize]
             .take()
             .ok_or_else(|| err_on(r, "no pending device yield"))?;
-        let image = self.image()?;
-        let rank = self.rank_mut(r)?;
+        let image = image_of(&mut self.image, self.program)?;
+        let rank = live_rank(&mut self.ranks, r)?;
         service_device_yield(
-            &image,
+            image,
             &mut rank.thread,
             &mut rank.machine,
             &mut rank.gpu,

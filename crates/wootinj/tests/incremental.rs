@@ -2,7 +2,7 @@
 //! granularity, early cutoff, and the determinism contract.
 //!
 //! The counters are deterministic (no wall-clock assertions here — the
-//! enforced ≥5× latency bound lives in `bench repro incremental`):
+//! enforced latency bound lives in `bench repro incremental`):
 //!
 //! * a value-only body edit re-typechecks exactly the edited body and
 //!   replays every untouched function memo;

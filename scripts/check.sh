@@ -45,8 +45,9 @@ echo "== service smoke run (jitd daemon: in-process boot, seeded client  =="
 echo "==   storm; every request ends in a reply or typed shed in-deadline) =="
 cargo run --release --offline -q -p bench --bin repro -- service --quick
 
-echo "== incremental re-JIT smoke run (asserts >=5x body-edit speedup,  =="
-echo "==   strictly fewer queries than cold, bit-identical artifacts)   =="
+echo "== incremental re-JIT smoke run (asserts >=6x body-edit speedup   =="
+echo "==   outside the optimizer, strictly fewer queries than cold,     =="
+echo "==   bit-identical artifacts)                                     =="
 cargo run --release --offline -q -p bench --bin repro -- incremental --quick
 
 echo "== the ruler: benchmark/ is frozen and builds against layer-internal =="
