@@ -2099,11 +2099,7 @@ pub fn backend_matrix(quick: bool) -> Figure {
 ///    time, and per-rank clocks — across worker counts, with crash
 ///    injection and checkpoint/restart included. Any divergence panics
 ///    (`scripts/check.sh` gates on this experiment).
-/// 2. **Free-running stays value-identical** on the exact-arithmetic
-///    ring workload: completion-order hand-off is just another service
-///    permutation, the same family the seeded-shuffle conformance
-///    tests already quantify over.
-/// 3. **Free-running buys real time** on the matmul/stencil sweep:
+/// 2. **Threads buy real time** on the matmul/stencil sweep:
 ///    median wall time at 4 workers must beat 1 worker by ≥ 1.5×.
 ///    This gate only arms when `available_parallelism() >= 4` — on
 ///    smaller hosts the sweep still runs and reports, but physics is
@@ -2115,7 +2111,7 @@ pub fn wallclock(quick: bool) -> Figure {
 
     let mut fig = Figure::new(
         "wallclock",
-        "executor seam: threads-replay == sim bit-identity, free-running throughput",
+        "executor seam: threads-replay == sim bit-identity, threaded throughput",
         "worker count",
         "see series",
     );
@@ -2214,26 +2210,8 @@ pub fn wallclock(quick: bool) -> Figure {
     fig.series.push(s_replay);
     fig.series.push(s_replay_faults);
 
-    // Free-running value identity on the exact-arithmetic workload:
-    // virtual timing may legitimately drift (and is not compared), but
-    // the values must not.
-    let free = run_cfg(
-        ExecutorCfg::Threads {
-            workers: 4,
-            mode: ExecMode::Free,
-        },
-        None,
-    );
-    assert!(
-        format!("{:?}", free.results) == format!("{:?}", reference.results),
-        "wallclock DIVERGENCE: free-running values drifted on exact arithmetic"
-    );
-    let mut s_free = Series::new("free-value-identical");
-    s_free.push(4.0, 1.0);
-    fig.series.push(s_free);
-
-    // Throughput sweep: matmul Fox and the diffusion stencil,
-    // free-running, 1 worker vs 4. min/median/max wall ms land in the
+    // Throughput sweep: matmul Fox and the diffusion stencil, 1 worker
+    // vs 4. min/median/max wall ms land in the
     // JSON so noise stays visible; the speedup gate compares medians.
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -2244,10 +2222,10 @@ pub fn wallclock(quick: bool) -> Figure {
     let bench_workload = |g: &mut timing::Group, which: &str, w: u32| -> (timing::Stats, String) {
         let cfg = ExecutorCfg::Threads {
             workers: w,
-            mode: ExecMode::Free,
+            mode: ExecMode::Replay,
         };
         let opts = JitOptions::wootinj().with_executor(cfg);
-        let label = format!("{which}/free-w{w}");
+        let label = format!("{which}/threads-w{w}");
         if which == "matmul-fox" {
             let mut env = WootinJ::new(&mat_table).unwrap();
             let app = MatmulApp::compose(
@@ -2282,7 +2260,7 @@ pub fn wallclock(quick: bool) -> Figure {
 
     let mut g = timing::Group::new("wallclock");
     g.sample_size(if quick { 3 } else { 7 }).warmup(1);
-    let mut s_speedup = Series::new("free-speedup-4w-over-1w");
+    let mut s_speedup = Series::new("speedup-4w-over-1w");
     for (wi, which) in ["matmul-fox", "diffusion"].iter().enumerate() {
         let mut s_min = Series::new(format!("{which} wall-ms min"));
         let mut s_med = Series::new(format!("{which} wall-ms median"));
@@ -2291,7 +2269,7 @@ pub fn wallclock(quick: bool) -> Figure {
         let (par, par_val) = bench_workload(&mut g, which, 4);
         assert!(
             base_val == par_val,
-            "wallclock DIVERGENCE: {which} free-running value drifted across worker counts \
+            "wallclock DIVERGENCE: {which} value drifted across worker counts \
              ({base_val} vs {par_val})"
         );
         for (w, st) in [(1.0, &base), (4.0, &par)] {
@@ -2307,7 +2285,7 @@ pub fn wallclock(quick: bool) -> Figure {
         if cores >= 4 {
             assert!(
                 speedup >= 1.5,
-                "wallclock: {which} free-running speedup {speedup:.2}x < 1.5x \
+                "wallclock: {which} speedup {speedup:.2}x < 1.5x \
                  with {cores} cores available"
             );
         }

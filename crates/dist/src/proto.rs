@@ -2,9 +2,10 @@
 //!
 //! One request/response pair per [`RankPool`] method, carried as typed
 //! payloads inside the length-prefixed, checksummed frames of
-//! [`mpi_sim::transport`]. The payload codec reuses the versioned
-//! [`nir::codec`] Writer/Reader idiom end to end, so every decode
-//! failure is a typed [`TransportError`] — never a panic, never a hang.
+//! [`mpi_sim::transport`]. Every payload type declares its layout once
+//! through [`nir::codec::Wire`]; the records `exec`, `gpu-sim` and
+//! `mpi-sim` own bring their own. Every decode failure is a typed
+//! [`TransportError`] — never a panic, never a hang.
 //!
 //! The protocol is strict lockstep: the coordinator sends one request
 //! frame and blocks (with a read timeout) on exactly one response
@@ -12,22 +13,23 @@
 //!
 //! [`RankPool`]: mpi_sim::RankPool
 
-use exec::ckpt::{self, CkptError};
+use exec::ckpt::{CkptError, CKPT_VERSION};
 use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
 use gpu_sim::GpuConfig;
 use mpi_sim::{DeviceOutcome, RankSnapshot, RankYield, SimError, TransportError};
-use nir::codec::{intrin_of, intrin_tag, CodecError, Reader, Writer};
+use nir::codec::Wire;
 
 /// Version of the request/response payload layout (independent of the
 /// frame-level [`mpi_sim::WIRE_VERSION`]). Carried in the `Hello`
 /// handshake; a skew refuses the worker before any state moves.
 ///
-/// v2: `Init` gained the warm-program reference ([`WarmProgram`]), the
-/// fault-config codec gained `translate_fail`, and the resilience codec
-/// gained `connect_retries` / `translate_failures`.
-///
-/// v3: the resilience codec gained `overlapped_rounds`.
-pub const PROTO_VERSION: u32 = 3;
+/// The low byte is [`CKPT_VERSION`], because the payloads embed
+/// `exec`-owned records (`FaultConfig`, `ResilienceStats`, `Val`, ...)
+/// whose layout that constant already versions: a new counter is one
+/// line in its `counters!` list and one `CKPT_VERSION` bump, nothing to
+/// edit here. The high bits count changes to every other record a
+/// payload carries (this module's, `GpuConfig`, `SimError`, ...).
+pub const PROTO_VERSION: u32 = (3 << 8) | CKPT_VERSION as u32;
 
 /// A reference to program bytes persisted in a warm artifact directory
 /// shared between coordinator and workers (same host — the spawn is
@@ -145,766 +147,68 @@ pub enum Resp {
     CkptErr(CkptError),
 }
 
-fn corrupt(message: impl Into<String>) -> TransportError {
-    TransportError::Corrupt {
-        message: message.into(),
-    }
-}
-
-fn from_codec(e: CodecError) -> TransportError {
-    corrupt(format!("payload codec: {e}"))
-}
-
-fn from_ckpt(e: CkptError) -> TransportError {
-    corrupt(format!("payload codec: {e}"))
-}
-
-// ---- leaf codecs --------------------------------------------------------
-
-fn write_opt_val(w: &mut Writer, v: &Option<Val>) {
-    match v {
-        Some(v) => {
-            w.bool(true);
-            ckpt::write_val(w, *v);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn read_opt_val(r: &mut Reader) -> Result<Option<Val>, TransportError> {
-    Ok(if r.bool().map_err(from_codec)? {
-        Some(ckpt::read_val(r).map_err(from_ckpt)?)
-    } else {
-        None
-    })
-}
-
-fn write_fault_config(w: &mut Writer, c: &FaultConfig) {
-    w.u64(c.seed);
-    w.f64(c.crash);
-    w.f64(c.fuel_exhaust);
-    w.f64(c.host_transient);
-    w.f64(c.msg_drop);
-    w.f64(c.msg_corrupt);
-    w.f64(c.msg_delay);
-    w.f64(c.ckpt_write_fail);
-    w.f64(c.connect_refuse);
-    w.f64(c.frame_truncate);
-    w.f64(c.ack_delay);
-    w.f64(c.translate_fail);
-    w.u64(c.delay_cycles);
-    w.u64(c.ack_delay_cycles);
-    w.u32(c.max_host_retries);
-    w.u64(c.retry_backoff_cycles);
-}
-
-fn read_fault_config(r: &mut Reader) -> Result<FaultConfig, TransportError> {
-    let mut c = FaultConfig::seeded(r.u64().map_err(from_codec)?);
-    c.crash = r.f64().map_err(from_codec)?;
-    c.fuel_exhaust = r.f64().map_err(from_codec)?;
-    c.host_transient = r.f64().map_err(from_codec)?;
-    c.msg_drop = r.f64().map_err(from_codec)?;
-    c.msg_corrupt = r.f64().map_err(from_codec)?;
-    c.msg_delay = r.f64().map_err(from_codec)?;
-    c.ckpt_write_fail = r.f64().map_err(from_codec)?;
-    c.connect_refuse = r.f64().map_err(from_codec)?;
-    c.frame_truncate = r.f64().map_err(from_codec)?;
-    c.ack_delay = r.f64().map_err(from_codec)?;
-    c.translate_fail = r.f64().map_err(from_codec)?;
-    c.delay_cycles = r.u64().map_err(from_codec)?;
-    c.ack_delay_cycles = r.u64().map_err(from_codec)?;
-    c.max_host_retries = r.u32().map_err(from_codec)?;
-    c.retry_backoff_cycles = r.u64().map_err(from_codec)?;
-    Ok(c)
-}
-
-fn write_gpu_config(w: &mut Writer, c: &GpuConfig) {
-    w.u32(c.n_sms);
-    w.u32(c.lanes_per_sm);
-    w.u64(c.launch_overhead);
-    w.f64(c.copy_bytes_per_cycle);
-    w.u64(c.copy_latency);
-}
-
-fn read_gpu_config(r: &mut Reader) -> Result<GpuConfig, TransportError> {
-    Ok(GpuConfig {
-        n_sms: r.u32().map_err(from_codec)?,
-        lanes_per_sm: r.u32().map_err(from_codec)?,
-        launch_overhead: r.u64().map_err(from_codec)?,
-        copy_bytes_per_cycle: r.f64().map_err(from_codec)?,
-        copy_latency: r.u64().map_err(from_codec)?,
-    })
-}
-
-fn write_sim_error(w: &mut Writer, e: &SimError) {
-    match e {
-        SimError::Rank { rank, message } => {
-            w.u8(0);
-            w.u32(*rank);
-            w.str(message);
-        }
-        SimError::Crash {
-            rank,
-            step,
-            post_mortem,
-        } => {
-            w.u8(1);
-            w.u32(*rank);
-            w.u64(*step);
-            w.str(post_mortem);
-        }
-        SimError::Timeout {
-            rank,
-            waited_rounds,
-            report,
-        } => {
-            w.u8(2);
-            w.u32(*rank);
-            w.u64(*waited_rounds);
-            w.str(report);
-        }
-        SimError::Deadlock { report } => {
-            w.u8(3);
-            w.str(report);
-        }
-        SimError::CheckpointScope { expected, found } => {
-            w.u8(4);
-            w.u64(*expected);
-            w.u64(*found);
-        }
-        SimError::World { message } => {
-            w.u8(5);
-            w.str(message);
-        }
-    }
-}
-
-fn read_sim_error(r: &mut Reader) -> Result<SimError, TransportError> {
-    Ok(match r.u8().map_err(from_codec)? {
-        0 => SimError::Rank {
-            rank: r.u32().map_err(from_codec)?,
-            message: r.str().map_err(from_codec)?,
-        },
-        1 => SimError::Crash {
-            rank: r.u32().map_err(from_codec)?,
-            step: r.u64().map_err(from_codec)?,
-            post_mortem: r.str().map_err(from_codec)?,
-        },
-        2 => SimError::Timeout {
-            rank: r.u32().map_err(from_codec)?,
-            waited_rounds: r.u64().map_err(from_codec)?,
-            report: r.str().map_err(from_codec)?,
-        },
-        3 => SimError::Deadlock {
-            report: r.str().map_err(from_codec)?,
-        },
-        4 => SimError::CheckpointScope {
-            expected: r.u64().map_err(from_codec)?,
-            found: r.u64().map_err(from_codec)?,
-        },
-        5 => SimError::World {
-            message: r.str().map_err(from_codec)?,
-        },
-        other => return Err(corrupt(format!("SimError tag {other}"))),
-    })
-}
-
-fn write_ckpt_error(w: &mut Writer, e: &CkptError) {
-    match e {
-        CkptError::Truncated { offset } => {
-            w.u8(0);
-            w.u64(*offset as u64);
-        }
-        CkptError::BadMagic => w.u8(1),
-        CkptError::VersionSkew { found, expected } => {
-            w.u8(2);
-            w.u8(*found);
-            w.u8(*expected);
-        }
-        CkptError::Corrupt { offset, message } => {
-            w.u8(3);
-            w.u64(*offset as u64);
-            w.str(message);
-        }
-        CkptError::ChainBroken { seq, message } => {
-            w.u8(4);
-            w.u64(*seq);
-            w.str(message);
-        }
-        CkptError::ScopeMismatch { expected, found } => {
-            w.u8(5);
-            w.u64(*expected);
-            w.u64(*found);
-        }
-    }
-}
-
-fn read_ckpt_error(r: &mut Reader) -> Result<CkptError, TransportError> {
-    Ok(match r.u8().map_err(from_codec)? {
-        0 => CkptError::Truncated {
-            offset: r.u64().map_err(from_codec)? as usize,
-        },
-        1 => CkptError::BadMagic,
-        2 => CkptError::VersionSkew {
-            found: r.u8().map_err(from_codec)?,
-            expected: r.u8().map_err(from_codec)?,
-        },
-        3 => CkptError::Corrupt {
-            offset: r.u64().map_err(from_codec)? as usize,
-            message: r.str().map_err(from_codec)?,
-        },
-        4 => CkptError::ChainBroken {
-            seq: r.u64().map_err(from_codec)?,
-            message: r.str().map_err(from_codec)?,
-        },
-        5 => CkptError::ScopeMismatch {
-            expected: r.u64().map_err(from_codec)?,
-            found: r.u64().map_err(from_codec)?,
-        },
-        other => return Err(corrupt(format!("CkptError tag {other}"))),
-    })
-}
-
-fn write_msg_fault(w: &mut Writer, f: MsgFault) {
-    match f {
-        MsgFault::None => w.u8(0),
-        MsgFault::Drop => w.u8(1),
-        MsgFault::Corrupt => w.u8(2),
-        MsgFault::Delay(cycles) => {
-            w.u8(3);
-            w.u64(cycles);
-        }
-    }
-}
-
-fn read_msg_fault(r: &mut Reader) -> Result<MsgFault, TransportError> {
-    Ok(match r.u8().map_err(from_codec)? {
-        0 => MsgFault::None,
-        1 => MsgFault::Drop,
-        2 => MsgFault::Corrupt,
-        3 => MsgFault::Delay(r.u64().map_err(from_codec)?),
-        other => return Err(corrupt(format!("MsgFault tag {other}"))),
-    })
-}
-
-fn write_transport_fault(w: &mut Writer, f: TransportFault) {
-    match f {
-        TransportFault::None => w.u8(0),
-        TransportFault::Truncate => w.u8(1),
-        TransportFault::DelayAck(cycles) => {
-            w.u8(2);
-            w.u64(cycles);
-        }
-    }
-}
-
-fn read_transport_fault(r: &mut Reader) -> Result<TransportFault, TransportError> {
-    Ok(match r.u8().map_err(from_codec)? {
-        0 => TransportFault::None,
-        1 => TransportFault::Truncate,
-        2 => TransportFault::DelayAck(r.u64().map_err(from_codec)?),
-        other => return Err(corrupt(format!("TransportFault tag {other}"))),
-    })
-}
-
-fn write_rank_yield(w: &mut Writer, y: &RankYield) {
-    match y {
-        RankYield::Done(v) => {
-            w.u8(0);
-            write_opt_val(w, v);
-        }
-        RankYield::OutOfFuel => w.u8(1),
-        RankYield::Crashed { step } => {
-            w.u8(2);
-            w.u64(*step);
-        }
-        RankYield::Misplaced => w.u8(3),
-        RankYield::Device => w.u8(4),
-        RankYield::HostCall => w.u8(5),
-        RankYield::Mpi { op, args } => {
-            w.u8(6);
-            let (tag, axis) = intrin_tag(*op);
-            w.u8(tag);
-            w.u8(axis);
-            w.len(args.len());
-            for &a in args {
-                ckpt::write_val(w, a);
-            }
-        }
-    }
-}
-
-fn read_rank_yield(r: &mut Reader) -> Result<RankYield, TransportError> {
-    Ok(match r.u8().map_err(from_codec)? {
-        0 => RankYield::Done(read_opt_val(r)?),
-        1 => RankYield::OutOfFuel,
-        2 => RankYield::Crashed {
-            step: r.u64().map_err(from_codec)?,
-        },
-        3 => RankYield::Misplaced,
-        4 => RankYield::Device,
-        5 => RankYield::HostCall,
-        6 => {
-            let tag = r.u8().map_err(from_codec)?;
-            let axis = r.u8().map_err(from_codec)?;
-            let op = intrin_of(tag, axis, r).map_err(from_codec)?;
-            let n = r.len().map_err(from_codec)?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(ckpt::read_val(r).map_err(from_ckpt)?);
-            }
-            RankYield::Mpi { op, args }
-        }
-        other => return Err(corrupt(format!("RankYield tag {other}"))),
-    })
-}
-
-fn write_sections(w: &mut Writer, sections: &[Vec<u8>]) {
-    w.len(sections.len());
-    for s in sections {
-        w.len(s.len());
-        w.bytes(s);
-    }
-}
-
-fn read_sections(r: &mut Reader) -> Result<Vec<Vec<u8>>, TransportError> {
-    let n = r.len().map_err(from_codec)?;
-    let mut sections = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.len().map_err(from_codec)?;
-        sections.push(r.bytes(len).map_err(from_codec)?.to_vec());
-    }
-    Ok(sections)
-}
-
-fn write_resilience(w: &mut Writer, s: &ResilienceStats) {
-    w.u64(s.crashes);
-    w.u64(s.fuel_exhaustions);
-    w.u64(s.host_transients);
-    w.u64(s.host_retries);
-    w.u64(s.dropped_messages);
-    w.u64(s.corrupted_messages);
-    w.u64(s.delayed_messages);
-    w.u64(s.ckpt_write_failures);
-    w.u64(s.connect_refusals);
-    w.u64(s.truncated_frames);
-    w.u64(s.delayed_acks);
-    w.u64(s.connect_retries);
-    w.u64(s.translate_failures);
-    w.u64(s.timeouts);
-    w.u64(s.degraded_jits);
-    w.u64(s.checkpoints_taken);
-    w.u64(s.restarts);
-    w.u64(s.overlapped_rounds);
-}
-
-fn read_resilience(r: &mut Reader) -> Result<ResilienceStats, TransportError> {
-    let mut u = || r.u64().map_err(from_codec);
-    Ok(ResilienceStats {
-        crashes: u()?,
-        fuel_exhaustions: u()?,
-        host_transients: u()?,
-        host_retries: u()?,
-        dropped_messages: u()?,
-        corrupted_messages: u()?,
-        delayed_messages: u()?,
-        ckpt_write_failures: u()?,
-        connect_refusals: u()?,
-        truncated_frames: u()?,
-        delayed_acks: u()?,
-        connect_retries: u()?,
-        translate_failures: u()?,
-        timeouts: u()?,
-        degraded_jits: u()?,
-        checkpoints_taken: u()?,
-        restarts: u()?,
-        overlapped_rounds: u()?,
-    })
-}
-
-// ---- top-level payloads -------------------------------------------------
+nir::wire_struct!(WarmProgram { dir, digest });
+nir::wire_struct!(Hello { token, rank, proto });
+nir::wire_enum!(Request {
+    1 = Init { size, entry, program, fault, gpu, kill_after_runs, warm },
+    2 = Run { slice },
+    3 = Resume { v },
+    4 = ServiceDevice,
+    5 = ServiceHost,
+    6 = ReadFloats { buf, off, count },
+    7 = WriteFloats { buf, off, payload },
+    8 = Location,
+    9 = MessageFault,
+    10 = CollectiveFault,
+    11 = TransportFaultDraw,
+    12 = ConnectDelay,
+    13 = CkptWriteFails,
+    14 = Capture,
+    15 = Restore { last_cycles, has_gpu, n_arrays, sections },
+    16 = Reseed { attempt },
+    17 = Stats,
+    18 = Finish { done, vclock, compute_cycles, comm_cycles },
+    19 = Shutdown,
+});
+nir::wire_enum!(Resp {
+    1 = Ok,
+    2 = Yielded { y, delta },
+    3 = Device(outcome),
+    4 = U64(v),
+    5 = Floats(payload),
+    6 = Loc(location),
+    7 = Msg(fault),
+    8 = Transport(fault),
+    9 = Bool(b),
+    10 = Snapshot(snapshot),
+    11 = Stats(stats),
+    12 = Outcome { output, gpu_time, machine },
+    13 = Err(e),
+    14 = CkptErr(e),
+});
 
 pub fn encode_hello(h: &Hello) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(h.token);
-    w.u32(h.rank);
-    w.u32(h.proto);
-    w.into_bytes()
+    h.to_wire()
 }
 
 pub fn decode_hello(bytes: &[u8]) -> Result<Hello, TransportError> {
-    let mut r = Reader::new(bytes);
-    let h = Hello {
-        token: r.u64().map_err(from_codec)?,
-        rank: r.u32().map_err(from_codec)?,
-        proto: r.u32().map_err(from_codec)?,
-    };
-    if !r.is_at_end() {
-        return Err(corrupt("trailing bytes after Hello"));
-    }
-    Ok(h)
+    Ok(Wire::from_wire(bytes)?)
 }
 
 pub fn encode_req(req: &Request) -> Vec<u8> {
-    let mut w = Writer::new();
-    match req {
-        Request::Init {
-            size,
-            entry,
-            program,
-            fault,
-            gpu,
-            kill_after_runs,
-            warm,
-        } => {
-            w.u8(1);
-            w.u32(*size);
-            w.u32(*entry);
-            w.len(program.len());
-            w.bytes(program);
-            match fault {
-                Some(f) => {
-                    w.bool(true);
-                    write_fault_config(&mut w, f);
-                }
-                None => w.bool(false),
-            }
-            match gpu {
-                Some(g) => {
-                    w.bool(true);
-                    write_gpu_config(&mut w, g);
-                }
-                None => w.bool(false),
-            }
-            match kill_after_runs {
-                Some(n) => {
-                    w.bool(true);
-                    w.u64(*n);
-                }
-                None => w.bool(false),
-            }
-            match warm {
-                Some(wp) => {
-                    w.bool(true);
-                    w.str(&wp.dir);
-                    w.u64(wp.digest);
-                }
-                None => w.bool(false),
-            }
-        }
-        Request::Run { slice } => {
-            w.u8(2);
-            w.u64(*slice);
-        }
-        Request::Resume { v } => {
-            w.u8(3);
-            ckpt::write_val(&mut w, *v);
-        }
-        Request::ServiceDevice => w.u8(4),
-        Request::ServiceHost => w.u8(5),
-        Request::ReadFloats { buf, off, count } => {
-            w.u8(6);
-            w.u32(*buf);
-            w.u64(*off);
-            w.u64(*count);
-        }
-        Request::WriteFloats { buf, off, payload } => {
-            w.u8(7);
-            w.u32(*buf);
-            w.u64(*off);
-            w.len(payload.len());
-            for &f in payload {
-                w.f32(f);
-            }
-        }
-        Request::Location => w.u8(8),
-        Request::MessageFault => w.u8(9),
-        Request::CollectiveFault => w.u8(10),
-        Request::TransportFaultDraw => w.u8(11),
-        Request::ConnectDelay => w.u8(12),
-        Request::CkptWriteFails => w.u8(13),
-        Request::Capture => w.u8(14),
-        Request::Restore {
-            last_cycles,
-            has_gpu,
-            n_arrays,
-            sections,
-        } => {
-            w.u8(15);
-            w.u64(*last_cycles);
-            w.bool(*has_gpu);
-            w.u64(*n_arrays);
-            write_sections(&mut w, sections);
-        }
-        Request::Reseed { attempt } => {
-            w.u8(16);
-            w.u64(*attempt);
-        }
-        Request::Stats => w.u8(17),
-        Request::Finish {
-            done,
-            vclock,
-            compute_cycles,
-            comm_cycles,
-        } => {
-            w.u8(18);
-            write_opt_val(&mut w, done);
-            w.u64(*vclock);
-            w.u64(*compute_cycles);
-            w.u64(*comm_cycles);
-        }
-        Request::Shutdown => w.u8(19),
-    }
-    w.into_bytes()
+    req.to_wire()
 }
 
 pub fn decode_req(bytes: &[u8]) -> Result<Request, TransportError> {
-    let mut r = Reader::new(bytes);
-    let req = match r.u8().map_err(from_codec)? {
-        1 => {
-            let size = r.u32().map_err(from_codec)?;
-            let entry = r.u32().map_err(from_codec)?;
-            let plen = r.len().map_err(from_codec)?;
-            let program = r.bytes(plen).map_err(from_codec)?.to_vec();
-            let fault = if r.bool().map_err(from_codec)? {
-                Some(Box::new(read_fault_config(&mut r)?))
-            } else {
-                None
-            };
-            let gpu = if r.bool().map_err(from_codec)? {
-                Some(read_gpu_config(&mut r)?)
-            } else {
-                None
-            };
-            let kill_after_runs = if r.bool().map_err(from_codec)? {
-                Some(r.u64().map_err(from_codec)?)
-            } else {
-                None
-            };
-            let warm = if r.bool().map_err(from_codec)? {
-                Some(WarmProgram {
-                    dir: r.str().map_err(from_codec)?,
-                    digest: r.u64().map_err(from_codec)?,
-                })
-            } else {
-                None
-            };
-            Request::Init {
-                size,
-                entry,
-                program,
-                fault,
-                gpu,
-                kill_after_runs,
-                warm,
-            }
-        }
-        2 => Request::Run {
-            slice: r.u64().map_err(from_codec)?,
-        },
-        3 => Request::Resume {
-            v: ckpt::read_val(&mut r).map_err(from_ckpt)?,
-        },
-        4 => Request::ServiceDevice,
-        5 => Request::ServiceHost,
-        6 => Request::ReadFloats {
-            buf: r.u32().map_err(from_codec)?,
-            off: r.u64().map_err(from_codec)?,
-            count: r.u64().map_err(from_codec)?,
-        },
-        7 => {
-            let buf = r.u32().map_err(from_codec)?;
-            let off = r.u64().map_err(from_codec)?;
-            let n = r.len().map_err(from_codec)?;
-            let mut payload = Vec::with_capacity(n);
-            for _ in 0..n {
-                payload.push(r.f32().map_err(from_codec)?);
-            }
-            Request::WriteFloats { buf, off, payload }
-        }
-        8 => Request::Location,
-        9 => Request::MessageFault,
-        10 => Request::CollectiveFault,
-        11 => Request::TransportFaultDraw,
-        12 => Request::ConnectDelay,
-        13 => Request::CkptWriteFails,
-        14 => Request::Capture,
-        15 => Request::Restore {
-            last_cycles: r.u64().map_err(from_codec)?,
-            has_gpu: r.bool().map_err(from_codec)?,
-            n_arrays: r.u64().map_err(from_codec)?,
-            sections: read_sections(&mut r)?,
-        },
-        16 => Request::Reseed {
-            attempt: r.u64().map_err(from_codec)?,
-        },
-        17 => Request::Stats,
-        18 => Request::Finish {
-            done: read_opt_val(&mut r)?,
-            vclock: r.u64().map_err(from_codec)?,
-            compute_cycles: r.u64().map_err(from_codec)?,
-            comm_cycles: r.u64().map_err(from_codec)?,
-        },
-        19 => Request::Shutdown,
-        other => return Err(corrupt(format!("Request tag {other}"))),
-    };
-    if !r.is_at_end() {
-        return Err(corrupt("trailing bytes after request"));
-    }
-    Ok(req)
+    Ok(Wire::from_wire(bytes)?)
 }
 
 pub fn encode_resp(resp: &Resp) -> Vec<u8> {
-    let mut w = Writer::new();
-    match resp {
-        Resp::Ok => w.u8(1),
-        Resp::Yielded { y, delta } => {
-            w.u8(2);
-            write_rank_yield(&mut w, y);
-            w.u64(*delta);
-        }
-        Resp::Device(outcome) => {
-            w.u8(3);
-            match outcome {
-                DeviceOutcome::Advance(cycles) => {
-                    w.u8(0);
-                    w.u64(*cycles);
-                }
-                DeviceOutcome::Crashed(step) => {
-                    w.u8(1);
-                    w.u64(*step);
-                }
-            }
-        }
-        Resp::U64(v) => {
-            w.u8(4);
-            w.u64(*v);
-        }
-        Resp::Floats(fs) => {
-            w.u8(5);
-            w.len(fs.len());
-            for &f in fs {
-                w.f32(f);
-            }
-        }
-        Resp::Loc(loc) => {
-            w.u8(6);
-            match loc {
-                Some((func, pc)) => {
-                    w.bool(true);
-                    w.str(func);
-                    w.u32(*pc);
-                }
-                None => w.bool(false),
-            }
-        }
-        Resp::Msg(f) => {
-            w.u8(7);
-            write_msg_fault(&mut w, *f);
-        }
-        Resp::Transport(f) => {
-            w.u8(8);
-            write_transport_fault(&mut w, *f);
-        }
-        Resp::Bool(b) => {
-            w.u8(9);
-            w.bool(*b);
-        }
-        Resp::Snapshot(snap) => {
-            w.u8(10);
-            w.u64(snap.last_cycles);
-            w.bool(snap.has_gpu);
-            write_sections(&mut w, &snap.sections);
-        }
-        Resp::Stats(s) => {
-            w.u8(11);
-            write_resilience(&mut w, s);
-        }
-        Resp::Outcome {
-            output,
-            gpu_time,
-            machine,
-        } => {
-            w.u8(12);
-            w.len(output.len());
-            for line in output {
-                w.str(line);
-            }
-            w.u64(*gpu_time);
-            w.len(machine.len());
-            w.bytes(machine);
-        }
-        Resp::Err(e) => {
-            w.u8(13);
-            write_sim_error(&mut w, e);
-        }
-        Resp::CkptErr(e) => {
-            w.u8(14);
-            write_ckpt_error(&mut w, e);
-        }
-    }
-    w.into_bytes()
+    resp.to_wire()
 }
 
 pub fn decode_resp(bytes: &[u8]) -> Result<Resp, TransportError> {
-    let mut r = Reader::new(bytes);
-    let resp = match r.u8().map_err(from_codec)? {
-        1 => Resp::Ok,
-        2 => Resp::Yielded {
-            y: read_rank_yield(&mut r)?,
-            delta: r.u64().map_err(from_codec)?,
-        },
-        3 => Resp::Device(match r.u8().map_err(from_codec)? {
-            0 => DeviceOutcome::Advance(r.u64().map_err(from_codec)?),
-            1 => DeviceOutcome::Crashed(r.u64().map_err(from_codec)?),
-            other => return Err(corrupt(format!("DeviceOutcome tag {other}"))),
-        }),
-        4 => Resp::U64(r.u64().map_err(from_codec)?),
-        5 => {
-            let n = r.len().map_err(from_codec)?;
-            let mut fs = Vec::with_capacity(n);
-            for _ in 0..n {
-                fs.push(r.f32().map_err(from_codec)?);
-            }
-            Resp::Floats(fs)
-        }
-        6 => Resp::Loc(if r.bool().map_err(from_codec)? {
-            Some((r.str().map_err(from_codec)?, r.u32().map_err(from_codec)?))
-        } else {
-            None
-        }),
-        7 => Resp::Msg(read_msg_fault(&mut r)?),
-        8 => Resp::Transport(read_transport_fault(&mut r)?),
-        9 => Resp::Bool(r.bool().map_err(from_codec)?),
-        10 => Resp::Snapshot(RankSnapshot {
-            last_cycles: r.u64().map_err(from_codec)?,
-            has_gpu: r.bool().map_err(from_codec)?,
-            sections: read_sections(&mut r)?,
-        }),
-        11 => Resp::Stats(read_resilience(&mut r)?),
-        12 => {
-            let n = r.len().map_err(from_codec)?;
-            let mut output = Vec::with_capacity(n);
-            for _ in 0..n {
-                output.push(r.str().map_err(from_codec)?);
-            }
-            let gpu_time = r.u64().map_err(from_codec)?;
-            let mlen = r.len().map_err(from_codec)?;
-            let machine = r.bytes(mlen).map_err(from_codec)?.to_vec();
-            Resp::Outcome {
-                output,
-                gpu_time,
-                machine,
-            }
-        }
-        13 => Resp::Err(read_sim_error(&mut r)?),
-        14 => Resp::CkptErr(read_ckpt_error(&mut r)?),
-        other => return Err(corrupt(format!("Resp tag {other}"))),
-    };
-    if !r.is_at_end() {
-        return Err(corrupt("trailing bytes after response"));
-    }
-    Ok(resp)
+    Ok(Wire::from_wire(bytes)?)
 }
 
 #[cfg(test)]

@@ -12,16 +12,17 @@
 //! as a typed [`CkptError`], never a panic — callers degrade to a cold
 //! restart.
 
-use crate::fault::{FaultConfig, FaultPlan, ResilienceStats};
 use crate::{ArrStore, Counters, Frame, Machine, MemSpace, ObjHeap, Thread, Val};
-use nir::codec::{seal, unseal, CodecError, Reader, Writer};
+use nir::codec::{seal, unseal, CodecError, Reader, Wire, Writer};
 use nir::{FuncId, Program};
 
 /// Version byte of the checkpoint payload (inside the sealed container,
-/// independent of the container's own version). v3 added the
-/// socket-transport fault knobs/counters to the fault-plan record; v2
-/// added the checkpoint-write fault counters and the delta-chain payload
-/// kinds. Older snapshots degrade to a cold restart by design.
+/// independent of the container's own version). It versions every
+/// record this crate declares a wire layout for — `Val`, `ArrStore`,
+/// `FaultConfig`, `ResilienceStats`, `FaultPlan`, ... — and the `dist`
+/// and `jitd` protocol versions embed it as their low byte, so a layout
+/// change here (one more counter, say) is this one bump. Older snapshots
+/// degrade to a cold restart by design.
 pub const CKPT_VERSION: u8 = 5;
 
 /// Payload kind: a single [`Machine`] snapshot.
@@ -131,248 +132,39 @@ pub fn open(bytes: &[u8], tag: u8) -> Result<Reader<'_>, CkptError> {
     Ok(r)
 }
 
-pub fn write_val(w: &mut Writer, v: Val) {
-    match v {
-        Val::I32(x) => {
-            w.u8(0);
-            w.i32(x);
-        }
-        Val::I64(x) => {
-            w.u8(1);
-            w.i64(x);
-        }
-        Val::F32(x) => {
-            w.u8(2);
-            w.f32(x);
-        }
-        Val::F64(x) => {
-            w.u8(3);
-            w.f64(x);
-        }
-        Val::Bool(x) => {
-            w.u8(4);
-            w.bool(x);
-        }
-        Val::Arr(h) => {
-            w.u8(5);
-            w.u32(h);
-        }
-        Val::Obj(h) => {
-            w.u8(6);
-            w.u32(h);
-        }
-        Val::Unit => w.u8(7),
-    }
-}
-
-pub fn read_val(r: &mut Reader) -> Result<Val, CkptError> {
-    Ok(match r.u8()? {
-        0 => Val::I32(r.i32()?),
-        1 => Val::I64(r.i64()?),
-        2 => Val::F32(r.f32()?),
-        3 => Val::F64(r.f64()?),
-        4 => Val::Bool(r.bool()?),
-        5 => Val::Arr(r.u32()?),
-        6 => Val::Obj(r.u32()?),
-        7 => Val::Unit,
-        t => return Err(r.corrupt(format!("bad value tag {t}")).into()),
-    })
-}
-
-fn write_vals(w: &mut Writer, vals: &[Val]) {
-    w.len(vals.len());
-    for &v in vals {
-        write_val(w, v);
-    }
-}
-
-fn read_vals(r: &mut Reader) -> Result<Vec<Val>, CkptError> {
-    let n = r.len()?;
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(read_val(r)?);
-    }
-    Ok(vals)
-}
-
-pub fn write_arr(w: &mut Writer, a: &ArrStore) {
-    match a {
-        ArrStore::I32(v) => {
-            w.u8(0);
-            w.len(v.len());
-            for &x in v {
-                w.i32(x);
-            }
-        }
-        ArrStore::I64(v) => {
-            w.u8(1);
-            w.len(v.len());
-            for &x in v {
-                w.i64(x);
-            }
-        }
-        ArrStore::F32(v) => {
-            w.u8(2);
-            w.len(v.len());
-            for &x in v {
-                w.f32(x);
-            }
-        }
-        ArrStore::F64(v) => {
-            w.u8(3);
-            w.len(v.len());
-            for &x in v {
-                w.f64(x);
-            }
-        }
-        ArrStore::Bool(v) => {
-            w.u8(4);
-            w.len(v.len());
-            for &x in v {
-                w.bool(x);
-            }
-        }
-        ArrStore::Freed => w.u8(5),
-    }
-}
-
-pub fn read_arr(r: &mut Reader) -> Result<ArrStore, CkptError> {
-    Ok(match r.u8()? {
-        0 => {
-            let n = r.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i32()?);
-            }
-            ArrStore::I32(v)
-        }
-        1 => {
-            let n = r.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            ArrStore::I64(v)
-        }
-        2 => {
-            let n = r.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f32()?);
-            }
-            ArrStore::F32(v)
-        }
-        3 => {
-            let n = r.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            ArrStore::F64(v)
-        }
-        4 => {
-            let n = r.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.bool()?);
-            }
-            ArrStore::Bool(v)
-        }
-        5 => ArrStore::Freed,
-        t => return Err(r.corrupt(format!("bad array tag {t}")).into()),
-    })
-}
-
-fn write_fault_plan(w: &mut Writer, plan: &FaultPlan) {
-    let c = plan.config;
-    w.u64(c.seed);
-    w.f64(c.crash);
-    w.f64(c.fuel_exhaust);
-    w.f64(c.host_transient);
-    w.f64(c.msg_drop);
-    w.f64(c.msg_corrupt);
-    w.f64(c.msg_delay);
-    w.f64(c.ckpt_write_fail);
-    w.f64(c.connect_refuse);
-    w.f64(c.frame_truncate);
-    w.f64(c.ack_delay);
-    w.f64(c.translate_fail);
-    w.u64(c.delay_cycles);
-    w.u64(c.ack_delay_cycles);
-    w.u32(c.max_host_retries);
-    w.u64(c.retry_backoff_cycles);
-    w.u64(plan.rng_state());
-    let s = plan.stats;
-    w.u64(s.crashes);
-    w.u64(s.fuel_exhaustions);
-    w.u64(s.host_transients);
-    w.u64(s.host_retries);
-    w.u64(s.dropped_messages);
-    w.u64(s.corrupted_messages);
-    w.u64(s.delayed_messages);
-    w.u64(s.ckpt_write_failures);
-    w.u64(s.connect_refusals);
-    w.u64(s.truncated_frames);
-    w.u64(s.delayed_acks);
-    w.u64(s.connect_retries);
-    w.u64(s.translate_failures);
-    w.u64(s.timeouts);
-    w.u64(s.degraded_jits);
-    w.u64(s.checkpoints_taken);
-    w.u64(s.restarts);
-    w.u64(s.overlapped_rounds);
-}
-
-fn read_fault_plan(r: &mut Reader) -> Result<FaultPlan, CkptError> {
-    let config = FaultConfig {
-        seed: r.u64()?,
-        crash: r.f64()?,
-        fuel_exhaust: r.f64()?,
-        host_transient: r.f64()?,
-        msg_drop: r.f64()?,
-        msg_corrupt: r.f64()?,
-        msg_delay: r.f64()?,
-        ckpt_write_fail: r.f64()?,
-        connect_refuse: r.f64()?,
-        frame_truncate: r.f64()?,
-        ack_delay: r.f64()?,
-        translate_fail: r.f64()?,
-        delay_cycles: r.u64()?,
-        ack_delay_cycles: r.u64()?,
-        max_host_retries: r.u32()?,
-        retry_backoff_cycles: r.u64()?,
-    };
-    let rng_state = r.u64()?;
-    let stats = ResilienceStats {
-        crashes: r.u64()?,
-        fuel_exhaustions: r.u64()?,
-        host_transients: r.u64()?,
-        host_retries: r.u64()?,
-        dropped_messages: r.u64()?,
-        corrupted_messages: r.u64()?,
-        delayed_messages: r.u64()?,
-        ckpt_write_failures: r.u64()?,
-        connect_refusals: r.u64()?,
-        truncated_frames: r.u64()?,
-        delayed_acks: r.u64()?,
-        connect_retries: r.u64()?,
-        translate_failures: r.u64()?,
-        timeouts: r.u64()?,
-        degraded_jits: r.u64()?,
-        checkpoints_taken: r.u64()?,
-        restarts: r.u64()?,
-        overlapped_rounds: r.u64()?,
-    };
-    Ok(FaultPlan::restore(config, rng_state, stats))
-}
+nir::wire_enum!(Val {
+    0 = I32(x),
+    1 = I64(x),
+    2 = F32(x),
+    3 = F64(x),
+    4 = Bool(x),
+    5 = Arr(handle),
+    6 = Obj(handle),
+    7 = Unit,
+});
+nir::wire_enum!(ArrStore {
+    0 = I32(v),
+    1 = I64(v),
+    2 = F32(v),
+    3 = F64(v),
+    4 = Bool(v),
+    5 = Freed,
+});
+nir::wire_struct!(Counters { instrs, cycles });
+// Crosses the `dist` wire when a worker's restore fails.
+nir::wire_enum!(CkptError {
+    0 = Truncated { offset },
+    1 = BadMagic,
+    2 = VersionSkew { found, expected },
+    3 = Corrupt { offset, message },
+    4 = ChainBroken { seq, message },
+    5 = ScopeMismatch { expected, found },
+});
 
 /// Serialize one machine (memory, object heap, globals, output, counters,
 /// fault stream) into an open payload.
 pub fn write_machine(w: &mut Writer, m: &Machine) {
-    w.len(m.mem.arrays.len());
-    for a in &m.mem.arrays {
-        write_arr(w, a);
-    }
+    m.mem.arrays.put(w);
     write_machine_rest(w, m);
 }
 
@@ -380,81 +172,36 @@ pub fn write_machine(w: &mut Writer, m: &Machine) {
 /// for checkpoint chains (each array becomes its own chain section, so
 /// an untouched mesh costs nothing in a delta link).
 pub fn machine_array_sections(m: &Machine) -> Vec<Vec<u8>> {
-    m.mem
-        .arrays
-        .iter()
-        .map(|a| {
-            let mut w = Writer::new();
-            write_arr(&mut w, a);
-            w.into_bytes()
-        })
-        .collect()
+    m.mem.arrays.iter().map(Wire::to_wire).collect()
 }
 
 /// Everything in [`write_machine`] except the heap arrays: object heap,
 /// globals, captured output, counters, and the fault-stream cursor.
 pub fn write_machine_rest(w: &mut Writer, m: &Machine) {
-    w.len(m.objs.objects.len());
-    for (class, fields) in &m.objs.objects {
-        w.u32(*class);
-        write_vals(w, fields);
-    }
-    write_vals(w, &m.globals);
-    w.len(m.output.len());
-    for line in &m.output {
-        w.str(line);
-    }
-    w.u64(m.counters.instrs);
-    w.u64(m.counters.cycles);
-    match &m.fault {
-        Some(plan) => {
-            w.bool(true);
-            write_fault_plan(w, plan);
-        }
-        None => w.bool(false),
-    }
+    m.objs.objects.put(w);
+    m.globals.put(w);
+    m.output.put(w);
+    m.counters.put(w);
+    m.fault.put(w);
 }
 
 pub fn read_machine(r: &mut Reader) -> Result<Machine, CkptError> {
-    let n_arrays = r.len()?;
-    let mut arrays = Vec::with_capacity(n_arrays);
-    for _ in 0..n_arrays {
-        arrays.push(read_arr(r)?);
-    }
+    let arrays = Wire::get(r)?;
     read_machine_rest(r, arrays)
 }
 
 /// Inverse of [`write_machine_rest`], reassembling the machine around
 /// separately decoded heap arrays.
 pub fn read_machine_rest(r: &mut Reader, arrays: Vec<ArrStore>) -> Result<Machine, CkptError> {
-    let n_objs = r.len()?;
-    let mut objects = Vec::with_capacity(n_objs);
-    for _ in 0..n_objs {
-        let class = r.u32()?;
-        objects.push((class, read_vals(r)?));
-    }
-    let globals = read_vals(r)?;
-    let n_out = r.len()?;
-    let mut output = Vec::with_capacity(n_out);
-    for _ in 0..n_out {
-        output.push(r.str()?);
-    }
-    let counters = Counters {
-        instrs: r.u64()?,
-        cycles: r.u64()?,
-    };
-    let fault = if r.bool()? {
-        Some(read_fault_plan(r)?)
-    } else {
-        None
-    };
     Ok(Machine {
         mem: MemSpace { arrays },
-        objs: ObjHeap { objects },
-        globals,
-        output,
-        counters,
-        fault,
+        objs: ObjHeap {
+            objects: Wire::get(r)?,
+        },
+        globals: Wire::get(r)?,
+        output: Wire::get(r)?,
+        counters: Wire::get(r)?,
+        fault: Wire::get(r)?,
     })
 }
 
@@ -464,22 +211,12 @@ pub fn write_thread(w: &mut Writer, t: &Thread) {
     for (i, f) in t.frames.iter().enumerate() {
         w.u32(f.func.0);
         w.u32(f.pc);
-        write_vals(w, t.frame_regs(i));
-        match f.ret_to {
-            Some(reg) => {
-                w.bool(true);
-                w.u32(reg);
-            }
-            None => w.bool(false),
-        }
+        let regs = t.frame_regs(i);
+        w.len(regs.len());
+        Val::put_all(regs, w);
+        f.ret_to.put(w);
     }
-    match t.pending_dst {
-        Some(reg) => {
-            w.bool(true);
-            w.u32(reg);
-        }
-        None => w.bool(false),
-    }
+    t.pending_dst.put(w);
     w.bool(t.done);
 }
 
@@ -493,8 +230,8 @@ pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptErro
     for _ in 0..n_frames {
         let func = r.u32()?;
         let pc = r.u32()?;
-        let regs = read_vals(r)?;
-        let ret_to = if r.bool()? { Some(r.u32()?) } else { None };
+        let regs: Vec<Val> = Wire::get(r)?;
+        let ret_to = Wire::get(r)?;
         let Some(f) = program.funcs.get(func as usize) else {
             return Err(r
                 .corrupt(format!("frame references unknown func {func}"))
@@ -523,7 +260,7 @@ pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptErro
         });
         stack.extend(regs);
     }
-    let pending_dst = if r.bool()? { Some(r.u32()?) } else { None };
+    let pending_dst = Wire::get(r)?;
     let done = r.bool()?;
     Ok(Thread {
         frames,
@@ -556,6 +293,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultPlan};
 
     fn busy_machine() -> Machine {
         let mut m = Machine::new();

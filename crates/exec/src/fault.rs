@@ -11,6 +11,8 @@
 //! runtimes thread through `WorldRun` / `RunReport` so resilience behavior
 //! is observable (and bit-for-bit comparable across runs).
 
+use nir::codec::{CodecResult, Reader, Wire, Writer};
+
 /// Deterministic xorshift64\* PRNG — the same in-repo idiom as the
 /// property-test suites; public so runtimes can derive per-rank streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +55,16 @@ impl FaultRng {
         }
         let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         u < p
+    }
+}
+
+/// The stream's consumed cursor is what crosses the wire.
+impl Wire for FaultRng {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        Ok(FaultRng::from_state(r.u64()?))
     }
 }
 
@@ -139,78 +151,79 @@ impl FaultConfig {
     }
 }
 
-/// Cumulative resilience counters: every injected fault, retry, timeout,
-/// and degradation, observable through `WorldRun` / `RunReport`.
-/// `Eq` on purpose — determinism tests compare these bit-for-bit.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Injected rank crashes.
-    pub crashes: u64,
-    /// Injected short fuel slices.
-    pub fuel_exhaustions: u64,
-    /// Injected transient host-FFI failures.
-    pub host_transients: u64,
-    /// Host-FFI retries performed (with virtual-time backoff).
-    pub host_retries: u64,
-    /// Point-to-point messages dropped in flight.
-    pub dropped_messages: u64,
-    /// Message / collective payloads bit-corrupted.
-    pub corrupted_messages: u64,
-    /// Messages / collectives delayed.
-    pub delayed_messages: u64,
-    /// Checkpoint writes that failed with an injected I/O fault.
-    pub ckpt_write_failures: u64,
-    /// Transport connection attempts refused (each one re-dialed).
-    pub connect_refusals: u64,
-    /// Framed transport messages truncated in flight (detected typed by
-    /// the length prefix + checksum and discarded).
-    pub truncated_frames: u64,
-    /// Transport acknowledgements delayed in virtual time.
-    pub delayed_acks: u64,
-    /// Real (wall-clock) transport connection attempts that were retried
-    /// with seeded backoff + jitter before succeeding — the `dist`
-    /// worker's re-dial loop, a recovery action like `host_retries`.
-    pub connect_retries: u64,
-    /// JIT-service translation attempts failed with an injected fault
-    /// (the requesting client received a typed error reply).
-    pub translate_failures: u64,
-    /// Blocked states converted into typed timeouts.
-    pub timeouts: u64,
-    /// JIT requests served by a degraded translation mode.
-    pub degraded_jits: u64,
-    /// Checkpoints taken at collective boundaries.
-    pub checkpoints_taken: u64,
-    /// Worlds rolled back to a checkpoint (or cold-restarted) and resumed.
-    pub restarts: u64,
-    /// Coordinator RPC rounds fanned out overlapped (all request frames
-    /// written before any reply is awaited) instead of rank-serially —
-    /// the `dist` backend's Init/Restore/Finish broadcasts.
-    pub overlapped_rounds: u64,
+nir::wire_struct!(FaultConfig {
+    seed,
+    crash,
+    fuel_exhaust,
+    host_transient,
+    msg_drop,
+    msg_corrupt,
+    msg_delay,
+    ckpt_write_fail,
+    connect_refuse,
+    frame_truncate,
+    ack_delay,
+    translate_fail,
+    delay_cycles,
+    ack_delay_cycles,
+    max_host_retries,
+    retry_backoff_cycles,
+});
+
+nir::counters! {
+    /// Cumulative resilience counters: every injected fault, retry, timeout,
+    /// and degradation, observable through `WorldRun` / `RunReport`.
+    /// `Eq` on purpose — determinism tests compare these bit-for-bit.
+    /// `merge` folds per-rank sets together; the `Wire` layout is every
+    /// counter in declaration order, shared by checkpoints and the `dist`
+    /// and `jitd` protocols, so adding one is a `CKPT_VERSION` bump.
+    pub struct ResilienceStats [merge, wire] {
+        /// Injected rank crashes.
+        crashes,
+        /// Injected short fuel slices.
+        fuel_exhaustions,
+        /// Injected transient host-FFI failures.
+        host_transients,
+        /// Host-FFI retries performed (with virtual-time backoff).
+        host_retries,
+        /// Point-to-point messages dropped in flight.
+        dropped_messages,
+        /// Message / collective payloads bit-corrupted.
+        corrupted_messages,
+        /// Messages / collectives delayed.
+        delayed_messages,
+        /// Checkpoint writes that failed with an injected I/O fault.
+        ckpt_write_failures,
+        /// Transport connection attempts refused (each one re-dialed).
+        connect_refusals,
+        /// Framed transport messages truncated in flight (detected typed by
+        /// the length prefix + checksum and discarded).
+        truncated_frames,
+        /// Transport acknowledgements delayed in virtual time.
+        delayed_acks,
+        /// Real (wall-clock) transport connection attempts that were retried
+        /// with seeded backoff + jitter before succeeding — the `dist`
+        /// worker's re-dial loop, a recovery action like `host_retries`.
+        connect_retries,
+        /// JIT-service translation attempts failed with an injected fault
+        /// (the requesting client received a typed error reply).
+        translate_failures,
+        /// Blocked states converted into typed timeouts.
+        timeouts,
+        /// JIT requests served by a degraded translation mode.
+        degraded_jits,
+        /// Checkpoints taken at collective boundaries.
+        checkpoints_taken,
+        /// Worlds rolled back to a checkpoint (or cold-restarted) and resumed.
+        restarts,
+        /// Coordinator RPC rounds fanned out overlapped (all request frames
+        /// written before any reply is awaited) instead of rank-serially —
+        /// the `dist` backend's Init/Restore/Finish broadcasts.
+        overlapped_rounds,
+    }
 }
 
 impl ResilienceStats {
-    /// Fold another counter set into this one (per-rank aggregation).
-    pub fn merge(&mut self, other: &ResilienceStats) {
-        self.crashes += other.crashes;
-        self.fuel_exhaustions += other.fuel_exhaustions;
-        self.host_transients += other.host_transients;
-        self.host_retries += other.host_retries;
-        self.dropped_messages += other.dropped_messages;
-        self.corrupted_messages += other.corrupted_messages;
-        self.delayed_messages += other.delayed_messages;
-        self.ckpt_write_failures += other.ckpt_write_failures;
-        self.connect_refusals += other.connect_refusals;
-        self.truncated_frames += other.truncated_frames;
-        self.delayed_acks += other.delayed_acks;
-        self.connect_retries += other.connect_retries;
-        self.translate_failures += other.translate_failures;
-        self.timeouts += other.timeouts;
-        self.degraded_jits += other.degraded_jits;
-        self.checkpoints_taken += other.checkpoints_taken;
-        self.restarts += other.restarts;
-        self.overlapped_rounds += other.overlapped_rounds;
-    }
-
     /// Total injected faults (not counting recovery actions).
     pub fn injected(&self) -> u64 {
         self.crashes
@@ -286,6 +299,9 @@ pub enum TransportFault {
     DelayAck(u64),
 }
 
+nir::wire_enum!(MsgFault { 0 = None, 1 = Drop, 2 = Corrupt, 3 = Delay(cycles) });
+nir::wire_enum!(TransportFault { 0 = None, 1 = Truncate, 2 = DelayAck(cycles) });
+
 /// Fuel granted to a slice when exhaustion is injected — small enough to
 /// visibly perturb scheduling, large enough to keep making progress.
 const EXHAUSTED_SLICE_FUEL: u64 = 128;
@@ -299,6 +315,10 @@ pub struct FaultPlan {
     rng: FaultRng,
     pub stats: ResilienceStats,
 }
+
+// What a checkpoint captures of a plan: the knobs, the stream cursor and
+// the counters so far.
+nir::wire_struct!(FaultPlan { config, rng, stats });
 
 impl FaultPlan {
     pub fn new(config: FaultConfig) -> Self {

@@ -30,7 +30,7 @@ pub mod pool;
 pub use ckpt::CkptError;
 pub use fault::{FaultConfig, FaultPlan, FaultRng, MsgFault, ResilienceStats, TransportFault};
 pub use image::Image;
-pub use pool::{ExecMode, Executor, ExecutorCfg, SimExecutor, ThreadExecutor};
+pub use pool::{ExecMode, ExecutorCfg};
 
 use image::{reg_of, Op, OpKind};
 use jlang::types::PrimKind;

@@ -6,20 +6,10 @@
 //! "speed" a purely virtual number. This module splits the *policy*
 //! (which ranks run this round, in what order their yields are
 //! serviced — still owned by the scheduler) from the *mechanism*
-//! (which OS thread burns the cycles of each slice):
-//!
-//! - [`SimExecutor`] runs the batch serially on the calling thread, in
-//!   batch order. This is byte-for-byte the historical loop, just
-//!   routed through the seam.
-//! - [`ThreadExecutor`] fans the batch out over real `std::thread`
-//!   workers with a work-stealing deque (zero external deps, zero
-//!   `unsafe`). In [`ExecMode::Replay`] it hands results back in batch
-//!   order — the seeded schedule the scheduler chose — so the world is
-//!   bit-identical to [`SimExecutor`]. In [`ExecMode::Free`] results
-//!   come back in completion order: raw throughput, still
-//!   value-identical on exact-arithmetic workloads because world
-//!   *results* are schedule-independent by construction (the invariant
-//!   the conformance suite already enforces for arbitrary seeds).
+//! (which OS thread burns the cycles of each slice): [`run_batch`] runs
+//! one round's slices on up to `workers` OS threads and hands the results
+//! back in batch order — the seeded schedule the scheduler chose — so a
+//! world is bit-identical whatever the worker count.
 //!
 //! Why batching is sound: within one scheduler round, executing a
 //! rank's slice touches only that rank's own [`Thread`] and
@@ -30,42 +20,39 @@
 //! chosen order" is observably identical to the historical
 //! run-one-service-one loop.
 //!
-//! The same pool backs the translator's parallel per-function lowering
-//! via [`parallel_map`], which preserves input-index order so FuncId
-//! assignment stays deterministic.
+//! There is one pool, [`parallel_map`]: no work arrives mid-batch, so
+//! workers claim the next index from one atomic counter and results keep
+//! input order. The translator's parallel per-function lowering uses it
+//! directly (input order is what keeps FuncId assignment deterministic).
 
 use crate::{run, ExecError, Image, Machine, Thread, Yield};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How a [`ThreadExecutor`] hands results back to the scheduler.
+/// How batch results are handed back. One variant: results always return
+/// in batch (seeded-schedule) order. The enum, and the `mode` field that
+/// carries it, remain only because the frozen `benchmark/` sources spell
+/// `mode: ExecMode::Replay`; drop both when a benchmark PR can follow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Results return in batch (seeded-schedule) order: bit-identical
-    /// to [`SimExecutor`], so warm caches and `.wckpt` chains survive.
     Replay,
-    /// Results return in completion order: opt-in raw throughput.
-    /// Values stay identical on exact-arithmetic workloads; virtual
-    /// timing may legitimately diverge.
-    Free,
 }
 
-/// Executor selection, carried by world builders and [`RunRequest`]s
+/// Executor selection, carried by world builders and run requests
 /// (a config, not a trait object, so it stays `Copy` and wire-free).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecutorCfg {
     /// The historical single-threaded cooperative loop.
     #[default]
     Sim,
-    /// Real OS-thread workers over a work-stealing deque.
+    /// Each round's batch of slices on `workers` OS threads.
     Threads { workers: u32, mode: ExecMode },
 }
 
 impl ExecutorCfg {
     /// Read the `WJ_EXECUTOR` override: `threads` / `threads:<N>`
-    /// selects replay-mode OS threads (bit-identical, safe to apply to
-    /// an entire test suite); anything else keeps `self`.
+    /// selects OS threads (bit-identical, safe to apply to an entire
+    /// test suite); anything else keeps `self`.
     pub fn from_env_or(self) -> Self {
         match std::env::var("WJ_EXECUTOR") {
             Ok(v) if v == "threads" => ExecutorCfg::Threads {
@@ -80,14 +67,6 @@ impl ExecutorCfg {
                 None => self,
             },
             Err(_) => self,
-        }
-    }
-
-    /// Build the executor this configuration names.
-    pub fn build(self) -> Box<dyn Executor> {
-        match self {
-            ExecutorCfg::Sim => Box::new(SimExecutor),
-            ExecutorCfg::Threads { workers, mode } => Box::new(ThreadExecutor { workers, mode }),
         }
     }
 }
@@ -113,7 +92,7 @@ pub struct SliceJob {
 }
 
 /// A finished slice: the rank's state handed back, plus how it
-/// stopped. Fallible — executors never unwrap execution errors.
+/// stopped. Fallible — the pool never unwraps execution errors.
 pub struct SliceDone {
     pub rank: u32,
     pub thread: Thread,
@@ -121,136 +100,33 @@ pub struct SliceDone {
     pub outcome: Result<Yield, ExecError>,
 }
 
-/// Runs one scheduler round's batch of ready slices.
+/// Run one scheduler round's batch of ready slices on up to `workers` OS
+/// threads. Results come back in batch order, which *is* the contract:
+/// the scheduler services yields in the order it chose the ranks.
 ///
-/// The result order *is* the contract: [`SimExecutor`] and replay-mode
-/// [`ThreadExecutor`] return results in batch order (the seeded
-/// schedule); free-running mode returns completion order.
-pub trait Executor: Send + Sync {
-    fn run_batch(&self, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone>;
-
-    /// Stable name for reports (`sim`, `threads-replay`, `threads-free`).
-    fn name(&self) -> &'static str;
-}
-
-fn exec_one(image: &Image<'_>, job: SliceJob) -> SliceDone {
-    let SliceJob {
-        rank,
-        mut thread,
-        mut machine,
-        slice,
-    } = job;
-    let outcome = run(&mut thread, image, &mut machine, slice);
-    SliceDone {
-        rank,
-        thread,
-        machine,
-        outcome,
-    }
-}
-
-/// The historical loop behind the seam: the calling thread runs each
-/// slice in batch order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimExecutor;
-
-impl Executor for SimExecutor {
-    fn run_batch(&self, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
-        jobs.into_iter().map(|j| exec_one(image, j)).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-}
-
-/// Real `std::thread` workers over a work-stealing deque.
-///
-/// Workers are scoped per batch (not persistent): slices are large
-/// (millions of retired instructions at the default fuel), so spawn
-/// cost amortizes, and scoping keeps every borrow safe — no `unsafe`,
-/// no channels, no external crates. Each worker owns a deque, pops its
-/// own front, and steals from other deques' backs when empty.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadExecutor {
-    pub workers: u32,
-    pub mode: ExecMode,
-}
-
-impl ThreadExecutor {
-    pub fn new(workers: u32, mode: ExecMode) -> Self {
-        ThreadExecutor { workers, mode }
-    }
-}
-
-impl Executor for ThreadExecutor {
-    fn run_batch(&self, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
-        let n = jobs.len();
-        let workers = (self.workers.max(1) as usize).min(n);
-        if workers <= 1 {
-            // One worker (or one job) degenerates to the serial loop.
-            return SimExecutor.run_batch(image, jobs);
+/// Workers are scoped per batch (not persistent): scoping keeps every
+/// borrow safe — no `unsafe`, no channels, no external crates.
+pub fn run_batch(workers: u32, image: &Image<'_>, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
+    parallel_map(workers, jobs, |_, job| {
+        let SliceJob {
+            rank,
+            mut thread,
+            mut machine,
+            slice,
+        } = job;
+        let outcome = run(&mut thread, image, &mut machine, slice);
+        SliceDone {
+            rank,
+            thread,
+            machine,
+            outcome,
         }
-        // Seed the deques round-robin so every worker starts loaded.
-        let queues: Vec<Mutex<VecDeque<(usize, SliceJob)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            queues[i % workers].lock().unwrap().push_back((i, job));
-        }
-        let done: Mutex<Vec<(usize, SliceDone)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                let done = &done;
-                s.spawn(move || loop {
-                    // Own deque first (front), then steal (back) —
-                    // the classic deque discipline, mutexed because
-                    // batches are coarse enough that contention is
-                    // irrelevant next to slice cost.
-                    let mut job = queues[w].lock().unwrap().pop_front();
-                    if job.is_none() {
-                        for o in 1..workers {
-                            let victim = (w + o) % workers;
-                            job = queues[victim].lock().unwrap().pop_back();
-                            if job.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    match job {
-                        Some((i, j)) => {
-                            let r = exec_one(image, j);
-                            done.lock().unwrap().push((i, r));
-                        }
-                        // All deques drained: no new work arrives
-                        // mid-batch, so empty means finished.
-                        None => break,
-                    }
-                });
-            }
-        });
-        let mut results = done.into_inner().unwrap();
-        if self.mode == ExecMode::Replay {
-            // Hand-off follows the seeded schedule: batch order.
-            results.sort_by_key(|(i, _)| *i);
-        }
-        results.into_iter().map(|(_, r)| r).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        match self.mode {
-            ExecMode::Replay => "threads-replay",
-            ExecMode::Free => "threads-free",
-        }
-    }
+    })
 }
 
 /// Map `f` over `items` on up to `workers` OS threads, returning
-/// results in input-index order regardless of completion order.
-///
-/// This is the translator's half of the pool: independent per-function
-/// lowerings fan out here, and index-order results are what keep
-/// FuncId assignment and stats aggregation bit-identical to serial.
+/// results in input-index order regardless of completion order. One
+/// worker (or one item) is a plain loop on the calling thread.
 pub fn parallel_map<T, R, F>(workers: u32, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -308,15 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn executor_cfg_env_override_parses() {
-        // Can't set the env var here (tests share a process), but the
-        // identity path must hold.
-        let cfg = ExecutorCfg::Threads {
-            workers: 3,
-            mode: ExecMode::Free,
-        };
-        assert_eq!(cfg.build().name(), "threads-free");
-        assert_eq!(ExecutorCfg::Sim.build().name(), "sim");
+    fn threads_means_at_least_two_workers() {
         assert!(default_workers() >= 2);
     }
 }

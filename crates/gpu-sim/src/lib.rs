@@ -44,6 +44,15 @@ pub struct GpuConfig {
     pub copy_latency: u64,
 }
 
+// Sent to `dist` workers with the world's `Init`.
+nir::wire_struct!(GpuConfig {
+    n_sms,
+    lanes_per_sm,
+    launch_overhead,
+    copy_bytes_per_cycle,
+    copy_latency,
+});
+
 impl Default for GpuConfig {
     fn default() -> Self {
         GpuConfig {

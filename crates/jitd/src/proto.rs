@@ -23,24 +23,21 @@
 //! request ends in a typed [`Reply::Shed`] naming the policy that
 //! refused it. The daemon never silently drops a decodable request.
 
+use exec::ckpt::CKPT_VERSION;
 use exec::{ResilienceStats, Val};
 use mpi_sim::TransportError;
-use nir::codec::{CodecError, Reader, Writer};
+use nir::codec::{CodecResult, Reader, Wire, Writer};
 
 /// Version of the service payload layout (independent of the frame-level
 /// [`mpi_sim::WIRE_VERSION`]). Carried in `Hello`; a skew is refused
 /// with a typed error before any state moves.
-pub const SERVICE_PROTO: u32 = 2;
-
-fn corrupt(message: impl Into<String>) -> TransportError {
-    TransportError::Corrupt {
-        message: message.into(),
-    }
-}
-
-fn codec(e: CodecError) -> TransportError {
-    corrupt(format!("jitd payload: {e}"))
-}
+///
+/// The low byte is [`CKPT_VERSION`], which versions the `exec`-owned
+/// records the payloads embed (`ResilienceStats`, `Val`), so a new
+/// counter there needs no edit here; the high bits count changes to the
+/// records declared in this module. Service payloads are never
+/// persisted.
+pub const SERVICE_PROTO: u32 = (3 << 8) | CKPT_VERSION as u32;
 
 /// The first frame on a fresh connection: protocol version plus the
 /// tenant every subsequent request on this connection is billed to.
@@ -215,342 +212,101 @@ pub enum Reply {
 // codec
 // ---------------------------------------------------------------------
 
+nir::wire_struct!(Hello { proto, tenant });
+nir::wire_enum!(Arg { 0 = I32(v), 1 = F32(v), 2 = F32Arr(xs) });
+nir::wire_struct!(JitRequest {
+    file,
+    source,
+    class,
+    method,
+    args,
+    deadline_ms,
+    hold_ms,
+});
+nir::wire_enum!(Request { 0 = Jit(job), 1 = Stats, 2 = Shutdown });
+nir::wire_enum!(ShedReason { 0 = QueueFull, 1 = Draining, 2 = OverQuota, 3 = Deadline });
+nir::wire_struct!(PassTotals {
+    pass,
+    wall_us,
+    instrs_before,
+    instrs_after,
+});
+nir::wire_struct!(ServiceStats {
+    admitted,
+    completed,
+    translations,
+    warm_hits,
+    follower_serves,
+    shed_queue_full,
+    shed_draining,
+    shed_over_quota,
+    shed_deadline,
+    request_errors,
+    disconnects,
+    bad_frames,
+    resilience,
+    passes,
+});
+nir::wire_enum!(Reply {
+    0 = HelloOk { proto },
+    1 = Done(outcome),
+    2 = Shed { reason, message },
+    3 = Err { message },
+    4 = Stats(stats),
+    5 = Bye,
+});
+
+/// Written by hand because the result is not sent as it is: heap handles
+/// don't survive the process boundary, so `Arr`/`Obj` go out as `Unit`.
+impl Wire for Outcome {
+    fn put(&self, w: &mut Writer) {
+        let result = self.result.map(|v| match v {
+            Val::Arr(_) | Val::Obj(_) => Val::Unit,
+            scalar => scalar,
+        });
+        result.put(w);
+        self.translated.put(w);
+        self.followed.put(w);
+        self.compile_us.put(w);
+        self.run_us.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        let result = Wire::get(r)?;
+        if matches!(result, Some(Val::Arr(_) | Val::Obj(_))) {
+            return Err(r.corrupt("heap handle in a service result"));
+        }
+        Ok(Outcome {
+            result,
+            translated: Wire::get(r)?,
+            followed: Wire::get(r)?,
+            compile_us: Wire::get(r)?,
+            run_us: Wire::get(r)?,
+        })
+    }
+}
+
 pub fn encode_hello(h: &Hello) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(h.proto);
-    w.str(&h.tenant);
-    w.into_bytes()
+    h.to_wire()
 }
 
 pub fn decode_hello(buf: &[u8]) -> Result<Hello, TransportError> {
-    let mut r = Reader::new(buf);
-    Ok(Hello {
-        proto: r.u32().map_err(codec)?,
-        tenant: r.str().map_err(codec)?,
-    })
-}
-
-fn write_args(w: &mut Writer, args: &[Arg]) {
-    w.u64(args.len() as u64);
-    for a in args {
-        match a {
-            Arg::I32(v) => {
-                w.u8(0);
-                w.i32(*v);
-            }
-            Arg::F32(v) => {
-                w.u8(1);
-                w.f32(*v);
-            }
-            Arg::F32Arr(xs) => {
-                w.u8(2);
-                w.u64(xs.len() as u64);
-                for x in xs {
-                    w.f32(*x);
-                }
-            }
-        }
-    }
-}
-
-fn read_args(r: &mut Reader) -> Result<Vec<Arg>, CodecError> {
-    let n = r.u64()? as usize;
-    let mut args = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        args.push(match r.u8()? {
-            0 => Arg::I32(r.i32()?),
-            1 => Arg::F32(r.f32()?),
-            2 => {
-                let k = r.u64()? as usize;
-                let mut xs = Vec::with_capacity(k.min(1 << 20));
-                for _ in 0..k {
-                    xs.push(r.f32()?);
-                }
-                Arg::F32Arr(xs)
-            }
-            t => {
-                return Err(CodecError::Corrupt {
-                    offset: 0,
-                    message: format!("unknown arg tag {t}"),
-                })
-            }
-        });
-    }
-    Ok(args)
+    Ok(Wire::from_wire(buf)?)
 }
 
 pub fn encode_request(q: &Request) -> Vec<u8> {
-    let mut w = Writer::new();
-    match q {
-        Request::Jit(j) => {
-            w.u8(0);
-            w.str(&j.file);
-            w.str(&j.source);
-            w.str(&j.class);
-            w.str(&j.method);
-            write_args(&mut w, &j.args);
-            w.u64(j.deadline_ms);
-            w.u64(j.hold_ms);
-        }
-        Request::Stats => w.u8(1),
-        Request::Shutdown => w.u8(2),
-    }
-    w.into_bytes()
+    q.to_wire()
 }
 
 pub fn decode_request(buf: &[u8]) -> Result<Request, TransportError> {
-    let mut r = Reader::new(buf);
-    let go = |r: &mut Reader| -> Result<Request, CodecError> {
-        Ok(match r.u8()? {
-            0 => Request::Jit(JitRequest {
-                file: r.str()?,
-                source: r.str()?,
-                class: r.str()?,
-                method: r.str()?,
-                args: read_args(r)?,
-                deadline_ms: r.u64()?,
-                hold_ms: r.u64()?,
-            }),
-            1 => Request::Stats,
-            2 => Request::Shutdown,
-            t => {
-                return Err(CodecError::Corrupt {
-                    offset: 0,
-                    message: format!("unknown request tag {t}"),
-                })
-            }
-        })
-    };
-    go(&mut r).map_err(codec)
-}
-
-fn write_val(w: &mut Writer, v: Option<Val>) {
-    match v {
-        None => w.u8(0),
-        Some(Val::I32(x)) => {
-            w.u8(1);
-            w.i32(x);
-        }
-        Some(Val::I64(x)) => {
-            w.u8(2);
-            w.u64(x as u64);
-        }
-        Some(Val::F32(x)) => {
-            w.u8(3);
-            w.f32(x);
-        }
-        Some(Val::F64(x)) => {
-            w.u8(4);
-            w.f64(x);
-        }
-        Some(Val::Bool(x)) => {
-            w.u8(5);
-            w.bool(x);
-        }
-        // Heap handles don't survive the process boundary.
-        Some(Val::Arr(_) | Val::Obj(_) | Val::Unit) => w.u8(6),
-    }
-}
-
-fn read_val(r: &mut Reader) -> Result<Option<Val>, CodecError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(Val::I32(r.i32()?)),
-        2 => Some(Val::I64(r.u64()? as i64)),
-        3 => Some(Val::F32(r.f32()?)),
-        4 => Some(Val::F64(r.f64()?)),
-        5 => Some(Val::Bool(r.bool()?)),
-        6 => Some(Val::Unit),
-        t => {
-            return Err(CodecError::Corrupt {
-                offset: 0,
-                message: format!("unknown val tag {t}"),
-            })
-        }
-    })
-}
-
-fn shed_tag(reason: ShedReason) -> u8 {
-    match reason {
-        ShedReason::QueueFull => 0,
-        ShedReason::Draining => 1,
-        ShedReason::OverQuota => 2,
-        ShedReason::Deadline => 3,
-    }
-}
-
-fn shed_of(tag: u8) -> Result<ShedReason, CodecError> {
-    Ok(match tag {
-        0 => ShedReason::QueueFull,
-        1 => ShedReason::Draining,
-        2 => ShedReason::OverQuota,
-        3 => ShedReason::Deadline,
-        t => {
-            return Err(CodecError::Corrupt {
-                offset: 0,
-                message: format!("unknown shed tag {t}"),
-            })
-        }
-    })
-}
-
-fn write_resilience(w: &mut Writer, s: &ResilienceStats) {
-    w.u64(s.crashes);
-    w.u64(s.fuel_exhaustions);
-    w.u64(s.host_transients);
-    w.u64(s.host_retries);
-    w.u64(s.dropped_messages);
-    w.u64(s.corrupted_messages);
-    w.u64(s.delayed_messages);
-    w.u64(s.ckpt_write_failures);
-    w.u64(s.connect_refusals);
-    w.u64(s.truncated_frames);
-    w.u64(s.delayed_acks);
-    w.u64(s.connect_retries);
-    w.u64(s.translate_failures);
-    w.u64(s.timeouts);
-    w.u64(s.degraded_jits);
-    w.u64(s.checkpoints_taken);
-    w.u64(s.restarts);
-    w.u64(s.overlapped_rounds);
-}
-
-fn read_resilience(r: &mut Reader) -> Result<ResilienceStats, CodecError> {
-    Ok(ResilienceStats {
-        crashes: r.u64()?,
-        fuel_exhaustions: r.u64()?,
-        host_transients: r.u64()?,
-        host_retries: r.u64()?,
-        dropped_messages: r.u64()?,
-        corrupted_messages: r.u64()?,
-        delayed_messages: r.u64()?,
-        ckpt_write_failures: r.u64()?,
-        connect_refusals: r.u64()?,
-        truncated_frames: r.u64()?,
-        delayed_acks: r.u64()?,
-        connect_retries: r.u64()?,
-        translate_failures: r.u64()?,
-        timeouts: r.u64()?,
-        degraded_jits: r.u64()?,
-        checkpoints_taken: r.u64()?,
-        restarts: r.u64()?,
-        overlapped_rounds: r.u64()?,
-    })
-}
-
-fn write_stats(w: &mut Writer, s: &ServiceStats) {
-    w.u64(s.admitted);
-    w.u64(s.completed);
-    w.u64(s.translations);
-    w.u64(s.warm_hits);
-    w.u64(s.follower_serves);
-    w.u64(s.shed_queue_full);
-    w.u64(s.shed_draining);
-    w.u64(s.shed_over_quota);
-    w.u64(s.shed_deadline);
-    w.u64(s.request_errors);
-    w.u64(s.disconnects);
-    w.u64(s.bad_frames);
-    write_resilience(w, &s.resilience);
-    w.u64(s.passes.len() as u64);
-    for p in &s.passes {
-        w.str(&p.pass);
-        w.u64(p.wall_us);
-        w.u64(p.instrs_before);
-        w.u64(p.instrs_after);
-    }
-}
-
-fn read_stats(r: &mut Reader) -> Result<ServiceStats, CodecError> {
-    let mut s = ServiceStats {
-        admitted: r.u64()?,
-        completed: r.u64()?,
-        translations: r.u64()?,
-        warm_hits: r.u64()?,
-        follower_serves: r.u64()?,
-        shed_queue_full: r.u64()?,
-        shed_draining: r.u64()?,
-        shed_over_quota: r.u64()?,
-        shed_deadline: r.u64()?,
-        request_errors: r.u64()?,
-        disconnects: r.u64()?,
-        bad_frames: r.u64()?,
-        resilience: read_resilience(r)?,
-        passes: Vec::new(),
-    };
-    let n = r.u64()? as usize;
-    for _ in 0..n.min(1024) {
-        s.passes.push(PassTotals {
-            pass: r.str()?,
-            wall_us: r.u64()?,
-            instrs_before: r.u64()?,
-            instrs_after: r.u64()?,
-        });
-    }
-    Ok(s)
+    Ok(Wire::from_wire(buf)?)
 }
 
 pub fn encode_reply(p: &Reply) -> Vec<u8> {
-    let mut w = Writer::new();
-    match p {
-        Reply::HelloOk { proto } => {
-            w.u8(0);
-            w.u32(*proto);
-        }
-        Reply::Done(o) => {
-            w.u8(1);
-            write_val(&mut w, o.result);
-            w.bool(o.translated);
-            w.bool(o.followed);
-            w.u64(o.compile_us);
-            w.u64(o.run_us);
-        }
-        Reply::Shed { reason, message } => {
-            w.u8(2);
-            w.u8(shed_tag(*reason));
-            w.str(message);
-        }
-        Reply::Err { message } => {
-            w.u8(3);
-            w.str(message);
-        }
-        Reply::Stats(s) => {
-            w.u8(4);
-            write_stats(&mut w, s);
-        }
-        Reply::Bye => w.u8(5),
-    }
-    w.into_bytes()
+    p.to_wire()
 }
 
 pub fn decode_reply(buf: &[u8]) -> Result<Reply, TransportError> {
-    let mut r = Reader::new(buf);
-    let go = |r: &mut Reader| -> Result<Reply, CodecError> {
-        Ok(match r.u8()? {
-            0 => Reply::HelloOk { proto: r.u32()? },
-            1 => Reply::Done(Outcome {
-                result: read_val(r)?,
-                translated: r.bool()?,
-                followed: r.bool()?,
-                compile_us: r.u64()?,
-                run_us: r.u64()?,
-            }),
-            2 => Reply::Shed {
-                reason: shed_of(r.u8()?)?,
-                message: r.str()?,
-            },
-            3 => Reply::Err { message: r.str()? },
-            4 => Reply::Stats(Box::new(read_stats(r)?)),
-            5 => Reply::Bye,
-            t => {
-                return Err(CodecError::Corrupt {
-                    offset: 0,
-                    message: format!("unknown reply tag {t}"),
-                })
-            }
-        })
-    };
-    go(&mut r).map_err(codec)
+    Ok(Wire::from_wire(buf)?)
 }
 
 #[cfg(test)]

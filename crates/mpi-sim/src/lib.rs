@@ -119,6 +119,16 @@ pub enum SimError {
     World { message: String },
 }
 
+// `dist` workers report failures to their coordinator in this layout.
+nir::wire_enum!(SimError {
+    0 = Rank { rank, message },
+    1 = Crash { rank, step, post_mortem },
+    2 = Timeout { rank, waited_rounds, report },
+    3 = Deadlock { report },
+    4 = CheckpointScope { expected, found },
+    5 = World { message },
+});
+
 impl SimError {
     /// The offending rank, when one is attributable.
     pub fn rank(&self) -> Option<u32> {

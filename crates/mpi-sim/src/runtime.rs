@@ -23,13 +23,13 @@
 use std::path::PathBuf;
 
 use exec::ckpt::{self, chain, CkptError};
-use exec::pool::{SliceDone, SliceJob};
+use exec::pool::{run_batch, SliceJob};
 use exec::{
-    run, ArrStore, ExecError, Executor, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Image,
-    Machine, MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
+    run, ArrStore, ExecError, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Image, Machine,
+    MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuConfig, GpuErrorKind};
-use nir::codec::{Reader, Writer};
+use nir::codec::{Reader, Wire, Writer};
 use nir::{FuncId, IntrinOp, Program};
 
 use crate::shared::SharedCacheStats;
@@ -48,8 +48,8 @@ pub type ArgBuilder<'a> = &'a mut dyn FnMut(u32, &mut Machine) -> Result<Vec<Val
 /// a typed error instead of another backoff.
 pub const MAX_CONNECT_RETRIES: u32 = 16;
 
-/// The scheduler-facing slice of a world configuration — everything
-/// [`drive`] needs that is not the program or the ranks themselves.
+/// The scheduler-facing slice of a world configuration — everything the
+/// scheduler loop needs that is not the program or the ranks themselves.
 #[derive(Debug, Clone, Copy)]
 pub struct RunCfg {
     pub size: u32,
@@ -128,6 +128,16 @@ pub enum RankYield {
     },
 }
 
+nir::wire_enum!(RankYield {
+    0 = Done(result),
+    1 = OutOfFuel,
+    2 = Crashed { step },
+    3 = Misplaced,
+    4 = Device,
+    5 = HostCall,
+    6 = Mpi { op, args },
+});
+
 /// Result of servicing a pending device yield.
 #[derive(Debug, Clone, Copy)]
 pub enum DeviceOutcome {
@@ -137,6 +147,8 @@ pub enum DeviceOutcome {
     /// An injected device fault killed the rank at this step.
     Crashed(u64),
 }
+
+nir::wire_enum!(DeviceOutcome { 0 = Advance(cycles), 1 = Crashed(step) });
 
 /// One rank's checkpoint sections: call stack, one section per heap
 /// array, the rest of the machine, and any device state — the same
@@ -149,6 +161,12 @@ pub struct RankSnapshot {
     /// `thread, array*, machine_rest[, device]` in order.
     pub sections: Vec<Vec<u8>>,
 }
+
+nir::wire_struct!(RankSnapshot {
+    last_cycles,
+    has_gpu,
+    sections
+});
 
 /// Where ranks live. [`LocalPool`] keeps them in-process (the `mpi-sim`
 /// backend); the `dist` backend reaches one OS process per rank over
@@ -874,7 +892,7 @@ fn world_sections(
             Some(None) => header.u8(1),
             Some(Some(v)) => {
                 header.u8(2);
-                ckpt::write_val(&mut header, *v);
+                v.put(&mut header);
             }
         }
         header.u64(ctl.vclock);
@@ -936,7 +954,7 @@ fn world_from_sections(
         let done = match h.u8()? {
             0 => None,
             1 => Some(None),
-            2 => Some(Some(ckpt::read_val(&mut h)?)),
+            2 => Some(Some(Val::get(&mut h)?)),
             t => return Err(bad(format!("bad rank-done tag {t:#x}"))),
         };
         let vclock = h.u64()?;
@@ -1643,9 +1661,9 @@ pub struct LocalPool<'p, 'a> {
     /// Device / host-call yields parked between `run_slice` and their
     /// `service_*` call.
     pending: Vec<Option<Yield>>,
-    /// OS-thread executor for batched slice execution; `None` keeps the
+    /// OS threads each round's batch of slices runs on; 0 keeps the
     /// historical in-process serial loop (the `run_slices` default).
-    executor: Option<Box<dyn Executor>>,
+    workers: u32,
     /// The program decoded for `exec::run`: built by the first slice of
     /// the run, then borrowed by every rank, pool worker and device
     /// launch (restarts included). A pool that never runs — `dist`'s
@@ -1665,6 +1683,26 @@ fn image_of<'i, 'p>(
         })?);
     }
     Ok(slot.as_ref().expect("filled above"))
+}
+
+/// What the scheduler sees of a slice's yield. Device and host-call
+/// yields are parked until their `service_*` call.
+fn park_yield(pending: &mut [Option<Yield>], r: u32, y: Yield) -> RankYield {
+    match y {
+        Yield::Done(v) => RankYield::Done(v),
+        Yield::OutOfFuel => RankYield::OutOfFuel,
+        Yield::Crashed { step } => RankYield::Crashed { step },
+        Yield::Sync | Yield::SharedAlloc { .. } => RankYield::Misplaced,
+        Yield::Mpi { op, args } => RankYield::Mpi { op, args },
+        y @ (Yield::Launch { .. } | Yield::GpuMem { .. }) => {
+            pending[r as usize] = Some(y);
+            RankYield::Device
+        }
+        y @ Yield::Host { .. } => {
+            pending[r as usize] = Some(y);
+            RankYield::HostCall
+        }
+    }
 }
 
 fn live_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<&mut LocalRank, SimError> {
@@ -1696,18 +1734,17 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             host,
             ranks: Vec::new(),
             pending: Vec::new(),
-            executor: None,
+            workers: 0,
             image: None,
         }
     }
 
-    /// Attach an executor. [`ExecutorCfg::Sim`] keeps the serial loop
-    /// (no boxed indirection on the hot path); thread configurations
-    /// batch slice execution over OS workers.
+    /// Choose who runs the slices. [`ExecutorCfg::Sim`] keeps the serial
+    /// loop; thread configurations batch each round over OS workers.
     pub fn with_executor(mut self, cfg: ExecutorCfg) -> Self {
-        self.executor = match cfg {
-            ExecutorCfg::Sim => None,
-            threads => Some(threads.build()),
+        self.workers = match cfg {
+            ExecutorCfg::Sim => 0,
+            ExecutorCfg::Threads { workers, .. } => workers.max(1),
         };
         self
     }
@@ -1776,22 +1813,7 @@ impl RankPool for LocalPool<'_, '_> {
             rank.last_cycles = rank.machine.counters.cycles;
             (y, delta)
         };
-        let ry = match y {
-            Yield::Done(v) => RankYield::Done(v),
-            Yield::OutOfFuel => RankYield::OutOfFuel,
-            Yield::Crashed { step } => RankYield::Crashed { step },
-            Yield::Sync | Yield::SharedAlloc { .. } => RankYield::Misplaced,
-            Yield::Mpi { op, args } => RankYield::Mpi { op, args },
-            y @ (Yield::Launch { .. } | Yield::GpuMem { .. }) => {
-                self.pending[r as usize] = Some(y);
-                RankYield::Device
-            }
-            y @ Yield::Host { .. } => {
-                self.pending[r as usize] = Some(y);
-                RankYield::HostCall
-            }
-        };
-        Ok((ry, delta))
+        Ok((park_yield(&mut self.pending, r, y), delta))
     }
 
     fn run_slices(
@@ -1799,20 +1821,19 @@ impl RankPool for LocalPool<'_, '_> {
         ranks: &[u32],
         slice: u64,
     ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
-        let Some(executor) = self.executor.as_ref() else {
-            // No executor attached: the historical serial loop.
+        if self.workers == 0 {
             let mut out = Vec::with_capacity(ranks.len());
             for &r in ranks {
                 let (y, delta) = self.run_slice(r, slice)?;
                 out.push((r, y, delta));
             }
             return Ok(out);
-        };
+        }
         let image = image_of(&mut self.image, self.program)?;
         // Move each ready rank's execution state into a job. The device
         // and the cycle watermark stay pool-side — slices never touch
         // them (device yields are serviced after the batch).
-        let mut parked: Vec<(u32, Option<Gpu>, u64)> = Vec::with_capacity(ranks.len());
+        let mut parked: Vec<(Option<Gpu>, u64)> = Vec::with_capacity(ranks.len());
         let mut jobs = Vec::with_capacity(ranks.len());
         for &r in ranks {
             let lr = self
@@ -1822,7 +1843,7 @@ impl RankPool for LocalPool<'_, '_> {
                 .ok_or_else(|| SimError::World {
                     message: format!("rank {r} is not live in the local pool"),
                 })?;
-            parked.push((r, lr.gpu, lr.last_cycles));
+            parked.push((lr.gpu, lr.last_cycles));
             jobs.push(SliceJob {
                 rank: r,
                 thread: lr.thread,
@@ -1830,53 +1851,28 @@ impl RankPool for LocalPool<'_, '_> {
                 slice,
             });
         }
-        let results = executor.run_batch(image, jobs);
-        // Reinstall every rank before surfacing any error so no state
-        // is stranded, then classify yields in the executor's returned
-        // (service) order.
-        let mut classified = Vec::with_capacity(results.len());
-        for done in results {
-            let SliceDone {
-                rank: r,
-                thread,
-                machine,
-                outcome,
-            } = done;
-            let slot = parked
-                .iter()
-                .position(|(pr, _, _)| *pr == r)
-                .expect("executor returned a rank it was never given");
-            let (_, gpu, last_cycles) = parked.swap_remove(slot);
-            let cycles = machine.counters.cycles;
-            self.ranks[r as usize] = Some(LocalRank {
-                thread,
-                machine,
+        // Results come back in batch order. Reinstall every rank before
+        // surfacing any error so no state is stranded.
+        let mut outcomes = Vec::with_capacity(ranks.len());
+        for (done, (gpu, last_cycles)) in
+            run_batch(self.workers, image, jobs).into_iter().zip(parked)
+        {
+            let cycles = done.machine.counters.cycles;
+            self.ranks[done.rank as usize] = Some(LocalRank {
+                thread: done.thread,
+                machine: done.machine,
                 gpu,
                 last_cycles: cycles,
             });
-            classified.push((r, outcome, cycles - last_cycles));
+            outcomes.push((done.rank, done.outcome, cycles - last_cycles));
         }
-        let mut out = Vec::with_capacity(classified.len());
-        for (r, outcome, delta) in classified {
-            let y = outcome.map_err(|e| err_on(r, e.to_string()))?;
-            let ry = match y {
-                Yield::Done(v) => RankYield::Done(v),
-                Yield::OutOfFuel => RankYield::OutOfFuel,
-                Yield::Crashed { step } => RankYield::Crashed { step },
-                Yield::Sync | Yield::SharedAlloc { .. } => RankYield::Misplaced,
-                Yield::Mpi { op, args } => RankYield::Mpi { op, args },
-                y @ (Yield::Launch { .. } | Yield::GpuMem { .. }) => {
-                    self.pending[r as usize] = Some(y);
-                    RankYield::Device
-                }
-                y @ Yield::Host { .. } => {
-                    self.pending[r as usize] = Some(y);
-                    RankYield::HostCall
-                }
-            };
-            out.push((r, ry, delta));
-        }
-        Ok(out)
+        outcomes
+            .into_iter()
+            .map(|(r, outcome, delta)| {
+                let y = outcome.map_err(|e| err_on(r, e.to_string()))?;
+                Ok((r, park_yield(&mut self.pending, r, y), delta))
+            })
+            .collect()
     }
 
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError> {
@@ -2070,8 +2066,7 @@ impl RankPool for LocalPool<'_, '_> {
         let thread = ckpt::read_thread(&mut t, self.program)?;
         let mut arrays = Vec::with_capacity(n_arrays);
         for i in 0..n_arrays {
-            let mut a = Reader::new(section(&format!("array {i}"))?);
-            arrays.push(ckpt::read_arr(&mut a)?);
+            arrays.push(Wire::from_wire(section(&format!("array {i}"))?)?);
         }
         let mut m = Reader::new(section("machine")?);
         let machine = ckpt::read_machine_rest(&mut m, arrays)?;

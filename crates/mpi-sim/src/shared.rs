@@ -28,31 +28,23 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-/// Per-world translate-once counters, surfaced on
-/// [`WorldRun`](crate::WorldRun) so scalability experiments can assert
-/// the broadcast pattern held.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// Cold translations performed against this cache (exactly one per
-    /// distinct key, regardless of world size).
-    pub translations: u64,
-    /// Artifact decodes served from broadcast bytes instead of
-    /// translating (≥ `world size − 1` per key in a fanned-out world).
-    pub broadcast_decodes: u64,
-    /// Total artifact bytes "on the wire" (encoded size × receiving
-    /// ranks) — what a real job's broadcast would move.
-    pub broadcast_bytes: u64,
-    /// Entries reloaded from a persistent directory by a fresh cache —
-    /// each one is a translation a process warm-restart did *not* redo.
-    pub disk_loads: u64,
-}
-
-impl SharedCacheStats {
-    pub fn merge(&mut self, other: &SharedCacheStats) {
-        self.translations += other.translations;
-        self.broadcast_decodes += other.broadcast_decodes;
-        self.broadcast_bytes += other.broadcast_bytes;
-        self.disk_loads += other.disk_loads;
+nir::counters! {
+    /// Per-world translate-once counters, surfaced on
+    /// [`WorldRun`](crate::WorldRun) so scalability experiments can assert
+    /// the broadcast pattern held.
+    pub struct SharedCacheStats [merge] {
+        /// Cold translations performed against this cache (exactly one per
+        /// distinct key, regardless of world size).
+        translations,
+        /// Artifact decodes served from broadcast bytes instead of
+        /// translating (≥ `world size − 1` per key in a fanned-out world).
+        broadcast_decodes,
+        /// Total artifact bytes "on the wire" (encoded size × receiving
+        /// ranks) — what a real job's broadcast would move.
+        broadcast_bytes,
+        /// Entries reloaded from a persistent directory by a fresh cache —
+        /// each one is a translation a process warm-restart did *not* redo.
+        disk_loads,
     }
 }
 

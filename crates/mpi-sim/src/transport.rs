@@ -57,6 +57,16 @@ pub enum TransportError {
     Refused { message: String },
 }
 
+/// A payload that arrived in a sound frame but does not decode — the one
+/// conversion the `dist` and `jitd` payload decoders share.
+impl From<nir::CodecError> for TransportError {
+    fn from(e: nir::CodecError) -> Self {
+        TransportError::Corrupt {
+            message: format!("payload codec: {e}"),
+        }
+    }
+}
+
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

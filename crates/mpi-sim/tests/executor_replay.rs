@@ -1,9 +1,10 @@
 //! The executor-seam replay property: for *any* seeded fault plan,
-//! world size, and worker count, a [`ThreadExecutor`] in
-//! [`ExecMode::Replay`] is observationally identical to the historical
-//! serial loop — same results, same per-rank virtual clocks, same
-//! resilience counters, same typed error on failure — because replay
-//! hands slices back in the seeded batch order the scheduler chose.
+//! world size, and worker count, a world whose slices run on OS threads
+//! ([`ExecutorCfg::Threads`]) is observationally identical to the
+//! historical serial loop — same results, same per-rank virtual clocks,
+//! same resilience counters, same typed error on failure — because
+//! `exec::pool::run_batch` hands slices back in the seeded batch order
+//! the scheduler chose.
 //!
 //! No proptest/quickcheck: cases are driven by the same xorshift64*
 //! idiom the fault plans themselves use, so the suite is deterministic.
@@ -293,29 +294,4 @@ fn thread_replay_matches_sim_through_restarts() {
         recovered > 0,
         "no seed actually crashed and recovered — the restart property is vacuous"
     );
-}
-
-/// The `WJ_EXECUTOR` contract names replay mode precisely because of
-/// the property above; free mode is the one knob that may not claim
-/// bit-identity. Sanity-check the gap is real where it must be: a
-/// fault-free run in free mode still produces identical *values*.
-#[test]
-fn free_mode_preserves_values_fault_free() {
-    let (program, entry) = ring_program(5);
-    let values = |executor: ExecutorCfg| {
-        let run = World::new(&program, 4)
-            .with_executor(executor)
-            .run(entry, |_, _| Ok(vec![]))
-            .unwrap();
-        run.ranks
-            .iter()
-            .map(|r| format!("{:?}", r.result))
-            .collect::<Vec<_>>()
-    };
-    let sim = values(ExecutorCfg::Sim);
-    let free = values(ExecutorCfg::Threads {
-        workers: 4,
-        mode: ExecMode::Free,
-    });
-    assert_eq!(sim, free, "free-running must keep world values identical");
 }

@@ -28,6 +28,13 @@
 //! All multi-byte integers are little-endian; floats are stored as their
 //! IEEE-754 bit patterns, so encode→decode→encode is bit-identical (the
 //! golden-fixture property the artifact tests pin down).
+//!
+//! The same [`Writer`]/[`Reader`] pair carries every runtime payload
+//! (checkpoint records, `dist` and `jitd` frames). Those records declare
+//! their layout once, through [`Wire`] and the `wire_struct!` /
+//! `wire_enum!` / `counters!` macros below; the program and artifact
+//! codecs in this module and in `translator::artifact` are still written
+//! out by hand.
 
 use std::fmt;
 use std::time::Duration;
@@ -334,6 +341,269 @@ impl<'a> Reader<'a> {
             message: format!("invalid UTF-8 in string: {e}"),
         })
     }
+}
+
+// ---- Wire: one declaration per record ----------------------------------
+
+/// A value with one wire layout, written and read by the same field list.
+///
+/// Records that cross a process boundary (`dist` and `jitd` payloads,
+/// checkpoint records) implement this once — by [`wire_struct!`],
+/// [`wire_enum!`] or [`counters!`] in the crate that owns the type — and
+/// every protocol that embeds the record reuses that one layout.
+///
+/// [`wire_struct!`]: crate::wire_struct
+/// [`wire_enum!`]: crate::wire_enum
+/// [`counters!`]: crate::counters
+pub trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self>;
+
+    /// The items of a `Vec<Self>`, after its length prefix.
+    fn put_all(items: &[Self], w: &mut Writer) {
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    /// `n` items of a `Vec<Self>`; `n` came through [`Reader::len`], which
+    /// bounds it by the remaining input, so pre-sizing is safe.
+    fn get_n(r: &mut Reader<'_>, n: usize) -> CodecResult<Vec<Self>> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
+    }
+
+    /// The value as a whole payload.
+    fn to_wire(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decode a whole payload; bytes left over are [`CodecError::Corrupt`].
+    fn from_wire(bytes: &[u8]) -> CodecResult<Self> {
+        let mut r = Reader::new(bytes);
+        let value = Self::get(&mut r)?;
+        if !r.is_at_end() {
+            return Err(r.corrupt(format!(
+                "{} trailing bytes after the payload",
+                bytes.len() - r.offset()
+            )));
+        }
+        Ok(value)
+    }
+}
+
+macro_rules! wire_prim {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut Writer) {
+                w.$t(*self);
+            }
+            fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+                r.$t()
+            }
+        }
+    )*};
+}
+
+wire_prim!(bool, u32, u64, i32, i64, f32, f64);
+
+impl Wire for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.u8(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        r.u8()
+    }
+    // Program images and checkpoint sections are `Vec<u8>`: one copy, not
+    // a push per byte.
+    fn put_all(items: &[u8], w: &mut Writer) {
+        w.bytes(items);
+    }
+    fn get_n(r: &mut Reader<'_>, n: usize) -> CodecResult<Vec<u8>> {
+        Ok(r.bytes(n)?.to_vec())
+    }
+}
+
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        Ok(r.u64()? as usize)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        r.str()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.len(self.len());
+        T::put_all(self, w);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        let n = r.len()?;
+        T::get_n(r, n)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        Ok(Box::new(T::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Yielded intrinsics cross the wire with the tags `.wjar` artifacts use.
+impl Wire for IntrinOp {
+    fn put(&self, w: &mut Writer) {
+        let (tag, axis) = intrin_tag(*self);
+        w.u8(tag);
+        w.u8(axis);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        let tag = r.u8()?;
+        let axis = r.u8()?;
+        intrin_of(tag, axis, r)
+    }
+}
+
+/// `impl Wire` for a struct: the listed fields, in the listed order, in
+/// both directions. Invoke it in the crate that declares the struct.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                $($crate::codec::Wire::put(&self.$field, w);)*
+            }
+            fn get(r: &mut $crate::codec::Reader<'_>) -> $crate::codec::CodecResult<Self> {
+                $(let $field = $crate::codec::Wire::get(r)?;)*
+                Ok($name { $($field),* })
+            }
+        }
+    };
+}
+
+/// `impl Wire` for an enum: a `u8` tag, then the variant's fields in the
+/// listed order. Unit, struct and tuple variants are all
+/// `tag = Variant`, `tag = Variant { a, b }`, `tag = Variant(a, b)` (the
+/// tuple names are only binders). Tags are append-only: changing one is a
+/// layout change; an unknown tag decodes as [`CodecError::Corrupt`].
+///
+/// [`CodecError::Corrupt`]: crate::codec::CodecError::Corrupt
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident {
+        $($tag:literal = $v:ident $({ $($f:ident),* $(,)? })? $(( $($p:ident),* ))?),* $(,)?
+    }) => {
+        impl $crate::codec::Wire for $name {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $($name::$v $({ $($f),* })? $(( $($p),* ))? => {
+                        w.u8($tag);
+                        $($($crate::codec::Wire::put($f, w);)*)?
+                        $($($crate::codec::Wire::put($p, w);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut $crate::codec::Reader<'_>) -> $crate::codec::CodecResult<Self> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $f = $crate::codec::Wire::get(r)?;)*)?
+                        $($(let $p = $crate::codec::Wire::get(r)?;)*)?
+                        $name::$v $({ $($f),* })? $(( $($p),* ))?
+                    })*
+                    other => {
+                        return Err(r.corrupt(format!(concat!(stringify!($name), " tag {}"), other)))
+                    }
+                })
+            }
+        }
+    };
+}
+
+/// A stats struct of `pub u64` counters, declared once. The bracketed
+/// list names what else to generate from the same field list: `merge`
+/// (add another set in), `since` (subtract an earlier snapshot), `wire`
+/// (a [`wire_struct!`] over every field, in declaration order).
+///
+/// [`wire_struct!`]: crate::wire_struct
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident [$($gen:ident),*] {
+            $($(#[$fmeta:meta])* $field:ident),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64,)*
+        }
+        $crate::counters!(@each $name ($($field),*) $($gen)*);
+    };
+    (@each $name:ident $fields:tt) => {};
+    (@each $name:ident $fields:tt $gen:ident $($rest:ident)*) => {
+        $crate::counters!(@$gen $name $fields);
+        $crate::counters!(@each $name $fields $($rest)*);
+    };
+    (@merge $name:ident ($($field:ident),*)) => {
+        impl $name {
+            /// Add every counter of `other` into `self`.
+            pub fn merge(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+    (@since $name:ident ($($field:ident),*)) => {
+        impl $name {
+            /// Field-wise `self - before` (counters are monotone).
+            pub fn since(&self, before: &$name) -> $name {
+                $name { $($field: self.$field - before.$field),* }
+            }
+        }
+    };
+    (@wire $name:ident ($($field:ident),*)) => {
+        $crate::wire_struct!($name { $($field),* });
+    };
 }
 
 // ---- enum discriminants -------------------------------------------------
@@ -1329,6 +1599,109 @@ mod tests {
         assert_ne!(a, digest64(b"hellp", 1), "content sensitivity");
         assert_ne!(a, digest64(b"hello", 2), "seed sensitivity");
         assert_eq!(a, digest64(b"hello", 1), "determinism");
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Rec {
+        id: u32,
+        name: String,
+        blob: Vec<u8>,
+        next: Option<Box<Rec>>,
+    }
+    wire_struct!(Rec {
+        id,
+        name,
+        blob,
+        next
+    });
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Dot { x: i32, y: i32 },
+        Path(Vec<(f32, f32)>, bool),
+    }
+    wire_enum!(Shape { 0 = Empty, 1 = Dot { x, y }, 3 = Path(points, closed) });
+
+    counters! {
+        /// Test counters.
+        pub struct Tally [merge, since, wire] {
+            /// First.
+            a,
+            b,
+        }
+    }
+
+    #[test]
+    fn wire_macros_write_the_listed_fields_in_order() {
+        let rec = Rec {
+            id: 7,
+            name: "ab".into(),
+            blob: vec![9, 8],
+            next: Some(Box::new(Rec {
+                id: 1,
+                name: String::new(),
+                blob: vec![],
+                next: None,
+            })),
+        };
+        let mut w = Writer::new();
+        w.u32(7);
+        w.str("ab");
+        w.len(2);
+        w.bytes(&[9, 8]);
+        w.bool(true);
+        w.u32(1);
+        w.str("");
+        w.len(0);
+        w.bool(false);
+        assert_eq!(rec.to_wire(), w.into_bytes());
+        assert_eq!(Rec::from_wire(&rec.to_wire()).unwrap(), rec);
+
+        for shape in [
+            Shape::Empty,
+            Shape::Dot { x: -1, y: 2 },
+            Shape::Path(vec![(0.5, 1.5), (2.0, -2.0)], true),
+        ] {
+            assert_eq!(Shape::from_wire(&shape.to_wire()).unwrap(), shape);
+        }
+        assert_eq!(Shape::Dot { x: 1, y: 2 }.to_wire()[0], 1);
+        assert_eq!(Shape::Path(vec![], false).to_wire()[0], 3);
+
+        let mut t = Tally { a: 5, b: 7 };
+        t.merge(&Tally { a: 1, b: 2 });
+        assert_eq!(t, Tally { a: 6, b: 9 });
+        assert_eq!(t.since(&Tally { a: 5, b: 7 }), Tally { a: 1, b: 2 });
+        assert_eq!(
+            t.to_wire(),
+            [6u64.to_le_bytes(), 9u64.to_le_bytes()].concat()
+        );
+    }
+
+    #[test]
+    fn from_wire_is_total_and_strict() {
+        // Unknown tag, trailing byte, every strict prefix, and a length
+        // prefix larger than the input: all typed, none panic.
+        assert!(matches!(
+            Shape::from_wire(&[2]),
+            Err(CodecError::Corrupt { .. })
+        ));
+        let bytes = Shape::Path(vec![(1.0, 2.0)], false).to_wire();
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(matches!(
+            Shape::from_wire(&long),
+            Err(CodecError::Corrupt { .. })
+        ));
+        for cut in 0..bytes.len() {
+            assert!(Shape::from_wire(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut huge = vec![3];
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Shape::from_wire(&huge),
+            Err(CodecError::Corrupt { .. })
+        ));
     }
 
     #[test]

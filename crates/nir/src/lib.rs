@@ -17,7 +17,7 @@ pub mod hash;
 pub mod ir;
 pub mod opt;
 
-pub use codec::{digest64, seal, unseal, CodecError, CodecResult, Reader, Writer};
+pub use codec::{digest64, seal, unseal, CodecError, CodecResult, Reader, Wire, Writer};
 pub use emit::emit_c;
 pub use hash::{fnv1a64, Fingerprint};
 pub use ir::{

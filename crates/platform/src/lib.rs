@@ -56,7 +56,7 @@
 
 #![forbid(unsafe_code)]
 
-use exec::{ExecMode, ExecutorCfg, FaultConfig, HostRegistry, Machine, Val};
+use exec::{ExecutorCfg, FaultConfig, HostRegistry, Machine, Val};
 use gpu_sim::GpuConfig;
 use mpi_sim::{CheckpointPolicy, CostModel, Schedule, SimError, World, WorldRun};
 use nir::{FuncId, Program};
@@ -381,10 +381,9 @@ pub struct HostMtPlatform {
     pub seed: u64,
     pub cost: CostModel,
     /// Who executes slices: the cooperative loop by default, real OS
-    /// threads via [`HostMtPlatform::with_executor`]. Replay-mode
-    /// threads are bit-identical to the loop and keep the platform's
-    /// fingerprint salt (warm caches survive); free-running mode can
-    /// legitimately change virtual timing, so it gets its own salt.
+    /// threads via [`HostMtPlatform::with_executor`]. Threads are
+    /// bit-identical to the loop, so the platform's fingerprint salt
+    /// does not depend on this (warm caches survive the switch).
     pub executor: ExecutorCfg,
 }
 
@@ -409,9 +408,9 @@ impl HostMtPlatform {
         self
     }
 
-    /// Back this platform with a specific executor (real OS threads in
-    /// replay or free-running mode). A non-default executor on the
-    /// [`RunRequest`] still wins over this platform-level choice.
+    /// Back this platform with a specific executor (real OS threads). A
+    /// non-default executor on the [`RunRequest`] still wins over this
+    /// platform-level choice.
     pub fn with_executor(mut self, executor: ExecutorCfg) -> Self {
         self.executor = executor;
         self
@@ -433,18 +432,11 @@ impl Platform for HostMtPlatform {
         }
     }
 
-    /// Replay-mode (and sim) execution keeps the historical `host-mt`
-    /// salt — results are bit-identical, so warm artifacts and `.wckpt`
-    /// chains stay valid. Free-running mode can change virtual timing,
-    /// which is semantic for checkpoint chains: distinct salt.
+    /// One salt whatever the executor: OS-thread batches are
+    /// bit-identical to the cooperative loop, so warm artifacts and
+    /// `.wckpt` chains stay valid across the switch.
     fn fingerprint_salt(&self) -> u64 {
-        match self.executor {
-            ExecutorCfg::Threads {
-                mode: ExecMode::Free,
-                ..
-            } => fnv1a64(b"host-mt-free"),
-            _ => fnv1a64(b"host-mt"),
-        }
+        fnv1a64(b"host-mt")
     }
 
     fn run(&self, req: RunRequest<'_>, make_args: ArgBuilder<'_>) -> Result<RunOutcome, SimError> {
@@ -569,6 +561,7 @@ pub fn by_id(id: &str) -> Option<Arc<dyn Platform>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exec::ExecMode;
 
     #[test]
     fn registry_ids_are_unique_and_complete() {
@@ -593,20 +586,13 @@ mod tests {
             fnv1a64(b"host-mt")
         );
         assert_eq!(by_id("dist").unwrap().fingerprint_salt(), fnv1a64(b"dist"));
-        // Replay-mode threads are bit-identical to the cooperative
-        // loop, so warm caches must survive the executor switch; only
-        // free-running mode (which may change virtual timing) gets its
-        // own namespace.
-        let replay = HostMtPlatform::new(4).with_executor(ExecutorCfg::Threads {
+        // OS threads are bit-identical to the cooperative loop, so warm
+        // caches must survive the executor switch.
+        let threads = HostMtPlatform::new(4).with_executor(ExecutorCfg::Threads {
             workers: 4,
             mode: ExecMode::Replay,
         });
-        assert_eq!(replay.fingerprint_salt(), fnv1a64(b"host-mt"));
-        let free = HostMtPlatform::new(4).with_executor(ExecutorCfg::Threads {
-            workers: 4,
-            mode: ExecMode::Free,
-        });
-        assert_eq!(free.fingerprint_salt(), fnv1a64(b"host-mt-free"));
+        assert_eq!(threads.fingerprint_salt(), fnv1a64(b"host-mt"));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! stream; any replay mismatch falls back to fresh lowering, which is
 //! canonical by construction.
 //!
-//! All fingerprints are span-free (see [`fp`]): whitespace and comment
+//! All fingerprints are span-free (see the `fp` module): whitespace and comment
 //! edits re-run the parser, early-cutoff at the item tree, and invalidate
 //! nothing downstream.
 
@@ -57,25 +57,26 @@ use translator::{
     ReplayState, SpecKey, TResult, TraceState, TransConfig, TransError, Translated,
 };
 
-/// Cumulative query counters. Snapshot with [`Database::stats`] before
-/// and after an operation and subtract ([`QueryStats::since`]) to get the
-/// per-operation deltas the facade surfaces in `TransStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    pub parse_executed: u64,
-    pub parse_reused: u64,
-    pub typeck_executed: u64,
-    pub typeck_reused: u64,
-    pub rules_executed: u64,
-    pub rules_reused: u64,
-    pub lower_executed: u64,
-    pub lower_reused: u64,
-    /// `program(entry)` runs (never memoized here — the facade's
-    /// artifact cache is the program-level memo).
-    pub translates: u64,
-    /// Re-executed queries whose output hash was unchanged, sparing all
-    /// dependents.
-    pub early_cutoffs: u64,
+nir::counters! {
+    /// Cumulative query counters. Snapshot with [`Database::stats`] before
+    /// and after an operation and subtract ([`QueryStats::since`]) to get the
+    /// per-operation deltas the facade surfaces in `TransStats`.
+    pub struct QueryStats [since] {
+        parse_executed,
+        parse_reused,
+        typeck_executed,
+        typeck_reused,
+        rules_executed,
+        rules_reused,
+        lower_executed,
+        lower_reused,
+        /// `program(entry)` runs (never memoized here — the facade's
+        /// artifact cache is the program-level memo).
+        translates,
+        /// Re-executed queries whose output hash was unchanged, sparing all
+        /// dependents.
+        early_cutoffs,
+    }
 }
 
 impl QueryStats {
@@ -91,22 +92,6 @@ impl QueryStats {
     /// Total queries served from memos.
     pub fn reused(&self) -> u64 {
         self.parse_reused + self.typeck_reused + self.rules_reused + self.lower_reused
-    }
-
-    /// Field-wise `self - before` (counters are monotone).
-    pub fn since(&self, before: &QueryStats) -> QueryStats {
-        QueryStats {
-            parse_executed: self.parse_executed - before.parse_executed,
-            parse_reused: self.parse_reused - before.parse_reused,
-            typeck_executed: self.typeck_executed - before.typeck_executed,
-            typeck_reused: self.typeck_reused - before.typeck_reused,
-            rules_executed: self.rules_executed - before.rules_executed,
-            rules_reused: self.rules_reused - before.rules_reused,
-            lower_executed: self.lower_executed - before.lower_executed,
-            lower_reused: self.lower_reused - before.lower_reused,
-            translates: self.translates - before.translates,
-            early_cutoffs: self.early_cutoffs - before.early_cutoffs,
-        }
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! Decoding is defensive end to end: a truncated, bit-flipped, or
 //! version-skewed artifact yields a typed [`CodecError`], and even a
-//! well-framed payload is re-validated with [`Program::validate`] before
+//! well-framed payload is re-validated with [`nir::Program::validate`] before
 //! it is allowed near an execution engine. Callers treat any decode
 //! failure as a cache miss and fall back to a cold translate.
 

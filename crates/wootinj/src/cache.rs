@@ -37,36 +37,37 @@ use translator::Translated;
 
 pub use translator::CacheKey;
 
-/// Cumulative counters across both tiers. The memory-tier triple
-/// (`hits`/`misses`/`evictions`) keeps its historical meaning; the
-/// `disk_*` counters, `promotions`, `decode_failures`, and
-/// `translations` were added with the persistent store.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Memory-tier hits (an `Arc` clone; zero translator/NIR work).
-    pub hits: u64,
-    /// Memory-tier misses.
-    pub misses: u64,
-    /// Memory-tier LRU evictions.
-    pub evictions: u64,
-    /// Disk-tier hits (artifact decoded from a `.wjar` file).
-    pub disk_hits: u64,
-    /// Disk-tier misses (no artifact file for the fingerprint).
-    pub disk_misses: u64,
-    /// Artifact files removed by the size-bounded LRU-by-mtime sweep.
-    pub disk_evictions: u64,
-    /// Disk hits promoted into the memory tier (decode paid once).
-    pub promotions: u64,
-    /// Artifacts rejected at decode time (corrupt/truncated/version-skew)
-    /// — each one degraded to a cold translate instead of panicking.
-    pub decode_failures: u64,
-    /// Actual `translate` runs this environment performed (the
-    /// zero-translator-work assertions key off this).
-    pub translations: u64,
-    /// Persisted world checkpoints (`.wckpt`) removed by the
-    /// checkpoint-budget sweep — aged out oldest-mtime-first so a
-    /// long-lived cache directory stays bounded.
-    pub ckpt_evictions: u64,
+nir::counters! {
+    /// Cumulative counters across both tiers. The memory-tier triple
+    /// (`hits`/`misses`/`evictions`) keeps its historical meaning; the
+    /// `disk_*` counters, `promotions`, `decode_failures`, and
+    /// `translations` were added with the persistent store.
+    pub struct CacheStats [merge] {
+        /// Memory-tier hits (an `Arc` clone; zero translator/NIR work).
+        hits,
+        /// Memory-tier misses.
+        misses,
+        /// Memory-tier LRU evictions.
+        evictions,
+        /// Disk-tier hits (artifact decoded from a `.wjar` file).
+        disk_hits,
+        /// Disk-tier misses (no artifact file for the fingerprint).
+        disk_misses,
+        /// Artifact files removed by the size-bounded LRU-by-mtime sweep.
+        disk_evictions,
+        /// Disk hits promoted into the memory tier (decode paid once).
+        promotions,
+        /// Artifacts rejected at decode time (corrupt/truncated/version-skew)
+        /// — each one degraded to a cold translate instead of panicking.
+        decode_failures,
+        /// Actual `translate` runs this environment performed (the
+        /// zero-translator-work assertions key off this).
+        translations,
+        /// Persisted world checkpoints (`.wckpt`) removed by the
+        /// checkpoint-budget sweep — aged out oldest-mtime-first so a
+        /// long-lived cache directory stays bounded.
+        ckpt_evictions,
+    }
 }
 
 /// Where `WootinJ::jit` keeps translated artifacts. Object-safe so the
@@ -533,20 +534,13 @@ impl CacheBackend for Tiered {
     }
 
     fn stats(&self) -> CacheStats {
-        let m = self.mem.stats();
-        let d = self.disk.stats();
-        CacheStats {
-            hits: m.hits,
-            misses: m.misses,
-            evictions: m.evictions,
-            disk_hits: d.disk_hits,
-            disk_misses: d.disk_misses,
-            disk_evictions: d.disk_evictions,
-            promotions: self.promotions,
-            decode_failures: d.decode_failures,
-            translations: self.translations,
-            ckpt_evictions: d.ckpt_evictions,
-        }
+        // The tiers count disjoint events; promotions and translations
+        // are counted here, not in either tier.
+        let mut stats = self.mem.stats();
+        stats.merge(&self.disk.stats());
+        stats.promotions = self.promotions;
+        stats.translations = self.translations;
+        stats
     }
 
     fn len(&self) -> usize {

@@ -726,8 +726,8 @@ pub struct JitOptions {
     /// without any translator work.
     pub disk_cache: Option<PathBuf>,
     /// When set, [`JitCode::invoke`] runs through
-    /// [`World::run_with_restart`]: the world checkpoints at collective
-    /// boundaries per this policy and rolls back + resumes on injected
+    /// [`mpi_sim::World::run_with_restart`]: the world checkpoints at
+    /// collective boundaries per this policy and rolls back + resumes on injected
     /// crashes/timeouts instead of failing. With [`Self::with_disk_cache`]
     /// also set (and no explicit persist path on the policy), the latest
     /// checkpoint persists as `<dir>/<fingerprint>.wckpt` next to the JIT

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (-D warnings: a doc link to a deleted item fails here) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== tier-1: release build + tests =="
 cargo build --release --offline
 cargo test -q --offline
@@ -18,7 +21,7 @@ echo "== workspace tests =="
 cargo test --workspace -q --offline
 
 echo "== workspace tests again on real OS threads (WJ_EXECUTOR=threads; =="
-echo "==   replay mode, so every assertion must hold bit-for-bit)       =="
+echo "==   every assertion must hold bit-for-bit)                       =="
 WJ_EXECUTOR=threads cargo test -q --offline
 
 echo "== fault-matrix smoke run =="
@@ -33,8 +36,8 @@ cargo run --release --offline -q -p bench --bin repro -- chaos --quick
 echo "== backend-matrix smoke run (fails on cross-backend divergence) =="
 cargo run --release --offline -q -p bench --bin repro -- backend-matrix --quick
 
-echo "== wallclock smoke run (executor seam: thread-replay bit-identity =="
-echo "==   with faults+restarts, free-run value identity, speedup gate)  =="
+echo "== wallclock smoke run (executor seam: OS-thread bit-identity   =="
+echo "==   with faults+restarts, 4-vs-1-worker speedup gate)           =="
 cargo run --release --offline -q -p bench --bin repro -- wallclock --quick
 
 echo "== dist smoke run (socket ranks: threads + OS processes vs mpi-sim, =="
