@@ -3,17 +3,26 @@
 //! Everything a resumable execution context owns — call stack (pc, locals,
 //! return plumbing), heap arrays, object heap, globals, captured output,
 //! work counters, and the fault-plan PRNG cursor — round-trips through the
-//! sealed `nir::codec` container (`WJAR` magic, version byte, xorshift64\*
-//! digest). [`Machine::snapshot`] / [`Machine::restore`] cover a single
-//! context; the building-block `write_*` / `read_*` functions are public so
-//! the MPI scheduler can compose whole-world checkpoints out of them.
+//! sealed `nir::codec` container. Checkpoints are sealed as container
+//! **version 2** (`WJAR` magic, version byte 2, `nir::hash::digest64_words`
+//! over the payload): the artifact framing with a digest that absorbs a
+//! word per step, because a checkpoint is sealed at every collective and
+//! verified on every rollback. A version-1 container — an artifact, or a
+//! `.wckpt` written before the word digest — is [`CkptError::VersionSkew`].
+//!
+//! Every record ([`Val`], [`ArrStore`], [`Counters`], the fault plan)
+//! declares its layout once through `nir::codec::Wire`; numeric arrays
+//! move as one little-endian block. [`Machine::snapshot`] /
+//! [`Machine::restore`] cover a single context; the `write_*` / `read_*`
+//! functions over whole machines and threads are public so the MPI
+//! scheduler can compose whole-world checkpoints out of them.
 //!
 //! Decoding is total: truncation, corruption, and version skew all surface
 //! as a typed [`CkptError`], never a panic — callers degrade to a cold
 //! restart.
 
 use crate::{ArrStore, Counters, Frame, Machine, MemSpace, ObjHeap, Thread, Val};
-use nir::codec::{seal, unseal, CodecError, Reader, Wire, Writer};
+use nir::codec::{seal_ckpt, unseal_ckpt, CodecError, Reader, Wire, Writer};
 use nir::{FuncId, Program};
 
 /// Version byte of the checkpoint payload (inside the sealed container,
@@ -106,15 +115,17 @@ pub fn begin(tag: u8) -> Writer {
     w
 }
 
-/// Seal a finished checkpoint payload into its container bytes.
+/// Seal a finished checkpoint payload into its (version-2) container
+/// bytes.
 pub fn finish(w: Writer) -> Vec<u8> {
-    seal(&w.into_bytes())
+    seal_ckpt(&w.into_bytes())
 }
 
-/// Unseal container bytes and position a reader past the version/kind
-/// header, verifying both.
-pub fn open(bytes: &[u8], tag: u8) -> Result<Reader<'_>, CkptError> {
-    let payload = unseal(bytes)?;
+/// Unseal container bytes and check the payload version: a reader
+/// positioned at the kind byte, and the seal digest that vouched for
+/// every byte of the payload.
+fn open_payload(bytes: &[u8]) -> Result<(Reader<'_>, u64), CkptError> {
+    let (payload, seal_digest) = unseal_ckpt(bytes)?;
     let mut r = Reader::new(payload);
     let found = r.u8()?;
     if found != CKPT_VERSION {
@@ -123,6 +134,13 @@ pub fn open(bytes: &[u8], tag: u8) -> Result<Reader<'_>, CkptError> {
             expected: CKPT_VERSION,
         });
     }
+    Ok((r, seal_digest))
+}
+
+/// Unseal container bytes and position a reader past the version/kind
+/// header, verifying both.
+pub fn open(bytes: &[u8], tag: u8) -> Result<Reader<'_>, CkptError> {
+    let (mut r, _) = open_payload(bytes)?;
     let kind = r.u8()?;
     if kind != tag {
         return Err(r

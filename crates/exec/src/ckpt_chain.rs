@@ -8,21 +8,24 @@
 //! replacement or as a byte-run patch against the parent's bytes,
 //! whichever is smaller.
 //!
-//! Every link is a sealed, checksummed `nir::codec` container and carries
-//! the xorshift-mixed digest of its *parent's sealed bytes* plus a
+//! Every link is a sealed, checksummed `nir::codec` container (version 2)
+//! and carries its *parent's seal digest* — the 64-bit digest over the
+//! parent's whole payload that closes the parent's container — plus a
 //! sequence number, so the chain is self-validating end to end: a
 //! truncated, bit-flipped, or swapped-in link surfaces as a typed
 //! [`CkptError`] at exactly the first bad hop, and [`resolve_prefix`]
 //! hands back the deepest valid ancestor instead of giving up. Only a
-//! damaged base forces a cold restart.
+//! damaged base forces a cold restart. Each hop verifies its link's bytes
+//! exactly once; the digest that verification has just checked is what
+//! the next hop's parent field is compared with.
 
-use super::{begin, finish, CkptError, CKPT_VERSION, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
-use nir::codec::{unseal, Reader};
+use super::{begin, finish, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
+use nir::codec::Reader;
 
-/// 64-bit content digest used to link a child to its parent's sealed
-/// bytes (FNV-1a folded through a xorshift-style avalanche). Not
-/// cryptographic — this guards against corruption and mix-ups, not
-/// adversaries, matching the sealed container's own integrity model.
+/// The WFR1 frame digest `mpi_sim::transport` imports (FNV-1a folded
+/// through a xorshift-style avalanche). Chain links do not use it: a
+/// child names its parent by the parent's seal digest. Not cryptographic
+/// — it guards against corruption and mix-ups, not adversaries.
 pub fn digest64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -58,23 +61,15 @@ pub struct Link {
 pub struct LinkInfo {
     pub is_base: bool,
     pub seq: u64,
-    /// Digest of the parent link's sealed bytes (0 for a base).
+    /// The parent link's seal digest (0 for a base).
     pub parent_digest: u64,
 }
 
-/// Decode just the header of a sealed link.
-pub fn inspect(bytes: &[u8]) -> Result<LinkInfo, CkptError> {
-    let payload = unseal(bytes)?;
-    let mut r = Reader::new(payload);
-    let found = r.u8()?;
-    if found != CKPT_VERSION {
-        return Err(CkptError::VersionSkew {
-            found,
-            expected: CKPT_VERSION,
-        });
-    }
-    let tag = r.u8()?;
-    let is_base = match tag {
+/// Verify a sealed link (its one digest pass) and parse its header: the
+/// header, the link's own seal digest, and a reader at the link body.
+fn open_link(bytes: &[u8]) -> Result<(LinkInfo, u64, Reader<'_>), CkptError> {
+    let (mut r, seal_digest) = open_payload(bytes)?;
+    let is_base = match r.u8()? {
         TAG_CHAIN_BASE => true,
         TAG_CHAIN_DELTA => false,
         t => {
@@ -83,13 +78,24 @@ pub fn inspect(bytes: &[u8]) -> Result<LinkInfo, CkptError> {
                 .into())
         }
     };
-    let seq = r.u64()?;
-    let parent_digest = r.u64()?;
-    Ok(LinkInfo {
+    let info = LinkInfo {
         is_base,
-        seq,
-        parent_digest,
-    })
+        seq: r.u64()?,
+        parent_digest: r.u64()?,
+    };
+    Ok((info, seal_digest, r))
+}
+
+/// Decode just the header of a sealed link.
+pub fn inspect(bytes: &[u8]) -> Result<LinkInfo, CkptError> {
+    open_link(bytes).map(|(info, ..)| info)
+}
+
+/// The seal digest of a link this process sealed or has just verified:
+/// the container's last eight bytes. Anything shorter was never a link
+/// and vouches for nothing, so no child can name it.
+fn seal_digest_of(link: &[u8]) -> u64 {
+    link.last_chunk::<8>().map_or(0, |d| u64::from_le_bytes(*d))
 }
 
 /// How one section changed relative to the parent snapshot.
@@ -99,6 +105,22 @@ enum Change {
     Full(Vec<u8>),
     /// Same-length section: splice these `(offset, bytes)` runs in.
     Patch(Vec<(usize, Vec<u8>)>),
+}
+
+/// Length of the common prefix of two equal-length slices: whole 8-byte
+/// words first, then bytes.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let words = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .take_while(|(x, y)| x == y)
+        .count();
+    let at = words * 8;
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Diff one section against its parent version.
@@ -111,10 +133,10 @@ fn diff_section(old: &[u8], new: &[u8]) -> Option<Change> {
     }
     let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, end)
     let mut i = 0;
-    while i < new.len() {
-        if old[i] == new[i] {
-            i += 1;
-            continue;
+    loop {
+        i += common_prefix(&old[i..], &new[i..]);
+        if i == new.len() {
+            break;
         }
         let start = i;
         while i < new.len() && old[i] != new[i] {
@@ -221,15 +243,19 @@ fn apply_delta(r: &mut Reader, parent: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CkptE
                     let len = r.len()?;
                     let bytes = r.bytes(len)?;
                     let sec = &mut sections[idx];
-                    if offset + len > sec.len() {
+                    // `offset` is any u64 the link cared to carry.
+                    let Some(dst) = offset
+                        .checked_add(len)
+                        .and_then(|end| sec.get_mut(offset..end))
+                    else {
                         return Err(r
                             .corrupt(format!(
                                 "patch run {offset}+{len} past section {idx} end {}",
                                 sec.len()
                             ))
                             .into());
-                    }
-                    sec[offset..offset + len].copy_from_slice(bytes);
+                    };
+                    dst.copy_from_slice(bytes);
                 }
             }
             k => return Err(r.corrupt(format!("bad change kind {k}")).into()),
@@ -252,30 +278,25 @@ pub struct ResolveOutcome {
     pub error: Option<CkptError>,
 }
 
-/// Walk `links` (base first), verifying version, kind, sequence, and
-/// parent digest at every hop and applying deltas as it goes. Never
-/// fails outright: a damaged link simply ends the valid prefix, which is
-/// the deepest valid ancestor rollback degrades to.
+/// Walk `links` (base first), verifying every link's digest (one pass
+/// over its bytes) and its version, kind, sequence, and parent digest at
+/// every hop, applying deltas as it goes. Never fails outright: a damaged
+/// link simply ends the valid prefix, which is the deepest valid ancestor
+/// rollback degrades to.
 pub fn resolve_prefix(links: &[Vec<u8>]) -> ResolveOutcome {
     let mut sections: Vec<Vec<u8>> = Vec::new();
     let mut prev_digest = 0u64;
     for (i, bytes) in links.iter().enumerate() {
-        let step = || -> Result<Vec<Vec<u8>>, CkptError> {
-            let info = inspect(bytes)?;
-            let payload = unseal(bytes)?;
-            let mut r = Reader::new(payload);
-            r.u8()?; // version (validated by inspect)
-            r.u8()?; // tag
-            r.u64()?; // seq
-            r.u64()?; // parent digest
-            if i == 0 {
+        let step = || -> Result<(Vec<Vec<u8>>, u64), CkptError> {
+            let (info, seal_digest, mut r) = open_link(bytes)?;
+            let next = if i == 0 {
                 if !info.is_base {
                     return Err(CkptError::ChainBroken {
                         seq: info.seq,
                         message: "chain does not start with a base link".into(),
                     });
                 }
-                read_sections_of_base(&mut r)
+                read_sections_of_base(&mut r)?
             } else {
                 if info.is_base {
                     return Err(CkptError::ChainBroken {
@@ -298,13 +319,14 @@ pub fn resolve_prefix(links: &[Vec<u8>]) -> ResolveOutcome {
                         ),
                     });
                 }
-                apply_delta(&mut r, &sections)
-            }
+                apply_delta(&mut r, &sections)?
+            };
+            Ok((next, seal_digest))
         };
         match step() {
-            Ok(next) => {
+            Ok((next, seal_digest)) => {
                 sections = next;
-                prev_digest = digest64(bytes);
+                prev_digest = seal_digest;
             }
             Err(e) => {
                 return ResolveOutcome {
@@ -339,11 +361,12 @@ impl ChainState {
 
     /// Rebuild the encoder at the head of an already-resolved chain
     /// (warm start, or rollback to a shorter valid prefix). `head_bytes`
-    /// is the sealed last link of the prefix.
+    /// is the sealed last link of the prefix, as [`resolve_prefix`]
+    /// verified it.
     pub fn resume(sections: Vec<Vec<u8>>, head_bytes: &[u8], links_in_chain: u64) -> Self {
         ChainState {
             sections,
-            head_digest: digest64(head_bytes),
+            head_digest: seal_digest_of(head_bytes),
             next_seq: links_in_chain,
         }
     }
@@ -361,7 +384,7 @@ impl ChainState {
                 seq,
             )
         };
-        self.head_digest = digest64(&bytes);
+        self.head_digest = seal_digest_of(&bytes);
         self.next_seq = seq + 1;
         self.sections = sections;
         Link {
@@ -513,6 +536,34 @@ mod tests {
             out.error,
             Some(CkptError::Truncated { .. } | CkptError::Corrupt { .. })
         ));
+    }
+
+    /// A correctly sealed delta is still input: its one patch run starts
+    /// at `u64::MAX`, so `offset + len` must not be computed unchecked.
+    #[test]
+    fn hostile_patch_offset_is_typed() {
+        let base = ChainState::new().push(snap(&[b"0123456789abcdef"]), false);
+        for (offset, len) in [(u64::MAX, 1usize), (u64::MAX - 3, 4), (16, 1), (9, 8)] {
+            let mut w = begin(TAG_CHAIN_DELTA);
+            w.u64(1); // seq
+            w.u64(seal_digest_of(&base.bytes));
+            w.len(1); // sections in the snapshot
+            w.len(1); // changed sections
+            w.u32(0); // section index
+            w.u8(1); // patch
+            w.len(1); // runs
+            w.u64(offset);
+            w.len(len);
+            w.bytes(&vec![b'X'; len]);
+            let out = resolve_prefix(&[base.bytes.clone(), finish(w)]);
+            assert_eq!(out.valid_links, 1, "run {offset}+{len}");
+            assert!(
+                matches!(out.error, Some(CkptError::Corrupt { .. })),
+                "run {offset}+{len}: {:?}",
+                out.error
+            );
+            assert_eq!(out.sections, snap(&[b"0123456789abcdef"]));
+        }
     }
 
     #[test]

@@ -2,10 +2,17 @@
 //!
 //! The machine carries every `ArrStore` and `Val` variant and a
 //! [`FaultPlan`] whose config, stream cursor and counters are all
-//! non-default literals. The hex was produced by the hand-written
+//! non-default literals. The `*_V1` hex was produced by the hand-written
 //! `write_fault_plan` / `write_val` before those records moved onto
 //! `nir::codec::Wire`; snapshots are persisted (`.wckpt` chains), so a
-//! change to these strings needs a `CKPT_VERSION` bump.
+//! change to the payload region of these strings needs a `CKPT_VERSION`
+//! bump.
+//!
+//! Checkpoints have since moved to container version 2 (word-at-a-time
+//! seal digest). The version-1 strings stay beside the current ones and
+//! [`container_v2_moved_only_the_version_byte_and_the_digest`] asserts
+//! the two agree everywhere else — the written-down reason
+//! `CKPT_VERSION` did not move with the container.
 
 use exec::ckpt;
 use exec::{ArrStore, FaultConfig, FaultPlan, Machine, ResilienceStats, Thread, Val};
@@ -79,7 +86,8 @@ fn machine() -> Machine {
     m
 }
 
-const MACHINE_HEX: &str = "574a415201bb0100000000000005a1060000000002000000ffffffff0200000001020000000000000000000080030000000000000002020000000000c03f000010c003010000009a9999999999b93f040200000001000501000000070000000200000003000000000000e83f05020000000600000000f7ffffff010000000002000000020000003f0401060000000007020000000500000068656c6c6f020000003432d204000000000000d5dd000000000000010807060504030201000000000000e03f000000000000d03f000000000000c03f000000000000b03f000000000000e83f000000000000d83f000000000000c83f000000000000ec3f000000000000dc3f000000000000d43f000000000000ee3f51c3000000000000224e00000000000005000000eb030000000000001807f6e5d4c3b2a10100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000b707a954d7729ff6";
+const MACHINE_HEX: &str = "574a415202bb0100000000000005a1060000000002000000ffffffff0200000001020000000000000000000080030000000000000002020000000000c03f000010c003010000009a9999999999b93f040200000001000501000000070000000200000003000000000000e83f05020000000600000000f7ffffff010000000002000000020000003f0401060000000007020000000500000068656c6c6f020000003432d204000000000000d5dd000000000000010807060504030201000000000000e03f000000000000d03f000000000000c03f000000000000b03f000000000000e83f000000000000d83f000000000000c83f000000000000ec3f000000000000dc3f000000000000d43f000000000000ee3f51c3000000000000224e00000000000005000000eb030000000000001807f6e5d4c3b2a10100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000ffd87e6e74c506b1";
+const MACHINE_HEX_V1: &str = "574a415201bb0100000000000005a1060000000002000000ffffffff0200000001020000000000000000000080030000000000000002020000000000c03f000010c003010000009a9999999999b93f040200000001000501000000070000000200000003000000000000e83f05020000000600000000f7ffffff010000000002000000020000003f0401060000000007020000000500000068656c6c6f020000003432d204000000000000d5dd000000000000010807060504030201000000000000e03f000000000000d03f000000000000c03f000000000000b03f000000000000e83f000000000000d83f000000000000c83f000000000000ec3f000000000000dc3f000000000000d43f000000000000ee3f51c3000000000000224e00000000000005000000eb030000000000001807f6e5d4c3b2a10100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000b707a954d7729ff6";
 
 #[test]
 fn machine_snapshot_bytes_are_pinned() {
@@ -91,7 +99,8 @@ fn machine_snapshot_bytes_are_pinned() {
     assert_eq!(back.snapshot(), bytes);
 }
 
-const THREAD_HEX: &str = "574a415201350000000000000005b7020000000100000002000000020000000200002040000500000000000000000000000001000000000500000001010000000000c803eb9002cf1b5e";
+const THREAD_HEX: &str = "574a415202350000000000000005b70200000001000000020000000200000002000020400005000000000000000000000000010000000005000000010100000000005a89d288670254e7";
+const THREAD_HEX_V1: &str = "574a415201350000000000000005b7020000000100000002000000020000000200002040000500000000000000000000000001000000000500000001010000000000c803eb9002cf1b5e";
 
 #[test]
 fn thread_payload_bytes_are_pinned() {
@@ -128,4 +137,35 @@ fn thread_payload_bytes_are_pinned() {
     let mut w = ckpt::begin(ckpt::TAG_WORLD);
     ckpt::write_thread(&mut w, &back);
     assert_eq!(ckpt::finish(w), bytes);
+}
+
+#[test]
+fn container_v2_moved_only_the_version_byte_and_the_digest() {
+    for (v2, v1) in [(MACHINE_HEX, MACHINE_HEX_V1), (THREAD_HEX, THREAD_HEX_V1)] {
+        assert_eq!(v2.len(), v1.len());
+        // Two hex digits per byte: magic, version byte 4, the rest up to
+        // the 8-byte digest.
+        let digest = v2.len() - 16;
+        assert_eq!(v2[..8], v1[..8]);
+        assert_eq!((&v2[8..10], &v1[8..10]), ("02", "01"));
+        assert_eq!(v2[10..digest], v1[10..digest], "no record layout moved");
+        assert_ne!(v2[digest..], v1[digest..]);
+    }
+}
+
+/// An old `.wckpt` — the same payload in a version-1 container — is
+/// version skew, which every restore path degrades to a cold start.
+#[test]
+fn version_1_sealed_snapshot_is_version_skew() {
+    let v2 = machine().snapshot();
+    let (payload, _) = nir::codec::unseal_ckpt(&v2).unwrap();
+    let v1 = nir::codec::seal(payload);
+    assert_eq!(hex(&v1), MACHINE_HEX_V1);
+    assert_eq!(
+        Machine::restore(&v1).err(),
+        Some(ckpt::CkptError::VersionSkew {
+            found: 1,
+            expected: 2
+        })
+    );
 }

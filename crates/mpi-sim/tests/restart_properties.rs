@@ -311,9 +311,24 @@ fn corrupt_persisted_checkpoints_degrade_to_cold_restart() {
             b
         },
         b"not a checkpoint at all".to_vec(),
+        // Not damage at all: the same payload in a valid version-1
+        // container, i.e. a `.wckpt` from before checkpoints moved to
+        // container version 2. Version skew, so a cold start too.
+        nir::codec::seal(nir::codec::unseal_ckpt(&good).unwrap().0),
     ];
     for (i, bytes) in damaged.iter().enumerate() {
         std::fs::write(&path, bytes).unwrap();
+        let probe = probe_chain(&path);
+        assert_eq!(probe.links_valid, 0, "damage case {i}");
+        if i + 1 == damaged.len() {
+            assert_eq!(
+                probe.error,
+                Some(CkptError::VersionSkew {
+                    found: 1,
+                    expected: 2
+                })
+            );
+        }
         let run = world
             .run_with_restart(entry, |_, _| Ok(vec![]), &policy, 8)
             .unwrap_or_else(|e| panic!("damage case {i}: cold restart failed: {e}"));

@@ -9,21 +9,31 @@
 //! * **Hand-rolled, dependency-free** — like the JSON in `bench::series`,
 //!   this builds on network-isolated hosts with no external crates.
 //! * **Versioned** — a sealed container starts with the `WJAR` magic and a
-//!   format version byte ([`VERSION`]); decoding a container written by a
-//!   different format version fails with [`CodecError::VersionSkew`]
-//!   instead of misinterpreting bytes.
+//!   format version byte; decoding a container written under a different
+//!   version fails with [`CodecError::VersionSkew`] instead of
+//!   misinterpreting bytes.
 //! * **Checksummed** — the payload is followed by a xorshift64\*-based
-//!   content digest ([`digest64`]); any bit flip fails with
-//!   [`CodecError::Corrupt`], and truncation fails with
-//!   [`CodecError::Truncated`]. Decode never panics on hostile input:
-//!   every discriminant is checked and every length is bounded by the
-//!   remaining input.
+//!   content digest; any bit flip fails with [`CodecError::Corrupt`], and
+//!   truncation fails with [`CodecError::Truncated`]. Decode never panics
+//!   on hostile input: every discriminant is checked and every length is
+//!   bounded by the remaining input.
 //!
 //! The container layout is:
 //!
 //! ```text
-//! "WJAR" | version: u8 | payload_len: u64 LE | payload | digest64(payload): u64 LE
+//! "WJAR" | version: u8 | payload_len: u64 LE | payload | digest(payload): u64 LE
 //! ```
+//!
+//! and two versions of it exist, told apart by what the payload is, never
+//! by an option:
+//!
+//! | version | payload | digest | written / read by |
+//! |---|---|---|---|
+//! | [`VERSION`] = 1 | `.wjar` artifacts | [`digest64`], a byte per step | [`seal`] / [`unseal`] |
+//! | [`CKPT_CONTAINER_VERSION`] = 2 | checkpoints | [`digest64_words`], eight bytes per step | [`seal_ckpt`] / [`unseal_ckpt`] |
+//!
+//! Version 1 is pinned byte for byte by artifacts already on disk and the
+//! committed `golden.wjar`. Both go through one framing routine.
 //!
 //! All multi-byte integers are little-endian; floats are stored as their
 //! IEEE-754 bit patterns, so encode→decode→encode is bit-identical (the
@@ -95,23 +105,63 @@ impl std::error::Error for CodecError {}
 pub type CodecResult<T> = Result<T, CodecError>;
 
 pub use crate::hash::digest64;
+use crate::hash::digest64_words;
 
-/// Seed of the container checksum.
+/// Container version of checkpoint payloads (`exec::ckpt`: machine
+/// snapshots and `.wckpt` chain links). Same framing as [`VERSION`],
+/// closed by [`digest64_words`] instead of [`digest64`]: a checkpoint is
+/// sealed at every collective and verified link by link on every
+/// rollback, so its digest has to run at memory speed, while artifacts
+/// already on disk pin version 1 byte for byte.
+pub const CKPT_CONTAINER_VERSION: u8 = 2;
+
+/// Seed of the container checksum, both versions.
 const SEAL_SEED: u64 = 0x57_4A_41_52_00_00_00_01; // "WJAR" | version 1
 
-/// Wrap `payload` in the versioned, checksummed container.
+/// A container's payload digest, by version.
+type SealDigest = fn(&[u8], u64) -> u64;
+
+/// Bytes before the payload: magic, version, payload length.
+const HEADER_LEN: usize = MAGIC.len() + 1 + 8;
+
+/// Wrap an artifact payload in the version-1 container.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + MAGIC.len() + 1 + 16);
+    seal_with(VERSION, digest64, payload)
+}
+
+/// Verify a version-1 container's framing and checksum; return the
+/// payload slice.
+pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
+    unseal_with(VERSION, digest64, bytes).map(|(payload, _)| payload)
+}
+
+/// Wrap a checkpoint payload in the version-2 container.
+pub fn seal_ckpt(payload: &[u8]) -> Vec<u8> {
+    seal_with(CKPT_CONTAINER_VERSION, digest64_words, payload)
+}
+
+/// Verify a version-2 container's framing and checksum; return the
+/// payload slice and the digest that vouched for it (the container's
+/// last eight bytes — what a checkpoint chain links a child to).
+pub fn unseal_ckpt(bytes: &[u8]) -> CodecResult<(&[u8], u64)> {
+    unseal_with(CKPT_CONTAINER_VERSION, digest64_words, bytes)
+}
+
+/// The one framing routine: every container is
+/// `MAGIC | version | payload_len | payload | digest(payload)`.
+fn seal_with(version: u8, digest: SealDigest, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
     out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
+    out.push(version);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&digest64(payload, SEAL_SEED).to_le_bytes());
+    out.extend_from_slice(&digest(payload, SEAL_SEED).to_le_bytes());
     out
 }
 
-/// Verify the container framing and checksum; return the payload slice.
-pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
+/// Inverse of [`seal_with`]: the payload and its verified digest, or the
+/// first thing wrong with the container.
+fn unseal_with(version: u8, digest: SealDigest, bytes: &[u8]) -> CodecResult<(&[u8], u64)> {
     if bytes.len() < MAGIC.len() {
         return Err(CodecError::Truncated {
             offset: bytes.len(),
@@ -120,27 +170,26 @@ pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
     if bytes[..MAGIC.len()] != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let Some(&version) = bytes.get(MAGIC.len()) else {
+    let Some(&found) = bytes.get(MAGIC.len()) else {
         return Err(CodecError::Truncated {
             offset: bytes.len(),
         });
     };
-    if version != VERSION {
+    if found != version {
         return Err(CodecError::VersionSkew {
-            found: version,
-            expected: VERSION,
+            found,
+            expected: version,
         });
     }
-    let header = MAGIC.len() + 1 + 8;
-    if bytes.len() < header {
+    if bytes.len() < HEADER_LEN {
         return Err(CodecError::Truncated {
             offset: bytes.len(),
         });
     }
     let mut len8 = [0u8; 8];
-    len8.copy_from_slice(&bytes[MAGIC.len() + 1..header]);
+    len8.copy_from_slice(&bytes[MAGIC.len() + 1..HEADER_LEN]);
     let payload_len = u64::from_le_bytes(len8) as usize;
-    let Some(total) = header
+    let Some(total) = HEADER_LEN
         .checked_add(payload_len)
         .and_then(|n| n.checked_add(8))
     else {
@@ -160,18 +209,18 @@ pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
             message: format!("{} trailing bytes after the digest", bytes.len() - total),
         });
     }
-    let payload = &bytes[header..header + payload_len];
+    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
     let mut dig8 = [0u8; 8];
-    dig8.copy_from_slice(&bytes[header + payload_len..total]);
+    dig8.copy_from_slice(&bytes[HEADER_LEN + payload_len..total]);
     let stored = u64::from_le_bytes(dig8);
-    let actual = digest64(payload, SEAL_SEED);
+    let actual = digest(payload, SEAL_SEED);
     if stored != actual {
         return Err(CodecError::Corrupt {
-            offset: header,
+            offset: HEADER_LEN,
             message: format!("content digest mismatch: stored {stored:#x}, computed {actual:#x}"),
         });
     }
-    Ok(payload)
+    Ok((payload, stored))
 }
 
 /// Append-only byte sink for artifact payloads.
@@ -398,7 +447,19 @@ pub trait Wire: Sized {
     }
 }
 
-macro_rules! wire_prim {
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.bool(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        r.bool()
+    }
+}
+
+/// Fixed-width numbers. A `Vec` of them — a heap array in a checkpoint, a
+/// buffer in a `dist` frame — moves as one block of little-endian bytes,
+/// the same bytes the per-element default would write.
+macro_rules! wire_num {
     ($($t:ident),*) => {$(
         impl Wire for $t {
             fn put(&self, w: &mut Writer) {
@@ -407,11 +468,31 @@ macro_rules! wire_prim {
             fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
                 r.$t()
             }
+            fn put_all(items: &[$t], w: &mut Writer) {
+                const N: usize = std::mem::size_of::<$t>();
+                let start = w.buf.len();
+                w.buf.resize(start + items.len() * N, 0);
+                for (dst, v) in w.buf[start..].chunks_exact_mut(N).zip(items) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            fn get_n(r: &mut Reader<'_>, n: usize) -> CodecResult<Vec<$t>> {
+                const N: usize = std::mem::size_of::<$t>();
+                let Some(total) = n.checked_mul(N) else {
+                    return Err(r.corrupt(format!("{n} {N}-byte items overflow")));
+                };
+                // Checked against the input before anything is allocated.
+                let raw = r.bytes(total)?;
+                Ok(raw
+                    .chunks_exact(N)
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunks_exact(N)")))
+                    .collect())
+            }
         }
     )*};
 }
 
-wire_prim!(bool, u32, u64, i32, i64, f32, f64);
+wire_num!(u32, u64, i32, i64, f32, f64);
 
 impl Wire for u8 {
     fn put(&self, w: &mut Writer) {
@@ -1534,6 +1615,61 @@ mod tests {
     }
 
     #[test]
+    fn version_1_seal_bytes_are_pinned() {
+        // Artifacts already on disk: `seal` must keep writing exactly this.
+        let hex: String = seal(b"the artifact payload")
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "574a4152011400000000000000746865206172746966616374207061796c6f61641a2a3947eb512b28"
+        );
+    }
+
+    #[test]
+    fn container_versions_share_the_framing_and_reject_each_other() {
+        let payload = b"payload bytes here";
+        let (v1, v2) = (seal(payload), seal_ckpt(payload));
+        assert_eq!(v1.len(), v2.len());
+        assert_eq!((v1[4], v2[4]), (VERSION, CKPT_CONTAINER_VERSION));
+        assert_eq!(v1[..4], v2[..4]);
+        assert_eq!(v1[5..v1.len() - 8], v2[5..v2.len() - 8]);
+        let (back, digest) = unseal_ckpt(&v2).unwrap();
+        assert_eq!(back, payload);
+        assert_eq!(digest.to_le_bytes(), v2[v2.len() - 8..]);
+        assert_eq!(
+            unseal_ckpt(&v1),
+            Err(CodecError::VersionSkew {
+                found: VERSION,
+                expected: CKPT_CONTAINER_VERSION
+            })
+        );
+        assert_eq!(
+            unseal(&v2),
+            Err(CodecError::VersionSkew {
+                found: CKPT_CONTAINER_VERSION,
+                expected: VERSION
+            })
+        );
+        // Relabelling the version byte does not convert one into the other.
+        let mut relabelled = v1.clone();
+        relabelled[4] = CKPT_CONTAINER_VERSION;
+        assert!(matches!(
+            unseal_ckpt(&relabelled),
+            Err(CodecError::Corrupt { .. })
+        ));
+        for n in 0..v2.len() {
+            assert!(unseal_ckpt(&v2[..n]).is_err(), "prefix of {n} bytes");
+        }
+        for byte in 5..v2.len() {
+            let mut flip = v2.clone();
+            flip[byte] ^= 0x10;
+            assert!(unseal_ckpt(&flip).is_err(), "bit flip at {byte}");
+        }
+    }
+
+    #[test]
     fn unseal_rejects_every_corruption_mode() {
         let sealed = seal(b"payload bytes here");
         // Bad magic.
@@ -1676,6 +1812,43 @@ mod tests {
             t.to_wire(),
             [6u64.to_le_bytes(), 9u64.to_le_bytes()].concat()
         );
+    }
+
+    #[test]
+    fn numeric_vectors_move_as_one_block_with_the_per_element_bytes() {
+        fn check<T: Wire + PartialEq + std::fmt::Debug>(items: Vec<T>, width: usize) {
+            let mut per_element = Writer::new();
+            per_element.len(items.len());
+            for item in &items {
+                item.put(&mut per_element);
+            }
+            let bytes = items.to_wire();
+            assert_eq!(bytes, per_element.into_bytes());
+            assert_eq!(Vec::<T>::from_wire(&bytes).unwrap(), items);
+            for cut in 0..bytes.len() {
+                assert!(Vec::<T>::from_wire(&bytes[..cut]).is_err(), "prefix {cut}");
+            }
+            // A count the input cannot back is typed before any allocation:
+            // `Reader::len` admits up to one item per remaining byte.
+            let mut short = Writer::new();
+            short.len(width * 3);
+            short.bytes(&vec![0; width * 3]);
+            assert!(matches!(
+                Vec::<T>::from_wire(&short.into_bytes()),
+                Err(CodecError::Truncated { .. })
+            ));
+        }
+        check(vec![0u32, 1, u32::MAX], 4);
+        check(vec![0u64, 1 << 40, u64::MAX], 8);
+        check(vec![i32::MIN, -1, i32::MAX], 4);
+        check(vec![i64::MIN, -1, i64::MAX], 8);
+        check(vec![0.0f32, -2.25, f32::INFINITY, f32::MIN_POSITIVE], 4);
+        check(vec![0.1f64, -0.0, f64::MAX], 8);
+        check(Vec::<f64>::new(), 8);
+        // NaN payload bits survive (compared as bits: NaN != NaN).
+        let nan = f32::from_bits(0x7fc0_1234);
+        let back = Vec::<f32>::from_wire(&vec![nan].to_wire()).unwrap();
+        assert_eq!(back[0].to_bits(), nan.to_bits());
     }
 
     #[test]

@@ -20,6 +20,11 @@ cargo test -q --offline
 echo "== workspace tests =="
 cargo test --workspace -q --offline
 
+echo "== exec tests again in release: overflow checks are off there, so a  =="
+echo "==   decoder's unchecked offset+len fails on a different line (or     =="
+echo "==   not at all) than in the debug run above                          =="
+cargo test --release --offline -q -p exec
+
 echo "== workspace tests again on real OS threads (WJ_EXECUTOR=threads; =="
 echo "==   every assertion must hold bit-for-bit)                       =="
 WJ_EXECUTOR=threads cargo test -q --offline
