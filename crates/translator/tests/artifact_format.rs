@@ -7,10 +7,13 @@
 
 use std::path::PathBuf;
 
+use hpclib::{MatmulApp, MatmulBody, MatmulCalc, MatmulThread, StencilApp, StencilPlatform};
 use jlang::compile_str;
 use jvm::{Jvm, Value};
 use nir::codec::{CodecError, VERSION};
+use nir::OptConfig;
 use translator::{translate, TransConfig, Translated};
+use wootinj::{build_table, JitOptions, WootinJ};
 
 const APP: &str = "
     @WootinJ interface Stepper { float step(float x, int i); }
@@ -151,4 +154,125 @@ fn arbitrary_garbage_is_rejected_as_bad_magic() {
         Translated::decode(&[]),
         Err(CodecError::Truncated { .. })
     ));
+}
+
+/// `bench`'s `incr_sources(8)` text (eight 192-statement stage classes
+/// plus the `App` that sums them), frozen as a fixture: its bodies lower
+/// to straight-line blocks thousands of instructions long, which
+/// `golden.wjar` (a 4 KB program) does not have.
+const PIPELINE8: &str = include_str!("fixtures/pipeline8.jl");
+
+fn jit_options(opt: OptConfig) -> JitOptions {
+    let mut opts = JitOptions::wootinj();
+    opts.config.opt = opt;
+    opts
+}
+
+fn digest_and_count(t: &Translated) -> (u64, usize) {
+    (nir::fnv1a64(&t.encode_semantic()), t.program.instr_count())
+}
+
+fn diffusion(opt: OptConfig) -> (u64, usize) {
+    let table = hpclib::stencil_table(&[]).unwrap();
+    let mut env = WootinJ::new(&table).unwrap();
+    let runner = StencilApp::compose(
+        &mut env,
+        StencilPlatform::CpuMpi,
+        StencilApp::default_model(),
+    )
+    .unwrap();
+    let args = [
+        Value::Int(16),
+        Value::Int(16),
+        Value::Int(16),
+        Value::Int(2),
+    ];
+    let code = env.jit(&runner, "invoke", &args, jit_options(opt)).unwrap();
+    digest_and_count(&code.translated)
+}
+
+fn matmul_fox(opt: OptConfig) -> (u64, usize) {
+    let table = hpclib::matmul_table(&[]).unwrap();
+    let mut env = WootinJ::new(&table).unwrap();
+    let app = MatmulApp::compose(
+        &mut env,
+        MatmulThread::Mpi,
+        MatmulBody::Fox,
+        MatmulCalc::Simple,
+    )
+    .unwrap();
+    let code = env
+        .jit(&app, "start", &[Value::Int(32)], jit_options(opt))
+        .unwrap();
+    digest_and_count(&code.translated)
+}
+
+fn pipeline8(opt: OptConfig) -> (u64, usize) {
+    let table = build_table(&[("pipeline8.jl", PIPELINE8)]).unwrap();
+    let mut env = WootinJ::new(&table).unwrap();
+    let stages: Vec<Value> = (0..8)
+        .map(|i| {
+            env.new_instance(&format!("Stage{i}"), &[Value::Float(i as f32)])
+                .unwrap()
+        })
+        .collect();
+    let app = env.new_instance("App", &stages).unwrap();
+    let data = env.new_f32_array(&[0.5, 1.0, 1.5, 2.0]);
+    let code = env.jit(&app, "run", &[data], jit_options(opt)).unwrap();
+    digest_and_count(&code.translated)
+}
+
+/// What the whole compile path produces, pinned: FNV-1a of the semantic
+/// artifact bytes and the optimized instruction count of three programs
+/// under the standard pipeline and under `aggressive()` (which reaches
+/// inlining, `sroa` and the post-SROA fold round). A change to the front
+/// end, lowering or an optimizer pass that is meant to keep its output
+/// must leave all six pairs alone; one that is meant to change it
+/// re-pins them here, visibly.
+#[test]
+fn compile_path_output_is_pinned() {
+    type Pin = (u64, usize);
+    type Compile = fn(OptConfig) -> Pin;
+    let pinned: [(&str, Compile, Pin, Pin); 3] = [
+        (
+            "diffusion",
+            diffusion,
+            (0x2f62_8c89_073d_f17a, 254),
+            (0x8a16_0aaf_0f41_be76, 385),
+        ),
+        (
+            "matmul-fox",
+            matmul_fox,
+            (0x6b29_c238_f7f6_c8d5, 223),
+            (0x396d_8912_379a_d029, 284),
+        ),
+        // Fully flattened already: `aggressive()` finds nothing to inline
+        // or scalar-replace, so both levels pin the same program.
+        (
+            "pipeline8",
+            pipeline8,
+            (0x55b8_bc24_a757_3e6a, 10823),
+            (0x55b8_bc24_a757_3e6a, 10823),
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (name, compile, standard, aggressive) in pinned {
+        for (level, opt, want) in [
+            ("standard", OptConfig::standard(), standard),
+            ("aggressive", OptConfig::aggressive(), aggressive),
+        ] {
+            let got = compile(opt);
+            if got != want {
+                moved.push(format!(
+                    "{name} {level}: ({:#018x}, {}), pinned ({:#018x}, {})",
+                    got.0, got.1, want.0, want.1
+                ));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "compile output moved:\n{}",
+        moved.join("\n")
+    );
 }
