@@ -925,66 +925,187 @@ pub fn tab3_amortized() -> Figure {
     fig
 }
 
-/// Pass-level decomposition of Table 3's compile-time column: per NIR
-/// optimizer pass, the accumulated wall time and net instruction delta
-/// on two representative workloads (the diffusion MPI stencil and
-/// matmul Fox), surfacing `TransStats::passes`.
-pub fn pass_profile() -> Figure {
+/// Builds a workload's object graph in a fresh environment and names the
+/// call to compile: `(receiver, method, arguments)`.
+type Compose = dyn Fn(&mut WootinJ) -> (Value, &'static str, Vec<Value>);
+
+/// One row of `repro pass-profile`: a stage of a cold compile.
+struct StageRow {
+    name: &'static str,
+    wall: Duration,
+    /// What the stage's rate is quoted against: source bytes for the front
+    /// end, NIR instructions entering the stage for lowering and passes.
+    units: u64,
+    instr_delta: i64,
+}
+
+/// Compile `sources` cold, `samples` times, one layer at a time — the
+/// calls `build_table` and `jit` make, in their order — and return one
+/// row per stage with its median wall time: parse, table, typeck, rules,
+/// lowering (translate with every optimizer pass off), then the passes of
+/// `OptConfig::standard()` merged into canonical order.
+fn compile_stages(
+    sources: &[(String, String)],
+    samples: usize,
+    compose: &Compose,
+) -> Vec<StageRow> {
+    let src_bytes: u64 = sources.iter().map(|(_, text)| text.len() as u64).sum();
+    let unoptimized = translator::TransConfig {
+        opt: OptConfig::none(),
+        check_rules: false,
+        ..translator::TransConfig::full()
+    };
+    fn timed<R>(
+        rows: &mut Vec<StageRow>,
+        name: &'static str,
+        units: u64,
+        work: impl FnOnce() -> R,
+    ) -> R {
+        let start = std::time::Instant::now();
+        let out = work();
+        rows.push(StageRow {
+            name,
+            wall: start.elapsed(),
+            units,
+            instr_delta: 0,
+        });
+        out
+    }
+    // runs[sample][stage]; the stage list is the same in every sample.
+    let mut runs: Vec<Vec<StageRow>> = (0..samples)
+        .map(|_| {
+            let mut rows = Vec::new();
+            let units: Vec<jlang::ast::Unit> = timed(&mut rows, "parse", src_bytes, || {
+                (sources.iter().enumerate())
+                    .map(|(i, (_, text))| jlang::parser::parse_unit(i as u32, text).unwrap())
+                    .collect()
+            });
+            let mut table = timed(&mut rows, "table", src_bytes, || {
+                jlang::table::build(units).unwrap()
+            });
+            timed(&mut rows, "typeck", src_bytes, || {
+                jlang::typeck::check(&mut table).unwrap()
+            });
+            timed(&mut rows, "rules", src_bytes, || {
+                assert!(jrules::check_program(&table).is_ok())
+            });
+            // Composing the object graph is the caller's work, not the compiler's.
+            let mut env = WootinJ::new(&table).unwrap();
+            let (recv, method, args) = compose(&mut env);
+            let mut program = timed(&mut rows, "lower", 0, || {
+                translator::translate(&table, &env.jvm, &recv, method, &args, unoptimized)
+                    .unwrap()
+                    .program
+            });
+            let lowered = program.instr_count() as u64;
+            let lower = rows.last_mut().expect("pushed above");
+            (lower.units, lower.instr_delta) = (lowered, lowered as i64);
+            let passes = nir::optimize(&mut program, OptConfig::standard());
+            rows.extend(nir::merge_profiles(passes).into_iter().map(|p| StageRow {
+                name: p.pass,
+                wall: p.wall,
+                units: p.instrs_before,
+                instr_delta: p.instrs_after as i64 - p.instrs_before as i64,
+            }));
+            rows
+        })
+        .collect();
+    let mut rows = runs.pop().expect("at least one sample");
+    for (i, row) in rows.iter_mut().enumerate() {
+        let mut walls: Vec<Duration> = runs.iter().map(|r| r[i].wall).chain([row.wall]).collect();
+        walls.sort();
+        row.wall = walls[walls.len() / 2];
+    }
+    rows
+}
+
+/// Stage-level decomposition of Table 3's compile-time column: where a
+/// cold compile's wall time goes, front end included — parse, table,
+/// typeck, rules, lowering, then each NIR optimizer pass — with each
+/// stage's rate and net instruction delta, on the 8-stage generated
+/// pipeline (long straight-line bodies), the diffusion MPI stencil and
+/// matmul Fox.
+pub fn pass_profile(quick: bool) -> Figure {
     let mut fig = Figure::new(
         "pass-profile",
-        "NIR optimizer pass profile",
-        "pass index (execution order; names in notes)",
-        "wall ms / instruction delta",
+        "cold-compile stage profile",
+        "stage index",
+        "wall ms / ns per unit / instruction delta",
     );
-    fig.note("per workload: '<name> wall ms' and '<name> instr delta' series");
+    fig.note("per workload: '<name> wall ms', '<name> ns/unit' and '<name> instr delta' series");
+    fig.note(
+        "ns/unit: per source byte (prelude included) for parse, table, typeck and rules; \
+         per NIR instruction entering the stage for lower (per instruction emitted) and the passes",
+    );
     fig.note("instr delta = instrs_after - instrs_before (negative = the pass shrank the program)");
     fig.note(
-        "profiles are merged per pass name into canonical order (nir::merge_profiles), \
-         so the report is order-stable no matter who optimized which function",
+        "lower = translate with every pass off; the passes are OptConfig::standard()'s, merged \
+         per pass name into canonical order (nir::merge_profiles), so the report is \
+         order-stable no matter who optimized which function",
     );
+    let samples = if quick { 3 } else { 15 };
+    fig.note(format!(
+        "wall times are wall clock, median of {samples} cold compiles"
+    ));
 
-    let mut profiled: Vec<(&str, Vec<nir::PassProfile>)> = Vec::new();
-    {
-        let table = hpclib::stencil_table(&[]).unwrap();
-        let mut env = WootinJ::new(&table).unwrap();
-        let runner = StencilApp::compose(
-            &mut env,
-            StencilPlatform::CpuMpi,
-            StencilApp::default_model(),
-        )
-        .unwrap();
-        let args = [
+    let with_prelude = |files: Vec<(String, String)>| {
+        let mut sources = vec![(
+            "<prelude>".to_string(),
+            wootinj::prelude::PRELUDE.to_string(),
+        )];
+        sources.extend(files);
+        sources
+    };
+    let diffusion_args = || {
+        vec![
             Value::Int(16),
             Value::Int(16),
             Value::Int(16),
             Value::Int(2),
-        ];
-        let code = env
-            .jit(&runner, "invoke", &args, JitOptions::wootinj())
-            .unwrap();
-        profiled.push((
+        ]
+    };
+    type Sources = Vec<(String, String)>;
+    let workloads: Vec<(&str, Sources, Box<Compose>)> = vec![
+        (
+            "pipeline8",
+            with_prelude(incr_sources(8)),
+            Box::new(|env| {
+                let stages: Vec<Value> = (0..8)
+                    .map(|i| {
+                        env.new_instance(&format!("Stage{i}"), &[Value::Float(i as f32)])
+                            .unwrap()
+                    })
+                    .collect();
+                let app = env.new_instance("App", &stages).unwrap();
+                let data = env.new_f32_array(&[0.5, 1.0, 1.5, 2.0]);
+                (app, "run", vec![data])
+            }),
+        ),
+        (
             "diffusion",
-            nir::merge_profiles(code.translated.stats.passes.clone()),
-        ));
-    }
-    {
-        let table = hpclib::matmul_table(&[]).unwrap();
-        let mut env = WootinJ::new(&table).unwrap();
-        let app = MatmulApp::compose(
-            &mut env,
-            MatmulThread::Mpi,
-            MatmulBody::Fox,
-            MatmulCalc::Simple,
-        )
-        .unwrap();
-        let code = env
-            .jit(&app, "start", &[Value::Int(32)], JitOptions::wootinj())
-            .unwrap();
-        profiled.push((
+            with_prelude(vec![("stencil.jl".into(), hpclib::STENCIL_LIB.into())]),
+            Box::new(move |env| {
+                let runner =
+                    StencilApp::compose(env, StencilPlatform::CpuMpi, StencilApp::default_model())
+                        .unwrap();
+                (runner, "invoke", diffusion_args())
+            }),
+        ),
+        (
             "matmul-fox",
-            nir::merge_profiles(code.translated.stats.passes.clone()),
-        ));
-    }
+            with_prelude(vec![("matmul.jl".into(), hpclib::MATMUL_LIB.into())]),
+            Box::new(|env| {
+                let app =
+                    MatmulApp::compose(env, MatmulThread::Mpi, MatmulBody::Fox, MatmulCalc::Simple)
+                        .unwrap();
+                (app, "start", vec![Value::Int(32)])
+            }),
+        ),
+    ];
+    let profiled: Vec<(&str, Vec<StageRow>)> = workloads
+        .iter()
+        .map(|(name, sources, compose)| (*name, compile_stages(sources, samples, compose)))
+        .collect();
 
     // Order-stability gate: lowering the same workload with parallel
     // per-function passes must merge to the same profile shape — pass
@@ -999,17 +1120,14 @@ pub fn pass_profile() -> Figure {
             StencilApp::default_model(),
         )
         .unwrap();
-        let args = [
-            Value::Int(16),
-            Value::Int(16),
-            Value::Int(16),
-            Value::Int(2),
-        ];
         let mut opts = JitOptions::wootinj();
         opts.config.parallel_lowering = true;
-        let code = env.jit(&runner, "invoke", &args, opts).unwrap();
+        let code = env.jit(&runner, "invoke", &diffusion_args(), opts).unwrap();
         let par = nir::merge_profiles(code.translated.stats.passes.clone());
-        let serial = &profiled[0].1;
+        let serial: Vec<&StageRow> = (profiled[1].1.iter())
+            .skip_while(|r| r.name != "lower")
+            .skip(1)
+            .collect();
         assert!(
             par.len() == serial.len(),
             "pass-profile: parallel lowering changed the pass set ({} vs {})",
@@ -1018,26 +1136,35 @@ pub fn pass_profile() -> Figure {
         );
         for (p, s) in par.iter().zip(serial) {
             assert!(
-                p.pass == s.pass
-                    && p.instrs_before == s.instrs_before
-                    && p.instrs_after == s.instrs_after,
+                p.pass == s.name
+                    && p.instrs_before == s.units
+                    && p.instrs_after as i64 - p.instrs_before as i64 == s.instr_delta,
                 "pass-profile: parallel lowering diverged on `{}`",
-                s.pass
+                s.name
             );
         }
         fig.note("parallel-lowering parity: merged profile shape identical to serial (asserted)");
     }
 
-    for (name, passes) in &profiled {
-        let order: Vec<&str> = passes.iter().map(|p| p.pass).collect();
-        fig.note(format!("{name} passes: {}", order.join(" -> ")));
+    for (name, stages) in &profiled {
+        let order: Vec<&str> = stages.iter().map(|r| r.name).collect();
+        fig.note(format!("{name} stages: {}", order.join(" -> ")));
+        let total: Duration = stages.iter().map(|r| r.wall).sum();
+        fig.note(format!(
+            "{name}: {} source bytes, {:.3} ms over all stages",
+            stages[0].units,
+            total.as_secs_f64() * 1e3
+        ));
         let mut wall = Series::new(format!("{name} wall ms"));
+        let mut rate = Series::new(format!("{name} ns/unit"));
         let mut delta = Series::new(format!("{name} instr delta"));
-        for (i, p) in passes.iter().enumerate() {
-            wall.push(i as f64, p.wall.as_secs_f64() * 1e3);
-            delta.push(i as f64, p.instrs_after as f64 - p.instrs_before as f64);
+        for (i, r) in stages.iter().enumerate() {
+            wall.push(i as f64, r.wall.as_secs_f64() * 1e3);
+            rate.push(i as f64, r.wall.as_secs_f64() * 1e9 / r.units.max(1) as f64);
+            delta.push(i as f64, r.instr_delta as f64);
         }
         fig.series.push(wall);
+        fig.series.push(rate);
         fig.series.push(delta);
     }
     fig
@@ -3128,8 +3255,9 @@ pub fn run_experiment(id: &str) -> Option<Figure> {
 }
 
 /// Dispatch by id; `quick` selects a smoke-test-sized variant where the
-/// experiment supports one (`fault-matrix`, `restart-cost`, `chaos`,
-/// `backend-matrix`, `wallclock`, `incremental`, `dist`, and `service`).
+/// experiment supports one (`pass-profile`, `fault-matrix`, `restart-cost`,
+/// `chaos`, `backend-matrix`, `wallclock`, `incremental`, `dist`, and
+/// `service`).
 pub fn run_experiment_with(id: &str, quick: bool) -> Option<Figure> {
     Some(match id {
         "fig3" => fig3(),
@@ -3151,7 +3279,7 @@ pub fn run_experiment_with(id: &str, quick: bool) -> Option<Figure> {
         "tab2" => tab2(),
         "tab3" => tab3(),
         "tab3-amortized" => tab3_amortized(),
-        "pass-profile" => pass_profile(),
+        "pass-profile" => pass_profile(quick),
         "ablate-devirt" => ablate_devirt(),
         "ablate-inline" => ablate_inline(),
         "ablate-comm" => ablate_comm(),

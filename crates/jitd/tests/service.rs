@@ -263,6 +263,50 @@ fn overload_sheds_typed_queue_full_and_deadline() {
     assert!(stats.shed_deadline >= 1);
 }
 
+/// A 20 KB source of ten thousand nested blocks used to overflow the
+/// connection thread's stack in the parser — an abort, which no handler
+/// catches, so one request took the daemon down. It is a source error
+/// like any other, and the daemon serves the next request.
+#[test]
+fn a_brace_bomb_is_a_typed_source_error_and_the_daemon_keeps_serving() {
+    let scratch = ScratchDir::new("brace-bomb");
+    let (port, handle) = boot(DaemonConfig {
+        root: scratch.0.clone(),
+        ..DaemonConfig::default()
+    });
+
+    let bomb = format!(
+        "@WootinJ final class Bomb {{ Bomb() {{ }} int run(int x) {{ {}{} return x; }} }}",
+        "{".repeat(10_000),
+        "}".repeat(10_000)
+    );
+    let mut c = Client::connect(port, "acme").unwrap();
+    match c
+        .jit(jit_request(
+            "bomb.jl",
+            &bomb,
+            "Bomb",
+            "run",
+            vec![Arg::I32(1)],
+        ))
+        .unwrap()
+    {
+        Reply::Err { message } => assert!(
+            message.contains("statement nesting deeper"),
+            "the parser's diagnostic must reach the client: {message}"
+        ),
+        other => panic!("a brace bomb must fail typed, got {other:?}"),
+    }
+    match c.jit(doubler_req(21)).unwrap() {
+        Reply::Done(o) => assert_eq!(o.result, Some(wootinj::Val::I32(42))),
+        other => panic!("the daemon must still serve, got {other:?}"),
+    }
+
+    let stats = drain(port, handle);
+    assert_eq!(stats.request_errors, 1);
+    assert_eq!(stats.completed, 1);
+}
+
 #[test]
 fn injected_translate_faults_are_typed_counted_and_seeded() {
     let scratch = ScratchDir::new("xlate-fault");

@@ -21,11 +21,31 @@ pub struct Parser {
     /// Expression nesting depth (each level costs ~a dozen recursive
     /// descent frames; guard well before the host stack gives out).
     depth: u32,
+    /// Statement nesting depth: blocks, loop and branch bodies, `else if`.
+    stmt_depth: u32,
+    /// Height of the expression tree the last expression method returned
+    /// (a leaf is 1). Chains like `a + a + ...` and `a[0][0]...` are parsed
+    /// by loops, not recursion, so `depth` never sees how deep a tree they
+    /// build; this does.
+    height: u32,
     diags: Vec<Diagnostic>,
 }
 
 /// Maximum expression nesting depth.
 const MAX_EXPR_DEPTH: u32 = 40;
+
+/// Maximum expression-tree height, and maximum statement nesting. Every
+/// pass after the parser (typeck, rules, lowering, the interpreter, and
+/// `Drop`) recurses over the tree it accepts, on whatever stack the caller
+/// has — 2 MB on a `jitd` connection thread or a test thread. Measured in
+/// an unoptimized build, where frames are largest: those passes take
+/// ≈24 KB per expression level and at most ≈17 KB per statement level
+/// (≈1.4 MB at both limits), and the parser's own descent ≈35 KB per
+/// level of [`MAX_EXPR_DEPTH`] and ≈17 KB per statement level (≈1.7 MB).
+/// Outside the tests of these limits, nothing in this repository nests
+/// statements deeper than 6 or builds an expression taller than 12.
+const MAX_EXPR_HEIGHT: u32 = 48;
+const MAX_STMT_DEPTH: u32 = 16;
 
 /// Parse one source file into a [`Unit`].
 pub fn parse_unit(file: u32, src: &str) -> Result<Unit, Vec<Diagnostic>> {
@@ -35,6 +55,8 @@ pub fn parse_unit(file: u32, src: &str) -> Result<Unit, Vec<Diagnostic>> {
         pos: 0,
         pending_gt: false,
         depth: 0,
+        stmt_depth: 0,
+        height: 0,
         diags: Vec::new(),
     };
     let unit = p.unit();
@@ -69,18 +91,14 @@ impl Parser {
         self.toks[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> Tok {
+    fn bump(&mut self) {
         if self.pending_gt {
             self.pending_gt = false;
             // Consume the remaining `>` half of a `>>` token.
             self.pos += 1;
-            return Tok::Gt;
-        }
-        let t = self.toks[self.pos].tok.clone();
-        if self.pos + 1 < self.toks.len() {
+        } else if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     /// Consume a `>`; splits a `>>` token into two halves when needed.
@@ -132,8 +150,9 @@ impl Parser {
 
     fn ident(&mut self) -> PResult<(String, Span)> {
         let s = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(name) => {
+                let name = name.clone();
                 self.bump();
                 Ok((name, s))
             }
@@ -192,9 +211,9 @@ impl Parser {
             let (name, _) = self.ident()?;
             let mut arg = None;
             if self.eat(Tok::LParen) {
-                if let Tok::StrLit(s) = self.peek().clone() {
+                if let Tok::StrLit(s) = self.peek() {
+                    arg = Some(s.clone());
                     self.bump();
-                    arg = Some(s);
                 }
                 self.expect(Tok::RParen)?;
             }
@@ -471,7 +490,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn type_ref(&mut self) -> PResult<TypeRef> {
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             Tok::KwVoid => {
                 self.bump();
                 TypeRef::Void
@@ -497,13 +516,14 @@ impl Parser {
                 TypeRef::Boolean
             }
             Tok::Ident(name) => {
+                let name = name.clone();
                 let span = self.span();
                 self.bump();
                 let mut args = Vec::new();
                 if *self.peek() == Tok::Lt && self.looks_like_type_args() {
                     self.bump();
                     loop {
-                        args.push(self.type_ref()?);
+                        args.push(self.nested("type", Self::type_ref)?);
                         if !self.eat(Tok::Comma) {
                             break;
                         }
@@ -519,7 +539,14 @@ impl Parser {
             other => return Err(self.err(format!("expected a type, found {}", other.describe()))),
         };
         let mut ty = base;
+        let mut dims = 0;
         while *self.peek() == Tok::LBracket && *self.peek_at(1) == Tok::RBracket {
+            dims += 1;
+            if dims > MAX_EXPR_DEPTH {
+                return Err(self.err(format!(
+                    "array type nested deeper than {MAX_EXPR_DEPTH} levels"
+                )));
+            }
             self.bump();
             self.bump();
             ty = TypeRef::Array(Box::new(ty));
@@ -595,8 +622,21 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.stmt_depth += 1;
+        let r = if self.stmt_depth > MAX_STMT_DEPTH {
+            Err(self.err(format!(
+                "statement nesting deeper than {MAX_STMT_DEPTH} levels"
+            )))
+        } else {
+            self.stmt_at_depth()
+        };
+        self.stmt_depth -= 1;
+        r
+    }
+
+    fn stmt_at_depth(&mut self) -> PResult<Stmt> {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
             Tok::KwReturn => {
                 self.bump();
@@ -731,42 +771,34 @@ impl Parser {
 
         // Assignment / inc-dec / expression statement.
         let e = self.expr()?;
-        match self.peek().clone() {
-            Tok::Assign
-            | Tok::PlusAssign
-            | Tok::MinusAssign
-            | Tok::StarAssign
-            | Tok::SlashAssign
-            | Tok::PercentAssign => {
-                let op = match self.bump() {
-                    Tok::Assign => None,
-                    Tok::PlusAssign => Some(BinOp::Add),
-                    Tok::MinusAssign => Some(BinOp::Sub),
-                    Tok::StarAssign => Some(BinOp::Mul),
-                    Tok::SlashAssign => Some(BinOp::Div),
-                    Tok::PercentAssign => Some(BinOp::Rem),
-                    _ => unreachable!(),
-                };
+        let op = match self.peek() {
+            Tok::Assign => None,
+            Tok::PlusAssign => Some(BinOp::Add),
+            Tok::MinusAssign => Some(BinOp::Sub),
+            Tok::StarAssign => Some(BinOp::Mul),
+            Tok::SlashAssign => Some(BinOp::Div),
+            Tok::PercentAssign => Some(BinOp::Rem),
+            inc_dec @ (Tok::PlusPlus | Tok::MinusMinus) => {
+                let inc = *inc_dec == Tok::PlusPlus;
+                self.bump();
                 let target = self.expr_to_lvalue(e)?;
-                let value = self.expr()?;
-                Ok(Stmt::Assign {
-                    target,
-                    op,
-                    value,
-                    span: start.to(self.prev_span()),
-                })
-            }
-            Tok::PlusPlus | Tok::MinusMinus => {
-                let inc = self.bump() == Tok::PlusPlus;
-                let target = self.expr_to_lvalue(e)?;
-                Ok(Stmt::IncDec {
+                return Ok(Stmt::IncDec {
                     target,
                     inc,
                     span: start.to(self.prev_span()),
-                })
+                });
             }
-            _ => Ok(Stmt::Expr(e)),
-        }
+            _ => return Ok(Stmt::Expr(e)),
+        };
+        self.bump();
+        let target = self.expr_to_lvalue(e)?;
+        let value = self.expr()?;
+        Ok(Stmt::Assign {
+            target,
+            op,
+            value,
+            span: start.to(self.prev_span()),
+        })
     }
 
     fn starts_type(&self) -> bool {
@@ -808,25 +840,43 @@ impl Parser {
     // ------------------------------------------------------------------
 
     pub fn expr(&mut self) -> PResult<Expr> {
+        self.nested("expression", Self::ternary)
+    }
+
+    /// Run `parse` one recursion level down.
+    fn nested<T>(&mut self, what: &str, parse: fn(&mut Self) -> PResult<T>) -> PResult<T> {
         self.depth += 1;
-        if self.depth > MAX_EXPR_DEPTH {
-            self.depth -= 1;
-            return Err(self.err(format!(
-                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
-            )));
-        }
-        let r = self.ternary();
+        let r = if self.depth > MAX_EXPR_DEPTH {
+            Err(self.err(format!("{what} nested deeper than {MAX_EXPR_DEPTH} levels")))
+        } else {
+            parse(self)
+        };
         self.depth -= 1;
         r
+    }
+
+    /// The expression about to be returned is one node over subtrees the
+    /// tallest of which has height `below`.
+    fn node_over(&mut self, below: u32) -> PResult<()> {
+        self.height = below + 1;
+        if self.height > MAX_EXPR_HEIGHT {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_EXPR_HEIGHT} levels"
+            )));
+        }
+        Ok(())
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
         let cond = self.logic_or()?;
         if self.eat(Tok::Question) {
             let start = cond.span();
+            let mut below = self.height;
             let then_val = self.expr()?;
+            below = below.max(self.height);
             self.expect(Tok::Colon)?;
             let else_val = self.expr()?;
+            self.node_over(below.max(self.height))?;
             Ok(Expr::Ternary {
                 cond: Box::new(cond),
                 then_val: Box::new(then_val),
@@ -848,7 +898,9 @@ impl Parser {
             for (tok, op) in ops {
                 if self.peek() == tok {
                     self.bump();
+                    let below = self.height;
                     let rhs = next(self)?;
+                    self.node_over(below.max(self.height))?;
                     let span = lhs.span().to(rhs.span());
                     lhs = Expr::Binary {
                         op: *op,
@@ -897,6 +949,7 @@ impl Parser {
             if *self.peek() == Tok::KwInstanceof {
                 self.bump();
                 let ty = self.type_ref()?;
+                self.node_over(self.height)?;
                 let span = lhs.span().to(self.prev_span());
                 lhs = Expr::InstanceOf {
                     expr: Box::new(lhs),
@@ -913,7 +966,9 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.bump();
+            let below = self.height;
             let rhs = self.shift()?;
+            self.node_over(below.max(self.height))?;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary {
                 op,
@@ -951,10 +1006,11 @@ impl Parser {
 
     fn unary(&mut self) -> PResult<Expr> {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested("expression", Self::unary)?;
+                self.node_over(self.height)?;
                 let span = start.to(e.span());
                 Ok(Expr::Unary {
                     op: UnOp::Neg,
@@ -964,7 +1020,8 @@ impl Parser {
             }
             Tok::Not => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested("expression", Self::unary)?;
+                self.node_over(self.height)?;
                 let span = start.to(e.span());
                 Ok(Expr::Unary {
                     op: UnOp::Not,
@@ -976,7 +1033,8 @@ impl Parser {
                 self.bump();
                 let ty = self.type_ref()?;
                 self.expect(Tok::RParen)?;
-                let e = self.unary()?;
+                let e = self.nested("expression", Self::unary)?;
+                self.node_over(self.height)?;
                 let span = start.to(e.span());
                 Ok(Expr::Cast {
                     ty,
@@ -1027,12 +1085,14 @@ impl Parser {
     fn postfix(&mut self) -> PResult<Expr> {
         let mut e = self.primary()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Dot => {
                     self.bump();
                     let (name, _) = self.ident()?;
                     if *self.peek() == Tok::LParen {
+                        let below = self.height;
                         let args = self.call_args()?;
+                        self.node_over(below.max(self.height))?;
                         let span = e.span().to(self.prev_span());
                         e = Expr::Call {
                             recv: Box::new(e),
@@ -1041,6 +1101,7 @@ impl Parser {
                             span,
                         };
                     } else {
+                        self.node_over(self.height)?;
                         let span = e.span().to(self.prev_span());
                         e = Expr::Field {
                             obj: Box::new(e),
@@ -1051,8 +1112,10 @@ impl Parser {
                 }
                 Tok::LBracket => {
                     self.bump();
+                    let below = self.height;
                     let idx = self.expr()?;
                     self.expect(Tok::RBracket)?;
+                    self.node_over(below.max(self.height))?;
                     let span = e.span().to(self.prev_span());
                     e = Expr::Index {
                         arr: Box::new(e),
@@ -1065,39 +1128,47 @@ impl Parser {
         }
     }
 
+    /// Leaves `height` at that of the tallest argument (0 for none).
     fn call_args(&mut self) -> PResult<Vec<Expr>> {
         self.expect(Tok::LParen)?;
         let mut args = Vec::new();
+        let mut tallest = 0;
         if *self.peek() != Tok::RParen {
-            args.push(self.expr()?);
-            while self.eat(Tok::Comma) {
+            loop {
                 args.push(self.expr()?);
+                tallest = tallest.max(self.height);
+                if !self.eat(Tok::Comma) {
+                    break;
+                }
             }
         }
         self.expect(Tok::RParen)?;
+        self.height = tallest;
         Ok(args)
     }
 
     fn primary(&mut self) -> PResult<Expr> {
         let start = self.span();
-        match self.peek().clone() {
-            Tok::IntLit(v) => {
+        self.height = 1; // a leaf, unless an arm below builds over operands
+        match self.peek() {
+            &Tok::IntLit(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v, start))
             }
-            Tok::LongLit(v) => {
+            &Tok::LongLit(v) => {
                 self.bump();
                 Ok(Expr::LongLit(v, start))
             }
-            Tok::FloatLit(v) => {
+            &Tok::FloatLit(v) => {
                 self.bump();
                 Ok(Expr::FloatLit(v, start))
             }
-            Tok::DoubleLit(v) => {
+            &Tok::DoubleLit(v) => {
                 self.bump();
                 Ok(Expr::DoubleLit(v, start))
             }
             Tok::StrLit(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok(Expr::StrLit(s, start))
             }
@@ -1122,6 +1193,7 @@ impl Parser {
                 self.expect(Tok::Dot)?;
                 let (name, _) = self.ident()?;
                 let args = self.call_args()?;
+                self.node_over(self.height)?;
                 Ok(Expr::SuperCall {
                     name,
                     args,
@@ -1136,6 +1208,7 @@ impl Parser {
                 if self.eat(Tok::LBracket) {
                     let len = self.expr()?;
                     self.expect(Tok::RBracket)?;
+                    self.node_over(self.height)?;
                     return Ok(Expr::NewArray {
                         elem: ty,
                         len: Box::new(len),
@@ -1143,6 +1216,7 @@ impl Parser {
                     });
                 }
                 let args = self.call_args()?;
+                self.node_over(self.height)?;
                 Ok(Expr::New {
                     ty,
                     args,
@@ -1150,10 +1224,12 @@ impl Parser {
                 })
             }
             Tok::Ident(name) => {
+                let name = name.clone();
                 self.bump();
                 if *self.peek() == Tok::LParen {
                     // Unqualified call: `foo(...)` on implicit `this`.
                     let args = self.call_args()?;
+                    self.node_over(self.height.max(1))?;
                     let span = start.to(self.prev_span());
                     Ok(Expr::Call {
                         recv: Box::new(Expr::This(start)),

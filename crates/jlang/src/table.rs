@@ -19,7 +19,7 @@ pub struct ParamInfo {
 }
 
 /// Resolved field (instance or static).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FieldInfo {
     pub name: String,
     /// Declared type in terms of the *declaring* class's type variables.
@@ -35,7 +35,7 @@ pub struct FieldInfo {
 }
 
 /// Resolved method.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MethodInfo {
     pub name: String,
     pub params: Vec<ParamInfo>,
@@ -57,7 +57,7 @@ pub struct MethodInfo {
 }
 
 /// Resolved constructor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CtorInfo {
     pub params: Vec<ParamInfo>,
     pub ast_super_args: Option<Vec<ast::Expr>>,
@@ -80,7 +80,7 @@ pub struct TypeParamInfo {
 }
 
 /// A class or interface with fully resolved signatures.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClassInfo {
     pub id: ClassId,
     pub name: String,
@@ -118,7 +118,7 @@ impl ClassInfo {
 }
 
 /// The complete class table for a loaded program.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ClassTable {
     pub classes: Vec<ClassInfo>,
     by_name: HashMap<String, ClassId>,
@@ -580,13 +580,14 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
         }
     }
 
-    // Phase 3: members.
-    for decl in &decls {
+    // Phase 3: members. The declarations are ours and nothing reads them
+    // afterwards, so bodies and initializers move into the table.
+    for decl in &mut decls {
         let id = table.by_name(&decl.name).unwrap();
         let tps = table.class(id).type_params.clone();
         let mut fields = Vec::new();
         let mut statics = Vec::new();
-        for f in &decl.fields {
+        for f in &mut decl.fields {
             let ty = match table.resolve_type(&tps, &f.ty) {
                 Ok(t) => t,
                 Err(d) => {
@@ -603,7 +604,7 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 ty,
                 is_final: f.modifiers.is_final,
                 is_shared: f.annotations.iter().any(|a| a.name == "Shared"),
-                ast_init: f.init.clone(),
+                ast_init: f.init.take(),
                 init: None,
                 span: f.span,
             };
@@ -628,7 +629,7 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
             }
         }
         let mut methods = Vec::new();
-        for m in &decl.methods {
+        for m in &mut decl.methods {
             if methods.iter().any(|x: &MethodInfo| x.name == m.name) {
                 diags.push(Diagnostic::error(
                     "resolver",
@@ -685,13 +686,13 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 is_abstract,
                 native,
                 is_global: m.annotations.iter().any(|a| a.name == "Global"),
-                ast_body: m.body.clone(),
+                ast_body: m.body.take(),
                 body: None,
                 frame_size: 0,
                 span: m.span,
             });
         }
-        let ctor = match &decl.ctor {
+        let ctor = match &mut decl.ctor {
             Some(c) => {
                 let mut params = Vec::new();
                 for p in &c.params {
@@ -707,8 +708,8 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 }
                 Some(CtorInfo {
                     params,
-                    ast_super_args: c.super_args.clone(),
-                    ast_body: Some(c.body.clone()),
+                    ast_super_args: c.super_args.take(),
+                    ast_body: Some(std::mem::take(&mut c.body)),
                     super_args: Vec::new(),
                     body: None,
                     frame_size: 0,

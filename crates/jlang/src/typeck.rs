@@ -21,13 +21,15 @@ pub fn check(table: &mut ClassTable) -> DiagResult<()> {
     let mut ctor_results: Vec<(ClassId, Vec<TExpr>, TBlock, u32)> = Vec::new();
     let mut field_results: Vec<(ClassId, bool, usize, TExpr)> = Vec::new();
 
-    let ids: Vec<ClassId> = table.iter().map(|c| c.id).collect();
-    for id in ids {
-        let info = table.class(id).clone();
+    // Every body is checked against the table as it stands; the typed
+    // results go back in only after the last one.
+    let read: &ClassTable = table;
+    for info in read.iter() {
+        let id = info.id;
 
         for (i, f) in info.fields.iter().enumerate() {
             if f.ast_init.is_some() {
-                match check_field_init(table, id, false, i) {
+                match check_field_init(read, id, false, i) {
                     Ok(e) => field_results.push((id, false, i, e)),
                     Err(mut d) => diags.append(&mut d),
                 }
@@ -35,7 +37,7 @@ pub fn check(table: &mut ClassTable) -> DiagResult<()> {
         }
         for (i, f) in info.statics.iter().enumerate() {
             if f.ast_init.is_some() {
-                match check_field_init(table, id, true, i) {
+                match check_field_init(read, id, true, i) {
                     Ok(e) => field_results.push((id, true, i, e)),
                     Err(mut d) => diags.append(&mut d),
                 }
@@ -46,7 +48,7 @@ pub fn check(table: &mut ClassTable) -> DiagResult<()> {
             if m.ast_body.is_none() {
                 continue;
             }
-            match check_method_body(table, id, mi) {
+            match check_method_body(read, id, mi) {
                 Ok((tb, frame)) => method_results.push((id, mi, tb, frame)),
                 Err(mut d) => diags.append(&mut d),
             }
@@ -54,7 +56,7 @@ pub fn check(table: &mut ClassTable) -> DiagResult<()> {
 
         if let Some(ctor) = &info.ctor {
             if ctor.ast_body.is_some() {
-                match check_ctor(table, id) {
+                match check_ctor(read, id) {
                     Ok((sargs, tb, frame)) => ctor_results.push((id, sargs, tb, frame)),
                     Err(mut d) => diags.append(&mut d),
                 }
@@ -295,7 +297,7 @@ impl Scope {
 struct Checker<'t> {
     table: &'t ClassTable,
     class: ClassId,
-    type_params: Vec<TypeParamInfo>,
+    type_params: &'t [TypeParamInfo],
     is_static: bool,
     in_ctor: bool,
     ret: Type,
@@ -310,7 +312,7 @@ impl<'t> Checker<'t> {
     fn new(table: &'t ClassTable, class: ClassId, is_static: bool, ret: Type) -> Self {
         Checker {
             table,
-            type_params: table.class(class).type_params.clone(),
+            type_params: &table.class(class).type_params,
             class,
             is_static,
             in_ctor: false,
@@ -336,7 +338,7 @@ impl<'t> Checker<'t> {
         args: &[ast::Expr],
         span: Span,
     ) -> Vec<TExpr> {
-        let Some(sctor) = self.table.class(sid).ctor.clone() else {
+        let Some(sctor) = &self.table.class(sid).ctor else {
             self.err(
                 span,
                 format!("superclass `{}` has no constructor", self.table.name(sid)),
@@ -388,7 +390,7 @@ impl<'t> Checker<'t> {
             } => {
                 let rty = self
                     .table
-                    .resolve_type(&self.type_params, ty)
+                    .resolve_type(self.type_params, ty)
                     .map_err(|d| self.diags.push(d))?;
                 if rty == Type::Void {
                     self.err(*span, "local variable of type void");
@@ -962,7 +964,7 @@ impl<'t> Checker<'t> {
             ast::Expr::New { ty, args, span } => {
                 let rty = self
                     .table
-                    .resolve_type(&self.type_params, ty)
+                    .resolve_type(self.type_params, ty)
                     .map_err(|d| self.diags.push(d))?;
                 let Type::Object(cid, targs) = rty.clone() else {
                     let got = self.show(&rty);
@@ -984,7 +986,7 @@ impl<'t> Checker<'t> {
                     );
                     return Err(());
                 }
-                let Some(ctor) = info.ctor.clone() else {
+                let Some(ctor) = &info.ctor else {
                     self.err(*span, format!("`{}` has no constructor", info.name));
                     return Err(());
                 };
@@ -1019,7 +1021,7 @@ impl<'t> Checker<'t> {
             ast::Expr::NewArray { elem, len, span } => {
                 let ety = self
                     .table
-                    .resolve_type(&self.type_params, elem)
+                    .resolve_type(self.type_params, elem)
                     .map_err(|d| self.diags.push(d))?;
                 if ety == Type::Void {
                     self.err(*span, "array of void");
@@ -1098,7 +1100,7 @@ impl<'t> Checker<'t> {
             ast::Expr::Cast { ty, expr, span } => {
                 let to = self
                     .table
-                    .resolve_type(&self.type_params, ty)
+                    .resolve_type(self.type_params, ty)
                     .map_err(|d| self.diags.push(d))?;
                 let te = self.expr(expr)?;
                 if let (Some(tk), Some(_)) = (to.prim_kind(), te.ty.prim_kind()) {
@@ -1148,7 +1150,7 @@ impl<'t> Checker<'t> {
                 let te = self.expr(expr)?;
                 let to = self
                     .table
-                    .resolve_type(&self.type_params, ty)
+                    .resolve_type(self.type_params, ty)
                     .map_err(|d| self.diags.push(d))?;
                 if !te.ty.is_reference() || !to.is_reference() {
                     self.err(*span, "instanceof requires reference types");
@@ -1398,7 +1400,7 @@ impl<'t> Checker<'t> {
         args: &[ast::Expr],
         span: Span,
     ) -> CkResult<(Vec<TExpr>, Type)> {
-        let m = self.table.method(decl_class, index).clone();
+        let m = self.table.method(decl_class, index);
         if m.params.len() != args.len() {
             self.err(
                 span,

@@ -61,6 +61,61 @@ fn pathological_nesting_errors_instead_of_crashing() {
     );
 }
 
+/// Run `f` the way `jitd` runs a client's source: on a thread with the
+/// default 2 MB stack, where running out is an abort, not a panic.
+fn on_a_2mb_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+#[test]
+fn statement_and_postfix_bombs_get_a_diagnostic_not_a_stack_overflow() {
+    on_a_2mb_stack(|| {
+        let in_method = |body: &str| format!("class A {{ void f(int[] a) {{ {body} }} }}");
+        err_containing(
+            &in_method(&format!("{}{}", "{".repeat(10_000), "}".repeat(10_000))),
+            "statement nesting deeper",
+        );
+        err_containing(
+            &in_method(&format!("{};", "if (true) ".repeat(10_000))),
+            "statement nesting deeper",
+        );
+        err_containing(
+            &in_method(&format!("int x = a{};", "[0]".repeat(200_000))),
+            "nested deeper",
+        );
+        // The other ways to build a deep tree out of a flat token stream.
+        err_containing(
+            &in_method(&format!("int x = 1{};", " + 1".repeat(200_000))),
+            "nested deeper",
+        );
+        err_containing(
+            &in_method(&format!("int x = {}1;", "- ".repeat(200_000))),
+            "nested deeper",
+        );
+        err_containing(
+            &format!("class A {{ int{} x; }}", "[]".repeat(200_000)),
+            "nested deeper",
+        );
+    });
+}
+
+#[test]
+fn nesting_within_the_limits_compiles_on_a_2mb_stack() {
+    on_a_2mb_stack(|| {
+        // 15 nested branches around a 47-term sum: one short of each limit.
+        ok(&format!(
+            "class A {{ static int m(int x) {{ int y = 0; {} y = x{}; return y; }} }}",
+            "if (x > 0) ".repeat(15),
+            " + x".repeat(46),
+        ));
+    });
+}
+
 #[test]
 fn nested_blocks_and_shadowing_rules() {
     // Inner blocks may declare new locals; same-scope duplicates are errors.

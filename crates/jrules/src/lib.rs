@@ -212,7 +212,7 @@ impl<'t> Analysis<'t> {
     }
 
     fn class_semi_immutable_inner(&mut self, id: ClassId) -> bool {
-        let info = self.table.class(id).clone();
+        let info = self.table.class(id);
         // Interfaces declare no state and no constructors; they are
         // semi-immutable carriers for their implementors.
         if info.is_interface {
@@ -259,7 +259,7 @@ impl<'t> Analysis<'t> {
     /// Detailed diagnostics explaining why a class fails semi-immutability.
     pub fn explain_semi_immutable(&mut self, id: ClassId) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let info = self.table.class(id).clone();
+        let info = self.table.class(id);
         if info.is_interface {
             return out;
         }
@@ -489,7 +489,7 @@ fn check_class(
     id: ClassId,
     out: &mut Vec<Diagnostic>,
 ) {
-    let info = table.class(id).clone();
+    let info = table.class(id);
 
     // Rule 1: the class itself must be semi-immutable.
     if !analysis.class_semi_immutable(id) {

@@ -140,23 +140,15 @@ impl<'t> Jvm<'t> {
                 .collect();
             self.statics.push(defaults);
         }
-        let ids: Vec<ClassId> = self.table.iter().map(|c| c.id).collect();
-        for id in ids {
-            let inits: Vec<(usize, TExpr)> = self
-                .table
-                .class(id)
-                .statics
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| f.init.clone().map(|e| (i, e)))
-                .collect();
-            for (i, init) in inits {
+        for info in self.table.iter() {
+            for (i, f) in info.statics.iter().enumerate() {
+                let Some(init) = &f.init else { continue };
                 let mut frame = Frame {
                     locals: Vec::new(),
                     this: None,
                 };
-                let v = self.eval(&mut frame, &init)?;
-                self.statics[id.0 as usize][i] = v;
+                let v = self.eval(&mut frame, init)?;
+                self.statics[info.id.0 as usize][i] = v;
             }
         }
         Ok(())
@@ -289,7 +281,7 @@ impl<'t> Jvm<'t> {
         let info = self.table.class(class);
         let ctor = info
             .ctor
-            .clone()
+            .as_ref()
             .ok_or_else(|| JvmError::new(format!("`{}` has no constructor", info.name)))?;
         if ctor.params.len() != args.len() {
             return Err(JvmError::new(format!(
@@ -308,7 +300,7 @@ impl<'t> Jvm<'t> {
             this: Some(Value::Obj(obj)),
         };
         // 1. super constructor.
-        if let Some((sid, _)) = &self.table.class(class).superclass.clone() {
+        if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = Vec::new();
                 for a in &ctor.super_args {
@@ -318,18 +310,11 @@ impl<'t> Jvm<'t> {
             }
         }
         // 2. field initializers of this class.
-        let inits: Vec<(u32, TExpr)> = {
-            let cinfo = self.table.class(class);
-            cinfo
-                .fields
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| f.init.clone().map(|e| (cinfo.field_base + i as u32, e)))
-                .collect()
-        };
-        for (slot, init) in inits {
-            let v = self.eval(&mut frame, &init)?;
-            self.heap.obj_mut(obj).fields[slot as usize] = v;
+        for (i, f) in info.fields.iter().enumerate() {
+            if let Some(init) = &f.init {
+                let v = self.eval(&mut frame, init)?;
+                self.heap.obj_mut(obj).fields[info.field_base as usize + i] = v;
+            }
         }
         // 3. constructor body.
         if let Some(body) = &ctor.body {
@@ -359,7 +344,7 @@ impl<'t> Jvm<'t> {
         index: u32,
         args: Vec<Value>,
     ) -> JResult<Value> {
-        let m = self.table.method(class, index).clone();
+        let m = self.table.method(class, index);
         if let Some(key) = &m.native {
             return self.call_native(key, &args, m.span);
         }
@@ -376,7 +361,7 @@ impl<'t> Jvm<'t> {
         index: u32,
         args: Vec<Value>,
     ) -> JResult<Value> {
-        let m = self.table.method(class, index).clone();
+        let m = self.table.method(class, index);
         let Some(body) = &m.body else {
             return Err(JvmError::new(format!(
                 "method `{}::{}` has no body",

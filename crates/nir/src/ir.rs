@@ -348,16 +348,17 @@ pub enum Instr {
     Sync,
 }
 
-impl Instr {
-    /// Destination register written by this instruction, if any.
-    pub fn dst(&self) -> Option<Reg> {
-        match self {
+/// The destination operand of `$ins`, borrowed the way `$ins` is (`$opt`
+/// is `as_ref` for `&Instr`, `as_mut` for `&mut Instr`).
+macro_rules! dst_operand {
+    ($ins:expr, $opt:ident) => {
+        match $ins {
             Instr::ConstI32(d, _)
             | Instr::ConstI64(d, _)
             | Instr::ConstF32(d, _)
             | Instr::ConstF64(d, _)
             | Instr::ConstBool(d, _)
-            | Instr::Mov(d, _) => Some(*d),
+            | Instr::Mov(d, _) => Some(d),
             Instr::Bin { dst, .. }
             | Instr::Neg { dst, .. }
             | Instr::Not { dst, .. }
@@ -367,49 +368,115 @@ impl Instr {
             | Instr::NewArr { dst, .. }
             | Instr::LdArr { dst, .. }
             | Instr::ArrLen { dst, .. }
-            | Instr::SharedAlloc { dst, .. } => Some(*dst),
+            | Instr::SharedAlloc { dst, .. } => Some(dst),
             Instr::Call { dst, .. }
             | Instr::CallHost { dst, .. }
             | Instr::CallVirt { dst, .. }
-            | Instr::Intrin { dst, .. } => *dst,
+            | Instr::Intrin { dst, .. } => dst.$opt(),
             _ => None,
         }
+    };
+}
+
+/// Hand every source operand of `$ins` to `$f`, in operand order, borrowed
+/// the way `$ins` is. The one per-variant operand walk: an instruction
+/// added to [`Instr`] is added here (the match is exhaustive) and every
+/// pass that reads or rewrites operands sees it.
+macro_rules! source_operands {
+    ($ins:expr, $f:ident) => {
+        match $ins {
+            Instr::Mov(_, s) => $f(s),
+            Instr::Bin { lhs, rhs, .. } => {
+                $f(lhs);
+                $f(rhs);
+            }
+            Instr::Neg { src, .. } | Instr::Not { src, .. } | Instr::Cast { src, .. } => $f(src),
+            Instr::Br { cond, .. } => $f(cond),
+            Instr::Ret(Some(r)) => $f(r),
+            Instr::Call { args, .. }
+            | Instr::CallHost { args, .. }
+            | Instr::Intrin { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Instr::GetField { obj, .. } => $f(obj),
+            Instr::PutField { obj, src, .. } => {
+                $f(obj);
+                $f(src);
+            }
+            Instr::CallVirt { recv, args, .. } => {
+                $f(recv);
+                for a in args {
+                    $f(a);
+                }
+            }
+            Instr::NewArr { len, .. } | Instr::SharedAlloc { len, .. } => $f(len),
+            Instr::LdArr { arr, idx, .. } => {
+                $f(arr);
+                $f(idx);
+            }
+            Instr::StArr { arr, idx, src } => {
+                $f(arr);
+                $f(idx);
+                $f(src);
+            }
+            Instr::ArrLen { arr, .. } | Instr::FreeArr { arr } => $f(arr),
+            Instr::Launch {
+                grid, block, args, ..
+            } => {
+                for r in grid {
+                    $f(r);
+                }
+                for r in block {
+                    $f(r);
+                }
+                for a in args {
+                    $f(a);
+                }
+            }
+            Instr::ConstI32(..)
+            | Instr::ConstI64(..)
+            | Instr::ConstF32(..)
+            | Instr::ConstF64(..)
+            | Instr::ConstBool(..)
+            | Instr::Jmp(_)
+            | Instr::Ret(None)
+            | Instr::NewObj { .. }
+            | Instr::Sync => {}
+        }
+    };
+}
+
+impl Instr {
+    /// Destination register written by this instruction, if any.
+    pub fn dst(&self) -> Option<Reg> {
+        dst_operand!(self, as_ref).copied()
+    }
+
+    /// The destination operand itself, for passes that renumber registers.
+    pub(crate) fn dst_mut(&mut self) -> Option<&mut Reg> {
+        dst_operand!(self, as_mut)
+    }
+
+    /// Call `f` on every register this instruction reads, in operand
+    /// order, without allocating.
+    pub fn for_each_source(&self, mut f: impl FnMut(Reg)) {
+        let mut f = |r: &Reg| f(*r);
+        source_operands!(self, f)
+    }
+
+    /// Call `f` on every source operand, in operand order, so a pass can
+    /// rewrite what the instruction reads.
+    pub fn for_each_source_mut(&mut self, mut f: impl FnMut(&mut Reg)) {
+        source_operands!(self, f)
     }
 
     /// Registers read by this instruction.
     pub fn sources(&self) -> Vec<Reg> {
-        match self {
-            Instr::Mov(_, s) => vec![*s],
-            Instr::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Instr::Neg { src, .. } | Instr::Not { src, .. } | Instr::Cast { src, .. } => {
-                vec![*src]
-            }
-            Instr::Br { cond, .. } => vec![*cond],
-            Instr::Ret(Some(r)) => vec![*r],
-            Instr::Call { args, .. } | Instr::CallHost { args, .. } => args.clone(),
-            Instr::GetField { obj, .. } => vec![*obj],
-            Instr::PutField { obj, src, .. } => vec![*obj, *src],
-            Instr::CallVirt { recv, args, .. } => {
-                let mut v = vec![*recv];
-                v.extend(args);
-                v
-            }
-            Instr::NewArr { len, .. } | Instr::SharedAlloc { len, .. } => vec![*len],
-            Instr::LdArr { arr, idx, .. } => vec![*arr, *idx],
-            Instr::StArr { arr, idx, src } => vec![*arr, *idx, *src],
-            Instr::ArrLen { arr, .. } | Instr::FreeArr { arr } => vec![*arr],
-            Instr::Intrin { args, .. } => args.clone(),
-            Instr::Launch {
-                grid, block, args, ..
-            } => {
-                let mut v = Vec::with_capacity(6 + args.len());
-                v.extend_from_slice(grid);
-                v.extend_from_slice(block);
-                v.extend(args);
-                v
-            }
-            _ => Vec::new(),
-        }
+        let mut out = Vec::new();
+        self.for_each_source(|r| out.push(r));
+        out
     }
 
     /// Does this instruction have side effects (must not be removed)?
@@ -550,9 +617,13 @@ impl Program {
                 }
             }
             for (pc, ins) in f.code.iter().enumerate() {
-                for r in ins.sources() {
-                    check_reg(r)?;
-                }
+                let mut operands = Ok(());
+                ins.for_each_source(|r| {
+                    if operands.is_ok() {
+                        operands = check_reg(r);
+                    }
+                });
+                operands?;
                 if let Some(d) = ins.dst() {
                     check_reg(d)?;
                 }

@@ -2,8 +2,9 @@
 //! compiler's work (the `-O3`-ish part of Table 1/Table 2).
 //!
 //! Passes:
-//! * **const-fold + copy-propagation** (per basic block): replaces
-//!   arithmetic on known constants and forwards `Mov` chains;
+//! * **const-fold + copy-propagation** (per basic block, linear in the
+//!   block): replaces arithmetic on known constants and forwards `Mov`
+//!   chains;
 //! * **dead-code elimination**: removes pure instructions whose results
 //!   are never used (whole-function liveness);
 //! * **function inlining**: splices small callees into their callers. The
@@ -251,7 +252,101 @@ enum Known {
     Copy(Reg),
 }
 
-/// Per-basic-block constant folding and copy propagation.
+/// What [`local_fold`] knows about each register at the current
+/// instruction, with every update costing what it touches rather than
+/// what has been recorded so far.
+struct Facts {
+    /// By register; `None` is "nothing known".
+    known: Vec<Option<Known>>,
+    /// Registers given a fact since the last block leader, so that
+    /// starting a block costs what the previous one recorded, not
+    /// `regs.len()`.
+    recorded: Vec<Reg>,
+    /// By register `r`: newest entry of `copy_links` naming a register
+    /// recorded as `Copy(r)` ([`NO_LINK`] when none).
+    copy_head: Vec<u32>,
+    /// `(holder, older entry)`. Entries are never removed when the
+    /// holder's fact changes or a block ends: [`Facts::written`] checks
+    /// each one against `known` when it consumes the list, so a stale
+    /// entry costs one comparison and forgets nothing.
+    copy_links: Vec<(Reg, u32)>,
+}
+
+const NO_LINK: u32 = u32::MAX;
+
+impl Facts {
+    fn new(regs: usize) -> Self {
+        Facts {
+            known: vec![None; regs],
+            recorded: Vec::new(),
+            copy_head: vec![NO_LINK; regs],
+            copy_links: Vec::new(),
+        }
+    }
+
+    fn start_block(&mut self) {
+        for r in self.recorded.drain(..) {
+            self.known[r as usize] = None;
+        }
+    }
+
+    /// Follow recorded copies from `r` to the register it stands for.
+    fn resolve(&self, r: Reg) -> Reg {
+        let mut cur = r;
+        let mut hops = 0;
+        while let Some(Known::Copy(s)) = self.known[cur as usize] {
+            cur = s;
+            hops += 1;
+            if hops > 32 {
+                break;
+            }
+        }
+        cur
+    }
+
+    fn const_of(&self, r: Reg) -> Option<Known> {
+        match self.known[r as usize]? {
+            Known::Copy(s) => self.const_of(s),
+            k => Some(k),
+        }
+    }
+
+    /// `d` was just written and now holds `fact`.
+    fn record(&mut self, d: Reg, fact: Known) {
+        self.known[d as usize] = Some(fact);
+        self.recorded.push(d);
+        if let Known::Copy(s) = fact {
+            self.copy_links.push((d, self.copy_head[s as usize]));
+            self.copy_head[s as usize] = self.copy_links.len() as u32 - 1;
+        }
+        self.written(d);
+    }
+
+    /// `d` was just written with a value nothing is known about.
+    fn forget(&mut self, d: Reg) {
+        self.known[d as usize] = None;
+        self.written(d);
+    }
+
+    /// `d` was just written: every register still recorded as a copy of
+    /// it stops being one. That includes `d` itself when the write was
+    /// `Mov(d, s)` with `s` a copy of `d` — [`Facts::record`] links
+    /// before calling this, so the self-copy is forgotten here too.
+    fn written(&mut self, d: Reg) {
+        let mut link = std::mem::replace(&mut self.copy_head[d as usize], NO_LINK);
+        while link != NO_LINK {
+            let (holder, older) = self.copy_links[link as usize];
+            if matches!(self.known[holder as usize], Some(Known::Copy(s)) if s == d) {
+                self.known[holder as usize] = None;
+            }
+            link = older;
+        }
+    }
+}
+
+/// Per-basic-block constant folding and copy propagation. Linear in the
+/// block: facts live in a table indexed by register ([`Facts`]), and no
+/// step scans what the block has recorded so far.
 #[allow(clippy::needless_range_loop)] // `pc` indexes both code and leader
 fn local_fold(f: &mut Function, config: OptConfig) {
     // Block leaders: entry, jump targets, and instructions after terminators.
@@ -275,165 +370,58 @@ fn local_fold(f: &mut Function, config: OptConfig) {
         }
     }
 
-    let mut known: HashMap<Reg, Known> = HashMap::new();
+    let mut facts = Facts::new(f.regs.len());
     for pc in 0..f.code.len() {
         if leader[pc] {
-            known.clear();
+            facts.start_block();
         }
         // Resolve copies in sources first.
-        let resolve = |known: &HashMap<Reg, Known>, r: Reg| -> Reg {
-            let mut cur = r;
-            let mut hops = 0;
-            while let Some(Known::Copy(s)) = known.get(&cur) {
-                cur = *s;
-                hops += 1;
-                if hops > 32 {
-                    break;
-                }
-            }
-            cur
-        };
         if config.copy_prop {
-            let ins = &mut f.code[pc];
-            match ins {
-                Instr::Mov(_, s) => *s = resolve(&known, *s),
-                Instr::Bin { lhs, rhs, .. } => {
-                    *lhs = resolve(&known, *lhs);
-                    *rhs = resolve(&known, *rhs);
-                }
-                Instr::Neg { src, .. } | Instr::Not { src, .. } | Instr::Cast { src, .. } => {
-                    *src = resolve(&known, *src);
-                }
-                Instr::Br { cond, .. } => *cond = resolve(&known, *cond),
-                Instr::Ret(Some(r)) => *r = resolve(&known, *r),
-                Instr::Call { args, .. }
-                | Instr::CallHost { args, .. }
-                | Instr::Intrin { args, .. } => {
-                    for a in args {
-                        *a = resolve(&known, *a);
-                    }
-                }
-                Instr::CallVirt { recv, args, .. } => {
-                    *recv = resolve(&known, *recv);
-                    for a in args {
-                        *a = resolve(&known, *a);
-                    }
-                }
-                Instr::GetField { obj, .. } => *obj = resolve(&known, *obj),
-                Instr::PutField { obj, src, .. } => {
-                    *obj = resolve(&known, *obj);
-                    *src = resolve(&known, *src);
-                }
-                Instr::NewArr { len, .. } | Instr::SharedAlloc { len, .. } => {
-                    *len = resolve(&known, *len);
-                }
-                Instr::LdArr { arr, idx, .. } => {
-                    *arr = resolve(&known, *arr);
-                    *idx = resolve(&known, *idx);
-                }
-                Instr::StArr { arr, idx, src } => {
-                    *arr = resolve(&known, *arr);
-                    *idx = resolve(&known, *idx);
-                    *src = resolve(&known, *src);
-                }
-                Instr::ArrLen { arr, .. } | Instr::FreeArr { arr } => {
-                    *arr = resolve(&known, *arr);
-                }
-                Instr::Launch {
-                    grid, block, args, ..
-                } => {
-                    for g in grid
-                        .iter_mut()
-                        .chain(block.iter_mut())
-                        .chain(args.iter_mut())
-                    {
-                        *g = resolve(&known, *g);
-                    }
-                }
-                _ => {}
-            }
+            f.code[pc].for_each_source_mut(|r| *r = facts.resolve(*r));
         }
 
         if config.const_fold {
-            // Try folding a binary op on two known constants.
-            if let Instr::Bin {
-                op,
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } = f.code[pc].clone()
-            {
-                if let (Some(l), Some(r)) = (const_of(&known, lhs), const_of(&known, rhs)) {
-                    if let Some(folded) = fold_bin(op, kind, l, r, dst) {
-                        f.code[pc] = folded;
-                    }
+            // Try folding a binary op or a cast on known constants.
+            let folded = match &f.code[pc] {
+                Instr::Bin {
+                    op,
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                } => match (facts.const_of(*lhs), facts.const_of(*rhs)) {
+                    (Some(l), Some(r)) => fold_bin(*op, *kind, l, r, *dst),
+                    _ => None,
+                },
+                Instr::Cast { to, dst, src, .. } => {
+                    facts.const_of(*src).and_then(|v| fold_cast(*to, v, *dst))
                 }
-            }
-            if let Instr::Cast { to, dst, src, .. } = f.code[pc].clone() {
-                if let Some(v) = const_of(&known, src) {
-                    if let Some(folded) = fold_cast(to, v, dst) {
-                        f.code[pc] = folded;
-                    }
-                }
+                _ => None,
+            };
+            if let Some(folded) = folded {
+                f.code[pc] = folded;
             }
         }
 
-        // Update the known map from the (possibly rewritten) instruction.
-        let ins = f.code[pc].clone();
-        match ins {
-            Instr::ConstI32(d, v) => {
-                known.insert(d, Known::I32(v));
-                invalidate_copies(&mut known, d);
-            }
-            Instr::ConstI64(d, v) => {
-                known.insert(d, Known::I64(v));
-                invalidate_copies(&mut known, d);
-            }
-            Instr::ConstF32(d, v) => {
-                known.insert(d, Known::F32(v));
-                invalidate_copies(&mut known, d);
-            }
-            Instr::ConstF64(d, v) => {
-                known.insert(d, Known::F64(v));
-                invalidate_copies(&mut known, d);
-            }
-            Instr::ConstBool(d, v) => {
-                known.insert(d, Known::Bool(v));
-                invalidate_copies(&mut known, d);
-            }
+        // Update the facts from the (possibly rewritten) instruction.
+        match &f.code[pc] {
+            Instr::ConstI32(d, v) => facts.record(*d, Known::I32(*v)),
+            Instr::ConstI64(d, v) => facts.record(*d, Known::I64(*v)),
+            Instr::ConstF32(d, v) => facts.record(*d, Known::F32(*v)),
+            Instr::ConstF64(d, v) => facts.record(*d, Known::F64(*v)),
+            Instr::ConstBool(d, v) => facts.record(*d, Known::Bool(*v)),
             Instr::Mov(d, s) => {
                 if d != s {
-                    let k = known.get(&s).copied().unwrap_or(Known::Copy(s));
-                    known.insert(d, k);
-                    invalidate_copies(&mut known, d);
+                    let fact = facts.known[*s as usize].unwrap_or(Known::Copy(*s));
+                    facts.record(*d, fact);
                 }
             }
             other => {
                 if let Some(d) = other.dst() {
-                    known.remove(&d);
-                    invalidate_copies(&mut known, d);
+                    facts.forget(d);
                 }
             }
         }
-    }
-}
-
-fn invalidate_copies(known: &mut HashMap<Reg, Known>, written: Reg) {
-    let stale: Vec<Reg> = known
-        .iter()
-        .filter(|(_, k)| matches!(k, Known::Copy(s) if *s == written))
-        .map(|(r, _)| *r)
-        .collect();
-    for r in stale {
-        known.remove(&r);
-    }
-}
-
-fn const_of(known: &HashMap<Reg, Known>, r: Reg) -> Option<Known> {
-    match known.get(&r)? {
-        Known::Copy(s) => const_of(known, *s),
-        k => Some(*k),
     }
 }
 
@@ -559,11 +547,18 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
 fn dce(f: &mut Function) {
     // The keep-set is the least fixed point of "kept if effectful, or if
     // it defines a register some kept instruction reads" (flow-
-    // insensitive). `defs` maps each register to the pure instructions
-    // defining it; liveness then spreads from the effectful roots along a
-    // worklist, visiting every instruction at most once.
+    // insensitive). Liveness spreads from the effectful roots along a
+    // worklist over each register's pure definitions, visiting every
+    // instruction at most once.
+    //
+    // An instruction writes at most one register, so the definitions of a
+    // register are a list threaded through the instructions themselves:
+    // `last_def[r]` is its newest pure definition, `prev_def[i]` the one
+    // before instruction `i`.
+    const NONE: u32 = u32::MAX;
     let mut keep = vec![false; f.code.len()];
-    let mut defs: Vec<Vec<usize>> = vec![Vec::new(); f.regs.len()];
+    let mut last_def = vec![NONE; f.regs.len()];
+    let mut prev_def = vec![NONE; f.code.len()];
     let mut work = Vec::new();
     for (i, ins) in f.code.iter().enumerate() {
         // Self-moves are pure no-ops (SROA leaves them for pc alignment).
@@ -571,7 +566,9 @@ fn dce(f: &mut Function) {
             continue;
         }
         match ins.dst() {
-            Some(d) if !ins.has_side_effects() => defs[d as usize].push(i),
+            Some(d) if !ins.has_side_effects() => {
+                prev_def[i] = std::mem::replace(&mut last_def[d as usize], i as u32);
+            }
             _ => {
                 keep[i] = true;
                 work.push(i);
@@ -579,13 +576,15 @@ fn dce(f: &mut Function) {
         }
     }
     while let Some(i) = work.pop() {
-        for s in f.code[i].sources() {
+        f.code[i].for_each_source(|s| {
             // Every definition of a read register becomes live, once.
-            for d in std::mem::take(&mut defs[s as usize]) {
-                keep[d] = true;
-                work.push(d);
+            let mut d = std::mem::replace(&mut last_def[s as usize], NONE);
+            while d != NONE {
+                keep[d as usize] = true;
+                work.push(d as usize);
+                d = prev_def[d as usize];
             }
-        }
+        });
     }
     if keep.iter().all(|k| *k) {
         return;
@@ -736,11 +735,11 @@ fn sroa(f: &mut Function) {
                 }
             }
             other => {
-                for u in other.sources() {
+                other.for_each_source(|u| {
                     if let Some(&r) = root.get(&u) {
                         bad.insert(r);
                     }
-                }
+                });
                 if let Some(d) = other.dst() {
                     if let Some(&r) = root.get(&d) {
                         bad.insert(r);
@@ -924,94 +923,9 @@ fn inline_at(caller: &mut Function, pc: usize, callee: &Function, args: &[Reg], 
 }
 
 fn remap_regs(ins: &mut Instr, base: Reg) {
-    let m = |r: &mut Reg| *r += base;
-    match ins {
-        Instr::ConstI32(d, _)
-        | Instr::ConstI64(d, _)
-        | Instr::ConstF32(d, _)
-        | Instr::ConstF64(d, _)
-        | Instr::ConstBool(d, _) => m(d),
-        Instr::Mov(d, s) => {
-            m(d);
-            m(s);
-        }
-        Instr::Bin { dst, lhs, rhs, .. } => {
-            m(dst);
-            m(lhs);
-            m(rhs);
-        }
-        Instr::Neg { dst, src, .. } | Instr::Not { dst, src } | Instr::Cast { dst, src, .. } => {
-            m(dst);
-            m(src);
-        }
-        Instr::Br { cond, .. } => m(cond),
-        Instr::Ret(Some(r)) => m(r),
-        Instr::Call { args, dst, .. } | Instr::CallHost { args, dst, .. } => {
-            for a in args {
-                m(a);
-            }
-            if let Some(d) = dst {
-                m(d);
-            }
-        }
-        Instr::NewObj { dst, .. } => m(dst),
-        Instr::GetField { obj, dst, .. } => {
-            m(obj);
-            m(dst);
-        }
-        Instr::PutField { obj, src, .. } => {
-            m(obj);
-            m(src);
-        }
-        Instr::CallVirt {
-            recv, args, dst, ..
-        } => {
-            m(recv);
-            for a in args {
-                m(a);
-            }
-            if let Some(d) = dst {
-                m(d);
-            }
-        }
-        Instr::NewArr { len, dst, .. } | Instr::SharedAlloc { len, dst, .. } => {
-            m(len);
-            m(dst);
-        }
-        Instr::LdArr { arr, idx, dst } => {
-            m(arr);
-            m(idx);
-            m(dst);
-        }
-        Instr::StArr { arr, idx, src } => {
-            m(arr);
-            m(idx);
-            m(src);
-        }
-        Instr::ArrLen { arr, dst } => {
-            m(arr);
-            m(dst);
-        }
-        Instr::FreeArr { arr } => m(arr),
-        Instr::Intrin { args, dst, .. } => {
-            for a in args {
-                m(a);
-            }
-            if let Some(d) = dst {
-                m(d);
-            }
-        }
-        Instr::Launch {
-            grid, block, args, ..
-        } => {
-            for g in grid.iter_mut().chain(block.iter_mut()) {
-                m(g);
-            }
-            for a in args {
-                m(a);
-            }
-        }
-        Instr::Jmp(_) | Instr::Ret(None) | Instr::Sync => {}
+    ins.for_each_source_mut(|r| *r += base);
+    if let Some(d) = ins.dst_mut() {
+        *d += base;
     }
 }
 

@@ -140,6 +140,16 @@ struct ClassMeta {
     statics: Vec<u64>,
 }
 
+/// The class metas of one file with what they were derived from: the
+/// file's text and the id its first class was given. A rebuild that finds
+/// both unchanged keeps the metas instead of fingerprinting every body of
+/// the file again.
+struct FileMetas {
+    text_hash: u64,
+    first: u32,
+    classes: Vec<ClassMeta>,
+}
+
 fn meta_of(c: &ast::ClassDecl, id: ClassId) -> ClassMeta {
     let mut methods = Vec::with_capacity(c.methods.len());
     for m in &c.methods {
@@ -255,7 +265,7 @@ pub struct Database {
     files: Vec<FileEntry>,
     parse: Vec<Option<ParseMemo>>,
     /// Per-file class metas of the last rebuild (early-cutoff baseline).
-    metas: Vec<Vec<ClassMeta>>,
+    metas: Vec<FileMetas>,
     typeck: HashMap<(ClassId, Member), TypeckMemo>,
     snapshot: Option<Snapshot>,
     lower: RefCell<HashMap<LowerKey, StoredMemo>>,
@@ -367,31 +377,44 @@ impl Database {
 
         // Item-tree pass: per-class source fingerprints with predicted
         // class ids (Object = 0, then declaration order across files —
-        // exactly `table::build`'s assignment).
-        let mut metas: Vec<Vec<ClassMeta>> = Vec::with_capacity(self.files.len());
+        // exactly `table::build`'s assignment). Only a file whose text or
+        // whose place in the id sequence changed is fingerprinted again.
         let mut next = 1u32;
-        for p in &self.parse {
-            let unit = &p.as_ref().expect("parsed above").unit;
-            let mut v = Vec::with_capacity(unit.classes.len());
-            for c in &unit.classes {
-                v.push(meta_of(c, ClassId(next)));
-                next += 1;
-            }
-            metas.push(v);
-        }
-
-        // Early cutoff at the item tree: the file re-parsed but nothing
-        // semantic changed (e.g. whitespace/comment edits).
-        for (i, was) in reparsed.iter().enumerate() {
-            if *was && self.metas.get(i).is_some_and(|old| *old == metas[i]) {
+        for (i, p) in self.parse.iter().enumerate() {
+            let memo = p.as_ref().expect("parsed above");
+            let first = next;
+            next += memo.unit.classes.len() as u32;
+            let old = self.metas.get(i);
+            let unchanged =
+                if old.is_some_and(|o| o.text_hash == memo.text_hash && o.first == first) {
+                    true
+                } else {
+                    let classes: Vec<ClassMeta> = (memo.unit.classes.iter().zip(first..))
+                        .map(|(c, id)| meta_of(c, ClassId(id)))
+                        .collect();
+                    let unchanged = old.is_some_and(|o| o.classes == classes);
+                    let fresh = FileMetas {
+                        text_hash: memo.text_hash,
+                        first,
+                        classes,
+                    };
+                    match self.metas.get_mut(i) {
+                        Some(slot) => *slot = fresh,
+                        None => self.metas.push(fresh),
+                    }
+                    unchanged
+                };
+            // Early cutoff at the item tree: the file re-parsed but nothing
+            // semantic changed (e.g. whitespace/comment edits).
+            if reparsed[i] && unchanged {
                 self.stats.get_mut().early_cutoffs += 1;
             }
         }
 
         let mut sem = Fingerprint::seeded(0x7365_6d66); // "semf"
-        for (fe, ms) in self.files.iter().zip(&metas) {
-            sem.str(&fe.name).u32(ms.len() as u32);
-            for m in ms {
+        for (fe, ms) in self.files.iter().zip(&self.metas) {
+            sem.str(&fe.name).u32(ms.classes.len() as u32);
+            for m in &ms.classes {
                 sem.str(&m.name).u64(m.item).u64(m.ctor);
                 for v in m.methods.iter().chain(&m.inits).chain(&m.statics) {
                     sem.u64(*v);
@@ -403,10 +426,8 @@ impl Database {
         if self.snapshot.as_ref().is_some_and(|s| s.sem_fp == sem_fp) {
             // Nothing semantic changed: the entire derived state is
             // reused as-is.
-            self.metas = metas;
             return Ok(());
         }
-        self.metas = metas;
 
         let units: Vec<ast::Unit> = self
             .parse
@@ -424,12 +445,14 @@ impl Database {
         // Item fingerprints by id (Object at 0 is constant).
         let mut item_fp = vec![0u64; table.classes.len()];
         item_fp[0] = OBJECT_FP;
-        for m in self.metas.iter().flatten() {
+        for m in self.metas.iter().flat_map(|f| &f.classes) {
             debug_assert_eq!(table.name(m.id), m.name, "class id prediction drifted");
             item_fp[m.id.0 as usize] = m.item;
         }
-        let flat: HashMap<ClassId, &ClassMeta> =
-            self.metas.iter().flatten().map(|m| (m.id, m)).collect();
+        let flat: HashMap<ClassId, &ClassMeta> = (self.metas.iter())
+            .flat_map(|f| &f.classes)
+            .map(|m| (m.id, m))
+            .collect();
 
         let hierarchy_fp = hierarchy_fp(&table);
         let globals_fp = globals_fp(&table, &flat);
@@ -437,10 +460,9 @@ impl Database {
         // typeck_body queries: validate memos, re-run invalid ones.
         let mut installs: Vec<(ClassId, Member, Payload, u64)> = Vec::new();
         let mut fresh: Vec<((ClassId, Member), TypeckMemo)> = Vec::new();
-        let ids: Vec<ClassId> = table.iter().map(|c| c.id).skip(1).collect();
-        for id in ids {
+        for info in table.iter().skip(1) {
+            let id = info.id;
             let Some(meta) = flat.get(&id) else { continue };
-            let info = table.class(id).clone();
 
             let mut bodies: Vec<(Member, u64)> = Vec::new();
             for (i, f) in info.fields.iter().enumerate() {

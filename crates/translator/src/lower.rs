@@ -418,7 +418,7 @@ impl<'t> Lowerer<'t> {
         flatten: bool,
         ret_shape: Option<Shape>,
     ) -> TResult<SpecResult> {
-        let m = self.table.method(key.class, key.method).clone();
+        let m = self.table.method(key.class, key.method);
         let Some(body) = &m.body else {
             return Err(TransError::new(format!(
                 "cannot lower body-less method `{}::{}`",
@@ -514,7 +514,7 @@ impl<'t> Lowerer<'t> {
             self.trace_edge(key, true, true, id);
             return Ok(id);
         }
-        let m = self.table.method(key.class, key.method).clone();
+        let m = self.table.method(key.class, key.method);
         if m.ret != Type::Void {
             return Err(TransError::new(format!(
                 "@Global method `{}` must return void",
@@ -946,7 +946,7 @@ impl<'t> Lowerer<'t> {
                 }
             }
             TExprKind::GetStatic { class, index } => {
-                let f = self.table.class(*class).statics[*index as usize].clone();
+                let f = &self.table.class(*class).statics[*index as usize];
                 let init = f.init.as_ref().ok_or_else(|| {
                     TransError::new(format!("static `{}` has no constant initializer", f.name))
                 })?;
@@ -1198,7 +1198,7 @@ impl<'t> Lowerer<'t> {
         args: &[TExpr],
         is_virtual: bool,
     ) -> TResult<Option<Opnd>> {
-        let decl = self.table.method(decl_class, index).clone();
+        let decl = self.table.method(decl_class, index);
         // Resolve the implementation from the receiver's exact shape.
         let (ic, im) = match (&recv, is_virtual) {
             (Some(r), true) => {
@@ -1218,7 +1218,7 @@ impl<'t> Lowerer<'t> {
             }
             _ => (decl_class, index),
         };
-        let target = self.table.method(ic, im).clone();
+        let target = self.table.method(ic, im);
 
         // Native intrinsic?
         if let Some(key) = &target.native {
@@ -1226,7 +1226,7 @@ impl<'t> Lowerer<'t> {
             for a in args {
                 arg_opnds.push(self.expr(fx, a)?);
             }
-            return self.lower_native(fx, key, &target, arg_opnds);
+            return self.lower_native(fx, key, target, arg_opnds);
         }
 
         let mut arg_opnds = Vec::with_capacity(args.len());
@@ -1326,7 +1326,7 @@ impl<'t> Lowerer<'t> {
                 "recursive call chain reached inlining (coding rule 6)",
             ));
         }
-        let m = self.table.method(key.class, key.method).clone();
+        let m = self.table.method(key.class, key.method);
         let Some(body) = &m.body else {
             return Err(TransError::new("cannot inline a body-less method"));
         };
@@ -1682,7 +1682,7 @@ impl<'t> Lowerer<'t> {
         args: Vec<Opnd>,
         fields: &mut Vec<Option<Opnd>>,
     ) -> TResult<()> {
-        let info = self.table.class(class).clone();
+        let info = self.table.class(class);
         let Some(ctor) = &info.ctor else {
             return Err(TransError::new(format!(
                 "`{}` has no constructor",

@@ -68,7 +68,7 @@ impl<'t> ShapeEval<'t> {
     }
 
     fn method_return_inner(&mut self, key: &SpecKey) -> TResult<Option<Shape>> {
-        let m = self.table.method(key.class, key.method).clone();
+        let m = self.table.method(key.class, key.method);
         if let Some(native) = &m.native {
             return native_return_shape(&m.ret, native);
         }
@@ -478,7 +478,7 @@ impl<'t> ShapeEval<'t> {
         arg_shapes: &[Shape],
         fields: &mut Vec<Option<Shape>>,
     ) -> TResult<()> {
-        let info = self.table.class(class).clone();
+        let info = self.table.class(class);
         let Some(ctor) = &info.ctor else {
             return Err(TransError::new(format!(
                 "`{}` has no constructor",

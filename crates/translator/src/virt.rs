@@ -132,7 +132,7 @@ impl<'t> VirtLowerer<'t> {
         if let Some(&f) = self.methods.get(&(class, method)) {
             return Ok(f);
         }
-        let m = self.table.method(class, method).clone();
+        let m = self.table.method(class, method);
         if m.is_global {
             return Err(TransError::new(format!(
                 "@Global `{}` cannot be translated with virtual dispatch; \
@@ -217,7 +217,7 @@ impl<'t> VirtLowerer<'t> {
         if let Some(&f) = self.ctors.get(&class) {
             return Ok(f);
         }
-        let info = self.table.class(class).clone();
+        let info = self.table.class(class);
         let Some(ctor) = &info.ctor else {
             return Err(TransError::new(format!(
                 "`{}` has no constructor",
@@ -534,7 +534,7 @@ impl<'t> VirtLowerer<'t> {
                 Ok(dst)
             }
             TExprKind::GetStatic { class, index } => {
-                let f = self.table.class(*class).statics[*index as usize].clone();
+                let f = &self.table.class(*class).statics[*index as usize];
                 let init = f.init.as_ref().ok_or_else(|| {
                     TransError::new(format!("static `{}` has no constant initializer", f.name))
                 })?;
@@ -713,7 +713,7 @@ impl<'t> VirtLowerer<'t> {
         is_virtual: bool,
         ret_ty: &Type,
     ) -> TResult<Option<Reg>> {
-        let decl = self.table.method(decl_class, index).clone();
+        let decl = self.table.method(decl_class, index);
         // Natives are intrinsics in every mode.
         if let Some(key) = &decl.native {
             if key == "cuda.sync" {

@@ -1,6 +1,6 @@
 //! Two-tier artifact-store acceptance: a fresh env against a populated
-//! `DiskStore` performs zero translator/NIR work and is ≥10× faster than
-//! a cold translate; corrupted / truncated / version-skewed artifacts
+//! `DiskStore` performs zero translator/NIR work (asserted on the cache's
+//! own counters) and is faster than a cold translate; corrupted / truncated / version-skewed artifacts
 //! degrade to a cold translate (never panic); memory fronts disk
 //! (promotion); the disk tier is size-bounded; and a shared-cache
 //! `jit4mpi` world translates each key exactly once regardless of size.
@@ -173,9 +173,15 @@ fn fresh_env_warm_starts_from_disk_with_zero_translator_work() {
         .collect();
     warm_walls.sort();
     let warm_wall = warm_walls[warm_walls.len() / 2];
+    // That no translator work happened is what the counters above say.
+    // The clock only has to agree in direction: how many times faster a
+    // decode is than a translate measures how slow the translator is (the
+    // bar here was 10x until the translator stopped copying the program
+    // it compiles), so the margin asked for is one scheduler noise cannot
+    // eat, not one a faster translator fails.
     assert!(
-        cold_wall >= warm_wall * 10,
-        "disk warm start must be >= 10x faster than cold translate: \
+        cold_wall >= warm_wall * 2,
+        "disk warm start must be faster than a cold translate: \
          cold {cold_wall:?}, warm {warm_wall:?}"
     );
 

@@ -25,9 +25,18 @@ echo "==   decoder's unchecked offset+len fails on a different line (or     =="
 echo "==   not at all) than in the debug run above                          =="
 cargo test --release --offline -q -p exec
 
+echo "== fold against its reference, optimized: the 4k-vs-32k scaling ratio  =="
+echo "==   is only meaningful with the optimizer on (the debug run above keeps =="
+echo "==   the differential half)                                              =="
+cargo test --release --offline -q -p nir --test opt_properties
+
 echo "== workspace tests again on real OS threads (WJ_EXECUTOR=threads; =="
 echo "==   every assertion must hold bit-for-bit)                       =="
 WJ_EXECUTOR=threads cargo test -q --offline
+
+echo "== pass-profile smoke run (a cold compile stage by stage, front end  =="
+echo "==   included; asserts parallel-lowering profile parity)              =="
+cargo run --release --offline -q -p bench --bin repro -- pass-profile --quick
 
 echo "== fault-matrix smoke run =="
 cargo run --release --offline -q -p bench --bin repro -- fault-matrix --quick
