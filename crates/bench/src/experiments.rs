@@ -2504,11 +2504,20 @@ fn incr_sources(k: usize) -> Vec<(String, String)> {
 /// it in, the ratio tracks how fast the optimizer is rather than how much
 /// front-end and lowering work the query memos save. The quick variant
 /// measures 8–10× on a 2-core host; a re-JIT path twice as slow fails.
+///
+/// Also asserted, as a count: after a body edit, the only method and
+/// constructor bodies of the new table that are new allocations are the
+/// ones the edit re-checked — every other one is the previous revision's
+/// (DESIGN §19, "bodies are shared, skeletons are owned"). What the
+/// rebuild inside each body edit cost is printed lap by lap
+/// (`querydb::RebuildLaps`).
 pub fn incremental(quick: bool) -> Figure {
     use wootinj::Workspace;
 
     let k = if quick { 24 } else { 40 };
-    let probes = if quick { 3 } else { 7 };
+    // Seven probes a side in both variants: each is a few milliseconds, and
+    // a median of three does not outlast one burst of host noise.
+    let probes = 7;
     let mut files = incr_sources(k);
 
     let build = |files: &[(String, String)]| -> Workspace {
@@ -2558,7 +2567,7 @@ pub fn incremental(quick: bool) -> Figure {
     // body) across fresh workspaces, and its executed-query count.
     let mut cold_walls: Vec<Duration> = Vec::new();
     let mut cold_sans_opt: Vec<Duration> = Vec::new();
-    for _ in 0..probes.max(3) {
+    for _ in 0..probes {
         let t0 = std::time::Instant::now();
         let ws = build(&files);
         let program = jit(&ws);
@@ -2634,6 +2643,9 @@ pub fn incremental(quick: bool) -> Figure {
     let mut body_edit_walls: Vec<Duration> = Vec::new();
     let mut body_edit_sans_opt: Vec<Duration> = Vec::new();
     let mut body_edit_executed: Vec<u64> = Vec::new();
+    let mut body_edit_laps: Vec<wootinj::RebuildLaps> = Vec::new();
+    let mut blocks = (0, 0); // in the table, of which new allocations
+    let mut body_edit_artifacts = Vec::new(); // with the sources they came from
     for (kind_idx, (name, make)) in kinds.iter().enumerate() {
         let mut series = Series::new(*name);
         for n in 0..probes {
@@ -2641,6 +2653,14 @@ pub fn incremental(quick: bool) -> Figure {
             let (file, text) = make(1 + (n * 5) % k, salt);
             upsert(&mut files, &file, text.clone());
             let before = ws.query_stats();
+            let laps_before = ws.rebuild_laps();
+            let body_edit = *name == "body-edit-ms";
+            // This revision's bodies, held across the edit.
+            let held = if body_edit {
+                ws.db().typed_blocks()
+            } else {
+                Vec::new()
+            };
             let t0 = std::time::Instant::now();
             ws.edit(&file, &text)
                 .or_else(|_| ws.set_source(&file, &text))
@@ -2648,22 +2668,46 @@ pub fn incremental(quick: bool) -> Figure {
             let program = jit(&ws);
             let wall = t0.elapsed();
             series.push(n as f64, wall.as_secs_f64() * 1e3);
-            if *name == "body-edit-ms" {
+            if body_edit {
                 body_edit_walls.push(wall);
                 body_edit_sans_opt.push(sans_opt(wall, &program));
-                body_edit_executed.push(ws.query_stats().since(&before).executed());
-                // Determinism contract: bit-identical to from-scratch.
-                let scratch = jit(&build(&files));
+                let delta = ws.query_stats().since(&before);
+                body_edit_executed.push(delta.executed());
+                body_edit_laps.push(ws.rebuild_laps().since(&laps_before));
+                let now = ws.db().typed_blocks();
+                let fresh = (now.iter())
+                    .filter(|(bid, body)| {
+                        !(held.iter()).any(|(b, old)| b == bid && std::sync::Arc::ptr_eq(body, old))
+                    })
+                    .count();
                 assert_eq!(
-                    program.encode_semantic(),
-                    scratch.encode_semantic(),
-                    "incremental: artifact diverged from from-scratch after body edit {n}"
+                    fresh as u64,
+                    delta.typeck_executed,
+                    "incremental: body edit {n} re-checked {} bodies but {fresh} of the new \
+                     table's {} are new allocations — an unchanged body was copied",
+                    delta.typeck_executed,
+                    now.len()
                 );
+                blocks = (now.len(), fresh);
+                body_edit_artifacts.push((files.clone(), program.encode_semantic()));
             } else {
                 std::hint::black_box(program);
             }
         }
         fig.series.push(series);
+    }
+    // Determinism contract: bit-identical to from-scratch. Checked once
+    // the probes are done, against the bytes and not a kept program: a
+    // probe whose predecessor's program is still alive (or that follows a
+    // scratch build) lowers into memory the process has not touched yet,
+    // and times the page faults — a third on top of the same work in the
+    // value-edit series, which frees each program before the next probe.
+    for (n, (files, artifact)) in body_edit_artifacts.iter().enumerate() {
+        assert_eq!(
+            *artifact,
+            jit(&build(files)).encode_semantic(),
+            "incremental: artifact diverged from from-scratch after body edit {n}"
+        );
     }
 
     let body_wall = median(body_edit_walls);
@@ -2685,6 +2729,43 @@ pub fn incremental(quick: bool) -> Figure {
         body_sans_opt,
         cold_executed,
         body_edit_executed.iter().max().unwrap(),
+    ));
+
+    // What the rebuild inside a body edit cost, lap by lap.
+    type Lap = (&'static str, fn(&wootinj::RebuildLaps) -> u64);
+    let laps: [Lap; 7] = [
+        ("parse", |l| l.parse_ns),
+        ("item tree", |l| l.item_tree_ns),
+        ("unit hand-over", |l| l.hand_over_ns),
+        ("table::build", |l| l.table_build_ns),
+        ("typeck loop", |l| l.typeck_ns),
+        ("write-back", |l| l.write_back_ns),
+        ("install", |l| l.install_ns),
+    ];
+    let mut lap_series = Series::new("rebuild-lap-us");
+    let mut lap_note = Vec::new();
+    let mut lap_sum = 0.0;
+    for (i, (name, get)) in laps.iter().enumerate() {
+        let ns = median(
+            (body_edit_laps.iter())
+                .map(|l| Duration::from_nanos(get(l)))
+                .collect(),
+        );
+        let us = ns.as_secs_f64() * 1e6;
+        lap_series.push(i as f64, us);
+        lap_note.push(format!("{name} {us:.0}"));
+        lap_sum += us;
+    }
+    fig.series.push(lap_series);
+    fig.note(format!(
+        "Database::rebuild per body edit, median of {} (us): {}; sum {lap_sum:.0}",
+        body_edit_laps.len(),
+        lap_note.join(" | "),
+    ));
+    fig.note(format!(
+        "asserted: of the table's {} method and constructor bodies, a body edit allocates {} \
+         (the ones it re-checks); the rest are the previous revision's allocations",
+        blocks.0, blocks.1
     ));
 
     for &executed in &body_edit_executed {
@@ -2854,7 +2935,7 @@ pub fn dist_processes(quick: bool) -> Figure {
 
 pub fn service(quick: bool) -> Figure {
     use jitd::client::{jit_request, Client};
-    use jitd::proto::{Arg, Reply, Request, ServiceStats, ShedReason};
+    use jitd::proto::{Arg, JitRequest, Reply, Request, ServiceStats, ShedReason};
     use jitd::{Daemon, DaemonConfig};
     use std::time::{Duration, Instant};
 
@@ -3054,13 +3135,12 @@ pub fn service(quick: bool) -> Figure {
 
     // Wave 4 — chaos: a mid-request death, a truncated frame, and raw
     // garbage; a healthy client must still be served afterwards.
-    let ghost_req = Request::Jit(jit_request(
-        "svc.jl",
-        &source_for(2),
-        "Svc",
-        "run",
-        vec![Arg::I32(4)],
-    ));
+    // The ghost's request holds its slot a while after the work, so its
+    // close comes before the daemon looks for someone to reply to.
+    let ghost_req = Request::Jit(JitRequest {
+        hold_ms: 300,
+        ..jit_request("svc.jl", &source_for(2), "Svc", "run", vec![Arg::I32(4)])
+    });
     Client::connect(port, "ghost")
         .unwrap()
         .send_and_die(&ghost_req);

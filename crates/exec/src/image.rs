@@ -224,11 +224,12 @@ impl<'p> Image<'p> {
 }
 
 fn decode_function(f: &Function, program: &Program) -> Result<Vec<Op>, ExecError> {
-    f.code
-        .iter()
-        .enumerate()
-        .map(|(pc, ins)| decode(ins, program).map_err(|e| e.at(&f.name, pc as u32)))
-        .collect()
+    // Collecting through `Result` has no size hint and grows by doubling.
+    let mut ops = Vec::with_capacity(f.code.len());
+    for (pc, ins) in f.code.iter().enumerate() {
+        ops.push(decode(ins, program).map_err(|e| e.at(&f.name, pc as u32))?);
+    }
+    Ok(ops)
 }
 
 fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {

@@ -122,7 +122,7 @@ impl Client {
     /// reading the reply — a client that dies mid-request.
     pub fn send_and_die(mut self, req: &Request) {
         let _ = write_frame(&mut self.stream, &proto::encode_request(req));
-        // Drop: the daemon's reply write hits a dead peer.
+        // Drop: by the time the daemon owes the reply, nobody is there.
     }
 }
 

@@ -413,13 +413,35 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             Request::Jit(j) => serve_jit(shared, &hello.tenant, j),
         };
-        if write_frame(&mut stream, &proto::encode_reply(&reply)).is_err() {
-            // Client died between request and reply: the work is done
-            // and accounted; only the delivery failed.
+        // Client died between request and reply: the work is done and
+        // accounted; only the delivery fails. Asked before writing,
+        // because a first write to a peer that has closed succeeds — the
+        // error would surface on some later write, if there were one.
+        if peer_closed(&stream) || write_frame(&mut stream, &proto::encode_reply(&reply)).is_err() {
             shared.stats.lock().unwrap().disconnects += 1;
             return;
         }
     }
+}
+
+/// Has the client closed its end? The protocol is strictly request →
+/// reply, so while a reply is owed nothing more can arrive from a live
+/// client: a non-blocking peek finds no data (`WouldBlock`), and
+/// end-of-stream or a reset there means the client is gone.
+fn peer_closed(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let closed = match stream.peek(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+        ),
+    };
+    // Left non-blocking, the reply write and every later read would fail
+    // where they should wait: a stream that cannot be put back is unusable.
+    closed || stream.set_nonblocking(false).is_err()
 }
 
 /// One admitted-or-shed request, start to finish. Every path produces

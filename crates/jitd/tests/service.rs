@@ -168,10 +168,14 @@ fn chaos_clients_never_hang_or_kill_the_daemon() {
     });
 
     // A client that sends a valid request and dies without reading the
-    // reply: the daemon does the work, fails the delivery, and counts it.
+    // reply: the daemon does the work, finds nobody to deliver it to, and
+    // counts it. The request holds its slot a while after the work, so
+    // the close (made before `send_and_die` returns) comes first.
+    let mut ghost_req = doubler_req(2);
+    ghost_req.hold_ms = 300;
     Client::connect(port, "ghost")
         .unwrap()
-        .send_and_die(&Request::Jit(doubler_req(2)));
+        .send_and_die(&Request::Jit(ghost_req));
 
     // A client that truncates its frame mid-payload.
     Client::connect(port, "cutter")

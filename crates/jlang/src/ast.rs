@@ -3,6 +3,14 @@
 //! Names are unresolved strings at this stage; the resolver/type checker in
 //! [`crate::typeck`] turns this into the typed representation in
 //! [`crate::tast`].
+//!
+//! Everything with a body — a method or constructor body, `super(...)`
+//! arguments, a field initializer — is held by [`Arc`]: immutable once
+//! parsed, and shared from then on by whoever holds the declaration (a
+//! parse memo, every class table built from it). Cloning a [`Unit`]
+//! copies the declaration skeleton and bumps those counts.
+
+use std::sync::Arc;
 
 use crate::span::Span;
 
@@ -85,7 +93,7 @@ pub struct FieldDecl {
     pub ty: TypeRef,
     pub annotations: Vec<Annotation>,
     pub modifiers: Modifiers,
-    pub init: Option<Expr>,
+    pub init: Option<Arc<Expr>>,
     pub span: Span,
 }
 
@@ -107,7 +115,7 @@ pub struct MethodDecl {
     pub modifiers: Modifiers,
     pub params: Vec<Param>,
     pub ret: TypeRef,
-    pub body: Option<Block>,
+    pub body: Option<Arc<Block>>,
     pub span: Span,
 }
 
@@ -116,8 +124,8 @@ pub struct MethodDecl {
 pub struct CtorDecl {
     pub params: Vec<Param>,
     /// Explicit `super(...)` call arguments, if written as the first statement.
-    pub super_args: Option<Vec<Expr>>,
-    pub body: Block,
+    pub super_args: Option<Arc<Vec<Expr>>>,
+    pub body: Arc<Block>,
     pub span: Span,
 }
 

@@ -8,6 +8,8 @@
 //! (ternary, `null`, `instanceof`, reference equality) are still parsed so
 //! that the rules checker can reject them with a good message.
 
+use std::sync::Arc;
+
 use crate::ast::*;
 use crate::span::{Diagnostic, Span};
 use crate::token::{lex, Tok, Token};
@@ -377,7 +379,7 @@ impl Parser {
             let body = if self.eat(Tok::Semi) {
                 None
             } else {
-                Some(self.block()?)
+                Some(Arc::new(self.block()?))
             };
             if body.is_none() && !is_interface && !modifiers.is_abstract {
                 let is_native = annotations.iter().any(|a| a.name == "Native");
@@ -420,9 +422,9 @@ impl Parser {
         Ok(())
     }
 
-    fn field_init(&mut self) -> PResult<Option<Expr>> {
+    fn field_init(&mut self) -> PResult<Option<Arc<Expr>>> {
         if self.eat(Tok::Assign) {
-            Ok(Some(self.expr()?))
+            Ok(Some(Arc::new(self.expr()?)))
         } else {
             Ok(None)
         }
@@ -447,7 +449,7 @@ impl Parser {
             }
             self.expect(Tok::RParen)?;
             self.expect(Tok::Semi)?;
-            super_args = Some(args);
+            super_args = Some(Arc::new(args));
         }
         let mut stmts = Vec::new();
         while !self.eat(Tok::RBrace) {
@@ -456,7 +458,7 @@ impl Parser {
         Ok(CtorDecl {
             params,
             super_args,
-            body: Block { stmts },
+            body: Arc::new(Block { stmts }),
             span: start.to(self.prev_span()),
         })
     }

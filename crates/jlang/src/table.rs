@@ -3,6 +3,7 @@
 //! the rules checker, the interpreter, and the translator.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast;
 use crate::span::{DiagResult, Diagnostic, Span};
@@ -27,10 +28,11 @@ pub struct FieldInfo {
     pub is_final: bool,
     /// `@Shared` — CUDA shared memory.
     pub is_shared: bool,
-    /// Untyped initializer, consumed by the type checker.
-    pub ast_init: Option<ast::Expr>,
-    /// Typed initializer, filled in by the type checker.
-    pub init: Option<TExpr>,
+    /// Untyped initializer, shared with the declaration it was parsed into;
+    /// released once the typed one is installed.
+    pub ast_init: Option<Arc<ast::Expr>>,
+    /// Typed initializer, installed by the type checker.
+    pub init: Option<Arc<TExpr>>,
     pub span: Span,
 }
 
@@ -47,10 +49,13 @@ pub struct MethodInfo {
     pub native: Option<String>,
     /// `@Global` — a CUDA kernel entry.
     pub is_global: bool,
-    /// Untyped body, consumed by the type checker.
-    pub ast_body: Option<ast::Block>,
-    /// Typed body, filled in by the type checker.
-    pub body: Option<TBlock>,
+    /// Untyped body, shared with the declaration it was parsed into;
+    /// released once the typed one is installed.
+    pub ast_body: Option<Arc<ast::Block>>,
+    /// Typed body, installed by the type checker. Immutable and shared: a
+    /// table built for a later revision of the sources points at the same
+    /// allocation for as long as the body's check stays valid.
+    pub body: Option<Arc<TBlock>>,
     /// Number of frame slots (params + locals); filled by the type checker.
     pub frame_size: u32,
     pub span: Span,
@@ -60,12 +65,12 @@ pub struct MethodInfo {
 #[derive(Debug)]
 pub struct CtorInfo {
     pub params: Vec<ParamInfo>,
-    pub ast_super_args: Option<Vec<ast::Expr>>,
-    pub ast_body: Option<ast::Block>,
+    pub ast_super_args: Option<Arc<Vec<ast::Expr>>>,
+    pub ast_body: Option<Arc<ast::Block>>,
     /// Typed `super(...)` arguments (empty when the superclass is Object).
-    pub super_args: Vec<TExpr>,
+    pub super_args: Arc<Vec<TExpr>>,
     /// Typed constructor body.
-    pub body: Option<TBlock>,
+    pub body: Option<Arc<TBlock>>,
     pub frame_size: u32,
     pub span: Span,
 }
@@ -581,7 +586,7 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
     }
 
     // Phase 3: members. The declarations are ours and nothing reads them
-    // afterwards, so bodies and initializers move into the table.
+    // afterwards, so the table takes their body and initializer pointers.
     for decl in &mut decls {
         let id = table.by_name(&decl.name).unwrap();
         let tps = table.class(id).type_params.clone();
@@ -709,8 +714,8 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 Some(CtorInfo {
                     params,
                     ast_super_args: c.super_args.take(),
-                    ast_body: Some(std::mem::take(&mut c.body)),
-                    super_args: Vec::new(),
+                    ast_body: Some(Arc::clone(&c.body)),
+                    super_args: Arc::default(),
                     body: None,
                     frame_size: 0,
                     span: c.span,
@@ -719,8 +724,8 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
             None if !decl.is_interface => Some(CtorInfo {
                 params: Vec::new(),
                 ast_super_args: None,
-                ast_body: Some(ast::Block::default()),
-                super_args: Vec::new(),
+                ast_body: Some(Arc::default()),
+                super_args: Arc::default(),
                 body: None,
                 frame_size: 0,
                 span: decl.span,

@@ -2,107 +2,154 @@
 //! initializers into the typed AST, resolving every name and inserting
 //! explicit widening conversions.
 
+use std::sync::Arc;
+
 use crate::ast::{self, BinOp, UnOp};
 use crate::span::{DiagResult, Diagnostic, Span};
-use crate::table::{ClassTable, TypeParamInfo};
+use crate::table::{ClassInfo, ClassTable, TypeParamInfo};
 use crate::tast::*;
 use crate::types::{ClassId, PrimKind, Type, OBJECT};
 
+/// Which body of a class: the unit the type checker works in, and the
+/// unit the incremental query layer memoizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Member {
+    /// Method body, by index in the class's method list.
+    Method(u32),
+    /// Constructor (super args + body).
+    Ctor,
+    /// One field initializer, by index in `fields` or `statics`.
+    Init { is_static: bool, index: u32 },
+}
+
+/// One checked body, as the class table holds it: immutable and shared.
+/// Whoever keeps a `Typed` (a query memo) and every table it was
+/// installed into point at the same allocation; cloning bumps counts.
+#[derive(Debug, Clone)]
+pub enum Typed {
+    Method {
+        body: Arc<TBlock>,
+        /// Frame slots (params + locals).
+        frame: u32,
+    },
+    Ctor {
+        /// Typed `super(...)` arguments.
+        super_args: Arc<Vec<TExpr>>,
+        body: Arc<TBlock>,
+        frame: u32,
+    },
+    Init(Arc<TExpr>),
+}
+
 /// Type check all bodies in `table`, storing typed bodies back into it.
 ///
-/// This is a driver over the per-body entry points below
-/// ([`check_field_init`], [`check_method_body`], [`check_ctor`]), which
-/// the incremental query layer calls one body at a time against a table
-/// snapshot. The driver preserves batch semantics: every body is
-/// checked and all diagnostics are collected before failing.
+/// This is a driver over [`unchecked_members`], [`check_member`] and
+/// [`install`], which the incremental query layer calls one body at a
+/// time against a table snapshot. The driver preserves batch semantics:
+/// every body is checked against the table as it stands and all
+/// diagnostics are collected before failing; the typed results go back in
+/// only after the last one.
 pub fn check(table: &mut ClassTable) -> DiagResult<()> {
     let mut diags = Vec::new();
-    let mut method_results: Vec<(ClassId, usize, TBlock, u32)> = Vec::new();
-    let mut ctor_results: Vec<(ClassId, Vec<TExpr>, TBlock, u32)> = Vec::new();
-    let mut field_results: Vec<(ClassId, bool, usize, TExpr)> = Vec::new();
-
-    // Every body is checked against the table as it stands; the typed
-    // results go back in only after the last one.
+    let mut results: Vec<(ClassId, Member, Typed)> = Vec::new();
     let read: &ClassTable = table;
     for info in read.iter() {
-        let id = info.id;
-
-        for (i, f) in info.fields.iter().enumerate() {
-            if f.ast_init.is_some() {
-                match check_field_init(read, id, false, i) {
-                    Ok(e) => field_results.push((id, false, i, e)),
-                    Err(mut d) => diags.append(&mut d),
-                }
-            }
-        }
-        for (i, f) in info.statics.iter().enumerate() {
-            if f.ast_init.is_some() {
-                match check_field_init(read, id, true, i) {
-                    Ok(e) => field_results.push((id, true, i, e)),
-                    Err(mut d) => diags.append(&mut d),
-                }
-            }
-        }
-
-        for (mi, m) in info.methods.iter().enumerate() {
-            if m.ast_body.is_none() {
-                continue;
-            }
-            match check_method_body(read, id, mi) {
-                Ok((tb, frame)) => method_results.push((id, mi, tb, frame)),
+        for member in unchecked_members(info) {
+            match check_member(read, info.id, member) {
+                Ok(typed) => results.push((info.id, member, typed)),
                 Err(mut d) => diags.append(&mut d),
             }
         }
-
-        if let Some(ctor) = &info.ctor {
-            if ctor.ast_body.is_some() {
-                match check_ctor(read, id) {
-                    Ok((sargs, tb, frame)) => ctor_results.push((id, sargs, tb, frame)),
-                    Err(mut d) => diags.append(&mut d),
-                }
-            }
-        }
     }
-
     if !diags.is_empty() {
         return Err(diags);
     }
-
-    for (id, mi, body, frame) in method_results {
-        let m = &mut table.class_mut(id).methods[mi];
-        m.body = Some(body);
-        m.frame_size = frame;
-        m.ast_body = None;
-    }
-    for (id, sargs, body, frame) in ctor_results {
-        let c = table.class_mut(id).ctor.as_mut().unwrap();
-        c.super_args = sargs;
-        c.body = Some(body);
-        c.frame_size = frame;
-        c.ast_body = None;
-    }
-    for (id, is_static, fi, e) in field_results {
-        let c = table.class_mut(id);
-        let f = if is_static {
-            &mut c.statics[fi]
-        } else {
-            &mut c.fields[fi]
-        };
-        f.init = Some(e);
-        f.ast_init = None;
+    for (id, member, typed) in results {
+        install(table, id, member, typed);
     }
     Ok(())
 }
 
-/// Type check one field initializer of class `id` against a table
-/// snapshot (the table is only read; the caller installs the result).
-/// Requires the untyped initializer (`ast_init`) to still be present.
-pub fn check_field_init(
+/// The members of `info` that hold an untyped body, in checking order:
+/// instance initializers, static initializers, methods, constructor.
+pub fn unchecked_members(info: &ClassInfo) -> Vec<Member> {
+    let mut out = Vec::new();
+    for (is_static, fields) in [(false, &info.fields), (true, &info.statics)] {
+        for (i, f) in fields.iter().enumerate() {
+            if f.ast_init.is_some() {
+                out.push(Member::Init {
+                    is_static,
+                    index: i as u32,
+                });
+            }
+        }
+    }
+    for (mi, m) in info.methods.iter().enumerate() {
+        if m.ast_body.is_some() {
+            out.push(Member::Method(mi as u32));
+        }
+    }
+    if info.ctor.as_ref().is_some_and(|c| c.ast_body.is_some()) {
+        out.push(Member::Ctor);
+    }
+    out
+}
+
+/// Type check one body of class `id` against a table snapshot (the table
+/// is only read; the caller installs the result). Requires the member's
+/// untyped body to still be present.
+pub fn check_member(table: &ClassTable, id: ClassId, member: Member) -> DiagResult<Typed> {
+    match member {
+        Member::Method(mi) => check_method_body(table, id, mi as usize),
+        Member::Ctor => check_ctor(table, id),
+        Member::Init { is_static, index } => check_field_init(table, id, is_static, index as usize),
+    }
+}
+
+/// Put a checked body into the table and release the untyped one.
+pub fn install(table: &mut ClassTable, id: ClassId, member: Member, typed: Typed) {
+    let c = table.class_mut(id);
+    match (member, typed) {
+        (Member::Method(mi), Typed::Method { body, frame }) => {
+            let m = &mut c.methods[mi as usize];
+            m.body = Some(body);
+            m.frame_size = frame;
+            m.ast_body = None;
+        }
+        (
+            Member::Ctor,
+            Typed::Ctor {
+                super_args,
+                body,
+                frame,
+            },
+        ) => {
+            let ct = c.ctor.as_mut().expect("install: class has no ctor");
+            ct.super_args = super_args;
+            ct.body = Some(body);
+            ct.frame_size = frame;
+            ct.ast_super_args = None;
+            ct.ast_body = None;
+        }
+        (Member::Init { is_static, index }, Typed::Init(e)) => {
+            let f = if is_static {
+                &mut c.statics[index as usize]
+            } else {
+                &mut c.fields[index as usize]
+            };
+            f.init = Some(e);
+            f.ast_init = None;
+        }
+        (member, typed) => unreachable!("install: {member:?} is not a {typed:?}"),
+    }
+}
+
+fn check_field_init(
     table: &ClassTable,
     id: ClassId,
     is_static: bool,
     fi: usize,
-) -> DiagResult<TExpr> {
+) -> DiagResult<Typed> {
     let info = table.class(id);
     let f = if is_static {
         &info.statics[fi]
@@ -111,8 +158,8 @@ pub fn check_field_init(
     };
     let init = f
         .ast_init
-        .as_ref()
-        .expect("check_field_init: untyped initializer already consumed");
+        .as_deref()
+        .expect("check_field_init: untyped initializer already released");
     let ty = f.ty.clone();
     // Instance field initializers are checked in constructor context.
     let mut ck = Checker::new(table, id, is_static, ty.clone());
@@ -122,21 +169,19 @@ pub fn check_field_init(
     };
     finish_body(
         ck.diags,
-        typed,
+        typed.map(|e| Typed::Init(Arc::new(e))),
         f.span,
         "field initializer failed to type check",
     )
 }
 
-/// Type check one method body of class `id` against a table snapshot.
-/// Returns the typed body and its frame size (max local slot count).
-pub fn check_method_body(table: &ClassTable, id: ClassId, mi: usize) -> DiagResult<(TBlock, u32)> {
+fn check_method_body(table: &ClassTable, id: ClassId, mi: usize) -> DiagResult<Typed> {
     let info = table.class(id);
     let m = &info.methods[mi];
     let body = m
         .ast_body
-        .as_ref()
-        .expect("check_method_body: untyped body already consumed");
+        .as_deref()
+        .expect("check_method_body: untyped body already released");
     let mut ck = Checker::new(table, id, m.is_static, m.ret.clone());
     for p in &m.params {
         ck.scope.declare(&p.name, p.ty.clone(), p.is_final);
@@ -153,25 +198,26 @@ pub fn check_method_body(table: &ClassTable, id: ClassId, mi: usize) -> DiagResu
             ),
         ));
     }
-    let frame = ck.scope.max_slot;
+    let typed = Typed::Method {
+        body: Arc::new(tb),
+        frame: ck.scope.max_slot,
+    };
     finish_body(
         ck.diags,
-        Some((tb, frame)),
+        Some(typed),
         m.span,
         "method body failed to type check",
     )
 }
 
-/// Type check the constructor of class `id` (super(...) arguments plus
-/// the body) against a table snapshot. Returns the typed super-call
-/// arguments, the typed body, and the frame size.
-pub fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<(Vec<TExpr>, TBlock, u32)> {
+/// The constructor of class `id`: super(...) arguments plus the body.
+fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<Typed> {
     let info = table.class(id);
     let ctor = info.ctor.as_ref().expect("check_ctor: class has no ctor");
     let body = ctor
         .ast_body
-        .as_ref()
-        .expect("check_ctor: untyped body already consumed");
+        .as_deref()
+        .expect("check_ctor: untyped body already released");
     let mut ck = Checker::new(table, id, false, Type::Void);
     ck.in_ctor = true;
     for p in &ctor.params {
@@ -180,7 +226,7 @@ pub fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<(Vec<TExpr>, TB
     // super(...) arguments against the superclass constructor.
     let mut targs_out = Vec::new();
     let sup = info.superclass.clone();
-    match (&ctor.ast_super_args, sup) {
+    match (ctor.ast_super_args.as_deref(), sup) {
         (Some(args), Some((sid, sargs))) if sid != OBJECT => {
             targs_out = ck.super_ctor_args(sid, &sargs, args, ctor.span);
         }
@@ -198,10 +244,14 @@ pub fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<(Vec<TExpr>, TB
         _ => {}
     }
     let tb = ck.block(body);
-    let frame = ck.scope.max_slot;
+    let typed = Typed::Ctor {
+        super_args: Arc::new(targs_out),
+        body: Arc::new(tb),
+        frame: ck.scope.max_slot,
+    };
     finish_body(
         ck.diags,
-        Some((targs_out, tb, frame)),
+        Some(typed),
         ctor.span,
         "constructor failed to type check",
     )

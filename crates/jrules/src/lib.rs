@@ -242,7 +242,7 @@ impl<'t> Analysis<'t> {
         }
         // (d) constructor restrictions.
         if let Some(ctor) = &info.ctor {
-            if !ctor_body_clean(ctor.body.as_ref(), &ctor.super_args) {
+            if !ctor_body_clean(ctor.body.as_deref(), &ctor.super_args) {
                 return false;
             }
         }
@@ -310,7 +310,7 @@ impl<'t> Analysis<'t> {
         if let Some(ctor) = &info.ctor {
             out.extend(ctor_violations(
                 &info.name,
-                ctor.body.as_ref(),
+                ctor.body.as_deref(),
                 &ctor.super_args,
             ));
         }
@@ -738,33 +738,32 @@ fn check_no_recursion(table: &ClassTable, ids: &[ClassId], out: &mut Vec<Diagnos
     let mut edges: HashMap<Node, Vec<Node>> = HashMap::new();
 
     let add_body_edges = |from: Node, body: &TBlock, edges: &mut HashMap<Node, Vec<Node>>| {
-        body.walk_exprs(&mut |e| {
-            let targets: Vec<Node> = match &e.kind {
-                TExprKind::Call { method, .. } => {
-                    // All implementations reachable from decl_class downward.
-                    let name = &table.method(method.decl_class, method.index).name;
-                    let mut t = Vec::new();
-                    let mut stack = vec![method.decl_class];
-                    let mut seen = Vec::new();
-                    while let Some(c) = stack.pop() {
-                        if seen.contains(&c) {
-                            continue;
-                        }
-                        seen.push(c);
-                        if let Some((ic, im)) = table.resolve_impl(c, name) {
-                            if !t.contains(&(ic, im)) {
-                                t.push((ic, im));
-                            }
-                        }
-                        stack.extend(table.class(c).subclasses.iter().copied());
+        // One map lookup per body: most expression nodes are not calls.
+        let succs = edges.entry(from).or_default();
+        body.walk_exprs(&mut |e| match &e.kind {
+            TExprKind::Call { method, .. } => {
+                // All implementations reachable from decl_class downward.
+                let name = &table.method(method.decl_class, method.index).name;
+                let mut t = Vec::new();
+                let mut stack = vec![method.decl_class];
+                let mut seen = Vec::new();
+                while let Some(c) = stack.pop() {
+                    if seen.contains(&c) {
+                        continue;
                     }
-                    t
+                    seen.push(c);
+                    if let Some((ic, im)) = table.resolve_impl(c, name) {
+                        if !t.contains(&(ic, im)) {
+                            t.push((ic, im));
+                        }
+                    }
+                    stack.extend(table.class(c).subclasses.iter().copied());
                 }
-                TExprKind::DirectCall { method, .. } => vec![(method.decl_class, method.index)],
-                TExprKind::StaticCall { class, index, .. } => vec![(*class, *index)],
-                _ => Vec::new(),
-            };
-            edges.entry(from).or_default().extend(targets);
+                succs.extend(t);
+            }
+            TExprKind::DirectCall { method, .. } => succs.push((method.decl_class, method.index)),
+            TExprKind::StaticCall { class, index, .. } => succs.push((*class, *index)),
+            _ => {}
         });
     };
 

@@ -303,7 +303,7 @@ impl<'t> Jvm<'t> {
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = Vec::new();
-                for a in &ctor.super_args {
+                for a in ctor.super_args.iter() {
                     sargs.push(self.eval(&mut frame, a)?);
                 }
                 self.run_ctor(obj, *sid, sargs)?;

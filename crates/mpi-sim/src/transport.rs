@@ -113,18 +113,18 @@ fn io_error(op: &'static str, e: std::io::Error) -> TransportError {
 }
 
 /// Write one framed payload: magic, version, little-endian length,
-/// payload bytes, trailing [`digest64`] checksum.
+/// payload bytes, trailing [`digest64`] checksum. The frame is built in
+/// one buffer and handed over in one write — one syscall and, when it
+/// fits, one segment on a `TCP_NODELAY` stream.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), TransportError> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    head[..4].copy_from_slice(&FRAME_MAGIC);
-    head[4] = WIRE_VERSION;
-    head[5..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    w.write_all(&head)
-        .map_err(|e| io_error("frame header write", e))?;
-    w.write_all(payload)
-        .map_err(|e| io_error("frame payload write", e))?;
-    w.write_all(&digest64(payload).to_le_bytes())
-        .map_err(|e| io_error("frame checksum write", e))?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 8);
+    frame.extend_from_slice(&FRAME_MAGIC);
+    frame.push(WIRE_VERSION);
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&digest64(payload).to_le_bytes());
+    w.write_all(&frame)
+        .map_err(|e| io_error("frame write", e))?;
     w.flush().map_err(|e| io_error("frame flush", e))?;
     Ok(())
 }

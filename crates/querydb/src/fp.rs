@@ -15,13 +15,14 @@
 //!   leaves it unchanged; adding/renaming members, changing signatures,
 //!   supers or annotations changes it.
 //! * **Body fingerprints** ([`body_fp`], [`ctor_src_fp`]) cover one
-//!   untyped body; typed-body hashes ([`thash_block`]) cover the
+//!   untyped body; typed-body hashes ([`thash_and_refs`]) cover the
 //!   type checker's output and feed the `lower_fn` memo validation.
 //!
 //! [`Span`]: jlang::span::Span
 
 use jlang::ast;
 use jlang::tast::{FieldSel, MethodSel, TBlock, TExpr, TExprKind, TStmt};
+use jlang::typeck::Typed;
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::hash::Fingerprint;
 
@@ -160,7 +161,7 @@ pub fn ctor_src_fp(c: &ast::ClassDecl) -> u64 {
             match &ct.super_args {
                 Some(args) => {
                     f.u8(1).u32(args.len() as u32);
-                    for a in args {
+                    for a in args.iter() {
                         hash_expr(&mut f, a);
                     }
                 }
@@ -482,7 +483,7 @@ fn hash_method_sel(f: &mut Fingerprint, s: &MethodSel) {
 /// Fingerprint of one typed body (plus its frame size). This is what a
 /// `lower_fn` memo records per body dependency: if the re-typechecked
 /// body hashes identically, lowering it again would emit identical NIR.
-pub fn thash_block(b: &TBlock, frame: u32) -> u64 {
+fn thash_block(b: &TBlock, frame: u32) -> u64 {
     let mut f = Fingerprint::seeded(0x7462_6c6b); // "tblk"
     f.u32(frame);
     thash_blk(&mut f, b);
@@ -490,13 +491,43 @@ pub fn thash_block(b: &TBlock, frame: u32) -> u64 {
 }
 
 /// Fingerprint of a typed expression list (super-ctor args etc.).
-pub fn thash_exprs(es: &[TExpr]) -> u64 {
+fn thash_exprs(es: &[TExpr]) -> u64 {
     let mut f = Fingerprint::seeded(0x7465_7873); // "texs"
     f.u32(es.len() as u32);
     for e in es {
         thash_expr(&mut f, e);
     }
     f.finish()
+}
+
+/// The early-cutoff hash of one checked body, with every class it
+/// resolved against (see [`collect_refs`]).
+pub fn thash_and_refs(typed: &Typed) -> (u64, Vec<ClassId>) {
+    let mut refs = Vec::new();
+    let thash = match typed {
+        Typed::Method { body, frame } => {
+            collect_refs(body, &mut refs);
+            thash_block(body, *frame)
+        }
+        Typed::Ctor {
+            super_args,
+            body,
+            frame,
+        } => {
+            collect_exprs_refs(super_args, &mut refs);
+            collect_refs(body, &mut refs);
+            let mut h = Fingerprint::seeded(0x7463_7472); // "tctr"
+            h.u64(thash_exprs(super_args))
+                .u64(thash_block(body, *frame));
+            h.finish()
+        }
+        Typed::Init(e) => {
+            let e = std::slice::from_ref(&**e);
+            collect_exprs_refs(e, &mut refs);
+            thash_exprs(e)
+        }
+    };
+    (thash, refs)
 }
 
 fn thash_blk(f: &mut Fingerprint, b: &TBlock) {
@@ -781,7 +812,7 @@ fn refs_in_type(t: &Type, out: &mut Vec<ClassId>) {
 /// and locals, field owners, method declaration classes, static and
 /// `new` targets. The typeck memo of the body is valid only while all
 /// these classes' item trees are unchanged.
-pub fn collect_refs(b: &TBlock, out: &mut Vec<ClassId>) {
+fn collect_refs(b: &TBlock, out: &mut Vec<ClassId>) {
     b.walk_stmts(&mut |s| match s {
         TStmt::Local { ty, .. } => refs_in_type(ty, out),
         TStmt::AssignField { field, .. } => {
@@ -822,7 +853,7 @@ fn collect_expr_refs(e: &TExpr, out: &mut Vec<ClassId>) {
 }
 
 /// Refs of a typed expression list (super-ctor args, field inits).
-pub fn collect_exprs_refs(es: &[TExpr], out: &mut Vec<ClassId>) {
+fn collect_exprs_refs(es: &[TExpr], out: &mut Vec<ClassId>) {
     for e in es {
         e.walk(&mut |e| collect_expr_refs(e, out));
     }

@@ -34,6 +34,14 @@
 //! All fingerprints are span-free (see the `fp` module): whitespace and comment
 //! edits re-run the parser, early-cutoff at the item tree, and invalidate
 //! nothing downstream.
+//!
+//! **Bodies are shared, skeletons are owned.** A body — untyped or typed —
+//! is an immutable `Arc` from the parser on. The parse memo and the table
+//! built from it hold the same untyped bodies; a `typeck_body` memo and
+//! every revision's [`ClassTable`] it is valid for hold the same typed
+//! body. A rebuild therefore copies declaration skeletons (names,
+//! signatures, layouts) and bumps counts, and what an edit allocates and
+//! frees is what it re-parsed and re-checked.
 
 #![forbid(unsafe_code)]
 
@@ -42,12 +50,13 @@ mod fp;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use jlang::ast;
 use jlang::span::{DiagResult, Diagnostic, Span};
 use jlang::table::{self, ClassTable};
-use jlang::tast::{TBlock, TExpr};
-use jlang::typeck;
+use jlang::tast::TBlock;
+use jlang::typeck::{self, Member, Typed};
 use jlang::types::ClassId;
 use jvm::{Jvm, Value};
 use nir::hash::Fingerprint;
@@ -95,15 +104,31 @@ impl QueryStats {
     }
 }
 
-/// Which body of a class a `typeck_body` query covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Member {
-    /// Method body, by index in the class's method list.
-    Method(u32),
-    /// Constructor (super args + body).
-    Ctor,
-    /// One field initializer.
-    Init { is_static: bool, index: u32 },
+nir::counters! {
+    /// Cumulative wall time of [`Database`]'s snapshot rebuilds, lap by lap
+    /// in the order a rebuild runs them (nanoseconds, beside the counters
+    /// of [`QueryStats`] and read the same way: snapshot with
+    /// [`Database::rebuild_laps`], subtract with [`RebuildLaps::since`]).
+    /// A rebuild that stops early — diagnostics, or nothing semantic
+    /// changed — adds only the laps it ran.
+    pub struct RebuildLaps [since] {
+        rebuilds,
+        /// Re-parse of every file whose text changed.
+        parse_ns,
+        /// Per-class fingerprints of re-parsed files, and the semantic
+        /// fingerprint of the whole source set.
+        item_tree_ns,
+        /// Handing every parsed unit to `table::build`: a copy of its
+        /// declaration skeleton, a count bump per body.
+        hand_over_ns,
+        table_build_ns,
+        /// Validating every `typeck_body` memo and re-running stale ones.
+        typeck_ns,
+        /// Installing each body's memo in the new table, by pointer.
+        write_back_ns,
+        /// Indexing and installing the snapshot; retires the previous one.
+        install_ns,
+    }
 }
 
 /// Fingerprint of `Object` (class id 0): fixed, it has no declaration.
@@ -140,6 +165,24 @@ struct ClassMeta {
     statics: Vec<u64>,
 }
 
+impl ClassMeta {
+    /// Untyped source fingerprint of one body.
+    fn src(&self, member: Member) -> u64 {
+        match member {
+            Member::Method(mi) => self.methods[mi as usize],
+            Member::Ctor => self.ctor,
+            Member::Init { is_static, index } => {
+                let inits = if is_static {
+                    &self.statics
+                } else {
+                    &self.inits
+                };
+                inits[index as usize]
+            }
+        }
+    }
+}
+
 /// The class metas of one file with what they were derived from: the
 /// file's text and the id its first class was given. A rebuild that finds
 /// both unchanged keeps the metas instead of fingerprinting every body of
@@ -153,12 +196,12 @@ struct FileMetas {
 fn meta_of(c: &ast::ClassDecl, id: ClassId) -> ClassMeta {
     let mut methods = Vec::with_capacity(c.methods.len());
     for m in &c.methods {
-        methods.push(m.body.as_ref().map_or(0, fp::body_fp));
+        methods.push(m.body.as_deref().map_or(0, fp::body_fp));
     }
     let mut inits = Vec::new();
     let mut statics = Vec::new();
     for f in &c.fields {
-        let v = f.init.as_ref().map_or(0, fp::init_fp);
+        let v = f.init.as_deref().map_or(0, fp::init_fp);
         if f.modifiers.is_static {
             statics.push(v);
         } else {
@@ -189,21 +232,9 @@ struct TypeckMemo {
     deps: Vec<(ClassId, u64)>,
     /// Hash of the typed output — the early-cutoff value.
     thash: u64,
-    payload: Payload,
-}
-
-#[derive(Clone)]
-enum Payload {
-    Method {
-        body: TBlock,
-        frame: u32,
-    },
-    Ctor {
-        sargs: Vec<TExpr>,
-        body: TBlock,
-        frame: u32,
-    },
-    Init(TExpr),
+    /// The typed body itself. Every snapshot's table that this memo was
+    /// valid for holds these same allocations.
+    typed: Typed,
 }
 
 /// A memoized `lower_fn` result plus its recorded dependency set.
@@ -273,6 +304,7 @@ pub struct Database {
     /// never cached, so fixing a violation always re-checks.
     rules_ok: RefCell<HashSet<u64>>,
     stats: RefCell<QueryStats>,
+    laps: RebuildLaps,
 }
 
 impl Database {
@@ -290,10 +322,34 @@ impl Database {
         *self.stats.borrow()
     }
 
+    /// Cumulative wall time of the rebuilds so far, lap by lap.
+    pub fn rebuild_laps(&self) -> RebuildLaps {
+        self.laps
+    }
+
     /// The typed class table at the current revision (`None` if no
     /// sources are set or the last edit failed to compile).
     pub fn table(&self) -> Option<&ClassTable> {
         self.snapshot.as_ref().map(|s| &s.table)
+    }
+
+    /// Every typed method and constructor body of the current table, as
+    /// the shared pointers the table holds. A caller that keeps one
+    /// revision's across an edit can ask which bodies of the next revision
+    /// are the same allocations ([`Arc::ptr_eq`]) and which are new.
+    pub fn typed_blocks(&self) -> Vec<((ClassId, Member), Arc<TBlock>)> {
+        let mut out = Vec::new();
+        for info in self.table().into_iter().flat_map(ClassTable::iter) {
+            for (mi, m) in info.methods.iter().enumerate() {
+                if let Some(body) = &m.body {
+                    out.push(((info.id, Member::Method(mi as u32)), Arc::clone(body)));
+                }
+            }
+            if let Some(body) = info.ctor.as_ref().and_then(|c| c.body.as_ref()) {
+                out.push(((info.id, Member::Ctor), Arc::clone(body)));
+            }
+        }
+        out
     }
 
     /// Whitespace-insensitive fingerprint of the whole source set —
@@ -308,6 +364,23 @@ impl Database {
     /// diagnostics and leaves the database without a valid snapshot
     /// (memos survive and revalidate on the next successful edit).
     pub fn set_source(&mut self, name: &str, text: &str) -> DiagResult<u64> {
+        self.upsert(name, text);
+        self.rebuild()?;
+        Ok(self.revision)
+    }
+
+    /// Set (or add) a source file without compiling it: the next
+    /// [`Self::set_source`] / [`Self::edit`] builds it with everything
+    /// else, in one rebuild instead of two. Until then the database has
+    /// no snapshot, since none describes its inputs. Returns the new
+    /// revision.
+    pub fn stage_source(&mut self, name: &str, text: &str) -> u64 {
+        self.upsert(name, text);
+        self.snapshot = None;
+        self.revision
+    }
+
+    fn upsert(&mut self, name: &str, text: &str) {
         let hash = nir::fnv1a64(text.as_bytes());
         match self.files.iter_mut().find(|f| f.name == name) {
             Some(f) => {
@@ -324,8 +397,6 @@ impl Database {
             }
         }
         self.revision += 1;
-        self.rebuild()?;
-        Ok(self.revision)
     }
 
     /// Edit an *existing* source file (typo-proof variant of
@@ -346,6 +417,15 @@ impl Database {
     fn rebuild(&mut self) -> DiagResult<()> {
         let mut diags: Vec<Diagnostic> = Vec::new();
         let mut reparsed = vec![false; self.files.len()];
+        let mut lap_start = Instant::now();
+        // Nanoseconds since the previous lap ended.
+        let mut lap = move || {
+            let now = Instant::now();
+            let ns = (now - lap_start).as_nanos() as u64;
+            lap_start = now;
+            ns
+        };
+        self.laps.rebuilds += 1;
 
         for (i, fe) in self.files.iter().enumerate() {
             if self.parse[i]
@@ -370,6 +450,7 @@ impl Database {
                 }
             }
         }
+        self.laps.parse_ns += lap();
         if !diags.is_empty() {
             self.snapshot = None;
             return Err(diags);
@@ -422,6 +503,7 @@ impl Database {
             }
         }
         let sem_fp = sem.finish();
+        self.laps.item_tree_ns += lap();
 
         if self.snapshot.as_ref().is_some_and(|s| s.sem_fp == sem_fp) {
             // Nothing semantic changed: the entire derived state is
@@ -429,12 +511,18 @@ impl Database {
             return Ok(());
         }
 
+        // `table::build` consumes its units and the parse memos keep
+        // theirs: what is copied is each declaration's skeleton, and every
+        // body is the memo's own allocation with one more owner.
         let units: Vec<ast::Unit> = self
             .parse
             .iter()
             .map(|p| p.as_ref().expect("parsed above").unit.clone())
             .collect();
-        let mut table = match table::build(units) {
+        self.laps.hand_over_ns += lap();
+        let built = table::build(units);
+        self.laps.table_build_ns += lap();
+        let mut table = match built {
             Ok(t) => t,
             Err(ds) => {
                 self.snapshot = None;
@@ -457,153 +545,67 @@ impl Database {
         let hierarchy_fp = hierarchy_fp(&table);
         let globals_fp = globals_fp(&table, &flat);
 
-        // typeck_body queries: validate memos, re-run invalid ones.
-        let mut installs: Vec<(ClassId, Member, Payload, u64)> = Vec::new();
+        // typeck_body queries: validate memos, re-run stale ones.
+        let mut bodies: Vec<(ClassId, Member)> = Vec::new();
         let mut fresh: Vec<((ClassId, Member), TypeckMemo)> = Vec::new();
         for info in table.iter().skip(1) {
             let id = info.id;
             let Some(meta) = flat.get(&id) else { continue };
-
-            let mut bodies: Vec<(Member, u64)> = Vec::new();
-            for (i, f) in info.fields.iter().enumerate() {
-                if f.ast_init.is_some() {
-                    bodies.push((
-                        Member::Init {
-                            is_static: false,
-                            index: i as u32,
-                        },
-                        meta.inits[i],
-                    ));
-                }
-            }
-            for (i, f) in info.statics.iter().enumerate() {
-                if f.ast_init.is_some() {
-                    bodies.push((
-                        Member::Init {
-                            is_static: true,
-                            index: i as u32,
-                        },
-                        meta.statics[i],
-                    ));
-                }
-            }
-            for (mi, m) in info.methods.iter().enumerate() {
-                if m.ast_body.is_some() {
-                    bodies.push((Member::Method(mi as u32), meta.methods[mi]));
-                }
-            }
-            if info.ctor.as_ref().is_some_and(|c| c.ast_body.is_some()) {
-                bodies.push((Member::Ctor, meta.ctor));
-            }
-
-            for (member, src) in bodies {
+            for member in typeck::unchecked_members(info) {
                 let bid = (id, member);
-                if let Some(m) = self.typeck.get(&bid) {
-                    let valid = m.src == src
-                        && m.deps
-                            .iter()
-                            .all(|(c, f)| item_fp.get(c.0 as usize) == Some(f));
-                    if valid {
-                        self.stats.get_mut().typeck_reused += 1;
-                        installs.push((id, member, m.payload.clone(), m.thash));
-                        continue;
-                    }
+                let src = meta.src(member);
+                bodies.push(bid);
+                let old = self.typeck.get(&bid);
+                let valid = old.is_some_and(|m| {
+                    m.src == src
+                        && (m.deps.iter()).all(|(c, f)| item_fp.get(c.0 as usize) == Some(f))
+                });
+                if valid {
+                    self.stats.get_mut().typeck_reused += 1;
+                    continue;
                 }
                 self.stats.get_mut().typeck_executed += 1;
-                let run = match member {
-                    Member::Method(mi) => {
-                        typeck::check_method_body(&table, id, mi as usize).map(|(body, frame)| {
-                            let thash = fp::thash_block(&body, frame);
-                            let mut refs = Vec::new();
-                            fp::collect_refs(&body, &mut refs);
-                            (Payload::Method { body, frame }, thash, refs)
-                        })
-                    }
-                    Member::Ctor => typeck::check_ctor(&table, id).map(|(sargs, body, frame)| {
-                        let mut h = Fingerprint::seeded(0x7463_7472); // "tctr"
-                        h.u64(fp::thash_exprs(&sargs))
-                            .u64(fp::thash_block(&body, frame));
-                        let mut refs = Vec::new();
-                        fp::collect_exprs_refs(&sargs, &mut refs);
-                        fp::collect_refs(&body, &mut refs);
-                        (Payload::Ctor { sargs, body, frame }, h.finish(), refs)
-                    }),
-                    Member::Init { is_static, index } => {
-                        typeck::check_field_init(&table, id, is_static, index as usize).map(|e| {
-                            let thash = fp::thash_exprs(std::slice::from_ref(&e));
-                            let mut refs = Vec::new();
-                            fp::collect_exprs_refs(std::slice::from_ref(&e), &mut refs);
-                            (Payload::Init(e), thash, refs)
-                        })
-                    }
-                };
-                match run {
-                    Ok((payload, thash, mut refs)) => {
-                        if self.typeck.get(&bid).is_some_and(|old| old.thash == thash) {
+                match typeck::check_member(&table, id, member) {
+                    Ok(typed) => {
+                        let (thash, mut refs) = fp::thash_and_refs(&typed);
+                        if old.is_some_and(|old| old.thash == thash) {
                             // Re-ran, but the typed output is unchanged:
                             // lower memos over this body stay valid.
                             self.stats.get_mut().early_cutoffs += 1;
                         }
                         refs.push(id);
                         let deps = dep_fps(&table, &refs, &item_fp);
-                        fresh.push((
-                            bid,
-                            TypeckMemo {
-                                src,
-                                deps,
-                                thash,
-                                payload: payload.clone(),
-                            },
-                        ));
-                        installs.push((id, member, payload, thash));
+                        let memo = TypeckMemo {
+                            src,
+                            deps,
+                            thash,
+                            typed,
+                        };
+                        fresh.push((bid, memo));
                     }
                     Err(ds) => diags.extend(ds),
                 }
             }
         }
+        self.laps.typeck_ns += lap();
 
         if !diags.is_empty() {
             self.snapshot = None;
             return Err(diags);
         }
 
-        for (bid, memo) in fresh {
-            self.typeck.insert(bid, memo);
-        }
+        self.typeck.extend(fresh);
         let class_count = table.classes.len() as u32;
         self.typeck.retain(|(id, _), _| id.0 < class_count);
 
-        // Write-back phase — identical to `typeck::check`'s driver.
-        let mut thash: HashMap<(ClassId, Member), u64> = HashMap::new();
-        for (id, member, payload, th) in installs {
-            thash.insert((id, member), th);
-            let c = table.class_mut(id);
-            match (member, payload) {
-                (Member::Method(mi), Payload::Method { body, frame }) => {
-                    let m = &mut c.methods[mi as usize];
-                    m.body = Some(body);
-                    m.frame_size = frame;
-                    m.ast_body = None;
-                }
-                (Member::Ctor, Payload::Ctor { sargs, body, frame }) => {
-                    let ct = c.ctor.as_mut().expect("ctor body checked above");
-                    ct.super_args = sargs;
-                    ct.body = Some(body);
-                    ct.frame_size = frame;
-                    ct.ast_body = None;
-                }
-                (Member::Init { is_static, index }, Payload::Init(e)) => {
-                    let f = if is_static {
-                        &mut c.statics[index as usize]
-                    } else {
-                        &mut c.fields[index as usize]
-                    };
-                    f.init = Some(e);
-                    f.ast_init = None;
-                }
-                _ => unreachable!("payload kind matches member kind"),
-            }
+        // Write-back: every body of the table is its memo's, by pointer.
+        let mut thash: HashMap<(ClassId, Member), u64> = HashMap::with_capacity(bodies.len());
+        for bid in bodies {
+            let memo = &self.typeck[&bid];
+            thash.insert(bid, memo.thash);
+            typeck::install(&mut table, bid.0, bid.1, memo.typed.clone());
         }
+        self.laps.write_back_ns += lap();
 
         // The typed ctor bundle per class: what a `new`-site inlining
         // reads (ctor + every instance initializer).
@@ -636,6 +638,7 @@ impl Database {
             thash,
             ctor_bundle,
         });
+        self.laps.install_ns += lap();
         Ok(())
     }
 
@@ -1053,6 +1056,81 @@ mod tests {
         assert_eq!(d.typeck_executed, 0, "{d:?}");
         assert!(d.early_cutoffs >= 1, "{d:?}");
         assert_eq!(db.source_fingerprint(), fp0);
+    }
+
+    /// `n` one-method classes, one per file, and nothing that ties them.
+    fn cells(n: usize) -> Vec<(String, String)> {
+        (0..n)
+            .map(|i| {
+                let text = format!(
+                    "@WootinJ final class Cell{i} {{
+                       float bias = {i}.5f;
+                       Cell{i}() {{ }}
+                       float f(float x) {{ return x * {i}f + bias; }}
+                     }}"
+                );
+                (format!("cell{i}.jl"), text)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_edit_shares_every_unchanged_body_with_its_memo_and_the_previous_revision() {
+        let mut db = Database::new();
+        let files = cells(9);
+        for (name, text) in &files {
+            db.set_source(name, text).unwrap();
+        }
+        // One revision's bodies, held across the edit.
+        let before = db.typed_blocks();
+        assert_eq!(before.len(), 18, "nine methods, nine constructors");
+
+        let edited = files[4].1.replace("+ bias", "+ bias + 1f");
+        let stats = db.stats();
+        db.edit("cell4.jl", &edited).unwrap();
+        assert_eq!(db.stats().since(&stats).typeck_executed, 1);
+
+        let cell4 = db.table().unwrap().by_name("Cell4").unwrap();
+        let after = db.typed_blocks();
+        assert_eq!(after.len(), before.len());
+        for ((bid, body), (old_bid, old)) in after.iter().zip(&before) {
+            assert_eq!(bid, old_bid);
+            let memo = match &db.typeck[bid].typed {
+                Typed::Method { body, .. } | Typed::Ctor { body, .. } => body,
+                Typed::Init(_) => unreachable!("{bid:?} is a block"),
+            };
+            assert!(
+                Arc::ptr_eq(body, memo),
+                "{bid:?}: the table copied its memo"
+            );
+            let edited = *bid == (cell4, Member::Method(0));
+            assert_eq!(
+                Arc::ptr_eq(body, old),
+                !edited,
+                "{bid:?}: only the edited body is a new allocation"
+            );
+        }
+        // Initializers and super(...) arguments are shared the same way.
+        let table = db.table().unwrap();
+        for info in table.iter().skip(1) {
+            let init = info.fields[0].init.as_ref().unwrap();
+            let bid = (
+                info.id,
+                Member::Init {
+                    is_static: false,
+                    index: 0,
+                },
+            );
+            let Typed::Init(memo) = &db.typeck[&bid].typed else {
+                unreachable!("{bid:?} is an initializer")
+            };
+            assert!(Arc::ptr_eq(init, memo), "{bid:?}");
+            let Typed::Ctor { super_args, .. } = &db.typeck[&(info.id, Member::Ctor)].typed else {
+                unreachable!()
+            };
+            let ctor = info.ctor.as_ref().unwrap();
+            assert!(Arc::ptr_eq(&ctor.super_args, super_args), "{}", info.name);
+        }
     }
 
     #[test]

@@ -1712,7 +1712,7 @@ impl<'t> Lowerer<'t> {
                     // Temporarily expose the shared field frame for
                     // GetField(this) inside super argument expressions.
                     fx.ctor_fields = Some(std::mem::take(fields));
-                    for a in &ctor.super_args {
+                    for a in ctor.super_args.iter() {
                         sargs.push(self.expr(fx, a)?);
                     }
                     *fields = fx.ctor_fields.take().unwrap();

@@ -504,7 +504,7 @@ impl<'t> ShapeEval<'t> {
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = Vec::new();
-                for a in &ctor.super_args {
+                for a in ctor.super_args.iter() {
                     sargs.push(self.ctor_expr(&mut env, a, fields)?);
                 }
                 self.run_ctor_abstract(*sid, &sargs, fields)?;

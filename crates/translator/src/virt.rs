@@ -252,7 +252,7 @@ impl<'t> VirtLowerer<'t> {
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = vec![0];
-                for a in &ctor.super_args {
+                for a in ctor.super_args.iter() {
                     sargs.push(self.expr(&mut cx, a)?);
                 }
                 let sf = self.ctor_func(*sid)?;

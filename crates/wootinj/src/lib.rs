@@ -47,7 +47,7 @@ pub use platform::{
     HostMtPlatform, InterpPlatform, MpiSimPlatform, Needs, Platform, PlatformError, RunOutcome,
     RunRequest,
 };
-pub use querydb::{Database, QueryStats};
+pub use querydb::{Database, QueryStats, RebuildLaps};
 pub use translator::{Binding, EntrySpec, Mode, TransStats};
 
 /// Compile prelude + user sources into a typed class table.
@@ -118,10 +118,11 @@ impl Workspace {
 
     /// Set (or add) a source file and recompile incrementally. The first
     /// call also seeds the prelude (as file 0, matching [`build_table`]'s
-    /// class-id assignment). Returns the new revision.
+    /// class-id assignment), compiled together with `name` in that call's
+    /// one rebuild. Returns the new revision.
     pub fn set_source(&mut self, name: &str, text: &str) -> DiagResult<u64> {
         if self.db.revision() == 0 {
-            self.db.set_source("<prelude>", prelude::PRELUDE)?;
+            self.db.stage_source("<prelude>", prelude::PRELUDE);
         }
         self.db.set_source(name, text)
     }
@@ -138,6 +139,12 @@ impl Workspace {
     /// Cumulative query counters (see [`Database::stats`]).
     pub fn query_stats(&self) -> QueryStats {
         self.db.stats()
+    }
+
+    /// Cumulative rebuild wall time, lap by lap (see
+    /// [`Database::rebuild_laps`]).
+    pub fn rebuild_laps(&self) -> RebuildLaps {
+        self.db.rebuild_laps()
     }
 
     /// Direct access to the query database (e.g. for

@@ -15,7 +15,13 @@
 //!   fingerprints) stable, reusing every existing typeck memo;
 //! * a seeded property test applies random edit scripts and asserts the
 //!   incremental artifact is bit-identical (`encode_semantic`) to a
-//!   from-scratch build of the same sources at every step.
+//!   from-scratch build of the same sources at every step;
+//! * bodies are shared between revisions, not copied: an edit that
+//!   changes nothing semantic leaves the snapshot alone, and after a
+//!   failed edit and its fix every body of the rebuilt table is the
+//!   allocation the previous good revision held.
+
+use std::sync::Arc;
 
 use jvm::Value;
 use wootinj::{JitOptions, QueryStats, Val, Workspace};
@@ -151,6 +157,99 @@ fn whitespace_edit_early_cutoffs_everything_downstream() {
     );
     assert_eq!(jit_delta.translates, 1);
     assert_eq!(warm_bytes, cold_bytes, "artifact unchanged by whitespace");
+}
+
+#[test]
+fn the_first_set_source_builds_prelude_and_file_in_one_rebuild() {
+    let mut ws = Workspace::new();
+    ws.set_source("ops.jl", OPS).unwrap();
+    assert_eq!(ws.rebuild_laps().rebuilds, 1);
+    let stats = ws.query_stats();
+    assert_eq!((stats.parse_executed, stats.parse_reused), (2, 0));
+    assert_eq!(stats.typeck_reused, 0, "nothing was checked twice");
+
+    // Same work, same class ids, as the prelude compiled on its own first.
+    let mut db = wootinj::Database::new();
+    db.set_source("<prelude>", wootinj::prelude::PRELUDE)
+        .unwrap();
+    db.set_source("ops.jl", OPS).unwrap();
+    assert_eq!(stats.executed(), db.stats().executed());
+    assert_eq!(ws.revision(), db.revision());
+    let table = wootinj::build_table(&[("ops.jl", OPS)]).unwrap();
+    let names = |t: &jlang::table::ClassTable| -> Vec<String> {
+        t.iter().map(|c| format!("{:?} {}", c.id, c.name)).collect()
+    };
+    assert_eq!(names(ws.db().table().unwrap()), names(&table));
+    assert_eq!(names(db.table().unwrap()), names(&table));
+}
+
+#[test]
+fn whitespace_edit_leaves_the_snapshot_untouched() {
+    let mut ws = workspace(&[("ops.jl", OPS), ("app.jl", APP)]);
+    assert!(ws.db().table().unwrap().classes.len() >= 8);
+    let before = ws.db().typed_blocks();
+    let laps = ws.rebuild_laps();
+
+    ws.edit("ops.jl", &format!("\n  // moved down a line\n{OPS}"))
+        .unwrap();
+
+    // The rebuild stopped at the item tree: no unit was handed over, no
+    // table built, no snapshot installed.
+    let d = ws.rebuild_laps().since(&laps);
+    assert_eq!(d.rebuilds, 1);
+    assert!(d.parse_ns > 0 && d.item_tree_ns > 0, "{d:?}");
+    assert_eq!(
+        (
+            d.hand_over_ns,
+            d.table_build_ns,
+            d.typeck_ns,
+            d.write_back_ns,
+            d.install_ns
+        ),
+        (0, 0, 0, 0, 0),
+        "{d:?}"
+    );
+    let after = ws.db().typed_blocks();
+    assert_eq!(after.len(), before.len());
+    for ((bid, body), (_, old)) in after.iter().zip(&before) {
+        assert!(Arc::ptr_eq(body, old), "{bid:?} moved");
+    }
+}
+
+#[test]
+fn a_failed_edit_and_its_fix_restore_sharing_and_the_cold_artifact() {
+    let mut ws = workspace(&[("ops.jl", OPS), ("app.jl", APP)]);
+    let (_, cold_bytes, _) = jit_app(&ws);
+    let before = ws.db().typed_blocks();
+    assert!(before.len() >= 8, "{} bodies", before.len());
+
+    assert!(ws.edit("ops.jl", "final class Scale {").is_err());
+    assert!(ws.db().table().is_none(), "no snapshot of a broken program");
+    assert!(ws.db().typed_blocks().is_empty());
+
+    // The fix re-parses ops.jl — new untyped bodies — and builds a new
+    // table, whose every typed body is the one the memos kept.
+    let stats = ws.query_stats();
+    ws.edit("ops.jl", OPS).unwrap();
+    let d = ws.query_stats().since(&stats);
+    assert_eq!((d.parse_executed, d.typeck_executed), (1, 0), "{d:?}");
+    let after = ws.db().typed_blocks();
+    assert_eq!(after.len(), before.len());
+    for ((bid, body), (old_bid, old)) in after.iter().zip(&before) {
+        assert_eq!(bid, old_bid);
+        assert!(
+            Arc::ptr_eq(body, old),
+            "{bid:?} was checked or copied again"
+        );
+    }
+
+    let (_, warm_bytes, _) = jit_app(&ws);
+    assert_eq!(warm_bytes, cold_bytes);
+    assert_eq!(
+        warm_bytes,
+        scratch_artifact(&[("ops.jl", OPS), ("app.jl", APP)]),
+        "not the artifact of a cold build"
+    );
 }
 
 #[test]
