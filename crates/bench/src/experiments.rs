@@ -2645,6 +2645,7 @@ pub fn incremental(quick: bool) -> Figure {
     let mut body_edit_executed: Vec<u64> = Vec::new();
     let mut body_edit_laps: Vec<wootinj::RebuildLaps> = Vec::new();
     let mut blocks = (0, 0); // in the table, of which new allocations
+    let mut funcs = (0, 0); // in the program, of which new allocations
     let mut body_edit_artifacts = Vec::new(); // with the sources they came from
     for (kind_idx, (name, make)) in kinds.iter().enumerate() {
         let mut series = Series::new(*name);
@@ -2656,10 +2657,10 @@ pub fn incremental(quick: bool) -> Figure {
             let laps_before = ws.rebuild_laps();
             let body_edit = *name == "body-edit-ms";
             // This revision's bodies, held across the edit.
-            let held = if body_edit {
-                ws.db().typed_blocks()
+            let (held, held_funcs) = if body_edit {
+                (ws.db().typed_blocks(), ws.db().lowered_functions())
             } else {
-                Vec::new()
+                (Vec::new(), Vec::new())
             };
             let t0 = std::time::Instant::now();
             ws.edit(&file, &text)
@@ -2689,6 +2690,19 @@ pub fn incremental(quick: bool) -> Figure {
                     now.len()
                 );
                 blocks = (now.len(), fresh);
+                // Likewise a replayed NIR function is the memo's, by pointer.
+                let fresh_funcs = (program.program.funcs.iter())
+                    .filter(|f| !held_funcs.iter().any(|h| std::sync::Arc::ptr_eq(f, h)))
+                    .count();
+                assert_eq!(
+                    fresh_funcs as u64,
+                    delta.lower_executed,
+                    "incremental: body edit {n} lowered {} functions but {fresh_funcs} of the \
+                     program's {} are new allocations — a replayed function was copied",
+                    delta.lower_executed,
+                    program.program.funcs.len()
+                );
+                funcs = (program.program.funcs.len(), fresh_funcs);
                 body_edit_artifacts.push((files.clone(), program.encode_semantic()));
             } else {
                 std::hint::black_box(program);
@@ -2766,6 +2780,11 @@ pub fn incremental(quick: bool) -> Figure {
         "asserted: of the table's {} method and constructor bodies, a body edit allocates {} \
          (the ones it re-checks); the rest are the previous revision's allocations",
         blocks.0, blocks.1
+    ));
+    fig.note(format!(
+        "asserted: of the program's {} NIR functions, a body edit allocates {} (the ones it \
+         lowers); the rest are the lower_fn memos' allocations",
+        funcs.0, funcs.1
     ));
 
     for &executed in &body_edit_executed {

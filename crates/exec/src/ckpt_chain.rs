@@ -99,6 +99,7 @@ fn seal_digest_of(link: &[u8]) -> u64 {
 }
 
 /// How one section changed relative to the parent snapshot.
+#[derive(Debug, PartialEq)]
 enum Change {
     /// Replace the section's bytes wholesale (also used when lengths
     /// differ — heap reallocation moves everything anyway).
@@ -107,48 +108,58 @@ enum Change {
     Patch(Vec<(usize, Vec<u8>)>),
 }
 
-/// Length of the common prefix of two equal-length slices: whole 8-byte
-/// words first, then bytes.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let words = a
-        .chunks_exact(8)
-        .zip(b.chunks_exact(8))
-        .take_while(|(x, y)| x == y)
-        .count();
-    let at = words * 8;
-    at + a[at..]
-        .iter()
-        .zip(&b[at..])
-        .take_while(|(x, y)| x == y)
-        .count()
+/// Up to eight bytes as a little-endian word, zero-padded.
+fn word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
 }
 
-/// Diff one section against its parent version.
+/// Diff one section against its parent version: the maximal runs of
+/// differing bytes, merged across equal gaps shorter than
+/// [`RUN_MERGE_GAP`], or the whole section when the runs would cost as
+/// much.
+///
+/// It compares a word at a time. Inside one 8-byte word at most six equal
+/// bytes lie between two differing ones, and they always merge, so only a
+/// word's first and last differing bytes can end a gap that does not.
 fn diff_section(old: &[u8], new: &[u8]) -> Option<Change> {
     if old == new {
         return None;
     }
-    if old.len() != new.len() {
+    let len = new.len();
+    if old.len() != len {
         return Some(Change::Full(new.to_vec()));
     }
     let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, end)
-    let mut i = 0;
-    loop {
-        i += common_prefix(&old[i..], &new[i..]);
-        if i == new.len() {
-            break;
-        }
-        let start = i;
-        while i < new.len() && old[i] != new[i] {
-            i += 1;
-        }
+                                                    // The patch's cost so far. It only grows, so once it reaches the
+                                                    // section's length the answer is a full replacement.
+    let mut cost = 0;
+    let mut add = |at: usize, x: u64| {
+        let start = at + x.trailing_zeros() as usize / 8;
+        let end = at + 8 - x.leading_zeros() as usize / 8;
         match runs.last_mut() {
-            Some((_, end)) if start - *end < RUN_MERGE_GAP => *end = i,
-            _ => runs.push((start, i)),
+            Some((_, e)) if start - *e < RUN_MERGE_GAP => {
+                cost += end - *e;
+                *e = end;
+            }
+            _ => {
+                cost += end - start + RUN_OVERHEAD;
+                runs.push((start, end));
+            }
+        }
+        cost < len
+    };
+    let (a, b) = (old.chunks_exact(8), new.chunks_exact(8));
+    let tail = (a.remainder(), b.remainder());
+    for (at, (x, y)) in a.zip(b).enumerate() {
+        let x = word(x) ^ word(y);
+        if x != 0 && !add(at * 8, x) {
+            return Some(Change::Full(new.to_vec()));
         }
     }
-    let patch_cost: usize = runs.iter().map(|(s, e)| e - s + RUN_OVERHEAD).sum();
-    if patch_cost >= new.len() {
+    let x = word(tail.0) ^ word(tail.1);
+    if x != 0 && !add(len - tail.0.len(), x) {
         return Some(Change::Full(new.to_vec()));
     }
     Some(Change::Patch(
@@ -412,6 +423,84 @@ mod tests {
 
     fn snap(parts: &[&[u8]]) -> Vec<Vec<u8>> {
         parts.iter().map(|p| p.to_vec()).collect()
+    }
+
+    /// [`diff_section`] a byte at a time, as the definition reads.
+    fn diff_ref(old: &[u8], new: &[u8]) -> Option<Change> {
+        if old == new {
+            return None;
+        }
+        if old.len() != new.len() {
+            return Some(Change::Full(new.to_vec()));
+        }
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut i = 0;
+        while i < new.len() {
+            if old[i] == new[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < new.len() && old[i] != new[i] {
+                i += 1;
+            }
+            match runs.last_mut() {
+                Some((_, end)) if start - *end < RUN_MERGE_GAP => *end = i,
+                _ => runs.push((start, i)),
+            }
+        }
+        let patch_cost: usize = runs.iter().map(|(s, e)| e - s + RUN_OVERHEAD).sum();
+        if patch_cost >= new.len() {
+            return Some(Change::Full(new.to_vec()));
+        }
+        Some(Change::Patch(
+            runs.into_iter()
+                .map(|(s, e)| (s, new[s..e].to_vec()))
+                .collect(),
+        ))
+    }
+
+    #[test]
+    fn word_wise_diff_matches_the_byte_definition() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cases = 0;
+        let mut check = |old: &[u8], new: &[u8]| {
+            assert_eq!(
+                diff_section(old, new),
+                diff_ref(old, new),
+                "len {} old {old:?} new {new:?}",
+                old.len()
+            );
+            cases += 1;
+        };
+        for len in 0..=300usize {
+            let old: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            for percent in [0, 1, 2, 5, 10, 25, 50, 75, 90, 100] {
+                for _ in 0..6 {
+                    let mut new = old.clone();
+                    for b in &mut new {
+                        if next() % 100 < percent {
+                            *b ^= 1 + (next() % 255) as u8;
+                        }
+                    }
+                    check(&old, &new);
+                }
+            }
+            for k in [1, 2, 7, 8, 9, 15, 16, 17, 64, len / 2, len] {
+                let mut new = old.clone();
+                for b in new.iter_mut().take(k) {
+                    *b = !*b;
+                }
+                check(&old, &new);
+            }
+        }
+        assert!(cases >= 20_000, "{cases} cases");
     }
 
     #[test]

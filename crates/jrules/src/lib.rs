@@ -33,10 +33,12 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use jlang::span::{Diagnostic, Span};
 use jlang::table::ClassTable;
 use jlang::tast::{TBlock, TExpr, TExprKind, TStmt};
+use jlang::typeck::{Member, Typed};
 use jlang::types::{ClassId, Type, OBJECT};
 
 /// Outcome of a rules check.
@@ -57,6 +59,332 @@ impl RulesReport {
     }
 }
 
+// ---- facts: what the rules read from one body ----------------------------
+
+/// A statement the rules read: a local declaration (rules 1 and 2) or an
+/// assignment to a frame slot (rule 3 when the slot holds a parameter).
+#[derive(Debug, Clone, PartialEq)]
+enum StmtFact {
+    Local(Type, Span),
+    AssignLocal(u32, Span),
+}
+
+/// An expression site the rules read (rules 2, 4, 7 and 8).
+#[derive(Debug, Clone, PartialEq)]
+enum Site {
+    Ternary(Span),
+    RefEq(Span),
+    InstanceOf(Span),
+    Null(Span),
+    Cast(Type, Span),
+    /// A `new` with type arguments.
+    New {
+        class: ClassId,
+        targs: Vec<Type>,
+        span: Span,
+    },
+}
+
+/// A write to an instance field (semi-immutable precondition (c)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FieldWrite {
+    owner: ClassId,
+    slot: u32,
+    span: Span,
+}
+
+/// A call target as the type checker resolved it: the declaration found
+/// statically. A dispatched (virtual) call may land on any override at or
+/// below it, which rule 6 resolves against the class table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Callee {
+    class: ClassId,
+    index: u32,
+    dispatch: bool,
+}
+
+/// What semi-immutable precondition (d) forbids in a constructor or a
+/// field initializer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CtorSite {
+    Branch,
+    Call,
+    Ternary,
+    This,
+}
+
+/// Everything the coding rules read from one typed body, each list in the
+/// order a walk of the body meets it. It is a pure function of the body,
+/// computed in one walk ([`BodyFacts::of`]); the checks run over facts and
+/// class skeletons only. The incremental pipeline keeps a body's facts
+/// beside its typed body, so a check after an edit walks no tree at all.
+#[derive(Debug, Default, PartialEq)]
+pub struct BodyFacts {
+    /// Local declarations and local assignments, in statement order.
+    stmts: Vec<StmtFact>,
+    /// Expression sites, in expression order.
+    sites: Vec<Site>,
+    /// Instance-field writes, in statement order.
+    field_writes: Vec<FieldWrite>,
+    /// Call targets, unresolved, in expression order.
+    calls: Vec<Callee>,
+    /// Precondition (d) sites in report order. A branch statement is one
+    /// site; its condition is not examined further.
+    ctor_sites: Vec<(CtorSite, Span)>,
+}
+
+impl BodyFacts {
+    /// The facts of one checked body, whatever kind it is.
+    pub fn of(typed: &Typed) -> Self {
+        match typed {
+            Typed::Method { body, .. } => Self::block(body),
+            Typed::Ctor {
+                super_args, body, ..
+            } => Self::ctor(super_args, body),
+            Typed::Init(init) => Self::init(init),
+        }
+    }
+
+    /// The facts of a method body.
+    fn block(body: &TBlock) -> Self {
+        let mut facts = Self::default();
+        facts.walk_block(body);
+        facts
+    }
+
+    /// The facts of a constructor: its `super(...)` arguments, then its body.
+    fn ctor(super_args: &[TExpr], body: &TBlock) -> Self {
+        let mut facts = Self::default();
+        for a in super_args {
+            facts.walk_expr(a);
+        }
+        facts.walk_block(body);
+        facts
+    }
+
+    /// The facts of a field initializer.
+    fn init(init: &TExpr) -> Self {
+        let mut facts = Self::default();
+        facts.walk_expr(init);
+        facts
+    }
+
+    /// An expression outside any statement: a `super(...)` argument or an
+    /// initializer, where precondition (d) applies.
+    fn walk_expr(&mut self, e: &TExpr) {
+        let mut skip_this = false;
+        e.walk(&mut |e| self.expr(e, true, &mut skip_this));
+    }
+
+    fn walk_block(&mut self, b: &TBlock) {
+        for s in &b.stmts {
+            self.stmt(s);
+        }
+    }
+
+    /// One statement: its own facts, its own expressions, then the
+    /// statements nested in it — the order of [`TBlock::walk_stmts`] and
+    /// [`TBlock::walk_exprs`].
+    fn stmt(&mut self, s: &TStmt) {
+        let mut in_ctor = true;
+        let mut this_recv = false;
+        match s {
+            TStmt::Local { ty, span, .. } => self.stmts.push(StmtFact::Local(ty.clone(), *span)),
+            TStmt::AssignLocal { slot, span, .. } => {
+                self.stmts.push(StmtFact::AssignLocal(*slot, *span))
+            }
+            TStmt::AssignField {
+                obj, field, span, ..
+            } => {
+                self.field_writes.push(FieldWrite {
+                    owner: field.owner,
+                    slot: field.slot,
+                    span: *span,
+                });
+                this_recv = matches!(obj.kind, TExprKind::This);
+            }
+            TStmt::If { span, .. } | TStmt::While { span, .. } | TStmt::For { span, .. } => {
+                self.ctor_sites.push((CtorSite::Branch, *span));
+                in_ctor = false;
+            }
+            _ => {}
+        }
+        // The implicit `this.` receiver of a field write is the first node
+        // visited.
+        let mut skip_this = this_recv;
+        s.for_each_expr(&mut |e| self.expr(e, in_ctor, &mut skip_this));
+        match s {
+            TStmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                self.walk_block(then_branch);
+                if let Some(e) = else_branch {
+                    self.walk_block(e);
+                }
+            }
+            TStmt::While { body, .. } => self.walk_block(body),
+            TStmt::For {
+                init, update, body, ..
+            } => {
+                if let Some(i) = init {
+                    self.stmt(i);
+                }
+                if let Some(u) = update {
+                    self.stmt(u);
+                }
+                self.walk_block(body);
+            }
+            TStmt::Block(b) => self.walk_block(b),
+            _ => {}
+        }
+    }
+
+    /// One expression node, visited in pre-order. `skip_this` exempts the
+    /// next `this` the walk meets: the receiver of a field read or write.
+    fn expr(&mut self, e: &TExpr, in_ctor: bool, skip_this: &mut bool) {
+        let mut ctor_site = None;
+        match &e.kind {
+            TExprKind::This => ctor_site = (!std::mem::take(skip_this)).then_some(CtorSite::This),
+            // Reading a field of `this` is allowed; the receiver is the
+            // next node a pre-order walk visits.
+            TExprKind::GetField { obj, .. } => *skip_this = matches!(obj.kind, TExprKind::This),
+            TExprKind::Call { method, .. } | TExprKind::DirectCall { method, .. } => {
+                self.calls.push(Callee {
+                    class: method.decl_class,
+                    index: method.index,
+                    dispatch: matches!(e.kind, TExprKind::Call { .. }),
+                });
+                ctor_site = Some(CtorSite::Call);
+            }
+            TExprKind::StaticCall { class, index, .. } => {
+                self.calls.push(Callee {
+                    class: *class,
+                    index: *index,
+                    dispatch: false,
+                });
+                ctor_site = Some(CtorSite::Call);
+            }
+            TExprKind::Ternary { .. } => {
+                self.sites.push(Site::Ternary(e.span));
+                ctor_site = Some(CtorSite::Ternary);
+            }
+            TExprKind::RefEq { .. } => self.sites.push(Site::RefEq(e.span)),
+            TExprKind::InstanceOf { .. } => self.sites.push(Site::InstanceOf(e.span)),
+            TExprKind::Null => self.sites.push(Site::Null(e.span)),
+            TExprKind::RefCast { to, .. } => self.sites.push(Site::Cast(to.clone(), e.span)),
+            TExprKind::New { class, targs, .. } if !targs.is_empty() => {
+                self.sites.push(Site::New {
+                    class: *class,
+                    targs: targs.clone(),
+                    span: e.span,
+                })
+            }
+            _ => {}
+        }
+        if let (true, Some(site)) = (in_ctor, ctor_site) {
+            self.ctor_sites.push((site, e.span));
+        }
+    }
+}
+
+/// The facts of one class's bodies, by member index.
+#[derive(Debug, Default)]
+struct ClassFacts {
+    methods: Vec<Option<Arc<BodyFacts>>>,
+    ctor: Option<Arc<BodyFacts>>,
+    /// Instance-field initializers.
+    inits: Vec<Option<Arc<BodyFacts>>>,
+}
+
+/// The facts of every body of a class table, by class and member. A body
+/// without facts is treated as one with none.
+#[derive(Debug, Default)]
+pub struct ProgramFacts {
+    classes: Vec<ClassFacts>,
+}
+
+impl ProgramFacts {
+    /// Compute the facts of every typed body in `table`, one walk each.
+    pub fn of(table: &ClassTable) -> Self {
+        let mut out = Self::default();
+        for info in table.iter() {
+            for (mi, m) in info.methods.iter().enumerate() {
+                if let Some(body) = &m.body {
+                    let facts = Arc::new(BodyFacts::block(body));
+                    out.insert(info.id, Member::Method(mi as u32), facts);
+                }
+            }
+            if let Some(ctor) = &info.ctor {
+                if let Some(body) = &ctor.body {
+                    let facts = Arc::new(BodyFacts::ctor(&ctor.super_args, body));
+                    out.insert(info.id, Member::Ctor, facts);
+                }
+            }
+            for (i, f) in info.fields.iter().enumerate() {
+                if let Some(init) = &f.init {
+                    let member = Member::Init {
+                        is_static: false,
+                        index: i as u32,
+                    };
+                    out.insert(info.id, member, Arc::new(BodyFacts::init(init)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Record the facts of one body (shared, not copied).
+    pub fn insert(&mut self, id: ClassId, member: Member, facts: Arc<BodyFacts>) {
+        let ci = id.0 as usize;
+        if self.classes.len() <= ci {
+            self.classes.resize_with(ci + 1, Default::default);
+        }
+        let class = &mut self.classes[ci];
+        let (slots, index) = match member {
+            Member::Method(mi) => (&mut class.methods, mi),
+            Member::Ctor => {
+                class.ctor = Some(facts);
+                return;
+            }
+            Member::Init {
+                is_static: false,
+                index,
+            } => (&mut class.inits, index),
+            // No rule reads a static initializer.
+            Member::Init {
+                is_static: true, ..
+            } => return,
+        };
+        let index = index as usize;
+        if slots.len() <= index {
+            slots.resize(index + 1, None);
+        }
+        slots[index] = Some(facts);
+    }
+
+    fn method(&self, id: ClassId, mi: usize) -> Option<&BodyFacts> {
+        let c = self.classes.get(id.0 as usize)?;
+        c.methods.get(mi)?.as_deref()
+    }
+
+    fn ctor(&self, id: ClassId) -> Option<&BodyFacts> {
+        self.classes.get(id.0 as usize)?.ctor.as_deref()
+    }
+
+    fn init(&self, id: ClassId, index: usize) -> Option<&BodyFacts> {
+        let c = self.classes.get(id.0 as usize)?;
+        c.inits.get(index)?.as_deref()
+    }
+
+    /// Is a constructor (or field initializer) free of what precondition
+    /// (d) forbids?
+    fn clean(facts: Option<&BodyFacts>) -> bool {
+        facts.is_none_or(|f| f.ctor_sites.is_empty())
+    }
+}
+
 /// Tri-state memo for the recursive type analyses.
 #[derive(Clone, Copy, PartialEq)]
 enum Memo {
@@ -68,6 +396,7 @@ enum Memo {
 /// The strict-final / semi-immutable analysis engine with memoization.
 pub struct Analysis<'t> {
     table: &'t ClassTable,
+    facts: &'t ProgramFacts,
     strict_final: HashMap<ClassId, Memo>,
     semi_immutable: HashMap<ClassId, Memo>,
     /// (owner class, own field index) -> write sites outside constructors.
@@ -75,9 +404,10 @@ pub struct Analysis<'t> {
 }
 
 impl<'t> Analysis<'t> {
-    pub fn new(table: &'t ClassTable) -> Self {
+    pub fn new(table: &'t ClassTable, facts: &'t ProgramFacts) -> Self {
         let mut a = Analysis {
             table,
+            facts,
             strict_final: HashMap::new(),
             semi_immutable: HashMap::new(),
             illegal_field_writes: HashMap::new(),
@@ -90,47 +420,21 @@ impl<'t> Analysis<'t> {
     /// that happens outside a constructor of the declaring class or one of
     /// its subclasses. Needed by semi-immutable precondition (c).
     fn scan_field_writes(&mut self) {
-        let record = |table: &ClassTable,
-                      illegal: &mut HashMap<(ClassId, u32), Vec<Span>>,
-                      ctx_class: ClassId,
-                      in_ctor: bool,
-                      body: &TBlock| {
-            body.walk_stmts(&mut |s| {
-                if let TStmt::AssignField { field, span, .. } = s {
-                    let owner = field.owner;
-                    let own_index = field.slot - table.class(owner).field_base;
-                    let finfo = &table.class(owner).fields[own_index as usize];
+        let table = self.table;
+        for info in table.iter() {
+            let methods = (0..info.methods.len()).map(|mi| (self.facts.method(info.id, mi), false));
+            let ctor = std::iter::once((self.facts.ctor(info.id), true));
+            for (facts, in_ctor) in methods.chain(ctor) {
+                for w in facts.iter().flat_map(|f| &f.field_writes) {
+                    let own_index = w.slot - table.class(w.owner).field_base;
+                    let finfo = &table.class(w.owner).fields[own_index as usize];
                     if matches!(finfo.ty, Type::Array(_)) {
-                        return; // array fields are freely reassignable
+                        continue; // array fields are freely reassignable
                     }
-                    let allowed = in_ctor && table.is_subclass_of(ctx_class, owner);
-                    if !allowed {
-                        illegal.entry((owner, own_index)).or_default().push(*span);
+                    if !(in_ctor && table.is_subclass_of(info.id, w.owner)) {
+                        let sites = self.illegal_field_writes.entry((w.owner, own_index));
+                        sites.or_default().push(w.span);
                     }
-                }
-            });
-        };
-        for info in self.table.iter() {
-            for m in &info.methods {
-                if let Some(body) = &m.body {
-                    record(
-                        self.table,
-                        &mut self.illegal_field_writes,
-                        info.id,
-                        false,
-                        body,
-                    );
-                }
-            }
-            if let Some(ctor) = &info.ctor {
-                if let Some(body) = &ctor.body {
-                    record(
-                        self.table,
-                        &mut self.illegal_field_writes,
-                        info.id,
-                        true,
-                        body,
-                    );
                 }
             }
         }
@@ -241,19 +545,10 @@ impl<'t> Analysis<'t> {
             }
         }
         // (d) constructor restrictions.
-        if let Some(ctor) = &info.ctor {
-            if !ctor_body_clean(ctor.body.as_deref(), &ctor.super_args) {
-                return false;
-            }
+        if info.ctor.is_some() && !ProgramFacts::clean(self.facts.ctor(id)) {
+            return false;
         }
-        for f in &info.fields {
-            if let Some(init) = &f.init {
-                if !init_expr_clean(init) {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..info.fields.len()).all(|i| ProgramFacts::clean(self.facts.init(id, i)))
     }
 
     /// Detailed diagnostics explaining why a class fails semi-immutability.
@@ -307,16 +602,22 @@ impl<'t> Analysis<'t> {
                 }
             }
         }
-        if let Some(ctor) = &info.ctor {
-            out.extend(ctor_violations(
-                &info.name,
-                ctor.body.as_deref(),
-                &ctor.super_args,
-            ));
+        if info.ctor.is_some() {
+            let sites = self.facts.ctor(id).into_iter().flat_map(|f| &f.ctor_sites);
+            for &(site, span) in sites {
+                let what = match site {
+                    CtorSite::Branch => "contains a conditional or loop",
+                    CtorSite::This => "uses `this` as a value",
+                    CtorSite::Call => "calls a method",
+                    CtorSite::Ternary => "contains a conditional operator",
+                };
+                let msg = format!("constructor of `{}` {what}", info.name);
+                out.push(Diagnostic::error("rules", span, msg));
+            }
         }
-        for f in &info.fields {
+        for (i, f) in info.fields.iter().enumerate() {
             if let Some(init) = &f.init {
-                if !init_expr_clean(init) {
+                if !ProgramFacts::clean(self.facts.init(id, i)) {
                     out.push(Diagnostic::error(
                         "rules",
                         init.span,
@@ -332,159 +633,42 @@ impl<'t> Analysis<'t> {
     }
 }
 
-/// Is a constructor body free of conditionals, calls, and `this`-as-value?
-fn ctor_body_clean(body: Option<&TBlock>, super_args: &[TExpr]) -> bool {
-    let Some(body) = body else { return true };
-    let mut probe = Vec::new();
-    for a in super_args {
-        expr_violations(a, "ctor", &mut probe);
-    }
-    let mut out = Vec::new();
-    out.extend(probe);
-    out.extend(ctor_violations("ctor", Some(body), &[]));
-    out.is_empty()
-}
-
-/// Diagnostics for semi-immutable precondition (d) on a constructor body.
-fn ctor_violations(
-    class_name: &str,
-    body: Option<&TBlock>,
-    super_args: &[TExpr],
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for a in super_args {
-        expr_violations(a, class_name, &mut out);
-    }
-    let Some(body) = body else { return out };
-    body.walk_stmts(&mut |s| match s {
-        TStmt::If { span, .. } | TStmt::While { span, .. } | TStmt::For { span, .. } => {
-            out.push(Diagnostic::error(
-                "rules",
-                *span,
-                format!("constructor of `{class_name}` contains a conditional or loop"),
-            ));
-        }
-        TStmt::AssignField { obj, value, .. } => {
-            // The implicit `this.` receiver of a field write is fine.
-            if !matches!(obj.kind, TExprKind::This) {
-                expr_violations(obj, class_name, &mut out);
-            }
-            expr_violations(value, class_name, &mut out);
-        }
-        other => other.for_each_expr(&mut |e| {
-            expr_violations(e, class_name, &mut out);
-        }),
-    });
-    out
-}
-
-/// Report calls, ternaries, and `this`-as-value within a constructor
-/// expression. Field reads through `this` are allowed (they are analyzable
-/// because earlier assignments fixed their abstract values).
-fn expr_violations(e: &TExpr, class_name: &str, out: &mut Vec<Diagnostic>) {
-    match &e.kind {
-        TExprKind::GetField { obj, .. } if matches!(obj.kind, TExprKind::This) => return,
-        TExprKind::This => {
-            out.push(Diagnostic::error(
-                "rules",
-                e.span,
-                format!("constructor of `{class_name}` uses `this` as a value"),
-            ));
-            return;
-        }
-        TExprKind::Call { .. } | TExprKind::DirectCall { .. } | TExprKind::StaticCall { .. } => {
-            out.push(Diagnostic::error(
-                "rules",
-                e.span,
-                format!("constructor of `{class_name}` calls a method"),
-            ));
-        }
-        TExprKind::Ternary { .. } => {
-            out.push(Diagnostic::error(
-                "rules",
-                e.span,
-                format!("constructor of `{class_name}` contains a conditional operator"),
-            ));
-        }
-        _ => {}
-    }
-    // Recurse manually so the GetField(this) exemption applies at any depth.
-    match &e.kind {
-        TExprKind::GetField { obj, .. } => expr_violations(obj, class_name, out),
-        TExprKind::Call { recv, args, .. } | TExprKind::DirectCall { recv, args, .. } => {
-            expr_violations(recv, class_name, out);
-            for a in args {
-                expr_violations(a, class_name, out);
-            }
-        }
-        TExprKind::StaticCall { args, .. } | TExprKind::New { args, .. } => {
-            for a in args {
-                expr_violations(a, class_name, out);
-            }
-        }
-        TExprKind::NewArray { len, .. } => expr_violations(len, class_name, out),
-        TExprKind::Index { arr, idx } => {
-            expr_violations(arr, class_name, out);
-            expr_violations(idx, class_name, out);
-        }
-        TExprKind::ArrayLen(x)
-        | TExprKind::Unary { expr: x, .. }
-        | TExprKind::NumCast { expr: x, .. }
-        | TExprKind::RefCast { expr: x, .. }
-        | TExprKind::Convert { expr: x, .. }
-        | TExprKind::InstanceOf { expr: x, .. } => expr_violations(x, class_name, out),
-        TExprKind::Binary { lhs, rhs, .. } | TExprKind::RefEq { lhs, rhs, .. } => {
-            expr_violations(lhs, class_name, out);
-            expr_violations(rhs, class_name, out);
-        }
-        TExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            expr_violations(cond, class_name, out);
-            expr_violations(then_val, class_name, out);
-            expr_violations(else_val, class_name, out);
-        }
-        _ => {}
-    }
-}
-
-/// Is a field initializer expression free of calls/conditionals/`this`?
-/// (`new`, literals, and reads of other fields are allowed.)
-fn init_expr_clean(e: &TExpr) -> bool {
-    let mut out = Vec::new();
-    expr_violations(e, "init", &mut out);
-    out.is_empty()
-}
-
 /// Check a whole program: every `@WootinJ` class is validated against the
 /// eight coding rules. Non-annotated classes are ignored (the paper: "the
 /// rest of the program does not have to follow the rules").
+///
+/// This computes every body's facts first; a caller that keeps them
+/// ([`ProgramFacts`]) checks with [`check_program_with`] instead.
 pub fn check_program(table: &ClassTable) -> RulesReport {
+    check_program_with(table, &ProgramFacts::of(table))
+}
+
+/// [`check_program`] over facts computed beforehand: no body is walked.
+pub fn check_program_with(table: &ClassTable, facts: &ProgramFacts) -> RulesReport {
     let ids: Vec<ClassId> = table
         .iter()
         .filter(|c| c.has_annotation("WootinJ"))
         .map(|c| c.id)
         .collect();
-    check_classes(table, &ids)
+    check_classes(table, facts, &ids)
 }
 
 /// Check an explicit set of classes against the coding rules.
-pub fn check_classes(table: &ClassTable, ids: &[ClassId]) -> RulesReport {
-    let mut analysis = Analysis::new(table);
+pub fn check_classes(table: &ClassTable, facts: &ProgramFacts, ids: &[ClassId]) -> RulesReport {
+    let mut analysis = Analysis::new(table, facts);
     let mut report = RulesReport::default();
     for &id in ids {
         report.checked.push(id);
-        check_class(table, &mut analysis, id, &mut report.violations);
+        check_class(table, facts, &mut analysis, id, &mut report.violations);
     }
     // Rule 6 (no recursion) is a whole-program property over the checked set.
-    check_no_recursion(table, ids, &mut report.violations);
+    check_no_recursion(table, facts, ids, &mut report.violations);
     report
 }
 
 fn check_class(
     table: &ClassTable,
+    facts: &ProgramFacts,
     analysis: &mut Analysis<'_>,
     id: ClassId,
     out: &mut Vec<Diagnostic>,
@@ -565,7 +749,7 @@ fn check_class(
         }
     }
 
-    for m in &info.methods {
+    for (mi, m) in info.methods.iter().enumerate() {
         // Rule 1 + 2 on signature types.
         for p in &m.params {
             if !analysis.is_semi_immutable(&p.ty) {
@@ -604,7 +788,9 @@ fn check_class(
                 ),
             ));
         }
-        let Some(body) = &m.body else { continue };
+        let Some(body) = facts.method(id, mi) else {
+            continue;
+        };
         check_body(
             table,
             analysis,
@@ -626,154 +812,159 @@ fn check_body(
     class_name: &str,
     method_name: &str,
     param_count: u32,
-    body: &TBlock,
+    facts: &BodyFacts,
     out: &mut Vec<Diagnostic>,
 ) {
-    let ctx = |msg: String| format!("in `{class_name}::{method_name}`: {msg}");
-    body.walk_stmts(&mut |s| match s {
-        TStmt::Local { ty, span, .. } => {
-            if !analysis.is_strict_final(ty) {
-                out.push(Diagnostic::error(
-                    "rules",
-                    *span,
-                    ctx(format!(
-                        "local variable type {} is not strict-final (rule 2)",
-                        table.show_type(ty)
-                    )),
-                ));
+    let mut report = |span: Span, msg: String| {
+        let msg = format!("in `{class_name}::{method_name}`: {msg}");
+        out.push(Diagnostic::error("rules", span, msg));
+    };
+    for s in &facts.stmts {
+        match s {
+            StmtFact::Local(ty, span) => {
+                if !analysis.is_strict_final(ty) {
+                    report(
+                        *span,
+                        format!(
+                            "local variable type {} is not strict-final (rule 2)",
+                            table.show_type(ty)
+                        ),
+                    );
+                }
+                if !analysis.is_semi_immutable(ty) {
+                    report(
+                        *span,
+                        format!(
+                            "local variable type {} is not semi-immutable (rule 1)",
+                            table.show_type(ty)
+                        ),
+                    );
+                }
             }
-            if !analysis.is_semi_immutable(ty) {
-                out.push(Diagnostic::error(
-                    "rules",
-                    *span,
-                    ctx(format!(
-                        "local variable type {} is not semi-immutable (rule 1)",
-                        table.show_type(ty)
-                    )),
-                ));
-            }
-        }
-        TStmt::AssignLocal { slot, span, .. } if *slot < param_count => {
-            out.push(Diagnostic::error(
-                "rules",
+            StmtFact::AssignLocal(slot, span) if *slot < param_count => report(
                 *span,
-                ctx("method parameters are constant and cannot be assigned (rule 3)".into()),
-            ));
+                "method parameters are constant and cannot be assigned (rule 3)".into(),
+            ),
+            StmtFact::AssignLocal(..) => {}
         }
-        _ => {}
-    });
-    body.walk_exprs(&mut |e| match &e.kind {
-        TExprKind::Ternary { .. } => out.push(Diagnostic::error(
-            "rules",
-            e.span,
-            ctx("the conditional operator `?:` is not allowed (rule 7)".into()),
-        )),
-        TExprKind::RefEq { .. } => out.push(Diagnostic::error(
-            "rules",
-            e.span,
-            ctx("reference equality `==`/`!=` is not allowed (rule 7)".into()),
-        )),
-        TExprKind::InstanceOf { .. } => out.push(Diagnostic::error(
-            "rules",
-            e.span,
-            ctx("`instanceof` is not allowed (rule 8)".into()),
-        )),
-        TExprKind::Null => out.push(Diagnostic::error(
-            "rules",
-            e.span,
-            ctx("`null` literals are not allowed (rule 8)".into()),
-        )),
-        TExprKind::RefCast { to, .. }
-            if !analysis.is_strict_final(to) => {
-                out.push(Diagnostic::error(
-                    "rules",
-                    e.span,
-                    ctx(format!(
-                        "cast target {} is not strict-final (rule 2)",
-                        table.show_type(to)
-                    )),
-                ));
+    }
+    for site in &facts.sites {
+        match site {
+            Site::Ternary(span) => report(
+                *span,
+                "the conditional operator `?:` is not allowed (rule 7)".into(),
+            ),
+            Site::RefEq(span) => report(
+                *span,
+                "reference equality `==`/`!=` is not allowed (rule 7)".into(),
+            ),
+            Site::InstanceOf(span) => report(*span, "`instanceof` is not allowed (rule 8)".into()),
+            Site::Null(span) => report(*span, "`null` literals are not allowed (rule 8)".into()),
+            Site::Cast(to, span) => {
+                if !analysis.is_strict_final(to) {
+                    report(
+                        *span,
+                        format!(
+                            "cast target {} is not strict-final (rule 2)",
+                            table.show_type(to)
+                        ),
+                    );
+                }
             }
-        TExprKind::New { class, targs, .. } => {
-            // Rule 4: type arguments must be proper strict-final subclasses
-            // of the parameter's bound.
-            let cinfo = table.class(*class);
-            for (tp, ta) in cinfo.type_params.iter().zip(targs) {
-                if let Type::Object(aid, _) = ta {
+            Site::New { class, targs, span } => {
+                // Rule 4: type arguments must be proper strict-final
+                // subclasses of the parameter's bound.
+                let cinfo = table.class(*class);
+                for (tp, ta) in cinfo.type_params.iter().zip(targs) {
+                    let Type::Object(aid, _) = ta else { continue };
                     if let Type::Object(bid, _) = &tp.bound {
                         if aid == bid {
-                            out.push(Diagnostic::error(
-                                "rules",
-                                e.span,
-                                ctx(format!(
+                            report(
+                                *span,
+                                format!(
                                     "type argument for `{}` must be a proper subclass of its bound `{}`, not the bound itself (rule 4)",
                                     tp.name,
                                     table.name(*bid)
-                                )),
-                            ));
+                                ),
+                            );
                         }
                     }
                     if !analysis.class_strict_final(*aid) {
-                        out.push(Diagnostic::error(
-                            "rules",
-                            e.span,
-                            ctx(format!(
+                        report(
+                            *span,
+                            format!(
                                 "type argument `{}` is not strict-final (rule 4)",
                                 table.name(*aid)
-                            )),
-                        ));
+                            ),
+                        );
                     }
                 }
             }
         }
-        _ => {}
-    });
+    }
 }
 
 /// Rule 6: reject recursion over a conservative call graph. A virtual call
 /// may land on any override declared at or below the statically resolved
 /// class, so edges are added to all of them.
-fn check_no_recursion(table: &ClassTable, ids: &[ClassId], out: &mut Vec<Diagnostic>) {
+///
+/// Nodes are searched in the order their bodies are met, so which cycle is
+/// reported does not depend on hash order.
+fn check_no_recursion(
+    table: &ClassTable,
+    facts: &ProgramFacts,
+    ids: &[ClassId],
+    out: &mut Vec<Diagnostic>,
+) {
     type Node = (ClassId, u32);
     let mut edges: HashMap<Node, Vec<Node>> = HashMap::new();
-
-    let add_body_edges = |from: Node, body: &TBlock, edges: &mut HashMap<Node, Vec<Node>>| {
-        // One map lookup per body: most expression nodes are not calls.
-        let succs = edges.entry(from).or_default();
-        body.walk_exprs(&mut |e| match &e.kind {
-            TExprKind::Call { method, .. } => {
-                // All implementations reachable from decl_class downward.
-                let name = &table.method(method.decl_class, method.index).name;
-                let mut t = Vec::new();
-                let mut stack = vec![method.decl_class];
-                let mut seen = Vec::new();
-                while let Some(c) = stack.pop() {
-                    if seen.contains(&c) {
-                        continue;
-                    }
-                    seen.push(c);
-                    if let Some((ic, im)) = table.resolve_impl(c, name) {
-                        if !t.contains(&(ic, im)) {
-                            t.push((ic, im));
-                        }
-                    }
-                    stack.extend(table.class(c).subclasses.iter().copied());
-                }
-                succs.extend(t);
-            }
-            TExprKind::DirectCall { method, .. } => succs.push((method.decl_class, method.index)),
-            TExprKind::StaticCall { class, index, .. } => succs.push((*class, *index)),
-            _ => {}
-        });
-    };
-
+    let mut order: Vec<Node> = Vec::new();
+    // The implementations of each dispatched call target.
+    let mut overrides: HashMap<Node, Vec<Node>> = HashMap::new();
     for &id in ids {
-        let info = table.class(id);
-        for (mi, m) in info.methods.iter().enumerate() {
-            if let Some(body) = &m.body {
-                add_body_edges((id, mi as u32), body, &mut edges);
+        for mi in 0..table.class(id).methods.len() {
+            let Some(body) = facts.method(id, mi) else {
+                continue;
+            };
+            let from = (id, mi as u32);
+            if !edges.contains_key(&from) {
+                order.push(from);
             }
+            let mut succs = std::mem::take(edges.entry(from).or_default());
+            for c in &body.calls {
+                let target = (c.class, c.index);
+                if c.dispatch {
+                    let all = overrides
+                        .entry(target)
+                        .or_insert_with(|| implementations(table, target));
+                    succs.extend_from_slice(all);
+                } else {
+                    succs.push(target);
+                }
+            }
+            edges.insert(from, succs);
         }
+    }
+
+    /// Every implementation reachable from a declaration downward.
+    fn implementations(table: &ClassTable, decl: (ClassId, u32)) -> Vec<(ClassId, u32)> {
+        let name = &table.method(decl.0, decl.1).name;
+        let mut t = Vec::new();
+        let mut stack = vec![decl.0];
+        let mut seen = Vec::new();
+        while let Some(c) = stack.pop() {
+            if seen.contains(&c) {
+                continue;
+            }
+            seen.push(c);
+            if let Some(im) = table.resolve_impl(c, name) {
+                if !t.contains(&im) {
+                    t.push(im);
+                }
+            }
+            stack.extend(table.class(c).subclasses.iter().copied());
+        }
+        t
     }
 
     // DFS cycle detection.
@@ -814,8 +1005,7 @@ fn check_no_recursion(table: &ClassTable, ids: &[ClassId], out: &mut Vec<Diagnos
     }
 
     let mut color: HashMap<Node, Color> = HashMap::new();
-    let nodes: Vec<Node> = edges.keys().copied().collect();
-    for n in nodes {
+    for n in order {
         let mut cycle = Vec::new();
         if dfs(n, &edges, &mut color, &mut cycle) {
             let names: Vec<String> = cycle
@@ -892,7 +1082,8 @@ mod tests {
              final class HasNonLeafField { Base b; HasNonLeafField(Base b0) { b = b0; } }",
         )
         .unwrap();
-        let mut a = Analysis::new(&table);
+        let facts = ProgramFacts::of(&table);
+        let mut a = Analysis::new(&table, &facts);
         let leaf = Type::object(table.by_name("Leaf").unwrap());
         let base = Type::object(table.by_name("Base").unwrap());
         let derived = Type::object(table.by_name("Derived").unwrap());
@@ -910,7 +1101,8 @@ mod tests {
     fn recursive_type_is_not_semi_immutable() {
         let table =
             compile_str("final class Node { Node next; Node(Node n) { next = n; } }").unwrap();
-        let mut a = Analysis::new(&table);
+        let facts = ProgramFacts::of(&table);
+        let mut a = Analysis::new(&table, &facts);
         let node = Type::object(table.by_name("Node").unwrap());
         assert!(!a.is_semi_immutable(&node));
         // The in-progress memo also makes recursive chains non-strict-final
@@ -1140,5 +1332,37 @@ mod tests {
                  return array[0]; } }",
         );
         assert!(r.is_ok(), "{}", r.render());
+    }
+
+    #[test]
+    fn ctor_sites_are_reported_once_and_field_reads_are_allowed_in_any_statement() {
+        // A local in a constructor may read a field of `this`, as a field
+        // write's value may.
+        let r = report(
+            "@WootinJ final class A { int x; int y; A(int v) { x = v; int t = x; y = t; } }",
+        );
+        assert!(r.is_ok(), "{}", r.render());
+        // Two nested calls are two violations, whatever statement holds them.
+        let r = report(
+            "@WootinJ final class A { int x; A(int v) { int t = f(g(v)); x = t; } \
+             static int f(int a) { return a; } static int g(int a) { return a; } }",
+        );
+        let calls = r
+            .violations
+            .iter()
+            .filter(|d| d.message.contains("calls a method"));
+        assert_eq!(calls.count(), 2, "{}", r.render());
+    }
+
+    #[test]
+    fn the_reported_cycle_does_not_depend_on_hash_order() {
+        let src = "@WootinJ final class A { A() { } \
+               int even(int n) { if (n == 0) { return 1; } return odd(n - 1); } \
+               int odd(int n) { if (n == 0) { return 0; } return even(n - 1); } }";
+        let first = report(src).render();
+        assert!(first.contains("A::even -> A::odd -> A::even"), "{first}");
+        for _ in 0..8 {
+            assert_eq!(report(src).render(), first);
+        }
     }
 }

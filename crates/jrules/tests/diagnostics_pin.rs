@@ -87,13 +87,13 @@ fn render(table: &ClassTable) -> String {
 
 fn rendered() -> String {
     let mut out = String::new();
-    let corpus: [(&str, fn(&[(&str, &str)]) -> _); 3] = [
-        ("stencil", hpclib::stencil_table),
-        ("reduce", hpclib::reduce_table),
-        ("matmul", hpclib::matmul_table),
+    let corpus = [
+        ("stencil", hpclib::stencil_table(&[])),
+        ("reduce", hpclib::reduce_table(&[])),
+        ("matmul", hpclib::matmul_table(&[])),
     ];
-    for (name, build) in corpus {
-        let table = build(&[]).unwrap_or_else(|ds| panic!("{name}: {}", jlang::render_diags(&ds)));
+    for (name, table) in corpus {
+        let table = table.unwrap_or_else(|ds| panic!("{name}: {}", jlang::render_diags(&ds)));
         out.push_str(&format!("== corpus {name} ==\n{}", render(&table)));
     }
     for (name, src) in MUTANTS {

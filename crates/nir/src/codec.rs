@@ -47,6 +47,7 @@
 //! out by hand.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use jlang::ast::BinOp;
@@ -1418,7 +1419,7 @@ pub fn read_program(r: &mut Reader<'_>) -> CodecResult<Program> {
     let n = r.len()?;
     let mut funcs = Vec::with_capacity(n);
     for _ in 0..n {
-        funcs.push(read_func(r)?);
+        funcs.push(Arc::new(read_func(r)?));
     }
     let n = r.len()?;
     let mut globals = Vec::with_capacity(n);

@@ -10,6 +10,7 @@
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use std::fmt;
+use std::sync::Arc;
 
 /// A virtual register within a function.
 pub type Reg = u32;
@@ -564,9 +565,14 @@ pub enum ConstVal {
 }
 
 /// A complete translated program.
+///
+/// Functions are immutable and shared: an incremental translator's memo
+/// and every program that replays it hold the same allocation, and cloning
+/// a program bumps counts. A pass that rewrites a function goes through
+/// [`Program::func_mut`], which copies it first only if it is shared.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    pub funcs: Vec<Function>,
+    pub funcs: Vec<Arc<Function>>,
     pub globals: Vec<Global>,
     pub classes: Vec<ClassMeta>,
     /// Method-name selectors for `CallVirt`.
@@ -582,9 +588,15 @@ impl Program {
         &self.funcs[id.0 as usize]
     }
 
-    pub fn add_func(&mut self, f: Function) -> FuncId {
+    /// A function to rewrite: its own copy if it is shared.
+    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
+        Arc::make_mut(&mut self.funcs[id.0 as usize])
+    }
+
+    /// Append a function, fresh or shared.
+    pub fn add_func(&mut self, f: impl Into<Arc<Function>>) -> FuncId {
         let id = FuncId(self.funcs.len() as u32);
-        self.funcs.push(f);
+        self.funcs.push(f.into());
         id
     }
 
@@ -980,7 +992,7 @@ mod tests {
     #[test]
     fn validate_rejects_bad_register() {
         let mut p = sample_add();
-        p.funcs[0].code[0] = Instr::Bin {
+        p.func_mut(FuncId(0)).code[0] = Instr::Bin {
             op: BinOp::Add,
             kind: PrimKind::Int,
             dst: 99,
@@ -993,14 +1005,14 @@ mod tests {
     #[test]
     fn validate_rejects_sync_outside_kernel() {
         let mut p = sample_add();
-        p.funcs[0].code.insert(0, Instr::Sync);
+        p.func_mut(FuncId(0)).code.insert(0, Instr::Sync);
         assert!(p.validate().is_err());
     }
 
     #[test]
     fn validate_rejects_missing_terminator() {
         let mut p = sample_add();
-        p.funcs[0].code.pop();
+        p.func_mut(FuncId(0)).code.pop();
         assert!(p.validate().is_err());
     }
 

@@ -13,12 +13,13 @@
 //!   plain WootinJ pipeline in our reproduction.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
-use crate::ir::{FuncKind, Function, Instr, Program, Reg};
+use crate::ir::{FuncId, FuncKind, Function, Instr, Program, Reg};
 
 /// Optimizer configuration; maps onto the compiler-option rows of
 /// Tables 1 and 2.
@@ -135,6 +136,7 @@ pub fn optimize(program: &mut Program, config: OptConfig) -> Vec<PassProfile> {
         ..Default::default()
     };
     for f in &mut program.funcs {
+        let f = Arc::make_mut(f);
         optimize_fn_into(f, config, &mut fold_p, &mut dce_p, &mut sroa_p);
     }
     for p in [fold_p, dce_p, sroa_p] {
@@ -831,8 +833,8 @@ fn inline_functions(program: &mut Program, limit: usize) {
                 Instr::Call { func, args, dst } => (*func, args.clone(), *dst),
                 _ => unreachable!(),
             };
-            let callee = program.funcs[callee_id.0 as usize].clone();
-            inline_at(&mut program.funcs[fi], pc, &callee, &args, dst);
+            let callee = Arc::clone(&program.funcs[callee_id.0 as usize]);
+            inline_at(program.func_mut(FuncId(fi as u32)), pc, &callee, &args, dst);
             did = true;
             budget = budget.saturating_sub(1);
             if budget == 0 {

@@ -235,6 +235,9 @@ struct TypeckMemo {
     /// The typed body itself. Every snapshot's table that this memo was
     /// valid for holds these same allocations.
     typed: Typed,
+    /// What the coding rules read from the typed body, computed with it
+    /// and shared the same way.
+    facts: Arc<jrules::BodyFacts>,
 }
 
 /// A memoized `lower_fn` result plus its recorded dependency set.
@@ -275,6 +278,8 @@ struct Snapshot {
     /// Combined ctor + instance-initializer typed hash per class (the
     /// bundle a `new`-site inlining reads).
     ctor_bundle: HashMap<ClassId, u64>,
+    /// Every body's rule facts, the memos' own.
+    facts: jrules::ProgramFacts,
 }
 
 // ---- the database -------------------------------------------------------
@@ -350,6 +355,16 @@ impl Database {
             }
         }
         out
+    }
+
+    /// Every function the `lower_fn` memos hold, as the shared pointers a
+    /// replaying [`Self::translate`] puts in its program. Held across an
+    /// edit and a translate, they tell which of the new program's
+    /// functions were lowered afresh ([`Arc::ptr_eq`] to none of them).
+    pub fn lowered_functions(&self) -> Vec<Arc<nir::Function>> {
+        (self.lower.borrow().values())
+            .map(|sm| Arc::clone(&sm.memo.func))
+            .collect()
     }
 
     /// Whitespace-insensitive fingerprint of the whole source set —
@@ -579,6 +594,7 @@ impl Database {
                             src,
                             deps,
                             thash,
+                            facts: Arc::new(jrules::BodyFacts::of(&typed)),
                             typed,
                         };
                         fresh.push((bid, memo));
@@ -598,11 +614,14 @@ impl Database {
         let class_count = table.classes.len() as u32;
         self.typeck.retain(|(id, _), _| id.0 < class_count);
 
-        // Write-back: every body of the table is its memo's, by pointer.
+        // Write-back: every body of the table, and its facts, is its
+        // memo's, by pointer.
         let mut thash: HashMap<(ClassId, Member), u64> = HashMap::with_capacity(bodies.len());
+        let mut facts = jrules::ProgramFacts::default();
         for bid in bodies {
             let memo = &self.typeck[&bid];
             thash.insert(bid, memo.thash);
+            facts.insert(bid.0, bid.1, Arc::clone(&memo.facts));
             typeck::install(&mut table, bid.0, bid.1, memo.typed.clone());
         }
         self.laps.write_back_ns += lap();
@@ -637,6 +656,7 @@ impl Database {
             item_fp,
             thash,
             ctor_bundle,
+            facts,
         });
         self.laps.install_ns += lap();
         Ok(())
@@ -682,7 +702,7 @@ impl Database {
                 self.stats.borrow_mut().rules_reused += 1;
             } else {
                 self.stats.borrow_mut().rules_executed += 1;
-                let report = jrules::check_program(table);
+                let report = jrules::check_program_with(table, &snap.facts);
                 if !report.is_ok() {
                     return Err(TransError::new(format!(
                         "coding-rule violations:\n{}",
@@ -853,7 +873,7 @@ impl Database {
                     memo: Arc::new(FnMemo {
                         id: rec.id,
                         ret: rec.ret.clone(),
-                        func: program.funcs[rec.id.0 as usize].clone(),
+                        func: Arc::clone(&program.funcs[rec.id.0 as usize]),
                         callees: rec.callees.clone(),
                         bodies: rec.bodies.clone(),
                         excl: rec.excl,
@@ -1131,6 +1151,126 @@ mod tests {
             let ctor = info.ctor.as_ref().unwrap();
             assert!(Arc::ptr_eq(&ctor.super_args, super_args), "{}", info.name);
         }
+    }
+
+    /// [`cells`] plus an `App` that calls every cell.
+    fn cells_app(n: usize) -> Vec<(String, String)> {
+        let fields: String = (0..n).map(|i| format!("Cell{i} c{i}; ")).collect();
+        let params: Vec<String> = (0..n).map(|i| format!("Cell{i} a{i}")).collect();
+        let inits: String = (0..n).map(|i| format!("c{i} = a{i}; ")).collect();
+        let calls: Vec<String> = (0..n).map(|i| format!("c{i}.f(x)")).collect();
+        let app = format!(
+            "@WootinJ final class App {{ {fields} App({}) {{ {inits}}} \
+             float run(float x) {{ return {}; }} }}",
+            params.join(", "),
+            calls.join(" + ")
+        );
+        let mut files = cells(n);
+        files.push(("app.jl".into(), app));
+        files
+    }
+
+    fn jit_cells(db: &Database, n: usize) -> Translated {
+        let table = db.table().unwrap();
+        let mut jvm = Jvm::new(table).unwrap();
+        let cells: Vec<Value> = (0..n)
+            .map(|i| jvm.new_instance(&format!("Cell{i}"), &[]).unwrap())
+            .collect();
+        let app = jvm.new_instance("App", &cells).unwrap();
+        db.translate(&jvm, &app, "run", &[Value::Float(3.0)], TransConfig::full())
+            .unwrap()
+    }
+
+    /// Every body's rule facts, as the memos hold them.
+    fn held_facts(db: &Database) -> HashMap<(ClassId, Member), Arc<jrules::BodyFacts>> {
+        (db.typeck.iter())
+            .map(|(bid, memo)| (*bid, Arc::clone(&memo.facts)))
+            .collect()
+    }
+
+    /// How many of `t`'s functions are none of `held`.
+    fn fresh_functions(t: &Translated, held: &[Arc<nir::Function>]) -> usize {
+        (t.program.funcs.iter())
+            .filter(|f| !held.iter().any(|h| Arc::ptr_eq(f, h)))
+            .count()
+    }
+
+    #[test]
+    fn an_edit_shares_every_unchanged_bodys_facts_and_every_replayed_function() {
+        let n = 6;
+        let mut db = Database::new();
+        let files = cells_app(n);
+        for (name, text) in &files {
+            db.set_source(name, text).unwrap();
+        }
+        jit_cells(&db, n);
+
+        // A one-body edit.
+        let facts = held_facts(&db);
+        let funcs = db.lowered_functions();
+        let edited = files[4].1.replace("+ bias", "+ bias + 1f");
+        let stats = db.stats();
+        db.edit("cell4.jl", &edited).unwrap();
+        let t = jit_cells(&db, n);
+        let d = db.stats().since(&stats);
+        assert_eq!(d.typeck_executed, 1, "{d:?}");
+
+        let cell4 = db.table().unwrap().by_name("Cell4").unwrap();
+        assert_eq!(db.typeck.len(), facts.len());
+        for (bid, memo) in &db.typeck {
+            assert_eq!(*memo.facts, jrules::BodyFacts::of(&memo.typed), "{bid:?}");
+            let edited = *bid == (cell4, Member::Method(0));
+            assert_eq!(
+                Arc::ptr_eq(&memo.facts, &facts[bid]),
+                !edited,
+                "{bid:?}: only the edited body's facts are new"
+            );
+        }
+        assert!(d.lower_executed > 0 && d.lower_reused > 0, "{d:?}");
+        assert_eq!(
+            fresh_functions(&t, &funcs) as u64,
+            d.lower_executed,
+            "a replayed function was copied"
+        );
+
+        // A whitespace-only edit shares everything.
+        let facts = held_facts(&db);
+        let funcs = db.lowered_functions();
+        let stats = db.stats();
+        db.edit("cell4.jl", &format!("{edited}\n  // a comment\n"))
+            .unwrap();
+        let t = jit_cells(&db, n);
+        let d = db.stats().since(&stats);
+        assert_eq!((d.typeck_executed, d.lower_executed), (0, 0), "{d:?}");
+        for (bid, memo) in &db.typeck {
+            assert!(Arc::ptr_eq(&memo.facts, &facts[bid]), "{bid:?}");
+        }
+        assert_eq!(fresh_functions(&t, &funcs), 0);
+    }
+
+    #[test]
+    fn the_rules_check_over_kept_facts_is_the_batch_check() {
+        // A violation in each kind of body: initializer, constructor, method.
+        let bad = "@WootinJ final class Bad { int x; int y = Bad.helper(); \
+                     Bad(int v) { if (v > 0) { x = v; } else { x = 0; } } \
+                     static int helper() { return 1; } \
+                     int m(int p) { p = 2; return p; } }";
+        let mut db = Database::new();
+        db.set_source("app.jl", SRC).unwrap();
+        db.set_source("bad.jl", bad).unwrap();
+        let check = |db: &Database| {
+            let snap = db.snapshot.as_ref().unwrap();
+            let kept = jrules::check_program_with(&snap.table, &snap.facts).render();
+            assert_eq!(kept, jrules::check_program(&snap.table).render());
+            kept
+        };
+        let before = check(&db);
+        for needle in ["initializer of `Bad.y`", "constructor of `Bad`", "rule 3"] {
+            assert!(before.contains(needle), "{needle}: {before}");
+        }
+        db.edit("bad.jl", &bad.replace("p = 2;", "p = 3; x = p;"))
+            .unwrap();
+        assert_ne!(check(&db), before);
     }
 
     #[test]

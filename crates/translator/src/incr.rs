@@ -82,7 +82,7 @@ pub(crate) fn add6(a: StatsDelta, b: StatsDelta) -> StatsDelta {
 pub struct FnMemo {
     pub id: FuncId,
     pub ret: Option<Shape>,
-    pub func: nir::Function,
+    pub func: Arc<nir::Function>,
     /// Callee edges in first-encounter (DFS) order.
     pub callees: Vec<CalleeEdge>,
     /// Typed bodies this function's lowering read.

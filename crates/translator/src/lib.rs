@@ -24,6 +24,8 @@ pub mod shape;
 pub mod sheval;
 pub mod virt;
 
+use std::sync::Arc;
+
 use jlang::table::ClassTable;
 use jlang::types::ClassId;
 use jvm::{ArrayData, Jvm, Value};
@@ -353,7 +355,7 @@ pub fn optimize_program(program: &mut Program, config: &TransConfig) -> Vec<nir:
     local.inline_limit = 0;
     let funcs = std::mem::take(&mut program.funcs);
     let optimized = exec::pool::parallel_map(workers, funcs, |_, mut f| {
-        let prof = nir::optimize_fn(&mut f, local);
+        let prof = nir::optimize_fn(Arc::make_mut(&mut f), local);
         (f, prof)
     });
     let mut parts = Vec::new();
@@ -381,27 +383,32 @@ pub fn optimize_functions(
     if !config.parallel_lowering || workers < 2 || indices.len() < 2 {
         let mut passes = Vec::new();
         for &i in indices {
-            passes.extend(nir::optimize_fn(&mut program.funcs[i], config.opt));
+            passes.extend(nir::optimize_fn(
+                program.func_mut(FuncId(i as u32)),
+                config.opt,
+            ));
         }
         return passes;
     }
     // Move the scattered functions out (cheap stub swap — no body
     // copies), optimize in parallel, reinstall by index.
-    let stub = || nir::Function {
-        name: String::new(),
-        params: Vec::new(),
-        ret: None,
-        regs: Vec::new(),
-        code: Vec::new(),
-        kind: nir::FuncKind::Host,
+    let stub = || {
+        Arc::new(nir::Function {
+            name: String::new(),
+            params: Vec::new(),
+            ret: None,
+            regs: Vec::new(),
+            code: Vec::new(),
+            kind: nir::FuncKind::Host,
+        })
     };
     let opt = config.opt;
-    let fresh: Vec<(usize, nir::Function)> = indices
+    let fresh: Vec<(usize, Arc<nir::Function>)> = indices
         .iter()
         .map(|&i| (i, std::mem::replace(&mut program.funcs[i], stub())))
         .collect();
     let optimized = exec::pool::parallel_map(workers, fresh, |_, (i, mut f)| {
-        let prof = nir::optimize_fn(&mut f, opt);
+        let prof = nir::optimize_fn(Arc::make_mut(&mut f), opt);
         (i, f, prof)
     });
     let mut passes = Vec::new();

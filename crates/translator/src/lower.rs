@@ -16,6 +16,7 @@
 //! real CUDA ABI.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
@@ -297,7 +298,7 @@ impl<'t> Lowerer<'t> {
                 Ok(None)
             }
             Ok(true) => {
-                let id = self.program.add_func(memo.func.clone());
+                let id = self.program.add_func(Arc::clone(&memo.func));
                 debug_assert_eq!(id, memo.id, "replay id drift");
                 self.add_stats6(memo.excl);
                 if let Some(rp) = &mut self.replay {

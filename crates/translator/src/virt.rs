@@ -194,7 +194,7 @@ impl<'t> VirtLowerer<'t> {
         };
         self.block(&mut cx, body)?;
         let f = cx.fb.finish().map_err(TransError::new)?;
-        self.program.funcs[placeholder.0 as usize] = f;
+        *self.program.func_mut(placeholder) = f;
         self.stats.specializations += 1;
         Ok(placeholder)
     }
@@ -279,7 +279,7 @@ impl<'t> VirtLowerer<'t> {
             self.block(&mut cx, body)?;
         }
         let f = cx.fb.finish().map_err(TransError::new)?;
-        self.program.funcs[placeholder.0 as usize] = f;
+        *self.program.func_mut(placeholder) = f;
         Ok(placeholder)
     }
 
