@@ -140,11 +140,20 @@ pub struct Block {
 pub enum LValue {
     /// A bare name: a local, a parameter, or an implicit `this.field`.
     Name(String, Span),
-    /// `expr.field`
-    Field { obj: Expr, name: String, span: Span },
-    /// `Class.field`  (resolved later; parser can't distinguish from `obj.field`)
+    /// `expr.field`, or `Class.field` (resolved later; the parser can't
+    /// tell the two apart). Boxed like [`Expr::Field`], so that taking an
+    /// lvalue from an expression moves the box.
+    Field {
+        obj: Box<Expr>,
+        name: String,
+        span: Span,
+    },
     /// `arr[idx]`
-    Index { arr: Expr, idx: Expr, span: Span },
+    Index {
+        arr: Box<Expr>,
+        idx: Box<Expr>,
+        span: Span,
+    },
 }
 
 /// Statements.

@@ -14,13 +14,16 @@ use crate::ast::*;
 use crate::span::{Diagnostic, Span};
 use crate::token::{lex, Tok, Token};
 
-pub struct Parser {
+pub struct Parser<'a> {
+    /// The source the tokens were lexed from; identifiers are read out of
+    /// it when a node takes their name.
+    src: &'a str,
     toks: Vec<Token>,
     pos: usize,
     /// Set when a `>>` token has had its first `>` consumed while closing a
     /// generic argument list; the remaining half acts as a single `>`.
     pending_gt: bool,
-    /// Expression nesting depth (each level costs ~a dozen recursive
+    /// Expression nesting depth (each level costs about six recursive
     /// descent frames; guard well before the host stack gives out).
     depth: u32,
     /// Statement nesting depth: blocks, loop and branch bodies, `else if`.
@@ -53,6 +56,7 @@ const MAX_STMT_DEPTH: u32 = 16;
 pub fn parse_unit(file: u32, src: &str) -> Result<Unit, Vec<Diagnostic>> {
     let toks = lex(file, src)?;
     let mut p = Parser {
+        src,
         toks,
         pos: 0,
         pending_gt: false,
@@ -71,7 +75,43 @@ pub fn parse_unit(file: u32, src: &str) -> Result<Unit, Vec<Diagnostic>> {
 
 type PResult<T> = Result<T, Diagnostic>;
 
-impl Parser {
+/// Binding power of `instanceof` and the relational operators.
+const RELATIONAL: u8 = 7;
+
+/// The binary operator `tok` spells and its binding power (higher binds
+/// tighter; every level is left-associative), as in Java.
+fn binop(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::Or, 1),
+        Tok::AndAnd => (BinOp::And, 2),
+        Tok::BitOr => (BinOp::BitOr, 3),
+        Tok::BitXor => (BinOp::BitXor, 4),
+        Tok::BitAnd => (BinOp::BitAnd, 5),
+        Tok::EqEq => (BinOp::Eq, 6),
+        Tok::NotEq => (BinOp::Ne, 6),
+        Tok::Lt => (BinOp::Lt, RELATIONAL),
+        Tok::Le => (BinOp::Le, RELATIONAL),
+        Tok::Gt => (BinOp::Gt, RELATIONAL),
+        Tok::Ge => (BinOp::Ge, RELATIONAL),
+        Tok::Shl => (BinOp::Shl, 8),
+        Tok::Shr => (BinOp::Shr, 8),
+        Tok::Plus => (BinOp::Add, 9),
+        Tok::Minus => (BinOp::Sub, 9),
+        Tok::Star => (BinOp::Mul, 10),
+        Tok::Slash => (BinOp::Div, 10),
+        Tok::Percent => (BinOp::Rem, 10),
+        _ => return None,
+    })
+}
+
+fn is_primitive(tok: &Tok) -> bool {
+    matches!(
+        tok,
+        Tok::KwVoid | Tok::KwInt | Tok::KwLong | Tok::KwFloat | Tok::KwDouble | Tok::KwBoolean
+    )
+}
+
+impl<'a> Parser<'a> {
     fn peek(&self) -> &Tok {
         if self.pending_gt {
             &Tok::Gt
@@ -81,8 +121,25 @@ impl Parser {
     }
 
     fn peek_at(&self, n: usize) -> &Tok {
-        let idx = (self.pos + n).min(self.toks.len() - 1);
-        &self.toks[idx].tok
+        self.tok_at(self.pos + n)
+    }
+
+    /// The token at index `i`, or the final `Eof` past the end.
+    fn tok_at(&self, i: usize) -> &Tok {
+        &self.toks[i.min(self.toks.len() - 1)].tok
+    }
+
+    /// The current token's name, if it is an identifier.
+    fn peek_ident(&self) -> Option<&'a str> {
+        match *self.peek() {
+            Tok::Ident { start, end } => Some(&self.src[start as usize..end as usize]),
+            _ => None,
+        }
+    }
+
+    /// The current token, described for a diagnostic.
+    fn found(&self) -> String {
+        self.peek().describe(self.src)
     }
 
     fn span(&self) -> Span {
@@ -119,7 +176,7 @@ impl Parser {
                 self.pending_gt = true;
                 Ok(())
             }
-            other => Err(self.err(format!("expected `>`, found {}", other.describe()))),
+            _ => Err(self.err(format!("expected `>`, found {}", self.found()))),
         }
     }
 
@@ -135,8 +192,8 @@ impl Parser {
         } else {
             Err(self.err(format!(
                 "expected {}, found {}",
-                tok.describe(),
-                self.peek().describe()
+                tok.describe(self.src),
+                self.found()
             )))
         }
     }
@@ -152,13 +209,12 @@ impl Parser {
 
     fn ident(&mut self) -> PResult<(String, Span)> {
         let s = self.span();
-        match self.peek() {
-            Tok::Ident(name) => {
-                let name = name.clone();
+        match self.peek_ident() {
+            Some(name) => {
                 self.bump();
-                Ok((name, s))
+                Ok((name.to_string(), s))
             }
-            other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
+            None => Err(self.err(format!("expected identifier, found {}", self.found()))),
         }
     }
 
@@ -265,10 +321,10 @@ impl Parser {
                 self.bump();
                 true
             }
-            other => {
+            _ => {
                 return Err(self.err(format!(
                     "expected `class` or `interface`, found {}",
-                    other.describe()
+                    self.found()
                 )))
             }
         };
@@ -354,21 +410,19 @@ impl Parser {
         let modifiers = self.modifiers();
 
         // Constructor: `Name (` where Name == enclosing class.
-        if let Tok::Ident(id) = self.peek() {
-            if id == class_name && *self.peek_at(1) == Tok::LParen {
-                let c = self.ctor_decl()?;
-                if ctor.is_some() {
-                    return Err(Diagnostic::error(
-                        "parser",
-                        c.span,
-                        format!(
-                            "class `{class_name}` has more than one constructor (jlang allows one)"
-                        ),
-                    ));
-                }
-                *ctor = Some(c);
-                return Ok(());
+        if self.peek_ident() == Some(class_name) && *self.peek_at(1) == Tok::LParen {
+            let c = self.ctor_decl()?;
+            if ctor.is_some() {
+                return Err(Diagnostic::error(
+                    "parser",
+                    c.span,
+                    format!(
+                        "class `{class_name}` has more than one constructor (jlang allows one)"
+                    ),
+                ));
             }
+            *ctor = Some(c);
+            return Ok(());
         }
 
         let ty = self.type_ref()?;
@@ -491,56 +545,43 @@ impl Parser {
     // Types
     // ------------------------------------------------------------------
 
+    /// A type. [`Self::type_ahead`] scans the same grammar without
+    /// building it; the two change together.
     fn type_ref(&mut self) -> PResult<TypeRef> {
-        let base = match self.peek() {
-            Tok::KwVoid => {
-                self.bump();
-                TypeRef::Void
-            }
-            Tok::KwInt => {
-                self.bump();
-                TypeRef::Int
-            }
-            Tok::KwLong => {
-                self.bump();
-                TypeRef::Long
-            }
-            Tok::KwFloat => {
-                self.bump();
-                TypeRef::Float
-            }
-            Tok::KwDouble => {
-                self.bump();
-                TypeRef::Double
-            }
-            Tok::KwBoolean => {
-                self.bump();
-                TypeRef::Boolean
-            }
-            Tok::Ident(name) => {
-                let name = name.clone();
-                let span = self.span();
-                self.bump();
-                let mut args = Vec::new();
-                if *self.peek() == Tok::Lt && self.looks_like_type_args() {
-                    self.bump();
-                    loop {
-                        args.push(self.nested("type", Self::type_ref)?);
-                        if !self.eat(Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect_gt()?;
-                }
-                TypeRef::Named {
-                    name,
-                    args,
-                    span: span.to(self.prev_span()),
-                }
-            }
-            other => return Err(self.err(format!("expected a type, found {}", other.describe()))),
+        let prim = match self.peek() {
+            Tok::KwVoid => Some(TypeRef::Void),
+            Tok::KwInt => Some(TypeRef::Int),
+            Tok::KwLong => Some(TypeRef::Long),
+            Tok::KwFloat => Some(TypeRef::Float),
+            Tok::KwDouble => Some(TypeRef::Double),
+            Tok::KwBoolean => Some(TypeRef::Boolean),
+            _ => None,
         };
-        let mut ty = base;
+        let mut ty = if let Some(prim) = prim {
+            self.bump();
+            prim
+        } else if let Some(name) = self.peek_ident() {
+            let span = self.span();
+            self.bump();
+            let mut args = Vec::new();
+            if *self.peek() == Tok::Lt && self.looks_like_type_args(self.pos) {
+                self.bump();
+                loop {
+                    args.push(self.nested("type", Self::type_ref)?);
+                    if !self.eat(Tok::Comma) {
+                        break;
+                    }
+                }
+                self.expect_gt()?;
+            }
+            TypeRef::Named {
+                name: name.to_string(),
+                args,
+                span: span.to(self.prev_span()),
+            }
+        } else {
+            return Err(self.err(format!("expected a type, found {}", self.found())));
+        };
         let mut dims = 0;
         while *self.peek() == Tok::LBracket && *self.peek_at(1) == Tok::RBracket {
             dims += 1;
@@ -556,15 +597,61 @@ impl Parser {
         Ok(ty)
     }
 
-    /// Heuristic lookahead after `Ident <`: are we at generic type
-    /// arguments (`Foo<Bar, Baz>`) or a comparison (`a < b`)? Scans forward
-    /// over type-ish tokens for a closing `>`.
-    fn looks_like_type_args(&self) -> bool {
-        let mut i = 1; // index of token after `<`
+    /// Would [`Self::type_ref`] accept the tokens from index `i` on, at
+    /// expression depth `depth`? If so, moves `i` (and `pending_gt`, the
+    /// split-`>>` state) past them.
+    fn type_ahead(&self, i: &mut usize, pending_gt: &mut bool, depth: u32) -> bool {
+        match self.tok_at(*i) {
+            tok if is_primitive(tok) => *i += 1,
+            Tok::Ident { .. } => {
+                *i += 1;
+                if *self.tok_at(*i) == Tok::Lt && self.looks_like_type_args(*i) {
+                    *i += 1;
+                    loop {
+                        if depth >= MAX_EXPR_DEPTH || !self.type_ahead(i, pending_gt, depth + 1) {
+                            return false;
+                        }
+                        if *pending_gt || *self.tok_at(*i) != Tok::Comma {
+                            break;
+                        }
+                        *i += 1;
+                    }
+                    match self.tok_at(*i) {
+                        _ if *pending_gt => {
+                            *pending_gt = false;
+                            *i += 1;
+                        }
+                        Tok::Gt => *i += 1,
+                        Tok::Shr => *pending_gt = true,
+                        _ => return false,
+                    }
+                }
+            }
+            _ => return false,
+        }
+        let mut dims = 0;
+        while !*pending_gt
+            && *self.tok_at(*i) == Tok::LBracket
+            && *self.tok_at(*i + 1) == Tok::RBracket
+        {
+            dims += 1;
+            if dims > MAX_EXPR_DEPTH {
+                return false;
+            }
+            *i += 2;
+        }
+        true
+    }
+
+    /// Heuristic lookahead at the `<` at index `lt`, after an identifier:
+    /// are we at generic type arguments (`Foo<Bar, Baz>`) or a comparison
+    /// (`a < b`)? Scans forward over type-ish tokens for a closing `>`.
+    fn looks_like_type_args(&self, lt: usize) -> bool {
+        let mut i = lt + 1;
         let mut depth = 1i32;
         loop {
-            match self.peek_at(i) {
-                Tok::Ident(_)
+            match self.tok_at(i) {
+                Tok::Ident { .. }
                 | Tok::Comma
                 | Tok::Dot
                 | Tok::LBracket
@@ -590,7 +677,7 @@ impl Parser {
                 _ => return false,
             }
             i += 1;
-            if i > 64 {
+            if i > lt + 64 {
                 return false;
             }
         }
@@ -744,30 +831,35 @@ impl Parser {
 
     fn simple_stmt_no_semi(&mut self) -> PResult<Stmt> {
         let start = self.span();
-        // Local declaration? Try `[final] Type Ident` with backtracking.
-        let save = self.pos;
-        let is_final = self.eat(Tok::KwFinal);
-        if self.starts_type() {
-            if let Ok(ty) = self.type_ref() {
-                if let Tok::Ident(_) = self.peek() {
-                    let (name, _) = self.ident()?;
-                    let init = if self.eat(Tok::Assign) {
-                        Some(self.expr()?)
-                    } else {
-                        None
-                    };
-                    return Ok(Stmt::Local {
-                        name,
-                        ty,
-                        init,
-                        is_final,
-                        span: start.to(self.prev_span()),
-                    });
-                }
-            }
-            self.pos = save;
-            self.pending_gt = false;
-        } else if is_final {
+        // Local declaration: `[final] Type Ident`, decided by lookahead.
+        let is_final = *self.peek() == Tok::KwFinal;
+        let mut i = self.pos + is_final as usize;
+        let mut pending_gt = false;
+        if self.type_ahead(&mut i, &mut pending_gt, self.depth)
+            && !pending_gt
+            && matches!(self.tok_at(i), Tok::Ident { .. })
+        {
+            self.eat(Tok::KwFinal);
+            let ty = self.type_ref()?;
+            let (name, _) = self.ident()?;
+            let init = if self.eat(Tok::Assign) {
+                Some(self.expr()?)
+            } else {
+                None
+            };
+            return Ok(Stmt::Local {
+                name,
+                ty,
+                init,
+                is_final,
+                span: start.to(self.prev_span()),
+            });
+        }
+        // `final` before something that cannot begin a type; before one
+        // that can, the expression below reports the `final` itself.
+        let next = self.peek_at(1);
+        if is_final && !is_primitive(next) && !matches!(next, Tok::Ident { .. }) {
+            self.bump();
             return Err(self.err("`final` must begin a local declaration".to_string()));
         }
 
@@ -803,32 +895,11 @@ impl Parser {
         })
     }
 
-    fn starts_type(&self) -> bool {
-        matches!(
-            self.peek(),
-            Tok::KwInt
-                | Tok::KwLong
-                | Tok::KwFloat
-                | Tok::KwDouble
-                | Tok::KwBoolean
-                | Tok::KwVoid
-                | Tok::Ident(_)
-        )
-    }
-
     fn expr_to_lvalue(&self, e: Expr) -> PResult<LValue> {
         match e {
             Expr::Name(n, s) => Ok(LValue::Name(n, s)),
-            Expr::Field { obj, name, span } => Ok(LValue::Field {
-                obj: *obj,
-                name,
-                span,
-            }),
-            Expr::Index { arr, idx, span } => Ok(LValue::Index {
-                arr: *arr,
-                idx: *idx,
-                span,
-            }),
+            Expr::Field { obj, name, span } => Ok(LValue::Field { obj, name, span }),
+            Expr::Index { arr, idx, span } => Ok(LValue::Index { arr, idx, span }),
             other => Err(Diagnostic::error(
                 "parser",
                 other.span(),
@@ -870,7 +941,7 @@ impl Parser {
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
-        let cond = self.logic_or()?;
+        let cond = self.binary(1)?;
         if self.eat(Tok::Question) {
             let start = cond.span();
             let mut below = self.height;
@@ -890,65 +961,17 @@ impl Parser {
         }
     }
 
-    fn binary_level(
-        &mut self,
-        next: fn(&mut Self) -> PResult<Expr>,
-        ops: &[(Tok, BinOp)],
-    ) -> PResult<Expr> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, op) in ops {
-                if self.peek() == tok {
-                    self.bump();
-                    let below = self.height;
-                    let rhs = next(self)?;
-                    self.node_over(below.max(self.height))?;
-                    let span = lhs.span().to(rhs.span());
-                    lhs = Expr::Binary {
-                        op: *op,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                        span,
-                    };
-                    continue 'outer;
-                }
-            }
-            return Ok(lhs);
-        }
-    }
-
-    fn logic_or(&mut self) -> PResult<Expr> {
-        self.binary_level(Self::logic_and, &[(Tok::OrOr, BinOp::Or)])
-    }
-
-    fn logic_and(&mut self) -> PResult<Expr> {
-        self.binary_level(Self::bit_or, &[(Tok::AndAnd, BinOp::And)])
-    }
-
-    fn bit_or(&mut self) -> PResult<Expr> {
-        self.binary_level(Self::bit_xor, &[(Tok::BitOr, BinOp::BitOr)])
-    }
-
-    fn bit_xor(&mut self) -> PResult<Expr> {
-        self.binary_level(Self::bit_and, &[(Tok::BitXor, BinOp::BitXor)])
-    }
-
-    fn bit_and(&mut self) -> PResult<Expr> {
-        self.binary_level(Self::equality, &[(Tok::BitAnd, BinOp::BitAnd)])
-    }
-
-    fn equality(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            Self::relational,
-            &[(Tok::EqEq, BinOp::Eq), (Tok::NotEq, BinOp::Ne)],
-        )
-    }
-
-    fn relational(&mut self) -> PResult<Expr> {
-        let mut lhs = self.shift()?;
+    /// Precedence climbing: an operand, then every binary operator (and
+    /// `instanceof`) that binds at least as tightly as `min_bp`, each
+    /// right operand parsed one power up so that equal powers associate
+    /// to the left.
+    fn binary(&mut self, min_bp: u8) -> PResult<Expr> {
+        let mut lhs = self.unary()?;
+        // Power of the operator that built `lhs`; a tighter one must not
+        // take it as an operand (`a instanceof T + 1` ends at the `+`).
+        let mut cap = u8::MAX;
         loop {
-            // `instanceof`
-            if *self.peek() == Tok::KwInstanceof {
+            if *self.peek() == Tok::KwInstanceof && (min_bp..=cap).contains(&RELATIONAL) {
                 self.bump();
                 let ty = self.type_ref()?;
                 self.node_over(self.height)?;
@@ -958,18 +981,16 @@ impl Parser {
                     ty,
                     span,
                 };
+                cap = RELATIONAL;
                 continue;
             }
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::Le => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::Ge => BinOp::Ge,
-                _ => return Ok(lhs),
+            let Some((op, bp)) = binop(self.peek()).filter(|&(_, bp)| (min_bp..=cap).contains(&bp))
+            else {
+                return Ok(lhs);
             };
             self.bump();
             let below = self.height;
-            let rhs = self.shift()?;
+            let rhs = self.binary(bp + 1)?;
             self.node_over(below.max(self.height))?;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary {
@@ -978,32 +999,8 @@ impl Parser {
                 rhs: Box::new(rhs),
                 span,
             };
+            cap = bp;
         }
-    }
-
-    fn shift(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            Self::additive,
-            &[(Tok::Shl, BinOp::Shl), (Tok::Shr, BinOp::Shr)],
-        )
-    }
-
-    fn additive(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            Self::multiplicative,
-            &[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)],
-        )
-    }
-
-    fn multiplicative(&mut self) -> PResult<Expr> {
-        self.binary_level(
-            Self::unary,
-            &[
-                (Tok::Star, BinOp::Mul),
-                (Tok::Slash, BinOp::Div),
-                (Tok::Percent, BinOp::Rem),
-            ],
-        )
     }
 
     fn unary(&mut self) -> PResult<Expr> {
@@ -1054,7 +1051,7 @@ impl Parser {
         match self.peek_at(1) {
             // `(int)`, `(float)`, ... are always casts.
             Tok::KwInt | Tok::KwLong | Tok::KwFloat | Tok::KwDouble | Tok::KwBoolean => true,
-            Tok::Ident(_) => {
+            Tok::Ident { .. } => {
                 // `(Name)` followed by something that can begin an operand.
                 let mut i = 2;
                 // Skip over `[]` pairs: `(Foo[])`.
@@ -1066,7 +1063,7 @@ impl Parser {
                 }
                 matches!(
                     self.peek_at(i + 1),
-                    Tok::Ident(_)
+                    Tok::Ident { .. }
                         | Tok::IntLit(_)
                         | Tok::LongLit(_)
                         | Tok::FloatLit(_)
@@ -1225,9 +1222,8 @@ impl Parser {
                     span: start.to(self.prev_span()),
                 })
             }
-            Tok::Ident(name) => {
-                let name = name.clone();
-                self.bump();
+            Tok::Ident { .. } => {
+                let (name, _) = self.ident()?;
                 if *self.peek() == Tok::LParen {
                     // Unqualified call: `foo(...)` on implicit `this`.
                     let args = self.call_args()?;
@@ -1249,10 +1245,7 @@ impl Parser {
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
-            other => Err(self.err(format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.err(format!("expected an expression, found {}", self.found()))),
         }
     }
 }

@@ -12,7 +12,11 @@ pub enum Tok {
     FloatLit(f32),
     DoubleLit(f64),
     StrLit(String),
-    Ident(String),
+    /// An identifier: the byte range of its name in the source.
+    Ident {
+        start: u32,
+        end: u32,
+    },
 
     // Keywords
     KwClass,
@@ -91,15 +95,18 @@ pub enum Tok {
 }
 
 impl Tok {
-    /// Short human-readable name for error messages.
-    pub fn describe(&self) -> String {
+    /// Short human-readable name for error messages; `src` is the source
+    /// the token was lexed from.
+    pub fn describe(&self, src: &str) -> String {
         match self {
             Tok::IntLit(v) => format!("int literal {v}"),
             Tok::LongLit(v) => format!("long literal {v}"),
             Tok::FloatLit(v) => format!("float literal {v}"),
             Tok::DoubleLit(v) => format!("double literal {v}"),
             Tok::StrLit(s) => format!("string literal {s:?}"),
-            Tok::Ident(s) => format!("identifier `{s}`"),
+            Tok::Ident { start, end } => {
+                format!("identifier `{}`", &src[*start as usize..*end as usize])
+            }
             Tok::Eof => "end of input".to_string(),
             other => format!("`{}`", other.text()),
         }
@@ -240,9 +247,11 @@ impl<'a> Lexer<'a> {
         *self.src.get(self.pos + 1).unwrap_or(&0)
     }
 
+    /// Consume one byte; at the end of input, consume nothing and return 0,
+    /// so that no span reaches past the source.
     fn bump(&mut self) -> u8 {
         let c = self.peek();
-        self.pos += 1;
+        self.pos = (self.pos + 1).min(self.src.len());
         if c == b'\n' {
             self.line += 1;
         }
@@ -386,6 +395,7 @@ impl<'a> Lexer<'a> {
                         b't' => '\t',
                         b'\\' => '\\',
                         b'"' => '"',
+                        0 => continue, // end of input: unterminated
                         other => {
                             return Err(Diagnostic::error(
                                 "lexer",
@@ -409,7 +419,8 @@ pub fn lex(file: u32, src: &str) -> Result<Vec<Token>, Vec<Diagnostic>> {
         line: 1,
         file,
     };
-    let mut out = Vec::new();
+    // Sources here run about one token per three bytes.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
     let mut diags = Vec::new();
     loop {
         if let Err(d) = lx.skip_trivia() {
@@ -447,7 +458,10 @@ pub fn lex(file: u32, src: &str) -> Result<Vec<Token>, Vec<Diagnostic>> {
                 lx.bump();
             }
             let word = std::str::from_utf8(&lx.src[start..lx.pos]).unwrap();
-            keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()))
+            keyword(word).unwrap_or(Tok::Ident {
+                start: start as u32,
+                end: lx.pos as u32,
+            })
         } else {
             lx.bump();
             match c {
@@ -480,9 +494,8 @@ pub fn lex(file: u32, src: &str) -> Result<Vec<Token>, Vec<Diagnostic>> {
                         lx.bump();
                         Tok::Ge
                     }
-                    // Note: `>>` is lexed greedily; the parser never needs to
-                    // split it because nested generics close with `> >` in our
-                    // grammar or via the parser's explicit Shr handling.
+                    // `>>` is lexed greedily; the parser splits it when it
+                    // closes two generic argument lists.
                     b'>' => {
                         lx.bump();
                         Tok::Shr
@@ -597,17 +610,23 @@ mod tests {
         lex(0, src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
+    /// Each token as a diagnostic names it.
+    fn described(src: &str) -> Vec<String> {
+        toks(src).iter().map(|t| t.describe(src)).collect()
+    }
+
     #[test]
     fn lexes_keywords_and_idents() {
         let t = toks("class Foo extends Bar");
+        assert_eq!(t[1], Tok::Ident { start: 6, end: 9 });
         assert_eq!(
-            t,
-            vec![
-                Tok::KwClass,
-                Tok::Ident("Foo".into()),
-                Tok::KwExtends,
-                Tok::Ident("Bar".into()),
-                Tok::Eof
+            described("class Foo extends Bar"),
+            [
+                "`class`",
+                "identifier `Foo`",
+                "`extends`",
+                "identifier `Bar`",
+                "end of input"
             ]
         );
     }
@@ -625,31 +644,30 @@ mod tests {
     #[test]
     fn lexes_operators_greedily() {
         assert_eq!(
-            toks("a += b ++ <= >= == != && || << >>"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::PlusAssign,
-                Tok::Ident("b".into()),
-                Tok::PlusPlus,
-                Tok::Le,
-                Tok::Ge,
-                Tok::EqEq,
-                Tok::NotEq,
-                Tok::AndAnd,
-                Tok::OrOr,
-                Tok::Shl,
-                Tok::Shr,
-                Tok::Eof
+            described("a += b ++ <= >= == != && || << >>"),
+            [
+                "identifier `a`",
+                "`+=`",
+                "identifier `b`",
+                "`++`",
+                "`<=`",
+                "`>=`",
+                "`==`",
+                "`!=`",
+                "`&&`",
+                "`||`",
+                "`<<`",
+                "`>>`",
+                "end of input"
             ]
         );
     }
 
     #[test]
     fn skips_line_and_block_comments() {
-        let t = toks("a // comment\n /* block \n comment */ b");
         assert_eq!(
-            t,
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            described("a // comment\n /* block \n comment */ b"),
+            ["identifier `a`", "identifier `b`", "end of input"]
         );
     }
 
@@ -663,6 +681,15 @@ mod tests {
     #[test]
     fn string_literals_with_escapes() {
         assert_eq!(toks("\"he\\\"llo\\n\"")[0], Tok::StrLit("he\"llo\n".into()));
+    }
+
+    #[test]
+    fn unterminated_string_spans_end_at_the_source() {
+        for src in ["\"abc", "\"abc\\"] {
+            let ds = lex(0, src).unwrap_err();
+            assert_eq!(ds[0].message, "unterminated string literal", "{src:?}");
+            assert_eq!(ds[0].span.end as usize, src.len(), "{src:?}");
+        }
     }
 
     #[test]

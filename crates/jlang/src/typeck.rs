@@ -599,13 +599,13 @@ impl<'t> Checker<'t> {
             match t {
                 ast::LValue::Name(n, s) => ast::Expr::Name(n.clone(), *s),
                 ast::LValue::Field { obj, name, span } => ast::Expr::Field {
-                    obj: Box::new(obj.clone()),
+                    obj: obj.clone(),
                     name: name.clone(),
                     span: *span,
                 },
                 ast::LValue::Index { arr, idx, span } => ast::Expr::Index {
-                    arr: Box::new(arr.clone()),
-                    idx: Box::new(idx.clone()),
+                    arr: arr.clone(),
+                    idx: idx.clone(),
                     span: *span,
                 },
             }
@@ -670,7 +670,7 @@ impl<'t> Checker<'t> {
                 span: fspan,
             } => {
                 // Static field of another class: `C.f = ...`.
-                if let ast::Expr::Name(cname, _) = obj {
+                if let ast::Expr::Name(cname, _) = &**obj {
                     if self.scope.lookup(cname).is_none()
                         && self.table.lookup_field(self.class, cname).is_none()
                     {

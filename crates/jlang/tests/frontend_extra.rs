@@ -104,6 +104,113 @@ fn statement_and_postfix_bombs_get_a_diagnostic_not_a_stack_overflow() {
     });
 }
 
+/// splitmix64: the harness below is seeded and replays exactly.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// Up to three consecutive class declarations of every source the rest of
+/// the repository parses (the prelude, the three libraries, the
+/// translator's pipeline fixture), each with its tokens' byte ranges:
+/// short enough that thousands of mutants parse in seconds, long enough
+/// that error recovery crosses into the next class.
+fn harness_windows() -> Vec<(String, Vec<(usize, usize)>)> {
+    let sources = [
+        wootinj::prelude::PRELUDE,
+        hpclib::STENCIL_LIB,
+        hpclib::MATMUL_LIB,
+        hpclib::REDUCE_LIB,
+        include_str!("../../translator/tests/fixtures/pipeline8.jl"),
+    ];
+    let mut windows = Vec::new();
+    for src in sources {
+        let classes = jlang::parser::parse_unit(0, src).unwrap().classes;
+        for (k, c) in classes.iter().enumerate() {
+            let last = &classes[(k + 2).min(classes.len() - 1)];
+            let text = &src[c.span.start as usize..last.span.end as usize];
+            let toks = jlang::token::lex(0, text).unwrap();
+            let spans = toks[..toks.len() - 1]
+                .iter()
+                .map(|t| (t.span.start as usize, t.span.end as usize))
+                .collect();
+            windows.push((text.to_string(), spans));
+        }
+    }
+    windows
+}
+
+/// One seeded mutant of `src`: a prefix, or `src` with one token deleted,
+/// duplicated, or swapped with one of the next four.
+fn mutant(src: &str, toks: &[(usize, usize)], rng: &mut Rng) -> String {
+    let k = rng.below(toks.len());
+    let (s, e) = toks[k];
+    match rng.below(4) {
+        0 => {
+            let mut cut = rng.below(src.len() + 1);
+            while !src.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            src[..cut].to_string()
+        }
+        1 => format!("{}{}", &src[..s], &src[e..]),
+        2 => format!("{} {}", &src[..e], &src[s..]),
+        _ => {
+            let (s2, e2) = toks[(k + 1 + rng.below(4)).min(toks.len() - 1)];
+            if s2 == s {
+                return src[..s].to_string();
+            }
+            let (a, b) = (&src[s..e], &src[s2..e2]);
+            format!("{}{b}{}{a}{}", &src[..s], &src[e..s2], &src[e2..])
+        }
+    }
+}
+
+#[test]
+fn mutated_sources_get_a_tree_or_diagnostics_never_a_panic() {
+    let cases = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        20_000
+    };
+    let windows = harness_windows();
+    on_a_2mb_stack(move || {
+        let mut rng = Rng(29);
+        let mut failures = Vec::new();
+        for case in 0..cases {
+            let (src, toks) = &windows[rng.below(windows.len())];
+            let src = mutant(src, toks, &mut rng);
+            let result = std::panic::catch_unwind(|| jlang::parser::parse_unit(0, &src));
+            let sound = match &result {
+                Ok(Ok(_)) => true,
+                Ok(Err(ds)) => {
+                    !ds.is_empty()
+                        && ds
+                            .iter()
+                            .all(|d| d.span.start <= d.span.end && d.span.end as usize <= src.len())
+                }
+                Err(_) => false,
+            };
+            if !sound {
+                failures.push(format!("case {case}: {result:?}\n{src}"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "{} of {cases} mutants failed; the first:\n{}",
+            failures.len(),
+            failures[0]
+        );
+    });
+}
+
 #[test]
 fn nesting_within_the_limits_compiles_on_a_2mb_stack() {
     on_a_2mb_stack(|| {
