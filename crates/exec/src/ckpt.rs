@@ -220,6 +220,7 @@ pub fn read_machine_rest(r: &mut Reader, arrays: Vec<ArrStore>) -> Result<Machin
         output: Wire::get(r)?,
         counters: Wire::get(r)?,
         fault: Wire::get(r)?,
+        gpu_coords: None,
     })
 }
 

@@ -344,6 +344,36 @@ pub struct Machine {
     /// consults it at slice starts (fuel exhaustion) and yield points
     /// (rank crashes). `None` (the default) injects nothing.
     pub fault: Option<FaultPlan>,
+    /// The coordinates of the CUDA thread about to run, set by the device
+    /// runtime before each slice of a kernel thread: [`run`] answers
+    /// `threadIdx`/`blockIdx`/`blockDim`/`gridDim` reads from them in
+    /// place. `None` (host machines) surfaces those reads as
+    /// [`Yield::GpuMem`]. Never checkpointed; it is set again before
+    /// every slice.
+    pub gpu_coords: Option<GpuCoords>,
+}
+
+/// One CUDA thread's coordinate registers, by axis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GpuCoords {
+    pub thread_idx: [u32; 3],
+    pub block_idx: [u32; 3],
+    pub block_dim: [u32; 3],
+    pub grid_dim: [u32; 3],
+}
+
+impl GpuCoords {
+    /// The value of coordinate intrinsic `op`; `None` for any other op.
+    pub fn read(&self, op: IntrinOp) -> Option<i32> {
+        let (regs, axis) = match op {
+            IntrinOp::ThreadIdx(a) => (&self.thread_idx, a),
+            IntrinOp::BlockIdx(a) => (&self.block_idx, a),
+            IntrinOp::BlockDim(a) => (&self.block_dim, a),
+            IntrinOp::GridDim(a) => (&self.grid_dim, a),
+            _ => return None,
+        };
+        regs.get(axis as usize).map(|&v| v as i32)
+    }
 }
 
 impl Machine {
@@ -392,8 +422,8 @@ pub enum Yield {
         block: [u32; 3],
         args: Vec<Val>,
     },
-    /// Host requested a GPU memory operation (copy/alloc/free) or a CUDA
-    /// thread-register read that gpu-sim must service.
+    /// Host requested a GPU memory operation (copy/alloc/free), or read a
+    /// CUDA thread register with no [`Machine::gpu_coords`] set.
     GpuMem { op: IntrinOp, args: Vec<Val> },
     /// A registered foreign (host) function call; the runtime services it
     /// through its [`HostRegistry`].
@@ -1129,20 +1159,30 @@ fn slow_op(
             array_copy_f32(&mut machine.mem, src, spos, dst, dpos, n)?;
             Slow::Next
         }
-        // CUDA thread-register reads and GPU memory operations are
-        // serviced by gpu-sim / the device runtime, MPI by mpi-sim.
+        // A kernel thread's coordinate reads are answered here, from what
+        // the device runtime set on the machine; the rest of the GPU ops,
+        // and coordinate reads on a host, are serviced by gpu-sim / the
+        // device runtime, MPI by mpi-sim.
         (
             OpKind::YieldGpu,
             Instr::Intrin {
                 op: intrin, args, ..
             },
-        ) => Slow::Yield(
-            reg_of(op.a),
-            Yield::GpuMem {
-                op: *intrin,
-                args: read(args),
-            },
-        ),
+        ) => match machine.gpu_coords.and_then(|c| c.read(*intrin)) {
+            Some(v) => {
+                if let Some(dst) = reg_of(op.a) {
+                    regs[dst as usize] = Val::I32(v);
+                }
+                Slow::Next
+            }
+            None => Slow::Yield(
+                reg_of(op.a),
+                Yield::GpuMem {
+                    op: *intrin,
+                    args: read(args),
+                },
+            ),
+        },
         (
             OpKind::YieldMpi,
             Instr::Intrin {
@@ -1350,6 +1390,66 @@ mod tests {
         p.entry = Some(id);
         p.validate().unwrap();
         (p, id)
+    }
+
+    #[test]
+    fn coordinate_reads_are_answered_in_place_at_the_round_trips_cost() {
+        // fn f() -> i32 { threadIdx.y + gridDim.z }
+        let mut fb = FuncBuilder::new("f", vec![], Some(Ty::I32), FuncKind::Host);
+        let (t, g) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        for (op, dst) in [(IntrinOp::ThreadIdx(1), t), (IntrinOp::GridDim(2), g)] {
+            fb.emit(Instr::Intrin {
+                op,
+                args: vec![],
+                dst: Some(dst),
+            });
+        }
+        fb.emit(Instr::Bin {
+            op: BinOp::Add,
+            kind: PrimKind::Int,
+            dst: t,
+            lhs: t,
+            rhs: g,
+        });
+        fb.emit(Instr::Ret(Some(t)));
+        let mut p = Program::default();
+        let id = p.add_func(fb.finish().unwrap());
+        let image = Image::build(&p).unwrap();
+
+        // No coordinates (a host machine): each read is a round trip.
+        let mut host = Machine::new();
+        let mut thread = Thread::new(&p, id, &[]).unwrap();
+        let mut entries = 0;
+        let via_yields = loop {
+            entries += 1;
+            match run(&mut thread, &image, &mut host, u64::MAX).unwrap() {
+                Yield::GpuMem { op, .. } => {
+                    thread.resume_with(Val::I32(if op == IntrinOp::ThreadIdx(1) { 3 } else { 4 }))
+                }
+                Yield::Done(v) => break v,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        assert_eq!((via_yields, entries), (Some(Val::I32(7)), 3));
+
+        let mut device = Machine {
+            gpu_coords: Some(GpuCoords {
+                thread_idx: [0, 3, 0],
+                grid_dim: [1, 1, 4],
+                ..GpuCoords::default()
+            }),
+            ..Machine::new()
+        };
+        let mut thread = Thread::new(&p, id, &[]).unwrap();
+        let in_place = run(&mut thread, &image, &mut device, u64::MAX).unwrap();
+        assert!(
+            matches!(in_place, Yield::Done(Some(Val::I32(7)))),
+            "{in_place:?}"
+        );
+        assert_eq!(
+            (device.counters.instrs, device.counters.cycles),
+            (host.counters.instrs, host.counters.cycles)
+        );
     }
 
     #[test]

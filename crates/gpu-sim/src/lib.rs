@@ -23,10 +23,10 @@
 #![forbid(unsafe_code)]
 
 use exec::{
-    run, ArrStore, ExecError, FaultConfig, FaultPlan, Image, Machine, ResilienceStats, Thread, Val,
-    Yield,
+    run, ArrStore, ExecError, FaultConfig, FaultPlan, GpuCoords, Image, Machine, ResilienceStats,
+    Thread, Val, Yield,
 };
-use nir::{FuncId, IntrinOp};
+use nir::FuncId;
 use std::collections::HashMap;
 
 /// Device model parameters (defaults shaped after the paper's M2050).
@@ -324,6 +324,7 @@ impl Gpu {
                         sm as u32,
                         &mut threads,
                     );
+                    self.machine.gpu_coords = None;
                     if armed {
                         if let Some(plan) = self.machine.fault.take() {
                             self.sm_plans[sm] = plan;
@@ -376,8 +377,15 @@ impl Gpu {
                     continue;
                 }
                 any_progress = true;
-                // Run this thread until it blocks at a barrier or finishes.
+                // Run this thread until it blocks at a barrier or finishes;
+                // `run` answers its coordinate reads.
                 loop {
+                    self.machine.gpu_coords = Some(GpuCoords {
+                        thread_idx: ctx.idx,
+                        block_idx,
+                        block_dim: block,
+                        grid_dim: grid,
+                    });
                     match run(&mut ctx.thread, image, &mut self.machine, u64::MAX)? {
                         Yield::Done(_) => {
                             ctx.st = St::Done;
@@ -394,19 +402,7 @@ impl Gpu {
                             ctx.thread.resume_with(Val::Arr(h));
                         }
                         Yield::GpuMem { op, .. } => {
-                            // CUDA thread-coordinate registers.
-                            let v = match op {
-                                IntrinOp::ThreadIdx(a) => ctx.idx[a as usize] as i32,
-                                IntrinOp::BlockIdx(a) => block_idx[a as usize] as i32,
-                                IntrinOp::BlockDim(a) => block[a as usize] as i32,
-                                IntrinOp::GridDim(a) => grid[a as usize] as i32,
-                                other => {
-                                    return Err(err(format!(
-                                        "kernel performed host-only operation {other:?}"
-                                    )))
-                                }
-                            };
-                            ctx.thread.resume_with(Val::I32(v));
+                            return Err(err(format!("kernel performed host-only operation {op:?}")))
                         }
                         Yield::Mpi { .. } => {
                             return Err(err("kernel attempted an MPI operation"));
@@ -471,7 +467,7 @@ mod tests {
     use super::*;
     use jlang::ast::BinOp;
     use jlang::types::PrimKind;
-    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Program, Ty};
+    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, IntrinOp, Program, Ty};
 
     /// Build a kernel: a[global_id] = a[global_id] * 2
     fn scale_kernel(p: &mut Program) -> FuncId {
@@ -805,7 +801,7 @@ mod tests_3d {
     use super::*;
     use jlang::ast::BinOp;
     use jlang::types::PrimKind;
-    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Program, Reg, Ty};
+    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, IntrinOp, Program, Reg, Ty};
 
     /// Kernel writing a[linear(gid3)] = bx*100 + by*10 + bz + tz*0.5 over a
     /// 3-D grid of 3-D blocks, exercising the y/z coordinate registers.
