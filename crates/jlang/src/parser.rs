@@ -45,8 +45,8 @@ const MAX_EXPR_DEPTH: u32 = 40;
 /// has — 2 MB on a `jitd` connection thread or a test thread. Measured in
 /// an unoptimized build, where frames are largest: those passes take
 /// ≈24 KB per expression level and at most ≈17 KB per statement level
-/// (≈1.4 MB at both limits), and the parser's own descent ≈35 KB per
-/// level of [`MAX_EXPR_DEPTH`] and ≈17 KB per statement level (≈1.7 MB).
+/// (≈1.4 MB at both limits), and the parser's own descent ≈23 KB per
+/// level of [`MAX_EXPR_DEPTH`] and ≈14 KB per statement level (≈1.2 MB).
 /// Outside the tests of these limits, nothing in this repository nests
 /// statements deeper than 6 or builds an expression taller than 12.
 const MAX_EXPR_HEIGHT: u32 = 48;

@@ -594,30 +594,13 @@ impl<'t> Checker<'t> {
         value: &ast::Expr,
         span: Span,
     ) -> CkResult<TStmt> {
-        // Read the target as an expression when compound.
-        let read_target = |t: &ast::LValue| -> ast::Expr {
-            match t {
-                ast::LValue::Name(n, s) => ast::Expr::Name(n.clone(), *s),
-                ast::LValue::Field { obj, name, span } => ast::Expr::Field {
-                    obj: obj.clone(),
-                    name: name.clone(),
-                    span: *span,
-                },
-                ast::LValue::Index { arr, idx, span } => ast::Expr::Index {
-                    arr: arr.clone(),
-                    idx: idx.clone(),
-                    span: *span,
-                },
-            }
-        };
-
         match target {
             ast::LValue::Name(name, nspan) => {
                 if let Some((slot, ty, is_final)) = self.scope.lookup(name) {
                     if is_final {
                         self.err(*nspan, format!("assignment to final variable `{name}`"));
                     }
-                    let v = self.assign_value(&read_target(target), op, value, &ty, span)?;
+                    let v = self.assign_value(target, op, value, &ty, span)?;
                     return Ok(TStmt::AssignLocal {
                         slot,
                         value: v,
@@ -636,7 +619,7 @@ impl<'t> Checker<'t> {
                         ty: Type::object(self.class),
                         span: *nspan,
                     };
-                    let v = self.assign_value(&read_target(target), op, value, &fl.ty, span)?;
+                    let v = self.assign_value(target, op, value, &fl.ty, span)?;
                     return Ok(TStmt::AssignField {
                         obj,
                         field: FieldSel {
@@ -653,7 +636,7 @@ impl<'t> Checker<'t> {
                         self.err(*nspan, format!("assignment to final static `{name}`"));
                     }
                     let fty = f.ty.clone();
-                    let v = self.assign_value(&read_target(target), op, value, &fty, span)?;
+                    let v = self.assign_value(target, op, value, &fty, span)?;
                     return Ok(TStmt::AssignStatic {
                         class: self.class,
                         index: idx,
@@ -683,8 +666,7 @@ impl<'t> Checker<'t> {
                                 self.err(*fspan, format!("assignment to final static `{name}`"));
                             }
                             let fty = f.ty.clone();
-                            let v =
-                                self.assign_value(&read_target(target), op, value, &fty, span)?;
+                            let v = self.assign_value(target, op, value, &fty, span)?;
                             return Ok(TStmt::AssignStatic {
                                 class: cid,
                                 index: idx,
@@ -709,7 +691,7 @@ impl<'t> Checker<'t> {
                 };
                 self.check_final_field_write(fl.is_final, fl.owner, *fspan, name);
                 let fty = fl.ty.subst(&targs);
-                let v = self.assign_value(&read_target(target), op, value, &fty, span)?;
+                let v = self.assign_value(target, op, value, &fty, span)?;
                 Ok(TStmt::AssignField {
                     obj: tobj,
                     field: FieldSel {
@@ -734,7 +716,7 @@ impl<'t> Checker<'t> {
                 };
                 let tidx = self.expr(idx)?;
                 let tidx = self.coerce(tidx, &Type::Int)?;
-                let v = self.assign_value(&read_target(target), op, value, &elem, span)?;
+                let v = self.assign_value(target, op, value, &elem, span)?;
                 Ok(TStmt::AssignIndex {
                     arr: tarr,
                     idx: tidx,
@@ -768,7 +750,7 @@ impl<'t> Checker<'t> {
     /// do; documented here rather than complicating every engine.
     fn assign_value(
         &mut self,
-        target_read: &ast::Expr,
+        target: &ast::LValue,
         op: Option<BinOp>,
         value: &ast::Expr,
         target_ty: &Type,
@@ -780,7 +762,21 @@ impl<'t> Checker<'t> {
                 self.coerce(v, target_ty)
             }
             Some(op) => {
-                let lhs = self.expr(target_read)?;
+                // A compound assignment reads the target as an expression.
+                let read = match target {
+                    ast::LValue::Name(n, s) => ast::Expr::Name(n.clone(), *s),
+                    ast::LValue::Field { obj, name, span } => ast::Expr::Field {
+                        obj: obj.clone(),
+                        name: name.clone(),
+                        span: *span,
+                    },
+                    ast::LValue::Index { arr, idx, span } => ast::Expr::Index {
+                        arr: arr.clone(),
+                        idx: idx.clone(),
+                        span: *span,
+                    },
+                };
+                let lhs = self.expr(&read)?;
                 let rhs = self.expr(value)?;
                 let bin = self.binary(op, lhs, rhs, span)?;
                 // Java compound assignment implicitly casts back.

@@ -25,6 +25,11 @@ echo "==   decoder's unchecked offset+len fails on a different line (or     =="
 echo "==   not at all) than in the debug run above                          =="
 cargo test --release --offline -q -p exec
 
+echo "== jlang tests again in release: the never-panic harness runs its  =="
+echo "==   release budget (20 000 mutants), and the nesting limits hold  =="
+echo "==   on a 2 MB stack at optimized frame sizes too                  =="
+cargo test --release --offline -q -p jlang
+
 echo "== fold against its reference, optimized: the 4k-vs-32k scaling ratio  =="
 echo "==   is only meaningful with the optimizer on (the debug run above keeps =="
 echo "==   the differential half)                                              =="
