@@ -224,42 +224,47 @@ fn pipeline8(opt: OptConfig) -> (u64, usize) {
 
 /// What the whole compile path produces, pinned: FNV-1a of the semantic
 /// artifact bytes and the optimized instruction count of three programs
-/// under the standard pipeline and under `aggressive()` (which reaches
-/// inlining, `sroa` and the post-SROA fold round). A change to the front
-/// end, lowering or an optimizer pass that is meant to keep its output
-/// must leave all six pairs alone; one that is meant to change it
+/// under the standard pipeline, under `aggressive()` (which reaches
+/// inlining, `sroa` and the post-SROA fold round) and under the
+/// optimizer setting of the `JitOptions::wootinj()` preset. A change to
+/// the front end, lowering or an optimizer pass that is meant to keep its
+/// output must leave all nine pairs alone; one that is meant to change it
 /// re-pins them here, visibly.
 #[test]
 fn compile_path_output_is_pinned() {
     type Pin = (u64, usize);
     type Compile = fn(OptConfig) -> Pin;
-    let pinned: [(&str, Compile, Pin, Pin); 3] = [
+    let pinned: [(&str, Compile, Pin, Pin, Pin); 3] = [
         (
             "diffusion",
             diffusion,
             (0x2f62_8c89_073d_f17a, 254),
             (0x8a16_0aaf_0f41_be76, 385),
+            (0x2f62_8c89_073d_f17a, 254),
         ),
         (
             "matmul-fox",
             matmul_fox,
             (0x6b29_c238_f7f6_c8d5, 223),
             (0x396d_8912_379a_d029, 284),
+            (0x6b29_c238_f7f6_c8d5, 223),
         ),
         // Fully flattened already: `aggressive()` finds nothing to inline
-        // or scalar-replace, so both levels pin the same program.
+        // or scalar-replace, so every level pins the same program.
         (
             "pipeline8",
             pipeline8,
             (0x55b8_bc24_a757_3e6a, 10823),
             (0x55b8_bc24_a757_3e6a, 10823),
+            (0x55b8_bc24_a757_3e6a, 10823),
         ),
     ];
     let mut moved = Vec::new();
-    for (name, compile, standard, aggressive) in pinned {
+    for (name, compile, standard, aggressive, preset) in pinned {
         for (level, opt, want) in [
             ("standard", OptConfig::standard(), standard),
             ("aggressive", OptConfig::aggressive(), aggressive),
+            ("wootinj preset", JitOptions::wootinj().config.opt, preset),
         ] {
             let got = compile(opt);
             if got != want {
