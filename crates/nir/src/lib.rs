@@ -24,4 +24,6 @@ pub use ir::{
     ClassMeta, ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Function, Global, HostFnSig, Instr,
     IntrinOp, Label, Program, Reg, Ty,
 };
-pub use opt::{merge_profiles, optimize, optimize_fn, OptConfig, PassProfile, PASS_ORDER};
+pub use opt::{
+    kinds_splice, merge_profiles, optimize, optimize_fn, OptConfig, PassProfile, PASS_ORDER,
+};

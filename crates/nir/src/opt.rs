@@ -7,10 +7,10 @@
 //!   chains;
 //! * **dead-code elimination**: removes pure instructions whose results
 //!   are never used (whole-function liveness);
-//! * **function inlining**: splices small callees into their callers. The
-//!   coding rules forbid recursion, so inlining always terminates. This
-//!   pass is what distinguishes the *Template w/o virt.* series from the
-//!   plain WootinJ pipeline in our reproduction.
+//! * **function inlining**: splices small callees into their callers,
+//!   bottom-up: each function, in `FuncId` order, takes in the final
+//!   bodies of its earlier callees (see [`optimize_fn`]), as the paper's
+//!   C compiler inlines the flat C that WootinJ emits.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
-use crate::ir::{FuncId, FuncKind, Function, Instr, Program, Reg};
+use crate::ir::{FuncKind, Function, Instr, Program, Reg};
 
 /// Optimizer configuration; maps onto the compiler-option rows of
 /// Tables 1 and 2.
@@ -56,7 +56,7 @@ impl OptConfig {
             const_fold: true,
             copy_prop: true,
             dce: true,
-            inline_limit: 64,
+            inline_limit: 128,
             sroa: true,
         }
     }
@@ -86,91 +86,93 @@ pub struct PassProfile {
 }
 
 impl PassProfile {
-    fn record<T, R>(
-        pass: &'static str,
-        target: &mut T,
-        instrs: fn(&T) -> u64,
-        body: impl FnOnce(&mut T) -> R,
-    ) -> (Self, R) {
-        let instrs_before = instrs(target);
+    fn record(pass: &'static str, f: &mut Function, body: impl FnOnce(&mut Function)) -> Self {
+        let instrs_before = f.code.len() as u64;
         let start = Instant::now();
-        let out = body(target);
-        let wall = start.elapsed();
-        (
-            PassProfile {
-                pass,
-                wall,
-                instrs_before,
-                instrs_after: instrs(target),
-            },
-            out,
-        )
-    }
-}
-
-/// Run the configured passes over the whole program. Returns one
-/// [`PassProfile`] per pass that actually ran, in execution order (the
-/// fold/dce/sroa entries aggregate all per-function applications,
-/// including the post-SROA cleanup round).
-pub fn optimize(program: &mut Program, config: OptConfig) -> Vec<PassProfile> {
-    let mut profiles = Vec::new();
-    if config.inline_limit > 0 {
-        let (p, ()) = PassProfile::record(
-            "inline",
-            program,
-            |p| p.instr_count() as u64,
-            |p| inline_functions(p, config.inline_limit),
-        );
-        profiles.push(p);
-    }
-    let mut fold_p = PassProfile {
-        pass: "fold",
-        ..Default::default()
-    };
-    let mut dce_p = PassProfile {
-        pass: "dce",
-        ..Default::default()
-    };
-    let mut sroa_p = PassProfile {
-        pass: "sroa",
-        ..Default::default()
-    };
-    for f in &mut program.funcs {
-        let f = Arc::make_mut(f);
-        optimize_fn_into(f, config, &mut fold_p, &mut dce_p, &mut sroa_p);
-    }
-    for p in [fold_p, dce_p, sroa_p] {
-        if p.instrs_before > 0 || p.instrs_after > 0 {
-            profiles.push(p);
+        body(f);
+        PassProfile {
+            pass,
+            wall: start.elapsed(),
+            instrs_before,
+            instrs_after: f.code.len() as u64,
         }
     }
-    profiles
 }
 
-/// Run the local (per-function) passes over one function. This is the
-/// loop body of [`optimize`]: for configurations without inlining
-/// (`inline_limit == 0`) applying it to every function is *exactly*
-/// whole-program optimization, which is what lets the incremental query
-/// layer optimize only freshly lowered functions and reuse memoized,
-/// already-optimized ones. Returns the per-pass profiles that ran.
-pub fn optimize_fn(f: &mut Function, config: OptConfig) -> Vec<PassProfile> {
-    let mut fold_p = PassProfile {
-        pass: "fold",
-        ..Default::default()
+/// Run the configured passes over the whole program: [`optimize_fn`] on
+/// every function in `FuncId` order. Returns one [`PassProfile`] per
+/// pass that did work, aggregated over all functions in canonical
+/// [`PASS_ORDER`] (fold/dce include the post-SROA cleanup round).
+pub fn optimize(program: &mut Program, config: OptConfig) -> Vec<PassProfile> {
+    let mut parts = Vec::new();
+    for i in 0..program.funcs.len() {
+        let (done, rest) = program.funcs.split_at_mut(i);
+        parts.extend(optimize_fn(Arc::make_mut(&mut rest[0]), done, config));
+    }
+    merge_profiles(parts)
+}
+
+/// One step of the bottom-up pipeline: splice into `f` every callee that
+/// may be inlined ([`splices`]), then run the local passes. `done` is the
+/// program's functions before `f`, already optimized. `FuncId`s are the
+/// post-order of lowering and the coding rules forbid recursion, so every
+/// callee comes first, and `f`'s optimized body depends only on its own
+/// code and its callees' final bodies. That is what lets the incremental
+/// query layer store optimized functions and optimize only fresh ones.
+pub fn optimize_fn(
+    f: &mut Function,
+    done: &[Arc<Function>],
+    config: OptConfig,
+) -> Vec<PassProfile> {
+    let mut parts = Vec::new();
+    let mut run = |pass, f: &mut Function, body: &dyn Fn(&mut Function)| {
+        parts.push(PassProfile::record(pass, f, body));
     };
-    let mut dce_p = PassProfile {
-        pass: "dce",
-        ..Default::default()
+    let fold = config.const_fold || config.copy_prop;
+    if config.inline_limit > 0 {
+        run("inline", f, &|f| inline_calls(f, done, config.inline_limit));
+    }
+    // First round: propagate copies so that spliced argument and result
+    // moves dissolve, then drop the dead moves...
+    if fold {
+        run("fold", f, &|f| local_fold(f, config));
+    }
+    if config.dce {
+        run("dce", f, &dce);
+    }
+    // ...so scalar replacement sees unaliased temporaries.
+    if config.sroa {
+        run("sroa", f, &sroa);
+        if fold {
+            run("fold", f, &|f| local_fold(f, config));
+        }
+        if config.dce {
+            run("dce", f, &dce);
+        }
+    }
+    merge_profiles(parts)
+}
+
+/// May a `caller`-kind function splice a `callee`-kind one? The same
+/// kind, or a `__device__` function into a kernel.
+pub fn kinds_splice(caller: FuncKind, callee: FuncKind) -> bool {
+    callee == caller || (caller == FuncKind::Kernel && callee == FuncKind::Device)
+}
+
+/// The callee that `ins`, in `caller`, splices under `limit`: a direct
+/// call to an earlier function of a matching kind whose final body has
+/// at most `limit` instructions.
+fn splices<'a>(
+    ins: &Instr,
+    caller: FuncKind,
+    done: &'a [Arc<Function>],
+    limit: usize,
+) -> Option<&'a Function> {
+    let Instr::Call { func, .. } = ins else {
+        return None;
     };
-    let mut sroa_p = PassProfile {
-        pass: "sroa",
-        ..Default::default()
-    };
-    optimize_fn_into(f, config, &mut fold_p, &mut dce_p, &mut sroa_p);
-    [fold_p, dce_p, sroa_p]
-        .into_iter()
-        .filter(|p| p.instrs_before > 0 || p.instrs_after > 0)
-        .collect()
+    let callee = done.get(func.0 as usize)?;
+    (callee.code.len() <= limit && kinds_splice(caller, callee.kind)).then_some(&**callee)
 }
 
 /// Canonical pipeline order of the optimizer passes — the order
@@ -206,41 +208,6 @@ pub fn merge_profiles(parts: impl IntoIterator<Item = PassProfile>) -> Vec<PassP
     });
     merged.retain(|p| p.instrs_before > 0 || p.instrs_after > 0);
     merged
-}
-
-fn optimize_fn_into(
-    f: &mut Function,
-    config: OptConfig,
-    fold_p: &mut PassProfile,
-    dce_p: &mut PassProfile,
-    sroa_p: &mut PassProfile,
-) {
-    let accumulate =
-        |acc: &mut PassProfile, f: &mut Function, body: fn(&mut Function, OptConfig), config| {
-            let (p, ()) =
-                PassProfile::record(acc.pass, f, |f| f.code.len() as u64, |f| body(f, config));
-            acc.wall += p.wall;
-            acc.instrs_before += p.instrs_before;
-            acc.instrs_after += p.instrs_after;
-        };
-    // First round: propagate copies so that inline-call argument
-    // aliases dissolve, then drop the dead moves...
-    if config.const_fold || config.copy_prop {
-        accumulate(fold_p, f, local_fold, config);
-    }
-    if config.dce {
-        accumulate(dce_p, f, |f, _| dce(f), config);
-    }
-    // ...so scalar replacement sees unaliased temporaries.
-    if config.sroa {
-        accumulate(sroa_p, f, |f, _| sroa(f), config);
-        if config.const_fold || config.copy_prop {
-            accumulate(fold_p, f, local_fold, config);
-        }
-        if config.dce {
-            accumulate(dce_p, f, |f, _| dce(f), config);
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -807,127 +774,105 @@ fn sroa(f: &mut Function) {
     }
 }
 
-/// Inline calls to small functions. Because the coding rules forbid
-/// recursion, repeated application terminates; we run to a fixed point
-/// with a global budget.
-fn inline_functions(program: &mut Program, limit: usize) {
-    let mut budget = 10_000usize;
-    loop {
-        let mut did = false;
-        for fi in 0..program.funcs.len() {
-            // Find an inlinable call site.
-            let site = program.funcs[fi].code.iter().position(|ins| {
-                if let Instr::Call { func, .. } = ins {
-                    let callee = &program.funcs[func.0 as usize];
-                    let caller_kind = program.funcs[fi].kind;
-                    func.0 as usize != fi
-                        && callee.code.len() <= limit
-                        && (callee.kind == caller_kind
-                            || (caller_kind == FuncKind::Kernel && callee.kind == FuncKind::Device))
-                } else {
-                    false
-                }
-            });
-            let Some(pc) = site else { continue };
-            let (callee_id, args, dst) = match &program.funcs[fi].code[pc] {
-                Instr::Call { func, args, dst } => (*func, args.clone(), *dst),
-                _ => unreachable!(),
-            };
-            let callee = Arc::clone(&program.funcs[callee_id.0 as usize]);
-            inline_at(program.func_mut(FuncId(fi as u32)), pc, &callee, &args, dst);
-            did = true;
-            budget = budget.saturating_sub(1);
-            if budget == 0 {
-                return;
+/// How `callee` splices: whether its parameters need copies (only when
+/// it writes one; otherwise the call's arguments stand in for them),
+/// where each of its instructions lands relative to the splice start, and
+/// the spliced length. A `Ret` becomes a `Mov` of the result (when the
+/// call has a destination) and a `Jmp` to the continuation; the final
+/// `Ret` falls through instead, so its `Mov` stays in the caller's block
+/// for copy propagation to remove. A splice therefore never retires more
+/// instructions than the `Call` and `Ret` it replaces.
+fn splice_layout(callee: &Function, has_dst: bool) -> (bool, Vec<u32>, u32) {
+    let params = callee.params.len() as Reg;
+    let copies = callee
+        .code
+        .iter()
+        .any(|ins| ins.dst().is_some_and(|d| d < params));
+    let mut at = Vec::with_capacity(callee.code.len() + 1);
+    let mut cur = if copies { params } else { 0 };
+    for (pc, ins) in callee.code.iter().enumerate() {
+        at.push(cur);
+        cur += match ins {
+            Instr::Ret(r) => {
+                u32::from(has_dst && r.is_some()) + u32::from(pc + 1 != callee.code.len())
             }
-        }
-        if !did {
-            return;
-        }
+            _ => 1,
+        };
     }
+    at.push(cur);
+    (copies, at, cur)
 }
 
-/// Splice `callee` into `caller` at call site `pc`.
-fn inline_at(caller: &mut Function, pc: usize, callee: &Function, args: &[Reg], dst: Option<Reg>) {
-    let reg_base = caller.regs.len() as Reg;
-    caller.regs.extend(callee.regs.iter().copied());
-
-    // Build the inlined body: param moves, remapped code, returns become
-    // moves + jumps to the continuation.
-    let mut body: Vec<Instr> = Vec::with_capacity(callee.code.len() + args.len() + 1);
-    for (i, a) in args.iter().enumerate() {
-        body.push(Instr::Mov(reg_base + i as Reg, *a));
+/// Splice every call that [`splices`] accepts, in one pass over `f`: the
+/// new pc of every instruction is computed once, then the code is
+/// rebuilt with each branch target remapped once.
+fn inline_calls(f: &mut Function, done: &[Arc<Function>], limit: usize) {
+    let kind = f.kind;
+    let site = |ins: &Instr| splices(ins, kind, done, limit);
+    if !f.code.iter().any(|ins| site(ins).is_some()) {
+        return;
     }
-    let code_offset = pc as u32 + args.len() as u32; // where remapped callee pc 0 lands
-    let map_target = |t: u32| -> u32 { t + code_offset };
-    // Continuation pc (after the spliced body) is computed later; first
-    // emit with a placeholder and fix up.
-    const CONT: u32 = u32::MAX - 1;
-    for ins in &callee.code {
-        let mut ins = ins.clone();
-        // Remap registers.
-        remap_regs(&mut ins, reg_base);
-        match ins {
-            Instr::Ret(Some(r)) => {
-                if let Some(d) = dst {
-                    body.push(Instr::Mov(d, r));
+    let mut new_pc = Vec::with_capacity(f.code.len() + 1);
+    let mut cur = 0u32;
+    for ins in &f.code {
+        new_pc.push(cur);
+        cur += match (ins, site(ins)) {
+            (Instr::Call { dst, .. }, Some(callee)) => splice_layout(callee, dst.is_some()).2,
+            _ => 1,
+        };
+    }
+    new_pc.push(cur);
+
+    let old = std::mem::replace(&mut f.code, Vec::with_capacity(cur as usize));
+    for (pc, ins) in old.into_iter().enumerate() {
+        match (site(&ins), ins) {
+            (Some(callee), Instr::Call { args, dst, .. }) => {
+                let (copies, at, _) = splice_layout(callee, dst.is_some());
+                let base = f.regs.len() as Reg;
+                f.regs.extend(&callee.regs);
+                let reg = |r: Reg| match args.get(r as usize) {
+                    Some(&a) if !copies => a,
+                    _ => base + r,
+                };
+                if copies {
+                    for (i, a) in args.iter().enumerate() {
+                        f.code.push(Instr::Mov(base + i as Reg, *a));
+                    }
                 }
-                body.push(Instr::Jmp(CONT));
+                let start = new_pc[pc];
+                for (cpc, ins) in callee.code.iter().enumerate() {
+                    let mut ins = ins.clone();
+                    ins.for_each_source_mut(|r| *r = reg(*r));
+                    if let Some(d) = ins.dst_mut() {
+                        *d = reg(*d);
+                    }
+                    match ins {
+                        Instr::Ret(r) => {
+                            if let (Some(d), Some(r)) = (dst, r) {
+                                f.code.push(Instr::Mov(d, r));
+                            }
+                            if cpc + 1 != callee.code.len() {
+                                f.code.push(Instr::Jmp(new_pc[pc + 1]));
+                            }
+                        }
+                        Instr::Jmp(t) => f.code.push(Instr::Jmp(start + at[t as usize])),
+                        Instr::Br { cond, t, f: fl } => f.code.push(Instr::Br {
+                            cond,
+                            t: start + at[t as usize],
+                            f: start + at[fl as usize],
+                        }),
+                        other => f.code.push(other),
+                    }
+                }
             }
-            Instr::Ret(None) => {
-                body.push(Instr::Jmp(CONT));
-            }
-            Instr::Jmp(t) => body.push(Instr::Jmp(map_target(t))),
-            Instr::Br { cond, t, f } => body.push(Instr::Br {
+            (_, Instr::Jmp(t)) => f.code.push(Instr::Jmp(new_pc[t as usize])),
+            (_, Instr::Br { cond, t, f: fl }) => f.code.push(Instr::Br {
                 cond,
-                t: map_target(t),
-                f: map_target(f),
+                t: new_pc[t as usize],
+                f: new_pc[fl as usize],
             }),
-            other => body.push(other),
+            (_, other) => f.code.push(other),
         }
-    }
-    let body_len = body.len() as u32;
-    // Shift: the single Call instruction is replaced by body_len instrs.
-    let delta = body_len as i64 - 1;
-    let cont_pc = pc as u32 + body_len;
-    for ins in &mut body {
-        match ins {
-            Instr::Jmp(t) if *t == CONT => *t = cont_pc,
-            Instr::Br { t, f, .. } => {
-                if *t == CONT {
-                    *t = cont_pc;
-                }
-                if *f == CONT {
-                    *f = cont_pc;
-                }
-            }
-            _ => {}
-        }
-    }
-    // Remap all existing jump targets in the caller that point past `pc`.
-    for ins in caller.code.iter_mut() {
-        match ins {
-            Instr::Jmp(t) if *t as usize > pc => {
-                *t = (*t as i64 + delta) as u32;
-            }
-            Instr::Br { t, f, .. } => {
-                if *t as usize > pc {
-                    *t = (*t as i64 + delta) as u32;
-                }
-                if *f as usize > pc {
-                    *f = (*f as i64 + delta) as u32;
-                }
-            }
-            _ => {}
-        }
-    }
-    caller.code.splice(pc..=pc, body);
-}
-
-fn remap_regs(ins: &mut Instr, base: Reg) {
-    ins.for_each_source_mut(|r| *r += base);
-    if let Some(d) = ins.dst_mut() {
-        *d += base;
     }
 }
 

@@ -60,6 +60,7 @@ use jlang::typeck::{self, Member, Typed};
 use jlang::types::ClassId;
 use jvm::{Jvm, Value};
 use nir::hash::Fingerprint;
+use nir::FuncId;
 use translator::lower::SpecResult;
 use translator::{
     entry_class, scan_uses, shaped_bindings, EntrySpec, FnMemo, Lowerer, MemberRef, Mode,
@@ -728,6 +729,10 @@ impl Database {
         let mut lw = Lowerer::new(table, flatten);
         lw.trace = Some(TraceState::default());
         lw.replay = Some(ReplayState::new(replay_memos));
+        // Replayed functions are final (memos hold optimized bodies, their
+        // spliced callees included); fresh ones are optimized as they are
+        // added, in id order.
+        lw.optimize = Some(config.opt);
 
         let entry = match lw.lower_spec(key, false)? {
             SpecResult::Func { id, .. } => id,
@@ -743,24 +748,8 @@ impl Database {
         let mut program = lw.program;
         let mut stats = lw.stats;
         program.entry = Some(entry);
-
-        if config.opt.inline_limit == 0 {
-            // Per-function optimization is exactly whole-program
-            // optimization here, so replayed functions (stored
-            // post-optimization) are final and only fresh ones run —
-            // serially or fanned out per function when the config asks
-            // for parallel lowering (bodies and memos are identical
-            // either way; results come back in rec order).
-            let indices: Vec<usize> = trace.recs.iter().map(|rec| rec.id.0 as usize).collect();
-            stats.passes = translator::optimize_functions(&mut program, &indices, &config);
-            self.harvest(snap, &config, &trace, &program);
-        } else {
-            // Cross-function inlining: memos hold *pre*-optimization
-            // functions and the optimizer reruns over the whole program,
-            // exactly like the from-scratch path.
-            self.harvest(snap, &config, &trace, &program);
-            stats.passes = translator::optimize_program(&mut program, &config);
-        }
+        stats.passes = nir::merge_profiles(lw.passes);
+        self.harvest(snap, &config, &trace, &program);
 
         program.validate().map_err(|m| {
             TransError::new(format!("internal error: generated program invalid: {m}"))
@@ -820,10 +809,9 @@ impl Database {
         valid
     }
 
-    /// Harvest this translate's trace records into `lower_fn` memos.
-    /// `program` holds post-optimization functions for non-inlining
-    /// configurations and pre-optimization functions otherwise — the
-    /// caller sequences the optimizer around this accordingly.
+    /// Harvest this translate's trace records into `lower_fn` memos, with
+    /// their optimized functions and the splice decision for each callee
+    /// they could splice.
     fn harvest(
         &self,
         snap: &Snapshot,
@@ -861,6 +849,19 @@ impl Database {
                     (b.class, b.member, th)
                 })
                 .collect();
+            let func = &program.funcs[rec.id.0 as usize];
+            let limit = config.opt.inline_limit;
+            let mut inlined: Vec<(FuncId, Option<Arc<nir::Function>>)> = Vec::new();
+            for e in rec.callees.iter().filter(|_| limit > 0) {
+                let callee = &program.funcs[e.expect.0 as usize];
+                if e.expect.0 < rec.id.0
+                    && nir::kinds_splice(func.kind, callee.kind)
+                    && !inlined.iter().any(|(id, _)| *id == e.expect)
+                {
+                    let spliced = callee.code.len() <= limit;
+                    inlined.push((e.expect, spliced.then(|| Arc::clone(callee))));
+                }
+            }
             store.insert(
                 LowerKey {
                     mode: config.mode,
@@ -873,8 +874,9 @@ impl Database {
                     memo: Arc::new(FnMemo {
                         id: rec.id,
                         ret: rec.ret.clone(),
-                        func: Arc::clone(&program.funcs[rec.id.0 as usize]),
+                        func: Arc::clone(func),
                         callees: rec.callees.clone(),
+                        inlined,
                         bodies: rec.bodies.clone(),
                         excl: rec.excl,
                     }),
@@ -1011,6 +1013,36 @@ mod tests {
             .unwrap()
     }
 
+    /// [`jit`] through the classic, non-incremental [`translator::translate`].
+    fn classic(src: &str, config: TransConfig) -> Translated {
+        let table = jlang::compile_str(src).unwrap();
+        let mut jvm = Jvm::new(&table).unwrap();
+        let s = jvm.new_instance("Scale", &[Value::Float(2.0)]).unwrap();
+        let app = jvm.new_instance("App", &[s]).unwrap();
+        translator::translate(&table, &jvm, &app, "run", &[Value::Float(3.0)], config).unwrap()
+    }
+
+    /// The `JitOptions::wootinj()` preset: Full, with function inlining.
+    fn preset() -> TransConfig {
+        let mut config = TransConfig::full();
+        config.opt.inline_limit = nir::OptConfig::aggressive().inline_limit;
+        config
+    }
+
+    /// A fresh database's artifact for `src`.
+    fn from_scratch(src: &str, config: TransConfig) -> Vec<u8> {
+        let mut db = Database::new();
+        db.set_source("app.jl", src).unwrap();
+        jit(&db, config).encode_semantic()
+    }
+
+    fn calls(t: &Translated) -> usize {
+        let run = &t.program.funcs[t.entry.0 as usize];
+        (run.code.iter())
+            .filter(|i| matches!(i, nir::Instr::Call { .. }))
+            .count()
+    }
+
     #[test]
     fn matches_classic_translate_bit_for_bit() {
         let mut db = Database::new();
@@ -1019,21 +1051,62 @@ mod tests {
             TransConfig::full(),
             TransConfig::devirt(),
             TransConfig::template_no_virt(),
+            preset(),
         ] {
-            let t = jit(&db, config);
-            let table = jlang::compile_str(SRC).unwrap();
-            let mut jvm = Jvm::new(&table).unwrap();
-            let s = jvm.new_instance("Scale", &[Value::Float(2.0)]).unwrap();
-            let app = jvm.new_instance("App", &[s]).unwrap();
-            let classic =
-                translator::translate(&table, &jvm, &app, "run", &[Value::Float(3.0)], config)
-                    .unwrap();
             assert_eq!(
-                t.encode_semantic(),
-                classic.encode_semantic(),
+                jit(&db, config).encode_semantic(),
+                classic(SRC, config).encode_semantic(),
                 "{config:?} diverged from classic translate"
             );
         }
+    }
+
+    #[test]
+    fn an_edit_of_a_spliced_callee_never_replays_its_stale_caller() {
+        let src = SRC.replace(
+            "float apply(float x) { return k * x; }",
+            "float apply(float x) { return k * x; }\n float twice(float x) { return x * 2f; }",
+        );
+        let mut db = Database::new();
+        db.set_source("app.jl", &src).unwrap();
+        assert_eq!(calls(&jit(&db, preset())), 0, "apply is spliced into run");
+
+        // `run` holds `apply`'s old body: it must re-lower with `apply`.
+        let edited = src.replace("k * x", "k * x + 0.5f");
+        db.edit("app.jl", &edited).unwrap();
+        let before = db.stats();
+        let warm = jit(&db, preset()).encode_semantic();
+        let d = db.stats().since(&before);
+        assert_eq!((d.lower_executed, d.lower_reused), (2, 0), "{d:?}");
+        assert_eq!(warm, from_scratch(&edited, preset()));
+        assert_eq!(warm, classic(&edited, preset()).encode_semantic());
+
+        // An edit to a body neither function read replays both.
+        let unrelated = edited.replace("x * 2f", "x * 3f");
+        db.edit("app.jl", &unrelated).unwrap();
+        let before = db.stats();
+        let again = jit(&db, preset()).encode_semantic();
+        let d = db.stats().since(&before);
+        assert_eq!((d.lower_executed, d.lower_reused), (0, 2), "{d:?}");
+        assert_eq!(again, from_scratch(&unrelated, preset()));
+    }
+
+    #[test]
+    fn a_callee_that_shrinks_under_the_limit_is_spliced_after_the_edit() {
+        let steps: String = (1..=60).map(|i| format!("a = a + x * {i}.5f; ")).collect();
+        let big = SRC.replace(
+            "return k * x;",
+            &format!("float a = k * x; {steps}return a;"),
+        );
+        let mut db = Database::new();
+        db.set_source("app.jl", &big).unwrap();
+        assert_eq!(calls(&jit(&db, preset())), 1, "apply is over the limit");
+
+        // `run`'s own lowering is unchanged, but its splice decision is not.
+        db.edit("app.jl", SRC).unwrap();
+        let t = jit(&db, preset());
+        assert_eq!(calls(&t), 0, "apply is spliced now");
+        assert_eq!(t.encode_semantic(), from_scratch(SRC, preset()));
     }
 
     #[test]

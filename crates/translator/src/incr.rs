@@ -16,7 +16,8 @@
 //!   ensuring every recorded callee lands on its recorded [`FuncId`]
 //!   (the natural DFS order), then injecting the memoized, already
 //!   optimized function at its recorded id. Any mismatch — a callee
-//!   re-lowered to a different id, an id drift — aborts the replay and
+//!   re-lowered to a different id, an id drift, a callee it could have
+//!   inlined that is not the memo's own body — aborts the replay and
 //!   falls back to fresh lowering, so a replayed program is always
 //!   bit-identical to the from-scratch program at the same revision.
 //!
@@ -76,8 +77,8 @@ pub(crate) fn add6(a: StatsDelta, b: StatsDelta) -> StatsDelta {
 
 /// A memoized `lower_fn` result: everything needed to re-inject the
 /// function without re-walking its typed body. The stored function is
-/// already optimized (for configurations without cross-function
-/// inlining), so replay skips the optimizer too.
+/// already optimized, its spliced callees included, so replay skips the
+/// optimizer too.
 #[derive(Debug, Clone)]
 pub struct FnMemo {
     pub id: FuncId,
@@ -85,6 +86,13 @@ pub struct FnMemo {
     pub func: Arc<nir::Function>,
     /// Callee edges in first-encounter (DFS) order.
     pub callees: Vec<CalleeEdge>,
+    /// The earlier callees the optimizer could splice into this one (a
+    /// matching kind, inlining on), each with the final body it spliced,
+    /// or `None` where that body was over the limit. The memo replays
+    /// only if each spliced callee is that same allocation and each other
+    /// one is still over the limit: then it splices exactly what a fresh
+    /// build would. Empty without inlining.
+    pub inlined: Vec<(FuncId, Option<Arc<nir::Function>>)>,
     /// Typed bodies this function's lowering read.
     pub bodies: Vec<BodyRef>,
     /// Exclusive statistics delta (this function only, children removed).

@@ -67,12 +67,12 @@ pub struct TransConfig {
     /// Enforce the eight coding rules before translating (the paper's
     /// `@WootinJ` contract). On by default.
     pub check_rules: bool,
-    /// Dispatch independent per-function optimization onto OS threads
-    /// (the `exec::pool` work pool). Inlining still runs serially first
-    /// (it rewrites callers against the whole function table); the
-    /// local passes then fan out per function and their profiles merge
-    /// deterministically in canonical pass order, so function bodies,
-    /// FuncIds, and `encode_semantic()` bytes are identical to serial.
+    /// Dispatch per-function optimization onto OS threads (the
+    /// `exec::pool` work pool), level by level of call height so that
+    /// every callee a function may splice is final before it runs (see
+    /// [`optimize_program`]). Profiles merge deterministically in
+    /// canonical pass order, so function bodies, FuncIds, and
+    /// `encode_semantic()` bytes are identical to serial.
     pub parallel_lowering: bool,
 }
 
@@ -330,68 +330,34 @@ pub fn translate(
     })
 }
 
-/// Run the NIR optimizer over a freshly lowered program, honoring
-/// [`TransConfig::parallel_lowering`]: serial is the historical
-/// whole-program pipeline; parallel runs inlining serially first (it
-/// rewrites callers against the whole function table), then fans the
-/// local passes out per function on the `exec::pool` work pool and
-/// merges their profiles deterministically in canonical pass order.
-/// Function bodies — and therefore `encode_semantic()` bytes — are
-/// identical either way: per-function local passes are *exactly*
-/// whole-program optimization once inlining has run (see
-/// [`nir::optimize_fn`]), and results return in function-index order.
+/// Run the NIR optimizer over a freshly lowered program: the bottom-up
+/// step ([`nir::optimize_fn`]) on every function in id order, and its
+/// profiles merged in canonical pass order. With
+/// [`TransConfig::parallel_lowering`] the step fans out over the
+/// `exec::pool` work pool by call height: a function runs once every
+/// earlier function it calls is final. Bodies, and so
+/// `encode_semantic()` bytes, are the serial ones either way.
 pub fn optimize_program(program: &mut Program, config: &TransConfig) -> Vec<nir::PassProfile> {
+    let opt = config.opt;
     let workers = exec::pool::default_workers();
-    if !config.parallel_lowering || workers < 2 || program.funcs.len() < 2 {
-        return nir::optimize(program, config.opt);
+    let n = program.funcs.len();
+    if !config.parallel_lowering || workers < 2 || n < 2 {
+        return nir::optimize(program, opt);
     }
-    let mut profiles = Vec::new();
-    if config.opt.inline_limit > 0 {
-        let mut inline_only = OptConfig::none();
-        inline_only.inline_limit = config.opt.inline_limit;
-        profiles.extend(nir::optimize(program, inline_only));
-    }
-    let mut local = config.opt;
-    local.inline_limit = 0;
-    let funcs = std::mem::take(&mut program.funcs);
-    let optimized = exec::pool::parallel_map(workers, funcs, |_, mut f| {
-        let prof = nir::optimize_fn(Arc::make_mut(&mut f), local);
-        (f, prof)
-    });
-    let mut parts = Vec::new();
-    for (f, prof) in optimized {
-        program.funcs.push(f);
-        parts.extend(prof);
-    }
-    profiles.extend(nir::merge_profiles(parts));
-    profiles
-}
-
-/// Optimize the functions at `indices` with the local (per-function)
-/// passes — the incremental query layer's counterpart of
-/// [`optimize_program`], for the `inline_limit == 0` path where only
-/// freshly lowered functions need optimizing. Honors
-/// [`TransConfig::parallel_lowering`]; either way the profiles return
-/// concatenated in the given index order, exactly as the serial loop
-/// produces them, so `TransStats::passes` is shape-identical.
-pub fn optimize_functions(
-    program: &mut Program,
-    indices: &[usize],
-    config: &TransConfig,
-) -> Vec<nir::PassProfile> {
-    let workers = exec::pool::default_workers();
-    if !config.parallel_lowering || workers < 2 || indices.len() < 2 {
-        let mut passes = Vec::new();
-        for &i in indices {
-            passes.extend(nir::optimize_fn(
-                program.func_mut(FuncId(i as u32)),
-                config.opt,
-            ));
+    // Height 0: calls no earlier function.
+    let mut height = vec![0; n];
+    for i in 0..n {
+        for ins in &program.funcs[i].code {
+            match ins {
+                Instr::Call { func, .. } if (func.0 as usize) < i => {
+                    height[i] = height[i].max(height[func.0 as usize] + 1);
+                }
+                _ => {}
+            }
         }
-        return passes;
     }
-    // Move the scattered functions out (cheap stub swap — no body
-    // copies), optimize in parallel, reinstall by index.
+    // Move each level's functions out (a stub swap, no body copies),
+    // optimize them against the final ones, reinstall by index.
     let stub = || {
         Arc::new(nir::Function {
             name: String::new(),
@@ -402,21 +368,24 @@ pub fn optimize_functions(
             kind: nir::FuncKind::Host,
         })
     };
-    let opt = config.opt;
-    let fresh: Vec<(usize, Arc<nir::Function>)> = indices
-        .iter()
-        .map(|&i| (i, std::mem::replace(&mut program.funcs[i], stub())))
-        .collect();
-    let optimized = exec::pool::parallel_map(workers, fresh, |_, (i, mut f)| {
-        let prof = nir::optimize_fn(Arc::make_mut(&mut f), opt);
-        (i, f, prof)
-    });
-    let mut passes = Vec::new();
-    for (i, f, prof) in optimized {
-        program.funcs[i] = f;
-        passes.extend(prof);
+    let mut parts = Vec::new();
+    let top = height.iter().max().copied().unwrap_or(0);
+    for level in 0..=top {
+        let batch: Vec<(usize, Arc<nir::Function>)> = (0..n)
+            .filter(|&i| height[i] == level)
+            .map(|i| (i, std::mem::replace(&mut program.funcs[i], stub())))
+            .collect();
+        let funcs = &program.funcs;
+        let optimized = exec::pool::parallel_map(workers, batch, |_, (i, mut f)| {
+            let prof = nir::optimize_fn(Arc::make_mut(&mut f), &funcs[..i], opt);
+            (i, f, prof)
+        });
+        for (i, f, prof) in optimized {
+            program.funcs[i] = f;
+            parts.extend(prof);
+        }
     }
-    passes
+    nir::merge_profiles(parts)
 }
 
 /// Entry-argument bindings for a shape-specialized entry: per-leaf in

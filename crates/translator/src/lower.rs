@@ -129,6 +129,12 @@ pub struct Lowerer<'t> {
     /// Validated memos to replay instead of re-lowering.
     pub replay: Option<incr::ReplayState>,
     replay_stack: Vec<(SpecKey, bool, bool)>,
+    /// Optimize each fresh function as it is added (the incremental
+    /// path). Its callees come first and are final by then, so a replay
+    /// can check every splice decision its memo made; `passes` collects
+    /// what the optimizer cost.
+    pub optimize: Option<nir::OptConfig>,
+    pub passes: Vec<nir::PassProfile>,
 }
 
 impl<'t> Lowerer<'t> {
@@ -157,7 +163,21 @@ impl<'t> Lowerer<'t> {
             trace: None,
             replay: None,
             replay_stack: Vec::new(),
+            optimize: None,
+            passes: Vec::new(),
         }
+    }
+
+    /// Add a freshly lowered function, optimized if [`Self::optimize`]
+    /// asks for it.
+    fn add_fresh(&mut self, f: nir::Function) -> FuncId {
+        let id = self.program.add_func(f);
+        if let Some(opt) = self.optimize {
+            let (done, rest) = self.program.funcs.split_at_mut(id.0 as usize);
+            self.passes
+                .extend(nir::optimize_fn(Arc::make_mut(&mut rest[0]), done, opt));
+        }
+        id
     }
 
     // ------------------------------------------------------------------
@@ -311,7 +331,9 @@ impl<'t> Lowerer<'t> {
         }
     }
 
-    /// Ensure every recorded callee of `memo` exists at its recorded id.
+    /// Ensure every recorded callee of `memo` exists at its recorded id,
+    /// and every callee it could have inlined splices as it did then: the
+    /// same body where it was spliced, still over the limit where not.
     fn replay_children(&mut self, memo: &incr::FnMemo) -> TResult<bool> {
         for e in &memo.callees {
             let actual = if e.kernel {
@@ -326,7 +348,14 @@ impl<'t> Lowerer<'t> {
                 return Ok(false);
             }
         }
-        Ok(self.program.funcs.len() == memo.id.0 as usize)
+        let funcs = &self.program.funcs;
+        let limit = self.optimize.map_or(0, |o| o.inline_limit);
+        Ok(funcs.len() == memo.id.0 as usize
+            && (memo.inlined.iter()).all(|(id, seen)| match (funcs.get(id.0 as usize), seen) {
+                (Some(g), Some(f)) => Arc::ptr_eq(g, f),
+                (Some(g), None) => g.code.len() > limit,
+                (None, _) => false,
+            }))
     }
 
     /// Lower (or fetch) the specialization of `key` for host or device.
@@ -498,7 +527,7 @@ impl<'t> Lowerer<'t> {
         };
         self.block(&mut fx, body)?;
         let f = fx.fb.finish().map_err(TransError::new)?;
-        let id = self.program.add_func(f);
+        let id = self.add_fresh(f);
         self.stats.specializations += 1;
         Ok(SpecResult::Func { id, ret: ret_shape })
     }
@@ -579,7 +608,7 @@ impl<'t> Lowerer<'t> {
                 return Err(e);
             }
         };
-        let id = self.program.add_func(f);
+        let id = self.add_fresh(f);
         self.kernel_specs.insert(key.clone(), id);
         self.stats.kernels += 1;
         self.stats.specializations += 1;

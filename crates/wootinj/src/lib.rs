@@ -752,10 +752,14 @@ pub struct JitOptions {
 
 impl JitOptions {
     /// The WootinJ pipeline (devirtualization + specialization + object
-    /// inlining).
+    /// inlining), with the standard passes plus function inlining at
+    /// `aggressive()`'s limit: the paper's C compiler inlines the flat C
+    /// that WootinJ emits.
     pub fn wootinj() -> Self {
+        let mut config = TransConfig::full();
+        config.opt.inline_limit = OptConfig::aggressive().inline_limit;
         JitOptions {
-            config: TransConfig::full(),
+            config,
             degrade: false,
             disk_cache: None,
             checkpoint: None,

@@ -314,23 +314,39 @@ fn trans_stats_carry_cache_counters_and_pass_profiles() {
         .unwrap();
     assert_eq!(cold.stats().cache_hits, 0);
     assert_eq!(cold.stats().cache_misses, 1);
-    // Standard config runs fold + dce: the optimizer profile is recorded
-    // per pass with before/after instruction counts.
+    // The preset runs inline + fold + dce: the optimizer profile is
+    // recorded per pass with before/after instruction counts.
     let passes = &cold.stats().passes;
-    assert!(!passes.is_empty(), "pass profiles recorded: {passes:?}");
-    for p in passes {
+    let names: Vec<&str> = passes.iter().map(|p| p.pass).collect();
+    assert_eq!(names, ["inline", "fold", "dce"], "{passes:?}");
+    for p in passes.iter().filter(|p| p.pass != "inline") {
         assert!(
             p.instrs_after <= p.instrs_before,
-            "{}: optimizer must not add work",
+            "{}: a local pass must not add code",
             p.pass
         );
     }
 
-    let warm = env.jit(&r, "run", &[a], JitOptions::wootinj()).unwrap();
+    let warm = env
+        .jit(&r, "run", std::slice::from_ref(&a), JitOptions::wootinj())
+        .unwrap();
     assert_eq!(warm.stats().cache_hits, 1);
     assert_eq!(warm.stats().cache_misses, 1);
     // The shared translated program's own stats are identical.
     assert_eq!(warm.translated.stats, cold.translated.stats);
+
+    // Inlining grows static code by design; what it must not grow is
+    // the work a run does.
+    let standard = env
+        .jit(
+            &r,
+            "run",
+            &[a],
+            JitOptions::wootinj().with_opt(OptConfig::standard()),
+        )
+        .unwrap();
+    let cycles = |code: &wootinj::JitCode| code.invoke(&env).unwrap().vtime_cycles;
+    assert!(cycles(&cold) <= cycles(&standard), "inlining added work");
 }
 
 #[test]
