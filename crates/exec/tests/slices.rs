@@ -190,7 +190,7 @@ fn cases() -> Vec<Case> {
             method: "invoke",
             args: [8, 8, 8, 2].map(Value::Int).to_vec(),
             options: JitOptions::wootinj,
-            pinned: (45796, 58208, "Done(Some(F32(240.84772)))"),
+            pinned: (43615, 49475, "Done(Some(F32(240.84772)))"),
         },
         Case {
             name: "fox-matmul",
@@ -202,7 +202,7 @@ fn cases() -> Vec<Case> {
             method: "start",
             args: vec![Value::Int(12)],
             options: JitOptions::wootinj,
-            pinned: (54123, 93818, "Done(Some(F32(2.984375)))"),
+            pinned: (42317, 48298, "Done(Some(F32(2.984375)))"),
         },
         Case {
             name: "ring",

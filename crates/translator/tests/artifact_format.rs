@@ -239,15 +239,15 @@ fn compile_path_output_is_pinned() {
             "diffusion",
             diffusion,
             (0x2f62_8c89_073d_f17a, 254),
-            (0x8a16_0aaf_0f41_be76, 385),
-            (0x2f62_8c89_073d_f17a, 254),
+            (0x0266_78bf_23dc_8579, 430),
+            (0x0266_78bf_23dc_8579, 430),
         ),
         (
             "matmul-fox",
             matmul_fox,
             (0x6b29_c238_f7f6_c8d5, 223),
-            (0x396d_8912_379a_d029, 284),
-            (0x6b29_c238_f7f6_c8d5, 223),
+            (0xccbb_007e_49c3_98ef, 320),
+            (0xccbb_007e_49c3_98ef, 320),
         ),
         // Fully flattened already: `aggressive()` finds nothing to inline
         // or scalar-replace, so every level pins the same program.
