@@ -2461,28 +2461,32 @@ fn incr_stage(i: usize, salt: u64, extra_stmt: bool, extra_method: bool) -> Stri
     )
 }
 
-/// The full source set: `k` stage files plus an `App` entry summing
-/// every stage over the data array.
-fn incr_sources(k: usize) -> Vec<(String, String)> {
-    let mut files: Vec<(String, String)> = (0..k)
-        .map(|i| (format!("stage{i}.jl"), incr_stage(i, 0, false, false)))
-        .collect();
+/// The `App` entry summing every stage over the data array through
+/// `mix`, which returns `blend` and is small enough to be spliced into
+/// `run`.
+fn incr_app(k: usize, blend: &str) -> String {
     let fields: String = (0..k).map(|i| format!("  Stage{i} s{i};\n")).collect();
     let params: Vec<String> = (0..k).map(|i| format!("Stage{i} a{i}")).collect();
     let inits: String = (0..k).map(|i| format!("    s{i} = a{i};\n")).collect();
     let calls: String = (0..k)
-        .map(|i| format!("      acc += s{i}.f(x);\n"))
+        .map(|i| format!("      acc = mix(acc, s{i}.f(x));\n"))
         .collect();
-    files.push((
-        "app.jl".into(),
-        format!(
-            "@WootinJ final class App {{\n{fields}  App({}) {{\n{inits}  }}\n\
-             \x20 float run(float[] data) {{\n    float acc = 0f;\n\
-             \x20   for (int i = 0; i < data.length; i++) {{\n      float x = data[i];\n\
-             {calls}    }}\n    return acc;\n  }}\n}}\n",
-            params.join(", "),
-        ),
-    ));
+    format!(
+        "@WootinJ final class App {{\n{fields}  App({}) {{\n{inits}  }}\n\
+         \x20 float mix(float acc, float v) {{ return {blend}; }}\n\
+         \x20 float run(float[] data) {{\n    float acc = 0f;\n\
+         \x20   for (int i = 0; i < data.length; i++) {{\n      float x = data[i];\n\
+         {calls}    }}\n    return acc;\n  }}\n}}\n",
+        params.join(", "),
+    )
+}
+
+/// The full source set: `k` stage files plus [`incr_app`].
+fn incr_sources(k: usize) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = (0..k)
+        .map(|i| (format!("stage{i}.jl"), incr_stage(i, 0, false, false)))
+        .collect();
+    files.push(("app.jl".into(), incr_app(k, "acc + v")));
     files
 }
 
@@ -2649,13 +2653,18 @@ pub fn incremental(quick: bool) -> Figure {
     let mut body_edit_artifacts = Vec::new(); // with the sources they came from
     for (kind_idx, (name, make)) in kinds.iter().enumerate() {
         let mut series = Series::new(*name);
-        for n in 0..probes {
+        let body_edit = *name == "body-edit-ms";
+        // The body edits end with one of `App.mix`, a callee spliced into
+        // `run`: the memo of `run` holds its old body and must not replay.
+        for n in 0..probes + usize::from(body_edit) {
             let salt = (kind_idx * probes + n + 1) as u64;
-            let (file, text) = make(1 + (n * 5) % k, salt);
+            let (file, text) = match n == probes {
+                true => ("app.jl".to_string(), incr_app(k, "acc + v * 0.5f")),
+                false => make(1 + (n * 5) % k, salt),
+            };
             upsert(&mut files, &file, text.clone());
             let before = ws.query_stats();
             let laps_before = ws.rebuild_laps();
-            let body_edit = *name == "body-edit-ms";
             // This revision's bodies, held across the edit.
             let (held, held_funcs) = if body_edit {
                 (ws.db().typed_blocks(), ws.db().lowered_functions())
@@ -2703,6 +2712,11 @@ pub fn incremental(quick: bool) -> Figure {
                     program.program.funcs.len()
                 );
                 funcs = (program.program.funcs.len(), fresh_funcs);
+                let run = &program.program.funcs[program.entry.0 as usize];
+                let calls = (run.code.iter())
+                    .filter(|i| matches!(i, nir::Instr::Call { .. }))
+                    .count();
+                assert_eq!(calls, k, "incremental: `App.mix` is not spliced into `run`");
                 body_edit_artifacts.push((files.clone(), program.encode_semantic()));
             } else {
                 std::hint::black_box(program);

@@ -738,3 +738,251 @@ fn fold_is_linear() {
         "fold took {small:?} on 4k instructions and {large:?} on 32k"
     );
 }
+
+// ---------------------------------------------------------------------
+// Inlining: seeded call DAGs, and the cost of one splice pass
+// ---------------------------------------------------------------------
+
+/// The preset's inline limit, and `aggressive()`'s.
+const LIMIT: usize = 128;
+
+fn preset() -> OptConfig {
+    OptConfig {
+        inline_limit: LIMIT,
+        ..OptConfig::standard()
+    }
+}
+
+/// A seeded call DAG of 2–8 int functions whose ids are a post-order
+/// (every callee before its callers), as lowering assigns them. Each
+/// function has 1–3 parameters, up to `LIMIT` steps that its final sum
+/// keeps alive (so optimized sizes straddle the limit), up to two calls
+/// to earlier functions, and up to three early returns before its last.
+/// The last function is the entry.
+fn call_dag(rng: &mut Rng) -> Program {
+    let n = 2 + rng.below(7);
+    let mut p = Program::default();
+    let mut arity = Vec::new();
+    for i in 0..n {
+        let params = 1 + rng.below(3);
+        let name = format!("f{i}");
+        let mut fb = FuncBuilder::new(&name, vec![Ty::I32; params], Some(Ty::I32), FuncKind::Host);
+        let mut defined: Vec<Reg> = (0..params as Reg).collect();
+        let steps = rng.below(LIMIT);
+        let calls: Vec<usize> = (0..rng.below(3)).map(|_| rng.below(steps + 1)).collect();
+        let exits: Vec<usize> = (0..rng.below(4)).map(|_| rng.below(steps + 1)).collect();
+        let zero = fb.reg(Ty::I32);
+        fb.emit(Instr::ConstI32(zero, 0));
+        for s in 0..=steps {
+            let pick = |rng: &mut Rng, defined: &[Reg]| defined[rng.below(defined.len())];
+            for _ in calls.iter().filter(|&&c| c == s && i > 0) {
+                let callee = rng.below(i);
+                let args = (0..arity[callee]).map(|_| pick(rng, &defined)).collect();
+                let r = fb.reg(Ty::I32);
+                fb.emit(Instr::Call {
+                    func: nir::FuncId(callee as u32),
+                    args,
+                    dst: Some(r),
+                });
+                defined.push(r);
+            }
+            for _ in exits.iter().filter(|&&e| e == s) {
+                let (cond, ret, rest) = (fb.reg(Ty::Bool), fb.label(), fb.label());
+                fb.emit(Instr::Bin {
+                    op: BinOp::Gt,
+                    kind: PrimKind::Int,
+                    dst: cond,
+                    lhs: pick(rng, &defined),
+                    rhs: zero,
+                });
+                fb.br(cond, ret, rest);
+                fb.bind(ret);
+                fb.emit(Instr::Ret(Some(pick(rng, &defined))));
+                fb.bind(rest);
+            }
+            let r = fb.reg(Ty::I32);
+            let (lhs, rhs) = (pick(rng, &defined), pick(rng, &defined));
+            fb.emit(match rng.below(4) {
+                0 => Instr::ConstI32(r, rng.range_i32(-50, 50)),
+                1 => Instr::Mov(r, lhs),
+                _ => Instr::Bin {
+                    op: [BinOp::Add, BinOp::Sub, BinOp::Mul][rng.below(3)],
+                    kind: PrimKind::Int,
+                    dst: r,
+                    lhs,
+                    rhs,
+                },
+            });
+            defined.push(r);
+        }
+        let out = fb.reg(Ty::I32);
+        fb.emit(Instr::ConstI32(out, 0));
+        for d in defined {
+            fb.emit(Instr::Bin {
+                op: BinOp::Add,
+                kind: PrimKind::Int,
+                dst: out,
+                lhs: out,
+                rhs: d,
+            });
+        }
+        fb.emit(Instr::Ret(Some(out)));
+        arity.push(params);
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+    }
+    p.validate().unwrap();
+    p
+}
+
+/// `(result, retired instructions, cycles)` of the entry on `args`.
+fn run_entry(p: &Program, args: &[i32]) -> (i32, u64, u64) {
+    let entry = p.entry.unwrap();
+    let params = p.funcs[entry.0 as usize].params.len();
+    let args = args[..params].iter().map(|&a| exec::Val::I32(a)).collect();
+    let mut m = exec::Machine::new();
+    match exec::run_to_completion(p, entry, args, &mut m).unwrap() {
+        Some(exec::Val::I32(x)) => (x, m.counters.instrs, m.counters.cycles),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Every level computes the entry's result and retires no more
+/// instructions, nor costs more cycles, than the unoptimized program;
+/// splicing alone (no local pass) is among the levels. A splice itself
+/// never retires more than the `Call` and `Ret` it replaces. The preset
+/// is *not* always below `standard()`: a splice adds block boundaries,
+/// and a constant that local folding knew before a spliced callee is
+/// unknown after it, so a caller can keep a fold's worth of work.
+#[test]
+fn inlining_agrees_on_seeded_call_dags() {
+    let mut rng = Rng::new(0x0707_0031);
+    let (mut small, mut large) = (0, 0);
+    let splice_only = OptConfig {
+        inline_limit: LIMIT,
+        ..OptConfig::none()
+    };
+    for case in 0..96 {
+        let base = call_dag(&mut rng);
+        let args = [0; 3].map(|_| rng.range_i32(-20, 20));
+        let (want, instrs, cycles) = run_entry(&base, &args);
+        for config in [
+            splice_only,
+            OptConfig::standard(),
+            preset(),
+            OptConfig::aggressive(),
+        ] {
+            let mut p = base.clone();
+            nir::optimize(&mut p, config);
+            p.validate().unwrap();
+            let (got, i, c) = run_entry(&p, &args);
+            assert_eq!(got, want, "case {case}, config {config:?}");
+            assert!(
+                i <= instrs && c <= cycles,
+                "case {case}, config {config:?}: ({instrs}, {cycles}) -> ({i}, {c})"
+            );
+            if config == preset() {
+                let callees = &p.funcs[..p.funcs.len() - 1];
+                small += callees.iter().filter(|f| f.code.len() <= LIMIT).count();
+                large += callees.iter().filter(|f| f.code.len() > LIMIT).count();
+            }
+        }
+    }
+    // The generator reaches both sides of the limit.
+    assert!(
+        small > 0 && large > 0,
+        "{small} callees under the limit, {large} over"
+    );
+}
+
+/// A call to a later function, or to the caller itself, is never
+/// spliced: only earlier functions are final when a function's step runs.
+#[test]
+fn only_earlier_functions_are_spliced() {
+    let tiny = |name: &str| {
+        let mut fb = FuncBuilder::new(name, vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let r = fb.reg(Ty::I32);
+        fb.emit(Instr::Call {
+            func: nir::FuncId(1),
+            args: vec![0],
+            dst: Some(r),
+        });
+        fb.emit(Instr::Ret(Some(r)));
+        fb.finish().unwrap()
+    };
+    let mut p = Program::default();
+    p.add_func(tiny("calls_later"));
+    p.add_func(tiny("calls_itself"));
+    nir::optimize(&mut p, preset());
+    for f in &p.funcs {
+        assert!(
+            matches!(f.code[0], Instr::Call { .. }),
+            "{} spliced a call it cannot: {:?}",
+            f.name,
+            f.code
+        );
+    }
+}
+
+/// One caller with many call sites of a small callee: the splice pass
+/// computes every new pc once and remaps every branch once, so 8× the
+/// sites takes ≈8× the time. Splicing one site at a time, rescanning and
+/// remapping the whole caller, takes 64×. Same bar as `fold_is_linear`.
+#[test]
+fn inline_is_linear() {
+    let program = |sites: u32| {
+        let mut p = Program::default();
+        let mut cb = FuncBuilder::new("inc", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let (one, r) = (cb.reg(Ty::I32), cb.reg(Ty::I32));
+        cb.emit(Instr::ConstI32(one, 1));
+        cb.emit(Instr::Bin {
+            op: BinOp::Add,
+            kind: PrimKind::Int,
+            dst: r,
+            lhs: 0,
+            rhs: one,
+        });
+        cb.emit(Instr::Ret(Some(r)));
+        let inc = p.add_func(cb.finish().unwrap());
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let mut prev = 0;
+        for _ in 0..sites {
+            let r = fb.reg(Ty::I32);
+            fb.emit(Instr::Call {
+                func: inc,
+                args: vec![prev],
+                dst: Some(r),
+            });
+            prev = r;
+        }
+        fb.emit(Instr::Ret(Some(prev)));
+        p.add_func(fb.finish().unwrap());
+        p
+    };
+    let best_of_3 = |p: &Program| {
+        (0..3)
+            .map(|_| {
+                let mut p = p.clone();
+                let profile = nir::optimize(
+                    &mut p,
+                    OptConfig {
+                        inline_limit: LIMIT,
+                        ..OptConfig::none()
+                    },
+                );
+                assert!(!p.funcs[1]
+                    .code
+                    .iter()
+                    .any(|i| matches!(i, Instr::Call { .. })));
+                assert_eq!(profile[0].pass, "inline");
+                profile[0].wall
+            })
+            .min()
+            .unwrap()
+    };
+    let small = best_of_3(&program(4_000));
+    let large = best_of_3(&program(32_000));
+    assert!(
+        large < small * 24,
+        "inline took {small:?} on 4k call sites and {large:?} on 32k"
+    );
+}

@@ -26,11 +26,14 @@ use std::sync::Arc;
 use jvm::Value;
 use wootinj::{JitOptions, QueryStats, Val, Workspace};
 
+/// `Scale.unit` is a helper small enough to be spliced into `f`, and `f`
+/// into `App.run`, so edits to it reach a callee inlined two levels deep.
 const OPS: &str = "
     @WootinJ final class Scale {
       float k;
       Scale(float k0) { k = k0; }
-      float f(float x) { return k * x; }
+      float unit(float x) { return x * 1f; }
+      float f(float x) { return unit(k * x); }
     }
     @WootinJ final class Square {
       Square() { }
@@ -258,20 +261,20 @@ fn signature_edit_invalidates_exactly_the_callers() {
     jit_app(&ws);
 
     // Add a method to Scale: its item fingerprint changes, so Scale's
-    // own bodies (ctor, f, h) and every body referencing Scale (App's
-    // ctor and run) re-typecheck. Square's bodies never mention Scale
-    // and must replay their memos untouched.
+    // own bodies (ctor, unit, f, h) and every body referencing Scale
+    // (App's ctor and run) re-typecheck. Square's bodies never mention
+    // Scale and must replay their memos untouched.
     let edited = OPS.replace(
-        "float f(float x) { return k * x; }",
-        "float f(float x) { return k * x; }\n      float h(float x) { return x; }",
+        "float f(float x) { return unit(k * x); }",
+        "float f(float x) { return unit(k * x); }\n      float h(float x) { return x; }",
     );
     let before = ws.query_stats();
     ws.edit("ops.jl", &edited).unwrap();
     let delta = ws.query_stats().since(&before);
 
     assert_eq!(
-        delta.typeck_executed, 5,
-        "Scale {{ctor, f, h}} + App {{ctor, run}} re-typecheck, nothing else: {delta:?}"
+        delta.typeck_executed, 6,
+        "Scale {{ctor, unit, f, h}} + App {{ctor, run}} re-typecheck, nothing else: {delta:?}"
     );
     assert!(
         delta.typeck_reused >= 2,
@@ -354,11 +357,18 @@ fn seeded_edit_scripts_stay_bit_identical_to_scratch() {
 
         for step in 0..6 {
             let before = ws.query_stats();
-            match rng.below(4) {
+            match rng.below(5) {
                 // Value edit: retune Square.g's constant offset.
                 0 => {
                     let c = rng.below(9);
                     let text = OPS.replace("return x * x;", &format!("return x * x + {c}f;"));
+                    upsert(&mut sources, "ops.jl", &text);
+                    ws.edit("ops.jl", &text).unwrap();
+                }
+                // Value edit of the helper spliced into a spliced callee.
+                4 => {
+                    let c = 1 + rng.below(3);
+                    let text = OPS.replace("return x * 1f;", &format!("return x * {c}f;"));
                     upsert(&mut sources, "ops.jl", &text);
                     ws.edit("ops.jl", &text).unwrap();
                 }
@@ -391,7 +401,7 @@ fn seeded_edit_scripts_stay_bit_identical_to_scratch() {
                     );
                 }
                 // New-class append: a fresh trailing file.
-                _ => {
+                3 => {
                     extras += 1;
                     let name = format!("extra{extras}.jl");
                     let text = format!(
@@ -401,6 +411,7 @@ fn seeded_edit_scripts_stay_bit_identical_to_scratch() {
                     upsert(&mut sources, &name, &text);
                     ws.set_source(&name, &text).unwrap();
                 }
+                _ => unreachable!(),
             }
 
             // Determinism contract, every step: the incremental artifact
