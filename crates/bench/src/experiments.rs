@@ -1000,8 +1000,8 @@ fn compile_stages(
             let lowered = program.instr_count() as u64;
             let lower = rows.last_mut().expect("pushed above");
             (lower.units, lower.instr_delta) = (lowered, lowered as i64);
-            let passes = nir::optimize(&mut program, OptConfig::standard());
-            rows.extend(nir::merge_profiles(passes).into_iter().map(|p| StageRow {
+            let passes = nir::optimize(&mut program, JitOptions::wootinj().config.opt);
+            rows.extend(passes.into_iter().map(|p| StageRow {
                 name: p.pass,
                 wall: p.wall,
                 units: p.instrs_before,
@@ -1039,9 +1039,10 @@ pub fn pass_profile(quick: bool) -> Figure {
     );
     fig.note("instr delta = instrs_after - instrs_before (negative = the pass shrank the program)");
     fig.note(
-        "lower = translate with every pass off; the passes are OptConfig::standard()'s, merged \
-         per pass name into canonical order (nir::merge_profiles), so the report is \
-         order-stable no matter who optimized which function",
+        "lower = translate with every pass off; the passes are the JitOptions::wootinj() \
+         preset's (inline, then OptConfig::standard()'s), merged per pass name into canonical \
+         order (nir::merge_profiles), so the report is order-stable no matter who optimized \
+         which function",
     );
     let samples = if quick { 3 } else { 15 };
     fig.note(format!(
@@ -1269,7 +1270,7 @@ pub fn ablate_devirt() -> Figure {
             checkpoint: None,
             executor: wootinj::ExecutorCfg::Sim,
         },
-        JitOptions::wootinj(),
+        JitOptions::wootinj().with_opt(OptConfig::standard()),
     ];
     for (i, o) in opts.iter().enumerate() {
         let mut env = WootinJ::new(&table).unwrap();
@@ -1297,7 +1298,7 @@ pub fn ablate_inline() -> Figure {
     );
     let table = hpclib::stencil_table(&[]).unwrap();
     let mut s = Series::new("cycles");
-    for limit in [0usize, 4, 16, 64] {
+    for limit in [0usize, 4, 16, 64, 128] {
         let mut env = WootinJ::new(&table).unwrap();
         let runner = StencilApp::compose_boxed(&mut env, 0.4, 0.1).unwrap();
         let args = [

@@ -112,8 +112,10 @@ pub fn optimize(program: &mut Program, config: OptConfig) -> Vec<PassProfile> {
     merge_profiles(parts)
 }
 
-/// One step of the bottom-up pipeline: splice into `f` every callee that
-/// may be inlined ([`splices`]), then run the local passes. `done` is the
+/// One step of the bottom-up pipeline: splice into `f` every call to an
+/// earlier function of a matching kind ([`kinds_splice`]) whose final
+/// body has at most `inline_limit` instructions, then run the local
+/// passes. `done` is the
 /// program's functions before `f`, already optimized. `FuncId`s are the
 /// post-order of lowering and the coding rules forbid recursion, so every
 /// callee comes first, and `f`'s optimized body depends only on its own

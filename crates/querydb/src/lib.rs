@@ -1013,36 +1013,6 @@ mod tests {
             .unwrap()
     }
 
-    /// [`jit`] through the classic, non-incremental [`translator::translate`].
-    fn classic(src: &str, config: TransConfig) -> Translated {
-        let table = jlang::compile_str(src).unwrap();
-        let mut jvm = Jvm::new(&table).unwrap();
-        let s = jvm.new_instance("Scale", &[Value::Float(2.0)]).unwrap();
-        let app = jvm.new_instance("App", &[s]).unwrap();
-        translator::translate(&table, &jvm, &app, "run", &[Value::Float(3.0)], config).unwrap()
-    }
-
-    /// The `JitOptions::wootinj()` preset: Full, with function inlining.
-    fn preset() -> TransConfig {
-        let mut config = TransConfig::full();
-        config.opt.inline_limit = nir::OptConfig::aggressive().inline_limit;
-        config
-    }
-
-    /// A fresh database's artifact for `src`.
-    fn from_scratch(src: &str, config: TransConfig) -> Vec<u8> {
-        let mut db = Database::new();
-        db.set_source("app.jl", src).unwrap();
-        jit(&db, config).encode_semantic()
-    }
-
-    fn calls(t: &Translated) -> usize {
-        let run = &t.program.funcs[t.entry.0 as usize];
-        (run.code.iter())
-            .filter(|i| matches!(i, nir::Instr::Call { .. }))
-            .count()
-    }
-
     #[test]
     fn matches_classic_translate_bit_for_bit() {
         let mut db = Database::new();
@@ -1051,62 +1021,21 @@ mod tests {
             TransConfig::full(),
             TransConfig::devirt(),
             TransConfig::template_no_virt(),
-            preset(),
         ] {
+            let t = jit(&db, config);
+            let table = jlang::compile_str(SRC).unwrap();
+            let mut jvm = Jvm::new(&table).unwrap();
+            let s = jvm.new_instance("Scale", &[Value::Float(2.0)]).unwrap();
+            let app = jvm.new_instance("App", &[s]).unwrap();
+            let classic =
+                translator::translate(&table, &jvm, &app, "run", &[Value::Float(3.0)], config)
+                    .unwrap();
             assert_eq!(
-                jit(&db, config).encode_semantic(),
-                classic(SRC, config).encode_semantic(),
+                t.encode_semantic(),
+                classic.encode_semantic(),
                 "{config:?} diverged from classic translate"
             );
         }
-    }
-
-    #[test]
-    fn an_edit_of_a_spliced_callee_never_replays_its_stale_caller() {
-        let src = SRC.replace(
-            "float apply(float x) { return k * x; }",
-            "float apply(float x) { return k * x; }\n float twice(float x) { return x * 2f; }",
-        );
-        let mut db = Database::new();
-        db.set_source("app.jl", &src).unwrap();
-        assert_eq!(calls(&jit(&db, preset())), 0, "apply is spliced into run");
-
-        // `run` holds `apply`'s old body: it must re-lower with `apply`.
-        let edited = src.replace("k * x", "k * x + 0.5f");
-        db.edit("app.jl", &edited).unwrap();
-        let before = db.stats();
-        let warm = jit(&db, preset()).encode_semantic();
-        let d = db.stats().since(&before);
-        assert_eq!((d.lower_executed, d.lower_reused), (2, 0), "{d:?}");
-        assert_eq!(warm, from_scratch(&edited, preset()));
-        assert_eq!(warm, classic(&edited, preset()).encode_semantic());
-
-        // An edit to a body neither function read replays both.
-        let unrelated = edited.replace("x * 2f", "x * 3f");
-        db.edit("app.jl", &unrelated).unwrap();
-        let before = db.stats();
-        let again = jit(&db, preset()).encode_semantic();
-        let d = db.stats().since(&before);
-        assert_eq!((d.lower_executed, d.lower_reused), (0, 2), "{d:?}");
-        assert_eq!(again, from_scratch(&unrelated, preset()));
-    }
-
-    #[test]
-    fn a_callee_that_shrinks_under_the_limit_is_spliced_after_the_edit() {
-        let steps: String = (1..=60).map(|i| format!("a = a + x * {i}.5f; ")).collect();
-        let big = SRC.replace(
-            "return k * x;",
-            &format!("float a = k * x; {steps}return a;"),
-        );
-        let mut db = Database::new();
-        db.set_source("app.jl", &big).unwrap();
-        assert_eq!(calls(&jit(&db, preset())), 1, "apply is over the limit");
-
-        // `run`'s own lowering is unchanged, but its splice decision is not.
-        db.edit("app.jl", SRC).unwrap();
-        let t = jit(&db, preset());
-        assert_eq!(calls(&t), 0, "apply is spliced now");
-        assert_eq!(t.encode_semantic(), from_scratch(SRC, preset()));
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub struct TransConfig {
     /// every callee a function may splice is final before it runs (see
     /// [`optimize_program`]). Profiles merge deterministically in
     /// canonical pass order, so function bodies, FuncIds, and
-    /// `encode_semantic()` bytes are identical to serial.
+    /// `encode_semantic()` bytes are identical to serial. The
+    /// incremental path ignores it: it optimizes each function as the
+    /// lowerer adds it.
     pub parallel_lowering: bool,
 }
 
