@@ -2659,9 +2659,10 @@ pub fn incremental(quick: bool) -> Figure {
         // `run`: the memo of `run` holds its old body and must not replay.
         for n in 0..probes + usize::from(body_edit) {
             let salt = (kind_idx * probes + n + 1) as u64;
-            let (file, text) = match n == probes {
-                true => ("app.jl".to_string(), incr_app(k, "acc + v * 0.5f")),
-                false => make(1 + (n * 5) % k, salt),
+            let (file, text) = if n == probes {
+                ("app.jl".to_string(), incr_app(k, "acc + v * 0.5f"))
+            } else {
+                make(1 + (n * 5) % k, salt)
             };
             upsert(&mut files, &file, text.clone());
             let before = ws.query_stats();

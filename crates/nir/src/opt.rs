@@ -37,7 +37,8 @@ pub struct OptConfig {
 }
 
 impl OptConfig {
-    /// Everything on, no inlining (the standard WootinJ pipeline).
+    /// Everything on, no inlining (`TransConfig::full()`'s passes; the
+    /// WootinJ preset adds [`OptConfig::aggressive`]'s inline limit).
     pub fn standard() -> Self {
         OptConfig {
             const_fold: true,
@@ -115,12 +116,12 @@ pub fn optimize(program: &mut Program, config: OptConfig) -> Vec<PassProfile> {
 /// One step of the bottom-up pipeline: splice into `f` every call to an
 /// earlier function of a matching kind ([`kinds_splice`]) whose final
 /// body has at most `inline_limit` instructions, then run the local
-/// passes. `done` is the
-/// program's functions before `f`, already optimized. `FuncId`s are the
-/// post-order of lowering and the coding rules forbid recursion, so every
-/// callee comes first, and `f`'s optimized body depends only on its own
-/// code and its callees' final bodies. That is what lets the incremental
-/// query layer store optimized functions and optimize only fresh ones.
+/// passes. `done` is the program's functions before `f`, already
+/// optimized. `FuncId`s are the post-order of lowering and the coding
+/// rules forbid recursion, so every callee comes first, and `f`'s
+/// optimized body depends only on its own code and its callees' final
+/// bodies. That is what lets the incremental query layer store optimized
+/// functions and optimize only fresh ones.
 pub fn optimize_fn(
     f: &mut Function,
     done: &[Arc<Function>],
