@@ -198,9 +198,10 @@ pub struct Image<'p> {
 
 impl<'p> Image<'p> {
     /// Decode every function of `program`. Fails, with function and pc,
-    /// on an instruction the loop could only panic on: an intrinsic with
-    /// the wrong operand count or without the destination it writes, or a
-    /// `NewObj` of a class the program does not have.
+    /// on an instruction the loop could only panic on: an intrinsic of
+    /// another shape than [`IntrinOp::shape`] (the check
+    /// [`Program::validate`] makes, so a validated program always
+    /// decodes), or a `NewObj` of a class the program does not have.
     pub fn build(program: &'p Program) -> Result<Image<'p>, ExecError> {
         let funcs = program
             .funcs
@@ -311,18 +312,10 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
             args,
             dst,
         } => {
-            let (kind, arity, writes) = intrin_shape(*intrin);
-            if args.len() != arity {
-                return Err(ExecError::msg(format!(
-                    "intrinsic {intrin:?} takes {arity} operands, found {}",
-                    args.len()
-                )));
-            }
-            if writes && dst.is_none() {
-                return Err(ExecError::msg(format!(
-                    "intrinsic {intrin:?} has no destination register"
-                )));
-            }
+            intrin
+                .check_operands(args.len(), dst.is_some())
+                .map_err(ExecError::msg)?;
+            let kind = intrin_kind(*intrin);
             let arg = |i: usize| args.get(i).copied().unwrap_or(0);
             match kind {
                 K::Print => op(kind, arg(0), 0, 0),
@@ -337,49 +330,51 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
     })
 }
 
-/// Opcode, operand count, and whether the interpreter writes a
-/// destination itself (yielding intrinsics hand `dst` to the runtime that
-/// services them, which tolerates its absence).
-///
-/// This is the one table of intrinsic operand counts. The loop reads the
-/// math, print and array-copy operands by position; the yielding ones
-/// travel as `Yield::{Mpi, GpuMem}` argument lists that
+/// The opcode of an intrinsic. Its operand count and destination are
+/// [`IntrinOp::shape`]'s, checked by [`decode`] as by
+/// [`Program::validate`]: the loop reads the math, print and array-copy
+/// operands by position, and the yielding ones travel as
+/// `Yield::{Mpi, GpuMem}` argument lists that
 /// `mpi_sim::runtime::{service_mpi, service_device_yield}` index by
 /// position without a length check, because a program whose counts
-/// differ from these never gets an image. An intrinsic whose operand
-/// layout changes there changes here too.
-fn intrin_shape(op: IntrinOp) -> (OpKind, usize, bool) {
+/// differ never gets an image.
+fn intrin_kind(op: IntrinOp) -> OpKind {
     use IntrinOp as I;
     use OpKind as K;
     match op {
-        I::SqrtF64 => (K::SqrtF64, 1, true),
-        I::SqrtF32 => (K::SqrtF32, 1, true),
-        I::PowF64 => (K::PowF64, 2, true),
-        I::ExpF64 => (K::ExpF64, 1, true),
-        I::AbsF32 => (K::AbsF32, 1, true),
-        I::AbsF64 => (K::AbsF64, 1, true),
-        I::AbsI32 => (K::AbsI32, 1, true),
-        I::MinI32 => (K::MinI32, 2, true),
-        I::MaxI32 => (K::MaxI32, 2, true),
-        I::MinF32 => (K::MinF32, 2, true),
-        I::MaxF32 => (K::MaxF32, 2, true),
-        I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => {
-            (K::Print, 1, false)
-        }
-        I::ArrayCopyF32 => (K::ArrayCopyF32, 5, false),
-        I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) | I::GridDim(_) => {
-            (K::YieldGpu, 0, false)
-        }
-        I::CopyToGpu | I::GpuAllocF32 | I::GpuFree => (K::YieldGpu, 1, false),
-        I::CopyFromGpu => (K::YieldGpu, 2, false),
-        I::CopyToGpuRange | I::CopyFromGpuRange => (K::YieldGpu, 5, false),
-        I::MpiRank | I::MpiSize | I::MpiBarrier => (K::YieldMpi, 0, false),
-        I::MpiAllreduceSumF64 | I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => {
-            (K::YieldMpi, 1, false)
-        }
-        I::MpiBcastF32 => (K::YieldMpi, 4, false),
-        I::MpiSendF32 | I::MpiRecvF32 => (K::YieldMpi, 5, false),
-        I::MpiSendRecvF32 => (K::YieldMpi, 8, false),
+        I::SqrtF64 => K::SqrtF64,
+        I::SqrtF32 => K::SqrtF32,
+        I::PowF64 => K::PowF64,
+        I::ExpF64 => K::ExpF64,
+        I::AbsF32 => K::AbsF32,
+        I::AbsF64 => K::AbsF64,
+        I::AbsI32 => K::AbsI32,
+        I::MinI32 => K::MinI32,
+        I::MaxI32 => K::MaxI32,
+        I::MinF32 => K::MinF32,
+        I::MaxF32 => K::MaxF32,
+        I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => K::Print,
+        I::ArrayCopyF32 => K::ArrayCopyF32,
+        I::ThreadIdx(_)
+        | I::BlockIdx(_)
+        | I::BlockDim(_)
+        | I::GridDim(_)
+        | I::CopyToGpu
+        | I::GpuAllocF32
+        | I::GpuFree
+        | I::CopyFromGpu
+        | I::CopyToGpuRange
+        | I::CopyFromGpuRange => K::YieldGpu,
+        I::MpiRank
+        | I::MpiSize
+        | I::MpiBarrier
+        | I::MpiAllreduceSumF64
+        | I::MpiAllreduceSumF32
+        | I::MpiAllreduceMaxF64
+        | I::MpiBcastF32
+        | I::MpiSendF32
+        | I::MpiRecvF32
+        | I::MpiSendRecvF32 => K::YieldMpi,
     }
 }
 
@@ -465,8 +460,6 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         p.entry = Some(id);
-        // Structurally valid: `validate` checks neither arity nor `dst`.
-        p.validate().unwrap();
         p
     }
 
@@ -528,6 +521,9 @@ mod tests {
         ];
         for (op, args, dst, what) in cases {
             let p = program_with(op, args, dst);
+            // `validate` rejects it with the same words, at the same place.
+            let v = p.validate().expect_err("a malformed intrinsic is invalid");
+            assert!(v.contains(what) && v.contains("`f` pc 1"), "{op:?}: {v}");
             let e = Image::build(&p).expect_err("a malformed intrinsic must not decode");
             assert!(e.message.contains(what), "{op:?}: {e}");
             assert_eq!((e.func.as_str(), e.pc), ("f", 1), "{op:?}: {e}");

@@ -422,8 +422,8 @@ pub fn write_floats(
 /// A successful launch does **not** resume the thread (the interpreter
 /// continues past the launch on its own); GPU memory ops resume with
 /// their result. `args` has the operand count `exec::Image::build`
-/// checked for `op` (`intrin_shape` in `exec/src/image.rs`), so it is
-/// indexed by position.
+/// checked for `op` (`nir::IntrinOp::shape`), so it is indexed by
+/// position.
 pub fn service_device_yield(
     image: &Image<'_>,
     thread: &mut Thread,
@@ -749,7 +749,8 @@ fn check_rank(pool: &mut dyn RankPool, size: u32, r: u32, v: i32) -> Result<u32,
 /// Service one MPI yield against the scheduler's collective rendezvous
 /// state — the pre-refactor `service_mpi`, reading and writing rank
 /// memory through the pool seam. `args` has the operand count
-/// `exec::Image::build` checked for `op`, so it is indexed by position.
+/// `exec::Image::build` checked for `op` (`nir::IntrinOp::shape`), so it
+/// is indexed by position.
 #[allow(clippy::too_many_arguments)]
 fn service_mpi(
     cfg: &RunCfg,

@@ -1411,6 +1411,17 @@ pub fn write_program(w: &mut Writer, p: &Program) {
     }
 }
 
+/// Digest of `p`'s encoding ([`write_program`]) under `seed`: the same
+/// for two programs that encode alike (code, registers, globals, classes,
+/// host signatures, entry) and, but for a 64-bit collision, different
+/// otherwise. What scopes a checkpoint to the program it was captured
+/// from: a frame's saved pc means something only in that code.
+pub fn program_digest(p: &Program, seed: u64) -> u64 {
+    let mut w = Writer::new();
+    write_program(&mut w, p);
+    digest64_words(&w.into_bytes(), seed)
+}
+
 /// Deserialize a [`Program`]. Structural soundness (register ranges,
 /// jump targets, arities) is *not* re-checked here — run
 /// [`Program::validate`] on the result before executing it, exactly as

@@ -243,16 +243,21 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
         Instr::ArrLen { arr, dst } => format!("r{dst} = len(r{arr});"),
         Instr::FreeArr { arr } => format!("free(r{arr});"),
         Instr::Intrin { op, args, dst } => {
+            // `Program::validate` makes the same check, so a validated
+            // program never renders the comment; past it, `args` has the
+            // op's arity and `dst` is present wherever it is read.
+            if let Err(e) = op.check_operands(args.len(), dst.is_some()) {
+                return format!("/* {e} */");
+            }
+            let d = dst.unwrap_or_default();
             let a: Vec<String> = args.iter().map(|r| format!("r{r}")).collect();
             match op {
                 IntrinOp::ThreadIdx(_)
                 | IntrinOp::BlockIdx(_)
                 | IntrinOp::BlockDim(_)
-                | IntrinOp::GridDim(_) => {
-                    format!("r{} = {};", dst.unwrap(), op.c_name())
-                }
-                IntrinOp::MpiRank => format!("MPI_Comm_rank(MPI_COMM_WORLD, &r{});", dst.unwrap()),
-                IntrinOp::MpiSize => format!("MPI_Comm_size(MPI_COMM_WORLD, &r{});", dst.unwrap()),
+                | IntrinOp::GridDim(_) => format!("r{d} = {};", op.c_name()),
+                IntrinOp::MpiRank => format!("MPI_Comm_rank(MPI_COMM_WORLD, &r{d});"),
+                IntrinOp::MpiSize => format!("MPI_Comm_size(MPI_COMM_WORLD, &r{d});"),
                 IntrinOp::MpiBarrier => "MPI_Barrier(MPI_COMM_WORLD);".to_string(),
                 IntrinOp::MpiSendF32 => format!(
                     "MPI_Send({}, MPI_FLOAT, MPI_COMM_WORLD);",
@@ -270,20 +275,17 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
                     format!("MPI_Bcast({}, MPI_FLOAT, MPI_COMM_WORLD);", a.join(", "))
                 }
                 IntrinOp::MpiAllreduceSumF64 => format!(
-                    "MPI_Allreduce(MPI_IN_PLACE, &r{}, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);",
-                    dst.unwrap()
+                    "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);"
                 ),
                 IntrinOp::MpiAllreduceSumF32 => format!(
-                    "MPI_Allreduce(MPI_IN_PLACE, &r{}, 1, MPI_FLOAT, MPI_SUM, MPI_COMM_WORLD);",
-                    dst.unwrap()
+                    "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_FLOAT, MPI_SUM, MPI_COMM_WORLD);"
                 ),
                 IntrinOp::MpiAllreduceMaxF64 => format!(
-                    "MPI_Allreduce(MPI_IN_PLACE, &r{}, 1, MPI_DOUBLE, MPI_MAX, MPI_COMM_WORLD);",
-                    dst.unwrap()
+                    "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_DOUBLE, MPI_MAX, MPI_COMM_WORLD);"
                 ),
                 IntrinOp::CopyToGpu => format!(
                     "cudaMalloc(&r{0}, len(r{1})); cudaMemcpy(r{0}, r{1}, len(r{1}), cudaMemcpyHostToDevice);",
-                    dst.unwrap(),
+                    d,
                     args[0]
                 ),
                 IntrinOp::CopyFromGpu => format!(
@@ -291,7 +293,7 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
                     args[0], args[1], args[1]
                 ),
                 IntrinOp::GpuAllocF32 => {
-                    format!("cudaMalloc(&r{}, sizeof(float) * r{});", dst.unwrap(), args[0])
+                    format!("cudaMalloc(&r{d}, sizeof(float) * r{});", args[0])
                 }
                 IntrinOp::GpuFree => format!("cudaFree(r{});", args[0]),
                 IntrinOp::PrintI32 | IntrinOp::PrintI64 => {

@@ -217,6 +217,48 @@ impl IntrinOp {
                 | IntrinOp::GridDim(_)
         )
     }
+
+    /// Operand count, and whether the intrinsic returns a value (and so
+    /// must name a destination register). This is the one table of
+    /// intrinsic shapes: [`Program::validate`] checks every `Intrin`
+    /// against it, `exec` decodes by it, the MPI and GPU runtimes index
+    /// their argument lists by position because of it, and the C emitter
+    /// renders by it. An intrinsic whose operands change changes here.
+    pub fn shape(self) -> (usize, bool) {
+        use IntrinOp as I;
+        match self {
+            I::SqrtF64 | I::SqrtF32 | I::ExpF64 | I::AbsF32 | I::AbsF64 | I::AbsI32 => (1, true),
+            I::PowF64 | I::MinI32 | I::MaxI32 | I::MinF32 | I::MaxF32 => (2, true),
+            I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => (1, false),
+            I::ArrayCopyF32 => (5, false),
+            I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) | I::GridDim(_) => (0, true),
+            I::CopyToGpu | I::GpuAllocF32 => (1, true),
+            I::GpuFree => (1, false),
+            I::CopyFromGpu => (2, false),
+            I::CopyToGpuRange | I::CopyFromGpuRange => (5, false),
+            I::MpiRank | I::MpiSize => (0, true),
+            I::MpiBarrier => (0, false),
+            I::MpiAllreduceSumF64 | I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => (1, true),
+            I::MpiBcastF32 => (4, false),
+            I::MpiSendF32 | I::MpiRecvF32 => (5, false),
+            I::MpiSendRecvF32 => (8, false),
+        }
+    }
+
+    /// Does an `Intrin` of this op with `args` operands and (`has_dst`)
+    /// a destination have the op's [`shape`](IntrinOp::shape)?
+    pub fn check_operands(self, args: usize, has_dst: bool) -> Result<(), String> {
+        let (arity, returns) = self.shape();
+        if args != arity {
+            return Err(format!(
+                "intrinsic {self:?} takes {arity} operands, found {args}"
+            ));
+        }
+        if returns && !has_dst {
+            return Err(format!("intrinsic {self:?} has no destination register"));
+        }
+        Ok(())
+    }
 }
 
 fn axis(a: u8) -> &'static str {
@@ -606,8 +648,10 @@ impl Program {
     }
 
     /// Validate structural invariants: register indices and types, jump
-    /// targets, call arities, and placement constraints (Sync/SharedAlloc
-    /// only in kernels, Launch only outside kernels).
+    /// targets, call arities, intrinsic shapes ([`IntrinOp::shape`]), and
+    /// placement constraints (Sync/SharedAlloc only in kernels, Launch
+    /// only outside kernels). A program it accepts is one the engine can
+    /// decode and [`crate::emit_c`] can render without panicking.
     pub fn validate(&self) -> Result<(), String> {
         for (fi, f) in self.funcs.iter().enumerate() {
             let check_reg = |r: Reg| -> Result<(), String> {
@@ -721,6 +765,9 @@ impl Program {
                     Instr::NewObj { class, .. } if *class as usize >= self.classes.len() => {
                         return Err(format!("new of unknown class {class}"));
                     }
+                    Instr::Intrin { op, args, dst } => op
+                        .check_operands(args.len(), dst.is_some())
+                        .map_err(|m| format!("function `{}` pc {}: {m}", f.name, pc))?,
                     _ => {}
                 }
             }
@@ -1049,5 +1096,107 @@ mod tests {
         };
         assert_eq!(st.dst(), None);
         assert!(st.has_side_effects());
+    }
+
+    /// Every intrinsic, one per variant (the match below fails to compile
+    /// when a variant is added and not listed).
+    fn every_intrinsic() -> Vec<IntrinOp> {
+        use IntrinOp as I;
+        let all = vec![
+            I::SqrtF64,
+            I::SqrtF32,
+            I::PowF64,
+            I::ExpF64,
+            I::AbsF32,
+            I::AbsF64,
+            I::AbsI32,
+            I::MinI32,
+            I::MaxI32,
+            I::MinF32,
+            I::MaxF32,
+            I::PrintI32,
+            I::PrintI64,
+            I::PrintF32,
+            I::PrintF64,
+            I::PrintBool,
+            I::ArrayCopyF32,
+            I::ThreadIdx(0),
+            I::BlockIdx(1),
+            I::BlockDim(2),
+            I::GridDim(0),
+            I::CopyToGpu,
+            I::CopyFromGpu,
+            I::CopyToGpuRange,
+            I::CopyFromGpuRange,
+            I::GpuAllocF32,
+            I::GpuFree,
+            I::MpiRank,
+            I::MpiSize,
+            I::MpiBarrier,
+            I::MpiSendF32,
+            I::MpiRecvF32,
+            I::MpiSendRecvF32,
+            I::MpiBcastF32,
+            I::MpiAllreduceSumF64,
+            I::MpiAllreduceSumF32,
+            I::MpiAllreduceMaxF64,
+        ];
+        for op in &all {
+            match op {
+                I::SqrtF64 | I::SqrtF32 | I::PowF64 | I::ExpF64 | I::AbsF32 | I::AbsF64 => {}
+                I::AbsI32 | I::MinI32 | I::MaxI32 | I::MinF32 | I::MaxF32 => {}
+                I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => {}
+                I::ArrayCopyF32 | I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) => {}
+                I::GridDim(_) | I::CopyToGpu | I::CopyFromGpu | I::CopyToGpuRange => {}
+                I::CopyFromGpuRange | I::GpuAllocF32 | I::GpuFree | I::MpiRank => {}
+                I::MpiSize | I::MpiBarrier | I::MpiSendF32 | I::MpiRecvF32 => {}
+                I::MpiSendRecvF32 | I::MpiBcastF32 | I::MpiAllreduceSumF64 => {}
+                I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => {}
+            }
+        }
+        all
+    }
+
+    /// `fn f(r0..r7: i32) -> i32 { <intrinsic>; return r0 }`.
+    fn with_intrinsic(op: IntrinOp, args: Vec<Reg>, dst: Option<Reg>) -> Program {
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32; 8], Some(Ty::I32), FuncKind::Host);
+        fb.emit(Instr::Intrin { op, args, dst });
+        fb.emit(Instr::Ret(Some(0)));
+        let mut p = Program::default();
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+        p
+    }
+
+    #[test]
+    fn validate_checks_every_intrinsic_shape_and_emit_c_renders_what_it_accepts() {
+        for op in every_intrinsic() {
+            let (arity, returns) = op.shape();
+            let args: Vec<Reg> = (0..arity as Reg).collect();
+            let dst = returns.then_some(0);
+            let ok = with_intrinsic(op, args.clone(), dst);
+            ok.validate()
+                .unwrap_or_else(|e| panic!("{op:?} well formed: {e}"));
+            let c = crate::emit_c(&ok);
+            assert!(!c.contains("/* intrinsic"), "{op:?}: {c}");
+            // Each operand dropped, one at a time, then the destination.
+            for i in 0..arity {
+                let mut fewer = args.clone();
+                fewer.remove(i);
+                let bad = with_intrinsic(op, fewer, dst);
+                let e = bad.validate().unwrap_err();
+                assert!(e.contains("operands") && e.contains("pc 0"), "{op:?}: {e}");
+                // Rendered unvalidated, it is a comment, not a panic.
+                assert!(crate::emit_c(&bad).contains("/* intrinsic"), "{op:?}");
+            }
+            let mut more = args.clone();
+            more.push(0);
+            assert!(with_intrinsic(op, more, dst).validate().is_err(), "{op:?}");
+            if returns {
+                let bad = with_intrinsic(op, args, None);
+                let e = bad.validate().unwrap_err();
+                assert!(e.contains("no destination"), "{op:?}: {e}");
+                assert!(crate::emit_c(&bad).contains("/* intrinsic"), "{op:?}");
+            }
+        }
     }
 }

@@ -2,15 +2,26 @@
 //! compiler's work (the `-O3`-ish part of Table 1/Table 2).
 //!
 //! Passes:
-//! * **const-fold + copy-propagation** (per basic block, linear in the
-//!   block): replaces arithmetic on known constants and forwards `Mov`
-//!   chains;
-//! * **dead-code elimination**: removes pure instructions whose results
-//!   are never used (whole-function liveness);
-//! * **function inlining**: splices small callees into their callers,
-//!   bottom-up: each function, in `FuncId` order, takes in the final
-//!   bodies of its earlier callees (see [`optimize_fn`]), as the paper's
-//!   C compiler inlines the flat C that WootinJ emits.
+//! * **fold** — const-fold + copy-propagation (per basic block, linear in
+//!   the block): replaces arithmetic on known constants and forwards
+//!   `Mov` chains; with `dce` on, it also coalesces result moves
+//!   (`t = op …; x = t` becomes `x = op …`);
+//! * **dce** — one rebuild of the function that threads jumps through
+//!   jumps, removes unreachable code, removes pure instructions whose
+//!   results are never used (whole-function liveness), hoists loop
+//!   constants into a prefix at pc 0, and removes jumps to the next
+//!   instruction;
+//! * **inline** — splices small callees into their callers, bottom-up:
+//!   each function, in `FuncId` order, takes in the final bodies of its
+//!   earlier callees (see [`optimize_fn`]), as the paper's C compiler
+//!   inlines the flat C that WootinJ emits;
+//! * **sroa** — scalar replacement of non-escaping heap objects.
+//!
+//! Every pass sees only the function it rewrites and its callees' final
+//! bodies; fold, dce and inline are linear in it. Loop cleanup is what the
+//! paper's C compiler does to the flat C: without it every loop
+//! iteration reloads its literals, copies each update through a
+//! temporary and jumps to the next instruction.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -319,10 +330,23 @@ impl Facts {
 /// Per-basic-block constant folding and copy propagation. Linear in the
 /// block: facts live in a table indexed by register ([`Facts`]), and no
 /// step scans what the block has recorded so far.
+///
+/// With `dce` also on, it coalesces result moves: `t = op …; x = t`
+/// becomes `x = op …` when `t` is a temporary that lives for exactly
+/// those two instructions ([`coalesces`]). The emptied `Mov` is left as
+/// the self-move `x = x`, so no pc moves here; [`dce`]'s rebuild drops it.
 #[allow(clippy::needless_range_loop)] // `pc` indexes both code and leader
 fn local_fold(f: &mut Function, config: OptConfig) {
-    // Block leaders: entry, jump targets, and instructions after terminators.
+    let coalesce = config.copy_prop && config.dce;
+    // Block leaders: entry, jump targets, and instructions after
+    // terminators; and, for coalescing, how often each register is
+    // written and read (saturating at 2: only "exactly once" matters).
     let mut leader = vec![false; f.code.len() + 1];
+    let (mut writes, mut reads) = if coalesce {
+        (vec![0u8; f.regs.len()], vec![0u8; f.regs.len()])
+    } else {
+        (Vec::new(), Vec::new())
+    };
     leader[0] = true;
     for (pc, ins) in f.code.iter().enumerate() {
         match ins {
@@ -339,6 +363,12 @@ fn local_fold(f: &mut Function, config: OptConfig) {
                 leader[pc + 1] = true;
             }
             _ => {}
+        }
+        if coalesce {
+            if let Some(d) = ins.dst() {
+                writes[d as usize] = writes[d as usize].saturating_add(1).min(2);
+            }
+            ins.for_each_source(|s| reads[s as usize] = reads[s as usize].saturating_add(1).min(2));
         }
     }
 
@@ -375,6 +405,15 @@ fn local_fold(f: &mut Function, config: OptConfig) {
             }
         }
 
+        // Coalesce before the `Mov` is seen: once it records `x` as a
+        // copy of `t`, copy propagation would hand `t` to `x`'s readers.
+        if coalesce && !leader[pc + 1] {
+            if let Some(x) = coalesces(f, pc, &writes, &reads) {
+                *f.code[pc].dst_mut().expect("coalesces checked the dst") = x;
+                f.code[pc + 1] = Instr::Mov(x, x);
+            }
+        }
+
         // Update the facts from the (possibly rewritten) instruction.
         match &f.code[pc] {
             Instr::ConstI32(d, v) => facts.record(*d, Known::I32(*v)),
@@ -395,6 +434,38 @@ fn local_fold(f: &mut Function, config: OptConfig) {
             }
         }
     }
+}
+
+/// The register `x` that instruction `pc` may write in place of its
+/// temporary `t`, when `pc + 1` is `x = t` in the same block: `t` is not
+/// a parameter, is written and read exactly once in the whole function
+/// (here and by that `Mov`), and has `x`'s type, and `pc` is a pure
+/// computation whose operands are all read before its result is written.
+fn coalesces(f: &Function, pc: usize, writes: &[u8], reads: &[u8]) -> Option<Reg> {
+    let Some(&Instr::Mov(x, t)) = f.code.get(pc + 1) else {
+        return None;
+    };
+    let def = &f.code[pc];
+    let ok = matches!(
+        def,
+        Instr::Bin { .. }
+            | Instr::Neg { .. }
+            | Instr::Not { .. }
+            | Instr::Cast { .. }
+            | Instr::ConstI32(..)
+            | Instr::ConstI64(..)
+            | Instr::ConstF32(..)
+            | Instr::ConstF64(..)
+            | Instr::ConstBool(..)
+            | Instr::LdArr { .. }
+            | Instr::ArrLen { .. }
+    ) && def.dst() == Some(t)
+        && x != t
+        && t as usize >= f.params.len()
+        && writes[t as usize] == 1
+        && reads[t as usize] == 1
+        && f.regs[t as usize] == f.regs[x as usize];
+    ok.then_some(x)
 }
 
 fn fold_bin(op: BinOp, kind: PrimKind, l: Known, r: Known, dst: Reg) -> Option<Instr> {
@@ -513,28 +584,45 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
     })
 }
 
-/// Whole-function liveness-based dead code elimination. Instructions with
-/// side effects are kept; pure instructions whose destination is never
-/// read afterwards are dropped with jump-target remapping.
+/// Dead and unreachable code elimination plus the loop cleanups, in one
+/// rebuild of the function:
+///
+/// * **jump threading** — a `Jmp`/`Br` target that is itself a `Jmp` is
+///   replaced by that jump's target, at most [`THREAD_HOPS`] times, so a
+///   jump cycle terminates;
+/// * **unreachable code** — instructions not reachable from pc 0 go;
+/// * **liveness** — pure instructions whose result no kept instruction
+///   reads go (flow-insensitive), and so do self-moves;
+/// * **loop constants** — see [`loop_constants`]: a constant defined in a
+///   loop is defined once in a prefix at pc 0 instead;
+/// * **jumps to the next instruction** — a forward `Jmp` whose target is
+///   the next kept instruction goes.
+///
+/// Every step is linear in the function. Branch targets are remapped once;
+/// a target may equal `code.len()`, as [`Program::validate`] allows.
 fn dce(f: &mut Function) {
-    // The keep-set is the least fixed point of "kept if effectful, or if
-    // it defines a register some kept instruction reads" (flow-
-    // insensitive). Liveness spreads from the effectful roots along a
-    // worklist over each register's pure definitions, visiting every
+    let n = f.code.len();
+    let mut changed = thread_jumps(&mut f.code);
+    let reach = reachable(&f.code);
+
+    // The keep-set is the least fixed point of "kept if reachable and
+    // effectful, or if it defines a register some kept instruction reads"
+    // (flow-insensitive). Liveness spreads from the effectful roots along
+    // a worklist over each register's pure definitions, visiting every
     // instruction at most once.
     //
     // An instruction writes at most one register, so the definitions of a
     // register are a list threaded through the instructions themselves:
     // `last_def[r]` is its newest pure definition, `prev_def[i]` the one
     // before instruction `i`.
-    const NONE: u32 = u32::MAX;
-    let mut keep = vec![false; f.code.len()];
+    let mut keep = vec![false; n];
     let mut last_def = vec![NONE; f.regs.len()];
-    let mut prev_def = vec![NONE; f.code.len()];
+    let mut prev_def = vec![NONE; n];
     let mut work = Vec::new();
     for (i, ins) in f.code.iter().enumerate() {
-        // Self-moves are pure no-ops (SROA leaves them for pc alignment).
-        if matches!(ins, Instr::Mov(d, s) if d == s) {
+        // Self-moves are pure no-ops (SROA leaves them for pc alignment,
+        // coalescing for dce to drop).
+        if !reach[i] || matches!(ins, Instr::Mov(d, s) if d == s) {
             continue;
         }
         match ins.dst() {
@@ -558,20 +646,46 @@ fn dce(f: &mut Function) {
             }
         });
     }
-    if keep.iter().all(|k| *k) {
+
+    let hoist = loop_constants(f, &keep);
+    for h in &hoist.defs {
+        keep[*h as usize] = false;
+    }
+    changed |= !hoist.defs.is_empty();
+
+    // Drop forward jumps to the next kept instruction, last to first, so
+    // `next_kept[t]` (the first kept pc at or after `t`) is final for
+    // every `t` past the jump. A backward jump is never dropped: it
+    // closes a loop, empty or not.
+    let mut next_kept = vec![n as u32; n + 1];
+    for i in (0..n).rev() {
+        if let Instr::Jmp(t) = f.code[i] {
+            let next = next_kept[i + 1];
+            if keep[i] && t as usize > i && next_kept[t as usize] == next && (next as usize) < n {
+                keep[i] = false;
+            }
+        }
+        next_kept[i] = if keep[i] { i as u32 } else { next_kept[i + 1] };
+    }
+
+    if !changed && keep.iter().all(|k| *k) {
         return;
     }
-    // Rebuild code with remapped jump targets.
-    let mut new_pc = vec![0u32; f.code.len() + 1];
-    let mut cur = 0u32;
-    for i in 0..f.code.len() {
+    // Rebuild: the hoisted constants, then every kept instruction with
+    // its targets remapped (and, where two hoisted constants merged, its
+    // operands renamed).
+    let prefix = hoist.prefix.len() as u32;
+    let mut new_pc = vec![0u32; n + 1];
+    let mut cur = prefix;
+    for i in 0..n {
         new_pc[i] = cur;
         if keep[i] {
             cur += 1;
         }
     }
-    new_pc[f.code.len()] = cur;
-    let old = std::mem::take(&mut f.code);
+    new_pc[n] = cur;
+    let old = std::mem::replace(&mut f.code, hoist.prefix);
+    f.code.reserve(cur as usize - f.code.len());
     for (i, mut ins) in old.into_iter().enumerate() {
         if !keep[i] {
             continue;
@@ -584,30 +698,283 @@ fn dce(f: &mut Function) {
             }
             _ => {}
         }
+        if let Some(rename) = &hoist.rename {
+            ins.for_each_source_mut(|r| *r = rename[*r as usize]);
+        }
         f.code.push(ins);
     }
-    // Dropping trailing instructions can leave a fall-through; re-terminate.
-    match f.code.last() {
-        Some(Instr::Ret(_)) => {}
-        _ => f.code.push(Instr::Ret(None)),
+    // Only input that could already fall off its end can end without a
+    // terminator here; give it the one the builder would have.
+    if !matches!(
+        f.code.last(),
+        Some(Instr::Ret(_) | Instr::Jmp(_) | Instr::Br { .. })
+    ) {
+        f.code.push(Instr::Ret(None));
     }
-    // A former jump-to-end may now target the appended Ret exactly; fix
-    // any target still equal to the pre-append length.
-    let len = (f.code.len() - 1) as u32;
-    for ins in &mut f.code {
-        match ins {
-            Instr::Jmp(t) if *t > len => *t = len,
-            Instr::Br { t, f: fl, .. } => {
-                if *t > len {
-                    *t = len;
+}
+
+/// "No instruction" / "no register" in the optimizer's index tables.
+const NONE: u32 = u32::MAX;
+
+/// How many jumps one target is threaded through.
+const THREAD_HOPS: usize = 8;
+
+/// Retarget every `Jmp`/`Br` whose target is a `Jmp` to where that jump
+/// goes, following at most [`THREAD_HOPS`] jumps. Returns whether any
+/// target changed.
+fn thread_jumps(code: &mut [Instr]) -> bool {
+    let through = |code: &[Instr], mut t: u32| {
+        for _ in 0..THREAD_HOPS {
+            match code.get(t as usize) {
+                Some(Instr::Jmp(u)) if *u != t => t = *u,
+                _ => break,
+            }
+        }
+        t
+    };
+    let mut changed = false;
+    for pc in 0..code.len() {
+        match code[pc] {
+            Instr::Jmp(t) => {
+                let u = through(code, t);
+                if u != t {
+                    code[pc] = Instr::Jmp(u);
+                    changed = true;
                 }
-                if *fl > len {
-                    *fl = len;
+            }
+            Instr::Br { cond, t, f } => {
+                let (u, v) = (through(code, t), through(code, f));
+                if (u, v) != (t, f) {
+                    code[pc] = Instr::Br { cond, t: u, f: v };
+                    changed = true;
                 }
             }
             _ => {}
         }
     }
+    changed
+}
+
+/// Which instructions control can reach from pc 0.
+fn reachable(code: &[Instr]) -> Vec<bool> {
+    let n = code.len();
+    let mut reach = vec![false; n];
+    let mut work = vec![0usize];
+    while let Some(mut pc) = work.pop() {
+        // Walk the straight line from `pc`, queueing branch targets.
+        while pc < n && !reach[pc] {
+            reach[pc] = true;
+            match code[pc] {
+                Instr::Jmp(t) => pc = t as usize,
+                Instr::Br { t, f, .. } => {
+                    work.push(f as usize);
+                    pc = t as usize;
+                }
+                Instr::Ret(_) => break,
+                _ => pc += 1,
+            }
+        }
+    }
+    reach
+}
+
+/// The constants [`dce`] hoists into a prefix at pc 0.
+#[derive(Default)]
+struct Hoist {
+    /// One constant per distinct kind and bit pattern, in pc order.
+    prefix: Vec<Instr>,
+    /// Pcs of the definitions that move into the prefix.
+    defs: Vec<u32>,
+    /// By register: the register that now holds its value, when two
+    /// hoisted constants merged (`None` when none did).
+    rename: Option<Vec<Reg>>,
+}
+
+/// Find the loop constants among the kept instructions: registers that
+/// are not parameters, whose one and only definition is a `Const*` in a
+/// basic block on a cycle of the control-flow graph (a strongly connected
+/// component of more than one block, or a block with a self edge), and
+/// every one of whose reads comes later in that same block. Such a
+/// register holds its constant wherever it is read, so defining it once
+/// at pc 0 changes no value anyone reads. The same-block rule needs no
+/// dominator tree: a read in another block may see the register before
+/// the loop first defines it, or after something else did.
+fn loop_constants(f: &Function, keep: &[bool]) -> Hoist {
+    let code = &f.code;
+    let n = code.len();
+    // Without a backward branch there is no cycle.
+    let backward = code.iter().enumerate().any(|(pc, ins)| match ins {
+        Instr::Jmp(t) => *t as usize <= pc,
+        Instr::Br { t, f, .. } => *t as usize <= pc || *f as usize <= pc,
+        _ => false,
+    });
+    if !backward {
+        return Hoist::default();
+    }
+
+    // Basic blocks: `block[pc]` numbers them in pc order.
+    let mut leader = vec![false; n + 1];
+    leader[0] = true;
+    for (pc, ins) in code.iter().enumerate() {
+        match ins {
+            Instr::Jmp(t) => {
+                leader[*t as usize] = true;
+                leader[pc + 1] = true;
+            }
+            Instr::Br { t, f, .. } => {
+                leader[*t as usize] = true;
+                leader[*f as usize] = true;
+                leader[pc + 1] = true;
+            }
+            Instr::Ret(_) => leader[pc + 1] = true,
+            _ => {}
+        }
+    }
+    let mut starts = Vec::new();
+    let mut block = vec![0u32; n];
+    for pc in 0..n {
+        if leader[pc] {
+            starts.push(pc as u32);
+        }
+        block[pc] = starts.len() as u32 - 1;
+    }
+    starts.push(n as u32);
+    let on_cycle = blocks_on_cycles(code, &starts, &block);
+
+    // One pass in pc order: a read before its register's (first)
+    // definition, in another block, or of a register defined twice or by
+    // anything but a constant in a loop disqualifies it.
+    let params = f.params.len();
+    let mut def = vec![NONE; f.regs.len()];
+    let mut bad = vec![false; f.regs.len()];
+    for (pc, ins) in code.iter().enumerate() {
+        if !keep[pc] {
+            continue;
+        }
+        ins.for_each_source(|s| {
+            let d = def[s as usize];
+            if d == NONE || block[d as usize] != block[pc] {
+                bad[s as usize] = true;
+            }
+        });
+        if let Some(d) = ins.dst() {
+            let is_const = matches!(
+                ins,
+                Instr::ConstI32(..)
+                    | Instr::ConstI64(..)
+                    | Instr::ConstF32(..)
+                    | Instr::ConstF64(..)
+                    | Instr::ConstBool(..)
+            );
+            let d = d as usize;
+            if def[d] != NONE || d < params || !is_const || !on_cycle[block[pc] as usize] {
+                bad[d] = true;
+            }
+            def[d] = pc as u32;
+        }
+    }
+
+    let mut hoist = Hoist::default();
+    let mut merged: HashMap<(u8, u64), Reg> = HashMap::new();
+    for (pc, ins) in code.iter().enumerate() {
+        let Some(d) = ins.dst().filter(|d| keep[pc] && !bad[*d as usize]) else {
+            continue;
+        };
+        let bits = match *ins {
+            Instr::ConstI32(_, v) => (0, v as u32 as u64),
+            Instr::ConstI64(_, v) => (1, v as u64),
+            Instr::ConstF32(_, v) => (2, u64::from(v.to_bits())),
+            Instr::ConstF64(_, v) => (3, v.to_bits()),
+            Instr::ConstBool(_, v) => (4, u64::from(v)),
+            _ => unreachable!("only constants qualify"),
+        };
+        hoist.defs.push(pc as u32);
+        match merged.entry(bits) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let rename = hoist
+                    .rename
+                    .get_or_insert_with(|| (0..f.regs.len() as Reg).collect());
+                rename[d as usize] = *e.get();
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(d);
+                hoist.prefix.push(ins.clone());
+            }
+        }
+    }
+    hoist
+}
+
+/// By block: is it on a cycle of the control-flow graph, i.e. in a
+/// strongly connected component of more than one block, or its own
+/// successor? Tarjan's algorithm from the entry block, iteratively (the
+/// recursion would be as deep as the function is long).
+fn blocks_on_cycles(code: &[Instr], starts: &[u32], block: &[u32]) -> Vec<bool> {
+    let nb = starts.len() - 1;
+    // A target past the last instruction leaves the function.
+    let to = |t: u32| block.get(t as usize).copied().unwrap_or(NONE);
+    let succs = |b: usize| -> [u32; 2] {
+        let end = starts[b + 1];
+        match code[end as usize - 1] {
+            Instr::Jmp(t) => [to(t), NONE],
+            Instr::Br { t, f, .. } => [to(t), to(f)],
+            Instr::Ret(_) => [NONE, NONE],
+            _ => [to(end), NONE],
+        }
+    };
+    let mut on_cycle = vec![false; nb];
+    let mut index = vec![NONE; nb];
+    let mut low = vec![0u32; nb];
+    let mut on_stack = vec![false; nb];
+    let mut stack: Vec<u32> = vec![0];
+    // The explicit call stack: (block, next successor slot to visit).
+    let mut calls: Vec<(u32, u8)> = vec![(0, 0)];
+    index[0] = 0;
+    on_stack[0] = true;
+    let mut next = 1;
+    while let Some(top) = calls.last_mut() {
+        let (b, slot) = *top;
+        let bu = b as usize;
+        if slot < 2 {
+            top.1 += 1;
+            let s = succs(bu)[slot as usize];
+            if s == NONE {
+                continue;
+            }
+            let su = s as usize;
+            if s == b {
+                on_cycle[bu] = true;
+            } else if index[su] == NONE {
+                index[su] = next;
+                low[su] = next;
+                next += 1;
+                stack.push(s);
+                on_stack[su] = true;
+                calls.push((s, 0));
+            } else if on_stack[su] {
+                low[bu] = low[bu].min(index[su]);
+            }
+            continue;
+        }
+        calls.pop();
+        if let Some(&(parent, _)) = calls.last() {
+            low[parent as usize] = low[parent as usize].min(low[bu]);
+        }
+        if low[bu] == index[bu] {
+            // `b` roots a component: everything above it on the stack.
+            let root = stack
+                .iter()
+                .rposition(|&m| m == b)
+                .expect("a component's root is on the stack");
+            let cycle = stack.len() - root > 1;
+            for &m in &stack[root..] {
+                on_stack[m as usize] = false;
+                on_cycle[m as usize] |= cycle;
+            }
+            stack.truncate(root);
+        }
+    }
+    on_cycle
 }
 
 /// Scalar replacement of aggregates: a heap object that is allocated in

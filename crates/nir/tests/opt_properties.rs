@@ -983,3 +983,415 @@ fn inline_is_linear() {
         "inline took {small:?} on 4k call sites and {large:?} on 32k"
     );
 }
+
+// ---------------------------------------------------------------------
+// Loop cleanup: seeded loop programs, jump cycles, and the cost of it
+// ---------------------------------------------------------------------
+
+/// Builds one seeded loop program's entry function `f(x)`: counted loops
+/// nested up to three deep, some of them zero-trip, whose bodies load
+/// literals, update through a temporary (`t = op …; x = t`), branch to
+/// jumps, leave the body early, print, call the small function `g` and
+/// mix float and int zeros. Some read a register before anything wrote
+/// it, as a program that fails does; every level must fail alike.
+struct LoopGen<'a> {
+    rng: &'a mut Rng,
+    fb: FuncBuilder,
+    acc: Reg,
+    g: nir::FuncId,
+}
+
+impl LoopGen<'_> {
+    fn bin(&mut self, op: BinOp, dst: Reg, lhs: Reg, rhs: Reg) {
+        self.fb.emit(Instr::Bin {
+            op,
+            kind: PrimKind::Int,
+            dst,
+            lhs,
+            rhs,
+        });
+    }
+
+    /// `t = acc op rhs; acc = t` — the update coalescing rewrites.
+    fn update(&mut self, op: BinOp, rhs: Reg) -> Reg {
+        let t = self.fb.reg(Ty::I32);
+        self.bin(op, t, self.acc, rhs);
+        self.fb.emit(Instr::Mov(self.acc, t));
+        t
+    }
+
+    fn literal(&mut self) -> Reg {
+        let k = self.fb.reg(Ty::I32);
+        let v = self.rng.range_i32(-9, 10);
+        self.fb.emit(Instr::ConstI32(k, v));
+        k
+    }
+
+    fn counted_loop(&mut self, depth: usize) {
+        let (i, n, c) = (
+            self.fb.reg(Ty::I32),
+            self.fb.reg(Ty::I32),
+            self.fb.reg(Ty::Bool),
+        );
+        self.fb.emit(Instr::ConstI32(i, 0));
+        // Zero trips a quarter of the time.
+        let trips = self.rng.below(4) as i32;
+        self.fb.emit(Instr::ConstI32(n, trips));
+        let (head, body, latch, exit) = (
+            self.fb.label(),
+            self.fb.label(),
+            self.fb.label(),
+            self.fb.label(),
+        );
+        self.fb.bind(head);
+        self.bin(BinOp::Lt, c, i, n);
+        self.fb.br(c, body, exit);
+        self.fb.bind(body);
+        // Now and then a literal the loop defines and only the code after
+        // it reads: a zero-trip loop leaves it unwritten.
+        let carried = (self.rng.below(8) == 0).then(|| self.literal());
+        for _ in 0..1 + self.rng.below(4) {
+            self.step(depth, i, latch);
+        }
+        self.fb.bind(latch);
+        // The induction update through a temporary, its `1` a literal.
+        let one = self.fb.reg(Ty::I32);
+        self.fb.emit(Instr::ConstI32(one, 1));
+        let t = self.fb.reg(Ty::I32);
+        self.bin(BinOp::Add, t, i, one);
+        self.fb.emit(Instr::Mov(i, t));
+        if self.rng.below(2) == 0 {
+            // The back edge through a jump to the next instruction.
+            let hop = self.fb.label();
+            self.fb.jmp(hop);
+            self.fb.bind(hop);
+        }
+        self.fb.jmp(head);
+        self.fb.bind(exit);
+        if let Some(k) = carried {
+            self.update(BinOp::Add, k);
+        }
+    }
+
+    fn step(&mut self, depth: usize, i: Reg, latch: nir::Label) {
+        match self.rng.below(12) {
+            0 | 1 => {
+                let k = self.literal();
+                let op = [BinOp::Add, BinOp::Mul, BinOp::Sub, BinOp::BitXor][self.rng.below(4)];
+                self.update(op, k);
+            }
+            2 => {
+                self.update(BinOp::Add, i);
+            }
+            3 => {
+                // A temporary read twice: its move must stay.
+                let k = self.literal();
+                let t = self.update(BinOp::Mul, k);
+                self.update(BinOp::Add, t);
+            }
+            4 => {
+                self.fb.emit(Instr::Intrin {
+                    op: nir::IntrinOp::PrintI32,
+                    args: vec![self.acc],
+                    dst: None,
+                });
+            }
+            5 if depth < 2 => self.counted_loop(depth + 1),
+            5 | 6 => {
+                // A diamond whose arms may leave for the latch (a branch to
+                // a jump, and a jump past live code).
+                let (c, k) = (self.fb.reg(Ty::Bool), self.literal());
+                self.bin(BinOp::Lt, c, self.acc, k);
+                let (then, other, join) = (self.fb.label(), self.fb.label(), self.fb.label());
+                self.fb.br(c, then, other);
+                self.fb.bind(then);
+                if self.rng.below(2) == 0 {
+                    self.fb.jmp(latch);
+                } else {
+                    let k = self.literal();
+                    self.update(BinOp::Add, k);
+                    self.fb.jmp(join);
+                }
+                self.fb.bind(other);
+                let k = self.literal();
+                self.update(BinOp::Sub, k);
+                self.fb.bind(join);
+            }
+            7 => {
+                // One register given two literals in turn.
+                let k = self.fb.reg(Ty::I32);
+                let (a, b) = (self.rng.range_i32(1, 9), self.rng.range_i32(1, 9));
+                self.fb.emit(Instr::ConstI32(k, a));
+                self.update(BinOp::Add, k);
+                self.fb.emit(Instr::ConstI32(k, b));
+                self.update(BinOp::Mul, k);
+            }
+            8 => {
+                let t = self.fb.reg(Ty::I32);
+                self.fb.emit(Instr::Call {
+                    func: self.g,
+                    args: vec![self.acc],
+                    dst: Some(t),
+                });
+                self.fb.emit(Instr::Mov(self.acc, t));
+            }
+            9 => {
+                // An int zero and a float zero: equal bits, other kinds.
+                let (zi, zf) = (self.fb.reg(Ty::I32), self.fb.reg(Ty::F32));
+                let (fa, fs) = (self.fb.reg(Ty::F32), self.fb.reg(Ty::F32));
+                self.fb.emit(Instr::ConstI32(zi, 0));
+                self.fb.emit(Instr::ConstF32(zf, 0.0));
+                self.update(BinOp::Add, zi);
+                self.fb.emit(Instr::Cast {
+                    to: PrimKind::Float,
+                    from: PrimKind::Int,
+                    dst: fa,
+                    src: self.acc,
+                });
+                self.fb.emit(Instr::Bin {
+                    op: BinOp::Add,
+                    kind: PrimKind::Float,
+                    dst: fs,
+                    lhs: fa,
+                    rhs: zf,
+                });
+                self.fb.emit(Instr::Cast {
+                    to: PrimKind::Int,
+                    from: PrimKind::Float,
+                    dst: self.acc,
+                    src: fs,
+                });
+            }
+            10 if self.rng.below(4) == 0 => {
+                // A literal read before the loop defines it: the first
+                // iteration reads a register nothing has written.
+                let k = self.fb.reg(Ty::I32);
+                self.update(BinOp::Add, k);
+                self.fb.emit(Instr::ConstI32(k, 3));
+            }
+            _ => {
+                let k = self.literal();
+                self.update(BinOp::Add, k);
+            }
+        }
+    }
+}
+
+/// A seeded loop program: `g(a) = a * k + 1` and the entry `f(x)`, one or
+/// two top-level loops over `acc = x`, `return acc`, then an unreachable
+/// tail holding a literal, a print and a two-jump cycle.
+fn loop_program(rng: &mut Rng) -> Program {
+    let mut p = Program::default();
+    let mut gb = FuncBuilder::new("g", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let (k, t, one, r) = (
+        gb.reg(Ty::I32),
+        gb.reg(Ty::I32),
+        gb.reg(Ty::I32),
+        gb.reg(Ty::I32),
+    );
+    gb.emit(Instr::ConstI32(k, rng.range_i32(2, 5)));
+    gb.emit(Instr::Bin {
+        op: BinOp::Mul,
+        kind: PrimKind::Int,
+        dst: t,
+        lhs: 0,
+        rhs: k,
+    });
+    gb.emit(Instr::ConstI32(one, 1));
+    gb.emit(Instr::Bin {
+        op: BinOp::Add,
+        kind: PrimKind::Int,
+        dst: r,
+        lhs: t,
+        rhs: one,
+    });
+    gb.emit(Instr::Ret(Some(r)));
+    let g = p.add_func(gb.finish().unwrap());
+
+    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let acc = fb.reg(Ty::I32);
+    fb.emit(Instr::Mov(acc, 0));
+    let mut gen = LoopGen { rng, fb, acc, g };
+    for _ in 0..1 + gen.rng.below(2) {
+        gen.counted_loop(0);
+    }
+    let mut fb = gen.fb;
+    fb.emit(Instr::Ret(Some(acc)));
+    let (tail, a, b) = (fb.label(), fb.label(), fb.label());
+    fb.bind(tail);
+    let junk = fb.reg(Ty::I32);
+    fb.emit(Instr::ConstI32(junk, 99));
+    fb.emit(Instr::Intrin {
+        op: nir::IntrinOp::PrintI32,
+        args: vec![junk],
+        dst: None,
+    });
+    fb.bind(a);
+    fb.jmp(b);
+    fb.bind(b);
+    fb.jmp(a);
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    p.validate().unwrap();
+    p
+}
+
+/// What a run shows: the entry's result (or that it failed) and what it
+/// printed, and the instructions it retired.
+fn observe(p: &Program, arg: i32) -> ((Option<i32>, Vec<String>), u64) {
+    let mut m = exec::Machine::new();
+    let result = exec::run_to_completion(p, p.entry.unwrap(), vec![exec::Val::I32(arg)], &mut m);
+    let value = match result {
+        Ok(Some(exec::Val::I32(x))) => Some(x),
+        Ok(other) => panic!("unexpected {other:?}"),
+        Err(_) => None,
+    };
+    ((value, m.output), m.counters.instrs)
+}
+
+/// Every level computes what the unoptimized program computes, prints
+/// what it prints, and fails where it fails, on nested, zero-trip and
+/// early-leaving loops.
+#[test]
+fn loop_cleanup_agrees_on_seeded_loop_programs() {
+    let mut rng = Rng::new(0x0707_0041);
+    let (mut base_instrs, mut opt_instrs, mut failing) = (0, 0, 0);
+    for case in 0..256 {
+        let base = loop_program(&mut rng);
+        let arg = rng.range_i32(-5, 6);
+        let (want, instrs) = observe(&base, arg);
+        failing += usize::from(want.0.is_none());
+        for config in [OptConfig::standard(), preset(), OptConfig::aggressive()] {
+            let mut p = base.clone();
+            nir::optimize(&mut p, config);
+            p.validate()
+                .unwrap_or_else(|e| panic!("case {case}, {config:?}: {e}\n{p}"));
+            let (got, i) = observe(&p, arg);
+            assert_eq!(got, want, "case {case}, config {config:?}:\n{base}\n{p}");
+            if config == OptConfig::standard() {
+                base_instrs += instrs;
+                opt_instrs += i;
+            }
+        }
+    }
+    // The generator reaches programs that fail, and most run clean.
+    assert!((1..64).contains(&failing), "{failing} of 256 programs fail");
+    assert!(
+        opt_instrs * 5 < base_instrs * 4,
+        "loop cleanup retired {opt_instrs} of {base_instrs} instructions"
+    );
+}
+
+/// Jump threading follows a bounded number of jumps, so a cycle of
+/// jumps (reachable or not) cannot hang the optimizer.
+#[test]
+fn jump_cycles_terminate() {
+    let cycle = |entry_jumps: bool| {
+        let mut fb = FuncBuilder::new("spin", vec![Ty::Bool], None, FuncKind::Host);
+        let (a, b, out) = (fb.label(), fb.label(), fb.label());
+        if entry_jumps {
+            fb.br(0, a, out);
+        } else {
+            fb.emit(Instr::Ret(None));
+        }
+        fb.bind(a);
+        fb.jmp(b);
+        fb.bind(b);
+        fb.jmp(a);
+        fb.bind(out);
+        fb.emit(Instr::Ret(None));
+        let mut p = Program::default();
+        p.add_func(fb.finish().unwrap());
+        p
+    };
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for entry_jumps in [false, true] {
+            let mut p = cycle(entry_jumps);
+            nir::optimize(&mut p, OptConfig::aggressive());
+            p.validate().unwrap();
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("the optimizer must terminate on a cycle of jumps");
+}
+
+/// Many small loops, each a header, a body that loads two literals and
+/// updates through temporaries, and an exit: 8x the blocks takes about 8x
+/// the fold-and-cleanup time. Same bar as `fold_is_linear`.
+#[test]
+fn cleanup_is_linear() {
+    let function = |blocks: u32| {
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let acc = fb.reg(Ty::I32);
+        fb.emit(Instr::Mov(acc, 0));
+        for _ in 0..blocks / 3 {
+            let r: Vec<Reg> = (0..6).map(|_| fb.reg(Ty::I32)).collect();
+            let (i, n, k, one, t, u) = (r[0], r[1], r[2], r[3], r[4], r[5]);
+            let c = fb.reg(Ty::Bool);
+            let (head, body, exit) = (fb.label(), fb.label(), fb.label());
+            fb.emit(Instr::ConstI32(i, 0));
+            fb.emit(Instr::ConstI32(n, 2));
+            fb.bind(head);
+            fb.emit(Instr::Bin {
+                op: BinOp::Lt,
+                kind: PrimKind::Int,
+                dst: c,
+                lhs: i,
+                rhs: n,
+            });
+            fb.br(c, body, exit);
+            fb.bind(body);
+            fb.emit(Instr::ConstI32(k, 3));
+            fb.emit(Instr::Bin {
+                op: BinOp::Add,
+                kind: PrimKind::Int,
+                dst: t,
+                lhs: acc,
+                rhs: k,
+            });
+            fb.emit(Instr::Mov(acc, t));
+            fb.emit(Instr::ConstI32(one, 1));
+            fb.emit(Instr::Bin {
+                op: BinOp::Add,
+                kind: PrimKind::Int,
+                dst: u,
+                lhs: i,
+                rhs: one,
+            });
+            fb.emit(Instr::Mov(i, u));
+            fb.jmp(head);
+            fb.bind(exit);
+        }
+        fb.emit(Instr::Ret(Some(acc)));
+        fb.finish().unwrap()
+    };
+    let best_of_3 = |f: &nir::Function| {
+        (0..3)
+            .map(|_| {
+                let mut p = Program::default();
+                p.add_func(f.clone());
+                let profile = nir::optimize(&mut p, OptConfig::standard());
+                // Both literals of every loop went to the prefix, and every
+                // update lost its move.
+                assert!(matches!(p.funcs[0].code[0], Instr::ConstI32(_, 3)));
+                assert!(!p.funcs[0]
+                    .code
+                    .iter()
+                    .any(|i| matches!(i, Instr::Mov(d, _) if *d != 1)));
+                profile
+                    .iter()
+                    .map(|pass| pass.wall)
+                    .sum::<std::time::Duration>()
+            })
+            .min()
+            .unwrap()
+    };
+    let small = best_of_3(&function(4_000));
+    let large = best_of_3(&function(32_000));
+    assert!(
+        large < small * 24,
+        "fold and dce took {small:?} on 4k loop blocks and {large:?} on 32k"
+    );
+}

@@ -163,7 +163,8 @@ pub trait Platform {
     /// Salt mixed into `CacheKey` fingerprints so per-platform sealed
     /// artifacts and `.wckpt` world checkpoints are scoped per target
     /// (a 4-rank mpi-sim checkpoint must never restore into an 8-worker
-    /// host-mt world). Zero means "unscoped" — the legacy/default
+    /// host-mt world); checkpoints also fold in the program
+    /// ([`ckpt_scope`]). Zero means "unscoped" — the legacy/default
     /// namespace — and is reserved for [`InterpPlatform`] so caches
     /// written before this layer existed stay valid.
     fn fingerprint_salt(&self) -> u64 {
@@ -205,11 +206,26 @@ pub trait Platform {
 // `nir::hash` — one implementation, baked into on-disk fingerprints.
 use nir::hash::fnv1a64;
 
+/// The scope stamp on every checkpoint of `req`'s run: the platform's
+/// `salt` folded with the digest of the program. A persisted chain is
+/// named by its `CacheKey` fingerprint, and one key can meet another
+/// program — the same source under a build whose optimizer rewrites it
+/// differently, once the key's `.wjar` is gone. Its frames' pcs would
+/// mean other instructions there, so a chain under another stamp fails
+/// typed ([`SimError::CheckpointScope`]) instead of resuming. A run
+/// without checkpoints captures nothing and skips the digest.
+pub fn ckpt_scope(salt: u64, req: &RunRequest<'_>) -> u64 {
+    match req.checkpoint {
+        Some(_) => nir::codec::program_digest(req.program, salt),
+        None => salt,
+    }
+}
+
 /// Apply the request's shared surface (host/fault/timeout) to a world,
 /// in the facade's historical builder order so behavior is
 /// bit-identical to the pre-platform code path — then stamp the
-/// platform's fingerprint salt so every `.wckpt` chain this world
-/// persists is scoped to the platform that wrote it.
+/// checkpoint scope ([`ckpt_scope`]) so every `.wckpt` chain this world
+/// persists is scoped to the platform and the program that wrote it.
 fn apply_request<'p>(mut world: World<'p>, req: &RunRequest<'p>, salt: u64) -> World<'p> {
     if let Some(h) = req.host {
         world = world.with_host(h);
@@ -220,7 +236,9 @@ fn apply_request<'p>(mut world: World<'p>, req: &RunRequest<'p>, salt: u64) -> W
     if let Some(t) = req.timeout_rounds {
         world = world.with_timeout(t);
     }
-    world.with_executor(req.executor).with_ckpt_salt(salt)
+    world
+        .with_executor(req.executor)
+        .with_ckpt_salt(ckpt_scope(salt, req))
 }
 
 /// Drive the world, routing through checkpoint/restart when requested.
@@ -525,7 +543,7 @@ impl Platform for DistPlatform {
         let mut world = dist::DistWorld::new(req.program, self.ranks)
             .with_cost(self.cost)
             .with_launch(self.launch.clone())
-            .with_ckpt_salt(self.fingerprint_salt());
+            .with_ckpt_salt(ckpt_scope(self.fingerprint_salt(), &req));
         if let Some(f) = req.fault {
             world = world.with_faults(f);
         }
@@ -639,5 +657,98 @@ mod tests {
             }
             other => panic!("expected typed Unsupported for dist FFI, got {other:?}"),
         }
+    }
+
+    /// `acc()`: four rounds of `x = allreduce(x) + bump`, so a chain
+    /// persisted after the last round holds `x` as this `bump` made it.
+    /// Programs with different bumps have the same functions and the same
+    /// register counts: nothing but the code tells their chains apart.
+    fn bumping_allreduce(bump: f64) -> Program {
+        use jlang::ast::BinOp;
+        use jlang::types::PrimKind;
+        use nir::{FuncBuilder, FuncKind, Instr, IntrinOp, Ty};
+        let mut fb = FuncBuilder::new("acc", vec![], Some(Ty::F64), FuncKind::Host);
+        let (x, s, b) = (fb.reg(Ty::F64), fb.reg(Ty::F64), fb.reg(Ty::F64));
+        let (i, one, limit, cond) = (
+            fb.reg(Ty::I32),
+            fb.reg(Ty::I32),
+            fb.reg(Ty::I32),
+            fb.reg(Ty::Bool),
+        );
+        fb.emit(Instr::ConstF64(x, 0.0));
+        fb.emit(Instr::ConstF64(b, bump));
+        fb.emit(Instr::ConstI32(i, 0));
+        fb.emit(Instr::ConstI32(one, 1));
+        fb.emit(Instr::ConstI32(limit, 4));
+        let (head, body, done) = (fb.label(), fb.label(), fb.label());
+        fb.bind(head);
+        fb.emit(Instr::Bin {
+            op: BinOp::Lt,
+            kind: PrimKind::Int,
+            dst: cond,
+            lhs: i,
+            rhs: limit,
+        });
+        fb.br(cond, body, done);
+        fb.bind(body);
+        fb.emit(Instr::Intrin {
+            op: IntrinOp::MpiAllreduceSumF64,
+            args: vec![x],
+            dst: Some(s),
+        });
+        for (dst, lhs, rhs, kind) in [(x, s, b, PrimKind::Double), (i, i, one, PrimKind::Int)] {
+            fb.emit(Instr::Bin {
+                op: BinOp::Add,
+                kind,
+                dst,
+                lhs,
+                rhs,
+            });
+        }
+        fb.jmp(head);
+        fb.bind(done);
+        fb.emit(Instr::Ret(Some(x)));
+        let mut p = Program::default();
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+        p.validate().unwrap();
+        p
+    }
+
+    #[test]
+    fn a_persisted_chain_never_resumes_into_another_program() {
+        let dir = std::env::temp_dir().join(format!("wj-ckpt-scope-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let policy = CheckpointPolicy::every(1).with_persist(dir.join("key.wckpt"));
+        let run = |p: &Program| {
+            let req = RunRequest {
+                program: p,
+                entry: FuncId(0),
+                host: None,
+                fault: None,
+                timeout_rounds: None,
+                checkpoint: Some(policy.clone()),
+                max_restarts: 4,
+                executor: ExecutorCfg::Sim,
+            };
+            InterpPlatform::default().run(req, &mut |_, _| Ok(vec![]))
+        };
+        let result = |r: WorldRun| r.ranks[0].result;
+        let (a, b) = (bumping_allreduce(1.0), bumping_allreduce(2.0));
+        assert_eq!(result(run(&a).unwrap()), Some(Val::F64(4.0)));
+        // The same program resumes from its own chain...
+        assert_eq!(result(run(&a).unwrap()), Some(Val::F64(4.0)));
+        // ...another one under the same key starts cold or fails typed:
+        // resuming A's frames would return A's 4.0.
+        match run(&b) {
+            Ok(r) => assert_eq!(result(r), Some(Val::F64(8.0))),
+            Err(SimError::CheckpointScope { expected, found }) => {
+                let stamp = |p: &Program| {
+                    nir::codec::program_digest(p, InterpPlatform::default().fingerprint_salt())
+                };
+                assert_eq!((expected, found), (stamp(&b), stamp(&a)));
+            }
+            Err(other) => panic!("expected a cold start or CheckpointScope, got {other}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

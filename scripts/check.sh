@@ -76,6 +76,17 @@ echo "== the ruler: benchmark/ is frozen and builds against layer-internal =="
 echo "==   names, so a source-incompatible change must fail here, not in   =="
 echo "==   the driver; then one smoke pass over all seven workloads        =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== where exec::run landed in wjbench: builds whose exec::run starts at =="
+echo "==   different offsets mod 64 read up to +-10% apart on exec-bound     =="
+echo "==   workloads with identical code, so report it beside any such drift =="
+wjbench="${CARGO_TARGET_DIR:-benchmark/target}/release/wjbench"
+addr="$(nm -C "$wjbench" | awk '$3 == "exec::run" { a = $1 } END { print a }')"
+if [ -n "$addr" ]; then
+    echo "exec::run at 0x$addr: $((0x$addr % 64)) mod 64"
+else
+    echo "exec::run: no symbol in $wjbench (inlined?)"
+fi
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --bin wjbench -- run --smoke
 
 echo "== disk-cache round-trip smoke =="
