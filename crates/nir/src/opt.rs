@@ -327,6 +327,31 @@ impl Facts {
     }
 }
 
+/// Block leaders, by pc (one past the end included): the entry, every
+/// branch target, and every instruction after a `Jmp`, `Br` or `Ret`.
+/// `each` sees every instruction in the same sweep.
+fn leaders(code: &[Instr], mut each: impl FnMut(&Instr)) -> Vec<bool> {
+    let mut leader = vec![false; code.len() + 1];
+    leader[0] = true;
+    for (pc, ins) in code.iter().enumerate() {
+        match ins {
+            Instr::Jmp(t) => {
+                leader[*t as usize] = true;
+                leader[pc + 1] = true;
+            }
+            Instr::Br { t, f, .. } => {
+                leader[*t as usize] = true;
+                leader[*f as usize] = true;
+                leader[pc + 1] = true;
+            }
+            Instr::Ret(_) => leader[pc + 1] = true,
+            _ => {}
+        }
+        each(ins);
+    }
+    leader
+}
+
 /// Per-basic-block constant folding and copy propagation. Linear in the
 /// block: facts live in a table indexed by register ([`Facts`]), and no
 /// step scans what the block has recorded so far.
@@ -338,39 +363,22 @@ impl Facts {
 #[allow(clippy::needless_range_loop)] // `pc` indexes both code and leader
 fn local_fold(f: &mut Function, config: OptConfig) {
     let coalesce = config.copy_prop && config.dce;
-    // Block leaders: entry, jump targets, and instructions after
-    // terminators; and, for coalescing, how often each register is
-    // written and read (saturating at 2: only "exactly once" matters).
-    let mut leader = vec![false; f.code.len() + 1];
+    // For coalescing, how often each register is written and read,
+    // counted in the sweep that finds the leaders (saturating at 2: only
+    // "exactly once" matters).
     let (mut writes, mut reads) = if coalesce {
         (vec![0u8; f.regs.len()], vec![0u8; f.regs.len()])
     } else {
         (Vec::new(), Vec::new())
     };
-    leader[0] = true;
-    for (pc, ins) in f.code.iter().enumerate() {
-        match ins {
-            Instr::Jmp(t) => {
-                leader[*t as usize] = true;
-                leader[pc + 1] = true;
-            }
-            Instr::Br { t, f: fl, .. } => {
-                leader[*t as usize] = true;
-                leader[*fl as usize] = true;
-                leader[pc + 1] = true;
-            }
-            Instr::Ret(_) => {
-                leader[pc + 1] = true;
-            }
-            _ => {}
-        }
+    let leader = leaders(&f.code, |ins| {
         if coalesce {
             if let Some(d) = ins.dst() {
                 writes[d as usize] = writes[d as usize].saturating_add(1).min(2);
             }
             ins.for_each_source(|s| reads[s as usize] = reads[s as usize].saturating_add(1).min(2));
         }
-    }
+    });
 
     let mut facts = Facts::new(f.regs.len());
     for pc in 0..f.code.len() {
@@ -813,23 +821,7 @@ fn loop_constants(f: &Function, keep: &[bool]) -> Hoist {
     }
 
     // Basic blocks: `block[pc]` numbers them in pc order.
-    let mut leader = vec![false; n + 1];
-    leader[0] = true;
-    for (pc, ins) in code.iter().enumerate() {
-        match ins {
-            Instr::Jmp(t) => {
-                leader[*t as usize] = true;
-                leader[pc + 1] = true;
-            }
-            Instr::Br { t, f, .. } => {
-                leader[*t as usize] = true;
-                leader[*f as usize] = true;
-                leader[pc + 1] = true;
-            }
-            Instr::Ret(_) => leader[pc + 1] = true,
-            _ => {}
-        }
-    }
+    let leader = leaders(code, |_| {});
     let mut starts = Vec::new();
     let mut block = vec![0u32; n];
     for pc in 0..n {

@@ -163,8 +163,8 @@ pub trait Platform {
     /// Salt mixed into `CacheKey` fingerprints so per-platform sealed
     /// artifacts and `.wckpt` world checkpoints are scoped per target
     /// (a 4-rank mpi-sim checkpoint must never restore into an 8-worker
-    /// host-mt world); checkpoints also fold in the program
-    /// ([`ckpt_scope`]). Zero means "unscoped" — the legacy/default
+    /// host-mt world); checkpoints also fold in the digest of the
+    /// program they were captured from. Zero means "unscoped" — the legacy/default
     /// namespace — and is reserved for [`InterpPlatform`] so caches
     /// written before this layer existed stay valid.
     fn fingerprint_salt(&self) -> u64 {
@@ -214,7 +214,7 @@ use nir::hash::fnv1a64;
 /// mean other instructions there, so a chain under another stamp fails
 /// typed ([`SimError::CheckpointScope`]) instead of resuming. A run
 /// without checkpoints captures nothing and skips the digest.
-pub fn ckpt_scope(salt: u64, req: &RunRequest<'_>) -> u64 {
+fn ckpt_scope(salt: u64, req: &RunRequest<'_>) -> u64 {
     match req.checkpoint {
         Some(_) => nir::codec::program_digest(req.program, salt),
         None => salt,
