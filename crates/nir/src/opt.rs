@@ -364,19 +364,18 @@ fn leaders(code: &[Instr], mut each: impl FnMut(&Instr)) -> Vec<bool> {
 fn local_fold(f: &mut Function, config: OptConfig) {
     let coalesce = config.copy_prop && config.dce;
     // For coalescing, how often each register is written and read,
-    // counted in the sweep that finds the leaders (saturating at 2: only
-    // "exactly once" matters).
+    // counted in the sweep that finds the leaders.
     let (mut writes, mut reads) = if coalesce {
-        (vec![0u8; f.regs.len()], vec![0u8; f.regs.len()])
+        (vec![0u32; f.regs.len()], vec![0u32; f.regs.len()])
     } else {
         (Vec::new(), Vec::new())
     };
     let leader = leaders(&f.code, |ins| {
         if coalesce {
             if let Some(d) = ins.dst() {
-                writes[d as usize] = writes[d as usize].saturating_add(1).min(2);
+                writes[d as usize] += 1;
             }
-            ins.for_each_source(|s| reads[s as usize] = reads[s as usize].saturating_add(1).min(2));
+            ins.for_each_source(|s| reads[s as usize] += 1);
         }
     });
 
@@ -449,7 +448,7 @@ fn local_fold(f: &mut Function, config: OptConfig) {
 /// a parameter, is written and read exactly once in the whole function
 /// (here and by that `Mov`), and has `x`'s type, and `pc` is a pure
 /// computation whose operands are all read before its result is written.
-fn coalesces(f: &Function, pc: usize, writes: &[u8], reads: &[u8]) -> Option<Reg> {
+fn coalesces(f: &Function, pc: usize, writes: &[u32], reads: &[u32]) -> Option<Reg> {
     let Some(&Instr::Mov(x, t)) = f.code.get(pc + 1) else {
         return None;
     };
@@ -661,48 +660,43 @@ fn dce(f: &mut Function) {
     }
     changed |= !hoist.defs.is_empty();
 
-    // Drop forward jumps to the next kept instruction, last to first, so
-    // `next_kept[t]` (the first kept pc at or after `t`) is final for
-    // every `t` past the jump. A backward jump is never dropped: it
-    // closes a loop, empty or not.
-    let mut next_kept = vec![n as u32; n + 1];
+    // Drop forward jumps to the next kept instruction, last to first:
+    // `after[i]` counts the kept instructions at or after `i`, final for
+    // every `i` past the jump, and a jump to `t` lands on the next kept
+    // instruction when none is kept in between and one exists. A backward
+    // jump is never dropped: it closes a loop, empty or not.
+    let mut after = vec![0u32; n + 1];
     for i in (0..n).rev() {
         if let Instr::Jmp(t) = f.code[i] {
-            let next = next_kept[i + 1];
-            if keep[i] && t as usize > i && next_kept[t as usize] == next && (next as usize) < n {
+            let next = after[i + 1];
+            if keep[i] && t as usize > i && after[t as usize] == next && next > 0 {
                 keep[i] = false;
             }
         }
-        next_kept[i] = if keep[i] { i as u32 } else { next_kept[i + 1] };
+        after[i] = after[i + 1] + u32::from(keep[i]);
     }
 
-    if !changed && keep.iter().all(|k| *k) {
+    let kept = after[0];
+    if !changed && kept as usize == n {
         return;
     }
     // Rebuild: the hoisted constants, then every kept instruction with
     // its targets remapped (and, where two hoisted constants merged, its
-    // operands renamed).
-    let prefix = hoist.prefix.len() as u32;
-    let mut new_pc = vec![0u32; n + 1];
-    let mut cur = prefix;
-    for i in 0..n {
-        new_pc[i] = cur;
-        if keep[i] {
-            cur += 1;
-        }
-    }
-    new_pc[n] = cur;
+    // operands renamed). Old pc `t` lands after the prefix and the kept
+    // instructions before it.
+    let end = hoist.prefix.len() as u32 + kept;
+    let new_pc = |t: &mut u32| *t = end - after[*t as usize];
     let old = std::mem::replace(&mut f.code, hoist.prefix);
-    f.code.reserve(cur as usize - f.code.len());
+    f.code.reserve(kept as usize);
     for (i, mut ins) in old.into_iter().enumerate() {
         if !keep[i] {
             continue;
         }
         match &mut ins {
-            Instr::Jmp(t) => *t = new_pc[*t as usize],
+            Instr::Jmp(t) => new_pc(t),
             Instr::Br { t, f: fl, .. } => {
-                *t = new_pc[*t as usize];
-                *fl = new_pc[*fl as usize];
+                new_pc(t);
+                new_pc(fl);
             }
             _ => {}
         }
