@@ -414,11 +414,17 @@ fn local_fold(f: &mut Function, config: OptConfig) {
 
         // Coalesce before the `Mov` is seen: once it records `x` as a
         // copy of `t`, copy propagation would hand `t` to `x`'s readers.
-        if coalesce && !leader[pc + 1] {
-            if let Some(x) = coalesces(f, pc, &writes, &reads) {
-                *f.code[pc].dst_mut().expect("coalesces checked the dst") = x;
-                f.code[pc + 1] = Instr::Mov(x, x);
-            }
+        // A chain `t = op; u = t; x = u` (a spliced callee's result moved
+        // into a temporary, then into a variable) goes link by link: each
+        // emptied move is a self-move, a no-op between the two.
+        let mut next = pc + 1;
+        while coalesce && !leader[next] {
+            let Some(x) = coalesces(f, pc, next, &writes, &reads) else {
+                break;
+            };
+            *f.code[pc].dst_mut().expect("coalesces checked the dst") = x;
+            f.code[next] = Instr::Mov(x, x);
+            next += 1;
         }
 
         // Update the facts from the (possibly rewritten) instruction.
@@ -444,12 +450,13 @@ fn local_fold(f: &mut Function, config: OptConfig) {
 }
 
 /// The register `x` that instruction `pc` may write in place of its
-/// temporary `t`, when `pc + 1` is `x = t` in the same block: `t` is not
-/// a parameter, is written and read exactly once in the whole function
-/// (here and by that `Mov`), and has `x`'s type, and `pc` is a pure
-/// computation whose operands are all read before its result is written.
-fn coalesces(f: &Function, pc: usize, writes: &[u32], reads: &[u32]) -> Option<Reg> {
-    let Some(&Instr::Mov(x, t)) = f.code.get(pc + 1) else {
+/// temporary `t`, when `next` is `x = t` in the same block with only
+/// self-moves between: `t` is not a parameter, is written and read exactly
+/// once in the whole function (here and by that `Mov`), and has `x`'s
+/// type, and `pc` is a pure computation whose operands are all read
+/// before its result is written.
+fn coalesces(f: &Function, pc: usize, next: usize, writes: &[u32], reads: &[u32]) -> Option<Reg> {
+    let Some(&Instr::Mov(x, t)) = f.code.get(next) else {
         return None;
     };
     let def = &f.code[pc];

@@ -990,10 +990,11 @@ fn inline_is_linear() {
 
 /// Builds one seeded loop program's entry function `f(x)`: counted loops
 /// nested up to three deep, some of them zero-trip, whose bodies load
-/// literals, update through a temporary (`t = op …; x = t`), branch to
-/// jumps, leave the body early, print, call the small function `g` and
-/// mix float and int zeros. Some read a register before anything wrote
-/// it, as a program that fails does; every level must fail alike.
+/// literals, update through a temporary (`t = op …; x = t`, also with the
+/// last move at a join), branch to jumps, leave the body early, print,
+/// call the small function `g` and mix float and int zeros. Some read a
+/// register before anything wrote it, as a program that fails does;
+/// every level must fail alike.
 struct LoopGen<'a> {
     rng: &'a mut Rng,
     fb: FuncBuilder,
@@ -1074,7 +1075,7 @@ impl LoopGen<'_> {
     }
 
     fn step(&mut self, depth: usize, i: Reg, latch: nir::Label) {
-        match self.rng.below(12) {
+        match self.rng.below(13) {
             0 | 1 => {
                 let k = self.literal();
                 let op = [BinOp::Add, BinOp::Mul, BinOp::Sub, BinOp::BitXor][self.rng.below(4)];
@@ -1169,6 +1170,20 @@ impl LoopGen<'_> {
                 self.update(BinOp::Add, k);
                 self.fb.emit(Instr::ConstI32(k, 3));
             }
+            11 => {
+                // An update whose last move sits at a join: the path that
+                // skips the update still runs `acc = u`.
+                let (c, k) = (self.fb.reg(Ty::Bool), self.literal());
+                self.bin(BinOp::Gt, c, self.acc, k);
+                let (update, join) = (self.fb.label(), self.fb.label());
+                self.fb.br(c, update, join);
+                self.fb.bind(update);
+                let (t, u) = (self.fb.reg(Ty::I32), self.fb.reg(Ty::I32));
+                self.bin(BinOp::Mul, t, self.acc, k);
+                self.fb.emit(Instr::Mov(u, t));
+                self.fb.bind(join);
+                self.fb.emit(Instr::Mov(self.acc, u));
+            }
             _ => {
                 let k = self.literal();
                 self.update(BinOp::Add, k);
@@ -1235,22 +1250,18 @@ fn loop_program(rng: &mut Rng) -> Program {
     p
 }
 
-/// What a run shows: the entry's result (or that it failed) and what it
-/// printed, and the instructions it retired.
-fn observe(p: &Program, arg: i32) -> ((Option<i32>, Vec<String>), u64) {
+/// What a run shows: the entry's result, or `None` if it failed (the
+/// error names pcs, which optimization moves), and what it printed; and
+/// the instructions it retired.
+fn observe(p: &Program, arg: i32) -> ((Option<Option<exec::Val>>, Vec<String>), u64) {
     let mut m = exec::Machine::new();
     let result = exec::run_to_completion(p, p.entry.unwrap(), vec![exec::Val::I32(arg)], &mut m);
-    let value = match result {
-        Ok(Some(exec::Val::I32(x))) => Some(x),
-        Ok(other) => panic!("unexpected {other:?}"),
-        Err(_) => None,
-    };
-    ((value, m.output), m.counters.instrs)
+    ((result.ok(), m.output), m.counters.instrs)
 }
 
 /// Every level computes what the unoptimized program computes, prints
 /// what it prints, and fails where it fails, on nested, zero-trip and
-/// early-leaving loops.
+/// early-leaving loops; and optimizing the result again changes nothing.
 #[test]
 fn loop_cleanup_agrees_on_seeded_loop_programs() {
     let mut rng = Rng::new(0x0707_0041);
@@ -1259,7 +1270,7 @@ fn loop_cleanup_agrees_on_seeded_loop_programs() {
         let base = loop_program(&mut rng);
         let arg = rng.range_i32(-5, 6);
         let (want, instrs) = observe(&base, arg);
-        failing += usize::from(want.0.is_none());
+        failing += usize::from(!matches!(want.0, Some(Some(exec::Val::I32(_)))));
         for config in [OptConfig::standard(), preset(), OptConfig::aggressive()] {
             let mut p = base.clone();
             nir::optimize(&mut p, config);
@@ -1267,6 +1278,14 @@ fn loop_cleanup_agrees_on_seeded_loop_programs() {
                 .unwrap_or_else(|e| panic!("case {case}, {config:?}: {e}\n{p}"));
             let (got, i) = observe(&p, arg);
             assert_eq!(got, want, "case {case}, config {config:?}:\n{base}\n{p}");
+            // A second run finds nothing left to clean.
+            let once = format!("{p}");
+            nir::optimize(&mut p, config);
+            assert_eq!(
+                once,
+                format!("{p}"),
+                "case {case}, {config:?}: not idempotent"
+            );
             if config == OptConfig::standard() {
                 base_instrs += instrs;
                 opt_instrs += i;
