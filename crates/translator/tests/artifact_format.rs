@@ -242,14 +242,12 @@ fn compile_path_output_is_pinned() {
             (0x4e6d_704d_033f_1c7b, 294),
             (0x4e6d_704d_033f_1c7b, 294),
         ),
-        // `aggressive()`'s scalar replacement and second fold/dce round
-        // end one instruction shorter than the preset here.
         (
             "matmul-fox",
             matmul_fox,
             (0x5d7c_283a_21fa_b4b6, 158),
             (0x2a1f_37c8_735f_f654, 230),
-            (0x1126_8f34_169a_d404, 231),
+            (0x2a1f_37c8_735f_f654, 230),
         ),
         // Fully flattened already: `aggressive()` finds nothing to inline
         // or scalar-replace, so every level pins the same program.
