@@ -601,14 +601,16 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
 /// Dead and unreachable code elimination plus the loop cleanups, in one
 /// rebuild of the function:
 ///
-/// * **jump threading** — a `Jmp`/`Br` target that is itself a `Jmp` is
-///   replaced by that jump's target, at most [`THREAD_HOPS`] times, so a
-///   jump cycle terminates;
-/// * **unreachable code** — instructions not reachable from pc 0 go;
+/// * **jump threading** — a reachable `Jmp`/`Br` whose target is itself a
+///   `Jmp` takes that jump's target instead, at most [`THREAD_HOPS`]
+///   times, so a jump cycle terminates;
+/// * **unreachable code** — instructions not reachable from pc 0 go
+///   (found by the same walk);
 /// * **liveness** — pure instructions whose result no kept instruction
 ///   reads go (flow-insensitive), and so do self-moves;
 /// * **loop constants** — see [`loop_constants`]: a constant defined in a
-///   loop is defined once in a prefix at pc 0 instead;
+///   loop is defined once in a prefix at pc 0 instead (only looked for
+///   when a reachable branch goes backward);
 /// * **jumps to the next instruction** — a forward `Jmp` whose target is
 ///   the next kept instruction goes.
 ///
@@ -616,8 +618,7 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
 /// a target may equal `code.len()`, as [`Program::validate`] allows.
 fn dce(f: &mut Function) {
     let n = f.code.len();
-    let mut changed = thread_jumps(&mut f.code);
-    let reach = reachable(&f.code);
+    let (reach, mut changed, backward) = thread_and_reach(&mut f.code);
 
     // The keep-set is the least fixed point of "kept if reachable and
     // effectful, or if it defines a register some kept instruction reads"
@@ -661,7 +662,11 @@ fn dce(f: &mut Function) {
         });
     }
 
-    let hoist = loop_constants(f, &keep);
+    let hoist = if backward {
+        loop_constants(f, &keep)
+    } else {
+        Hoist::default()
+    };
     for h in &hoist.defs {
         keep[*h as usize] = false;
     }
@@ -728,10 +733,12 @@ const NONE: u32 = u32::MAX;
 /// How many jumps one target is threaded through.
 const THREAD_HOPS: usize = 8;
 
-/// Retarget every `Jmp`/`Br` whose target is a `Jmp` to where that jump
-/// goes, following at most [`THREAD_HOPS`] jumps. Returns whether any
-/// target changed.
-fn thread_jumps(code: &mut [Instr]) -> bool {
+/// Walk the code reachable from pc 0, threading the target of every
+/// `Jmp`/`Br` it reaches through jumps (at most [`THREAD_HOPS`] of them)
+/// and following the threaded targets. Returns which instructions are
+/// reachable, whether a target changed, and whether a reachable branch
+/// goes backward (without one there is no loop).
+fn thread_and_reach(code: &mut [Instr]) -> (Vec<bool>, bool, bool) {
     let through = |code: &[Instr], mut t: u32| {
         for _ in 0..THREAD_HOPS {
             match code.get(t as usize) {
@@ -741,50 +748,40 @@ fn thread_jumps(code: &mut [Instr]) -> bool {
         }
         t
     };
-    let mut changed = false;
-    for pc in 0..code.len() {
-        match code[pc] {
-            Instr::Jmp(t) => {
-                let u = through(code, t);
-                if u != t {
-                    code[pc] = Instr::Jmp(u);
-                    changed = true;
-                }
-            }
-            Instr::Br { cond, t, f } => {
-                let (u, v) = (through(code, t), through(code, f));
-                if (u, v) != (t, f) {
-                    code[pc] = Instr::Br { cond, t: u, f: v };
-                    changed = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    changed
-}
-
-/// Which instructions control can reach from pc 0.
-fn reachable(code: &[Instr]) -> Vec<bool> {
     let n = code.len();
     let mut reach = vec![false; n];
+    let (mut changed, mut backward) = (false, false);
     let mut work = vec![0usize];
     while let Some(mut pc) = work.pop() {
         // Walk the straight line from `pc`, queueing branch targets.
         while pc < n && !reach[pc] {
             reach[pc] = true;
             match code[pc] {
-                Instr::Jmp(t) => pc = t as usize,
-                Instr::Br { t, f, .. } => {
-                    work.push(f as usize);
-                    pc = t as usize;
+                Instr::Jmp(t) => {
+                    let u = through(code, t);
+                    if u != t {
+                        code[pc] = Instr::Jmp(u);
+                        changed = true;
+                    }
+                    backward |= u as usize <= pc;
+                    pc = u as usize;
+                }
+                Instr::Br { cond, t, f } => {
+                    let (u, v) = (through(code, t), through(code, f));
+                    if (u, v) != (t, f) {
+                        code[pc] = Instr::Br { cond, t: u, f: v };
+                        changed = true;
+                    }
+                    backward |= u as usize <= pc || v as usize <= pc;
+                    work.push(v as usize);
+                    pc = u as usize;
                 }
                 Instr::Ret(_) => break,
                 _ => pc += 1,
             }
         }
     }
-    reach
+    (reach, changed, backward)
 }
 
 /// The constants [`dce`] hoists into a prefix at pc 0.
@@ -811,15 +808,6 @@ struct Hoist {
 fn loop_constants(f: &Function, keep: &[bool]) -> Hoist {
     let code = &f.code;
     let n = code.len();
-    // Without a backward branch there is no cycle.
-    let backward = code.iter().enumerate().any(|(pc, ins)| match ins {
-        Instr::Jmp(t) => *t as usize <= pc,
-        Instr::Br { t, f, .. } => *t as usize <= pc || *f as usize <= pc,
-        _ => false,
-    });
-    if !backward {
-        return Hoist::default();
-    }
 
     // Basic blocks: `block[pc]` numbers them in pc order.
     let leader = leaders(code, |_| {});
