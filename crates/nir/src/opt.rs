@@ -364,7 +364,10 @@ fn leaders(code: &[Instr], mut each: impl FnMut(&Instr)) -> Vec<bool> {
 fn local_fold(f: &mut Function, config: OptConfig) {
     let coalesce = config.copy_prop && config.dce;
     // For coalescing, how often each register is written and read,
-    // counted in the sweep that finds the leaders.
+    // counted in the sweep that finds the leaders. The three commonest
+    // instructions are counted in one match (patterns that name every
+    // field, so a changed variant fails to compile here); the rest go
+    // through the generic operand walk, which dispatches twice.
     let (mut writes, mut reads) = if coalesce {
         (vec![0u32; f.regs.len()], vec![0u32; f.regs.len()])
     } else {
@@ -372,10 +375,34 @@ fn local_fold(f: &mut Function, config: OptConfig) {
     };
     let leader = leaders(&f.code, |ins| {
         if coalesce {
-            if let Some(d) = ins.dst() {
-                writes[d as usize] += 1;
+            match *ins {
+                Instr::Bin {
+                    op: _,
+                    kind: _,
+                    dst,
+                    lhs,
+                    rhs,
+                } => {
+                    writes[dst as usize] += 1;
+                    reads[lhs as usize] += 1;
+                    reads[rhs as usize] += 1;
+                }
+                Instr::ConstI32(d, _)
+                | Instr::ConstI64(d, _)
+                | Instr::ConstF32(d, _)
+                | Instr::ConstF64(d, _)
+                | Instr::ConstBool(d, _) => writes[d as usize] += 1,
+                Instr::Mov(d, s) => {
+                    writes[d as usize] += 1;
+                    reads[s as usize] += 1;
+                }
+                _ => {
+                    if let Some(d) = ins.dst() {
+                        writes[d as usize] += 1;
+                    }
+                    ins.for_each_source(|s| reads[s as usize] += 1);
+                }
             }
-            ins.for_each_source(|s| reads[s as usize] += 1);
         }
     });
 
