@@ -281,3 +281,103 @@ fn compile_path_output_is_pinned() {
         moved.join("\n")
     );
 }
+
+/// `CacheKey::fingerprint` strings, pinned: they name `DiskStore` files,
+/// so a change to the key encoding silently orphans every artifact
+/// already on disk. One key per encoding branch: an opaque spec with
+/// unsorted hosts, a shaped spec with nested objects and no receiver,
+/// each `TransConfig` preset and the `JitOptions::wootinj()` config, a
+/// platform salt, and a source fingerprint.
+#[test]
+fn cache_key_fingerprints_are_pinned() {
+    use jlang::types::{ClassId, PrimKind};
+    use translator::{CacheKey, EntrySpec, Shape, SpecKey};
+
+    let opaque = EntrySpec::Opaque {
+        class: ClassId(3),
+        method: 1,
+        arity: 2,
+    };
+    let shaped = EntrySpec::Shaped(SpecKey {
+        class: ClassId(7),
+        method: 4,
+        recv: None,
+        args: vec![
+            Shape::Obj {
+                class: ClassId(2),
+                fields: vec![
+                    Shape::Prim(PrimKind::Double),
+                    Shape::Obj {
+                        class: ClassId(5),
+                        fields: vec![Shape::Arr(nir::ElemTy::F32), Shape::Prim(PrimKind::Int)],
+                    },
+                ],
+            },
+            Shape::Prim(PrimKind::Boolean),
+        ],
+    });
+    let hosts = || vec!["ffi.zeta".to_string(), "ffi.alpha".into(), "ffi.mid".into()];
+    let keys = [
+        (
+            "opaque, unsorted hosts",
+            CacheKey::new(opaque.clone(), TransConfig::virtual_dispatch(), hosts()),
+        ),
+        (
+            "shaped, nested objects, no receiver",
+            CacheKey::new(shaped.clone(), TransConfig::full(), vec![]),
+        ),
+        (
+            "full",
+            CacheKey::new(opaque.clone(), TransConfig::full(), vec![]),
+        ),
+        (
+            "devirt",
+            CacheKey::new(opaque.clone(), TransConfig::devirt(), vec![]),
+        ),
+        (
+            "virtual_dispatch",
+            CacheKey::new(opaque.clone(), TransConfig::virtual_dispatch(), vec![]),
+        ),
+        (
+            "template_no_virt",
+            CacheKey::new(opaque.clone(), TransConfig::template_no_virt(), vec![]),
+        ),
+        (
+            "wootinj preset",
+            CacheKey::new(opaque.clone(), JitOptions::wootinj().config, vec![]),
+        ),
+        (
+            "platform salt",
+            CacheKey::new(shaped.clone(), TransConfig::full(), hosts())
+                .with_platform_salt(0x5A17_0000_0000_0042),
+        ),
+        (
+            "source fingerprint",
+            CacheKey::new(shaped, TransConfig::full(), hosts())
+                .with_source_fingerprint(0x0123_4567_89AB_CDEF),
+        ),
+    ];
+    let pinned = [
+        "wj01-eda9fca296a94b1b511ca939d18c7ee4",
+        "wj01-5d75b5adc18253bafb525d06c48410eb",
+        "wj01-fd9b8314618405fa6cfafcb2e218c572",
+        "wj01-6f86d7bea24d75b11e5ec4cde0475493",
+        "wj01-a60c562d889206d3175dcb549af89baa",
+        "wj01-b8476cae537527a627da25735635b52f",
+        "wj01-e4c08fea94bb74c8b0e957a2bd94fe9e",
+        "wj01-0b93a7d432569666b2d3d6cd73d135a1",
+        "wj01-0529e53ad6cb6dec0a736e61fbacaf9c",
+    ];
+    let mut moved = Vec::new();
+    for ((name, key), want) in keys.iter().zip(pinned) {
+        let got = key.fingerprint();
+        if got != want {
+            moved.push(format!("{name}: {got:?}, pinned {want:?}"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "cache-key fingerprints moved:\n{}",
+        moved.join("\n")
+    );
+}
