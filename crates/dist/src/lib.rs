@@ -43,7 +43,7 @@ use mpi_sim::{
     CostModel, DeviceOutcome, InMemTransport, RankCtl, RankOutcome, RankPool, RankSnapshot,
     RankYield, RunCfg, Schedule, SimError, TransportError, WorldRun, DEFAULT_FAULT_TIMEOUT_ROUNDS,
 };
-use nir::codec::{write_program, Reader, Writer};
+use nir::codec::{Reader, Wire};
 use nir::{FuncId, Program};
 
 use proto::{Request, Resp, WarmProgram, PROTO_VERSION};
@@ -170,9 +170,7 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             .local_addr()
             .map_err(|e| world_err(format!("dist: rendezvous address: {e}")))?
             .port();
-        let mut w = Writer::new();
-        write_program(&mut w, program);
-        let program_bytes = w.into_bytes();
+        let program_bytes = program.to_wire();
         let program_digest = nir::digest64(&program_bytes, WARM_DIGEST_SEED);
         Ok(RemotePool {
             program,

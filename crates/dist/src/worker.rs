@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use exec::{FaultRng, Machine, Val};
 use mpi_sim::{read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError};
-use nir::codec::{read_program, Reader};
-use nir::FuncId;
+use nir::codec::Wire;
+use nir::{FuncId, Program};
 
 use crate::proto::{self, Hello, Request, Resp, WarmProgram, PROTO_VERSION};
 
@@ -118,14 +118,38 @@ pub fn run_if_spawned() -> bool {
     true
 }
 
-/// Resolve an `Init`'s program bytes: inline bytes win; an empty program
+/// Resolve an `Init`'s program: inline bytes win; an empty program
 /// with a [`WarmProgram`] reference loads `<dir>/<digest:016x>.wprog`
-/// and verifies the digest before trusting a byte of it. Every failure
-/// is a typed message — the coordinator falls back to inline bytes.
-fn resolve_program_bytes(program: Vec<u8>, warm: Option<WarmProgram>) -> Result<Vec<u8>, String> {
-    if !program.is_empty() {
-        return Ok(program);
+/// and verifies the digest before trusting a byte of it. The bytes must
+/// then decode to a program that passes [`Program::validate`] and has an
+/// `entry` function, because the engine indexes both unchecked. Every
+/// failure is a typed message — the coordinator falls back to inline
+/// bytes.
+fn resolve_program(
+    program: Vec<u8>,
+    warm: Option<WarmProgram>,
+    entry: u32,
+) -> Result<Program, String> {
+    let bytes = if program.is_empty() {
+        read_warm_program(warm)?
+    } else {
+        program
+    };
+    let program = Program::from_wire(&bytes).map_err(|e| format!("decoding program: {e}"))?;
+    program
+        .validate()
+        .map_err(|m| format!("program failed validation: {m}"))?;
+    if entry as usize >= program.funcs.len() {
+        return Err(format!(
+            "entry function {entry} out of range ({} functions)",
+            program.funcs.len()
+        ));
     }
+    Ok(program)
+}
+
+/// The image a [`WarmProgram`] names, once its digest checks out.
+fn read_warm_program(warm: Option<WarmProgram>) -> Result<Vec<u8>, String> {
     let Some(warm) = warm else {
         return Err("Init carried neither program bytes nor a warm reference".into());
     };
@@ -172,12 +196,12 @@ pub fn serve_on(
         Resp::Ok => {}
         other => return Err(corrupt(format!("rendezvous rejected: {other:?}"))),
     }
-    // A warm-reference Init that fails to resolve (missing/corrupt
-    // `.wprog`) is answered with a typed error; the coordinator then
-    // re-sends Init with the program inline, so the loop admits a
-    // second attempt — never a split-brain, never a hang.
+    // An Init whose program does not resolve (missing/corrupt `.wprog`),
+    // decode or validate is answered with a typed error; after a warm
+    // miss the coordinator re-sends Init with the program inline, so the
+    // loop admits a second attempt — never a split-brain, never a hang.
     let mut init = proto::decode_req(&read_frame(&mut stream)?)?;
-    let (size, entry, program_bytes, fault, gpu, kill_after_runs) = loop {
+    let (size, entry, program, fault, gpu, kill_after_runs) = loop {
         let Request::Init {
             size,
             entry,
@@ -190,8 +214,8 @@ pub fn serve_on(
         else {
             return Err(corrupt("first request after Hello must be Init"));
         };
-        match resolve_program_bytes(program, warm) {
-            Ok(bytes) => break (size, entry, bytes, fault, gpu, kill_after_runs),
+        match resolve_program(program, warm, entry) {
+            Ok(program) => break (size, entry, program, fault, gpu, kill_after_runs),
             Err(message) => {
                 write_frame(
                     &mut stream,
@@ -203,8 +227,6 @@ pub fn serve_on(
             }
         }
     };
-    let program = read_program(&mut Reader::new(&program_bytes))
-        .map_err(|e| corrupt(format!("decoding program: {e}")))?;
     // Entry arguments never originate here: the coordinator seeds every
     // rank with a Restore built from its own arg-builder, so worker and
     // in-process ranks start from byte-identical state.

@@ -12,59 +12,58 @@
 //! it is allowed near an execution engine. Callers treat any decode
 //! failure as a cache miss and fall back to a cold translate.
 
-#[cfg(test)]
-use jlang::types::ClassId;
-use nir::codec::{self, CodecError, CodecResult, Reader, Writer};
-use nir::FuncId;
-#[cfg(test)]
-use nir::OptConfig;
+use jlang::types::{ClassId, PrimKind};
+use nir::codec::{self, CodecError, CodecResult, Reader, Wire, Writer};
+use nir::{ElemTy, FuncId, Program};
 
 use crate::lower::TransStats;
 use crate::shape::Shape;
-#[cfg(test)]
 use crate::sheval::SpecKey;
 use crate::{Binding, EntrySpec, Mode, TransConfig, Translated};
 
 // ---- shapes, specs, configs (shared by artifact + fingerprint) ----------
 
-fn write_shape(w: &mut Writer, s: &Shape) {
-    match s {
-        Shape::Prim(k) => {
-            w.u8(0);
-            codec::write_prim(w, *k);
-        }
-        Shape::Arr(e) => {
-            w.u8(1);
-            codec::write_elem(w, *e);
-        }
-        Shape::Obj { class, fields } => {
-            w.u8(2);
-            w.u32(class.0);
-            w.len(fields.len());
-            for f in fields {
-                write_shape(w, f);
+/// Deepest `Obj` nesting a decoded [`Shape`] may have.
+const MAX_SHAPE_NESTING: u32 = 64;
+
+impl Wire for Shape {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Shape::Prim(k) => {
+                w.u8(0);
+                k.put(w);
+            }
+            Shape::Arr(e) => {
+                w.u8(1);
+                e.put(w);
+            }
+            Shape::Obj { class, fields } => {
+                w.u8(2);
+                class.put(w);
+                fields.put(w);
             }
         }
     }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        get_shape(r, 0)
+    }
 }
 
-#[cfg(test)]
-fn read_shape(r: &mut Reader<'_>, depth: u32) -> CodecResult<Shape> {
-    // Shapes are finite trees; bound recursion so a corrupt payload
-    // cannot blow the stack.
-    if depth > 64 {
-        return Err(r.corrupt("shape nesting deeper than 64"));
+/// Shapes are finite trees; the nesting bound keeps a corrupt payload
+/// from blowing the stack.
+fn get_shape(r: &mut Reader<'_>, depth: u32) -> CodecResult<Shape> {
+    if depth > MAX_SHAPE_NESTING {
+        return Err(r.corrupt(format!("shape nesting deeper than {MAX_SHAPE_NESTING}")));
     }
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => Shape::Prim(codec::read_prim(r)?),
-        1 => Shape::Arr(codec::read_elem(r)?),
+    Ok(match r.u8()? {
+        0 => Shape::Prim(PrimKind::get(r)?),
+        1 => Shape::Arr(ElemTy::get(r)?),
         2 => {
-            let class = ClassId(r.u32()?);
+            let class = ClassId::get(r)?;
             let n = r.len()?;
             let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
-                fields.push(read_shape(r, depth + 1)?);
+                fields.push(get_shape(r, depth + 1)?);
             }
             Shape::Obj { class, fields }
         }
@@ -72,174 +71,37 @@ fn read_shape(r: &mut Reader<'_>, depth: u32) -> CodecResult<Shape> {
     })
 }
 
-fn write_opt_shape(w: &mut Writer, s: &Option<Shape>) {
-    match s {
-        Some(s) => {
-            w.u8(1);
-            write_shape(w, s);
-        }
-        None => w.u8(0),
+nir::wire_struct!(SpecKey {
+    class,
+    method,
+    recv,
+    args
+});
+nir::wire_enum!(EntrySpec { 0 = Shaped(key), 1 = Opaque { class, method, arity } });
+nir::wire_enum!(Mode { 0 = Virtual, 1 = Devirt, 2 = Full });
+nir::wire_enum!(Binding {
+    0 = RecvLeaf { path },
+    1 = ArgLeaf { arg, path },
+    2 = RecvObj,
+    3 = ArgWhole(arg),
+});
+
+/// `parallel_lowering` is an execution strategy, not translation
+/// identity: it is never written, and decodes as `false`.
+impl Wire for TransConfig {
+    fn put(&self, w: &mut Writer) {
+        self.mode.put(w);
+        self.opt.put(w);
+        self.check_rules.put(w);
     }
-}
-
-#[cfg(test)]
-fn read_opt_shape(r: &mut Reader<'_>) -> CodecResult<Option<Shape>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(read_shape(r, 0)?)),
-        other => Err(r.corrupt(format!("option tag {other}"))),
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        Ok(TransConfig {
+            mode: Wire::get(r)?,
+            opt: Wire::get(r)?,
+            check_rules: Wire::get(r)?,
+            parallel_lowering: false,
+        })
     }
-}
-
-fn write_spec(w: &mut Writer, spec: &EntrySpec) {
-    match spec {
-        EntrySpec::Shaped(k) => {
-            w.u8(0);
-            w.u32(k.class.0);
-            w.u32(k.method);
-            write_opt_shape(w, &k.recv);
-            w.len(k.args.len());
-            for s in &k.args {
-                write_shape(w, s);
-            }
-        }
-        EntrySpec::Opaque {
-            class,
-            method,
-            arity,
-        } => {
-            w.u8(1);
-            w.u32(class.0);
-            w.u32(*method);
-            w.u64(*arity as u64);
-        }
-    }
-}
-
-#[cfg(test)]
-fn read_spec(r: &mut Reader<'_>) -> CodecResult<EntrySpec> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => {
-            let class = ClassId(r.u32()?);
-            let method = r.u32()?;
-            let recv = read_opt_shape(r)?;
-            let n = r.len()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(read_shape(r, 0)?);
-            }
-            EntrySpec::Shaped(SpecKey {
-                class,
-                method,
-                recv,
-                args,
-            })
-        }
-        1 => EntrySpec::Opaque {
-            class: ClassId(r.u32()?),
-            method: r.u32()?,
-            arity: r.u64()? as usize,
-        },
-        other => return Err(r.corrupt(format!("entry-spec tag {other}"))),
-    })
-}
-
-fn mode_tag(m: Mode) -> u8 {
-    match m {
-        Mode::Virtual => 0,
-        Mode::Devirt => 1,
-        Mode::Full => 2,
-    }
-}
-
-fn mode_of(tag: u8, r: &Reader<'_>) -> CodecResult<Mode> {
-    Ok(match tag {
-        0 => Mode::Virtual,
-        1 => Mode::Devirt,
-        2 => Mode::Full,
-        other => return Err(r.corrupt(format!("mode tag {other}"))),
-    })
-}
-
-fn write_config(w: &mut Writer, c: &TransConfig) {
-    w.u8(mode_tag(c.mode));
-    w.bool(c.opt.const_fold);
-    w.bool(c.opt.copy_prop);
-    w.bool(c.opt.dce);
-    w.u64(c.opt.inline_limit as u64);
-    w.bool(c.opt.sroa);
-    w.bool(c.check_rules);
-}
-
-#[cfg(test)]
-fn read_config(r: &mut Reader<'_>) -> CodecResult<TransConfig> {
-    let tag = r.u8()?;
-    let mode = mode_of(tag, r)?;
-    Ok(TransConfig {
-        mode,
-        opt: OptConfig {
-            const_fold: r.bool()?,
-            copy_prop: r.bool()?,
-            dce: r.bool()?,
-            inline_limit: r.u64()? as usize,
-            sroa: r.bool()?,
-        },
-        check_rules: r.bool()?,
-        // Not persisted: execution strategy, not translation identity.
-        parallel_lowering: false,
-    })
-}
-
-fn write_path(w: &mut Writer, path: &[u32]) {
-    w.len(path.len());
-    for &p in path {
-        w.u32(p);
-    }
-}
-
-fn read_path(r: &mut Reader<'_>) -> CodecResult<Vec<u32>> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
-}
-
-fn write_binding(w: &mut Writer, b: &Binding) {
-    match b {
-        Binding::RecvLeaf { path } => {
-            w.u8(0);
-            write_path(w, path);
-        }
-        Binding::ArgLeaf { arg, path } => {
-            w.u8(1);
-            w.u64(*arg as u64);
-            write_path(w, path);
-        }
-        Binding::RecvObj => w.u8(2),
-        Binding::ArgWhole(i) => {
-            w.u8(3);
-            w.u64(*i as u64);
-        }
-    }
-}
-
-fn read_binding(r: &mut Reader<'_>) -> CodecResult<Binding> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => Binding::RecvLeaf {
-            path: read_path(r)?,
-        },
-        1 => Binding::ArgLeaf {
-            arg: r.u64()? as usize,
-            path: read_path(r)?,
-        },
-        2 => Binding::RecvObj,
-        3 => Binding::ArgWhole(r.u64()? as usize),
-        other => return Err(r.corrupt(format!("binding tag {other}"))),
-    })
 }
 
 // ---- Translated ⇄ bytes -------------------------------------------------
@@ -274,69 +136,52 @@ impl Translated {
     }
 
     fn encode_with(&self, stats: &TransStats) -> Vec<u8> {
-        let mut w = Writer::new();
-        codec::write_program(&mut w, &self.program);
-        w.u32(self.entry.0);
-        w.len(self.bindings.len());
-        for b in &self.bindings {
-            write_binding(&mut w, b);
-        }
-        w.u8(mode_tag(self.mode));
-        w.u32(stats.specializations);
-        w.u32(stats.devirtualized_calls);
-        w.u32(stats.virtual_calls);
-        w.u32(stats.inlined_ctors);
-        w.u32(stats.inlined_calls);
-        w.u32(stats.kernels);
-        codec::write_pass_profiles(&mut w, &stats.passes);
-        w.u64(stats.cache_hits);
-        w.u64(stats.cache_misses);
-        w.bool(self.uses_mpi);
-        w.bool(self.uses_gpu);
-        w.len(self.warnings.len());
-        for warn in &self.warnings {
-            w.str(warn);
-        }
-        codec::seal(&w.into_bytes())
+        let mut buf = Writer::new();
+        let w = &mut buf;
+        self.program.put(w);
+        self.entry.put(w);
+        self.bindings.put(w);
+        self.mode.put(w);
+        stats.specializations.put(w);
+        stats.devirtualized_calls.put(w);
+        stats.virtual_calls.put(w);
+        stats.inlined_ctors.put(w);
+        stats.inlined_calls.put(w);
+        stats.kernels.put(w);
+        stats.passes.put(w);
+        stats.cache_hits.put(w);
+        stats.cache_misses.put(w);
+        self.uses_mpi.put(w);
+        self.uses_gpu.put(w);
+        self.warnings.put(w);
+        codec::seal(&buf.into_bytes())
     }
 
     /// Decode a sealed artifact. Never panics on hostile input: framing,
     /// checksum, every discriminant, and finally [`Program::validate`]
     /// all gate the result behind a typed [`CodecError`].
-    ///
-    /// [`Program::validate`]: nir::Program::validate
     pub fn decode(bytes: &[u8]) -> CodecResult<Translated> {
-        let payload = codec::unseal(bytes)?;
-        let mut r = Reader::new(payload);
-        let program = codec::read_program(&mut r)?;
-        let entry = FuncId(r.u32()?);
-        let n = r.len()?;
-        let mut bindings = Vec::with_capacity(n);
-        for _ in 0..n {
-            bindings.push(read_binding(&mut r)?);
-        }
-        let tag = r.u8()?;
-        let mode = mode_of(tag, &r)?;
+        let r = &mut Reader::new(codec::unseal(bytes)?);
+        let program = Program::get(r)?;
+        let entry = FuncId::get(r)?;
+        let bindings = Wire::get(r)?;
+        let mode = Wire::get(r)?;
         let stats = TransStats {
-            specializations: r.u32()?,
-            devirtualized_calls: r.u32()?,
-            virtual_calls: r.u32()?,
-            inlined_ctors: r.u32()?,
-            inlined_calls: r.u32()?,
-            kernels: r.u32()?,
-            passes: codec::read_pass_profiles(&mut r)?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
+            specializations: Wire::get(r)?,
+            devirtualized_calls: Wire::get(r)?,
+            virtual_calls: Wire::get(r)?,
+            inlined_ctors: Wire::get(r)?,
+            inlined_calls: Wire::get(r)?,
+            kernels: Wire::get(r)?,
+            passes: Wire::get(r)?,
+            cache_hits: Wire::get(r)?,
+            cache_misses: Wire::get(r)?,
             // Query counters are facade-side observability, never encoded.
             ..TransStats::default()
         };
-        let uses_mpi = r.bool()?;
-        let uses_gpu = r.bool()?;
-        let n = r.len()?;
-        let mut warnings = Vec::with_capacity(n);
-        for _ in 0..n {
-            warnings.push(r.str()?);
-        }
+        let uses_mpi = Wire::get(r)?;
+        let uses_gpu = Wire::get(r)?;
+        let warnings = Wire::get(r)?;
         if !r.is_at_end() {
             return Err(r.corrupt("payload longer than the artifact it encodes"));
         }
@@ -456,12 +301,9 @@ impl CacheKey {
     /// stability.
     pub fn fingerprint(&self) -> String {
         let mut w = Writer::new();
-        write_spec(&mut w, &self.spec);
-        write_config(&mut w, &self.config);
-        w.len(self.hosts.len());
-        for h in &self.hosts {
-            w.str(h);
-        }
+        self.spec.put(&mut w);
+        self.config.put(&mut w);
+        self.hosts.put(&mut w);
         // Salt 0 stays out of the digest so unscoped fingerprints (and
         // the artifacts persisted under them) are unchanged.
         if self.salt != 0 {
@@ -555,12 +397,7 @@ mod tests {
             }),
             args: vec![Shape::Prim(PrimKind::Int)],
         });
-        let mut w = Writer::new();
-        write_spec(&mut w, &spec);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = read_spec(&mut r).unwrap();
-        assert!(r.is_at_end());
+        let back = EntrySpec::from_wire(&spec.to_wire()).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -572,12 +409,7 @@ mod tests {
             TransConfig::virtual_dispatch(),
             TransConfig::template_no_virt(),
         ] {
-            let mut w = Writer::new();
-            write_config(&mut w, &config);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let back = read_config(&mut r).unwrap();
-            assert!(r.is_at_end());
+            let back = TransConfig::from_wire(&config.to_wire()).unwrap();
             assert_eq!(back, config);
         }
     }

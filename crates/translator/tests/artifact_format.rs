@@ -6,6 +6,7 @@
 //! is bumped and the fixture regenerated (see `regenerate_golden_fixture`).
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use hpclib::{MatmulApp, MatmulBody, MatmulCalc, MatmulThread, StencilApp, StencilPlatform};
 use jlang::compile_str;
@@ -172,7 +173,7 @@ fn digest_and_count(t: &Translated) -> (u64, usize) {
     (nir::fnv1a64(&t.encode_semantic()), t.program.instr_count())
 }
 
-fn diffusion(opt: OptConfig) -> (u64, usize) {
+fn diffusion(opt: OptConfig) -> Arc<Translated> {
     let table = hpclib::stencil_table(&[]).unwrap();
     let mut env = WootinJ::new(&table).unwrap();
     let runner = StencilApp::compose(
@@ -187,11 +188,12 @@ fn diffusion(opt: OptConfig) -> (u64, usize) {
         Value::Int(16),
         Value::Int(2),
     ];
-    let code = env.jit(&runner, "invoke", &args, jit_options(opt)).unwrap();
-    digest_and_count(&code.translated)
+    env.jit(&runner, "invoke", &args, jit_options(opt))
+        .unwrap()
+        .translated
 }
 
-fn matmul_fox(opt: OptConfig) -> (u64, usize) {
+fn matmul_fox(opt: OptConfig) -> Arc<Translated> {
     let table = hpclib::matmul_table(&[]).unwrap();
     let mut env = WootinJ::new(&table).unwrap();
     let app = MatmulApp::compose(
@@ -201,13 +203,12 @@ fn matmul_fox(opt: OptConfig) -> (u64, usize) {
         MatmulCalc::Simple,
     )
     .unwrap();
-    let code = env
-        .jit(&app, "start", &[Value::Int(32)], jit_options(opt))
-        .unwrap();
-    digest_and_count(&code.translated)
+    env.jit(&app, "start", &[Value::Int(32)], jit_options(opt))
+        .unwrap()
+        .translated
 }
 
-fn pipeline8(opt: OptConfig) -> (u64, usize) {
+fn pipeline8(opt: OptConfig) -> Arc<Translated> {
     let table = build_table(&[("pipeline8.jl", PIPELINE8)]).unwrap();
     let mut env = WootinJ::new(&table).unwrap();
     let stages: Vec<Value> = (0..8)
@@ -218,8 +219,9 @@ fn pipeline8(opt: OptConfig) -> (u64, usize) {
         .collect();
     let app = env.new_instance("App", &stages).unwrap();
     let data = env.new_f32_array(&[0.5, 1.0, 1.5, 2.0]);
-    let code = env.jit(&app, "run", &[data], jit_options(opt)).unwrap();
-    digest_and_count(&code.translated)
+    env.jit(&app, "run", &[data], jit_options(opt))
+        .unwrap()
+        .translated
 }
 
 /// What the whole compile path produces, pinned: FNV-1a of the semantic
@@ -233,7 +235,7 @@ fn pipeline8(opt: OptConfig) -> (u64, usize) {
 #[test]
 fn compile_path_output_is_pinned() {
     type Pin = (u64, usize);
-    type Compile = fn(OptConfig) -> Pin;
+    type Compile = fn(OptConfig) -> Arc<Translated>;
     let pinned: [(&str, Compile, Pin, Pin, Pin); 3] = [
         (
             "diffusion",
@@ -266,7 +268,7 @@ fn compile_path_output_is_pinned() {
             ("aggressive", OptConfig::aggressive(), aggressive),
             ("wootinj preset", JitOptions::wootinj().config.opt, preset),
         ] {
-            let got = compile(opt);
+            let got = digest_and_count(&compile(opt));
             if got != want {
                 moved.push(format!(
                     "{name} {level}: ({:#018x}, {}), pinned ({:#018x}, {})",
@@ -380,4 +382,146 @@ fn cache_key_fingerprints_are_pinned() {
         "cache-key fingerprints moved:\n{}",
         moved.join("\n")
     );
+}
+
+/// Deterministic xorshift64* PRNG, as in `dist/tests/wire_fuzz.rs`: the
+/// same mutants on every run, so a failure is a reproducer.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+    }
+}
+
+/// Unsealed payloads of `golden.wjar` and of the three pinned programs
+/// under the `JitOptions::wootinj()` preset.
+fn fuzz_payloads() -> Vec<(&'static str, Vec<u8>)> {
+    let golden = std::fs::read(fixture_path()).unwrap();
+    let preset = JitOptions::wootinj().config.opt;
+    let mut out = vec![("golden.wjar", golden)];
+    for (name, compile) in [
+        ("diffusion", diffusion as fn(OptConfig) -> Arc<Translated>),
+        ("matmul-fox", matmul_fox),
+        ("pipeline8", pipeline8),
+    ] {
+        out.push((name, compile(preset).encode()));
+    }
+    out.into_iter()
+        .map(|(name, sealed)| (name, nir::codec::unseal(&sealed).unwrap().to_vec()))
+        .collect()
+}
+
+/// Seal `payload` and decode it: a typed error, or a valid artifact that
+/// re-encodes to exactly the sealed bytes. The one allowed difference is
+/// a pass name the mutation made unknown, which decodes as `"other"`.
+/// A panic is recorded in `failures`, not propagated.
+fn check_resealed(payload: &[u8], case: &str, failures: &mut Vec<String>) -> bool {
+    let sealed = nir::codec::seal(payload);
+    match std::panic::catch_unwind(|| Translated::decode(&sealed)) {
+        Err(_) => failures.push(format!("{case}: decode panicked")),
+        Ok(Err(_)) => return false,
+        Ok(Ok(t)) => {
+            if let Err(m) = t.program.validate() {
+                failures.push(format!("{case}: decoded an invalid program: {m}"));
+            }
+            if t.program.entry != Some(t.entry) {
+                failures.push(format!("{case}: decoded a mismatched entry"));
+            }
+            let again = t.encode();
+            let renamed = t.stats.passes.iter().any(|p| p.pass == "other");
+            let stable = Translated::decode(&again).map(|u| u.encode()).as_ref() == Ok(&again);
+            if !(again == sealed || renamed && stable) {
+                failures.push(format!("{case}: decoded, but re-encodes to other bytes"));
+            }
+        }
+    }
+    true
+}
+
+/// Offsets for the quadratic loops (one decode per offset, each up to
+/// the whole payload): all of them up to 16 KiB. Past that (pipeline8's
+/// 146 KB: ~10^10 digest steps for every prefix alone) a seeded sample,
+/// with a larger budget in release builds.
+fn offsets(len: usize, rng: &mut Rng) -> Vec<usize> {
+    if len <= 16 << 10 {
+        return (0..len).collect();
+    }
+    let n = if cfg!(debug_assertions) { 100 } else { 1_000 };
+    (0..n).map(|_| rng.below(len)).collect()
+}
+
+/// The `wire_fuzz` recipe over whole artifacts, re-sealed so that every
+/// mutant passes the digest and reaches the program decoder,
+/// `Program::validate` and the entry check: one trailing byte, strict
+/// prefixes, `u32::MAX` in 4-byte windows (every one of each, but see
+/// [`offsets`]) and 2 000 seeded byte mutations. Each must decode to a typed error or to an
+/// artifact that re-encodes to the same bytes; none may panic.
+#[test]
+fn resealed_mutants_decode_typed_or_identically_never_panic() {
+    let payloads = fuzz_payloads();
+    let mut rng = Rng(0x05EE_DA27);
+    let mut failures = Vec::new();
+    let mut accepted = 0;
+    for (name, payload) in &payloads {
+        let longer = [&payload[..], &[0]].concat();
+        if check_resealed(&longer, &format!("{name} + 1 byte"), &mut failures) {
+            failures.push(format!("{name}: decoded with a trailing byte"));
+        }
+        for cut in offsets(payload.len(), &mut rng) {
+            let case = format!("{name} {cut}-byte prefix");
+            if check_resealed(&payload[..cut], &case, &mut failures) {
+                failures.push(format!("{case}: decoded"));
+            }
+        }
+        for at in offsets(payload.len() - 3, &mut rng) {
+            let mut huge = payload.clone();
+            huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let case = format!("{name} u32::MAX at {at}");
+            accepted += usize::from(check_resealed(&huge, &case, &mut failures));
+        }
+    }
+    for _ in 0..2_000 {
+        let (name, payload) = &payloads[rng.below(payloads.len())];
+        let mut bytes = payload.clone();
+        let at = rng.below(bytes.len());
+        bytes[at] ^= 1 + rng.below(255) as u8;
+        let case = format!("{name} byte {at} ^ {:#04x}", bytes[at] ^ payload[at]);
+        accepted += usize::from(check_resealed(&bytes, &case, &mut failures));
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of the mutants failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    eprintln!("{accepted} mutants decoded and re-encoded identically");
+}
+
+/// `Shape` decoding is public through `Wire`, so its nesting bound is
+/// API: 64 nested objects decode, 65 are `Corrupt` — before the stack
+/// could overflow on a hostile payload.
+#[test]
+fn shape_nesting_is_bounded_at_64() {
+    use jlang::types::{ClassId, PrimKind};
+    use nir::codec::Wire;
+    use translator::Shape;
+
+    let nested = |depth: usize| {
+        (0..depth).fold(Shape::Prim(PrimKind::Int), |inner, i| Shape::Obj {
+            class: ClassId(i as u32),
+            fields: vec![inner],
+        })
+    };
+    let ok = nested(64);
+    assert_eq!(Shape::from_wire(&ok.to_wire()), Ok(ok));
+    assert!(matches!(
+        Shape::from_wire(&nested(65).to_wire()),
+        Err(CodecError::Corrupt { .. })
+    ));
 }
