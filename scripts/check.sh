@@ -30,6 +30,10 @@ echo "==   release budget (20 000 mutants), and the nesting limits hold  =="
 echo "==   on a 2 MB stack at optimized frame sizes too                  =="
 cargo test --release --offline -q -p jlang
 
+echo "== translator tests again in release: the WJAR never-panic harness  =="
+echo "==   runs its release budget, with overflow checks off                =="
+cargo test --release --offline -q -p translator
+
 echo "== fold against its reference, optimized: the 4k-vs-32k scaling ratio  =="
 echo "==   is only meaningful with the optimizer on (the debug run above keeps =="
 echo "==   the differential half)                                              =="
