@@ -1313,5 +1313,14 @@ mod tests {
         ];
         let back = Vec::<PassProfile>::from_wire(&passes.to_wire()).unwrap();
         assert_eq!(back, passes);
+        // A name outside `PASS_ORDER` (a build with more passes) decodes.
+        let unknown = PassProfile {
+            pass: "unroll",
+            ..passes[0]
+        };
+        assert_eq!(
+            PassProfile::from_wire(&unknown.to_wire()).unwrap().pass,
+            "other"
+        );
     }
 }
