@@ -5,12 +5,14 @@
 //! * **fold** — const-fold + copy-propagation (per basic block, linear in
 //!   the block): replaces arithmetic on known constants and forwards
 //!   `Mov` chains; with `dce` on, it also coalesces result moves
-//!   (`t = op …; x = t` becomes `x = op …`);
+//!   (`t = op …; x = t` becomes `x = op …`) and eliminates common
+//!   subexpressions (a value a register still holds is read from it);
 //! * **dce** — one rebuild of the function that threads jumps through
 //!   jumps, removes unreachable code, removes pure instructions whose
 //!   results are never used (whole-function liveness), hoists loop
-//!   constants into a prefix at pc 0, and removes jumps to the next
-//!   instruction;
+//!   constants into a prefix at pc 0, rotates innermost loops and hoists
+//!   their invariant instructions into a preheader, and removes jumps to
+//!   the next instruction;
 //! * **inline** — splices small callees into their callers, bottom-up:
 //!   each function, in `FuncId` order, takes in the final bodies of its
 //!   earlier callees (see [`optimize_fn`]), as the paper's C compiler
@@ -21,7 +23,8 @@
 //! bodies; fold, dce and inline are linear in it. Loop cleanup is what the
 //! paper's C compiler does to the flat C: without it every loop
 //! iteration reloads its literals, copies each update through a
-//! temporary and jumps to the next instruction.
+//! temporary, computes twice what it computed once, recomputes what no
+//! iteration changes, and jumps back to its test.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,32 +142,38 @@ pub fn optimize_fn(
     config: OptConfig,
 ) -> Vec<PassProfile> {
     let mut parts = Vec::new();
-    let mut run = |pass, f: &mut Function, body: &dyn Fn(&mut Function)| {
-        parts.push(PassProfile::record(pass, f, body));
-    };
-    let fold = config.const_fold || config.copy_prop;
     if config.inline_limit > 0 {
-        run("inline", f, &|f| inline_calls(f, done, config.inline_limit));
+        parts.push(PassProfile::record("inline", f, |f| {
+            inline_calls(f, done, config.inline_limit)
+        }));
     }
     // First round: propagate copies so that spliced argument and result
     // moves dissolve, then drop the dead moves...
-    if fold {
-        run("fold", f, &|f| local_fold(f, config));
-    }
-    if config.dce {
-        run("dce", f, &dce);
-    }
+    local_round(f, config, &mut parts);
     // ...so scalar replacement sees unaliased temporaries.
     if config.sroa {
-        run("sroa", f, &sroa);
-        if fold {
-            run("fold", f, &|f| local_fold(f, config));
-        }
-        if config.dce {
-            run("dce", f, &dce);
-        }
+        parts.push(PassProfile::record("sroa", f, sroa));
+        local_round(f, config, &mut parts);
     }
     merge_profiles(parts)
+}
+
+/// `fold`, then `dce`. A rotated loop's test copy ends the body's last
+/// block, where `fold` has not looked yet, so a round that rotates runs
+/// both once more; the second `dce` finds no loop left to rotate.
+fn local_round(f: &mut Function, config: OptConfig, parts: &mut Vec<PassProfile>) {
+    for _ in 0..2 {
+        if config.const_fold || config.copy_prop {
+            parts.push(PassProfile::record("fold", f, |f| local_fold(f, config)));
+        }
+        let mut rotated = false;
+        if config.dce {
+            parts.push(PassProfile::record("dce", f, |f| rotated = dce(f)));
+        }
+        if !rotated {
+            break;
+        }
+    }
 }
 
 /// May a `caller`-kind function splice a `callee`-kind one? The same
@@ -256,6 +265,21 @@ struct Facts {
 }
 
 const NO_LINK: u32 = u32::MAX;
+
+impl Known {
+    /// A constant's kind (0–4: int, long, float, double, boolean) and bit
+    /// pattern, so that `ConstI32(0)` and `ConstF32(0.0)` stay apart.
+    fn bits(self) -> (u8, u64) {
+        match self {
+            Known::I32(v) => (0, v as u32 as u64),
+            Known::I64(v) => (1, v as u64),
+            Known::F32(v) => (2, u64::from(v.to_bits())),
+            Known::F64(v) => (3, v.to_bits()),
+            Known::Bool(v) => (4, u64::from(v)),
+            Known::Copy(_) => unreachable!("`Facts::const_of` resolves copies"),
+        }
+    }
+}
 
 impl Facts {
     fn new(regs: usize) -> Self {
@@ -360,21 +384,25 @@ fn leaders(code: &[Instr], mut each: impl FnMut(&Instr)) -> Vec<bool> {
 /// becomes `x = op …` when `t` is a temporary that lives for exactly
 /// those two instructions ([`coalesces`]). The emptied `Mov` is left as
 /// the self-move `x = x`, so no pc moves here; [`dce`]'s rebuild drops it.
+/// It also eliminates common subexpressions within the block ([`Cse`]):
+/// a pure instruction that recomputes what a register still holds becomes
+/// a `Mov` from that register, which copy propagation forwards and `dce`
+/// drops once nothing reads it.
 #[allow(clippy::needless_range_loop)] // `pc` indexes both code and leader
 fn local_fold(f: &mut Function, config: OptConfig) {
-    let coalesce = config.copy_prop && config.dce;
+    let with_dce = config.copy_prop && config.dce;
     // For coalescing, how often each register is written and read,
     // counted in the sweep that finds the leaders. The three commonest
     // instructions are counted in one match (patterns that name every
     // field, so a changed variant fails to compile here); the rest go
     // through the generic operand walk, which dispatches twice.
-    let (mut writes, mut reads) = if coalesce {
+    let (mut writes, mut reads) = if with_dce {
         (vec![0u32; f.regs.len()], vec![0u32; f.regs.len()])
     } else {
         (Vec::new(), Vec::new())
     };
     let leader = leaders(&f.code, |ins| {
-        if coalesce {
+        if with_dce {
             match *ins {
                 Instr::Bin {
                     op: _,
@@ -407,9 +435,13 @@ fn local_fold(f: &mut Function, config: OptConfig) {
     });
 
     let mut facts = Facts::new(f.regs.len());
+    let mut cse = with_dce.then(|| Cse::new(f.regs.len()));
     for pc in 0..f.code.len() {
         if leader[pc] {
             facts.start_block();
+            if let Some(cse) = &mut cse {
+                cse.start_block(pc);
+            }
         }
         // Resolve copies in sources first.
         if config.copy_prop {
@@ -439,13 +471,24 @@ fn local_fold(f: &mut Function, config: OptConfig) {
             }
         }
 
+        // A value some register still holds: read it from there.
+        let mut expr = None;
+        if let Some(cse) = &cse {
+            expr = Expr::of(&f.code[pc], &facts);
+            if let Some(h) = expr.and_then(|e| cse.holder(e, &f.code[pc], &facts)) {
+                let d = f.code[pc].dst().expect("a pure instruction has a dst");
+                f.code[pc] = Instr::Mov(d, h);
+                expr = None;
+            }
+        }
+
         // Coalesce before the `Mov` is seen: once it records `x` as a
         // copy of `t`, copy propagation would hand `t` to `x`'s readers.
         // A chain `t = op; u = t; x = u` (a spliced callee's result moved
         // into a temporary, then into a variable) goes link by link: each
         // emptied move is a self-move, a no-op between the two.
         let mut next = pc + 1;
-        while coalesce && !leader[next] {
+        while with_dce && !leader[next] {
             let Some(x) = coalesces(f, pc, next, &writes, &reads) else {
                 break;
             };
@@ -472,6 +515,145 @@ fn local_fold(f: &mut Function, config: OptConfig) {
                     facts.forget(d);
                 }
             }
+        }
+        if let Some(cse) = &mut cse {
+            cse.record(pc, &f.code[pc], expr);
+        }
+    }
+}
+
+/// Is `ins` a pure computation: arithmetic, a cast, a move, a constant,
+/// or a pure intrinsic? Such an instruction reads its operands and
+/// nothing else, writes its destination and nothing else, and fails only
+/// on an operand nothing has written or on an int or long `Div`/`Rem` by
+/// zero.
+fn is_pure(ins: &Instr) -> bool {
+    match ins {
+        Instr::Bin { .. }
+        | Instr::Neg { .. }
+        | Instr::Not { .. }
+        | Instr::Cast { .. }
+        | Instr::Mov(..) => true,
+        Instr::Intrin { op, dst, .. } => op.is_pure() && dst.is_some(),
+        _ => const_bits(ins).is_some(),
+    }
+}
+
+/// What a pure instruction computes, as a key for [`Cse`]: the operation
+/// and its operands, each the register it reads or, when [`Facts`] knows
+/// one, the constant that register holds (so `x + k` matches `x + 1`
+/// whatever register holds the `1`). Constants themselves are not keys:
+/// [`dce`] gathers loop constants into a prefix and merges equal ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Expr {
+    Bin(BinOp, PrimKind, Opnd, Opnd),
+    Neg(PrimKind, Opnd),
+    Not(Opnd),
+    Cast(PrimKind, PrimKind, Opnd),
+    /// A pure intrinsic; those take at most two operands.
+    Intrin(crate::ir::IntrinOp, Option<Opnd>, Option<Opnd>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Opnd {
+    Reg(Reg),
+    /// A constant's kind and bits ([`Known::bits`]).
+    Const(u8, u64),
+}
+
+impl Expr {
+    fn of(ins: &Instr, facts: &Facts) -> Option<Expr> {
+        let o = |r: Reg| match facts.const_of(r) {
+            Some(k) => {
+                let (kind, bits) = k.bits();
+                Opnd::Const(kind, bits)
+            }
+            None => Opnd::Reg(r),
+        };
+        Some(match *ins {
+            Instr::Bin {
+                op, kind, lhs, rhs, ..
+            } => Expr::Bin(op, kind, o(lhs), o(rhs)),
+            Instr::Neg { kind, src, .. } => Expr::Neg(kind, o(src)),
+            Instr::Not { src, .. } => Expr::Not(o(src)),
+            Instr::Cast { to, from, src, .. } => Expr::Cast(to, from, o(src)),
+            Instr::Intrin {
+                op,
+                ref args,
+                dst: Some(_),
+            } if op.is_pure() && args.len() <= 2 => {
+                Expr::Intrin(op, args.first().map(|&a| o(a)), args.get(1).map(|&a| o(a)))
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// A constant instruction's kind and bits ([`Known::bits`]).
+fn const_bits(ins: &Instr) -> Option<(u8, u64)> {
+    let k = match *ins {
+        Instr::ConstI32(_, v) => Known::I32(v),
+        Instr::ConstI64(_, v) => Known::I64(v),
+        Instr::ConstF32(_, v) => Known::F32(v),
+        Instr::ConstF64(_, v) => Known::F64(v),
+        Instr::ConstBool(_, v) => Known::Bool(v),
+        _ => return None,
+    };
+    Some(k.bits())
+}
+
+/// Block-local common subexpressions for [`local_fold`]: which register
+/// last computed each [`Expr`], and when. Nothing is ever removed: an
+/// entry is checked when it is looked up, and it is stale when it was
+/// made before the current block, or its holder or any register operand
+/// has been written since. Each write stamps its register, so a check
+/// costs the operand count, not the block so far.
+struct Cse {
+    seen: HashMap<Expr, (Reg, u32)>,
+    /// By register: one past the pc of its last write (0: none yet).
+    stamp: Vec<u32>,
+    /// One past the pc of the current block's leader.
+    block: u32,
+}
+
+impl Cse {
+    fn new(regs: usize) -> Self {
+        Cse {
+            seen: HashMap::new(),
+            stamp: vec![0; regs],
+            block: 0,
+        }
+    }
+
+    fn start_block(&mut self, pc: usize) {
+        self.block = pc as u32 + 1;
+    }
+
+    /// The register that still holds `e`, which `ins` computes.
+    fn holder(&self, e: Expr, ins: &Instr, facts: &Facts) -> Option<Reg> {
+        let &(h, at) = self.seen.get(&e)?;
+        let mut fresh = at >= self.block && self.stamp[h as usize] == at;
+        ins.for_each_source(|s| {
+            fresh &= facts.const_of(s).is_some() || self.stamp[s as usize] < at;
+        });
+        fresh.then_some(h)
+    }
+
+    /// `ins`, at `pc`, has run: stamp what it wrote, and remember that it
+    /// computed `expr` unless it overwrote an operand of that.
+    fn record(&mut self, pc: usize, ins: &Instr, expr: Option<Expr>) {
+        let Some(d) = ins.dst() else {
+            return;
+        };
+        if matches!(ins, Instr::Mov(d, s) if d == s) {
+            return;
+        }
+        let at = pc as u32 + 1;
+        self.stamp[d as usize] = at;
+        let mut reads_dst = false;
+        ins.for_each_source(|s| reads_dst |= s == d);
+        if let Some(e) = expr.filter(|_| !reads_dst) {
+            self.seen.insert(e, (d, at));
         }
     }
 }
@@ -636,14 +818,20 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
 /// * **liveness** — pure instructions whose result no kept instruction
 ///   reads go (flow-insensitive), and so do self-moves;
 /// * **loop constants** — see [`loop_constants`]: a constant defined in a
-///   loop is defined once in a prefix at pc 0 instead (only looked for
-///   when a reachable branch goes backward);
+///   loop is defined once in a prefix at pc 0 instead;
+/// * **loop rotation and invariant hoisting** — see [`rotations`]: a
+///   loop's back `Jmp` becomes a copy of its header test, and invariant
+///   instructions of its body's entry block move into a preheader;
 /// * **jumps to the next instruction** — a forward `Jmp` whose target is
 ///   the next kept instruction goes.
 ///
-/// Every step is linear in the function. Branch targets are remapped once;
-/// a target may equal `code.len()`, as [`Program::validate`] allows.
-fn dce(f: &mut Function) {
+/// The loop steps are only looked for when a reachable branch goes
+/// backward. Every step is linear in the function. Branch targets are
+/// remapped once; a target may equal `code.len()`, as
+/// [`Program::validate`] allows. Returns whether a loop was rotated: its
+/// test copy then ends the body's last block, where another `fold` may
+/// find work.
+fn dce(f: &mut Function) -> bool {
     let n = f.code.len();
     let (reach, mut changed, backward) = thread_and_reach(&mut f.code);
 
@@ -689,21 +877,43 @@ fn dce(f: &mut Function) {
         });
     }
 
-    let hoist = if backward {
-        loop_constants(f, &keep)
+    let (hoist, loops) = if backward {
+        let blocks = Blocks::of(f, &keep);
+        let hoist = loop_constants(f, &keep, &blocks);
+        for h in &hoist.defs {
+            keep[*h as usize] = false;
+        }
+        let loops = rotations(f, &keep, &blocks);
+        (hoist, loops)
     } else {
-        Hoist::default()
+        (Hoist::default(), Vec::new())
     };
-    for h in &hoist.defs {
-        keep[*h as usize] = false;
+    changed |= !hoist.defs.is_empty() || !loops.is_empty();
+
+    // Where the rotated loops change the instruction count: `extra[i]`
+    // instructions land at old pc `i` besides its own — a preheader before
+    // a body's first instruction, a test copy in place of a back `Jmp` —
+    // and `slot[i]` names the loop (plus one) they belong to.
+    let (mut extra, mut slot) = (Vec::new(), Vec::new());
+    if !loops.is_empty() {
+        extra = vec![0u32; n + 1];
+        slot = vec![0u32; n + 1];
+        for (r, l) in loops.iter().enumerate() {
+            for &p in &l.hoisted {
+                keep[p as usize] = false;
+            }
+            extra[l.body as usize] = l.pre.len() as u32;
+            extra[l.latch as usize] = l.test.len() as u32 - 1;
+            slot[l.body as usize] = r as u32 + 1;
+            slot[l.latch as usize] = r as u32 + 1;
+        }
     }
-    changed |= !hoist.defs.is_empty();
 
     // Drop forward jumps to the next kept instruction, last to first:
-    // `after[i]` counts the kept instructions at or after `i`, final for
-    // every `i` past the jump, and a jump to `t` lands on the next kept
-    // instruction when none is kept in between and one exists. A backward
-    // jump is never dropped: it closes a loop, empty or not.
+    // `after[i]` counts the instructions emitted at or after `i`, final
+    // for every `i` past the jump, and a jump to `t` lands on the next
+    // emitted instruction when none is emitted in between and one exists.
+    // A backward jump is never dropped: it closes a loop, empty or not.
     let mut after = vec![0u32; n + 1];
     for i in (0..n).rev() {
         if let Instr::Jmp(t) = f.code[i] {
@@ -712,37 +922,70 @@ fn dce(f: &mut Function) {
                 keep[i] = false;
             }
         }
-        after[i] = after[i + 1] + u32::from(keep[i]);
+        after[i] = after[i + 1] + u32::from(keep[i]) + extra.get(i).copied().unwrap_or(0);
     }
 
-    let kept = after[0];
-    if !changed && kept as usize == n {
-        return;
+    let emitted = after[0];
+    if !changed && emitted as usize == n {
+        return false;
     }
     // Rebuild: the hoisted constants, then every kept instruction with
     // its targets remapped (and, where two hoisted constants merged, its
-    // operands renamed). Old pc `t` lands after the prefix and the kept
-    // instructions before it.
-    let end = hoist.prefix.len() as u32 + kept;
-    let new_pc = |t: &mut u32| *t = end - after[*t as usize];
-    let old = std::mem::replace(&mut f.code, hoist.prefix);
-    f.code.reserve(kept as usize);
+    // operands renamed). Old pc `t` lands after the prefix and whatever is
+    // emitted before it, so a branch to a body's first instruction lands
+    // on its preheader; every branch but the loop's guard skips that.
+    let Hoist { prefix, rename, .. } = hoist;
+    let end = prefix.len() as u32 + emitted;
+    let target = |t: u32, from: usize| {
+        let mut pc = end - after[t as usize];
+        if let Some(&r) = slot.get(t as usize).filter(|&&r| r > 0) {
+            let l = &loops[r as usize - 1];
+            if l.body == t && l.guard as usize != from {
+                pc += l.pre.len() as u32;
+            }
+        }
+        pc
+    };
+    let rename = |mut ins: Instr| {
+        if let Some(rename) = &rename {
+            ins.for_each_source_mut(|r| *r = rename[*r as usize]);
+        }
+        ins
+    };
+    let old = std::mem::replace(&mut f.code, prefix);
+    f.code.reserve(emitted as usize);
     for (i, mut ins) in old.into_iter().enumerate() {
+        let l = slot
+            .get(i)
+            .filter(|&&r| r > 0)
+            .map(|&r| &loops[r as usize - 1]);
+        if let Some(l) = l.filter(|l| l.body as usize == i) {
+            f.code.extend(l.pre.iter().cloned().map(rename));
+        }
         if !keep[i] {
             continue;
         }
         match &mut ins {
-            Instr::Jmp(t) => new_pc(t),
+            Instr::Jmp(t) => *t = target(*t, i),
             Instr::Br { t, f: fl, .. } => {
-                new_pc(t);
-                new_pc(fl);
+                *t = target(*t, i);
+                *fl = target(*fl, i);
             }
             _ => {}
         }
-        if let Some(rename) = &hoist.rename {
-            ins.for_each_source_mut(|r| *r = rename[*r as usize]);
+        match l.filter(|l| l.latch as usize == i) {
+            // The back jump becomes the header's test, which branches
+            // back past the preheader.
+            Some(l) => {
+                f.code.extend(l.test.iter().cloned().map(rename));
+                let Some(Instr::Br { t, f: fl, .. }) = f.code.last_mut() else {
+                    unreachable!("a test copy ends in its header's Br");
+                };
+                *t = target(l.body, i);
+                *fl = target(*fl, i);
+            }
+            None => f.code.push(rename(ins)),
         }
-        f.code.push(ins);
     }
     // Only input that could already fall off its end can end without a
     // terminator here; give it the one the builder would have.
@@ -752,6 +995,7 @@ fn dce(f: &mut Function) {
     ) {
         f.code.push(Instr::Ret(None));
     }
+    !loops.is_empty()
 }
 
 /// "No instruction" / "no register" in the optimizer's index tables.
@@ -759,6 +1003,11 @@ const NONE: u32 = u32::MAX;
 
 /// How many jumps one target is threaded through.
 const THREAD_HOPS: usize = 8;
+
+/// The longest header test [`rotations`] copies, its `Br` included. A
+/// copy grows the function, and the inliner decides by final size, so
+/// the bound keeps every splice decision where it was.
+const MAX_TEST: usize = 4;
 
 /// Walk the code reachable from pc 0, threading the target of every
 /// `Jmp`/`Br` it reaches through jumps (at most [`THREAD_HOPS`] of them)
@@ -811,6 +1060,71 @@ fn thread_and_reach(code: &mut [Instr]) -> (Vec<bool>, bool, bool) {
     (reach, changed, backward)
 }
 
+/// The basic blocks of the kept instructions, and the registers whose
+/// value is local to one block.
+struct Blocks {
+    /// By pc: its block, numbered in pc order.
+    block: Vec<u32>,
+    /// By block: its first pc; one past the last block, `code.len()`.
+    starts: Vec<u32>,
+    /// By register: the pc of its only kept definition when it is not a
+    /// parameter and every kept read of it comes later in that
+    /// definition's block; [`NONE`] otherwise. Such a register holds, at
+    /// every read, what that definition computed in the same pass through
+    /// the block — no dominator tree needed.
+    local: Vec<u32>,
+}
+
+impl Blocks {
+    fn of(f: &Function, keep: &[bool]) -> Blocks {
+        let code = &f.code;
+        let n = code.len();
+        let leader = leaders(code, |_| {});
+        let mut starts = Vec::new();
+        let mut block = vec![0u32; n];
+        for pc in 0..n {
+            if leader[pc] {
+                starts.push(pc as u32);
+            }
+            block[pc] = starts.len() as u32 - 1;
+        }
+        starts.push(n as u32);
+
+        // One pass in pc order: a read before its register's (first)
+        // definition or in another block, or a second definition,
+        // disqualifies the register.
+        let mut local = vec![NONE; f.regs.len()];
+        let mut bad = vec![false; f.regs.len()];
+        bad[..f.params.len()].fill(true);
+        for (pc, ins) in code.iter().enumerate() {
+            if !keep[pc] {
+                continue;
+            }
+            ins.for_each_source(|s| {
+                let d = local[s as usize];
+                if d == NONE || block[d as usize] != block[pc] {
+                    bad[s as usize] = true;
+                }
+            });
+            if let Some(d) = ins.dst() {
+                let d = d as usize;
+                bad[d] |= local[d] != NONE;
+                local[d] = pc as u32;
+            }
+        }
+        for (l, bad) in local.iter_mut().zip(bad) {
+            if bad {
+                *l = NONE;
+            }
+        }
+        Blocks {
+            block,
+            starts,
+            local,
+        }
+    }
+}
+
 /// The constants [`dce`] hoists into a prefix at pc 0.
 #[derive(Default)]
 struct Hoist {
@@ -823,78 +1137,28 @@ struct Hoist {
     rename: Option<Vec<Reg>>,
 }
 
-/// Find the loop constants among the kept instructions: registers that
-/// are not parameters, whose one and only definition is a `Const*` in a
-/// basic block on a cycle of the control-flow graph (a strongly connected
-/// component of more than one block, or a block with a self edge), and
-/// every one of whose reads comes later in that same block. Such a
-/// register holds its constant wherever it is read, so defining it once
-/// at pc 0 changes no value anyone reads. The same-block rule needs no
-/// dominator tree: a read in another block may see the register before
-/// the loop first defines it, or after something else did.
-fn loop_constants(f: &Function, keep: &[bool]) -> Hoist {
-    let code = &f.code;
-    let n = code.len();
-
-    // Basic blocks: `block[pc]` numbers them in pc order.
-    let leader = leaders(code, |_| {});
-    let mut starts = Vec::new();
-    let mut block = vec![0u32; n];
-    for pc in 0..n {
-        if leader[pc] {
-            starts.push(pc as u32);
-        }
-        block[pc] = starts.len() as u32 - 1;
-    }
-    starts.push(n as u32);
-    let on_cycle = blocks_on_cycles(code, &starts, &block);
-
-    // One pass in pc order: a read before its register's (first)
-    // definition, in another block, or of a register defined twice or by
-    // anything but a constant in a loop disqualifies it.
-    let params = f.params.len();
-    let mut def = vec![NONE; f.regs.len()];
-    let mut bad = vec![false; f.regs.len()];
-    for (pc, ins) in code.iter().enumerate() {
-        if !keep[pc] {
-            continue;
-        }
-        ins.for_each_source(|s| {
-            let d = def[s as usize];
-            if d == NONE || block[d as usize] != block[pc] {
-                bad[s as usize] = true;
-            }
-        });
-        if let Some(d) = ins.dst() {
-            let is_const = matches!(
-                ins,
-                Instr::ConstI32(..)
-                    | Instr::ConstI64(..)
-                    | Instr::ConstF32(..)
-                    | Instr::ConstF64(..)
-                    | Instr::ConstBool(..)
-            );
-            let d = d as usize;
-            if def[d] != NONE || d < params || !is_const || !on_cycle[block[pc] as usize] {
-                bad[d] = true;
-            }
-            def[d] = pc as u32;
-        }
-    }
-
+/// Find the loop constants among the kept instructions: [`Blocks::local`]
+/// registers defined by a `Const*` in a basic block on a cycle of the
+/// control-flow graph (a strongly connected component of more than one
+/// block, or a block with a self edge). Such a register holds its
+/// constant wherever it is read, so defining it once at pc 0 changes no
+/// value anyone reads. The same-block rule needs no dominator tree: a
+/// read in another block may see the register before the loop first
+/// defines it, or after something else did.
+fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
+    let on_cycle = blocks_on_cycles(&f.code, &blocks.starts, &blocks.block);
     let mut hoist = Hoist::default();
     let mut merged: HashMap<(u8, u64), Reg> = HashMap::new();
-    for (pc, ins) in code.iter().enumerate() {
-        let Some(d) = ins.dst().filter(|d| keep[pc] && !bad[*d as usize]) else {
+    for (pc, ins) in f.code.iter().enumerate() {
+        let Some(d) = ins.dst().filter(|d| {
+            keep[pc]
+                && blocks.local[*d as usize] == pc as u32
+                && on_cycle[blocks.block[pc] as usize]
+        }) else {
             continue;
         };
-        let bits = match *ins {
-            Instr::ConstI32(_, v) => (0, v as u32 as u64),
-            Instr::ConstI64(_, v) => (1, v as u64),
-            Instr::ConstF32(_, v) => (2, u64::from(v.to_bits())),
-            Instr::ConstF64(_, v) => (3, v.to_bits()),
-            Instr::ConstBool(_, v) => (4, u64::from(v)),
-            _ => unreachable!("only constants qualify"),
+        let Some(bits) = const_bits(ins) else {
+            continue;
         };
         hoist.defs.push(pc as u32);
         match merged.entry(bits) {
@@ -911,6 +1175,193 @@ fn loop_constants(f: &Function, keep: &[bool]) -> Hoist {
         }
     }
     hoist
+}
+
+/// One loop [`dce`] rotates: the header `h..=guard` ends in
+/// `Br { t: body, f: exit }`, and the back `Jmp(h)` at `latch` closes it.
+struct Rotation {
+    guard: u32,
+    body: u32,
+    latch: u32,
+    /// Pcs of the invariant instructions that move into the preheader.
+    hoisted: Vec<u32>,
+    /// Those instructions, in pc order.
+    pre: Vec<Instr>,
+    /// What replaces the back `Jmp`: the header's instructions that are
+    /// not invariant, then its `Br` (targets remapped when emitted).
+    test: Vec<Instr>,
+}
+
+/// The loops [`dce`] rotates, and what each hoists. A loop qualifies when
+/// a kept back `Jmp` at `e` closes the contiguous range `h..=e`, and
+///
+/// * it is innermost: no other kept branch in the range goes backward
+///   (so a header's last back jump is also its first);
+/// * its header `h..=k` is straight-line, pure ([`is_pure`]) up to a
+///   `Br` whose true edge falls into the body at `k + 1` and whose false
+///   edge leaves the range — the header's one exit;
+/// * it has one entry: no branch from outside the range lands in
+///   `h + 1..=e`, and no branch at all lands inside the header;
+/// * its test copy — the header's `Br` and its instructions that are
+///   not invariant — is at most [`MAX_TEST`] long.
+///
+/// The header then runs once as the loop's guard, and each iteration
+/// ends in the copy, which branches back to the body: one instruction
+/// fewer per iteration, and a zero-trip loop runs what it ran before.
+/// Innermost loops are disjoint, so finding them all is linear.
+///
+/// An instruction is invariant when it is pure and no instruction of the
+/// loop writes its operands. An invariant header instruction whose
+/// destination the loop writes only there is left out of the copy: the
+/// guard computed the value every iteration reads. An invariant
+/// instruction of the body's entry block moves into a preheader that
+/// runs between the guard and the body when, besides,
+///
+/// * it cannot fail — no int or long `Div`/`Rem` (`LdArr`, `ArrLen`,
+///   calls and yields are not pure to begin with);
+/// * its destination is [`Blocks::local`] to it, so the loop writes it
+///   nowhere else and reads it only after it in the entry block;
+/// * no side-effecting instruction comes before it in the entry block,
+///   so a program that fails there still fails after the same output.
+///
+/// The preheader runs only when the body would, and before any read.
+/// Hoisted values feed later invariant instructions of the same block.
+fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
+    let code = &f.code;
+    let n = code.len();
+    // By target: the lowest and highest pc of a kept branch to it; by
+    // header, the last kept back jump to it; and by pc, the first kept
+    // backward branch at or after it.
+    let (mut lo, mut hi) = (vec![NONE; n + 1], vec![0u32; n + 1]);
+    let mut latch = vec![NONE; n];
+    let mut next_back = vec![NONE; n + 1];
+    for (pc, ins) in code.iter().enumerate().rev() {
+        next_back[pc] = next_back[pc + 1];
+        if !keep[pc] {
+            continue;
+        }
+        let mut edge = |t: u32| {
+            lo[t as usize] = lo[t as usize].min(pc as u32);
+            hi[t as usize] = hi[t as usize].max(pc as u32);
+            if t as usize <= pc {
+                next_back[pc] = pc as u32;
+            }
+        };
+        match *ins {
+            Instr::Jmp(t) => {
+                edge(t);
+                if (t as usize) < pc && latch[t as usize] == NONE {
+                    latch[t as usize] = pc as u32;
+                }
+            }
+            Instr::Br { t, f, .. } => {
+                edge(t);
+                edge(f);
+            }
+            _ => {}
+        }
+    }
+
+    // By register: the last loop (numbered by header) that writes it,
+    // and how often it does.
+    let mut written = vec![NONE; f.regs.len()];
+    let mut writes = vec![0u32; f.regs.len()];
+    let mut loops = Vec::new();
+    // Innermost loops are disjoint, so what follows scans each pc once.
+    for (h, &e) in latch.iter().enumerate() {
+        if e == NONE || next_back[h] != e {
+            continue;
+        }
+        let e = e as usize;
+        let Some(k) = (h..e).find(|&pc| {
+            keep[pc] && matches!(code[pc], Instr::Jmp(_) | Instr::Br { .. } | Instr::Ret(_))
+        }) else {
+            continue;
+        };
+        let Instr::Br { t, f: exit, .. } = code[k] else {
+            continue;
+        };
+        let one_exit = t as usize == k + 1 && ((exit as usize) < h || exit as usize > e);
+        let one_entry = one_exit
+            && (h + 1..=e)
+                .all(|pc| lo[pc] == NONE || pc > k && lo[pc] as usize >= h && hi[pc] as usize <= e);
+        if !one_entry {
+            continue;
+        }
+
+        let id = h as u32;
+        for pc in h..=e {
+            if let Some(d) = code[pc].dst().filter(|_| keep[pc]) {
+                if written[d as usize] != id {
+                    written[d as usize] = id;
+                    writes[d as usize] = 0;
+                }
+                writes[d as usize] += 1;
+            }
+        }
+        let invariant = |ins: &Instr, written: &[u32]| {
+            let mut inv = is_pure(ins);
+            ins.for_each_source(|s| inv &= written[s as usize] != id);
+            inv
+        };
+
+        let mut test = Vec::new();
+        for pc in (h..k).filter(|&pc| keep[pc]) {
+            let ins = &code[pc];
+            match ins.dst() {
+                Some(d) if invariant(ins, &written) && writes[d as usize] == 1 => {
+                    written[d as usize] = NONE;
+                }
+                _ => test.push(ins.clone()),
+            }
+        }
+        test.push(code[k].clone());
+        let pure = test.iter().rev().skip(1).all(is_pure);
+        if !pure || test.len() > MAX_TEST {
+            continue;
+        }
+
+        let (mut hoisted, mut pre) = (Vec::new(), Vec::new());
+        let entry = blocks.block[k + 1];
+        for pc in (k + 1..e).take_while(|&pc| blocks.block[pc] == entry) {
+            let ins = &code[pc];
+            if !keep[pc] {
+                continue;
+            }
+            if ins.has_side_effects() {
+                break;
+            }
+            let can_fail = matches!(
+                ins,
+                Instr::Bin {
+                    op: BinOp::Div | BinOp::Rem,
+                    kind: PrimKind::Int | PrimKind::Long,
+                    ..
+                }
+            );
+            match ins.dst() {
+                Some(d)
+                    if !can_fail
+                        && invariant(ins, &written)
+                        && blocks.local[d as usize] == pc as u32 =>
+                {
+                    written[d as usize] = NONE;
+                    hoisted.push(pc as u32);
+                    pre.push(ins.clone());
+                }
+                _ => {}
+            }
+        }
+        loops.push(Rotation {
+            guard: k as u32,
+            body: k as u32 + 1,
+            latch: e as u32,
+            hoisted,
+            pre,
+            test,
+        });
+    }
+    loops
 }
 
 /// By block: is it on a cycle of the control-flow graph, i.e. in a
@@ -1426,6 +1877,132 @@ mod tests {
             "call should be inlined: {f:?}"
         );
         p.validate().unwrap();
+    }
+
+    fn bin(op: BinOp, dst: Reg, lhs: Reg, rhs: Reg) -> Instr {
+        Instr::Bin {
+            op,
+            kind: PrimKind::Int,
+            dst,
+            lhs,
+            rhs,
+        }
+    }
+
+    #[test]
+    fn cse_reads_a_recomputed_value_from_its_holder() {
+        // fn f(x, y) { (x * y) + (x * y) }
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32; 2], Some(Ty::I32), FuncKind::Host);
+        let (a, b, c) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(bin(BinOp::Mul, a, 0, 1));
+        fb.emit(bin(BinOp::Mul, b, 0, 1));
+        fb.emit(bin(BinOp::Add, c, a, b));
+        fb.emit(Instr::Ret(Some(c)));
+        let mut p = Program::default();
+        p.add_func(fb.finish().unwrap());
+        optimize(&mut p, OptConfig::standard());
+        let want = [
+            bin(BinOp::Mul, a, 0, 1),
+            bin(BinOp::Add, c, a, a),
+            Instr::Ret(Some(c)),
+        ];
+        assert_eq!(p.funcs[0].code, want);
+    }
+
+    /// `fn f(x, n, a) { acc = 0; for (i = 0; i < bound; i++) acc += x * x; }`
+    /// where `bound` is `n`, or with `pad` > 0 the last of `k1 = i + n`,
+    /// `k2 = k1 + n`, …, so `pad` lengthens the test without making it
+    /// invariant; with `reads_len` it is `a.length`.
+    fn counted_loop(pad: usize, reads_len: bool) -> Program {
+        let mut params = vec![Ty::I32; 2];
+        params.push(Ty::Arr(crate::ir::ElemTy::I32));
+        let mut fb = FuncBuilder::new("f", params, Some(Ty::I32), FuncKind::Host);
+        let r: Vec<Reg> = (0..4).map(|_| fb.reg(Ty::I32)).collect();
+        let (acc, i, one, t, c) = (r[0], r[1], r[2], r[3], fb.reg(Ty::Bool));
+        fb.emit(Instr::ConstI32(acc, 0));
+        fb.emit(Instr::ConstI32(i, 0));
+        fb.emit(Instr::ConstI32(one, 1));
+        let (head, body, exit) = (fb.label(), fb.label(), fb.label());
+        fb.bind(head);
+        let mut bound = 1;
+        if reads_len {
+            bound = fb.reg(Ty::I32);
+            fb.emit(Instr::ArrLen { arr: 2, dst: bound });
+        }
+        for k in 0..pad {
+            let next = fb.reg(Ty::I32);
+            fb.emit(bin(BinOp::Add, next, if k == 0 { i } else { bound }, 1));
+            bound = next;
+        }
+        fb.emit(bin(BinOp::Lt, c, i, bound));
+        fb.br(c, body, exit);
+        fb.bind(body);
+        fb.emit(bin(BinOp::Mul, t, 0, 0));
+        fb.emit(bin(BinOp::Add, acc, acc, t));
+        fb.emit(bin(BinOp::Add, i, i, one));
+        fb.jmp(head);
+        fb.bind(exit);
+        fb.emit(Instr::Ret(Some(acc)));
+        let mut p = Program::default();
+        p.add_func(fb.finish().unwrap());
+        p
+    }
+
+    /// The pcs of `f`'s backward `Jmp`s and `Br`s.
+    fn back_edges(f: &Function) -> (Vec<usize>, Vec<usize>) {
+        let (mut jmps, mut brs) = (Vec::new(), Vec::new());
+        for (pc, ins) in f.code.iter().enumerate() {
+            match *ins {
+                Instr::Jmp(t) if t as usize <= pc => jmps.push(pc),
+                Instr::Br { t, .. } if t as usize <= pc => brs.push(pc),
+                _ => {}
+            }
+        }
+        (jmps, brs)
+    }
+
+    #[test]
+    fn rotation_copies_the_test_to_the_back_edge_and_hoists_invariants() {
+        let mut p = counted_loop(0, false);
+        optimize(&mut p, OptConfig::standard());
+        let f = &p.funcs[0];
+        let (jmps, brs) = back_edges(f);
+        assert!(jmps.is_empty() && brs.len() == 1, "{p}");
+        let Instr::Br { t: body, .. } = f.code[brs[0]] else {
+            unreachable!()
+        };
+        // The loop is `acc += t; i += 1; test`: `x * x` runs before it.
+        assert_eq!(brs[0] + 1 - body as usize, 4, "{p}");
+        let mul = f
+            .code
+            .iter()
+            .position(|i| matches!(i, Instr::Bin { op: BinOp::Mul, .. }));
+        assert!(mul.is_some_and(|pc| pc < body as usize), "{p}");
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn a_test_longer_than_max_test_is_not_copied() {
+        for pad in [MAX_TEST - 2, MAX_TEST - 1] {
+            let mut p = counted_loop(pad, false);
+            optimize(&mut p, OptConfig::standard());
+            let (jmps, brs) = back_edges(&p.funcs[0]);
+            // The test is `pad` adds, the compare and the `Br`.
+            let copied = pad + 2 <= MAX_TEST;
+            assert_eq!(
+                (jmps.len(), brs.len()),
+                (1 - copied as usize, copied as usize),
+                "{p}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_header_that_reads_memory_is_not_rotated() {
+        let mut p = counted_loop(0, true);
+        optimize(&mut p, OptConfig::standard());
+        let (jmps, brs) = back_edges(&p.funcs[0]);
+        assert_eq!((jmps.len(), brs.len()), (1, 0), "{p}");
     }
 
     #[test]

@@ -994,12 +994,21 @@ fn inline_is_linear() {
 /// last move at a join), branch to jumps, leave the body early, print,
 /// call the small function `g` and mix float and int zeros. Some read a
 /// register before anything wrote it, as a program that fails does;
-/// every level must fail alike.
+/// every level must fail alike. For the loop rewrites, bodies also
+/// compute invariant arithmetic (on `x`, on an outer loop's induction
+/// variable, on a register nothing writes), repeat a subexpression in one
+/// block (with an operand or the first result rewritten in between, or
+/// not), divide by an invariant zero in zero- and one-trip loops, and
+/// store ahead of an invariant instruction; and some headers print.
 struct LoopGen<'a> {
     rng: &'a mut Rng,
     fb: FuncBuilder,
     acc: Reg,
     g: nir::FuncId,
+    /// An int zero and a four-element int array, both defined before
+    /// the first loop.
+    zero: Reg,
+    arr: Reg,
 }
 
 impl LoopGen<'_> {
@@ -1028,7 +1037,9 @@ impl LoopGen<'_> {
         k
     }
 
-    fn counted_loop(&mut self, depth: usize) {
+    /// A loop counting `i` up to 0–3, inside the loop that counts
+    /// `outer` (`x` at the top level).
+    fn counted_loop(&mut self, depth: usize, outer: Reg) {
         let (i, n, c) = (
             self.fb.reg(Ty::I32),
             self.fb.reg(Ty::I32),
@@ -1045,6 +1056,9 @@ impl LoopGen<'_> {
             self.fb.label(),
         );
         self.fb.bind(head);
+        if self.rng.below(8) == 0 {
+            self.print(i);
+        }
         self.bin(BinOp::Lt, c, i, n);
         self.fb.br(c, body, exit);
         self.fb.bind(body);
@@ -1052,7 +1066,7 @@ impl LoopGen<'_> {
         // it reads: a zero-trip loop leaves it unwritten.
         let carried = (self.rng.below(8) == 0).then(|| self.literal());
         for _ in 0..1 + self.rng.below(4) {
-            self.step(depth, i, latch);
+            self.step(depth, i, outer, trips, latch);
         }
         self.fb.bind(latch);
         // The induction update through a temporary, its `1` a literal.
@@ -1074,8 +1088,16 @@ impl LoopGen<'_> {
         }
     }
 
-    fn step(&mut self, depth: usize, i: Reg, latch: nir::Label) {
-        match self.rng.below(13) {
+    fn print(&mut self, r: Reg) {
+        self.fb.emit(Instr::Intrin {
+            op: nir::IntrinOp::PrintI32,
+            args: vec![r],
+            dst: None,
+        });
+    }
+
+    fn step(&mut self, depth: usize, i: Reg, outer: Reg, trips: i32, latch: nir::Label) {
+        match self.rng.below(17) {
             0 | 1 => {
                 let k = self.literal();
                 let op = [BinOp::Add, BinOp::Mul, BinOp::Sub, BinOp::BitXor][self.rng.below(4)];
@@ -1090,14 +1112,8 @@ impl LoopGen<'_> {
                 let t = self.update(BinOp::Mul, k);
                 self.update(BinOp::Add, t);
             }
-            4 => {
-                self.fb.emit(Instr::Intrin {
-                    op: nir::IntrinOp::PrintI32,
-                    args: vec![self.acc],
-                    dst: None,
-                });
-            }
-            5 if depth < 2 => self.counted_loop(depth + 1),
+            4 => self.print(self.acc),
+            5 if depth < 2 => self.counted_loop(depth + 1, i),
             5 | 6 => {
                 // A diamond whose arms may leave for the latch (a branch to
                 // a jump, and a jump past live code).
@@ -1184,6 +1200,65 @@ impl LoopGen<'_> {
                 self.fb.bind(join);
                 self.fb.emit(Instr::Mov(self.acc, u));
             }
+            13 => {
+                // Arithmetic on `x`, on the outer induction variable, on
+                // this loop's (not invariant), or now and then on a
+                // register nothing writes.
+                let r = match self.rng.below(16) {
+                    0 => self.fb.reg(Ty::I32),
+                    1..=5 => 0,
+                    6..=10 => outer,
+                    _ => i,
+                };
+                let (k, t) = (self.literal(), self.fb.reg(Ty::I32));
+                let op = [BinOp::Mul, BinOp::Sub, BinOp::Shl][self.rng.below(3)];
+                self.bin(op, t, r, k);
+                self.update(BinOp::Add, t);
+            }
+            14 => {
+                // `acc & p` twice in one block; in between, maybe `acc` or
+                // the first result is rewritten.
+                let p = if self.rng.below(2) == 0 {
+                    0
+                } else {
+                    self.literal()
+                };
+                let (u, v) = (self.fb.reg(Ty::I32), self.fb.reg(Ty::I32));
+                self.bin(BinOp::BitAnd, u, self.acc, p);
+                match self.rng.below(3) {
+                    0 => {
+                        let k = self.literal();
+                        self.update(BinOp::Add, k);
+                    }
+                    1 => {
+                        let k = self.literal();
+                        self.bin(BinOp::Add, u, u, k);
+                    }
+                    _ => {}
+                }
+                self.bin(BinOp::BitAnd, v, self.acc, p);
+                let t = self.fb.reg(Ty::I32);
+                self.bin(BinOp::Add, t, u, v);
+                self.update(BinOp::Add, t);
+            }
+            15 if trips <= 1 && self.rng.below(2) == 0 => {
+                // Division by an invariant zero: a zero-trip loop never
+                // divides, a one-trip loop fails where it divides.
+                let q = self.fb.reg(Ty::I32);
+                self.bin(BinOp::Div, q, 0, self.zero);
+                self.update(BinOp::Add, q);
+            }
+            16 => {
+                // A store, then an invariant product.
+                self.fb.emit(Instr::StArr {
+                    arr: self.arr,
+                    idx: self.zero,
+                    src: self.acc,
+                });
+                let (k, t) = (self.literal(), self.fb.reg(Ty::I32));
+                self.bin(BinOp::Mul, t, 0, k);
+                self.update(BinOp::Add, t);
+            }
             _ => {
                 let k = self.literal();
                 self.update(BinOp::Add, k);
@@ -1224,11 +1299,26 @@ fn loop_program(rng: &mut Rng) -> Program {
     let g = p.add_func(gb.finish().unwrap());
 
     let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
-    let acc = fb.reg(Ty::I32);
+    let (acc, zero, four) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
+    let arr = fb.reg(Ty::Arr(nir::ElemTy::I32));
     fb.emit(Instr::Mov(acc, 0));
-    let mut gen = LoopGen { rng, fb, acc, g };
+    fb.emit(Instr::ConstI32(zero, 0));
+    fb.emit(Instr::ConstI32(four, 4));
+    fb.emit(Instr::NewArr {
+        elem: nir::ElemTy::I32,
+        len: four,
+        dst: arr,
+    });
+    let mut gen = LoopGen {
+        rng,
+        fb,
+        acc,
+        g,
+        zero,
+        arr,
+    };
     for _ in 0..1 + gen.rng.below(2) {
-        gen.counted_loop(0);
+        gen.counted_loop(0, 0);
     }
     let mut fb = gen.fb;
     fb.emit(Instr::Ret(Some(acc)));
@@ -1250,13 +1340,50 @@ fn loop_program(rng: &mut Rng) -> Program {
     p
 }
 
-/// What a run shows: the entry's result, or `None` if it failed (the
-/// error names pcs, which optimization moves), and what it printed; and
-/// the instructions it retired.
-fn observe(p: &Program, arg: i32) -> ((Option<Option<exec::Val>>, Vec<String>), u64) {
+/// What a run shows: the entry's result, or why it failed (not where:
+/// optimization moves pcs), and what it printed; and the instructions it
+/// retired.
+type Observed = (Result<Option<exec::Val>, String>, Vec<String>);
+
+fn observe(p: &Program, arg: i32) -> (Observed, u64) {
     let mut m = exec::Machine::new();
     let result = exec::run_to_completion(p, p.entry.unwrap(), vec![exec::Val::I32(arg)], &mut m);
-    ((result.ok(), m.output), m.counters.instrs)
+    ((result.map_err(|e| e.message), m.output), m.counters.instrs)
+}
+
+/// Which loop rewrites `opt` shows, optimized from `base` under
+/// `standard()`: common subexpressions (fewer `BitAnd`s, which only the
+/// generator's repeated subexpression uses), rotation (a branch back),
+/// and hoisting (a preheader: instructions between a guard `Br` that
+/// falls into them and the body its loop branches back to, both with
+/// the same exit).
+fn rewrites(base: &nir::Function, opt: &nir::Function) -> [bool; 3] {
+    let ands = |f: &nir::Function| {
+        f.code
+            .iter()
+            .filter(|i| {
+                matches!(
+                    i,
+                    Instr::Bin {
+                        op: BinOp::BitAnd,
+                        ..
+                    }
+                )
+            })
+            .count()
+    };
+    let backs: Vec<(usize, u32, u32)> = (opt.code.iter().enumerate())
+        .filter_map(|(pc, ins)| match *ins {
+            Instr::Br { t, f, .. } if (t as usize) <= pc => Some((pc, t, f)),
+            _ => None,
+        })
+        .collect();
+    let hoisted = backs.iter().any(|&(_, body, exit)| {
+        opt.code[..body as usize].iter().enumerate().any(|(pc, ins)| {
+            matches!(*ins, Instr::Br { t, f, .. } if t as usize == pc + 1 && t < body && f == exit)
+        })
+    });
+    [ands(opt) < ands(base), !backs.is_empty(), hoisted]
 }
 
 /// Every level computes what the unoptimized program computes, prints
@@ -1266,11 +1393,12 @@ fn observe(p: &Program, arg: i32) -> ((Option<Option<exec::Val>>, Vec<String>), 
 fn loop_cleanup_agrees_on_seeded_loop_programs() {
     let mut rng = Rng::new(0x0707_0041);
     let (mut base_instrs, mut opt_instrs, mut failing) = (0, 0, 0);
+    let mut fired = [0; 3];
     for case in 0..256 {
         let base = loop_program(&mut rng);
         let arg = rng.range_i32(-5, 6);
         let (want, instrs) = observe(&base, arg);
-        failing += usize::from(!matches!(want.0, Some(Some(exec::Val::I32(_)))));
+        failing += usize::from(!matches!(want.0, Ok(Some(exec::Val::I32(_)))));
         for config in [OptConfig::standard(), preset(), OptConfig::aggressive()] {
             let mut p = base.clone();
             nir::optimize(&mut p, config);
@@ -1289,11 +1417,21 @@ fn loop_cleanup_agrees_on_seeded_loop_programs() {
             if config == OptConfig::standard() {
                 base_instrs += instrs;
                 opt_instrs += i;
+                let entry = |p: &Program| p.funcs[p.entry.unwrap().0 as usize].clone();
+                for (n, hit) in fired.iter_mut().zip(rewrites(&entry(&base), &entry(&p))) {
+                    *n += usize::from(hit);
+                }
             }
         }
     }
-    // The generator reaches programs that fail, and most run clean.
+    // The generator reaches programs that fail, and most run clean; and
+    // it reaches each loop rewrite.
     assert!((1..64).contains(&failing), "{failing} of 256 programs fail");
+    let [cse, rotated, hoisted] = fired;
+    assert!(
+        cse > 0 && rotated > 0 && hoisted > 0,
+        "CSE fired in {cse} programs, rotation in {rotated}, hoisting in {hoisted}"
+    );
     assert!(
         opt_instrs * 5 < base_instrs * 4,
         "loop cleanup retired {opt_instrs} of {base_instrs} instructions"
@@ -1413,4 +1551,242 @@ fn cleanup_is_linear() {
         large < small * 24,
         "fold and dce took {small:?} on 4k loop blocks and {large:?} on 32k"
     );
+}
+
+// ---------------------------------------------------------------------
+// Loop rewrites: each safety rule against the program it protects
+// ---------------------------------------------------------------------
+
+/// `f(x)`: `acc = 0; zero = 0; for (i = 0; i < trips; i++) { body }`,
+/// then `return acc`. `body` gets the builder, `i` and `acc`, and emits
+/// the body's entry block (and more, if it branches).
+fn counted(trips: i32, body: impl FnOnce(&mut FuncBuilder, Reg, Reg)) -> Program {
+    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let r: Vec<Reg> = (0..4).map(|_| fb.reg(Ty::I32)).collect();
+    let (acc, i, n, one, c) = (r[0], r[1], r[2], r[3], fb.reg(Ty::Bool));
+    fb.emit(Instr::ConstI32(acc, 0));
+    fb.emit(Instr::ConstI32(i, 0));
+    fb.emit(Instr::ConstI32(n, trips));
+    fb.emit(Instr::ConstI32(one, 1));
+    let (head, entry, exit) = (fb.label(), fb.label(), fb.label());
+    fb.bind(head);
+    fb.emit(int(BinOp::Lt, c, i, n));
+    fb.br(c, entry, exit);
+    fb.bind(entry);
+    body(&mut fb, i, acc);
+    fb.emit(int(BinOp::Add, i, i, one));
+    fb.jmp(head);
+    fb.bind(exit);
+    fb.emit(Instr::Ret(Some(acc)));
+    let mut p = Program::default();
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    p.validate().unwrap();
+    p
+}
+
+fn int(op: BinOp, dst: Reg, lhs: Reg, rhs: Reg) -> Instr {
+    Instr::Bin {
+        op,
+        kind: PrimKind::Int,
+        dst,
+        lhs,
+        rhs,
+    }
+}
+
+/// `standard()` leaves what `p` shows on `x` as it was, and rotates its
+/// loop when `rotates` says so.
+fn assert_rewrites_agree(p: &Program, x: i32, rotates: bool, what: &str) {
+    let (want, _) = observe(p, x);
+    let mut opt = p.clone();
+    nir::optimize(&mut opt, OptConfig::standard());
+    opt.validate().unwrap();
+    let (got, _) = observe(&opt, x);
+    assert_eq!(got, want, "{what}:\n{p}\n{opt}");
+    let f = &opt.funcs[0];
+    let rotated = (f.code.iter().enumerate())
+        .any(|(pc, ins)| matches!(*ins, Instr::Br { t, .. } if t as usize <= pc));
+    assert_eq!(rotated, rotates, "{what}: rotated\n{opt}");
+}
+
+/// An int division by an invariant zero stays in the body. Hoisted, it
+/// would fail first, with its own error, ahead of the body's earlier
+/// failing read (caught: a scratch mutant that let `Div`/`Rem` hoist).
+#[test]
+fn a_hoisted_instruction_cannot_fail() {
+    let p = counted(1, |fb, i, acc| {
+        let (zero, w, q) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
+        let unwritten = fb.reg(Ty::I32);
+        fb.emit(Instr::ConstI32(zero, 0));
+        fb.emit(int(BinOp::Add, w, i, unwritten));
+        fb.emit(int(BinOp::Add, acc, acc, w));
+        fb.emit(int(BinOp::Div, q, 0, zero));
+        fb.emit(int(BinOp::Add, acc, acc, q));
+    });
+    let (want, _) = observe(&p, 7);
+    assert_eq!(want.0, Err("expected i32, found Unit".to_string()));
+    assert_rewrites_agree(&p, 7, true, "failing read, then a division by zero");
+}
+
+/// `i * x` is not invariant, however pure (caught: a scratch mutant that
+/// dropped the operand check); `x * x` is, and hoists.
+#[test]
+fn hoisting_needs_operands_the_loop_does_not_write() {
+    let p = counted(3, |fb, i, acc| {
+        let (s, t) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(int(BinOp::Mul, s, 0, 0));
+        fb.emit(int(BinOp::Mul, t, i, 0));
+        fb.emit(int(BinOp::Add, acc, acc, s));
+        fb.emit(int(BinOp::Add, acc, acc, t));
+    });
+    assert_rewrites_agree(&p, 5, true, "an induction-variable product");
+    let mut opt = p.clone();
+    nir::optimize(&mut opt, OptConfig::standard());
+    let muls = |f: &nir::Function| {
+        let back = (f.code.iter().enumerate())
+            .find_map(|(pc, i)| matches!(*i, Instr::Br { t, .. } if t as usize <= pc).then_some(pc))
+            .unwrap();
+        let Instr::Br { t: body, .. } = f.code[back] else {
+            unreachable!()
+        };
+        (f.code[body as usize..=back].iter())
+            .filter(|i| matches!(i, Instr::Bin { op: BinOp::Mul, .. }))
+            .count()
+    };
+    assert_eq!(muls(&opt.funcs[0]), 1, "only `x * x` hoists:\n{opt}");
+}
+
+/// `t` is read before the body writes it, so the first iteration reads
+/// the value from before the loop (caught: a scratch mutant that dropped
+/// the same-block rule for the destination).
+#[test]
+fn hoisting_needs_a_block_local_destination() {
+    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let r: Vec<Reg> = (0..5).map(|_| fb.reg(Ty::I32)).collect();
+    let (acc, i, n, one, t, c) = (r[0], r[1], r[2], r[3], r[4], fb.reg(Ty::Bool));
+    fb.emit(Instr::ConstI32(acc, 0));
+    fb.emit(Instr::ConstI32(i, 0));
+    fb.emit(Instr::ConstI32(n, 2));
+    fb.emit(Instr::ConstI32(one, 1));
+    fb.emit(Instr::ConstI32(t, 1));
+    let (head, body, exit) = (fb.label(), fb.label(), fb.label());
+    fb.bind(head);
+    fb.emit(int(BinOp::Lt, c, i, n));
+    fb.br(c, body, exit);
+    fb.bind(body);
+    fb.emit(int(BinOp::Add, acc, acc, t));
+    fb.emit(int(BinOp::Mul, t, 0, 0));
+    fb.emit(int(BinOp::Add, i, i, one));
+    fb.jmp(head);
+    fb.bind(exit);
+    fb.emit(Instr::Ret(Some(acc)));
+    let mut p = Program::default();
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    assert_eq!(observe(&p, 3).0 .0, Ok(Some(exec::Val::I32(10))));
+    assert_rewrites_agree(&p, 3, true, "a read before the body's write");
+}
+
+/// A print ahead of an invariant instruction that fails keeps it in the
+/// body: the program prints, then fails (caught: a scratch mutant that
+/// hoisted past side effects).
+#[test]
+fn nothing_effectful_precedes_a_hoisted_instruction() {
+    let p = counted(1, |fb, _, acc| {
+        let (t, unwritten) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(Instr::Intrin {
+            op: nir::IntrinOp::PrintI32,
+            args: vec![acc],
+            dst: None,
+        });
+        fb.emit(int(BinOp::Mul, t, unwritten, 0));
+        fb.emit(int(BinOp::Add, acc, acc, t));
+    });
+    let (want, _) = observe(&p, 2);
+    assert_eq!(want.1.len(), 1, "the original prints before it fails");
+    assert_rewrites_agree(&p, 2, true, "a print, then a failing product");
+}
+
+/// A remembered `a * b` is forgotten when `a` is written (caught: a
+/// scratch mutant that skipped the operand check) or when the register
+/// holding it is (caught: one that skipped the holder check).
+#[test]
+fn cse_forgets_values_whose_holder_or_operand_is_written() {
+    for rewrite_operand in [true, false] {
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32, Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let (u, v, r) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(int(BinOp::Mul, u, 0, 1));
+        if rewrite_operand {
+            fb.emit(int(BinOp::Add, 0, 0, 1));
+        } else {
+            fb.emit(int(BinOp::Add, u, u, 1));
+        }
+        fb.emit(int(BinOp::Mul, v, 0, 1));
+        fb.emit(int(BinOp::Add, r, u, v));
+        fb.emit(Instr::Ret(Some(r)));
+        let mut p = Program::default();
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+        let (want, _, _) = run_entry(&p, &[3, 4, 0]);
+        let mut opt = p.clone();
+        nir::optimize(&mut opt, OptConfig::standard());
+        let (got, _, _) = run_entry(&opt, &[3, 4, 0]);
+        assert_eq!(got, want, "operand rewritten: {rewrite_operand}\n{opt}");
+    }
+}
+
+/// A branch from before the loop into its body's second block makes it
+/// a loop with two entries: the one past the header would skip a
+/// preheader, and the `x * 2` hoisted there (caught: a scratch mutant
+/// that dropped the single-entry check).
+#[test]
+fn rotation_needs_one_entry() {
+    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let r: Vec<Reg> = (0..6).map(|_| fb.reg(Ty::I32)).collect();
+    let (acc, i, n, one, zero, t) = (r[0], r[1], r[2], r[3], r[4], r[5]);
+    let (c0, c) = (fb.reg(Ty::Bool), fb.reg(Ty::Bool));
+    fb.emit(Instr::ConstI32(acc, 0));
+    fb.emit(Instr::ConstI32(i, 0));
+    fb.emit(Instr::ConstI32(n, 3));
+    fb.emit(Instr::ConstI32(one, 1));
+    fb.emit(Instr::ConstI32(zero, 0));
+    let (head, body, mid, exit) = (fb.label(), fb.label(), fb.label(), fb.label());
+    fb.emit(int(BinOp::Gt, c0, 0, zero));
+    fb.br(c0, mid, head);
+    fb.bind(head);
+    fb.emit(int(BinOp::Lt, c, i, n));
+    fb.br(c, body, exit);
+    fb.bind(body);
+    fb.emit(int(BinOp::Mul, t, 0, 0));
+    fb.emit(int(BinOp::Add, acc, acc, t));
+    fb.bind(mid);
+    fb.emit(int(BinOp::Add, i, i, one));
+    fb.jmp(head);
+    fb.bind(exit);
+    fb.emit(Instr::Ret(Some(acc)));
+    let mut p = Program::default();
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    p.validate().unwrap();
+    for x in [-2, 2] {
+        assert_rewrites_agree(&p, x, false, "a second entry");
+    }
+}
+
+/// Rotation saves the back jump on every iteration and hoisting saves the
+/// invariant product on every iteration after the first; a zero-trip loop
+/// runs its guard and nothing else, as the test at its top did.
+#[test]
+fn rotation_and_hoisting_cost_nothing_on_a_zero_trip_loop() {
+    for trips in 0..4 {
+        let p = counted(trips, |fb, _, acc| {
+            let t = fb.reg(Ty::I32);
+            fb.emit(int(BinOp::Mul, t, 0, 0));
+            fb.emit(int(BinOp::Add, acc, acc, t));
+        });
+        let (want, base) = observe(&p, 6);
+        let mut opt = p.clone();
+        nir::optimize(&mut opt, OptConfig::standard());
+        let (got, retired) = observe(&opt, 6);
+        assert_eq!(got, want);
+        let saved = (2 * trips - 1).max(0) as u64;
+        assert_eq!(base - retired, saved, "{trips} trips:\n{opt}");
+    }
 }
