@@ -190,7 +190,7 @@ fn cases() -> Vec<Case> {
             method: "invoke",
             args: [8, 8, 8, 2].map(Value::Int).to_vec(),
             options: JitOptions::wootinj,
-            pinned: (31783, 37643, "Done(Some(F32(240.84772)))"),
+            pinned: (26759, 32619, "Done(Some(F32(240.84772)))"),
         },
         Case {
             name: "fox-matmul",
@@ -202,7 +202,7 @@ fn cases() -> Vec<Case> {
             method: "start",
             args: vec![Value::Int(12)],
             options: JitOptions::wootinj,
-            pinned: (33385, 39366, "Done(Some(F32(2.984375)))"),
+            pinned: (22784, 28765, "Done(Some(F32(2.984375)))"),
         },
         Case {
             name: "ring",
@@ -211,7 +211,7 @@ fn cases() -> Vec<Case> {
             method: "run",
             args: [64, 6].map(Value::Int).to_vec(),
             options: JitOptions::wootinj,
-            pinned: (3293, 4296, "Done(Some(F32(0.0)))"),
+            pinned: (2782, 3785, "Done(Some(F32(0.0)))"),
         },
         Case {
             name: "stencil-virtual",
@@ -220,7 +220,7 @@ fn cases() -> Vec<Case> {
             method: "invoke",
             args: [6, 6, 6, 2].map(Value::Int).to_vec(),
             options: JitOptions::cpp,
-            pinned: (14737, 24356, "Done(Some(F32(101.71479)))"),
+            pinned: (13223, 22842, "Done(Some(F32(101.71479)))"),
         },
     ]
 }

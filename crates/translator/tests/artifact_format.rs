@@ -240,25 +240,25 @@ fn compile_path_output_is_pinned() {
         (
             "diffusion",
             diffusion,
-            (0xe92d_9206_15af_c331, 171),
-            (0x4e6d_704d_033f_1c7b, 294),
-            (0x4e6d_704d_033f_1c7b, 294),
+            (0xb02f_86ef_2560_0d91, 172),
+            (0x9a56_f497_a9ac_d105, 296),
+            (0x9a56_f497_a9ac_d105, 296),
         ),
         (
             "matmul-fox",
             matmul_fox,
-            (0x5d7c_283a_21fa_b4b6, 158),
-            (0x2a1f_37c8_735f_f654, 230),
-            (0x2a1f_37c8_735f_f654, 230),
+            (0xd2ea_789f_343b_8ad4, 157),
+            (0x6408_bd1d_f569_8cf6, 225),
+            (0x6408_bd1d_f569_8cf6, 225),
         ),
         // Fully flattened already: `aggressive()` finds nothing to inline
         // or scalar-replace, so every level pins the same program.
         (
             "pipeline8",
             pipeline8,
-            (0x70a0_9b04_efc7_8add, 10810),
-            (0x70a0_9b04_efc7_8add, 10810),
-            (0x70a0_9b04_efc7_8add, 10810),
+            (0xca8c_6036_d129_bfe1, 7882),
+            (0xca8c_6036_d129_bfe1, 7882),
+            (0xca8c_6036_d129_bfe1, 7882),
         ),
     ];
     let mut moved = Vec::new();
