@@ -35,6 +35,14 @@ use jlang::types::PrimKind;
 
 use crate::ir::{FuncKind, Function, Instr, Program, Reg};
 
+/// The revision of what [`optimize`] makes of a program. Artifact cache
+/// keys mix it into their fingerprint, so a disk store or `jitd` root
+/// filled by another revision misses instead of serving that revision's
+/// code. Bump when `compile_path_output_is_pinned` moves. Revision 1 is
+/// every optimizer before block-local CSE and loop rotation; its keys
+/// carry no revision.
+pub const REVISION: u32 = 2;
+
 /// Optimizer configuration; maps onto the compiler-option rows of
 /// Tables 1 and 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -235,6 +235,9 @@ pub struct CacheKey {
     /// Source fingerprint (see [`CacheKey::with_source_fingerprint`]).
     /// Zero means "no source revisioning" — the legacy namespace.
     source: u64,
+    /// The optimizer that produces the artifact, [`nir::opt::REVISION`]:
+    /// a store filled by another one misses instead of serving its code.
+    opt_revision: u32,
 }
 
 impl CacheKey {
@@ -249,6 +252,7 @@ impl CacheKey {
             hosts,
             salt: 0,
             source: 0,
+            opt_revision: nir::opt::REVISION,
         }
     }
 
@@ -258,7 +262,7 @@ impl CacheKey {
     /// `<fingerprint>.wckpt` world checkpoint, whose topology is
     /// platform-shaped), so per-platform keys keep them from clobbering
     /// each other. Salt 0 is the unscoped/portable key and leaves the
-    /// fingerprint exactly as before — existing stores stay warm.
+    /// fingerprint what it is without a salt.
     pub fn with_platform_salt(mut self, salt: u64) -> Self {
         self.salt = salt;
         self
@@ -274,9 +278,8 @@ impl CacheKey {
     /// (whitespace- and comment-insensitive). Entry specs only capture
     /// shapes, so without this a `jit` after `edit` could serve code
     /// translated from the previous revision. Zero — the value used by
-    /// every non-incremental environment — leaves the fingerprint
-    /// byte-identical to the legacy encoding, so existing disk and
-    /// shared stores stay warm across the upgrade.
+    /// every non-incremental environment — leaves the fingerprint what it
+    /// is without a source fingerprint.
     pub fn with_source_fingerprint(mut self, fp: u64) -> Self {
         self.source = fp;
         self
@@ -293,10 +296,10 @@ impl CacheKey {
     }
 
     /// A stable string id for this key, usable as a filename or wire id.
-    /// Derived from the canonical byte encoding of spec + config + hosts,
-    /// digested twice with independent seeds (128 bits total), and
-    /// prefixed with the artifact format version so stores never mix
-    /// incompatible layouts. Equal keys fingerprint equally across
+    /// Derived from the canonical byte encoding of spec + config + hosts
+    /// and the optimizer revision, digested twice with independent seeds
+    /// (128 bits total), and prefixed with the artifact format version so
+    /// stores never mix incompatible layouts. Equal keys fingerprint equally across
     /// processes; the encoding (not Rust's `Hash`) is the source of
     /// stability.
     pub fn fingerprint(&self) -> String {
@@ -304,18 +307,20 @@ impl CacheKey {
         self.spec.put(&mut w);
         self.config.put(&mut w);
         self.hosts.put(&mut w);
-        // Salt 0 stays out of the digest so unscoped fingerprints (and
-        // the artifacts persisted under them) are unchanged.
+        // Salt 0 stays out of the digest, so an unscoped key digests only
+        // what it has.
         if self.salt != 0 {
             w.u64(self.salt);
         }
         // Likewise source revision 0. The tag byte keeps a salted key
         // from ever colliding with a source-fingerprinted one (the salt
-        // extends the stream by 8 bytes, this by 9).
+        // extends the stream by 8 bytes, this by 9; the revision that
+        // ends every stream by 4).
         if self.source != 0 {
             w.u8(2);
             w.u64(self.source);
         }
+        w.u32(self.opt_revision);
         let bytes = w.into_bytes();
         let a = codec::digest64(&bytes, 0x9E37_79B9_7F4A_7C15);
         let b = codec::digest64(&bytes, 0xC2B2_AE3D_27D4_EB4F);
@@ -364,6 +369,15 @@ mod tests {
         // Stable across calls and usable as a filename.
         assert_eq!(fp, base.fingerprint());
         assert!(fp.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'));
+    }
+
+    #[test]
+    fn the_optimizer_revision_scopes_the_fingerprint() {
+        let key = CacheKey::new(opaque(1, 0, 2), TransConfig::full(), vec!["ffi.a".into()]);
+        let mut older = key.clone();
+        older.opt_revision -= 1;
+        assert_ne!(key, older);
+        assert_ne!(key.fingerprint(), older.fingerprint());
     }
 
     #[test]
