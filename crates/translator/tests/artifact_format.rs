@@ -289,7 +289,8 @@ fn compile_path_output_is_pinned() {
 /// already on disk. One key per encoding branch: an opaque spec with
 /// unsorted hosts, a shaped spec with nested objects and no receiver,
 /// each `TransConfig` preset and the `JitOptions::wootinj()` config, a
-/// platform salt, and a source fingerprint.
+/// platform salt, and a source fingerprint. Every key mixes in
+/// `nir::opt::REVISION`, so all of them move when it is bumped.
 #[test]
 fn cache_key_fingerprints_are_pinned() {
     use jlang::types::{ClassId, PrimKind};
@@ -360,15 +361,15 @@ fn cache_key_fingerprints_are_pinned() {
         ),
     ];
     let pinned = [
-        "wj01-eda9fca296a94b1b511ca939d18c7ee4",
-        "wj01-5d75b5adc18253bafb525d06c48410eb",
-        "wj01-fd9b8314618405fa6cfafcb2e218c572",
-        "wj01-6f86d7bea24d75b11e5ec4cde0475493",
-        "wj01-a60c562d889206d3175dcb549af89baa",
-        "wj01-b8476cae537527a627da25735635b52f",
-        "wj01-e4c08fea94bb74c8b0e957a2bd94fe9e",
-        "wj01-0b93a7d432569666b2d3d6cd73d135a1",
-        "wj01-0529e53ad6cb6dec0a736e61fbacaf9c",
+        "wj01-eb249e3263fad1ace7488ec8ffe5aa43",
+        "wj01-112a1b491559c83600b66d8d35c1f88b",
+        "wj01-9fb6e773067a29dfca60a12cfe380a25",
+        "wj01-569d7c4d0ae7bc0036194b466b367e44",
+        "wj01-8ea96b170ff71d29d5cc30824e2395ef",
+        "wj01-cf08b470ba200ff2fd76a94bce951872",
+        "wj01-27958b1a0b2b8e36fca24786d6bc5048",
+        "wj01-1d666290b2319c9bee7bfceaec265817",
+        "wj01-7dc8b8f28f7e12ac7c027c63ece30a4d",
     ];
     let mut moved = Vec::new();
     for ((name, key), want) in keys.iter().zip(pinned) {
