@@ -51,6 +51,56 @@ pub enum Val {
     Unit,
 }
 
+/// `MinF32` as Java's `Math.min(float, float)`: a NaN operand is the
+/// result (the first if both are), and −0.0 is below +0.0 (`f32::min`
+/// drops a NaN and orders the zeros either way). The `jvm` crate's
+/// `math.minf` implements the same rule on its own: it is the oracle.
+#[inline]
+fn min_f32(a: f32, b: f32) -> f32 {
+    match (a.is_nan(), b.is_nan()) {
+        (true, _) => a,
+        (_, true) => b,
+        _ if a == b => {
+            if a.is_sign_negative() {
+                a
+            } else {
+                b
+            }
+        }
+        _ => {
+            if a < b {
+                a
+            } else {
+                b
+            }
+        }
+    }
+}
+
+/// `MaxF32` as Java's `Math.max(float, float)`: as [`min_f32`], with
+/// +0.0 above −0.0.
+#[inline]
+fn max_f32(a: f32, b: f32) -> f32 {
+    match (a.is_nan(), b.is_nan()) {
+        (true, _) => a,
+        (_, true) => b,
+        _ if a == b => {
+            if a.is_sign_negative() {
+                b
+            } else {
+                a
+            }
+        }
+        _ => {
+            if a > b {
+                a
+            } else {
+                b
+            }
+        }
+    }
+}
+
 /// The tag-mismatch error every typed operand check raises.
 #[cold]
 #[inline(never)]
@@ -997,8 +1047,8 @@ pub fn run(
                 OpKind::AbsI32 => un!(I32 "i32" => I32, |x| x.wrapping_abs()),
                 OpKind::MinI32 => bin!(I32 "i32" => I32, |x, y| x.min(y)),
                 OpKind::MaxI32 => bin!(I32 "i32" => I32, |x, y| x.max(y)),
-                OpKind::MinF32 => bin!(F32 "f32" => F32, |x, y| x.min(y)),
-                OpKind::MaxF32 => bin!(F32 "f32" => F32, |x, y| x.max(y)),
+                OpKind::MinF32 => bin!(F32 "f32" => F32, |x, y| min_f32(x, y)),
+                OpKind::MaxF32 => bin!(F32 "f32" => F32, |x, y| max_f32(x, y)),
 
                 OpKind::CallHost
                 | OpKind::NewArr

@@ -7,7 +7,7 @@
 
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use nir::{FuncBuilder, FuncKind, Instr, Program, Ty};
+use nir::{FuncBuilder, FuncKind, Instr, IntrinOp, Program, Ty};
 
 /// Deterministic xorshift64* PRNG — same sequence on every run.
 struct Rng(u64);
@@ -162,6 +162,83 @@ fn float_to_int_cast_saturates_like_java() {
         let mut m = exec::Machine::new();
         let got = exec::run_to_completion(&p, id, vec![exec::Val::F64(x)], &mut m).unwrap();
         assert_eq!(got, Some(exec::Val::I32(x as i32)), "cast of {x}");
+    }
+}
+
+/// Java's float `Math.min`/`Math.max` on both sides: the `jvm`'s
+/// `math.minf`/`math.maxf` natives and the engine's `MinF32`/`MaxF32`,
+/// bit for bit, on NaNs (with payloads), signed zeros, infinities and
+/// ordinary pairs; and both as Java defines them where `f32::min`/`max`
+/// differ (caught: a scratch mutant that reverted either side to them).
+#[test]
+fn float_min_max_match_java_on_both_sides() {
+    let table = wootinj::build_table(&[(
+        "minmax.jl",
+        "final class MinMax {
+           static float lo(float a, float b) { return Math.minf(a, b); }
+           static float hi(float a, float b) { return Math.maxf(a, b); }
+         }",
+    )])
+    .unwrap();
+    let mut jvm = jvm::Jvm::new(&table).unwrap();
+    let mut java = |method: &str, a: f32, b: f32| {
+        let args = [jvm::Value::Float(a), jvm::Value::Float(b)];
+        match jvm.call_static("MinMax", method, &args) {
+            Ok(jvm::Value::Float(v)) => v.to_bits(),
+            other => panic!("{method}({a}, {b}): {other:?}"),
+        }
+    };
+    let engine = |op, a: f32, b: f32| {
+        let mut fb = FuncBuilder::new("f", vec![Ty::F32, Ty::F32], Some(Ty::F32), FuncKind::Host);
+        let dst = fb.reg(Ty::F32);
+        fb.emit(Instr::Intrin {
+            op,
+            args: vec![0, 1],
+            dst: Some(dst),
+        });
+        fb.emit(Instr::Ret(Some(dst)));
+        let mut p = Program::default();
+        let f = p.add_func(fb.finish().unwrap());
+        let mut m = exec::Machine::new();
+        let args = vec![exec::Val::F32(a), exec::Val::F32(b)];
+        match exec::run_to_completion(&p, f, args, &mut m) {
+            Ok(Some(exec::Val::F32(v))) => v.to_bits(),
+            other => panic!("{op:?}({a}, {b}): {other:?}"),
+        }
+    };
+    let nan = f32::from_bits(0x7fc0_0001);
+    let values = [
+        nan,
+        -f32::NAN,
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    for (op, method) in [(IntrinOp::MinF32, "lo"), (IntrinOp::MaxF32, "hi")] {
+        for a in values {
+            for b in values {
+                let (got, want) = (engine(op, a, b), java(method, a, b));
+                assert_eq!(
+                    got, want,
+                    "{op:?}({a:?}, {b:?}): engine {got:#x}, jvm {want:#x}"
+                );
+            }
+        }
+    }
+    // Where Rust's `f32::min`/`max` and Java's differ.
+    for (method, a, b, want) in [
+        ("lo", nan, 1.0, nan),
+        ("lo", 1.0, nan, nan),
+        ("lo", 0.0, -0.0, -0.0),
+        ("lo", -0.0, 0.0, -0.0),
+        ("hi", nan, -1.0, nan),
+        ("hi", -0.0, 0.0, 0.0),
+        ("hi", 0.0, -0.0, 0.0),
+    ] {
+        assert_eq!(java(method, a, b), want.to_bits(), "{method}({a:?}, {b:?})");
     }
 }
 

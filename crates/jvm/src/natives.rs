@@ -32,6 +32,35 @@ fn arg(args: &[Value], i: usize) -> Result<&Value, JvmError> {
         .ok_or_else(|| JvmError::new(format!("missing native argument {i}")))
 }
 
+/// Java's `Math.min(float, float)`: a NaN operand is the result (`a`
+/// if both are), and −0.0 is below +0.0. `f32::min` returns the other
+/// operand for a NaN and either zero for two zeros.
+fn java_min_f32(a: f32, b: f32) -> f32 {
+    if a.is_nan() {
+        a
+    } else if a == 0.0 && b == 0.0 && b.is_sign_negative() {
+        b
+    } else if a <= b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Java's `Math.max(float, float)`: as [`java_min_f32`], with +0.0 above
+/// −0.0.
+fn java_max_f32(a: f32, b: f32) -> f32 {
+    if a.is_nan() {
+        a
+    } else if a == 0.0 && b == 0.0 && a.is_sign_negative() {
+        b
+    } else if a >= b {
+        a
+    } else {
+        b
+    }
+}
+
 /// Register the standard native set on a fresh interpreter.
 pub fn register_defaults(jvm: &mut Jvm<'_>) {
     // ---------------- Math ----------------
@@ -112,7 +141,7 @@ pub fn register_defaults(jvm: &mut Jvm<'_>) {
         native(|_, a| {
             let x = arg(a, 0)?.as_f32().map_err(JvmError::new)?;
             let y = arg(a, 1)?.as_f32().map_err(JvmError::new)?;
-            Ok(Value::Float(x.min(y)))
+            Ok(Value::Float(java_min_f32(x, y)))
         }),
     );
     jvm.register_native(
@@ -120,7 +149,7 @@ pub fn register_defaults(jvm: &mut Jvm<'_>) {
         native(|_, a| {
             let x = arg(a, 0)?.as_f32().map_err(JvmError::new)?;
             let y = arg(a, 1)?.as_f32().map_err(JvmError::new)?;
-            Ok(Value::Float(x.max(y)))
+            Ok(Value::Float(java_max_f32(x, y)))
         }),
     );
 
