@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use jlang::ast::BinOp;
+use jlang::types::PrimKind;
 
 use crate::ir::{FuncKind, Function, Instr, IntrinOp, Program};
 
@@ -38,7 +39,10 @@ pub fn emit_c(p: &Program) -> String {
             )
         })
     });
-    out.push_str("#include <stdlib.h>\n#include <stdio.h>\n#include <math.h>\n");
+    out.push_str(
+        "#include <stdlib.h>\n#include <stdio.h>\n#include <math.h>\n\
+         #include <stdbool.h>\n#include <string.h>\n",
+    );
     if has_mpi {
         out.push_str("#include <mpi.h>\n");
     }
@@ -179,6 +183,21 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
         Instr::ConstF64(d, v) => format!("r{d} = {v:?};"),
         Instr::ConstBool(d, v) => format!("r{d} = {};", *v as i32),
         Instr::Mov(d, s) => format!("r{d} = r{s};"),
+        // C's `%` takes integers only; Java's float `%` is `fmod`'s.
+        Instr::Bin {
+            op: BinOp::Rem,
+            kind: kind @ (PrimKind::Float | PrimKind::Double),
+            dst,
+            lhs,
+            rhs,
+        } => {
+            let f = if *kind == PrimKind::Float {
+                "fmodf"
+            } else {
+                "fmod"
+            };
+            format!("r{dst} = {f}(r{lhs}, r{rhs});")
+        }
         Instr::Bin {
             op, dst, lhs, rhs, ..
         } => {
@@ -256,6 +275,12 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
                 | IntrinOp::BlockIdx(_)
                 | IntrinOp::BlockDim(_)
                 | IntrinOp::GridDim(_) => format!("r{d} = {};", op.c_name()),
+                // C has no integer `min`/`max`.
+                IntrinOp::MinI32 | IntrinOp::MaxI32 => {
+                    let cmp = if *op == IntrinOp::MinI32 { "<" } else { ">" };
+                    let (x, y) = (args[0], args[1]);
+                    format!("r{d} = r{x} {cmp} r{y} ? r{x} : r{y};")
+                }
                 IntrinOp::MpiRank => format!("MPI_Comm_rank(MPI_COMM_WORLD, &r{d});"),
                 IntrinOp::MpiSize => format!("MPI_Comm_size(MPI_COMM_WORLD, &r{d});"),
                 IntrinOp::MpiBarrier => "MPI_Barrier(MPI_COMM_WORLD);".to_string(),
@@ -344,7 +369,6 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
 mod tests {
     use super::*;
     use crate::ir::{ElemTy, FuncBuilder, FuncId, Ty};
-    use jlang::types::PrimKind;
 
     #[test]
     fn emits_listing5_like_structure() {
@@ -447,6 +471,63 @@ mod tests {
         let src = emit_c(&p);
         assert!(src.contains("goto L"), "{src}");
         assert!(src.contains("L1:;"), "{src}");
+    }
+
+    /// `fn f(a: ty, b: ty) -> ty { ins }` rendered, `ins` writing `r2`.
+    fn emit_one(ty: Ty, ins: Instr) -> String {
+        let mut fb = FuncBuilder::new("f", vec![ty, ty], Some(ty), FuncKind::Host);
+        let d = fb.reg(ty);
+        fb.emit(ins);
+        fb.emit(Instr::Ret(Some(d)));
+        let mut p = Program::default();
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+        p.validate().unwrap();
+        emit_c(&p)
+    }
+
+    #[test]
+    fn float_and_double_rem_render_as_fmod() {
+        for (ty, kind, want) in [
+            (Ty::F32, PrimKind::Float, "r2 = fmodf(r0, r1);"),
+            (Ty::F64, PrimKind::Double, "r2 = fmod(r0, r1);"),
+            (Ty::I32, PrimKind::Int, "r2 = r0 % r1;"),
+        ] {
+            let rem = Instr::Bin {
+                op: BinOp::Rem,
+                kind,
+                dst: 2,
+                lhs: 0,
+                rhs: 1,
+            };
+            let src = emit_one(ty, rem);
+            assert!(src.contains(want), "{src}");
+        }
+    }
+
+    #[test]
+    fn int_min_and_max_render_as_conditionals() {
+        for (op, want) in [
+            (IntrinOp::MinI32, "r2 = r0 < r1 ? r0 : r1;"),
+            (IntrinOp::MaxI32, "r2 = r0 > r1 ? r0 : r1;"),
+        ] {
+            let args = vec![0, 1];
+            let src = emit_one(
+                Ty::I32,
+                Instr::Intrin {
+                    op,
+                    args,
+                    dst: Some(2),
+                },
+            );
+            assert!(src.contains(want), "{src}");
+        }
+    }
+
+    #[test]
+    fn bool_and_memcpy_have_their_headers() {
+        let src = emit_one(Ty::Bool, Instr::Mov(2, 0));
+        assert!(src.contains("#include <stdbool.h>\n"), "{src}");
+        assert!(src.contains("#include <string.h>\n"), "{src}");
     }
 
     #[test]

@@ -155,7 +155,9 @@ pub enum IntrinOp {
 }
 
 impl IntrinOp {
-    /// The C spelling used by the source emitter.
+    /// The C spelling used by the source emitter (which renders
+    /// `MinI32`/`MaxI32` as conditional expressions: C has no integer
+    /// `min`/`max`).
     pub fn c_name(self) -> String {
         match self {
             IntrinOp::SqrtF64 => "sqrt".into(),
