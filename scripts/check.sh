@@ -34,10 +34,11 @@ echo "== translator tests again in release: the WJAR never-panic harness  =="
 echo "==   runs its release budget, with overflow checks off                =="
 cargo test --release --offline -q -p translator
 
-echo "== fold against its reference, optimized: the 4k-vs-32k scaling ratio  =="
-echo "==   is only meaningful with the optimizer on (the debug run above keeps =="
-echo "==   the differential half)                                              =="
-cargo test --release --offline -q -p nir --test opt_properties
+echo "== nir tests again in release: the 4k-vs-32k scaling ratios are only   =="
+echo "==   meaningful with the optimizer on (the debug run above keeps the     =="
+echo "==   differential half), and the optimizer's own unit tests run on the   =="
+echo "==   optimized build too                                                 =="
+cargo test --release --offline -q -p nir
 
 echo "== workspace tests again on real OS threads (WJ_EXECUTOR=threads; =="
 echo "==   every assertion must hold bit-for-bit)                       =="
