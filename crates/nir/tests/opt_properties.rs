@@ -1342,12 +1342,22 @@ fn loop_program(rng: &mut Rng) -> Program {
 
 /// What a run shows: the entry's result, or why it failed (not where:
 /// optimization moves pcs), and what it printed; and the instructions it
-/// retired.
+/// retired. A run that has not finished within a million instructions
+/// (the generated programs retire a few hundred) fails as "out of fuel",
+/// so a rewrite that spins fails its test instead of hanging it.
 type Observed = (Result<Option<exec::Val>, String>, Vec<String>);
 
 fn observe(p: &Program, arg: i32) -> (Observed, u64) {
     let mut m = exec::Machine::new();
-    let result = exec::run_to_completion(p, p.entry.unwrap(), vec![exec::Val::I32(arg)], &mut m);
+    let mut run = || {
+        let image = exec::Image::build(p)?;
+        let mut thread = exec::Thread::new(p, p.entry.unwrap(), &[exec::Val::I32(arg)])?;
+        match exec::run(&mut thread, &image, &mut m, 1 << 20)? {
+            exec::Yield::Done(v) => Ok(v),
+            other => Err(exec::ExecError::msg(format!("stopped: {other:?}"))),
+        }
+    };
+    let result = run();
     ((result.map_err(|e| e.message), m.output), m.counters.instrs)
 }
 
