@@ -27,6 +27,7 @@
 //! iteration changes, and jumps back to its test.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -617,7 +618,7 @@ fn const_bits(ins: &Instr) -> Option<(u8, u64)> {
 /// has been written since. Each write stamps its register, so a check
 /// costs the operand count, not the block so far.
 struct Cse {
-    seen: HashMap<Expr, (Reg, u32)>,
+    seen: HashMap<Expr, (Reg, u32), BuildHasherDefault<ExprHasher>>,
     /// By register: one past the pc of its last write (0: none yet).
     stamp: Vec<u32>,
     /// One past the pc of the current block's leader.
@@ -627,7 +628,7 @@ struct Cse {
 impl Cse {
     fn new(regs: usize) -> Self {
         Cse {
-            seen: HashMap::new(),
+            seen: HashMap::default(),
             stamp: vec![0; regs],
             block: 0,
         }
@@ -663,6 +664,45 @@ impl Cse {
         if let Some(e) = expr.filter(|_| !reads_dst) {
             self.seen.insert(e, (d, at));
         }
+    }
+}
+
+/// A multiply-rotate hasher for [`Cse`]'s keys, which are a few small
+/// integers: SipHash's resistance to chosen keys buys nothing for a map
+/// filled from the optimizer's own input, and it made `fold` several
+/// times slower on long blocks.
+#[derive(Default)]
+struct ExprHasher(u64);
+
+impl Hasher for ExprHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
     }
 }
 
