@@ -26,6 +26,7 @@
 //! temporary, computes twice what it computed once, recomputes what no
 //! iteration changes, and jumps back to its test.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -410,6 +411,9 @@ fn local_fold(f: &mut Function, config: OptConfig) {
     } else {
         (Vec::new(), Vec::new())
     };
+    // For CSE, about how many instructions its table keys (pure
+    // intrinsics are counted with the rest), to size the table once.
+    let mut keyed = 0;
     let leader = leaders(&f.code, |ins| {
         if with_dce {
             match *ins {
@@ -423,6 +427,7 @@ fn local_fold(f: &mut Function, config: OptConfig) {
                     writes[dst as usize] += 1;
                     reads[lhs as usize] += 1;
                     reads[rhs as usize] += 1;
+                    keyed += 1;
                 }
                 Instr::ConstI32(d, _)
                 | Instr::ConstI64(d, _)
@@ -438,13 +443,20 @@ fn local_fold(f: &mut Function, config: OptConfig) {
                         writes[d as usize] += 1;
                     }
                     ins.for_each_source(|s| reads[s as usize] += 1);
+                    keyed += usize::from(matches!(
+                        ins,
+                        Instr::Neg { .. }
+                            | Instr::Not { .. }
+                            | Instr::Cast { .. }
+                            | Instr::Intrin { .. }
+                    ));
                 }
             }
         }
     });
 
     let mut facts = Facts::new(f.regs.len());
-    let mut cse = with_dce.then(|| Cse::new(f.regs.len()));
+    let mut cse = with_dce.then(|| Cse::new(f.regs.len(), keyed));
     for pc in 0..f.code.len() {
         if leader[pc] {
             facts.start_block();
@@ -480,17 +492,6 @@ fn local_fold(f: &mut Function, config: OptConfig) {
             }
         }
 
-        // A value some register still holds: read it from there.
-        let mut expr = None;
-        if let Some(cse) = &cse {
-            expr = Expr::of(&f.code[pc], &facts);
-            if let Some(h) = expr.and_then(|e| cse.holder(e, &f.code[pc], &facts)) {
-                let d = f.code[pc].dst().expect("a pure instruction has a dst");
-                f.code[pc] = Instr::Mov(d, h);
-                expr = None;
-            }
-        }
-
         // Coalesce before the `Mov` is seen: once it records `x` as a
         // copy of `t`, copy propagation would hand `t` to `x`'s readers.
         // A chain `t = op; u = t; x = u` (a spliced callee's result moved
@@ -504,6 +505,11 @@ fn local_fold(f: &mut Function, config: OptConfig) {
             *f.code[pc].dst_mut().expect("coalesces checked the dst") = x;
             f.code[next] = Instr::Mov(x, x);
             next += 1;
+        }
+
+        // A value some register still holds: read it from there.
+        if let Some(cse) = &mut cse {
+            cse.visit(pc, &mut f.code[pc], &facts);
         }
 
         // Update the facts from the (possibly rewritten) instruction.
@@ -524,9 +530,6 @@ fn local_fold(f: &mut Function, config: OptConfig) {
                     facts.forget(d);
                 }
             }
-        }
-        if let Some(cse) = &mut cse {
-            cse.record(pc, &f.code[pc], expr);
         }
     }
 }
@@ -626,9 +629,9 @@ struct Cse {
 }
 
 impl Cse {
-    fn new(regs: usize) -> Self {
+    fn new(regs: usize, keyed: usize) -> Self {
         Cse {
-            seen: HashMap::default(),
+            seen: HashMap::with_capacity_and_hasher(keyed, Default::default()),
             stamp: vec![0; regs],
             block: 0,
         }
@@ -638,32 +641,45 @@ impl Cse {
         self.block = pc as u32 + 1;
     }
 
-    /// The register that still holds `e`, which `ins` computes.
-    fn holder(&self, e: Expr, ins: &Instr, facts: &Facts) -> Option<Reg> {
-        let &(h, at) = self.seen.get(&e)?;
-        let mut fresh = at >= self.block && self.stamp[h as usize] == at;
-        ins.for_each_source(|s| {
-            fresh &= facts.const_of(s).is_some() || self.stamp[s as usize] < at;
-        });
-        fresh.then_some(h)
-    }
-
-    /// `ins`, at `pc`, has run: stamp what it wrote, and remember that it
-    /// computed `expr` unless it overwrote an operand of that.
-    fn record(&mut self, pc: usize, ins: &Instr, expr: Option<Expr>) {
+    /// `ins`, at `pc`, with `facts` as they stand before it: when a
+    /// register still holds what it computes, it becomes a `Mov` from
+    /// there; otherwise it is remembered, unless it overwrites one of its
+    /// own operands. Either way, what it writes is stamped.
+    fn visit(&mut self, pc: usize, ins: &mut Instr, facts: &Facts) {
         let Some(d) = ins.dst() else {
             return;
         };
-        if matches!(ins, Instr::Mov(d, s) if d == s) {
+        if matches!(*ins, Instr::Mov(d, s) if d == s) {
             return;
         }
         let at = pc as u32 + 1;
-        self.stamp[d as usize] = at;
-        let mut reads_dst = false;
-        ins.for_each_source(|s| reads_dst |= s == d);
-        if let Some(e) = expr.filter(|_| !reads_dst) {
-            self.seen.insert(e, (d, at));
+        if let Some(e) = Expr::of(ins, facts) {
+            let mut reads_dst = false;
+            ins.for_each_source(|s| reads_dst |= s == d);
+            match self.seen.entry(e) {
+                Entry::Occupied(mut seen) => {
+                    let (h, when) = *seen.get();
+                    let mut fresh = when >= self.block && self.stamp[h as usize] == when;
+                    ins.for_each_source(|s| {
+                        fresh &= facts.const_of(s).is_some() || self.stamp[s as usize] < when;
+                    });
+                    if fresh {
+                        *ins = Instr::Mov(d, h);
+                        if d == h {
+                            return;
+                        }
+                    } else if !reads_dst {
+                        seen.insert((d, at));
+                    }
+                }
+                Entry::Vacant(slot) => {
+                    if !reads_dst {
+                        slot.insert((d, at));
+                    }
+                }
+            }
         }
+        self.stamp[d as usize] = at;
     }
 }
 
@@ -1210,13 +1226,13 @@ fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
         };
         hoist.defs.push(pc as u32);
         match merged.entry(bits) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+            Entry::Occupied(e) => {
                 let rename = hoist
                     .rename
                     .get_or_insert_with(|| (0..f.regs.len() as Reg).collect());
                 rename[d as usize] = *e.get();
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert(d);
                 hoist.prefix.push(ins.clone());
             }
