@@ -1004,7 +1004,7 @@ fn dce(f: &mut Function) -> bool {
         let mut pc = end - after[t as usize];
         if let Some(&r) = slot.get(t as usize).filter(|&&r| r > 0) {
             let l = &loops[r as usize - 1];
-            if l.body == t && l.guard as usize != from {
+            if l.body == t && l.body as usize != from + 1 {
                 pc += l.pre.len() as u32;
             }
         }
@@ -1241,10 +1241,10 @@ fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
     hoist
 }
 
-/// One loop [`dce`] rotates: the header `h..=guard` ends in
-/// `Br { t: body, f: exit }`, and the back `Jmp(h)` at `latch` closes it.
+/// One loop [`dce`] rotates: the header ends in `Br { t: body, .. }` at
+/// `body - 1`, the loop's guard once rotated, and the back `Jmp` at
+/// `latch` closes it.
 struct Rotation {
-    guard: u32,
     body: u32,
     latch: u32,
     /// Pcs of the invariant instructions that move into the preheader.
@@ -1327,7 +1327,8 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
     }
 
     // By register: the last loop (numbered by header) that writes it,
-    // and how often it does.
+    // and how often it does; `NONE` again once it is left out of the test
+    // copy or hoisted, since the rotated loop no longer writes it.
     let mut written = vec![NONE; f.regs.len()];
     let mut writes = vec![0u32; f.regs.len()];
     let mut loops = Vec::new();
@@ -1417,7 +1418,6 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
             }
         }
         loops.push(Rotation {
-            guard: k as u32,
             body: k as u32 + 1,
             latch: e as u32,
             hoisted,
