@@ -470,7 +470,7 @@ mod tests {
     use nir::{ElemTy, FuncBuilder, FuncKind, Instr, IntrinOp, Program, Ty};
 
     /// Build a kernel: a[global_id] = a[global_id] * 2
-    fn scale_kernel(p: &mut Program) -> FuncId {
+    pub(super) fn scale_kernel(p: &mut Program) -> FuncId {
         let mut kb = FuncBuilder::new("scale", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
         let tid = kb.reg(Ty::I32);
         let bid = kb.reg(Ty::I32);
@@ -590,7 +590,7 @@ mod tests {
 
     /// Kernel with a shared-memory reversal: t writes s[t], barrier,
     /// t reads s[blockDim-1-t]. Fails without a correct barrier.
-    fn reverse_kernel(p: &mut Program) -> FuncId {
+    pub(super) fn reverse_kernel(p: &mut Program) -> FuncId {
         let mut kb = FuncBuilder::new("rev", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
         let tid = kb.reg(Ty::I32);
         let bdim = kb.reg(Ty::I32);
@@ -803,10 +803,9 @@ mod tests_3d {
     use jlang::types::PrimKind;
     use nir::{ElemTy, FuncBuilder, FuncKind, Instr, IntrinOp, Program, Reg, Ty};
 
-    /// Kernel writing a[linear(gid3)] = bx*100 + by*10 + bz + tz*0.5 over a
+    /// Kernel writing a[linear(gid3)] = bx*100 + by*10 + bz + tz over a
     /// 3-D grid of 3-D blocks, exercising the y/z coordinate registers.
-    #[test]
-    fn three_dimensional_launch_coordinates() {
+    pub(super) fn k3_kernel(p: &mut Program) -> FuncId {
         let mut kb = FuncBuilder::new("k3", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
         let bx = kb.reg(Ty::I32);
         let by = kb.reg(Ty::I32);
@@ -947,8 +946,13 @@ mod tests_3d {
             src: vf,
         });
         kb.emit(Instr::Ret(None));
+        p.add_func(kb.finish().unwrap())
+    }
+
+    #[test]
+    fn three_dimensional_launch_coordinates() {
         let mut p = Program::default();
-        let k = p.add_func(kb.finish().unwrap());
+        let k = k3_kernel(&mut p);
         p.validate().unwrap();
         let image = Image::build(&p).unwrap();
 
@@ -967,5 +971,345 @@ mod tests_3d {
         assert_eq!(o[0], 0.0);
         // Every cell written (no -1 left).
         assert!(o.iter().all(|v| *v >= 0.0), "{o:?}");
+    }
+}
+
+/// Every observable of a launch, pinned per kernel: the launch statistics,
+/// the device clock, the retired-instruction count, the output array and,
+/// on an armed device, the exact crash and the fault counters. A change to
+/// how blocks are run must leave all of them where they are.
+#[cfg(test)]
+mod pins {
+    use super::tests::{reverse_kernel, scale_kernel};
+    use super::tests_3d::k3_kernel;
+    use super::*;
+    use jlang::ast::BinOp;
+    use jlang::types::PrimKind;
+    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, IntrinOp, Program, Reg, Ty};
+
+    type Builder = fn(&mut Program) -> FuncId;
+
+    fn coord(kb: &mut FuncBuilder, op: IntrinOp) -> Reg {
+        let r = kb.reg(Ty::I32);
+        kb.emit(Instr::Intrin {
+            op,
+            args: vec![],
+            dst: Some(r),
+        });
+        r
+    }
+
+    fn int(kb: &mut FuncBuilder, op: BinOp, lhs: Reg, rhs: Reg) -> Reg {
+        let dst = kb.reg(Ty::I32);
+        kb.emit(Instr::Bin {
+            op,
+            kind: PrimKind::Int,
+            dst,
+            lhs,
+            rhs,
+        });
+        dst
+    }
+
+    fn konst(kb: &mut FuncBuilder, v: i32) -> Reg {
+        let r = kb.reg(Ty::I32);
+        kb.emit(Instr::ConstI32(r, v));
+        r
+    }
+
+    /// `(tid, gid, blockDim.x, shared[blockDim.x])` of a 1-D kernel.
+    fn prologue(kb: &mut FuncBuilder) -> (Reg, Reg, Reg, Reg) {
+        let tid = coord(kb, IntrinOp::ThreadIdx(0));
+        let bid = coord(kb, IntrinOp::BlockIdx(0));
+        let bdim = coord(kb, IntrinOp::BlockDim(0));
+        let base = int(kb, BinOp::Mul, bid, bdim);
+        let gid = int(kb, BinOp::Add, base, tid);
+        let sh = kb.reg(Ty::Arr(ElemTy::F32));
+        kb.emit(Instr::SharedAlloc {
+            elem: ElemTy::F32,
+            len: bdim,
+            dst: sh,
+        });
+        (tid, gid, bdim, sh)
+    }
+
+    /// Odd threads return before `__syncthreads`; even thread `t` then
+    /// reads the value even thread `(t + 2) % blockDim` staged in shared
+    /// memory. Only half of each block parks at the barrier.
+    fn odd_return_kernel(p: &mut Program) -> FuncId {
+        let mut kb = FuncBuilder::new("odd", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
+        let tid = coord(&mut kb, IntrinOp::ThreadIdx(0));
+        let one = konst(&mut kb, 1);
+        let zero = konst(&mut kb, 0);
+        let bit = int(&mut kb, BinOp::BitAnd, tid, one);
+        let odd = kb.reg(Ty::Bool);
+        kb.emit(Instr::Bin {
+            op: BinOp::Ne,
+            kind: PrimKind::Int,
+            dst: odd,
+            lhs: bit,
+            rhs: zero,
+        });
+        let leave = kb.label();
+        let stay = kb.label();
+        kb.br(odd, leave, stay);
+        kb.bind(leave);
+        kb.emit(Instr::Ret(None));
+        kb.bind(stay);
+        let (tid, gid, bdim, sh) = prologue(&mut kb);
+        let v = kb.reg(Ty::F32);
+        kb.emit(Instr::LdArr {
+            arr: 0,
+            idx: gid,
+            dst: v,
+        });
+        kb.emit(Instr::StArr {
+            arr: sh,
+            idx: tid,
+            src: v,
+        });
+        kb.emit(Instr::Sync);
+        let two = konst(&mut kb, 2);
+        let j = int(&mut kb, BinOp::Add, tid, two);
+        let j = int(&mut kb, BinOp::Rem, j, bdim);
+        kb.emit(Instr::LdArr {
+            arr: sh,
+            idx: j,
+            dst: v,
+        });
+        kb.emit(Instr::StArr {
+            arr: 0,
+            idx: gid,
+            src: v,
+        });
+        kb.emit(Instr::Ret(None));
+        p.add_func(kb.finish().unwrap())
+    }
+
+    /// Two barriers around two racy phases: thread `t` stages its value
+    /// in `shared[t]`, then after each barrier adds `shared[0]` to it and
+    /// stores the sum back in `shared[t]`. Thread 0 overwrites `shared[0]`
+    /// first when threads resume in position order, so what every other
+    /// thread adds — and the output — depends on that order in both
+    /// phases.
+    fn two_sync_kernel(p: &mut Program) -> FuncId {
+        let mut kb = FuncBuilder::new("two", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
+        let (tid, gid, _, sh) = prologue(&mut kb);
+        let v = kb.reg(Ty::F32);
+        kb.emit(Instr::LdArr {
+            arr: 0,
+            idx: gid,
+            dst: v,
+        });
+        kb.emit(Instr::StArr {
+            arr: sh,
+            idx: tid,
+            src: v,
+        });
+        let zero = konst(&mut kb, 0);
+        let w = kb.reg(Ty::F32);
+        for _ in 0..2 {
+            kb.emit(Instr::Sync);
+            kb.emit(Instr::LdArr {
+                arr: sh,
+                idx: zero,
+                dst: w,
+            });
+            kb.emit(Instr::Bin {
+                op: BinOp::Add,
+                kind: PrimKind::Float,
+                dst: v,
+                lhs: v,
+                rhs: w,
+            });
+            kb.emit(Instr::StArr {
+                arr: sh,
+                idx: tid,
+                src: v,
+            });
+        }
+        kb.emit(Instr::StArr {
+            arr: 0,
+            idx: gid,
+            src: v,
+        });
+        kb.emit(Instr::Ret(None));
+        p.add_func(kb.finish().unwrap())
+    }
+
+    /// `(blocks, threads, executed_cycles, kernel_time, gpu.vtime,
+    /// counters.instrs, output)` of one launch over `input`.
+    type Observed = (u64, u64, u64, u64, u64, u64, Vec<f32>);
+
+    fn observe(build: Builder, grid: [u32; 3], block: [u32; 3], input: Vec<f32>) -> Observed {
+        let mut p = Program::default();
+        let k = build(&mut p);
+        p.validate().unwrap();
+        let image = Image::build(&p).unwrap();
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let n = input.len();
+        let dev = gpu.copy_in(&ArrStore::F32(input)).unwrap();
+        let s = gpu
+            .launch(&image, k, grid, block, vec![Val::Arr(dev)])
+            .unwrap();
+        let mut out = ArrStore::F32(vec![0.0; n]);
+        gpu.copy_out(dev, &mut out).unwrap();
+        let ArrStore::F32(out) = out else {
+            unreachable!()
+        };
+        (
+            s.blocks,
+            s.threads,
+            s.executed_cycles,
+            s.kernel_time,
+            gpu.vtime,
+            gpu.machine.counters.instrs,
+            out,
+        )
+    }
+
+    /// The injected crash `(step, sm)`, the merged fault counters and the
+    /// instructions retired before it, of one launch on an armed device.
+    fn observe_armed(
+        build: Builder,
+        grid: [u32; 3],
+        block: [u32; 3],
+        n: usize,
+        fault: FaultConfig,
+    ) -> ((u64, u32), ResilienceStats, u64) {
+        let mut p = Program::default();
+        let k = build(&mut p);
+        let image = Image::build(&p).unwrap();
+        let mut gpu = Gpu::new(GpuConfig::default());
+        gpu.set_fault(fault);
+        let dev = gpu.copy_in(&ArrStore::F32(ramp(n))).unwrap();
+        let e = gpu
+            .launch(&image, k, grid, block, vec![Val::Arr(dev)])
+            .unwrap_err();
+        let GpuErrorKind::InjectedCrash { step, sm } = e.kind else {
+            panic!("expected an injected crash, got {e}");
+        };
+        ((step, sm), gpu.fault_stats(), gpu.machine.counters.instrs)
+    }
+
+    fn ramp(n: usize) -> Vec<f32> {
+        (0..n).map(|i| i as f32 + 1.0).collect()
+    }
+
+    #[test]
+    fn scale_is_pinned() {
+        assert_eq!(
+            observe(scale_kernel, [3, 1, 1], [4, 1, 1], ramp(10)),
+            (
+                3,
+                12,
+                454,
+                5001,
+                9011,
+                158,
+                vec![2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
+            )
+        );
+    }
+
+    #[test]
+    fn reverse_is_pinned() {
+        assert_eq!(
+            observe(reverse_kernel, [1, 1, 1], [5, 1, 1], ramp(5)),
+            (1, 5, 220, 5000, 9004, 60, vec![5.0, 4.0, 3.0, 2.0, 1.0])
+        );
+    }
+
+    #[test]
+    fn shared_per_block_is_pinned() {
+        assert_eq!(
+            observe(reverse_kernel, [2, 1, 1], [3, 1, 1], ramp(3)),
+            (2, 6, 264, 5000, 9002, 72, vec![1.0, 2.0, 3.0])
+        );
+    }
+
+    #[test]
+    fn three_dimensional_is_pinned() {
+        let low = [0, 1, 1, 2, 10, 11, 11, 12, 20, 21, 21, 22];
+        let high = low.map(|v| v + 100);
+        let want = low.iter().chain(&high).map(|&v| v as f32);
+        assert_eq!(
+            observe(k3_kernel, [2, 3, 2], [1, 1, 2], vec![-1.0; 24]),
+            (12, 24, 1608, 5003, 9027, 552, want.collect())
+        );
+    }
+
+    /// Half of each block parks: the barrier still costs the block size.
+    #[test]
+    fn odd_threads_returning_before_the_barrier_is_pinned() {
+        assert_eq!(
+            observe(odd_return_kernel, [2, 1, 1], [6, 1, 1], ramp(12)),
+            (
+                2,
+                12,
+                498,
+                5001,
+                9013,
+                168,
+                vec![3.0, 2.0, 5.0, 4.0, 1.0, 6.0, 9.0, 8.0, 11.0, 10.0, 7.0, 12.0]
+            )
+        );
+    }
+
+    /// Both phases after a barrier read what thread 0 wrote in them, so
+    /// the output pins the order parked threads are resumed in.
+    #[test]
+    fn two_barriers_are_pinned() {
+        assert_eq!(
+            observe(two_sync_kernel, [2, 1, 1], [4, 1, 1], ramp(8)),
+            (
+                2,
+                8,
+                520,
+                5001,
+                9009,
+                152,
+                vec![4.0, 8.0, 9.0, 10.0, 20.0, 36.0, 37.0, 38.0]
+            )
+        );
+    }
+
+    /// Crash draws fall at every yield point of every thread — coordinate
+    /// reads included — and fuel draws at every slice, in (block, thread)
+    /// order and then parked order; the crash each stream lands on pins
+    /// both.
+    #[test]
+    fn armed_launches_are_pinned() {
+        let fault = FaultConfig {
+            crash: 0.004,
+            fuel_exhaust: 0.3,
+            ..FaultConfig::seeded(4)
+        };
+        // (kernel, grid, block, array length, (step, sm, fuel exhaustions))
+        let cases = [
+            (
+                scale_kernel as Builder,
+                [8, 1, 1],
+                [32, 1, 1],
+                256,
+                (2564, 5, 60),
+            ),
+            (reverse_kernel, [8, 1, 1], [32, 1, 1], 32, (1682, 4, 117)),
+            (k3_kernel, [4, 4, 4], [1, 1, 2], 256, (601, 13, 9)),
+            (odd_return_kernel, [8, 1, 1], [16, 1, 1], 128, (1426, 6, 70)),
+            (two_sync_kernel, [8, 1, 1], [16, 1, 1], 128, (1653, 5, 95)),
+        ];
+        for (i, (build, grid, block, n, (step, sm, fuel))) in cases.into_iter().enumerate() {
+            let stats = ResilienceStats {
+                crashes: 1,
+                fuel_exhaustions: fuel,
+                ..ResilienceStats::default()
+            };
+            assert_eq!(
+                observe_armed(build, grid, block, n, fault),
+                ((step, sm), stats, step),
+                "case {i}"
+            );
+        }
     }
 }
