@@ -234,34 +234,40 @@ impl Gpu {
         self.machine.mem.free(h).map_err(GpuError::from)
     }
 
-    /// Read a float range from device memory (partial DtoH copy).
+    /// Read a float range from device memory (partial DtoH copy). The
+    /// range is checked before the copy is charged.
     pub fn read_range(&mut self, dev: u32, off: usize, len: usize) -> Result<Vec<f32>, GpuError> {
+        let out = match self.machine.mem.arr(dev)? {
+            ArrStore::F32(v) => off
+                .checked_add(len)
+                .and_then(|end| v.get(off..end))
+                .map(<[f32]>::to_vec)
+                .ok_or_else(|| err("device range read out of bounds"))?,
+            other => return Err(err(format!("range read on non-f32 device array {other:?}"))),
+        };
         self.vtime += self.copy_cost((len * 4) as u64);
-        match self.machine.mem.arr(dev)? {
-            ArrStore::F32(v) => v
-                .get(off..off + len)
-                .map(|s| s.to_vec())
-                .ok_or_else(|| err("device range read out of bounds")),
-            other => Err(err(format!("range read on non-f32 device array {other:?}"))),
-        }
+        Ok(out)
     }
 
-    /// Write a float range into device memory (partial HtoD copy).
+    /// Write a float range into device memory (partial HtoD copy). The
+    /// range is checked before the copy is charged.
     pub fn write_range(&mut self, dev: u32, off: usize, data: &[f32]) -> Result<(), GpuError> {
-        self.vtime += self.copy_cost((data.len() * 4) as u64);
         match self.machine.mem.arr_mut(dev)? {
             ArrStore::F32(v) => {
                 let n = v.len();
-                let tgt = v
-                    .get_mut(off..off + data.len())
-                    .ok_or_else(|| err(format!("device range write out of bounds (len {n})")))?;
-                tgt.copy_from_slice(data);
-                Ok(())
+                off.checked_add(data.len())
+                    .and_then(|end| v.get_mut(off..end))
+                    .ok_or_else(|| err(format!("device range write out of bounds (len {n})")))?
+                    .copy_from_slice(data);
             }
-            other => Err(err(format!(
-                "range write on non-f32 device array {other:?}"
-            ))),
+            other => {
+                return Err(err(format!(
+                    "range write on non-f32 device array {other:?}"
+                )))
+            }
         }
+        self.vtime += self.copy_cost((data.len() * 4) as u64);
+        Ok(())
     }
 
     /// Execute `kernel<<<grid, block>>>(args)` with barrier-correct
@@ -274,16 +280,19 @@ impl Gpu {
         block: [u32; 3],
         args: Vec<Val>,
     ) -> Result<LaunchStats, GpuError> {
-        let threads_per_block = (block[0] * block[1] * block[2]) as u64;
-        let n_blocks = (grid[0] * grid[1] * grid[2]) as u64;
-        if threads_per_block == 0 || n_blocks == 0 {
-            return Err(err("empty launch configuration"));
-        }
-        if threads_per_block > 1024 {
-            return Err(err(format!(
-                "block of {threads_per_block} threads exceeds the 1024-thread limit"
-            )));
-        }
+        // Dimensions are any positive `i32` a program computes: their
+        // products are taken in `u64`, checked, before anything is built.
+        let volume = |d: [u32; 3]| d.iter().try_fold(1u64, |n, &x| n.checked_mul(x.into()));
+        let (threads_per_block, n_blocks) = match (volume(block), volume(grid)) {
+            (Some(0), _) | (_, Some(0)) => return Err(err("empty launch configuration")),
+            (Some(t), Some(b)) if t <= 1024 => (t, b),
+            (_, Some(_)) => {
+                return Err(err(format!(
+                    "block {block:?} exceeds the 1024-thread limit"
+                )))
+            }
+            (_, None) => return Err(err(format!("grid {grid:?} has more than 2^64 blocks"))),
+        };
         let start_cycles = self.machine.counters.cycles;
 
         // One resumable context per thread position of a block; every
@@ -728,6 +737,50 @@ mod tests {
             .launch(&image, k, [1, 1, 1], [2048, 1, 1], vec![Val::Arr(dev)])
             .unwrap_err();
         assert!(e.message.contains("1024"), "{e}");
+    }
+
+    /// Block `[65536, 65536, 2]` multiplies to 2^33 threads: wrapped in
+    /// `u32` it read 0 ("empty") in release and panicked in debug.
+    #[test]
+    fn launch_dimensions_multiply_without_wrapping() {
+        let mut p = Program::default();
+        let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let dev = gpu.copy_in(&ArrStore::F32(vec![0.0; 4])).unwrap();
+        let mut launch = |grid, block| {
+            gpu.launch(&image, k, grid, block, vec![Val::Arr(dev)])
+                .unwrap_err()
+                .message
+        };
+        let e = launch([1, 1, 1], [65536, 65536, 2]);
+        assert!(e.contains("1024-thread limit"), "{e}");
+        // 2^32 × 2^16 wraps to 0 in u32 but is 2^48 in u64.
+        let e = launch([1, 1, 1], [65536, 65536, 65536]);
+        assert!(e.contains("1024-thread limit"), "{e}");
+        let max = i32::MAX as u32;
+        let e = launch([max, max, max], [1, 1, 1]);
+        assert!(e.contains("more than 2^64 blocks"), "{e}");
+        assert_eq!(gpu.machine.counters.instrs, 0, "nothing may run");
+    }
+
+    #[test]
+    fn range_copies_check_bounds_before_charging() {
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 4])).unwrap();
+        let before = gpu.vtime;
+        for (off, len) in [(usize::MAX, 2), (0, usize::MAX), (3, 2)] {
+            let e = gpu.read_range(dev, off, len).unwrap_err();
+            assert!(e.message.contains("out of bounds"), "{e}");
+        }
+        for off in [usize::MAX, 3] {
+            let e = gpu.write_range(dev, off, &[2.0, 2.0]).unwrap_err();
+            assert!(e.message.contains("out of bounds"), "{e}");
+        }
+        assert_eq!(gpu.vtime, before, "a refused copy costs nothing");
+        assert_eq!(gpu.read_range(dev, 1, 3).unwrap(), vec![1.0; 3]);
+        gpu.write_range(dev, 2, &[5.0, 6.0]).unwrap();
+        assert_eq!(gpu.read_range(dev, 0, 4).unwrap(), vec![1.0, 1.0, 5.0, 6.0]);
     }
 
     #[test]

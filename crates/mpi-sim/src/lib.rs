@@ -1262,4 +1262,61 @@ mod tests {
         assert_eq!(b, c);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Service one range copy on a fresh device whose array holds 4
+    /// floats, from a host array of 4; `[dev_off, host_off, len]` go in the
+    /// op's operand order. Returns the outcome and what the device charged.
+    fn range_copy(op: IntrinOp, [dev_off, host_off, len]: [i32; 3]) -> (Result<(), String>, u64) {
+        let mut fb = FuncBuilder::new("f", vec![], None, FuncKind::Host);
+        fb.emit(Instr::Ret(None));
+        let mut p = Program::default();
+        let f = p.add_func(fb.finish().unwrap());
+        let image = exec::Image::build(&p).unwrap();
+        let mut thread = exec::Thread::new(&p, f, &[]).unwrap();
+        let mut machine = Machine::new();
+        let host = Val::Arr(machine.mem.alloc(ArrStore::F32(vec![1.0; 4])));
+        let mut gpu = gpu_sim::Gpu::new(GpuConfig::default());
+        let dev = Val::Arr(gpu.alloc_f32(4));
+        let before = gpu.vtime;
+        let args = match op {
+            IntrinOp::CopyToGpuRange => vec![dev, Val::I32(dev_off), host, Val::I32(host_off)],
+            _ => vec![host, Val::I32(host_off), dev, Val::I32(dev_off)],
+        };
+        let y = exec::Yield::GpuMem {
+            op,
+            args: [args, vec![Val::I32(len)]].concat(),
+        };
+        let mut gpu = Some(gpu);
+        let res = service_device_yield(&image, &mut thread, &mut machine, &mut gpu, 0, y);
+        let charged = gpu.unwrap().vtime - before;
+        (res.map(|_| ()).map_err(|e| e.to_string()), charged)
+    }
+
+    fn refuses_negative_range_operands(op: IntrinOp) {
+        assert_eq!(range_copy(op, [1, 0, 3]).0, Ok(()), "{op:?}");
+        for (operands, what) in [
+            ([-1, 0, 2], "offset -1"),
+            ([0, -1, 2], "offset -1"),
+            ([0, 0, -1], "length -1"),
+            ([0, 0, i32::MIN], "length -2147483648"),
+        ] {
+            let (res, charged) = range_copy(op, operands);
+            let e = res.expect_err("a negative range operand must be refused");
+            assert!(
+                e.contains(&format!("negative device range {what}")),
+                "{op:?} {operands:?}: {e}"
+            );
+            assert_eq!(charged, 0, "{op:?} {operands:?}");
+        }
+    }
+
+    #[test]
+    fn copy_to_gpu_range_refuses_negative_operands() {
+        refuses_negative_range_operands(IntrinOp::CopyToGpuRange);
+    }
+
+    #[test]
+    fn copy_from_gpu_range_refuses_negative_operands() {
+        refuses_negative_range_operands(IntrinOp::CopyFromGpuRange);
+    }
 }

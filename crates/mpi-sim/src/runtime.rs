@@ -465,6 +465,14 @@ pub fn service_device_yield(
                 )
             })?;
             let before = gpu.vtime;
+            // A range copy's offsets and length: a negative one is refused
+            // here, typed, before it can become a huge `usize`.
+            let range_operand = |v: Val, what: &str| -> Result<usize, SimError> {
+                let n = v.as_i32().map_err(|m| err_on(r, locate(m, &loc)))?;
+                usize::try_from(n).map_err(|_| {
+                    err_on(r, locate(format!("negative device range {what} {n}"), &loc))
+                })
+            };
             match op {
                 IntrinOp::CopyToGpu => {
                     let host = args[0].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
@@ -495,10 +503,10 @@ pub fn service_device_yield(
                 IntrinOp::CopyToGpuRange => {
                     // (dev, devOff, host, hostOff, len)
                     let dev = args[0].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
-                    let doff = args[1].as_i32().map_err(|m| err_on(r, locate(m, &loc)))? as usize;
+                    let doff = range_operand(args[1], "offset")?;
                     let host = args[2].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
-                    let hoff = args[3].as_i32().map_err(|m| err_on(r, locate(m, &loc)))? as usize;
-                    let len = args[4].as_i32().map_err(|m| err_on(r, locate(m, &loc)))? as usize;
+                    let hoff = range_operand(args[3], "offset")?;
+                    let len = range_operand(args[4], "length")?;
                     let payload = read_floats(machine, host, hoff, len)
                         .map_err(|m| err_on(r, locate(m, &loc)))?;
                     gpu.write_range(dev, doff, &payload)
@@ -508,10 +516,10 @@ pub fn service_device_yield(
                 IntrinOp::CopyFromGpuRange => {
                     // (host, hostOff, dev, devOff, len)
                     let host = args[0].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
-                    let hoff = args[1].as_i32().map_err(|m| err_on(r, locate(m, &loc)))? as usize;
+                    let hoff = range_operand(args[1], "offset")?;
                     let dev = args[2].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
-                    let doff = args[3].as_i32().map_err(|m| err_on(r, locate(m, &loc)))? as usize;
-                    let len = args[4].as_i32().map_err(|m| err_on(r, locate(m, &loc)))? as usize;
+                    let doff = range_operand(args[3], "offset")?;
+                    let len = range_operand(args[4], "length")?;
                     let payload = gpu
                         .read_range(dev, doff, len)
                         .map_err(|e| err_on(r, e.to_string()))?;

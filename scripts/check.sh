@@ -20,10 +20,11 @@ cargo test -q --offline
 echo "== workspace tests =="
 cargo test --workspace -q --offline
 
-echo "== exec tests again in release: overflow checks are off there, so a  =="
-echo "==   decoder's unchecked offset+len fails on a different line (or     =="
-echo "==   not at all) than in the debug run above                          =="
-cargo test --release --offline -q -p exec
+echo "== exec and gpu-sim tests again in release: overflow checks are off   =="
+echo "==   there, so a decoder's unchecked offset+len, or a launch's wrapped =="
+echo "==   dimension product, fails on a different line (or not at all) than =="
+echo "==   in the debug run above                                            =="
+cargo test --release --offline -q -p exec -p gpu-sim
 
 echo "== jlang tests again in release: the never-panic harness runs its  =="
 echo "==   release budget (20 000 mutants), and the nesting limits hold  =="
