@@ -16,7 +16,7 @@
 //! carry an operand *list* (calls, yielding intrinsics, `Launch`) read it
 //! from the `nir::Instr` at the same `pc`.
 
-use crate::{weight, ExecError};
+use crate::{weight, ExecError, GpuCoords};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use nir::{FuncId, Function, Instr, IntrinOp, Program, Reg};
@@ -162,6 +162,8 @@ pub(crate) enum OpKind {
     Print,
     // args in the Instr
     ArrayCopyF32,
+    // (dst, flat coordinate index 0..12: `GpuCoords::index`)
+    Coord,
     // (dst | NO_REG); op and args in the Instr
     YieldGpu,
     YieldMpi,
@@ -315,6 +317,9 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
             intrin
                 .check_operands(args.len(), dst.is_some())
                 .map_err(ExecError::msg)?;
+            if let Some(i) = GpuCoords::index(*intrin) {
+                return Ok(op(K::Coord, opt(dst), i, 0));
+            }
             let kind = intrin_kind(*intrin);
             let arg = |i: usize| args.get(i).copied().unwrap_or(0);
             match kind {
@@ -355,6 +360,8 @@ fn intrin_kind(op: IntrinOp) -> OpKind {
         I::MaxF32 => K::MaxF32,
         I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => K::Print,
         I::ArrayCopyF32 => K::ArrayCopyF32,
+        // A coordinate read with an axis past `z` (no `GpuCoords::index`)
+        // yields like the memory ops, on a device too.
         I::ThreadIdx(_)
         | I::BlockIdx(_)
         | I::BlockDim(_)

@@ -413,16 +413,31 @@ pub struct GpuCoords {
 }
 
 impl GpuCoords {
-    /// The value of coordinate intrinsic `op`; `None` for any other op.
-    pub fn read(&self, op: IntrinOp) -> Option<i32> {
-        let (regs, axis) = match op {
-            IntrinOp::ThreadIdx(a) => (&self.thread_idx, a),
-            IntrinOp::BlockIdx(a) => (&self.block_idx, a),
-            IntrinOp::BlockDim(a) => (&self.block_dim, a),
-            IntrinOp::GridDim(a) => (&self.grid_dim, a),
+    /// The flat index of coordinate intrinsic `op`: 0..3 `threadIdx`,
+    /// 3..6 `blockIdx`, 6..9 `blockDim`, 9..12 `gridDim`, by axis. `None`
+    /// for any other op and for an axis past `z`.
+    pub fn index(op: IntrinOp) -> Option<u32> {
+        let (group, axis) = match op {
+            IntrinOp::ThreadIdx(a) => (0, a),
+            IntrinOp::BlockIdx(a) => (1, a),
+            IntrinOp::BlockDim(a) => (2, a),
+            IntrinOp::GridDim(a) => (3, a),
             _ => return None,
         };
-        regs.get(axis as usize).map(|&v| v as i32)
+        (axis < 3).then_some(group * 3 + u32::from(axis))
+    }
+
+    /// The coordinate at flat index `i` (see [`GpuCoords::index`]).
+    #[inline]
+    pub fn at(&self, i: usize) -> i32 {
+        let axis = i % 3;
+        let v = match i / 3 {
+            0 => self.thread_idx[axis],
+            1 => self.block_idx[axis],
+            2 => self.block_dim[axis],
+            _ => self.grid_dim[axis],
+        };
+        v as i32
     }
 }
 
@@ -1050,7 +1065,15 @@ pub fn run(
                 OpKind::MinF32 => bin!(F32 "f32" => F32, |x, y| min_f32(x, y)),
                 OpKind::MaxF32 => bin!(F32 "f32" => F32, |x, y| max_f32(x, y)),
 
+                // A kernel thread's coordinate read. A host read (no
+                // coordinates: it yields) and an armed device's read (it
+                // draws a crash first, DESIGN §8) run out of line below.
+                OpKind::Coord if machine.fault.is_none() && machine.gpu_coords.is_some() => {
+                    regs[a] = Val::I32(machine.gpu_coords.map_or(0, |c| c.at(b)));
+                }
+
                 OpKind::CallHost
+                | OpKind::Coord
                 | OpKind::NewArr
                 | OpKind::FreeArr
                 | OpKind::Print
@@ -1209,30 +1232,35 @@ fn slow_op(
             array_copy_f32(&mut machine.mem, src, spos, dst, dpos, n)?;
             Slow::Next
         }
-        // A kernel thread's coordinate reads are answered here, from what
-        // the device runtime set on the machine; the rest of the GPU ops,
-        // and coordinate reads on a host, are serviced by gpu-sim / the
-        // device runtime, MPI by mpi-sim.
+        // An armed device's coordinate read, after its crash draw, is
+        // answered from what the device runtime set on the machine; on a
+        // host it yields, like the rest of the GPU ops, which gpu-sim / the
+        // device runtime service (MPI ops mpi-sim).
+        (OpKind::Coord, Instr::Intrin { op: intrin, .. }) => match machine.gpu_coords {
+            Some(c) => {
+                regs[a] = Val::I32(c.at(b));
+                Slow::Next
+            }
+            None => Slow::Yield(
+                Some(op.a),
+                Yield::GpuMem {
+                    op: *intrin,
+                    args: Vec::new(),
+                },
+            ),
+        },
         (
             OpKind::YieldGpu,
             Instr::Intrin {
                 op: intrin, args, ..
             },
-        ) => match machine.gpu_coords.and_then(|c| c.read(*intrin)) {
-            Some(v) => {
-                if let Some(dst) = reg_of(op.a) {
-                    regs[dst as usize] = Val::I32(v);
-                }
-                Slow::Next
-            }
-            None => Slow::Yield(
-                reg_of(op.a),
-                Yield::GpuMem {
-                    op: *intrin,
-                    args: read(args),
-                },
-            ),
-        },
+        ) => Slow::Yield(
+            reg_of(op.a),
+            Yield::GpuMem {
+                op: *intrin,
+                args: read(args),
+            },
+        ),
         (
             OpKind::YieldMpi,
             Instr::Intrin {
@@ -1500,6 +1528,65 @@ mod tests {
             (device.counters.instrs, device.counters.cycles),
             (host.counters.instrs, host.counters.cycles)
         );
+
+        // An armed device answers out of line, after a crash draw at each
+        // read: a certain crash kills the thread at the first read...
+        let coords = device.gpu_coords;
+        let config = |crash| FaultConfig {
+            crash,
+            ..FaultConfig::seeded(3)
+        };
+        let armed = |crash| Machine {
+            gpu_coords: coords,
+            fault: Some(FaultPlan::new(config(crash))),
+            ..Machine::new()
+        };
+        let mut doomed = armed(1.0);
+        let mut thread = Thread::new(&p, id, &[]).unwrap();
+        let crashed = run(&mut thread, &image, &mut doomed, u64::MAX).unwrap();
+        assert!(matches!(crashed, Yield::Crashed { step: 1 }), "{crashed:?}");
+        // ...and a plan that spares it draws twice and changes nothing else.
+        let rare = 1e-12;
+        let mut spared = armed(rare);
+        let mut thread = Thread::new(&p, id, &[]).unwrap();
+        let answered = run(&mut thread, &image, &mut spared, u64::MAX).unwrap();
+        assert!(
+            matches!(answered, Yield::Done(Some(Val::I32(7)))),
+            "{answered:?}"
+        );
+        assert_eq!(spared.counters.cycles, host.counters.cycles);
+        let mut two_draws = FaultPlan::new(config(rare));
+        assert!(!two_draws.crash_at_yield() && !two_draws.crash_at_yield());
+        assert_eq!(
+            spared.fault.unwrap().rng_state(),
+            two_draws.rng_state(),
+            "one crash draw per coordinate read"
+        );
+    }
+
+    #[test]
+    fn every_coordinate_index_reads_its_register() {
+        let coords = GpuCoords {
+            thread_idx: [1, 2, 3],
+            block_idx: [4, 5, 6],
+            block_dim: [7, 8, 9],
+            grid_dim: [10, 11, 12],
+        };
+        let ops = [
+            IntrinOp::ThreadIdx as fn(u8) -> IntrinOp,
+            IntrinOp::BlockIdx,
+            IntrinOp::BlockDim,
+            IntrinOp::GridDim,
+        ];
+        for (group, op) in ops.iter().enumerate() {
+            for axis in 0..3u8 {
+                let i = GpuCoords::index(op(axis)).unwrap();
+                assert_eq!(i as usize, group * 3 + axis as usize);
+                assert_eq!(coords.at(i as usize), i as i32 + 1);
+            }
+            assert_eq!(GpuCoords::index(op(3)), None, "no axis past z");
+        }
+        assert_eq!(GpuCoords::index(IntrinOp::SqrtF32), None);
     }
 
     #[test]

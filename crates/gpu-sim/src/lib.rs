@@ -129,18 +129,36 @@ fn err(message: impl Into<String>) -> GpuError {
     }
 }
 
-#[derive(PartialEq)]
-enum St {
-    Runnable,
-    AtBarrier,
-    Done,
-}
-
-/// One CUDA thread of the block being executed.
-struct Ctx {
+/// A CUDA thread stopped at a barrier: its context and its position in
+/// the block.
+struct Parked {
     thread: Thread,
     idx: [u32; 3],
-    st: St,
+}
+
+/// The kernel-thread contexts of one launch. Every thread position runs
+/// on `scratch`, reset in place, until it finishes; only a thread that
+/// stops at `__syncthreads` keeps a context, parked in position order,
+/// and `scratch` is replaced from `free`, where a parked context goes
+/// back when its thread finishes. A kernel that never reaches a barrier
+/// runs the whole launch on `scratch`.
+struct Contexts {
+    scratch: Thread,
+    free: Vec<Thread>,
+    parked: Vec<Parked>,
+    /// The phase being resumed (kept to reuse its allocation).
+    resuming: Vec<Parked>,
+}
+
+/// What every block of one launch shares.
+struct Launch<'l, 'p> {
+    image: &'l Image<'p>,
+    kernel: FuncId,
+    args: &'l [Val],
+    grid: [u32; 3],
+    block: [u32; 3],
+    /// Threads per block: what releasing a barrier costs, in cycles.
+    threads_per_block: u64,
 }
 
 /// The simulated device: its own [`Machine`] (memory space + counters)
@@ -294,21 +312,20 @@ impl Gpu {
             (_, None) => return Err(err(format!("grid {grid:?} has more than 2^64 blocks"))),
         };
         let start_cycles = self.machine.counters.cycles;
-
-        // One resumable context per thread position of a block; every
-        // block re-arms the same contexts instead of allocating its own.
-        let mut threads = Vec::with_capacity(threads_per_block as usize);
-        for tz in 0..block[2] {
-            for ty in 0..block[1] {
-                for tx in 0..block[0] {
-                    threads.push(Ctx {
-                        thread: Thread::new(image.program(), kernel, &args)?,
-                        idx: [tx, ty, tz],
-                        st: St::Runnable,
-                    });
-                }
-            }
-        }
+        let launch = Launch {
+            image,
+            kernel,
+            args: &args,
+            grid,
+            block,
+            threads_per_block,
+        };
+        let mut cx = Contexts {
+            scratch: Thread::new(image.program(), kernel, &args)?,
+            free: Vec::new(),
+            parked: Vec::new(),
+            resuming: Vec::new(),
+        };
 
         let mut linear: u64 = 0;
         for bz in 0..grid[2] {
@@ -323,16 +340,7 @@ impl Gpu {
                     if armed {
                         self.machine.fault = Some(self.sm_plans[sm].clone());
                     }
-                    let res = self.run_block(
-                        image,
-                        kernel,
-                        grid,
-                        block,
-                        [bx, by, bz],
-                        &args,
-                        sm as u32,
-                        &mut threads,
-                    );
+                    let res = self.run_block(&launch, [bx, by, bz], sm as u32, &mut cx);
                     self.machine.gpu_coords = None;
                     if armed {
                         if let Some(plan) = self.machine.fault.take() {
@@ -359,102 +367,98 @@ impl Gpu {
     }
 
     /// Run one block's threads in lockstep phases separated by
-    /// `__syncthreads`.
-    #[allow(clippy::too_many_arguments)]
+    /// `__syncthreads`: every position in (z, y, x) order first, then,
+    /// while any thread is parked at a barrier, the parked ones in the
+    /// same order. Threads that already returned count as arrived (the
+    /// common hardware behavior for exited threads).
     fn run_block(
         &mut self,
-        image: &Image<'_>,
-        kernel: FuncId,
-        grid: [u32; 3],
-        block: [u32; 3],
+        l: &Launch<'_, '_>,
         block_idx: [u32; 3],
-        args: &[Val],
         sm: u32,
-        threads: &mut [Ctx],
+        cx: &mut Contexts,
     ) -> Result<(), GpuError> {
-        for ctx in threads.iter_mut() {
-            ctx.thread.reset(image.program(), kernel, args)?;
-            ctx.st = St::Runnable;
-        }
         // Per-block shared arrays, keyed by allocation site (pc).
         let mut shared: HashMap<u32, u32> = HashMap::new();
+        let mut coords = GpuCoords {
+            thread_idx: [0; 3],
+            block_idx,
+            block_dim: l.block,
+            grid_dim: l.grid,
+        };
+        let program = l.image.program();
+        for tz in 0..l.block[2] {
+            for ty in 0..l.block[1] {
+                for tx in 0..l.block[0] {
+                    coords.thread_idx = [tx, ty, tz];
+                    cx.scratch.reset(program, l.kernel, l.args)?;
+                    if self.run_thread(l.image, &mut cx.scratch, coords, &mut shared, sm)? {
+                        let fresh = match cx.free.pop() {
+                            Some(t) => t,
+                            None => Thread::new(program, l.kernel, l.args)?,
+                        };
+                        cx.parked.push(Parked {
+                            thread: std::mem::replace(&mut cx.scratch, fresh),
+                            idx: coords.thread_idx,
+                        });
+                    }
+                }
+            }
+        }
+        while !cx.parked.is_empty() {
+            // Barrier cost: one sweep of the block.
+            self.machine.counters.cycles += l.threads_per_block;
+            std::mem::swap(&mut cx.parked, &mut cx.resuming);
+            for mut p in cx.resuming.drain(..) {
+                coords.thread_idx = p.idx;
+                if self.run_thread(l.image, &mut p.thread, coords, &mut shared, sm)? {
+                    cx.parked.push(p);
+                } else {
+                    cx.free.push(p.thread);
+                }
+            }
+        }
+        Ok(())
+    }
 
+    /// Run one kernel thread until it finishes (`false`) or stops at a
+    /// barrier (`true`); `run` answers its coordinate reads.
+    fn run_thread(
+        &mut self,
+        image: &Image<'_>,
+        thread: &mut Thread,
+        coords: GpuCoords,
+        shared: &mut HashMap<u32, u32>,
+        sm: u32,
+    ) -> Result<bool, GpuError> {
+        self.machine.gpu_coords = Some(coords);
         loop {
-            let mut any_progress = false;
-            for ctx in threads.iter_mut() {
-                if ctx.st != St::Runnable {
-                    continue;
+            match run(thread, image, &mut self.machine, u64::MAX)? {
+                Yield::Done(_) => return Ok(false),
+                Yield::Sync => return Ok(true),
+                Yield::SharedAlloc { elem, len, pc } => {
+                    let h = *shared
+                        .entry(pc)
+                        .or_insert_with(|| self.machine.mem.alloc(ArrStore::new(elem, len)));
+                    thread.resume_with(Val::Arr(h));
                 }
-                any_progress = true;
-                // Run this thread until it blocks at a barrier or finishes;
-                // `run` answers its coordinate reads.
-                loop {
-                    self.machine.gpu_coords = Some(GpuCoords {
-                        thread_idx: ctx.idx,
-                        block_idx,
-                        block_dim: block,
-                        grid_dim: grid,
+                Yield::GpuMem { op, .. } => {
+                    return Err(err(format!("kernel performed host-only operation {op:?}")))
+                }
+                Yield::Mpi { .. } => return Err(err("kernel attempted an MPI operation")),
+                Yield::Launch { .. } => return Err(err("nested kernel launch is not supported")),
+                Yield::Host { .. } => {
+                    return Err(err("kernels cannot call host (foreign) functions"))
+                }
+                Yield::OutOfFuel => {}
+                Yield::Crashed { step } => {
+                    return Err(GpuError {
+                        message: format!(
+                            "injected fault crashed a kernel thread on SM {sm} at step {step}"
+                        ),
+                        kind: GpuErrorKind::InjectedCrash { step, sm },
                     });
-                    match run(&mut ctx.thread, image, &mut self.machine, u64::MAX)? {
-                        Yield::Done(_) => {
-                            ctx.st = St::Done;
-                            break;
-                        }
-                        Yield::Sync => {
-                            ctx.st = St::AtBarrier;
-                            break;
-                        }
-                        Yield::SharedAlloc { elem, len, pc } => {
-                            let h = *shared.entry(pc).or_insert_with(|| {
-                                self.machine.mem.alloc(ArrStore::new(elem, len))
-                            });
-                            ctx.thread.resume_with(Val::Arr(h));
-                        }
-                        Yield::GpuMem { op, .. } => {
-                            return Err(err(format!("kernel performed host-only operation {op:?}")))
-                        }
-                        Yield::Mpi { .. } => {
-                            return Err(err("kernel attempted an MPI operation"));
-                        }
-                        Yield::Launch { .. } => {
-                            return Err(err("nested kernel launch is not supported"));
-                        }
-                        Yield::Host { .. } => {
-                            return Err(err("kernels cannot call host (foreign) functions"));
-                        }
-                        Yield::OutOfFuel => {}
-                        Yield::Crashed { step } => {
-                            return Err(GpuError {
-                                message: format!(
-                                    "injected fault crashed a kernel thread on SM {sm} at step {step}"
-                                ),
-                                kind: GpuErrorKind::InjectedCrash { step, sm },
-                            });
-                        }
-                    }
                 }
-            }
-            let done = threads.iter().filter(|t| t.st == St::Done).count();
-            let at_barrier = threads.iter().filter(|t| t.st == St::AtBarrier).count();
-            if done == threads.len() {
-                return Ok(());
-            }
-            if at_barrier > 0 {
-                // Release the barrier: every non-done thread has arrived
-                // (guaranteed by the loop above); threads that already
-                // returned are treated as arrived (the common hardware
-                // behavior for exited threads).
-                for ctx in threads.iter_mut() {
-                    if ctx.st == St::AtBarrier {
-                        ctx.st = St::Runnable;
-                    }
-                }
-                // Barrier cost: one sweep of the block.
-                self.machine.counters.cycles += threads.len() as u64;
-                continue;
-            }
-            if !any_progress {
-                return Err(err("kernel block made no progress (internal error)"));
             }
         }
     }
