@@ -427,17 +427,17 @@ impl GpuCoords {
         (axis < 3).then_some(group * 3 + u32::from(axis))
     }
 
-    /// The coordinate at flat index `i` (see [`GpuCoords::index`]).
-    #[inline]
-    pub fn at(&self, i: usize) -> i32 {
-        let axis = i % 3;
-        let v = match i / 3 {
-            0 => self.thread_idx[axis],
-            1 => self.block_idx[axis],
-            2 => self.block_dim[axis],
-            _ => self.grid_dim[axis],
-        };
-        v as i32
+    /// All twelve coordinates, in [`GpuCoords::index`] order.
+    pub fn flat(self) -> [u32; 12] {
+        let [t, b, d, g] = [
+            self.thread_idx,
+            self.block_idx,
+            self.block_dim,
+            self.grid_dim,
+        ];
+        [
+            t[0], t[1], t[2], b[0], b[1], b[2], d[0], d[1], d[2], g[0], g[1], g[2],
+        ]
     }
 }
 
@@ -749,6 +749,8 @@ enum Exit {
         dst: Option<Reg>,
     },
     Ret(Option<Val>),
+    /// Run the op at `pc` out of line, in [`slow_op`].
+    Slow,
     Yield(Yield),
     Fail(ExecError),
 }
@@ -758,7 +760,8 @@ enum Exit {
 ///
 /// The loop dispatches on the image's decoded ops; the innermost frame's
 /// op stream, registers and pc live in locals and are written back only
-/// where control leaves the frame (call, return, yield, fuel-out, error).
+/// where control leaves the frame (call, return, an out-of-line op,
+/// yield, fuel-out, error).
 pub fn run(
     thread: &mut Thread,
     image: &Image<'_>,
@@ -779,6 +782,14 @@ pub fn run(
     // spent; only cycles need an accumulator of their own.
     let granted = fuel;
     let mut cycles = 0u64;
+    // A kernel thread's coordinates, when its reads are answered in the
+    // loop: not on a host (no coordinates: the read yields) and not on an
+    // armed device (each read draws a crash first, DESIGN §8). Both of
+    // those run out of line.
+    let coords = machine
+        .gpu_coords
+        .filter(|_| machine.fault.is_none())
+        .map(|c| c.flat());
     let outcome = loop {
         let depth = thread.frames.len();
         let Some(frame) = thread.frames.last_mut() else {
@@ -1065,15 +1076,12 @@ pub fn run(
                 OpKind::MinF32 => bin!(F32 "f32" => F32, |x, y| min_f32(x, y)),
                 OpKind::MaxF32 => bin!(F32 "f32" => F32, |x, y| max_f32(x, y)),
 
-                // A kernel thread's coordinate read. A host read (no
-                // coordinates: it yields) and an armed device's read (it
-                // draws a crash first, DESIGN §8) run out of line below.
-                OpKind::Coord if machine.fault.is_none() && machine.gpu_coords.is_some() => {
-                    regs[a] = Val::I32(machine.gpu_coords.map_or(0, |c| c.at(b)));
-                }
+                OpKind::Coord => match &coords {
+                    Some(c) => regs[a] = Val::I32(c[b] as i32),
+                    None => break Exit::Slow,
+                },
 
                 OpKind::CallHost
-                | OpKind::Coord
                 | OpKind::NewArr
                 | OpKind::FreeArr
                 | OpKind::Print
@@ -1082,23 +1090,7 @@ pub fn run(
                 | OpKind::YieldMpi
                 | OpKind::Launch
                 | OpKind::SharedAlloc
-                | OpKind::Sync => {
-                    match attempt!(slow_op(op, &code[pc], pc as u32, regs, machine)) {
-                        Slow::Next => {}
-                        Slow::Crashed => {
-                            thread.done = true;
-                            break Exit::Yield(Yield::Crashed {
-                                step: machine.counters.instrs + (granted - fuel),
-                            });
-                        }
-                        // The frame resumes after the yielding instruction.
-                        Slow::Yield(dst, y) => {
-                            thread.pending_dst = dst;
-                            pc += 1;
-                            break Exit::Yield(y);
-                        }
-                    }
-                }
+                | OpKind::Sync => break Exit::Slow,
             }
             pc += 1;
         };
@@ -1106,6 +1098,29 @@ pub fn run(
         // Control leaves the frame: write its pc back, then switch.
         frame.pc = pc as u32;
         match exit {
+            // The frame resumes after the op, unless the fault plan killed
+            // the context there.
+            Exit::Slow => match slow_op(
+                &ops[pc],
+                &code[pc],
+                pc as u32,
+                &mut thread.stack[base..],
+                machine,
+            ) {
+                Ok(Slow::Next) => frame.pc += 1,
+                Ok(Slow::Yield(dst, y)) => {
+                    frame.pc += 1;
+                    thread.pending_dst = dst;
+                    break Ok(y);
+                }
+                Ok(Slow::Crashed) => {
+                    thread.done = true;
+                    break Ok(Yield::Crashed {
+                        step: machine.counters.instrs + (granted - fuel),
+                    });
+                }
+                Err(e) => break Err(e.at(&f.name, pc as u32)),
+            },
             Exit::Yield(y) => break Ok(y),
             Exit::Fail(e) => break Err(e.at(&f.name, pc as u32)),
             Exit::Ret(v) => {
@@ -1161,11 +1176,13 @@ enum Slow {
 }
 
 /// The ops that allocate, print or leave the loop. They run out of line,
-/// reading operand lists from the `nir::Instr` the op decodes, so that
-/// the dispatch loop stays small enough to keep its state in registers.
+/// reading operand lists from the `nir::Instr` the op decodes, and
+/// outside the dispatch loop, which leaves its frame for them
+/// (`Exit::Slow`) and re-enters it after: the loop stays small enough to
+/// keep its state, fuel included, in registers.
 #[inline(never)]
 fn slow_op(
-    op: Op,
+    op: &Op,
     ins: &Instr,
     pc: u32,
     regs: &mut [Val],
@@ -1238,7 +1255,7 @@ fn slow_op(
         // device runtime service (MPI ops mpi-sim).
         (OpKind::Coord, Instr::Intrin { op: intrin, .. }) => match machine.gpu_coords {
             Some(c) => {
-                regs[a] = Val::I32(c.at(b));
+                regs[a] = Val::I32(c.flat()[b] as i32);
                 Slow::Next
             }
             None => Slow::Yield(
@@ -1582,7 +1599,7 @@ mod tests {
             for axis in 0..3u8 {
                 let i = GpuCoords::index(op(axis)).unwrap();
                 assert_eq!(i as usize, group * 3 + axis as usize);
-                assert_eq!(coords.at(i as usize), i as i32 + 1);
+                assert_eq!(coords.flat()[i as usize], i + 1);
             }
             assert_eq!(GpuCoords::index(op(3)), None, "no axis past z");
         }
