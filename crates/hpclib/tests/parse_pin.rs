@@ -1,9 +1,14 @@
-//! Pins the parser's output: the `Debug` rendering of `parse_unit` over
-//! the prelude, the three `hpclib` libraries and the translator's
-//! pipeline fixture, plus a set of ambiguous and malformed snippets. A
-//! change to how the parser reaches its trees must build the same trees,
-//! with the same spans, and report the same diagnostics at the same
-//! tokens.
+//! Pins the parser's output: a rendering of `parse_unit` over the
+//! prelude, the three `hpclib` libraries and the translator's pipeline
+//! fixture, plus a set of ambiguous and malformed snippets. A change to
+//! how the parser reaches its trees must build the same trees, with the
+//! same spans, and report the same diagnostics at the same tokens.
+//!
+//! The rendering is this file's own printer ([`render`]): it writes a
+//! tree in the shape `#[derive(Debug)]` gives a tree whose nodes own
+//! their children — `Binary { op: Add, lhs: Name("a", Span { .. }), .. }`
+//! — whatever the parser's storage, so the pin outlives a change of
+//! representation.
 //!
 //! The corpus renders to megabytes, so each of its classes is pinned as
 //! the length and FNV-1a digest of its rendering; the snippets are pinned
@@ -11,7 +16,11 @@
 //! test binary (`parse_pin.got.txt` under cargo's target tmpdir) for a
 //! diff against `fixtures/parse_pin.txt`.
 
+use std::fmt::Write;
+
+use jlang::ast::*;
 use jlang::parser::parse_unit;
+use jlang::Diagnostic;
 
 const PIPELINE8: &str = include_str!("../../translator/tests/fixtures/pipeline8.jl");
 
@@ -148,7 +157,8 @@ fn digest(out: &mut String, name: &str, src: &str) {
     match parse_unit(0, src) {
         Ok(unit) => {
             for c in &unit.classes {
-                let d = format!("{c:?}");
+                let mut d = String::new();
+                class(&mut d, c);
                 out.push_str(&format!("{} {} {:016x}\n", c.name, d.len(), fnv1a(&d)));
             }
         }
@@ -157,7 +167,319 @@ fn digest(out: &mut String, name: &str, src: &str) {
 }
 
 fn full(out: &mut String, kind: &str, name: &str, src: &str) {
-    out.push_str(&format!("== {kind} {name} ==\n{:?}\n", parse_unit(0, src)));
+    out.push_str(&format!("== {kind} {name} ==\n"));
+    render(out, &parse_unit(0, src));
+    out.push('\n');
+}
+
+// ---- the printer ---------------------------------------------------------
+
+fn render(out: &mut String, r: &Result<Unit, Vec<Diagnostic>>) {
+    match r {
+        Ok(u) => {
+            out.push_str("Ok(Unit { classes: ");
+            list(out, &u.classes, class);
+            out.push_str(" })");
+        }
+        Err(ds) => write!(out, "Err({ds:?})").unwrap(),
+    }
+}
+
+fn list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        each(out, x);
+    }
+    out.push(']');
+}
+
+fn opt<T>(out: &mut String, o: Option<T>, each: impl FnOnce(&mut String, T)) {
+    match o {
+        Some(x) => {
+            out.push_str("Some(");
+            each(out, x);
+            out.push(')');
+        }
+        None => out.push_str("None"),
+    }
+}
+
+fn class(out: &mut String, c: &ClassDecl) {
+    write!(
+        out,
+        "ClassDecl {{ name: {:?}, is_interface: {:?}, annotations: {:?}, modifiers: {:?}, \
+         type_params: {:?}, superclass: {:?}, interfaces: {:?}, fields: ",
+        c.name,
+        c.is_interface,
+        c.annotations,
+        c.modifiers,
+        c.type_params,
+        c.superclass,
+        c.interfaces
+    )
+    .unwrap();
+    list(out, &c.fields, field);
+    out.push_str(", methods: ");
+    list(out, &c.methods, method);
+    out.push_str(", ctor: ");
+    opt(out, c.ctor.as_ref(), ctor);
+    write!(out, ", span: {:?} }}", c.span).unwrap();
+}
+
+fn field(out: &mut String, f: &FieldDecl) {
+    write!(
+        out,
+        "FieldDecl {{ name: {:?}, ty: {:?}, annotations: {:?}, modifiers: {:?}, init: ",
+        f.name, f.ty, f.annotations, f.modifiers
+    )
+    .unwrap();
+    opt(out, f.init.as_deref(), expr);
+    write!(out, ", span: {:?} }}", f.span).unwrap();
+}
+
+fn method(out: &mut String, m: &MethodDecl) {
+    write!(
+        out,
+        "MethodDecl {{ name: {:?}, annotations: {:?}, modifiers: {:?}, params: {:?}, ret: {:?}, body: ",
+        m.name, m.annotations, m.modifiers, m.params, m.ret
+    )
+    .unwrap();
+    opt(out, m.body.as_deref(), block);
+    write!(out, ", span: {:?} }}", m.span).unwrap();
+}
+
+fn ctor(out: &mut String, c: &CtorDecl) {
+    write!(out, "CtorDecl {{ params: {:?}, super_args: ", c.params).unwrap();
+    opt(out, c.super_args.as_deref(), |out, args| {
+        list(out, args, expr)
+    });
+    out.push_str(", body: ");
+    block(out, &c.body);
+    write!(out, ", span: {:?} }}", c.span).unwrap();
+}
+
+fn block(out: &mut String, b: &Block) {
+    out.push_str("Block { stmts: ");
+    list(out, &b.stmts, stmt);
+    out.push_str(" }");
+}
+
+fn ty(out: &mut String, t: &TypeRef) {
+    write!(out, "{t:?}").unwrap();
+}
+
+fn stmt(out: &mut String, s: &Stmt) {
+    match s {
+        Stmt::Local {
+            name,
+            ty: t,
+            init,
+            is_final,
+            span,
+        } => {
+            write!(out, "Local {{ name: {name:?}, ty: ").unwrap();
+            ty(out, t);
+            out.push_str(", init: ");
+            opt(out, init.as_ref(), expr);
+            write!(out, ", is_final: {is_final:?}, span: {span:?} }}").unwrap();
+        }
+        Stmt::Assign {
+            target,
+            op,
+            value,
+            span,
+        } => {
+            out.push_str("Assign { target: ");
+            lvalue(out, target);
+            write!(out, ", op: {op:?}, value: ").unwrap();
+            expr(out, value);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Stmt::IncDec { target, inc, span } => {
+            out.push_str("IncDec { target: ");
+            lvalue(out, target);
+            write!(out, ", inc: {inc:?}, span: {span:?} }}").unwrap();
+        }
+        Stmt::Expr(e) => {
+            out.push_str("Expr(");
+            expr(out, e);
+            out.push(')');
+        }
+        Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+            span,
+        } => {
+            out.push_str("If { cond: ");
+            expr(out, cond);
+            out.push_str(", then_branch: ");
+            block(out, then_branch);
+            out.push_str(", else_branch: ");
+            opt(out, else_branch.as_ref(), block);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Stmt::While { cond, body, span } => {
+            out.push_str("While { cond: ");
+            expr(out, cond);
+            out.push_str(", body: ");
+            block(out, body);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Stmt::For {
+            init,
+            cond,
+            update,
+            body,
+            span,
+        } => {
+            out.push_str("For { init: ");
+            opt(out, init.as_deref(), stmt);
+            out.push_str(", cond: ");
+            opt(out, cond.as_ref(), expr);
+            out.push_str(", update: ");
+            opt(out, update.as_deref(), stmt);
+            out.push_str(", body: ");
+            block(out, body);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Stmt::Return { value, span } => {
+            out.push_str("Return { value: ");
+            opt(out, value.as_ref(), expr);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Stmt::Break(span) => write!(out, "Break({span:?})").unwrap(),
+        Stmt::Continue(span) => write!(out, "Continue({span:?})").unwrap(),
+        Stmt::Block(b) => {
+            out.push_str("Block(");
+            block(out, b);
+            out.push(')');
+        }
+    }
+}
+
+fn lvalue(out: &mut String, lv: &LValue) {
+    match lv {
+        LValue::Name(n, span) => write!(out, "Name({n:?}, {span:?})").unwrap(),
+        LValue::Field { obj, name, span } => field_access(out, obj, name, *span),
+        LValue::Index { arr, idx, span } => index(out, arr, idx, *span),
+    }
+}
+
+fn field_access(out: &mut String, obj: &Expr, name: &str, span: jlang::Span) {
+    out.push_str("Field { obj: ");
+    expr(out, obj);
+    write!(out, ", name: {name:?}, span: {span:?} }}").unwrap();
+}
+
+fn index(out: &mut String, arr: &Expr, idx: &Expr, span: jlang::Span) {
+    out.push_str("Index { arr: ");
+    expr(out, arr);
+    out.push_str(", idx: ");
+    expr(out, idx);
+    write!(out, ", span: {span:?} }}").unwrap();
+}
+
+fn expr(out: &mut String, e: &Expr) {
+    match e {
+        Expr::IntLit(v, s) => write!(out, "IntLit({v:?}, {s:?})").unwrap(),
+        Expr::LongLit(v, s) => write!(out, "LongLit({v:?}, {s:?})").unwrap(),
+        Expr::FloatLit(v, s) => write!(out, "FloatLit({v:?}, {s:?})").unwrap(),
+        Expr::DoubleLit(v, s) => write!(out, "DoubleLit({v:?}, {s:?})").unwrap(),
+        Expr::BoolLit(v, s) => write!(out, "BoolLit({v:?}, {s:?})").unwrap(),
+        Expr::NullLit(s) => write!(out, "NullLit({s:?})").unwrap(),
+        Expr::StrLit(v, s) => write!(out, "StrLit({v:?}, {s:?})").unwrap(),
+        Expr::Name(n, s) => write!(out, "Name({n:?}, {s:?})").unwrap(),
+        Expr::This(s) => write!(out, "This({s:?})").unwrap(),
+        Expr::Field { obj, name, span } => field_access(out, obj, name, *span),
+        Expr::Call {
+            recv,
+            name,
+            args,
+            span,
+        } => {
+            out.push_str("Call { recv: ");
+            expr(out, recv);
+            write!(out, ", name: {name:?}, args: ").unwrap();
+            list(out, args, expr);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::SuperCall { name, args, span } => {
+            write!(out, "SuperCall {{ name: {name:?}, args: ").unwrap();
+            list(out, args, expr);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::New { ty: t, args, span } => {
+            out.push_str("New { ty: ");
+            ty(out, t);
+            out.push_str(", args: ");
+            list(out, args, expr);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::NewArray { elem, len, span } => {
+            out.push_str("NewArray { elem: ");
+            ty(out, elem);
+            out.push_str(", len: ");
+            expr(out, len);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::Index { arr, idx, span } => index(out, arr, idx, *span),
+        Expr::Unary { op, expr: e, span } => {
+            write!(out, "Unary {{ op: {op:?}, expr: ").unwrap();
+            expr(out, e);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::Binary { op, lhs, rhs, span } => {
+            write!(out, "Binary {{ op: {op:?}, lhs: ").unwrap();
+            expr(out, lhs);
+            out.push_str(", rhs: ");
+            expr(out, rhs);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::Cast {
+            ty: t,
+            expr: e,
+            span,
+        } => {
+            out.push_str("Cast { ty: ");
+            ty(out, t);
+            out.push_str(", expr: ");
+            expr(out, e);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::InstanceOf {
+            expr: e,
+            ty: t,
+            span,
+        } => {
+            out.push_str("InstanceOf { expr: ");
+            expr(out, e);
+            out.push_str(", ty: ");
+            ty(out, t);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::Ternary {
+            cond,
+            then_val,
+            else_val,
+            span,
+        } => {
+            out.push_str("Ternary { cond: ");
+            expr(out, cond);
+            out.push_str(", then_val: ");
+            expr(out, then_val);
+            out.push_str(", else_val: ");
+            expr(out, else_val);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+    }
 }
 
 fn rendered() -> String {
