@@ -240,7 +240,12 @@ fn field(out: &mut String, f: &FieldDecl) {
         f.name, f.ty, f.annotations, f.modifiers
     )
     .unwrap();
-    opt(out, f.init.as_deref(), expr);
+    opt(out, f.init.as_deref(), |out, b| {
+        let Root::Init(e) = b.root() else {
+            panic!("a field initializer rooted at {:?}", b.root())
+        };
+        expr(out, b, e)
+    });
     write!(out, ", span: {:?} }}", f.span).unwrap();
 }
 
@@ -251,86 +256,103 @@ fn method(out: &mut String, m: &MethodDecl) {
         m.name, m.annotations, m.modifiers, m.params, m.ret
     )
     .unwrap();
-    opt(out, m.body.as_deref(), block);
+    opt(out, m.body.as_deref(), |out, b| {
+        let Root::Block(body) = b.root() else {
+            panic!("a method body rooted at {:?}", b.root())
+        };
+        block(out, b, body)
+    });
     write!(out, ", span: {:?} }}", m.span).unwrap();
 }
 
 fn ctor(out: &mut String, c: &CtorDecl) {
+    let b = &*c.body;
+    let Root::Ctor { super_args, body } = b.root() else {
+        panic!("a constructor rooted at {:?}", b.root())
+    };
     write!(out, "CtorDecl {{ params: {:?}, super_args: ", c.params).unwrap();
-    opt(out, c.super_args.as_deref(), |out, args| {
-        list(out, args, expr)
+    opt(out, super_args, |out, args| {
+        list(out, b.list(args), |out, a| expr(out, b, a))
     });
     out.push_str(", body: ");
-    block(out, &c.body);
+    block(out, b, body);
     write!(out, ", span: {:?} }}", c.span).unwrap();
 }
 
-fn block(out: &mut String, b: &Block) {
+fn block(out: &mut String, b: &Body, stmts: Block) {
     out.push_str("Block { stmts: ");
-    list(out, &b.stmts, stmt);
+    list(out, b.list(stmts), |out, s| stmt(out, b, s));
     out.push_str(" }");
 }
 
-fn ty(out: &mut String, t: &TypeRef) {
-    write!(out, "{t:?}").unwrap();
+/// A body's type in the shape of a declaration's `TypeRef`.
+fn ty(out: &mut String, b: &Body, t: TyId) {
+    match b.ty(t) {
+        TypeNode::Named { name, args, span } => {
+            write!(out, "Named {{ name: {:?}, args: ", b.name(name)).unwrap();
+            list(out, b.list(args), |out, a| ty(out, b, a));
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        TypeNode::Array(elem) => {
+            out.push_str("Array(");
+            ty(out, b, elem);
+            out.push(')');
+        }
+        prim => write!(out, "{prim:?}").unwrap(),
+    }
 }
 
-fn stmt(out: &mut String, s: &Stmt) {
-    match s {
+fn stmt(out: &mut String, b: &Body, s: StmtId) {
+    let span = b.stmt_span(s);
+    let e = |out: &mut String, e| expr(out, b, e);
+    match b.stmt(s) {
         Stmt::Local {
             name,
             ty: t,
             init,
             is_final,
-            span,
         } => {
-            write!(out, "Local {{ name: {name:?}, ty: ").unwrap();
-            ty(out, t);
+            write!(out, "Local {{ name: {:?}, ty: ", b.name(name)).unwrap();
+            ty(out, b, t);
             out.push_str(", init: ");
-            opt(out, init.as_ref(), expr);
+            opt(out, init, e);
             write!(out, ", is_final: {is_final:?}, span: {span:?} }}").unwrap();
         }
-        Stmt::Assign {
-            target,
-            op,
-            value,
-            span,
-        } => {
+        Stmt::Assign { target, op, value } => {
             out.push_str("Assign { target: ");
-            lvalue(out, target);
+            expr(out, b, target);
             write!(out, ", op: {op:?}, value: ").unwrap();
-            expr(out, value);
+            expr(out, b, value);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Stmt::IncDec { target, inc, span } => {
+        Stmt::IncDec { target, inc } => {
             out.push_str("IncDec { target: ");
-            lvalue(out, target);
+            expr(out, b, target);
             write!(out, ", inc: {inc:?}, span: {span:?} }}").unwrap();
         }
-        Stmt::Expr(e) => {
+        Stmt::Expr(x) => {
             out.push_str("Expr(");
-            expr(out, e);
+            expr(out, b, x);
             out.push(')');
         }
         Stmt::If {
             cond,
             then_branch,
             else_branch,
-            span,
         } => {
             out.push_str("If { cond: ");
-            expr(out, cond);
+            expr(out, b, cond);
             out.push_str(", then_branch: ");
-            block(out, then_branch);
+            block(out, b, then_branch);
             out.push_str(", else_branch: ");
-            opt(out, else_branch.as_ref(), block);
+            opt(out, else_branch, |out, s| block(out, b, s));
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Stmt::While { cond, body, span } => {
+        Stmt::While { cond, body } => {
             out.push_str("While { cond: ");
-            expr(out, cond);
+            expr(out, b, cond);
             out.push_str(", body: ");
-            block(out, body);
+            block(out, b, body);
             write!(out, ", span: {span:?} }}").unwrap();
         }
         Stmt::For {
@@ -338,145 +360,124 @@ fn stmt(out: &mut String, s: &Stmt) {
             cond,
             update,
             body,
-            span,
         } => {
             out.push_str("For { init: ");
-            opt(out, init.as_deref(), stmt);
+            opt(out, init, |out, s| stmt(out, b, s));
             out.push_str(", cond: ");
-            opt(out, cond.as_ref(), expr);
+            opt(out, cond, e);
             out.push_str(", update: ");
-            opt(out, update.as_deref(), stmt);
+            opt(out, update, |out, s| stmt(out, b, s));
             out.push_str(", body: ");
-            block(out, body);
+            block(out, b, body);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Stmt::Return { value, span } => {
+        Stmt::Return { value } => {
             out.push_str("Return { value: ");
-            opt(out, value.as_ref(), expr);
+            opt(out, value, e);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Stmt::Break(span) => write!(out, "Break({span:?})").unwrap(),
-        Stmt::Continue(span) => write!(out, "Continue({span:?})").unwrap(),
-        Stmt::Block(b) => {
+        Stmt::Break => write!(out, "Break({span:?})").unwrap(),
+        Stmt::Continue => write!(out, "Continue({span:?})").unwrap(),
+        Stmt::Block(stmts) => {
             out.push_str("Block(");
-            block(out, b);
+            block(out, b, stmts);
             out.push(')');
         }
     }
 }
 
-fn lvalue(out: &mut String, lv: &LValue) {
-    match lv {
-        LValue::Name(n, span) => write!(out, "Name({n:?}, {span:?})").unwrap(),
-        LValue::Field { obj, name, span } => field_access(out, obj, name, *span),
-        LValue::Index { arr, idx, span } => index(out, arr, idx, *span),
-    }
-}
-
-fn field_access(out: &mut String, obj: &Expr, name: &str, span: jlang::Span) {
-    out.push_str("Field { obj: ");
-    expr(out, obj);
-    write!(out, ", name: {name:?}, span: {span:?} }}").unwrap();
-}
-
-fn index(out: &mut String, arr: &Expr, idx: &Expr, span: jlang::Span) {
-    out.push_str("Index { arr: ");
-    expr(out, arr);
-    out.push_str(", idx: ");
-    expr(out, idx);
-    write!(out, ", span: {span:?} }}").unwrap();
-}
-
-fn expr(out: &mut String, e: &Expr) {
-    match e {
-        Expr::IntLit(v, s) => write!(out, "IntLit({v:?}, {s:?})").unwrap(),
-        Expr::LongLit(v, s) => write!(out, "LongLit({v:?}, {s:?})").unwrap(),
-        Expr::FloatLit(v, s) => write!(out, "FloatLit({v:?}, {s:?})").unwrap(),
-        Expr::DoubleLit(v, s) => write!(out, "DoubleLit({v:?}, {s:?})").unwrap(),
-        Expr::BoolLit(v, s) => write!(out, "BoolLit({v:?}, {s:?})").unwrap(),
-        Expr::NullLit(s) => write!(out, "NullLit({s:?})").unwrap(),
-        Expr::StrLit(v, s) => write!(out, "StrLit({v:?}, {s:?})").unwrap(),
-        Expr::Name(n, s) => write!(out, "Name({n:?}, {s:?})").unwrap(),
-        Expr::This(s) => write!(out, "This({s:?})").unwrap(),
-        Expr::Field { obj, name, span } => field_access(out, obj, name, *span),
+fn expr(out: &mut String, b: &Body, e: ExprId) {
+    let span = b.expr_span(e);
+    let args = |out: &mut String, args| list(out, b.list(args), |out, a| expr(out, b, a));
+    match b.expr(e) {
+        Expr::IntLit(v) => write!(out, "IntLit({v:?}, {span:?})").unwrap(),
+        Expr::LongLit(v) => write!(out, "LongLit({v:?}, {span:?})").unwrap(),
+        Expr::FloatLit(v) => write!(out, "FloatLit({v:?}, {span:?})").unwrap(),
+        Expr::DoubleLit(v) => write!(out, "DoubleLit({v:?}, {span:?})").unwrap(),
+        Expr::BoolLit(v) => write!(out, "BoolLit({v:?}, {span:?})").unwrap(),
+        Expr::NullLit => write!(out, "NullLit({span:?})").unwrap(),
+        Expr::StrLit(v) => write!(out, "StrLit({:?}, {span:?})", b.name(v)).unwrap(),
+        Expr::Name(n) => write!(out, "Name({:?}, {span:?})", b.name(n)).unwrap(),
+        Expr::This => write!(out, "This({span:?})").unwrap(),
+        Expr::Field { obj, name } => {
+            out.push_str("Field { obj: ");
+            expr(out, b, obj);
+            write!(out, ", name: {:?}, span: {span:?} }}", b.name(name)).unwrap();
+        }
         Expr::Call {
             recv,
             name,
-            args,
-            span,
+            args: a,
         } => {
             out.push_str("Call { recv: ");
-            expr(out, recv);
-            write!(out, ", name: {name:?}, args: ").unwrap();
-            list(out, args, expr);
+            expr(out, b, recv);
+            write!(out, ", name: {:?}, args: ", b.name(name)).unwrap();
+            args(out, a);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::SuperCall { name, args, span } => {
-            write!(out, "SuperCall {{ name: {name:?}, args: ").unwrap();
-            list(out, args, expr);
+        Expr::SuperCall { name, args: a } => {
+            write!(out, "SuperCall {{ name: {:?}, args: ", b.name(name)).unwrap();
+            args(out, a);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::New { ty: t, args, span } => {
+        Expr::New { ty: t, args: a } => {
             out.push_str("New { ty: ");
-            ty(out, t);
+            ty(out, b, t);
             out.push_str(", args: ");
-            list(out, args, expr);
+            args(out, a);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::NewArray { elem, len, span } => {
+        Expr::NewArray { elem, len } => {
             out.push_str("NewArray { elem: ");
-            ty(out, elem);
+            ty(out, b, elem);
             out.push_str(", len: ");
-            expr(out, len);
+            expr(out, b, len);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::Index { arr, idx, span } => index(out, arr, idx, *span),
-        Expr::Unary { op, expr: e, span } => {
+        Expr::Index { arr, idx } => {
+            out.push_str("Index { arr: ");
+            expr(out, b, arr);
+            out.push_str(", idx: ");
+            expr(out, b, idx);
+            write!(out, ", span: {span:?} }}").unwrap();
+        }
+        Expr::Unary { op, expr: x } => {
             write!(out, "Unary {{ op: {op:?}, expr: ").unwrap();
-            expr(out, e);
+            expr(out, b, x);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::Binary { op, lhs, rhs, span } => {
+        Expr::Binary { op, lhs, rhs } => {
             write!(out, "Binary {{ op: {op:?}, lhs: ").unwrap();
-            expr(out, lhs);
+            expr(out, b, lhs);
             out.push_str(", rhs: ");
-            expr(out, rhs);
+            expr(out, b, rhs);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::Cast {
-            ty: t,
-            expr: e,
-            span,
-        } => {
+        Expr::Cast { ty: t, expr: x } => {
             out.push_str("Cast { ty: ");
-            ty(out, t);
+            ty(out, b, t);
             out.push_str(", expr: ");
-            expr(out, e);
+            expr(out, b, x);
             write!(out, ", span: {span:?} }}").unwrap();
         }
-        Expr::InstanceOf {
-            expr: e,
-            ty: t,
-            span,
-        } => {
+        Expr::InstanceOf { expr: x, ty: t } => {
             out.push_str("InstanceOf { expr: ");
-            expr(out, e);
+            expr(out, b, x);
             out.push_str(", ty: ");
-            ty(out, t);
+            ty(out, b, t);
             write!(out, ", span: {span:?} }}").unwrap();
         }
         Expr::Ternary {
             cond,
             then_val,
             else_val,
-            span,
         } => {
             out.push_str("Ternary { cond: ");
-            expr(out, cond);
+            expr(out, b, cond);
             out.push_str(", then_val: ");
-            expr(out, then_val);
+            expr(out, b, then_val);
             out.push_str(", else_val: ");
-            expr(out, else_val);
+            expr(out, b, else_val);
             write!(out, ", span: {span:?} }}").unwrap();
         }
     }

@@ -1,15 +1,20 @@
-//! The untyped abstract syntax tree produced by the parser.
+//! The untyped syntax produced by the parser.
 //!
-//! Names are unresolved strings at this stage; the resolver/type checker in
+//! Names are unresolved at this stage; the resolver/type checker in
 //! [`crate::typeck`] turns this into the typed representation in
 //! [`crate::tast`].
 //!
-//! Everything with a body — a method or constructor body, `super(...)`
-//! arguments, a field initializer — is held by [`Arc`]: immutable once
-//! parsed, and shared from then on by whoever holds the declaration (a
-//! parse memo, every class table built from it). Cloning a [`Unit`]
-//! copies the declaration skeleton and bumps those counts.
+//! A unit is a skeleton of declarations ([`ClassDecl`] and its members)
+//! that owns its names and types, with one [`Body`] per method body,
+//! constructor (`super(...)` arguments plus body) and field initializer.
+//! A body is flat: node vectors whose children are ids into the same
+//! body, spans beside them, and its names interned once. Bodies are held
+//! by [`Arc`]: immutable once parsed, and shared from then on by whoever
+//! holds the declaration (a parse memo, every class table built from
+//! it). Cloning a [`Unit`] copies the skeleton and bumps those counts.
 
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::span::Span;
@@ -32,8 +37,9 @@ pub struct Modifiers {
     pub is_abstract: bool,
 }
 
-/// A syntactic type reference, e.g. `float`, `FloatGridDblB`, `T`,
-/// `OneDSolver<ScalarFloat, EmptyContext>`, `float[]`.
+/// A syntactic type reference in a declaration, e.g. `float`,
+/// `FloatGridDblB`, `T`, `OneDSolver<ScalarFloat, EmptyContext>`,
+/// `float[]`. Types inside a body are [`TypeNode`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TypeRef {
     Void,
@@ -49,16 +55,6 @@ pub enum TypeRef {
         span: Span,
     },
     Array(Box<TypeRef>),
-}
-
-impl TypeRef {
-    pub fn named(name: &str, span: Span) -> TypeRef {
-        TypeRef::Named {
-            name: name.to_string(),
-            args: Vec::new(),
-            span,
-        }
-    }
 }
 
 /// A class-level type parameter: `T extends Solver`.
@@ -93,7 +89,8 @@ pub struct FieldDecl {
     pub ty: TypeRef,
     pub annotations: Vec<Annotation>,
     pub modifiers: Modifiers,
-    pub init: Option<Arc<Expr>>,
+    /// A body whose root is [`Root::Init`].
+    pub init: Option<Arc<Body>>,
     pub span: Span,
 }
 
@@ -106,8 +103,8 @@ pub struct Param {
     pub span: Span,
 }
 
-/// Method declaration; `body` is `None` for abstract/interface methods and
-/// for `@Native` methods.
+/// Method declaration; `body` (rooted at [`Root::Block`]) is `None` for
+/// abstract/interface methods and for `@Native` methods.
 #[derive(Debug, Clone)]
 pub struct MethodDecl {
     pub name: String,
@@ -115,7 +112,7 @@ pub struct MethodDecl {
     pub modifiers: Modifiers,
     pub params: Vec<Param>,
     pub ret: TypeRef,
-    pub body: Option<Arc<Block>>,
+    pub body: Option<Arc<Body>>,
     pub span: Span,
 }
 
@@ -123,108 +120,148 @@ pub struct MethodDecl {
 #[derive(Debug, Clone)]
 pub struct CtorDecl {
     pub params: Vec<Param>,
-    /// Explicit `super(...)` call arguments, if written as the first statement.
-    pub super_args: Option<Arc<Vec<Expr>>>,
-    pub body: Arc<Block>,
+    /// `super(...)` arguments and body, rooted at [`Root::Ctor`].
+    pub body: Arc<Body>,
     pub span: Span,
 }
 
+// ---- bodies ---------------------------------------------------------------
+
+/// An expression of a [`Body`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct ExprId(pub u32);
+
+/// A statement of a [`Body`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct StmtId(pub u32);
+
+/// A type of a [`Body`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TyId(pub u32);
+
+/// A name (or string literal) interned in a [`Body`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NameId(pub u32);
+
+macro_rules! from_raw {
+    ($($id:ident),*) => {$(
+        impl From<u32> for $id {
+            fn from(raw: u32) -> Self {
+                $id(raw)
+            }
+        }
+    )*};
+}
+from_raw!(ExprId, StmtId, TyId);
+
+/// A run of ids in a body's shared id list ([`Body::list`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct IdList<T> {
+    start: u32,
+    len: u32,
+    of: PhantomData<T>,
+}
+
+impl<T> IdList<T> {
+    /// Where the run starts in [`Body::ids`].
+    pub fn start(self) -> u32 {
+        self.start
+    }
+
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
 /// A `{ ... }` statement block.
-#[derive(Debug, Clone, Default)]
-pub struct Block {
-    pub stmts: Vec<Stmt>,
+pub type Block = IdList<StmtId>;
+
+/// Call or constructor arguments.
+pub type Args = IdList<ExprId>;
+
+/// What a body is the body of.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Root {
+    /// A method body.
+    Block(Block),
+    /// A constructor: explicit `super(...)` arguments, if written as the
+    /// first statement, and the rest of the body.
+    Ctor {
+        super_args: Option<Args>,
+        body: Block,
+    },
+    /// A field initializer.
+    Init(ExprId),
 }
 
-/// Assignment targets.
-#[derive(Debug, Clone)]
-pub enum LValue {
-    /// A bare name: a local, a parameter, or an implicit `this.field`.
-    Name(String, Span),
-    /// `expr.field`, or `Class.field` (resolved later; the parser can't
-    /// tell the two apart). Boxed like [`Expr::Field`], so that taking an
-    /// lvalue from an expression moves the box.
-    Field {
-        obj: Box<Expr>,
-        name: String,
+/// A type inside a body.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TypeNode {
+    Void,
+    Int,
+    Long,
+    Float,
+    Double,
+    Boolean,
+    /// Class, interface, or type-parameter name with type arguments.
+    Named {
+        name: NameId,
+        args: IdList<TyId>,
         span: Span,
     },
-    /// `arr[idx]`
-    Index {
-        arr: Box<Expr>,
-        idx: Box<Expr>,
-        span: Span,
-    },
+    Array(TyId),
 }
 
-/// Statements.
-#[derive(Debug, Clone)]
+/// Statements. Each one's span is [`Body::stmt_span`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stmt {
     /// `T x = init;`
     Local {
-        name: String,
-        ty: TypeRef,
-        init: Option<Expr>,
+        name: NameId,
+        ty: TyId,
+        init: Option<ExprId>,
         is_final: bool,
-        span: Span,
     },
-    /// `lhs op= rhs;` — `op` is `None` for plain `=`.
+    /// `lhs op= rhs;` — `op` is `None` for plain `=`. The target is a
+    /// [`Expr::Name`], [`Expr::Field`] or [`Expr::Index`].
     Assign {
-        target: LValue,
+        target: ExprId,
         op: Option<BinOp>,
-        value: Expr,
-        span: Span,
+        value: ExprId,
     },
-    /// `x++;` / `x--;` statements (sugar for `x = x + 1`).
+    /// `x++;` / `x--;` statements (sugar for `x = x + 1`); the target is
+    /// as for [`Stmt::Assign`].
     IncDec {
-        target: LValue,
+        target: ExprId,
         inc: bool,
-        span: Span,
     },
-    Expr(Expr),
+    Expr(ExprId),
     If {
-        cond: Expr,
+        cond: ExprId,
         then_branch: Block,
         else_branch: Option<Block>,
-        span: Span,
     },
     While {
-        cond: Expr,
+        cond: ExprId,
         body: Block,
-        span: Span,
     },
     /// `for (init; cond; update) body` — each part optional.
     For {
-        init: Option<Box<Stmt>>,
-        cond: Option<Expr>,
-        update: Option<Box<Stmt>>,
+        init: Option<StmtId>,
+        cond: Option<ExprId>,
+        update: Option<StmtId>,
         body: Block,
-        span: Span,
     },
     Return {
-        value: Option<Expr>,
-        span: Span,
+        value: Option<ExprId>,
     },
-    Break(Span),
-    Continue(Span),
+    Break,
+    Continue,
     Block(Block),
-}
-
-impl Stmt {
-    pub fn span(&self) -> Span {
-        match self {
-            Stmt::Local { span, .. }
-            | Stmt::Assign { span, .. }
-            | Stmt::IncDec { span, .. }
-            | Stmt::If { span, .. }
-            | Stmt::While { span, .. }
-            | Stmt::For { span, .. }
-            | Stmt::Return { span, .. }
-            | Stmt::Break(span)
-            | Stmt::Continue(span) => *span,
-            Stmt::Expr(e) => e.span(),
-            Stmt::Block(b) => b.stmts.first().map(|s| s.span()).unwrap_or_default(),
-        }
-    }
 }
 
 /// Binary operators.
@@ -258,11 +295,6 @@ impl BinOp {
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
         )
     }
-
-    /// True for `&&` / `||`.
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
 }
 
 /// Unary operators.
@@ -272,113 +304,320 @@ pub enum UnOp {
     Not,
 }
 
-/// Expressions.
-#[derive(Debug, Clone)]
+/// Expressions. Each one's span is [`Body::expr_span`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Expr {
-    IntLit(i64, Span),
-    LongLit(i64, Span),
-    FloatLit(f32, Span),
-    DoubleLit(f64, Span),
-    BoolLit(bool, Span),
-    NullLit(Span),
-    StrLit(String, Span),
+    IntLit(i64),
+    LongLit(i64),
+    FloatLit(f32),
+    DoubleLit(f64),
+    BoolLit(bool),
+    NullLit,
+    StrLit(NameId),
     /// Bare name: local, parameter, implicit `this.field`, or class name
     /// (as receiver of a static call / static field).
-    Name(String, Span),
-    This(Span),
-    /// `expr.name`
+    Name(NameId),
+    This,
+    /// `expr.name`, or `Class.field` (resolved later; the parser can't
+    /// tell the two apart).
     Field {
-        obj: Box<Expr>,
-        name: String,
-        span: Span,
+        obj: ExprId,
+        name: NameId,
     },
     /// `expr.name(args)` — virtual or static call; resolution decides.
     Call {
-        recv: Box<Expr>,
-        name: String,
-        args: Vec<Expr>,
-        span: Span,
+        recv: ExprId,
+        name: NameId,
+        args: Args,
     },
     /// `super.name(args)`
     SuperCall {
-        name: String,
-        args: Vec<Expr>,
-        span: Span,
+        name: NameId,
+        args: Args,
     },
     /// `new T(args)` / `new T<A,B>(args)`
     New {
-        ty: TypeRef,
-        args: Vec<Expr>,
-        span: Span,
+        ty: TyId,
+        args: Args,
     },
     /// `new T[len]`
     NewArray {
-        elem: TypeRef,
-        len: Box<Expr>,
-        span: Span,
+        elem: TyId,
+        len: ExprId,
     },
     /// `arr[idx]`
     Index {
-        arr: Box<Expr>,
-        idx: Box<Expr>,
-        span: Span,
+        arr: ExprId,
+        idx: ExprId,
     },
     Unary {
         op: UnOp,
-        expr: Box<Expr>,
-        span: Span,
+        expr: ExprId,
     },
     Binary {
         op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
-        span: Span,
+        lhs: ExprId,
+        rhs: ExprId,
     },
     /// `(T) expr`
     Cast {
-        ty: TypeRef,
-        expr: Box<Expr>,
-        span: Span,
+        ty: TyId,
+        expr: ExprId,
     },
     /// `expr instanceof T` — parsed so the rules checker can reject it.
     InstanceOf {
-        expr: Box<Expr>,
-        ty: TypeRef,
-        span: Span,
+        expr: ExprId,
+        ty: TyId,
     },
     /// `c ? t : f` — parsed so the rules checker can reject it.
     Ternary {
-        cond: Box<Expr>,
-        then_val: Box<Expr>,
-        else_val: Box<Expr>,
-        span: Span,
+        cond: ExprId,
+        then_val: ExprId,
+        else_val: ExprId,
     },
 }
 
-impl Expr {
-    pub fn span(&self) -> Span {
-        match self {
-            Expr::IntLit(_, s)
-            | Expr::LongLit(_, s)
-            | Expr::FloatLit(_, s)
-            | Expr::DoubleLit(_, s)
-            | Expr::BoolLit(_, s)
-            | Expr::NullLit(s)
-            | Expr::StrLit(_, s)
-            | Expr::Name(_, s)
-            | Expr::This(s)
-            | Expr::Field { span: s, .. }
-            | Expr::Call { span: s, .. }
-            | Expr::SuperCall { span: s, .. }
-            | Expr::New { span: s, .. }
-            | Expr::NewArray { span: s, .. }
-            | Expr::Index { span: s, .. }
-            | Expr::Unary { span: s, .. }
-            | Expr::Binary { span: s, .. }
-            | Expr::Cast { span: s, .. }
-            | Expr::InstanceOf { span: s, .. }
-            | Expr::Ternary { span: s, .. } => *s,
+/// One method body, constructor or field initializer as flat node
+/// vectors. Children precede their parents; spans sit beside the nodes;
+/// names are interned once per body in first-use order, so a body is
+/// self-contained and reads (and hashes) the same wherever it sits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Body {
+    root: Root,
+    exprs: Box<[Expr]>,
+    expr_spans: Box<[Span]>,
+    stmts: Box<[Stmt]>,
+    stmt_spans: Box<[Span]>,
+    types: Box<[TypeNode]>,
+    /// Every [`IdList`], back to back.
+    ids: Box<[u32]>,
+    /// Every name, back to back; name `i` ends at `name_ends[i]`.
+    names: Box<str>,
+    name_ends: Box<[u32]>,
+}
+
+impl Body {
+    /// The body of a class that declares no constructor.
+    pub fn implicit_ctor() -> Body {
+        BodyBuilder::default().finish(Root::Ctor {
+            super_args: None,
+            body: Block::default(),
+        })
+    }
+
+    pub fn root(&self) -> Root {
+        self.root
+    }
+
+    pub fn expr(&self, id: ExprId) -> Expr {
+        self.exprs[id.0 as usize]
+    }
+
+    pub fn expr_span(&self, id: ExprId) -> Span {
+        self.expr_spans[id.0 as usize]
+    }
+
+    pub fn stmt(&self, id: StmtId) -> Stmt {
+        self.stmts[id.0 as usize]
+    }
+
+    pub fn stmt_span(&self, id: StmtId) -> Span {
+        self.stmt_spans[id.0 as usize]
+    }
+
+    pub fn ty(&self, id: TyId) -> TypeNode {
+        self.types[id.0 as usize]
+    }
+
+    /// Type `id` as a declaration would hold it, for the resolver.
+    pub fn type_ref(&self, id: TyId) -> TypeRef {
+        owned_type(&self.types, &self.ids, &self.names, &self.name_ends, id)
+    }
+
+    pub fn name(&self, id: NameId) -> &str {
+        name_text(&self.names, &self.name_ends, id)
+    }
+
+    /// The id of `name`, if the body uses it.
+    pub fn find_name(&self, name: &str) -> Option<NameId> {
+        self.names()
+            .position(|n| n == name)
+            .map(|i| NameId(i as u32))
+    }
+
+    /// The ids of a block, an argument list or a type's arguments.
+    pub fn list<T: From<u32>>(&self, l: IdList<T>) -> impl ExactSizeIterator<Item = T> + '_ {
+        let start = l.start as usize;
+        self.ids[start..start + l.len()].iter().map(|&i| T::from(i))
+    }
+
+    pub fn exprs(&self) -> &[Expr] {
+        &self.exprs
+    }
+
+    pub fn stmts(&self) -> &[Stmt] {
+        &self.stmts
+    }
+
+    pub fn types(&self) -> &[TypeNode] {
+        &self.types
+    }
+
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The interned names in id order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        (0..self.name_ends.len()).map(|i| self.name(NameId(i as u32)))
+    }
+}
+
+/// The owned [`TypeRef`] of type `id` of a body's (or a builder's) nodes.
+fn owned_type(types: &[TypeNode], ids: &[u32], names: &str, ends: &[u32], id: TyId) -> TypeRef {
+    let ty = |id| owned_type(types, ids, names, ends, id);
+    match types[id.0 as usize] {
+        TypeNode::Void => TypeRef::Void,
+        TypeNode::Int => TypeRef::Int,
+        TypeNode::Long => TypeRef::Long,
+        TypeNode::Float => TypeRef::Float,
+        TypeNode::Double => TypeRef::Double,
+        TypeNode::Boolean => TypeRef::Boolean,
+        TypeNode::Named { name, args, span } => TypeRef::Named {
+            name: name_text(names, ends, name).to_string(),
+            args: ids[args.start as usize..][..args.len()]
+                .iter()
+                .map(|&a| ty(TyId(a)))
+                .collect(),
+            span,
+        },
+        TypeNode::Array(elem) => TypeRef::Array(Box::new(ty(elem))),
+    }
+}
+
+/// Name `id` of a body's back-to-back name text.
+fn name_text<'n>(names: &'n str, ends: &[u32], id: NameId) -> &'n str {
+    let i = id.0 as usize;
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &names[start..ends[i] as usize]
+}
+
+/// Builds one [`Body`] at a time; the parser keeps one and reuses its
+/// buffers from body to body, so a body costs its final allocations only.
+#[derive(Default)]
+pub(crate) struct BodyBuilder {
+    exprs: Vec<Expr>,
+    expr_spans: Vec<Span>,
+    stmts: Vec<Stmt>,
+    stmt_spans: Vec<Span>,
+    types: Vec<TypeNode>,
+    ids: Vec<u32>,
+    /// Members of the lists under construction, innermost list last.
+    pending: Vec<u32>,
+    names: String,
+    name_ends: Vec<u32>,
+    /// FNV-1a hash of a name's text to the first name with that hash.
+    index: HashMap<u64, u32>,
+}
+
+impl BodyBuilder {
+    pub(crate) fn clear(&mut self) {
+        self.exprs.clear();
+        self.expr_spans.clear();
+        self.stmts.clear();
+        self.stmt_spans.clear();
+        self.types.clear();
+        self.ids.clear();
+        self.pending.clear();
+        self.names.clear();
+        self.name_ends.clear();
+        self.index.clear();
+    }
+
+    pub(crate) fn expr(&mut self, e: Expr, span: Span) -> ExprId {
+        self.exprs.push(e);
+        self.expr_spans.push(span);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    pub(crate) fn stmt(&mut self, s: Stmt, span: Span) -> StmtId {
+        self.stmts.push(s);
+        self.stmt_spans.push(span);
+        StmtId(self.stmts.len() as u32 - 1)
+    }
+
+    pub(crate) fn ty(&mut self, t: TypeNode) -> TyId {
+        self.types.push(t);
+        TyId(self.types.len() as u32 - 1)
+    }
+
+    pub(crate) fn get(&self, id: ExprId) -> (Expr, Span) {
+        (self.exprs[id.0 as usize], self.expr_spans[id.0 as usize])
+    }
+
+    /// Where the list about to be built starts; pass it to [`Self::list`].
+    pub(crate) fn mark(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Append a member to the innermost list under construction.
+    pub(crate) fn push(&mut self, raw: u32) {
+        self.pending.push(raw);
+    }
+
+    /// Close the list begun at `mark`.
+    pub(crate) fn list<T>(&mut self, mark: usize) -> IdList<T> {
+        let start = self.ids.len() as u32;
+        self.ids.extend(self.pending.drain(mark..));
+        IdList {
+            start,
+            len: self.ids.len() as u32 - start,
+            of: PhantomData,
         }
+    }
+
+    pub(crate) fn intern(&mut self, name: &str) -> NameId {
+        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        let text = |i: u32| name_text(&self.names, &self.name_ends, NameId(i));
+        if let Some(&i) = self.index.get(&hash) {
+            if text(i) == name {
+                return NameId(i);
+            }
+            // Another name with the same hash: the index holds the first
+            // one only, so look the rest up by text.
+            if let Some(i) = (0..self.name_ends.len() as u32).find(|&i| text(i) == name) {
+                return NameId(i);
+            }
+        }
+        let i = self.name_ends.len() as u32;
+        self.names.push_str(name);
+        self.name_ends.push(self.names.len() as u32);
+        self.index.entry(hash).or_insert(i);
+        NameId(i)
+    }
+
+    /// The owned [`TypeRef`] of a type built here, for a declaration.
+    pub(crate) fn type_ref(&self, id: TyId) -> TypeRef {
+        owned_type(&self.types, &self.ids, &self.names, &self.name_ends, id)
+    }
+
+    /// The body built so far, rooted at `root`; leaves the builder empty.
+    pub(crate) fn finish(&mut self, root: Root) -> Body {
+        let body = Body {
+            root,
+            exprs: self.exprs.as_slice().into(),
+            expr_spans: self.expr_spans.as_slice().into(),
+            stmts: self.stmts.as_slice().into(),
+            stmt_spans: self.stmt_spans.as_slice().into(),
+            types: self.types.as_slice().into(),
+            ids: self.ids.as_slice().into(),
+            names: self.names.as_str().into(),
+            name_ends: self.name_ends.as_slice().into(),
+        };
+        self.clear();
+        body
     }
 }
 

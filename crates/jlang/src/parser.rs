@@ -33,6 +33,8 @@ pub struct Parser<'a> {
     /// by loops, not recursion, so `depth` never sees how deep a tree they
     /// build; this does.
     height: u32,
+    /// The body being parsed.
+    b: BodyBuilder,
     diags: Vec<Diagnostic>,
 }
 
@@ -63,6 +65,7 @@ pub fn parse_unit(file: u32, src: &str) -> Result<Unit, Vec<Diagnostic>> {
         depth: 0,
         stmt_depth: 0,
         height: 0,
+        b: BodyBuilder::default(),
         diags: Vec::new(),
     };
     let unit = p.unit();
@@ -213,6 +216,17 @@ impl<'a> Parser<'a> {
             Some(name) => {
                 self.bump();
                 Ok((name.to_string(), s))
+            }
+            None => Err(self.err(format!("expected identifier, found {}", self.found()))),
+        }
+    }
+
+    /// An identifier in a body, interned.
+    fn name(&mut self) -> PResult<NameId> {
+        match self.peek_ident() {
+            Some(name) => {
+                self.bump();
+                Ok(self.b.intern(name))
             }
             None => Err(self.err(format!("expected identifier, found {}", self.found()))),
         }
@@ -433,7 +447,7 @@ impl<'a> Parser<'a> {
             let body = if self.eat(Tok::Semi) {
                 None
             } else {
-                Some(Arc::new(self.block()?))
+                Some(self.body(|p| p.block().map(Root::Block))?)
             };
             if body.is_none() && !is_interface && !modifiers.is_abstract {
                 let is_native = annotations.iter().any(|a| a.name == "Native");
@@ -476,9 +490,9 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn field_init(&mut self) -> PResult<Option<Arc<Expr>>> {
+    fn field_init(&mut self) -> PResult<Option<Arc<Body>>> {
         if self.eat(Tok::Assign) {
-            Ok(Some(Arc::new(self.expr()?)))
+            Ok(Some(self.body(|p| p.expr().map(Root::Init))?))
         } else {
             Ok(None)
         }
@@ -489,32 +503,34 @@ impl<'a> Parser<'a> {
         self.ident()?; // class name, validated by caller
         let params = self.params()?;
         self.expect(Tok::LBrace)?;
-        // Optional `super(...)` as the first statement.
-        let mut super_args = None;
-        if *self.peek() == Tok::KwSuper && *self.peek_at(1) == Tok::LParen {
-            self.bump();
-            self.bump();
-            let mut args = Vec::new();
-            if *self.peek() != Tok::RParen {
-                args.push(self.expr()?);
-                while self.eat(Tok::Comma) {
-                    args.push(self.expr()?);
-                }
+        let body = self.body(|p| {
+            // Optional `super(...)` as the first statement.
+            let mut super_args = None;
+            if *p.peek() == Tok::KwSuper && *p.peek_at(1) == Tok::LParen {
+                p.bump();
+                super_args = Some(p.call_args()?);
+                p.expect(Tok::Semi)?;
             }
-            self.expect(Tok::RParen)?;
-            self.expect(Tok::Semi)?;
-            super_args = Some(Arc::new(args));
-        }
-        let mut stmts = Vec::new();
-        while !self.eat(Tok::RBrace) {
-            stmts.push(self.stmt()?);
-        }
+            let mark = p.b.mark();
+            while !p.eat(Tok::RBrace) {
+                let s = p.stmt()?;
+                p.b.push(s.0);
+            }
+            let body = p.b.list(mark);
+            Ok(Root::Ctor { super_args, body })
+        })?;
         Ok(CtorDecl {
             params,
-            super_args,
-            body: Arc::new(Block { stmts }),
+            body,
             span: start.to(self.prev_span()),
         })
+    }
+
+    /// One body, built by `parse` in the parser's [`BodyBuilder`].
+    fn body(&mut self, parse: impl FnOnce(&mut Self) -> PResult<Root>) -> PResult<Arc<Body>> {
+        self.b.clear();
+        let root = parse(self)?;
+        Ok(Arc::new(self.b.finish(root)))
     }
 
     fn params(&mut self) -> PResult<Vec<Param>> {
@@ -545,40 +561,48 @@ impl<'a> Parser<'a> {
     // Types
     // ------------------------------------------------------------------
 
+    /// A type in a declaration: parsed by [`Self::ty`] (between bodies,
+    /// so into an empty builder) and taken out of the builder.
+    fn type_ref(&mut self) -> PResult<TypeRef> {
+        let t = self.ty().map(|t| self.b.type_ref(t));
+        self.b.clear();
+        t
+    }
+
     /// A type. [`Self::type_ahead`] scans the same grammar without
     /// building it; the two change together.
-    fn type_ref(&mut self) -> PResult<TypeRef> {
+    fn ty(&mut self) -> PResult<TyId> {
         let prim = match self.peek() {
-            Tok::KwVoid => Some(TypeRef::Void),
-            Tok::KwInt => Some(TypeRef::Int),
-            Tok::KwLong => Some(TypeRef::Long),
-            Tok::KwFloat => Some(TypeRef::Float),
-            Tok::KwDouble => Some(TypeRef::Double),
-            Tok::KwBoolean => Some(TypeRef::Boolean),
+            Tok::KwVoid => Some(TypeNode::Void),
+            Tok::KwInt => Some(TypeNode::Int),
+            Tok::KwLong => Some(TypeNode::Long),
+            Tok::KwFloat => Some(TypeNode::Float),
+            Tok::KwDouble => Some(TypeNode::Double),
+            Tok::KwBoolean => Some(TypeNode::Boolean),
             _ => None,
         };
         let mut ty = if let Some(prim) = prim {
             self.bump();
-            prim
+            self.b.ty(prim)
         } else if let Some(name) = self.peek_ident() {
             let span = self.span();
             self.bump();
-            let mut args = Vec::new();
+            let name = self.b.intern(name);
+            let mark = self.b.mark();
             if *self.peek() == Tok::Lt && self.looks_like_type_args(self.pos) {
                 self.bump();
                 loop {
-                    args.push(self.nested("type", Self::type_ref)?);
+                    let arg = self.nested("type", Self::ty)?;
+                    self.b.push(arg.0);
                     if !self.eat(Tok::Comma) {
                         break;
                     }
                 }
                 self.expect_gt()?;
             }
-            TypeRef::Named {
-                name: name.to_string(),
-                args,
-                span: span.to(self.prev_span()),
-            }
+            let args = self.b.list(mark);
+            let span = span.to(self.prev_span());
+            self.b.ty(TypeNode::Named { name, args, span })
         } else {
             return Err(self.err(format!("expected a type, found {}", self.found())));
         };
@@ -592,12 +616,11 @@ impl<'a> Parser<'a> {
             }
             self.bump();
             self.bump();
-            ty = TypeRef::Array(Box::new(ty));
+            ty = self.b.ty(TypeNode::Array(ty));
         }
         Ok(ty)
     }
-
-    /// Would [`Self::type_ref`] accept the tokens from index `i` on, at
+    /// Would [`Self::ty`] accept the tokens from index `i` on, at
     /// expression depth `depth`? If so, moves `i` (and `pending_gt`, the
     /// split-`>>` state) past them.
     fn type_ahead(&self, i: &mut usize, pending_gt: &mut bool, depth: u32) -> bool {
@@ -689,14 +712,15 @@ impl<'a> Parser<'a> {
 
     fn block(&mut self) -> PResult<Block> {
         self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
+        let mark = self.b.mark();
         while !self.eat(Tok::RBrace) {
             if *self.peek() == Tok::Eof {
                 return Err(self.err("unterminated block".to_string()));
             }
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.b.push(s.0);
         }
-        Ok(Block { stmts })
+        Ok(self.b.list(mark))
     }
 
     /// A block, or a single statement wrapped in a block (for `if (c) s;`).
@@ -704,13 +728,19 @@ impl<'a> Parser<'a> {
         if *self.peek() == Tok::LBrace {
             self.block()
         } else {
-            Ok(Block {
-                stmts: vec![self.stmt()?],
-            })
+            let s = self.stmt()?;
+            Ok(self.wrap(s))
         }
     }
 
-    fn stmt(&mut self) -> PResult<Stmt> {
+    /// A block of the one statement `s`.
+    fn wrap(&mut self, s: StmtId) -> Block {
+        let mark = self.b.mark();
+        self.b.push(s.0);
+        self.b.list(mark)
+    }
+
+    fn stmt(&mut self) -> PResult<StmtId> {
         self.stmt_depth += 1;
         let r = if self.stmt_depth > MAX_STMT_DEPTH {
             Err(self.err(format!(
@@ -723,10 +753,10 @@ impl<'a> Parser<'a> {
         r
     }
 
-    fn stmt_at_depth(&mut self) -> PResult<Stmt> {
+    fn stmt_at_depth(&mut self) -> PResult<StmtId> {
         let start = self.span();
-        match self.peek() {
-            Tok::LBrace => Ok(Stmt::Block(self.block()?)),
+        let stmt = match self.peek() {
+            Tok::LBrace => Stmt::Block(self.block()?),
             Tok::KwReturn => {
                 self.bump();
                 let value = if *self.peek() == Tok::Semi {
@@ -735,20 +765,17 @@ impl<'a> Parser<'a> {
                     Some(self.expr()?)
                 };
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Return {
-                    value,
-                    span: start.to(self.prev_span()),
-                })
+                Stmt::Return { value }
             }
             Tok::KwBreak => {
                 self.bump();
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Break(start))
+                return Ok(self.b.stmt(Stmt::Break, start));
             }
             Tok::KwContinue => {
                 self.bump();
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Continue(start))
+                return Ok(self.b.stmt(Stmt::Continue, start));
             }
             Tok::KwIf => {
                 self.bump();
@@ -758,21 +785,19 @@ impl<'a> Parser<'a> {
                 let then_branch = self.block_or_stmt()?;
                 let else_branch = if self.eat(Tok::KwElse) {
                     Some(if *self.peek() == Tok::KwIf {
-                        Block {
-                            stmts: vec![self.stmt()?],
-                        }
+                        let s = self.stmt()?;
+                        self.wrap(s)
                     } else {
                         self.block_or_stmt()?
                     })
                 } else {
                     None
                 };
-                Ok(Stmt::If {
+                Stmt::If {
                     cond,
                     then_branch,
                     else_branch,
-                    span: start.to(self.prev_span()),
-                })
+                }
             }
             Tok::KwWhile => {
                 self.bump();
@@ -780,11 +805,7 @@ impl<'a> Parser<'a> {
                 let cond = self.expr()?;
                 self.expect(Tok::RParen)?;
                 let body = self.block_or_stmt()?;
-                Ok(Stmt::While {
-                    cond,
-                    body,
-                    span: start.to(self.prev_span()),
-                })
+                Stmt::While { cond, body }
             }
             Tok::KwFor => {
                 self.bump();
@@ -792,7 +813,7 @@ impl<'a> Parser<'a> {
                 let init = if self.eat(Tok::Semi) {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt(true)?))
+                    Some(self.simple_stmt(true)?)
                 };
                 let cond = if *self.peek() == Tok::Semi {
                     None
@@ -803,25 +824,25 @@ impl<'a> Parser<'a> {
                 let update = if *self.peek() == Tok::RParen {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
+                    Some(self.simple_stmt_no_semi()?)
                 };
                 self.expect(Tok::RParen)?;
                 let body = self.block_or_stmt()?;
-                Ok(Stmt::For {
+                Stmt::For {
                     init,
                     cond,
                     update,
                     body,
-                    span: start.to(self.prev_span()),
-                })
+                }
             }
-            _ => self.simple_stmt(true),
-        }
+            _ => return self.simple_stmt(true),
+        };
+        Ok(self.b.stmt(stmt, start.to(self.prev_span())))
     }
 
     /// A local-declaration / assignment / inc-dec / expression statement.
     /// When `want_semi` is set, a trailing `;` is required and consumed.
-    fn simple_stmt(&mut self, want_semi: bool) -> PResult<Stmt> {
+    fn simple_stmt(&mut self, want_semi: bool) -> PResult<StmtId> {
         let stmt = self.simple_stmt_no_semi()?;
         if want_semi {
             self.expect(Tok::Semi)?;
@@ -829,7 +850,7 @@ impl<'a> Parser<'a> {
         Ok(stmt)
     }
 
-    fn simple_stmt_no_semi(&mut self) -> PResult<Stmt> {
+    fn simple_stmt_no_semi(&mut self) -> PResult<StmtId> {
         let start = self.span();
         // Local declaration: `[final] Type Ident`, decided by lookahead.
         let is_final = *self.peek() == Tok::KwFinal;
@@ -840,20 +861,20 @@ impl<'a> Parser<'a> {
             && matches!(self.tok_at(i), Tok::Ident { .. })
         {
             self.eat(Tok::KwFinal);
-            let ty = self.type_ref()?;
-            let (name, _) = self.ident()?;
+            let ty = self.ty()?;
+            let name = self.name()?;
             let init = if self.eat(Tok::Assign) {
                 Some(self.expr()?)
             } else {
                 None
             };
-            return Ok(Stmt::Local {
+            let local = Stmt::Local {
                 name,
                 ty,
                 init,
                 is_final,
-                span: start.to(self.prev_span()),
-            });
+            };
+            return Ok(self.b.stmt(local, start.to(self.prev_span())));
         }
         // `final` before something that cannot begin a type; before one
         // that can, the expression below reports the `final` itself.
@@ -875,34 +896,26 @@ impl<'a> Parser<'a> {
             inc_dec @ (Tok::PlusPlus | Tok::MinusMinus) => {
                 let inc = *inc_dec == Tok::PlusPlus;
                 self.bump();
-                let target = self.expr_to_lvalue(e)?;
-                return Ok(Stmt::IncDec {
-                    target,
-                    inc,
-                    span: start.to(self.prev_span()),
-                });
+                let target = self.lvalue(e)?;
+                let stmt = Stmt::IncDec { target, inc };
+                return Ok(self.b.stmt(stmt, start.to(self.prev_span())));
             }
-            _ => return Ok(Stmt::Expr(e)),
+            _ => return Ok(self.b.stmt(Stmt::Expr(e), self.span_of(e))),
         };
         self.bump();
-        let target = self.expr_to_lvalue(e)?;
+        let target = self.lvalue(e)?;
         let value = self.expr()?;
-        Ok(Stmt::Assign {
-            target,
-            op,
-            value,
-            span: start.to(self.prev_span()),
-        })
+        let stmt = Stmt::Assign { target, op, value };
+        Ok(self.b.stmt(stmt, start.to(self.prev_span())))
     }
 
-    fn expr_to_lvalue(&self, e: Expr) -> PResult<LValue> {
-        match e {
-            Expr::Name(n, s) => Ok(LValue::Name(n, s)),
-            Expr::Field { obj, name, span } => Ok(LValue::Field { obj, name, span }),
-            Expr::Index { arr, idx, span } => Ok(LValue::Index { arr, idx, span }),
-            other => Err(Diagnostic::error(
+    /// `e`, if it can be assigned to.
+    fn lvalue(&self, e: ExprId) -> PResult<ExprId> {
+        match self.b.get(e) {
+            (Expr::Name(_) | Expr::Field { .. } | Expr::Index { .. }, _) => Ok(e),
+            (_, span) => Err(Diagnostic::error(
                 "parser",
-                other.span(),
+                span,
                 "expression is not assignable".to_string(),
             )),
         }
@@ -912,8 +925,12 @@ impl<'a> Parser<'a> {
     // Expressions (precedence climbing)
     // ------------------------------------------------------------------
 
-    pub fn expr(&mut self) -> PResult<Expr> {
+    pub fn expr(&mut self) -> PResult<ExprId> {
         self.nested("expression", Self::ternary)
+    }
+
+    fn span_of(&self, e: ExprId) -> Span {
+        self.b.get(e).1
     }
 
     /// Run `parse` one recursion level down.
@@ -940,22 +957,22 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn ternary(&mut self) -> PResult<Expr> {
+    fn ternary(&mut self) -> PResult<ExprId> {
         let cond = self.binary(1)?;
         if self.eat(Tok::Question) {
-            let start = cond.span();
+            let start = self.span_of(cond);
             let mut below = self.height;
             let then_val = self.expr()?;
             below = below.max(self.height);
             self.expect(Tok::Colon)?;
             let else_val = self.expr()?;
             self.node_over(below.max(self.height))?;
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_val: Box::new(then_val),
-                else_val: Box::new(else_val),
-                span: start.to(self.prev_span()),
-            })
+            let e = Expr::Ternary {
+                cond,
+                then_val,
+                else_val,
+            };
+            Ok(self.b.expr(e, start.to(self.prev_span())))
         } else {
             Ok(cond)
         }
@@ -965,7 +982,7 @@ impl<'a> Parser<'a> {
     /// `instanceof`) that binds at least as tightly as `min_bp`, each
     /// right operand parsed one power up so that equal powers associate
     /// to the left.
-    fn binary(&mut self, min_bp: u8) -> PResult<Expr> {
+    fn binary(&mut self, min_bp: u8) -> PResult<ExprId> {
         let mut lhs = self.unary()?;
         // Power of the operator that built `lhs`; a tighter one must not
         // take it as an operand (`a instanceof T + 1` ends at the `+`).
@@ -973,14 +990,10 @@ impl<'a> Parser<'a> {
         loop {
             if *self.peek() == Tok::KwInstanceof && (min_bp..=cap).contains(&RELATIONAL) {
                 self.bump();
-                let ty = self.type_ref()?;
+                let ty = self.ty()?;
                 self.node_over(self.height)?;
-                let span = lhs.span().to(self.prev_span());
-                lhs = Expr::InstanceOf {
-                    expr: Box::new(lhs),
-                    ty,
-                    span,
-                };
+                let span = self.span_of(lhs).to(self.prev_span());
+                lhs = self.b.expr(Expr::InstanceOf { expr: lhs, ty }, span);
                 cap = RELATIONAL;
                 continue;
             }
@@ -992,57 +1005,57 @@ impl<'a> Parser<'a> {
             let below = self.height;
             let rhs = self.binary(bp + 1)?;
             self.node_over(below.max(self.height))?;
-            let span = lhs.span().to(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            let span = self.span_of(lhs).to(self.span_of(rhs));
+            lhs = self.b.expr(Expr::Binary { op, lhs, rhs }, span);
             cap = bp;
         }
     }
 
-    fn unary(&mut self) -> PResult<Expr> {
+    fn unary(&mut self) -> PResult<ExprId> {
         let start = self.span();
-        match self.peek() {
-            Tok::Minus => {
+        let (e, operand) = match self.peek() {
+            Tok::Minus if self.min_value_follows() => {
+                // `-2147483648` and `-9223372036854775808L`: the magnitude
+                // of `MIN_VALUE` is a literal only right after a unary
+                // minus (JLS 3.10.1), so the two fold into one literal.
                 self.bump();
-                let e = self.nested("expression", Self::unary)?;
-                self.node_over(self.height)?;
-                let span = start.to(e.span());
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    expr: Box::new(e),
-                    span,
-                })
+                let lit = match *self.peek() {
+                    Tok::IntLit(v) => Expr::IntLit(-v),
+                    _ => Expr::LongLit(i64::MIN),
+                };
+                self.bump();
+                self.height = 1;
+                return Ok(self.b.expr(lit, start.to(self.prev_span())));
             }
-            Tok::Not => {
+            Tok::Minus | Tok::Not => {
+                let op = if *self.peek() == Tok::Minus {
+                    UnOp::Neg
+                } else {
+                    UnOp::Not
+                };
                 self.bump();
-                let e = self.nested("expression", Self::unary)?;
-                self.node_over(self.height)?;
-                let span = start.to(e.span());
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    expr: Box::new(e),
-                    span,
-                })
+                let expr = self.nested("expression", Self::unary)?;
+                (Expr::Unary { op, expr }, expr)
             }
             Tok::LParen if self.is_cast() => {
                 self.bump();
-                let ty = self.type_ref()?;
+                let ty = self.ty()?;
                 self.expect(Tok::RParen)?;
-                let e = self.nested("expression", Self::unary)?;
-                self.node_over(self.height)?;
-                let span = start.to(e.span());
-                Ok(Expr::Cast {
-                    ty,
-                    expr: Box::new(e),
-                    span,
-                })
+                let expr = self.nested("expression", Self::unary)?;
+                (Expr::Cast { ty, expr }, expr)
             }
-            _ => self.postfix(),
-        }
+            _ => return self.postfix(),
+        };
+        self.node_over(self.height)?;
+        let span = start.to(self.span_of(operand));
+        Ok(self.b.expr(e, span))
+    }
+
+    /// Is the token after the current `-` the magnitude of `int` or
+    /// `long`'s `MIN_VALUE`?
+    fn min_value_follows(&self) -> bool {
+        matches!(self.peek_at(1), Tok::IntLit(v) if *v == 1 << 31)
+            || *self.peek_at(1) == Tok::LongLit(i64::MIN)
     }
 
     /// Disambiguate `(T) expr` casts from parenthesized expressions.
@@ -1081,32 +1094,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn postfix(&mut self) -> PResult<Expr> {
+    fn postfix(&mut self) -> PResult<ExprId> {
         let mut e = self.primary()?;
         loop {
-            match self.peek() {
+            let node = match self.peek() {
                 Tok::Dot => {
                     self.bump();
-                    let (name, _) = self.ident()?;
+                    let name = self.name()?;
                     if *self.peek() == Tok::LParen {
                         let below = self.height;
                         let args = self.call_args()?;
                         self.node_over(below.max(self.height))?;
-                        let span = e.span().to(self.prev_span());
-                        e = Expr::Call {
-                            recv: Box::new(e),
+                        Expr::Call {
+                            recv: e,
                             name,
                             args,
-                            span,
-                        };
+                        }
                     } else {
                         self.node_over(self.height)?;
-                        let span = e.span().to(self.prev_span());
-                        e = Expr::Field {
-                            obj: Box::new(e),
-                            name,
-                            span,
-                        };
+                        Expr::Field { obj: e, name }
                     }
                 }
                 Tok::LBracket => {
@@ -1115,26 +1121,25 @@ impl<'a> Parser<'a> {
                     let idx = self.expr()?;
                     self.expect(Tok::RBracket)?;
                     self.node_over(below.max(self.height))?;
-                    let span = e.span().to(self.prev_span());
-                    e = Expr::Index {
-                        arr: Box::new(e),
-                        idx: Box::new(idx),
-                        span,
-                    };
+                    Expr::Index { arr: e, idx }
                 }
                 _ => return Ok(e),
-            }
+            };
+            let span = self.span_of(e).to(self.prev_span());
+            e = self.b.expr(node, span);
         }
     }
 
-    /// Leaves `height` at that of the tallest argument (0 for none).
-    fn call_args(&mut self) -> PResult<Vec<Expr>> {
+    /// `( expr, ... )`. Leaves `height` at that of the tallest argument
+    /// (0 for none).
+    fn call_args(&mut self) -> PResult<Args> {
         self.expect(Tok::LParen)?;
-        let mut args = Vec::new();
+        let mark = self.b.mark();
         let mut tallest = 0;
         if *self.peek() != Tok::RParen {
             loop {
-                args.push(self.expr()?);
+                let arg = self.expr()?;
+                self.b.push(arg.0);
                 tallest = tallest.max(self.height);
                 if !self.eat(Tok::Comma) {
                     break;
@@ -1143,116 +1148,93 @@ impl<'a> Parser<'a> {
         }
         self.expect(Tok::RParen)?;
         self.height = tallest;
-        Ok(args)
+        Ok(self.b.list(mark))
     }
 
-    fn primary(&mut self) -> PResult<Expr> {
+    fn primary(&mut self) -> PResult<ExprId> {
         let start = self.span();
         self.height = 1; // a leaf, unless an arm below builds over operands
-        match self.peek() {
-            &Tok::IntLit(v) => {
-                self.bump();
-                Ok(Expr::IntLit(v, start))
+        let e = match self.peek() {
+            &Tok::IntLit(v) => Expr::IntLit(v),
+            Tok::LongLit(i64::MIN) => {
+                return Err(self.err(
+                    "long literal 9223372036854775808L out of range (only `-` may precede it)"
+                        .to_string(),
+                ))
             }
-            &Tok::LongLit(v) => {
-                self.bump();
-                Ok(Expr::LongLit(v, start))
-            }
-            &Tok::FloatLit(v) => {
-                self.bump();
-                Ok(Expr::FloatLit(v, start))
-            }
-            &Tok::DoubleLit(v) => {
-                self.bump();
-                Ok(Expr::DoubleLit(v, start))
-            }
-            Tok::StrLit(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(Expr::StrLit(s, start))
-            }
-            Tok::KwTrue => {
-                self.bump();
-                Ok(Expr::BoolLit(true, start))
-            }
-            Tok::KwFalse => {
-                self.bump();
-                Ok(Expr::BoolLit(false, start))
-            }
-            Tok::KwNull => {
-                self.bump();
-                Ok(Expr::NullLit(start))
-            }
-            Tok::KwThis => {
-                self.bump();
-                Ok(Expr::This(start))
-            }
+            &Tok::LongLit(v) => Expr::LongLit(v),
+            &Tok::FloatLit(v) => Expr::FloatLit(v),
+            &Tok::DoubleLit(v) => Expr::DoubleLit(v),
+            Tok::StrLit(_) => match &self.toks[self.pos].tok {
+                Tok::StrLit(s) => Expr::StrLit(self.b.intern(s)),
+                _ => unreachable!("peeked a string literal"),
+            },
+            Tok::KwTrue => Expr::BoolLit(true),
+            Tok::KwFalse => Expr::BoolLit(false),
+            Tok::KwNull => Expr::NullLit,
+            Tok::KwThis => Expr::This,
             Tok::KwSuper => {
                 self.bump();
                 self.expect(Tok::Dot)?;
-                let (name, _) = self.ident()?;
+                let name = self.name()?;
                 let args = self.call_args()?;
                 self.node_over(self.height)?;
-                Ok(Expr::SuperCall {
-                    name,
-                    args,
-                    span: start.to(self.prev_span()),
-                })
+                let e = Expr::SuperCall { name, args };
+                return Ok(self.b.expr(e, start.to(self.prev_span())));
             }
             Tok::KwNew => {
                 self.bump();
-                let ty = self.type_ref()?;
-                // `new T[len]` — type_ref won't have consumed `[` because it
+                let ty = self.ty()?;
+                // `new T[len]` — `ty` won't have consumed `[` because it
                 // only consumes `[]` pairs.
-                if self.eat(Tok::LBracket) {
+                let e = if self.eat(Tok::LBracket) {
                     let len = self.expr()?;
                     self.expect(Tok::RBracket)?;
-                    self.node_over(self.height)?;
-                    return Ok(Expr::NewArray {
-                        elem: ty,
-                        len: Box::new(len),
-                        span: start.to(self.prev_span()),
-                    });
-                }
-                let args = self.call_args()?;
+                    Expr::NewArray { elem: ty, len }
+                } else {
+                    let args = self.call_args()?;
+                    Expr::New { ty, args }
+                };
                 self.node_over(self.height)?;
-                Ok(Expr::New {
-                    ty,
-                    args,
-                    span: start.to(self.prev_span()),
-                })
+                return Ok(self.b.expr(e, start.to(self.prev_span())));
             }
             Tok::Ident { .. } => {
-                let (name, _) = self.ident()?;
-                if *self.peek() == Tok::LParen {
-                    // Unqualified call: `foo(...)` on implicit `this`.
-                    let args = self.call_args()?;
-                    self.node_over(self.height.max(1))?;
-                    let span = start.to(self.prev_span());
-                    Ok(Expr::Call {
-                        recv: Box::new(Expr::This(start)),
-                        name,
-                        args,
-                        span,
-                    })
-                } else {
-                    Ok(Expr::Name(name, start))
+                let name = self.name()?;
+                if *self.peek() != Tok::LParen {
+                    return Ok(self.b.expr(Expr::Name(name), start));
                 }
+                // Unqualified call: `foo(...)` on implicit `this`.
+                let recv = self.b.expr(Expr::This, start);
+                let args = self.call_args()?;
+                self.node_over(self.height.max(1))?;
+                let e = Expr::Call { recv, name, args };
+                return Ok(self.b.expr(e, start.to(self.prev_span())));
             }
             Tok::LParen => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            _ => Err(self.err(format!("expected an expression, found {}", self.found()))),
-        }
+            _ => return Err(self.err(format!("expected an expression, found {}", self.found()))),
+        };
+        self.bump();
+        Ok(self.b.expr(e, start))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The top-level statements of the first class's method `mi`.
+    fn top_stmts(u: &Unit, mi: usize) -> Vec<StmtId> {
+        let body = u.classes[0].methods[mi].body.as_deref().unwrap();
+        let Root::Block(b) = body.root() else {
+            panic!("a method body is a block")
+        };
+        body.list(b).collect()
+    }
 
     fn parse_ok(src: &str) -> Unit {
         match parse_unit(0, src) {
@@ -1329,7 +1311,14 @@ mod tests {
         let c = &u.classes[0];
         assert_eq!(c.fields.len(), 4);
         assert!(c.ctor.is_some());
-        assert!(c.ctor.as_ref().unwrap().super_args.is_some());
+        let ctor = c.ctor.as_ref().unwrap();
+        assert!(matches!(
+            ctor.body.root(),
+            Root::Ctor {
+                super_args: Some(_),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1348,8 +1337,7 @@ mod tests {
                if (x == 0) { return; } else { x = 1; } \
              } }",
         );
-        let body = u.classes[0].methods[0].body.as_ref().unwrap();
-        assert_eq!(body.stmts.len(), 4);
+        assert_eq!(top_stmts(&u, 0).len(), 4);
     }
 
     #[test]
@@ -1358,8 +1346,7 @@ mod tests {
             "class A { float[] m(int n) { float[] a = new float[n]; a[0] = 1.0f; \
              int l = a.length; return a; } }",
         );
-        let body = u.classes[0].methods[0].body.as_ref().unwrap();
-        assert_eq!(body.stmts.len(), 4);
+        assert_eq!(top_stmts(&u, 0).len(), 4);
     }
 
     #[test]
@@ -1371,22 +1358,18 @@ mod tests {
     #[test]
     fn parses_casts_vs_parens() {
         let u = parse_ok("class A { int m(double d, int a, int b) { int x = (int) d; int y = (a) - b; return x + y; } }");
-        let body = u.classes[0].methods[0].body.as_ref().unwrap();
+        let body = u.classes[0].methods[0].body.as_deref().unwrap();
+        let stmts = top_stmts(&u, 0);
+        let init = |s| match body.stmt(s) {
+            Stmt::Local { init: Some(e), .. } => body.expr(e),
+            other => panic!("expected a local, got {other:?}"),
+        };
         // First local's init is a cast, second's is a binary op.
-        match &body.stmts[0] {
-            Stmt::Local {
-                init: Some(Expr::Cast { .. }),
-                ..
-            } => {}
-            other => panic!("expected cast, got {other:?}"),
-        }
-        match &body.stmts[1] {
-            Stmt::Local {
-                init: Some(Expr::Binary { op: BinOp::Sub, .. }),
-                ..
-            } => {}
-            other => panic!("expected subtraction, got {other:?}"),
-        }
+        assert!(matches!(init(stmts[0]), Expr::Cast { .. }));
+        assert!(matches!(
+            init(stmts[1]),
+            Expr::Binary { op: BinOp::Sub, .. }
+        ));
     }
 
     #[test]
@@ -1430,11 +1413,12 @@ mod tests {
     #[test]
     fn unqualified_call_becomes_this_call() {
         let u = parse_ok("class A { void a() { b(); } void b() { } }");
-        let body = u.classes[0].methods[0].body.as_ref().unwrap();
-        match &body.stmts[0] {
-            Stmt::Expr(Expr::Call { recv, .. }) => {
-                assert!(matches!(**recv, Expr::This(_)));
-            }
+        let body = u.classes[0].methods[0].body.as_deref().unwrap();
+        let Stmt::Expr(call) = body.stmt(top_stmts(&u, 0)[0]) else {
+            panic!("expected an expression statement")
+        };
+        match body.expr(call) {
+            Expr::Call { recv, .. } => assert_eq!(body.expr(recv), Expr::This),
             other => panic!("unexpected: {other:?}"),
         }
     }

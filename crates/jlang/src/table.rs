@@ -30,7 +30,7 @@ pub struct FieldInfo {
     pub is_shared: bool,
     /// Untyped initializer, shared with the declaration it was parsed into;
     /// released once the typed one is installed.
-    pub ast_init: Option<Arc<ast::Expr>>,
+    pub ast_init: Option<Arc<ast::Body>>,
     /// Typed initializer, installed by the type checker.
     pub init: Option<Arc<TExpr>>,
     pub span: Span,
@@ -51,7 +51,7 @@ pub struct MethodInfo {
     pub is_global: bool,
     /// Untyped body, shared with the declaration it was parsed into;
     /// released once the typed one is installed.
-    pub ast_body: Option<Arc<ast::Block>>,
+    pub ast_body: Option<Arc<ast::Body>>,
     /// Typed body, installed by the type checker. Immutable and shared: a
     /// table built for a later revision of the sources points at the same
     /// allocation for as long as the body's check stays valid.
@@ -65,8 +65,9 @@ pub struct MethodInfo {
 #[derive(Debug)]
 pub struct CtorInfo {
     pub params: Vec<ParamInfo>,
-    pub ast_super_args: Option<Arc<Vec<ast::Expr>>>,
-    pub ast_body: Option<Arc<ast::Block>>,
+    /// Untyped `super(...)` arguments and body, released once the typed
+    /// ones are installed.
+    pub ast_body: Option<Arc<ast::Body>>,
     /// Typed `super(...)` arguments (empty when the superclass is Object).
     pub super_args: Arc<Vec<TExpr>>,
     /// Typed constructor body.
@@ -713,7 +714,6 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 }
                 Some(CtorInfo {
                     params,
-                    ast_super_args: c.super_args.take(),
                     ast_body: Some(Arc::clone(&c.body)),
                     super_args: Arc::default(),
                     body: None,
@@ -723,8 +723,7 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
             }
             None if !decl.is_interface => Some(CtorInfo {
                 params: Vec::new(),
-                ast_super_args: None,
-                ast_body: Some(Arc::default()),
+                ast_body: Some(Arc::new(ast::Body::implicit_ctor())),
                 super_args: Arc::default(),
                 body: None,
                 frame_size: 0,

@@ -329,47 +329,55 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        let suffix = self.peek();
-        if is_float {
-            match suffix {
-                b'f' | b'F' => {
-                    self.bump();
-                    Ok(Tok::FloatLit(text.parse::<f32>().unwrap()))
-                }
-                b'd' | b'D' => {
-                    self.bump();
-                    Ok(Tok::DoubleLit(text.parse::<f64>().unwrap()))
-                }
-                _ => Ok(Tok::DoubleLit(text.parse::<f64>().unwrap())),
+        let suffix = self.peek().to_ascii_lowercase();
+        let (kind, suffixed) = match suffix {
+            b'f' | b'd' => (suffix, true),
+            b'l' if !is_float => (suffix, true),
+            _ if is_float => (b'd', false),
+            _ => (b'i', false),
+        };
+        if suffixed {
+            self.bump();
+        }
+        let err = |what: &str| {
+            Diagnostic::error(
+                "lexer",
+                self.span_from(start, line),
+                format!("{what}: {text}"),
+            )
+        };
+        // Java refuses a floating-point literal that rounds to infinity,
+        // or to zero although it has a nonzero digit (JLS 3.10.2).
+        let mantissa = text.split(['e', 'E']).next().unwrap_or(text);
+        let float_range = |inf: bool, zero: bool| {
+            if inf {
+                Err(err("floating-point number too large"))
+            } else if zero && mantissa.bytes().any(|b| matches!(b, b'1'..=b'9')) {
+                Err(err("floating-point number too small"))
+            } else {
+                Ok(())
             }
-        } else {
-            match suffix {
-                b'f' | b'F' => {
-                    self.bump();
-                    Ok(Tok::FloatLit(text.parse::<f32>().unwrap()))
-                }
-                b'd' | b'D' => {
-                    self.bump();
-                    Ok(Tok::DoubleLit(text.parse::<f64>().unwrap()))
-                }
-                b'l' | b'L' => {
-                    self.bump();
-                    text.parse::<i64>().map(Tok::LongLit).map_err(|_| {
-                        Diagnostic::error(
-                            "lexer",
-                            self.span_from(start, line),
-                            format!("long literal out of range: {text}"),
-                        )
-                    })
-                }
-                _ => text.parse::<i64>().map(Tok::IntLit).map_err(|_| {
-                    Diagnostic::error(
-                        "lexer",
-                        self.span_from(start, line),
-                        format!("int literal out of range: {text}"),
-                    )
-                }),
+        };
+        match kind {
+            b'f' => {
+                let v: f32 = text.parse().expect("lexed as a decimal number");
+                float_range(v.is_infinite(), v == 0.0).map(|()| Tok::FloatLit(v))
             }
+            b'd' => {
+                let v: f64 = text.parse().expect("lexed as a decimal number");
+                float_range(v.is_infinite(), v == 0.0).map(|()| Tok::DoubleLit(v))
+            }
+            // 2^63 becomes `i64::MIN`, which no other literal lexes to: it
+            // is `Long.MIN_VALUE`'s magnitude, and the parser takes it only
+            // after a unary minus (JLS 3.10.1).
+            b'l' => match text.parse::<u64>() {
+                Ok(v) if v <= 1 << 63 => Ok(Tok::LongLit(v as i64)),
+                _ => Err(err("long literal out of range")),
+            },
+            _ => text
+                .parse::<i64>()
+                .map(Tok::IntLit)
+                .map_err(|_| err("int literal out of range")),
         }
     }
 

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use crate::ast::{self, BinOp, UnOp};
+use crate::ast::{Args, BinOp, Block, Body, Expr, ExprId, NameId, Root, Stmt, StmtId, TyId, UnOp};
 use crate::span::{DiagResult, Diagnostic, Span};
 use crate::table::{ClassInfo, ClassTable, TypeParamInfo};
 use crate::tast::*;
@@ -128,7 +128,6 @@ pub fn install(table: &mut ClassTable, id: ClassId, member: Member, typed: Typed
             ct.super_args = super_args;
             ct.body = Some(body);
             ct.frame_size = frame;
-            ct.ast_super_args = None;
             ct.ast_body = None;
         }
         (Member::Init { is_static, index }, Typed::Init(e)) => {
@@ -156,13 +155,16 @@ fn check_field_init(
     } else {
         &info.fields[fi]
     };
-    let init = f
+    let body = f
         .ast_init
         .as_deref()
         .expect("check_field_init: untyped initializer already released");
+    let Root::Init(init) = body.root() else {
+        unreachable!("a field initializer's body is an expression")
+    };
     let ty = f.ty.clone();
     // Instance field initializers are checked in constructor context.
-    let mut ck = Checker::new(table, id, is_static, ty.clone());
+    let mut ck = Checker::new(table, id, body, is_static, ty.clone());
     let typed = match ck.expr(init) {
         Ok(e) => ck.coerce(e, &ty).ok(),
         Err(()) => None,
@@ -182,13 +184,18 @@ fn check_method_body(table: &ClassTable, id: ClassId, mi: usize) -> DiagResult<T
         .ast_body
         .as_deref()
         .expect("check_method_body: untyped body already released");
-    let mut ck = Checker::new(table, id, m.is_static, m.ret.clone());
+    let Root::Block(block) = body.root() else {
+        unreachable!("a method's body is a block")
+    };
+    let mut ck = Checker::new(table, id, body, m.is_static, m.ret.clone());
     for p in &m.params {
-        ck.scope.declare(&p.name, p.ty.clone(), p.is_final);
+        ck.scope
+            .declare(body.find_name(&p.name), p.ty.clone(), p.is_final);
     }
-    let tb = ck.block(body);
-    // Non-void methods must return on every path.
-    if m.ret != Type::Void && !block_always_returns(&tb) {
+    let tb = ck.block(block);
+    // Non-void methods must return on every path. A statement that failed
+    // to check is missing from `tb`, so only a clean body can tell.
+    if m.ret != Type::Void && ck.diags.is_empty() && !block_always_returns(&tb) {
         ck.diags.push(Diagnostic::error(
             "typeck",
             m.span,
@@ -218,15 +225,23 @@ fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<Typed> {
         .ast_body
         .as_deref()
         .expect("check_ctor: untyped body already released");
-    let mut ck = Checker::new(table, id, false, Type::Void);
+    let Root::Ctor {
+        super_args,
+        body: block,
+    } = body.root()
+    else {
+        unreachable!("a constructor's body is a constructor")
+    };
+    let mut ck = Checker::new(table, id, body, false, Type::Void);
     ck.in_ctor = true;
     for p in &ctor.params {
-        ck.scope.declare(&p.name, p.ty.clone(), p.is_final);
+        ck.scope
+            .declare(body.find_name(&p.name), p.ty.clone(), p.is_final);
     }
     // super(...) arguments against the superclass constructor.
     let mut targs_out = Vec::new();
     let sup = info.superclass.clone();
-    match (ctor.ast_super_args.as_deref(), sup) {
+    match (super_args, sup) {
         (Some(args), Some((sid, sargs))) if sid != OBJECT => {
             targs_out = ck.super_ctor_args(sid, &sargs, args, ctor.span);
         }
@@ -239,11 +254,11 @@ fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<Typed> {
         }
         (None, Some((sid, sargs))) if sid != OBJECT => {
             // Implicit super(): the super ctor must take no args.
-            targs_out = ck.super_ctor_args(sid, &sargs, &[], ctor.span);
+            targs_out = ck.super_ctor_args(sid, &sargs, Args::default(), ctor.span);
         }
         _ => {}
     }
-    let tb = ck.block(body);
+    let tb = ck.block(block);
     let typed = Typed::Ctor {
         super_args: Arc::new(targs_out),
         body: Arc::new(tb),
@@ -292,8 +307,12 @@ fn stmt_always_returns(s: &TStmt) -> bool {
     }
 }
 
+/// The locals in scope, innermost last, each keyed by its name in the
+/// body (`None` for a parameter the body never names).
 struct Scope {
-    frames: Vec<Vec<(String, u32, Type, bool)>>,
+    vars: Vec<(Option<NameId>, u32, Type, bool)>,
+    /// Where each open block's locals start in `vars`.
+    blocks: Vec<usize>,
     next_slot: u32,
     max_slot: u32,
 }
@@ -301,46 +320,38 @@ struct Scope {
 impl Scope {
     fn new() -> Self {
         Scope {
-            frames: vec![Vec::new()],
+            vars: Vec::new(),
+            blocks: Vec::new(),
             next_slot: 0,
             max_slot: 0,
         }
     }
 
-    fn declare(&mut self, name: &str, ty: Type, is_final: bool) -> u32 {
+    fn declare(&mut self, name: Option<NameId>, ty: Type, is_final: bool) -> u32 {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.max_slot = self.max_slot.max(self.next_slot);
-        self.frames
-            .last_mut()
-            .unwrap()
-            .push((name.to_string(), slot, ty, is_final));
+        self.vars.push((name, slot, ty, is_final));
         slot
     }
 
-    fn lookup(&self, name: &str) -> Option<(u32, Type, bool)> {
-        for frame in self.frames.iter().rev() {
-            for (n, s, t, f) in frame.iter().rev() {
-                if n == name {
-                    return Some((*s, t.clone(), *f));
-                }
-            }
-        }
-        None
+    fn lookup(&self, name: NameId) -> Option<(u32, Type, bool)> {
+        (self.vars.iter().rev())
+            .find(|v| v.0 == Some(name))
+            .map(|(_, s, t, f)| (*s, t.clone(), *f))
     }
 
-    fn declared_in_scope(&self, name: &str) -> bool {
-        self.frames
-            .iter()
-            .any(|f| f.iter().any(|(n, ..)| n == name))
+    fn declared_in_scope(&self, name: NameId) -> bool {
+        self.vars.iter().any(|v| v.0 == Some(name))
     }
 
     fn push(&mut self) {
-        self.frames.push(Vec::new());
+        self.blocks.push(self.vars.len());
     }
 
     fn pop(&mut self) {
-        self.frames.pop();
+        let start = self.blocks.pop().expect("a block to close");
+        self.vars.truncate(start);
     }
 }
 
@@ -348,6 +359,8 @@ struct Checker<'t> {
     table: &'t ClassTable,
     class: ClassId,
     type_params: &'t [TypeParamInfo],
+    /// The body being checked.
+    body: &'t Body,
     is_static: bool,
     in_ctor: bool,
     ret: Type,
@@ -359,11 +372,18 @@ struct Checker<'t> {
 type CkResult<T> = Result<T, ()>;
 
 impl<'t> Checker<'t> {
-    fn new(table: &'t ClassTable, class: ClassId, is_static: bool, ret: Type) -> Self {
+    fn new(
+        table: &'t ClassTable,
+        class: ClassId,
+        body: &'t Body,
+        is_static: bool,
+        ret: Type,
+    ) -> Self {
         Checker {
             table,
             type_params: &table.class(class).type_params,
             class,
+            body,
             is_static,
             in_ctor: false,
             ret,
@@ -381,11 +401,26 @@ impl<'t> Checker<'t> {
         self.table.show_type(t)
     }
 
+    fn resolve(&mut self, ty: TyId) -> CkResult<Type> {
+        let ty = self.body.type_ref(ty);
+        (self.table.resolve_type(self.type_params, &ty)).map_err(|d| self.diags.push(d))
+    }
+
+    /// `name` as a class name: a name that no local or field shadows.
+    fn class_named(&self, name: NameId) -> Option<ClassId> {
+        let text = self.body.name(name);
+        if self.scope.lookup(name).is_some() || self.table.lookup_field(self.class, text).is_some()
+        {
+            return None;
+        }
+        self.table.by_name(text)
+    }
+
     fn super_ctor_args(
         &mut self,
         sid: ClassId,
         sargs: &[Type],
-        args: &[ast::Expr],
+        args: Args,
         span: Span,
     ) -> Vec<TExpr> {
         let Some(sctor) = &self.table.class(sid).ctor else {
@@ -407,7 +442,7 @@ impl<'t> Checker<'t> {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for (a, p) in args.iter().zip(&sctor.params) {
+        for (a, p) in self.body.list(args).zip(&sctor.params) {
             let want = p.ty.subst(sargs);
             if let Ok(e) = self.expr(a) {
                 if let Ok(e) = self.coerce(e, &want) {
@@ -422,32 +457,32 @@ impl<'t> Checker<'t> {
     // Statements
     // ------------------------------------------------------------------
 
-    fn block(&mut self, b: &ast::Block) -> TBlock {
+    fn block(&mut self, b: Block) -> TBlock {
         self.scope.push();
-        let stmts = b.stmts.iter().filter_map(|s| self.stmt(s).ok()).collect();
+        let stmts = (self.body.list(b))
+            .filter_map(|s| self.stmt(s).ok())
+            .collect();
         self.scope.pop();
         TBlock { stmts }
     }
 
-    fn stmt(&mut self, s: &ast::Stmt) -> CkResult<TStmt> {
-        match s {
-            ast::Stmt::Local {
+    fn stmt(&mut self, s: StmtId) -> CkResult<TStmt> {
+        let body = self.body;
+        let span = body.stmt_span(s);
+        match body.stmt(s) {
+            Stmt::Local {
                 name,
                 ty,
                 init,
                 is_final,
-                span,
             } => {
-                let rty = self
-                    .table
-                    .resolve_type(self.type_params, ty)
-                    .map_err(|d| self.diags.push(d))?;
+                let rty = self.resolve(ty)?;
                 if rty == Type::Void {
-                    self.err(*span, "local variable of type void");
+                    self.err(span, "local variable of type void");
                     return Err(());
                 }
                 if self.scope.declared_in_scope(name) {
-                    self.err(*span, format!("duplicate local `{name}`"));
+                    self.err(span, format!("duplicate local `{}`", body.name(name)));
                 }
                 let tinit = match init {
                     Some(e) => {
@@ -456,26 +491,20 @@ impl<'t> Checker<'t> {
                     }
                     None => None,
                 };
-                let slot = self.scope.declare(name, rty.clone(), *is_final);
+                let slot = self.scope.declare(Some(name), rty.clone(), is_final);
                 Ok(TStmt::Local {
                     slot,
                     ty: rty,
                     init: tinit,
-                    span: *span,
+                    span,
                 })
             }
-            ast::Stmt::Assign {
-                target,
-                op,
-                value,
-                span,
-            } => self.assign(target, *op, value, *span),
-            ast::Stmt::IncDec { target, inc, span } => {
-                let one = ast::Expr::IntLit(1, *span);
-                let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                self.assign(target, Some(op), &one, *span)
+            Stmt::Assign { target, op, value } => self.assign(target, op, Some(value), span),
+            Stmt::IncDec { target, inc } => {
+                let op = if inc { BinOp::Add } else { BinOp::Sub };
+                self.assign(target, Some(op), None, span)
             }
-            ast::Stmt::Expr(e) => {
+            Stmt::Expr(e) => {
                 let te = self.expr(e)?;
                 match &te.kind {
                     TExprKind::Call { .. }
@@ -486,23 +515,22 @@ impl<'t> Checker<'t> {
                 }
                 Ok(TStmt::Expr(te))
             }
-            ast::Stmt::If {
+            Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
-                span,
             } => {
                 let c = self.bool_expr(cond)?;
                 let t = self.block(then_branch);
-                let e = else_branch.as_ref().map(|b| self.block(b));
+                let e = else_branch.map(|b| self.block(b));
                 Ok(TStmt::If {
                     cond: c,
                     then_branch: t,
                     else_branch: e,
-                    span: *span,
+                    span,
                 })
             }
-            ast::Stmt::While { cond, body, span } => {
+            Stmt::While { cond, body } => {
                 let c = self.bool_expr(cond)?;
                 self.loop_depth += 1;
                 let b = self.block(body);
@@ -510,15 +538,14 @@ impl<'t> Checker<'t> {
                 Ok(TStmt::While {
                     cond: c,
                     body: b,
-                    span: *span,
+                    span,
                 })
             }
-            ast::Stmt::For {
+            Stmt::For {
                 init,
                 cond,
                 update,
                 body,
-                span,
             } => {
                 self.scope.push();
                 let ti = match init {
@@ -542,22 +569,22 @@ impl<'t> Checker<'t> {
                     cond: tc,
                     update: tu,
                     body: tb,
-                    span: *span,
+                    span,
                 })
             }
-            ast::Stmt::Return { value, span } => {
+            Stmt::Return { value } => {
                 let tv = match (value, &self.ret) {
                     (None, Type::Void) => None,
                     (None, r) => {
                         let r = r.clone();
                         self.err(
-                            *span,
+                            span,
                             format!("missing return value of type {}", self.show(&r)),
                         );
                         return Err(());
                     }
                     (Some(_), Type::Void) => {
-                        self.err(*span, "void method returns a value");
+                        self.err(span, "void method returns a value");
                         return Err(());
                     }
                     (Some(e), _) => {
@@ -566,39 +593,41 @@ impl<'t> Checker<'t> {
                         Some(self.coerce(te, &want)?)
                     }
                 };
-                Ok(TStmt::Return {
-                    value: tv,
-                    span: *span,
-                })
+                Ok(TStmt::Return { value: tv, span })
             }
-            ast::Stmt::Break(span) => {
+            Stmt::Break => {
                 if self.loop_depth == 0 {
-                    self.err(*span, "break outside of a loop");
+                    self.err(span, "break outside of a loop");
                 }
-                Ok(TStmt::Break(*span))
+                Ok(TStmt::Break(span))
             }
-            ast::Stmt::Continue(span) => {
+            Stmt::Continue => {
                 if self.loop_depth == 0 {
-                    self.err(*span, "continue outside of a loop");
+                    self.err(span, "continue outside of a loop");
                 }
-                Ok(TStmt::Continue(*span))
+                Ok(TStmt::Continue(span))
             }
-            ast::Stmt::Block(b) => Ok(TStmt::Block(self.block(b))),
+            Stmt::Block(b) => Ok(TStmt::Block(self.block(b))),
         }
     }
 
+    /// `target op= value`; a `value` of `None` is the `1` of `target++`
+    /// or `target--`.
     fn assign(
         &mut self,
-        target: &ast::LValue,
+        target: ExprId,
         op: Option<BinOp>,
-        value: &ast::Expr,
+        value: Option<ExprId>,
         span: Span,
     ) -> CkResult<TStmt> {
-        match target {
-            ast::LValue::Name(name, nspan) => {
-                if let Some((slot, ty, is_final)) = self.scope.lookup(name) {
+        let body = self.body;
+        let tspan = body.expr_span(target);
+        match body.expr(target) {
+            Expr::Name(n) => {
+                let name = body.name(n);
+                if let Some((slot, ty, is_final)) = self.scope.lookup(n) {
                     if is_final {
-                        self.err(*nspan, format!("assignment to final variable `{name}`"));
+                        self.err(tspan, format!("assignment to final variable `{name}`"));
                     }
                     let v = self.assign_value(target, op, value, &ty, span)?;
                     return Ok(TStmt::AssignLocal {
@@ -610,14 +639,14 @@ impl<'t> Checker<'t> {
                 // Implicit this.field or static field of the current class.
                 if let Some(fl) = self.table.lookup_field(self.class, name) {
                     if self.is_static {
-                        self.err(*nspan, format!("instance field `{name}` in static context"));
+                        self.err(tspan, format!("instance field `{name}` in static context"));
                         return Err(());
                     }
-                    self.check_final_field_write(fl.is_final, fl.owner, *nspan, name);
+                    self.check_final_field_write(fl.is_final, fl.owner, tspan, name);
                     let obj = TExpr {
                         kind: TExprKind::This,
                         ty: Type::object(self.class),
-                        span: *nspan,
+                        span: tspan,
                     };
                     let v = self.assign_value(target, op, value, &fl.ty, span)?;
                     return Ok(TStmt::AssignField {
@@ -633,7 +662,7 @@ impl<'t> Checker<'t> {
                 }
                 if let Some((idx, f)) = self.table.lookup_static(self.class, name) {
                     if f.is_final {
-                        self.err(*nspan, format!("assignment to final static `{name}`"));
+                        self.err(tspan, format!("assignment to final static `{name}`"));
                     }
                     let fty = f.ty.clone();
                     let v = self.assign_value(target, op, value, &fty, span)?;
@@ -644,52 +673,46 @@ impl<'t> Checker<'t> {
                         span,
                     });
                 }
-                self.err(*nspan, format!("unknown variable `{name}`"));
+                self.err(tspan, format!("unknown variable `{name}`"));
                 Err(())
             }
-            ast::LValue::Field {
-                obj,
-                name,
-                span: fspan,
-            } => {
+            Expr::Field { obj, name } => {
+                let name = body.name(name);
                 // Static field of another class: `C.f = ...`.
-                if let ast::Expr::Name(cname, _) = &**obj {
-                    if self.scope.lookup(cname).is_none()
-                        && self.table.lookup_field(self.class, cname).is_none()
-                    {
-                        if let Some(cid) = self.table.by_name(cname) {
-                            let Some((idx, f)) = self.table.lookup_static(cid, name) else {
-                                self.err(*fspan, format!("no static field `{name}` on `{cname}`"));
-                                return Err(());
-                            };
-                            if f.is_final {
-                                self.err(*fspan, format!("assignment to final static `{name}`"));
-                            }
-                            let fty = f.ty.clone();
-                            let v = self.assign_value(target, op, value, &fty, span)?;
-                            return Ok(TStmt::AssignStatic {
-                                class: cid,
-                                index: idx,
-                                value: v,
-                                span,
-                            });
+                if let Expr::Name(c) = body.expr(obj) {
+                    if let Some(cid) = self.class_named(c) {
+                        let Some((idx, f)) = self.table.lookup_static(cid, name) else {
+                            let cname = body.name(c);
+                            self.err(tspan, format!("no static field `{name}` on `{cname}`"));
+                            return Err(());
+                        };
+                        if f.is_final {
+                            self.err(tspan, format!("assignment to final static `{name}`"));
                         }
+                        let fty = f.ty.clone();
+                        let v = self.assign_value(target, op, value, &fty, span)?;
+                        return Ok(TStmt::AssignStatic {
+                            class: cid,
+                            index: idx,
+                            value: v,
+                            span,
+                        });
                     }
                 }
                 let tobj = self.expr(obj)?;
                 let Type::Object(cid, targs) = tobj.ty.clone() else {
                     let got = self.show(&tobj.ty);
-                    self.err(*fspan, format!("field assignment on non-object type {got}"));
+                    self.err(tspan, format!("field assignment on non-object type {got}"));
                     return Err(());
                 };
                 let Some(fl) = self.table.lookup_field(cid, name) else {
                     self.err(
-                        *fspan,
+                        tspan,
                         format!("no field `{name}` on `{}`", self.table.name(cid)),
                     );
                     return Err(());
                 };
-                self.check_final_field_write(fl.is_final, fl.owner, *fspan, name);
+                self.check_final_field_write(fl.is_final, fl.owner, tspan, name);
                 let fty = fl.ty.subst(&targs);
                 let v = self.assign_value(target, op, value, &fty, span)?;
                 Ok(TStmt::AssignField {
@@ -703,15 +726,11 @@ impl<'t> Checker<'t> {
                     span,
                 })
             }
-            ast::LValue::Index {
-                arr,
-                idx,
-                span: ispan,
-            } => {
+            Expr::Index { arr, idx } => {
                 let tarr = self.expr(arr)?;
                 let Type::Array(elem) = tarr.ty.clone() else {
                     let got = self.show(&tarr.ty);
-                    self.err(*ispan, format!("indexing non-array type {got}"));
+                    self.err(tspan, format!("indexing non-array type {got}"));
                     return Err(());
                 };
                 let tidx = self.expr(idx)?;
@@ -723,6 +742,9 @@ impl<'t> Checker<'t> {
                     value: v,
                     span,
                 })
+            }
+            other => {
+                unreachable!("the parser assigns to names, fields and elements only: {other:?}")
             }
         }
     }
@@ -739,7 +761,8 @@ impl<'t> Checker<'t> {
         }
     }
 
-    /// Type the RHS of an assignment, folding compound operators.
+    /// Type the RHS of an assignment (`value` as for [`Self::assign`]),
+    /// folding compound operators.
     ///
     /// Known divergence from Java: for compound assignment to a field or
     /// array element (`o.f += e`, `a[i] += e`), the receiver/index
@@ -750,54 +773,44 @@ impl<'t> Checker<'t> {
     /// do; documented here rather than complicating every engine.
     fn assign_value(
         &mut self,
-        target: &ast::LValue,
+        target: ExprId,
         op: Option<BinOp>,
-        value: &ast::Expr,
+        value: Option<ExprId>,
         target_ty: &Type,
         span: Span,
     ) -> CkResult<TExpr> {
-        match op {
-            None => {
-                let v = self.expr(value)?;
-                self.coerce(v, target_ty)
-            }
-            Some(op) => {
-                // A compound assignment reads the target as an expression.
-                let read = match target {
-                    ast::LValue::Name(n, s) => ast::Expr::Name(n.clone(), *s),
-                    ast::LValue::Field { obj, name, span } => ast::Expr::Field {
-                        obj: obj.clone(),
-                        name: name.clone(),
-                        span: *span,
+        let Some(op) = op else {
+            let v = self.expr(value.expect("a plain assignment has a value"))?;
+            return self.coerce(v, target_ty);
+        };
+        // A compound assignment reads the target as an expression.
+        let lhs = self.expr(target)?;
+        let rhs = match value {
+            Some(v) => self.expr(v)?,
+            None => TExpr {
+                kind: TExprKind::Int(1),
+                ty: Type::Int,
+                span,
+            },
+        };
+        let bin = self.binary(op, lhs, rhs, span)?;
+        // Java compound assignment implicitly casts back.
+        if let Some(kind) = target_ty.prim_kind() {
+            if bin.ty.prim_kind() == Some(kind) {
+                Ok(bin)
+            } else {
+                Ok(TExpr {
+                    ty: target_ty.clone(),
+                    span,
+                    kind: TExprKind::NumCast {
+                        to: kind,
+                        expr: Box::new(bin),
                     },
-                    ast::LValue::Index { arr, idx, span } => ast::Expr::Index {
-                        arr: arr.clone(),
-                        idx: idx.clone(),
-                        span: *span,
-                    },
-                };
-                let lhs = self.expr(&read)?;
-                let rhs = self.expr(value)?;
-                let bin = self.binary(op, lhs, rhs, span)?;
-                // Java compound assignment implicitly casts back.
-                if let Some(kind) = target_ty.prim_kind() {
-                    if bin.ty.prim_kind() == Some(kind) {
-                        Ok(bin)
-                    } else {
-                        Ok(TExpr {
-                            ty: target_ty.clone(),
-                            span,
-                            kind: TExprKind::NumCast {
-                                to: kind,
-                                expr: Box::new(bin),
-                            },
-                        })
-                    }
-                } else {
-                    self.err(span, "compound assignment on non-numeric target");
-                    Err(())
-                }
+                })
             }
+        } else {
+            self.err(span, "compound assignment on non-numeric target");
+            Err(())
         }
     }
 
@@ -805,7 +818,7 @@ impl<'t> Checker<'t> {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn bool_expr(&mut self, e: &ast::Expr) -> CkResult<TExpr> {
+    fn bool_expr(&mut self, e: ExprId) -> CkResult<TExpr> {
         let te = self.expr(e)?;
         if te.ty != Type::Boolean {
             let got = self.show(&te.ty);
@@ -856,130 +869,88 @@ impl<'t> Checker<'t> {
         Err(())
     }
 
-    fn expr(&mut self, e: &ast::Expr) -> CkResult<TExpr> {
-        match e {
-            ast::Expr::IntLit(v, s) => {
-                if *v < i32::MIN as i64 || *v > i32::MAX as i64 {
-                    self.err(*s, "int literal out of 32-bit range (use an L suffix)");
+    fn expr(&mut self, e: ExprId) -> CkResult<TExpr> {
+        let body = self.body;
+        let s = body.expr_span(e);
+        let typed = |kind, ty| Ok(TExpr { kind, ty, span: s });
+        match body.expr(e) {
+            Expr::IntLit(v) => {
+                if v < i32::MIN as i64 || v > i32::MAX as i64 {
+                    self.err(s, "int literal out of 32-bit range (use an L suffix)");
                     return Err(());
                 }
-                Ok(TExpr {
-                    kind: TExprKind::Int(*v as i32),
-                    ty: Type::Int,
-                    span: *s,
-                })
+                typed(TExprKind::Int(v as i32), Type::Int)
             }
-            ast::Expr::LongLit(v, s) => Ok(TExpr {
-                kind: TExprKind::Long(*v),
-                ty: Type::Long,
-                span: *s,
-            }),
-            ast::Expr::FloatLit(v, s) => Ok(TExpr {
-                kind: TExprKind::Float(*v),
-                ty: Type::Float,
-                span: *s,
-            }),
-            ast::Expr::DoubleLit(v, s) => Ok(TExpr {
-                kind: TExprKind::Double(*v),
-                ty: Type::Double,
-                span: *s,
-            }),
-            ast::Expr::BoolLit(v, s) => Ok(TExpr {
-                kind: TExprKind::Bool(*v),
-                ty: Type::Boolean,
-                span: *s,
-            }),
-            ast::Expr::NullLit(s) => Ok(TExpr {
-                kind: TExprKind::Null,
-                ty: Type::Null,
-                span: *s,
-            }),
-            ast::Expr::StrLit(v, s) => Ok(TExpr {
-                kind: TExprKind::Str(v.clone()),
-                ty: Type::Str,
-                span: *s,
-            }),
-            ast::Expr::This(s) => {
+            Expr::LongLit(v) => typed(TExprKind::Long(v), Type::Long),
+            Expr::FloatLit(v) => typed(TExprKind::Float(v), Type::Float),
+            Expr::DoubleLit(v) => typed(TExprKind::Double(v), Type::Double),
+            Expr::BoolLit(v) => typed(TExprKind::Bool(v), Type::Boolean),
+            Expr::NullLit => typed(TExprKind::Null, Type::Null),
+            Expr::StrLit(v) => typed(TExprKind::Str(body.name(v).to_string()), Type::Str),
+            Expr::This => {
                 if self.is_static {
-                    self.err(*s, "`this` in a static context");
+                    self.err(s, "`this` in a static context");
                     return Err(());
                 }
                 let targs: Vec<Type> = (0..self.type_params.len())
                     .map(|i| Type::Var(i as u32))
                     .collect();
-                Ok(TExpr {
-                    kind: TExprKind::This,
-                    ty: Type::Object(self.class, targs),
-                    span: *s,
-                })
+                typed(TExprKind::This, Type::Object(self.class, targs))
             }
-            ast::Expr::Name(name, s) => {
-                if let Some((slot, ty, _)) = self.scope.lookup(name) {
-                    return Ok(TExpr {
-                        kind: TExprKind::Local(slot),
-                        ty,
-                        span: *s,
-                    });
+            Expr::Name(n) => {
+                if let Some((slot, ty, _)) = self.scope.lookup(n) {
+                    return typed(TExprKind::Local(slot), ty);
                 }
+                let name = body.name(n);
                 if let Some(fl) = self.table.lookup_field(self.class, name) {
                     if self.is_static {
-                        self.err(*s, format!("instance field `{name}` in static context"));
+                        self.err(s, format!("instance field `{name}` in static context"));
                         return Err(());
                     }
                     let obj = TExpr {
                         kind: TExprKind::This,
                         ty: Type::object(self.class),
-                        span: *s,
+                        span: s,
                     };
-                    return Ok(TExpr {
-                        ty: fl.ty.clone(),
-                        span: *s,
-                        kind: TExprKind::GetField {
-                            obj: Box::new(obj),
-                            field: FieldSel {
-                                owner: fl.owner,
-                                slot: fl.slot,
-                                ty: fl.ty,
-                            },
+                    let kind = TExprKind::GetField {
+                        obj: Box::new(obj),
+                        field: FieldSel {
+                            owner: fl.owner,
+                            slot: fl.slot,
+                            ty: fl.ty.clone(),
                         },
-                    });
+                    };
+                    return typed(kind, fl.ty);
                 }
                 if let Some((idx, f)) = self.table.lookup_static(self.class, name) {
-                    return Ok(TExpr {
-                        ty: f.ty.clone(),
-                        span: *s,
-                        kind: TExprKind::GetStatic {
-                            class: self.class,
-                            index: idx,
-                        },
-                    });
+                    let kind = TExprKind::GetStatic {
+                        class: self.class,
+                        index: idx,
+                    };
+                    return typed(kind, f.ty.clone());
                 }
                 if self.table.by_name(name).is_some() {
-                    self.err(*s, format!("class `{name}` used as a value"));
+                    self.err(s, format!("class `{name}` used as a value"));
                 } else {
-                    self.err(*s, format!("unknown name `{name}`"));
+                    self.err(s, format!("unknown name `{name}`"));
                 }
                 Err(())
             }
-            ast::Expr::Field { obj, name, span } => self.field_access(obj, name, *span),
-            ast::Expr::Call {
-                recv,
-                name,
-                args,
-                span,
-            } => self.call(recv, name, args, *span),
-            ast::Expr::SuperCall { name, args, span } => {
+            Expr::Field { obj, name } => self.field_access(obj, body.name(name), s),
+            Expr::Call { recv, name, args } => self.call(recv, body.name(name), args, s),
+            Expr::SuperCall { name, args } => {
+                let name = body.name(name);
                 if self.is_static {
-                    self.err(*span, "`super` in a static context");
+                    self.err(s, "`super` in a static context");
                     return Err(());
                 }
                 let Some((sid, sargs)) = self.table.class(self.class).superclass.clone() else {
-                    self.err(*span, "`super` call but no superclass");
+                    self.err(s, "`super` call but no superclass");
                     return Err(());
                 };
                 let Some(ml) = self.table.lookup_method(sid, name) else {
                     self.err(
-                        *span,
+                        s,
                         format!(
                             "no method `{name}` on superclass `{}`",
                             self.table.name(sid)
@@ -991,54 +962,45 @@ impl<'t> Checker<'t> {
                 let recv = TExpr {
                     kind: TExprKind::This,
                     ty: Type::object(self.class),
-                    span: *span,
+                    span: s,
                 };
-                let (targs, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, *span)?;
-                Ok(TExpr {
-                    ty: ret,
-                    span: *span,
-                    kind: TExprKind::DirectCall {
-                        recv: Box::new(recv),
-                        method: MethodSel {
-                            decl_class: ml.decl_class,
-                            index: ml.index,
-                        },
-                        args: targs,
+                let (targs, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, s)?;
+                let kind = TExprKind::DirectCall {
+                    recv: Box::new(recv),
+                    method: MethodSel {
+                        decl_class: ml.decl_class,
+                        index: ml.index,
                     },
-                })
+                    args: targs,
+                };
+                typed(kind, ret)
             }
-            ast::Expr::New { ty, args, span } => {
-                let rty = self
-                    .table
-                    .resolve_type(self.type_params, ty)
-                    .map_err(|d| self.diags.push(d))?;
+            Expr::New { ty, args } => {
+                let rty = self.resolve(ty)?;
                 let Type::Object(cid, targs) = rty.clone() else {
                     let got = self.show(&rty);
-                    self.err(*span, format!("cannot instantiate non-class type {got}"));
+                    self.err(s, format!("cannot instantiate non-class type {got}"));
                     return Err(());
                 };
                 let info = self.table.class(cid);
                 if info.is_interface {
-                    self.err(
-                        *span,
-                        format!("cannot instantiate interface `{}`", info.name),
-                    );
+                    self.err(s, format!("cannot instantiate interface `{}`", info.name));
                     return Err(());
                 }
                 if info.is_abstract {
                     self.err(
-                        *span,
+                        s,
                         format!("cannot instantiate abstract class `{}`", info.name),
                     );
                     return Err(());
                 }
                 let Some(ctor) = &info.ctor else {
-                    self.err(*span, format!("`{}` has no constructor", info.name));
+                    self.err(s, format!("`{}` has no constructor", info.name));
                     return Err(());
                 };
                 if ctor.params.len() != args.len() {
                     self.err(
-                        *span,
+                        s,
                         format!(
                             "`{}` constructor expects {} argument(s), found {}",
                             info.name,
@@ -1049,122 +1011,102 @@ impl<'t> Checker<'t> {
                     return Err(());
                 }
                 let mut targs_out = Vec::new();
-                for (a, p) in args.iter().zip(&ctor.params) {
+                for (a, p) in body.list(args).zip(&ctor.params) {
                     let want = p.ty.subst(&targs);
                     let te = self.expr(a)?;
                     targs_out.push(self.coerce(te, &want)?);
                 }
-                Ok(TExpr {
-                    ty: rty,
-                    span: *span,
-                    kind: TExprKind::New {
-                        class: cid,
-                        targs,
-                        args: targs_out,
-                    },
-                })
+                let kind = TExprKind::New {
+                    class: cid,
+                    targs,
+                    args: targs_out,
+                };
+                typed(kind, rty)
             }
-            ast::Expr::NewArray { elem, len, span } => {
-                let ety = self
-                    .table
-                    .resolve_type(self.type_params, elem)
-                    .map_err(|d| self.diags.push(d))?;
+            Expr::NewArray { elem, len } => {
+                let ety = self.resolve(elem)?;
                 if ety == Type::Void {
-                    self.err(*span, "array of void");
+                    self.err(s, "array of void");
                     return Err(());
                 }
                 let tlen = self.expr(len)?;
                 let tlen = self.coerce(tlen, &Type::Int)?;
-                Ok(TExpr {
-                    ty: Type::array(ety.clone()),
-                    span: *span,
-                    kind: TExprKind::NewArray {
-                        elem: ety,
-                        len: Box::new(tlen),
-                    },
-                })
+                let kind = TExprKind::NewArray {
+                    elem: ety.clone(),
+                    len: Box::new(tlen),
+                };
+                typed(kind, Type::array(ety))
             }
-            ast::Expr::Index { arr, idx, span } => {
+            Expr::Index { arr, idx } => {
                 let tarr = self.expr(arr)?;
                 let Type::Array(elem) = tarr.ty.clone() else {
                     let got = self.show(&tarr.ty);
-                    self.err(*span, format!("indexing non-array type {got}"));
+                    self.err(s, format!("indexing non-array type {got}"));
                     return Err(());
                 };
                 let tidx = self.expr(idx)?;
                 let tidx = self.coerce(tidx, &Type::Int)?;
-                Ok(TExpr {
-                    ty: (*elem).clone(),
-                    span: *span,
-                    kind: TExprKind::Index {
-                        arr: Box::new(tarr),
-                        idx: Box::new(tidx),
-                    },
-                })
+                let kind = TExprKind::Index {
+                    arr: Box::new(tarr),
+                    idx: Box::new(tidx),
+                };
+                typed(kind, *elem)
             }
-            ast::Expr::Unary { op, expr, span } => {
+            Expr::Unary { op, expr } => {
                 let te = self.expr(expr)?;
                 match op {
                     UnOp::Neg => {
-                        let Some(k) = te.ty.prim_kind().filter(|k| k.is_numeric()) else {
+                        if !te.ty.prim_kind().is_some_and(|k| k.is_numeric()) {
                             let got = self.show(&te.ty);
-                            self.err(*span, format!("cannot negate {got}"));
+                            self.err(s, format!("cannot negate {got}"));
                             return Err(());
-                        };
-                        let _ = k;
-                        Ok(TExpr {
-                            ty: te.ty.clone(),
-                            span: *span,
-                            kind: TExprKind::Unary {
-                                op: UnOp::Neg,
+                        }
+                        let ty = te.ty.clone();
+                        typed(
+                            TExprKind::Unary {
+                                op,
                                 expr: Box::new(te),
                             },
-                        })
+                            ty,
+                        )
                     }
                     UnOp::Not => {
                         if te.ty != Type::Boolean {
                             let got = self.show(&te.ty);
-                            self.err(*span, format!("`!` requires boolean, found {got}"));
+                            self.err(s, format!("`!` requires boolean, found {got}"));
                             return Err(());
                         }
-                        Ok(TExpr {
-                            ty: Type::Boolean,
-                            span: *span,
-                            kind: TExprKind::Unary {
-                                op: UnOp::Not,
+                        typed(
+                            TExprKind::Unary {
+                                op,
                                 expr: Box::new(te),
                             },
-                        })
+                            Type::Boolean,
+                        )
                     }
                 }
             }
-            ast::Expr::Binary { op, lhs, rhs, span } => {
+            Expr::Binary { op, lhs, rhs } => {
                 let l = self.expr(lhs)?;
                 let r = self.expr(rhs)?;
-                self.binary(*op, l, r, *span)
+                self.binary(op, l, r, s)
             }
-            ast::Expr::Cast { ty, expr, span } => {
-                let to = self
-                    .table
-                    .resolve_type(self.type_params, ty)
-                    .map_err(|d| self.diags.push(d))?;
+            Expr::Cast { ty, expr } => {
+                let to = self.resolve(ty)?;
                 let te = self.expr(expr)?;
                 if let (Some(tk), Some(_)) = (to.prim_kind(), te.ty.prim_kind()) {
                     if tk == PrimKind::Boolean || te.ty == Type::Boolean {
                         if to != te.ty {
-                            self.err(*span, "cannot cast between boolean and numeric types");
+                            self.err(s, "cannot cast between boolean and numeric types");
                             return Err(());
                         }
                         return Ok(te);
                     }
-                    return Ok(TExpr {
-                        ty: to,
-                        span: *span,
-                        kind: TExprKind::NumCast {
-                            to: tk,
-                            expr: Box::new(te),
-                        },
-                    });
+                    let kind = TExprKind::NumCast {
+                        to: tk,
+                        expr: Box::new(te),
+                    };
+                    return typed(kind, to);
                 }
                 if to.is_reference() && te.ty.is_reference() {
                     // Up- or down-cast along the hierarchy only.
@@ -1174,48 +1116,35 @@ impl<'t> Checker<'t> {
                     if !ok {
                         let from = self.show(&te.ty);
                         let tos = self.show(&to);
-                        self.err(
-                            *span,
-                            format!("cast between unrelated types {from} and {tos}"),
-                        );
+                        self.err(s, format!("cast between unrelated types {from} and {tos}"));
                         return Err(());
                     }
-                    return Ok(TExpr {
-                        ty: to.clone(),
-                        span: *span,
-                        kind: TExprKind::RefCast {
-                            to,
-                            expr: Box::new(te),
-                        },
-                    });
+                    let kind = TExprKind::RefCast {
+                        to: to.clone(),
+                        expr: Box::new(te),
+                    };
+                    return typed(kind, to);
                 }
-                self.err(*span, "invalid cast");
+                self.err(s, "invalid cast");
                 Err(())
             }
-            ast::Expr::InstanceOf { expr, ty, span } => {
+            Expr::InstanceOf { expr, ty } => {
                 let te = self.expr(expr)?;
-                let to = self
-                    .table
-                    .resolve_type(self.type_params, ty)
-                    .map_err(|d| self.diags.push(d))?;
+                let to = self.resolve(ty)?;
                 if !te.ty.is_reference() || !to.is_reference() {
-                    self.err(*span, "instanceof requires reference types");
+                    self.err(s, "instanceof requires reference types");
                     return Err(());
                 }
-                Ok(TExpr {
-                    ty: Type::Boolean,
-                    span: *span,
-                    kind: TExprKind::InstanceOf {
-                        expr: Box::new(te),
-                        ty: to,
-                    },
-                })
+                let kind = TExprKind::InstanceOf {
+                    expr: Box::new(te),
+                    ty: to,
+                };
+                typed(kind, Type::Boolean)
             }
-            ast::Expr::Ternary {
+            Expr::Ternary {
                 cond,
                 then_val,
                 else_val,
-                span,
             } => {
                 let c = self.bool_expr(cond)?;
                 let t = self.expr(then_val)?;
@@ -1226,7 +1155,7 @@ impl<'t> Checker<'t> {
                     match PrimKind::promote(a, b) {
                         Some(k) => prim_type(k),
                         None => {
-                            self.err(*span, "incompatible ternary branches");
+                            self.err(s, "incompatible ternary branches");
                             return Err(());
                         }
                     }
@@ -1235,44 +1164,38 @@ impl<'t> Checker<'t> {
                 } else if self.table.is_subtype(&f.ty, &t.ty) {
                     t.ty.clone()
                 } else {
-                    self.err(*span, "incompatible ternary branches");
+                    self.err(s, "incompatible ternary branches");
                     return Err(());
                 };
                 let t = self.coerce(t, &ty)?;
                 let f = self.coerce(f, &ty)?;
-                Ok(TExpr {
-                    ty,
-                    span: *span,
-                    kind: TExprKind::Ternary {
-                        cond: Box::new(c),
-                        then_val: Box::new(t),
-                        else_val: Box::new(f),
-                    },
-                })
+                let kind = TExprKind::Ternary {
+                    cond: Box::new(c),
+                    then_val: Box::new(t),
+                    else_val: Box::new(f),
+                };
+                typed(kind, ty)
             }
         }
     }
 
-    fn field_access(&mut self, obj: &ast::Expr, name: &str, span: Span) -> CkResult<TExpr> {
+    fn field_access(&mut self, obj: ExprId, name: &str, span: Span) -> CkResult<TExpr> {
         // `C.f` static access when `C` names a class and isn't shadowed.
-        if let ast::Expr::Name(cname, _) = obj {
-            if self.scope.lookup(cname).is_none()
-                && self.table.lookup_field(self.class, cname).is_none()
-            {
-                if let Some(cid) = self.table.by_name(cname) {
-                    let Some((idx, f)) = self.table.lookup_static(cid, name) else {
-                        self.err(span, format!("no static field `{name}` on `{cname}`"));
-                        return Err(());
-                    };
-                    return Ok(TExpr {
-                        ty: f.ty.clone(),
-                        span,
-                        kind: TExprKind::GetStatic {
-                            class: cid,
-                            index: idx,
-                        },
-                    });
-                }
+        if let Expr::Name(c) = self.body.expr(obj) {
+            if let Some(cid) = self.class_named(c) {
+                let Some((idx, f)) = self.table.lookup_static(cid, name) else {
+                    let cname = self.body.name(c);
+                    self.err(span, format!("no static field `{name}` on `{cname}`"));
+                    return Err(());
+                };
+                return Ok(TExpr {
+                    ty: f.ty.clone(),
+                    span,
+                    kind: TExprKind::GetStatic {
+                        class: cid,
+                        index: idx,
+                    },
+                });
             }
         }
         let tobj = self.expr(obj)?;
@@ -1329,72 +1252,54 @@ impl<'t> Checker<'t> {
         }
     }
 
-    fn call(
-        &mut self,
-        recv: &ast::Expr,
-        name: &str,
-        args: &[ast::Expr],
-        span: Span,
-    ) -> CkResult<TExpr> {
+    fn call(&mut self, recv: ExprId, name: &str, args: Args, span: Span) -> CkResult<TExpr> {
+        let static_call = |(targs, ret), class, index| TExpr {
+            ty: ret,
+            span,
+            kind: TExprKind::StaticCall {
+                class,
+                index,
+                args: targs,
+            },
+        };
         // Static call `C.m(...)`.
-        if let ast::Expr::Name(cname, _) = recv {
-            if self.scope.lookup(cname).is_none()
-                && self.table.lookup_field(self.class, cname).is_none()
-            {
-                if let Some(cid) = self.table.by_name(cname) {
-                    let Some(ml) = self.table.lookup_method(cid, name) else {
-                        self.err(span, format!("no method `{name}` on `{cname}`"));
-                        return Err(());
-                    };
-                    let m = self.table.method(ml.decl_class, ml.index);
-                    if !m.is_static {
-                        self.err(span, format!("`{cname}.{name}` is not static"));
-                        return Err(());
-                    }
-                    let (targs, ret) = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
-                    return Ok(TExpr {
-                        ty: ret,
-                        span,
-                        kind: TExprKind::StaticCall {
-                            class: ml.decl_class,
-                            index: ml.index,
-                            args: targs,
-                        },
-                    });
+        if let Expr::Name(c) = self.body.expr(recv) {
+            if let Some(cid) = self.class_named(c) {
+                let cname = self.body.name(c);
+                let Some(ml) = self.table.lookup_method(cid, name) else {
+                    self.err(span, format!("no method `{name}` on `{cname}`"));
+                    return Err(());
+                };
+                let m = self.table.method(ml.decl_class, ml.index);
+                if !m.is_static {
+                    self.err(span, format!("`{cname}.{name}` is not static"));
+                    return Err(());
                 }
+                let checked = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
+                return Ok(static_call(checked, ml.decl_class, ml.index));
             }
         }
         // Unqualified call in a static method: the parser lowers `m()` to
         // `this.m()`; if we are static, resolve against the current class
         // as a static call instead of erroring on `this`.
-        if self.is_static {
-            if let ast::Expr::This(_) = recv {
-                let Some(ml) = self.table.lookup_method(self.class, name) else {
-                    self.err(
-                        span,
-                        format!("no method `{name}` on `{}`", self.table.name(self.class)),
-                    );
-                    return Err(());
-                };
-                let m = self.table.method(ml.decl_class, ml.index);
-                if !m.is_static {
-                    self.err(
-                        span,
-                        format!("instance method `{name}` called from static context"),
-                    );
-                    return Err(());
-                }
-                let (targs, ret) = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
-                return Ok(TExpr {
-                    ty: ret,
+        if self.is_static && self.body.expr(recv) == Expr::This {
+            let Some(ml) = self.table.lookup_method(self.class, name) else {
+                self.err(
                     span,
-                    kind: TExprKind::StaticCall {
-                        class: ml.decl_class,
-                        index: ml.index,
-                        args: targs,
-                    },
-                });
+                    format!("no method `{name}` on `{}`", self.table.name(self.class)),
+                );
+                return Err(());
+            };
+            let m = self.table.method(ml.decl_class, ml.index);
+            if !m.is_static {
+                self.err(
+                    span,
+                    format!("instance method `{name}` called from static context"),
+                );
+                return Err(());
             }
+            let checked = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
+            return Ok(static_call(checked, ml.decl_class, ml.index));
         }
         let trecv = self.expr(recv)?;
         let (cid, class_targs) = self.receiver_class(&trecv, span)?;
@@ -1409,16 +1314,8 @@ impl<'t> Checker<'t> {
         if m.is_static {
             // Permit `this.staticMethod()`-style calls by lowering to a
             // static call, matching Java.
-            let (targs, ret) = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
-            return Ok(TExpr {
-                ty: ret,
-                span,
-                kind: TExprKind::StaticCall {
-                    class: ml.decl_class,
-                    index: ml.index,
-                    args: targs,
-                },
-            });
+            let checked = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
+            return Ok(static_call(checked, ml.decl_class, ml.index));
         }
         let subst: Vec<Type> = ml.subst.iter().map(|t| t.subst(&class_targs)).collect();
         let (targs, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, span)?;
@@ -1443,7 +1340,7 @@ impl<'t> Checker<'t> {
         decl_class: ClassId,
         index: u32,
         subst: &[Type],
-        args: &[ast::Expr],
+        args: Args,
         span: Span,
     ) -> CkResult<(Vec<TExpr>, Type)> {
         let m = self.table.method(decl_class, index);
@@ -1460,7 +1357,7 @@ impl<'t> Checker<'t> {
             return Err(());
         }
         let mut out = Vec::new();
-        for (a, p) in args.iter().zip(&m.params) {
+        for (a, p) in self.body.list(args).zip(&m.params) {
             let want = p.ty.subst(subst);
             let te = self.expr(a)?;
             out.push(self.coerce(te, &want)?);

@@ -28,6 +28,65 @@ fn arithmetic_precedence_is_java() {
 }
 
 #[test]
+fn min_value_literals_need_a_unary_minus_right_before() {
+    ok("class A { static int i() { return -2147483648; } \
+              static int j() { return - -2147483648; } \
+              static long l() { return -9223372036854775808L; } \
+              static long k() { return 1L -9223372036854775807L; } }");
+    for (body, needle) in [
+        (
+            "int m() { return 2147483648; }",
+            "int literal out of 32-bit range",
+        ),
+        (
+            "int m() { return -(2147483648); }",
+            "int literal out of 32-bit range",
+        ),
+        ("long m() { return 9223372036854775808L; }", "out of range"),
+        (
+            "long m() { return -(9223372036854775808L); }",
+            "out of range",
+        ),
+        (
+            "long m() { return 1L -9223372036854775808L; }",
+            "out of range",
+        ),
+        (
+            "long m() { return -9223372036854775809L; }",
+            "long literal out of range",
+        ),
+    ] {
+        err_containing(&format!("class A {{ static {body} }}"), needle);
+    }
+}
+
+#[test]
+fn float_literals_that_round_to_infinity_or_zero_are_rejected() {
+    for (lit, needle) in [
+        ("1e40f", "floating-point number too large"),
+        ("1e400", "floating-point number too large"),
+        ("1e400d", "floating-point number too large"),
+        ("1e-50f", "floating-point number too small"),
+        ("1e-400", "floating-point number too small"),
+    ] {
+        err_containing(
+            &format!("class A {{ static double m() {{ return {lit}; }} }}"),
+            needle,
+        );
+    }
+    // Zero, and subnormals, are legal.
+    ok("class A { static double m() { return 0.0f + 0e10 + 0.000 + 1e-45f + 4.9e-324; } }");
+}
+
+#[test]
+fn a_failed_return_is_reported_once() {
+    match compile_str("class A { int f() { return 2147483648; } }") {
+        Ok(_) => panic!("expected an error"),
+        Err(ds) => assert_eq!(ds.len(), 1, "{}", jlang::render_diags(&ds)),
+    }
+}
+
+#[test]
 fn logical_precedence() {
     // && binds tighter than ||.
     ok("class A { static boolean m(boolean a, boolean b, boolean c) { return a || b && c; } }");

@@ -14,9 +14,10 @@
 //!   skeleton with bodies stripped: the "item tree" query. A body edit
 //!   leaves it unchanged; adding/renaming members, changing signatures,
 //!   supers or annotations changes it.
-//! * **Body fingerprints** ([`body_fp`], [`ctor_src_fp`]) cover one
-//!   untyped body; typed-body hashes ([`thash_and_refs`]) cover the
-//!   type checker's output and feed the `lower_fn` memo validation.
+//! * **Body fingerprints** ([`body_fp`]) cover one untyped body, a loop
+//!   over its flat node vectors; typed-body hashes ([`thash_and_refs`])
+//!   cover the type checker's output and feed the `lower_fn` memo
+//!   validation.
 //!
 //! [`Span`]: jlang::span::Span
 
@@ -143,278 +144,129 @@ pub fn item_fp(c: &ast::ClassDecl, assigned: ClassId) -> u64 {
     f.finish()
 }
 
-/// Fingerprint of one untyped method body.
-pub fn body_fp(b: &ast::Block) -> u64 {
+/// Fingerprint of one untyped body — a method body, a constructor
+/// (`super(...)` arguments plus body) or a field initializer: a loop over
+/// its node vectors, its id list and its names. A body interns its own
+/// names, so its fingerprint does not depend on the rest of its file.
+pub fn body_fp(b: &ast::Body) -> u64 {
+    use ast::{Expr as E, Root, Stmt as S, TypeNode as T};
+    // A list is its run in the id list, which is hashed in full below.
+    fn list<X: Copy>(f: &mut Fingerprint, l: ast::IdList<X>) -> &mut Fingerprint {
+        f.u32(l.start()).u32(l.len() as u32)
+    }
+    fn opt(f: &mut Fingerprint, id: Option<u32>) -> &mut Fingerprint {
+        match id {
+            Some(id) => f.u8(1).u32(id),
+            None => f.u8(0),
+        }
+    }
     let mut f = Fingerprint::seeded(0x626f_6479); // "body"
-    hash_block(&mut f, b);
-    f.finish()
-}
-
-/// Fingerprint of the constructor source: super(...) args plus the ctor
-/// body. Field initializers are separate bodies with their own memos;
-/// the *typed* ctor bundle hash recombines them for lowering deps.
-pub fn ctor_src_fp(c: &ast::ClassDecl) -> u64 {
-    let mut f = Fingerprint::seeded(0x63746f72); // "ctor"
-    match &c.ctor {
-        Some(ct) => {
-            f.u8(1);
-            match &ct.super_args {
-                Some(args) => {
-                    f.u8(1).u32(args.len() as u32);
-                    for a in args.iter() {
-                        hash_expr(&mut f, a);
-                    }
-                }
-                None => {
-                    f.u8(0);
+    match b.root() {
+        Root::Block(body) => list(f.u8(0), body),
+        Root::Ctor { super_args, body } => {
+            match super_args {
+                Some(args) => list(f.u8(1).u8(1), args),
+                None => f.u8(1).u8(0),
+            };
+            list(&mut f, body)
+        }
+        Root::Init(e) => f.u8(2).u32(e.0),
+    };
+    f.u32(b.exprs().len() as u32);
+    for e in b.exprs() {
+        match *e {
+            E::IntLit(v) => f.u8(0).i64(v),
+            E::LongLit(v) => f.u8(1).i64(v),
+            E::FloatLit(v) => f.u8(2).u32(v.to_bits()),
+            E::DoubleLit(v) => f.u8(3).f64_bits(v),
+            E::BoolLit(v) => f.u8(4).bool(v),
+            E::NullLit => f.u8(5),
+            E::StrLit(s) => f.u8(6).u32(s.0),
+            E::Name(n) => f.u8(7).u32(n.0),
+            E::This => f.u8(8),
+            E::Field { obj, name } => f.u8(9).u32(obj.0).u32(name.0),
+            E::Call { recv, name, args } => list(f.u8(10).u32(recv.0).u32(name.0), args),
+            E::SuperCall { name, args } => list(f.u8(11).u32(name.0), args),
+            E::New { ty, args } => list(f.u8(12).u32(ty.0), args),
+            E::NewArray { elem, len } => f.u8(13).u32(elem.0).u32(len.0),
+            E::Index { arr, idx } => f.u8(14).u32(arr.0).u32(idx.0),
+            E::Unary { op, expr } => f.u8(15).u8(op as u8).u32(expr.0),
+            E::Binary { op, lhs, rhs } => f.u8(16).u8(op as u8).u32(lhs.0).u32(rhs.0),
+            E::Cast { ty, expr } => f.u8(17).u32(ty.0).u32(expr.0),
+            E::InstanceOf { expr, ty } => f.u8(18).u32(expr.0).u32(ty.0),
+            E::Ternary {
+                cond,
+                then_val,
+                else_val,
+            } => f.u8(19).u32(cond.0).u32(then_val.0).u32(else_val.0),
+        };
+    }
+    f.u32(b.stmts().len() as u32);
+    for s in b.stmts() {
+        match *s {
+            S::Local {
+                name,
+                ty,
+                init,
+                is_final,
+            } => opt(
+                f.u8(0).u32(name.0).u32(ty.0).bool(is_final),
+                init.map(|e| e.0),
+            ),
+            S::Assign { target, op, value } => {
+                let op = op.map_or(0xff, |o| o as u8);
+                f.u8(1).u8(op).u32(target.0).u32(value.0)
+            }
+            S::IncDec { target, inc } => f.u8(2).bool(inc).u32(target.0),
+            S::Expr(e) => f.u8(3).u32(e.0),
+            S::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let f = list(f.u8(4).u32(cond.0), then_branch);
+                match else_branch {
+                    Some(b) => list(f.u8(1), b),
+                    None => f.u8(0),
                 }
             }
-            hash_block(&mut f, &ct.body);
-        }
-        None => {
-            f.u8(0);
-        }
+            S::While { cond, body } => list(f.u8(5).u32(cond.0), body),
+            S::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                let f = opt(opt(f.u8(6), init.map(|s| s.0)), cond.map(|e| e.0));
+                list(opt(f, update.map(|s| s.0)), body)
+            }
+            S::Return { value } => opt(f.u8(7), value.map(|e| e.0)),
+            S::Break => f.u8(8),
+            S::Continue => f.u8(9),
+            S::Block(b) => list(f.u8(10), b),
+        };
+    }
+    f.u32(b.types().len() as u32);
+    for t in b.types() {
+        match *t {
+            T::Void => f.u8(0),
+            T::Int => f.u8(1),
+            T::Long => f.u8(2),
+            T::Float => f.u8(3),
+            T::Double => f.u8(4),
+            T::Boolean => f.u8(5),
+            T::Named { name, args, .. } => list(f.u8(6).u32(name.0), args),
+            T::Array(elem) => f.u8(7).u32(elem.0),
+        };
+    }
+    f.u32(b.ids().len() as u32);
+    for &id in b.ids() {
+        f.u32(id);
+    }
+    for name in b.names() {
+        f.str(name);
     }
     f.finish()
-}
-
-/// Fingerprint of one field initializer expression.
-pub fn init_fp(e: &ast::Expr) -> u64 {
-    let mut f = Fingerprint::seeded(0x696e_6974); // "init"
-    hash_expr(&mut f, e);
-    f.finish()
-}
-
-fn hash_block(f: &mut Fingerprint, b: &ast::Block) {
-    f.u32(b.stmts.len() as u32);
-    for s in &b.stmts {
-        hash_stmt(f, s);
-    }
-}
-
-fn hash_opt_expr(f: &mut Fingerprint, e: &Option<ast::Expr>) {
-    match e {
-        Some(e) => {
-            f.u8(1);
-            hash_expr(f, e);
-        }
-        None => {
-            f.u8(0);
-        }
-    }
-}
-
-fn hash_lvalue(f: &mut Fingerprint, lv: &ast::LValue) {
-    match lv {
-        ast::LValue::Name(n, _) => {
-            f.u8(0).str(n);
-        }
-        ast::LValue::Field { obj, name, .. } => {
-            f.u8(1).str(name);
-            hash_expr(f, obj);
-        }
-        ast::LValue::Index { arr, idx, .. } => {
-            f.u8(2);
-            hash_expr(f, arr);
-            hash_expr(f, idx);
-        }
-    }
-}
-
-fn hash_stmt(f: &mut Fingerprint, s: &ast::Stmt) {
-    match s {
-        ast::Stmt::Local {
-            name,
-            ty,
-            init,
-            is_final,
-            ..
-        } => {
-            f.u8(0).str(name).bool(*is_final);
-            hash_typeref(f, ty);
-            hash_opt_expr(f, init);
-        }
-        ast::Stmt::Assign {
-            target, op, value, ..
-        } => {
-            f.u8(1).u8(op.map_or(0xff, |o| o as u8));
-            hash_lvalue(f, target);
-            hash_expr(f, value);
-        }
-        ast::Stmt::IncDec { target, inc, .. } => {
-            f.u8(2).bool(*inc);
-            hash_lvalue(f, target);
-        }
-        ast::Stmt::Expr(e) => {
-            f.u8(3);
-            hash_expr(f, e);
-        }
-        ast::Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            f.u8(4);
-            hash_expr(f, cond);
-            hash_block(f, then_branch);
-            match else_branch {
-                Some(b) => {
-                    f.u8(1);
-                    hash_block(f, b);
-                }
-                None => {
-                    f.u8(0);
-                }
-            }
-        }
-        ast::Stmt::While { cond, body, .. } => {
-            f.u8(5);
-            hash_expr(f, cond);
-            hash_block(f, body);
-        }
-        ast::Stmt::For {
-            init,
-            cond,
-            update,
-            body,
-            ..
-        } => {
-            f.u8(6);
-            match init {
-                Some(s) => {
-                    f.u8(1);
-                    hash_stmt(f, s);
-                }
-                None => {
-                    f.u8(0);
-                }
-            }
-            hash_opt_expr(f, cond);
-            match update {
-                Some(s) => {
-                    f.u8(1);
-                    hash_stmt(f, s);
-                }
-                None => {
-                    f.u8(0);
-                }
-            }
-            hash_block(f, body);
-        }
-        ast::Stmt::Return { value, .. } => {
-            f.u8(7);
-            hash_opt_expr(f, value);
-        }
-        ast::Stmt::Break(_) => {
-            f.u8(8);
-        }
-        ast::Stmt::Continue(_) => {
-            f.u8(9);
-        }
-        ast::Stmt::Block(b) => {
-            f.u8(10);
-            hash_block(f, b);
-        }
-    }
-}
-
-fn hash_expr(f: &mut Fingerprint, e: &ast::Expr) {
-    match e {
-        ast::Expr::IntLit(v, _) => {
-            f.u8(0).i64(*v);
-        }
-        ast::Expr::LongLit(v, _) => {
-            f.u8(1).i64(*v);
-        }
-        ast::Expr::FloatLit(v, _) => {
-            f.u8(2).u32(v.to_bits());
-        }
-        ast::Expr::DoubleLit(v, _) => {
-            f.u8(3).f64_bits(*v);
-        }
-        ast::Expr::BoolLit(v, _) => {
-            f.u8(4).bool(*v);
-        }
-        ast::Expr::NullLit(_) => {
-            f.u8(5);
-        }
-        ast::Expr::StrLit(s, _) => {
-            f.u8(6).str(s);
-        }
-        ast::Expr::Name(n, _) => {
-            f.u8(7).str(n);
-        }
-        ast::Expr::This(_) => {
-            f.u8(8);
-        }
-        ast::Expr::Field { obj, name, .. } => {
-            f.u8(9).str(name);
-            hash_expr(f, obj);
-        }
-        ast::Expr::Call {
-            recv, name, args, ..
-        } => {
-            f.u8(10).str(name).u32(args.len() as u32);
-            hash_expr(f, recv);
-            for a in args {
-                hash_expr(f, a);
-            }
-        }
-        ast::Expr::SuperCall { name, args, .. } => {
-            f.u8(11).str(name).u32(args.len() as u32);
-            for a in args {
-                hash_expr(f, a);
-            }
-        }
-        ast::Expr::New { ty, args, .. } => {
-            f.u8(12).u32(args.len() as u32);
-            hash_typeref(f, ty);
-            for a in args {
-                hash_expr(f, a);
-            }
-        }
-        ast::Expr::NewArray { elem, len, .. } => {
-            f.u8(13);
-            hash_typeref(f, elem);
-            hash_expr(f, len);
-        }
-        ast::Expr::Index { arr, idx, .. } => {
-            f.u8(14);
-            hash_expr(f, arr);
-            hash_expr(f, idx);
-        }
-        ast::Expr::Unary { op, expr, .. } => {
-            f.u8(15).u8(*op as u8);
-            hash_expr(f, expr);
-        }
-        ast::Expr::Binary { op, lhs, rhs, .. } => {
-            f.u8(16).u8(*op as u8);
-            hash_expr(f, lhs);
-            hash_expr(f, rhs);
-        }
-        ast::Expr::Cast { ty, expr, .. } => {
-            f.u8(17);
-            hash_typeref(f, ty);
-            hash_expr(f, expr);
-        }
-        ast::Expr::InstanceOf { expr, ty, .. } => {
-            f.u8(18);
-            hash_typeref(f, ty);
-            hash_expr(f, expr);
-        }
-        ast::Expr::Ternary {
-            cond,
-            then_val,
-            else_val,
-            ..
-        } => {
-            f.u8(19);
-            hash_expr(f, cond);
-            hash_expr(f, then_val);
-            hash_expr(f, else_val);
-        }
-    }
 }
 
 // ---- typed (checker output) --------------------------------------------

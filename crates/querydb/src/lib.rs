@@ -202,7 +202,7 @@ fn meta_of(c: &ast::ClassDecl, id: ClassId) -> ClassMeta {
     let mut inits = Vec::new();
     let mut statics = Vec::new();
     for f in &c.fields {
-        let v = f.init.as_deref().map_or(0, fp::init_fp);
+        let v = f.init.as_deref().map_or(0, fp::body_fp);
         if f.modifiers.is_static {
             statics.push(v);
         } else {
@@ -214,11 +214,7 @@ fn meta_of(c: &ast::ClassDecl, id: ClassId) -> ClassMeta {
         id,
         item: fp::item_fp(c, id),
         methods,
-        ctor: if c.ctor.as_ref().is_some() {
-            fp::ctor_src_fp(c)
-        } else {
-            0
-        },
+        ctor: c.ctor.as_ref().map_or(0, |ct| fp::body_fp(&ct.body)),
         inits,
         statics,
     }

@@ -348,3 +348,23 @@ fn mode_reports_match_requested_mode() {
         assert_eq!(t.mode, mode);
     }
 }
+
+#[test]
+fn min_value_literals_agree_between_jvm_and_exec() {
+    let src = "
+        @WootinJ final class M {
+          M() { }
+          int minInt() { return -2147483648; }
+          long minLong() { return -9223372036854775808L; }
+        }";
+    let table = compile_str(src).unwrap();
+    let mut jvm = Jvm::new(&table).unwrap();
+    let recv = jvm.new_instance("M", &[]).unwrap();
+    for (method, want, jwant) in [
+        ("minInt", Val::I32(i32::MIN), Value::Int(i32::MIN)),
+        ("minLong", Val::I64(i64::MIN), Value::Long(i64::MIN)),
+    ] {
+        assert_eq!(jvm.call(&recv, method, &[]).unwrap(), jwant, "jvm {method}");
+        assert_eq!(run_full(src, "M", &[], method, &[]), want, "exec {method}");
+    }
+}
