@@ -13,7 +13,6 @@
 //! holds the declaration (a parse memo, every class table built from
 //! it). Cloning a [`Unit`] copies the skeleton and bumps those counts.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -502,6 +501,20 @@ fn name_text<'n>(names: &'n str, ends: &[u32], id: NameId) -> &'n str {
     &names[start..ends[i] as usize]
 }
 
+/// The slot of `name` in an open-addressed name index: the one holding
+/// it, or the empty one where it belongs.
+fn probe(slots: &[u32], names: &str, ends: &[u32], name: &str) -> usize {
+    let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    });
+    let mask = slots.len() - 1;
+    let mut at = hash as usize & mask;
+    while slots[at] != 0 && name_text(names, ends, NameId(slots[at] - 1)) != name {
+        at = (at + 1) & mask;
+    }
+    at
+}
+
 /// Builds one [`Body`] at a time; the parser keeps one and reuses its
 /// buffers from body to body, so a body costs its final allocations only.
 #[derive(Default)]
@@ -516,8 +529,9 @@ pub(crate) struct BodyBuilder {
     pending: Vec<u32>,
     names: String,
     name_ends: Vec<u32>,
-    /// FNV-1a hash of a name's text to the first name with that hash.
-    index: HashMap<u64, u32>,
+    /// Open-addressed index of the names, at most half full: a name's
+    /// slot is found by probing from its hash and holds its id + 1.
+    slots: Vec<u32>,
 }
 
 impl BodyBuilder {
@@ -529,9 +543,11 @@ impl BodyBuilder {
         self.types.clear();
         self.ids.clear();
         self.pending.clear();
+        if !self.name_ends.is_empty() {
+            self.slots.fill(0);
+        }
         self.names.clear();
         self.name_ends.clear();
-        self.index.clear();
     }
 
     pub(crate) fn expr(&mut self, e: Expr, span: Span) -> ExprId {
@@ -577,25 +593,23 @@ impl BodyBuilder {
     }
 
     pub(crate) fn intern(&mut self, name: &str) -> NameId {
-        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
-        let text = |i: u32| name_text(&self.names, &self.name_ends, NameId(i));
-        if let Some(&i) = self.index.get(&hash) {
-            if text(i) == name {
-                return NameId(i);
+        let count = self.name_ends.len() as u32;
+        if 2 * (count as usize + 1) > self.slots.len() {
+            let mut slots = vec![0; (2 * self.slots.len()).max(64)];
+            for id in 0..count {
+                let text = name_text(&self.names, &self.name_ends, NameId(id));
+                let at = probe(&slots, &self.names, &self.name_ends, text);
+                slots[at] = id + 1;
             }
-            // Another name with the same hash: the index holds the first
-            // one only, so look the rest up by text.
-            if let Some(i) = (0..self.name_ends.len() as u32).find(|&i| text(i) == name) {
-                return NameId(i);
-            }
+            self.slots = slots;
         }
-        let i = self.name_ends.len() as u32;
-        self.names.push_str(name);
-        self.name_ends.push(self.names.len() as u32);
-        self.index.entry(hash).or_insert(i);
-        NameId(i)
+        let at = probe(&self.slots, &self.names, &self.name_ends, name);
+        if self.slots[at] == 0 {
+            self.names.push_str(name);
+            self.name_ends.push(self.names.len() as u32);
+            self.slots[at] = count + 1;
+        }
+        NameId(self.slots[at] - 1)
     }
 
     /// The owned [`TypeRef`] of a type built here, for a declaration.
