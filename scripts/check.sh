@@ -26,10 +26,12 @@ echo "==   dimension product, fails on a different line (or not at all) than =="
 echo "==   in the debug run above                                            =="
 cargo test --release --offline -q -p exec -p gpu-sim
 
-echo "== jlang tests again in release: the never-panic harness runs its  =="
-echo "==   release budget (20 000 mutants), and the nesting limits hold  =="
-echo "==   on a 2 MB stack at optimized frame sizes too                  =="
+echo "== jlang and querydb tests again in release: the never-panic harness =="
+echo "==   runs its release budget (20 000 mutants), the nesting limits hold =="
+echo "==   on a 2 MB stack at optimized frame sizes too, and body            =="
+echo "==   fingerprints are checked on the optimized build                   =="
 cargo test --release --offline -q -p jlang
+cargo test --release --offline -q -p querydb
 
 echo "== translator tests again in release: the WJAR never-panic harness  =="
 echo "==   runs its release budget, with overflow checks off                =="
