@@ -285,21 +285,8 @@ fn block(out: &mut String, b: &Body, stmts: Block) {
     out.push_str(" }");
 }
 
-/// A body's type in the shape of a declaration's `TypeRef`.
 fn ty(out: &mut String, b: &Body, t: TyId) {
-    match b.ty(t) {
-        TypeNode::Named { name, args, span } => {
-            write!(out, "Named {{ name: {:?}, args: ", b.name(name)).unwrap();
-            list(out, b.list(args), |out, a| ty(out, b, a));
-            write!(out, ", span: {span:?} }}").unwrap();
-        }
-        TypeNode::Array(elem) => {
-            out.push_str("Array(");
-            ty(out, b, elem);
-            out.push(')');
-        }
-        prim => write!(out, "{prim:?}").unwrap(),
-    }
+    write!(out, "{:?}", b.type_ref(t)).unwrap();
 }
 
 fn stmt(out: &mut String, b: &Body, s: StmtId) {

@@ -380,7 +380,7 @@ pub enum Expr {
 /// vectors. Children precede their parents; spans sit beside the nodes;
 /// names are interned once per body in first-use order, so a body is
 /// self-contained and reads (and hashes) the same wherever it sits.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Body {
     root: Root,
     exprs: Box<[Expr]>,
