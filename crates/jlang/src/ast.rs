@@ -424,10 +424,6 @@ impl Body {
         self.stmt_spans[id.0 as usize]
     }
 
-    pub fn ty(&self, id: TyId) -> TypeNode {
-        self.types[id.0 as usize]
-    }
-
     /// Type `id` as a declaration would hold it, for the resolver.
     pub fn type_ref(&self, id: TyId) -> TypeRef {
         owned_type(&self.types, &self.ids, &self.names, &self.name_ends, id)
