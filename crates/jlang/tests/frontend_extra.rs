@@ -60,21 +60,32 @@ fn min_value_literals_need_a_unary_minus_right_before() {
     }
 }
 
+fn float_literal_err(lit: &str, needle: &str) {
+    err_containing(
+        &format!("class A {{ static double m() {{ return {lit}; }} }}"),
+        needle,
+    );
+}
+
 #[test]
-fn float_literals_that_round_to_infinity_or_zero_are_rejected() {
-    for (lit, needle) in [
-        ("1e40f", "floating-point number too large"),
-        ("1e400", "floating-point number too large"),
-        ("1e400d", "floating-point number too large"),
-        ("1e-50f", "floating-point number too small"),
-        ("1e-400", "floating-point number too small"),
-    ] {
-        err_containing(
-            &format!("class A {{ static double m() {{ return {lit}; }} }}"),
-            needle,
-        );
-    }
-    // Zero, and subnormals, are legal.
+fn a_float_literal_that_rounds_to_infinity_is_rejected() {
+    float_literal_err("1e40f", "floating-point number too large");
+}
+
+#[test]
+fn a_double_literal_that_rounds_to_infinity_is_rejected() {
+    float_literal_err("1e400", "floating-point number too large");
+    float_literal_err("1e400d", "floating-point number too large");
+}
+
+#[test]
+fn a_float_literal_that_rounds_to_zero_is_rejected() {
+    float_literal_err("1e-50f", "floating-point number too small");
+    float_literal_err("1e-400", "floating-point number too small");
+}
+
+#[test]
+fn zero_and_subnormal_float_literals_stay_legal() {
     ok("class A { static double m() { return 0.0f + 0e10 + 0.000 + 1e-45f + 4.9e-324; } }");
 }
 
