@@ -154,14 +154,30 @@ macro_rules! from_raw {
 from_raw!(ExprId, StmtId, TyId);
 
 /// A run of ids in a body's shared id list ([`Body::list`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct IdList<T> {
     start: u32,
     len: u32,
     of: PhantomData<T>,
 }
 
+impl<T> Clone for IdList<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for IdList<T> {}
+
 impl<T> IdList<T> {
+    pub(crate) fn new(start: u32, len: u32) -> Self {
+        IdList {
+            start,
+            len,
+            of: PhantomData,
+        }
+    }
+
     /// Where the run starts in [`Body::ids`].
     pub fn start(self) -> u32 {
         self.start
@@ -581,11 +597,7 @@ impl BodyBuilder {
     pub(crate) fn list<T>(&mut self, mark: usize) -> IdList<T> {
         let start = self.ids.len() as u32;
         self.ids.extend(self.pending.drain(mark..));
-        IdList {
-            start,
-            len: self.ids.len() as u32 - start,
-            of: PhantomData,
-        }
+        IdList::new(start, self.ids.len() as u32 - start)
     }
 
     pub(crate) fn intern(&mut self, name: &str) -> NameId {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crate::ast;
 use crate::span::{DiagResult, Diagnostic, Span};
-use crate::tast::{TBlock, TExpr};
+use crate::tast::TBody;
 use crate::types::{ClassId, Type, OBJECT};
 
 /// Resolved formal parameter.
@@ -31,8 +31,9 @@ pub struct FieldInfo {
     /// Untyped initializer, shared with the declaration it was parsed into;
     /// released once the typed one is installed.
     pub ast_init: Option<Arc<ast::Body>>,
-    /// Typed initializer, installed by the type checker.
-    pub init: Option<Arc<TExpr>>,
+    /// Typed initializer (rooted at [`crate::tast::TRoot::Init`]),
+    /// installed by the type checker.
+    pub init: Option<Arc<TBody>>,
     pub span: Span,
 }
 
@@ -52,12 +53,11 @@ pub struct MethodInfo {
     /// Untyped body, shared with the declaration it was parsed into;
     /// released once the typed one is installed.
     pub ast_body: Option<Arc<ast::Body>>,
-    /// Typed body, installed by the type checker. Immutable and shared: a
-    /// table built for a later revision of the sources points at the same
-    /// allocation for as long as the body's check stays valid.
-    pub body: Option<Arc<TBlock>>,
-    /// Number of frame slots (params + locals); filled by the type checker.
-    pub frame_size: u32,
+    /// Typed body (rooted at [`crate::tast::TRoot::Block`]), installed by
+    /// the type checker. Immutable and shared: a table built for a later
+    /// revision of the sources points at the same allocation for as long
+    /// as the body's check stays valid.
+    pub body: Option<Arc<TBody>>,
     pub span: Span,
 }
 
@@ -68,11 +68,9 @@ pub struct CtorInfo {
     /// Untyped `super(...)` arguments and body, released once the typed
     /// ones are installed.
     pub ast_body: Option<Arc<ast::Body>>,
-    /// Typed `super(...)` arguments (empty when the superclass is Object).
-    pub super_args: Arc<Vec<TExpr>>,
-    /// Typed constructor body.
-    pub body: Option<Arc<TBlock>>,
-    pub frame_size: u32,
+    /// Typed `super(...)` arguments and body (rooted at
+    /// [`crate::tast::TRoot::Ctor`]).
+    pub body: Option<Arc<TBody>>,
     pub span: Span,
 }
 
@@ -694,7 +692,6 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 is_global: m.annotations.iter().any(|a| a.name == "Global"),
                 ast_body: m.body.take(),
                 body: None,
-                frame_size: 0,
                 span: m.span,
             });
         }
@@ -715,18 +712,14 @@ pub fn build(units: Vec<ast::Unit>) -> DiagResult<ClassTable> {
                 Some(CtorInfo {
                     params,
                     ast_body: Some(Arc::clone(&c.body)),
-                    super_args: Arc::default(),
                     body: None,
-                    frame_size: 0,
                     span: c.span,
                 })
             }
             None if !decl.is_interface => Some(CtorInfo {
                 params: Vec::new(),
                 ast_body: Some(Arc::new(ast::Body::implicit_ctor())),
-                super_args: Arc::default(),
                 body: None,
-                frame_size: 0,
                 span: decl.span,
             }),
             None => None,

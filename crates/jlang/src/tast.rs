@@ -1,30 +1,72 @@
-//! The typed AST produced by the type checker.
+//! The typed bodies produced by the type checker.
 //!
 //! All names are resolved: locals/params to frame slots, fields to absolute
 //! instance slots (single inheritance gives every field a fixed offset),
 //! methods to `(declaring class, index)` pairs. Implicit widening
-//! conversions are explicit [`TExprKind::Convert`] nodes so that engines and
-//! the translator never re-derive promotion rules.
+//! conversions are explicit [`TExpr::Convert`] nodes, and compound
+//! assignment and `++`/`--` are desugared, so that engines and the
+//! translator never re-derive promotion rules.
+//!
+//! A checked body is one flat [`TBody`], the typed twin of
+//! [`crate::ast::Body`]: `Copy` nodes whose children are ids into the same
+//! body, each expression's type an index into the body's own type table,
+//! spans in parallel slices, and string literals interned once per body.
 
-use crate::ast::{BinOp, UnOp};
+use std::sync::Arc;
+
+use crate::ast::{BinOp, IdList, UnOp};
 use crate::span::Span;
 use crate::types::{ClassId, PrimKind, Type};
 
+/// An expression of a [`TBody`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TExprId(pub u32);
+
+/// A statement of a [`TBody`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TStmtId(pub u32);
+
+/// A type in a [`TBody`]'s type table, by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TypeId(pub u32);
+
+/// A string literal interned in a [`TBody`], by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StrId(pub u32);
+
+impl From<u32> for TExprId {
+    fn from(raw: u32) -> Self {
+        TExprId(raw)
+    }
+}
+
+impl From<u32> for TStmtId {
+    fn from(raw: u32) -> Self {
+        TStmtId(raw)
+    }
+}
+
+/// A typed `{ ... }` block.
+pub type TBlock = IdList<TStmtId>;
+
+/// Typed call, constructor or `super(...)` arguments.
+pub type TArgs = IdList<TExprId>;
+
 /// A resolved instance-field selector. `slot` is the field's absolute
 /// offset in the object layout (inherited fields first).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FieldSel {
     /// Class that *declares* the field.
     pub owner: ClassId,
     /// Absolute slot in the instance layout.
     pub slot: u32,
     /// Declared type after substitution at the use site.
-    pub ty: Type,
+    pub ty: TypeId,
 }
 
 /// A resolved method selector: the statically found declaration. Virtual
 /// dispatch may pick an override in a subclass at run/translation time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MethodSel {
     /// Class or interface whose declaration was found statically.
     pub decl_class: ClassId,
@@ -32,96 +74,86 @@ pub struct MethodSel {
     pub index: u32,
 }
 
-/// Typed statement.
-#[derive(Debug, Clone)]
+/// What a typed body is the body of.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TRoot {
+    /// A method body.
+    Block(TBlock),
+    /// A constructor: typed `super(...)` arguments (empty when the
+    /// superclass is `Object`) and the body.
+    Ctor { super_args: TArgs, body: TBlock },
+    /// A field initializer.
+    Init(TExprId),
+}
+
+/// Typed statements. Each one's span is [`TBody::stmt_span`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TStmt {
     /// Declare local in `slot`, optionally initialized.
     Local {
         slot: u32,
-        ty: Type,
-        init: Option<TExpr>,
-        span: Span,
+        ty: TypeId,
+        init: Option<TExprId>,
     },
     AssignLocal {
         slot: u32,
-        value: TExpr,
-        span: Span,
+        value: TExprId,
     },
     AssignField {
-        obj: TExpr,
+        obj: TExprId,
         field: FieldSel,
-        value: TExpr,
-        span: Span,
+        value: TExprId,
     },
     AssignStatic {
         class: ClassId,
         index: u32,
-        value: TExpr,
-        span: Span,
+        value: TExprId,
     },
     AssignIndex {
-        arr: TExpr,
-        idx: TExpr,
-        value: TExpr,
-        span: Span,
+        arr: TExprId,
+        idx: TExprId,
+        value: TExprId,
     },
-    Expr(TExpr),
+    Expr(TExprId),
     If {
-        cond: TExpr,
+        cond: TExprId,
         then_branch: TBlock,
         else_branch: Option<TBlock>,
-        span: Span,
     },
     While {
-        cond: TExpr,
+        cond: TExprId,
         body: TBlock,
-        span: Span,
     },
     For {
-        init: Option<Box<TStmt>>,
-        cond: Option<TExpr>,
-        update: Option<Box<TStmt>>,
+        init: Option<TStmtId>,
+        cond: Option<TExprId>,
+        update: Option<TStmtId>,
         body: TBlock,
-        span: Span,
     },
     Return {
-        value: Option<TExpr>,
-        span: Span,
+        value: Option<TExprId>,
     },
-    Break(Span),
-    Continue(Span),
+    Break,
+    Continue,
     Block(TBlock),
 }
 
-/// Typed block.
-#[derive(Debug, Clone, Default)]
-pub struct TBlock {
-    pub stmts: Vec<TStmt>,
-}
-
-/// Typed expression with its resolved type.
-#[derive(Debug, Clone)]
-pub struct TExpr {
-    pub kind: TExprKind,
-    pub ty: Type,
-    pub span: Span,
-}
-
-/// Typed expression kinds.
-#[derive(Debug, Clone)]
-pub enum TExprKind {
+/// Typed expressions. Each one's type is [`TBody::ty`] and its span
+/// [`TBody::expr_span`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TExpr {
     Int(i32),
     Long(i64),
     Float(f32),
     Double(f64),
     Bool(bool),
     Null,
-    Str(String),
+    Str(StrId),
     /// Local or parameter read (params occupy the lowest slots).
     Local(u32),
     This,
     GetField {
-        obj: Box<TExpr>,
+        obj: TExprId,
         field: FieldSel,
     },
     GetStatic {
@@ -130,220 +162,315 @@ pub enum TExprKind {
     },
     /// Virtual (dynamically dispatched) call.
     Call {
-        recv: Box<TExpr>,
+        recv: TExprId,
         method: MethodSel,
-        args: Vec<TExpr>,
+        args: TArgs,
     },
     /// Non-virtual call to a statically known implementation (`super.m()`).
     DirectCall {
-        recv: Box<TExpr>,
+        recv: TExprId,
         method: MethodSel,
-        args: Vec<TExpr>,
+        args: TArgs,
     },
     /// Call to a static method.
     StaticCall {
         class: ClassId,
         index: u32,
-        args: Vec<TExpr>,
+        args: TArgs,
     },
-    /// Object allocation + constructor run.
+    /// Object allocation + constructor run; the type arguments are the
+    /// node's type's.
     New {
         class: ClassId,
-        targs: Vec<Type>,
-        args: Vec<TExpr>,
+        args: TArgs,
     },
     NewArray {
-        elem: Type,
-        len: Box<TExpr>,
+        elem: TypeId,
+        len: TExprId,
     },
     Index {
-        arr: Box<TExpr>,
-        idx: Box<TExpr>,
+        arr: TExprId,
+        idx: TExprId,
     },
-    ArrayLen(Box<TExpr>),
+    ArrayLen(TExprId),
     Unary {
         op: UnOp,
-        expr: Box<TExpr>,
+        expr: TExprId,
     },
     /// Both operands already converted to `operand_kind`.
     Binary {
         op: BinOp,
         operand_kind: PrimKind,
-        lhs: Box<TExpr>,
-        rhs: Box<TExpr>,
+        lhs: TExprId,
+        rhs: TExprId,
     },
     /// Reference equality (`==`/`!=` on references) — kept distinct so the
     /// rules checker and engines can treat it specially.
     RefEq {
         negated: bool,
-        lhs: Box<TExpr>,
-        rhs: Box<TExpr>,
+        lhs: TExprId,
+        rhs: TExprId,
     },
     /// Explicit numeric cast (may narrow).
     NumCast {
         to: PrimKind,
-        expr: Box<TExpr>,
+        expr: TExprId,
     },
     /// Reference cast, checked at runtime by the interpreter.
     RefCast {
-        to: Type,
-        expr: Box<TExpr>,
+        to: TypeId,
+        expr: TExprId,
     },
     /// Implicit widening conversion inserted by the checker.
     Convert {
         to: PrimKind,
-        expr: Box<TExpr>,
+        expr: TExprId,
     },
     InstanceOf {
-        expr: Box<TExpr>,
-        ty: Type,
+        expr: TExprId,
+        ty: TypeId,
     },
     Ternary {
-        cond: Box<TExpr>,
-        then_val: Box<TExpr>,
-        else_val: Box<TExpr>,
+        cond: TExprId,
+        then_val: TExprId,
+        else_val: TExprId,
     },
 }
 
-impl TExpr {
-    /// Walk this expression tree, calling `f` on every node (pre-order).
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
-        f(self);
-        match &self.kind {
-            TExprKind::GetField { obj, .. } => obj.walk(f),
-            TExprKind::Call { recv, args, .. } | TExprKind::DirectCall { recv, args, .. } => {
-                recv.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            TExprKind::StaticCall { args, .. } | TExprKind::New { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            TExprKind::NewArray { len, .. } => len.walk(f),
-            TExprKind::Index { arr, idx } => {
-                arr.walk(f);
-                idx.walk(f);
-            }
-            TExprKind::ArrayLen(e)
-            | TExprKind::Unary { expr: e, .. }
-            | TExprKind::NumCast { expr: e, .. }
-            | TExprKind::RefCast { expr: e, .. }
-            | TExprKind::Convert { expr: e, .. }
-            | TExprKind::InstanceOf { expr: e, .. } => e.walk(f),
-            TExprKind::Binary { lhs, rhs, .. } | TExprKind::RefEq { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
-            }
-            TExprKind::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                cond.walk(f);
-                then_val.walk(f);
-                else_val.walk(f);
-            }
-            _ => {}
-        }
+/// One checked method body, constructor or field initializer as flat
+/// node slices. Children precede their parents; types and spans sit
+/// beside the nodes. Immutable once checked and shared by [`Arc`]:
+/// whoever keeps it (a query memo) and every class table it was installed
+/// into point at the same allocation.
+#[derive(Debug)]
+pub struct TBody {
+    root: TRoot,
+    /// Frame slots (params + locals).
+    frame: u32,
+    exprs: Box<[TExpr]>,
+    expr_types: Box<[TypeId]>,
+    expr_spans: Box<[Span]>,
+    stmts: Box<[TStmt]>,
+    stmt_spans: Box<[Span]>,
+    /// Every [`IdList`], back to back.
+    ids: Box<[u32]>,
+    /// Every type the body mentions, once each.
+    types: Box<[Type]>,
+    /// Every string literal, back to back; literal `i` ends at `str_ends[i]`.
+    strs: Box<str>,
+    str_ends: Box<[u32]>,
+}
+
+impl TBody {
+    pub fn root(&self) -> TRoot {
+        self.root
+    }
+
+    /// Frame slots (params + locals) a run of the body needs.
+    pub fn frame(&self) -> u32 {
+        self.frame
+    }
+
+    pub fn expr(&self, id: TExprId) -> TExpr {
+        self.exprs[id.0 as usize]
+    }
+
+    /// The type of expression `id`.
+    pub fn ty(&self, id: TExprId) -> &Type {
+        self.type_at(self.expr_types[id.0 as usize])
+    }
+
+    pub fn expr_span(&self, id: TExprId) -> Span {
+        self.expr_spans[id.0 as usize]
+    }
+
+    pub fn stmt(&self, id: TStmtId) -> TStmt {
+        self.stmts[id.0 as usize]
+    }
+
+    pub fn stmt_span(&self, id: TStmtId) -> Span {
+        self.stmt_spans[id.0 as usize]
+    }
+
+    pub fn type_at(&self, id: TypeId) -> &Type {
+        &self.types[id.0 as usize]
+    }
+
+    pub fn str(&self, id: StrId) -> &str {
+        let i = id.0 as usize;
+        let start = if i == 0 {
+            0
+        } else {
+            self.str_ends[i - 1] as usize
+        };
+        &self.strs[start..self.str_ends[i] as usize]
+    }
+
+    /// The ids of a block or an argument list.
+    pub fn list<T: From<u32>>(&self, l: IdList<T>) -> impl ExactSizeIterator<Item = T> + '_ {
+        let start = l.start() as usize;
+        self.ids[start..start + l.len()].iter().map(|&i| T::from(i))
+    }
+
+    pub fn exprs(&self) -> &[TExpr] {
+        &self.exprs
+    }
+
+    /// Each expression's type, by expression id.
+    pub fn expr_types(&self) -> &[TypeId] {
+        &self.expr_types
+    }
+
+    pub fn stmts(&self) -> &[TStmt] {
+        &self.stmts
+    }
+
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    pub fn types(&self) -> &[Type] {
+        &self.types
+    }
+
+    /// The interned string literals in id order.
+    pub fn strs(&self) -> impl Iterator<Item = &str> {
+        (0..self.str_ends.len()).map(|i| self.str(StrId(i as u32)))
     }
 }
 
-impl TBlock {
-    /// Walk all statements (pre-order), including nested blocks.
-    pub fn walk_stmts<'a>(&'a self, f: &mut impl FnMut(&'a TStmt)) {
-        for s in &self.stmts {
-            s.walk(f);
-        }
-    }
-
-    /// Walk all expressions contained anywhere in this block.
-    pub fn walk_exprs<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
-        self.walk_stmts(&mut |s| s.for_each_expr(f));
-    }
+/// Builds one [`TBody`] at a time; the type checker keeps one per thread
+/// and reuses its buffers from body to body.
+#[derive(Default)]
+pub(crate) struct TBodyBuilder {
+    exprs: Vec<TExpr>,
+    expr_types: Vec<TypeId>,
+    expr_spans: Vec<Span>,
+    stmts: Vec<TStmt>,
+    stmt_spans: Vec<Span>,
+    ids: Vec<u32>,
+    /// Members of the lists under construction, innermost list last.
+    pending: Vec<u32>,
+    types: Vec<Type>,
+    strs: String,
+    str_ends: Vec<u32>,
 }
 
-impl TStmt {
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TStmt)) {
-        f(self);
-        match self {
-            TStmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                then_branch.walk_stmts(f);
-                if let Some(e) = else_branch {
-                    e.walk_stmts(f);
-                }
-            }
-            TStmt::While { body, .. } => body.walk_stmts(f),
-            TStmt::For {
-                init, update, body, ..
-            } => {
-                if let Some(i) = init {
-                    i.walk(f);
-                }
-                if let Some(u) = update {
-                    u.walk(f);
-                }
-                body.walk_stmts(f);
-            }
-            TStmt::Block(b) => b.walk_stmts(f),
-            _ => {}
-        }
+impl TBodyBuilder {
+    pub(crate) fn clear(&mut self) {
+        self.exprs.clear();
+        self.expr_types.clear();
+        self.expr_spans.clear();
+        self.stmts.clear();
+        self.stmt_spans.clear();
+        self.ids.clear();
+        self.pending.clear();
+        self.types.clear();
+        self.strs.clear();
+        self.str_ends.clear();
     }
 
-    /// Call `f` on each expression directly owned by this statement (not
-    /// descending into nested statements — combine with [`TStmt::walk`]).
-    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
-        match self {
-            TStmt::Local { init: Some(e), .. } => e.walk(f),
-            TStmt::Local { init: None, .. } => {}
-            TStmt::AssignLocal { value, .. } => value.walk(f),
-            TStmt::AssignField { obj, value, .. } => {
-                obj.walk(f);
-                value.walk(f);
-            }
-            TStmt::AssignStatic { value, .. } => value.walk(f),
-            TStmt::AssignIndex {
-                arr, idx, value, ..
-            } => {
-                arr.walk(f);
-                idx.walk(f);
-                value.walk(f);
-            }
-            TStmt::Expr(e) => e.walk(f),
-            TStmt::If { cond, .. } => cond.walk(f),
-            TStmt::While { cond, .. } => cond.walk(f),
-            TStmt::For { cond, .. } => {
-                if let Some(c) = cond {
-                    c.walk(f);
-                }
-            }
-            TStmt::Return { value: Some(e), .. } => e.walk(f),
-            TStmt::Return { value: None, .. } => {}
-            TStmt::Break(_) | TStmt::Continue(_) | TStmt::Block(_) => {}
-        }
+    /// Add expression `e` of type `ty`.
+    pub(crate) fn expr(&mut self, e: TExpr, ty: &Type, span: Span) -> TExprId {
+        let ty = self.intern(ty);
+        self.exprs.push(e);
+        self.expr_types.push(ty);
+        self.expr_spans.push(span);
+        TExprId(self.exprs.len() as u32 - 1)
     }
 
-    pub fn span(&self) -> Span {
-        match self {
-            TStmt::Local { span, .. }
-            | TStmt::AssignLocal { span, .. }
-            | TStmt::AssignField { span, .. }
-            | TStmt::AssignStatic { span, .. }
-            | TStmt::AssignIndex { span, .. }
-            | TStmt::If { span, .. }
-            | TStmt::While { span, .. }
-            | TStmt::For { span, .. }
-            | TStmt::Return { span, .. }
-            | TStmt::Break(span)
-            | TStmt::Continue(span) => *span,
-            TStmt::Expr(e) => e.span,
-            TStmt::Block(b) => b.stmts.first().map(|s| s.span()).unwrap_or_default(),
-        }
+    pub(crate) fn stmt(&mut self, s: TStmt, span: Span) -> TStmtId {
+        self.stmts.push(s);
+        self.stmt_spans.push(span);
+        TStmtId(self.stmts.len() as u32 - 1)
+    }
+
+    /// The type of expression `id` built here.
+    pub(crate) fn ty(&self, id: TExprId) -> &Type {
+        &self.types[self.expr_types[id.0 as usize].0 as usize]
+    }
+
+    pub(crate) fn expr_span(&self, id: TExprId) -> Span {
+        self.expr_spans[id.0 as usize]
+    }
+
+    pub(crate) fn get(&self, id: TExprId) -> TExpr {
+        self.exprs[id.0 as usize]
+    }
+
+    pub(crate) fn stmt_span(&self, id: TStmtId) -> Span {
+        self.stmt_spans[id.0 as usize]
+    }
+
+    /// The id of `ty` in the type table, adding it on first use.
+    pub(crate) fn intern(&mut self, ty: &Type) -> TypeId {
+        let at = self.types.iter().position(|t| t == ty).unwrap_or_else(|| {
+            self.types.push(ty.clone());
+            self.types.len() - 1
+        });
+        TypeId(at as u32)
+    }
+
+    pub(crate) fn intern_str(&mut self, s: &str) -> StrId {
+        let found = (0..self.str_ends.len()).find(|&i| {
+            let start = if i == 0 {
+                0
+            } else {
+                self.str_ends[i - 1] as usize
+            };
+            &self.strs[start..self.str_ends[i] as usize] == s
+        });
+        StrId(found.unwrap_or_else(|| {
+            self.strs.push_str(s);
+            self.str_ends.push(self.strs.len() as u32);
+            self.str_ends.len() - 1
+        }) as u32)
+    }
+
+    /// Where the list about to be built starts; pass it to [`Self::list`].
+    pub(crate) fn mark(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Append a member to the innermost list under construction.
+    pub(crate) fn push(&mut self, raw: u32) {
+        self.pending.push(raw);
+    }
+
+    /// Drop the members pushed since `mark`: a list left open by a
+    /// failure.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        self.pending.truncate(mark);
+    }
+
+    /// Close the list begun at `mark`.
+    pub(crate) fn list<T>(&mut self, mark: usize) -> IdList<T> {
+        let start = self.ids.len() as u32;
+        self.ids.extend(self.pending.drain(mark..));
+        IdList::new(start, self.ids.len() as u32 - start)
+    }
+
+    /// The first statement of a block built here.
+    pub(crate) fn first(&self, b: TBlock) -> Option<TStmtId> {
+        (!b.is_empty()).then(|| TStmtId(self.ids[b.start() as usize]))
+    }
+
+    /// The body built so far; leaves the builder empty.
+    pub(crate) fn finish(&mut self, root: TRoot, frame: u32) -> Arc<TBody> {
+        let body = TBody {
+            root,
+            frame,
+            exprs: self.exprs.as_slice().into(),
+            expr_types: self.expr_types.as_slice().into(),
+            expr_spans: self.expr_spans.as_slice().into(),
+            stmts: self.stmts.as_slice().into(),
+            stmt_spans: self.stmt_spans.as_slice().into(),
+            ids: self.ids.as_slice().into(),
+            types: self.types.drain(..).collect(),
+            strs: self.strs.as_str().into(),
+            str_ends: self.str_ends.as_slice().into(),
+        };
+        self.clear();
+        Arc::new(body)
     }
 }

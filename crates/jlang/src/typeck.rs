@@ -1,7 +1,8 @@
 //! The body type checker: turns untyped method/constructor bodies and field
-//! initializers into the typed AST, resolving every name and inserting
-//! explicit widening conversions.
+//! initializers into typed bodies ([`TBody`]), resolving every name and
+//! inserting explicit widening conversions.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::ast::{Args, BinOp, Block, Body, Expr, ExprId, NameId, Root, Stmt, StmtId, TyId, UnOp};
@@ -22,23 +23,11 @@ pub enum Member {
     Init { is_static: bool, index: u32 },
 }
 
-/// One checked body, as the class table holds it: immutable and shared.
-/// Whoever keeps a `Typed` (a query memo) and every table it was
-/// installed into point at the same allocation; cloning bumps counts.
-#[derive(Debug, Clone)]
-pub enum Typed {
-    Method {
-        body: Arc<TBlock>,
-        /// Frame slots (params + locals).
-        frame: u32,
-    },
-    Ctor {
-        /// Typed `super(...)` arguments.
-        super_args: Arc<Vec<TExpr>>,
-        body: Arc<TBlock>,
-        frame: u32,
-    },
-    Init(Arc<TExpr>),
+thread_local! {
+    /// Where every body checked on this thread is built. The query layer
+    /// checks one body per call, so a builder per call would grow every
+    /// node vector from empty for each body.
+    static BUILDER: RefCell<TBodyBuilder> = RefCell::default();
 }
 
 /// Type check all bodies in `table`, storing typed bodies back into it.
@@ -51,7 +40,7 @@ pub enum Typed {
 /// only after the last one.
 pub fn check(table: &mut ClassTable) -> DiagResult<()> {
     let mut diags = Vec::new();
-    let mut results: Vec<(ClassId, Member, Typed)> = Vec::new();
+    let mut results: Vec<(ClassId, Member, Arc<TBody>)> = Vec::new();
     let read: &ClassTable = table;
     for info in read.iter() {
         for member in unchecked_members(info) {
@@ -98,48 +87,46 @@ pub fn unchecked_members(info: &ClassInfo) -> Vec<Member> {
 /// Type check one body of class `id` against a table snapshot (the table
 /// is only read; the caller installs the result). Requires the member's
 /// untyped body to still be present.
-pub fn check_member(table: &ClassTable, id: ClassId, member: Member) -> DiagResult<Typed> {
-    match member {
-        Member::Method(mi) => check_method_body(table, id, mi as usize),
-        Member::Ctor => check_ctor(table, id),
-        Member::Init { is_static, index } => check_field_init(table, id, is_static, index as usize),
-    }
+pub fn check_member(table: &ClassTable, id: ClassId, member: Member) -> DiagResult<Arc<TBody>> {
+    BUILDER.with_borrow_mut(|b| {
+        b.clear();
+        let checked = match member {
+            Member::Method(mi) => check_method_body(table, id, mi as usize, b),
+            Member::Ctor => check_ctor(table, id, b),
+            Member::Init { is_static, index } => {
+                check_field_init(table, id, is_static, index as usize, b)
+            }
+        };
+        b.clear();
+        checked
+    })
 }
 
 /// Put a checked body into the table and release the untyped one.
-pub fn install(table: &mut ClassTable, id: ClassId, member: Member, typed: Typed) {
+pub fn install(table: &mut ClassTable, id: ClassId, member: Member, typed: Arc<TBody>) {
     let c = table.class_mut(id);
-    match (member, typed) {
-        (Member::Method(mi), Typed::Method { body, frame }) => {
+    match (member, typed.root()) {
+        (Member::Method(mi), TRoot::Block(_)) => {
             let m = &mut c.methods[mi as usize];
-            m.body = Some(body);
-            m.frame_size = frame;
+            m.body = Some(typed);
             m.ast_body = None;
         }
-        (
-            Member::Ctor,
-            Typed::Ctor {
-                super_args,
-                body,
-                frame,
-            },
-        ) => {
+        (Member::Ctor, TRoot::Ctor { .. }) => {
             let ct = c.ctor.as_mut().expect("install: class has no ctor");
-            ct.super_args = super_args;
-            ct.body = Some(body);
-            ct.frame_size = frame;
+            ct.body = Some(typed);
             ct.ast_body = None;
         }
-        (Member::Init { is_static, index }, Typed::Init(e)) => {
-            let f = if is_static {
-                &mut c.statics[index as usize]
+        (Member::Init { is_static, index }, TRoot::Init(_)) => {
+            let fields = if is_static {
+                &mut c.statics
             } else {
-                &mut c.fields[index as usize]
+                &mut c.fields
             };
-            f.init = Some(e);
+            let f = &mut fields[index as usize];
+            f.init = Some(typed);
             f.ast_init = None;
         }
-        (member, typed) => unreachable!("install: {member:?} is not a {typed:?}"),
+        (member, root) => unreachable!("install: {member:?} is not a {root:?}"),
     }
 }
 
@@ -148,7 +135,8 @@ fn check_field_init(
     id: ClassId,
     is_static: bool,
     fi: usize,
-) -> DiagResult<Typed> {
+    b: &mut TBodyBuilder,
+) -> DiagResult<Arc<TBody>> {
     let info = table.class(id);
     let f = if is_static {
         &info.statics[fi]
@@ -162,22 +150,25 @@ fn check_field_init(
     let Root::Init(init) = body.root() else {
         unreachable!("a field initializer's body is an expression")
     };
-    let ty = f.ty.clone();
     // Instance field initializers are checked in constructor context.
-    let mut ck = Checker::new(table, id, body, is_static, ty.clone());
+    let mut ck = Checker::new(table, id, body, is_static, f.ty.clone(), b);
     let typed = match ck.expr(init) {
-        Ok(e) => ck.coerce(e, &ty).ok(),
+        Ok(e) => ck.coerce(e, &f.ty).ok(),
         Err(()) => None,
     };
-    finish_body(
-        ck.diags,
-        typed.map(|e| Typed::Init(Arc::new(e))),
+    ck.finish(
+        typed.map(TRoot::Init),
         f.span,
         "field initializer failed to type check",
     )
 }
 
-fn check_method_body(table: &ClassTable, id: ClassId, mi: usize) -> DiagResult<Typed> {
+fn check_method_body(
+    table: &ClassTable,
+    id: ClassId,
+    mi: usize,
+    b: &mut TBodyBuilder,
+) -> DiagResult<Arc<TBody>> {
     let info = table.class(id);
     let m = &info.methods[mi];
     let body = m
@@ -187,38 +178,34 @@ fn check_method_body(table: &ClassTable, id: ClassId, mi: usize) -> DiagResult<T
     let Root::Block(block) = body.root() else {
         unreachable!("a method's body is a block")
     };
-    let mut ck = Checker::new(table, id, body, m.is_static, m.ret.clone());
+    let mut ck = Checker::new(table, id, body, m.is_static, m.ret.clone(), b);
     for p in &m.params {
         ck.scope
             .declare(body.find_name(&p.name), p.ty.clone(), p.is_final);
     }
     let tb = ck.block(block);
+    let typed = ck.finish(
+        Some(TRoot::Block(tb)),
+        m.span,
+        "method body failed to type check",
+    )?;
     // Non-void methods must return on every path. A statement that failed
-    // to check is missing from `tb`, so only a clean body can tell.
-    if m.ret != Type::Void && ck.diags.is_empty() && !block_always_returns(&tb) {
-        ck.diags.push(Diagnostic::error(
+    // to check would be missing from `tb`, so only a clean body can tell.
+    if m.ret != Type::Void && !block_always_returns(&typed, tb) {
+        return Err(vec![Diagnostic::error(
             "typeck",
             m.span,
             format!(
                 "method `{}::{}` may finish without returning a value",
                 info.name, m.name
             ),
-        ));
+        )]);
     }
-    let typed = Typed::Method {
-        body: Arc::new(tb),
-        frame: ck.scope.max_slot,
-    };
-    finish_body(
-        ck.diags,
-        Some(typed),
-        m.span,
-        "method body failed to type check",
-    )
+    Ok(typed)
 }
 
 /// The constructor of class `id`: super(...) arguments plus the body.
-fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<Typed> {
+fn check_ctor(table: &ClassTable, id: ClassId, b: &mut TBodyBuilder) -> DiagResult<Arc<TBody>> {
     let info = table.class(id);
     let ctor = info.ctor.as_ref().expect("check_ctor: class has no ctor");
     let body = ctor
@@ -232,18 +219,18 @@ fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<Typed> {
     else {
         unreachable!("a constructor's body is a constructor")
     };
-    let mut ck = Checker::new(table, id, body, false, Type::Void);
+    let mut ck = Checker::new(table, id, body, false, Type::Void, b);
     ck.in_ctor = true;
     for p in &ctor.params {
         ck.scope
             .declare(body.find_name(&p.name), p.ty.clone(), p.is_final);
     }
     // super(...) arguments against the superclass constructor.
-    let mut targs_out = Vec::new();
+    let mark = ck.b.mark();
     let sup = info.superclass.clone();
     match (super_args, sup) {
         (Some(args), Some((sid, sargs))) if sid != OBJECT => {
-            targs_out = ck.super_ctor_args(sid, &sargs, args, ctor.span);
+            ck.super_ctor_args(sid, &sargs, args, ctor.span);
         }
         (Some(args), _) if !args.is_empty() => {
             ck.diags.push(Diagnostic::error(
@@ -254,57 +241,34 @@ fn check_ctor(table: &ClassTable, id: ClassId) -> DiagResult<Typed> {
         }
         (None, Some((sid, sargs))) if sid != OBJECT => {
             // Implicit super(): the super ctor must take no args.
-            targs_out = ck.super_ctor_args(sid, &sargs, Args::default(), ctor.span);
+            ck.super_ctor_args(sid, &sargs, Args::default(), ctor.span);
         }
         _ => {}
     }
+    let super_args = ck.b.list(mark);
     let tb = ck.block(block);
-    let typed = Typed::Ctor {
-        super_args: Arc::new(targs_out),
-        body: Arc::new(tb),
-        frame: ck.scope.max_slot,
-    };
-    finish_body(
-        ck.diags,
-        Some(typed),
+    ck.finish(
+        Some(TRoot::Ctor {
+            super_args,
+            body: tb,
+        }),
         ctor.span,
         "constructor failed to type check",
     )
 }
 
-/// Per-body result policy: any diagnostic fails the body; a silent
-/// failure still produces a diagnostic so drivers never lose an error.
-fn finish_body<T>(
-    diags: Vec<Diagnostic>,
-    result: Option<T>,
-    span: Span,
-    fallback: &str,
-) -> DiagResult<T> {
-    if !diags.is_empty() {
-        return Err(diags);
-    }
-    match result {
-        Some(t) => Ok(t),
-        None => Err(vec![Diagnostic::error("typeck", span, fallback)]),
-    }
-}
-
 /// Conservative "always returns" analysis used for the missing-return check.
-fn block_always_returns(b: &TBlock) -> bool {
-    b.stmts.iter().any(stmt_always_returns)
-}
-
-fn stmt_always_returns(s: &TStmt) -> bool {
-    match s {
+fn block_always_returns(body: &TBody, b: TBlock) -> bool {
+    body.list(b).any(|s| match body.stmt(s) {
         TStmt::Return { .. } => true,
         TStmt::If {
             then_branch,
             else_branch: Some(e),
             ..
-        } => block_always_returns(then_branch) && block_always_returns(e),
-        TStmt::Block(b) => block_always_returns(b),
+        } => block_always_returns(body, then_branch) && block_always_returns(body, e),
+        TStmt::Block(b) => block_always_returns(body, b),
         _ => false,
-    }
+    })
 }
 
 /// The locals in scope, innermost last, each keyed by its name in the
@@ -335,10 +299,10 @@ impl Scope {
         slot
     }
 
-    fn lookup(&self, name: NameId) -> Option<(u32, Type, bool)> {
+    fn lookup(&self, name: NameId) -> Option<(u32, &Type, bool)> {
         (self.vars.iter().rev())
             .find(|v| v.0 == Some(name))
-            .map(|(_, s, t, f)| (*s, t.clone(), *f))
+            .map(|(_, s, t, f)| (*s, t, *f))
     }
 
     fn declared_in_scope(&self, name: NameId) -> bool {
@@ -355,12 +319,14 @@ impl Scope {
     }
 }
 
-struct Checker<'t> {
+struct Checker<'t, 'b> {
     table: &'t ClassTable,
     class: ClassId,
     type_params: &'t [TypeParamInfo],
     /// The body being checked.
     body: &'t Body,
+    /// Where its typed twin is being built.
+    b: &'b mut TBodyBuilder,
     is_static: bool,
     in_ctor: bool,
     ret: Type,
@@ -371,19 +337,21 @@ struct Checker<'t> {
 
 type CkResult<T> = Result<T, ()>;
 
-impl<'t> Checker<'t> {
+impl<'t, 'b> Checker<'t, 'b> {
     fn new(
         table: &'t ClassTable,
         class: ClassId,
         body: &'t Body,
         is_static: bool,
         ret: Type,
+        b: &'b mut TBodyBuilder,
     ) -> Self {
         Checker {
             table,
             type_params: &table.class(class).type_params,
             class,
             body,
+            b,
             is_static,
             in_ctor: false,
             ret,
@@ -393,12 +361,34 @@ impl<'t> Checker<'t> {
         }
     }
 
+    /// Per-body result policy: any diagnostic fails the body; a silent
+    /// failure still produces a diagnostic so drivers never lose an error.
+    fn finish(self, root: Option<TRoot>, span: Span, fallback: &str) -> DiagResult<Arc<TBody>> {
+        if !self.diags.is_empty() {
+            return Err(self.diags);
+        }
+        match root {
+            Some(root) => Ok(self.b.finish(root, self.scope.max_slot)),
+            None => Err(vec![Diagnostic::error("typeck", span, fallback)]),
+        }
+    }
+
     fn err(&mut self, span: Span, msg: impl Into<String>) {
         self.diags.push(Diagnostic::error("typeck", span, msg));
     }
 
     fn show(&self, t: &Type) -> String {
         self.table.show_type(t)
+    }
+
+    /// The type of a checked expression.
+    fn ty(&self, e: TExprId) -> &Type {
+        self.b.ty(e)
+    }
+
+    /// Add an expression node of type `ty`.
+    fn typed(&mut self, e: TExpr, ty: &Type, span: Span) -> CkResult<TExprId> {
+        Ok(self.b.expr(e, ty, span))
     }
 
     fn resolve(&mut self, ty: TyId) -> CkResult<Type> {
@@ -416,19 +406,15 @@ impl<'t> Checker<'t> {
         self.table.by_name(text)
     }
 
-    fn super_ctor_args(
-        &mut self,
-        sid: ClassId,
-        sargs: &[Type],
-        args: Args,
-        span: Span,
-    ) -> Vec<TExpr> {
+    /// The typed `super(...)` arguments, pushed onto the list the caller
+    /// opened; an argument that fails to check is reported and left out.
+    fn super_ctor_args(&mut self, sid: ClassId, sargs: &[Type], args: Args, span: Span) {
         let Some(sctor) = &self.table.class(sid).ctor else {
             self.err(
                 span,
                 format!("superclass `{}` has no constructor", self.table.name(sid)),
             );
-            return Vec::new();
+            return;
         };
         if sctor.params.len() != args.len() {
             self.err(
@@ -439,37 +425,42 @@ impl<'t> Checker<'t> {
                     args.len()
                 ),
             );
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for (a, p) in self.body.list(args).zip(&sctor.params) {
             let want = p.ty.subst(sargs);
-            if let Ok(e) = self.expr(a) {
-                if let Ok(e) = self.coerce(e, &want) {
-                    out.push(e);
-                }
+            let mark = self.b.mark();
+            match self.expr(a).and_then(|e| self.coerce(e, &want)) {
+                Ok(e) => self.b.push(e.0),
+                Err(()) => self.b.truncate(mark),
             }
         }
-        out
     }
 
     // ------------------------------------------------------------------
     // Statements
     // ------------------------------------------------------------------
 
-    fn block(&mut self, b: Block) -> TBlock {
+    fn block(&mut self, blk: Block) -> TBlock {
         self.scope.push();
-        let stmts = (self.body.list(b))
-            .filter_map(|s| self.stmt(s).ok())
-            .collect();
+        let mark = self.b.mark();
+        for s in self.body.list(blk) {
+            // A statement that fails is reported and left out, with any
+            // list it left open.
+            let at = self.b.mark();
+            match self.stmt(s) {
+                Ok(ts) => self.b.push(ts.0),
+                Err(()) => self.b.truncate(at),
+            }
+        }
         self.scope.pop();
-        TBlock { stmts }
+        self.b.list(mark)
     }
 
-    fn stmt(&mut self, s: StmtId) -> CkResult<TStmt> {
+    fn stmt(&mut self, s: StmtId) -> CkResult<TStmtId> {
         let body = self.body;
         let span = body.stmt_span(s);
-        match body.stmt(s) {
+        let ts = match body.stmt(s) {
             Stmt::Local {
                 name,
                 ty,
@@ -491,29 +482,32 @@ impl<'t> Checker<'t> {
                     }
                     None => None,
                 };
-                let slot = self.scope.declare(Some(name), rty.clone(), is_final);
-                Ok(TStmt::Local {
+                let ty = self.b.intern(&rty);
+                let slot = self.scope.declare(Some(name), rty, is_final);
+                TStmt::Local {
                     slot,
-                    ty: rty,
+                    ty,
                     init: tinit,
-                    span,
-                })
+                }
             }
-            Stmt::Assign { target, op, value } => self.assign(target, op, Some(value), span),
+            Stmt::Assign { target, op, value } => {
+                return self.assign(target, op, Some(value), span);
+            }
             Stmt::IncDec { target, inc } => {
                 let op = if inc { BinOp::Add } else { BinOp::Sub };
-                self.assign(target, Some(op), None, span)
+                return self.assign(target, Some(op), None, span);
             }
             Stmt::Expr(e) => {
                 let te = self.expr(e)?;
-                match &te.kind {
-                    TExprKind::Call { .. }
-                    | TExprKind::DirectCall { .. }
-                    | TExprKind::StaticCall { .. }
-                    | TExprKind::New { .. } => {}
-                    _ => self.err(te.span, "expression statement has no effect"),
+                let span = self.b.expr_span(te);
+                match self.b.get(te) {
+                    TExpr::Call { .. }
+                    | TExpr::DirectCall { .. }
+                    | TExpr::StaticCall { .. }
+                    | TExpr::New { .. } => {}
+                    _ => self.err(span, "expression statement has no effect"),
                 }
-                Ok(TStmt::Expr(te))
+                return Ok(self.b.stmt(TStmt::Expr(te), span));
             }
             Stmt::If {
                 cond,
@@ -523,23 +517,18 @@ impl<'t> Checker<'t> {
                 let c = self.bool_expr(cond)?;
                 let t = self.block(then_branch);
                 let e = else_branch.map(|b| self.block(b));
-                Ok(TStmt::If {
+                TStmt::If {
                     cond: c,
                     then_branch: t,
                     else_branch: e,
-                    span,
-                })
+                }
             }
             Stmt::While { cond, body } => {
                 let c = self.bool_expr(cond)?;
                 self.loop_depth += 1;
                 let b = self.block(body);
                 self.loop_depth -= 1;
-                Ok(TStmt::While {
-                    cond: c,
-                    body: b,
-                    span,
-                })
+                TStmt::While { cond: c, body: b }
             }
             Stmt::For {
                 init,
@@ -549,7 +538,7 @@ impl<'t> Checker<'t> {
             } => {
                 self.scope.push();
                 let ti = match init {
-                    Some(s) => Some(Box::new(self.stmt(s)?)),
+                    Some(s) => Some(self.stmt(s)?),
                     None => None,
                 };
                 let tc = match cond {
@@ -557,30 +546,26 @@ impl<'t> Checker<'t> {
                     None => None,
                 };
                 let tu = match update {
-                    Some(s) => Some(Box::new(self.stmt(s)?)),
+                    Some(s) => Some(self.stmt(s)?),
                     None => None,
                 };
                 self.loop_depth += 1;
                 let tb = self.block(body);
                 self.loop_depth -= 1;
                 self.scope.pop();
-                Ok(TStmt::For {
+                TStmt::For {
                     init: ti,
                     cond: tc,
                     update: tu,
                     body: tb,
-                    span,
-                })
+                }
             }
             Stmt::Return { value } => {
                 let tv = match (value, &self.ret) {
                     (None, Type::Void) => None,
                     (None, r) => {
-                        let r = r.clone();
-                        self.err(
-                            span,
-                            format!("missing return value of type {}", self.show(&r)),
-                        );
+                        let msg = format!("missing return value of type {}", self.show(r));
+                        self.err(span, msg);
                         return Err(());
                     }
                     (Some(_), Type::Void) => {
@@ -593,22 +578,28 @@ impl<'t> Checker<'t> {
                         Some(self.coerce(te, &want)?)
                     }
                 };
-                Ok(TStmt::Return { value: tv, span })
+                TStmt::Return { value: tv }
             }
             Stmt::Break => {
                 if self.loop_depth == 0 {
                     self.err(span, "break outside of a loop");
                 }
-                Ok(TStmt::Break(span))
+                TStmt::Break
             }
             Stmt::Continue => {
                 if self.loop_depth == 0 {
                     self.err(span, "continue outside of a loop");
                 }
-                Ok(TStmt::Continue(span))
+                TStmt::Continue
             }
-            Stmt::Block(b) => Ok(TStmt::Block(self.block(b))),
-        }
+            Stmt::Block(b) => {
+                let tb = self.block(b);
+                // A block reads as where its first statement is.
+                let span = (self.b.first(tb)).map_or(Span::default(), |s| self.b.stmt_span(s));
+                return Ok(self.b.stmt(TStmt::Block(tb), span));
+            }
+        };
+        Ok(self.b.stmt(ts, span))
     }
 
     /// `target op= value`; a `value` of `None` is the `1` of `target++`
@@ -619,62 +610,53 @@ impl<'t> Checker<'t> {
         op: Option<BinOp>,
         value: Option<ExprId>,
         span: Span,
-    ) -> CkResult<TStmt> {
+    ) -> CkResult<TStmtId> {
         let body = self.body;
         let tspan = body.expr_span(target);
-        match body.expr(target) {
+        let ts = match body.expr(target) {
             Expr::Name(n) => {
                 let name = body.name(n);
                 if let Some((slot, ty, is_final)) = self.scope.lookup(n) {
+                    let ty = ty.clone();
                     if is_final {
                         self.err(tspan, format!("assignment to final variable `{name}`"));
                     }
                     let v = self.assign_value(target, op, value, &ty, span)?;
-                    return Ok(TStmt::AssignLocal {
-                        slot,
-                        value: v,
-                        span,
-                    });
-                }
-                // Implicit this.field or static field of the current class.
-                if let Some(fl) = self.table.lookup_field(self.class, name) {
+                    TStmt::AssignLocal { slot, value: v }
+                } else if let Some(fl) = self.table.lookup_field(self.class, name) {
+                    // Implicit this.field of the current class.
                     if self.is_static {
                         self.err(tspan, format!("instance field `{name}` in static context"));
                         return Err(());
                     }
                     self.check_final_field_write(fl.is_final, fl.owner, tspan, name);
-                    let obj = TExpr {
-                        kind: TExprKind::This,
-                        ty: Type::object(self.class),
-                        span: tspan,
-                    };
+                    let obj = self.typed(TExpr::This, &Type::object(self.class), tspan)?;
                     let v = self.assign_value(target, op, value, &fl.ty, span)?;
-                    return Ok(TStmt::AssignField {
+                    let field = FieldSel {
+                        owner: fl.owner,
+                        slot: fl.slot,
+                        ty: self.b.intern(&fl.ty),
+                    };
+                    TStmt::AssignField {
                         obj,
-                        field: FieldSel {
-                            owner: fl.owner,
-                            slot: fl.slot,
-                            ty: fl.ty,
-                        },
+                        field,
                         value: v,
-                        span,
-                    });
-                }
-                if let Some((idx, f)) = self.table.lookup_static(self.class, name) {
+                    }
+                } else if let Some((idx, f)) = self.table.lookup_static(self.class, name) {
+                    // Static field of the current class.
                     if f.is_final {
                         self.err(tspan, format!("assignment to final static `{name}`"));
                     }
-                    let fty = f.ty.clone();
-                    let v = self.assign_value(target, op, value, &fty, span)?;
-                    return Ok(TStmt::AssignStatic {
+                    let v = self.assign_value(target, op, value, &f.ty, span)?;
+                    TStmt::AssignStatic {
                         class: self.class,
                         index: idx,
                         value: v,
-                        span,
-                    });
+                    }
+                } else {
+                    self.err(tspan, format!("unknown variable `{name}`"));
+                    return Err(());
                 }
-                self.err(tspan, format!("unknown variable `{name}`"));
-                Err(())
             }
             Expr::Field { obj, name } => {
                 let name = body.name(name);
@@ -689,19 +671,18 @@ impl<'t> Checker<'t> {
                         if f.is_final {
                             self.err(tspan, format!("assignment to final static `{name}`"));
                         }
-                        let fty = f.ty.clone();
-                        let v = self.assign_value(target, op, value, &fty, span)?;
-                        return Ok(TStmt::AssignStatic {
+                        let v = self.assign_value(target, op, value, &f.ty, span)?;
+                        let ts = TStmt::AssignStatic {
                             class: cid,
                             index: idx,
                             value: v,
-                            span,
-                        });
+                        };
+                        return Ok(self.b.stmt(ts, span));
                     }
                 }
                 let tobj = self.expr(obj)?;
-                let Type::Object(cid, targs) = tobj.ty.clone() else {
-                    let got = self.show(&tobj.ty);
+                let Type::Object(cid, targs) = self.ty(tobj).clone() else {
+                    let got = self.show(self.ty(tobj));
                     self.err(tspan, format!("field assignment on non-object type {got}"));
                     return Err(());
                 };
@@ -715,38 +696,37 @@ impl<'t> Checker<'t> {
                 self.check_final_field_write(fl.is_final, fl.owner, tspan, name);
                 let fty = fl.ty.subst(&targs);
                 let v = self.assign_value(target, op, value, &fty, span)?;
-                Ok(TStmt::AssignField {
+                TStmt::AssignField {
                     obj: tobj,
                     field: FieldSel {
                         owner: fl.owner,
                         slot: fl.slot,
-                        ty: fty,
+                        ty: self.b.intern(&fty),
                     },
                     value: v,
-                    span,
-                })
+                }
             }
             Expr::Index { arr, idx } => {
                 let tarr = self.expr(arr)?;
-                let Type::Array(elem) = tarr.ty.clone() else {
-                    let got = self.show(&tarr.ty);
+                let Type::Array(elem) = self.ty(tarr).clone() else {
+                    let got = self.show(self.ty(tarr));
                     self.err(tspan, format!("indexing non-array type {got}"));
                     return Err(());
                 };
                 let tidx = self.expr(idx)?;
                 let tidx = self.coerce(tidx, &Type::Int)?;
                 let v = self.assign_value(target, op, value, &elem, span)?;
-                Ok(TStmt::AssignIndex {
+                TStmt::AssignIndex {
                     arr: tarr,
                     idx: tidx,
                     value: v,
-                    span,
-                })
+                }
             }
             other => {
                 unreachable!("the parser assigns to names, fields and elements only: {other:?}")
             }
-        }
+        };
+        Ok(self.b.stmt(ts, span))
     }
 
     /// Writes to final instance fields are only allowed inside constructors
@@ -778,7 +758,7 @@ impl<'t> Checker<'t> {
         value: Option<ExprId>,
         target_ty: &Type,
         span: Span,
-    ) -> CkResult<TExpr> {
+    ) -> CkResult<TExprId> {
         let Some(op) = op else {
             let v = self.expr(value.expect("a plain assignment has a value"))?;
             return self.coerce(v, target_ty);
@@ -787,26 +767,22 @@ impl<'t> Checker<'t> {
         let lhs = self.expr(target)?;
         let rhs = match value {
             Some(v) => self.expr(v)?,
-            None => TExpr {
-                kind: TExprKind::Int(1),
-                ty: Type::Int,
-                span,
-            },
+            None => self.typed(TExpr::Int(1), &Type::Int, span)?,
         };
         let bin = self.binary(op, lhs, rhs, span)?;
         // Java compound assignment implicitly casts back.
         if let Some(kind) = target_ty.prim_kind() {
-            if bin.ty.prim_kind() == Some(kind) {
+            if self.ty(bin).prim_kind() == Some(kind) {
                 Ok(bin)
             } else {
-                Ok(TExpr {
-                    ty: target_ty.clone(),
-                    span,
-                    kind: TExprKind::NumCast {
+                self.typed(
+                    TExpr::NumCast {
                         to: kind,
-                        expr: Box::new(bin),
+                        expr: bin,
                     },
-                })
+                    target_ty,
+                    span,
+                )
             }
         } else {
             self.err(span, "compound assignment on non-numeric target");
@@ -818,75 +794,75 @@ impl<'t> Checker<'t> {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn bool_expr(&mut self, e: ExprId) -> CkResult<TExpr> {
+    fn bool_expr(&mut self, e: ExprId) -> CkResult<TExprId> {
         let te = self.expr(e)?;
-        if te.ty != Type::Boolean {
-            let got = self.show(&te.ty);
-            self.err(te.span, format!("expected boolean, found {got}"));
+        if *self.ty(te) != Type::Boolean {
+            let got = self.show(self.ty(te));
+            self.err(
+                self.b.expr_span(te),
+                format!("expected boolean, found {got}"),
+            );
             return Err(());
         }
         Ok(te)
     }
 
     /// Insert a widening conversion or report an assignability error.
-    fn coerce(&mut self, e: TExpr, want: &Type) -> CkResult<TExpr> {
-        if &e.ty == want {
+    fn coerce(&mut self, e: TExprId, want: &Type) -> CkResult<TExprId> {
+        let ty = self.ty(e);
+        if ty == want {
             return Ok(e);
         }
-        if want.is_primitive() && e.ty.is_primitive() {
-            if want.widens_from(&e.ty) {
+        let span = self.b.expr_span(e);
+        if want.is_primitive() && ty.is_primitive() {
+            if want.widens_from(ty) {
                 let kind = want.prim_kind().unwrap();
-                return Ok(TExpr {
-                    ty: want.clone(),
-                    span: e.span,
-                    kind: TExprKind::Convert {
-                        to: kind,
-                        expr: Box::new(e),
-                    },
-                });
+                return self.typed(TExpr::Convert { to: kind, expr: e }, want, span);
             }
-            let got = self.show(&e.ty);
+            let got = self.show(ty);
             let w = self.show(want);
             self.err(
-                e.span,
+                span,
                 format!("cannot implicitly convert {got} to {w} (add a cast)"),
             );
             return Err(());
         }
-        if self.table.is_subtype(&e.ty, want) {
+        if self.table.is_subtype(ty, want) {
             return Ok(e);
         }
         // Type variables are assignable to their bound.
-        if let Type::Var(i) = &e.ty {
-            let bound = self.type_params[*i as usize].bound.clone();
-            if self.table.is_subtype(&bound, want) || &bound == want {
+        if let Type::Var(i) = ty {
+            let bound = &self.type_params[*i as usize].bound;
+            if self.table.is_subtype(bound, want) || bound == want {
                 return Ok(e);
             }
         }
-        let got = self.show(&e.ty);
+        let got = self.show(ty);
         let w = self.show(want);
-        self.err(e.span, format!("expected {w}, found {got}"));
+        self.err(span, format!("expected {w}, found {got}"));
         Err(())
     }
 
-    fn expr(&mut self, e: ExprId) -> CkResult<TExpr> {
+    fn expr(&mut self, e: ExprId) -> CkResult<TExprId> {
         let body = self.body;
         let s = body.expr_span(e);
-        let typed = |kind, ty| Ok(TExpr { kind, ty, span: s });
         match body.expr(e) {
             Expr::IntLit(v) => {
                 if v < i32::MIN as i64 || v > i32::MAX as i64 {
                     self.err(s, "int literal out of 32-bit range (use an L suffix)");
                     return Err(());
                 }
-                typed(TExprKind::Int(v as i32), Type::Int)
+                self.typed(TExpr::Int(v as i32), &Type::Int, s)
             }
-            Expr::LongLit(v) => typed(TExprKind::Long(v), Type::Long),
-            Expr::FloatLit(v) => typed(TExprKind::Float(v), Type::Float),
-            Expr::DoubleLit(v) => typed(TExprKind::Double(v), Type::Double),
-            Expr::BoolLit(v) => typed(TExprKind::Bool(v), Type::Boolean),
-            Expr::NullLit => typed(TExprKind::Null, Type::Null),
-            Expr::StrLit(v) => typed(TExprKind::Str(body.name(v).to_string()), Type::Str),
+            Expr::LongLit(v) => self.typed(TExpr::Long(v), &Type::Long, s),
+            Expr::FloatLit(v) => self.typed(TExpr::Float(v), &Type::Float, s),
+            Expr::DoubleLit(v) => self.typed(TExpr::Double(v), &Type::Double, s),
+            Expr::BoolLit(v) => self.typed(TExpr::Bool(v), &Type::Boolean, s),
+            Expr::NullLit => self.typed(TExpr::Null, &Type::Null, s),
+            Expr::StrLit(v) => {
+                let text = self.b.intern_str(body.name(v));
+                self.typed(TExpr::Str(text), &Type::Str, s)
+            }
             Expr::This => {
                 if self.is_static {
                     self.err(s, "`this` in a static context");
@@ -895,11 +871,11 @@ impl<'t> Checker<'t> {
                 let targs: Vec<Type> = (0..self.type_params.len())
                     .map(|i| Type::Var(i as u32))
                     .collect();
-                typed(TExprKind::This, Type::Object(self.class, targs))
+                self.typed(TExpr::This, &Type::Object(self.class, targs), s)
             }
             Expr::Name(n) => {
                 if let Some((slot, ty, _)) = self.scope.lookup(n) {
-                    return typed(TExprKind::Local(slot), ty);
+                    return Ok(self.b.expr(TExpr::Local(slot), ty, s));
                 }
                 let name = body.name(n);
                 if let Some(fl) = self.table.lookup_field(self.class, name) {
@@ -907,27 +883,20 @@ impl<'t> Checker<'t> {
                         self.err(s, format!("instance field `{name}` in static context"));
                         return Err(());
                     }
-                    let obj = TExpr {
-                        kind: TExprKind::This,
-                        ty: Type::object(self.class),
-                        span: s,
+                    let obj = self.typed(TExpr::This, &Type::object(self.class), s)?;
+                    let field = FieldSel {
+                        owner: fl.owner,
+                        slot: fl.slot,
+                        ty: self.b.intern(&fl.ty),
                     };
-                    let kind = TExprKind::GetField {
-                        obj: Box::new(obj),
-                        field: FieldSel {
-                            owner: fl.owner,
-                            slot: fl.slot,
-                            ty: fl.ty.clone(),
-                        },
-                    };
-                    return typed(kind, fl.ty);
+                    return self.typed(TExpr::GetField { obj, field }, &fl.ty, s);
                 }
                 if let Some((idx, f)) = self.table.lookup_static(self.class, name) {
-                    let kind = TExprKind::GetStatic {
+                    let kind = TExpr::GetStatic {
                         class: self.class,
                         index: idx,
                     };
-                    return typed(kind, f.ty.clone());
+                    return self.typed(kind, &f.ty, s);
                 }
                 if self.table.by_name(name).is_some() {
                     self.err(s, format!("class `{name}` used as a value"));
@@ -959,29 +928,26 @@ impl<'t> Checker<'t> {
                     return Err(());
                 };
                 let subst: Vec<Type> = ml.subst.iter().map(|t| t.subst(&sargs)).collect();
-                let recv = TExpr {
-                    kind: TExprKind::This,
-                    ty: Type::object(self.class),
-                    span: s,
-                };
-                let (targs, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, s)?;
-                let kind = TExprKind::DirectCall {
-                    recv: Box::new(recv),
+                let recv = self.typed(TExpr::This, &Type::object(self.class), s)?;
+                let (args, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, s)?;
+                let kind = TExpr::DirectCall {
+                    recv,
                     method: MethodSel {
                         decl_class: ml.decl_class,
                         index: ml.index,
                     },
-                    args: targs,
+                    args,
                 };
-                typed(kind, ret)
+                self.typed(kind, &ret, s)
             }
             Expr::New { ty, args } => {
                 let rty = self.resolve(ty)?;
-                let Type::Object(cid, targs) = rty.clone() else {
+                let Type::Object(cid, targs) = &rty else {
                     let got = self.show(&rty);
                     self.err(s, format!("cannot instantiate non-class type {got}"));
                     return Err(());
                 };
+                let cid = *cid;
                 let info = self.table.class(cid);
                 if info.is_interface {
                     self.err(s, format!("cannot instantiate interface `{}`", info.name));
@@ -1010,18 +976,8 @@ impl<'t> Checker<'t> {
                     );
                     return Err(());
                 }
-                let mut targs_out = Vec::new();
-                for (a, p) in body.list(args).zip(&ctor.params) {
-                    let want = p.ty.subst(&targs);
-                    let te = self.expr(a)?;
-                    targs_out.push(self.coerce(te, &want)?);
-                }
-                let kind = TExprKind::New {
-                    class: cid,
-                    targs,
-                    args: targs_out,
-                };
-                typed(kind, rty)
+                let args = self.arg_list(args, |i| ctor.params[i].ty.subst(targs))?;
+                self.typed(TExpr::New { class: cid, args }, &rty, s)
             }
             Expr::NewArray { elem, len } => {
                 let ety = self.resolve(elem)?;
@@ -1031,58 +987,46 @@ impl<'t> Checker<'t> {
                 }
                 let tlen = self.expr(len)?;
                 let tlen = self.coerce(tlen, &Type::Int)?;
-                let kind = TExprKind::NewArray {
-                    elem: ety.clone(),
-                    len: Box::new(tlen),
+                let kind = TExpr::NewArray {
+                    elem: self.b.intern(&ety),
+                    len: tlen,
                 };
-                typed(kind, Type::array(ety))
+                self.typed(kind, &Type::array(ety), s)
             }
             Expr::Index { arr, idx } => {
                 let tarr = self.expr(arr)?;
-                let Type::Array(elem) = tarr.ty.clone() else {
-                    let got = self.show(&tarr.ty);
+                let Type::Array(elem) = self.ty(tarr).clone() else {
+                    let got = self.show(self.ty(tarr));
                     self.err(s, format!("indexing non-array type {got}"));
                     return Err(());
                 };
                 let tidx = self.expr(idx)?;
                 let tidx = self.coerce(tidx, &Type::Int)?;
-                let kind = TExprKind::Index {
-                    arr: Box::new(tarr),
-                    idx: Box::new(tidx),
+                let kind = TExpr::Index {
+                    arr: tarr,
+                    idx: tidx,
                 };
-                typed(kind, *elem)
+                self.typed(kind, &elem, s)
             }
             Expr::Unary { op, expr } => {
                 let te = self.expr(expr)?;
+                let ty = self.ty(te).clone();
                 match op {
                     UnOp::Neg => {
-                        if !te.ty.prim_kind().is_some_and(|k| k.is_numeric()) {
-                            let got = self.show(&te.ty);
+                        if !ty.prim_kind().is_some_and(|k| k.is_numeric()) {
+                            let got = self.show(&ty);
                             self.err(s, format!("cannot negate {got}"));
                             return Err(());
                         }
-                        let ty = te.ty.clone();
-                        typed(
-                            TExprKind::Unary {
-                                op,
-                                expr: Box::new(te),
-                            },
-                            ty,
-                        )
+                        self.typed(TExpr::Unary { op, expr: te }, &ty, s)
                     }
                     UnOp::Not => {
-                        if te.ty != Type::Boolean {
-                            let got = self.show(&te.ty);
+                        if ty != Type::Boolean {
+                            let got = self.show(&ty);
                             self.err(s, format!("`!` requires boolean, found {got}"));
                             return Err(());
                         }
-                        typed(
-                            TExprKind::Unary {
-                                op,
-                                expr: Box::new(te),
-                            },
-                            Type::Boolean,
-                        )
+                        self.typed(TExpr::Unary { op, expr: te }, &Type::Boolean, s)
                     }
                 }
             }
@@ -1094,36 +1038,33 @@ impl<'t> Checker<'t> {
             Expr::Cast { ty, expr } => {
                 let to = self.resolve(ty)?;
                 let te = self.expr(expr)?;
-                if let (Some(tk), Some(_)) = (to.prim_kind(), te.ty.prim_kind()) {
-                    if tk == PrimKind::Boolean || te.ty == Type::Boolean {
-                        if to != te.ty {
+                let from = self.ty(te).clone();
+                if let (Some(tk), Some(_)) = (to.prim_kind(), from.prim_kind()) {
+                    if tk == PrimKind::Boolean || from == Type::Boolean {
+                        if to != from {
                             self.err(s, "cannot cast between boolean and numeric types");
                             return Err(());
                         }
                         return Ok(te);
                     }
-                    let kind = TExprKind::NumCast {
-                        to: tk,
-                        expr: Box::new(te),
-                    };
-                    return typed(kind, to);
+                    return self.typed(TExpr::NumCast { to: tk, expr: te }, &to, s);
                 }
-                if to.is_reference() && te.ty.is_reference() {
+                if to.is_reference() && from.is_reference() {
                     // Up- or down-cast along the hierarchy only.
-                    let ok = self.table.is_subtype(&te.ty, &to)
-                        || self.table.is_subtype(&to, &te.ty)
-                        || matches!(te.ty, Type::Null);
+                    let ok = self.table.is_subtype(&from, &to)
+                        || self.table.is_subtype(&to, &from)
+                        || matches!(from, Type::Null);
                     if !ok {
-                        let from = self.show(&te.ty);
+                        let from = self.show(&from);
                         let tos = self.show(&to);
                         self.err(s, format!("cast between unrelated types {from} and {tos}"));
                         return Err(());
                     }
-                    let kind = TExprKind::RefCast {
-                        to: to.clone(),
-                        expr: Box::new(te),
+                    let kind = TExpr::RefCast {
+                        to: self.b.intern(&to),
+                        expr: te,
                     };
-                    return typed(kind, to);
+                    return self.typed(kind, &to, s);
                 }
                 self.err(s, "invalid cast");
                 Err(())
@@ -1131,15 +1072,15 @@ impl<'t> Checker<'t> {
             Expr::InstanceOf { expr, ty } => {
                 let te = self.expr(expr)?;
                 let to = self.resolve(ty)?;
-                if !te.ty.is_reference() || !to.is_reference() {
+                if !self.ty(te).is_reference() || !to.is_reference() {
                     self.err(s, "instanceof requires reference types");
                     return Err(());
                 }
-                let kind = TExprKind::InstanceOf {
-                    expr: Box::new(te),
-                    ty: to,
+                let kind = TExpr::InstanceOf {
+                    expr: te,
+                    ty: self.b.intern(&to),
                 };
-                typed(kind, Type::Boolean)
+                self.typed(kind, &Type::Boolean, s)
             }
             Expr::Ternary {
                 cond,
@@ -1149,9 +1090,10 @@ impl<'t> Checker<'t> {
                 let c = self.bool_expr(cond)?;
                 let t = self.expr(then_val)?;
                 let f = self.expr(else_val)?;
-                let ty = if t.ty == f.ty {
-                    t.ty.clone()
-                } else if let (Some(a), Some(b)) = (t.ty.prim_kind(), f.ty.prim_kind()) {
+                let (tt, ft) = (self.ty(t), self.ty(f));
+                let ty = if tt == ft {
+                    tt.clone()
+                } else if let (Some(a), Some(b)) = (tt.prim_kind(), ft.prim_kind()) {
                     match PrimKind::promote(a, b) {
                         Some(k) => prim_type(k),
                         None => {
@@ -1159,27 +1101,27 @@ impl<'t> Checker<'t> {
                             return Err(());
                         }
                     }
-                } else if self.table.is_subtype(&t.ty, &f.ty) {
-                    f.ty.clone()
-                } else if self.table.is_subtype(&f.ty, &t.ty) {
-                    t.ty.clone()
+                } else if self.table.is_subtype(tt, ft) {
+                    ft.clone()
+                } else if self.table.is_subtype(ft, tt) {
+                    tt.clone()
                 } else {
                     self.err(s, "incompatible ternary branches");
                     return Err(());
                 };
                 let t = self.coerce(t, &ty)?;
                 let f = self.coerce(f, &ty)?;
-                let kind = TExprKind::Ternary {
-                    cond: Box::new(c),
-                    then_val: Box::new(t),
-                    else_val: Box::new(f),
+                let kind = TExpr::Ternary {
+                    cond: c,
+                    then_val: t,
+                    else_val: f,
                 };
-                typed(kind, ty)
+                self.typed(kind, &ty, s)
             }
         }
     }
 
-    fn field_access(&mut self, obj: ExprId, name: &str, span: Span) -> CkResult<TExpr> {
+    fn field_access(&mut self, obj: ExprId, name: &str, span: Span) -> CkResult<TExprId> {
         // `C.f` static access when `C` names a class and isn't shadowed.
         if let Expr::Name(c) = self.body.expr(obj) {
             if let Some(cid) = self.class_named(c) {
@@ -1188,27 +1130,20 @@ impl<'t> Checker<'t> {
                     self.err(span, format!("no static field `{name}` on `{cname}`"));
                     return Err(());
                 };
-                return Ok(TExpr {
-                    ty: f.ty.clone(),
-                    span,
-                    kind: TExprKind::GetStatic {
-                        class: cid,
-                        index: idx,
-                    },
-                });
+                let kind = TExpr::GetStatic {
+                    class: cid,
+                    index: idx,
+                };
+                return self.typed(kind, &f.ty, span);
             }
         }
         let tobj = self.expr(obj)?;
         if name == "length" {
-            if let Type::Array(_) = tobj.ty {
-                return Ok(TExpr {
-                    ty: Type::Int,
-                    span,
-                    kind: TExprKind::ArrayLen(Box::new(tobj)),
-                });
+            if let Type::Array(_) = self.ty(tobj) {
+                return self.typed(TExpr::ArrayLen(tobj), &Type::Int, span);
             }
         }
-        let (cid, targs) = self.receiver_class(&tobj, span)?;
+        let (cid, targs) = self.receiver_class(tobj, span)?;
         let Some(fl) = self.table.lookup_field(cid, name) else {
             self.err(
                 span,
@@ -1217,51 +1152,33 @@ impl<'t> Checker<'t> {
             return Err(());
         };
         let fty = fl.ty.subst(&targs);
-        Ok(TExpr {
-            ty: fty.clone(),
-            span,
-            kind: TExprKind::GetField {
-                obj: Box::new(tobj),
-                field: FieldSel {
-                    owner: fl.owner,
-                    slot: fl.slot,
-                    ty: fty,
-                },
-            },
-        })
+        let field = FieldSel {
+            owner: fl.owner,
+            slot: fl.slot,
+            ty: self.b.intern(&fty),
+        };
+        self.typed(TExpr::GetField { obj: tobj, field }, &fty, span)
     }
 
     /// Class + type args through which members of `recv` are looked up
     /// (type variables go through their declared bound).
-    fn receiver_class(&mut self, recv: &TExpr, span: Span) -> CkResult<(ClassId, Vec<Type>)> {
-        match &recv.ty {
-            Type::Object(cid, targs) => Ok((*cid, targs.clone())),
-            Type::Var(i) => match &self.type_params[*i as usize].bound {
-                Type::Object(cid, targs) => Ok((*cid, targs.clone())),
-                other => {
-                    let got = self.show(other);
-                    self.err(span, format!("type parameter bound {got} has no members"));
-                    Err(())
-                }
-            },
-            other => {
-                let got = self.show(other);
-                self.err(span, format!("member access on non-object type {got}"));
-                Err(())
-            }
+    fn receiver_class(&mut self, recv: TExprId, span: Span) -> CkResult<(ClassId, Vec<Type>)> {
+        let ty = match self.ty(recv) {
+            Type::Var(i) => &self.type_params[*i as usize].bound,
+            ty => ty,
+        };
+        if let Type::Object(cid, targs) = ty {
+            return Ok((*cid, targs.clone()));
         }
+        let msg = match self.ty(recv) {
+            Type::Var(_) => format!("type parameter bound {} has no members", self.show(ty)),
+            _ => format!("member access on non-object type {}", self.show(ty)),
+        };
+        self.err(span, msg);
+        Err(())
     }
 
-    fn call(&mut self, recv: ExprId, name: &str, args: Args, span: Span) -> CkResult<TExpr> {
-        let static_call = |(targs, ret), class, index| TExpr {
-            ty: ret,
-            span,
-            kind: TExprKind::StaticCall {
-                class,
-                index,
-                args: targs,
-            },
-        };
+    fn call(&mut self, recv: ExprId, name: &str, args: Args, span: Span) -> CkResult<TExprId> {
         // Static call `C.m(...)`.
         if let Expr::Name(c) = self.body.expr(recv) {
             if let Some(cid) = self.class_named(c) {
@@ -1275,8 +1192,7 @@ impl<'t> Checker<'t> {
                     self.err(span, format!("`{cname}.{name}` is not static"));
                     return Err(());
                 }
-                let checked = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
-                return Ok(static_call(checked, ml.decl_class, ml.index));
+                return self.static_call(ml.decl_class, ml.index, args, span);
             }
         }
         // Unqualified call in a static method: the parser lowers `m()` to
@@ -1298,11 +1214,10 @@ impl<'t> Checker<'t> {
                 );
                 return Err(());
             }
-            let checked = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
-            return Ok(static_call(checked, ml.decl_class, ml.index));
+            return self.static_call(ml.decl_class, ml.index, args, span);
         }
         let trecv = self.expr(recv)?;
-        let (cid, class_targs) = self.receiver_class(&trecv, span)?;
+        let (cid, class_targs) = self.receiver_class(trecv, span)?;
         let Some(ml) = self.table.lookup_method(cid, name) else {
             self.err(
                 span,
@@ -1314,23 +1229,30 @@ impl<'t> Checker<'t> {
         if m.is_static {
             // Permit `this.staticMethod()`-style calls by lowering to a
             // static call, matching Java.
-            let checked = self.check_args(ml.decl_class, ml.index, &[], args, span)?;
-            return Ok(static_call(checked, ml.decl_class, ml.index));
+            return self.static_call(ml.decl_class, ml.index, args, span);
         }
         let subst: Vec<Type> = ml.subst.iter().map(|t| t.subst(&class_targs)).collect();
-        let (targs, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, span)?;
-        Ok(TExpr {
-            ty: ret,
-            span,
-            kind: TExprKind::Call {
-                recv: Box::new(trecv),
-                method: MethodSel {
-                    decl_class: ml.decl_class,
-                    index: ml.index,
-                },
-                args: targs,
+        let (args, ret) = self.check_args(ml.decl_class, ml.index, &subst, args, span)?;
+        let kind = TExpr::Call {
+            recv: trecv,
+            method: MethodSel {
+                decl_class: ml.decl_class,
+                index: ml.index,
             },
-        })
+            args,
+        };
+        self.typed(kind, &ret, span)
+    }
+
+    fn static_call(
+        &mut self,
+        class: ClassId,
+        index: u32,
+        args: Args,
+        span: Span,
+    ) -> CkResult<TExprId> {
+        let (args, ret) = self.check_args(class, index, &[], args, span)?;
+        self.typed(TExpr::StaticCall { class, index, args }, &ret, span)
     }
 
     /// Check argument expressions against the (substituted) signature of
@@ -1342,7 +1264,7 @@ impl<'t> Checker<'t> {
         subst: &[Type],
         args: Args,
         span: Span,
-    ) -> CkResult<(Vec<TExpr>, Type)> {
+    ) -> CkResult<(TArgs, Type)> {
         let m = self.table.method(decl_class, index);
         if m.params.len() != args.len() {
             self.err(
@@ -1356,55 +1278,58 @@ impl<'t> Checker<'t> {
             );
             return Err(());
         }
-        let mut out = Vec::new();
-        for (a, p) in self.body.list(args).zip(&m.params) {
-            let want = p.ty.subst(subst);
-            let te = self.expr(a)?;
-            out.push(self.coerce(te, &want)?);
-        }
+        let out = self.arg_list(args, |i| m.params[i].ty.subst(subst))?;
         Ok((out, m.ret.subst(subst)))
     }
 
-    fn binary(&mut self, op: BinOp, l: TExpr, r: TExpr, span: Span) -> CkResult<TExpr> {
+    /// Each argument checked and converted to `want(i)`, as a list.
+    fn arg_list(&mut self, args: Args, want: impl Fn(usize) -> Type) -> CkResult<TArgs> {
+        let mark = self.b.mark();
+        for (i, a) in self.body.list(args).enumerate() {
+            let want = want(i);
+            let te = self.expr(a)?;
+            let te = self.coerce(te, &want)?;
+            self.b.push(te.0);
+        }
+        Ok(self.b.list(mark))
+    }
+
+    fn binary(&mut self, op: BinOp, l: TExprId, r: TExprId, span: Span) -> CkResult<TExprId> {
         use BinOp::*;
+        let (lt, rt) = (self.ty(l), self.ty(r));
         match op {
             And | Or => {
-                if l.ty != Type::Boolean || r.ty != Type::Boolean {
+                if *lt != Type::Boolean || *rt != Type::Boolean {
                     self.err(span, "logical operator requires boolean operands");
                     return Err(());
                 }
-                Ok(TExpr {
-                    ty: Type::Boolean,
-                    span,
-                    kind: TExprKind::Binary {
-                        op,
-                        operand_kind: PrimKind::Boolean,
-                        lhs: Box::new(l),
-                        rhs: Box::new(r),
-                    },
-                })
-            }
-            Eq | Ne if l.ty.is_reference() && r.ty.is_reference() => Ok(TExpr {
-                ty: Type::Boolean,
-                span,
-                kind: TExprKind::RefEq {
-                    negated: op == Ne,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                },
-            }),
-            Eq | Ne if l.ty == Type::Boolean && r.ty == Type::Boolean => Ok(TExpr {
-                ty: Type::Boolean,
-                span,
-                kind: TExprKind::Binary {
+                let kind = TExpr::Binary {
                     op,
                     operand_kind: PrimKind::Boolean,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                },
-            }),
+                    lhs: l,
+                    rhs: r,
+                };
+                self.typed(kind, &Type::Boolean, span)
+            }
+            Eq | Ne if lt.is_reference() && rt.is_reference() => {
+                let kind = TExpr::RefEq {
+                    negated: op == Ne,
+                    lhs: l,
+                    rhs: r,
+                };
+                self.typed(kind, &Type::Boolean, span)
+            }
+            Eq | Ne if *lt == Type::Boolean && *rt == Type::Boolean => {
+                let kind = TExpr::Binary {
+                    op,
+                    operand_kind: PrimKind::Boolean,
+                    lhs: l,
+                    rhs: r,
+                };
+                self.typed(kind, &Type::Boolean, span)
+            }
             Shl | Shr | BitAnd | BitOr | BitXor => {
-                let (Some(lk), Some(rk)) = (l.ty.prim_kind(), r.ty.prim_kind()) else {
+                let (Some(lk), Some(rk)) = (lt.prim_kind(), rt.prim_kind()) else {
                     self.err(span, "bitwise operator requires integer operands");
                     return Err(());
                 };
@@ -1417,25 +1342,22 @@ impl<'t> Checker<'t> {
                 let kind = PrimKind::promote(lk, rk).unwrap();
                 let l = self.convert_to(l, kind);
                 let r = self.convert_to(r, kind);
-                Ok(TExpr {
-                    ty: prim_type(kind),
-                    span,
-                    kind: TExprKind::Binary {
-                        op,
-                        operand_kind: kind,
-                        lhs: Box::new(l),
-                        rhs: Box::new(r),
-                    },
-                })
+                let node = TExpr::Binary {
+                    op,
+                    operand_kind: kind,
+                    lhs: l,
+                    rhs: r,
+                };
+                self.typed(node, &prim_type(kind), span)
             }
             _ => {
-                let (Some(lk), Some(rk)) = (l.ty.prim_kind(), r.ty.prim_kind()) else {
-                    let lt = self.show(&l.ty);
-                    let rt = self.show(&r.ty);
-                    self.err(
-                        span,
-                        format!("arithmetic on non-numeric types {lt} and {rt}"),
+                let (Some(lk), Some(rk)) = (lt.prim_kind(), rt.prim_kind()) else {
+                    let msg = format!(
+                        "arithmetic on non-numeric types {} and {}",
+                        self.show(lt),
+                        self.show(rt)
                     );
+                    self.err(span, msg);
                     return Err(());
                 };
                 let Some(kind) = PrimKind::promote(lk, rk) else {
@@ -1449,32 +1371,24 @@ impl<'t> Checker<'t> {
                 } else {
                     prim_type(kind)
                 };
-                Ok(TExpr {
-                    ty,
-                    span,
-                    kind: TExprKind::Binary {
-                        op,
-                        operand_kind: kind,
-                        lhs: Box::new(l),
-                        rhs: Box::new(r),
-                    },
-                })
+                let node = TExpr::Binary {
+                    op,
+                    operand_kind: kind,
+                    lhs: l,
+                    rhs: r,
+                };
+                self.typed(node, &ty, span)
             }
         }
     }
 
-    fn convert_to(&mut self, e: TExpr, kind: PrimKind) -> TExpr {
-        if e.ty.prim_kind() == Some(kind) {
+    fn convert_to(&mut self, e: TExprId, kind: PrimKind) -> TExprId {
+        if self.ty(e).prim_kind() == Some(kind) {
             e
         } else {
-            TExpr {
-                ty: prim_type(kind),
-                span: e.span,
-                kind: TExprKind::Convert {
-                    to: kind,
-                    expr: Box::new(e),
-                },
-            }
+            let span = self.b.expr_span(e);
+            self.b
+                .expr(TExpr::Convert { to: kind, expr: e }, &prim_type(kind), span)
         }
     }
 }
@@ -1507,6 +1421,23 @@ mod tests {
         }
     }
 
+    /// The value of the first statement, a `return`, of `class`'s first
+    /// method.
+    fn returned(t: &ClassTable, class: &str) -> (Arc<TBody>, TExprId) {
+        let body = t.class(t.by_name(class).unwrap()).methods[0]
+            .body
+            .clone()
+            .unwrap();
+        let TRoot::Block(b) = body.root() else {
+            unreachable!("a method body is a block")
+        };
+        let first = body.list(b).next().unwrap();
+        match body.stmt(first) {
+            TStmt::Return { value: Some(v) } => (body, v),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     fn check_err(src: &str) -> String {
         let unit = parse_unit(0, src).expect("parse");
         let mut table = build(vec![unit]).expect("table build");
@@ -1519,31 +1450,18 @@ mod tests {
     #[test]
     fn checks_arithmetic_with_promotion() {
         let t = check_ok("class A { double m(int i, float f, double d) { return i + f * d; } }");
-        let a = t.by_name("A").unwrap();
-        let m = &t.class(a).methods[0];
-        assert!(m.body.is_some());
-        // Return expression is a double-typed binary.
-        match &m.body.as_ref().unwrap().stmts[0] {
-            TStmt::Return { value: Some(v), .. } => assert_eq!(v.ty, Type::Double),
-            other => panic!("unexpected {other:?}"),
-        }
+        // The return expression is a double-typed binary.
+        let (body, v) = returned(&t, "A");
+        assert!(matches!(body.expr(v), TExpr::Binary { .. }));
+        assert_eq!(*body.ty(v), Type::Double);
     }
 
     #[test]
     fn inserts_convert_nodes() {
         let t = check_ok("class A { long m(int i) { return i; } }");
-        let a = t.by_name("A").unwrap();
-        match &t.class(a).methods[0].body.as_ref().unwrap().stmts[0] {
-            TStmt::Return {
-                value:
-                    Some(TExpr {
-                        kind: TExprKind::Convert { to, .. },
-                        ..
-                    }),
-                ..
-            } => {
-                assert_eq!(*to, PrimKind::Long);
-            }
+        let (body, v) = returned(&t, "A");
+        match body.expr(v) {
+            TExpr::Convert { to, .. } => assert_eq!(to, PrimKind::Long),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1562,18 +1480,11 @@ mod tests {
     #[test]
     fn resolves_implicit_this_field() {
         let t = check_ok("class A { int x; int m() { return x; } }");
-        let a = t.by_name("A").unwrap();
-        match &t.class(a).methods[0].body.as_ref().unwrap().stmts[0] {
-            TStmt::Return {
-                value:
-                    Some(TExpr {
-                        kind: TExprKind::GetField { .. },
-                        ..
-                    }),
-                ..
-            } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        let (body, v) = returned(&t, "A");
+        let TExpr::GetField { obj, .. } = body.expr(v) else {
+            panic!("unexpected {:?}", body.expr(v))
+        };
+        assert_eq!(body.expr(obj), TExpr::This);
     }
 
     #[test]
@@ -1582,16 +1493,9 @@ mod tests {
             "interface Solver { float solve(float x); } \
              class A { float run(Solver s) { return s.solve(1.0f); } }",
         );
-        let a = t.by_name("A").unwrap();
-        match &t.class(a).methods[0].body.as_ref().unwrap().stmts[0] {
-            TStmt::Return {
-                value:
-                    Some(TExpr {
-                        kind: TExprKind::Call { method, .. },
-                        ..
-                    }),
-                ..
-            } => {
+        let (body, v) = returned(&t, "A");
+        match body.expr(v) {
+            TExpr::Call { method, .. } => {
                 assert_eq!(method.decl_class, t.by_name("Solver").unwrap());
             }
             other => panic!("unexpected {other:?}"),
@@ -1692,17 +1596,8 @@ mod tests {
              class B extends A { int m() { return super.m() + 1; } }",
         );
         let b = t.by_name("B").unwrap();
-        let mut found = false;
-        t.class(b).methods[0]
-            .body
-            .as_ref()
-            .unwrap()
-            .walk_exprs(&mut |e| {
-                if matches!(e.kind, TExprKind::DirectCall { .. }) {
-                    found = true;
-                }
-            });
-        assert!(found);
+        let body = t.class(b).methods[0].body.as_ref().unwrap();
+        assert!((body.exprs().iter()).any(|e| matches!(e, TExpr::DirectCall { .. })));
     }
 
     #[test]
@@ -1712,7 +1607,11 @@ mod tests {
              class B extends A { B() { super(41); } }",
         );
         let b = t.by_name("B").unwrap();
-        assert_eq!(t.class(b).ctor.as_ref().unwrap().super_args.len(), 1);
+        let body = t.class(b).ctor.as_ref().unwrap().body.as_ref().unwrap();
+        let TRoot::Ctor { super_args, .. } = body.root() else {
+            unreachable!("a constructor body is a constructor")
+        };
+        assert_eq!(super_args.len(), 1);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 use jlang::span::{Diagnostic, Span};
 use jlang::table::ClassTable;
-use jlang::tast::{TBlock, TExpr, TExprKind, TStmt};
-use jlang::typeck::{Member, Typed};
+use jlang::tast::{TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
+use jlang::typeck::Member;
 use jlang::types::{ClassId, Type, OBJECT};
 
 /// Outcome of a rules check.
@@ -134,157 +134,199 @@ pub struct BodyFacts {
 }
 
 impl BodyFacts {
-    /// The facts of one checked body, whatever kind it is.
-    pub fn of(typed: &Typed) -> Self {
-        match typed {
-            Typed::Method { body, .. } => Self::block(body),
-            Typed::Ctor {
-                super_args, body, ..
-            } => Self::ctor(super_args, body),
-            Typed::Init(init) => Self::init(init),
+    /// The facts of one checked body, whatever kind it is: a constructor's
+    /// `super(...)` arguments come before its body.
+    pub fn of(body: &TBody) -> Self {
+        let mut facts = Self::default();
+        match body.root() {
+            TRoot::Block(b) => facts.walk_block(body, b),
+            TRoot::Ctor {
+                super_args,
+                body: b,
+            } => {
+                for a in body.list(super_args) {
+                    facts.walk_expr(body, a);
+                }
+                facts.walk_block(body, b);
+            }
+            TRoot::Init(init) => facts.walk_expr(body, init),
         }
-    }
-
-    /// The facts of a method body.
-    fn block(body: &TBlock) -> Self {
-        let mut facts = Self::default();
-        facts.walk_block(body);
-        facts
-    }
-
-    /// The facts of a constructor: its `super(...)` arguments, then its body.
-    fn ctor(super_args: &[TExpr], body: &TBlock) -> Self {
-        let mut facts = Self::default();
-        for a in super_args {
-            facts.walk_expr(a);
-        }
-        facts.walk_block(body);
-        facts
-    }
-
-    /// The facts of a field initializer.
-    fn init(init: &TExpr) -> Self {
-        let mut facts = Self::default();
-        facts.walk_expr(init);
         facts
     }
 
     /// An expression outside any statement: a `super(...)` argument or an
     /// initializer, where precondition (d) applies.
-    fn walk_expr(&mut self, e: &TExpr) {
+    fn walk_expr(&mut self, b: &TBody, e: TExprId) {
         let mut skip_this = false;
-        e.walk(&mut |e| self.expr(e, true, &mut skip_this));
+        self.pre_order(b, e, true, &mut skip_this);
     }
 
-    fn walk_block(&mut self, b: &TBlock) {
-        for s in &b.stmts {
-            self.stmt(s);
+    fn walk_block(&mut self, b: &TBody, block: TBlock) {
+        for s in b.list(block) {
+            self.stmt(b, s);
         }
     }
 
     /// One statement: its own facts, its own expressions, then the
-    /// statements nested in it — the order of [`TBlock::walk_stmts`] and
-    /// [`TBlock::walk_exprs`].
-    fn stmt(&mut self, s: &TStmt) {
+    /// statements nested in it.
+    fn stmt(&mut self, b: &TBody, s: TStmtId) {
         let mut in_ctor = true;
         let mut this_recv = false;
-        match s {
-            TStmt::Local { ty, span, .. } => self.stmts.push(StmtFact::Local(ty.clone(), *span)),
-            TStmt::AssignLocal { slot, span, .. } => {
-                self.stmts.push(StmtFact::AssignLocal(*slot, *span))
+        let span = b.stmt_span(s);
+        let stmt = b.stmt(s);
+        match stmt {
+            TStmt::Local { ty, .. } => {
+                (self.stmts).push(StmtFact::Local(b.type_at(ty).clone(), span))
             }
-            TStmt::AssignField {
-                obj, field, span, ..
-            } => {
+            TStmt::AssignLocal { slot, .. } => self.stmts.push(StmtFact::AssignLocal(slot, span)),
+            TStmt::AssignField { obj, field, .. } => {
                 self.field_writes.push(FieldWrite {
                     owner: field.owner,
                     slot: field.slot,
-                    span: *span,
+                    span,
                 });
-                this_recv = matches!(obj.kind, TExprKind::This);
+                this_recv = b.expr(obj) == TExpr::This;
             }
-            TStmt::If { span, .. } | TStmt::While { span, .. } | TStmt::For { span, .. } => {
-                self.ctor_sites.push((CtorSite::Branch, *span));
+            TStmt::If { .. } | TStmt::While { .. } | TStmt::For { .. } => {
+                self.ctor_sites.push((CtorSite::Branch, span));
                 in_ctor = false;
             }
             _ => {}
         }
-        // The implicit `this.` receiver of a field write is the first node
-        // visited.
+        // The statement's own expressions, in order. The implicit `this.`
+        // receiver of a field write is the first node visited.
         let mut skip_this = this_recv;
-        s.for_each_expr(&mut |e| self.expr(e, in_ctor, &mut skip_this));
-        match s {
+        let own: [Option<TExprId>; 3] = match stmt {
+            TStmt::Local { init, .. } => [init, None, None],
+            TStmt::AssignLocal { value, .. } | TStmt::AssignStatic { value, .. } => {
+                [Some(value), None, None]
+            }
+            TStmt::AssignField { obj, value, .. } => [Some(obj), Some(value), None],
+            TStmt::AssignIndex { arr, idx, value } => [Some(arr), Some(idx), Some(value)],
+            TStmt::Expr(e) | TStmt::If { cond: e, .. } | TStmt::While { cond: e, .. } => {
+                [Some(e), None, None]
+            }
+            TStmt::For { cond, .. } => [cond, None, None],
+            TStmt::Return { value } => [value, None, None],
+            TStmt::Break | TStmt::Continue | TStmt::Block(_) => [None; 3],
+        };
+        for e in own.into_iter().flatten() {
+            self.pre_order(b, e, in_ctor, &mut skip_this);
+        }
+        match stmt {
             TStmt::If {
                 then_branch,
                 else_branch,
                 ..
             } => {
-                self.walk_block(then_branch);
+                self.walk_block(b, then_branch);
                 if let Some(e) = else_branch {
-                    self.walk_block(e);
+                    self.walk_block(b, e);
                 }
             }
-            TStmt::While { body, .. } => self.walk_block(body),
+            TStmt::While { body, .. } => self.walk_block(b, body),
             TStmt::For {
                 init, update, body, ..
             } => {
                 if let Some(i) = init {
-                    self.stmt(i);
+                    self.stmt(b, i);
                 }
                 if let Some(u) = update {
-                    self.stmt(u);
+                    self.stmt(b, u);
                 }
-                self.walk_block(body);
+                self.walk_block(b, body);
             }
-            TStmt::Block(b) => self.walk_block(b),
+            TStmt::Block(block) => self.walk_block(b, block),
+            _ => {}
+        }
+    }
+
+    /// Expression `e` and everything under it, each node before its
+    /// operands, operands left to right.
+    fn pre_order(&mut self, b: &TBody, e: TExprId, in_ctor: bool, skip_this: &mut bool) {
+        self.expr(b, e, in_ctor, skip_this);
+        let mut visit = |e| self.pre_order(b, e, in_ctor, skip_this);
+        match b.expr(e) {
+            TExpr::GetField { obj: x, .. }
+            | TExpr::NewArray { len: x, .. }
+            | TExpr::ArrayLen(x)
+            | TExpr::Unary { expr: x, .. }
+            | TExpr::NumCast { expr: x, .. }
+            | TExpr::RefCast { expr: x, .. }
+            | TExpr::Convert { expr: x, .. }
+            | TExpr::InstanceOf { expr: x, .. } => visit(x),
+            TExpr::Call { recv, args, .. } | TExpr::DirectCall { recv, args, .. } => {
+                visit(recv);
+                b.list(args).for_each(visit);
+            }
+            TExpr::StaticCall { args, .. } | TExpr::New { args, .. } => {
+                b.list(args).for_each(visit)
+            }
+            TExpr::Index { arr: x, idx: y }
+            | TExpr::Binary { lhs: x, rhs: y, .. }
+            | TExpr::RefEq { lhs: x, rhs: y, .. } => {
+                visit(x);
+                visit(y);
+            }
+            TExpr::Ternary {
+                cond,
+                then_val,
+                else_val,
+            } => {
+                visit(cond);
+                visit(then_val);
+                visit(else_val);
+            }
             _ => {}
         }
     }
 
     /// One expression node, visited in pre-order. `skip_this` exempts the
     /// next `this` the walk meets: the receiver of a field read or write.
-    fn expr(&mut self, e: &TExpr, in_ctor: bool, skip_this: &mut bool) {
+    fn expr(&mut self, b: &TBody, e: TExprId, in_ctor: bool, skip_this: &mut bool) {
+        let span = b.expr_span(e);
         let mut ctor_site = None;
-        match &e.kind {
-            TExprKind::This => ctor_site = (!std::mem::take(skip_this)).then_some(CtorSite::This),
+        match b.expr(e) {
+            TExpr::This => ctor_site = (!std::mem::take(skip_this)).then_some(CtorSite::This),
             // Reading a field of `this` is allowed; the receiver is the
             // next node a pre-order walk visits.
-            TExprKind::GetField { obj, .. } => *skip_this = matches!(obj.kind, TExprKind::This),
-            TExprKind::Call { method, .. } | TExprKind::DirectCall { method, .. } => {
+            TExpr::GetField { obj, .. } => *skip_this = b.expr(obj) == TExpr::This,
+            TExpr::Call { method, .. } | TExpr::DirectCall { method, .. } => {
                 self.calls.push(Callee {
                     class: method.decl_class,
                     index: method.index,
-                    dispatch: matches!(e.kind, TExprKind::Call { .. }),
+                    dispatch: matches!(b.expr(e), TExpr::Call { .. }),
                 });
                 ctor_site = Some(CtorSite::Call);
             }
-            TExprKind::StaticCall { class, index, .. } => {
+            TExpr::StaticCall { class, index, .. } => {
                 self.calls.push(Callee {
-                    class: *class,
-                    index: *index,
+                    class,
+                    index,
                     dispatch: false,
                 });
                 ctor_site = Some(CtorSite::Call);
             }
-            TExprKind::Ternary { .. } => {
-                self.sites.push(Site::Ternary(e.span));
+            TExpr::Ternary { .. } => {
+                self.sites.push(Site::Ternary(span));
                 ctor_site = Some(CtorSite::Ternary);
             }
-            TExprKind::RefEq { .. } => self.sites.push(Site::RefEq(e.span)),
-            TExprKind::InstanceOf { .. } => self.sites.push(Site::InstanceOf(e.span)),
-            TExprKind::Null => self.sites.push(Site::Null(e.span)),
-            TExprKind::RefCast { to, .. } => self.sites.push(Site::Cast(to.clone(), e.span)),
-            TExprKind::New { class, targs, .. } if !targs.is_empty() => {
-                self.sites.push(Site::New {
-                    class: *class,
+            TExpr::RefEq { .. } => self.sites.push(Site::RefEq(span)),
+            TExpr::InstanceOf { .. } => self.sites.push(Site::InstanceOf(span)),
+            TExpr::Null => self.sites.push(Site::Null(span)),
+            TExpr::RefCast { to, .. } => self.sites.push(Site::Cast(b.type_at(to).clone(), span)),
+            TExpr::New { class, .. } => match b.ty(e) {
+                Type::Object(_, targs) if !targs.is_empty() => self.sites.push(Site::New {
+                    class,
                     targs: targs.clone(),
-                    span: e.span,
-                })
-            }
+                    span,
+                }),
+                _ => {}
+            },
             _ => {}
         }
         if let (true, Some(site)) = (in_ctor, ctor_site) {
-            self.ctor_sites.push((site, e.span));
+            self.ctor_sites.push((site, span));
         }
     }
 }
@@ -312,13 +354,13 @@ impl ProgramFacts {
         for info in table.iter() {
             for (mi, m) in info.methods.iter().enumerate() {
                 if let Some(body) = &m.body {
-                    let facts = Arc::new(BodyFacts::block(body));
+                    let facts = Arc::new(BodyFacts::of(body));
                     out.insert(info.id, Member::Method(mi as u32), facts);
                 }
             }
             if let Some(ctor) = &info.ctor {
                 if let Some(body) = &ctor.body {
-                    let facts = Arc::new(BodyFacts::ctor(&ctor.super_args, body));
+                    let facts = Arc::new(BodyFacts::of(body));
                     out.insert(info.id, Member::Ctor, facts);
                 }
             }
@@ -328,7 +370,7 @@ impl ProgramFacts {
                         is_static: false,
                         index: i as u32,
                     };
-                    out.insert(info.id, member, Arc::new(BodyFacts::init(init)));
+                    out.insert(info.id, member, Arc::new(BodyFacts::of(init)));
                 }
             }
         }
@@ -618,9 +660,12 @@ impl<'t> Analysis<'t> {
         for (i, f) in info.fields.iter().enumerate() {
             if let Some(init) = &f.init {
                 if !ProgramFacts::clean(self.facts.init(id, i)) {
+                    let TRoot::Init(value) = init.root() else {
+                        unreachable!("a field initializer's body is an expression")
+                    };
                     out.push(Diagnostic::error(
                         "rules",
-                        init.span,
+                        init.expr_span(value),
                         format!(
                             "initializer of `{}.{}` contains a method call, conditional, or `this`",
                             info.name, f.name

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use jlang::ast::{BinOp, UnOp};
 use jlang::span::Span;
 use jlang::table::ClassTable;
-use jlang::tast::{FieldSel, TBlock, TExpr, TExprKind, TStmt};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 
 use crate::heap::{ArrayData, Heap, ObjRef, Value};
@@ -147,7 +147,7 @@ impl<'t> Jvm<'t> {
                     locals: Vec::new(),
                     this: None,
                 };
-                let v = self.eval(&mut frame, init)?;
+                let v = self.eval_init(&mut frame, init)?;
                 self.statics[info.id.0 as usize][i] = v;
             }
         }
@@ -291,20 +291,27 @@ impl<'t> Jvm<'t> {
                 args.len()
             )));
         }
+        let body = ctor.body.as_deref();
         let mut frame = Frame {
             locals: {
                 let mut l = args;
-                l.resize(ctor.frame_size as usize, Value::Null);
+                l.resize(body.map_or(0, TBody::frame) as usize, Value::Null);
                 l
             },
             this: Some(Value::Obj(obj)),
+        };
+        let (super_args, block) = match body.map(TBody::root) {
+            Some(TRoot::Ctor { super_args, body }) => (super_args, Some(body)),
+            _ => (TArgs::default(), None),
         };
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = Vec::new();
-                for a in ctor.super_args.iter() {
-                    sargs.push(self.eval(&mut frame, a)?);
+                if let Some(b) = body {
+                    for a in b.list(super_args) {
+                        sargs.push(self.eval(b, &mut frame, a)?);
+                    }
                 }
                 self.run_ctor(obj, *sid, sargs)?;
             }
@@ -312,13 +319,13 @@ impl<'t> Jvm<'t> {
         // 2. field initializers of this class.
         for (i, f) in info.fields.iter().enumerate() {
             if let Some(init) = &f.init {
-                let v = self.eval(&mut frame, init)?;
+                let v = self.eval_init(&mut frame, init)?;
                 self.heap.obj_mut(obj).fields[info.field_base as usize + i] = v;
             }
         }
         // 3. constructor body.
-        if let Some(body) = &ctor.body {
-            self.exec_block(&mut frame, body)?;
+        if let (Some(b), Some(block)) = (body, block) {
+            self.exec_block(b, &mut frame, block)?;
         }
         self.leave();
         Ok(())
@@ -362,12 +369,15 @@ impl<'t> Jvm<'t> {
         args: Vec<Value>,
     ) -> JResult<Value> {
         let m = self.table.method(class, index);
-        let Some(body) = &m.body else {
+        let Some(body) = m.body.as_deref() else {
             return Err(JvmError::new(format!(
                 "method `{}::{}` has no body",
                 self.table.name(class),
                 m.name
             )));
+        };
+        let TRoot::Block(block) = body.root() else {
+            return Err(JvmError::new("a method body is not a block"));
         };
         if m.params.len() != args.len() {
             return Err(JvmError::new(format!(
@@ -381,12 +391,12 @@ impl<'t> Jvm<'t> {
         let mut frame = Frame {
             locals: {
                 let mut l = args;
-                l.resize(m.frame_size as usize, Value::Null);
+                l.resize(body.frame() as usize, Value::Null);
                 l
             },
             this,
         };
-        let flow = self.exec_block(&mut frame, body)?;
+        let flow = self.exec_block(body, &mut frame, block)?;
         self.leave();
         match flow {
             Flow::Return(v) => Ok(v),
@@ -471,9 +481,17 @@ impl<'t> Jvm<'t> {
         Ok((grid, block))
     }
 
-    fn exec_block(&mut self, frame: &mut Frame, block: &TBlock) -> JResult<Flow> {
-        for s in &block.stmts {
-            match self.exec(frame, s)? {
+    /// A field initializer, in `frame`.
+    fn eval_init(&mut self, frame: &mut Frame, init: &TBody) -> JResult<Value> {
+        let TRoot::Init(e) = init.root() else {
+            return Err(JvmError::new("a field initializer is not an expression"));
+        };
+        self.eval(init, frame, e)
+    }
+
+    fn exec_block(&mut self, b: &TBody, frame: &mut Frame, block: TBlock) -> JResult<Flow> {
+        for s in b.list(block) {
+            match self.exec(b, frame, s)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -481,33 +499,38 @@ impl<'t> Jvm<'t> {
         Ok(Flow::Normal)
     }
 
-    fn exec(&mut self, frame: &mut Frame, stmt: &TStmt) -> JResult<Flow> {
+    /// Evaluate arguments left to right.
+    fn eval_args(&mut self, b: &TBody, frame: &mut Frame, args: TArgs) -> JResult<Vec<Value>> {
+        let mut a = Vec::with_capacity(args.len());
+        for x in b.list(args) {
+            a.push(self.eval(b, frame, x)?);
+        }
+        Ok(a)
+    }
+
+    fn exec(&mut self, b: &TBody, frame: &mut Frame, s: TStmtId) -> JResult<Flow> {
         self.steps += 1;
-        match stmt {
-            TStmt::Local { slot, init, ty, .. } => {
+        let span = b.stmt_span(s);
+        match b.stmt(s) {
+            TStmt::Local { slot, init, ty } => {
                 let v = match init {
-                    Some(e) => self.eval(frame, e)?,
-                    None => Value::default_for(ty),
+                    Some(e) => self.eval(b, frame, e)?,
+                    None => Value::default_for(b.type_at(ty)),
                 };
-                frame.locals[*slot as usize] = v;
+                frame.locals[slot as usize] = v;
                 Ok(Flow::Normal)
             }
-            TStmt::AssignLocal { slot, value, .. } => {
-                let v = self.eval(frame, value)?;
-                frame.locals[*slot as usize] = v;
+            TStmt::AssignLocal { slot, value } => {
+                let v = self.eval(b, frame, value)?;
+                frame.locals[slot as usize] = v;
                 Ok(Flow::Normal)
             }
-            TStmt::AssignField {
-                obj,
-                field,
-                value,
-                span,
-            } => {
-                let o = self.eval(frame, obj)?;
-                let v = self.eval(frame, value)?;
+            TStmt::AssignField { obj, field, value } => {
+                let o = self.eval(b, frame, obj)?;
+                let v = self.eval(b, frame, value)?;
                 let r = o
                     .as_obj()
-                    .map_err(|m| JvmError::at(format!("null dereference: {m}"), *span))?;
+                    .map_err(|m| JvmError::at(format!("null dereference: {m}"), span))?;
                 self.heap.obj_mut(r).fields[field.slot as usize] = v;
                 Ok(Flow::Normal)
             }
@@ -515,60 +538,57 @@ impl<'t> Jvm<'t> {
                 class,
                 index,
                 value,
-                ..
             } => {
-                let v = self.eval(frame, value)?;
-                self.statics[class.0 as usize][*index as usize] = v;
+                let v = self.eval(b, frame, value)?;
+                self.statics[class.0 as usize][index as usize] = v;
                 Ok(Flow::Normal)
             }
-            TStmt::AssignIndex {
-                arr,
-                idx,
-                value,
-                span,
-            } => {
-                let a = self.eval(frame, arr)?;
-                let i = self.eval(frame, idx)?;
-                let v = self.eval(frame, value)?;
+            TStmt::AssignIndex { arr, idx, value } => {
+                let a = self.eval(b, frame, arr)?;
+                let i = self.eval(b, frame, idx)?;
+                let v = self.eval(b, frame, value)?;
                 let r = a
                     .as_arr()
-                    .map_err(|m| JvmError::at(format!("null array: {m}"), *span))?;
+                    .map_err(|m| JvmError::at(format!("null array: {m}"), span))?;
                 let i = i.as_i32().map_err(JvmError::new)?;
                 if i < 0 {
-                    return Err(JvmError::at(format!("negative array index {i}"), *span));
+                    return Err(JvmError::at(format!("negative array index {i}"), span));
                 }
                 self.heap
                     .arr_mut(r)
                     .set(i as usize, v)
-                    .map_err(|m| JvmError::at(m, *span))?;
+                    .map_err(|m| JvmError::at(m, span))?;
                 Ok(Flow::Normal)
             }
             TStmt::Expr(e) => {
-                self.eval(frame, e)?;
+                self.eval(b, frame, e)?;
                 Ok(Flow::Normal)
             }
             TStmt::If {
                 cond,
                 then_branch,
                 else_branch,
-                ..
             } => {
-                let c = self.eval(frame, cond)?.as_bool().map_err(JvmError::new)?;
+                let c = (self.eval(b, frame, cond)?)
+                    .as_bool()
+                    .map_err(JvmError::new)?;
                 if c {
-                    self.exec_block(frame, then_branch)
+                    self.exec_block(b, frame, then_branch)
                 } else if let Some(e) = else_branch {
-                    self.exec_block(frame, e)
+                    self.exec_block(b, frame, e)
                 } else {
                     Ok(Flow::Normal)
                 }
             }
-            TStmt::While { cond, body, .. } => {
+            TStmt::While { cond, body } => {
                 loop {
-                    let c = self.eval(frame, cond)?.as_bool().map_err(JvmError::new)?;
+                    let c = (self.eval(b, frame, cond)?)
+                        .as_bool()
+                        .map_err(JvmError::new)?;
                     if !c {
                         break;
                     }
-                    match self.exec_block(frame, body)? {
+                    match self.exec_block(b, frame, body)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
@@ -581,125 +601,118 @@ impl<'t> Jvm<'t> {
                 cond,
                 update,
                 body,
-                ..
             } => {
                 if let Some(i) = init {
-                    self.exec(frame, i)?;
+                    self.exec(b, frame, i)?;
                 }
                 loop {
                     if let Some(c) = cond {
-                        if !self.eval(frame, c)?.as_bool().map_err(JvmError::new)? {
+                        if !(self.eval(b, frame, c)?).as_bool().map_err(JvmError::new)? {
                             break;
                         }
                     }
-                    match self.exec_block(frame, body)? {
+                    match self.exec_block(b, frame, body)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
                     }
                     if let Some(u) = update {
-                        self.exec(frame, u)?;
+                        self.exec(b, frame, u)?;
                     }
                 }
                 Ok(Flow::Normal)
             }
-            TStmt::Return { value, .. } => {
+            TStmt::Return { value } => {
                 let v = match value {
-                    Some(e) => self.eval(frame, e)?,
+                    Some(e) => self.eval(b, frame, e)?,
                     None => Value::Void,
                 };
                 Ok(Flow::Return(v))
             }
-            TStmt::Break(_) => Ok(Flow::Break),
-            TStmt::Continue(_) => Ok(Flow::Continue),
-            TStmt::Block(b) => self.exec_block(frame, b),
+            TStmt::Break => Ok(Flow::Break),
+            TStmt::Continue => Ok(Flow::Continue),
+            TStmt::Block(block) => self.exec_block(b, frame, block),
         }
     }
 
-    fn eval(&mut self, frame: &mut Frame, e: &TExpr) -> JResult<Value> {
+    fn eval(&mut self, b: &TBody, frame: &mut Frame, e: TExprId) -> JResult<Value> {
         self.steps += 1;
-        match &e.kind {
-            TExprKind::Int(v) => Ok(Value::Int(*v)),
-            TExprKind::Long(v) => Ok(Value::Long(*v)),
-            TExprKind::Float(v) => Ok(Value::Float(*v)),
-            TExprKind::Double(v) => Ok(Value::Double(*v)),
-            TExprKind::Bool(v) => Ok(Value::Bool(*v)),
-            TExprKind::Null => Ok(Value::Null),
-            TExprKind::Str(s) => Ok(Value::str(s)),
-            TExprKind::Local(slot) => Ok(frame.locals[*slot as usize].clone()),
-            TExprKind::This => frame
+        let span = b.expr_span(e);
+        match b.expr(e) {
+            TExpr::Int(v) => Ok(Value::Int(v)),
+            TExpr::Long(v) => Ok(Value::Long(v)),
+            TExpr::Float(v) => Ok(Value::Float(v)),
+            TExpr::Double(v) => Ok(Value::Double(v)),
+            TExpr::Bool(v) => Ok(Value::Bool(v)),
+            TExpr::Null => Ok(Value::Null),
+            TExpr::Str(s) => Ok(Value::str(b.str(s))),
+            TExpr::Local(slot) => Ok(frame.locals[slot as usize].clone()),
+            TExpr::This => frame
                 .this
                 .clone()
-                .ok_or_else(|| JvmError::at("`this` in static context", e.span)),
-            TExprKind::GetField { obj, field } => {
-                let o = self.eval(frame, obj)?;
+                .ok_or_else(|| JvmError::at("`this` in static context", span)),
+            TExpr::GetField { obj, field } => {
+                let o = self.eval(b, frame, obj)?;
                 let r = o
                     .as_obj()
-                    .map_err(|m| JvmError::at(format!("null dereference: {m}"), e.span))?;
+                    .map_err(|m| JvmError::at(format!("null dereference: {m}"), span))?;
                 Ok(self.heap.obj(r).fields[field.slot as usize].clone())
             }
-            TExprKind::GetStatic { class, index } => {
-                Ok(self.statics[class.0 as usize][*index as usize].clone())
+            TExpr::GetStatic { class, index } => {
+                Ok(self.statics[class.0 as usize][index as usize].clone())
             }
-            TExprKind::Call { recv, method, args } => {
-                let r = self.eval(frame, recv)?;
-                let mut a = Vec::with_capacity(args.len());
-                for x in args {
-                    a.push(self.eval(frame, x)?);
-                }
+            TExpr::Call { recv, method, args } => {
+                let r = self.eval(b, frame, recv)?;
+                let a = self.eval_args(b, frame, args)?;
                 // Virtual dispatch from the runtime class — the cost the
                 // paper's framework eliminates.
                 let rc = self
                     .runtime_class(&r)
-                    .map_err(|err| JvmError::at(err.message, e.span))?;
+                    .map_err(|err| JvmError::at(err.message, span))?;
                 let name = &self.table.method(method.decl_class, method.index).name;
                 let (ic, im) = self.table.resolve_impl(rc, name).ok_or_else(|| {
                     JvmError::at(
                         format!("no impl of `{name}` on `{}`", self.table.name(rc)),
-                        e.span,
+                        span,
                     )
                 })?;
                 self.invoke(Some(r), ic, im, a)
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let r = self.eval(frame, recv)?;
-                let mut a = Vec::with_capacity(args.len());
-                for x in args {
-                    a.push(self.eval(frame, x)?);
-                }
+            TExpr::DirectCall { recv, method, args } => {
+                let r = self.eval(b, frame, recv)?;
+                let a = self.eval_args(b, frame, args)?;
                 self.invoke(Some(r), method.decl_class, method.index, a)
             }
-            TExprKind::StaticCall { class, index, args } => {
-                let mut a = Vec::with_capacity(args.len());
-                for x in args {
-                    a.push(self.eval(frame, x)?);
-                }
-                self.invoke(None, *class, *index, a)
+            TExpr::StaticCall { class, index, args } => {
+                let a = self.eval_args(b, frame, args)?;
+                self.invoke(None, class, index, a)
             }
-            TExprKind::New { class, args, .. } => {
-                let mut a = Vec::with_capacity(args.len());
-                for x in args {
-                    a.push(self.eval(frame, x)?);
-                }
-                self.construct(*class, &a)
+            TExpr::New { class, args } => {
+                let a = self.eval_args(b, frame, args)?;
+                self.construct(class, &a)
             }
-            TExprKind::NewArray { elem, len } => {
-                let n = self.eval(frame, len)?.as_i32().map_err(JvmError::new)?;
+            TExpr::NewArray { elem, len } => {
+                let n = (self.eval(b, frame, len)?)
+                    .as_i32()
+                    .map_err(JvmError::new)?;
                 if n < 0 {
-                    return Err(JvmError::at(format!("negative array size {n}"), e.span));
+                    return Err(JvmError::at(format!("negative array size {n}"), span));
                 }
                 Ok(Value::Arr(
-                    self.heap.alloc_arr(ArrayData::new(elem, n as usize)),
+                    self.heap
+                        .alloc_arr(ArrayData::new(b.type_at(elem), n as usize)),
                 ))
             }
-            TExprKind::Index { arr, idx } => {
-                let a = self.eval(frame, arr)?;
-                let i = self.eval(frame, idx)?.as_i32().map_err(JvmError::new)?;
+            TExpr::Index { arr, idx } => {
+                let a = self.eval(b, frame, arr)?;
+                let i = (self.eval(b, frame, idx)?)
+                    .as_i32()
+                    .map_err(JvmError::new)?;
                 let r = a
                     .as_arr()
-                    .map_err(|m| JvmError::at(format!("null array: {m}"), e.span))?;
+                    .map_err(|m| JvmError::at(format!("null array: {m}"), span))?;
                 if i < 0 {
-                    return Err(JvmError::at(format!("negative array index {i}"), e.span));
+                    return Err(JvmError::at(format!("negative array index {i}"), span));
                 }
                 self.heap.arr(r).get(i as usize).ok_or_else(|| {
                     JvmError::at(
@@ -707,79 +720,72 @@ impl<'t> Jvm<'t> {
                             "array index {i} out of bounds (len {})",
                             self.heap.arr(r).len()
                         ),
-                        e.span,
+                        span,
                     )
                 })
             }
-            TExprKind::ArrayLen(arr) => {
-                let a = self.eval(frame, arr)?;
+            TExpr::ArrayLen(arr) => {
+                let a = self.eval(b, frame, arr)?;
                 let r = a
                     .as_arr()
-                    .map_err(|m| JvmError::at(format!("null array: {m}"), e.span))?;
+                    .map_err(|m| JvmError::at(format!("null array: {m}"), span))?;
                 Ok(Value::Int(self.heap.arr(r).len() as i32))
             }
-            TExprKind::Unary { op, expr } => {
-                let v = self.eval(frame, expr)?;
+            TExpr::Unary { op, expr } => {
+                let v = self.eval(b, frame, expr)?;
                 match op {
                     UnOp::Neg => Ok(match v {
                         Value::Int(x) => Value::Int(x.wrapping_neg()),
                         Value::Long(x) => Value::Long(x.wrapping_neg()),
                         Value::Float(x) => Value::Float(-x),
                         Value::Double(x) => Value::Double(-x),
-                        other => {
-                            return Err(JvmError::at(format!("cannot negate {other}"), e.span))
-                        }
+                        other => return Err(JvmError::at(format!("cannot negate {other}"), span)),
                     }),
                     UnOp::Not => Ok(Value::Bool(!v.as_bool().map_err(JvmError::new)?)),
                 }
             }
-            TExprKind::Binary {
+            TExpr::Binary {
                 op,
                 operand_kind,
                 lhs,
                 rhs,
             } => {
                 // Short-circuit logical operators.
-                if *op == BinOp::And {
-                    let l = self.eval(frame, lhs)?.as_bool().map_err(JvmError::new)?;
-                    if !l {
-                        return Ok(Value::Bool(false));
+                if op == BinOp::And || op == BinOp::Or {
+                    let l = (self.eval(b, frame, lhs)?)
+                        .as_bool()
+                        .map_err(JvmError::new)?;
+                    if l == (op == BinOp::Or) {
+                        return Ok(Value::Bool(l));
                     }
                     return Ok(Value::Bool(
-                        self.eval(frame, rhs)?.as_bool().map_err(JvmError::new)?,
+                        (self.eval(b, frame, rhs)?)
+                            .as_bool()
+                            .map_err(JvmError::new)?,
                     ));
                 }
-                if *op == BinOp::Or {
-                    let l = self.eval(frame, lhs)?.as_bool().map_err(JvmError::new)?;
-                    if l {
-                        return Ok(Value::Bool(true));
-                    }
-                    return Ok(Value::Bool(
-                        self.eval(frame, rhs)?.as_bool().map_err(JvmError::new)?,
-                    ));
-                }
-                let l = self.eval(frame, lhs)?;
-                let r = self.eval(frame, rhs)?;
-                binop(*op, *operand_kind, &l, &r).map_err(|m| JvmError::at(m, e.span))
+                let l = self.eval(b, frame, lhs)?;
+                let r = self.eval(b, frame, rhs)?;
+                binop(op, operand_kind, &l, &r).map_err(|m| JvmError::at(m, span))
             }
-            TExprKind::RefEq { negated, lhs, rhs } => {
-                let l = self.eval(frame, lhs)?;
-                let r = self.eval(frame, rhs)?;
+            TExpr::RefEq { negated, lhs, rhs } => {
+                let l = self.eval(b, frame, lhs)?;
+                let r = self.eval(b, frame, rhs)?;
                 let eq = match (&l, &r) {
                     (Value::Obj(a), Value::Obj(b)) => a == b,
                     (Value::Arr(a), Value::Arr(b)) => a == b,
                     (Value::Null, Value::Null) => true,
                     _ => false,
                 };
-                Ok(Value::Bool(eq != *negated))
+                Ok(Value::Bool(eq != negated))
             }
-            TExprKind::NumCast { to, expr } | TExprKind::Convert { to, expr } => {
-                let v = self.eval(frame, expr)?;
-                numcast(*to, &v).map_err(|m| JvmError::at(m, e.span))
+            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
+                let v = self.eval(b, frame, expr)?;
+                numcast(to, &v).map_err(|m| JvmError::at(m, span))
             }
-            TExprKind::RefCast { to, expr } => {
-                let v = self.eval(frame, expr)?;
-                match (&v, to) {
+            TExpr::RefCast { to, expr } => {
+                let v = self.eval(b, frame, expr)?;
+                match (&v, b.type_at(to)) {
                     (Value::Null, _) => Ok(v),
                     (Value::Obj(r), Type::Object(want, wargs)) => {
                         let rc = self.heap.obj(*r).class;
@@ -796,17 +802,17 @@ impl<'t> Jvm<'t> {
                                     self.table.name(rc),
                                     self.table.name(*want)
                                 ),
-                                e.span,
+                                span,
                             ))
                         }
                     }
                     (Value::Arr(_), Type::Array(_)) => Ok(v),
-                    _ => Err(JvmError::at("invalid reference cast", e.span)),
+                    _ => Err(JvmError::at("invalid reference cast", span)),
                 }
             }
-            TExprKind::InstanceOf { expr, ty } => {
-                let v = self.eval(frame, expr)?;
-                let res = match (&v, ty) {
+            TExpr::InstanceOf { expr, ty } => {
+                let v = self.eval(b, frame, expr)?;
+                let res = match (&v, b.type_at(ty)) {
                     (Value::Obj(r), Type::Object(want, _)) => {
                         self.table.is_subclass_of(self.heap.obj(*r).class, *want)
                     }
@@ -815,17 +821,15 @@ impl<'t> Jvm<'t> {
                 };
                 Ok(Value::Bool(res))
             }
-            TExprKind::Ternary {
+            TExpr::Ternary {
                 cond,
                 then_val,
                 else_val,
             } => {
-                let c = self.eval(frame, cond)?.as_bool().map_err(JvmError::new)?;
-                if c {
-                    self.eval(frame, then_val)
-                } else {
-                    self.eval(frame, else_val)
-                }
+                let c = (self.eval(b, frame, cond)?)
+                    .as_bool()
+                    .map_err(JvmError::new)?;
+                self.eval(b, frame, if c { then_val } else { else_val })
             }
         }
     }
@@ -959,8 +963,3 @@ fn numcast(to: PrimKind, v: &Value) -> Result<Value, String> {
     };
     Ok(out)
 }
-
-// FieldSel is currently only consumed for its slot; keep the import alive
-// for the public API surface.
-#[allow(unused)]
-fn _field_sel_used(_f: &FieldSel) {}

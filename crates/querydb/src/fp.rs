@@ -14,18 +14,29 @@
 //!   skeleton with bodies stripped: the "item tree" query. A body edit
 //!   leaves it unchanged; adding/renaming members, changing signatures,
 //!   supers or annotations changes it.
-//! * **Body fingerprints** ([`body_fp`]) cover one untyped body, a loop
-//!   over its flat node vectors; typed-body hashes ([`thash_and_refs`])
-//!   cover the type checker's output and feed the `lower_fn` memo
-//!   validation.
+//! * **Body fingerprints** ([`body_fp`]) cover one untyped body, and
+//!   typed-body hashes ([`thash_and_refs`]) the type checker's output,
+//!   which feeds the `lower_fn` memo validation. Both are one loop over a
+//!   flat body's node slices.
 //!
 //! [`Span`]: jlang::span::Span
 
 use jlang::ast;
-use jlang::tast::{FieldSel, MethodSel, TBlock, TExpr, TExprKind, TStmt};
-use jlang::typeck::Typed;
+use jlang::tast::{FieldSel, TBody, TExpr, TRoot, TStmt};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::hash::Fingerprint;
+
+/// A list is its run in the id list, which a body hash covers in full.
+fn list<X>(f: &mut Fingerprint, l: ast::IdList<X>) -> &mut Fingerprint {
+    f.u32(l.start()).u32(l.len() as u32)
+}
+
+fn opt(f: &mut Fingerprint, id: Option<u32>) -> &mut Fingerprint {
+    match id {
+        Some(id) => f.u8(1).u32(id),
+        None => f.u8(0),
+    }
+}
 
 // ---- untyped (parser output) -------------------------------------------
 
@@ -150,16 +161,6 @@ pub fn item_fp(c: &ast::ClassDecl, assigned: ClassId) -> u64 {
 /// names, so its fingerprint does not depend on the rest of its file.
 pub fn body_fp(b: &ast::Body) -> u64 {
     use ast::{Expr as E, Root, Stmt as S, TypeNode as T};
-    // A list is its run in the id list, which is hashed in full below.
-    fn list<X: Copy>(f: &mut Fingerprint, l: ast::IdList<X>) -> &mut Fingerprint {
-        f.u32(l.start()).u32(l.len() as u32)
-    }
-    fn opt(f: &mut Fingerprint, id: Option<u32>) -> &mut Fingerprint {
-        match id {
-            Some(id) => f.u8(1).u32(id),
-            None => f.u8(0),
-        }
-    }
     let mut f = Fingerprint::seeded(0x626f_6479); // "body"
     match b.root() {
         Root::Block(body) => list(f.u8(0), body),
@@ -323,330 +324,6 @@ fn prim_tag(p: PrimKind) -> u8 {
     }
 }
 
-fn hash_field_sel(f: &mut Fingerprint, s: &FieldSel) {
-    f.u32(s.owner.0).u32(s.slot);
-    hash_type(f, &s.ty);
-}
-
-fn hash_method_sel(f: &mut Fingerprint, s: &MethodSel) {
-    f.u32(s.decl_class.0).u32(s.index);
-}
-
-/// Fingerprint of one typed body (plus its frame size). This is what a
-/// `lower_fn` memo records per body dependency: if the re-typechecked
-/// body hashes identically, lowering it again would emit identical NIR.
-fn thash_block(b: &TBlock, frame: u32) -> u64 {
-    let mut f = Fingerprint::seeded(0x7462_6c6b); // "tblk"
-    f.u32(frame);
-    thash_blk(&mut f, b);
-    f.finish()
-}
-
-/// Fingerprint of a typed expression list (super-ctor args etc.).
-fn thash_exprs(es: &[TExpr]) -> u64 {
-    let mut f = Fingerprint::seeded(0x7465_7873); // "texs"
-    f.u32(es.len() as u32);
-    for e in es {
-        thash_expr(&mut f, e);
-    }
-    f.finish()
-}
-
-/// The early-cutoff hash of one checked body, with every class it
-/// resolved against (see [`collect_refs`]).
-pub fn thash_and_refs(typed: &Typed) -> (u64, Vec<ClassId>) {
-    let mut refs = Vec::new();
-    let thash = match typed {
-        Typed::Method { body, frame } => {
-            collect_refs(body, &mut refs);
-            thash_block(body, *frame)
-        }
-        Typed::Ctor {
-            super_args,
-            body,
-            frame,
-        } => {
-            collect_exprs_refs(super_args, &mut refs);
-            collect_refs(body, &mut refs);
-            let mut h = Fingerprint::seeded(0x7463_7472); // "tctr"
-            h.u64(thash_exprs(super_args))
-                .u64(thash_block(body, *frame));
-            h.finish()
-        }
-        Typed::Init(e) => {
-            let e = std::slice::from_ref(&**e);
-            collect_exprs_refs(e, &mut refs);
-            thash_exprs(e)
-        }
-    };
-    (thash, refs)
-}
-
-fn thash_blk(f: &mut Fingerprint, b: &TBlock) {
-    f.u32(b.stmts.len() as u32);
-    for s in &b.stmts {
-        thash_stmt(f, s);
-    }
-}
-
-fn thash_opt_expr(f: &mut Fingerprint, e: &Option<TExpr>) {
-    match e {
-        Some(e) => {
-            f.u8(1);
-            thash_expr(f, e);
-        }
-        None => {
-            f.u8(0);
-        }
-    }
-}
-
-fn thash_stmt(f: &mut Fingerprint, s: &TStmt) {
-    match s {
-        TStmt::Local { slot, ty, init, .. } => {
-            f.u8(0).u32(*slot);
-            hash_type(f, ty);
-            thash_opt_expr(f, init);
-        }
-        TStmt::AssignLocal { slot, value, .. } => {
-            f.u8(1).u32(*slot);
-            thash_expr(f, value);
-        }
-        TStmt::AssignField {
-            obj, field, value, ..
-        } => {
-            f.u8(2);
-            hash_field_sel(f, field);
-            thash_expr(f, obj);
-            thash_expr(f, value);
-        }
-        TStmt::AssignStatic {
-            class,
-            index,
-            value,
-            ..
-        } => {
-            f.u8(3).u32(class.0).u32(*index);
-            thash_expr(f, value);
-        }
-        TStmt::AssignIndex {
-            arr, idx, value, ..
-        } => {
-            f.u8(4);
-            thash_expr(f, arr);
-            thash_expr(f, idx);
-            thash_expr(f, value);
-        }
-        TStmt::Expr(e) => {
-            f.u8(5);
-            thash_expr(f, e);
-        }
-        TStmt::If {
-            cond,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            f.u8(6);
-            thash_expr(f, cond);
-            thash_blk(f, then_branch);
-            match else_branch {
-                Some(b) => {
-                    f.u8(1);
-                    thash_blk(f, b);
-                }
-                None => {
-                    f.u8(0);
-                }
-            }
-        }
-        TStmt::While { cond, body, .. } => {
-            f.u8(7);
-            thash_expr(f, cond);
-            thash_blk(f, body);
-        }
-        TStmt::For {
-            init,
-            cond,
-            update,
-            body,
-            ..
-        } => {
-            f.u8(8);
-            match init {
-                Some(s) => {
-                    f.u8(1);
-                    thash_stmt(f, s);
-                }
-                None => {
-                    f.u8(0);
-                }
-            }
-            thash_opt_expr(f, cond);
-            match update {
-                Some(s) => {
-                    f.u8(1);
-                    thash_stmt(f, s);
-                }
-                None => {
-                    f.u8(0);
-                }
-            }
-            thash_blk(f, body);
-        }
-        TStmt::Return { value, .. } => {
-            f.u8(9);
-            thash_opt_expr(f, value);
-        }
-        TStmt::Break(_) => {
-            f.u8(10);
-        }
-        TStmt::Continue(_) => {
-            f.u8(11);
-        }
-        TStmt::Block(b) => {
-            f.u8(12);
-            thash_blk(f, b);
-        }
-    }
-}
-
-fn thash_expr(f: &mut Fingerprint, e: &TExpr) {
-    hash_type(f, &e.ty);
-    match &e.kind {
-        TExprKind::Int(v) => {
-            f.u8(0).u32(*v as u32);
-        }
-        TExprKind::Long(v) => {
-            f.u8(1).i64(*v);
-        }
-        TExprKind::Float(v) => {
-            f.u8(2).u32(v.to_bits());
-        }
-        TExprKind::Double(v) => {
-            f.u8(3).f64_bits(*v);
-        }
-        TExprKind::Bool(v) => {
-            f.u8(4).bool(*v);
-        }
-        TExprKind::Null => {
-            f.u8(5);
-        }
-        TExprKind::Str(s) => {
-            f.u8(6).str(s);
-        }
-        TExprKind::Local(slot) => {
-            f.u8(7).u32(*slot);
-        }
-        TExprKind::This => {
-            f.u8(8);
-        }
-        TExprKind::GetField { obj, field } => {
-            f.u8(9);
-            hash_field_sel(f, field);
-            thash_expr(f, obj);
-        }
-        TExprKind::GetStatic { class, index } => {
-            f.u8(10).u32(class.0).u32(*index);
-        }
-        TExprKind::Call { recv, method, args } => {
-            f.u8(11).u32(args.len() as u32);
-            hash_method_sel(f, method);
-            thash_expr(f, recv);
-            for a in args {
-                thash_expr(f, a);
-            }
-        }
-        TExprKind::DirectCall { recv, method, args } => {
-            f.u8(12).u32(args.len() as u32);
-            hash_method_sel(f, method);
-            thash_expr(f, recv);
-            for a in args {
-                thash_expr(f, a);
-            }
-        }
-        TExprKind::StaticCall { class, index, args } => {
-            f.u8(13).u32(class.0).u32(*index).u32(args.len() as u32);
-            for a in args {
-                thash_expr(f, a);
-            }
-        }
-        TExprKind::New { class, targs, args } => {
-            f.u8(14).u32(class.0).u32(targs.len() as u32);
-            for t in targs {
-                hash_type(f, t);
-            }
-            f.u32(args.len() as u32);
-            for a in args {
-                thash_expr(f, a);
-            }
-        }
-        TExprKind::NewArray { elem, len } => {
-            f.u8(15);
-            hash_type(f, elem);
-            thash_expr(f, len);
-        }
-        TExprKind::Index { arr, idx } => {
-            f.u8(16);
-            thash_expr(f, arr);
-            thash_expr(f, idx);
-        }
-        TExprKind::ArrayLen(a) => {
-            f.u8(17);
-            thash_expr(f, a);
-        }
-        TExprKind::Unary { op, expr } => {
-            f.u8(18).u8(*op as u8);
-            thash_expr(f, expr);
-        }
-        TExprKind::Binary {
-            op,
-            operand_kind,
-            lhs,
-            rhs,
-        } => {
-            f.u8(19).u8(*op as u8).u8(prim_tag(*operand_kind));
-            thash_expr(f, lhs);
-            thash_expr(f, rhs);
-        }
-        TExprKind::RefEq { negated, lhs, rhs } => {
-            f.u8(20).bool(*negated);
-            thash_expr(f, lhs);
-            thash_expr(f, rhs);
-        }
-        TExprKind::NumCast { to, expr } => {
-            f.u8(21).u8(prim_tag(*to));
-            thash_expr(f, expr);
-        }
-        TExprKind::RefCast { to, expr } => {
-            f.u8(22);
-            hash_type(f, to);
-            thash_expr(f, expr);
-        }
-        TExprKind::Convert { to, expr } => {
-            f.u8(23).u8(prim_tag(*to));
-            thash_expr(f, expr);
-        }
-        TExprKind::InstanceOf { expr, ty } => {
-            f.u8(24);
-            hash_type(f, ty);
-            thash_expr(f, expr);
-        }
-        TExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            f.u8(25);
-            thash_expr(f, cond);
-            thash_expr(f, then_val);
-            thash_expr(f, else_val);
-        }
-    }
-}
-
-// ---- class-reference extraction ----------------------------------------
-
 fn refs_in_type(t: &Type, out: &mut Vec<ClassId>) {
     match t {
         Type::Object(id, args) => {
@@ -660,53 +337,148 @@ fn refs_in_type(t: &Type, out: &mut Vec<ClassId>) {
     }
 }
 
-/// Every class a typed body resolves against: types of all expressions
-/// and locals, field owners, method declaration classes, static and
-/// `new` targets. The typeck memo of the body is valid only while all
-/// these classes' item trees are unchanged.
-fn collect_refs(b: &TBlock, out: &mut Vec<ClassId>) {
-    b.walk_stmts(&mut |s| match s {
-        TStmt::Local { ty, .. } => refs_in_type(ty, out),
-        TStmt::AssignField { field, .. } => {
-            out.push(field.owner);
-            refs_in_type(&field.ty, out);
-        }
-        TStmt::AssignStatic { class, .. } => out.push(*class),
-        _ => {}
-    });
-    b.walk_exprs(&mut |e| collect_expr_refs(e, out));
-}
-
-/// Class references of a typed expression tree (non-recursive contribution;
-/// use with `TExpr::walk` or via [`collect_refs`]).
-fn collect_expr_refs(e: &TExpr, out: &mut Vec<ClassId>) {
-    refs_in_type(&e.ty, out);
-    match &e.kind {
-        TExprKind::GetField { field, .. } => {
-            out.push(field.owner);
-            refs_in_type(&field.ty, out);
-        }
-        TExprKind::GetStatic { class, .. } => out.push(*class),
-        TExprKind::Call { method, .. } | TExprKind::DirectCall { method, .. } => {
-            out.push(method.decl_class)
-        }
-        TExprKind::StaticCall { class, .. } => out.push(*class),
-        TExprKind::New { class, targs, .. } => {
-            out.push(*class);
-            for t in targs {
-                refs_in_type(t, out);
+/// The early-cutoff hash of one checked body, and every class it resolved
+/// against. The hash is what a `lower_fn` memo records per body
+/// dependency: if a re-checked body hashes identically, lowering it again
+/// would emit identical NIR. It is a loop over the body's root and frame
+/// size, its nodes with their types, its id list, its type table and its
+/// strings; spans are left out. The classes are those in its types, the
+/// field owners, method declaration classes, and static and `new`
+/// targets: the typeck memo of the body is valid only while all their
+/// item trees are unchanged.
+pub fn thash_and_refs(b: &TBody) -> (u64, Vec<ClassId>) {
+    fn sel<'f>(
+        f: &'f mut Fingerprint,
+        s: FieldSel,
+        refs: &mut Vec<ClassId>,
+    ) -> &'f mut Fingerprint {
+        refs.push(s.owner);
+        f.u32(s.owner.0).u32(s.slot).u32(s.ty.0)
+    }
+    let mut refs = Vec::new();
+    let mut f = Fingerprint::seeded(0x7462_6479); // "tbdy"
+    match b.root() {
+        TRoot::Block(body) => list(f.u8(0), body),
+        TRoot::Ctor { super_args, body } => list(list(f.u8(1), super_args), body),
+        TRoot::Init(e) => f.u8(2).u32(e.0),
+    };
+    f.u32(b.frame()).u32(b.exprs().len() as u32);
+    for (e, ty) in b.exprs().iter().zip(b.expr_types()) {
+        let f = f.u32(ty.0);
+        match *e {
+            TExpr::Int(v) => f.u8(0).u32(v as u32),
+            TExpr::Long(v) => f.u8(1).i64(v),
+            TExpr::Float(v) => f.u8(2).u32(v.to_bits()),
+            TExpr::Double(v) => f.u8(3).f64_bits(v),
+            TExpr::Bool(v) => f.u8(4).bool(v),
+            TExpr::Null => f.u8(5),
+            TExpr::Str(s) => f.u8(6).u32(s.0),
+            TExpr::Local(slot) => f.u8(7).u32(slot),
+            TExpr::This => f.u8(8),
+            TExpr::GetField { obj, field } => sel(f.u8(9).u32(obj.0), field, &mut refs),
+            TExpr::GetStatic { class, index } => {
+                refs.push(class);
+                f.u8(10).u32(class.0).u32(index)
             }
-        }
-        TExprKind::NewArray { elem, .. } => refs_in_type(elem, out),
-        TExprKind::RefCast { to, .. } => refs_in_type(to, out),
-        TExprKind::InstanceOf { ty, .. } => refs_in_type(ty, out),
-        _ => {}
+            TExpr::Call { recv, method, args } | TExpr::DirectCall { recv, method, args } => {
+                refs.push(method.decl_class);
+                let tag = if matches!(e, TExpr::Call { .. }) {
+                    11
+                } else {
+                    12
+                };
+                let f = f.u8(tag).u32(recv.0);
+                list(f.u32(method.decl_class.0).u32(method.index), args)
+            }
+            TExpr::StaticCall { class, index, args } => {
+                refs.push(class);
+                list(f.u8(13).u32(class.0).u32(index), args)
+            }
+            TExpr::New { class, args } => {
+                refs.push(class);
+                list(f.u8(14).u32(class.0), args)
+            }
+            TExpr::NewArray { elem, len } => f.u8(15).u32(elem.0).u32(len.0),
+            TExpr::Index { arr, idx } => f.u8(16).u32(arr.0).u32(idx.0),
+            TExpr::ArrayLen(a) => f.u8(17).u32(a.0),
+            TExpr::Unary { op, expr } => f.u8(18).u8(op as u8).u32(expr.0),
+            TExpr::Binary {
+                op,
+                operand_kind,
+                lhs,
+                rhs,
+            } => {
+                let f = f.u8(19).u8(op as u8).u8(prim_tag(operand_kind));
+                f.u32(lhs.0).u32(rhs.0)
+            }
+            TExpr::RefEq { negated, lhs, rhs } => f.u8(20).bool(negated).u32(lhs.0).u32(rhs.0),
+            TExpr::NumCast { to, expr } => f.u8(21).u8(prim_tag(to)).u32(expr.0),
+            TExpr::RefCast { to, expr } => f.u8(22).u32(to.0).u32(expr.0),
+            TExpr::Convert { to, expr } => f.u8(23).u8(prim_tag(to)).u32(expr.0),
+            TExpr::InstanceOf { expr, ty } => f.u8(24).u32(expr.0).u32(ty.0),
+            TExpr::Ternary {
+                cond,
+                then_val,
+                else_val,
+            } => f.u8(25).u32(cond.0).u32(then_val.0).u32(else_val.0),
+        };
     }
-}
-
-/// Refs of a typed expression list (super-ctor args, field inits).
-fn collect_exprs_refs(es: &[TExpr], out: &mut Vec<ClassId>) {
-    for e in es {
-        e.walk(&mut |e| collect_expr_refs(e, out));
+    f.u32(b.stmts().len() as u32);
+    for s in b.stmts() {
+        match *s {
+            TStmt::Local { slot, ty, init } => opt(f.u8(0).u32(slot).u32(ty.0), init.map(|e| e.0)),
+            TStmt::AssignLocal { slot, value } => f.u8(1).u32(slot).u32(value.0),
+            TStmt::AssignField { obj, field, value } => {
+                sel(f.u8(2).u32(obj.0).u32(value.0), field, &mut refs)
+            }
+            TStmt::AssignStatic {
+                class,
+                index,
+                value,
+            } => {
+                refs.push(class);
+                f.u8(3).u32(class.0).u32(index).u32(value.0)
+            }
+            TStmt::AssignIndex { arr, idx, value } => f.u8(4).u32(arr.0).u32(idx.0).u32(value.0),
+            TStmt::Expr(e) => f.u8(5).u32(e.0),
+            TStmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let f = list(f.u8(6).u32(cond.0), then_branch);
+                match else_branch {
+                    Some(b) => list(f.u8(1), b),
+                    None => f.u8(0),
+                }
+            }
+            TStmt::While { cond, body } => list(f.u8(7).u32(cond.0), body),
+            TStmt::For {
+                init,
+                cond,
+                update,
+                body,
+            } => {
+                let f = opt(opt(f.u8(8), init.map(|s| s.0)), cond.map(|e| e.0));
+                list(opt(f, update.map(|s| s.0)), body)
+            }
+            TStmt::Return { value } => opt(f.u8(9), value.map(|e| e.0)),
+            TStmt::Break => f.u8(10),
+            TStmt::Continue => f.u8(11),
+            TStmt::Block(b) => list(f.u8(12), b),
+        };
     }
+    f.u32(b.ids().len() as u32);
+    for &id in b.ids() {
+        f.u32(id);
+    }
+    f.u32(b.types().len() as u32);
+    for t in b.types() {
+        hash_type(&mut f, t);
+        refs_in_type(t, &mut refs);
+    }
+    for s in b.strs() {
+        f.str(s);
+    }
+    (f.finish(), refs)
 }

@@ -55,8 +55,8 @@ use std::time::Instant;
 use jlang::ast;
 use jlang::span::{DiagResult, Diagnostic, Span};
 use jlang::table::{self, ClassTable};
-use jlang::tast::TBlock;
-use jlang::typeck::{self, Member, Typed};
+use jlang::tast::TBody;
+use jlang::typeck::{self, Member};
 use jlang::types::ClassId;
 use jvm::{Jvm, Value};
 use nir::hash::Fingerprint;
@@ -230,8 +230,8 @@ struct TypeckMemo {
     /// Hash of the typed output — the early-cutoff value.
     thash: u64,
     /// The typed body itself. Every snapshot's table that this memo was
-    /// valid for holds these same allocations.
-    typed: Typed,
+    /// valid for holds this same allocation.
+    typed: Arc<TBody>,
     /// What the coding rules read from the typed body, computed with it
     /// and shared the same way.
     facts: Arc<jrules::BodyFacts>,
@@ -339,7 +339,7 @@ impl Database {
     /// the shared pointers the table holds. A caller that keeps one
     /// revision's across an edit can ask which bodies of the next revision
     /// are the same allocations ([`Arc::ptr_eq`]) and which are new.
-    pub fn typed_blocks(&self) -> Vec<((ClassId, Member), Arc<TBlock>)> {
+    pub fn typed_blocks(&self) -> Vec<((ClassId, Member), Arc<TBody>)> {
         let mut out = Vec::new();
         for info in self.table().into_iter().flat_map(ClassTable::iter) {
             for (mi, m) in info.methods.iter().enumerate() {
@@ -619,7 +619,7 @@ impl Database {
             let memo = &self.typeck[&bid];
             thash.insert(bid, memo.thash);
             facts.insert(bid.0, bid.1, Arc::clone(&memo.facts));
-            typeck::install(&mut table, bid.0, bid.1, memo.typed.clone());
+            typeck::install(&mut table, bid.0, bid.1, Arc::clone(&memo.typed));
         }
         self.laps.write_back_ns += lap();
 
@@ -1113,12 +1113,8 @@ mod tests {
         assert_eq!(after.len(), before.len());
         for ((bid, body), (old_bid, old)) in after.iter().zip(&before) {
             assert_eq!(bid, old_bid);
-            let memo = match &db.typeck[bid].typed {
-                Typed::Method { body, .. } | Typed::Ctor { body, .. } => body,
-                Typed::Init(_) => unreachable!("{bid:?} is a block"),
-            };
             assert!(
-                Arc::ptr_eq(body, memo),
+                Arc::ptr_eq(body, &db.typeck[bid].typed),
                 "{bid:?}: the table copied its memo"
             );
             let edited = *bid == (cell4, Member::Method(0));
@@ -1128,7 +1124,8 @@ mod tests {
                 "{bid:?}: only the edited body is a new allocation"
             );
         }
-        // Initializers and super(...) arguments are shared the same way.
+        // Initializers are shared the same way (`super(...)` arguments are
+        // part of their constructor's body).
         let table = db.table().unwrap();
         for info in table.iter().skip(1) {
             let init = info.fields[0].init.as_ref().unwrap();
@@ -1139,15 +1136,7 @@ mod tests {
                     index: 0,
                 },
             );
-            let Typed::Init(memo) = &db.typeck[&bid].typed else {
-                unreachable!("{bid:?} is an initializer")
-            };
-            assert!(Arc::ptr_eq(init, memo), "{bid:?}");
-            let Typed::Ctor { super_args, .. } = &db.typeck[&(info.id, Member::Ctor)].typed else {
-                unreachable!()
-            };
-            let ctor = info.ctor.as_ref().unwrap();
-            assert!(Arc::ptr_eq(&ctor.super_args, super_args), "{}", info.name);
+            assert!(Arc::ptr_eq(init, &db.typeck[&bid].typed), "{bid:?}");
         }
     }
 

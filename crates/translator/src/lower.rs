@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
-use jlang::tast::{TBlock, TExpr, TExprKind, TStmt};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::{
     ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Label, Program, Reg, Ty,
@@ -449,7 +449,7 @@ impl<'t> Lowerer<'t> {
         ret_shape: Option<Shape>,
     ) -> TResult<SpecResult> {
         let m = self.table.method(key.class, key.method);
-        let Some(body) = &m.body else {
+        let Some((body, block)) = method_body(m) else {
             return Err(TransError::new(format!(
                 "cannot lower body-less method `{}::{}`",
                 self.table.name(key.class),
@@ -525,7 +525,7 @@ impl<'t> Lowerer<'t> {
             ret: RetMode::Function,
             loops: Vec::new(),
         };
-        self.block(&mut fx, body)?;
+        self.block(&mut fx, body, block)?;
         let f = fx.fb.finish().map_err(TransError::new)?;
         let id = self.add_fresh(f);
         self.stats.specializations += 1;
@@ -551,7 +551,7 @@ impl<'t> Lowerer<'t> {
                 m.name
             )));
         }
-        let Some(body) = &m.body else {
+        let Some((body, block)) = method_body(m) else {
             return Err(TransError::new("kernel has no body"));
         };
         let name = self.mangle(key, true, true);
@@ -599,7 +599,7 @@ impl<'t> Lowerer<'t> {
         self.trace_push(key, true, true);
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
         let finished = self
-            .block(&mut fx, body)
+            .block(&mut fx, body, block)
             .and_then(|()| fx.fb.finish().map_err(TransError::new));
         let f = match finished {
             Ok(f) => f,
@@ -621,19 +621,20 @@ impl<'t> Lowerer<'t> {
     // Statements
     // ------------------------------------------------------------------
 
-    pub fn block(&mut self, fx: &mut FnCtx, b: &TBlock) -> TResult<()> {
-        for s in &b.stmts {
-            self.stmt(fx, s)?;
+    pub fn block(&mut self, fx: &mut FnCtx, b: &TBody, block: TBlock) -> TResult<()> {
+        for s in b.list(block) {
+            self.stmt(fx, b, s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, fx: &mut FnCtx, s: &TStmt) -> TResult<()> {
-        match s {
-            TStmt::Local { slot, ty, init, .. } => {
+    fn stmt(&mut self, fx: &mut FnCtx, b: &TBody, s: TStmtId) -> TResult<()> {
+        match b.stmt(s) {
+            TStmt::Local { slot, ty, init } => {
+                let ty = b.type_at(ty);
                 let opnd = match init {
                     Some(e) => {
-                        let v = self.expr(fx, e)?;
+                        let v = self.expr(fx, b, e)?;
                         // Copy into fresh registers so reassignment works.
                         self.copy_opnd(fx, &v)
                     }
@@ -647,12 +648,12 @@ impl<'t> Lowerer<'t> {
                         self.default_opnd(fx, &shape)?
                     }
                 };
-                fx.env.insert(*slot, opnd);
+                fx.env.insert(slot, opnd);
                 Ok(())
             }
-            TStmt::AssignLocal { slot, value, .. } => {
-                let v = self.expr(fx, value)?;
-                let dst = fx.env.get(slot).cloned().ok_or_else(|| {
+            TStmt::AssignLocal { slot, value } => {
+                let v = self.expr(fx, b, value)?;
+                let dst = fx.env.get(&slot).cloned().ok_or_else(|| {
                     TransError::new(format!("assignment to undeclared slot {slot}"))
                 })?;
                 if dst.shape != v.shape {
@@ -667,17 +668,15 @@ impl<'t> Lowerer<'t> {
                 }
                 Ok(())
             }
-            TStmt::AssignField {
-                obj, field, value, ..
-            } => {
-                let v = self.expr(fx, value)?;
+            TStmt::AssignField { obj, field, value } => {
+                let v = self.expr(fx, b, value)?;
                 // Constructor frame write?
-                if matches!(obj.kind, TExprKind::This) && fx.ctor_fields.is_some() {
+                if b.expr(obj) == TExpr::This && fx.ctor_fields.is_some() {
                     let copy = self.copy_opnd(fx, &v);
                     fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(copy);
                     return Ok(());
                 }
-                let o = self.expr(fx, obj)?;
+                let o = self.expr(fx, b, obj)?;
                 if fx.flatten {
                     let (off, fshape) = o
                         .shape
@@ -708,12 +707,10 @@ impl<'t> Lowerer<'t> {
             TStmt::AssignStatic { .. } => Err(TransError::new(
                 "assignment to a static field cannot be translated (coding rule 5)",
             )),
-            TStmt::AssignIndex {
-                arr, idx, value, ..
-            } => {
-                let a = self.expr(fx, arr)?;
-                let i = self.expr(fx, idx)?;
-                let v = self.expr(fx, value)?;
+            TStmt::AssignIndex { arr, idx, value } => {
+                let a = self.expr(fx, b, arr)?;
+                let i = self.expr(fx, b, idx)?;
+                let v = self.expr(fx, b, value)?;
                 fx.fb.emit(Instr::StArr {
                     arr: a.single()?,
                     idx: i.single()?,
@@ -722,42 +719,41 @@ impl<'t> Lowerer<'t> {
                 Ok(())
             }
             TStmt::Expr(e) => {
-                self.expr_maybe_void(fx, e)?;
+                self.expr_maybe_void(fx, b, e)?;
                 Ok(())
             }
             TStmt::If {
                 cond,
                 then_branch,
                 else_branch,
-                ..
             } => {
-                let c = self.expr(fx, cond)?;
+                let c = self.expr(fx, b, cond)?;
                 let tl = fx.fb.label();
                 let el = fx.fb.label();
                 let end = fx.fb.label();
                 fx.fb.br(c.single()?, tl, el);
                 fx.fb.bind(tl);
-                self.block(fx, then_branch)?;
+                self.block(fx, b, then_branch)?;
                 fx.fb.jmp(end);
                 fx.fb.bind(el);
                 if let Some(e) = else_branch {
-                    self.block(fx, e)?;
+                    self.block(fx, b, e)?;
                 }
                 fx.fb.jmp(end);
                 fx.fb.bind(end);
                 Ok(())
             }
-            TStmt::While { cond, body, .. } => {
+            TStmt::While { cond, body } => {
                 let head = fx.fb.label();
                 let bodyl = fx.fb.label();
                 let end = fx.fb.label();
                 fx.fb.jmp(head);
                 fx.fb.bind(head);
-                let c = self.expr(fx, cond)?;
+                let c = self.expr(fx, b, cond)?;
                 fx.fb.br(c.single()?, bodyl, end);
                 fx.fb.bind(bodyl);
                 fx.loops.push((head, end));
-                self.block(fx, body)?;
+                self.block(fx, b, body)?;
                 fx.loops.pop();
                 fx.fb.jmp(head);
                 fx.fb.bind(end);
@@ -768,10 +764,9 @@ impl<'t> Lowerer<'t> {
                 cond,
                 update,
                 body,
-                ..
             } => {
                 if let Some(i) = init {
-                    self.stmt(fx, i)?;
+                    self.stmt(fx, b, i)?;
                 }
                 let head = fx.fb.label();
                 let bodyl = fx.fb.label();
@@ -781,27 +776,27 @@ impl<'t> Lowerer<'t> {
                 fx.fb.bind(head);
                 match cond {
                     Some(c) => {
-                        let cv = self.expr(fx, c)?;
+                        let cv = self.expr(fx, b, c)?;
                         fx.fb.br(cv.single()?, bodyl, end);
                     }
                     None => fx.fb.jmp(bodyl),
                 }
                 fx.fb.bind(bodyl);
                 fx.loops.push((cont, end));
-                self.block(fx, body)?;
+                self.block(fx, b, body)?;
                 fx.loops.pop();
                 fx.fb.jmp(cont);
                 fx.fb.bind(cont);
                 if let Some(u) = update {
-                    self.stmt(fx, u)?;
+                    self.stmt(fx, b, u)?;
                 }
                 fx.fb.jmp(head);
                 fx.fb.bind(end);
                 Ok(())
             }
-            TStmt::Return { value, .. } => {
+            TStmt::Return { value } => {
                 let v = match value {
-                    Some(e) => Some(self.expr(fx, e)?),
+                    Some(e) => Some(self.expr(fx, b, e)?),
                     None => None,
                 };
                 match (&fx.ret, v) {
@@ -824,21 +819,21 @@ impl<'t> Lowerer<'t> {
                 }
                 Ok(())
             }
-            TStmt::Break(_) => {
+            TStmt::Break => {
                 let (_, brk) = *fx.loops.last().ok_or_else(|| {
                     TransError::new("break outside a loop reached the translator")
                 })?;
                 fx.fb.jmp(brk);
                 Ok(())
             }
-            TStmt::Continue(_) => {
+            TStmt::Continue => {
                 let (cont, _) = *fx.loops.last().ok_or_else(|| {
                     TransError::new("continue outside a loop reached the translator")
                 })?;
                 fx.fb.jmp(cont);
                 Ok(())
             }
-            TStmt::Block(b) => self.block(fx, b),
+            TStmt::Block(block) => self.block(fx, b, block),
         }
     }
 
@@ -890,46 +885,58 @@ impl<'t> Lowerer<'t> {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn expr_maybe_void(&mut self, fx: &mut FnCtx, e: &TExpr) -> TResult<Option<Opnd>> {
-        match &e.kind {
-            TExprKind::Call { recv, method, args } => {
-                let r = self.expr(fx, recv)?;
-                self.call_resolved(fx, Some(r), method.decl_class, method.index, args, true)
+    fn expr_maybe_void(&mut self, fx: &mut FnCtx, b: &TBody, e: TExprId) -> TResult<Option<Opnd>> {
+        match b.expr(e) {
+            TExpr::Call { recv, method, args } => {
+                let r = self.expr(fx, b, recv)?;
+                self.call_resolved(
+                    fx,
+                    Some(r),
+                    method.decl_class,
+                    method.index,
+                    (b, args),
+                    true,
+                )
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let r = self.expr(fx, recv)?;
-                self.call_resolved(fx, Some(r), method.decl_class, method.index, args, false)
+            TExpr::DirectCall { recv, method, args } => {
+                let r = self.expr(fx, b, recv)?;
+                self.call_resolved(
+                    fx,
+                    Some(r),
+                    method.decl_class,
+                    method.index,
+                    (b, args),
+                    false,
+                )
             }
-            TExprKind::StaticCall { class, index, args } => {
-                self.call_resolved(fx, None, *class, *index, args, false)
+            TExpr::StaticCall { class, index, args } => {
+                self.call_resolved(fx, None, class, index, (b, args), false)
             }
-            _ => Ok(Some(self.expr(fx, e)?)),
+            _ => Ok(Some(self.expr(fx, b, e)?)),
         }
     }
 
-    pub fn expr(&mut self, fx: &mut FnCtx, e: &TExpr) -> TResult<Opnd> {
-        match &e.kind {
-            TExprKind::Int(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstI32(0, *v), Ty::I32, PrimKind::Int))
+    pub fn expr(&mut self, fx: &mut FnCtx, b: &TBody, e: TExprId) -> TResult<Opnd> {
+        match b.expr(e) {
+            TExpr::Int(v) => Ok(self.const_opnd(fx, Instr::ConstI32(0, v), Ty::I32, PrimKind::Int)),
+            TExpr::Long(v) => {
+                Ok(self.const_opnd(fx, Instr::ConstI64(0, v), Ty::I64, PrimKind::Long))
             }
-            TExprKind::Long(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstI64(0, *v), Ty::I64, PrimKind::Long))
+            TExpr::Float(v) => {
+                Ok(self.const_opnd(fx, Instr::ConstF32(0, v), Ty::F32, PrimKind::Float))
             }
-            TExprKind::Float(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstF32(0, *v), Ty::F32, PrimKind::Float))
+            TExpr::Double(v) => {
+                Ok(self.const_opnd(fx, Instr::ConstF64(0, v), Ty::F64, PrimKind::Double))
             }
-            TExprKind::Double(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstF64(0, *v), Ty::F64, PrimKind::Double))
+            TExpr::Bool(v) => {
+                Ok(self.const_opnd(fx, Instr::ConstBool(0, v), Ty::Bool, PrimKind::Boolean))
             }
-            TExprKind::Bool(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstBool(0, *v), Ty::Bool, PrimKind::Boolean))
-            }
-            TExprKind::Local(slot) => fx
+            TExpr::Local(slot) => fx
                 .env
-                .get(slot)
+                .get(&slot)
                 .cloned()
                 .ok_or_else(|| TransError::new(format!("read of unassigned local slot {slot}"))),
-            TExprKind::This => {
+            TExpr::This => {
                 if fx.ctor_fields.is_some() {
                     return Err(TransError::new(
                         "`this` used as a value inside a constructor (not semi-immutable)",
@@ -939,8 +946,8 @@ impl<'t> Lowerer<'t> {
                     .clone()
                     .ok_or_else(|| TransError::new("`this` in a static translation context"))
             }
-            TExprKind::GetField { obj, field } => {
-                if matches!(obj.kind, TExprKind::This) {
+            TExpr::GetField { obj, field } => {
+                if b.expr(obj) == TExpr::This {
                     if let Some(frame) = &fx.ctor_fields {
                         return frame[field.slot as usize].clone().ok_or_else(|| {
                             TransError::new(format!(
@@ -950,7 +957,7 @@ impl<'t> Lowerer<'t> {
                         });
                     }
                 }
-                let o = self.expr(fx, obj)?;
+                let o = self.expr(fx, b, obj)?;
                 if fx.flatten {
                     let (off, fshape) = o
                         .shape
@@ -975,38 +982,45 @@ impl<'t> Lowerer<'t> {
                     })
                 }
             }
-            TExprKind::GetStatic { class, index } => {
-                let f = &self.table.class(*class).statics[*index as usize];
-                let init = f.init.as_ref().ok_or_else(|| {
-                    TransError::new(format!("static `{}` has no constant initializer", f.name))
-                })?;
-                let cv = const_eval(self.table, init)?;
+            TExpr::GetStatic { class, index } => {
+                let cv = static_const(self.table, class, index)?;
                 Ok(self.emit_const_val(fx, cv))
             }
-            TExprKind::Call { recv, method, args } => {
-                let r = self.expr(fx, recv)?;
-                self.call_resolved(fx, Some(r), method.decl_class, method.index, args, true)?
-                    .ok_or_else(|| TransError::new("void call used as a value"))
+            TExpr::Call { recv, method, args } => {
+                let r = self.expr(fx, b, recv)?;
+                self.call_resolved(
+                    fx,
+                    Some(r),
+                    method.decl_class,
+                    method.index,
+                    (b, args),
+                    true,
+                )?
+                .ok_or_else(|| TransError::new("void call used as a value"))
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let r = self.expr(fx, recv)?;
-                self.call_resolved(fx, Some(r), method.decl_class, method.index, args, false)?
-                    .ok_or_else(|| TransError::new("void super-call used as a value"))
+            TExpr::DirectCall { recv, method, args } => {
+                let r = self.expr(fx, b, recv)?;
+                self.call_resolved(
+                    fx,
+                    Some(r),
+                    method.decl_class,
+                    method.index,
+                    (b, args),
+                    false,
+                )?
+                .ok_or_else(|| TransError::new("void super-call used as a value"))
             }
-            TExprKind::StaticCall { class, index, args } => self
-                .call_resolved(fx, None, *class, *index, args, false)?
+            TExpr::StaticCall { class, index, args } => self
+                .call_resolved(fx, None, class, index, (b, args), false)?
                 .ok_or_else(|| TransError::new("void static call used as a value")),
-            TExprKind::New { class, args, .. } => {
-                let mut arg_opnds = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_opnds.push(self.expr(fx, a)?);
-                }
-                self.lower_new(fx, *class, arg_opnds)
+            TExpr::New { class, args } => {
+                let arg_opnds = self.arg_opnds(fx, b, args)?;
+                self.lower_new(fx, class, arg_opnds)
             }
-            TExprKind::NewArray { elem, len } => {
-                let e_ty = elem_ty_of(elem)
+            TExpr::NewArray { elem, len } => {
+                let e_ty = elem_ty_of(b.type_at(elem))
                     .ok_or_else(|| TransError::new("only primitive arrays can be translated"))?;
-                let l = self.expr(fx, len)?;
+                let l = self.expr(fx, b, len)?;
                 let dst = fx.fb.reg(Ty::Arr(e_ty));
                 fx.fb.emit(Instr::NewArr {
                     elem: e_ty,
@@ -1018,9 +1032,9 @@ impl<'t> Lowerer<'t> {
                     regs: vec![dst],
                 })
             }
-            TExprKind::Index { arr, idx } => {
-                let a = self.expr(fx, arr)?;
-                let i = self.expr(fx, idx)?;
+            TExpr::Index { arr, idx } => {
+                let a = self.expr(fx, b, arr)?;
+                let i = self.expr(fx, b, idx)?;
                 let Shape::Arr(e_ty) = a.shape else {
                     return Err(TransError::new("indexing a non-array shape"));
                 };
@@ -1035,8 +1049,8 @@ impl<'t> Lowerer<'t> {
                     regs: vec![dst],
                 })
             }
-            TExprKind::ArrayLen(a) => {
-                let arr = self.expr(fx, a)?;
+            TExpr::ArrayLen(a) => {
+                let arr = self.expr(fx, b, a)?;
                 let dst = fx.fb.reg(Ty::I32);
                 fx.fb.emit(Instr::ArrLen {
                     arr: arr.single()?,
@@ -1047,8 +1061,8 @@ impl<'t> Lowerer<'t> {
                     regs: vec![dst],
                 })
             }
-            TExprKind::Unary { op, expr } => {
-                let v = self.expr(fx, expr)?;
+            TExpr::Unary { op, expr } => {
+                let v = self.expr(fx, b, expr)?;
                 let Shape::Prim(kind) = v.shape else {
                     return Err(TransError::new("unary operator on non-primitive"));
                 };
@@ -1073,7 +1087,7 @@ impl<'t> Lowerer<'t> {
                     regs: vec![dst],
                 })
             }
-            TExprKind::Binary {
+            TExpr::Binary {
                 op,
                 operand_kind,
                 lhs,
@@ -1081,19 +1095,19 @@ impl<'t> Lowerer<'t> {
             } => {
                 // Short-circuit logical operators become control flow.
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    return self.short_circuit(fx, *op, lhs, rhs);
+                    return self.short_circuit(fx, op, b, lhs, rhs);
                 }
-                let l = self.expr(fx, lhs)?;
-                let r = self.expr(fx, rhs)?;
+                let l = self.expr(fx, b, lhs)?;
+                let r = self.expr(fx, b, rhs)?;
                 let out_kind = if op.is_comparison() {
                     PrimKind::Boolean
                 } else {
-                    *operand_kind
+                    operand_kind
                 };
                 let dst = fx.fb.reg(Ty::of_prim(out_kind));
                 fx.fb.emit(Instr::Bin {
-                    op: *op,
-                    kind: *operand_kind,
+                    op,
+                    kind: operand_kind,
                     dst,
                     lhs: l.single()?,
                     rhs: r.single()?,
@@ -1103,29 +1117,29 @@ impl<'t> Lowerer<'t> {
                     regs: vec![dst],
                 })
             }
-            TExprKind::NumCast { to, expr } | TExprKind::Convert { to, expr } => {
-                let v = self.expr(fx, expr)?;
+            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
+                let v = self.expr(fx, b, expr)?;
                 let Shape::Prim(from) = v.shape else {
                     return Err(TransError::new("numeric cast on non-primitive"));
                 };
-                if from == *to {
+                if from == to {
                     return Ok(v);
                 }
-                let dst = fx.fb.reg(Ty::of_prim(*to));
+                let dst = fx.fb.reg(Ty::of_prim(to));
                 fx.fb.emit(Instr::Cast {
-                    to: *to,
+                    to,
                     from,
                     dst,
                     src: v.single()?,
                 });
                 Ok(Opnd {
-                    shape: Shape::Prim(*to),
+                    shape: Shape::Prim(to),
                     regs: vec![dst],
                 })
             }
-            TExprKind::RefCast { to, expr } => {
-                let v = self.expr(fx, expr)?;
-                if let (Some(c), Type::Object(want, _)) = (v.shape.class(), to) {
+            TExpr::RefCast { to, expr } => {
+                let v = self.expr(fx, b, expr)?;
+                if let (Some(c), Type::Object(want, _)) = (v.shape.class(), b.type_at(to)) {
                     if !self.table.is_subclass_of(c, *want) {
                         return Err(TransError::new(format!(
                             "cast of `{}` to `{}` can never succeed",
@@ -1136,17 +1150,17 @@ impl<'t> Lowerer<'t> {
                 }
                 Ok(v)
             }
-            TExprKind::RefEq { .. } => Err(TransError::new(
+            TExpr::RefEq { .. } => Err(TransError::new(
                 "reference equality cannot be translated (coding rule 7)",
             )),
-            TExprKind::InstanceOf { .. } => Err(TransError::new(
+            TExpr::InstanceOf { .. } => Err(TransError::new(
                 "`instanceof` cannot be translated (coding rule 8)",
             )),
-            TExprKind::Null => Err(TransError::new(
+            TExpr::Null => Err(TransError::new(
                 "`null` cannot be translated (coding rule 8)",
             )),
-            TExprKind::Str(_) => Err(TransError::new("strings cannot be translated")),
-            TExprKind::Ternary { .. } => Err(TransError::new(
+            TExpr::Str(_) => Err(TransError::new("strings cannot be translated")),
+            TExpr::Ternary { .. } => Err(TransError::new(
                 "the conditional operator cannot be translated (coding rule 7)",
             )),
         }
@@ -1189,11 +1203,12 @@ impl<'t> Lowerer<'t> {
         &mut self,
         fx: &mut FnCtx,
         op: BinOp,
-        lhs: &TExpr,
-        rhs: &TExpr,
+        b: &TBody,
+        lhs: TExprId,
+        rhs: TExprId,
     ) -> TResult<Opnd> {
         let dst = fx.fb.reg(Ty::Bool);
-        let l = self.expr(fx, lhs)?;
+        let l = self.expr(fx, b, lhs)?;
         fx.fb.emit(Instr::Mov(dst, l.single()?));
         let eval_rhs = fx.fb.label();
         let end = fx.fb.label();
@@ -1203,7 +1218,7 @@ impl<'t> Lowerer<'t> {
             _ => unreachable!(),
         }
         fx.fb.bind(eval_rhs);
-        let r = self.expr(fx, rhs)?;
+        let r = self.expr(fx, b, rhs)?;
         fx.fb.emit(Instr::Mov(dst, r.single()?));
         fx.fb.jmp(end);
         fx.fb.bind(end);
@@ -1217,6 +1232,15 @@ impl<'t> Lowerer<'t> {
     // Calls
     // ------------------------------------------------------------------
 
+    /// Lower call or constructor arguments, left to right.
+    fn arg_opnds(&mut self, fx: &mut FnCtx, b: &TBody, args: TArgs) -> TResult<Vec<Opnd>> {
+        let mut out = Vec::with_capacity(args.len());
+        for a in b.list(args) {
+            out.push(self.expr(fx, b, a)?);
+        }
+        Ok(out)
+    }
+
     /// Devirtualize (if `is_virtual`), specialize, and emit a call — or
     /// inline the callee when its flattened return has ≠1 leaves.
     fn call_resolved(
@@ -1225,7 +1249,7 @@ impl<'t> Lowerer<'t> {
         recv: Option<Opnd>,
         decl_class: ClassId,
         index: u32,
-        args: &[TExpr],
+        (b, args): (&TBody, TArgs),
         is_virtual: bool,
     ) -> TResult<Option<Opnd>> {
         let decl = self.table.method(decl_class, index);
@@ -1251,17 +1275,9 @@ impl<'t> Lowerer<'t> {
         let target = self.table.method(ic, im);
 
         // Native intrinsic?
+        let arg_opnds = self.arg_opnds(fx, b, args)?;
         if let Some(key) = &target.native {
-            let mut arg_opnds = Vec::with_capacity(args.len());
-            for a in args {
-                arg_opnds.push(self.expr(fx, a)?);
-            }
             return self.lower_native(fx, key, target, arg_opnds);
-        }
-
-        let mut arg_opnds = Vec::with_capacity(args.len());
-        for a in args {
-            arg_opnds.push(self.expr(fx, a)?);
         }
 
         // Kernel launch?
@@ -1357,7 +1373,7 @@ impl<'t> Lowerer<'t> {
             ));
         }
         let m = self.table.method(key.class, key.method);
-        let Some(body) = &m.body else {
+        let Some((body, block)) = method_body(m) else {
             return Err(TransError::new("cannot inline a body-less method"));
         };
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
@@ -1386,7 +1402,7 @@ impl<'t> Lowerer<'t> {
             let copy = self.copy_opnd(fx, a);
             fx.env.insert(i as u32, copy);
         }
-        let result = self.block(fx, body);
+        let result = self.block(fx, body, block);
         fx.fb.jmp(end); // void fall-through
         fx.fb.bind(end);
         fx.env = saved_env;
@@ -1733,18 +1749,22 @@ impl<'t> Lowerer<'t> {
         for (i, a) in args.into_iter().enumerate() {
             fx.env.insert(i as u32, a);
         }
+        let (super_args, block) = match ctor.body.as_deref().map(|b| (b, b.root())) {
+            Some((b, TRoot::Ctor { super_args, body })) => (Some((b, super_args)), Some((b, body))),
+            _ => (None, None),
+        };
         // `fields` is threaded explicitly: super constructors share it.
         let result = (|| -> TResult<()> {
             // 1. super constructor.
             if let Some((sid, _)) = &info.superclass {
                 if *sid != jlang::OBJECT {
-                    let mut sargs = Vec::new();
                     // Temporarily expose the shared field frame for
                     // GetField(this) inside super argument expressions.
                     fx.ctor_fields = Some(std::mem::take(fields));
-                    for a in ctor.super_args.iter() {
-                        sargs.push(self.expr(fx, a)?);
-                    }
+                    let sargs = match super_args {
+                        Some((b, args)) => self.arg_opnds(fx, b, args)?,
+                        None => Vec::new(),
+                    };
                     *fields = fx.ctor_fields.take().unwrap();
                     // Recursive constructor run uses its own env.
                     let saved = std::mem::take(&mut fx.env);
@@ -1755,15 +1775,15 @@ impl<'t> Lowerer<'t> {
             // 2. field initializers, 3. body — both with the frame visible.
             fx.ctor_fields = Some(std::mem::take(fields));
             for (i, f) in info.fields.iter().enumerate() {
-                if let Some(init) = &f.init {
-                    let v = self.expr(fx, init)?;
+                if let Some(init) = f.init.as_deref() {
+                    let v = self.expr(fx, init, init_value(init)?)?;
                     let v = self.copy_opnd(fx, &v);
                     fx.ctor_fields.as_mut().unwrap()[(info.field_base + i as u32) as usize] =
                         Some(v);
                 }
             }
-            if let Some(body) = &ctor.body {
-                self.ctor_block(fx, body)?;
+            if let Some((b, body)) = block {
+                self.ctor_block(fx, b, body)?;
             }
             *fields = fx.ctor_fields.take().unwrap();
             Ok(())
@@ -1778,27 +1798,25 @@ impl<'t> Lowerer<'t> {
     }
 
     /// Constructor bodies: assignments and locals only.
-    fn ctor_block(&mut self, fx: &mut FnCtx, body: &TBlock) -> TResult<()> {
-        for s in &body.stmts {
-            match s {
-                TStmt::Local { .. } | TStmt::AssignLocal { .. } => self.stmt(fx, s)?,
-                TStmt::AssignField {
-                    obj, field, value, ..
-                } => {
-                    if !matches!(obj.kind, TExprKind::This) {
+    fn ctor_block(&mut self, fx: &mut FnCtx, b: &TBody, body: TBlock) -> TResult<()> {
+        for s in b.list(body) {
+            match b.stmt(s) {
+                TStmt::Local { .. } | TStmt::AssignLocal { .. } => self.stmt(fx, b, s)?,
+                TStmt::AssignField { obj, field, value } => {
+                    if b.expr(obj) != TExpr::This {
                         return Err(TransError::new(
                             "constructor assigns a field of another object",
                         ));
                     }
-                    let v = self.expr(fx, value)?;
+                    let v = self.expr(fx, b, value)?;
                     let v = self.copy_opnd(fx, &v);
                     fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(v);
                 }
-                TStmt::Block(b) => self.ctor_block(fx, b)?,
-                other => {
+                TStmt::Block(block) => self.ctor_block(fx, b, block)?,
+                _ => {
                     return Err(TransError::new(format!(
                         "constructor statement at line {} breaks semi-immutability",
-                        other.span().line
+                        b.stmt_span(s).line
                     )))
                 }
             }
@@ -1888,52 +1906,73 @@ pub fn native_intrin(key: &str) -> Option<IntrinOp> {
     })
 }
 
+/// A method's typed body and its block, if it has one.
+pub(crate) fn method_body(m: &jlang::MethodInfo) -> Option<(&TBody, TBlock)> {
+    let body = m.body.as_deref()?;
+    match body.root() {
+        TRoot::Block(block) => Some((body, block)),
+        _ => None,
+    }
+}
+
+/// The value expression of a field initializer's typed body.
+pub(crate) fn init_value(init: &TBody) -> TResult<TExprId> {
+    match init.root() {
+        TRoot::Init(e) => Ok(e),
+        _ => Err(TransError::new("a field initializer is not an expression")),
+    }
+}
+
+/// The compile-time value of static field `index` of `class` (coding rule
+/// 5 guarantees a constant initializer).
+pub fn static_const(table: &ClassTable, class: ClassId, index: u32) -> TResult<ConstVal> {
+    let f = &table.class(class).statics[index as usize];
+    let init = f.init.as_deref().ok_or_else(|| {
+        TransError::new(format!("static `{}` has no constant initializer", f.name))
+    })?;
+    const_eval(table, init, init_value(init)?)
+}
+
 /// Evaluate a typed expression as a compile-time constant (static final
 /// initializers; coding rule 5 guarantees these are constants).
-pub fn const_eval(table: &ClassTable, e: &TExpr) -> TResult<ConstVal> {
-    match &e.kind {
-        TExprKind::Int(v) => Ok(ConstVal::I32(*v)),
-        TExprKind::Long(v) => Ok(ConstVal::I64(*v)),
-        TExprKind::Float(v) => Ok(ConstVal::F32(*v)),
-        TExprKind::Double(v) => Ok(ConstVal::F64(*v)),
-        TExprKind::Bool(v) => Ok(ConstVal::Bool(*v)),
-        TExprKind::GetStatic { class, index } => {
-            let f = &table.class(*class).statics[*index as usize];
-            let init = f.init.as_ref().ok_or_else(|| {
-                TransError::new(format!("static `{}` has no constant initializer", f.name))
-            })?;
-            const_eval(table, init)
-        }
-        TExprKind::Unary {
+pub fn const_eval(table: &ClassTable, b: &TBody, e: TExprId) -> TResult<ConstVal> {
+    match b.expr(e) {
+        TExpr::Int(v) => Ok(ConstVal::I32(v)),
+        TExpr::Long(v) => Ok(ConstVal::I64(v)),
+        TExpr::Float(v) => Ok(ConstVal::F32(v)),
+        TExpr::Double(v) => Ok(ConstVal::F64(v)),
+        TExpr::Bool(v) => Ok(ConstVal::Bool(v)),
+        TExpr::GetStatic { class, index } => static_const(table, class, index),
+        TExpr::Unary {
             op: UnOp::Neg,
             expr,
-        } => Ok(match const_eval(table, expr)? {
+        } => Ok(match const_eval(table, b, expr)? {
             ConstVal::I32(v) => ConstVal::I32(v.wrapping_neg()),
             ConstVal::I64(v) => ConstVal::I64(v.wrapping_neg()),
             ConstVal::F32(v) => ConstVal::F32(-v),
             ConstVal::F64(v) => ConstVal::F64(-v),
             ConstVal::Bool(_) => return Err(TransError::new("negating a boolean constant")),
         }),
-        TExprKind::Unary {
+        TExpr::Unary {
             op: UnOp::Not,
             expr,
-        } => match const_eval(table, expr)? {
+        } => match const_eval(table, b, expr)? {
             ConstVal::Bool(v) => Ok(ConstVal::Bool(!v)),
             _ => Err(TransError::new("`!` on a non-boolean constant")),
         },
-        TExprKind::Binary {
+        TExpr::Binary {
             op,
             operand_kind,
             lhs,
             rhs,
         } => {
-            let l = const_eval(table, lhs)?;
-            let r = const_eval(table, rhs)?;
-            const_bin(*op, *operand_kind, l, r)
+            let l = const_eval(table, b, lhs)?;
+            let r = const_eval(table, b, rhs)?;
+            const_bin(op, operand_kind, l, r)
         }
-        TExprKind::NumCast { to, expr } | TExprKind::Convert { to, expr } => {
-            let v = const_eval(table, expr)?;
-            Ok(const_cast(*to, v))
+        TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
+            let v = const_eval(table, b, expr)?;
+            Ok(const_cast(to, v))
         }
         _ => Err(TransError::new(
             "static final initializer is not a compile-time constant",
@@ -2048,9 +2087,9 @@ fn const_bin(op: BinOp, kind: PrimKind, l: ConstVal, r: ConstVal) -> TResult<Con
 /// emitter; code references are constant-folded at lowering time).
 fn collect_globals(table: &ClassTable, program: &mut Program) {
     for info in table.iter() {
-        for f in &info.statics {
-            if let Some(init) = &f.init {
-                if let Ok(cv) = const_eval(table, init) {
+        for (i, f) in info.statics.iter().enumerate() {
+            if f.init.is_some() {
+                if let Ok(cv) = static_const(table, info.id, i as u32) {
                     let ty = match &cv {
                         ConstVal::I32(_) => Ty::I32,
                         ConstVal::I64(_) => Ty::I64,

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet};
 
 use jlang::table::ClassTable;
-use jlang::tast::{TBlock, TExpr, TExprKind, TStmt};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
 use jlang::types::{ClassId, Type};
 
 use crate::shape::{elem_ty_of, Shape, TransError};
@@ -72,12 +72,15 @@ impl<'t> ShapeEval<'t> {
         if let Some(native) = &m.native {
             return native_return_shape(&m.ret, native);
         }
-        let Some(body) = &m.body else {
+        let Some(body) = m.body.as_deref() else {
             return Err(TransError::new(format!(
                 "method `{}::{}` has no body to analyze",
                 self.table.name(key.class),
                 m.name
             )));
+        };
+        let TRoot::Block(block) = body.root() else {
+            return Err(TransError::new("a method body is not a block"));
         };
         if m.ret == Type::Void {
             // Still walk the body to surface shape errors early? Walking is
@@ -92,7 +95,7 @@ impl<'t> ShapeEval<'t> {
             env.locals.insert(i as u32, a.clone());
         }
         let mut ret: Option<Option<Shape>> = None;
-        self.block(&mut env, body, &mut ret)?;
+        self.block(&mut env, body, block, &mut ret)?;
         match ret {
             Some(s) => Ok(s),
             None => Err(TransError::new(format!(
@@ -106,33 +109,40 @@ impl<'t> ShapeEval<'t> {
     fn block(
         &mut self,
         env: &mut Env,
-        block: &TBlock,
+        b: &TBody,
+        block: TBlock,
         ret: &mut Option<Option<Shape>>,
     ) -> TResult<()> {
-        for s in &block.stmts {
-            self.stmt(env, s, ret)?;
+        for s in b.list(block) {
+            self.stmt(env, b, s, ret)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, env: &mut Env, s: &TStmt, ret: &mut Option<Option<Shape>>) -> TResult<()> {
-        match s {
-            TStmt::Local { slot, ty, init, .. } => {
+    fn stmt(
+        &mut self,
+        env: &mut Env,
+        b: &TBody,
+        s: TStmtId,
+        ret: &mut Option<Option<Shape>>,
+    ) -> TResult<()> {
+        match b.stmt(s) {
+            TStmt::Local { slot, ty, init } => {
                 let shape = match init {
-                    Some(e) => self.expr(env, e)?,
-                    None => shape_from_decl(self.table, ty).ok_or_else(|| {
+                    Some(e) => self.expr(env, b, e)?,
+                    None => shape_from_decl(self.table, b.type_at(ty)).ok_or_else(|| {
                         TransError::new(format!(
                             "object-typed local needs an initializer for shape analysis (type {})",
-                            self.table.show_type(ty)
+                            self.table.show_type(b.type_at(ty))
                         ))
                     })?,
                 };
-                env.locals.insert(*slot, shape);
+                env.locals.insert(slot, shape);
                 Ok(())
             }
-            TStmt::AssignLocal { slot, value, .. } => {
-                let new = self.expr(env, value)?;
-                if let Some(old) = env.locals.get(slot) {
+            TStmt::AssignLocal { slot, value } => {
+                let new = self.expr(env, b, value)?;
+                if let Some(old) = env.locals.get(&slot) {
                     if old != &new {
                         return Err(TransError::new(format!(
                             "local changes shape from {} to {} — exact types must be static",
@@ -141,26 +151,26 @@ impl<'t> ShapeEval<'t> {
                         )));
                     }
                 }
-                env.locals.insert(*slot, new);
+                env.locals.insert(slot, new);
                 Ok(())
             }
-            TStmt::AssignField { obj, value, .. }
-            | TStmt::AssignIndex {
-                arr: obj, value, ..
-            } => {
-                self.expr(env, obj)?;
-                self.expr(env, value)?;
-                if let TStmt::AssignIndex { idx, .. } = s {
-                    self.expr(env, idx)?;
-                }
+            TStmt::AssignField { obj, value, .. } => {
+                self.expr(env, b, obj)?;
+                self.expr(env, b, value)?;
+                Ok(())
+            }
+            TStmt::AssignIndex { arr, idx, value } => {
+                self.expr(env, b, arr)?;
+                self.expr(env, b, value)?;
+                self.expr(env, b, idx)?;
                 Ok(())
             }
             TStmt::AssignStatic { value, .. } => {
-                self.expr(env, value)?;
+                self.expr(env, b, value)?;
                 Ok(())
             }
             TStmt::Expr(e) => {
-                self.expr_stmt(env, e)?;
+                self.expr_stmt(env, b, e)?;
                 Ok(())
             }
             TStmt::If {
@@ -169,16 +179,16 @@ impl<'t> ShapeEval<'t> {
                 else_branch,
                 ..
             } => {
-                self.expr(env, cond)?;
-                self.block(env, then_branch, ret)?;
+                self.expr(env, b, cond)?;
+                self.block(env, b, then_branch, ret)?;
                 if let Some(e) = else_branch {
-                    self.block(env, e, ret)?;
+                    self.block(env, b, e, ret)?;
                 }
                 Ok(())
             }
             TStmt::While { cond, body, .. } => {
-                self.expr(env, cond)?;
-                self.block(env, body, ret)
+                self.expr(env, b, cond)?;
+                self.block(env, b, body, ret)
             }
             TStmt::For {
                 init,
@@ -188,20 +198,20 @@ impl<'t> ShapeEval<'t> {
                 ..
             } => {
                 if let Some(i) = init {
-                    self.stmt(env, i, ret)?;
+                    self.stmt(env, b, i, ret)?;
                 }
                 if let Some(c) = cond {
-                    self.expr(env, c)?;
+                    self.expr(env, b, c)?;
                 }
-                self.block(env, body, ret)?;
+                self.block(env, b, body, ret)?;
                 if let Some(u) = update {
-                    self.stmt(env, u, ret)?;
+                    self.stmt(env, b, u, ret)?;
                 }
                 Ok(())
             }
             TStmt::Return { value, .. } => {
                 let shape = match value {
-                    Some(e) => Some(self.expr(env, e)?),
+                    Some(e) => Some(self.expr(env, b, e)?),
                     None => None,
                 };
                 match ret {
@@ -216,16 +226,16 @@ impl<'t> ShapeEval<'t> {
                 }
                 Ok(())
             }
-            TStmt::Break(_) | TStmt::Continue(_) => Ok(()),
-            TStmt::Block(b) => self.block(env, b, ret),
+            TStmt::Break | TStmt::Continue => Ok(()),
+            TStmt::Block(block) => self.block(env, b, block, ret),
         }
     }
 
     /// Statement-position expression: void calls are fine here.
-    fn expr_stmt(&mut self, env: &mut Env, e: &TExpr) -> TResult<()> {
-        match &e.kind {
-            TExprKind::Call { recv, method, args } => {
-                let rs = self.expr(env, recv)?;
+    fn expr_stmt(&mut self, env: &mut Env, b: &TBody, e: TExprId) -> TResult<()> {
+        match b.expr(e) {
+            TExpr::Call { recv, method, args } => {
+                let rs = self.expr(env, b, recv)?;
                 let Some(class) = rs.class() else {
                     return Err(TransError::new("call on non-object shape"));
                 };
@@ -236,10 +246,7 @@ impl<'t> ShapeEval<'t> {
                         self.table.name(class)
                     ))
                 })?;
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
+                let arg_shapes = self.arg_shapes(env, b, args)?;
                 let key = SpecKey {
                     class: ic,
                     method: im,
@@ -249,12 +256,9 @@ impl<'t> ShapeEval<'t> {
                 self.method_return(&key)?;
                 Ok(())
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let rs = self.expr(env, recv)?;
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
+            TExpr::DirectCall { recv, method, args } => {
+                let rs = self.expr(env, b, recv)?;
+                let arg_shapes = self.arg_shapes(env, b, args)?;
                 let key = SpecKey {
                     class: method.decl_class,
                     method: method.index,
@@ -264,14 +268,11 @@ impl<'t> ShapeEval<'t> {
                 self.method_return(&key)?;
                 Ok(())
             }
-            TExprKind::StaticCall { class, index, args } => {
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
+            TExpr::StaticCall { class, index, args } => {
+                let arg_shapes = self.arg_shapes(env, b, args)?;
                 let key = SpecKey {
-                    class: *class,
-                    method: *index,
+                    class,
+                    method: index,
                     recv: None,
                     args: arg_shapes,
                 };
@@ -279,39 +280,48 @@ impl<'t> ShapeEval<'t> {
                 Ok(())
             }
             _ => {
-                self.expr(env, e)?;
+                self.expr(env, b, e)?;
                 Ok(())
             }
         }
     }
 
-    fn expr(&mut self, env: &mut Env, e: &TExpr) -> TResult<Shape> {
+    /// The shapes of call or constructor arguments, left to right.
+    fn arg_shapes(&mut self, env: &mut Env, b: &TBody, args: TArgs) -> TResult<Vec<Shape>> {
+        let mut out = Vec::with_capacity(args.len());
+        for a in b.list(args) {
+            out.push(self.expr(env, b, a)?);
+        }
+        Ok(out)
+    }
+
+    fn expr(&mut self, env: &mut Env, b: &TBody, e: TExprId) -> TResult<Shape> {
         use jlang::types::PrimKind::*;
-        match &e.kind {
-            TExprKind::Int(_) => Ok(Shape::Prim(Int)),
-            TExprKind::Long(_) => Ok(Shape::Prim(Long)),
-            TExprKind::Float(_) => Ok(Shape::Prim(Float)),
-            TExprKind::Double(_) => Ok(Shape::Prim(Double)),
-            TExprKind::Bool(_) => Ok(Shape::Prim(Boolean)),
-            TExprKind::Local(slot) => env.locals.get(slot).cloned().ok_or_else(|| {
+        match b.expr(e) {
+            TExpr::Int(_) => Ok(Shape::Prim(Int)),
+            TExpr::Long(_) => Ok(Shape::Prim(Long)),
+            TExpr::Float(_) => Ok(Shape::Prim(Float)),
+            TExpr::Double(_) => Ok(Shape::Prim(Double)),
+            TExpr::Bool(_) => Ok(Shape::Prim(Boolean)),
+            TExpr::Local(slot) => env.locals.get(&slot).cloned().ok_or_else(|| {
                 TransError::new(format!("local slot {slot} used before assignment"))
             }),
-            TExprKind::This => env
+            TExpr::This => env
                 .recv
                 .clone()
                 .ok_or_else(|| TransError::new("`this` in static translation context")),
-            TExprKind::GetField { obj, field } => {
-                let os = self.expr(env, obj)?;
+            TExpr::GetField { obj, field } => {
+                let os = self.expr(env, b, obj)?;
                 field_shape(self.table, &os, field.slot)
             }
-            TExprKind::GetStatic { class, index } => {
-                let f = &self.table.class(*class).statics[*index as usize];
+            TExpr::GetStatic { class, index } => {
+                let f = &self.table.class(class).statics[index as usize];
                 shape_from_decl(self.table, &f.ty).ok_or_else(|| {
                     TransError::new("static fields must be primitives under the coding rules")
                 })
             }
-            TExprKind::Call { recv, method, args } => {
-                let rs = self.expr(env, recv)?;
+            TExpr::Call { recv, method, args } => {
+                let rs = self.expr(env, b, recv)?;
                 let Some(class) = rs.class() else {
                     return Err(TransError::new("call on non-object shape"));
                 };
@@ -322,10 +332,7 @@ impl<'t> ShapeEval<'t> {
                         self.table.name(class)
                     ))
                 })?;
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
+                let arg_shapes = self.arg_shapes(env, b, args)?;
                 let key = SpecKey {
                     class: ic,
                     method: im,
@@ -335,12 +342,9 @@ impl<'t> ShapeEval<'t> {
                 self.method_return(&key)?
                     .ok_or_else(|| TransError::new(format!("void call `{name}` used as a value")))
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let rs = self.expr(env, recv)?;
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
+            TExpr::DirectCall { recv, method, args } => {
+                let rs = self.expr(env, b, recv)?;
+                let arg_shapes = self.arg_shapes(env, b, args)?;
                 let key = SpecKey {
                     class: method.decl_class,
                     method: method.index,
@@ -350,33 +354,27 @@ impl<'t> ShapeEval<'t> {
                 self.method_return(&key)?
                     .ok_or_else(|| TransError::new("void super-call used as a value"))
             }
-            TExprKind::StaticCall { class, index, args } => {
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
+            TExpr::StaticCall { class, index, args } => {
+                let arg_shapes = self.arg_shapes(env, b, args)?;
                 let key = SpecKey {
-                    class: *class,
-                    method: *index,
+                    class,
+                    method: index,
                     recv: None,
                     args: arg_shapes,
                 };
                 self.method_return(&key)?
                     .ok_or_else(|| TransError::new("void static call used as a value"))
             }
-            TExprKind::New { class, args, .. } => {
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.expr(env, a)?);
-                }
-                self.ctor_shape(*class, &arg_shapes)
+            TExpr::New { class, args, .. } => {
+                let arg_shapes = self.arg_shapes(env, b, args)?;
+                self.ctor_shape(class, &arg_shapes)
             }
-            TExprKind::NewArray { elem, .. } => elem_ty_of(elem)
+            TExpr::NewArray { elem, .. } => elem_ty_of(b.type_at(elem))
                 .map(Shape::Arr)
                 .ok_or_else(|| TransError::new("only primitive arrays can be translated")),
-            TExprKind::Index { arr, idx } => {
-                self.expr(env, idx)?;
-                match self.expr(env, arr)? {
+            TExpr::Index { arr, idx } => {
+                self.expr(env, b, idx)?;
+                match self.expr(env, b, arr)? {
                     Shape::Arr(e) => Ok(Shape::Prim(match e {
                         nir::ElemTy::I32 => Int,
                         nir::ElemTy::I64 => Long,
@@ -390,32 +388,32 @@ impl<'t> ShapeEval<'t> {
                     ))),
                 }
             }
-            TExprKind::ArrayLen(a) => {
-                self.expr(env, a)?;
+            TExpr::ArrayLen(a) => {
+                self.expr(env, b, a)?;
                 Ok(Shape::Prim(Int))
             }
-            TExprKind::Unary { expr, .. } => self.expr(env, expr),
-            TExprKind::Binary {
+            TExpr::Unary { expr, .. } => self.expr(env, b, expr),
+            TExpr::Binary {
                 op,
                 operand_kind,
                 lhs,
                 rhs,
             } => {
-                self.expr(env, lhs)?;
-                self.expr(env, rhs)?;
+                self.expr(env, b, lhs)?;
+                self.expr(env, b, rhs)?;
                 if op.is_comparison() {
                     Ok(Shape::Prim(Boolean))
                 } else {
-                    Ok(Shape::Prim(*operand_kind))
+                    Ok(Shape::Prim(operand_kind))
                 }
             }
-            TExprKind::NumCast { to, expr } | TExprKind::Convert { to, expr } => {
-                self.expr(env, expr)?;
-                Ok(Shape::Prim(*to))
+            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
+                self.expr(env, b, expr)?;
+                Ok(Shape::Prim(to))
             }
-            TExprKind::RefCast { to, expr } => {
-                let s = self.expr(env, expr)?;
-                if let (Some(c), Type::Object(want, _)) = (s.class(), to) {
+            TExpr::RefCast { to, expr } => {
+                let s = self.expr(env, b, expr)?;
+                if let (Some(c), Type::Object(want, _)) = (s.class(), b.type_at(to)) {
                     if !self.table.is_subclass_of(c, *want) {
                         return Err(TransError::new(format!(
                             "cast of `{}` to `{}` can never succeed",
@@ -426,17 +424,17 @@ impl<'t> ShapeEval<'t> {
                 }
                 Ok(s)
             }
-            TExprKind::RefEq { .. } => Err(TransError::new(
+            TExpr::RefEq { .. } => Err(TransError::new(
                 "reference equality cannot be translated (coding rule 7)",
             )),
-            TExprKind::InstanceOf { .. } => Err(TransError::new(
+            TExpr::InstanceOf { .. } => Err(TransError::new(
                 "`instanceof` cannot be translated (coding rule 8)",
             )),
-            TExprKind::Null => Err(TransError::new(
+            TExpr::Null => Err(TransError::new(
                 "`null` cannot be translated (coding rule 8)",
             )),
-            TExprKind::Str(_) => Err(TransError::new("string values cannot be translated")),
-            TExprKind::Ternary { .. } => Err(TransError::new(
+            TExpr::Str(_) => Err(TransError::new("string values cannot be translated")),
+            TExpr::Ternary { .. } => Err(TransError::new(
                 "the conditional operator cannot be translated (coding rule 7)",
             )),
         }
@@ -500,26 +498,35 @@ impl<'t> ShapeEval<'t> {
         for (i, s) in arg_shapes.iter().enumerate() {
             env.locals.insert(i as u32, s.clone());
         }
+        let (super_args, block) = match ctor.body.as_deref().map(|b| (b, b.root())) {
+            Some((b, TRoot::Ctor { super_args, body })) => (Some((b, super_args)), Some((b, body))),
+            _ => (None, None),
+        };
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = Vec::new();
-                for a in ctor.super_args.iter() {
-                    sargs.push(self.ctor_expr(&mut env, a, fields)?);
+                if let Some((b, args)) = super_args {
+                    for a in b.list(args) {
+                        sargs.push(self.ctor_expr(&mut env, b, a, fields)?);
+                    }
                 }
                 self.run_ctor_abstract(*sid, &sargs, fields)?;
             }
         }
         // 2. field initializers.
         for (i, f) in info.fields.iter().enumerate() {
-            if let Some(init) = &f.init {
-                let s = self.ctor_expr(&mut env, init, fields)?;
+            if let Some(init) = f.init.as_deref() {
+                let TRoot::Init(value) = init.root() else {
+                    return Err(TransError::new("a field initializer is not an expression"));
+                };
+                let s = self.ctor_expr(&mut env, init, value, fields)?;
                 fields[(info.field_base + i as u32) as usize] = Some(s);
             }
         }
         // 3. constructor body (straight-line assignments only).
-        if let Some(body) = &ctor.body {
-            self.ctor_block(&mut env, body, fields)?;
+        if let Some((b, body)) = block {
+            self.ctor_block(&mut env, b, body, fields)?;
         }
         Ok(())
     }
@@ -527,41 +534,40 @@ impl<'t> ShapeEval<'t> {
     fn ctor_block(
         &mut self,
         env: &mut Env,
-        body: &TBlock,
+        b: &TBody,
+        body: TBlock,
         fields: &mut Vec<Option<Shape>>,
     ) -> TResult<()> {
-        for s in &body.stmts {
-            match s {
-                TStmt::Local { slot, init, ty, .. } => {
+        for s in b.list(body) {
+            match b.stmt(s) {
+                TStmt::Local { slot, init, ty } => {
                     let shape = match init {
-                        Some(e) => self.ctor_expr(env, e, fields)?,
-                        None => shape_from_decl(self.table, ty).ok_or_else(|| {
+                        Some(e) => self.ctor_expr(env, b, e, fields)?,
+                        None => shape_from_decl(self.table, b.type_at(ty)).ok_or_else(|| {
                             TransError::new("uninitialized object local in constructor")
                         })?,
                     };
-                    env.locals.insert(*slot, shape);
+                    env.locals.insert(slot, shape);
                 }
-                TStmt::AssignLocal { slot, value, .. } => {
-                    let shape = self.ctor_expr(env, value, fields)?;
-                    env.locals.insert(*slot, shape);
+                TStmt::AssignLocal { slot, value } => {
+                    let shape = self.ctor_expr(env, b, value, fields)?;
+                    env.locals.insert(slot, shape);
                 }
-                TStmt::AssignField {
-                    obj, field, value, ..
-                } => {
-                    if !matches!(obj.kind, TExprKind::This) {
+                TStmt::AssignField { obj, field, value } => {
+                    if b.expr(obj) != TExpr::This {
                         return Err(TransError::new(
                             "constructor assigns a field of another object (not semi-immutable)",
                         ));
                     }
-                    let shape = self.ctor_expr(env, value, fields)?;
+                    let shape = self.ctor_expr(env, b, value, fields)?;
                     fields[field.slot as usize] = Some(shape);
                 }
-                TStmt::Block(b) => self.ctor_block(env, b, fields)?,
-                other => {
+                TStmt::Block(block) => self.ctor_block(env, b, block, fields)?,
+                _ => {
                     return Err(TransError::new(format!(
                         "constructor contains a statement that breaks semi-immutability \
                          (line {}); only assignments are allowed",
-                        other.span().line
+                        b.stmt_span(s).line
                     )))
                 }
             }
@@ -574,64 +580,59 @@ impl<'t> ShapeEval<'t> {
     fn ctor_expr(
         &mut self,
         env: &mut Env,
-        e: &TExpr,
+        b: &TBody,
+        e: TExprId,
         fields: &mut Vec<Option<Shape>>,
     ) -> TResult<Shape> {
-        if let TExprKind::GetField { obj, field } = &e.kind {
-            if matches!(obj.kind, TExprKind::This) {
-                return fields[field.slot as usize].clone().ok_or_else(|| {
+        match b.expr(e) {
+            TExpr::GetField { obj, field } if b.expr(obj) == TExpr::This => {
+                fields[field.slot as usize].clone().ok_or_else(|| {
                     TransError::new(format!(
                         "constructor reads field slot {} before assigning it",
                         field.slot
                     ))
-                });
+                })
             }
-        }
-        if matches!(e.kind, TExprKind::This) {
-            return Err(TransError::new(
+            TExpr::This => Err(TransError::new(
                 "constructor uses `this` as a value (not semi-immutable)",
-            ));
-        }
-        match &e.kind {
+            )),
             // Allocation inside a constructor is fine (e.g. field inits).
-            TExprKind::New { class, args, .. } => {
+            TExpr::New { class, args } => {
                 let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_shapes.push(self.ctor_expr(env, a, fields)?);
+                for a in b.list(args) {
+                    arg_shapes.push(self.ctor_expr(env, b, a, fields)?);
                 }
-                self.ctor_shape(*class, &arg_shapes)
+                self.ctor_shape(class, &arg_shapes)
             }
-            TExprKind::NewArray { elem, len } => {
-                self.ctor_expr(env, len, fields)?;
-                elem_ty_of(elem)
+            TExpr::NewArray { elem, len } => {
+                self.ctor_expr(env, b, len, fields)?;
+                elem_ty_of(b.type_at(elem))
                     .map(Shape::Arr)
                     .ok_or_else(|| TransError::new("only primitive arrays can be translated"))
             }
-            TExprKind::Binary {
+            TExpr::Binary {
                 op,
                 operand_kind,
                 lhs,
                 rhs,
             } => {
-                self.ctor_expr(env, lhs, fields)?;
-                self.ctor_expr(env, rhs, fields)?;
+                self.ctor_expr(env, b, lhs, fields)?;
+                self.ctor_expr(env, b, rhs, fields)?;
                 if op.is_comparison() {
                     Ok(Shape::Prim(jlang::PrimKind::Boolean))
                 } else {
-                    Ok(Shape::Prim(*operand_kind))
+                    Ok(Shape::Prim(operand_kind))
                 }
             }
-            TExprKind::Unary { expr, .. } => self.ctor_expr(env, expr, fields),
-            TExprKind::NumCast { to, expr } | TExprKind::Convert { to, expr } => {
-                self.ctor_expr(env, expr, fields)?;
-                Ok(Shape::Prim(*to))
+            TExpr::Unary { expr, .. } => self.ctor_expr(env, b, expr, fields),
+            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
+                self.ctor_expr(env, b, expr, fields)?;
+                Ok(Shape::Prim(to))
             }
-            TExprKind::Call { .. }
-            | TExprKind::DirectCall { .. }
-            | TExprKind::StaticCall { .. } => Err(TransError::new(
-                "constructor calls a method (not semi-immutable)",
-            )),
-            _ => self.expr(env, e),
+            TExpr::Call { .. } | TExpr::DirectCall { .. } | TExpr::StaticCall { .. } => Err(
+                TransError::new("constructor calls a method (not semi-immutable)"),
+            ),
+            _ => self.expr(env, b, e),
         }
     }
 }

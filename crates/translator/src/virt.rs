@@ -14,11 +14,11 @@ use std::collections::HashMap;
 
 use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
-use jlang::tast::{TBlock, TExpr, TExprKind, TStmt};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::{FuncBuilder, FuncId, FuncKind, Instr, Label, Program, Reg, Ty};
 
-use crate::lower::{const_eval, native_intrin, TransStats};
+use crate::lower::{init_value, method_body, native_intrin, static_const, TransStats};
 use crate::shape::{elem_ty_of, TransError};
 use crate::TResult;
 
@@ -143,7 +143,7 @@ impl<'t> VirtLowerer<'t> {
         if m.native.is_some() {
             return Err(TransError::new("native methods are inlined at call sites"));
         }
-        let Some(body) = &m.body else {
+        let Some((body, block)) = method_body(m) else {
             return Err(TransError::new(format!(
                 "abstract method `{}::{}` has no body",
                 self.table.name(class),
@@ -192,7 +192,7 @@ impl<'t> VirtLowerer<'t> {
             ret_ty,
             loops: Vec::new(),
         };
-        self.block(&mut cx, body)?;
+        self.block(&mut cx, body, block)?;
         let f = cx.fb.finish().map_err(TransError::new)?;
         *self.program.func_mut(placeholder) = f;
         self.stats.specializations += 1;
@@ -248,12 +248,16 @@ impl<'t> VirtLowerer<'t> {
             ret_ty: None,
             loops: Vec::new(),
         };
+        let (super_args, block) = match ctor.body.as_deref().map(|b| (b, b.root())) {
+            Some((b, TRoot::Ctor { super_args, body })) => (Some((b, super_args)), Some((b, body))),
+            _ => (None, None),
+        };
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = vec![0];
-                for a in ctor.super_args.iter() {
-                    sargs.push(self.expr(&mut cx, a)?);
+                if let Some((b, args)) = super_args {
+                    sargs.extend(self.args(&mut cx, b, args)?);
                 }
                 let sf = self.ctor_func(*sid)?;
                 cx.fb.emit(Instr::Call {
@@ -265,8 +269,8 @@ impl<'t> VirtLowerer<'t> {
         }
         // 2. field initializers.
         for (i, f) in info.fields.iter().enumerate() {
-            if let Some(init) = &f.init {
-                let v = self.expr(&mut cx, init)?;
+            if let Some(init) = f.init.as_deref() {
+                let v = self.expr(&mut cx, init, init_value(init)?)?;
                 cx.fb.emit(Instr::PutField {
                     obj: 0,
                     slot: info.field_base + i as u32,
@@ -275,29 +279,39 @@ impl<'t> VirtLowerer<'t> {
             }
         }
         // 3. body.
-        if let Some(body) = &ctor.body {
-            self.block(&mut cx, body)?;
+        if let Some((b, body)) = block {
+            self.block(&mut cx, b, body)?;
         }
         let f = cx.fb.finish().map_err(TransError::new)?;
         *self.program.func_mut(placeholder) = f;
         Ok(placeholder)
     }
 
-    fn block(&mut self, cx: &mut VCtx, b: &TBlock) -> TResult<()> {
-        for s in &b.stmts {
-            self.stmt(cx, s)?;
+    fn block(&mut self, cx: &mut VCtx, b: &TBody, block: TBlock) -> TResult<()> {
+        for s in b.list(block) {
+            self.stmt(cx, b, s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, cx: &mut VCtx, s: &TStmt) -> TResult<()> {
-        match s {
-            TStmt::Local { slot, ty, init, .. } => {
+    /// Lower call or constructor arguments, left to right.
+    fn args(&mut self, cx: &mut VCtx, b: &TBody, args: TArgs) -> TResult<Vec<Reg>> {
+        let mut out = Vec::with_capacity(args.len());
+        for a in b.list(args) {
+            out.push(self.expr(cx, b, a)?);
+        }
+        Ok(out)
+    }
+
+    fn stmt(&mut self, cx: &mut VCtx, b: &TBody, s: TStmtId) -> TResult<()> {
+        match b.stmt(s) {
+            TStmt::Local { slot, ty, init } => {
+                let ty = b.type_at(ty);
                 let ty_n = decl_ty(ty)?;
                 let r = cx.fb.reg(ty_n);
                 match init {
                     Some(e) => {
-                        let v = self.expr(cx, e)?;
+                        let v = self.expr(cx, b, e)?;
                         cx.fb.emit(Instr::Mov(r, v));
                     }
                     None => {
@@ -306,22 +320,20 @@ impl<'t> VirtLowerer<'t> {
                         }
                     }
                 }
-                cx.env.insert(*slot, r);
+                cx.env.insert(slot, r);
                 Ok(())
             }
-            TStmt::AssignLocal { slot, value, .. } => {
-                let v = self.expr(cx, value)?;
-                let r = *cx.env.get(slot).ok_or_else(|| {
+            TStmt::AssignLocal { slot, value } => {
+                let v = self.expr(cx, b, value)?;
+                let r = *cx.env.get(&slot).ok_or_else(|| {
                     TransError::new(format!("assignment to undeclared slot {slot}"))
                 })?;
                 cx.fb.emit(Instr::Mov(r, v));
                 Ok(())
             }
-            TStmt::AssignField {
-                obj, field, value, ..
-            } => {
-                let o = self.expr(cx, obj)?;
-                let v = self.expr(cx, value)?;
+            TStmt::AssignField { obj, field, value } => {
+                let o = self.expr(cx, b, obj)?;
+                let v = self.expr(cx, b, value)?;
                 cx.fb.emit(Instr::PutField {
                     obj: o,
                     slot: field.slot,
@@ -332,12 +344,10 @@ impl<'t> VirtLowerer<'t> {
             TStmt::AssignStatic { .. } => Err(TransError::new(
                 "assignment to a static field cannot be translated",
             )),
-            TStmt::AssignIndex {
-                arr, idx, value, ..
-            } => {
-                let a = self.expr(cx, arr)?;
-                let i = self.expr(cx, idx)?;
-                let v = self.expr(cx, value)?;
+            TStmt::AssignIndex { arr, idx, value } => {
+                let a = self.expr(cx, b, arr)?;
+                let i = self.expr(cx, b, idx)?;
+                let v = self.expr(cx, b, value)?;
                 cx.fb.emit(Instr::StArr {
                     arr: a,
                     idx: i,
@@ -346,42 +356,41 @@ impl<'t> VirtLowerer<'t> {
                 Ok(())
             }
             TStmt::Expr(e) => {
-                self.expr_maybe_void(cx, e)?;
+                self.expr_maybe_void(cx, b, e)?;
                 Ok(())
             }
             TStmt::If {
                 cond,
                 then_branch,
                 else_branch,
-                ..
             } => {
-                let c = self.expr(cx, cond)?;
+                let c = self.expr(cx, b, cond)?;
                 let tl = cx.fb.label();
                 let el = cx.fb.label();
                 let end = cx.fb.label();
                 cx.fb.br(c, tl, el);
                 cx.fb.bind(tl);
-                self.block(cx, then_branch)?;
+                self.block(cx, b, then_branch)?;
                 cx.fb.jmp(end);
                 cx.fb.bind(el);
                 if let Some(e) = else_branch {
-                    self.block(cx, e)?;
+                    self.block(cx, b, e)?;
                 }
                 cx.fb.jmp(end);
                 cx.fb.bind(end);
                 Ok(())
             }
-            TStmt::While { cond, body, .. } => {
+            TStmt::While { cond, body } => {
                 let head = cx.fb.label();
                 let bodyl = cx.fb.label();
                 let end = cx.fb.label();
                 cx.fb.jmp(head);
                 cx.fb.bind(head);
-                let c = self.expr(cx, cond)?;
+                let c = self.expr(cx, b, cond)?;
                 cx.fb.br(c, bodyl, end);
                 cx.fb.bind(bodyl);
                 cx.loops.push((head, end));
-                self.block(cx, body)?;
+                self.block(cx, b, body)?;
                 cx.loops.pop();
                 cx.fb.jmp(head);
                 cx.fb.bind(end);
@@ -392,10 +401,9 @@ impl<'t> VirtLowerer<'t> {
                 cond,
                 update,
                 body,
-                ..
             } => {
                 if let Some(i) = init {
-                    self.stmt(cx, i)?;
+                    self.stmt(cx, b, i)?;
                 }
                 let head = cx.fb.label();
                 let bodyl = cx.fb.label();
@@ -405,28 +413,28 @@ impl<'t> VirtLowerer<'t> {
                 cx.fb.bind(head);
                 match cond {
                     Some(c) => {
-                        let cv = self.expr(cx, c)?;
+                        let cv = self.expr(cx, b, c)?;
                         cx.fb.br(cv, bodyl, end);
                     }
                     None => cx.fb.jmp(bodyl),
                 }
                 cx.fb.bind(bodyl);
                 cx.loops.push((cont, end));
-                self.block(cx, body)?;
+                self.block(cx, b, body)?;
                 cx.loops.pop();
                 cx.fb.jmp(cont);
                 cx.fb.bind(cont);
                 if let Some(u) = update {
-                    self.stmt(cx, u)?;
+                    self.stmt(cx, b, u)?;
                 }
                 cx.fb.jmp(head);
                 cx.fb.bind(end);
                 Ok(())
             }
-            TStmt::Return { value, .. } => {
+            TStmt::Return { value } => {
                 match value {
                     Some(e) => {
-                        let v = self.expr(cx, e)?;
+                        let v = self.expr(cx, b, e)?;
                         cx.fb.emit(Instr::Ret(Some(v)));
                     }
                     None => {
@@ -435,7 +443,7 @@ impl<'t> VirtLowerer<'t> {
                 }
                 Ok(())
             }
-            TStmt::Break(_) => {
+            TStmt::Break => {
                 let (_, brk) = *cx
                     .loops
                     .last()
@@ -443,7 +451,7 @@ impl<'t> VirtLowerer<'t> {
                 cx.fb.jmp(brk);
                 Ok(())
             }
-            TStmt::Continue(_) => {
+            TStmt::Continue => {
                 let (cont, _) = *cx
                     .loops
                     .last()
@@ -451,81 +459,81 @@ impl<'t> VirtLowerer<'t> {
                 cx.fb.jmp(cont);
                 Ok(())
             }
-            TStmt::Block(b) => self.block(cx, b),
+            TStmt::Block(block) => self.block(cx, b, block),
         }
     }
 
-    fn expr_maybe_void(&mut self, cx: &mut VCtx, e: &TExpr) -> TResult<Option<Reg>> {
-        match &e.kind {
-            TExprKind::Call { recv, method, args } => {
-                let r = self.expr(cx, recv)?;
+    fn expr_maybe_void(&mut self, cx: &mut VCtx, b: &TBody, e: TExprId) -> TResult<Option<Reg>> {
+        match b.expr(e) {
+            TExpr::Call { recv, method, args } => {
+                let r = self.expr(cx, b, recv)?;
                 self.call(
                     cx,
                     Some(r),
                     method.decl_class,
                     method.index,
-                    args,
+                    (b, args),
                     true,
-                    &e.ty,
+                    b.ty(e),
                 )
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let r = self.expr(cx, recv)?;
+            TExpr::DirectCall { recv, method, args } => {
+                let r = self.expr(cx, b, recv)?;
                 self.call(
                     cx,
                     Some(r),
                     method.decl_class,
                     method.index,
-                    args,
+                    (b, args),
                     false,
-                    &e.ty,
+                    b.ty(e),
                 )
             }
-            TExprKind::StaticCall { class, index, args } => {
-                self.call(cx, None, *class, *index, args, false, &e.ty)
+            TExpr::StaticCall { class, index, args } => {
+                self.call(cx, None, class, index, (b, args), false, b.ty(e))
             }
-            _ => Ok(Some(self.expr(cx, e)?)),
+            _ => Ok(Some(self.expr(cx, b, e)?)),
         }
     }
 
-    fn expr(&mut self, cx: &mut VCtx, e: &TExpr) -> TResult<Reg> {
-        match &e.kind {
-            TExprKind::Int(v) => {
+    fn expr(&mut self, cx: &mut VCtx, b: &TBody, e: TExprId) -> TResult<Reg> {
+        match b.expr(e) {
+            TExpr::Int(v) => {
                 let r = cx.fb.reg(Ty::I32);
-                cx.fb.emit(Instr::ConstI32(r, *v));
+                cx.fb.emit(Instr::ConstI32(r, v));
                 Ok(r)
             }
-            TExprKind::Long(v) => {
+            TExpr::Long(v) => {
                 let r = cx.fb.reg(Ty::I64);
-                cx.fb.emit(Instr::ConstI64(r, *v));
+                cx.fb.emit(Instr::ConstI64(r, v));
                 Ok(r)
             }
-            TExprKind::Float(v) => {
+            TExpr::Float(v) => {
                 let r = cx.fb.reg(Ty::F32);
-                cx.fb.emit(Instr::ConstF32(r, *v));
+                cx.fb.emit(Instr::ConstF32(r, v));
                 Ok(r)
             }
-            TExprKind::Double(v) => {
+            TExpr::Double(v) => {
                 let r = cx.fb.reg(Ty::F64);
-                cx.fb.emit(Instr::ConstF64(r, *v));
+                cx.fb.emit(Instr::ConstF64(r, v));
                 Ok(r)
             }
-            TExprKind::Bool(v) => {
+            TExpr::Bool(v) => {
                 let r = cx.fb.reg(Ty::Bool);
-                cx.fb.emit(Instr::ConstBool(r, *v));
+                cx.fb.emit(Instr::ConstBool(r, v));
                 Ok(r)
             }
-            TExprKind::Local(slot) => cx
+            TExpr::Local(slot) => cx
                 .env
-                .get(slot)
+                .get(&slot)
                 .copied()
                 .ok_or_else(|| TransError::new(format!("unassigned slot {slot}"))),
-            TExprKind::This => cx
+            TExpr::This => cx
                 .recv
                 .ok_or_else(|| TransError::new("`this` in static context")),
-            TExprKind::GetField { obj, field } => {
-                let o = self.expr(cx, obj)?;
-                let dst = cx.fb.reg(decl_ty(&field.ty)?);
+            TExpr::GetField { obj, field } => {
+                let o = self.expr(cx, b, obj)?;
+                let dst = cx.fb.reg(decl_ty(b.type_at(field.ty))?);
                 cx.fb.emit(Instr::GetField {
                     obj: o,
                     slot: field.slot,
@@ -533,54 +541,48 @@ impl<'t> VirtLowerer<'t> {
                 });
                 Ok(dst)
             }
-            TExprKind::GetStatic { class, index } => {
-                let f = &self.table.class(*class).statics[*index as usize];
-                let init = f.init.as_ref().ok_or_else(|| {
-                    TransError::new(format!("static `{}` has no constant initializer", f.name))
-                })?;
-                let cv = const_eval(self.table, init)?;
+            TExpr::GetStatic { class, index } => {
+                let cv = static_const(self.table, class, index)?;
                 Ok(emit_const(cx, cv))
             }
-            TExprKind::Call { recv, method, args } => {
-                let r = self.expr(cx, recv)?;
+            TExpr::Call { recv, method, args } => {
+                let r = self.expr(cx, b, recv)?;
                 self.call(
                     cx,
                     Some(r),
                     method.decl_class,
                     method.index,
-                    args,
+                    (b, args),
                     true,
-                    &e.ty,
+                    b.ty(e),
                 )?
                 .ok_or_else(|| TransError::new("void call used as a value"))
             }
-            TExprKind::DirectCall { recv, method, args } => {
-                let r = self.expr(cx, recv)?;
+            TExpr::DirectCall { recv, method, args } => {
+                let r = self.expr(cx, b, recv)?;
                 self.call(
                     cx,
                     Some(r),
                     method.decl_class,
                     method.index,
-                    args,
+                    (b, args),
                     false,
-                    &e.ty,
+                    b.ty(e),
                 )?
                 .ok_or_else(|| TransError::new("void call used as a value"))
             }
-            TExprKind::StaticCall { class, index, args } => self
-                .call(cx, None, *class, *index, args, false, &e.ty)?
+            TExpr::StaticCall { class, index, args } => self
+                .call(cx, None, class, index, (b, args), false, b.ty(e))?
                 .ok_or_else(|| TransError::new("void call used as a value")),
-            TExprKind::New { class, args, .. } => {
+            TExpr::New { class, args } => {
                 let obj = cx.fb.reg(Ty::Obj);
                 cx.fb.emit(Instr::NewObj {
                     class: class.0,
                     dst: obj,
                 });
-                let cf = self.ctor_func(*class)?;
+                let cf = self.ctor_func(class)?;
                 let mut argv = vec![obj];
-                for a in args {
-                    argv.push(self.expr(cx, a)?);
-                }
+                argv.extend(self.args(cx, b, args)?);
                 cx.fb.emit(Instr::Call {
                     func: cf,
                     args: argv,
@@ -588,10 +590,10 @@ impl<'t> VirtLowerer<'t> {
                 });
                 Ok(obj)
             }
-            TExprKind::NewArray { elem, len } => {
-                let et = elem_ty_of(elem)
+            TExpr::NewArray { elem, len } => {
+                let et = elem_ty_of(b.type_at(elem))
                     .ok_or_else(|| TransError::new("only primitive arrays can be translated"))?;
-                let l = self.expr(cx, len)?;
+                let l = self.expr(cx, b, len)?;
                 let dst = cx.fb.reg(Ty::Arr(et));
                 cx.fb.emit(Instr::NewArr {
                     elem: et,
@@ -600,10 +602,10 @@ impl<'t> VirtLowerer<'t> {
                 });
                 Ok(dst)
             }
-            TExprKind::Index { arr, idx } => {
-                let a = self.expr(cx, arr)?;
-                let i = self.expr(cx, idx)?;
-                let dst = cx.fb.reg(decl_ty(&e.ty)?);
+            TExpr::Index { arr, idx } => {
+                let a = self.expr(cx, b, arr)?;
+                let i = self.expr(cx, b, idx)?;
+                let dst = cx.fb.reg(decl_ty(b.ty(e))?);
                 cx.fb.emit(Instr::LdArr {
                     arr: a,
                     idx: i,
@@ -611,15 +613,15 @@ impl<'t> VirtLowerer<'t> {
                 });
                 Ok(dst)
             }
-            TExprKind::ArrayLen(a) => {
-                let arr = self.expr(cx, a)?;
+            TExpr::ArrayLen(a) => {
+                let arr = self.expr(cx, b, a)?;
                 let dst = cx.fb.reg(Ty::I32);
                 cx.fb.emit(Instr::ArrLen { arr, dst });
                 Ok(dst)
             }
-            TExprKind::Unary { op, expr } => {
-                let v = self.expr(cx, expr)?;
-                let k = expr_kind(e)?;
+            TExpr::Unary { op, expr } => {
+                let v = self.expr(cx, b, expr)?;
+                let k = expr_kind(b, e)?;
                 let dst = cx.fb.reg(Ty::of_prim(k));
                 match op {
                     UnOp::Neg => {
@@ -635,7 +637,7 @@ impl<'t> VirtLowerer<'t> {
                 }
                 Ok(dst)
             }
-            TExprKind::Binary {
+            TExpr::Binary {
                 op,
                 operand_kind,
                 lhs,
@@ -643,7 +645,7 @@ impl<'t> VirtLowerer<'t> {
             } => {
                 if matches!(op, BinOp::And | BinOp::Or) {
                     let dst = cx.fb.reg(Ty::Bool);
-                    let l = self.expr(cx, lhs)?;
+                    let l = self.expr(cx, b, lhs)?;
                     cx.fb.emit(Instr::Mov(dst, l));
                     let eval_rhs = cx.fb.label();
                     let end = cx.fb.label();
@@ -653,50 +655,50 @@ impl<'t> VirtLowerer<'t> {
                         _ => unreachable!(),
                     }
                     cx.fb.bind(eval_rhs);
-                    let r = self.expr(cx, rhs)?;
+                    let r = self.expr(cx, b, rhs)?;
                     cx.fb.emit(Instr::Mov(dst, r));
                     cx.fb.jmp(end);
                     cx.fb.bind(end);
                     return Ok(dst);
                 }
-                let l = self.expr(cx, lhs)?;
-                let r = self.expr(cx, rhs)?;
+                let l = self.expr(cx, b, lhs)?;
+                let r = self.expr(cx, b, rhs)?;
                 let out = if op.is_comparison() {
                     PrimKind::Boolean
                 } else {
-                    *operand_kind
+                    operand_kind
                 };
                 let dst = cx.fb.reg(Ty::of_prim(out));
                 cx.fb.emit(Instr::Bin {
-                    op: *op,
-                    kind: *operand_kind,
+                    op,
+                    kind: operand_kind,
                     dst,
                     lhs: l,
                     rhs: r,
                 });
                 Ok(dst)
             }
-            TExprKind::NumCast { to, expr } | TExprKind::Convert { to, expr } => {
-                let v = self.expr(cx, expr)?;
-                let from = expr_kind(expr)?;
-                if from == *to {
+            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
+                let v = self.expr(cx, b, expr)?;
+                let from = expr_kind(b, expr)?;
+                if from == to {
                     return Ok(v);
                 }
-                let dst = cx.fb.reg(Ty::of_prim(*to));
+                let dst = cx.fb.reg(Ty::of_prim(to));
                 cx.fb.emit(Instr::Cast {
-                    to: *to,
+                    to,
                     from,
                     dst,
                     src: v,
                 });
                 Ok(dst)
             }
-            TExprKind::RefCast { expr, .. } => self.expr(cx, expr),
-            TExprKind::RefEq { .. }
-            | TExprKind::InstanceOf { .. }
-            | TExprKind::Null
-            | TExprKind::Str(_)
-            | TExprKind::Ternary { .. } => Err(TransError::new(
+            TExpr::RefCast { expr, .. } => self.expr(cx, b, expr),
+            TExpr::RefEq { .. }
+            | TExpr::InstanceOf { .. }
+            | TExpr::Null
+            | TExpr::Str(_)
+            | TExpr::Ternary { .. } => Err(TransError::new(
                 "construct forbidden by the coding rules cannot be translated",
             )),
         }
@@ -709,7 +711,7 @@ impl<'t> VirtLowerer<'t> {
         recv: Option<Reg>,
         decl_class: ClassId,
         index: u32,
-        args: &[TExpr],
+        (b, args): (&TBody, TArgs),
         is_virtual: bool,
         ret_ty: &Type,
     ) -> TResult<Option<Reg>> {
@@ -725,10 +727,7 @@ impl<'t> VirtLowerer<'t> {
                     "shared memory requires a kernel; the virtual-dispatch baseline has none",
                 ));
             }
-            let mut regs = Vec::new();
-            for a in args {
-                regs.push(self.expr(cx, a)?);
-            }
+            let regs = self.args(cx, b, args)?;
             if let Some(op) = native_intrin(key) {
                 return match ret_ty {
                     Type::Void => {
@@ -798,10 +797,7 @@ impl<'t> VirtLowerer<'t> {
                  virtual calls in CUDA kernels were avoided); use the Devirt or Full mode",
             ));
         }
-        let mut argv = Vec::new();
-        for a in args {
-            argv.push(self.expr(cx, a)?);
-        }
+        let argv = self.args(cx, b, args)?;
         let dst = match ret_ty {
             Type::Void => None,
             t => Some(cx.fb.reg(decl_ty(t)?)),
@@ -859,8 +855,9 @@ fn decl_ty(t: &Type) -> TResult<Ty> {
     })
 }
 
-fn expr_kind(e: &TExpr) -> TResult<PrimKind> {
-    e.ty.prim_kind()
+fn expr_kind(b: &TBody, e: TExprId) -> TResult<PrimKind> {
+    b.ty(e)
+        .prim_kind()
         .ok_or_else(|| TransError::new("expected a primitive expression"))
 }
 
