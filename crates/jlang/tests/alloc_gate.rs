@@ -69,6 +69,17 @@ const PARSE_ALLOCS: u64 = 1_200;
 /// boxed slices (nodes and spans, types, ids, names).
 const FREES_PER_BODY: u64 = 9;
 
+/// Allocations `check_member` may make over the input's 24 bodies, the
+/// first growth of the builder it reuses included. A typed tree with a
+/// `Box` per operand, a `Vec` per block and argument list and a cloned
+/// `Type` on every node took 12,618 here; one flat body each takes 330.
+const TYPECK_ALLOCS: u64 = 500;
+
+/// Frees that dropping one typed body may take: its `Arc`, its non-empty
+/// slices (ten at most) and the heap parts of its types. The 24 bodies
+/// here take 166; as typed trees they took 12,440, ≈518 each.
+const TYPED_FREES_PER_BODY: u64 = 12;
+
 #[test]
 fn parse_allocates_a_few_times_per_body() {
     let src = source();
@@ -101,5 +112,35 @@ fn installing_typed_bodies_frees_the_untyped_ones_per_body() {
     assert!(
         frees <= FREES_PER_BODY * bodies,
         "installing {bodies} bodies made {frees} frees (bound {FREES_PER_BODY} per body)"
+    );
+}
+
+#[test]
+fn typeck_allocates_a_few_times_per_body_and_frees_them_as_few() {
+    let src = source();
+    let unit = parse_unit(0, &src).expect("the input parses");
+    let t = table::build(vec![unit]).expect("the input builds");
+    let members: Vec<_> = (t.iter())
+        .flat_map(|info| {
+            typeck::unchecked_members(info)
+                .into_iter()
+                .map(|m| (info.id, m))
+        })
+        .collect();
+    let (typed, allocs, _) = counted(|| {
+        (members.iter())
+            .map(|&(id, m)| typeck::check_member(&t, id, m).expect("the input checks"))
+            .collect::<Vec<_>>()
+    });
+    let bodies = typed.len() as u64;
+    assert_eq!(bodies, 24);
+    assert!(
+        allocs <= TYPECK_ALLOCS,
+        "checking {bodies} bodies made {allocs} allocations (bound {TYPECK_ALLOCS})"
+    );
+    let ((), _, frees) = counted(|| drop(typed));
+    assert!(
+        frees <= TYPED_FREES_PER_BODY * bodies,
+        "dropping {bodies} typed bodies made {frees} frees (bound {TYPED_FREES_PER_BODY} per body)"
     );
 }

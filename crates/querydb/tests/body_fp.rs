@@ -24,12 +24,17 @@ const SRC: &str = "
 
 /// What rebuilding after `edit` of [`SRC`] re-ran.
 fn rebuild(edit: impl Fn(&str) -> String) -> (QueryStats, u64, u64) {
+    rebuild_from(SRC, edit)
+}
+
+/// What rebuilding after `edit` of `src` re-ran.
+fn rebuild_from(src: &str, edit: impl Fn(&str) -> String) -> (QueryStats, u64, u64) {
     let mut db = Database::new();
-    db.set_source("a.jl", SRC).unwrap();
+    db.set_source("a.jl", src).unwrap();
     let fp = db.source_fingerprint();
     let before = db.stats();
-    let edited = edit(SRC);
-    assert_ne!(edited, SRC, "the edit must change the text");
+    let edited = edit(src);
+    assert_ne!(edited, src, "the edit must change the text");
     db.edit("a.jl", &edited).unwrap();
     (db.stats().since(&before), fp, db.source_fingerprint())
 }
@@ -78,4 +83,68 @@ fn a_literal_changes_its_body_only_when_its_bits_do() {
     // A field initializer is a body of its own.
     let (d, ..) = rebuild(|s| s.replace("int k = 3;", "int k = 4;"));
     assert_eq!(d.typeck_executed, 1, "{d:?}");
+}
+
+/// Bodies whose edits re-check them, each judged by whether the typed body
+/// the check produces is the one before (an early cutoff) or not (so every
+/// lowering that read it re-runs).
+const TYPED: &str = "
+    @WootinJ final class T {
+      @Native(\"wj.note\") static void note(String s);
+      int k;
+      T() { k = 2; }
+      int sum(int x) { int acc = x; acc += k; return acc; }
+      long widen(int x) { long z = x; return z; }
+      void tell() { note(\"one\"); }
+      int cells(int n) { float[] a = new float[n]; return a.length; }
+    }";
+
+/// Compound assignment is desugared by the checker: both spellings check
+/// to the same typed body. Caught mutant: a typed hash that covers spans.
+#[test]
+fn a_compound_assignment_and_its_expansion_check_to_one_body() {
+    let (d, ..) = rebuild_from(TYPED, |s| s.replace("acc += k;", "acc = acc + k;"));
+    assert_eq!(d.typeck_executed, 1, "{d:?}");
+    assert_eq!(d.early_cutoffs, 1, "{d:?}");
+}
+
+/// An implicit widening is a `Convert`, a written cast a `NumCast`.
+/// Caught mutant: a typed hash that gives both nodes one tag.
+#[test]
+fn an_implicit_widening_and_a_cast_check_to_two_bodies() {
+    let (d, ..) = rebuild_from(TYPED, |s| s.replace("long z = x;", "long z = (long) x;"));
+    assert_eq!(d.typeck_executed, 1, "{d:?}");
+    assert_eq!(d.early_cutoffs, 0, "{d:?}");
+}
+
+/// A `@Native` call's string argument is part of its typed body. Caught
+/// mutant: a typed hash that skips the strings.
+#[test]
+fn a_native_string_argument_changes_its_typed_body() {
+    let (d, ..) = rebuild_from(TYPED, |s| s.replace("note(\"one\")", "note(\"two\")"));
+    assert_eq!(d.typeck_executed, 1, "{d:?}");
+    assert_eq!(d.early_cutoffs, 0, "{d:?}");
+}
+
+/// An array's element type lives in the type table alone: its nodes and
+/// their type ids are the same for `float[]` and `double[]`. Caught
+/// mutant: a typed hash that skips the type table.
+#[test]
+fn an_element_type_changes_its_typed_body() {
+    let (d, ..) = rebuild_from(TYPED, |s| {
+        s.replace("float[] a = new float[n];", "double[] a = new double[n];")
+    });
+    assert_eq!(d.typeck_executed, 1, "{d:?}");
+    assert_eq!(d.early_cutoffs, 0, "{d:?}");
+}
+
+/// A parameter the body never reads shows in its frame size alone; the
+/// constructor beside it re-checks (its class's signature changed) to the
+/// same typed body. Caught mutant: a typed hash that skips the frame size.
+#[test]
+fn an_unread_parameter_changes_its_typed_body_by_the_frame() {
+    let src = "@WootinJ final class F { F() { } int one(int x) { return 1; } }";
+    let (d, ..) = rebuild_from(src, |s| s.replace("int x)", "int x, int y)"));
+    assert_eq!(d.typeck_executed, 2, "{d:?}");
+    assert_eq!(d.early_cutoffs, 1, "{d:?}");
 }
