@@ -527,6 +527,47 @@ fn probe(slots: &[u32], names: &str, ends: &[u32], name: &str) -> usize {
     at
 }
 
+/// The id list of a body being built, and the lists being collected for
+/// it. A list is collected on a pending stack, because lists nest (a
+/// block's statements hold blocks and arguments), and moved to the id
+/// list when it closes.
+#[derive(Default)]
+pub(crate) struct IdLists {
+    /// Every closed list, back to back.
+    pub(crate) ids: Vec<u32>,
+    /// Members of the lists under construction, innermost list last.
+    pending: Vec<u32>,
+}
+
+impl IdLists {
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
+        self.pending.clear();
+    }
+
+    /// Where the list about to be built starts; pass it to [`Self::list`].
+    pub(crate) fn mark(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Append a member to the innermost list under construction.
+    pub(crate) fn push(&mut self, raw: u32) {
+        self.pending.push(raw);
+    }
+
+    /// Drop the members pushed since `mark`: a list a failure left open.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        self.pending.truncate(mark);
+    }
+
+    /// Close the list begun at `mark`.
+    pub(crate) fn list<T>(&mut self, mark: usize) -> IdList<T> {
+        let start = self.ids.len() as u32;
+        self.ids.extend(self.pending.drain(mark..));
+        IdList::new(start, self.ids.len() as u32 - start)
+    }
+}
+
 /// Builds one [`Body`] at a time; the parser keeps one and reuses its
 /// buffers from body to body, so a body costs its final allocations only.
 #[derive(Default)]
@@ -536,9 +577,7 @@ pub(crate) struct BodyBuilder {
     stmts: Vec<Stmt>,
     stmt_spans: Vec<Span>,
     types: Vec<TypeNode>,
-    ids: Vec<u32>,
-    /// Members of the lists under construction, innermost list last.
-    pending: Vec<u32>,
+    pub(crate) lists: IdLists,
     names: String,
     name_ends: Vec<u32>,
     /// Open-addressed index of the names, at most half full: a name's
@@ -553,8 +592,7 @@ impl BodyBuilder {
         self.stmts.clear();
         self.stmt_spans.clear();
         self.types.clear();
-        self.ids.clear();
-        self.pending.clear();
+        self.lists.clear();
         if !self.name_ends.is_empty() {
             self.slots.fill(0);
         }
@@ -583,23 +621,6 @@ impl BodyBuilder {
         (self.exprs[id.0 as usize], self.expr_spans[id.0 as usize])
     }
 
-    /// Where the list about to be built starts; pass it to [`Self::list`].
-    pub(crate) fn mark(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Append a member to the innermost list under construction.
-    pub(crate) fn push(&mut self, raw: u32) {
-        self.pending.push(raw);
-    }
-
-    /// Close the list begun at `mark`.
-    pub(crate) fn list<T>(&mut self, mark: usize) -> IdList<T> {
-        let start = self.ids.len() as u32;
-        self.ids.extend(self.pending.drain(mark..));
-        IdList::new(start, self.ids.len() as u32 - start)
-    }
-
     pub(crate) fn intern(&mut self, name: &str) -> NameId {
         let count = self.name_ends.len() as u32;
         if 2 * (count as usize + 1) > self.slots.len() {
@@ -622,7 +643,13 @@ impl BodyBuilder {
 
     /// The owned [`TypeRef`] of a type built here, for a declaration.
     pub(crate) fn type_ref(&self, id: TyId) -> TypeRef {
-        owned_type(&self.types, &self.ids, &self.names, &self.name_ends, id)
+        owned_type(
+            &self.types,
+            &self.lists.ids,
+            &self.names,
+            &self.name_ends,
+            id,
+        )
     }
 
     /// The body built so far, rooted at `root`; leaves the builder empty.
@@ -634,7 +661,7 @@ impl BodyBuilder {
             stmts: self.stmts.as_slice().into(),
             stmt_spans: self.stmt_spans.as_slice().into(),
             types: self.types.as_slice().into(),
-            ids: self.ids.as_slice().into(),
+            ids: self.lists.ids.as_slice().into(),
             names: self.names.as_str().into(),
             name_ends: self.name_ends.as_slice().into(),
         };

@@ -511,12 +511,12 @@ impl<'a> Parser<'a> {
                 super_args = Some(p.call_args()?);
                 p.expect(Tok::Semi)?;
             }
-            let mark = p.b.mark();
+            let mark = p.b.lists.mark();
             while !p.eat(Tok::RBrace) {
                 let s = p.stmt()?;
-                p.b.push(s.0);
+                p.b.lists.push(s.0);
             }
-            let body = p.b.list(mark);
+            let body = p.b.lists.list(mark);
             Ok(Root::Ctor { super_args, body })
         })?;
         Ok(CtorDecl {
@@ -588,19 +588,19 @@ impl<'a> Parser<'a> {
             let span = self.span();
             self.bump();
             let name = self.b.intern(name);
-            let mark = self.b.mark();
+            let mark = self.b.lists.mark();
             if *self.peek() == Tok::Lt && self.looks_like_type_args(self.pos) {
                 self.bump();
                 loop {
                     let arg = self.nested("type", Self::ty)?;
-                    self.b.push(arg.0);
+                    self.b.lists.push(arg.0);
                     if !self.eat(Tok::Comma) {
                         break;
                     }
                 }
                 self.expect_gt()?;
             }
-            let args = self.b.list(mark);
+            let args = self.b.lists.list(mark);
             let span = span.to(self.prev_span());
             self.b.ty(TypeNode::Named { name, args, span })
         } else {
@@ -712,15 +712,15 @@ impl<'a> Parser<'a> {
 
     fn block(&mut self) -> PResult<Block> {
         self.expect(Tok::LBrace)?;
-        let mark = self.b.mark();
+        let mark = self.b.lists.mark();
         while !self.eat(Tok::RBrace) {
             if *self.peek() == Tok::Eof {
                 return Err(self.err("unterminated block".to_string()));
             }
             let s = self.stmt()?;
-            self.b.push(s.0);
+            self.b.lists.push(s.0);
         }
-        Ok(self.b.list(mark))
+        Ok(self.b.lists.list(mark))
     }
 
     /// A block, or a single statement wrapped in a block (for `if (c) s;`).
@@ -735,9 +735,9 @@ impl<'a> Parser<'a> {
 
     /// A block of the one statement `s`.
     fn wrap(&mut self, s: StmtId) -> Block {
-        let mark = self.b.mark();
-        self.b.push(s.0);
-        self.b.list(mark)
+        let mark = self.b.lists.mark();
+        self.b.lists.push(s.0);
+        self.b.lists.list(mark)
     }
 
     fn stmt(&mut self) -> PResult<StmtId> {
@@ -1134,12 +1134,12 @@ impl<'a> Parser<'a> {
     /// (0 for none).
     fn call_args(&mut self) -> PResult<Args> {
         self.expect(Tok::LParen)?;
-        let mark = self.b.mark();
+        let mark = self.b.lists.mark();
         let mut tallest = 0;
         if *self.peek() != Tok::RParen {
             loop {
                 let arg = self.expr()?;
-                self.b.push(arg.0);
+                self.b.lists.push(arg.0);
                 tallest = tallest.max(self.height);
                 if !self.eat(Tok::Comma) {
                     break;
@@ -1148,7 +1148,7 @@ impl<'a> Parser<'a> {
         }
         self.expect(Tok::RParen)?;
         self.height = tallest;
-        Ok(self.b.list(mark))
+        Ok(self.b.lists.list(mark))
     }
 
     fn primary(&mut self) -> PResult<ExprId> {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crate::ast;
 use crate::span::{DiagResult, Diagnostic, Span};
-use crate::tast::TBody;
+use crate::tast::{TArgs, TBlock, TBody, TExprId, TRoot};
 use crate::types::{ClassId, Type, OBJECT};
 
 /// Resolved formal parameter.
@@ -72,6 +72,43 @@ pub struct CtorInfo {
     /// [`crate::tast::TRoot::Ctor`]).
     pub body: Option<Arc<TBody>>,
     pub span: Span,
+}
+
+impl FieldInfo {
+    /// The typed initializer and its value expression, once checked.
+    pub fn typed_init(&self) -> Option<(&TBody, TExprId)> {
+        let body = self.init.as_deref()?;
+        match body.root() {
+            TRoot::Init(value) => Some((body, value)),
+            _ => None,
+        }
+    }
+}
+
+impl MethodInfo {
+    /// The typed body and its block, once checked.
+    pub fn typed_body(&self) -> Option<(&TBody, TBlock)> {
+        let body = self.body.as_deref()?;
+        match body.root() {
+            TRoot::Block(block) => Some((body, block)),
+            _ => None,
+        }
+    }
+}
+
+impl CtorInfo {
+    /// The typed body with its `super(...)` arguments and block, once
+    /// checked.
+    pub fn typed_body(&self) -> Option<(&TBody, TArgs, TBlock)> {
+        let body = self.body.as_deref()?;
+        match body.root() {
+            TRoot::Ctor {
+                super_args,
+                body: block,
+            } => Some((body, super_args, block)),
+            _ => None,
+        }
+    }
 }
 
 /// Resolved type parameter.

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::ast::{BinOp, IdList, UnOp};
+use crate::ast::{BinOp, IdList, IdLists, UnOp};
 use crate::span::Span;
 use crate::types::{ClassId, PrimKind, Type};
 
@@ -348,9 +348,7 @@ pub(crate) struct TBodyBuilder {
     expr_spans: Vec<Span>,
     stmts: Vec<TStmt>,
     stmt_spans: Vec<Span>,
-    ids: Vec<u32>,
-    /// Members of the lists under construction, innermost list last.
-    pending: Vec<u32>,
+    pub(crate) lists: IdLists,
     types: Vec<Type>,
     strs: String,
     str_ends: Vec<u32>,
@@ -363,8 +361,7 @@ impl TBodyBuilder {
         self.expr_spans.clear();
         self.stmts.clear();
         self.stmt_spans.clear();
-        self.ids.clear();
-        self.pending.clear();
+        self.lists.clear();
         self.types.clear();
         self.strs.clear();
         self.str_ends.clear();
@@ -427,32 +424,9 @@ impl TBodyBuilder {
         }) as u32)
     }
 
-    /// Where the list about to be built starts; pass it to [`Self::list`].
-    pub(crate) fn mark(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Append a member to the innermost list under construction.
-    pub(crate) fn push(&mut self, raw: u32) {
-        self.pending.push(raw);
-    }
-
-    /// Drop the members pushed since `mark`: a list left open by a
-    /// failure.
-    pub(crate) fn truncate(&mut self, mark: usize) {
-        self.pending.truncate(mark);
-    }
-
-    /// Close the list begun at `mark`.
-    pub(crate) fn list<T>(&mut self, mark: usize) -> IdList<T> {
-        let start = self.ids.len() as u32;
-        self.ids.extend(self.pending.drain(mark..));
-        IdList::new(start, self.ids.len() as u32 - start)
-    }
-
     /// The first statement of a block built here.
     pub(crate) fn first(&self, b: TBlock) -> Option<TStmtId> {
-        (!b.is_empty()).then(|| TStmtId(self.ids[b.start() as usize]))
+        (!b.is_empty()).then(|| TStmtId(self.lists.ids[b.start() as usize]))
     }
 
     /// The body built so far; leaves the builder empty.
@@ -465,7 +439,7 @@ impl TBodyBuilder {
             expr_spans: self.expr_spans.as_slice().into(),
             stmts: self.stmts.as_slice().into(),
             stmt_spans: self.stmt_spans.as_slice().into(),
-            ids: self.ids.as_slice().into(),
+            ids: self.lists.ids.as_slice().into(),
             types: self.types.drain(..).collect(),
             strs: self.strs.as_str().into(),
             str_ends: self.str_ends.as_slice().into(),

@@ -226,7 +226,7 @@ fn check_ctor(table: &ClassTable, id: ClassId, b: &mut TBodyBuilder) -> DiagResu
             .declare(body.find_name(&p.name), p.ty.clone(), p.is_final);
     }
     // super(...) arguments against the superclass constructor.
-    let mark = ck.b.mark();
+    let mark = ck.b.lists.mark();
     let sup = info.superclass.clone();
     match (super_args, sup) {
         (Some(args), Some((sid, sargs))) if sid != OBJECT => {
@@ -245,7 +245,7 @@ fn check_ctor(table: &ClassTable, id: ClassId, b: &mut TBodyBuilder) -> DiagResu
         }
         _ => {}
     }
-    let super_args = ck.b.list(mark);
+    let super_args = ck.b.lists.list(mark);
     let tb = ck.block(block);
     ck.finish(
         Some(TRoot::Ctor {
@@ -429,10 +429,10 @@ impl<'t, 'b> Checker<'t, 'b> {
         }
         for (a, p) in self.body.list(args).zip(&sctor.params) {
             let want = p.ty.subst(sargs);
-            let mark = self.b.mark();
+            let mark = self.b.lists.mark();
             match self.expr(a).and_then(|e| self.coerce(e, &want)) {
-                Ok(e) => self.b.push(e.0),
-                Err(()) => self.b.truncate(mark),
+                Ok(e) => self.b.lists.push(e.0),
+                Err(()) => self.b.lists.truncate(mark),
             }
         }
     }
@@ -443,18 +443,18 @@ impl<'t, 'b> Checker<'t, 'b> {
 
     fn block(&mut self, blk: Block) -> TBlock {
         self.scope.push();
-        let mark = self.b.mark();
+        let mark = self.b.lists.mark();
         for s in self.body.list(blk) {
             // A statement that fails is reported and left out, with any
             // list it left open.
-            let at = self.b.mark();
+            let at = self.b.lists.mark();
             match self.stmt(s) {
-                Ok(ts) => self.b.push(ts.0),
-                Err(()) => self.b.truncate(at),
+                Ok(ts) => self.b.lists.push(ts.0),
+                Err(()) => self.b.lists.truncate(at),
             }
         }
         self.scope.pop();
-        self.b.list(mark)
+        self.b.lists.list(mark)
     }
 
     fn stmt(&mut self, s: StmtId) -> CkResult<TStmtId> {
@@ -1284,14 +1284,14 @@ impl<'t, 'b> Checker<'t, 'b> {
 
     /// Each argument checked and converted to `want(i)`, as a list.
     fn arg_list(&mut self, args: Args, want: impl Fn(usize) -> Type) -> CkResult<TArgs> {
-        let mark = self.b.mark();
+        let mark = self.b.lists.mark();
         for (i, a) in self.body.list(args).enumerate() {
             let want = want(i);
             let te = self.expr(a)?;
             let te = self.coerce(te, &want)?;
-            self.b.push(te.0);
+            self.b.lists.push(te.0);
         }
-        Ok(self.b.list(mark))
+        Ok(self.b.lists.list(mark))
     }
 
     fn binary(&mut self, op: BinOp, l: TExprId, r: TExprId, span: Span) -> CkResult<TExprId> {

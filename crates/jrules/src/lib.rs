@@ -658,11 +658,8 @@ impl<'t> Analysis<'t> {
             }
         }
         for (i, f) in info.fields.iter().enumerate() {
-            if let Some(init) = &f.init {
+            if let Some((init, value)) = f.typed_init() {
                 if !ProgramFacts::clean(self.facts.init(id, i)) {
-                    let TRoot::Init(value) = init.root() else {
-                        unreachable!("a field initializer's body is an expression")
-                    };
                     out.push(Diagnostic::error(
                         "rules",
                         init.expr_span(value),

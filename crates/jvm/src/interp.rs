@@ -12,7 +12,7 @@ use std::rc::Rc;
 use jlang::ast::{BinOp, UnOp};
 use jlang::span::Span;
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 
 use crate::heap::{ArrayData, Heap, ObjRef, Value};
@@ -142,12 +142,14 @@ impl<'t> Jvm<'t> {
         }
         for info in self.table.iter() {
             for (i, f) in info.statics.iter().enumerate() {
-                let Some(init) = &f.init else { continue };
+                let Some((init, value)) = f.typed_init() else {
+                    continue;
+                };
                 let mut frame = Frame {
                     locals: Vec::new(),
                     this: None,
                 };
-                let v = self.eval_init(&mut frame, init)?;
+                let v = self.eval(init, &mut frame, value)?;
                 self.statics[info.id.0 as usize][i] = v;
             }
         }
@@ -291,40 +293,34 @@ impl<'t> Jvm<'t> {
                 args.len()
             )));
         }
-        let body = ctor.body.as_deref();
+        let typed = ctor.typed_body();
         let mut frame = Frame {
             locals: {
                 let mut l = args;
-                l.resize(body.map_or(0, TBody::frame) as usize, Value::Null);
+                l.resize(typed.map_or(0, |(b, ..)| b.frame()) as usize, Value::Null);
                 l
             },
             this: Some(Value::Obj(obj)),
         };
-        let (super_args, block) = match body.map(TBody::root) {
-            Some(TRoot::Ctor { super_args, body }) => (super_args, Some(body)),
-            _ => (TArgs::default(), None),
-        };
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
-                let mut sargs = Vec::new();
-                if let Some(b) = body {
-                    for a in b.list(super_args) {
-                        sargs.push(self.eval(b, &mut frame, a)?);
-                    }
-                }
+                let sargs = match typed {
+                    Some((b, args, _)) => self.eval_args(b, &mut frame, args)?,
+                    None => Vec::new(),
+                };
                 self.run_ctor(obj, *sid, sargs)?;
             }
         }
         // 2. field initializers of this class.
         for (i, f) in info.fields.iter().enumerate() {
-            if let Some(init) = &f.init {
-                let v = self.eval_init(&mut frame, init)?;
+            if let Some((init, value)) = f.typed_init() {
+                let v = self.eval(init, &mut frame, value)?;
                 self.heap.obj_mut(obj).fields[info.field_base as usize + i] = v;
             }
         }
         // 3. constructor body.
-        if let (Some(b), Some(block)) = (body, block) {
+        if let Some((b, _, block)) = typed {
             self.exec_block(b, &mut frame, block)?;
         }
         self.leave();
@@ -369,15 +365,12 @@ impl<'t> Jvm<'t> {
         args: Vec<Value>,
     ) -> JResult<Value> {
         let m = self.table.method(class, index);
-        let Some(body) = m.body.as_deref() else {
+        let Some((body, block)) = m.typed_body() else {
             return Err(JvmError::new(format!(
                 "method `{}::{}` has no body",
                 self.table.name(class),
                 m.name
             )));
-        };
-        let TRoot::Block(block) = body.root() else {
-            return Err(JvmError::new("a method body is not a block"));
         };
         if m.params.len() != args.len() {
             return Err(JvmError::new(format!(
@@ -479,14 +472,6 @@ impl<'t> Jvm<'t> {
             }
         }
         Ok((grid, block))
-    }
-
-    /// A field initializer, in `frame`.
-    fn eval_init(&mut self, frame: &mut Frame, init: &TBody) -> JResult<Value> {
-        let TRoot::Init(e) = init.root() else {
-            return Err(JvmError::new("a field initializer is not an expression"));
-        };
-        self.eval(init, frame, e)
     }
 
     fn exec_block(&mut self, b: &TBody, frame: &mut Frame, block: TBlock) -> JResult<Flow> {

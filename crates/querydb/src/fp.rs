@@ -1,4 +1,4 @@
-//! Span-free structural fingerprints over the untyped and typed ASTs.
+//! Span-free structural fingerprints over the untyped and typed bodies.
 //!
 //! Every hash here deliberately ignores [`Span`]s: an edit that only
 //! moves code around (whitespace, comments, reformatting) shifts every

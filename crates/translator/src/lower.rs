@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::{
     ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Label, Program, Reg, Ty,
@@ -449,7 +449,7 @@ impl<'t> Lowerer<'t> {
         ret_shape: Option<Shape>,
     ) -> TResult<SpecResult> {
         let m = self.table.method(key.class, key.method);
-        let Some((body, block)) = method_body(m) else {
+        let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new(format!(
                 "cannot lower body-less method `{}::{}`",
                 self.table.name(key.class),
@@ -551,7 +551,7 @@ impl<'t> Lowerer<'t> {
                 m.name
             )));
         }
-        let Some((body, block)) = method_body(m) else {
+        let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new("kernel has no body"));
         };
         let name = self.mangle(key, true, true);
@@ -1373,7 +1373,7 @@ impl<'t> Lowerer<'t> {
             ));
         }
         let m = self.table.method(key.class, key.method);
-        let Some((body, block)) = method_body(m) else {
+        let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new("cannot inline a body-less method"));
         };
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
@@ -1749,10 +1749,7 @@ impl<'t> Lowerer<'t> {
         for (i, a) in args.into_iter().enumerate() {
             fx.env.insert(i as u32, a);
         }
-        let (super_args, block) = match ctor.body.as_deref().map(|b| (b, b.root())) {
-            Some((b, TRoot::Ctor { super_args, body })) => (Some((b, super_args)), Some((b, body))),
-            _ => (None, None),
-        };
+        let typed = ctor.typed_body();
         // `fields` is threaded explicitly: super constructors share it.
         let result = (|| -> TResult<()> {
             // 1. super constructor.
@@ -1761,8 +1758,8 @@ impl<'t> Lowerer<'t> {
                     // Temporarily expose the shared field frame for
                     // GetField(this) inside super argument expressions.
                     fx.ctor_fields = Some(std::mem::take(fields));
-                    let sargs = match super_args {
-                        Some((b, args)) => self.arg_opnds(fx, b, args)?,
+                    let sargs = match typed {
+                        Some((b, args, _)) => self.arg_opnds(fx, b, args)?,
                         None => Vec::new(),
                     };
                     *fields = fx.ctor_fields.take().unwrap();
@@ -1775,14 +1772,14 @@ impl<'t> Lowerer<'t> {
             // 2. field initializers, 3. body — both with the frame visible.
             fx.ctor_fields = Some(std::mem::take(fields));
             for (i, f) in info.fields.iter().enumerate() {
-                if let Some(init) = f.init.as_deref() {
-                    let v = self.expr(fx, init, init_value(init)?)?;
+                if let Some((init, value)) = f.typed_init() {
+                    let v = self.expr(fx, init, value)?;
                     let v = self.copy_opnd(fx, &v);
                     fx.ctor_fields.as_mut().unwrap()[(info.field_base + i as u32) as usize] =
                         Some(v);
                 }
             }
-            if let Some((b, body)) = block {
+            if let Some((b, _, body)) = typed {
                 self.ctor_block(fx, b, body)?;
             }
             *fields = fx.ctor_fields.take().unwrap();
@@ -1906,31 +1903,14 @@ pub fn native_intrin(key: &str) -> Option<IntrinOp> {
     })
 }
 
-/// A method's typed body and its block, if it has one.
-pub(crate) fn method_body(m: &jlang::MethodInfo) -> Option<(&TBody, TBlock)> {
-    let body = m.body.as_deref()?;
-    match body.root() {
-        TRoot::Block(block) => Some((body, block)),
-        _ => None,
-    }
-}
-
-/// The value expression of a field initializer's typed body.
-pub(crate) fn init_value(init: &TBody) -> TResult<TExprId> {
-    match init.root() {
-        TRoot::Init(e) => Ok(e),
-        _ => Err(TransError::new("a field initializer is not an expression")),
-    }
-}
-
 /// The compile-time value of static field `index` of `class` (coding rule
 /// 5 guarantees a constant initializer).
-pub fn static_const(table: &ClassTable, class: ClassId, index: u32) -> TResult<ConstVal> {
+pub(crate) fn static_const(table: &ClassTable, class: ClassId, index: u32) -> TResult<ConstVal> {
     let f = &table.class(class).statics[index as usize];
-    let init = f.init.as_deref().ok_or_else(|| {
+    let (init, value) = f.typed_init().ok_or_else(|| {
         TransError::new(format!("static `{}` has no constant initializer", f.name))
     })?;
-    const_eval(table, init, init_value(init)?)
+    const_eval(table, init, value)
 }
 
 /// Evaluate a typed expression as a compile-time constant (static final

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet};
 
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, Type};
 
 use crate::shape::{elem_ty_of, Shape, TransError};
@@ -72,15 +72,12 @@ impl<'t> ShapeEval<'t> {
         if let Some(native) = &m.native {
             return native_return_shape(&m.ret, native);
         }
-        let Some(body) = m.body.as_deref() else {
+        let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new(format!(
                 "method `{}::{}` has no body to analyze",
                 self.table.name(key.class),
                 m.name
             )));
-        };
-        let TRoot::Block(block) = body.root() else {
-            return Err(TransError::new("a method body is not a block"));
         };
         if m.ret == Type::Void {
             // Still walk the body to surface shape errors early? Walking is
@@ -498,15 +495,12 @@ impl<'t> ShapeEval<'t> {
         for (i, s) in arg_shapes.iter().enumerate() {
             env.locals.insert(i as u32, s.clone());
         }
-        let (super_args, block) = match ctor.body.as_deref().map(|b| (b, b.root())) {
-            Some((b, TRoot::Ctor { super_args, body })) => (Some((b, super_args)), Some((b, body))),
-            _ => (None, None),
-        };
+        let typed = ctor.typed_body();
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = Vec::new();
-                if let Some((b, args)) = super_args {
+                if let Some((b, args, _)) = typed {
                     for a in b.list(args) {
                         sargs.push(self.ctor_expr(&mut env, b, a, fields)?);
                     }
@@ -516,16 +510,13 @@ impl<'t> ShapeEval<'t> {
         }
         // 2. field initializers.
         for (i, f) in info.fields.iter().enumerate() {
-            if let Some(init) = f.init.as_deref() {
-                let TRoot::Init(value) = init.root() else {
-                    return Err(TransError::new("a field initializer is not an expression"));
-                };
+            if let Some((init, value)) = f.typed_init() {
                 let s = self.ctor_expr(&mut env, init, value, fields)?;
                 fields[(info.field_base + i as u32) as usize] = Some(s);
             }
         }
         // 3. constructor body (straight-line assignments only).
-        if let Some((b, body)) = block {
+        if let Some((b, _, body)) = typed {
             self.ctor_block(&mut env, b, body, fields)?;
         }
         Ok(())

@@ -14,11 +14,11 @@ use std::collections::HashMap;
 
 use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TRoot, TStmt, TStmtId};
+use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::{FuncBuilder, FuncId, FuncKind, Instr, Label, Program, Reg, Ty};
 
-use crate::lower::{init_value, method_body, native_intrin, static_const, TransStats};
+use crate::lower::{native_intrin, static_const, TransStats};
 use crate::shape::{elem_ty_of, TransError};
 use crate::TResult;
 
@@ -143,7 +143,7 @@ impl<'t> VirtLowerer<'t> {
         if m.native.is_some() {
             return Err(TransError::new("native methods are inlined at call sites"));
         }
-        let Some((body, block)) = method_body(m) else {
+        let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new(format!(
                 "abstract method `{}::{}` has no body",
                 self.table.name(class),
@@ -248,15 +248,12 @@ impl<'t> VirtLowerer<'t> {
             ret_ty: None,
             loops: Vec::new(),
         };
-        let (super_args, block) = match ctor.body.as_deref().map(|b| (b, b.root())) {
-            Some((b, TRoot::Ctor { super_args, body })) => (Some((b, super_args)), Some((b, body))),
-            _ => (None, None),
-        };
+        let typed = ctor.typed_body();
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = vec![0];
-                if let Some((b, args)) = super_args {
+                if let Some((b, args, _)) = typed {
                     sargs.extend(self.args(&mut cx, b, args)?);
                 }
                 let sf = self.ctor_func(*sid)?;
@@ -269,8 +266,8 @@ impl<'t> VirtLowerer<'t> {
         }
         // 2. field initializers.
         for (i, f) in info.fields.iter().enumerate() {
-            if let Some(init) = f.init.as_deref() {
-                let v = self.expr(&mut cx, init, init_value(init)?)?;
+            if let Some((init, value)) = f.typed_init() {
+                let v = self.expr(&mut cx, init, value)?;
                 cx.fb.emit(Instr::PutField {
                     obj: 0,
                     slot: info.field_base + i as u32,
@@ -279,7 +276,7 @@ impl<'t> VirtLowerer<'t> {
             }
         }
         // 3. body.
-        if let Some((b, body)) = block {
+        if let Some((b, _, body)) = typed {
             self.block(&mut cx, b, body)?;
         }
         let f = cx.fb.finish().map_err(TransError::new)?;
