@@ -297,13 +297,7 @@ impl TBody {
     }
 
     pub fn str(&self, id: StrId) -> &str {
-        let i = id.0 as usize;
-        let start = if i == 0 {
-            0
-        } else {
-            self.str_ends[i - 1] as usize
-        };
-        &self.strs[start..self.str_ends[i] as usize]
+        str_at(&self.strs, &self.str_ends, id.0 as usize)
     }
 
     /// The ids of a block or an argument list.
@@ -337,6 +331,12 @@ impl TBody {
     pub fn strs(&self) -> impl Iterator<Item = &str> {
         (0..self.str_ends.len()).map(|i| self.str(StrId(i as u32)))
     }
+}
+
+/// String literal `i` of back-to-back literals that end at `ends`.
+fn str_at<'s>(strs: &'s str, ends: &[u32], i: usize) -> &'s str {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &strs[start..ends[i] as usize]
 }
 
 /// Builds one [`TBody`] at a time; the type checker keeps one per thread
@@ -409,14 +409,7 @@ impl TBodyBuilder {
     }
 
     pub(crate) fn intern_str(&mut self, s: &str) -> StrId {
-        let found = (0..self.str_ends.len()).find(|&i| {
-            let start = if i == 0 {
-                0
-            } else {
-                self.str_ends[i - 1] as usize
-            };
-            &self.strs[start..self.str_ends[i] as usize] == s
-        });
+        let found = (0..self.str_ends.len()).find(|&i| str_at(&self.strs, &self.str_ends, i) == s);
         StrId(found.unwrap_or_else(|| {
             self.strs.push_str(s);
             self.str_ends.push(self.strs.len() as u32);
