@@ -362,7 +362,7 @@ impl<'t, 'b> Checker<'t, 'b> {
     }
 
     /// Per-body result policy: any diagnostic fails the body; a silent
-    /// failure still produces a diagnostic so drivers never lose an error.
+    /// failure still produces a diagnostic so callers never lose an error.
     fn finish(self, root: Option<TRoot>, span: Span, fallback: &str) -> DiagResult<Arc<TBody>> {
         if !self.diags.is_empty() {
             return Err(self.diags);
