@@ -1978,7 +1978,7 @@ pub fn chaos(quick: bool) -> Figure {
         let file = if k == 0 {
             base.clone()
         } else {
-            dir.join(format!("chaos-{d}.d{k}.wckpt"))
+            mpi_sim::delta_path(&base, k as u64)
         };
         let good = std::fs::read(&file).unwrap();
         let damaged = if d % 2 == 0 {

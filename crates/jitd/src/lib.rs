@@ -17,9 +17,10 @@
 //!   ([`wootinj::JitCode::set_timeout`]).
 //! - **Single-flight translation.** N concurrent clients requesting the
 //!   same [`translator::CacheKey`] cause exactly one translation: the
-//!   leader translates and publishes the sealed artifact bytes; every
-//!   follower decodes them ([`wootinj::WootinJ::code_from_artifact`]).
-//! - **Per-tenant artifact quotas.** Each tenant's `DiskStore` lives
+//!   leader translates and publishes its `Arc<Translated>`; every
+//!   follower runs that same program
+//!   ([`wootinj::WootinJ::code_from_artifact`]).
+//! - **Per-tenant artifact quotas.** Each tenant's artifact store lives
 //!   under its own directory; a tenant at its byte quota keeps serving
 //!   its warm keys but new translations are shed typed (`OverQuota`).
 //! - **Faults are counted, not fatal.** Client disconnects mid-request,
@@ -48,6 +49,7 @@ use proto::{
     Arg, JitRequest, Outcome, PassTotals, Reply, Request, ServiceStats, ShedReason, SERVICE_PROTO,
 };
 use translator::Translated;
+use wootinj::cache::{self, CacheKey};
 use wootinj::{JitCode, JitOptions, WootinJ, Workspace};
 
 /// Admission, quota, deadline, and fault policy for one daemon.
@@ -192,8 +194,8 @@ impl Gate {
 
 enum FlightState {
     Running,
-    /// The leader's sealed artifact bytes ([`Translated::encode`]).
-    Done(Arc<Vec<u8>>),
+    /// The leader's translation, shared with every follower.
+    Done(Arc<Translated>),
     /// The leader's typed failure, replayed to every follower.
     Failed(String),
 }
@@ -219,10 +221,10 @@ impl Flight {
 struct Shared {
     config: DaemonConfig,
     gate: Gate,
-    /// In-progress translations, keyed by cache-key fingerprint. An
-    /// entry exists only while its leader is translating; completed
-    /// flights are removed (later requests warm-start from disk).
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
+    /// In-progress translations, keyed by cache key. An entry exists
+    /// only while its leader is translating; completed flights are
+    /// removed (later requests warm-start from disk).
+    flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
     stats: Mutex<ServiceStats>,
     fault: Option<Mutex<FaultPlan>>,
 }
@@ -303,6 +305,16 @@ impl Daemon {
 // connection service
 // ---------------------------------------------------------------------
 
+/// The counter a shed for `reason` bumps.
+fn shed_counter(s: &mut ServiceStats, reason: ShedReason) -> &mut u64 {
+    match reason {
+        ShedReason::QueueFull => &mut s.shed_queue_full,
+        ShedReason::Draining => &mut s.shed_draining,
+        ShedReason::Deadline => &mut s.shed_deadline,
+        ShedReason::OverQuota => &mut s.shed_over_quota,
+    }
+}
+
 fn shed_reply(reason: ShedReason, message: impl Into<String>) -> Reply {
     Reply::Shed {
         reason,
@@ -336,19 +348,6 @@ fn tenant_dir(root: &Path, tenant: &str) -> PathBuf {
     } else {
         safe
     })
-}
-
-/// Bytes of sealed artifacts currently stored for a tenant.
-fn artifact_bytes(dir: &Path) -> u64 {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "wjar"))
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
 }
 
 fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -455,13 +454,7 @@ fn serve_jit(shared: &Arc<Shared>, tenant: &str, j: JitRequest) -> Reply {
     let deadline = Instant::now() + budget;
 
     if let Err(reason) = shared.gate.admit(deadline) {
-        let mut s = shared.stats.lock().unwrap();
-        match reason {
-            ShedReason::QueueFull => s.shed_queue_full += 1,
-            ShedReason::Draining => s.shed_draining += 1,
-            ShedReason::Deadline => s.shed_deadline += 1,
-            ShedReason::OverQuota => s.shed_over_quota += 1,
-        }
+        *shed_counter(&mut shared.stats.lock().unwrap(), reason) += 1;
         return shed_reply(reason, format!("admission refused: {reason}"));
     }
     shared.stats.lock().unwrap().admitted += 1;
@@ -483,12 +476,7 @@ fn serve_jit(shared: &Arc<Shared>, tenant: &str, j: JitRequest) -> Reply {
         }
         Err(reply) => {
             match &reply {
-                Reply::Shed { reason, .. } => match reason {
-                    ShedReason::QueueFull => s.shed_queue_full += 1,
-                    ShedReason::Draining => s.shed_draining += 1,
-                    ShedReason::Deadline => s.shed_deadline += 1,
-                    ShedReason::OverQuota => s.shed_over_quota += 1,
-                },
+                Reply::Shed { reason, .. } => *shed_counter(&mut s, *reason) += 1,
                 _ => s.request_errors += 1,
             }
             reply
@@ -541,17 +529,16 @@ fn run_admitted(
     let key = env
         .cache_key(&recv, &j.method, &args, options.config, 0)
         .map_err(err_reply)?;
-    let fingerprint = key.fingerprint();
 
     // Single-flight: first thread in becomes the leader; concurrent
-    // requests for the same fingerprint wait for its sealed artifact.
+    // requests for the same key wait for its translation.
     let (leader, flight) = {
         let mut flights = shared.flights.lock().unwrap();
-        match flights.get(&fingerprint) {
+        match flights.get(&key) {
             Some(f) => (false, Arc::clone(f)),
             None => {
                 let f = Arc::new(Flight::new());
-                flights.insert(fingerprint.clone(), Arc::clone(&f));
+                flights.insert(key.clone(), Arc::clone(&f));
                 (true, f)
             }
         }
@@ -559,14 +546,14 @@ fn run_admitted(
 
     let (mut code, translated, followed) = if leader {
         let led = lead_translate(
-            shared, &env, &recv, j, &args, options, tenant, &dir, deadline,
+            shared, &env, &recv, j, &args, options, tenant, &dir, &key, deadline,
         );
         // Publish before unkeying, so followers of *this* flight get
         // the verdict while later requests start fresh (warm from disk).
         {
             let mut st = flight.m.lock().unwrap();
             *st = match &led {
-                Ok(code) => FlightState::Done(Arc::new(code.translated.encode())),
+                Ok(code) => FlightState::Done(Arc::clone(&code.translated)),
                 Err(reply) => FlightState::Failed(match reply {
                     Reply::Shed { reason, message } => format!("leader shed ({reason}): {message}"),
                     Reply::Err { message } => message.clone(),
@@ -575,20 +562,14 @@ fn run_admitted(
             };
             flight.cv.notify_all();
         }
-        shared.flights.lock().unwrap().remove(&fingerprint);
+        shared.flights.lock().unwrap().remove(&key);
         let code = led?;
         let translated = env.cache_stats().translations > 0;
         (code, translated, false)
     } else {
-        let bytes = follow(&flight, deadline)?;
-        let t = Translated::decode(&bytes)
-            .map_err(|e| err_reply(format!("decoding shared artifact: {e}")))?;
+        let t = follow(&flight, deadline)?;
         shared.stats.lock().unwrap().follower_serves += 1;
-        (
-            env.code_from_artifact(Arc::new(t), &recv, &args),
-            false,
-            true,
-        )
+        (env.code_from_artifact(t, &recv, &args), false, true)
     };
 
     let compile_us = t0.elapsed().as_micros() as u64;
@@ -624,17 +605,15 @@ fn lead_translate(
     options: JitOptions,
     tenant: &str,
     dir: &Path,
+    key: &CacheKey,
     deadline: Instant,
 ) -> Result<JitCode, Reply> {
-    let key = env
-        .cache_key(recv, &j.method, args, options.config, 0)
-        .map_err(err_reply)?;
-    let artifact = dir.join(format!("{}.wjar", key.fingerprint()));
+    let warm = cache::artifact_path(dir, key).is_file();
 
     // Quota: a warm key (artifact already on disk) always serves; new
     // bytes for a tenant at its quota are refused typed.
     let quota = shared.config.quota_for(tenant);
-    if !artifact.is_file() && artifact_bytes(dir) >= quota {
+    if !warm && cache::artifact_bytes(dir) >= quota {
         return Err(shed_reply(
             ShedReason::OverQuota,
             format!("tenant store at quota ({quota} bytes); warm keys still serve"),
@@ -643,7 +622,7 @@ fn lead_translate(
 
     // Seeded service-loop fault: one stream draw per would-be
     // translation, counted in `ResilienceStats::translate_failures`.
-    if !artifact.is_file() {
+    if !warm {
         if let Some(plan) = &shared.fault {
             if plan.lock().unwrap().translate_fails() {
                 return Err(err_reply("injected translate failure"));
@@ -690,11 +669,11 @@ fn lead_translate(
 }
 
 /// The follower half: deadline-bounded wait for the leader's verdict.
-fn follow(flight: &Flight, deadline: Instant) -> Result<Arc<Vec<u8>>, Reply> {
+fn follow(flight: &Flight, deadline: Instant) -> Result<Arc<Translated>, Reply> {
     let mut st = flight.m.lock().unwrap();
     loop {
         match &*st {
-            FlightState::Done(bytes) => return Ok(Arc::clone(bytes)),
+            FlightState::Done(t) => return Ok(Arc::clone(t)),
             FlightState::Failed(message) => {
                 return Err(Reply::Err {
                     message: message.clone(),

@@ -364,8 +364,8 @@ pub fn register_defaults(jvm: &mut Jvm<'_>) {
             key,
             native(move |_, _| {
                 Err(JvmError::new(
-                    "MPI point-to-point communication requires translation (jit4mpi) \
-                     and the mpi-sim runtime; the interpreter models a single rank",
+                    "MPI point-to-point communication requires translation (jit, then \
+                     set_mpi) and the mpi-sim runtime; the interpreter models a single rank",
                 ))
             }),
         );

@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 
 pub mod runtime;
-pub mod shared;
 pub mod transport;
 
 use std::path::{Path, PathBuf};
@@ -31,7 +30,6 @@ pub use runtime::{
     run_world, run_world_with_restart, service_device_yield, service_host_yield, ArgBuilder,
     Blocked, DeviceOutcome, LocalPool, RankCtl, RankPool, RankSnapshot, RankYield, RunCfg,
 };
-pub use shared::{SharedCache, SharedCacheStats};
 pub use transport::{
     read_frame, write_frame, InMemTransport, MsgQueues, Transport, TransportError, FRAME_MAGIC,
     MAX_FRAME_LEN, WIRE_VERSION,
@@ -216,11 +214,6 @@ pub struct WorldRun {
     /// (all-zero when no fault plan is configured). Deterministic: the
     /// same `FaultConfig` seed yields a bit-identical value.
     pub resilience: ResilienceStats,
-    /// Per-world translate-once counters when the code driving this world
-    /// came through a shared (rank-0-owned) JIT cache — see
-    /// [`shared::SharedCache`]. All-zero for unshared runs; the `wootinj`
-    /// facade fills it in from the `jit4mpi` snapshot.
-    pub shared_jit: SharedCacheStats,
     /// Checkpoint/restart accounting; all-zero for plain [`World::run`].
     pub restart: RestartStats,
 }
@@ -370,13 +363,27 @@ pub struct WorldCheckpoint {
 
 /// Path of delta link `seq` beside its chain's base file:
 /// `world.wckpt` → `world.d3.wckpt`.
-pub(crate) fn delta_path(base: &Path, seq: u64) -> PathBuf {
+pub fn delta_path(base: &Path, seq: u64) -> PathBuf {
     let name = base
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("chain.wckpt");
     let stem = name.strip_suffix(".wckpt").unwrap_or(name);
     base.with_file_name(format!("{stem}.d{seq}.wckpt"))
+}
+
+/// The inverse of [`delta_path`]: the chain base a delta link belongs to
+/// (`world.d3.wckpt` → `world.wckpt`), or `None` for a file that is not
+/// one (a base included).
+pub fn delta_base(path: &Path) -> Option<PathBuf> {
+    let name = path.file_name()?.to_str()?;
+    let (stem, seq) = name.strip_suffix(".wckpt")?.rsplit_once(".d")?;
+    if seq.is_empty() || !seq.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    // The base's name is the link's with its `.dN` cut out.
+    let base = [&name[..stem.len()], &name[stem.len() + 2 + seq.len()..]].concat();
+    Some(path.with_file_name(base))
 }
 
 /// Load a persisted chain: the base file, then `d1`, `d2`, … until the
@@ -430,22 +437,34 @@ pub fn probe_chain(base: &Path) -> ChainProbe {
     }
 }
 
-/// Persist checkpoint bytes via temp-then-rename so a reader (including a
-/// warm-restarting process) never observes a torn file. Best-effort: IO
-/// failures only cost the warm-restart capability, never the run.
-pub(crate) fn persist_checkpoint(path: &Path, bytes: &[u8]) {
-    static TMP_UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let file_name = match path.file_name() {
-        Some(n) => n.to_os_string(),
-        None => return,
+/// A fresh staging name beside `path`: `.<name>.<pid>-<n>.tmp`. The pid
+/// separates processes sharing a directory, a process-wide counter
+/// separates threads, and the `tmp` extension keeps it out of every scan
+/// by extension (a directory's artifact and checkpoint counts, budgets
+/// and sweeps).
+pub fn staging_path(path: &Path) -> std::io::Result<PathBuf> {
+    static UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let Some(name) = path.file_name() else {
+        return Err(std::io::ErrorKind::InvalidInput.into());
     };
-    let uniq = TMP_UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut tmp_name = std::ffi::OsString::from(format!(".tmp-{}-{uniq}-", std::process::id()));
-    tmp_name.push(&file_name);
-    let tmp = path.with_file_name(tmp_name);
-    if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, path).is_err() {
-        let _ = std::fs::remove_file(&tmp);
+    let uniq = UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut staging = std::ffi::OsString::from(".");
+    staging.push(name);
+    staging.push(format!(".{}-{uniq}.tmp", std::process::id()));
+    Ok(path.with_file_name(staging))
+}
+
+/// Write `bytes` to `path` through a [`staging_path`] renamed into
+/// place, so a reader — another process warm-starting from the same
+/// directory included — sees the previous complete file or the new one,
+/// never a torn one. The staging file is removed on any failure.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let staging = staging_path(path)?;
+    let written = std::fs::write(&staging, bytes).and_then(|()| std::fs::rename(&staging, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&staging);
     }
+    written
 }
 
 /// Derive the device-side fault config for one rank: same rates as the
@@ -1260,6 +1279,44 @@ mod tests {
             .unwrap();
         let c: Vec<Option<Val>> = cold.ranks.into_iter().map(|r| r.result).collect();
         assert_eq!(b, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn delta_base_inverts_delta_path() {
+        let base = Path::new("/ckpt/wj01-ab.c.wckpt");
+        for seq in [1, 3, 1234] {
+            assert_eq!(delta_base(&delta_path(base, seq)), Some(base.to_path_buf()));
+        }
+        for not_a_link in [
+            "/ckpt/wj01-ab.c.wckpt",
+            "/ckpt/x.d.wckpt",
+            "/ckpt/x.d3x.wckpt",
+            "/ckpt/x.d3.wjar",
+            "/ckpt/.x.d3.wckpt.7-0.tmp",
+        ] {
+            assert_eq!(delta_base(Path::new(not_a_link)), None, "{not_a_link}");
+        }
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_and_leaves_no_staging_file() {
+        let dir = std::env::temp_dir().join(format!("wj-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("world.wckpt");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        // A rename onto a directory fails: the staging file goes too.
+        let blocked = dir.join("blocked.wckpt");
+        std::fs::create_dir_all(blocked.join("inside")).unwrap();
+        assert!(write_atomic(&blocked, b"lost").is_err());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names.len(), 2, "only the file and the directory: {names:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

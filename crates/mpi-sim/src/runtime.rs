@@ -32,7 +32,6 @@ use gpu_sim::{Gpu, GpuConfig, GpuErrorKind};
 use nir::codec::{Reader, Wire, Writer};
 use nir::{FuncId, IntrinOp, Program};
 
-use crate::shared::SharedCacheStats;
 use crate::transport::Transport;
 #[cfg(test)]
 use crate::WorldCheckpoint;
@@ -1107,7 +1106,8 @@ impl CkptState {
                 // the new base alone — never a base with foreign deltas
                 // (parent digests would reject those anyway).
                 crate::remove_persisted_deltas(path);
-                crate::persist_checkpoint(path, &link.bytes);
+                // Best-effort: a failed write costs only the warm restart.
+                let _ = crate::write_atomic(path, &link.bytes);
             }
             self.links.clear();
             self.deltas_since_base = 0;
@@ -1115,7 +1115,7 @@ impl CkptState {
             self.deltas += 1;
             self.deltas_since_base += 1;
             if let Some(path) = &self.persist {
-                crate::persist_checkpoint(&crate::delta_path(path, link.seq), &link.bytes);
+                let _ = crate::write_atomic(&crate::delta_path(path, link.seq), &link.bytes);
             }
         }
         let link_len = link.bytes.len() as u64;
@@ -1485,7 +1485,6 @@ fn drive(
         resilience.merge(&pool.stats(r)?);
     }
     Ok(WorldRun {
-        shared_jit: SharedCacheStats::default(),
         ranks: pool.finish(ctls)?,
         vtime,
         total_cycles,

@@ -158,6 +158,23 @@ fn read_exact_counted(
     Ok(())
 }
 
+/// Bytes reserved for a payload before any of it arrives. A header may
+/// claim up to [`MAX_FRAME_LEN`]; the buffer grows past this only with
+/// bytes actually read, so a 13-byte header cannot reserve 256 MiB.
+const PAYLOAD_FIRST_RESERVE: usize = 64 << 10;
+
+/// Read a `len`-byte payload, growing the buffer with the bytes that
+/// arrive. Fails exactly as [`read_exact_counted`] does on the same input.
+fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, TransportError> {
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_FIRST_RESERVE));
+    match r.by_ref().take(len as u64).read_to_end(&mut payload) {
+        Ok(got) if got == len => Ok(payload),
+        Ok(0) if len > 0 => Err(TransportError::Disconnected),
+        Ok(got) => Err(TransportError::Truncated { wanted: len, got }),
+        Err(e) => Err(io_error("frame payload read", e)),
+    }
+}
+
 /// Read one framed payload written by [`write_frame`], validating magic,
 /// version, length bound, and checksum. Every malformed input is a typed
 /// error.
@@ -181,8 +198,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, TransportError> {
             message: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"),
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_counted(r, &mut payload, "frame payload read")?;
+    let payload = read_payload(r, len as usize)?;
     let mut sum = [0u8; 8];
     read_exact_counted(r, &mut sum, "frame checksum read")?;
     let found = u64::from_le_bytes(sum);
@@ -402,6 +418,29 @@ mod tests {
                 ),
                 "cut {cut}: {err}"
             );
+        }
+        // Every single-byte flip is typed too, by where it lands.
+        for at in 0..wire.len() {
+            for mask in 1..=u8::MAX {
+                let mut flipped = wire.clone();
+                flipped[at] ^= mask;
+                let err = read_frame(&mut &flipped[..]).unwrap_err();
+                // A flipped length claims more than arrived (cut inside
+                // the payload, or exactly before the checksum), more than
+                // the bound, or less, which moves the checksum.
+                let typed = match at {
+                    0..4 => matches!(err, TransportError::BadMagic { .. }),
+                    4 => matches!(err, TransportError::VersionSkew { .. }),
+                    5..FRAME_HEADER_LEN => matches!(
+                        err,
+                        TransportError::Truncated { .. }
+                            | TransportError::Disconnected
+                            | TransportError::Corrupt { .. }
+                    ),
+                    _ => matches!(err, TransportError::Corrupt { .. }),
+                };
+                assert!(typed, "byte {at} ^ {mask:#04x}: {err}");
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! exhaustively specialized, retargeted to C, CUDA, or MPI. The
 //! reproduction grew three targets — the NIR interpreter (`exec`), the
 //! device simulator (`gpu-sim`), and the rank simulator (`mpi-sim`) —
-//! but they were hard-wired through `wootinj::jit`/`jit4mpi` and
+//! but they were hard-wired through `wootinj::jit`'s world knobs and
 //! per-target knobs, so adding a fourth meant editing every layer.
 //! This crate is the seam that breaks that coupling:
 //!

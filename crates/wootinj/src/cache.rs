@@ -226,26 +226,70 @@ pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 /// aged out oldest-first rather than accumulating forever.
 pub const DEFAULT_CKPT_BUDGET: u64 = 64 * 1024 * 1024;
 
+/// Extension of a sealed artifact file.
+const ARTIFACT_EXT: &str = "wjar";
+
+/// Extension of a persisted world checkpoint file.
+const CKPT_EXT: &str = "wckpt";
+
+/// `<dir>/<fingerprint>.wjar`: where the disk tier keeps `key`'s sealed
+/// artifact.
+pub fn artifact_path(dir: &Path, key: &CacheKey) -> PathBuf {
+    dir.join(format!("{}.{ARTIFACT_EXT}", key.fingerprint()))
+}
+
+/// `<dir>/<fingerprint>.wckpt`: where a run of `key` persists its world
+/// checkpoint chain, beside the artifact (delta links are named from it,
+/// see `mpi_sim::delta_base`).
+pub fn checkpoint_path(dir: &Path, key: &CacheKey) -> PathBuf {
+    dir.join(format!("{}.{CKPT_EXT}", key.fingerprint()))
+}
+
+/// Bytes of sealed artifacts resident in `dir` — what a per-directory
+/// quota counts. Staging files and checkpoints are not artifacts.
+pub fn artifact_bytes(dir: &Path) -> u64 {
+    files_with_ext(dir, ARTIFACT_EXT)
+        .iter()
+        .map(|(_, len, _)| len)
+        .sum()
+}
+
+/// All resident files in `dir` with `ext` as `(path, len, mtime)`,
+/// ignoring unreadable entries (a concurrent evictor may race us).
+/// In-flight staging files never match: their extension is `tmp` (see
+/// `mpi_sim::staging_path`).
+fn files_with_ext(dir: &Path, ext: &str) -> Vec<(PathBuf, u64, SystemTime)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.extension().and_then(|e| e.to_str()) != Some(ext) {
+            continue;
+        }
+        let Ok(meta) = entry.metadata() else { continue };
+        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+        out.push((path, meta.len(), mtime));
+    }
+    out
+}
+
 /// A directory of sealed `.wjar` artifacts, one per key fingerprint.
 ///
-/// Writes go to a `.tmp` sibling first and are renamed into place, so a
-/// concurrent reader — another process warm-starting from the same
-/// directory, or another store instance in this process — never sees a
-/// torn artifact: at worst it sees the previous complete one or none.
-/// Temp names are uniquified by pid *and* a process-wide counter, so two
-/// same-process stores writing the same fingerprint concurrently cannot
-/// collide on the staging file. The store is size-bounded: after every
-/// insert, oldest-mtime artifacts are removed until the directory fits
-/// the budget; a hit refreshes the artifact's mtime, making eviction LRU.
+/// Writes go through `mpi_sim::write_atomic` (a staging file renamed
+/// into place), so a concurrent reader — another process warm-starting
+/// from the same directory, or another store instance in this process —
+/// never sees a torn artifact: at worst it sees the previous complete one
+/// or none. The store is size-bounded: after every insert, oldest-mtime
+/// artifacts are removed until the directory fits the budget; a hit
+/// refreshes the artifact's mtime, making eviction LRU.
 pub struct DiskStore {
     dir: PathBuf,
     max_bytes: u64,
     ckpt_budget: u64,
     stats: CacheStats,
 }
-
-/// Process-wide temp-file uniquifier (see [`DiskStore`] docs).
-static TMP_UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl DiskStore {
     /// Open (creating if needed) an artifact directory. Opening sweeps
@@ -283,35 +327,6 @@ impl DiskStore {
         &self.dir
     }
 
-    fn artifact_path(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.wjar", key.fingerprint()))
-    }
-
-    /// All resident files with `ext` as `(path, len, mtime)`, ignoring
-    /// temp files and unreadable entries (a concurrent evictor may race
-    /// us).
-    fn files_with_ext(&self, ext: &str) -> Vec<(PathBuf, u64, SystemTime)> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(ext) {
-                continue;
-            }
-            let Ok(meta) = entry.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            out.push((path, meta.len(), mtime));
-        }
-        out
-    }
-
-    /// All resident artifacts as `(path, len, mtime)`.
-    fn artifacts(&self) -> Vec<(PathBuf, u64, SystemTime)> {
-        self.files_with_ext("wjar")
-    }
-
     /// Remove oldest-mtime files until their total fits `budget`.
     /// Returns the number of files removed.
     fn sweep(files: Vec<(PathBuf, u64, SystemTime)>, budget: u64) -> u64 {
@@ -336,7 +351,8 @@ impl DiskStore {
 
     /// Remove oldest-mtime artifacts until the directory fits the budget.
     fn evict_to_budget(&mut self) {
-        self.stats.disk_evictions += Self::sweep(self.artifacts(), self.max_bytes);
+        self.stats.disk_evictions +=
+            Self::sweep(files_with_ext(&self.dir, ARTIFACT_EXT), self.max_bytes);
     }
 
     /// Age out persisted world checkpoints (`.wckpt`) beyond their own
@@ -351,20 +367,7 @@ impl DiskStore {
     /// never a base out from under live deltas, never orphaned deltas.
     fn evict_ckpts_to_budget(&mut self) {
         self.stats.ckpt_evictions +=
-            Self::sweep_chains(self.files_with_ext("wckpt"), self.ckpt_budget);
-    }
-
-    /// The chain a checkpoint file belongs to: `x.wckpt` and
-    /// `x.d3.wckpt` both map to `x`.
-    fn chain_stem(path: &Path) -> String {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let stem = name.strip_suffix(".wckpt").unwrap_or(name);
-        match stem.rsplit_once(".d") {
-            Some((base, seq)) if !seq.is_empty() && seq.bytes().all(|b| b.is_ascii_digit()) => {
-                base.to_string()
-            }
-            _ => stem.to_string(),
-        }
+            Self::sweep_chains(files_with_ext(&self.dir, CKPT_EXT), self.ckpt_budget);
     }
 
     /// Remove whole checkpoint chains, coldest first, until their total
@@ -374,19 +377,18 @@ impl DiskStore {
         if total <= budget {
             return 0;
         }
-        let mut chains: HashMap<String, (u64, SystemTime, Vec<PathBuf>)> = HashMap::new();
+        let mut chains: HashMap<PathBuf, (u64, SystemTime, Vec<PathBuf>)> = HashMap::new();
         for (path, len, mtime) in files {
-            let entry = chains.entry(Self::chain_stem(&path)).or_insert((
-                0,
-                SystemTime::UNIX_EPOCH,
-                Vec::new(),
-            ));
+            let base = mpi_sim::delta_base(&path).unwrap_or_else(|| path.clone());
+            let entry = chains
+                .entry(base)
+                .or_insert((0, SystemTime::UNIX_EPOCH, Vec::new()));
             entry.0 += len;
             entry.1 = entry.1.max(mtime);
             entry.2.push(path);
         }
         // Coldest chain = the one whose *newest* member is oldest; the
-        // stem tiebreak keeps eviction order deterministic.
+        // base-path tiebreak keeps eviction order deterministic.
         let mut chains: Vec<_> = chains.into_iter().collect();
         chains.sort_by(|a, b| (a.1 .1, &a.0).cmp(&(b.1 .1, &b.0)));
         let mut removed = 0;
@@ -418,7 +420,7 @@ impl CacheBackend for DiskStore {
     /// the probe reports a miss — the caller translates cold. Never
     /// panics on hostile files.
     fn lookup(&mut self, key: &CacheKey) -> Option<Arc<Translated>> {
-        let path = self.artifact_path(key);
+        let path = artifact_path(&self.dir, key);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
@@ -445,22 +447,12 @@ impl CacheBackend for DiskStore {
         if self.max_bytes == 0 {
             return;
         }
-        let path = self.artifact_path(key);
-        let uniq = TMP_UNIQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}-{}",
-            std::process::id(),
-            uniq,
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("wjar")
-        ));
-        let bytes = translated.encode();
         // Best-effort persistence: a full disk or permission error must
         // not break the jit path — the artifact simply is not cached.
-        if std::fs::write(&tmp, &bytes).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
+        let path = artifact_path(&self.dir, key);
+        if mpi_sim::write_atomic(&path, &translated.encode()).is_ok() {
             self.evict_to_budget();
             self.evict_ckpts_to_budget();
-        } else {
-            let _ = std::fs::remove_file(&tmp);
         }
     }
 
@@ -469,7 +461,7 @@ impl CacheBackend for DiskStore {
     }
 
     fn len(&self) -> usize {
-        self.artifacts().len()
+        files_with_ext(&self.dir, ARTIFACT_EXT).len()
     }
 
     /// The disk tier is byte-bounded, not entry-bounded.

@@ -7,7 +7,7 @@
 //! ------------------------------------  ------------------------------------
 //! javac + class loading                 build_table(&[source, ...])
 //! new StencilOnGpuAndMPI(gen, solver)   env.new_instance("StencilOnGpuAndMPI", &[gen, solver])
-//! WootinJ.jit4mpi(stencil, "run", ...)  env.jit(&stencil, "run", &args, JitOptions::wootinj())
+//! WootinJ.jit(stencil, "run", ...)      env.jit(&stencil, "run", &args, JitOptions::wootinj())
 //! code.set4MPI(128, "./nodeList")       code.set_mpi(128, CostModel::default())
 //! code.invoke()                         code.invoke(&env)
 //! ```
@@ -40,7 +40,6 @@ pub use gpu_sim::GpuConfig;
 pub use mpi_sim::CostModel as MpiCostModel;
 pub use mpi_sim::SimError;
 pub use mpi_sim::{probe_chain, ChainProbe, CheckpointPolicy, RestartStats, Schedule};
-pub use mpi_sim::{SharedCache, SharedCacheStats};
 pub use nir::OptConfig;
 pub use platform::{
     by_id as platform_by_id, registry as platform_registry, Caps, DistPlatform, GpuSimPlatform,
@@ -340,14 +339,18 @@ impl<'t> WootinJ<'t> {
         })
     }
 
-    /// JIT-translate `recv.method(args)` — `WootinJ.jit` / `jit4mpi`.
+    /// JIT-translate `recv.method(args)` — `WootinJ.jit`, and the paper's
+    /// MPI entry point too: configure the world with [`JitCode::set_mpi`].
     /// The arguments are recorded and replayed by [`JitCode::invoke`].
     ///
     /// Translation is memoized in a specialization-keyed code cache: the
     /// key is the exact dynamic type tuple of the live receiver/argument
     /// graph plus the full [`TransConfig`] and the host-FFI registry
     /// fingerprint. A repeat call with an identical key does zero
-    /// translator/NIR work and shares the program via `Arc`.
+    /// translator/NIR work and shares the program via `Arc` — so worlds
+    /// of any size over one env translate a key once, and with
+    /// [`JitOptions::with_disk_cache`] a fresh process decodes it from
+    /// disk instead.
     pub fn jit(
         &self,
         recv: &Value,
@@ -367,7 +370,7 @@ impl<'t> WootinJ<'t> {
     /// [`WjError::Platform`] on mismatch, raised here — not deep inside a
     /// run), and [`JitCode::invoke`] drives the platform's own
     /// [`Platform::run`]. This is the one path all backends share;
-    /// [`Self::jit`]/[`Self::jit4mpi`] are thin wrappers over the same
+    /// [`Self::jit`] is a thin wrapper over the same
     /// machinery with the built-in platforms selected from the legacy
     /// knobs.
     pub fn jit_on(
@@ -433,7 +436,6 @@ impl<'t> WootinJ<'t> {
                 .map(|(db, q0)| db.stats().since(&q0))
                 .unwrap_or_default(),
             degrade,
-            shared_jit: SharedCacheStats::default(),
             recv: recv.clone(),
             args: args.to_vec(),
             platform: None,
@@ -467,7 +469,7 @@ impl<'t> WootinJ<'t> {
         if policy.persist.is_none() {
             if let Some(dir) = &options.disk_cache {
                 if let Ok(key) = self.cache_key(recv, method, args, options.config, salt) {
-                    policy.persist = Some(dir.join(format!("{}.wckpt", key.fingerprint())));
+                    policy.persist = Some(cache::checkpoint_path(dir, &key));
                 }
             }
         }
@@ -506,8 +508,7 @@ impl<'t> WootinJ<'t> {
 
     /// Derive the canonical artifact-store key for `recv.method(args)`
     /// under `config` (the pure half of [`Self::jit`]; also the id used
-    /// for cross-rank sharing in [`Self::jit4mpi`] and for single-flight
-    /// deduplication in the `jitd` service daemon).
+    /// for single-flight deduplication in the `jitd` service daemon).
     pub fn cache_key(
         &self,
         recv: &Value,
@@ -541,89 +542,10 @@ impl<'t> WootinJ<'t> {
         Ok(())
     }
 
-    /// `WootinJ.jit4mpi` with cross-rank artifact sharing: translate
-    /// `recv.method(args)` for a `world_size`-rank world against a
-    /// job-lifetime, rank-0-owned [`SharedCache`].
-    ///
-    /// The broadcast pattern of production MPI jobs: if the shared cache
-    /// already holds the key's sealed artifact, **no rank translates** —
-    /// every rank decodes the broadcast bytes. Otherwise rank 0
-    /// translates exactly once (through this env's local artifact store,
-    /// including the degradation ladder when enabled), publishes the
-    /// encoded artifact, and the remaining `world_size − 1` ranks decode.
-    /// Each distinct key is therefore translated once per *job*,
-    /// regardless of world size or how many worlds share the cache.
-    ///
-    /// The returned code is already configured for `world_size` ranks
-    /// (tune the cost model with [`JitCode::set_mpi`]), and its runs
-    /// report the translate-once counters on `WorldRun::shared_jit`.
-    pub fn jit4mpi(
-        &self,
-        recv: &Value,
-        method: &str,
-        args: &[Value],
-        options: JitOptions,
-        world_size: u32,
-        shared: &mut SharedCache,
-    ) -> WjResult<JitCode> {
-        let world_size = world_size.max(1);
-        let start = Instant::now();
-        if let Some(dir) = &options.disk_cache {
-            self.ensure_disk_cache(dir)?;
-        }
-        let key = self.cache_key(recv, method, args, options.config, 0)?;
-        let fingerprint = key.fingerprint();
-
-        if let Some(bytes) = shared.lookup(&fingerprint) {
-            // A previous world already translated this key: every rank of
-            // this world decodes the broadcast artifact. A corrupt entry
-            // degrades to the cold path below — never a panic.
-            let n = bytes.len() as u64;
-            if let Ok(t) = Translated::decode(bytes) {
-                shared.record_broadcast(u64::from(world_size), n);
-                let checkpoint = self.resolve_checkpoint(&options, recv, method, args, 0);
-                return Ok(JitCode {
-                    translated: Arc::new(t),
-                    compile_time: start.elapsed(),
-                    cache_stats: self.cache.borrow().stats(),
-                    query_delta: QueryStats::default(),
-                    degrade: None,
-                    shared_jit: shared.stats(),
-                    recv: recv.clone(),
-                    args: args.to_vec(),
-                    platform: None,
-                    mpi_size: world_size,
-                    cost: CostModel::default(),
-                    gpu: None,
-                    fault: None,
-                    timeout_rounds: None,
-                    checkpoint,
-                    max_restarts: DEFAULT_MAX_RESTARTS,
-                    executor: options.executor,
-                });
-            }
-        }
-
-        // Rank 0 translates (once per key per job) and broadcasts. The
-        // artifact is published under the *requested* key: if the
-        // degradation ladder served a lower rung, later worlds asking for
-        // the same options get the same degraded artifact.
-        let mut code = self.jit(recv, method, args, options)?;
-        let bytes = code.translated.encode();
-        let n = bytes.len() as u64;
-        shared.publish(fingerprint, bytes);
-        if world_size > 1 {
-            shared.record_broadcast(u64::from(world_size) - 1, n);
-        }
-        code.shared_jit = shared.stats();
-        code.mpi_size = world_size;
-        Ok(code)
-    }
-
     /// Wrap an already-sealed artifact as runnable [`JitCode`] without
     /// translating: the follower half of out-of-process artifact sharing
-    /// (the `jitd` daemon's single-flight path decodes the leader's
-    /// broadcast bytes on every waiting connection through this). The
+    /// (the `jitd` daemon's single-flight path hands the leader's
+    /// translation to every waiting connection through this). The
     /// code starts in the single-rank interpreter shape — callers tune
     /// it with `set_mpi`/`set_gpu`/`set_timeout` as usual.
     pub fn code_from_artifact(
@@ -638,7 +560,6 @@ impl<'t> WootinJ<'t> {
             cache_stats: self.cache.borrow().stats(),
             query_delta: QueryStats::default(),
             degrade: None,
-            shared_jit: SharedCacheStats::default(),
             recv: recv.clone(),
             args: args.to_vec(),
             platform: None,
@@ -865,10 +786,6 @@ pub struct JitCode {
     /// What the degradation ladder did, when [`JitOptions::degrade`] was
     /// set and the requested mode failed; `None` for a first-try success.
     pub degrade: Option<DegradeReport>,
-    /// Snapshot of the job-wide translate-once counters at mint time
-    /// (all-zero unless this code came from [`WootinJ::jit4mpi`]);
-    /// surfaced on every run's `WorldRun::shared_jit`.
-    pub shared_jit: SharedCacheStats,
     recv: Value,
     args: Vec<Value>,
     /// The platform [`Self::invoke`] runs on. `Some` when minted by
@@ -1002,8 +919,7 @@ impl JitCode {
             )
             .map_err(|e| e.message)
         };
-        let mut run = platform.run(req, &mut make_args).map_err(WjError::Sim)?;
-        run.shared_jit = self.shared_jit;
+        let run = platform.run(req, &mut make_args).map_err(WjError::Sim)?;
         let wall = start.elapsed();
         // Fold the jit-side degradation into the run's resilience view,
         // so one struct answers "what did the stack absorb this run".

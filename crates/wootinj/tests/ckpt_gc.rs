@@ -135,6 +135,29 @@ fn chains_are_evicted_wholesale_never_orphaning_deltas() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A budget that falls inside a chain still takes the chain whole: one
+/// delta's bytes over the budget evict every link of the coldest chain,
+/// not only its oldest file.
+#[test]
+fn a_budget_inside_a_chain_takes_the_whole_chain() {
+    let dir = std::env::temp_dir().join(format!("wj-ckpt-gc-inside-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    write_ckpt(&dir, "wj01-cold", 1024);
+    write_ckpt(&dir, "wj01-cold.d1", 256);
+    write_ckpt(&dir, "wj01-cold.d2", 256);
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    write_ckpt(&dir, "wj01-warm", 1024);
+
+    // 100 bytes short of all four files: per file, removing any one link
+    // of the cold chain would fit.
+    let store = DiskStore::open(&dir).unwrap().with_ckpt_budget(2560 - 100);
+    assert_eq!(store.stats().ckpt_evictions, 3, "the whole cold chain");
+    assert_eq!(ckpt_bytes(&dir), 1024, "only the warm chain is left");
+    assert!(dir.join("wj01-warm.wckpt").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn facade_checkpoints_stay_within_the_default_budget_and_artifacts_survive() {
     // End-to-end: a checkpointed facade run persists a `.wckpt`; the

@@ -2,8 +2,8 @@
 //! `DiskStore` performs zero translator/NIR work (asserted on the cache's
 //! own counters) and is faster than a cold translate; corrupted / truncated / version-skewed artifacts
 //! degrade to a cold translate (never panic); memory fronts disk
-//! (promotion); the disk tier is size-bounded; and a shared-cache
-//! `jit4mpi` world translates each key exactly once regardless of size.
+//! (promotion); the disk tier is size-bounded; and MPI worlds of any
+//! size translate each key once per env, or not at all from a warm disk.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use jvm::Value;
 use wootinj::cache::{DiskStore, MemoryLru, Tiered};
-use wootinj::{build_table, JitOptions, MpiCostModel, SharedCache, Val, WootinJ};
+use wootinj::{build_table, JitOptions, MpiCostModel, Val, WootinJ};
 
 const APP: &str = "
     @WootinJ interface Op { float f(float x); }
@@ -352,101 +352,66 @@ fn disk_store_evicts_oldest_artifacts_beyond_the_byte_budget() {
 }
 
 #[test]
-fn shared_cache_world_translates_each_key_exactly_once() {
+fn one_env_translates_each_key_once_across_world_sizes() {
     let table = build_table(&[("app.jl", APP)]).unwrap();
-    let mut shared = SharedCache::new();
-
-    // World 1: 4 ranks, fresh job-wide cache. Rank 0 translates, ranks
-    // 1..4 decode the broadcast.
-    let result4 = {
-        let mut env = WootinJ::new(&table).unwrap();
-        let d = env.new_instance("Dbl", &[]).unwrap();
-        let r = env.new_instance("Runner", &[d, Value::Float(0.0)]).unwrap();
-        let a = env.new_f32_array(&[1.0, 2.0]);
+    let mut env = WootinJ::new(&table).unwrap();
+    let a = env.new_f32_array(&[1.0, 2.0]);
+    let world = |env: &mut WootinJ<'_>, op: &str, ranks: u32| {
+        // Each world composes its own object graph; the specialization
+        // key is what matches.
+        let o = env.new_instance(op, &[]).unwrap();
+        let r = env.new_instance("Runner", &[o, Value::Float(0.0)]).unwrap();
         let mut code = env
-            .jit4mpi(&r, "run", &[a], JitOptions::wootinj(), 4, &mut shared)
+            .jit(&r, "run", std::slice::from_ref(&a), JitOptions::wootinj())
             .unwrap();
-        code.set_mpi(4, MpiCostModel::default());
-        let report = code.invoke(&env).unwrap();
-        assert_eq!(report.worlds.shared_jit.translations, 1);
-        assert_eq!(report.worlds.shared_jit.broadcast_decodes, 3);
-        assert!(report.worlds.shared_jit.broadcast_bytes > 0);
-        assert_eq!(report.results.len(), 4);
+        code.set_mpi(ranks, MpiCostModel::default());
+        let report = code.invoke(env).unwrap();
+        assert_eq!(report.results.len(), ranks as usize);
         report.result
     };
 
-    // World 2: a *different env* (independently composed object graph,
-    // identical specialization key) at a different size. No rank
-    // translates — all 8 decode.
-    let mut env = WootinJ::new(&table).unwrap();
-    let d = env.new_instance("Dbl", &[]).unwrap();
-    let r = env.new_instance("Runner", &[d, Value::Float(0.0)]).unwrap();
-    let a = env.new_f32_array(&[1.0, 2.0]);
-    let mut code = env
-        .jit4mpi(&r, "run", &[a], JitOptions::wootinj(), 8, &mut shared)
-        .unwrap();
-    code.set_mpi(8, MpiCostModel::default());
-    let report = code.invoke(&env).unwrap();
-    let stats = report.worlds.shared_jit;
-    assert_eq!(
-        stats.translations, 1,
-        "one translation across both worlds, regardless of world size"
-    );
-    assert_eq!(stats.broadcast_decodes, 3 + 8);
+    let result4 = world(&mut env, "Dbl", 4);
+    assert_eq!(env.cache_stats().translations, 1);
+    let result8 = world(&mut env, "Dbl", 8);
     assert_eq!(
         env.cache_stats().translations,
-        0,
-        "the second world's env never ran the translator"
+        1,
+        "one translation across both worlds, regardless of world size"
     );
-    assert_eq!(
-        report.result, result4,
-        "broadcast artifact computes the same"
-    );
+    assert_eq!(env.cache_stats().hits, 1, "the second world hit memory");
+    assert_eq!(result8, result4, "both worlds compute the same");
 
     // A *different* key (other receiver graph) translates once more.
-    let s = env.new_instance("Sqr", &[]).unwrap();
-    let rs = env.new_instance("Runner", &[s, Value::Float(0.0)]).unwrap();
-    let a2 = env.new_f32_array(&[3.0]);
-    env.jit4mpi(&rs, "run", &[a2], JitOptions::wootinj(), 8, &mut shared)
-        .unwrap();
-    assert_eq!(shared.stats().translations, 2);
-    assert_eq!(shared.len(), 2);
+    world(&mut env, "Sqr", 8);
+    assert_eq!(env.cache_stats().translations, 2);
+    assert_eq!(env.cache_len(), 2);
 }
 
 #[test]
-fn jit4mpi_composes_with_a_disk_cache() {
-    // The two tiers of sharing compose: job-wide broadcast (SharedCache)
-    // over process-lifetime persistence (DiskStore).
+fn a_fresh_env_runs_an_mpi_world_from_disk_with_zero_translations() {
     let table = build_table(&[("app.jl", APP)]).unwrap();
     let tmp = TempDir::new("mpi-disk");
     let opts = || JitOptions::wootinj().with_disk_cache(tmp.path());
-
-    {
-        let mut shared = SharedCache::new();
+    let world = |ranks: u32| {
         let mut env = WootinJ::new(&table).unwrap();
         let d = env.new_instance("Dbl", &[]).unwrap();
         let r = env.new_instance("Runner", &[d, Value::Float(0.0)]).unwrap();
         let a = env.new_f32_array(&[1.0]);
-        env.jit4mpi(&r, "run", &[a], opts(), 4, &mut shared)
-            .unwrap();
-        assert_eq!(shared.stats().translations, 1);
-        assert_eq!(artifact_files(tmp.path()).len(), 1);
-    }
+        let mut code = env.jit(&r, "run", &[a], opts()).unwrap();
+        code.set_mpi(ranks, MpiCostModel::default());
+        let result = code.invoke(&env).unwrap().result;
+        (env.cache_stats(), result)
+    };
 
-    // A fresh job (new SharedCache, new env) warm-starts from disk: the
-    // "rank 0 translate" is itself served by the disk tier, so the whole
-    // job does zero translator work.
-    let mut shared = SharedCache::new();
-    let mut env = WootinJ::new(&table).unwrap();
-    let d = env.new_instance("Dbl", &[]).unwrap();
-    let r = env.new_instance("Runner", &[d, Value::Float(0.0)]).unwrap();
-    let a = env.new_f32_array(&[1.0]);
-    env.jit4mpi(&r, "run", &[a], opts(), 6, &mut shared)
-        .unwrap();
-    let stats = env.cache_stats();
-    assert_eq!(
-        stats.translations, 0,
-        "served from disk, not the translator"
-    );
-    assert_eq!(stats.disk_hits, 1);
+    let (cold, result4) = world(4);
+    assert_eq!(cold.translations, 1);
+    assert_eq!(artifact_files(tmp.path()).len(), 1);
+
+    // A fresh env (a fresh process, as far as the cache can tell) on the
+    // same directory: the disk tier serves the key, so the whole job
+    // does zero translator work.
+    let (warm, result6) = world(6);
+    assert_eq!(warm.translations, 0, "served from disk, not the translator");
+    assert_eq!(warm.disk_hits, 1);
+    assert_eq!(result6, result4);
 }

@@ -111,11 +111,8 @@ fn many_writers_one_directory_no_torn_reads_and_budget_holds() {
             );
         }
         assert!(
-            !path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(".tmp-")),
-            "leaked temp file {path:?}"
+            path.extension().and_then(|e| e.to_str()) != Some("tmp"),
+            "leaked staging file {path:?}"
         );
     }
     let mut store = DiskStore::open(&dir).unwrap().with_max_bytes(budget);
@@ -132,5 +129,46 @@ fn many_writers_one_directory_no_torn_reads_and_budget_holds() {
         total <= budget,
         "eviction bound violated: {total} > {budget}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Another writer's in-flight staging file — for an artifact or for a
+/// checkpoint — is not yet part of the store: it is neither counted by
+/// `len()` or the byte budget nor removed by either sweep.
+#[test]
+fn staging_files_are_neither_counted_nor_swept() {
+    let dir = std::env::temp_dir().join(format!("wj-staging-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let bytes = artifact_bytes();
+    let artifact_len = bytes.len() as u64;
+    let in_flight = [
+        mpi_sim::staging_path(&dir.join("wj01-elsewhere.wjar")).unwrap(),
+        mpi_sim::staging_path(&dir.join("wj01-elsewhere.wckpt")).unwrap(),
+        mpi_sim::staging_path(&dir.join("wj01-elsewhere.d4.wckpt")).unwrap(),
+    ];
+    for path in &in_flight {
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    // A budget of one artifact, and none for checkpoints: every insert
+    // sweeps both kinds of file.
+    let mut store = DiskStore::open(&dir)
+        .unwrap()
+        .with_max_bytes(artifact_len)
+        .with_ckpt_budget(0);
+    let translated = Arc::new(Translated::decode(&bytes).unwrap());
+    store.insert(&key(1), &translated);
+    store.insert(&key(2), &translated);
+    assert_eq!(store.len(), 1, "staging files are not resident artifacts");
+    assert_eq!(wootinj::cache::artifact_bytes(&dir), artifact_len);
+    assert_eq!(store.stats().disk_evictions, 1, "only key 1 was swept");
+    assert_eq!(store.stats().ckpt_evictions, 0);
+    for path in &in_flight {
+        assert!(
+            path.exists(),
+            "swept another writer's staging file {path:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,8 +7,8 @@
 
 use jvm::Value;
 use wootinj::{
-    build_table, CheckpointPolicy, FaultConfig, JitOptions, MpiCostModel, RunReport, SharedCache,
-    SimError, Val, WjError, WootinJ,
+    build_table, CheckpointPolicy, FaultConfig, JitOptions, MpiCostModel, RunReport, SimError, Val,
+    WjError, WootinJ,
 };
 
 /// Ring sendrecv + one allreduce per step: every step ends at a
@@ -146,13 +146,13 @@ fn adaptive_cadence_beats_fixed_16_on_the_crash_sweep() {
     );
 }
 
-/// The warm-restart satellite: with the `SharedCache` persisted beside
-/// the `.wckpt`, a fresh process resumes *fully warm* — no rank anywhere
-/// translates (the broadcast artifact reloads from disk), the world
-/// checkpoint is already in place, and the resumed run still lands on
-/// the fault-free answer bit-for-bit.
+/// A process warm restart is fully warm through the disk cache alone:
+/// `with_disk_cache` keeps the sealed artifact and `with_checkpointing`
+/// persists the world checkpoint beside it, so a fresh process does no
+/// translator work, resumes from the checkpoint, and still lands on the
+/// fault-free answer bit-for-bit.
 #[test]
-fn persistent_shared_cache_makes_a_process_warm_restart_fully_warm() {
+fn disk_cache_makes_a_process_warm_restart_fully_warm() {
     let dir = std::env::temp_dir().join(format!("wj-warm-restart-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let clean_bits = f32_bits(&run(None, JitOptions::wootinj()).expect("control"));
@@ -164,16 +164,9 @@ fn persistent_shared_cache_makes_a_process_warm_restart_fully_warm() {
             .with_disk_cache(&dir)
             .with_checkpointing(CheckpointPolicy::every(1))
     };
-    let run4mpi = |env: &WootinJ<'_>, app: &Value, shared: &mut SharedCache| {
+    let run_mpi = |env: &WootinJ<'_>, app: &Value| {
         let mut code = env
-            .jit4mpi(
-                app,
-                "run",
-                &[Value::Int(N), Value::Int(STEPS)],
-                opts(),
-                SIZE,
-                shared,
-            )
+            .jit(app, "run", &[Value::Int(N), Value::Int(STEPS)], opts())
             .unwrap();
         code.set_mpi(SIZE, MpiCostModel::default());
         let mut cfg = FaultConfig::seeded(seed);
@@ -183,13 +176,12 @@ fn persistent_shared_cache_makes_a_process_warm_restart_fully_warm() {
         code.invoke(env).expect("checkpointed run must complete")
     };
 
-    // "Process" 1: cold translate, publish beside the artifacts, crash
-    // and recover (persisting the world checkpoint as it goes).
+    // "Process" 1: cold translate, persist the artifact, crash and
+    // recover (persisting the world checkpoint as it goes).
     {
         let mut env = WootinJ::new(&table).unwrap();
         let app = env.new_instance("RingStepReduce", &[]).unwrap();
-        let mut shared = SharedCache::persistent(&dir).unwrap();
-        let report = run4mpi(&env, &app, &mut shared);
+        let report = run_mpi(&env, &app);
         assert_eq!(f32_bits(&report), clean_bits);
         assert_eq!(
             env.cache_stats().translations,
@@ -207,29 +199,23 @@ fn persistent_shared_cache_makes_a_process_warm_restart_fully_warm() {
             .flatten()
             .any(|e| e.path().extension().and_then(|x| x.to_str()) == Some(ext))
     };
-    assert!(has("wjar"), "broadcast artifact must persist beside…");
+    assert!(has("wjar"), "the artifact must persist beside…");
     assert!(has("wckpt"), "…the world checkpoint");
 
-    // "Process" 2: fresh env, fresh persistent shared cache — fully
-    // warm. Zero translator work anywhere; the artifact reloads from
-    // disk and the persisted checkpoint warm-starts the world.
+    // "Process" 2: fresh env — fully warm. Zero translator work; the
+    // artifact decodes from disk and the persisted checkpoint
+    // warm-starts the world.
     {
         let mut env = WootinJ::new(&table).unwrap();
         let app = env.new_instance("RingStepReduce", &[]).unwrap();
-        let mut shared = SharedCache::persistent(&dir).unwrap();
-        let report = run4mpi(&env, &app, &mut shared);
+        let report = run_mpi(&env, &app);
         assert_eq!(f32_bits(&report), clean_bits);
+        let stats = env.cache_stats();
         assert_eq!(
-            env.cache_stats().translations,
-            0,
+            stats.translations, 0,
             "warm restart must do zero translator work"
         );
-        let stats = shared.stats();
-        assert_eq!(
-            stats.disk_loads, 1,
-            "artifact must reload from the persist dir"
-        );
-        assert_eq!(stats.translations, 0, "no rank translates on warm restart");
+        assert_eq!(stats.disk_hits, 1, "artifact must decode from disk");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,11 +20,13 @@ cargo test -q --offline
 echo "== workspace tests =="
 cargo test --workspace -q --offline
 
-echo "== exec and gpu-sim tests again in release: overflow checks are off   =="
-echo "==   there, so a decoder's unchecked offset+len, or a launch's wrapped =="
-echo "==   dimension product, fails on a different line (or not at all) than =="
-echo "==   in the debug run above                                            =="
+echo "== exec, gpu-sim, mpi-sim and dist tests again in release: overflow  =="
+echo "==   checks are off there, so a decoder's unchecked offset+len (the    =="
+echo "==   WFR1 frame reader and the dist Wire fuzzer included), or a        =="
+echo "==   launch's wrapped dimension product, fails on a different line (or =="
+echo "==   not at all) than in the debug run above                           =="
 cargo test --release --offline -q -p exec -p gpu-sim
+cargo test --release --offline -q -p mpi-sim -p dist
 
 echo "== jlang and querydb tests again in release: the never-panic harness =="
 echo "==   runs its release budget (20 000 mutants), the nesting limits hold =="
