@@ -169,3 +169,30 @@ fn version_1_sealed_snapshot_is_version_skew() {
         })
     );
 }
+
+/// A fixed section set, then the same set with section 1 patched in one
+/// byte and section 2 grown: a base link and a delta link holding one
+/// `Patch` and one `Full` change, with section 0 unchanged.
+fn chain_links() -> (Vec<u8>, Vec<u8>) {
+    let mesh: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
+    let mut touched = mesh.clone();
+    touched[10] ^= 0x5A;
+    let s0 = vec![b"header-0".to_vec(), mesh, b"queue".to_vec()];
+    let s1 = vec![b"header-0".to_vec(), touched, b"queue-grew".to_vec()];
+    let mut chain = ckpt::chain::ChainState::new();
+    let base = chain.push(s0.into_iter().map(Into::into).collect(), false);
+    let delta = chain.push(s1.into_iter().map(Into::into).collect(), false);
+    (base.bytes, delta.bytes)
+}
+
+const BASE_LINK_HEX: &str = "574a4152026f0000000000000005c10000000000000000000000000000000003000000080000006865616465722d304000000000254a6f94b9de03284d7297bce1062b50759abfe4092e53789dc2e70c31567ba0c5ea0f34597ea3c8ed12375c81a6cbf0153a5f84a9cef3183d6287acd1f61b0500000071756575656465e20f1c669e20";
+// Sections 3, changed 2: section 1 as a `Patch` (kind 1) of one run of
+// one byte at offset 10, section 2 as a `Full` (kind 0) of 10 bytes.
+const DELTA_LINK_HEX: &str = "574a415202430000000000000005c301000000000000006465e20f1c669e2003000000020000000100000001010000000a00000000000000010000002802000000000a00000071756575652d677265774852e600f2fdab83";
+
+#[test]
+fn chain_link_bytes_are_pinned() {
+    let (base, delta) = chain_links();
+    assert_eq!(hex(&base), BASE_LINK_HEX);
+    assert_eq!(hex(&delta), DELTA_LINK_HEX);
+}
