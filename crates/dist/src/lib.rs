@@ -35,6 +35,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use exec::ckpt::chain::Section;
 use exec::ckpt::{self, CkptError};
 use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
 use gpu_sim::GpuConfig;
@@ -702,7 +703,7 @@ impl RankPool for RemotePool<'_, '_> {
         last_cycles: u64,
         has_gpu: bool,
         n_arrays: usize,
-        sections: &[Vec<u8>],
+        sections: &[Section],
     ) -> Result<(), CkptError> {
         let req = Request::Restore {
             last_cycles,

@@ -13,6 +13,7 @@
 //!
 //! [`RankPool`]: mpi_sim::RankPool
 
+use exec::ckpt::chain::Section;
 use exec::ckpt::{CkptError, CKPT_VERSION};
 use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
 use gpu_sim::GpuConfig;
@@ -101,7 +102,7 @@ pub enum Request {
         last_cycles: u64,
         has_gpu: bool,
         n_arrays: u64,
-        sections: Vec<Vec<u8>>,
+        sections: Vec<Section>,
     },
     Reseed {
         attempt: u64,
@@ -267,7 +268,7 @@ mod tests {
                 last_cycles: 99,
                 has_gpu: false,
                 n_arrays: 2,
-                sections: vec![vec![1], vec![2, 3]],
+                sections: vec![Section::from([1]), Section::from([2, 3])],
             },
             Request::Finish {
                 done: Some(Val::I64(-4)),
@@ -300,7 +301,7 @@ mod tests {
             Resp::Snapshot(RankSnapshot {
                 last_cycles: 7,
                 has_gpu: true,
-                sections: vec![vec![9, 9], vec![]],
+                sections: vec![Section::from([9, 9]), Section::from([])],
             }),
             Resp::Stats(ResilienceStats {
                 crashes: 1,

@@ -3,6 +3,7 @@
 //! `wire_fuzz` mutates them; the order is the order of the pinned hex.
 
 use dist::proto::{Request, Resp, WarmProgram};
+use exec::ckpt::chain::Section;
 use exec::ckpt::CkptError;
 use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
 use gpu_sim::GpuConfig;
@@ -107,7 +108,11 @@ pub fn requests() -> Vec<Request> {
             last_cycles: 99,
             has_gpu: true,
             n_arrays: 2,
-            sections: vec![vec![1], vec![], vec![2, 3, 4]],
+            sections: vec![
+                Section::from([1]),
+                Section::from([]),
+                Section::from([2, 3, 4]),
+            ],
         },
         Request::Reseed { attempt: 6 },
         Request::Stats,
@@ -177,7 +182,7 @@ pub fn responses() -> Vec<Resp> {
         Resp::Snapshot(RankSnapshot {
             last_cycles: 7,
             has_gpu: true,
-            sections: vec![vec![9, 9], vec![], vec![1]],
+            sections: vec![Section::from([9, 9]), Section::from([]), Section::from([1])],
         }),
         Resp::Stats(resilience()),
         Resp::Outcome {

@@ -21,8 +21,9 @@
 //! as a typed [`CkptError`], never a panic — callers degrade to a cold
 //! restart.
 
-use crate::{ArrStore, Counters, Frame, Machine, MemSpace, ObjHeap, Thread, Val};
-use nir::codec::{seal_ckpt, unseal_ckpt, CodecError, Reader, Wire, Writer};
+use crate::{ArrStore, Counters, Frame, Machine, MemSpace, ObjHeap, Slot, Thread, Val};
+use chain::Section;
+use nir::codec::{unseal_ckpt, CodecError, Reader, Sealer, Wire, Writer};
 use nir::{FuncId, Program};
 
 /// Version byte of the checkpoint payload (inside the sealed container,
@@ -107,18 +108,24 @@ impl From<CodecError> for CkptError {
     }
 }
 
-/// Start a checkpoint payload of the given kind.
-pub fn begin(tag: u8) -> Writer {
-    let mut w = Writer::new();
+/// Start a checkpoint payload of the given kind, written in place into
+/// its sealed container.
+pub fn begin(tag: u8) -> Sealer {
+    begin_sized(tag, 0)
+}
+
+/// [`begin`] with room for a payload of `payload_len` bytes, version and
+/// kind included, so a payload whose size is known never regrows.
+pub fn begin_sized(tag: u8, payload_len: usize) -> Sealer {
+    let mut w = Sealer::new(payload_len);
     w.u8(CKPT_VERSION);
     w.u8(tag);
     w
 }
 
-/// Seal a finished checkpoint payload into its (version-2) container
-/// bytes.
-pub fn finish(w: Writer) -> Vec<u8> {
-    seal_ckpt(&w.into_bytes())
+/// Seal a finished checkpoint payload: its container bytes.
+pub fn finish(w: Sealer) -> Vec<u8> {
+    w.seal_ckpt()
 }
 
 /// Unseal container bytes and check the payload version: a reader
@@ -182,15 +189,55 @@ nir::wire_enum!(CkptError {
 /// Serialize one machine (memory, object heap, globals, output, counters,
 /// fault stream) into an open payload.
 pub fn write_machine(w: &mut Writer, m: &Machine) {
-    m.mem.arrays.put(w);
+    w.len(m.mem.slots.len());
+    for a in m.mem.arrays() {
+        a.put(w);
+    }
     write_machine_rest(w, m);
 }
 
 /// One standalone payload per heap array — the unit of delta encoding
 /// for checkpoint chains (each array becomes its own chain section, so
 /// an untouched mesh costs nothing in a delta link).
-pub fn machine_array_sections(m: &Machine) -> Vec<Vec<u8>> {
-    m.mem.arrays.iter().map(Wire::to_wire).collect()
+///
+/// Only arrays written since the last capture are encoded again; every
+/// other section is the same shared allocation the last capture (or the
+/// restore that built this machine) returned, which is what lets
+/// [`chain::ChainState::push`] skip it by pointer.
+pub fn machine_array_sections(m: &mut Machine) -> Vec<Section> {
+    m.mem
+        .slots
+        .iter_mut()
+        .map(|slot| match &slot.encoded {
+            Some(bytes) if !slot.written => bytes.clone(),
+            _ => {
+                let bytes: Section = slot.store.to_wire().into();
+                slot.encoded = Some(bytes.clone());
+                slot.written = false;
+                bytes
+            }
+        })
+        .collect()
+}
+
+/// The heap arrays of one machine, decoded from their
+/// [`machine_array_sections`]. Each section stays cached as its array's
+/// encoding, so a capture right after a restore re-encodes nothing: the
+/// array decoder is strict (tags, lengths, bool bytes and trailing bytes
+/// are all checked), so an accepted section is exactly what encoding
+/// its array writes.
+pub fn mem_from_sections<'a>(
+    sections: impl IntoIterator<Item = &'a Section>,
+) -> Result<MemSpace, CkptError> {
+    let mut slots = Vec::new();
+    for bytes in sections {
+        slots.push(Slot {
+            store: Wire::from_wire(bytes)?,
+            written: false,
+            encoded: Some(bytes.clone()),
+        });
+    }
+    Ok(MemSpace { slots })
 }
 
 /// Everything in [`write_machine`] except the heap arrays: object heap,
@@ -204,15 +251,25 @@ pub fn write_machine_rest(w: &mut Writer, m: &Machine) {
 }
 
 pub fn read_machine(r: &mut Reader) -> Result<Machine, CkptError> {
-    let arrays = Wire::get(r)?;
-    read_machine_rest(r, arrays)
+    let arrays: Vec<ArrStore> = Wire::get(r)?;
+    let mem = MemSpace {
+        slots: arrays
+            .into_iter()
+            .map(|store| Slot {
+                store,
+                written: true,
+                encoded: None,
+            })
+            .collect(),
+    };
+    read_machine_rest(r, mem)
 }
 
 /// Inverse of [`write_machine_rest`], reassembling the machine around
 /// separately decoded heap arrays.
-pub fn read_machine_rest(r: &mut Reader, arrays: Vec<ArrStore>) -> Result<Machine, CkptError> {
+pub fn read_machine_rest(r: &mut Reader, mem: MemSpace) -> Result<Machine, CkptError> {
     Ok(Machine {
-        mem: MemSpace { arrays },
+        mem,
         objs: ObjHeap {
             objects: Wire::get(r)?,
         },
@@ -344,7 +401,7 @@ mod tests {
     }
 
     fn assert_machines_eq(a: &Machine, b: &Machine) {
-        assert_eq!(a.mem.arrays, b.mem.arrays);
+        assert_eq!(a.mem, b.mem);
         assert_eq!(a.objs.objects, b.objs.objects);
         assert_eq!(a.globals, b.globals);
         assert_eq!(a.output, b.output);
@@ -399,7 +456,7 @@ mod tests {
             Err(CkptError::Corrupt { .. })
         ));
 
-        let mut w = Writer::new();
+        let mut w = Sealer::new(0);
         w.u8(CKPT_VERSION + 1);
         w.u8(TAG_MACHINE);
         write_machine(&mut w, &m);

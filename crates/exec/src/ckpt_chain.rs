@@ -8,7 +8,14 @@
 //! replacement or as a byte-run patch against the parent's bytes,
 //! whichever is smaller.
 //!
-//! Every link is a sealed, checksummed `nir::codec` container (version 2)
+//! Sections are shared, immutable bytes ([`Section`]). A capture hands
+//! back the very allocation it handed out last time for a section that
+//! did not change (`exec::ckpt::machine_array_sections` does this for
+//! every array not written since), so [`ChainState::push`] skips such a
+//! section by pointer before any content diff, and resolving a delta
+//! shares its parent's unchanged sections instead of copying them.
+//!
+//! Every link is a sealed, checksummed `nir::codec` checkpoint container
 //! and carries its *parent's seal digest* — the 64-bit digest over the
 //! parent's whole payload that closes the parent's container — plus a
 //! sequence number, so the chain is self-validating end to end: a
@@ -19,23 +26,13 @@
 //! exactly once; the digest that verification has just checked is what
 //! the next hop's parent field is compared with.
 
-use super::{begin, finish, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
+use super::{begin_sized, finish, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
 use nir::codec::Reader;
+use std::sync::Arc;
 
-/// The WFR1 frame digest `mpi_sim::transport` imports (FNV-1a folded
-/// through a xorshift-style avalanche). Chain links do not use it: a
-/// child names its parent by the parent's seal digest. Not cryptographic
-/// — it guards against corruption and mix-ups, not adversaries.
-pub fn digest64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^ (h >> 33)
-}
+/// One snapshot section: immutable bytes, shared between the capture that
+/// produced them, the chain head and every resolved snapshot holding them.
+pub type Section = Arc<[u8]>;
 
 /// Byte runs shorter than this gap apart are merged into one run —
 /// per-run framing costs ~12 bytes, so tiny gaps are cheaper inlined.
@@ -100,12 +97,22 @@ fn seal_digest_of(link: &[u8]) -> u64 {
 
 /// How one section changed relative to the parent snapshot.
 #[derive(Debug, PartialEq)]
-enum Change {
+enum Change<'a> {
     /// Replace the section's bytes wholesale (also used when lengths
     /// differ — heap reallocation moves everything anyway).
-    Full(Vec<u8>),
+    Full(&'a [u8]),
     /// Same-length section: splice these `(offset, bytes)` runs in.
-    Patch(Vec<(usize, Vec<u8>)>),
+    Patch(Vec<(usize, &'a [u8])>),
+}
+
+impl Change<'_> {
+    /// Bytes this change takes in a delta payload, after its section index.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Change::Full(bytes) => 4 + bytes.len(),
+            Change::Patch(runs) => 4 + runs.iter().map(|(_, b)| 12 + b.len()).sum::<usize>(),
+        }
+    }
 }
 
 /// Up to eight bytes as a little-endian word, zero-padded.
@@ -123,13 +130,13 @@ fn word(bytes: &[u8]) -> u64 {
 /// It compares a word at a time. Inside one 8-byte word at most six equal
 /// bytes lie between two differing ones, and they always merge, so only a
 /// word's first and last differing bytes can end a gap that does not.
-fn diff_section(old: &[u8], new: &[u8]) -> Option<Change> {
+fn diff_section<'a>(old: &[u8], new: &'a [u8]) -> Option<Change<'a>> {
     if old == new {
         return None;
     }
     let len = new.len();
     if old.len() != len {
-        return Some(Change::Full(new.to_vec()));
+        return Some(Change::Full(new));
     }
     let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, end)
                                                     // The patch's cost so far. It only grows, so once it reaches the
@@ -155,22 +162,25 @@ fn diff_section(old: &[u8], new: &[u8]) -> Option<Change> {
     for (at, (x, y)) in a.zip(b).enumerate() {
         let x = word(x) ^ word(y);
         if x != 0 && !add(at * 8, x) {
-            return Some(Change::Full(new.to_vec()));
+            return Some(Change::Full(new));
         }
     }
     let x = word(tail.0) ^ word(tail.1);
     if x != 0 && !add(len - tail.0.len(), x) {
-        return Some(Change::Full(new.to_vec()));
+        return Some(Change::Full(new));
     }
     Some(Change::Patch(
-        runs.into_iter()
-            .map(|(s, e)| (s, new[s..e].to_vec()))
-            .collect(),
+        runs.into_iter().map(|(s, e)| (s, &new[s..e])).collect(),
     ))
 }
 
-fn encode_base(sections: &[Vec<u8>]) -> Vec<u8> {
-    let mut w = begin(TAG_CHAIN_BASE);
+/// Payload bytes of a link header: version, kind, seq, parent digest and
+/// the section count.
+const LINK_HEADER_LEN: usize = 2 + 8 + 8 + 4;
+
+fn encode_base(sections: &[Section]) -> Vec<u8> {
+    let size = LINK_HEADER_LEN + sections.iter().map(|s| 4 + s.len()).sum::<usize>();
+    let mut w = begin_sized(TAG_CHAIN_BASE, size);
     w.u64(0); // seq
     w.u64(0); // parent digest
     w.len(sections.len());
@@ -181,18 +191,29 @@ fn encode_base(sections: &[Vec<u8>]) -> Vec<u8> {
     finish(w)
 }
 
-fn encode_delta(parent: &[Vec<u8>], sections: &[Vec<u8>], seq: u64, parent_digest: u64) -> Vec<u8> {
-    let mut w = begin(TAG_CHAIN_DELTA);
-    w.u64(seq);
-    w.u64(parent_digest);
-    w.len(sections.len());
+fn encode_delta(parent: &[Section], sections: &[Section], seq: u64, parent_digest: u64) -> Vec<u8> {
     let mut changed: Vec<(usize, Change)> = Vec::new();
     for (idx, new) in sections.iter().enumerate() {
-        let old: &[u8] = parent.get(idx).map(|v| v.as_slice()).unwrap_or(&[]);
+        let old: &[u8] = match parent.get(idx) {
+            // The same allocation is the same bytes: no diff needed.
+            Some(old) if Arc::ptr_eq(old, new) => continue,
+            Some(old) => old,
+            None => &[],
+        };
         if let Some(c) = diff_section(old, new) {
             changed.push((idx, c));
         }
     }
+    let size = LINK_HEADER_LEN
+        + 4
+        + changed
+            .iter()
+            .map(|(_, c)| 4 + c.encoded_len())
+            .sum::<usize>();
+    let mut w = begin_sized(TAG_CHAIN_DELTA, size);
+    w.u64(seq);
+    w.u64(parent_digest);
+    w.len(sections.len());
     w.len(changed.len());
     for (idx, change) in &changed {
         // Indices and offsets are positions, not lengths — the reader's
@@ -218,22 +239,24 @@ fn encode_delta(parent: &[Vec<u8>], sections: &[Vec<u8>], seq: u64, parent_diges
     finish(w)
 }
 
-fn read_sections_of_base(r: &mut Reader) -> Result<Vec<Vec<u8>>, CkptError> {
+fn read_sections_of_base(r: &mut Reader) -> Result<Vec<Section>, CkptError> {
     let n = r.len()?;
     let mut sections = Vec::with_capacity(n);
     for _ in 0..n {
         let len = r.len()?;
-        sections.push(r.bytes(len)?.to_vec());
+        sections.push(r.bytes(len)?.into());
     }
     Ok(sections)
 }
 
 /// Apply one delta payload (reader positioned past the header) to the
-/// parent's sections.
-fn apply_delta(r: &mut Reader, parent: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CkptError> {
+/// parent's sections. Unchanged sections stay shared with the parent; a
+/// patched one is copied once, so the parent is intact when the delta
+/// turns out bad halfway.
+fn apply_delta(r: &mut Reader, parent: &[Section]) -> Result<Vec<Section>, CkptError> {
     let n_total = r.len()?;
-    let mut sections: Vec<Vec<u8>> = parent.to_vec();
-    sections.resize(n_total, Vec::new());
+    let mut sections: Vec<Section> = parent.iter().take(n_total).cloned().collect();
+    sections.resize(n_total, Arc::from([]));
     let n_changed = r.len()?;
     for _ in 0..n_changed {
         let idx = r.u32()? as usize;
@@ -245,7 +268,7 @@ fn apply_delta(r: &mut Reader, parent: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CkptE
         match r.u8()? {
             0 => {
                 let len = r.len()?;
-                sections[idx] = r.bytes(len)?.to_vec();
+                sections[idx] = r.bytes(len)?.into();
             }
             1 => {
                 let n_runs = r.len()?;
@@ -255,10 +278,7 @@ fn apply_delta(r: &mut Reader, parent: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CkptE
                     let bytes = r.bytes(len)?;
                     let sec = &mut sections[idx];
                     // `offset` is any u64 the link cared to carry.
-                    let Some(dst) = offset
-                        .checked_add(len)
-                        .and_then(|end| sec.get_mut(offset..end))
-                    else {
+                    let Some(end) = offset.checked_add(len).filter(|end| *end <= sec.len()) else {
                         return Err(r
                             .corrupt(format!(
                                 "patch run {offset}+{len} past section {idx} end {}",
@@ -266,7 +286,7 @@ fn apply_delta(r: &mut Reader, parent: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CkptE
                             ))
                             .into());
                     };
-                    dst.copy_from_slice(bytes);
+                    Arc::make_mut(sec)[offset..end].copy_from_slice(bytes);
                 }
             }
             k => return Err(r.corrupt(format!("bad change kind {k}")).into()),
@@ -284,7 +304,7 @@ pub struct ResolveOutcome {
     pub valid_links: usize,
     /// Snapshot sections after applying the valid prefix (empty when
     /// even the base was bad).
-    pub sections: Vec<Vec<u8>>,
+    pub sections: Vec<Section>,
     /// Why the walk stopped early, when `valid_links < links.len()`.
     pub error: Option<CkptError>,
 }
@@ -295,10 +315,10 @@ pub struct ResolveOutcome {
 /// link simply ends the valid prefix, which is the deepest valid ancestor
 /// rollback degrades to.
 pub fn resolve_prefix(links: &[Vec<u8>]) -> ResolveOutcome {
-    let mut sections: Vec<Vec<u8>> = Vec::new();
+    let mut sections: Vec<Section> = Vec::new();
     let mut prev_digest = 0u64;
     for (i, bytes) in links.iter().enumerate() {
-        let step = || -> Result<(Vec<Vec<u8>>, u64), CkptError> {
+        let step = || -> Result<(Vec<Section>, u64), CkptError> {
             let (info, seal_digest, mut r) = open_link(bytes)?;
             let next = if i == 0 {
                 if !info.is_base {
@@ -359,7 +379,7 @@ pub fn resolve_prefix(links: &[Vec<u8>]) -> ResolveOutcome {
 /// the next [`ChainState::push`] can diff against them.
 #[derive(Debug, Default, Clone)]
 pub struct ChainState {
-    sections: Vec<Vec<u8>>,
+    sections: Vec<Section>,
     head_digest: u64,
     next_seq: u64,
 }
@@ -374,7 +394,7 @@ impl ChainState {
     /// (warm start, or rollback to a shorter valid prefix). `head_bytes`
     /// is the sealed last link of the prefix, as [`resolve_prefix`]
     /// verified it.
-    pub fn resume(sections: Vec<Vec<u8>>, head_bytes: &[u8], links_in_chain: u64) -> Self {
+    pub fn resume(sections: Vec<Section>, head_bytes: &[u8], links_in_chain: u64) -> Self {
         ChainState {
             sections,
             head_digest: seal_digest_of(head_bytes),
@@ -383,8 +403,10 @@ impl ChainState {
     }
 
     /// Encode the next link. `force_base` starts a fresh epoch (rebase);
-    /// the first push of a chain is always a base regardless.
-    pub fn push(&mut self, sections: Vec<Vec<u8>>, force_base: bool) -> Link {
+    /// the first push of a chain is always a base regardless. A section
+    /// that is the head's own allocation is unchanged without a look at
+    /// its bytes.
+    pub fn push(&mut self, sections: Vec<Section>, force_base: bool) -> Link {
         let is_base = force_base || self.next_seq == 0;
         let (bytes, seq) = if is_base {
             (encode_base(&sections), 0)
@@ -407,13 +429,13 @@ impl ChainState {
 
     /// Sections at the current chain head (what the next delta diffs
     /// against).
-    pub fn head_sections(&self) -> &[Vec<u8>] {
+    pub fn head_sections(&self) -> &[Section] {
         &self.sections
     }
 }
 
 /// A standalone full snapshot is just a single-link chain.
-pub fn base_link(sections: &[Vec<u8>]) -> Vec<u8> {
+pub fn base_link(sections: &[Section]) -> Vec<u8> {
     encode_base(sections)
 }
 
@@ -421,17 +443,17 @@ pub fn base_link(sections: &[Vec<u8>]) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn snap(parts: &[&[u8]]) -> Vec<Vec<u8>> {
-        parts.iter().map(|p| p.to_vec()).collect()
+    fn snap(parts: &[&[u8]]) -> Vec<Section> {
+        parts.iter().map(|p| Section::from(*p)).collect()
     }
 
     /// [`diff_section`] a byte at a time, as the definition reads.
-    fn diff_ref(old: &[u8], new: &[u8]) -> Option<Change> {
+    fn diff_ref<'a>(old: &[u8], new: &'a [u8]) -> Option<Change<'a>> {
         if old == new {
             return None;
         }
         if old.len() != new.len() {
-            return Some(Change::Full(new.to_vec()));
+            return Some(Change::Full(new));
         }
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut i = 0;
@@ -451,12 +473,10 @@ mod tests {
         }
         let patch_cost: usize = runs.iter().map(|(s, e)| e - s + RUN_OVERHEAD).sum();
         if patch_cost >= new.len() {
-            return Some(Change::Full(new.to_vec()));
+            return Some(Change::Full(new));
         }
         Some(Change::Patch(
-            runs.into_iter()
-                .map(|(s, e)| (s, new[s..e].to_vec()))
-                .collect(),
+            runs.into_iter().map(|(s, e)| (s, &new[s..e])).collect(),
         ))
     }
 
@@ -633,7 +653,7 @@ mod tests {
     fn hostile_patch_offset_is_typed() {
         let base = ChainState::new().push(snap(&[b"0123456789abcdef"]), false);
         for (offset, len) in [(u64::MAX, 1usize), (u64::MAX - 3, 4), (16, 1), (9, 8)] {
-            let mut w = begin(TAG_CHAIN_DELTA);
+            let mut w = crate::ckpt::begin(TAG_CHAIN_DELTA);
             w.u64(1); // seq
             w.u64(seal_digest_of(&base.bytes));
             w.len(1); // sections in the snapshot

@@ -255,9 +255,28 @@ fn bad_handle(h: u32) -> ExecError {
 }
 
 /// A flat memory space (host, one per MPI rank, or a GPU device space).
-#[derive(Debug, Default)]
+///
+/// Arrays are a program's only mutable heap state, and every mutation
+/// reaches them through [`MemSpace::alloc`] or [`MemSpace::arr_mut`],
+/// which mark the array *written*. A checkpoint capture
+/// ([`ckpt::machine_array_sections`]) re-encodes only the written arrays
+/// and hands out the shared bytes it cached for the rest. The cache lives
+/// here, beside the flags, so whatever replaces a machine (a restore, a
+/// reinit) replaces its cache too. Equality and `Debug` see only the
+/// arrays.
+#[derive(Default)]
 pub struct MemSpace {
-    pub arrays: Vec<ArrStore>,
+    slots: Vec<Slot>,
+}
+
+/// One array and what the last capture encoded it as.
+struct Slot {
+    store: ArrStore,
+    /// Set by every mutable access; a written array's `encoded` is stale.
+    written: bool,
+    /// The array's wire encoding (one checkpoint section), shared with
+    /// every chain link and resolved snapshot that holds it.
+    encoded: Option<std::sync::Arc<[u8]>>,
 }
 
 impl MemSpace {
@@ -266,18 +285,33 @@ impl MemSpace {
     }
 
     pub fn alloc(&mut self, store: ArrStore) -> u32 {
-        self.arrays.push(store);
-        self.arrays.len() as u32 - 1
+        self.slots.push(Slot {
+            store,
+            written: true,
+            encoded: None,
+        });
+        self.slots.len() as u32 - 1
     }
 
     #[inline]
     pub fn arr(&self, h: u32) -> Result<&ArrStore, ExecError> {
-        self.arrays.get(h as usize).ok_or_else(|| bad_handle(h))
+        match self.slots.get(h as usize) {
+            Some(slot) => Ok(&slot.store),
+            None => Err(bad_handle(h)),
+        }
     }
 
+    /// The array behind `h`, marked written: the next checkpoint capture
+    /// re-encodes it.
     #[inline]
     pub fn arr_mut(&mut self, h: u32) -> Result<&mut ArrStore, ExecError> {
-        self.arrays.get_mut(h as usize).ok_or_else(|| bad_handle(h))
+        match self.slots.get_mut(h as usize) {
+            Some(slot) => {
+                slot.written = true;
+                Ok(&mut slot.store)
+            }
+            None => Err(bad_handle(h)),
+        }
     }
 
     pub fn free(&mut self, h: u32) -> Result<(), ExecError> {
@@ -287,6 +321,25 @@ impl MemSpace {
         }
         *a = ArrStore::Freed;
         Ok(())
+    }
+
+    /// Every array, by handle (freed ones included).
+    pub fn arrays(&self) -> impl ExactSizeIterator<Item = &ArrStore> {
+        self.slots.iter().map(|slot| &slot.store)
+    }
+}
+
+impl PartialEq for MemSpace {
+    fn eq(&self, other: &Self) -> bool {
+        self.arrays().eq(other.arrays())
+    }
+}
+
+impl std::fmt::Debug for MemSpace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemSpace")
+            .field("arrays", &self.arrays().collect::<Vec<_>>())
+            .finish()
     }
 }
 

@@ -11,7 +11,7 @@
 //! Inputs come from a seeded xorshift generator (as in
 //! `crates/dist/tests/wire_fuzz.rs`), so a failure is a reproducer.
 
-use exec::ckpt::chain::{resolve_prefix, ChainState, ResolveOutcome};
+use exec::ckpt::chain::{resolve_prefix, ChainState, ResolveOutcome, Section};
 use exec::ckpt::CkptError;
 use nir::codec::{seal_ckpt, unseal_ckpt};
 
@@ -58,12 +58,15 @@ fn chain() -> Vec<Vec<u8>> {
     let mut enc = ChainState::new();
     snaps
         .into_iter()
-        .map(|s| enc.push(s, false).bytes)
+        .map(|s| {
+            enc.push(s.into_iter().map(Section::from).collect(), false)
+                .bytes
+        })
         .collect()
 }
 
-fn total_len(sections: &[Vec<u8>]) -> usize {
-    sections.iter().map(Vec::len).sum()
+fn total_len(sections: &[Section]) -> usize {
+    sections.iter().map(|s| s.len()).sum()
 }
 
 /// `links[k]`'s payload replaced by `payload` under a correct seal.
@@ -74,7 +77,7 @@ fn with_payload(links: &[Vec<u8>], k: usize, payload: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// What must hold after link `k` was replaced by different bytes.
-fn check(links: &[Vec<u8>], k: usize, out: &ResolveOutcome, parent: &[Vec<u8>], what: &str) {
+fn check(links: &[Vec<u8>], k: usize, out: &ResolveOutcome, parent: &[Section], what: &str) {
     // The links before it are untouched, and its child names the old
     // seal digest, so the walk ends at `k` (typed) or one past it.
     assert!(
@@ -139,7 +142,7 @@ fn resealed_payload_mutations_resolve_or_stop_typed_never_panic() {
         .iter()
         .map(|l| unseal_ckpt(l).expect("a clean link unseals").0)
         .collect();
-    let parents: Vec<Vec<Vec<u8>>> = (0..links.len())
+    let parents: Vec<Vec<Section>> = (0..links.len())
         .map(|k| resolve_prefix(&links[..k]).sections)
         .collect();
     // The harness itself: an unmutated payload re-seals to the same link.

@@ -22,7 +22,8 @@
 
 use std::path::PathBuf;
 
-use exec::ckpt::{self, chain, CkptError};
+use exec::ckpt::chain::{self, Section};
+use exec::ckpt::{self, CkptError};
 use exec::pool::{run_batch, SliceJob};
 use exec::{
     run, ArrStore, ExecError, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Image, Machine,
@@ -158,7 +159,7 @@ pub struct RankSnapshot {
     pub last_cycles: u64,
     pub has_gpu: bool,
     /// `thread, array*, machine_rest[, device]` in order.
-    pub sections: Vec<Vec<u8>>,
+    pub sections: Vec<Section>,
 }
 
 nir::wire_struct!(RankSnapshot {
@@ -262,7 +263,7 @@ pub trait RankPool {
         last_cycles: u64,
         has_gpu: bool,
         n_arrays: usize,
-        sections: &[Vec<u8>],
+        sections: &[Section],
     ) -> Result<(), CkptError>;
     /// Zero rank `r`'s fault counters and move its streams past their
     /// consumed cursors (restart attempt `attempt`).
@@ -885,14 +886,14 @@ fn world_sections(
     pool: &mut dyn RankPool,
     ctls: &[RankCtl],
     transport: &dyn Transport,
-) -> Result<Vec<Vec<u8>>, SimError> {
+) -> Result<Vec<Section>, SimError> {
     let mut header = Writer::new();
     // The platform scope stamp leads the header so a foreign chain is
     // rejected before any state is decoded.
     header.u64(cfg.ckpt_salt);
     header.u32(cfg.size);
     header.len(ctls.len());
-    let mut body: Vec<Vec<u8>> = Vec::new();
+    let mut body: Vec<Section> = Vec::new();
     for (r, ctl) in ctls.iter().enumerate() {
         let snap = pool.capture_rank(r as u32)?;
         match &ctl.done {
@@ -915,9 +916,9 @@ fn world_sections(
         body.extend(snap.sections);
     }
     let mut sections = Vec::with_capacity(body.len() + 2);
-    sections.push(header.into_bytes());
+    sections.push(header.into_bytes().into());
     sections.append(&mut body);
-    sections.push(transport.snapshot());
+    sections.push(transport.snapshot().into());
     Ok(sections)
 }
 
@@ -929,7 +930,7 @@ fn world_from_sections(
     cfg: &RunCfg,
     pool: &mut dyn RankPool,
     transport: &mut dyn Transport,
-    sections: &[Vec<u8>],
+    sections: &[Section],
 ) -> Result<Vec<RankCtl>, CkptError> {
     fn bad(message: impl Into<String>) -> CkptError {
         CkptError::Corrupt {
@@ -2029,20 +2030,20 @@ impl RankPool for LocalPool<'_, '_> {
 
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
         let rank = self.rank_mut(r)?;
-        let mut sections = Vec::new();
+        let mut sections: Vec<Section> = Vec::new();
         let mut t = Writer::new();
         ckpt::write_thread(&mut t, &rank.thread);
-        sections.push(t.into_bytes());
-        sections.extend(ckpt::machine_array_sections(&rank.machine));
+        sections.push(t.into_bytes().into());
+        sections.extend(ckpt::machine_array_sections(&mut rank.machine));
         let mut m = Writer::new();
         ckpt::write_machine_rest(&mut m, &rank.machine);
-        sections.push(m.into_bytes());
+        sections.push(m.into_bytes().into());
         if let Some(gpu) = &rank.gpu {
             let mut g = Writer::new();
             ckpt::write_machine(&mut g, &gpu.machine);
             g.u64(gpu.vtime);
             g.u64(gpu.allocated_bytes);
-            sections.push(g.into_bytes());
+            sections.push(g.into_bytes().into());
         }
         Ok(RankSnapshot {
             last_cycles: rank.last_cycles,
@@ -2057,7 +2058,7 @@ impl RankPool for LocalPool<'_, '_> {
         last_cycles: u64,
         has_gpu: bool,
         n_arrays: usize,
-        sections: &[Vec<u8>],
+        sections: &[Section],
     ) -> Result<(), CkptError> {
         fn bad(message: impl Into<String>) -> CkptError {
             CkptError::Corrupt {
@@ -2072,12 +2073,12 @@ impl RankPool for LocalPool<'_, '_> {
         };
         let mut t = Reader::new(section("thread")?);
         let thread = ckpt::read_thread(&mut t, self.program)?;
-        let mut arrays = Vec::with_capacity(n_arrays);
-        for i in 0..n_arrays {
-            arrays.push(Wire::from_wire(section(&format!("array {i}"))?)?);
-        }
+        let arrays = (0..n_arrays)
+            .map(|i| section(&format!("array {i}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mem = ckpt::mem_from_sections(arrays)?;
         let mut m = Reader::new(section("machine")?);
-        let machine = ckpt::read_machine_rest(&mut m, arrays)?;
+        let machine = ckpt::read_machine_rest(&mut m, mem)?;
         // Fault plans are restored with their exact PRNG cursors;
         // device-side plans are re-armed from the world's fault config
         // (their cursors advance via `Gpu::reseed_faults` on restart

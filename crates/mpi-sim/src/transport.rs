@@ -18,9 +18,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 
-use exec::ckpt::chain::digest64;
 use exec::ckpt::CkptError;
 use nir::codec::{Reader, Writer};
+use nir::hash::fnv1a64_avalanche;
 
 /// Leading magic of every transport frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"WFR1";
@@ -113,7 +113,7 @@ fn io_error(op: &'static str, e: std::io::Error) -> TransportError {
 }
 
 /// Write one framed payload: magic, version, little-endian length,
-/// payload bytes, trailing [`digest64`] checksum. The frame is built in
+/// payload bytes, trailing [`fnv1a64_avalanche`] checksum. The frame is built in
 /// one buffer and handed over in one write — one syscall and, when it
 /// fits, one segment on a `TCP_NODELAY` stream.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), TransportError> {
@@ -122,7 +122,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), TransportEr
     frame.push(WIRE_VERSION);
     frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     frame.extend_from_slice(payload);
-    frame.extend_from_slice(&digest64(payload).to_le_bytes());
+    frame.extend_from_slice(&fnv1a64_avalanche(payload).to_le_bytes());
     w.write_all(&frame)
         .map_err(|e| io_error("frame write", e))?;
     w.flush().map_err(|e| io_error("frame flush", e))?;
@@ -202,7 +202,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, TransportError> {
     let mut sum = [0u8; 8];
     read_exact_counted(r, &mut sum, "frame checksum read")?;
     let found = u64::from_le_bytes(sum);
-    let expect = digest64(&payload);
+    let expect = fnv1a64_avalanche(&payload);
     if found != expect {
         return Err(TransportError::Corrupt {
             message: format!(

@@ -127,7 +127,7 @@ const HEADER_LEN: usize = MAGIC.len() + 1 + 8;
 
 /// Wrap an artifact payload in the version-1 container.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    seal_with(VERSION, digest64, payload)
+    Sealer::with_payload(payload).seal()
 }
 
 /// Verify a version-1 container's framing and checksum; return the
@@ -136,31 +136,79 @@ pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
     unseal_with(VERSION, digest64, bytes).map(|(payload, _)| payload)
 }
 
-/// Wrap a checkpoint payload in the version-2 container.
+/// Wrap a checkpoint payload in the checkpoint container.
 pub fn seal_ckpt(payload: &[u8]) -> Vec<u8> {
-    seal_with(CKPT_CONTAINER_VERSION, digest64_words, payload)
+    Sealer::with_payload(payload).seal_ckpt()
 }
 
-/// Verify a version-2 container's framing and checksum; return the
+/// Verify a checkpoint container's framing and checksum; return the
 /// payload slice and the digest that vouched for it (the container's
 /// last eight bytes — what a checkpoint chain links a child to).
 pub fn unseal_ckpt(bytes: &[u8]) -> CodecResult<(&[u8], u64)> {
     unseal_with(CKPT_CONTAINER_VERSION, digest64_words, bytes)
 }
 
-/// The one framing routine: every container is
-/// `MAGIC | version | payload_len | payload | digest(payload)`.
-fn seal_with(version: u8, digest: SealDigest, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.push(version);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&digest(payload, SEAL_SEED).to_le_bytes());
-    out
+/// A payload written straight into its container: the header is reserved
+/// up front, the payload goes in place behind it (through the [`Writer`]
+/// it dereferences to), and [`Sealer::seal`] / [`Sealer::seal_ckpt`]
+/// patch the header and append the digest. A payload whose size is known
+/// ahead is written into a buffer that never regrows, and nothing is
+/// copied a second time.
+pub struct Sealer(Writer);
+
+impl Sealer {
+    /// An empty payload with room for `payload_len` bytes (a hint: more
+    /// still fits) and the digest.
+    pub fn new(payload_len: usize) -> Sealer {
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload_len + 8);
+        buf.resize(HEADER_LEN, 0);
+        Sealer(Writer { buf })
+    }
+
+    fn with_payload(payload: &[u8]) -> Sealer {
+        let mut s = Sealer::new(payload.len());
+        s.bytes(payload);
+        s
+    }
+
+    /// Close the payload as a version-1 (artifact) container.
+    pub fn seal(self) -> Vec<u8> {
+        self.seal_with(VERSION, digest64)
+    }
+
+    /// Close the payload as a checkpoint container.
+    pub fn seal_ckpt(self) -> Vec<u8> {
+        self.seal_with(CKPT_CONTAINER_VERSION, digest64_words)
+    }
+
+    /// The one framing routine: every container is
+    /// `MAGIC | version | payload_len | payload | digest(payload)`.
+    fn seal_with(self, version: u8, digest: SealDigest) -> Vec<u8> {
+        let mut out = self.0.buf;
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        out[..MAGIC.len()].copy_from_slice(&MAGIC);
+        out[MAGIC.len()] = version;
+        out[MAGIC.len() + 1..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let d = digest(&out[HEADER_LEN..], SEAL_SEED);
+        out.extend_from_slice(&d.to_le_bytes());
+        out
+    }
 }
 
-/// Inverse of [`seal_with`]: the payload and its verified digest, or the
+impl std::ops::Deref for Sealer {
+    type Target = Writer;
+    fn deref(&self) -> &Writer {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Sealer {
+    fn deref_mut(&mut self) -> &mut Writer {
+        &mut self.0
+    }
+}
+
+/// Inverse of [`Sealer`]'s framing: the payload and its verified digest, or the
 /// first thing wrong with the container.
 fn unseal_with(version: u8, digest: SealDigest, bytes: &[u8]) -> CodecResult<(&[u8], u64)> {
     if bytes.len() < MAGIC.len() {
@@ -820,6 +868,18 @@ impl<T: Wire> Wire for Arc<T> {
     }
     fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
         Ok(Arc::new(T::get(r)?))
+    }
+}
+
+/// Shared bytes (a checkpoint section) move exactly as a `Vec<u8>` does.
+impl Wire for Arc<[u8]> {
+    fn put(&self, w: &mut Writer) {
+        w.len(self.len());
+        w.bytes(self);
+    }
+    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
+        let n = r.len()?;
+        Ok(r.bytes(n)?.into())
     }
 }
 

@@ -87,6 +87,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// [`fnv1a64`] folded through a final avalanche (xor-shift, multiply,
+/// xor-shift), so every input bit reaches every output bit. Baked into
+/// the WFR1 frame header `mpi_sim::transport` writes.
+pub fn fnv1a64_avalanche(bytes: &[u8]) -> u64 {
+    let mut h = fnv1a64(bytes);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 33)
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 

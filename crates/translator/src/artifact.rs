@@ -136,8 +136,8 @@ impl Translated {
     }
 
     fn encode_with(&self, stats: &TransStats) -> Vec<u8> {
-        let mut buf = Writer::new();
-        let w = &mut buf;
+        let mut buf = codec::Sealer::new(0);
+        let w: &mut Writer = &mut buf;
         self.program.put(w);
         self.entry.put(w);
         self.bindings.put(w);
@@ -154,7 +154,7 @@ impl Translated {
         self.uses_mpi.put(w);
         self.uses_gpu.put(w);
         self.warnings.put(w);
-        codec::seal(&buf.into_bytes())
+        buf.seal()
     }
 
     /// Decode a sealed artifact. Never panics on hostile input: framing,
