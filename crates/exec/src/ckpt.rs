@@ -4,11 +4,14 @@
 //! return plumbing), heap arrays, object heap, globals, captured output,
 //! work counters, and the fault-plan PRNG cursor — round-trips through the
 //! sealed `nir::codec` container. Checkpoints are sealed as container
-//! **version 2** (`WJAR` magic, version byte 2, `nir::hash::digest64_words`
+//! **version 3** (`WJAR` magic, version byte 3, `nir::hash::digest64_words`
 //! over the payload): the artifact framing with a digest that absorbs a
-//! word per step, because a checkpoint is sealed at every collective and
-//! verified on every rollback. A version-1 container — an artifact, or a
-//! `.wckpt` written before the word digest — is [`CkptError::VersionSkew`].
+//! word per step in four independent lanes, because a checkpoint is
+//! sealed at every collective and verified on every rollback. The
+//! payload is written in place into its container ([`begin`] /
+//! [`finish`]). A version-1 or version-2 container — an artifact, or a
+//! `.wckpt` written before the four-lane digest — is
+//! [`CkptError::VersionSkew`].
 //!
 //! Every record ([`Val`], [`ArrStore`], [`Counters`], the fault plan)
 //! declares its layout once through `nir::codec::Wire`; numeric arrays

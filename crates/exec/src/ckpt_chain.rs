@@ -523,6 +523,25 @@ mod tests {
         assert!(cases >= 20_000, "{cases} cases");
     }
 
+    /// The payload is written into a buffer sized for it up front: a
+    /// wrong size estimate would show as spare capacity (or a regrowth).
+    #[test]
+    fn links_are_sealed_into_exactly_presized_buffers() {
+        let mesh: Vec<u8> = (0..4096u32).map(|i| (i * 13) as u8).collect();
+        let mut touched = mesh.clone();
+        touched[100] ^= 1;
+        touched[3000..3100].fill(7);
+        let mut enc = ChainState::new();
+        for s in [
+            snap(&[b"hdr", &mesh, b"q"]),
+            snap(&[b"hdr", &touched, b"queue-grew", b"new"]),
+            snap(&[b"hdr"]),
+        ] {
+            let link = enc.push(s, false);
+            assert_eq!(link.bytes.capacity(), link.bytes.len(), "seq {}", link.seq);
+        }
+    }
+
     #[test]
     fn chain_resolves_to_the_latest_snapshot() {
         let mut enc = ChainState::new();

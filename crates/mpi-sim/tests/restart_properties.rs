@@ -325,7 +325,7 @@ fn corrupt_persisted_checkpoints_degrade_to_cold_restart() {
                 probe.error,
                 Some(CkptError::VersionSkew {
                     found: 1,
-                    expected: 2
+                    expected: 3
                 })
             );
         }

@@ -24,16 +24,20 @@
 //! "WJAR" | version: u8 | payload_len: u64 LE | payload | digest(payload): u64 LE
 //! ```
 //!
-//! and two versions of it exist, told apart by what the payload is, never
-//! by an option:
+//! and two versions of it are written, told apart by what the payload is,
+//! never by an option:
 //!
 //! | version | payload | digest | written / read by |
 //! |---|---|---|---|
 //! | [`VERSION`] = 1 | `.wjar` artifacts | [`digest64`], a byte per step | [`seal`] / [`unseal`] |
-//! | [`CKPT_CONTAINER_VERSION`] = 2 | checkpoints | [`digest64_words`], eight bytes per step | [`seal_ckpt`] / [`unseal_ckpt`] |
+//! | 2 (retired) | checkpoints | `digest64_words` in one lane | — (version skew) |
+//! | [`CKPT_CONTAINER_VERSION`] = 3 | checkpoints | [`digest64_words`], eight bytes per step in four lanes | [`seal_ckpt`] / [`unseal_ckpt`] |
 //!
 //! Version 1 is pinned byte for byte by artifacts already on disk and the
-//! committed `golden.wjar`. Both go through one framing routine.
+//! committed `golden.wjar`. Both go through one framing routine,
+//! [`Sealer`], which writes the payload in place behind a reserved header
+//! and appends the digest: no regrowth when the size is known, no second
+//! copy.
 //!
 //! All multi-byte integers are little-endian; floats are stored as their
 //! IEEE-754 bit patterns, so encode→decode→encode is bit-identical (the
@@ -113,8 +117,10 @@ use crate::hash::digest64_words;
 /// closed by [`digest64_words`] instead of [`digest64`]: a checkpoint is
 /// sealed at every collective and verified link by link on every
 /// rollback, so its digest has to run at memory speed, while artifacts
-/// already on disk pin version 1 byte for byte.
-pub const CKPT_CONTAINER_VERSION: u8 = 2;
+/// already on disk pin version 1 byte for byte. Version 2 sealed with
+/// the one-lane form of the word digest; its containers are now version
+/// skew, which every restore path degrades to a cold start.
+pub const CKPT_CONTAINER_VERSION: u8 = 3;
 
 /// Seed of the container checksum, both versions.
 const SEAL_SEED: u64 = 0x57_4A_41_52_00_00_00_01; // "WJAR" | version 1

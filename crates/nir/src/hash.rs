@@ -1,18 +1,23 @@
 //! The repo's one stable-hash implementation.
 //!
-//! Three 64-bit hashes live here and nowhere else. Each is baked into a
-//! persisted format, so none of them may ever change by a bit:
+//! Four 64-bit hashes live here and nowhere else. Each is baked into a
+//! persisted format or a wire frame, so none of them may change by a bit
+//! without a version bump of what it is baked into:
 //!
 //! * [`digest64`] — the xorshift64\* stream digest, one byte per step.
 //!   Baked into the version-1 (`WJAR` artifact) container seal, the
 //!   `CacheKey` fingerprint pair, `dist`'s warm-program digest and the
 //!   committed `golden.wjar`. Seeded, so two seeds give an independent
 //!   128-bit fingerprint.
-//! * [`digest64_words`] — the same step absorbing eight bytes at a time.
-//!   Baked into the version-2 container seal, which frames checkpoints
-//!   (`.wckpt` chain links and machine snapshots) and nothing else.
+//! * [`digest64_words`] — the same step absorbing eight bytes at a time,
+//!   in four lanes. Baked into the version-3 container seal, which frames
+//!   checkpoints (`.wckpt` chain links and machine snapshots), and into
+//!   the program digest that scopes a checkpoint to its program.
 //! * [`fnv1a64`] — FNV-1a, baked into platform salts, on-disk cache
 //!   namespaces and the query fingerprints of the incremental database.
+//! * [`fnv1a64_avalanche`] — FNV-1a with a final avalanche, baked into
+//!   the WFR1 frame header of `mpi_sim::transport` (behind `dist` and
+//!   `jitd`).
 //!
 //! [`Fingerprint`] is a tiny streaming wrapper over FNV-1a so query
 //! fingerprints over structured data (item trees, bodies) are built
@@ -53,22 +58,39 @@ fn absorb(mut h: u64, word: u64) -> u64 {
     h.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// [`digest64`]'s step over eight little-endian bytes at a time: whole
-/// words first, then each tail byte as its own step, then the length (so
-/// `[1]` and `[1, 0, 0, 0, 0, 0, 0, 0]` differ). Same integrity model,
-/// an eighth of the steps — checkpoints are hashed on every capture and
-/// every rollback, so theirs has to run at memory speed.
+/// [`digest64`]'s step over eight little-endian bytes at a time, in four
+/// independent lanes: lane `k` starts at `absorb(seed | 1, k)`, and each
+/// 32-byte block gives one word to every lane in turn. The lanes are then
+/// folded into one state with `absorb`, which goes on through the words
+/// left over, each tail byte as its own step, and the length (so `[1]`
+/// and `[1, 0, 0, 0, 0, 0, 0, 0]` differ). Same integrity model as one
+/// lane, but four dependency chains run side by side — checkpoints are
+/// hashed on every capture and every rollback, so theirs has to run at
+/// memory speed.
 ///
 /// A change confined to one absorbed word — every single-bit flip, in
 /// particular — always changes the digest: the damaged step's output
-/// differs (injective in the word) and every later step is a bijection
-/// of the state.
+/// differs (injective in the word), every later step of its lane is a
+/// bijection of the lane's state, the fold absorbs that lane either as
+/// its starting state (a bijection from there on) or as a word
+/// (injective), and every step after the fold is a bijection again.
 pub fn digest64_words(bytes: &[u8], seed: u64) -> u64 {
-    let mut words = bytes.chunks_exact(8);
-    let mut h = seed | 1;
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
+    let s = seed | 1;
+    let mut lanes = [0, 1, 2, 3].map(|lane| absorb(s, lane));
+    let mut blocks = bytes.chunks_exact(32);
+    for b in &mut blocks {
+        lanes = [
+            absorb(lanes[0], word(&b[..8])),
+            absorb(lanes[1], word(&b[8..16])),
+            absorb(lanes[2], word(&b[16..24])),
+            absorb(lanes[3], word(&b[24..])),
+        ];
+    }
+    let mut h = lanes[1..].iter().fold(lanes[0], |h, &lane| absorb(h, lane));
+    let mut words = blocks.remainder().chunks_exact(8);
     for w in &mut words {
-        let word = u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
-        h = absorb(h, word);
+        h = absorb(h, word(w));
     }
     for &b in words.remainder() {
         h = absorb(h, u64::from(b));
@@ -180,6 +202,13 @@ mod tests {
     }
 
     #[test]
+    fn fnv1a64_avalanche_is_pinned() {
+        // Baked into every WFR1 frame header.
+        assert_eq!(fnv1a64_avalanche(b""), 0xecba_3df2_c338_3c52);
+        assert_eq!(fnv1a64_avalanche(b"foobar"), 0x6916_ce8b_48d4_bc55);
+    }
+
+    #[test]
     fn fingerprint_streams_like_fnv() {
         let mut f = Fingerprint::new();
         f.bytes(b"foobar");
@@ -209,18 +238,23 @@ mod tests {
     fn digest64_words_is_pinned() {
         // Baked into every persisted `.wckpt`: a drift here silently
         // invalidates them all, so it has to fail a test first.
-        assert_eq!(digest64_words(b"", 1), 0x47e4_ce4b_896c_dd1d);
-        assert_eq!(digest64_words(b"hello", 1), 0x0742_4023_8a47_eeb2);
+        let long: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(29)).collect();
+        assert_eq!(digest64_words(b"", 1), 0xc658_b118_03d8_dbf9);
+        assert_eq!(digest64_words(b"hello", 1), 0xd982_cc23_9b5e_6f77);
         assert_eq!(
             digest64_words(b"0123456789abcdef-tail", 0x57_4A_41_52_00_00_00_01),
-            0xd335_7f11_7e4c_f608
+            0xd6bd_ae66_a99c_d43d
         );
+        // Three whole blocks, a leftover word and four tail bytes.
+        assert_eq!(digest64_words(&long, 7), 0x9181_52fc_2c0f_afaa);
     }
 
     #[test]
     fn digest64_words_sees_every_bit_and_the_length() {
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
-        for len in 0..=40usize {
+        // Two whole 32-byte blocks (every lane twice), then every tail: 0..=3
+        // leftover words and 0..=7 leftover bytes.
+        for len in 0..=100usize {
             let bytes: Vec<u8> = (0..len)
                 .map(|_| {
                     seed = absorb(seed, 1);
