@@ -454,6 +454,15 @@ pub fn staging_path(path: &Path) -> std::io::Result<PathBuf> {
     Ok(path.with_file_name(staging))
 }
 
+/// Whether `path` is named like a [`staging_path`] (`.<name>.<..>.tmp`).
+pub fn is_staging_path(path: &Path) -> bool {
+    let hidden = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .is_some_and(|n| n.starts_with('.'));
+    hidden && path.extension().and_then(|e| e.to_str()) == Some("tmp")
+}
+
 /// Write `bytes` to `path` through a [`staging_path`] renamed into
 /// place, so a reader — another process warm-starting from the same
 /// directory included — sees the previous complete file or the new one,

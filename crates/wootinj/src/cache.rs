@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::SystemTime;
+use std::time::{Duration, SystemTime};
 
 use translator::Translated;
 
@@ -275,6 +275,36 @@ fn files_with_ext(dir: &Path, ext: &str) -> Vec<(PathBuf, u64, SystemTime)> {
     out
 }
 
+/// Age past which a staging file is a dead writer's: one killed between
+/// its write and its rename. A live write takes milliseconds, so an hour
+/// leaves room for any clock skew between processes sharing the
+/// directory.
+pub const STALE_STAGING_AGE: Duration = Duration::from_secs(60 * 60);
+
+/// Remove the staging files in `dir` older than [`STALE_STAGING_AGE`].
+/// Younger ones may be another writer's, in flight: they are left alone.
+fn sweep_stale_staging(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let now = SystemTime::now();
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if !mpi_sim::is_staging_path(&path) {
+            continue;
+        }
+        let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) else {
+            continue;
+        };
+        if now
+            .duration_since(mtime)
+            .is_ok_and(|age| age > STALE_STAGING_AGE)
+        {
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
 /// A directory of sealed `.wjar` artifacts, one per key fingerprint.
 ///
 /// Writes go through `mpi_sim::write_atomic` (a staging file renamed
@@ -295,7 +325,8 @@ impl DiskStore {
     /// Open (creating if needed) an artifact directory. Opening sweeps
     /// stale `.wckpt` checkpoints down to the checkpoint budget, so a
     /// long-lived cache directory stays bounded even across processes
-    /// that only ever read it.
+    /// that only ever read it, and removes staging files older than
+    /// [`STALE_STAGING_AGE`], which no writer will rename any more.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -305,6 +336,7 @@ impl DiskStore {
             ckpt_budget: DEFAULT_CKPT_BUDGET,
             stats: CacheStats::default(),
         };
+        sweep_stale_staging(&store.dir);
         store.evict_ckpts_to_budget();
         Ok(store)
     }

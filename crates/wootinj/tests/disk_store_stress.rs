@@ -172,3 +172,60 @@ fn staging_files_are_neither_counted_nor_swept() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A writer killed between its write and its rename leaves a staging
+/// file no one will rename. Opening the store removes one older than
+/// `STALE_STAGING_AGE`; a younger one may still be in flight, so it is
+/// kept, and it is not counted as an artifact either way.
+#[test]
+fn open_sweeps_only_stale_staging_files() {
+    use std::time::{Duration, SystemTime};
+    use wootinj::cache::STALE_STAGING_AGE;
+
+    let dir = std::env::temp_dir().join(format!("wj-stale-staging-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let bytes = artifact_bytes();
+    let stale = mpi_sim::staging_path(&dir.join("wj01-dead.wjar")).unwrap();
+    let fresh = mpi_sim::staging_path(&dir.join("wj01-live.wjar")).unwrap();
+    let old_ckpt = mpi_sim::staging_path(&dir.join("wj01-dead.d3.wckpt")).unwrap();
+    for path in [&stale, &fresh, &old_ckpt] {
+        std::fs::write(path, &bytes).unwrap();
+    }
+    let long_ago = SystemTime::now() - STALE_STAGING_AGE - Duration::from_secs(60);
+    let just_now = SystemTime::now() - Duration::from_secs(1);
+    for (path, mtime) in [
+        (&stale, long_ago),
+        (&fresh, just_now),
+        (&old_ckpt, long_ago),
+    ] {
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+    }
+    // A resident artifact as old as the stale staging file is not one.
+    let resident = dir.join(format!("{}.wjar", key(1).fingerprint()));
+    std::fs::write(&resident, &bytes).unwrap();
+    std::fs::File::options()
+        .write(true)
+        .open(&resident)
+        .unwrap()
+        .set_modified(long_ago)
+        .unwrap();
+
+    let store = DiskStore::open(&dir).unwrap();
+    assert!(!stale.exists(), "stale artifact staging file kept");
+    assert!(!old_ckpt.exists(), "stale checkpoint staging file kept");
+    assert!(fresh.exists(), "swept a staging file that may be in flight");
+    assert!(resident.exists(), "swept a resident artifact");
+    assert_eq!(store.len(), 1, "a staging file is not a resident artifact");
+    assert_eq!(
+        wootinj::cache::artifact_bytes(&dir),
+        bytes.len() as u64,
+        "a staging file is not counted in the artifact bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -59,6 +59,10 @@ cargo run --release --offline -q -p bench --bin repro -- fault-matrix --quick
 echo "== restart-cost smoke run (asserts delta < full ckpt bytes at cadence 1) =="
 cargo run --release --offline -q -p bench --bin repro -- restart-cost --quick
 
+echo "== restart example (exits nonzero unless both recovered answers match =="
+echo "==   the fault-free run bit for bit and the delta chain writes fewer bytes) =="
+cargo run --release --offline -q --example restart
+
 echo "== chaos soak (fault storms x cadence x rebase; bit-identical or typed) =="
 cargo run --release --offline -q -p bench --bin repro -- chaos --quick
 
