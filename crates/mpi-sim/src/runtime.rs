@@ -1762,6 +1762,12 @@ impl<'p, 'a> LocalPool<'p, 'a> {
         live_rank(&mut self.ranks, r)
     }
 
+    /// Rank `r`'s machine, while the rank is live.
+    pub fn machine(&self, r: u32) -> Option<&Machine> {
+        let rank = self.ranks.get(r as usize)?.as_ref()?;
+        Some(&rank.machine)
+    }
+
     /// Drain one rank into its final outcome — the per-rank half of
     /// [`RankPool::finish`]. Remote pools that own a single live rank
     /// each (the `dist` workers) call this for their own rank only.
