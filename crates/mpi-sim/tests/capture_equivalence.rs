@@ -5,7 +5,9 @@
 //! The program writes heap arrays through every path there is — `StArr`,
 //! `ArrayCopyF32`, a sendrecv receive, a host function's `&mut MemSpace`,
 //! a GPU copy-back, `NewArr`/`FreeArr` mid-run — and the seeded crashes
-//! make it write again after restores. A pool wrapper checks each
+//! make it write again after restores — half of them one link deeper
+//! than the chain head, so a restore lands on a state older than the
+//! last capture. A pool wrapper checks each
 //! capture against the rank's live arrays and feeds two chain encoders:
 //! one the sections as captured (unchanged arrays are the same shared
 //! allocation), one freshly re-encoded sections (no allocation shared).
@@ -70,6 +72,7 @@ fn bin(fb: &mut FuncBuilder, op: BinOp, kind: PrimKind, dst: Reg, lhs: Reg, rhs:
 ///   arraycopy(rbuf, 0, copy, 0, N)                   // copy: ArrayCopyF32 only
 ///   sbuf[0] = rbuf[0] + 1                            // StArr
 ///   fill(host, s)                                    // host: host call only
+///   if s % 3 == 0: sparse[0] = s                     // now and then
 ///   dev = toGpu(sbuf); fromGpu(back, dev); free(dev) // back: copy-back only
 ///   tmp = new float[N]; tmp[1] = sbuf[0]             // live at this checkpoint
 ///   acc = allreduce(sbuf[0])
@@ -94,6 +97,7 @@ fn program() -> (Program, FuncId) {
     let copy = new_f32(&mut fb, n);
     let host = new_f32(&mut fb, n);
     let back = new_f32(&mut fb, n);
+    let sparse = new_f32(&mut fb, n);
     let mesh = new_f32(&mut fb, mesh_len);
     let frank = fb.reg(Ty::F32);
     fb.emit(Instr::Cast {
@@ -157,6 +161,26 @@ fn program() -> (Program, FuncId) {
         args: vec![host, s],
         dst: None,
     });
+    let three = konst(&mut fb, 3);
+    let phase = fb.reg(Ty::I32);
+    bin(&mut fb, BinOp::Rem, PrimKind::Int, phase, s, three);
+    bin(&mut fb, BinOp::Eq, PrimKind::Int, cond, phase, zero);
+    let (write, skip) = (fb.label(), fb.label());
+    fb.br(cond, write, skip);
+    fb.bind(write);
+    let fs = fb.reg(Ty::F32);
+    fb.emit(Instr::Cast {
+        to: PrimKind::Float,
+        from: PrimKind::Int,
+        dst: fs,
+        src: s,
+    });
+    fb.emit(Instr::StArr {
+        arr: sparse,
+        idx: zero,
+        src: fs,
+    });
+    fb.bind(skip);
     intrin(&mut fb, IntrinOp::CopyToGpu, vec![sbuf], Some(dev));
     intrin(&mut fb, IntrinOp::CopyFromGpu, vec![back, dev], None);
     intrin(&mut fb, IntrinOp::GpuFree, vec![dev], None);
@@ -210,6 +234,8 @@ struct Seen {
     /// ... and right after a restore, the very sections it decoded.
     shared_after_restore: u64,
     restores: u64,
+    /// Restores refused to send the world one link deeper.
+    refused: u64,
     restored: Vec<Option<Vec<Section>>>,
     last: Vec<Vec<Section>>,
 }
@@ -218,6 +244,10 @@ struct Seen {
 struct Checked<'p, 'a> {
     inner: LocalPool<'p, 'a>,
     seen: Seen,
+    /// Refuse the first restore of every restart: the scheduler then
+    /// drops the chain head and restores from its parent.
+    deepen: bool,
+    refuse_next: bool,
 }
 
 impl Checked<'_, '_> {
@@ -278,6 +308,10 @@ impl Checked<'_, '_> {
 impl RankPool for Checked<'_, '_> {
     fn reinit(&mut self) -> Result<(), SimError> {
         self.inner.reinit()
+    }
+    fn prepare_resume(&mut self) -> Result<(), SimError> {
+        self.refuse_next = self.deepen;
+        self.inner.prepare_resume()
     }
     fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
         self.inner.run_slice(r, slice)
@@ -343,6 +377,13 @@ impl RankPool for Checked<'_, '_> {
         n_arrays: usize,
         sections: &[Section],
     ) -> Result<(), CkptError> {
+        if std::mem::take(&mut self.refuse_next) {
+            self.seen.refused += 1;
+            return Err(CkptError::Corrupt {
+                offset: 0,
+                message: "refused: restore one link deeper".into(),
+            });
+        }
         self.inner
             .restore_rank(r, last_cycles, has_gpu, n_arrays, sections)?;
         self.seen.restores += 1;
@@ -362,9 +403,15 @@ impl RankPool for Checked<'_, '_> {
     }
 }
 
-/// Run the program under checkpointing (and `crash`-rate faults), every
-/// capture checked; the per-rank results and what the check saw.
-fn run_checked(p: &Program, entry: FuncId, crash: Option<u64>) -> (Vec<Option<Val>>, Seen) {
+/// Run the program under checkpointing (and seeded crashes, restored one
+/// link deeper when `deepen`), every capture checked; the per-rank
+/// results and what the check saw.
+fn run_checked(
+    p: &Program,
+    entry: FuncId,
+    crash: Option<u64>,
+    deepen: bool,
+) -> (Vec<Option<Val>>, Seen) {
     let host = registry();
     let fault = crash.map(|seed| FaultConfig {
         crash: 0.004,
@@ -383,6 +430,8 @@ fn run_checked(p: &Program, entry: FuncId, crash: Option<u64>) -> (Vec<Option<Va
     let mut pool = Checked {
         inner,
         seen: Seen::default(),
+        deepen,
+        refuse_next: false,
     };
     let cfg = RunCfg {
         size: RANKS,
@@ -402,19 +451,20 @@ fn run_checked(p: &Program, entry: FuncId, crash: Option<u64>) -> (Vec<Option<Va
 #[test]
 fn cached_capture_links_equal_reencoded_links_on_every_write_path() {
     let (p, entry) = program();
-    let (clean, seen) = run_checked(&p, entry, None);
+    let (clean, seen) = run_checked(&p, entry, None, false);
     assert!(clean.iter().all(Option::is_some), "{clean:?}");
     assert_eq!(seen.links, RANKS as u64 * STEPS as u64);
     assert!(seen.shared > 0, "no array section was ever reused");
 
-    let mut restores = 0;
-    let mut shared_after_restore = 0;
-    for seed in 1..=12u64 {
-        let (results, seen) = run_checked(&p, entry, Some(seed));
+    let (mut restores, mut refused, mut shared_after_restore) = (0, 0, 0);
+    for seed in 1..=16u64 {
+        let (results, seen) = run_checked(&p, entry, Some(seed), seed % 2 == 0);
         assert_eq!(results, clean, "seed {seed}: recovery changed the answer");
         restores += seen.restores;
+        refused += seen.refused;
         shared_after_restore += seen.shared_after_restore;
     }
+    assert!(refused > 0, "no restore went one link deeper");
     assert!(
         restores > 0,
         "no seed crashed: nothing was written after a restore"
