@@ -24,7 +24,7 @@
 //! as a typed [`CkptError`], never a panic — callers degrade to a cold
 //! restart.
 
-use crate::{ArrStore, Counters, Frame, Machine, MemSpace, ObjHeap, Slot, Thread, Val};
+use crate::{ArrStore, Counters, Encoded, Frame, Machine, MemSpace, ObjHeap, Thread, Val};
 use chain::Section;
 use nir::codec::{unseal_ckpt, CodecError, Reader, Sealer, Wire, Writer};
 use nir::{FuncId, Program};
@@ -192,10 +192,7 @@ nir::wire_enum!(CkptError {
 /// Serialize one machine (memory, object heap, globals, output, counters,
 /// fault stream) into an open payload.
 pub fn write_machine(w: &mut Writer, m: &Machine) {
-    w.len(m.mem.slots.len());
-    for a in m.mem.arrays() {
-        a.put(w);
-    }
+    m.mem.arrays.put(w);
     write_machine_rest(w, m);
 }
 
@@ -208,15 +205,18 @@ pub fn write_machine(w: &mut Writer, m: &Machine) {
 /// restore that built this machine) returned, which is what lets
 /// [`chain::ChainState::push`] skip it by pointer.
 pub fn machine_array_sections(m: &mut Machine) -> Vec<Section> {
-    m.mem
-        .slots
-        .iter_mut()
-        .map(|slot| match &slot.encoded {
-            Some(bytes) if !slot.written => bytes.clone(),
+    let mem = &mut m.mem;
+    mem.arrays
+        .iter()
+        .zip(&mut mem.encoded)
+        .map(|(store, e)| match &e.bytes {
+            Some(bytes) if !e.written => bytes.clone(),
             _ => {
-                let bytes: Section = slot.store.to_wire().into();
-                slot.encoded = Some(bytes.clone());
-                slot.written = false;
+                let bytes: Section = store.to_wire().into();
+                *e = Encoded {
+                    written: false,
+                    bytes: Some(bytes.clone()),
+                };
                 bytes
             }
         })
@@ -232,15 +232,15 @@ pub fn machine_array_sections(m: &mut Machine) -> Vec<Section> {
 pub fn mem_from_sections<'a>(
     sections: impl IntoIterator<Item = &'a Section>,
 ) -> Result<MemSpace, CkptError> {
-    let mut slots = Vec::new();
+    let mut mem = MemSpace::new();
     for bytes in sections {
-        slots.push(Slot {
-            store: Wire::from_wire(bytes)?,
+        mem.arrays.push(Wire::from_wire(bytes)?);
+        mem.encoded.push(Encoded {
             written: false,
-            encoded: Some(bytes.clone()),
+            bytes: Some(bytes.clone()),
         });
     }
-    Ok(MemSpace { slots })
+    Ok(mem)
 }
 
 /// Everything in [`write_machine`] except the heap arrays: object heap,
@@ -254,17 +254,10 @@ pub fn write_machine_rest(w: &mut Writer, m: &Machine) {
 }
 
 pub fn read_machine(r: &mut Reader) -> Result<Machine, CkptError> {
-    let arrays: Vec<ArrStore> = Wire::get(r)?;
-    let mem = MemSpace {
-        slots: arrays
-            .into_iter()
-            .map(|store| Slot {
-                store,
-                written: true,
-                encoded: None,
-            })
-            .collect(),
-    };
+    let mut mem = MemSpace::new();
+    for store in Vec::<ArrStore>::get(r)? {
+        mem.alloc(store);
+    }
     read_machine_rest(r, mem)
 }
 

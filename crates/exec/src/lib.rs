@@ -266,17 +266,20 @@ fn bad_handle(h: u32) -> ExecError {
 /// arrays.
 #[derive(Default)]
 pub struct MemSpace {
-    slots: Vec<Slot>,
+    arrays: Vec<ArrStore>,
+    /// One entry per array, in step with `arrays` (kept apart so reading
+    /// an array indexes exactly as it would without the cache).
+    encoded: Vec<Encoded>,
 }
 
-/// One array and what the last capture encoded it as.
-struct Slot {
-    store: ArrStore,
-    /// Set by every mutable access; a written array's `encoded` is stale.
+/// What the last capture encoded one array as.
+#[derive(Default)]
+struct Encoded {
+    /// Set by every mutable access: `bytes` is stale.
     written: bool,
     /// The array's wire encoding (one checkpoint section), shared with
     /// every chain link and resolved snapshot that holds it.
-    encoded: Option<std::sync::Arc<[u8]>>,
+    bytes: Option<std::sync::Arc<[u8]>>,
 }
 
 impl MemSpace {
@@ -285,33 +288,31 @@ impl MemSpace {
     }
 
     pub fn alloc(&mut self, store: ArrStore) -> u32 {
-        self.slots.push(Slot {
-            store,
+        self.arrays.push(store);
+        self.encoded.push(Encoded {
             written: true,
-            encoded: None,
+            bytes: None,
         });
-        self.slots.len() as u32 - 1
+        self.arrays.len() as u32 - 1
     }
 
     #[inline]
     pub fn arr(&self, h: u32) -> Result<&ArrStore, ExecError> {
-        match self.slots.get(h as usize) {
-            Some(slot) => Ok(&slot.store),
-            None => Err(bad_handle(h)),
-        }
+        self.arrays.get(h as usize).ok_or_else(|| bad_handle(h))
     }
 
     /// The array behind `h`, marked written: the next checkpoint capture
     /// re-encodes it.
     #[inline]
     pub fn arr_mut(&mut self, h: u32) -> Result<&mut ArrStore, ExecError> {
-        match self.slots.get_mut(h as usize) {
-            Some(slot) => {
-                slot.written = true;
-                Ok(&mut slot.store)
-            }
-            None => Err(bad_handle(h)),
+        let store = self
+            .arrays
+            .get_mut(h as usize)
+            .ok_or_else(|| bad_handle(h))?;
+        if let Some(e) = self.encoded.get_mut(h as usize) {
+            e.written = true;
         }
+        Ok(store)
     }
 
     pub fn free(&mut self, h: u32) -> Result<(), ExecError> {
@@ -324,21 +325,21 @@ impl MemSpace {
     }
 
     /// Every array, by handle (freed ones included).
-    pub fn arrays(&self) -> impl ExactSizeIterator<Item = &ArrStore> {
-        self.slots.iter().map(|slot| &slot.store)
+    pub fn arrays(&self) -> &[ArrStore] {
+        &self.arrays
     }
 }
 
 impl PartialEq for MemSpace {
     fn eq(&self, other: &Self) -> bool {
-        self.arrays().eq(other.arrays())
+        self.arrays == other.arrays
     }
 }
 
 impl std::fmt::Debug for MemSpace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemSpace")
-            .field("arrays", &self.arrays().collect::<Vec<_>>())
+            .field("arrays", &self.arrays)
             .finish()
     }
 }

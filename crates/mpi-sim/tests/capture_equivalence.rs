@@ -269,6 +269,7 @@ impl Checked<'_, '_> {
         let reencoded: Vec<Section> = machine
             .mem
             .arrays()
+            .iter()
             .map(|a: &ArrStore| a.to_wire().into())
             .collect();
         let arrays = &snap.sections[1..1 + reencoded.len()];
@@ -296,7 +297,7 @@ impl Checked<'_, '_> {
                 .iter()
                 .map(|s| Section::from(&s[..])),
         );
-        let base = seen.captures[r] % 5 == 0;
+        let base = seen.captures[r].is_multiple_of(5);
         seen.captures[r] += 1;
         let got = seen.cached[r].push(snap.sections.clone(), base);
         let want = seen.fresh[r].push(fresh, base);
@@ -458,7 +459,7 @@ fn cached_capture_links_equal_reencoded_links_on_every_write_path() {
 
     let (mut restores, mut refused, mut shared_after_restore) = (0, 0, 0);
     for seed in 1..=16u64 {
-        let (results, seen) = run_checked(&p, entry, Some(seed), seed % 2 == 0);
+        let (results, seen) = run_checked(&p, entry, Some(seed), seed.is_multiple_of(2));
         assert_eq!(results, clean, "seed {seed}: recovery changed the answer");
         restores += seen.restores;
         refused += seen.refused;
