@@ -119,7 +119,7 @@ pub fn begin(tag: u8) -> Sealer {
 
 /// [`begin`] with room for a payload of `payload_len` bytes, version and
 /// kind included, so a payload whose size is known never regrows.
-pub fn begin_sized(tag: u8, payload_len: usize) -> Sealer {
+pub(crate) fn begin_sized(tag: u8, payload_len: usize) -> Sealer {
     let mut w = Sealer::new(payload_len);
     w.u8(CKPT_VERSION);
     w.u8(tag);

@@ -259,6 +259,15 @@ pub fn artifact_bytes(dir: &Path) -> u64 {
 /// In-flight staging files never match: their extension is `tmp` (see
 /// `mpi_sim::staging_path`).
 fn files_with_ext(dir: &Path, ext: &str) -> Vec<(PathBuf, u64, SystemTime)> {
+    scan(dir, ext, |_| {})
+}
+
+/// [`files_with_ext`], handing every other entry to `other` on the way.
+fn scan(
+    dir: &Path,
+    ext: &str,
+    mut other: impl FnMut(&std::fs::DirEntry),
+) -> Vec<(PathBuf, u64, SystemTime)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -266,6 +275,7 @@ fn files_with_ext(dir: &Path, ext: &str) -> Vec<(PathBuf, u64, SystemTime)> {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.extension().and_then(|e| e.to_str()) != Some(ext) {
+            other(&entry);
             continue;
         }
         let Ok(meta) = entry.metadata() else { continue };
@@ -281,27 +291,22 @@ fn files_with_ext(dir: &Path, ext: &str) -> Vec<(PathBuf, u64, SystemTime)> {
 /// directory.
 pub const STALE_STAGING_AGE: Duration = Duration::from_secs(60 * 60);
 
-/// Remove the staging files in `dir` older than [`STALE_STAGING_AGE`].
-/// Younger ones may be another writer's, in flight: they are left alone.
-fn sweep_stale_staging(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
+/// Remove `entry` if it is a staging file older than
+/// [`STALE_STAGING_AGE`]. A younger one may be another writer's, in
+/// flight: it is left alone.
+fn remove_if_stale_staging(entry: &std::fs::DirEntry, now: SystemTime) {
+    let path = entry.path();
+    if !mpi_sim::is_staging_path(&path) {
+        return;
+    }
+    let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) else {
         return;
     };
-    let now = SystemTime::now();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if !mpi_sim::is_staging_path(&path) {
-            continue;
-        }
-        let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) else {
-            continue;
-        };
-        if now
-            .duration_since(mtime)
-            .is_ok_and(|age| age > STALE_STAGING_AGE)
-        {
-            let _ = std::fs::remove_file(&path);
-        }
+    if now
+        .duration_since(mtime)
+        .is_ok_and(|age| age > STALE_STAGING_AGE)
+    {
+        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -336,8 +341,11 @@ impl DiskStore {
             ckpt_budget: DEFAULT_CKPT_BUDGET,
             stats: CacheStats::default(),
         };
-        sweep_stale_staging(&store.dir);
-        store.evict_ckpts_to_budget();
+        // One pass over the directory: the checkpoints to budget, and
+        // the stale staging files among the rest.
+        let now = SystemTime::now();
+        let ckpts = scan(&store.dir, CKPT_EXT, |e| remove_if_stale_staging(e, now));
+        store.stats.ckpt_evictions += Self::sweep_chains(ckpts, store.ckpt_budget);
         Ok(store)
     }
 
