@@ -1,8 +1,8 @@
 //! The repo's one stable-hash implementation.
 //!
-//! Four 64-bit hashes live here and nowhere else. Each is baked into a
-//! persisted format or a wire frame, so none of them may change by a bit
-//! without a version bump of what it is baked into:
+//! Every hash baked into a persisted format or a wire frame lives here
+//! and nowhere else. There are four, all 64-bit, and none of them may
+//! change by a bit without a version bump of what it is baked into:
 //!
 //! * [`digest64`] — the xorshift64\* stream digest, one byte per step.
 //!   Baked into the version-1 (`WJAR` artifact) container seal, the
