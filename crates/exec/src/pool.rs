@@ -22,8 +22,7 @@
 //!
 //! There is one pool, [`parallel_map`]: no work arrives mid-batch, so
 //! workers claim the next index from one atomic counter and results keep
-//! input order. The translator's parallel per-function lowering uses it
-//! directly (input order is what keeps FuncId assignment deterministic).
+//! input order.
 
 use crate::{run, ExecError, Image, Machine, Thread, Yield};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -127,7 +127,9 @@ impl PassProfile {
 /// Run the configured passes over the whole program: [`optimize_fn`] on
 /// every function in `FuncId` order. Returns one [`PassProfile`] per
 /// pass that did work, aggregated over all functions in canonical
-/// [`PASS_ORDER`] (fold/dce include the post-SROA cleanup round).
+/// [`PASS_ORDER`] (fold/dce include the post-SROA cleanup round). This
+/// is the post-pass form of the translator's schedule, which runs the
+/// same step on each function as it is lowered.
 pub fn optimize(program: &mut Program, config: OptConfig) -> Vec<PassProfile> {
     let mut parts = Vec::new();
     for i in 0..program.funcs.len() {
@@ -212,15 +214,12 @@ fn splices<'a>(
 /// [`optimize`] executes (and reports) them in.
 pub const PASS_ORDER: [&str; 4] = ["inline", "fold", "dce", "sroa"];
 
-/// Deterministically aggregate pass profiles collected out of order —
-/// per-function profiles from parallel lowering, or per-thread shards:
-/// one entry per pass name, durations and instruction counts summed,
-/// sorted into canonical [`PASS_ORDER`], zero-work passes dropped.
-/// Feeding it the per-function profiles of every function yields
-/// exactly the aggregation [`optimize`] computes serially (wall times
-/// are summed the same way; only their values reflect the measuring
-/// thread), so `repro pass-profile` output is order-stable no matter
-/// who optimized which function.
+/// Aggregate pass profiles: one entry per pass name, durations and
+/// instruction counts summed, sorted into canonical [`PASS_ORDER`],
+/// zero-work passes dropped. Feeding it the per-function profiles that
+/// the translator's lowerer collects as it optimizes each function it
+/// adds yields exactly the aggregation [`optimize`] computes over the
+/// finished program (only the wall times differ run to run).
 pub fn merge_profiles(parts: impl IntoIterator<Item = PassProfile>) -> Vec<PassProfile> {
     let mut merged: Vec<PassProfile> = Vec::new();
     for p in parts {

@@ -61,10 +61,9 @@ use jlang::types::ClassId;
 use jvm::{Jvm, Value};
 use nir::hash::Fingerprint;
 use nir::FuncId;
-use translator::lower::SpecResult;
 use translator::{
-    entry_class, scan_uses, shaped_bindings, EntrySpec, FnMemo, Lowerer, MemberRef, Mode,
-    ReplayState, SpecKey, TResult, TraceState, TransConfig, TransError, Translated,
+    EntrySpec, FnMemo, Lowerer, MemberRef, Mode, ReplayState, SpecKey, TResult, TraceState,
+    TransConfig, TransError, Translated,
 };
 
 nir::counters! {
@@ -474,6 +473,7 @@ impl Database {
         // whose place in the id sequence changed is fingerprinted again.
         let mut next = 1u32;
         for (i, p) in self.parse.iter().enumerate() {
+            // A failed parse returned its diagnostics above.
             let memo = p.as_ref().expect("parsed above");
             let first = next;
             next += memo.unit.classes.len() as u32;
@@ -529,6 +529,7 @@ impl Database {
         let units: Vec<ast::Unit> = self
             .parse
             .iter()
+            // A failed parse returned its diagnostics above.
             .map(|p| p.as_ref().expect("parsed above").unit.clone())
             .collect();
         self.laps.hand_over_ns += lap();
@@ -685,14 +686,7 @@ impl Database {
         self.stats.borrow_mut().translates += 1;
 
         if config.check_rules {
-            let recv_class = entry_class(jvm, recv)?;
-            let info = table.class(recv_class);
-            if !info.has_annotation("WootinJ") {
-                return Err(TransError::new(format!(
-                    "entry class `{}` is not annotated @WootinJ",
-                    info.name
-                )));
-            }
+            translator::check_entry_class(table, jvm, recv)?;
             // rules(program) memo: passing verdicts only, keyed by the
             // semantic fingerprint — a failure is always re-checked.
             if self.rules_ok.borrow().contains(&snap.sem_fp) {
@@ -721,54 +715,23 @@ impl Database {
         };
 
         let replay_memos = self.valid_lower_memos(snap, &config);
-        let flatten = config.mode == Mode::Full;
-        let mut lw = Lowerer::new(table, flatten);
-        lw.trace = Some(TraceState::default());
-        lw.replay = Some(ReplayState::new(replay_memos));
         // Replayed functions are final (memos hold optimized bodies, their
         // spliced callees included); fresh ones are optimized as they are
         // added, in id order.
-        lw.optimize = Some(config.opt);
+        let mut lw = Lowerer::new(table, config.mode == Mode::Full, config.opt);
+        lw.trace = Some(TraceState::default());
+        lw.replay = Some(ReplayState::new(replay_memos));
+        let entry = translator::lower_entry(&mut lw, key)?;
+        let trace = lw.trace.take().unwrap_or_default();
+        let reused = lw.replay.take().map_or(0, |r| r.reused);
+        let translated = translator::finish_shaped(lw, entry, key, args.len())?;
 
-        let entry = match lw.lower_spec(key, false)? {
-            SpecResult::Func { id, .. } => id,
-            SpecResult::InlineOnly { .. } => {
-                return Err(TransError::new(
-                    "the entry method returns a composite object; return void or a scalar",
-                ))
-            }
-        };
-
-        let trace = lw.trace.take().expect("trace attached above");
-        let replay = lw.replay.take().expect("replay attached above");
-        let mut program = lw.program;
-        let mut stats = lw.stats;
-        program.entry = Some(entry);
-        stats.passes = nir::merge_profiles(lw.passes);
-        self.harvest(snap, &config, &trace, &program);
-
-        program.validate().map_err(|m| {
-            TransError::new(format!("internal error: generated program invalid: {m}"))
-        })?;
-
-        {
-            let mut s = self.stats.borrow_mut();
-            s.lower_executed += trace.recs.len() as u64;
-            s.lower_reused += replay.reused;
-        }
-
-        let bindings = shaped_bindings(key, flatten, args.len());
-        let (uses_mpi, uses_gpu) = scan_uses(&program);
-        Ok(Translated {
-            program,
-            entry,
-            bindings,
-            mode: config.mode,
-            stats,
-            uses_mpi,
-            uses_gpu,
-            warnings: Vec::new(),
-        })
+        // Only a program that validated fills the memo.
+        self.harvest(snap, &config, &trace, &translated.program);
+        let mut s = self.stats.borrow_mut();
+        s.lower_executed += trace.recs.len() as u64;
+        s.lower_reused += reused;
+        Ok(translated)
     }
 
     /// Validate every stored `lower_fn` memo for this configuration

@@ -86,23 +86,11 @@ nir::wire_enum!(Binding {
     3 = ArgWhole(arg),
 });
 
-/// `parallel_lowering` is an execution strategy, not translation
-/// identity: it is never written, and decodes as `false`.
-impl Wire for TransConfig {
-    fn put(&self, w: &mut Writer) {
-        self.mode.put(w);
-        self.opt.put(w);
-        self.check_rules.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
-        Ok(TransConfig {
-            mode: Wire::get(r)?,
-            opt: Wire::get(r)?,
-            check_rules: Wire::get(r)?,
-            parallel_lowering: false,
-        })
-    }
-}
+nir::wire_struct!(TransConfig {
+    mode,
+    opt,
+    check_rules
+});
 
 // ---- Translated ⇄ bytes -------------------------------------------------
 

@@ -24,8 +24,6 @@ pub mod shape;
 pub mod sheval;
 pub mod virt;
 
-use std::sync::Arc;
-
 use jlang::table::ClassTable;
 use jlang::types::ClassId;
 use jvm::{ArrayData, Jvm, Value};
@@ -51,14 +49,8 @@ pub enum Mode {
 }
 
 /// Translator configuration. `Eq`/`Hash` make it usable as part of a
-/// code-cache key: every field that changes what translation emits
-/// participates in identity. [`TransConfig::parallel_lowering`] is
-/// deliberately *excluded* (manual `PartialEq`/`Hash` below, and it is
-/// never written into artifact fingerprints): it changes which thread
-/// optimizes each function, never the bytes emitted, so serial and
-/// parallel translations of the same entry must share one cache slot
-/// and one on-disk artifact.
-#[derive(Debug, Clone, Copy)]
+/// code-cache key: every field changes what translation emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransConfig {
     pub mode: Mode,
     /// NIR optimizer setting — the Table 1/2 analogue. `aggressive()`
@@ -67,32 +59,6 @@ pub struct TransConfig {
     /// Enforce the eight coding rules before translating (the paper's
     /// `@WootinJ` contract). On by default.
     pub check_rules: bool,
-    /// Dispatch per-function optimization onto OS threads (the
-    /// `exec::pool` work pool), level by level of call height so that
-    /// every callee a function may splice is final before it runs (see
-    /// [`optimize_program`]). Profiles merge deterministically in
-    /// canonical pass order, so function bodies, FuncIds, and
-    /// `encode_semantic()` bytes are identical to serial. The
-    /// incremental path ignores it: it optimizes each function as the
-    /// lowerer adds it.
-    pub parallel_lowering: bool,
-}
-
-impl PartialEq for TransConfig {
-    fn eq(&self, other: &Self) -> bool {
-        // `parallel_lowering` is not part of translation identity.
-        self.mode == other.mode && self.opt == other.opt && self.check_rules == other.check_rules
-    }
-}
-
-impl Eq for TransConfig {}
-
-impl std::hash::Hash for TransConfig {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.mode.hash(state);
-        self.opt.hash(state);
-        self.check_rules.hash(state);
-    }
 }
 
 impl TransConfig {
@@ -101,7 +67,6 @@ impl TransConfig {
             mode: Mode::Full,
             opt: OptConfig::standard(),
             check_rules: true,
-            parallel_lowering: false,
         }
     }
 
@@ -110,7 +75,6 @@ impl TransConfig {
             mode: Mode::Devirt,
             opt: OptConfig::standard(),
             check_rules: true,
-            parallel_lowering: false,
         }
     }
 
@@ -119,7 +83,6 @@ impl TransConfig {
             mode: Mode::Virtual,
             opt: OptConfig::standard(),
             check_rules: false,
-            parallel_lowering: false,
         }
     }
 
@@ -129,16 +92,7 @@ impl TransConfig {
             mode: Mode::Full,
             opt: OptConfig::aggressive(),
             check_rules: true,
-            parallel_lowering: false,
         }
-    }
-
-    /// Fan per-function optimization out over OS threads (see
-    /// [`TransConfig::parallel_lowering`]). Output bytes and cache
-    /// identity are unchanged — only who does the work.
-    pub fn with_parallel_lowering(mut self) -> Self {
-        self.parallel_lowering = true;
-        self
     }
 }
 
@@ -243,6 +197,11 @@ pub fn entry_spec(
 }
 
 /// Translate `recv.method(args)` — the reproduction of `WootinJ.jit`.
+///
+/// A shaped (Devirt/Full) entry is optimized function by function as
+/// the lowerer adds it, the schedule the incremental query layer uses
+/// too; Virtual mode lowers the whole class closure, then runs
+/// [`nir::optimize`] over it.
 pub fn translate(
     table: &ClassTable,
     jvm: &Jvm<'_>,
@@ -251,18 +210,8 @@ pub fn translate(
     args: &[Value],
     config: TransConfig,
 ) -> TResult<Translated> {
-    let recv_class = jvm
-        .runtime_class(recv)
-        .map_err(|e| TransError::new(format!("entry receiver: {}", e.message)))?;
-
     if config.check_rules {
-        let info = table.class(recv_class);
-        if !info.has_annotation("WootinJ") {
-            return Err(TransError::new(format!(
-                "entry class `{}` is not annotated @WootinJ",
-                info.name
-            )));
-        }
+        check_entry_class(table, jvm, recv)?;
         let report = jrules::check_program(table);
         if !report.is_ok() {
             return Err(TransError::new(format!(
@@ -272,18 +221,16 @@ pub fn translate(
         }
     }
 
-    let spec = entry_spec(table, jvm, recv, method, args, config.mode)?;
-
-    let (mut program, entry, bindings, mut stats, warnings) = match &spec {
+    match entry_spec(table, jvm, recv, method, args, config.mode)? {
         EntrySpec::Opaque {
             class: ic,
             method: im,
             ..
         } => {
             let mut vl = virt::VirtLowerer::new(table);
-            let entry = vl.compile_entry(*ic, *im)?;
+            let entry = vl.compile_entry(ic, im)?;
             let mut bindings = Vec::new();
-            if !table.method(*ic, *im).is_static {
+            if !table.method(ic, im).is_static {
                 bindings.push(Binding::RecvObj);
             }
             for i in 0..args.len() {
@@ -294,37 +241,83 @@ pub fn translate(
                 .iter()
                 .map(|(what, why)| format!("skipped `{what}`: {why}"))
                 .collect();
-            (vl.program, entry, bindings, vl.stats, warnings)
+            vl.stats.passes = nir::optimize(&mut vl.program, config.opt);
+            finish(vl.program, entry, bindings, vl.stats, config.mode, warnings)
         }
         EntrySpec::Shaped(key) => {
-            let flatten = config.mode == Mode::Full;
-            let mut lw = Lowerer::new(table, flatten);
-            let entry = match lw.lower_spec(key, false)? {
-                lower::SpecResult::Func { id, .. } => id,
-                lower::SpecResult::InlineOnly { .. } => {
-                    return Err(TransError::new(
-                        "the entry method returns a composite object; return void or a scalar",
-                    ))
-                }
-            };
-            let bindings = shaped_bindings(key, flatten, args.len());
-            (lw.program, entry, bindings, lw.stats, Vec::new())
+            let mut lw = Lowerer::new(table, config.mode == Mode::Full, config.opt);
+            let entry = lower_entry(&mut lw, &key)?;
+            finish_shaped(lw, entry, &key, args.len())
         }
-    };
+    }
+}
 
+/// The `@WootinJ` entry contract: the receiver's runtime class must
+/// carry the annotation. Checked whenever
+/// [`TransConfig::check_rules`] is set.
+pub fn check_entry_class(table: &ClassTable, jvm: &Jvm<'_>, recv: &Value) -> TResult<()> {
+    let recv_class = jvm
+        .runtime_class(recv)
+        .map_err(|e| TransError::new(format!("entry receiver: {}", e.message)))?;
+    let info = table.class(recv_class);
+    if !info.has_annotation("WootinJ") {
+        return Err(TransError::new(format!(
+            "entry class `{}` is not annotated @WootinJ",
+            info.name
+        )));
+    }
+    Ok(())
+}
+
+/// Lower a shaped entry through `lw`, which optimizes each function as
+/// it adds it. The entry must return void or a scalar: a composite
+/// return has no function to call.
+pub fn lower_entry(lw: &mut Lowerer<'_>, key: &SpecKey) -> TResult<FuncId> {
+    match lw.lower_spec(key, false)? {
+        lower::SpecResult::Func { id, .. } => Ok(id),
+        lower::SpecResult::InlineOnly { .. } => Err(TransError::new(
+            "the entry method returns a composite object; return void or a scalar",
+        )),
+    }
+}
+
+/// Finish a shaped translation from its lowerer: merge the pass
+/// profiles, validate the program, and bind the entry's parameters.
+/// [`translate`] and the incremental query layer both end here, so
+/// both derive identical [`Translated`] artifacts.
+pub fn finish_shaped(
+    lw: Lowerer<'_>,
+    entry: FuncId,
+    key: &SpecKey,
+    nargs: usize,
+) -> TResult<Translated> {
+    let flatten = lw.flatten_objects;
+    let mut stats = lw.stats;
+    stats.passes = nir::merge_profiles(std::mem::take(&mut stats.passes));
+    let bindings = shaped_bindings(key, flatten, nargs);
+    let mode = if flatten { Mode::Full } else { Mode::Devirt };
+    finish(lw.program, entry, bindings, stats, mode, Vec::new())
+}
+
+/// Validate an optimized program and note the platforms it uses.
+fn finish(
+    mut program: Program,
+    entry: FuncId,
+    bindings: Vec<Binding>,
+    stats: TransStats,
+    mode: Mode,
+    warnings: Vec<String>,
+) -> TResult<Translated> {
     program.entry = Some(entry);
-    stats.passes = optimize_program(&mut program, &config);
     program
         .validate()
         .map_err(|m| TransError::new(format!("internal error: generated program invalid: {m}")))?;
-
     let (uses_mpi, uses_gpu) = scan_uses(&program);
-
     Ok(Translated {
         program,
         entry,
         bindings,
-        mode: config.mode,
+        mode,
         stats,
         uses_mpi,
         uses_gpu,
@@ -332,69 +325,9 @@ pub fn translate(
     })
 }
 
-/// Run the NIR optimizer over a freshly lowered program: the bottom-up
-/// step ([`nir::optimize_fn`]) on every function in id order, and its
-/// profiles merged in canonical pass order. With
-/// [`TransConfig::parallel_lowering`] the step fans out over the
-/// `exec::pool` work pool by call height: a function runs once every
-/// earlier function it calls is final. Bodies, and so
-/// `encode_semantic()` bytes, are the serial ones either way.
-pub fn optimize_program(program: &mut Program, config: &TransConfig) -> Vec<nir::PassProfile> {
-    let opt = config.opt;
-    let workers = exec::pool::default_workers();
-    let n = program.funcs.len();
-    if !config.parallel_lowering || workers < 2 || n < 2 {
-        return nir::optimize(program, opt);
-    }
-    // Height 0: calls no earlier function.
-    let mut height = vec![0; n];
-    for i in 0..n {
-        for ins in &program.funcs[i].code {
-            match ins {
-                Instr::Call { func, .. } if (func.0 as usize) < i => {
-                    height[i] = height[i].max(height[func.0 as usize] + 1);
-                }
-                _ => {}
-            }
-        }
-    }
-    // Move each level's functions out (a stub swap, no body copies),
-    // optimize them against the final ones, reinstall by index.
-    let stub = || {
-        Arc::new(nir::Function {
-            name: String::new(),
-            params: Vec::new(),
-            ret: None,
-            regs: Vec::new(),
-            code: Vec::new(),
-            kind: nir::FuncKind::Host,
-        })
-    };
-    let mut parts = Vec::new();
-    let top = height.iter().max().copied().unwrap_or(0);
-    for level in 0..=top {
-        let batch: Vec<(usize, Arc<nir::Function>)> = (0..n)
-            .filter(|&i| height[i] == level)
-            .map(|i| (i, std::mem::replace(&mut program.funcs[i], stub())))
-            .collect();
-        let funcs = &program.funcs;
-        let optimized = exec::pool::parallel_map(workers, batch, |_, (i, mut f)| {
-            let prof = nir::optimize_fn(Arc::make_mut(&mut f), &funcs[..i], opt);
-            (i, f, prof)
-        });
-        for (i, f, prof) in optimized {
-            program.funcs[i] = f;
-            parts.extend(prof);
-        }
-    }
-    nir::merge_profiles(parts)
-}
-
 /// Entry-argument bindings for a shape-specialized entry: per-leaf in
-/// flattened (Full) mode, whole-value in heap (Devirt) mode. Shared by
-/// the classic [`translate`] path and the incremental query pipeline so
-/// both derive identical [`Translated`] artifacts.
-pub fn shaped_bindings(key: &SpecKey, flatten: bool, nargs: usize) -> Vec<Binding> {
+/// flattened (Full) mode, whole-value in heap (Devirt) mode.
+fn shaped_bindings(key: &SpecKey, flatten: bool, nargs: usize) -> Vec<Binding> {
     let mut bindings = Vec::new();
     if flatten {
         if let Some(recv_shape) = &key.recv {
@@ -420,8 +353,8 @@ pub fn shaped_bindings(key: &SpecKey, flatten: bool, nargs: usize) -> Vec<Bindin
 }
 
 /// Scan a lowered program for the platform capabilities it exercises:
-/// `(uses_mpi, uses_gpu)`. Shared with the incremental pipeline.
-pub fn scan_uses(program: &nir::Program) -> (bool, bool) {
+/// `(uses_mpi, uses_gpu)`.
+fn scan_uses(program: &nir::Program) -> (bool, bool) {
     let mut uses_mpi = false;
     let mut uses_gpu = false;
     for f in &program.funcs {
@@ -543,12 +476,6 @@ pub fn materialize(jvm: &Jvm<'_>, v: &Value, machine: &mut exec::Machine) -> TRe
     })
 }
 
-/// Resolve the class id the entry dispatches on (helper for the facade).
-pub fn entry_class(jvm: &Jvm<'_>, recv: &Value) -> TResult<ClassId> {
-    jvm.runtime_class(recv)
-        .map_err(|e| TransError::new(e.message))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,7 +523,6 @@ mod tests {
                 mode,
                 opt,
                 check_rules: true,
-                parallel_lowering: false,
             },
         )
         .unwrap();

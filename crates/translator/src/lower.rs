@@ -129,16 +129,15 @@ pub struct Lowerer<'t> {
     /// Validated memos to replay instead of re-lowering.
     pub replay: Option<incr::ReplayState>,
     replay_stack: Vec<(SpecKey, bool, bool)>,
-    /// Optimize each fresh function as it is added (the incremental
-    /// path). Its callees come first and are final by then, so a replay
-    /// can check every splice decision its memo made; `passes` collects
-    /// what the optimizer cost.
-    pub optimize: Option<nir::OptConfig>,
-    pub passes: Vec<nir::PassProfile>,
+    /// The optimizer each fresh function runs as it is added. Its
+    /// callees come first and are final by then, so a replay can check
+    /// every splice decision its memo made; `stats.passes` collects what
+    /// the optimizer cost.
+    opt: nir::OptConfig,
 }
 
 impl<'t> Lowerer<'t> {
-    pub fn new(table: &'t ClassTable, flatten_objects: bool) -> Self {
+    pub fn new(table: &'t ClassTable, flatten_objects: bool, opt: nir::OptConfig) -> Self {
         let mut program = Program::default();
         // Class metadata mirrors the jlang table 1:1 so that `NewObj` in
         // heap mode can index by ClassId.
@@ -163,20 +162,17 @@ impl<'t> Lowerer<'t> {
             trace: None,
             replay: None,
             replay_stack: Vec::new(),
-            optimize: None,
-            passes: Vec::new(),
+            opt,
         }
     }
 
-    /// Add a freshly lowered function, optimized if [`Self::optimize`]
-    /// asks for it.
+    /// Add a freshly lowered function and optimize it against the final
+    /// functions before it.
     fn add_fresh(&mut self, f: nir::Function) -> FuncId {
         let id = self.program.add_func(f);
-        if let Some(opt) = self.optimize {
-            let (done, rest) = self.program.funcs.split_at_mut(id.0 as usize);
-            self.passes
-                .extend(nir::optimize_fn(Arc::make_mut(&mut rest[0]), done, opt));
-        }
+        let (done, rest) = self.program.funcs.split_at_mut(id.0 as usize);
+        let profile = nir::optimize_fn(Arc::make_mut(&mut rest[0]), done, self.opt);
+        self.stats.passes.extend(profile);
         id
     }
 
@@ -223,6 +219,7 @@ impl<'t> Lowerer<'t> {
     fn trace_pop_fresh(&mut self, id: FuncId, ret: &Option<Shape>) {
         let now = self.stats6();
         if let Some(tr) = &mut self.trace {
+            // Every pop closes the frame its specialization pushed.
             let fr = tr.frames.pop().expect("trace frame underflow");
             let incl = incr::sub6(now, fr.base);
             if let Some(p) = tr.frames.last_mut() {
@@ -248,6 +245,7 @@ impl<'t> Lowerer<'t> {
     fn trace_pop_discard(&mut self) {
         let now = self.stats6();
         if let Some(tr) = &mut self.trace {
+            // Every pop closes the frame its specialization pushed.
             let fr = tr.frames.pop().expect("trace frame underflow");
             let incl = incr::sub6(now, fr.base);
             if let Some(p) = tr.frames.last_mut() {
@@ -349,7 +347,7 @@ impl<'t> Lowerer<'t> {
             }
         }
         let funcs = &self.program.funcs;
-        let limit = self.optimize.map_or(0, |o| o.inline_limit);
+        let limit = self.opt.inline_limit;
         Ok(funcs.len() == memo.id.0 as usize
             && (memo.inlined.iter()).all(|(id, seen)| match (funcs.get(id.0 as usize), seen) {
                 (Some(g), Some(f)) => Arc::ptr_eq(g, f),
@@ -673,6 +671,7 @@ impl<'t> Lowerer<'t> {
                 // Constructor frame write?
                 if b.expr(obj) == TExpr::This && fx.ctor_fields.is_some() {
                     let copy = self.copy_opnd(fx, &v);
+                    // Checked `is_some` just above.
                     fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(copy);
                     return Ok(());
                 }
@@ -1683,21 +1682,15 @@ impl<'t> Lowerer<'t> {
                 class: class.0,
                 dst: obj,
             });
-            let Shape::Obj { fields: fss, .. } = &shape else {
-                unreachable!()
-            };
-            let mut reg_iter = all_regs.into_iter();
-            for (slot, fs) in fss.iter().enumerate() {
-                let n = 1; // heap mode: one register per field
-                let _ = fs;
-                for _ in 0..n {
-                    let src = reg_iter.next().unwrap();
-                    fx.fb.emit(Instr::PutField {
-                        obj,
-                        slot: slot as u32,
-                        src,
-                    });
-                }
+            // Heap mode: every field value is one register, a scalar or
+            // an object reference.
+            debug_assert_eq!(all_regs.len(), size);
+            for (slot, src) in all_regs.into_iter().enumerate() {
+                fx.fb.emit(Instr::PutField {
+                    obj,
+                    slot: slot as u32,
+                    src,
+                });
             }
             Ok(Opnd {
                 shape,
@@ -1762,6 +1755,7 @@ impl<'t> Lowerer<'t> {
                         Some((b, args, _)) => self.arg_opnds(fx, b, args)?,
                         None => Vec::new(),
                     };
+                    // Installed above; a nested `run_ctor` restores it.
                     *fields = fx.ctor_fields.take().unwrap();
                     // Recursive constructor run uses its own env.
                     let saved = std::mem::take(&mut fx.env);
@@ -1775,6 +1769,7 @@ impl<'t> Lowerer<'t> {
                 if let Some((init, value)) = f.typed_init() {
                     let v = self.expr(fx, init, value)?;
                     let v = self.copy_opnd(fx, &v);
+                    // Installed above; a nested `run_ctor` restores it.
                     fx.ctor_fields.as_mut().unwrap()[(info.field_base + i as u32) as usize] =
                         Some(v);
                 }
@@ -1782,6 +1777,7 @@ impl<'t> Lowerer<'t> {
             if let Some((b, _, body)) = typed {
                 self.ctor_block(fx, b, body)?;
             }
+            // Installed above; a nested `run_ctor` restores it.
             *fields = fx.ctor_fields.take().unwrap();
             Ok(())
         })();
@@ -1807,6 +1803,7 @@ impl<'t> Lowerer<'t> {
                     }
                     let v = self.expr(fx, b, value)?;
                     let v = self.copy_opnd(fx, &v);
+                    // Only `run_ctor` calls this, with the frame installed.
                     fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(v);
                 }
                 TStmt::Block(block) => self.ctor_block(fx, b, block)?,

@@ -50,7 +50,7 @@ echo "==   every assertion must hold bit-for-bit)                       =="
 WJ_EXECUTOR=threads cargo test -q --offline
 
 echo "== pass-profile smoke run (a cold compile stage by stage, front end  =="
-echo "==   included; asserts parallel-lowering profile parity)              =="
+echo "==   included)                                                         =="
 cargo run --release --offline -q -p bench --bin repro -- pass-profile --quick
 
 echo "== fault-matrix smoke run =="
@@ -102,6 +102,17 @@ else
     echo "exec::run: no symbol in $wjbench (inlined?)"
 fi
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --bin wjbench -- run --smoke
+
+echo "== the ruler's own checks, traced: the decomposed cold translation   =="
+echo "==   must equal the facade's, the incremental one the cold one; a     =="
+echo "==   named workload exits 0 either way, so read its result line       =="
+for w in compile-cold edit-rejit; do
+    last="$(cargo run --release --offline -q --manifest-path benchmark/Cargo.toml --bin wjlayers -- trace --workload "$w" --seconds 1 | tail -n 1)"
+    case "$last" in
+        '{"correct":true,'*) echo "wjlayers $w: correct" ;;
+        *) echo "wjlayers $w: not correct: ${last:0:200}"; exit 1 ;;
+    esac
+done
 
 echo "== disk-cache round-trip smoke =="
 # jit once (cold, persists the artifact), then re-jit from a fresh
