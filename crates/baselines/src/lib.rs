@@ -1,22 +1,16 @@
-//! # baselines — native-Rust analogues of the paper's C and C++ programs
+//! # baselines — the paper's *C* matrix multiplication in native Rust
 //!
-//! The primary reproduction measures every series on the same NIR engine
-//! so that the only variable is the dispatch/representation strategy
-//! (DESIGN.md §3). This crate is the *native cross-check*: the same four
-//! styles expressed directly in Rust machine code —
+//! What is left is [`matmul::c_style`] (hand-flattened ikj loops, the
+//! paper's *C*) and the `DefaultGen` inputs it reads. The benchmark's
+//! per-layer trace times it as a machine-speed anchor, and
+//! `tests/end_to_end.rs` checks it against `hpclib::reference_matmul`.
 //!
-//! * `c_style` — hand-flattened, no abstraction (the paper's *C*),
-//! * `virtual_style` — `dyn Trait` dispatch per element (*C++*),
-//! * `template_style` — generics/monomorphization (*Template*),
-//! * `template_no_virt` — method bodies manually copied inline
-//!   (*Template w/o virt.*),
-//!
-//! for both evaluation workloads (3-D diffusion and matrix
-//! multiplication). The Criterion benches in the `bench` crate measure
-//! these in wall time; their ordering should match the engine-level
-//! ordering of the translated series.
+//! The native analogues of the *C++*, *Template* and *Template w/o virt.*
+//! series, and of diffusion, are gone: the emitted C of the translated
+//! series now compiles and runs, bit-identically to `exec`
+//! (`crates/bench/tests/emitted_c.rs`), which checks more than a Rust
+//! re-implementation could.
 
 #![forbid(unsafe_code)]
 
-pub mod diffusion;
 pub mod matmul;

@@ -1,6 +1,6 @@
-//! Native-Rust analogues of the paper's C/C++ matrix-multiplication
-//! baselines (§4.2), mirroring `hpclib`'s matmul library semantics:
-//! `DefaultGen` inputs, `C = A·B`, checksum of `C`.
+//! The paper's *C* matrix multiplication (§4.2) in native Rust, with
+//! `hpclib`'s matmul library semantics: `DefaultGen` inputs, `C = A·B`,
+//! checksum of `C`.
 
 /// `DefaultGen.value` (identical to the jlang library).
 #[inline]
@@ -35,182 +35,9 @@ pub mod c_style {
     }
 }
 
-/// The data abstraction shared by the OO variants (the library's
-/// `Matrix` interface).
-pub trait Matrix {
-    fn get(&self, r: usize, c: usize) -> f32;
-    fn set(&mut self, r: usize, c: usize, v: f32);
-    fn size(&self) -> usize;
-}
-
-pub struct SimpleMatrix {
-    pub d: Vec<f32>,
-    pub n: usize,
-}
-
-impl SimpleMatrix {
-    pub fn generated(which: i32, n: usize) -> Self {
-        SimpleMatrix {
-            d: gen_matrix(which, n),
-            n,
-        }
-    }
-
-    pub fn zero(n: usize) -> Self {
-        SimpleMatrix {
-            d: vec![0.0; n * n],
-            n,
-        }
-    }
-}
-
-impl Matrix for SimpleMatrix {
-    #[inline]
-    fn get(&self, r: usize, c: usize) -> f32 {
-        self.d[r * self.n + c]
-    }
-
-    #[inline]
-    fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.d[r * self.n + c] = v;
-    }
-
-    fn size(&self) -> usize {
-        self.n
-    }
-}
-
-/// The *C++* baseline: per-element dynamic dispatch through `dyn Matrix`.
-pub mod virtual_style {
-    use super::*;
-
-    pub fn multiply_add(a: &dyn Matrix, b: &dyn Matrix, c: &mut dyn Matrix) {
-        let n = a.size();
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a.get(i, k);
-                for j in 0..n {
-                    c.set(i, j, c.get(i, j) + aik * b.get(k, j));
-                }
-            }
-        }
-    }
-
-    pub fn matmul_checksum(n: usize) -> f32 {
-        let a = SimpleMatrix::generated(0, n);
-        let b = SimpleMatrix::generated(1, n);
-        let mut c = SimpleMatrix::zero(n);
-        multiply_add(&a, &b, &mut c);
-        c.d.iter().sum()
-    }
-}
-
-/// The *Template* baseline: monomorphized accessors.
-pub mod template_style {
-    use super::*;
-
-    pub fn multiply_add<M: Matrix>(a: &M, b: &M, c: &mut M) {
-        let n = a.size();
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a.get(i, k);
-                for j in 0..n {
-                    c.set(i, j, c.get(i, j) + aik * b.get(k, j));
-                }
-            }
-        }
-    }
-
-    pub fn matmul_checksum(n: usize) -> f32 {
-        let a = SimpleMatrix::generated(0, n);
-        let b = SimpleMatrix::generated(1, n);
-        let mut c = SimpleMatrix::zero(n);
-        multiply_add(&a, &b, &mut c);
-        c.d.iter().sum()
-    }
-}
-
-/// The *Template w/o virt.* baseline: the accessor bodies manually copied
-/// into one flat routine over the concrete representation.
-pub mod template_no_virt {
-    use super::*;
-
-    pub fn matmul_checksum(n: usize) -> f32 {
-        let a = SimpleMatrix::generated(0, n);
-        let b = SimpleMatrix::generated(1, n);
-        let mut c = SimpleMatrix::zero(n);
-        // get/set copied inline onto the raw vectors.
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a.d[i * n + k];
-                for j in 0..n {
-                    c.d[i * n + j] += aik * b.d[k * n + j];
-                }
-            }
-        }
-        c.d.iter().sum()
-    }
-}
-
-/// A sequential model of the Fox algorithm's block schedule (for checking
-/// the block decomposition used by the jlang `FoxAlgorithm`): the global
-/// matrix is split into q×q blocks and accumulated in Fox order.
-pub fn fox_schedule_checksum(n: usize, q: usize) -> f32 {
-    assert_eq!(n % q, 0, "block size must divide n");
-    let m = n / q;
-    let a = gen_matrix(0, n);
-    let b = gen_matrix(1, n);
-    let mut c = vec![0.0f32; n * n];
-    // For each process (row, col) and Fox step k, multiply block
-    // A[row, root] * B[root, col] into C[row, col], root = (row + k) % q.
-    for step in 0..q {
-        for row in 0..q {
-            for col in 0..q {
-                let root = (row + step) % q;
-                for i in 0..m {
-                    for k in 0..m {
-                        let aik = a[(row * m + i) * n + (root * m + k)];
-                        for j in 0..m {
-                            c[(row * m + i) * n + (col * m + j)] +=
-                                aik * b[(root * m + k) * n + (col * m + j)];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_styles_compute_identical_checksums() {
-        for n in [8usize, 13, 24] {
-            let c = c_style::matmul_checksum(n);
-            let v = virtual_style::matmul_checksum(n);
-            let t = template_style::matmul_checksum(n);
-            let nv = template_no_virt::matmul_checksum(n);
-            assert_eq!(c, v, "n={n}");
-            assert_eq!(c, t, "n={n}");
-            assert_eq!(c, nv, "n={n}");
-        }
-    }
-
-    #[test]
-    fn fox_schedule_matches_plain_multiplication() {
-        for (n, q) in [(12usize, 2usize), (18, 3), (16, 4)] {
-            let plain = c_style::matmul_checksum(n);
-            let fox = fox_schedule_checksum(n, q);
-            let scale = plain.abs().max(1.0);
-            assert!(
-                (plain - fox).abs() <= scale * 1e-4,
-                "n={n} q={q}: {plain} vs {fox}"
-            );
-        }
-    }
 
     #[test]
     fn generated_inputs_are_nontrivial() {

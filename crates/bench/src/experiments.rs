@@ -61,7 +61,8 @@ impl Kind {
         }
     }
 
-    fn jit_options(self) -> JitOptions {
+    /// The series' `jit` preset (the Java series is never jitted).
+    pub fn jit_options(self) -> JitOptions {
         match self {
             Kind::Cpp => JitOptions::cpp(),
             Kind::Template => JitOptions::template(),
@@ -183,11 +184,7 @@ pub fn run_stencil(
             StencilPlatform::Cpu,
             "the Java series is CPU-only"
         );
-        let runner = if boxed {
-            StencilApp::compose_boxed(&mut env, 0.4, 0.1).unwrap()
-        } else {
-            StencilApp::compose(&mut env, platform, StencilApp::default_model()).unwrap()
-        };
+        let runner = stencil_runner(&mut env, kind, platform, boxed);
         let r = env.run_interpreted(&runner, "invoke", &args).unwrap();
         let result = match r.result {
             Value::Float(v) => v,
@@ -202,26 +199,7 @@ pub fn run_stencil(
         };
     }
 
-    let runner = if kind == Kind::C {
-        let class = match platform {
-            StencilPlatform::Cpu => "CDiffusion",
-            StencilPlatform::CpuMpi => "CDiffusionMPI",
-            StencilPlatform::Gpu => "CDiffusionGPU",
-            StencilPlatform::GpuMpi => "CDiffusionGPUMPI",
-        };
-        env.new_instance(class, &[Value::Float(0.4), Value::Float(0.1)])
-            .unwrap()
-    } else if boxed {
-        assert_eq!(
-            platform,
-            StencilPlatform::Cpu,
-            "the boxed runner is CPU-only"
-        );
-        StencilApp::compose_boxed(&mut env, 0.4, 0.1).unwrap()
-    } else {
-        StencilApp::compose(&mut env, platform, StencilApp::default_model()).unwrap()
-    };
-
+    let runner = stencil_runner(&mut env, kind, platform, boxed);
     let mut code = env.jit(&runner, "invoke", &args, sweep_opts(kind)).unwrap();
     if platform.uses_mpi() {
         code.set_mpi(ranks, MpiCostModel::default());
@@ -236,6 +214,38 @@ pub fn run_stencil(
         result: f32_of(report.result),
         instrs: code.translated.program.instr_count(),
         warm: env.cache_stats().translations == 0,
+    }
+}
+
+/// The object whose `invoke(nx, ny, nz, steps)` the diffusion series
+/// `kind` runs on `platform`: the hand-inlined program for *C*, else the
+/// composed library (`boxed`: the Listing 1 `ScalarFloat` API, CPU only).
+/// `env` must be built on [`hpclib::stencil_table`] plus
+/// [`C_DIFFUSION`].
+pub fn stencil_runner(
+    env: &mut WootinJ<'_>,
+    kind: Kind,
+    platform: StencilPlatform,
+    boxed: bool,
+) -> Value {
+    if kind == Kind::C {
+        let class = match platform {
+            StencilPlatform::Cpu => "CDiffusion",
+            StencilPlatform::CpuMpi => "CDiffusionMPI",
+            StencilPlatform::Gpu => "CDiffusionGPU",
+            StencilPlatform::GpuMpi => "CDiffusionGPUMPI",
+        };
+        env.new_instance(class, &[Value::Float(0.4), Value::Float(0.1)])
+            .unwrap()
+    } else if boxed {
+        assert_eq!(
+            platform,
+            StencilPlatform::Cpu,
+            "the boxed runner is CPU-only"
+        );
+        StencilApp::compose_boxed(env, 0.4, 0.1).unwrap()
+    } else {
+        StencilApp::compose(env, platform, StencilApp::default_model()).unwrap()
     }
 }
 
@@ -256,13 +266,7 @@ pub fn run_matmul(kind: Kind, target: MatTarget, ranks: u32, n: i32) -> Outcome 
 
     if kind == Kind::Java {
         assert_eq!(target, MatTarget::Cpu, "the Java series is CPU-only");
-        let app = MatmulApp::compose(
-            &mut env,
-            MatmulThread::CpuLoop,
-            MatmulBody::Simple,
-            MatmulCalc::Simple,
-        )
-        .unwrap();
+        let app = matmul_app(&mut env, kind, target);
         let r = env.run_interpreted(&app, "start", &args).unwrap();
         let result = match r.result {
             Value::Float(v) => v,
@@ -277,24 +281,7 @@ pub fn run_matmul(kind: Kind, target: MatTarget, ranks: u32, n: i32) -> Outcome 
         };
     }
 
-    let app = if kind == Kind::C {
-        let class = match target {
-            MatTarget::Cpu => "CMatmul",
-            MatTarget::Fox => "CMatmulFox",
-            MatTarget::Gpu => "CMatmulGPU",
-            MatTarget::FoxGpu => "CMatmulFoxGPU",
-        };
-        env.new_instance(class, &[]).unwrap()
-    } else {
-        let (thread, body) = match target {
-            MatTarget::Cpu => (MatmulThread::CpuLoop, MatmulBody::Simple),
-            MatTarget::Fox => (MatmulThread::Mpi, MatmulBody::Fox),
-            MatTarget::Gpu => (MatmulThread::Gpu, MatmulBody::GpuNaive),
-            MatTarget::FoxGpu => (MatmulThread::Mpi, MatmulBody::FoxGpu),
-        };
-        MatmulApp::compose(&mut env, thread, body, MatmulCalc::Simple).unwrap()
-    };
-
+    let app = matmul_app(&mut env, kind, target);
     let mut code = env.jit(&app, "start", &args, sweep_opts(kind)).unwrap();
     if matches!(target, MatTarget::Fox | MatTarget::FoxGpu) {
         code.set_mpi(ranks, MpiCostModel::default());
@@ -309,6 +296,29 @@ pub fn run_matmul(kind: Kind, target: MatTarget, ranks: u32, n: i32) -> Outcome 
         result: f32_of(report.result),
         instrs: code.translated.program.instr_count(),
         warm: env.cache_stats().translations == 0,
+    }
+}
+
+/// The object whose `start(n)` the matmul series `kind` runs on `target`:
+/// the hand-inlined program for *C*, else the composed library. `env`
+/// must be built on [`hpclib::matmul_table`] plus [`C_MATMUL`].
+pub fn matmul_app(env: &mut WootinJ<'_>, kind: Kind, target: MatTarget) -> Value {
+    if kind == Kind::C {
+        let class = match target {
+            MatTarget::Cpu => "CMatmul",
+            MatTarget::Fox => "CMatmulFox",
+            MatTarget::Gpu => "CMatmulGPU",
+            MatTarget::FoxGpu => "CMatmulFoxGPU",
+        };
+        env.new_instance(class, &[]).unwrap()
+    } else {
+        let (thread, body) = match target {
+            MatTarget::Cpu => (MatmulThread::CpuLoop, MatmulBody::Simple),
+            MatTarget::Fox => (MatmulThread::Mpi, MatmulBody::Fox),
+            MatTarget::Gpu => (MatmulThread::Gpu, MatmulBody::GpuNaive),
+            MatTarget::FoxGpu => (MatmulThread::Mpi, MatmulBody::FoxGpu),
+        };
+        MatmulApp::compose(env, thread, body, MatmulCalc::Simple).unwrap()
     }
 }
 

@@ -2,18 +2,118 @@
 //!
 //! WootinJ hands the generated C/CUDA source to an external compiler
 //! (icc/nvcc). In this reproduction the program is *executed* by the
-//! `exec` engine, but the emitter still produces readable source — the
-//! analogue of Listing 5 of the paper — for inspection, documentation,
-//! and golden tests. The output is a direct register-level rendering: one
-//! C variable per register and `goto` for control flow, i.e. exactly what
-//! the IR says, with no prettification pass.
+//! `exec` engine, and the emitter renders the same program as C — the
+//! analogue of Listing 5 of the paper. For host-only programs that C is a
+//! complete program: `crates/bench/tests/emitted_c.rs` compiles it with
+//! `cc` and checks that it prints the same result bits as `exec`. The
+//! output is a direct register-level rendering: one C variable per
+//! register and `goto` for control flow, i.e. exactly what the IR says,
+//! with no prettification pass.
+//!
+//! A short prelude (`PRELUDE`) spells out the Java behaviour that plain
+//! C operators do not have; `main` reads the entry arguments from `argv`
+//! and prints the result on stdout.
 
 use std::fmt::Write as _;
 
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
-use crate::ir::{FuncKind, Function, Instr, IntrinOp, Program};
+use crate::ir::{ConstVal, FuncKind, Function, Instr, IntrinOp, Program, Ty};
+
+/// Exit status of an emitted program whose integer division or remainder
+/// has a zero divisor: where `exec` fails with "division by zero".
+pub const DIV_BY_ZERO_EXIT: i32 = 3;
+
+/// Java's semantics where C's operators differ, as `exec` implements them
+/// (`crates/exec/src/lib.rs`). `+`, `-` and `*` stay C operators, which
+/// wrap as Java's do under `-fwrapv`; everything here is well defined
+/// without it. Arguments and results cross `main` as decimal integers,
+/// `0`/`1` bools and floats as hex bit patterns.
+const PRELUDE: &str = r#"/* Arrays are zeroed and carry their length in the word before element 0. */
+static inline void* wj_new_arr(int n, size_t size) {
+    int64_t* h = calloc(1, sizeof(int64_t) + size * (size_t) n);
+    if (h == NULL) abort();
+    h[0] = n;
+    return h + 1;
+}
+static inline int wj_length(const void* a) { return (int) ((const int64_t*) a)[-1]; }
+static inline void wj_free_arr(void* a) { if (a != NULL) free((int64_t*) a - 1); }
+
+/* Division wraps at MIN / -1; a zero divisor ends the program. */
+static inline int wj_div_i32(int x, int y) {
+    if (y == 0) exit(WJ_DIV_BY_ZERO_EXIT);
+    return y == -1 ? (int) (0u - (uint32_t) x) : x / y;
+}
+static inline int wj_rem_i32(int x, int y) {
+    if (y == 0) exit(WJ_DIV_BY_ZERO_EXIT);
+    return y == -1 ? 0 : x % y;
+}
+static inline long wj_div_i64(long x, long y) {
+    if (y == 0) exit(WJ_DIV_BY_ZERO_EXIT);
+    return y == -1 ? (long) (0u - (uint64_t) x) : x / y;
+}
+static inline long wj_rem_i64(long x, long y) {
+    if (y == 0) exit(WJ_DIV_BY_ZERO_EXIT);
+    return y == -1 ? 0 : x % y;
+}
+static inline int wj_abs_i32(int x) { return x < 0 ? (int) (0u - (uint32_t) x) : x; }
+
+/* Shift counts are masked to the operand's width. */
+static inline int wj_shl_i32(int x, int s) { return (int) ((uint32_t) x << (s & 31)); }
+static inline int wj_shr_i32(int x, int s) { return x >> (s & 31); }
+static inline long wj_shl_i64(long x, long s) { return (long) ((uint64_t) x << (s & 63)); }
+static inline long wj_shr_i64(long x, long s) { return x >> (s & 63); }
+
+/* Float-to-integer casts saturate, and NaN becomes 0 (a float widens exactly). */
+static inline int wj_d2i(double v) {
+    if (v != v) return 0;
+    if (v >= 2147483647.0) return INT_MAX;
+    if (v <= -2147483648.0) return INT_MIN;
+    return (int) v;
+}
+static inline long wj_d2l(double v) {
+    if (v != v) return 0;
+    if (v >= 9223372036854775807.0) return LONG_MAX;
+    if (v <= -9223372036854775808.0) return LONG_MIN;
+    return (long) v;
+}
+
+/* Math.minf / Math.maxf: a NaN operand wins, and -0.0 is below +0.0. */
+static inline float wj_min_f32(float a, float b) {
+    if (a != a) return a;
+    if (b != b) return b;
+    if (a == b) return signbit(a) ? a : b;
+    return a < b ? a : b;
+}
+static inline float wj_max_f32(float a, float b) {
+    if (a != a) return a;
+    if (b != b) return b;
+    if (a == b) return signbit(a) ? b : a;
+    return a > b ? a : b;
+}
+
+/* Floats cross the process boundary as bit patterns. */
+static inline uint32_t wj_bits_f32(float v) { uint32_t b; memcpy(&b, &v, sizeof b); return b; }
+static inline uint64_t wj_bits_f64(double v) { uint64_t b; memcpy(&b, &v, sizeof b); return b; }
+static inline float wj_arg_f32(const char* s) {
+    uint32_t b = (uint32_t) strtoul(s, NULL, 16);
+    float v;
+    memcpy(&v, &b, sizeof v);
+    return v;
+}
+static inline double wj_arg_f64(const char* s) {
+    uint64_t b = strtoull(s, NULL, 16);
+    double v;
+    memcpy(&v, &b, sizeof v);
+    return v;
+}
+static inline void wj_print_i32(int v) { printf("%d\n", v); }
+static inline void wj_print_i64(long v) { printf("%lld\n", (long long) v); }
+static inline void wj_print_bool(bool v) { puts(v ? "true" : "false"); }
+static inline void wj_print_f32(float v) { printf("0x%08" PRIx32 "\n", wj_bits_f32(v)); }
+static inline void wj_print_f64(double v) { printf("0x%016" PRIx64 "\n", wj_bits_f64(v)); }
+"#;
 
 /// Emit a full C (plus CUDA where kernels exist) translation unit.
 pub fn emit_c(p: &Program) -> String {
@@ -41,7 +141,8 @@ pub fn emit_c(p: &Program) -> String {
     });
     out.push_str(
         "#include <stdlib.h>\n#include <stdio.h>\n#include <math.h>\n\
-         #include <stdbool.h>\n#include <string.h>\n",
+         #include <stdbool.h>\n#include <string.h>\n#include <stdint.h>\n\
+         #include <inttypes.h>\n#include <limits.h>\n",
     );
     if has_mpi {
         out.push_str("#include <mpi.h>\n");
@@ -49,16 +150,12 @@ pub fn emit_c(p: &Program) -> String {
     if has_kernels {
         out.push_str("#include <cuda_runtime.h>\n");
     }
+    let _ = writeln!(out, "\n#define WJ_DIV_BY_ZERO_EXIT {DIV_BY_ZERO_EXIT}\n");
+    out.push_str(PRELUDE);
     out.push('\n');
 
     for g in &p.globals {
-        let v = match &g.value {
-            crate::ir::ConstVal::I32(x) => x.to_string(),
-            crate::ir::ConstVal::I64(x) => format!("{x}L"),
-            crate::ir::ConstVal::F32(x) => format!("{x:?}f"),
-            crate::ir::ConstVal::F64(x) => format!("{x:?}"),
-            crate::ir::ConstVal::Bool(x) => (*x as i32).to_string(),
-        };
+        let v = c_const(&g.value);
         let _ = writeln!(out, "static const {} {} = {};", g.ty.c_name(), g.name, v);
     }
     if !p.globals.is_empty() {
@@ -76,29 +173,86 @@ pub fn emit_c(p: &Program) -> String {
         out.push('\n');
     }
 
-    // A main() shell mirroring Listing 5's structure.
+    // Listing 5's main(): one argv entry per entry parameter, the result
+    // printed on stdout.
     if let Some(entry) = p.entry {
         let e = p.func(entry);
         out.push_str("int main(int argc, char* argv[]) {\n");
         if has_mpi {
             out.push_str("    MPI_Init(&argc, &argv);\n");
         }
-        let args: Vec<String> = (0..e.params.len()).map(|i| format!("arg{i}")).collect();
+        let n = e.params.len();
+        let _ = writeln!(
+            out,
+            "    if (argc != {}) {{\n        fprintf(stderr, \"usage: %s <{n} arguments>\\n\", argv[0]);\n        return 2;\n    }}",
+            n + 1
+        );
         for (i, t) in e.params.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {} arg{} = /* recorded by jit() */;",
-                t.c_name(),
-                i
-            );
+            let _ = writeln!(out, "    {} arg{i} = {};", t.c_name(), c_arg(*t, i + 1));
         }
-        let _ = writeln!(out, "    {}({});", e.name, args.join(", "));
+        let args: Vec<String> = (0..n).map(|i| format!("arg{i}")).collect();
+        let call = format!("{}({})", e.name, args.join(", "));
+        match e.ret.and_then(print_fn) {
+            Some(print) => {
+                let _ = writeln!(out, "    {print}({call});");
+            }
+            None => {
+                let _ = writeln!(out, "    {call};");
+            }
+        }
         if has_mpi {
             out.push_str("    MPI_Finalize();\n");
         }
         out.push_str("    return 0;\n}\n");
     }
     out
+}
+
+/// `argv[i]` parsed as a `ty` entry argument. Array and object parameters
+/// have no textual form: they are passed as `NULL`.
+fn c_arg(ty: Ty, i: usize) -> String {
+    match ty {
+        Ty::I32 => format!("(int) strtol(argv[{i}], NULL, 10)"),
+        Ty::I64 => format!("strtol(argv[{i}], NULL, 10)"),
+        Ty::Bool => format!("strtol(argv[{i}], NULL, 10) != 0"),
+        Ty::F32 => format!("wj_arg_f32(argv[{i}])"),
+        Ty::F64 => format!("wj_arg_f64(argv[{i}])"),
+        Ty::Arr(_) | Ty::Obj => "NULL".into(),
+    }
+}
+
+/// The prelude function printing a `ty` value on a line of its own.
+fn print_fn(ty: Ty) -> Option<&'static str> {
+    Some(match ty {
+        Ty::I32 => "wj_print_i32",
+        Ty::I64 => "wj_print_i64",
+        Ty::Bool => "wj_print_bool",
+        Ty::F32 => "wj_print_f32",
+        Ty::F64 => "wj_print_f64",
+        Ty::Arr(_) | Ty::Obj => return None,
+    })
+}
+
+/// A constant as a C expression. Non-finite floats go through `NAN` and
+/// `INFINITY` with their sign, and the minimum integers as `(-MAX - 1)`:
+/// neither has a literal.
+fn c_const(v: &ConstVal) -> String {
+    fn non_finite(nan: bool, negative: bool) -> String {
+        let sign = if negative { "-" } else { "" };
+        let name = if nan { "NAN" } else { "INFINITY" };
+        format!("{sign}{name}")
+    }
+    match *v {
+        ConstVal::I32(i32::MIN) => "(-2147483647 - 1)".into(),
+        ConstVal::I32(x) => x.to_string(),
+        ConstVal::I64(i64::MIN) => "(-9223372036854775807L - 1)".into(),
+        ConstVal::I64(x) => format!("{x}L"),
+        ConstVal::F32(x) if !x.is_finite() => non_finite(x.is_nan(), x.is_sign_negative()),
+        ConstVal::F32(x) => format!("{x:?}f"),
+        ConstVal::F64(x) if !x.is_finite() => non_finite(x.is_nan(), x.is_sign_negative()),
+        ConstVal::F64(x) => format!("{x:?}"),
+        ConstVal::Bool(x) => (x as i32).to_string(),
+    }
 }
 
 fn signature(f: &Function) -> String {
@@ -175,38 +329,60 @@ fn c_op(op: BinOp) -> &'static str {
     }
 }
 
+/// The prelude (or libm) function a binary op renders as, where C's
+/// operator is not Java's: integer division, remainder and shifts, and
+/// float remainder (C's `%` takes integers only).
+fn bin_fn(op: BinOp, kind: PrimKind) -> Option<&'static str> {
+    Some(match (op, kind) {
+        (BinOp::Div, PrimKind::Int) => "wj_div_i32",
+        (BinOp::Div, PrimKind::Long) => "wj_div_i64",
+        (BinOp::Rem, PrimKind::Int) => "wj_rem_i32",
+        (BinOp::Rem, PrimKind::Long) => "wj_rem_i64",
+        (BinOp::Rem, PrimKind::Float) => "fmodf",
+        (BinOp::Rem, PrimKind::Double) => "fmod",
+        (BinOp::Shl, PrimKind::Int) => "wj_shl_i32",
+        (BinOp::Shl, PrimKind::Long) => "wj_shl_i64",
+        (BinOp::Shr, PrimKind::Int) => "wj_shr_i32",
+        (BinOp::Shr, PrimKind::Long) => "wj_shr_i64",
+        _ => return None,
+    })
+}
+
 fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
     match ins {
-        Instr::ConstI32(d, v) => format!("r{d} = {v};"),
-        Instr::ConstI64(d, v) => format!("r{d} = {v}L;"),
-        Instr::ConstF32(d, v) => format!("r{d} = {v:?}f;"),
-        Instr::ConstF64(d, v) => format!("r{d} = {v:?};"),
-        Instr::ConstBool(d, v) => format!("r{d} = {};", *v as i32),
+        Instr::ConstI32(d, v) => format!("r{d} = {};", c_const(&ConstVal::I32(*v))),
+        Instr::ConstI64(d, v) => format!("r{d} = {};", c_const(&ConstVal::I64(*v))),
+        Instr::ConstF32(d, v) => format!("r{d} = {};", c_const(&ConstVal::F32(*v))),
+        Instr::ConstF64(d, v) => format!("r{d} = {};", c_const(&ConstVal::F64(*v))),
+        Instr::ConstBool(d, v) => format!("r{d} = {};", c_const(&ConstVal::Bool(*v))),
         Instr::Mov(d, s) => format!("r{d} = r{s};"),
-        // C's `%` takes integers only; Java's float `%` is `fmod`'s.
         Instr::Bin {
-            op: BinOp::Rem,
-            kind: kind @ (PrimKind::Float | PrimKind::Double),
+            op,
+            kind,
             dst,
             lhs,
             rhs,
-        } => {
-            let f = if *kind == PrimKind::Float {
-                "fmodf"
-            } else {
-                "fmod"
-            };
-            format!("r{dst} = {f}(r{lhs}, r{rhs});")
-        }
-        Instr::Bin {
-            op, dst, lhs, rhs, ..
-        } => {
-            format!("r{dst} = r{lhs} {} r{rhs};", c_op(*op))
-        }
+        } => match bin_fn(*op, *kind) {
+            Some(f) => format!("r{dst} = {f}(r{lhs}, r{rhs});"),
+            None => format!("r{dst} = r{lhs} {} r{rhs};", c_op(*op)),
+        },
         Instr::Neg { dst, src, .. } => format!("r{dst} = -r{src};"),
         Instr::Not { dst, src } => format!("r{dst} = !r{src};"),
+        Instr::Cast {
+            to: to @ (PrimKind::Int | PrimKind::Long),
+            from: PrimKind::Float | PrimKind::Double,
+            dst,
+            src,
+        } => {
+            let f = if *to == PrimKind::Int {
+                "wj_d2i"
+            } else {
+                "wj_d2l"
+            };
+            format!("r{dst} = {f}(r{src});")
+        }
         Instr::Cast { to, dst, src, .. } => {
-            let t = crate::ir::Ty::of_prim(*to).c_name();
+            let t = Ty::of_prim(*to).c_name();
             format!("r{dst} = ({t}) r{src};")
         }
         Instr::Jmp(t) => format!("goto L{t};"),
@@ -255,12 +431,12 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
         }
         Instr::NewArr { elem, len, dst } => {
             let t = elem.c_name();
-            format!("r{dst} = ({t}*) malloc(sizeof({t}) * r{len});")
+            format!("r{dst} = ({t}*) wj_new_arr(r{len}, sizeof({t}));")
         }
         Instr::LdArr { arr, idx, dst } => format!("r{dst} = r{arr}[r{idx}];"),
         Instr::StArr { arr, idx, src } => format!("r{arr}[r{idx}] = r{src};"),
-        Instr::ArrLen { arr, dst } => format!("r{dst} = len(r{arr});"),
-        Instr::FreeArr { arr } => format!("free(r{arr});"),
+        Instr::ArrLen { arr, dst } => format!("r{dst} = wj_length(r{arr});"),
+        Instr::FreeArr { arr } => format!("wj_free_arr(r{arr});"),
         Instr::Intrin { op, args, dst } => {
             // `Program::validate` makes the same check, so a validated
             // program never renders the comment; past it, `args` has the
@@ -309,27 +485,20 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
                     "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_DOUBLE, MPI_MAX, MPI_COMM_WORLD);"
                 ),
                 IntrinOp::CopyToGpu => format!(
-                    "cudaMalloc(&r{0}, len(r{1})); cudaMemcpy(r{0}, r{1}, len(r{1}), cudaMemcpyHostToDevice);",
+                    "cudaMalloc(&r{0}, sizeof(float) * wj_length(r{1})); cudaMemcpy(r{0}, r{1}, sizeof(float) * wj_length(r{1}), cudaMemcpyHostToDevice);",
                     d,
                     args[0]
                 ),
                 IntrinOp::CopyFromGpu => format!(
-                    "cudaMemcpy(r{}, r{}, len(r{}), cudaMemcpyDeviceToHost);",
-                    args[0], args[1], args[1]
+                    "cudaMemcpy(r{0}, r{1}, sizeof(float) * wj_length(r{0}), cudaMemcpyDeviceToHost);",
+                    args[0], args[1]
                 ),
                 IntrinOp::GpuAllocF32 => {
                     format!("cudaMalloc(&r{d}, sizeof(float) * r{});", args[0])
                 }
                 IntrinOp::GpuFree => format!("cudaFree(r{});", args[0]),
-                IntrinOp::PrintI32 | IntrinOp::PrintI64 => {
-                    format!("printf(\"%ld\\n\", (long) r{});", args[0])
-                }
-                IntrinOp::PrintF32 | IntrinOp::PrintF64 => {
-                    format!("printf(\"%g\\n\", (double) r{});", args[0])
-                }
-                IntrinOp::PrintBool => format!("printf(\"%d\\n\", (int) r{});", args[0]),
                 IntrinOp::ArrayCopyF32 => format!(
-                    "memcpy(r{2} + r{3}, r{0} + r{1}, sizeof(float) * r{4});",
+                    "memmove(r{2} + r{3}, r{0} + r{1}, sizeof(float) * r{4});",
                     args[0], args[1], args[2], args[3], args[4]
                 ),
                 _ => match dst {
@@ -368,7 +537,7 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ElemTy, FuncBuilder, FuncId, Ty};
+    use crate::ir::{ElemTy, FuncBuilder, FuncId, Global};
 
     #[test]
     fn emits_listing5_like_structure() {
@@ -490,7 +659,7 @@ mod tests {
         for (ty, kind, want) in [
             (Ty::F32, PrimKind::Float, "r2 = fmodf(r0, r1);"),
             (Ty::F64, PrimKind::Double, "r2 = fmod(r0, r1);"),
-            (Ty::I32, PrimKind::Int, "r2 = r0 % r1;"),
+            (Ty::I32, PrimKind::Int, "r2 = wj_rem_i32(r0, r1);"),
         ] {
             let rem = Instr::Bin {
                 op: BinOp::Rem,
@@ -521,6 +690,52 @@ mod tests {
             );
             assert!(src.contains(want), "{src}");
         }
+    }
+
+    #[test]
+    fn main_reads_each_parameter_from_argv_and_prints_the_result() {
+        let src = emit_one(Ty::F64, Instr::Mov(2, 0));
+        for want in [
+            "if (argc != 3) {",
+            "double arg0 = wj_arg_f64(argv[1]);",
+            "double arg1 = wj_arg_f64(argv[2]);",
+            "wj_print_f64(f(arg0, arg1));",
+        ] {
+            assert!(src.contains(want), "{want}: {src}");
+        }
+    }
+
+    #[test]
+    fn constants_without_a_c_literal_render_as_expressions() {
+        for (v, want) in [
+            (ConstVal::F32(f32::NAN), "NAN"),
+            (ConstVal::F32(-f32::NAN), "-NAN"),
+            (ConstVal::F32(f32::INFINITY), "INFINITY"),
+            (ConstVal::F32(f32::NEG_INFINITY), "-INFINITY"),
+            (ConstVal::F64(f64::NAN), "NAN"),
+            (ConstVal::F64(f64::NEG_INFINITY), "-INFINITY"),
+            (ConstVal::I32(i32::MIN), "(-2147483647 - 1)"),
+            (ConstVal::I64(i64::MIN), "(-9223372036854775807L - 1)"),
+            (ConstVal::I32(i32::MAX), "2147483647"),
+            (ConstVal::I64(-5), "-5L"),
+            (ConstVal::F32(-0.0), "-0.0f"),
+            (ConstVal::F64(0.1), "0.1"),
+        ] {
+            assert_eq!(c_const(&v), want, "{v:?}");
+        }
+        // The same rendering reaches instructions and globals.
+        let mut src = emit_one(Ty::I64, Instr::ConstI64(2, i64::MIN));
+        assert!(src.contains("r2 = (-9223372036854775807L - 1);"), "{src}");
+        src = emit_one(Ty::F32, Instr::ConstF32(2, f32::NEG_INFINITY));
+        assert!(src.contains("r2 = -INFINITY;"), "{src}");
+        let mut p = Program::default();
+        p.globals.push(Global {
+            name: "K_NAN".into(),
+            ty: Ty::F32,
+            value: ConstVal::F32(f32::NAN),
+        });
+        src = emit_c(&p);
+        assert!(src.contains("static const float K_NAN = NAN;"), "{src}");
     }
 
     #[test]

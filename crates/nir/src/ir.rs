@@ -157,7 +157,8 @@ pub enum IntrinOp {
 impl IntrinOp {
     /// The C spelling used by the source emitter (which renders
     /// `MinI32`/`MaxI32` as conditional expressions: C has no integer
-    /// `min`/`max`).
+    /// `min`/`max`). The `wj_` names are functions of the emitted
+    /// prelude, which follow Java where libc does not.
     pub fn c_name(self) -> String {
         match self {
             IntrinOp::SqrtF64 => "sqrt".into(),
@@ -166,15 +167,17 @@ impl IntrinOp {
             IntrinOp::ExpF64 => "exp".into(),
             IntrinOp::AbsF32 => "fabsf".into(),
             IntrinOp::AbsF64 => "fabs".into(),
-            IntrinOp::AbsI32 => "abs".into(),
+            IntrinOp::AbsI32 => "wj_abs_i32".into(),
             IntrinOp::MinI32 => "min".into(),
             IntrinOp::MaxI32 => "max".into(),
-            IntrinOp::MinF32 => "fminf".into(),
-            IntrinOp::MaxF32 => "fmaxf".into(),
-            IntrinOp::PrintI32 | IntrinOp::PrintI64 => "printf_int".into(),
-            IntrinOp::PrintF32 | IntrinOp::PrintF64 => "printf_float".into(),
-            IntrinOp::PrintBool => "printf_bool".into(),
-            IntrinOp::ArrayCopyF32 => "memcpy_float".into(),
+            IntrinOp::MinF32 => "wj_min_f32".into(),
+            IntrinOp::MaxF32 => "wj_max_f32".into(),
+            IntrinOp::PrintI32 => "wj_print_i32".into(),
+            IntrinOp::PrintI64 => "wj_print_i64".into(),
+            IntrinOp::PrintF32 => "wj_print_f32".into(),
+            IntrinOp::PrintF64 => "wj_print_f64".into(),
+            IntrinOp::PrintBool => "wj_print_bool".into(),
+            IntrinOp::ArrayCopyF32 => "memmove".into(),
             IntrinOp::ThreadIdx(a) => format!("threadIdx.{}", axis(a)),
             IntrinOp::BlockIdx(a) => format!("blockIdx.{}", axis(a)),
             IntrinOp::BlockDim(a) => format!("blockDim.{}", axis(a)),

@@ -18,7 +18,7 @@ pub mod ir;
 pub mod opt;
 
 pub use codec::{digest64, seal, unseal, CodecError, CodecResult, Reader, Wire, Writer};
-pub use emit::emit_c;
+pub use emit::{emit_c, DIV_BY_ZERO_EXIT};
 pub use hash::{fnv1a64, Fingerprint};
 pub use ir::{
     ClassMeta, ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Function, Global, HostFnSig, Instr,

@@ -12,8 +12,11 @@
 //! | [`Mode::Devirt`]  | *Template* | devirtualized + specialized | heap + field indirection |
 //! | [`Mode::Virtual`] | *C++*      | vtable dispatch             | heap + field indirection |
 //!
-//! The hand-written *C* baselines bypass this crate entirely (see the
-//! `baselines` crate), and the *Java* series is the `jvm` interpreter.
+//! The hand-written *C* baselines are flat `@WootinJ` classes
+//! (`bench::cprogs`) translated in [`Mode::Full`], and the *Java* series
+//! is the `jvm` interpreter. Every translation also renders as C
+//! ([`Translated::c_source`]); `crates/bench/tests/emitted_c.rs` compiles
+//! that C and runs it against `exec`, not only prints it.
 
 #![forbid(unsafe_code)]
 

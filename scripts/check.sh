@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# crates/bench/tests/emitted_c.rs compiles the emitted C and skips without
+# a C compiler; here a missing one must fail, not hide that gate.
+command -v cc >/dev/null || { echo "check.sh: no cc on PATH (the emitted-C gate needs one)"; exit 1; }
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
