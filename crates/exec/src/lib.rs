@@ -240,11 +240,26 @@ impl ArrStore {
             (Ok(n), _) if i >= n => {
                 ExecError::msg(format!("array index {i} out of bounds (len {n})"))
             }
-            (Ok(_), Some(x)) => {
-                ExecError::msg(format!("type mismatch storing {x:?} into {self:?}"))
-            }
+            (Ok(_), Some(x)) => ExecError::msg(format!("type mismatch storing {x:?} into {self}")),
             (Ok(_), None) => unreachable!("an in-bounds read of a live array succeeds"),
         }
+    }
+}
+
+/// What an array is, without its elements: `f32 array of length 4`, or
+/// `freed array`. Error messages name arrays this way: the `Debug` form
+/// of a million-element array is megabytes.
+impl std::fmt::Display for ArrStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (elem, len) = match self {
+            ArrStore::I32(v) => ("i32", v.len()),
+            ArrStore::I64(v) => ("i64", v.len()),
+            ArrStore::F32(v) => ("f32", v.len()),
+            ArrStore::F64(v) => ("f64", v.len()),
+            ArrStore::Bool(v) => ("bool", v.len()),
+            ArrStore::Freed => return f.write_str("freed array"),
+        };
+        write!(f, "{elem} array of length {len}")
     }
 }
 
@@ -257,10 +272,11 @@ fn bad_handle(h: u32) -> ExecError {
 /// A flat memory space (host, one per MPI rank, or a GPU device space).
 ///
 /// Arrays are a program's only mutable heap state, and every mutation
-/// reaches them through [`MemSpace::alloc`] or [`MemSpace::arr_mut`],
-/// which mark the array *written*. A checkpoint capture
-/// ([`ckpt::machine_array_sections`]) re-encodes only the written arrays
-/// and hands out the shared bytes it cached for the rest. The cache lives
+/// reaches them through [`MemSpace::alloc`], [`MemSpace::arr_mut`] or the
+/// loop's float store (`store_f32`), which mark the array *written*. A
+/// checkpoint capture ([`ckpt::machine_array_sections`]) re-encodes only
+/// the written arrays and hands out the shared bytes it cached for the
+/// rest. The cache lives
 /// here, beside the flags, so whatever replaces a machine (a restore, a
 /// reinit) replaces its cache too. Equality and `Debug` see only the
 /// arrays.
@@ -313,6 +329,36 @@ impl MemSpace {
             e.written = true;
         }
         Ok(store)
+    }
+
+    /// Element `i` of the float array behind `h`; `None` for whatever the
+    /// checked path must explain: a bad handle, another element type, a
+    /// freed array, or an index out of bounds. One compare bounds the
+    /// index both ways: a negative `i` wraps past every length.
+    #[inline]
+    fn load_f32(&self, h: u32, i: i32) -> Option<f32> {
+        match self.arrays.get(h as usize) {
+            Some(ArrStore::F32(v)) => v.get(i as usize).copied(),
+            _ => None,
+        }
+    }
+
+    /// Store `x` at element `i` of the float array behind `h`, marking the
+    /// array written as [`MemSpace::arr_mut`] does. `false`, with nothing
+    /// changed, wherever [`MemSpace::load_f32`] is `None`.
+    #[inline]
+    fn store_f32(&mut self, h: u32, i: i32, x: f32) -> bool {
+        let Some(ArrStore::F32(v)) = self.arrays.get_mut(h as usize) else {
+            return false;
+        };
+        let Some(slot) = v.get_mut(i as usize) else {
+            return false;
+        };
+        *slot = x;
+        if let Some(e) = self.encoded.get_mut(h as usize) {
+            e.written = true;
+        }
+        true
     }
 
     pub fn free(&mut self, h: u32) -> Result<(), ExecError> {
@@ -807,6 +853,8 @@ enum Exit {
     Slow,
     Yield(Yield),
     Fail(ExecError),
+    /// `pc` is past the last op: no op ran.
+    FellOff,
 }
 
 /// Run `thread` until completion, a yield point, or `fuel` retired
@@ -856,15 +904,18 @@ pub fn run(
         let regs = &mut thread.stack[base..];
         let mut pc = frame.pc as usize;
 
+        // `fuel` counts the op at `pc` until it retires: the op takes its
+        // unit where control moves on (`pc += 1` below, the jumps), or
+        // where it leaves the loop (after it). Superinstructions test the
+        // unit of their second half against the same count.
         let exit = loop {
             if fuel == 0 {
                 break Exit::Yield(Yield::OutOfFuel);
             }
             let Some(&op) = ops.get(pc) else {
-                break Exit::Fail("fell off the end of function".into());
+                break Exit::FellOff;
             };
             cycles += op.weight as u64;
-            fuel -= 1;
             let (a, b, c) = (op.a as usize, op.b as usize, op.c as usize);
 
             macro_rules! fail {
@@ -881,16 +932,22 @@ pub fn run(
                     }
                 };
             }
-            // dst = f(x, y) over two operands of variant $T; the left
-            // operand's tag is checked first.
-            macro_rules! bin {
-                ($T:ident $what:literal => $R:ident, |$x:ident, $y:ident| $e:expr) => {
+            // f(x, y) over two operands of variant $T; the left operand's
+            // tag is checked first.
+            macro_rules! val {
+                ($T:ident $what:literal, |$x:ident, $y:ident| $e:expr) => {
                     // Matched in place: a by-value pair would be built
                     // on the stack and read back.
                     match (&regs[b], &regs[c]) {
-                        (&Val::$T($x), &Val::$T($y)) => regs[a] = Val::$R($e),
+                        (&Val::$T($x), &Val::$T($y)) => $e,
                         (&Val::$T(_), &other) | (&other, _) => fail!(expected($what, other)),
                     }
+                };
+            }
+            // dst = f(x, y), as `val!`.
+            macro_rules! bin {
+                ($T:ident $what:literal => $R:ident, |$x:ident, $y:ident| $e:expr) => {
+                    regs[a] = Val::$R(val!($T $what, |$x, $y| $e))
                 };
             }
             macro_rules! neg {
@@ -930,6 +987,78 @@ pub fn run(
                         Err(e) => fail!(e),
                     }
                 };
+            }
+            // dst = arr[i], checked: every load error comes from here, in
+            // this order. `$i` is the index as an i32, its tag checked
+            // after the array's.
+            macro_rules! load {
+                ($dst:expr, $arr:expr, $i:expr) => {{
+                    let h = expect!($arr, Arr "array handle");
+                    let i: i32 = $i;
+                    if i < 0 {
+                        fail!(error(format_args!("negative index {i}")));
+                    }
+                    let store = attempt!(machine.mem.arr(h));
+                    regs[$dst] = attempt!(store.get(i as usize));
+                }};
+            }
+            // A float load with index value $i: the one-compare path, and
+            // the checked one for anything it does not take.
+            macro_rules! load_f32 {
+                ($dst:expr, $arr:expr, $i:expr) => {{
+                    let i: i32 = $i;
+                    let hit = match regs[$arr] {
+                        Val::Arr(h) => machine.mem.load_f32(h, i),
+                        _ => None,
+                    };
+                    match hit {
+                        Some(x) => regs[$dst] = Val::F32(x),
+                        None => load!($dst, $arr, i),
+                    }
+                }};
+            }
+            // arr[idx] = src, checked: every store error comes from here.
+            macro_rules! store {
+                ($arr:expr, $idx:expr, $src:expr) => {{
+                    let h = expect!($arr, Arr "array handle");
+                    let i = expect!($idx, I32 "i32");
+                    if i < 0 {
+                        fail!(error(format_args!("negative index {i}")));
+                    }
+                    let store = attempt!(machine.mem.arr_mut(h));
+                    attempt!(store.set(i as usize, regs[$src]));
+                }};
+            }
+            // The first half of a superinstruction: dst = f(x, y) as
+            // `bin!`, and the value, forwarded to the second half.
+            macro_rules! first_half {
+                ($T:ident $what:literal => $R:ident, |$x:ident, $y:ident| $e:expr) => {{
+                    let v = val!($T $what, |$x, $y| $e);
+                    regs[a] = Val::$R(v);
+                    v
+                }};
+            }
+            // Start the second half, `code[pc + 1]`: a retired
+            // instruction of its own, with its own weight and fuel. A
+            // fuel-out here stops at `pc + 1`, where `ops[pc + 1]` does
+            // that instruction alone, and the second half's errors carry
+            // `pc + 1`. Evaluates to `ops[pc + 1]`, whose operands the
+            // second half reads. `fuse` fuses an op only with one after
+            // it, so the `get` cannot miss; a select in its place, and no
+            // panic or exit path, leaves the rest of the loop's code as
+            // it is (an indexing `ops[pc]` here cost an int loop of
+            // unfused ops ≈5–12 %).
+            macro_rules! second_half {
+                () => {{
+                    pc += 1;
+                    if fuel == 1 {
+                        break Exit::Yield(Yield::OutOfFuel);
+                    }
+                    fuel -= 1;
+                    let next = ops.get(pc).copied().unwrap_or(op);
+                    cycles += next.weight as u64;
+                    next
+                }};
             }
 
             match op.kind {
@@ -1049,10 +1178,12 @@ pub fn run(
 
                 OpKind::Jmp => {
                     pc = a;
+                    fuel -= 1;
                     continue;
                 }
                 OpKind::Br => {
                     pc = if expect!(a, Bool "bool") { b } else { c };
+                    fuel -= 1;
                     continue;
                 }
                 OpKind::Ret => break Exit::Ret(reg_of(op.a).map(|r| regs[r as usize])),
@@ -1095,23 +1226,28 @@ pub fn run(
                     attempt!(machine.objs.set(h, op.b, regs[c]));
                 }
 
-                OpKind::LdArr => {
-                    let h = expect!(b, Arr "array handle");
-                    let i = expect!(c, I32 "i32");
-                    if i < 0 {
-                        fail!(error(format_args!("negative index {i}")));
+                OpKind::LdArr => load!(a, b, expect!(c, I32 "i32")),
+                OpKind::LdArrF32 => {
+                    let hit = match (&regs[b], &regs[c]) {
+                        (&Val::Arr(h), &Val::I32(i)) => machine.mem.load_f32(h, i),
+                        _ => None,
+                    };
+                    match hit {
+                        Some(x) => regs[a] = Val::F32(x),
+                        None => load!(a, b, expect!(c, I32 "i32")),
                     }
-                    let store = attempt!(machine.mem.arr(h));
-                    regs[a] = attempt!(store.get(i as usize));
                 }
-                OpKind::StArr => {
-                    let h = expect!(a, Arr "array handle");
-                    let i = expect!(b, I32 "i32");
-                    if i < 0 {
-                        fail!(error(format_args!("negative index {i}")));
+                OpKind::StArr => store!(a, b, c),
+                OpKind::StArrF32 => {
+                    let hit = match (&regs[a], &regs[b], &regs[c]) {
+                        (&Val::Arr(h), &Val::I32(i), &Val::F32(x)) => {
+                            machine.mem.store_f32(h, i, x)
+                        }
+                        _ => false,
+                    };
+                    if !hit {
+                        store!(a, b, c)
                     }
-                    let store = attempt!(machine.mem.arr_mut(h));
-                    attempt!(store.set(i as usize, regs[c]));
                 }
                 OpKind::ArrLen => {
                     let h = expect!(b, Arr "array handle");
@@ -1145,10 +1281,65 @@ pub fn run(
                 | OpKind::Launch
                 | OpKind::SharedAlloc
                 | OpKind::Sync => break Exit::Slow,
+
+                // Superinstructions (`image::fuse`): the second half
+                // takes the first half's value where it would read it
+                // back from the register the first half just wrote.
+                OpKind::AddI32LdArr => {
+                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_add(y));
+                    let next = second_half!();
+                    load!(next.a as usize, next.b as usize, t)
+                }
+                OpKind::AddI32LdArrF32 => {
+                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_add(y));
+                    let next = second_half!();
+                    load_f32!(next.a as usize, next.b as usize, t)
+                }
+                OpKind::SubI32LdArr => {
+                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_sub(y));
+                    let next = second_half!();
+                    load!(next.a as usize, next.b as usize, t)
+                }
+                OpKind::SubI32LdArrF32 => {
+                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_sub(y));
+                    let next = second_half!();
+                    load_f32!(next.a as usize, next.b as usize, t)
+                }
+                OpKind::LtI32Br => {
+                    let t = first_half!(I32 "i32" => Bool, |x, y| x < y);
+                    let next = second_half!();
+                    pc = if t { next.b } else { next.c } as usize;
+                    fuel -= 1;
+                    continue;
+                }
+                // Both keep the source's operand order, so a NaN operand
+                // gives the payload the unfused add gives.
+                OpKind::AddF32AddF32 => {
+                    let t = first_half!(F32 "f32" => F32, |x, y| x + y);
+                    let next = second_half!();
+                    match regs[next.c as usize] {
+                        Val::F32(y) => regs[next.a as usize] = Val::F32(t + y),
+                        other => fail!(expected("f32", other)),
+                    }
+                }
+                OpKind::MulF32AddF32 => {
+                    let t = first_half!(F32 "f32" => F32, |x, y| x * y);
+                    let next = second_half!();
+                    match regs[next.b as usize] {
+                        Val::F32(x) => regs[next.a as usize] = Val::F32(x + t),
+                        other => fail!(expected("f32", other)),
+                    }
+                }
             }
             pc += 1;
+            fuel -= 1;
         };
 
+        // The op that left the loop retired; after a fuel-out none is
+        // left to take, and falling off the end ran no op.
+        if !matches!(exit, Exit::FellOff) {
+            fuel = fuel.saturating_sub(1);
+        }
         // Control leaves the frame: write its pc back, then switch.
         frame.pc = pc as u32;
         match exit {
@@ -1177,6 +1368,9 @@ pub fn run(
             },
             Exit::Yield(y) => break Ok(y),
             Exit::Fail(e) => break Err(e.at(&f.name, pc as u32)),
+            Exit::FellOff => {
+                break Err(ExecError::msg("fell off the end of function").at(&f.name, pc as u32))
+            }
             Exit::Ret(v) => {
                 let ret_to = frame.ret_to;
                 thread.frames.pop();
@@ -1764,6 +1958,36 @@ mod tests {
         let mut m = Machine::new();
         let r = run_to_completion(&p, id, vec![Val::I32(8)], &mut m).unwrap();
         assert_eq!(r, Some(Val::F32(2.5)));
+    }
+
+    #[test]
+    fn a_type_mismatch_names_the_array_without_its_elements() {
+        // fn f(n) { a = new float[n]; a[7] = 3; } through the float store.
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32], None, FuncKind::Host);
+        let arr = fb.reg(Ty::Arr(ElemTy::F32));
+        let (idx, v) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(Instr::NewArr {
+            elem: ElemTy::F32,
+            len: 0,
+            dst: arr,
+        });
+        fb.emit(Instr::ConstI32(idx, 7));
+        fb.emit(Instr::ConstI32(v, 3));
+        fb.emit(Instr::StArr { arr, idx, src: v });
+        fb.emit(Instr::Ret(None));
+        let mut p = Program::default();
+        let id = p.add_func(fb.finish().unwrap());
+        let mut m = Machine::new();
+        let e = run_to_completion(&p, id, vec![Val::I32(1_000_000)], &mut m).unwrap_err();
+        assert!(e.message.len() < 200, "{} bytes", e.message.len());
+        assert_eq!(
+            (e.message.as_str(), e.pc),
+            (
+                "type mismatch storing I32(3) into f32 array of length 1000000",
+                3
+            )
+        );
+        assert_eq!(ArrStore::Freed.to_string(), "freed array");
     }
 
     #[test]

@@ -17,8 +17,11 @@ use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use jvm::Value;
 use nir::codec::Writer;
-use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Program, Ty};
+use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, Program, Ty};
 use wootinj::{build_table, JitOptions, WootinJ};
+
+mod self_world;
+use self_world::SelfWorld;
 
 /// Deterministic xorshift64* PRNG (as in `tests/property_tests.rs`).
 struct Rng(u64);
@@ -66,65 +69,6 @@ struct Stop {
     loc: Option<(FuncId, u32)>,
     /// The thread's WCKPT payload (frames: func, pc, regs, ret_to).
     thread_bytes: Vec<u8>,
-}
-
-/// A one-rank MPI world: rank 0 of 1, so every message goes to oneself.
-#[derive(Default)]
-struct SelfWorld {
-    /// Sent and not yet received: `(tag, payload)`.
-    mailbox: Vec<(i32, Vec<f32>)>,
-}
-
-fn int(v: Val) -> i32 {
-    v.as_i32().unwrap()
-}
-
-impl SelfWorld {
-    /// `send(buf, off, count, .., tag)`: copy the range into the mailbox.
-    fn send(&mut self, m: &Machine, buf: Val, off: Val, count: Val, tag: Val) {
-        let store = m.mem.arr(buf.as_arr().unwrap()).unwrap();
-        let payload = (0..int(count) as usize)
-            .map(|i| match store.get(int(off) as usize + i).unwrap() {
-                Val::F32(v) => v,
-                other => panic!("non-float message element {other:?}"),
-            })
-            .collect();
-        self.mailbox.push((int(tag), payload));
-    }
-
-    /// `recv(buf, off, .., tag)`: copy the oldest matching message out.
-    fn recv(&mut self, m: &mut Machine, buf: Val, off: Val, tag: Val) {
-        let at = self
-            .mailbox
-            .iter()
-            .position(|(t, _)| *t == int(tag))
-            .expect("receive with no matching message");
-        let (_, payload) = self.mailbox.remove(at);
-        let store = m.mem.arr_mut(buf.as_arr().unwrap()).unwrap();
-        for (i, v) in payload.into_iter().enumerate() {
-            store.set(int(off) as usize + i, Val::F32(v)).unwrap();
-        }
-    }
-
-    /// Service one MPI yield (operand layouts as in `mpi_sim::runtime`).
-    fn service(&mut self, m: &mut Machine, op: IntrinOp, a: &[Val]) -> Val {
-        match op {
-            IntrinOp::MpiRank => return Val::I32(0),
-            IntrinOp::MpiSize => return Val::I32(1),
-            IntrinOp::MpiAllreduceSumF64
-            | IntrinOp::MpiAllreduceSumF32
-            | IntrinOp::MpiAllreduceMaxF64 => return a[0],
-            IntrinOp::MpiBarrier | IntrinOp::MpiBcastF32 => {}
-            IntrinOp::MpiSendF32 => self.send(m, a[0], a[1], a[2], a[4]),
-            IntrinOp::MpiRecvF32 => self.recv(m, a[0], a[1], a[4]),
-            IntrinOp::MpiSendRecvF32 => {
-                self.send(m, a[0], a[1], a[2], a[7]);
-                self.recv(m, a[4], a[5], a[7]);
-            }
-            other => panic!("unexpected MPI op {other:?}"),
-        }
-        Val::Unit
-    }
 }
 
 /// Run `entry(args)` to completion, asking `fuel` for the size of each
@@ -346,16 +290,67 @@ fn load_at(index: i32, free_first: bool) -> Program {
     })
 }
 
-#[test]
-fn typed_errors_keep_message_function_and_pc() {
-    let int_bin = |op, lhs, rhs, dst| Instr::Bin {
+fn int_bin(op: BinOp, lhs: u32, rhs: u32, dst: u32) -> Instr {
+    Instr::Bin {
         op,
         kind: PrimKind::Int,
         dst,
         lhs,
         rhs,
-    };
-    let table: Vec<(&str, Program, &str, u32)> = vec![
+    }
+}
+
+/// `arr = new <elem>[x]; k = <index>; z = 0; [free arr;] t = k <op> z;
+/// out = arr[t]`: the last two are a pair the image fuses (`Bin` → `LdArr`
+/// on its destination), at pcs 3 and 4, or 4 and 5 after a free.
+fn fused_load(elem: ElemTy, op: BinOp, index: i32, free_first: bool) -> Program {
+    one_function(|fb| {
+        let arr = fb.reg(Ty::Arr(elem));
+        let (k, z, t) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
+        let out = fb.reg(Ty::I32);
+        fb.emit(Instr::NewArr {
+            elem,
+            len: 0,
+            dst: arr,
+        });
+        fb.emit(Instr::ConstI32(k, index));
+        fb.emit(Instr::ConstI32(z, 0));
+        if free_first {
+            fb.emit(Instr::FreeArr { arr });
+        }
+        fb.emit(int_bin(op, k, z, t));
+        fb.emit(Instr::LdArr {
+            arr,
+            idx: t,
+            dst: out,
+        });
+        out
+    })
+}
+
+/// A `float[]` register holding what the caller passed (`f(Val::Arr(99))`
+/// is a bad handle), loaded through the fused `Add` → `LdArr` at pcs 2-3.
+fn load_from_argument(index: i32) -> Program {
+    one_function(|fb| {
+        let arr = fb.reg(Ty::Arr(ElemTy::F32));
+        let (k, t, out) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::F32));
+        fb.emit(Instr::Mov(arr, 0));
+        fb.emit(Instr::ConstI32(k, index));
+        fb.emit(int_bin(BinOp::Add, k, k, t));
+        fb.emit(Instr::LdArr {
+            arr,
+            idx: t,
+            dst: out,
+        });
+        out
+    })
+}
+
+#[test]
+fn typed_errors_keep_message_function_and_pc() {
+    let four = Val::I32(4);
+    let bad_handle = Val::Arr(99);
+    let table: Vec<(&str, Program, Val, &str, u32)> = vec![
         (
             "divide by zero",
             one_function(|fb| {
@@ -365,17 +360,31 @@ fn typed_errors_keep_message_function_and_pc() {
                 fb.emit(int_bin(BinOp::Div, 0, z, r));
                 r
             }),
+            four,
             "division by zero",
             1,
         ),
         (
             "out of bounds",
             load_at(100, false),
+            four,
             "array index 100 out of bounds (len 4)",
             2,
         ),
-        ("negative index", load_at(-1, false), "negative index -1", 2),
-        ("use after free", load_at(0, true), "use of freed array", 3),
+        (
+            "negative index",
+            load_at(-1, false),
+            four,
+            "negative index -1",
+            2,
+        ),
+        (
+            "use after free",
+            load_at(0, true),
+            four,
+            "use of freed array",
+            3,
+        ),
         (
             "call depth",
             one_function(|fb| {
@@ -387,6 +396,7 @@ fn typed_errors_keep_message_function_and_pc() {
                 });
                 r
             }),
+            four,
             "call depth limit exceeded",
             0,
         ),
@@ -399,14 +409,130 @@ fn typed_errors_keep_message_function_and_pc() {
                 fb.emit(int_bin(BinOp::Add, 0, a, r));
                 r
             }),
+            four,
             "expected i32, found F32(1.5)",
             1,
         ),
+        // Through the superinstructions: the second half's errors carry
+        // its own pc, with today's messages in today's check order.
+        (
+            "out of bounds in a fused float load",
+            fused_load(ElemTy::F32, BinOp::Add, 100, false),
+            four,
+            "array index 100 out of bounds (len 4)",
+            4,
+        ),
+        (
+            "out of bounds in a fused int load",
+            fused_load(ElemTy::I32, BinOp::Add, 100, false),
+            four,
+            "array index 100 out of bounds (len 4)",
+            4,
+        ),
+        (
+            "negative index through a fused Sub",
+            fused_load(ElemTy::F32, BinOp::Sub, -1, false),
+            four,
+            "negative index -1",
+            4,
+        ),
+        (
+            "freed float array through a fused load",
+            fused_load(ElemTy::F32, BinOp::Add, 0, true),
+            four,
+            "use of freed array",
+            5,
+        ),
+        (
+            "negative index before use after free",
+            fused_load(ElemTy::F32, BinOp::Sub, -1, true),
+            four,
+            "negative index -1",
+            5,
+        ),
+        (
+            "bad handle in a float register",
+            load_from_argument(1),
+            bad_handle,
+            "bad array handle 99",
+            3,
+        ),
+        (
+            "negative index before bad handle",
+            load_from_argument(-1),
+            bad_handle,
+            "negative index -2",
+            3,
+        ),
+        (
+            "int stored into a float array",
+            one_function(|fb| {
+                let (arr, i) = (fb.reg(Ty::Arr(ElemTy::F32)), fb.reg(Ty::I32));
+                fb.emit(Instr::NewArr {
+                    elem: ElemTy::F32,
+                    len: 0,
+                    dst: arr,
+                });
+                fb.emit(Instr::ConstI32(i, 1));
+                fb.emit(Instr::StArr {
+                    arr,
+                    idx: i,
+                    src: 0,
+                });
+                0
+            }),
+            four,
+            "type mismatch storing I32(4) into f32 array of length 4",
+            2,
+        ),
+        (
+            // Not a fusable pair: the `Br` must test its own register.
+            "Lt then Br on another register",
+            one_function(|fb| {
+                let (one, c) = (fb.reg(Ty::I32), fb.reg(Ty::Bool));
+                fb.emit(Instr::ConstI32(one, 1));
+                fb.emit(int_bin(BinOp::Lt, 0, one, c));
+                fb.emit(Instr::Br {
+                    cond: 0,
+                    t: 3,
+                    f: 3,
+                });
+                0
+            }),
+            four,
+            "expected bool, found I32(4)",
+            2,
+        ),
+        (
+            // The jump lands on the `LdArr` of a fused pair: it loads at
+            // the index it finds (9), not at the `Add`'s (18).
+            "jump into the second half of a pair",
+            one_function(|fb| {
+                let arr = fb.reg(Ty::Arr(ElemTy::F32));
+                let (t, out) = (fb.reg(Ty::I32), fb.reg(Ty::F32));
+                fb.emit(Instr::NewArr {
+                    elem: ElemTy::F32,
+                    len: 0,
+                    dst: arr,
+                });
+                fb.emit(Instr::ConstI32(t, 9));
+                fb.emit(Instr::Jmp(4));
+                fb.emit(int_bin(BinOp::Add, t, t, t));
+                fb.emit(Instr::LdArr {
+                    arr,
+                    idx: t,
+                    dst: out,
+                });
+                out
+            }),
+            four,
+            "array index 9 out of bounds (len 4)",
+            4,
+        ),
     ];
-    for (name, program, message, pc) in table {
+    for (name, program, arg, message, pc) in table {
         let mut m = Machine::new();
-        let e = exec::run_to_completion(&program, FuncId(0), vec![Val::I32(4)], &mut m)
-            .expect_err(name);
+        let e = exec::run_to_completion(&program, FuncId(0), vec![arg], &mut m).expect_err(name);
         assert_eq!(
             (e.message.as_str(), e.func.as_str(), e.pc),
             (message, "f", pc),

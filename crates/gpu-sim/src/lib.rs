@@ -261,7 +261,7 @@ impl Gpu {
                 .and_then(|end| v.get(off..end))
                 .map(<[f32]>::to_vec)
                 .ok_or_else(|| err("device range read out of bounds"))?,
-            other => return Err(err(format!("range read on non-f32 device array {other:?}"))),
+            other => return Err(err(format!("range read on non-f32 device array: {other}"))),
         };
         self.vtime += self.copy_cost((len * 4) as u64);
         Ok(out)
@@ -278,11 +278,7 @@ impl Gpu {
                     .ok_or_else(|| err(format!("device range write out of bounds (len {n})")))?
                     .copy_from_slice(data);
             }
-            other => {
-                return Err(err(format!(
-                    "range write on non-f32 device array {other:?}"
-                )))
-            }
+            other => return Err(err(format!("range write on non-f32 device array: {other}"))),
         }
         self.vtime += self.copy_cost((data.len() * 4) as u64);
         Ok(())
@@ -834,6 +830,21 @@ mod tests {
             ArrStore::F32((0..10).map(|i| 2.0 * i as f32).collect())
         );
         assert_eq!(armed.fault_stats(), ResilienceStats::default());
+    }
+
+    #[test]
+    fn range_errors_name_the_array_without_its_elements() {
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let dev = gpu.copy_in(&ArrStore::I32(vec![0; 1_000_000])).unwrap();
+        let read = gpu.read_range(dev, 0, 4).unwrap_err().message;
+        let write = gpu.write_range(dev, 0, &[1.0]).unwrap_err().message;
+        for (e, what) in [(read, "read"), (write, "write")] {
+            assert!(e.len() < 200, "{} bytes", e.len());
+            assert_eq!(
+                e,
+                format!("range {what} on non-f32 device array: i32 array of length 1000000")
+            );
+        }
     }
 
     #[test]

@@ -146,6 +146,23 @@ pub enum ArrayData {
     Ref(Vec<Value>),
 }
 
+/// What an array is, without its elements: `float array of length 4`.
+/// Error messages name arrays this way: the `Debug` form of a
+/// million-element array is megabytes.
+impl fmt::Display for ArrayData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let elem = match self {
+            ArrayData::I32(_) => "int",
+            ArrayData::I64(_) => "long",
+            ArrayData::F32(_) => "float",
+            ArrayData::F64(_) => "double",
+            ArrayData::Bool(_) => "boolean",
+            ArrayData::Ref(_) => "reference",
+        };
+        write!(f, "{elem} array of length {}", self.len())
+    }
+}
+
 impl ArrayData {
     pub fn new(elem: &Type, len: usize) -> ArrayData {
         match elem {
@@ -201,7 +218,7 @@ impl ArrayData {
             (ArrayData::F64(v), Value::Double(x)) => v[i] = x,
             (ArrayData::Bool(v), Value::Bool(x)) => v[i] = x,
             (ArrayData::Ref(v), x) => v[i] = x,
-            (arr, x) => return Err(format!("type mismatch storing {x:?} into {arr:?}")),
+            (arr, x) => return Err(format!("type mismatch storing {x:?} into {arr}")),
         }
         Ok(())
     }
@@ -279,6 +296,17 @@ mod tests {
         let mut a = ArrayData::new(&Type::Int, 2);
         assert!(a.set(0, Value::Float(1.0)).is_err());
         assert!(a.set(5, Value::Int(1)).is_err());
+    }
+
+    #[test]
+    fn a_type_mismatch_names_the_array_without_its_elements() {
+        let mut a = ArrayData::new(&Type::Float, 1_000_000);
+        let e = a.set(7, Value::Int(3)).unwrap_err();
+        assert!(e.len() < 200, "{} bytes", e.len());
+        assert_eq!(
+            e,
+            "type mismatch storing Int(3) into float array of length 1000000"
+        );
     }
 
     #[test]

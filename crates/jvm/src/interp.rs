@@ -213,7 +213,7 @@ impl<'t> Jvm<'t> {
         let r = v.as_arr().map_err(JvmError::new)?;
         match self.heap.arr(r) {
             ArrayData::F32(d) => Ok(d.clone()),
-            other => Err(JvmError::new(format!("not a float array: {other:?}"))),
+            other => Err(JvmError::new(format!("not a float array: {other}"))),
         }
     }
 
@@ -221,7 +221,7 @@ impl<'t> Jvm<'t> {
         let r = v.as_arr().map_err(JvmError::new)?;
         match self.heap.arr(r) {
             ArrayData::F64(d) => Ok(d.clone()),
-            other => Err(JvmError::new(format!("not a double array: {other:?}"))),
+            other => Err(JvmError::new(format!("not a double array: {other}"))),
         }
     }
 

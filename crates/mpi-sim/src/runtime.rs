@@ -385,7 +385,7 @@ pub fn read_floats(
             ))
         }),
         other => Err(ExecError::msg(format!(
-            "MPI float op on non-float array {other:?}"
+            "MPI float op on non-float array: {other}"
         ))),
     }
 }
@@ -410,7 +410,7 @@ pub fn write_floats(
             Ok(())
         }
         other => Err(ExecError::msg(format!(
-            "MPI float op on non-float array {other:?}"
+            "MPI float op on non-float array: {other}"
         ))),
     }
 }

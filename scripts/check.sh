@@ -95,13 +95,14 @@ echo "==   names, so a source-incompatible change must fail here, not in   =="
 echo "==   the driver; then one smoke pass over all seven workloads        =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== where exec::run landed in wjbench: builds whose exec::run starts at =="
-echo "==   different offsets mod 64 read up to +-10% apart on exec-bound     =="
-echo "==   workloads with identical code, so report it beside any such drift =="
+echo "== where exec::run landed in wjbench, and its size: builds whose     =="
+echo "==   exec::run starts at different offsets mod 64 read up to +-10%   =="
+echo "==   apart on exec-bound workloads with identical code, so report it =="
+echo "==   beside any such drift                                           =="
 wjbench="${CARGO_TARGET_DIR:-benchmark/target}/release/wjbench"
-addr="$(nm -C "$wjbench" | awk '$3 == "exec::run" { a = $1 } END { print a }')"
+read -r addr size < <(nm -S -C "$wjbench" | awk '$4 == "exec::run" { a = $1; s = $2 } END { print a, s }')
 if [ -n "$addr" ]; then
-    echo "exec::run at 0x$addr: $((0x$addr % 64)) mod 64"
+    echo "exec::run at 0x$addr: $((0x$addr % 64)) mod 64, $((0x$size)) bytes"
 else
     echo "exec::run: no symbol in $wjbench (inlined?)"
 fi
