@@ -9,11 +9,8 @@
 //! specialised by operand kind, the virtual-cycle weight, and up to three
 //! scalar operands (registers, constants, jump targets) inlined.
 //!
-//! Two decodings go past the instruction itself. A `LdArr`/`StArr` whose
-//! array register is declared `float[]` becomes [`OpKind::LdArrF32`] /
-//! [`OpKind::StArrF32`], whose hot path is one handle lookup, one variant
-//! compare and one bounds compare. And five dependent pairs, where the
-//! second instruction reads the first one's destination, become
+//! One decoding goes past the instruction itself: five dependent pairs,
+//! where the second instruction reads the first one's destination, become
 //! superinstructions (see [`fuse`]).
 //!
 //! **Invariant: `ops[pc]` executes `code[pc]` first.** The image is 1:1
@@ -30,7 +27,7 @@
 use crate::{weight, ExecError, GpuCoords};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use nir::{ElemTy, FuncId, Function, Instr, IntrinOp, Program, Reg, Ty};
+use nir::{FuncId, Function, Instr, IntrinOp, Program, Reg};
 
 /// An absent register operand (`Ret(None)`, a call without `dst`).
 pub(crate) const NO_REG: u32 = u32::MAX;
@@ -151,12 +148,8 @@ pub(crate) enum OpKind {
     NewArr,
     // (dst, arr, idx)
     LdArr,
-    /// `LdArr` from a register declared `float[]`.
-    LdArrF32,
     // (arr, idx, src)
     StArr,
-    /// `StArr` into a register declared `float[]`.
-    StArrF32,
     // (dst, arr)
     ArrLen,
     // (arr)
@@ -189,12 +182,10 @@ pub(crate) enum OpKind {
     Sync,
     // Superinstructions: the first half's operands; the second half's
     // are those of `ops[pc + 1]` (see `fuse`).
-    /// `AddI32 t` then `LdArr{idx: t}` / `LdArrF32{idx: t}`.
+    /// `AddI32 t` then `LdArr{idx: t}`.
     AddI32LdArr,
-    AddI32LdArrF32,
-    /// `SubI32 t` then `LdArr{idx: t}` / `LdArrF32{idx: t}`.
+    /// `SubI32 t` then `LdArr{idx: t}`.
     SubI32LdArr,
-    SubI32LdArrF32,
     /// `LtI32 c` then `Br{cond: c}`.
     LtI32Br,
     /// `AddF32 t` then `AddF32{lhs: t}`.
@@ -260,7 +251,7 @@ fn decode_function(f: &Function, program: &Program) -> Result<Vec<Op>, ExecError
     // Collecting through `Result` has no size hint and grows by doubling.
     let mut ops = Vec::with_capacity(f.code.len());
     for (pc, ins) in f.code.iter().enumerate() {
-        ops.push(decode(ins, f, program).map_err(|e| e.at(&f.name, pc as u32))?);
+        ops.push(decode(ins, program).map_err(|e| e.at(&f.name, pc as u32))?);
     }
     fuse(&mut ops);
     Ok(ops)
@@ -284,9 +275,7 @@ fn fuse(ops: &mut [Op]) {
         let t = first.a;
         ops[pc - 1].kind = match (first.kind, second.kind) {
             (K::AddI32, K::LdArr) if second.c == t => K::AddI32LdArr,
-            (K::AddI32, K::LdArrF32) if second.c == t => K::AddI32LdArrF32,
             (K::SubI32, K::LdArr) if second.c == t => K::SubI32LdArr,
-            (K::SubI32, K::LdArrF32) if second.c == t => K::SubI32LdArrF32,
             (K::LtI32, K::Br) if second.a == t => K::LtI32Br,
             (K::AddF32, K::AddF32) if second.b == t => K::AddF32AddF32,
             (K::MulF32, K::AddF32) if second.c == t => K::MulF32AddF32,
@@ -295,7 +284,7 @@ fn fuse(ops: &mut [Op]) {
     }
 }
 
-fn decode(ins: &Instr, f: &Function, program: &Program) -> Result<Op, ExecError> {
+fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
     use OpKind as K;
     let weight = u8::try_from(weight(ins)).expect("every opcode weight fits a byte");
     let op = |kind, a, b, c| Op {
@@ -365,22 +354,8 @@ fn decode(ins: &Instr, f: &Function, program: &Program) -> Result<Op, ExecError>
         Instr::GetField { obj, slot, dst } => op(K::GetField, *dst, *obj, *slot),
         Instr::PutField { obj, slot, src } => op(K::PutField, *obj, *slot, *src),
         Instr::NewArr { len, dst, .. } => op(K::NewArr, *dst, *len, 0),
-        Instr::LdArr { arr, idx, dst } => {
-            let k = if is_f32_array(f, *arr) {
-                K::LdArrF32
-            } else {
-                K::LdArr
-            };
-            op(k, *dst, *arr, *idx)
-        }
-        Instr::StArr { arr, idx, src } => {
-            let k = if is_f32_array(f, *arr) {
-                K::StArrF32
-            } else {
-                K::StArr
-            };
-            op(k, *arr, *idx, *src)
-        }
+        Instr::LdArr { arr, idx, dst } => op(K::LdArr, *dst, *arr, *idx),
+        Instr::StArr { arr, idx, src } => op(K::StArr, *arr, *idx, *src),
         Instr::ArrLen { arr, dst } => op(K::ArrLen, *dst, *arr, 0),
         Instr::FreeArr { arr } => op(K::FreeArr, *arr, 0, 0),
         Instr::Intrin {
@@ -407,13 +382,6 @@ fn decode(ins: &Instr, f: &Function, program: &Program) -> Result<Op, ExecError>
         Instr::SharedAlloc { len, dst, .. } => op(K::SharedAlloc, *dst, *len, 0),
         Instr::Sync => op(K::Sync, 0, 0, 0),
     })
-}
-
-/// Whether register `r` of `f` is declared `float[]`. The declaration
-/// only picks the op: what the register holds at run time is checked
-/// all the same, and anything else takes the checked path.
-fn is_f32_array(f: &Function, r: Reg) -> bool {
-    f.regs.get(r as usize) == Some(&Ty::Arr(ElemTy::F32))
 }
 
 /// The opcode of an intrinsic. Its operand count and destination are

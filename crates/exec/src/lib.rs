@@ -272,11 +272,10 @@ fn bad_handle(h: u32) -> ExecError {
 /// A flat memory space (host, one per MPI rank, or a GPU device space).
 ///
 /// Arrays are a program's only mutable heap state, and every mutation
-/// reaches them through [`MemSpace::alloc`], [`MemSpace::arr_mut`] or the
-/// loop's float store (`store_f32`), which mark the array *written*. A
-/// checkpoint capture ([`ckpt::machine_array_sections`]) re-encodes only
-/// the written arrays and hands out the shared bytes it cached for the
-/// rest. The cache lives
+/// reaches them through [`MemSpace::alloc`] or [`MemSpace::arr_mut`],
+/// which mark the array *written*. A checkpoint capture
+/// ([`ckpt::machine_array_sections`]) re-encodes only the written arrays
+/// and hands out the shared bytes it cached for the rest. The cache lives
 /// here, beside the flags, so whatever replaces a machine (a restore, a
 /// reinit) replaces its cache too. Equality and `Debug` see only the
 /// arrays.
@@ -343,22 +342,21 @@ impl MemSpace {
         }
     }
 
-    /// Store `x` at element `i` of the float array behind `h`, marking the
-    /// array written as [`MemSpace::arr_mut`] does. `false`, with nothing
-    /// changed, wherever [`MemSpace::load_f32`] is `None`.
+    /// Store `x` at element `i` of the float array behind `h`, through
+    /// [`MemSpace::arr_mut`]. `false`, with no element changed, wherever
+    /// [`MemSpace::load_f32`] is `None`.
     #[inline]
     fn store_f32(&mut self, h: u32, i: i32, x: f32) -> bool {
-        let Some(ArrStore::F32(v)) = self.arrays.get_mut(h as usize) else {
-            return false;
-        };
-        let Some(slot) = v.get_mut(i as usize) else {
-            return false;
-        };
-        *slot = x;
-        if let Some(e) = self.encoded.get_mut(h as usize) {
-            e.written = true;
+        match self.arr_mut(h) {
+            Ok(ArrStore::F32(v)) => match v.get_mut(i as usize) {
+                Some(slot) => {
+                    *slot = x;
+                    true
+                }
+                None => false,
+            },
+            _ => false,
         }
-        true
     }
 
     pub fn free(&mut self, h: u32) -> Result<(), ExecError> {
@@ -1002,8 +1000,8 @@ pub fn run(
                     regs[$dst] = attempt!(store.get(i as usize));
                 }};
             }
-            // A float load with index value $i: the one-compare path, and
-            // the checked one for anything it does not take.
+            // dst = arr[i] with index value $i: the one-compare float path,
+            // and the checked one for anything it does not take.
             macro_rules! load_f32 {
                 ($dst:expr, $arr:expr, $i:expr) => {{
                     let i: i32 = $i;
@@ -1226,8 +1224,9 @@ pub fn run(
                     attempt!(machine.objs.set(h, op.b, regs[c]));
                 }
 
-                OpKind::LdArr => load!(a, b, expect!(c, I32 "i32")),
-                OpKind::LdArrF32 => {
+                // A float array's element is one compare away; anything
+                // else, and every error, takes the checked path.
+                OpKind::LdArr => {
                     let hit = match (&regs[b], &regs[c]) {
                         (&Val::Arr(h), &Val::I32(i)) => machine.mem.load_f32(h, i),
                         _ => None,
@@ -1237,8 +1236,7 @@ pub fn run(
                         None => load!(a, b, expect!(c, I32 "i32")),
                     }
                 }
-                OpKind::StArr => store!(a, b, c),
-                OpKind::StArrF32 => {
+                OpKind::StArr => {
                     let hit = match (&regs[a], &regs[b], &regs[c]) {
                         (&Val::Arr(h), &Val::I32(i), &Val::F32(x)) => {
                             machine.mem.store_f32(h, i, x)
@@ -1288,19 +1286,9 @@ pub fn run(
                 OpKind::AddI32LdArr => {
                     let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_add(y));
                     let next = second_half!();
-                    load!(next.a as usize, next.b as usize, t)
-                }
-                OpKind::AddI32LdArrF32 => {
-                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_add(y));
-                    let next = second_half!();
                     load_f32!(next.a as usize, next.b as usize, t)
                 }
                 OpKind::SubI32LdArr => {
-                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_sub(y));
-                    let next = second_half!();
-                    load!(next.a as usize, next.b as usize, t)
-                }
-                OpKind::SubI32LdArrF32 => {
                     let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_sub(y));
                     let next = second_half!();
                     load_f32!(next.a as usize, next.b as usize, t)
