@@ -2108,7 +2108,7 @@ pub fn backend_matrix(quick: bool) -> Figure {
         );
         agree.push(x, 1.0);
         vtime.push(x, clean.vtime_cycles as f64);
-        wallms.push(x, clean.wall_ms);
+        wallms.push(x, clean.wall.as_secs_f64() * 1e3);
         parallelism.push(x, plat.caps().parallelism as f64);
 
         // Crash injection + adaptive checkpointing: every seed must

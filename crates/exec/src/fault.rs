@@ -240,39 +240,6 @@ impl ResilienceStats {
     }
 }
 
-impl std::fmt::Display for ResilienceStats {
-    /// Compact one-line resilience picture for bench output and
-    /// post-mortems.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "injected {} (crash {}, fuel {}, ffi {}, drop {}, corrupt {}, \
-             delay {}, ckpt-io {}, refuse {}, trunc {}, ack-delay {}, \
-             xlate-fail {}) · retries {} · redials {} · timeouts {} \
-             · degraded {} · ckpts {} · restarts {} · overlapped {}",
-            self.injected(),
-            self.crashes,
-            self.fuel_exhaustions,
-            self.host_transients,
-            self.dropped_messages,
-            self.corrupted_messages,
-            self.delayed_messages,
-            self.ckpt_write_failures,
-            self.connect_refusals,
-            self.truncated_frames,
-            self.delayed_acks,
-            self.translate_failures,
-            self.host_retries,
-            self.connect_retries,
-            self.timeouts,
-            self.degraded_jits,
-            self.checkpoints_taken,
-            self.restarts,
-            self.overlapped_rounds,
-        )
-    }
-}
-
 /// What happens to one outgoing message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgFault {
@@ -596,7 +563,9 @@ mod tests {
             a.stats.truncated_frames + a.stats.delayed_acks + refusals
         );
         let line = a.stats.to_string();
-        assert!(line.contains("refuse") && line.contains("trunc"));
+        assert!(line.contains(&format!("connect_refusals {refusals} · ")));
+        let truncated = a.stats.truncated_frames;
+        assert!(line.contains(&format!("truncated_frames {truncated} · ")));
     }
 
     #[test]
@@ -631,7 +600,8 @@ mod tests {
         assert!(fired > 0, "rate 0.4 must fire in 200 draws");
         assert_eq!(a.stats.translate_failures, fired);
         assert_eq!(a.stats.injected(), fired);
-        assert!(a.stats.to_string().contains("xlate-fail"));
+        let line = a.stats.to_string();
+        assert!(line.contains(&format!("translate_failures {fired} · ")));
     }
 
     #[test]
@@ -644,9 +614,37 @@ mod tests {
         };
         let line = s.to_string();
         assert!(!line.contains('\n'));
-        assert!(line.contains("crash 2"));
-        assert!(line.contains("ckpt-io 1"));
-        assert!(line.contains("restarts 3"));
+        assert!(line.starts_with("crashes 2 · "));
+        assert!(line.contains(" · ckpt_write_failures 1 · "));
+        assert!(line.contains(" · restarts 3 · "));
+    }
+
+    #[test]
+    fn stats_fields_are_the_wire_order() {
+        let s = ResilienceStats {
+            crashes: 1,
+            fuel_exhaustions: 2,
+            host_transients: 3,
+            host_retries: 4,
+            dropped_messages: 5,
+            corrupted_messages: 6,
+            delayed_messages: 7,
+            ckpt_write_failures: 8,
+            connect_refusals: 9,
+            truncated_frames: 10,
+            delayed_acks: 11,
+            connect_retries: 12,
+            translate_failures: 13,
+            timeouts: 14,
+            degraded_jits: 15,
+            checkpoints_taken: 16,
+            restarts: 17,
+            overlapped_rounds: 18,
+        };
+        let values: Vec<u64> = s.fields().map(|(_, v)| v).collect();
+        assert_eq!(values, (1..=18).collect::<Vec<u64>>());
+        let le: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(s.to_wire(), le);
     }
 
     #[test]

@@ -65,15 +65,16 @@ impl Default for GpuConfig {
     }
 }
 
-/// Statistics of one kernel launch.
-#[derive(Debug, Clone, Copy)]
-pub struct LaunchStats {
-    pub blocks: u64,
-    pub threads: u64,
-    /// Total cycles executed by all kernel threads.
-    pub executed_cycles: u64,
-    /// Modeled wall time of the launch (cycles).
-    pub kernel_time: u64,
+nir::counters! {
+    /// Statistics of one kernel launch.
+    pub struct LaunchStats [] {
+        blocks,
+        threads,
+        /// Total cycles executed by all kernel threads.
+        executed_cycles,
+        /// Modeled wall time of the launch (cycles).
+        kernel_time,
+    }
 }
 
 /// Classification of a device error: fatal programming/configuration

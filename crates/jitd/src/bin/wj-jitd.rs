@@ -15,7 +15,7 @@
 //! ```
 
 use jitd::client::Client;
-use jitd::proto::{Arg, JitRequest, Reply};
+use jitd::proto::{Arg, JitRequest, Reply, ServiceStats};
 use jitd::{Daemon, DaemonConfig};
 use std::time::Duration;
 
@@ -90,27 +90,38 @@ fn serve(args: &[String]) -> i32 {
         }
     };
     println!("wj-jitd listening on 127.0.0.1:{}", daemon.port());
-    let stats = daemon.serve();
-    println!(
-        "wj-jitd drained: admitted {}, completed {}, translations {}, warm {}, followed {}, \
-         sheds {} (queue-full {}, draining {}, over-quota {}, deadline {}), errors {}, \
-         disconnects {}, bad frames {}",
-        stats.admitted,
-        stats.completed,
-        stats.translations,
-        stats.warm_hits,
-        stats.follower_serves,
-        stats.sheds(),
-        stats.shed_queue_full,
-        stats.shed_draining,
-        stats.shed_over_quota,
-        stats.shed_deadline,
-        stats.request_errors,
-        stats.disconnects,
-        stats.bad_frames,
-    );
-    println!("wj-jitd resilience: {}", stats.resilience);
+    print_stats("wj-jitd drained", &daemon.serve());
     0
+}
+
+/// The service counters on one line after `label`, the resilience
+/// counters on the next, then one line per optimizer pass.
+fn print_stats(label: &str, s: &ServiceStats) {
+    println!(
+        "{label}: admitted {} · completed {} · translations {} · warm {} · followed {} · \
+         sheds {} (queue-full {}, draining {}, over-quota {}, deadline {}) · errors {} · \
+         disconnects {} · bad frames {}",
+        s.admitted,
+        s.completed,
+        s.translations,
+        s.warm_hits,
+        s.follower_serves,
+        s.sheds(),
+        s.shed_queue_full,
+        s.shed_draining,
+        s.shed_over_quota,
+        s.shed_deadline,
+        s.request_errors,
+        s.disconnects,
+        s.bad_frames,
+    );
+    println!("resilience: {}", s.resilience);
+    for p in &s.passes {
+        println!(
+            "pass {:<24} {:>8}us  instrs {} -> {}",
+            p.pass, p.wall_us, p.instrs_before, p.instrs_after
+        );
+    }
 }
 
 fn connect(args: &[String]) -> Result<Client, i32> {
@@ -214,29 +225,7 @@ fn stats(args: &[String]) -> i32 {
     };
     match client.stats() {
         Ok(s) => {
-            println!(
-                "admitted {} · completed {} · translations {} · warm {} · followed {}",
-                s.admitted, s.completed, s.translations, s.warm_hits, s.follower_serves
-            );
-            println!(
-                "sheds {} (queue-full {}, draining {}, over-quota {}, deadline {}) · \
-                 errors {} · disconnects {} · bad frames {}",
-                s.sheds(),
-                s.shed_queue_full,
-                s.shed_draining,
-                s.shed_over_quota,
-                s.shed_deadline,
-                s.request_errors,
-                s.disconnects,
-                s.bad_frames
-            );
-            println!("resilience: {}", s.resilience);
-            for p in &s.passes {
-                println!(
-                    "pass {:<24} {:>8}us  instrs {} -> {}",
-                    p.pass, p.wall_us, p.instrs_before, p.instrs_after
-                );
-            }
+            print_stats("wj-jitd stats", &s);
             0
         }
         Err(e) => {

@@ -645,7 +645,7 @@ fn lead_translate(
     let mut s = shared.stats.lock().unwrap();
     if cs.translations > 0 {
         s.translations += cs.translations;
-        for p in &code.stats().passes {
+        for p in &code.translated.stats.passes {
             let idx = match s.passes.iter().position(|t| t.pass == p.pass) {
                 Some(i) => i,
                 None => {

@@ -301,49 +301,31 @@ impl CheckpointPolicy {
     }
 }
 
-/// Checkpoint/restart accounting for one [`World::run_with_restart`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RestartStats {
-    /// Checkpoints captured at collective boundaries.
-    pub checkpoints_taken: u64,
-    /// Rollback-and-resume cycles performed (0 = the first attempt ran
-    /// to completion).
-    pub restarts: u64,
-    /// Ranks restored from a checkpoint (or re-initialized cold),
-    /// summed over all restarts.
-    pub ranks_rolled_back: u64,
-    /// Virtual cycles discarded by rollbacks: failure-time clock minus
-    /// the restored checkpoint's clock, summed over all restarts.
-    pub virtual_time_lost: u64,
-    /// Checkpoints captured as delta links (subset of
-    /// `checkpoints_taken`; the rest were full bases).
-    pub delta_checkpoints: u64,
-    /// Fresh bases started because the rebase interval elapsed.
-    pub rebases: u64,
-    /// Total sealed checkpoint bytes produced (bases + deltas) — the
-    /// number delta chains exist to shrink.
-    pub ckpt_bytes_written: u64,
-    /// Damaged/unusable chain links discarded while rolling back or
-    /// warm-starting (each drop moves one snapshot deeper in history).
-    pub chain_links_dropped: u64,
-}
-
-impl std::fmt::Display for RestartStats {
-    /// Compact one-line summary for bench output and post-mortems.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ckpts {} ({} delta, {} rebases, {} B) · restarts {} · ranks \
-             rolled back {} · vtime lost {} · links dropped {}",
-            self.checkpoints_taken,
-            self.delta_checkpoints,
-            self.rebases,
-            self.ckpt_bytes_written,
-            self.restarts,
-            self.ranks_rolled_back,
-            self.virtual_time_lost,
-            self.chain_links_dropped,
-        )
+nir::counters! {
+    /// Checkpoint/restart accounting for one [`World::run_with_restart`].
+    pub struct RestartStats [] {
+        /// Checkpoints captured at collective boundaries.
+        checkpoints_taken,
+        /// Rollback-and-resume cycles performed (0 = the first attempt ran
+        /// to completion).
+        restarts,
+        /// Ranks restored from a checkpoint (or re-initialized cold),
+        /// summed over all restarts.
+        ranks_rolled_back,
+        /// Virtual cycles discarded by rollbacks: failure-time clock minus
+        /// the restored checkpoint's clock, summed over all restarts.
+        virtual_time_lost,
+        /// Checkpoints captured as delta links (subset of
+        /// `checkpoints_taken`; the rest were full bases).
+        delta_checkpoints,
+        /// Fresh bases started because the rebase interval elapsed.
+        rebases,
+        /// Total sealed checkpoint bytes produced (bases + deltas) — the
+        /// number delta chains exist to shrink.
+        ckpt_bytes_written,
+        /// Damaged/unusable chain links discarded while rolling back or
+        /// warm-starting (each drop moves one snapshot deeper in history).
+        chain_links_dropped,
     }
 }
 

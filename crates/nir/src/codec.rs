@@ -796,10 +796,12 @@ macro_rules! wire_enum {
     };
 }
 
-/// A stats struct of `pub u64` counters, declared once. The bracketed
-/// list names what else to generate from the same field list: `merge`
-/// (add another set in), `since` (subtract an earlier snapshot), `wire`
-/// (a [`wire_struct!`] over every field, in declaration order).
+/// A stats struct of `pub u64` counters, declared once. Every struct
+/// gets `fields()` (each counter's name and value, in declaration order)
+/// and a one-line `Display` (`name value` pairs joined by ` · `). The
+/// bracketed list names what else to generate from the same field list:
+/// `merge` (add another set in), `since` (subtract an earlier snapshot),
+/// `wire` (a [`wire_struct!`] over every field, in the `fields()` order).
 ///
 /// [`wire_struct!`]: crate::wire_struct
 #[macro_export]
@@ -814,6 +816,24 @@ macro_rules! counters {
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct $name {
             $($(#[$fmeta])* pub $field: u64,)*
+        }
+        impl $name {
+            /// Every counter's name and value, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),*].into_iter()
+            }
+        }
+        impl ::std::fmt::Display for $name {
+            /// `name value` for every counter, joined by ` · `.
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                for (i, (name, value)) in self.fields().enumerate() {
+                    if i > 0 {
+                        f.write_str(" · ")?;
+                    }
+                    write!(f, "{name} {value}")?;
+                }
+                Ok(())
+            }
         }
         $crate::counters!(@each $name ($($field),*) $($gen)*);
     };
@@ -1296,6 +1316,10 @@ mod tests {
             t.to_wire(),
             [6u64.to_le_bytes(), 9u64.to_le_bytes()].concat()
         );
+        assert_eq!(t.fields().collect::<Vec<_>>(), [("a", 6), ("b", 9)]);
+        assert_eq!(t.to_string(), "a 6 · b 9");
+        let le: Vec<u8> = t.fields().flat_map(|(_, v)| v.to_le_bytes()).collect();
+        assert_eq!(t.to_wire(), le);
     }
 
     #[test]

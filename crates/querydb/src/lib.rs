@@ -69,7 +69,8 @@ use translator::{
 nir::counters! {
     /// Cumulative query counters. Snapshot with [`Database::stats`] before
     /// and after an operation and subtract ([`QueryStats::since`]) to get the
-    /// per-operation deltas the facade surfaces in `TransStats`.
+    /// per-operation deltas, as the facade's `JitCode::query_stats` does for
+    /// one `jit` call.
     pub struct QueryStats [since] {
         parse_executed,
         parse_reused,

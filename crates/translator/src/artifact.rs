@@ -94,6 +94,11 @@ nir::wire_struct!(TransConfig {
 
 // ---- Translated ⇄ bytes -------------------------------------------------
 
+/// `u64` slots after the pass profiles that every stored artifact carries
+/// as zeros (they held cache counters no artifact ever set). A non-zero
+/// one is rejected: it could not re-encode to the bytes it came from.
+const RETIRED_SLOTS: usize = 2;
+
 impl Translated {
     /// Serialize into a sealed (magic + version + checksum) byte artifact
     /// suitable for the disk store or a rank-0 broadcast. The encoding is
@@ -104,8 +109,7 @@ impl Translated {
         self.encode_with(&self.stats)
     }
 
-    /// Serialize with volatile observability stripped: pass profiles
-    /// (wall times) and facade-filled cache counters are zeroed, so two
+    /// Serialize with the pass profiles (wall times) stripped, so two
     /// semantically equal translations — e.g. an incremental re-JIT and
     /// a from-scratch translate at the same revision — produce
     /// byte-identical output. This is the determinism contract the
@@ -113,11 +117,6 @@ impl Translated {
     pub fn encode_semantic(&self) -> Vec<u8> {
         let stats = TransStats {
             passes: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            queries_executed: 0,
-            queries_reused: 0,
-            early_cutoffs: 0,
             ..self.stats.clone()
         };
         self.encode_with(&stats)
@@ -137,8 +136,9 @@ impl Translated {
         stats.inlined_calls.put(w);
         stats.kernels.put(w);
         stats.passes.put(w);
-        stats.cache_hits.put(w);
-        stats.cache_misses.put(w);
+        for _ in 0..RETIRED_SLOTS {
+            0u64.put(w);
+        }
         self.uses_mpi.put(w);
         self.uses_gpu.put(w);
         self.warnings.put(w);
@@ -162,11 +162,12 @@ impl Translated {
             inlined_calls: Wire::get(r)?,
             kernels: Wire::get(r)?,
             passes: Wire::get(r)?,
-            cache_hits: Wire::get(r)?,
-            cache_misses: Wire::get(r)?,
-            // Query counters are facade-side observability, never encoded.
-            ..TransStats::default()
         };
+        for _ in 0..RETIRED_SLOTS {
+            if u64::get(r)? != 0 {
+                return Err(r.corrupt("retired stats slot is not zero"));
+            }
+        }
         let uses_mpi = Wire::get(r)?;
         let uses_gpu = Wire::get(r)?;
         let warnings = Wire::get(r)?;

@@ -43,19 +43,6 @@ pub struct TransStats {
     /// Per-pass wall time + instruction counts from the NIR optimizer —
     /// the pass-level decomposition of Table 3's compile-time column.
     pub passes: Vec<nir::PassProfile>,
-    /// JIT-cache counters, filled in by the `wootinj` facade: how many
-    /// times this specialization key was served from / inserted into the
-    /// code cache at the time the stats were read.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Incremental-query counters, filled in by the `wootinj` facade
-    /// from the query database for the jit call that produced these
-    /// stats (zero when no database is attached). Like the cache
-    /// counters these are observability fields — they are not encoded
-    /// into sealed artifacts.
-    pub queries_executed: u64,
-    pub queries_reused: u64,
-    pub early_cutoffs: u64,
 }
 
 /// How a specialization is made available to call sites.

@@ -38,10 +38,14 @@ use translator::Translated;
 pub use translator::CacheKey;
 
 nir::counters! {
-    /// Cumulative counters across both tiers. The memory-tier triple
-    /// (`hits`/`misses`/`evictions`) keeps its historical meaning; the
-    /// `disk_*` counters, `promotions`, `decode_failures`, and
-    /// `translations` were added with the persistent store.
+    /// Cumulative counters across both tiers, read through
+    /// [`crate::WootinJ::cache_stats`]. Hits are counted per tier:
+    /// `hits`/`misses`/`evictions` are the in-process memory tier's, the
+    /// `disk_*` counters the persistent store's, which a lookup reaches
+    /// only after a memory miss. `promotions` and `decode_failures` say
+    /// what became of disk hits, `translations` counts the translates
+    /// run after both tiers missed, and `ckpt_evictions` the checkpoints
+    /// the store swept.
     pub struct CacheStats [merge] {
         /// Memory-tier hits (an `Arc` clone; zero translator/NIR work).
         hits,

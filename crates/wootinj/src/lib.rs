@@ -429,7 +429,6 @@ impl<'t> WootinJ<'t> {
         Ok(JitCode {
             translated,
             compile_time,
-            cache_stats: self.cache.borrow().stats(),
             query_delta: self
                 .incr
                 .zip(q0)
@@ -557,7 +556,6 @@ impl<'t> WootinJ<'t> {
         JitCode {
             translated,
             compile_time: Duration::ZERO,
-            cache_stats: self.cache.borrow().stats(),
             query_delta: QueryStats::default(),
             degrade: None,
             recv: recv.clone(),
@@ -778,8 +776,6 @@ pub struct JitCode {
     /// Wall time this `jit` call spent (key extraction + cache probe +,
     /// on a miss, full translation — Table 3's "compilation time").
     pub compile_time: Duration,
-    /// Snapshot of the env's cache counters when this code was minted.
-    cache_stats: CacheStats,
     /// Query-database counter deltas for this `jit` call (all-zero
     /// without an attached [`Database`]).
     query_delta: QueryStats,
@@ -871,19 +867,7 @@ impl JitCode {
         self.translated.mode
     }
 
-    /// Translation statistics, with the env's cache counters and the
-    /// query-database counters (as of this `jit` call) merged in.
-    pub fn stats(&self) -> TransStats {
-        let mut stats = self.translated.stats.clone();
-        stats.cache_hits = self.cache_stats.hits;
-        stats.cache_misses = self.cache_stats.misses;
-        stats.queries_executed = self.query_delta.executed();
-        stats.queries_reused = self.query_delta.reused();
-        stats.early_cutoffs = self.query_delta.early_cutoffs;
-        stats
-    }
-
-    /// The raw query-database counter deltas for this `jit` call.
+    /// The query-database counter deltas for this `jit` call.
     pub fn query_stats(&self) -> QueryStats {
         self.query_delta
     }
@@ -933,8 +917,6 @@ impl JitCode {
             vtime_cycles: run.vtime,
             total_cycles: run.total_cycles,
             wall,
-            wall_ms: wall.as_secs_f64() * 1e3,
-            compile_wall: self.compile_time,
             outputs: run.ranks.iter().map(|r| r.output.clone()).collect(),
             resilience,
             restart: run.restart,
@@ -948,7 +930,6 @@ impl JitCode {
                     gpu_time: r.gpu_time,
                 })
                 .collect(),
-            trans: self.stats(),
             worlds: run,
         })
     }
@@ -972,14 +953,9 @@ pub struct RunReport {
     pub vtime_cycles: u64,
     /// Total executed cycles across ranks.
     pub total_cycles: u64,
-    /// Host wall-clock time of the simulation run.
+    /// Host wall-clock time of the simulation run (the translation's is
+    /// [`JitCode::compile_time`]).
     pub wall: Duration,
-    /// [`RunReport::wall`] in milliseconds — the measured-time column
-    /// the backend matrix and `repro wallclock` report next to the
-    /// virtual-cost figures.
-    pub wall_ms: f64,
-    /// Wall-clock translation time (Table 3).
-    pub compile_wall: Duration,
     /// Per-rank `WJ.print*` output.
     pub outputs: Vec<Vec<String>>,
     /// Aggregated fault/retry/degrade counters for this run (all-zero
@@ -989,11 +965,6 @@ pub struct RunReport {
     /// with [`JitOptions::with_checkpointing`]).
     pub restart: RestartStats,
     pub per_rank: Vec<PerRank>,
-    /// Translation statistics for the code that ran, including the
-    /// artifact-cache counters (`cache_hits`/`cache_misses`) and the
-    /// incremental-query counters (`queries_executed`/`queries_reused`/
-    /// `early_cutoffs`).
-    pub trans: TransStats,
     /// The raw world run (rank memory spaces etc.).
     pub worlds: mpi_sim::WorldRun,
 }
@@ -1101,7 +1072,7 @@ mod tests {
         }
         assert!(code.translated.uses_gpu);
         assert!(code.translated.uses_mpi);
-        assert!(code.stats().kernels >= 1);
+        assert!(code.translated.stats.kernels >= 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! JIT code-cache semantics: what must hit, what must miss, how the LRU
-//! bound evicts, and how the counters surface through `TransStats`.
+//! bound evicts, and what the counters read after each `jit`.
 //!
 //! The correctness hinge (ISSUE 1): the key incorporates everything
 //! translation reads. Two live object graphs differing only in field
@@ -302,7 +302,7 @@ fn capacity_zero_disables_caching() {
 }
 
 #[test]
-fn trans_stats_carry_cache_counters_and_pass_profiles() {
+fn cache_counters_and_pass_profiles_surface_per_jit() {
     let table = build_table(&[("app.jl", APP)]).unwrap();
     let mut env = WootinJ::new(&table).unwrap();
     let d = env.new_instance("Dbl", &[]).unwrap();
@@ -312,11 +312,11 @@ fn trans_stats_carry_cache_counters_and_pass_profiles() {
     let cold = env
         .jit(&r, "run", std::slice::from_ref(&a), JitOptions::wootinj())
         .unwrap();
-    assert_eq!(cold.stats().cache_hits, 0);
-    assert_eq!(cold.stats().cache_misses, 1);
+    assert_eq!(env.cache_stats().hits, 0);
+    assert_eq!(env.cache_stats().misses, 1);
     // The preset runs inline + fold + dce: the optimizer profile is
     // recorded per pass with before/after instruction counts.
-    let passes = &cold.stats().passes;
+    let passes = &cold.translated.stats.passes;
     let names: Vec<&str> = passes.iter().map(|p| p.pass).collect();
     assert_eq!(names, ["inline", "fold", "dce"], "{passes:?}");
     for p in passes.iter().filter(|p| p.pass != "inline") {
@@ -330,8 +330,8 @@ fn trans_stats_carry_cache_counters_and_pass_profiles() {
     let warm = env
         .jit(&r, "run", std::slice::from_ref(&a), JitOptions::wootinj())
         .unwrap();
-    assert_eq!(warm.stats().cache_hits, 1);
-    assert_eq!(warm.stats().cache_misses, 1);
+    assert_eq!(env.cache_stats().hits, 1);
+    assert_eq!(env.cache_stats().misses, 1);
     // The shared translated program's own stats are identical.
     assert_eq!(warm.translated.stats, cold.translated.stats);
 

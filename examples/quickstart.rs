@@ -81,11 +81,10 @@ fn main() {
         )
         .expect("jit");
     println!("translated in {:?}", code.compile_time);
+    let stats = &code.translated.stats;
     println!(
         "stats: {} specializations, {} devirtualized calls, {} kernels",
-        code.stats().specializations,
-        code.stats().devirtualized_calls,
-        code.stats().kernels
+        stats.specializations, stats.devirtualized_calls, stats.kernels
     );
 
     // 4. Configure the platform (4 MPI ranks, one GPU each) and invoke.

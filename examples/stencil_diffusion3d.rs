@@ -95,7 +95,7 @@ fn main() {
         };
         println!(
             "  {name:<18} checksum={result:<12.4}  vtime={:>12} cycles  (compile {:?})",
-            report.vtime_cycles, report.compile_wall
+            report.vtime_cycles, code.compile_time
         );
     }
     println!("\n(lower vtime is better; Java and C++ pay the object-orientation tax)");

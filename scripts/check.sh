@@ -67,6 +67,11 @@ echo "== restart example (exits nonzero unless both recovered answers match =="
 echo "==   the fault-free run bit for bit and the delta chain writes fewer bytes) =="
 cargo run --release --offline -q --example restart
 
+echo "== quickstart and incremental examples (each prints counters through =="
+echo "==   the stats surface: translation stats, query deltas)              =="
+cargo run --release --offline -q --example quickstart
+cargo run --release --offline -q --example incremental
+
 echo "== chaos soak (fault storms x cadence x rebase; bit-identical or typed) =="
 cargo run --release --offline -q -p bench --bin repro -- chaos --quick
 
