@@ -29,13 +29,13 @@ fn main() {
     match args.first().map(|s| s.as_str()) {
         None | Some("list") => {
             println!("experiments:");
-            for id in bench::all_ids() {
+            for (id, _) in bench::EXPERIMENTS {
                 println!("  {id}");
             }
             println!("usage: repro <id> [--quick] | all | list");
         }
         Some("all") => {
-            for id in bench::all_ids() {
+            for (id, _) in bench::EXPERIMENTS {
                 run_one(id, quick, dir);
             }
         }

@@ -1,19 +1,20 @@
 //! # bench — the reproduction harness for every table and figure
 //!
-//! * [`experiments`] — one function per paper table/figure (and per
-//!   DESIGN.md ablation), returning a [`series::Figure`];
+//! * [`experiments`] — every experiment `repro` runs, one row each of
+//!   [`EXPERIMENTS`]: the paper's tables and figures in virtual cycles,
+//!   the DESIGN.md ablations, and the gates `scripts/check.sh` runs;
 //! * [`cprogs`] — the hand-inlined *C* baseline programs;
 //! * the `repro` binary — `repro fig4`, `repro all`, ... prints the series
-//!   and writes `results/<id>.json`;
-//! * [`timing`] — a minimal wall-clock harness used by `benches/` (the
-//!   serial figures, the translator, and the JIT-cache fast path).
+//!   and writes `results/<id>.json`.
+//!
+//! Wall time per operation and per layer is measured by `benchmark/`,
+//! not here.
 
 #![forbid(unsafe_code)]
 
 pub mod cprogs;
 pub mod experiments;
 pub mod series;
-pub mod timing;
 
-pub use experiments::{all_ids, run_experiment, run_experiment_with};
+pub use experiments::{run_experiment_with, Experiment, EXPERIMENTS};
 pub use series::{Figure, Point, Series};

@@ -1,8 +1,8 @@
 //! Figure/series data model for the reproduction harness: what the paper
 //! plots, we print as aligned tables and persist as JSON under `results/`.
 //!
-//! JSON (de)serialization is hand-rolled so the harness builds on
-//! network-isolated hosts with no external crates.
+//! The JSON is written by hand (nothing reads it back), so the harness
+//! builds on network-isolated hosts with no external crates.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -161,81 +161,11 @@ impl Figure {
         out
     }
 
-    /// Parse a figure back from JSON produced by [`Figure::to_json`].
-    pub fn from_json(text: &str) -> Result<Figure, String> {
-        let v = JsonValue::parse(text)?;
-        let obj = v.as_obj()?;
-        let get = |k: &str| -> Result<&JsonValue, String> {
-            obj.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing key `{k}`"))
-        };
-        let mut fig = Figure::new(
-            get("id")?.as_str()?,
-            get("title")?.as_str()?,
-            get("x_label")?.as_str()?,
-            get("y_label")?.as_str()?,
-        );
-        for sv in get("series")?.as_arr()? {
-            let sobj = sv.as_obj()?;
-            let name = sobj
-                .iter()
-                .find(|(k, _)| k == "name")
-                .ok_or("series missing `name`")?
-                .1
-                .as_str()?;
-            let mut s = Series::new(name);
-            if let Some((_, pts)) = sobj.iter().find(|(k, _)| k == "points") {
-                for pv in pts.as_arr()? {
-                    let pobj = pv.as_obj()?;
-                    let coord = |k: &str| -> Result<f64, String> {
-                        pobj.iter()
-                            .find(|(key, _)| key == k)
-                            .ok_or_else(|| format!("point missing `{k}`"))?
-                            .1
-                            .as_num()
-                    };
-                    s.push(coord("x")?, coord("y")?);
-                }
-            }
-            fig.series.push(s);
-        }
-        for nv in get("notes")?.as_arr()? {
-            fig.note(nv.as_str()?);
-        }
-        Ok(fig)
-    }
-
     /// Persist to `results/<id>.json`.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         std::fs::write(path, self.to_json())
-    }
-
-    /// Ratio of the last y to the first y of the named series (for the
-    /// EXPERIMENTS.md shape checks and unit tests).
-    pub fn series_ratio(&self, name: &str) -> Option<f64> {
-        let s = self.series.iter().find(|s| s.name == name)?;
-        let first = s.points.first()?.y;
-        let last = s.points.last()?.y;
-        if first == 0.0 {
-            None
-        } else {
-            Some(last / first)
-        }
-    }
-
-    /// y value of `series` at x (exact match).
-    pub fn value_at(&self, name: &str, x: f64) -> Option<f64> {
-        self.series
-            .iter()
-            .find(|s| s.name == name)?
-            .points
-            .iter()
-            .find(|p| (p.x - x).abs() < 1e-9)
-            .map(|p| p.y)
     }
 }
 
@@ -260,193 +190,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Format a finite f64 as a JSON number (NaN/inf become null, which
-/// `from_json` reads back as 0).
+/// Format a finite f64 as a JSON number (NaN/inf become null).
 fn json_num(x: f64) -> String {
     if !x.is_finite() {
         return "null".to_string();
     }
     // `{}` on f64 always includes enough digits to round-trip.
-    let s = format!("{x}");
-    s
-}
-
-/// A minimal JSON value — just enough to round-trip what `to_json` emits.
-enum JsonValue {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes: Vec<char> = text.chars().collect();
-        let mut pos = 0;
-        let v = parse_value(&bytes, &mut pos)?;
-        skip_ws(&bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self) -> Result<&[(String, JsonValue)], String> {
-        match self {
-            JsonValue::Obj(m) => Ok(m),
-            _ => Err("expected object".into()),
-        }
-    }
-
-    fn as_arr(&self) -> Result<&[JsonValue], String> {
-        match self {
-            JsonValue::Arr(a) => Ok(a),
-            _ => Err("expected array".into()),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            JsonValue::Str(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn as_num(&self) -> Result<f64, String> {
-        match self {
-            JsonValue::Num(n) => Ok(*n),
-            JsonValue::Null => Ok(0.0),
-            _ => Err("expected number".into()),
-        }
-    }
-}
-
-fn skip_ws(s: &[char], pos: &mut usize) {
-    while *pos < s.len() && s[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(s: &[char], pos: &mut usize, c: char) -> Result<(), String> {
-    skip_ws(s, pos);
-    if s.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{c}` at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(s: &[char], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(s, pos);
-    match s.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(s, pos);
-            if s.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                skip_ws(s, pos);
-                let key = parse_string(s, pos)?;
-                expect(s, pos, ':')?;
-                let val = parse_value(s, pos)?;
-                fields.push((key, val));
-                skip_ws(s, pos);
-                match s.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(s, pos);
-            if s.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(s, pos)?);
-                skip_ws(s, pos);
-                match s.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some('"') => Ok(JsonValue::Str(parse_string(s, pos)?)),
-        Some('n') => {
-            if s[*pos..].starts_with(&['n', 'u', 'l', 'l']) {
-                *pos += 4;
-                Ok(JsonValue::Null)
-            } else {
-                Err(format!("bad literal at offset {pos}", pos = *pos))
-            }
-        }
-        Some(c) if *c == '-' || c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < s.len() && matches!(s[*pos], '-' | '+' | '.' | 'e' | 'E' | '0'..='9') {
-                *pos += 1;
-            }
-            let text: String = s[start..*pos].iter().collect();
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-        _ => Err(format!("unexpected character at offset {pos}", pos = *pos)),
-    }
-}
-
-fn parse_string(s: &[char], pos: &mut usize) -> Result<String, String> {
-    if s.get(*pos) != Some(&'"') {
-        return Err(format!("expected string at offset {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = s.get(*pos) {
-        *pos += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = s.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        if *pos + 4 > s.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex: String = s[*pos..*pos + 4].iter().collect();
-                        *pos += 4;
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|e| format!("bad \\u escape `{hex}`: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape `\\{other}`")),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
+    format!("{x}")
 }
 
 #[cfg(test)]
@@ -482,32 +232,42 @@ mod tests {
     }
 
     #[test]
-    fn ratios_and_lookup() {
-        let mut fig = Figure::new("f", "t", "x", "y");
-        let mut s = Series::new("S");
-        s.push(1.0, 5.0);
-        s.push(4.0, 20.0);
-        fig.series.push(s);
-        assert_eq!(fig.series_ratio("S"), Some(4.0));
-        assert_eq!(fig.value_at("S", 4.0), Some(20.0));
-        assert_eq!(fig.value_at("S", 3.0), None);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut fig = Figure::new("f", "t \"quoted\"\n", "x", "y");
-        let mut s = Series::new("S");
+    fn json_text_is_pinned() {
+        let mut fig = Figure::new("f", "t \"quoted\"\n\\ \u{1}", "x", "y");
+        let mut s = Series::new("S\ttab");
         s.push(1.0, 5.0);
         s.push(0.5, -3.25e-4);
+        s.push(f64::NAN, f64::INFINITY);
         fig.series.push(s);
+        fig.series.push(Series::new("empty"));
         fig.note("scaled down");
-        let j = fig.to_json();
-        let back = Figure::from_json(&j).unwrap();
-        assert_eq!(back.id, "f");
-        assert_eq!(back.title, "t \"quoted\"\n");
-        assert_eq!(back.notes.len(), 1);
-        assert_eq!(back.series.len(), 1);
-        assert_eq!(back.series[0].points.len(), 2);
-        assert_eq!(back.series[0].points[1].y, -3.25e-4);
+        fig.note("second");
+        let want = r#"{
+  "id": "f",
+  "title": "t \"quoted\"\n\\ \u0001",
+  "x_label": "x",
+  "y_label": "y",
+  "series": [
+    {
+      "name": "S\ttab",
+      "points": [
+        { "x": 1, "y": 5 },
+        { "x": 0.5, "y": -0.000325 },
+        { "x": null, "y": null }
+      ]
+    },
+    {
+      "name": "empty",
+      "points": []
+    }
+  ],
+  "notes": ["scaled down", "second"]
+}
+"#;
+        assert_eq!(fig.to_json(), want);
+        let empty = Figure::new("e", "", "", "");
+        let want = "{\n  \"id\": \"e\",\n  \"title\": \"\",\n  \"x_label\": \"\",\n  \
+                    \"y_label\": \"\",\n  \"series\": [],\n  \"notes\": []\n}\n";
+        assert_eq!(empty.to_json(), want);
     }
 }

@@ -53,16 +53,6 @@ echo "== workspace tests again on real OS threads (WJ_EXECUTOR=threads; =="
 echo "==   every assertion must hold bit-for-bit)                       =="
 WJ_EXECUTOR=threads cargo test -q --offline
 
-echo "== pass-profile smoke run (a cold compile stage by stage, front end  =="
-echo "==   included)                                                         =="
-cargo run --release --offline -q -p bench --bin repro -- pass-profile --quick
-
-echo "== fault-matrix smoke run =="
-cargo run --release --offline -q -p bench --bin repro -- fault-matrix --quick
-
-echo "== restart-cost smoke run (asserts delta < full ckpt bytes at cadence 1) =="
-cargo run --release --offline -q -p bench --bin repro -- restart-cost --quick
-
 echo "== restart example (exits nonzero unless both recovered answers match =="
 echo "==   the fault-free run bit for bit and the delta chain writes fewer bytes) =="
 cargo run --release --offline -q --example restart
@@ -72,28 +62,32 @@ echo "==   the stats surface: translation stats, query deltas)              =="
 cargo run --release --offline -q --example quickstart
 cargo run --release --offline -q --example incremental
 
-echo "== chaos soak (fault storms x cadence x rebase; bit-identical or typed) =="
-cargo run --release --offline -q -p bench --bin repro -- chaos --quick
-
-echo "== backend-matrix smoke run (fails on cross-backend divergence) =="
-cargo run --release --offline -q -p bench --bin repro -- backend-matrix --quick
-
-echo "== wallclock smoke run (executor seam: OS-thread bit-identity   =="
-echo "==   with faults+restarts, 4-vs-1-worker speedup gate)           =="
-cargo run --release --offline -q -p bench --bin repro -- wallclock --quick
-
-echo "== dist smoke run (socket ranks: threads + OS processes vs mpi-sim, =="
-echo "==   ephemeral loopback ports, every wire wait deadline-bounded)    =="
-cargo run --release --offline -q -p bench --bin repro -- dist --quick
-
-echo "== service smoke run (jitd daemon: in-process boot, seeded client  =="
-echo "==   storm; every request ends in a reply or typed shed in-deadline) =="
-cargo run --release --offline -q -p bench --bin repro -- service --quick
-
-echo "== incremental re-JIT smoke run (asserts >=6x body-edit speedup   =="
-echo "==   outside the optimizer, strictly fewer queries than cold,     =="
-echo "==   bit-identical artifacts)                                     =="
-cargo run --release --offline -q -p bench --bin repro -- incremental --quick
+# Every experiment, smoke-sized: the paper's figures and tables, and the
+# gates, each of which panics (so repro exits nonzero) on a broken claim:
+#   fault-matrix    no cell ends in an untyped failure (outcome code 0);
+#   restart-cost    delta chains write fewer bytes than full snapshots at
+#                   cadence 1, and never change a run's outcome;
+#   chaos           every storm world completes bit-identically or fails
+#                   typed; at cadence 1 deltas beat full snapshots on bytes
+#                   and on virtual time lost; a damaged chain warm-restarts
+#                   from its deepest valid link;
+#   backend-matrix  every registered platform returns the exact f64, with
+#                   and without crashes, and device platforms agree on a
+#                   kernel checksum;
+#   wallclock       threads-replay equals sim bit for bit, faults and
+#                   restarts included (the 4-vs-1-worker speedup gate arms
+#                   only on >= 4 cores);
+#   incremental     a body edit runs strictly fewer queries than cold, its
+#                   artifact equals a from-scratch build, and it is >= 6x
+#                   faster than cold outside the optimizer;
+#   dist            socket ranks, as threads and as OS processes, equal
+#                   mpi-sim bit for bit, and recover from crashes (ports
+#                   are ephemeral, every wire wait deadline-bounded);
+#   service         every jitd request ends in a reply or a typed shed in
+#                   its deadline, and same-key clients share one translation.
+# pass-profile profiles a cold compile stage by stage, front end included.
+echo "== repro all --quick: every figure, table and gate =="
+cargo run --release --offline -q -p bench --bin repro -- all --quick
 
 echo "== the ruler: benchmark/ is frozen and builds against layer-internal =="
 echo "==   names, so a source-incompatible change must fail here, not in   =="
