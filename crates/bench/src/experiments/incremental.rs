@@ -294,7 +294,7 @@ pub(super) fn incremental(quick: bool) -> Figure {
                     .filter(|i| matches!(i, nir::Instr::Call { .. }))
                     .count();
                 assert_eq!(calls, k, "incremental: `App.mix` is not spliced into `run`");
-                body_edit_artifacts.push((files.clone(), program.encode_semantic()));
+                body_edit_artifacts.push((files.clone(), program.encode()));
             } else {
                 std::hint::black_box(program);
             }
@@ -310,7 +310,7 @@ pub(super) fn incremental(quick: bool) -> Figure {
     for (n, (files, artifact)) in body_edit_artifacts.iter().enumerate() {
         assert_eq!(
             *artifact,
-            jit(&build(files)).encode_semantic(),
+            jit(&build(files)).encode(),
             "incremental: artifact diverged from from-scratch after body edit {n}"
         );
     }

@@ -4,7 +4,7 @@
 //! translates each program and at every optimizer setting:
 //!
 //! * a jit from a plain class table and a jit from the incremental
-//!   query database ([`Workspace`]) emit the same semantic artifact;
+//!   query database ([`Workspace`]) emit the same artifact;
 //! * translating unoptimized and then running [`nir::optimize`] over
 //!   the whole program equals translating at the setting: the same
 //!   bytes, and the same merged pass names and instruction counts.
@@ -126,7 +126,7 @@ fn jit_bytes(env: &mut WootinJ<'_>, compose: Compose, config: TransConfig) -> Ve
     let mut opts = JitOptions::wootinj();
     opts.config = config;
     let code = env.jit(&recv, method, &args, opts).unwrap();
-    code.translated.encode_semantic()
+    code.translated.encode()
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn optimizing_after_lowering_equals_optimizing_while_lowering() {
             post.stats.passes = nir::optimize(&mut post.program, config.opt);
             let what = format!("{}: {config:?}", p.name);
             assert!(
-                post.encode_semantic() == direct.encode_semantic(),
+                post.encode() == direct.encode(),
                 "{what}: optimizing after lowering changed the artifact"
             );
             assert_eq!(

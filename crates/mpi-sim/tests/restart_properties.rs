@@ -314,7 +314,12 @@ fn corrupt_persisted_checkpoints_degrade_to_cold_restart() {
         // Not damage at all: the same payload in a valid version-1
         // container, i.e. a `.wckpt` from before checkpoints moved to
         // container version 2. Version skew, so a cold start too.
-        nir::codec::seal(nir::codec::unseal_ckpt(&good).unwrap().0),
+        {
+            // `seal` frames as version 1 did; only the version byte moved.
+            let mut v1 = nir::codec::seal(nir::codec::unseal_ckpt(&good).unwrap().0);
+            v1[4] = 1;
+            v1
+        },
     ];
     for (i, bytes) in damaged.iter().enumerate() {
         std::fs::write(&path, bytes).unwrap();

@@ -29,12 +29,17 @@
 //!
 //! | version | payload | digest | written / read by |
 //! |---|---|---|---|
-//! | [`VERSION`] = 1 | `.wjar` artifacts | [`digest64`], a byte per step | [`seal`] / [`unseal`] |
-//! | 2 (retired) | checkpoints | `digest64_words` in one lane | — (version skew) |
+//! | 1 (retired) | `.wjar` artifacts with pass profiles | [`digest64`] | — (version skew) |
+//! | [`VERSION`] = 2 | `.wjar` artifacts | [`digest64`], a byte per step | [`seal`] / [`unseal`] |
+//! | 2 (retired) | checkpoints | `digest64_words` in one lane | — (version skew in [`unseal_ckpt`]) |
 //! | [`CKPT_CONTAINER_VERSION`] = 3 | checkpoints | [`digest64_words`], eight bytes per step in four lanes | [`seal_ckpt`] / [`unseal_ckpt`] |
 //!
-//! Version 1 is pinned byte for byte by artifacts already on disk and the
-//! committed `golden.wjar`. Both go through one framing routine,
+//! Version 1 artifacts also carried the optimizer's per-pass wall times,
+//! so no two translations encoded alike; version 2 holds only what
+//! translation decided. The committed `golden.wjar` pins version 2 byte
+//! for byte and `golden_v1.wjar` the retired layout. A retired
+//! checkpoint container relabelled as an artifact fails the byte digest
+//! ([`CodecError::Corrupt`]). Both go through one framing routine,
 //! [`Sealer`], which writes the payload in place behind a reserved header
 //! and appends the digest: no regrowth when the size is known, no second
 //! copy.
@@ -52,7 +57,6 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use jlang::ast::BinOp;
 use jlang::types::{ClassId, PrimKind};
@@ -61,15 +65,15 @@ use crate::ir::{
     ClassMeta, ConstVal, ElemTy, FuncId, FuncKind, Function, Global, HostFnSig, Instr, IntrinOp,
     Program, Ty,
 };
-use crate::opt::{OptConfig, PassProfile, PASS_ORDER};
+use crate::opt::OptConfig;
 
 /// Magic prefix of a sealed artifact container.
 pub const MAGIC: [u8; 4] = *b"WJAR";
 
 /// Current artifact format version. Bump on any layout change: decoders
 /// reject other versions with [`CodecError::VersionSkew`] rather than
-/// guessing.
-pub const VERSION: u8 = 1;
+/// guessing. Version 1 artifacts carried pass profiles.
+pub const VERSION: u8 = 2;
 
 /// Typed decode failure. `Truncated`/`BadMagic`/`VersionSkew` are
 /// structural (the container is not a complete current-version artifact);
@@ -117,13 +121,13 @@ use crate::hash::digest64_words;
 /// closed by [`digest64_words`] instead of [`digest64`]: a checkpoint is
 /// sealed at every collective and verified link by link on every
 /// rollback, so its digest has to run at memory speed, while artifacts
-/// already on disk pin version 1 byte for byte. Version 2 sealed with
+/// keep the byte digest their containers have always had. Version 2 sealed with
 /// the one-lane form of the word digest; its containers are now version
 /// skew, which every restore path degrades to a cold start.
 pub const CKPT_CONTAINER_VERSION: u8 = 3;
 
-/// Seed of the container checksum, both versions.
-const SEAL_SEED: u64 = 0x57_4A_41_52_00_00_00_01; // "WJAR" | version 1
+/// Seed of the container checksum, every version.
+const SEAL_SEED: u64 = 0x57_4A_41_52_00_00_00_01; // "WJAR" | 1
 
 /// A container's payload digest, by version.
 type SealDigest = fn(&[u8], u64) -> u64;
@@ -131,12 +135,12 @@ type SealDigest = fn(&[u8], u64) -> u64;
 /// Bytes before the payload: magic, version, payload length.
 const HEADER_LEN: usize = MAGIC.len() + 1 + 8;
 
-/// Wrap an artifact payload in the version-1 container.
+/// Wrap an artifact payload in the artifact container ([`VERSION`]).
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     Sealer::with_payload(payload).seal()
 }
 
-/// Verify a version-1 container's framing and checksum; return the
+/// Verify an artifact container's framing and checksum; return the
 /// payload slice.
 pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
     unseal_with(VERSION, digest64, bytes).map(|(payload, _)| payload)
@@ -177,7 +181,7 @@ impl Sealer {
         s
     }
 
-    /// Close the payload as a version-1 (artifact) container.
+    /// Close the payload as an artifact container ([`VERSION`]).
     pub fn seal(self) -> Vec<u8> {
         self.seal_with(VERSION, digest64)
     }
@@ -1005,31 +1009,6 @@ pub fn program_digest(p: &Program, seed: u64) -> u64 {
     digest64_words(&p.to_wire(), seed)
 }
 
-/// A profile's pass name is interned back to one of [`PASS_ORDER`]'s
-/// `'static` strings on decode; any other name decodes as `"other"`, so
-/// an artifact from a build with more passes still decodes.
-impl Wire for PassProfile {
-    fn put(&self, w: &mut Writer) {
-        w.str(self.pass);
-        w.u64(self.wall.as_nanos() as u64);
-        w.u64(self.instrs_before);
-        w.u64(self.instrs_after);
-    }
-    fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let name = r.str()?;
-        Ok(PassProfile {
-            pass: PASS_ORDER
-                .iter()
-                .find(|k| **k == name)
-                .copied()
-                .unwrap_or("other"),
-            wall: Duration::from_nanos(r.u64()?),
-            instrs_before: r.u64()?,
-            instrs_after: r.u64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1120,15 +1099,16 @@ mod tests {
     }
 
     #[test]
-    fn version_1_seal_bytes_are_pinned() {
-        // Artifacts already on disk: `seal` must keep writing exactly this.
+    fn artifact_seal_bytes_are_pinned() {
+        // Artifacts on disk: `seal` must keep writing exactly this. Only
+        // the version byte (byte 4) differs from a version-1 container.
         let hex: String = seal(b"the artifact payload")
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
         assert_eq!(
             hex,
-            "574a4152011400000000000000746865206172746966616374207061796c6f61641a2a3947eb512b28"
+            "574a4152021400000000000000746865206172746966616374207061796c6f61641a2a3947eb512b28"
         );
     }
 
@@ -1383,34 +1363,5 @@ mod tests {
             Shape::from_wire(&huge),
             Err(CodecError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn pass_profiles_roundtrip_and_intern_names() {
-        let passes = vec![
-            PassProfile {
-                pass: "fold",
-                wall: Duration::from_nanos(1234),
-                instrs_before: 100,
-                instrs_after: 90,
-            },
-            PassProfile {
-                pass: "dce",
-                wall: Duration::from_micros(7),
-                instrs_before: 90,
-                instrs_after: 70,
-            },
-        ];
-        let back = Vec::<PassProfile>::from_wire(&passes.to_wire()).unwrap();
-        assert_eq!(back, passes);
-        // A name outside `PASS_ORDER` (a build with more passes) decodes.
-        let unknown = PassProfile {
-            pass: "unroll",
-            ..passes[0]
-        };
-        assert_eq!(
-            PassProfile::from_wire(&unknown.to_wire()).unwrap().pass,
-            "other"
-        );
     }
 }

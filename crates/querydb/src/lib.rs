@@ -22,9 +22,10 @@
 //! ```
 //!
 //! **Determinism contract.** An incremental re-translate produces a
-//! [`Translated`] artifact whose semantic encoding
-//! ([`Translated::encode_semantic`]) is bit-identical to a from-scratch
-//! translate of the same sources at the same revision. Function-id
+//! [`Translated`] artifact whose encoding ([`Translated::encode`], which
+//! holds only what translation decided, never pass timings) is
+//! bit-identical to a from-scratch translate of the same sources at the
+//! same revision. Function-id
 //! assignment is DFS discovery order and the coding rules forbid
 //! recursion, so replaying memoized functions in their recorded
 //! callee-edge order reproduces the exact ids, names, and instruction
@@ -669,8 +670,8 @@ impl Database {
     /// [`Self::table`] at this revision.
     ///
     /// The determinism contract: the returned artifact's
-    /// [`Translated::encode_semantic`] bytes are identical to a
-    /// from-scratch translate of the same sources.
+    /// [`Translated::encode`] bytes are identical to a from-scratch
+    /// translate of the same sources.
     pub fn translate(
         &self,
         jvm: &Jvm<'_>,
@@ -991,8 +992,8 @@ mod tests {
                 translator::translate(&table, &jvm, &app, "run", &[Value::Float(3.0)], config)
                     .unwrap();
             assert_eq!(
-                t.encode_semantic(),
-                classic.encode_semantic(),
+                t.encode(),
+                classic.encode(),
                 "{config:?} diverged from classic translate"
             );
         }
@@ -1014,13 +1015,13 @@ mod tests {
         // replay. (run's spec calls apply, so run re-lowers too — exactly
         // the edited body's function plus its transitive callers.)
         assert!(d.lower_reused > 0, "no memo replayed: {d:?}");
-        assert_ne!(cold.encode_semantic(), warm.encode_semantic());
+        assert_ne!(cold.encode(), warm.encode());
 
         // Bit-identity vs a from-scratch database at the same revision.
         let mut fresh = Database::new();
         fresh.set_source("app.jl", &edited).unwrap();
         let scratch = jit(&fresh, TransConfig::full());
-        assert_eq!(warm.encode_semantic(), scratch.encode_semantic());
+        assert_eq!(warm.encode(), scratch.encode());
     }
 
     #[test]

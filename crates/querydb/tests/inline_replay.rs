@@ -42,14 +42,14 @@ fn jit(db: &Database) -> Translated {
 fn from_scratch(src: &str) -> Vec<u8> {
     let mut db = Database::new();
     db.set_source("app.jl", src).unwrap();
-    let bytes = jit(&db).encode_semantic();
+    let bytes = jit(&db).encode();
     let table = jlang::compile_str(src).unwrap();
     let mut jvm = Jvm::new(&table).unwrap();
     let s = jvm.new_instance("Scale", &[Value::Float(2.0)]).unwrap();
     let app = jvm.new_instance("App", &[s]).unwrap();
     let classic =
         translator::translate(&table, &jvm, &app, "run", &[Value::Float(3.0)], preset()).unwrap();
-    assert_eq!(bytes, classic.encode_semantic(), "diverged from classic");
+    assert_eq!(bytes, classic.encode(), "diverged from classic");
     bytes
 }
 
@@ -71,7 +71,7 @@ fn an_edit_of_a_spliced_callee_never_replays_its_stale_caller() {
     let edited = SRC.replace("k * x", "k * x + 0.5f");
     db.edit("app.jl", &edited).unwrap();
     let before = db.stats();
-    let warm = jit(&db).encode_semantic();
+    let warm = jit(&db).encode();
     let d = db.stats().since(&before);
     assert_eq!((d.lower_executed, d.lower_reused), (2, 0), "{d:?}");
     assert_eq!(warm, from_scratch(&edited));
@@ -80,7 +80,7 @@ fn an_edit_of_a_spliced_callee_never_replays_its_stale_caller() {
     let unrelated = edited.replace("x * 2f", "x * 3f");
     db.edit("app.jl", &unrelated).unwrap();
     let before = db.stats();
-    let again = jit(&db).encode_semantic();
+    let again = jit(&db).encode();
     let d = db.stats().since(&before);
     assert_eq!((d.lower_executed, d.lower_reused), (0, 2), "{d:?}");
     assert_eq!(again, from_scratch(&unrelated));
@@ -101,5 +101,5 @@ fn a_callee_that_shrinks_under_the_limit_is_spliced_after_the_edit() {
     db.edit("app.jl", SRC).unwrap();
     let t = jit(&db);
     assert_eq!(calls(&t), 0, "apply is spliced now");
-    assert_eq!(t.encode_semantic(), from_scratch(SRC));
+    assert_eq!(t.encode(), from_scratch(SRC));
 }

@@ -3,8 +3,10 @@
 //!
 //! This is the translator's half of the two-tier artifact store. The
 //! `nir::codec` module frames and checksums bytes; this module knows what
-//! a translated program *carries* (bindings, mode, stats, MPI/GPU usage,
-//! warnings) and how to name it on disk or on the wire.
+//! a translated program *carries* (bindings, mode, translation counters,
+//! MPI/GPU usage, warnings; never the optimizer's pass profiles, which
+//! time one process's translation) and how to name it on disk or on the
+//! wire.
 //!
 //! Decoding is defensive end to end: a truncated, bit-flipped, or
 //! version-skewed artifact yields a typed [`CodecError`], and even a
@@ -94,60 +96,46 @@ nir::wire_struct!(TransConfig {
 
 // ---- Translated ⇄ bytes -------------------------------------------------
 
-/// `u64` slots after the pass profiles that every stored artifact carries
-/// as zeros (they held cache counters no artifact ever set). A non-zero
-/// one is rejected: it could not re-encode to the bytes it came from.
-const RETIRED_SLOTS: usize = 2;
-
 impl Translated {
     /// Serialize into a sealed (magic + version + checksum) byte artifact
-    /// suitable for the disk store or a rank-0 broadcast. The encoding is
-    /// deterministic: equal `Translated` values produce identical bytes,
-    /// and `encode(decode(x)) == x` bit-for-bit (the golden-fixture
-    /// property).
+    /// suitable for the disk store or a rank-0 broadcast. The bytes are a
+    /// pure function of what translation decided: two translations of
+    /// one program encode alike, in any process, and
+    /// `encode(decode(x)) == x` bit for bit (the golden-fixture
+    /// property). The optimizer's pass profiles are this process's
+    /// measurement, not part of the artifact.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(&self.stats)
-    }
-
-    /// Serialize with the pass profiles (wall times) stripped, so two
-    /// semantically equal translations — e.g. an incremental re-JIT and
-    /// a from-scratch translate at the same revision — produce
-    /// byte-identical output. This is the determinism contract the
-    /// incremental property tests assert.
-    pub fn encode_semantic(&self) -> Vec<u8> {
-        let stats = TransStats {
-            passes: Vec::new(),
-            ..self.stats.clone()
-        };
-        self.encode_with(&stats)
-    }
-
-    fn encode_with(&self, stats: &TransStats) -> Vec<u8> {
         let mut buf = codec::Sealer::new(0);
         let w: &mut Writer = &mut buf;
         self.program.put(w);
         self.entry.put(w);
         self.bindings.put(w);
         self.mode.put(w);
+        let stats = &self.stats;
         stats.specializations.put(w);
         stats.devirtualized_calls.put(w);
         stats.virtual_calls.put(w);
         stats.inlined_ctors.put(w);
         stats.inlined_calls.put(w);
         stats.kernels.put(w);
-        stats.passes.put(w);
-        for _ in 0..RETIRED_SLOTS {
-            0u64.put(w);
-        }
         self.uses_mpi.put(w);
         self.uses_gpu.put(w);
         self.warnings.put(w);
         buf.seal()
     }
 
+    /// [`encode`](Translated::encode), under the name the frozen
+    /// benchmark (`benchmark/`) still calls; ROADMAP item 4 (e) deletes it
+    /// with the next change to the benchmark.
+    #[doc(hidden)]
+    pub fn encode_semantic(&self) -> Vec<u8> {
+        self.encode()
+    }
+
     /// Decode a sealed artifact. Never panics on hostile input: framing,
     /// checksum, every discriminant, and finally [`Program::validate`]
-    /// all gate the result behind a typed [`CodecError`].
+    /// all gate the result behind a typed [`CodecError`]. The decoded
+    /// [`TransStats::passes`] is empty: no optimizer ran in this process.
     pub fn decode(bytes: &[u8]) -> CodecResult<Translated> {
         let r = &mut Reader::new(codec::unseal(bytes)?);
         let program = Program::get(r)?;
@@ -161,13 +149,8 @@ impl Translated {
             inlined_ctors: Wire::get(r)?,
             inlined_calls: Wire::get(r)?,
             kernels: Wire::get(r)?,
-            passes: Wire::get(r)?,
+            passes: Vec::new(),
         };
-        for _ in 0..RETIRED_SLOTS {
-            if u64::get(r)? != 0 {
-                return Err(r.corrupt("retired stats slot is not zero"));
-            }
-        }
         let uses_mpi = Wire::get(r)?;
         let uses_gpu = Wire::get(r)?;
         let warnings = Wire::get(r)?;
@@ -287,10 +270,12 @@ impl CacheKey {
     /// A stable string id for this key, usable as a filename or wire id.
     /// Derived from the canonical byte encoding of spec + config + hosts
     /// and the optimizer revision, digested twice with independent seeds
-    /// (128 bits total), and prefixed with the artifact format version so
-    /// stores never mix incompatible layouts. Equal keys fingerprint equally across
-    /// processes; the encoding (not Rust's `Hash`) is the source of
-    /// stability.
+    /// (128 bits total), behind the fixed `wj01-` prefix. The name does
+    /// not carry the artifact layout's version: a file written under
+    /// another layout keeps its name, is refused by the container's
+    /// version byte, and is replaced by the re-translation. Equal keys
+    /// fingerprint equally across processes; the encoding (not Rust's
+    /// `Hash`) is the source of stability.
     pub fn fingerprint(&self) -> String {
         let mut w = Writer::new();
         self.spec.put(&mut w);
@@ -313,7 +298,7 @@ impl CacheKey {
         let bytes = w.into_bytes();
         let a = codec::digest64(&bytes, 0x9E37_79B9_7F4A_7C15);
         let b = codec::digest64(&bytes, 0xC2B2_AE3D_27D4_EB4F);
-        format!("wj{:02}-{a:016x}{b:016x}", codec::VERSION)
+        format!("wj01-{a:016x}{b:016x}")
     }
 }
 

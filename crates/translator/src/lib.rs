@@ -832,30 +832,4 @@ mod tests {
         assert_eq!(out, Some(Val::F32(expected)));
         assert_eq!(expected, 10.0);
     }
-
-    #[test]
-    fn retired_stats_slots_decode_only_as_zero() {
-        use nir::codec::{self, CodecError, Wire, Writer};
-        let (_, t, _) = run_translated(Mode::Full, OptConfig::standard());
-        let payload = codec::unseal(&t.encode()).unwrap().to_vec();
-        // The two slots end where `uses_mpi`, `uses_gpu` and `warnings` begin.
-        let mut tail = Writer::new();
-        t.uses_mpi.put(&mut tail);
-        t.uses_gpu.put(&mut tail);
-        t.warnings.put(&mut tail);
-        let at = payload.len() - tail.into_bytes().len() - 16;
-        assert_eq!(payload[at..at + 16], [0; 16]);
-        for slot in [at, at + 8, at + 15] {
-            let mut bad = payload.clone();
-            bad[slot] = 1;
-            match Translated::decode(&codec::seal(&bad)) {
-                Err(CodecError::Corrupt { message, .. }) => {
-                    assert!(message.contains("retired"), "{message}")
-                }
-                other => panic!("non-zero slot byte {slot} decoded as {other:?}"),
-            }
-        }
-        let again = Translated::decode(&codec::seal(&payload)).unwrap();
-        assert_eq!(again.encode(), t.encode());
-    }
 }

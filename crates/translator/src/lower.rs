@@ -40,8 +40,10 @@ pub struct TransStats {
     pub inlined_ctors: u32,
     pub inlined_calls: u32,
     pub kernels: u32,
-    /// Per-pass wall time + instruction counts from the NIR optimizer —
-    /// the pass-level decomposition of Table 3's compile-time column.
+    /// Per-pass wall time + instruction counts of the NIR optimizer as it
+    /// ran in *this* process's translation — the pass-level decomposition
+    /// of Table 3's compile-time column. In memory only: an artifact does
+    /// not carry it, so a decoded one (a disk hit, a broadcast) has none.
     pub passes: Vec<nir::PassProfile>,
 }
 

@@ -37,10 +37,14 @@ const APP: &str = "
     }";
 
 fn fixture_path() -> PathBuf {
+    fixture("golden.wjar")
+}
+
+fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden.wjar")
+        .join(name)
 }
 
 fn translate_sample() -> Translated {
@@ -99,6 +103,106 @@ fn golden_fixture_decodes_bit_identically() {
     assert_eq!(decoded.entry, fresh.entry);
     assert_eq!(decoded.uses_mpi, fresh.uses_mpi);
     assert_eq!(decoded.uses_gpu, fresh.uses_gpu);
+}
+
+/// Two translations of one program in one process encode to the same
+/// bytes: the artifact holds what translation decided, not how long the
+/// optimizer took deciding it.
+#[test]
+fn encode_is_a_pure_function_of_the_translation() {
+    assert_eq!(translate_sample().encode(), translate_sample().encode());
+    let preset = JitOptions::wootinj().config.opt;
+    assert_eq!(diffusion(preset).encode(), diffusion(preset).encode());
+}
+
+/// The parent layout's `golden.wjar` (version 1: pass profiles and two
+/// zero slots in the payload), kept byte for byte: an artifact already on
+/// disk is version skew, which the disk tier counts as a decode failure,
+/// deletes and re-translates over.
+#[test]
+fn a_version_1_artifact_is_a_counted_disk_miss() {
+    use translator::{CacheKey, EntrySpec};
+    use wootinj::cache::{artifact_path, CacheBackend, DiskStore};
+
+    let v1 = std::fs::read(fixture("golden_v1.wjar")).unwrap();
+    assert_eq!(
+        Translated::decode(&v1).err(),
+        Some(CodecError::VersionSkew {
+            found: 1,
+            expected: VERSION
+        })
+    );
+
+    // The store: one decode failure, a miss, and the file gone.
+    let dir = TempDir::new("v1-store");
+    let key = CacheKey::new(
+        EntrySpec::Opaque {
+            class: jlang::types::ClassId(1),
+            method: 0,
+            arity: 2,
+        },
+        TransConfig::full(),
+        vec![],
+    );
+    let path = artifact_path(&dir.0, &key);
+    std::fs::write(&path, &v1).unwrap();
+    let mut store = DiskStore::open(&dir.0).unwrap();
+    assert!(store.lookup(&key).is_none());
+    let stats = store.stats();
+    assert_eq!((stats.decode_failures, stats.disk_misses), (1, 1));
+    assert!(!path.exists(), "the version-1 file is removed");
+
+    // The facade: a jit whose key holds a version-1 file translates cold
+    // and persists the same bytes as a jit into an empty store.
+    let dir = TempDir::new("v1-jit");
+    let table = build_table(&[("app.jl", APP)]).unwrap();
+    let jit_sample = || {
+        let mut env = WootinJ::new(&table).unwrap();
+        let stepper = env
+            .new_instance("Axpy", &[Value::Float(0.5), Value::Float(0.25)])
+            .unwrap();
+        let fix = env.new_instance("Fix", &[stepper]).unwrap();
+        let data = env.new_f32_array(&[1.0, 2.0, 3.0]);
+        let opts = JitOptions::wootinj().with_disk_cache(&dir.0);
+        env.jit(&fix, "run", &[data, Value::Int(2)], opts).unwrap();
+        env.cache_stats()
+    };
+    jit_sample();
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wjar"))
+        .collect();
+    assert_eq!(files.len(), 1);
+    let cold = std::fs::read(&files[0]).unwrap();
+    std::fs::write(&files[0], &v1).unwrap();
+    let stats = jit_sample();
+    assert_eq!(
+        (stats.decode_failures, stats.disk_hits, stats.translations),
+        (1, 0, 1)
+    );
+    assert_eq!(std::fs::read(&files[0]).unwrap(), cold);
+}
+
+/// A directory under the system temp dir, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "artifact-format-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -170,7 +274,7 @@ fn jit_options(opt: OptConfig) -> JitOptions {
 }
 
 fn digest_and_count(t: &Translated) -> (u64, usize) {
-    (nir::fnv1a64(&t.encode_semantic()), t.program.instr_count())
+    (nir::fnv1a64(&t.encode()), t.program.instr_count())
 }
 
 fn diffusion(opt: OptConfig) -> Arc<Translated> {
@@ -224,7 +328,7 @@ fn pipeline8(opt: OptConfig) -> Arc<Translated> {
         .translated
 }
 
-/// What the whole compile path produces, pinned: FNV-1a of the semantic
+/// What the whole compile path produces, pinned: FNV-1a of the
 /// artifact bytes and the optimized instruction count of three programs
 /// under the standard pipeline, under `aggressive()` (which reaches
 /// inlining, `sroa` and the post-SROA fold round) and under the
@@ -419,9 +523,8 @@ fn fuzz_payloads() -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// Seal `payload` and decode it: a typed error, or a valid artifact that
-/// re-encodes to exactly the sealed bytes. The one allowed difference is
-/// a pass name the mutation made unknown, which decodes as `"other"`.
-/// A panic is recorded in `failures`, not propagated.
+/// re-encodes to exactly the sealed bytes. A panic is recorded in
+/// `failures`, not propagated.
 fn check_resealed(payload: &[u8], case: &str, failures: &mut Vec<String>) -> bool {
     let sealed = nir::codec::seal(payload);
     match std::panic::catch_unwind(|| Translated::decode(&sealed)) {
@@ -434,10 +537,7 @@ fn check_resealed(payload: &[u8], case: &str, failures: &mut Vec<String>) -> boo
             if t.program.entry != Some(t.entry) {
                 failures.push(format!("{case}: decoded a mismatched entry"));
             }
-            let again = t.encode();
-            let renamed = t.stats.passes.iter().any(|p| p.pass == "other");
-            let stable = Translated::decode(&again).map(|u| u.encode()).as_ref() == Ok(&again);
-            if !(again == sealed || renamed && stable) {
+            if t.encode() != sealed {
                 failures.push(format!("{case}: decoded, but re-encodes to other bytes"));
             }
         }

@@ -14,7 +14,7 @@
 //! * appending a new class keeps existing class ids (and so item
 //!   fingerprints) stable, reusing every existing typeck memo;
 //! * a seeded property test applies random edit scripts and asserts the
-//!   incremental artifact is bit-identical (`encode_semantic`) to a
+//!   incremental artifact is bit-identical (`encode`) to a
 //!   from-scratch build of the same sources at every step;
 //! * bodies are shared between revisions, not copied: an edit that
 //!   changes nothing semantic leaves the snapshot alone, and after a
@@ -63,7 +63,7 @@ fn workspace(sources: &[(&str, &str)]) -> Workspace {
 }
 
 /// JIT `App.run([1, 2, 3])` in a fresh env over `ws` and return the
-/// result value plus the semantic artifact bytes and the per-jit query
+/// result value plus the artifact bytes and the per-jit query
 /// delta.
 fn jit_app(ws: &Workspace) -> (Option<Val>, Vec<u8>, QueryStats) {
     let mut env = ws.env().unwrap();
@@ -77,7 +77,7 @@ fn jit_app(ws: &Workspace) -> (Option<Val>, Vec<u8>, QueryStats) {
     let result = code.invoke(&env).unwrap().result;
     (
         result,
-        code.translated.encode_semantic(),
+        code.translated.encode(),
         code.query_stats(),
     )
 }
