@@ -344,25 +344,25 @@ fn compile_path_output_is_pinned() {
         (
             "diffusion",
             diffusion,
-            (0xb02f_86ef_2560_0d91, 172),
-            (0x9a56_f497_a9ac_d105, 296),
-            (0x9a56_f497_a9ac_d105, 296),
+            (0xa23d_dd85_0e8a_6c8a, 172),
+            (0xab59_f586_88a8_7547, 296),
+            (0xab59_f586_88a8_7547, 296),
         ),
         (
             "matmul-fox",
             matmul_fox,
-            (0xd2ea_789f_343b_8ad4, 157),
-            (0x6408_bd1d_f569_8cf6, 225),
-            (0x6408_bd1d_f569_8cf6, 225),
+            (0x4019_9b89_0e87_dde4, 157),
+            (0x3243_fb92_5ecc_4dc3, 225),
+            (0x3243_fb92_5ecc_4dc3, 225),
         ),
         // Fully flattened already: `aggressive()` finds nothing to inline
         // or scalar-replace, so every level pins the same program.
         (
             "pipeline8",
             pipeline8,
-            (0xca8c_6036_d129_bfe1, 7882),
-            (0xca8c_6036_d129_bfe1, 7882),
-            (0xca8c_6036_d129_bfe1, 7882),
+            (0x070a_1fe6_076f_f4f7, 7882),
+            (0x070a_1fe6_076f_f4f7, 7882),
+            (0x070a_1fe6_076f_f4f7, 7882),
         ),
     ];
     let mut moved = Vec::new();
