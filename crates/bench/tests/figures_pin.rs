@@ -5,8 +5,8 @@
 //! byte.
 //!
 //! Left out: the experiments that report wall time (`tab3`,
-//! `tab3-amortized`, `pass-profile`, `backend-matrix`, `wallclock`,
-//! `incremental`, `service`), whose JSON varies run to run, and `dist`,
+//! `tab3-amortized`, `pass-profile`, `wallclock`, `incremental`,
+//! `service`), whose JSON varies run to run, and `dist`,
 //! which re-executes the current binary as a rank worker and so runs only
 //! under `repro`.
 //!
@@ -67,7 +67,7 @@ fn tables_ablations_and_extension_are_pinned() {
 
 #[test]
 fn robustness_gates_are_pinned() {
-    check(&["fault-matrix", "restart-cost", "chaos"]);
+    check(&["fault-matrix", "restart-cost", "chaos", "backend-matrix"]);
 }
 
 #[test]
@@ -76,7 +76,7 @@ fn the_fixture_has_one_line_per_pinned_experiment() {
         .lines()
         .map(|l| l.split(' ').next().unwrap())
         .collect();
-    assert_eq!(ids.len(), 25, "{ids:?}");
+    assert_eq!(ids.len(), 26, "{ids:?}");
     let mut unique = ids.clone();
     unique.sort();
     unique.dedup();

@@ -14,8 +14,9 @@
 //!
 //! `invoke` drives the translated program on the `exec` engine through the
 //! `mpi-sim` world (which also hosts single-rank and GPU runs), and
-//! returns a [`RunReport`] with both wall-clock and deterministic
-//! virtual-time metrics. `run_interpreted` runs the same composed
+//! returns a [`RunReport`] with results and deterministic virtual-time
+//! metrics (wall time is the caller's to measure; a translation's is
+//! [`JitCode::compile_time`]). `run_interpreted` runs the same composed
 //! application on the `jvm` interpreter — the paper's *Java* series.
 
 #![forbid(unsafe_code)]
@@ -330,12 +331,10 @@ impl<'t> WootinJ<'t> {
         args: &[Value],
     ) -> WjResult<JavaRunReport> {
         let steps_before = self.jvm.steps;
-        let start = Instant::now();
         let result = self.jvm.call(recv, method, args)?;
         Ok(JavaRunReport {
             result,
             steps: self.jvm.steps - steps_before,
-            wall: start.elapsed(),
         })
     }
 
@@ -892,7 +891,6 @@ impl JitCode {
             // exercised through the thread path with one env var.
             executor: self.executor.from_env_or(),
         };
-        let start = Instant::now();
         let mut make_args = |_: u32, machine: &mut exec::Machine| {
             bind_entry_args(
                 &env.jvm,
@@ -904,7 +902,6 @@ impl JitCode {
             .map_err(|e| e.message)
         };
         let run = platform.run(req, &mut make_args).map_err(WjError::Sim)?;
-        let wall = start.elapsed();
         // Fold the jit-side degradation into the run's resilience view,
         // so one struct answers "what did the stack absorb this run".
         let mut resilience = run.resilience;
@@ -916,7 +913,6 @@ impl JitCode {
             results: run.ranks.iter().map(|r| r.result).collect(),
             vtime_cycles: run.vtime,
             total_cycles: run.total_cycles,
-            wall,
             outputs: run.ranks.iter().map(|r| r.output.clone()).collect(),
             resilience,
             restart: run.restart,
@@ -944,7 +940,7 @@ pub struct PerRank {
     pub gpu_time: u64,
 }
 
-/// The outcome of `invoke()`: results plus both timing domains.
+/// The outcome of `invoke()`: results plus virtual-time accounting.
 pub struct RunReport {
     /// Rank 0's return value.
     pub result: Option<Val>,
@@ -953,9 +949,6 @@ pub struct RunReport {
     pub vtime_cycles: u64,
     /// Total executed cycles across ranks.
     pub total_cycles: u64,
-    /// Host wall-clock time of the simulation run (the translation's is
-    /// [`JitCode::compile_time`]).
-    pub wall: Duration,
     /// Per-rank `WJ.print*` output.
     pub outputs: Vec<Vec<String>>,
     /// Aggregated fault/retry/degrade counters for this run (all-zero
@@ -975,7 +968,6 @@ pub struct JavaRunReport {
     pub result: Value,
     /// Deterministic interpreter steps (the Java-series work metric).
     pub steps: u64,
-    pub wall: Duration,
 }
 
 #[cfg(test)]
