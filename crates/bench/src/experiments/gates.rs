@@ -795,14 +795,8 @@ pub(super) fn backend_matrix(quick: bool) -> Figure {
     }
     fig.note("kernel-agree covers the global_kernels-capable platforms (gpu-sim, mpi-sim)");
 
-    fig.series.extend([
-        agree,
-        recovered,
-        restarts,
-        vtime,
-        parallelism,
-        kernel,
-    ]);
+    fig.series
+        .extend([agree, recovered, restarts, vtime, parallelism, kernel]);
     fig
 }
 

@@ -505,10 +505,7 @@ fn db_and_legacy_envs_use_disjoint_key_namespaces() {
     );
 
     // Different namespaces, identical semantics.
-    assert_eq!(
-        legacy_code.translated.encode(),
-        db_code.translated.encode()
-    );
+    assert_eq!(legacy_code.translated.encode(), db_code.translated.encode());
     assert_eq!(
         legacy_code.invoke(&legacy).unwrap().result,
         db_code.invoke(&env).unwrap().result

@@ -75,11 +75,7 @@ fn jit_app(ws: &Workspace) -> (Option<Val>, Vec<u8>, QueryStats) {
         .jit(&app, "run", &[data], JitOptions::wootinj())
         .unwrap();
     let result = code.invoke(&env).unwrap().result;
-    (
-        result,
-        code.translated.encode(),
-        code.query_stats(),
-    )
+    (result, code.translated.encode(), code.query_stats())
 }
 
 /// From-scratch reference: a brand-new workspace over the same sources.
