@@ -1,8 +1,8 @@
 //! # dist — the socket-backed distributed backend
 //!
 //! One OS process per rank over loopback TCP, driven by the *same*
-//! transport-agnostic rank runtime ([`mpi_sim::runtime`]) that powers
-//! the in-process `mpi-sim` backend. The coordinator (rank-0 side) is
+//! rank runtime ([`mpi_sim::runtime`]) that powers the in-process
+//! `mpi-sim` backend. The coordinator (rank-0 side) is
 //! the rendezvous point and spawner: it binds an ephemeral loopback
 //! port, launches one worker per rank, seeds each worker's initial
 //! state from its own argument builder (so initialization is
@@ -16,13 +16,17 @@
 //! `dist` world is bit-identical to an `mpi-sim` world of the same
 //! size on every workload — the conformance suite holds it to that.
 //!
+//! The world's settings are an [`mpi_sim::World`]'s: a [`RemotePool`]
+//! is built from one, and [`World::run_on`] drives it.
+//!
 //! Crash recovery is inherited whole: a worker process that dies
 //! mid-protocol surfaces as a typed [`SimError::Crash`] for its rank,
-//! and `run_with_restart` rolls every rank back to the last
+//! and a run with a checkpoint policy rolls every rank back to the last
 //! collective-boundary delta checkpoint, respawns the dead process,
 //! and resumes.
 //!
 //! [`LocalPool`]: mpi_sim::LocalPool
+//! [`World::run_on`]: mpi_sim::World::run_on
 
 #![forbid(unsafe_code)]
 
@@ -37,15 +41,13 @@ use std::time::{Duration, Instant};
 
 use exec::ckpt::chain::Section;
 use exec::ckpt::{self, CkptError};
-use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
-use gpu_sim::GpuConfig;
+use exec::{MsgFault, ResilienceStats, TransportFault, Val};
 use mpi_sim::{
-    read_frame, run_world, run_world_with_restart, write_frame, ArgBuilder, CheckpointPolicy,
-    CostModel, DeviceOutcome, InMemTransport, RankCtl, RankOutcome, RankPool, RankSnapshot,
-    RankYield, RunCfg, Schedule, SimError, TransportError, WorldRun, DEFAULT_FAULT_TIMEOUT_ROUNDS,
+    read_frame, write_frame, ArgBuilder, DeviceOutcome, RankCtl, RankOutcome, RankPool,
+    RankSnapshot, RankYield, SimError, TransportError, World,
 };
 use nir::codec::{Reader, Wire};
-use nir::{FuncId, Program};
+use nir::FuncId;
 
 use proto::{Request, Resp, WarmProgram, PROTO_VERSION};
 
@@ -114,15 +116,15 @@ impl Worker {
 
 /// The distributed rank pool: the coordinator-side half of the
 /// [`RankPool`] seam. Owns the rendezvous listener, the worker
-/// connections, and the chaos knobs.
+/// connections, and the chaos knobs; everything else it reads from its
+/// [`World`] (foreign function pointers excepted: they cannot cross a
+/// process boundary, so the world's host registry stays unused).
 pub struct RemotePool<'p, 'a> {
-    program: &'p Program,
+    /// Program, size, device and fault plan of every rank.
+    world: &'a World<'p>,
     program_bytes: Vec<u8>,
-    size: u32,
     entry: FuncId,
     make_args: ArgBuilder<'a>,
-    gpu: Option<GpuConfig>,
-    fault: Option<FaultConfig>,
     launch: Launch,
     listener: TcpListener,
     port: u16,
@@ -153,17 +155,14 @@ fn world_err(message: impl Into<String>) -> SimError {
 }
 
 impl<'p, 'a> RemotePool<'p, 'a> {
-    #[allow(clippy::too_many_arguments)] // mirrors LocalPool::new plus the launch/chaos knobs
+    /// `world`'s ranks in workers started by `launch`, each entering
+    /// `entry` with the arguments `make_args` builds (coordinator-side,
+    /// into the rank's memory, then shipped as its first restore).
     pub fn new(
-        program: &'p Program,
-        size: u32,
+        world: &'a World<'p>,
         entry: FuncId,
         make_args: ArgBuilder<'a>,
-        gpu: Option<GpuConfig>,
-        fault: Option<FaultConfig>,
         launch: Launch,
-        kill_rank_after: Option<(u32, u64)>,
-        warm_dir: Option<PathBuf>,
     ) -> Result<Self, SimError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))
             .map_err(|e| world_err(format!("dist: binding rendezvous port: {e}")))?;
@@ -171,62 +170,67 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             .local_addr()
             .map_err(|e| world_err(format!("dist: rendezvous address: {e}")))?
             .port();
-        let program_bytes = program.to_wire();
+        let program_bytes = world.program.to_wire();
         let program_digest = nir::digest64(&program_bytes, WARM_DIGEST_SEED);
         Ok(RemotePool {
-            program,
+            world,
             program_bytes,
-            size,
             entry,
             make_args,
-            gpu,
-            fault,
             launch,
             listener,
             port,
             token: fresh_token(),
-            workers: (0..size).map(|_| None).collect(),
-            kill_rank_after,
-            warm_dir,
+            workers: (0..world.size).map(|_| None).collect(),
+            kill_rank_after: None,
+            warm_dir: None,
             program_digest,
             overlapped_rounds: 0,
         })
     }
 
+    /// Share the program image with spawned workers through `dir`
+    /// instead of streaming it inline over the Init frame: the
+    /// coordinator persists it once (content-addressed by digest) and
+    /// every worker — including respawns after a crash — loads and
+    /// digest-verifies it from disk. A worker that cannot resolve the
+    /// warm reference answers a typed error and the coordinator falls
+    /// back to the inline image automatically.
+    pub fn with_warm_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.warm_dir = Some(dir.into());
+        self
+    }
+
+    /// Chaos knob: kill `rank`'s worker after it has served
+    /// `run_slices` slices. Consumed by the first spawn only, so the
+    /// respawned worker survives and recovery completes.
+    pub fn kill_rank_after(mut self, rank: u32, run_slices: u64) -> Self {
+        self.kill_rank_after = Some((rank, run_slices));
+        self
+    }
+
     /// Persist the program image into the warm directory (idempotent:
-    /// the file is content-addressed by digest, written temp-then-rename
-    /// so concurrent coordinators sharing the directory never tear it).
-    /// Returns the warm reference to ship, or `None` when persistence
-    /// failed — the caller then ships the program inline, untyped
-    /// I/O trouble degrades, it never breaks the world.
+    /// the file is content-addressed by digest and written with
+    /// [`mpi_sim::write_atomic`], so concurrent coordinators sharing the
+    /// directory never tear it). Returns the warm reference to ship, or
+    /// `None` when persistence failed — the caller then ships the
+    /// program inline: I/O trouble degrades, it never breaks the world.
     fn publish_warm_program(&self) -> Option<WarmProgram> {
         let dir = self.warm_dir.as_deref()?;
         let path = warm_program_path(dir, self.program_digest);
-        let warm = WarmProgram {
+        if !path.is_file() {
+            std::fs::create_dir_all(dir).ok()?;
+            mpi_sim::write_atomic(&path, &self.program_bytes).ok()?;
+        }
+        Some(WarmProgram {
             dir: dir.to_string_lossy().into_owned(),
             digest: self.program_digest,
-        };
-        if path.is_file() {
-            return Some(warm);
-        }
-        std::fs::create_dir_all(dir).ok()?;
-        let tmp = dir.join(format!(
-            ".tmp-{}-{:016x}.wprog",
-            std::process::id(),
-            self.program_digest
-        ));
-        if std::fs::write(&tmp, &self.program_bytes).is_ok() && std::fs::rename(&tmp, &path).is_ok()
-        {
-            Some(warm)
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-            None
-        }
+        })
     }
 
     /// Spawn + rendezvous + `Init` every rank that has no live worker.
     fn ensure_workers(&mut self) -> Result<(), SimError> {
-        let missing: Vec<u32> = (0..self.size)
+        let missing: Vec<u32> = (0..self.world.size)
             .filter(|&r| self.workers[r as usize].is_none())
             .collect();
         if missing.is_empty() {
@@ -258,15 +262,15 @@ impl<'p, 'a> RemotePool<'p, 'a> {
         let init_req = |pool: &Self, kill: Option<u64>, warm: Option<WarmProgram>| {
             let inline = warm.is_none();
             Request::Init {
-                size: pool.size,
+                size: pool.world.size,
                 entry: pool.entry.0,
                 program: if inline {
                     pool.program_bytes.clone()
                 } else {
                     Vec::new()
                 },
-                fault: pool.fault.map(Box::new),
-                gpu: pool.gpu,
+                fault: pool.world.fault.map(Box::new),
+                gpu: pool.world.gpu,
                 kill_after_runs: kill,
                 warm,
             }
@@ -505,21 +509,13 @@ impl RankPool for RemotePool<'_, '_> {
         // same argument builder, same fault derivation, same machine
         // layout — and ship them over as restores. A dist cold start is
         // therefore byte-identical to an mpi-sim cold start.
-        let mut seed = mpi_sim::LocalPool::new(
-            self.program,
-            self.size,
-            self.entry,
-            &mut *self.make_args,
-            self.gpu,
-            self.fault,
-            None,
-        );
+        let mut seed = mpi_sim::LocalPool::new(self.world, self.entry, &mut *self.make_args);
         seed.reinit()?;
-        let snaps: Vec<RankSnapshot> = (0..self.size)
+        let snaps: Vec<RankSnapshot> = (0..self.world.size)
             .map(|r| seed.capture_rank(r))
             .collect::<Result<_, _>>()?;
         drop(seed);
-        let reqs: Vec<(u32, Request)> = (0..self.size)
+        let reqs: Vec<(u32, Request)> = (0..self.world.size)
             .zip(snaps)
             .map(|(r, snap)| {
                 let n_arrays = snap.sections.len() - 2 - usize::from(snap.has_gpu);
@@ -634,7 +630,7 @@ impl RankPool for RemotePool<'_, '_> {
 
     fn has_fault_plan(&self, r: u32) -> bool {
         let _ = r;
-        self.fault.is_some()
+        self.world.fault.is_some()
     }
 
     fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
@@ -802,166 +798,5 @@ impl Drop for RemotePool<'_, '_> {
         for worker in self.workers.iter_mut().filter_map(Option::take) {
             worker.dispose();
         }
-    }
-}
-
-/// A distributed world: the `dist` analogue of [`mpi_sim::World`],
-/// mirroring its builder surface (no host FFI — foreign function
-/// pointers cannot cross a process boundary).
-pub struct DistWorld<'p> {
-    pub program: &'p Program,
-    pub size: u32,
-    pub cost: CostModel,
-    pub gpu: Option<GpuConfig>,
-    pub slice: u64,
-    pub fault: Option<FaultConfig>,
-    pub timeout_rounds: Option<u64>,
-    pub schedule: Schedule,
-    pub ckpt_salt: u64,
-    launch: Launch,
-    kill_rank_after: Option<(u32, u64)>,
-    warm_dir: Option<PathBuf>,
-}
-
-impl<'p> DistWorld<'p> {
-    pub fn new(program: &'p Program, size: u32) -> Self {
-        DistWorld {
-            program,
-            size,
-            cost: CostModel::default(),
-            gpu: None,
-            slice: 4_000_000,
-            fault: None,
-            timeout_rounds: None,
-            schedule: Schedule::RankOrder,
-            ckpt_salt: 0,
-            launch: Launch::Threads,
-            kill_rank_after: None,
-            warm_dir: None,
-        }
-    }
-
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    pub fn with_gpu(mut self, gpu: GpuConfig) -> Self {
-        self.gpu = Some(gpu);
-        self
-    }
-
-    /// Enable deterministic fault injection — same semantics as
-    /// [`mpi_sim::World::with_faults`], including the timeout backstop.
-    pub fn with_faults(mut self, fault: FaultConfig) -> Self {
-        self.fault = Some(fault);
-        self.timeout_rounds
-            .get_or_insert(DEFAULT_FAULT_TIMEOUT_ROUNDS);
-        self
-    }
-
-    pub fn with_timeout(mut self, rounds: u64) -> Self {
-        self.timeout_rounds = Some(rounds);
-        self
-    }
-
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Stamp checkpoints with a platform namespace salt (see
-    /// [`mpi_sim::World::with_ckpt_salt`]).
-    pub fn with_ckpt_salt(mut self, salt: u64) -> Self {
-        self.ckpt_salt = salt;
-        self
-    }
-
-    /// Choose how rank workers are launched (default:
-    /// [`Launch::Threads`]).
-    pub fn with_launch(mut self, launch: Launch) -> Self {
-        self.launch = launch;
-        self
-    }
-
-    /// Share the program image with spawned workers through `dir`
-    /// instead of streaming it inline over the Init frame: the
-    /// coordinator persists it once (content-addressed by digest,
-    /// temp-then-rename) and every worker — including respawns after a
-    /// crash — loads and digest-verifies it from disk. A worker that
-    /// cannot resolve the warm reference answers a typed error and the
-    /// coordinator falls back to the inline image automatically.
-    pub fn with_warm_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.warm_dir = Some(dir.into());
-        self
-    }
-
-    /// Chaos knob: kill `rank`'s worker after it has served
-    /// `run_slices` slices. Consumed by the first spawn only, so the
-    /// respawned worker survives and recovery completes.
-    pub fn kill_rank_after(mut self, rank: u32, run_slices: u64) -> Self {
-        self.kill_rank_after = Some((rank, run_slices));
-        self
-    }
-
-    fn run_cfg(&self) -> RunCfg {
-        RunCfg {
-            size: self.size,
-            cost: self.cost,
-            slice: self.slice,
-            timeout_rounds: self.timeout_rounds,
-            schedule: self.schedule,
-            ckpt_salt: self.ckpt_salt,
-        }
-    }
-
-    fn pool<'a>(&self, make_args: ArgBuilder<'a>) -> Result<RemotePool<'p, 'a>, SimError> {
-        RemotePool::new(
-            self.program,
-            self.size,
-            FuncId(0), // overwritten below; entry is per-run
-            make_args,
-            self.gpu,
-            self.fault,
-            self.launch.clone(),
-            self.kill_rank_after,
-            self.warm_dir.clone(),
-        )
-    }
-
-    /// Run `entry` on every rank — the distributed analogue of
-    /// [`mpi_sim::World::run`], bit-identical to it by construction.
-    pub fn run(
-        &self,
-        entry: FuncId,
-        mut make_args: impl FnMut(u32, &mut exec::Machine) -> Result<Vec<Val>, String>,
-    ) -> Result<WorldRun, SimError> {
-        let mut pool = self.pool(&mut make_args)?;
-        pool.entry = entry;
-        let mut transport = InMemTransport::new();
-        run_world(&self.run_cfg(), &mut pool, &mut transport)
-    }
-
-    /// Run with collective-boundary checkpoints and crash recovery —
-    /// the distributed analogue of [`mpi_sim::World::run_with_restart`].
-    /// A worker process that dies mid-run is respawned and rolled back
-    /// with everyone else.
-    pub fn run_with_restart(
-        &self,
-        entry: FuncId,
-        mut make_args: impl FnMut(u32, &mut exec::Machine) -> Result<Vec<Val>, String>,
-        policy: &CheckpointPolicy,
-        max_restarts: u32,
-    ) -> Result<WorldRun, SimError> {
-        let mut pool = self.pool(&mut make_args)?;
-        pool.entry = entry;
-        let mut transport = InMemTransport::new();
-        run_world_with_restart(
-            &self.run_cfg(),
-            &mut pool,
-            &mut transport,
-            policy,
-            max_restarts,
-        )
     }
 }

@@ -17,7 +17,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use exec::{FaultRng, Machine, Val};
-use mpi_sim::{read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError};
+use mpi_sim::{
+    read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError, World,
+};
 use nir::codec::Wire;
 use nir::{FuncId, Program};
 
@@ -233,15 +235,12 @@ pub fn serve_on(
     let mut no_args = |_: u32, _: &mut Machine| -> Result<Vec<Val>, String> {
         Err("dist worker: rank state is seeded by the coordinator".into())
     };
-    let mut pool = LocalPool::new(
-        &program,
-        size,
-        FuncId(entry),
-        &mut no_args,
-        gpu,
-        fault.map(|b| *b),
-        None,
-    );
+    // The slice of the coordinator's world the rank engine reads; the
+    // scheduling settings stay with the coordinator.
+    let mut world = World::new(&program, size);
+    world.gpu = gpu;
+    world.fault = fault.map(|b| *b);
+    let mut pool = LocalPool::new(&world, FuncId(entry), &mut no_args);
     // Ack Init: the coordinator blocks on this before seeding state.
     write_frame(&mut stream, &proto::encode_resp(&Resp::Ok))?;
     serve_pool(

@@ -5,10 +5,15 @@
 //! collective-boundary checkpoint chain with a typed outcome — no
 //! panic, no hang (every wire wait is deadline-bounded).
 
-use dist::{warm_program_path, DistWorld, Launch, WARM_DIGEST_SEED};
+use dist::{warm_program_path, Launch, RemotePool, WARM_DIGEST_SEED};
+use exec::ckpt::chain::Section;
+use exec::{CkptError, FaultConfig, Machine, MsgFault, ResilienceStats, TransportFault, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use mpi_sim::{SimError, World};
+use mpi_sim::{
+    CheckpointPolicy, CostModel, DeviceOutcome, LocalPool, RankCtl, RankOutcome, RankPool,
+    RankSnapshot, RankYield, Schedule, SimError, World, WorldRun,
+};
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Program, Ty};
 use std::path::PathBuf;
 
@@ -36,6 +41,18 @@ fn worker_launch() -> Launch {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_wj-dist-worker")),
         args: vec![],
     }
+}
+
+/// Every rank enters with no arguments.
+fn no_args(_: u32, _: &mut Machine) -> Result<Vec<Val>, String> {
+    Ok(vec![])
+}
+
+/// `world` on rank workers started by `launch`, without checkpoints.
+fn run_remote(world: &World<'_>, entry: FuncId, launch: Launch) -> Result<WorldRun, SimError> {
+    let mut args = no_args;
+    let mut pool = RemotePool::new(world, entry, &mut args, launch)?;
+    world.run_on(&mut pool, None)
 }
 
 /// The reference workload: each step, every rank passes its buffer
@@ -310,11 +327,8 @@ fn assert_runs_identical(a: &mpi_sim::WorldRun, b: &mpi_sim::WorldRun, what: &st
 fn process_ranks_are_bit_identical_to_mpi_sim_at_2_4_and_8() {
     let (p, entry) = ring_step_reduce(8, 6);
     for size in [2u32, 4, 8] {
-        let local = World::new(&p, size).run(entry, |_, _| Ok(vec![])).unwrap();
-        let remote = DistWorld::new(&p, size)
-            .with_launch(worker_launch())
-            .run(entry, |_, _| Ok(vec![]))
-            .unwrap();
+        let local = World::new(&p, size).run(entry, no_args).unwrap();
+        let remote = run_remote(&World::new(&p, size), entry, worker_launch()).unwrap();
         assert_runs_identical(&local, &remote, &format!("size {size}"));
     }
 }
@@ -324,8 +338,8 @@ fn thread_workers_speak_the_same_wire_protocol() {
     // Launch::Threads runs the identical framed protocol over real
     // loopback sockets — same INIT program bytes, same restores.
     let (p, entry) = ring_step_reduce(4, 3);
-    let local = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
-    let remote = DistWorld::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    let local = World::new(&p, 4).run(entry, no_args).unwrap();
+    let remote = run_remote(&World::new(&p, 4), entry, Launch::Threads).unwrap();
     assert_runs_identical(&local, &remote, "threads");
 }
 
@@ -333,11 +347,16 @@ fn thread_workers_speak_the_same_wire_protocol() {
 fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
     let scratch = ScratchDir::new("warm");
     let (p, entry) = ring_step_reduce(8, 4);
-    let local = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
-    let world = DistWorld::new(&p, 4)
-        .with_launch(worker_launch())
-        .with_warm_dir(&scratch.0);
-    let first = world.run(entry, |_, _| Ok(vec![])).unwrap();
+    let world = World::new(&p, 4);
+    let local = world.run(entry, no_args).unwrap();
+    let warm_run = || {
+        let mut args = no_args;
+        let mut pool = RemotePool::new(&world, entry, &mut args, worker_launch())
+            .unwrap()
+            .with_warm_dir(&scratch.0);
+        world.run_on(&mut pool, None).unwrap()
+    };
+    let first = warm_run();
     assert_runs_identical(&local, &first, "warm first boot");
 
     // Exactly one content-addressed image on disk, digest-verifiable.
@@ -358,11 +377,7 @@ fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
     // A second world over the same directory boots warm — no re-publish
     // (mtime untouched) and still bit-identical results.
     let stamp = std::fs::metadata(&images[0]).unwrap().modified().unwrap();
-    let second = DistWorld::new(&p, 4)
-        .with_launch(worker_launch())
-        .with_warm_dir(&scratch.0)
-        .run(entry, |_, _| Ok(vec![]))
-        .unwrap();
+    let second = warm_run();
     assert_runs_identical(&local, &second, "warm restart");
     assert_eq!(
         std::fs::metadata(&images[0]).unwrap().modified().unwrap(),
@@ -375,14 +390,21 @@ fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
 fn a_corrupt_warm_image_falls_back_to_inline_init() {
     let scratch = ScratchDir::new("warm-corrupt");
     let (p, entry) = ring_step_reduce(6, 3);
-    let local = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    let world = World::new(&p, 4);
+    let local = world.run(entry, no_args).unwrap();
+    let warm_run = |launch: Launch| {
+        let mut args = no_args;
+        let mut pool = RemotePool::new(&world, entry, &mut args, launch)
+            .unwrap()
+            .with_warm_dir(&scratch.0);
+        world.run_on(&mut pool, None).unwrap()
+    };
 
     // Publish the warm image with a clean probe run, then overwrite it
     // with garbage at the exact path the coordinator will advertise:
     // workers digest-verify, answer a typed Err, and the coordinator
     // must re-Init inline — the run still completes bit-identically.
-    let probe = DistWorld::new(&p, 4).with_warm_dir(&scratch.0);
-    let good = probe.run(entry, |_, _| Ok(vec![])).unwrap();
+    let good = warm_run(Launch::Threads);
     assert_runs_identical(&local, &good, "probe run");
     let images: Vec<_> = std::fs::read_dir(&scratch.0)
         .unwrap()
@@ -392,11 +414,7 @@ fn a_corrupt_warm_image_falls_back_to_inline_init() {
     assert_eq!(images.len(), 1);
     std::fs::write(&images[0], b"not a program image").unwrap();
 
-    let run = DistWorld::new(&p, 4)
-        .with_launch(worker_launch())
-        .with_warm_dir(&scratch.0)
-        .run(entry, |_, _| Ok(vec![]))
-        .unwrap();
+    let run = warm_run(worker_launch());
     assert_runs_identical(&local, &run, "corrupt warm image fallback");
 }
 
@@ -452,11 +470,12 @@ fn connect_retry_is_bounded_seeded_and_survives_a_late_listener() {
 #[test]
 fn a_killed_rank_process_fails_typed_without_checkpoints() {
     let (p, entry) = ring_step_reduce(8, 6);
-    let err = DistWorld::new(&p, 4)
-        .with_launch(worker_launch())
-        .kill_rank_after(2, 5)
-        .run(entry, |_, _| Ok(vec![]))
-        .unwrap_err();
+    let world = World::new(&p, 4);
+    let mut args = no_args;
+    let mut pool = RemotePool::new(&world, entry, &mut args, worker_launch())
+        .unwrap()
+        .kill_rank_after(2, 5);
+    let err = world.run_on(&mut pool, None).unwrap_err();
     match err {
         SimError::Crash { rank, .. } => assert_eq!(rank, 2, "the killed rank is attributed"),
         other => panic!("expected a typed Crash for the killed worker, got: {other}"),
@@ -466,14 +485,15 @@ fn a_killed_rank_process_fails_typed_without_checkpoints() {
 #[test]
 fn a_killed_rank_process_recovers_through_the_checkpoint_chain() {
     let (p, entry) = ring_step_reduce(8, 6);
-    let clean = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    let world = World::new(&p, 4);
+    let clean = world.run(entry, no_args).unwrap();
 
-    let policy = mpi_sim::CheckpointPolicy::every(1);
-    let run = DistWorld::new(&p, 4)
-        .with_launch(worker_launch())
-        .kill_rank_after(1, 6)
-        .run_with_restart(entry, |_, _| Ok(vec![]), &policy, 4)
-        .unwrap();
+    let policy = CheckpointPolicy::every(1);
+    let mut args = no_args;
+    let mut pool = RemotePool::new(&world, entry, &mut args, worker_launch())
+        .unwrap()
+        .kill_rank_after(1, 6);
+    let run = world.run_on(&mut pool, Some((&policy, 4))).unwrap();
     assert!(
         run.restart.restarts >= 1,
         "the kill must actually force a restart (restarts = {})",
@@ -488,4 +508,168 @@ fn a_killed_rank_process_recovers_through_the_checkpoint_chain() {
             "rank {r} result diverged after recovery"
         );
     }
+}
+
+/// The counters of a run that the simulation decides, without the two a
+/// remote pool adds on its own: wall-clock re-dials and RPC fan-outs.
+fn simulated(mut s: ResilienceStats) -> ResilienceStats {
+    s.connect_retries = 0;
+    s.overlapped_rounds = 0;
+    s
+}
+
+/// A pool that records, round by round, the order its slices' yields
+/// come back in: the order the scheduler services them in. Results do
+/// not depend on it (by construction), so only this record shows a pool
+/// that drops the world's schedule.
+struct Traced<P> {
+    inner: P,
+    rounds: Vec<Vec<u32>>,
+}
+
+impl<P: RankPool> RankPool for Traced<P> {
+    fn reinit(&mut self) -> Result<(), SimError> {
+        self.inner.reinit()
+    }
+    fn prepare_resume(&mut self) -> Result<(), SimError> {
+        self.inner.prepare_resume()
+    }
+    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
+        self.inner.run_slice(r, slice)
+    }
+    fn run_slices(
+        &mut self,
+        ranks: &[u32],
+        slice: u64,
+    ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
+        let out = self.inner.run_slices(ranks, slice)?;
+        self.rounds.push(out.iter().map(|(r, _, _)| *r).collect());
+        Ok(out)
+    }
+    fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError> {
+        self.inner.resume(r, v)
+    }
+    fn service_device(&mut self, r: u32) -> Result<DeviceOutcome, SimError> {
+        self.inner.service_device(r)
+    }
+    fn service_host(&mut self, r: u32) -> Result<u64, SimError> {
+        self.inner.service_host(r)
+    }
+    fn read_floats(
+        &mut self,
+        r: u32,
+        buf: u32,
+        off: usize,
+        count: usize,
+    ) -> Result<Vec<f32>, SimError> {
+        self.inner.read_floats(r, buf, off, count)
+    }
+    fn write_floats(
+        &mut self,
+        r: u32,
+        buf: u32,
+        off: usize,
+        payload: &[f32],
+    ) -> Result<(), SimError> {
+        self.inner.write_floats(r, buf, off, payload)
+    }
+    fn location(&mut self, r: u32) -> Option<(String, u32)> {
+        self.inner.location(r)
+    }
+    fn has_fault_plan(&self, r: u32) -> bool {
+        self.inner.has_fault_plan(r)
+    }
+    fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
+        self.inner.message_fault(r)
+    }
+    fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
+        self.inner.collective_fault(r)
+    }
+    fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError> {
+        self.inner.transport_fault(r)
+    }
+    fn connect_delay(&mut self, r: u32) -> Result<u64, SimError> {
+        self.inner.connect_delay(r)
+    }
+    fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError> {
+        self.inner.ckpt_write_fails(r)
+    }
+    fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
+        self.inner.capture_rank(r)
+    }
+    fn restore_rank(
+        &mut self,
+        r: u32,
+        last_cycles: u64,
+        has_gpu: bool,
+        n_arrays: usize,
+        sections: &[Section],
+    ) -> Result<(), CkptError> {
+        self.inner
+            .restore_rank(r, last_cycles, has_gpu, n_arrays, sections)
+    }
+    fn reseed(&mut self, r: u32, attempt: u64) -> Result<(), SimError> {
+        self.inner.reseed(r, attempt)
+    }
+    fn stats(&mut self, r: u32) -> Result<ResilienceStats, SimError> {
+        self.inner.stats(r)
+    }
+    fn finish(&mut self, ctls: &[RankCtl]) -> Result<Vec<RankOutcome>, SimError> {
+        self.inner.finish(ctls)
+    }
+}
+
+#[test]
+fn one_world_runs_alike_on_the_local_and_the_remote_pool() {
+    // Every setting away from its default: the scheduler reads them from
+    // this one value, and both pools are built from it.
+    let (p, entry) = ring_step_reduce(2048, 6);
+    let mut world = World::new(&p, 4)
+        .with_cost(CostModel {
+            alpha: 900,
+            beta: 1.5,
+            collective_alpha: 3_000,
+        })
+        .with_schedule(Schedule::Seeded(0xD15C))
+        .with_faults(FaultConfig {
+            crash: 0.02,
+            fuel_exhaust: 0.05,
+            msg_delay: 0.2,
+            ..FaultConfig::seeded(0)
+        })
+        .with_timeout(2_000);
+    world.slice = 10_000;
+    let policy = CheckpointPolicy::every(1);
+
+    let mut args = no_args;
+    let mut local_pool = Traced {
+        inner: LocalPool::new(&world, entry, &mut args),
+        rounds: Vec::new(),
+    };
+    let local = world.run_on(&mut local_pool, Some((&policy, 16))).unwrap();
+    let mut args = no_args;
+    let mut remote_pool = Traced {
+        inner: RemotePool::new(&world, entry, &mut args, Launch::Threads).unwrap(),
+        rounds: Vec::new(),
+    };
+    let remote = world.run_on(&mut remote_pool, Some((&policy, 16))).unwrap();
+
+    assert_runs_identical(&local, &remote, "one world, two pools");
+    assert_eq!(local.restart, remote.restart, "restart accounting diverged");
+    assert_eq!(
+        simulated(local.resilience),
+        simulated(remote.resilience),
+        "fault counters diverged"
+    );
+    // Both pools serviced the ranks in the same seeded order, and in at
+    // least one round that order is not rank order.
+    assert_eq!(local_pool.rounds, remote_pool.rounds, "service order");
+    assert!(
+        local_pool.rounds.iter().any(|round| !round.is_sorted()),
+        "the seeded schedule never left rank order"
+    );
+    // The faults fired and the run rolled back, so the equality covers
+    // the restart path too.
+    assert!(local.resilience.injected() > 0, "{:?}", local.resilience);
+    assert!(local.restart.restarts >= 1, "{:?}", local.restart);
 }

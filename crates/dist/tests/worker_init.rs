@@ -10,7 +10,8 @@ use std::time::Duration;
 use dist::proto::{self, Request, Resp, WarmProgram};
 use dist::worker::serve_on;
 use dist::{warm_program_path, WARM_DIGEST_SEED};
-use mpi_sim::{read_frame, write_frame, SimError};
+use exec::{ArrStore, Machine};
+use mpi_sim::{read_frame, write_frame, LocalPool, RankPool, SimError, World};
 use nir::codec::Wire;
 use nir::{FuncKind, Function, Instr, Program, Ty};
 
@@ -55,8 +56,12 @@ fn expect_err(resp: Resp, needle: &str) {
     }
 }
 
-#[test]
-fn unsound_init_programs_get_a_typed_error_and_the_rank_survives() {
+/// A rank-0 worker on a thread of its own, past its `Hello`: the
+/// coordinator's end of the connection and the worker's join handle.
+fn worker() -> (
+    TcpStream,
+    std::thread::JoinHandle<Result<(), mpi_sim::TransportError>>,
+) {
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let port = listener.local_addr().unwrap().port();
     let worker = std::thread::spawn(move || {
@@ -68,6 +73,12 @@ fn unsound_init_programs_get_a_typed_error_and_the_rank_survives() {
     let hello = proto::decode_hello(&read_frame(&mut s).unwrap()).unwrap();
     assert_eq!((hello.token, hello.rank), (42, 0));
     write_frame(&mut s, &proto::encode_resp(&Resp::Ok)).unwrap();
+    (s, worker)
+}
+
+#[test]
+fn unsound_init_programs_get_a_typed_error_and_the_rank_survives() {
+    let (mut s, worker) = worker();
 
     // `Ret` of register 5 in a one-register function, sent inline.
     let bad = program(5).to_wire();
@@ -103,6 +114,55 @@ fn unsound_init_programs_get_a_typed_error_and_the_rank_survives() {
 
     // Still in its Init loop: a sound Init is accepted, Shutdown ends it.
     assert!(matches!(rpc(&mut s, &init(0, good, None)), Resp::Ok));
+    assert!(matches!(rpc(&mut s, &Request::Shutdown), Resp::Ok));
+    worker.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_huge_wire_offset_is_a_typed_range_error() {
+    // Seed the rank as a coordinator does: the capture of a local rank
+    // that holds one 4-float array.
+    let p = program(0);
+    let world = World::new(&p, 1);
+    let mut buf = 0;
+    let mut args = |_: u32, m: &mut Machine| {
+        buf = m.mem.alloc(ArrStore::F32(vec![0.0; 4]));
+        Ok(vec![])
+    };
+    let mut seed = LocalPool::new(&world, p.entry.unwrap(), &mut args);
+    seed.reinit().unwrap();
+    let snap = seed.capture_rank(0).unwrap();
+    drop(seed);
+    let (mut s, worker) = worker();
+    assert!(matches!(rpc(&mut s, &init(0, p.to_wire(), None)), Resp::Ok));
+    let restore = Request::Restore {
+        last_cycles: snap.last_cycles,
+        has_gpu: snap.has_gpu,
+        n_arrays: 1,
+        sections: snap.sections,
+    };
+    assert!(matches!(rpc(&mut s, &restore), Resp::Ok));
+
+    // An offset no `i32` operand can produce: its range end overflows.
+    let range_err = |resp: Resp, what: &str| match resp {
+        Resp::Err(SimError::Rank { rank: 0, message }) => assert!(
+            message.ends_with(&format!(
+                "{what} range 18446744073709551615..18446744073709551617 out of bounds (len 4)"
+            )),
+            "{message}"
+        ),
+        other => panic!("expected a typed {what} range error, got {other:?}"),
+    };
+    let off = u64::MAX;
+    range_err(
+        rpc(&mut s, &Request::ReadFloats { buf, off, count: 2 }),
+        "send",
+    );
+    let payload = vec![1.0, 2.0];
+    range_err(
+        rpc(&mut s, &Request::WriteFloats { buf, off, payload }),
+        "recv",
+    );
     assert!(matches!(rpc(&mut s, &Request::Shutdown), Resp::Ok));
     worker.join().unwrap().unwrap();
 }

@@ -27,12 +27,10 @@ pub mod transport;
 use std::path::{Path, PathBuf};
 
 pub use runtime::{
-    run_world, run_world_with_restart, service_device_yield, service_host_yield, ArgBuilder,
-    Blocked, DeviceOutcome, LocalPool, RankCtl, RankPool, RankSnapshot, RankYield, RunCfg,
+    ArgBuilder, Blocked, DeviceOutcome, LocalPool, RankCtl, RankPool, RankSnapshot, RankYield,
 };
 pub use transport::{
-    read_frame, write_frame, InMemTransport, MsgQueues, Transport, TransportError, FRAME_MAGIC,
-    MAX_FRAME_LEN, WIRE_VERSION,
+    read_frame, write_frame, TransportError, FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
 };
 
 use exec::ckpt::chain;
@@ -329,20 +327,6 @@ nir::counters! {
     }
 }
 
-/// A sealed, checksummed snapshot of a whole world at a collective
-/// boundary: every rank's interpreter + machine state (including the
-/// fault-stream cursors and any device state) plus the in-flight message
-/// queues. Produced by [`World::run_with_restart`] per its
-/// [`CheckpointPolicy`]; the `bytes` are an `exec::ckpt` world payload.
-#[derive(Debug, Clone)]
-pub struct WorldCheckpoint {
-    /// Sealed container bytes (restorable only by a same-shaped world
-    /// over the same program).
-    pub bytes: Vec<u8>,
-    /// Max rank clock at capture (rollback bookkeeping).
-    pub vtime: u64,
-}
-
 /// Path of delta link `seq` beside its chain's base file:
 /// `world.wckpt` → `world.d3.wckpt`.
 pub fn delta_path(base: &Path, seq: u64) -> PathBuf {
@@ -472,7 +456,10 @@ pub(crate) fn device_fault_config(cfg: FaultConfig, rank: u32) -> FaultConfig {
     }
 }
 
-/// A simulated MPI world over a translated program.
+/// A simulated MPI world over a translated program: the one world
+/// configuration. The scheduler reads it directly, and every
+/// [`RankPool`] is built from it, so an in-process and a remote pool
+/// run the same settings by construction.
 pub struct World<'p> {
     pub program: &'p Program,
     pub size: u32,
@@ -494,9 +481,11 @@ pub struct World<'p> {
     pub timeout_rounds: Option<u64>,
     /// Service order for runnable ranks each round (see [`Schedule`]).
     pub schedule: Schedule,
-    /// Platform namespace stamp for checkpoints (see
-    /// [`World::with_ckpt_salt`]). 0 is the historical `mpi-sim`
-    /// namespace.
+    /// Platform namespace stamp written into every checkpoint header: a
+    /// chain captured under one salt refuses to restore under another
+    /// ([`CkptError::ScopeMismatch`] in-run,
+    /// [`SimError::CheckpointScope`] at warm start). 0 is the historical
+    /// `mpi-sim` namespace.
     pub ckpt_salt: u64,
     /// Who executes ready slices each round (see [`exec::pool`]):
     /// the in-process serial loop by default, real OS threads when
@@ -573,24 +562,12 @@ impl<'p> World<'p> {
     }
 
     /// Stamp checkpoints from this world with a platform namespace salt
-    /// (see [`RunCfg::ckpt_salt`]). Platform backends pass their
+    /// (see [`World::ckpt_salt`]). Platform backends pass their
     /// fingerprint salt so a persisted chain can never warm-start a
     /// world on a different platform.
     pub fn with_ckpt_salt(mut self, salt: u64) -> Self {
         self.ckpt_salt = salt;
         self
-    }
-
-    /// This world's scheduler-facing configuration slice.
-    pub(crate) fn run_cfg(&self) -> RunCfg {
-        RunCfg {
-            size: self.size,
-            cost: self.cost,
-            slice: self.slice,
-            timeout_rounds: self.timeout_rounds,
-            schedule: self.schedule,
-            ckpt_salt: self.ckpt_salt,
-        }
     }
 
     /// Run `entry` on every rank. `make_args` builds each rank's entry
@@ -600,18 +577,7 @@ impl<'p> World<'p> {
         entry: FuncId,
         mut make_args: impl FnMut(u32, &mut Machine) -> Result<Vec<Val>, String>,
     ) -> Result<WorldRun, SimError> {
-        let mut pool = LocalPool::new(
-            self.program,
-            self.size,
-            entry,
-            &mut make_args,
-            self.gpu,
-            self.fault,
-            self.host,
-        )
-        .with_executor(self.executor);
-        let mut transport = InMemTransport::new();
-        runtime::run_world(&self.run_cfg(), &mut pool, &mut transport)
+        self.run_on(&mut LocalPool::new(self, entry, &mut make_args), None)
     }
 
     /// Like [`World::run`], but checkpoint every
@@ -628,24 +594,26 @@ impl<'p> World<'p> {
         policy: &CheckpointPolicy,
         max_restarts: u32,
     ) -> Result<WorldRun, SimError> {
-        let mut pool = LocalPool::new(
-            self.program,
-            self.size,
-            entry,
-            &mut make_args,
-            self.gpu,
-            self.fault,
-            self.host,
-        )
-        .with_executor(self.executor);
-        let mut transport = InMemTransport::new();
-        runtime::run_world_with_restart(
-            &self.run_cfg(),
-            &mut pool,
-            &mut transport,
-            policy,
-            max_restarts,
-        )
+        let mut pool = LocalPool::new(self, entry, &mut make_args);
+        self.run_on(&mut pool, Some((policy, max_restarts)))
+    }
+
+    /// Drive `pool`'s ranks under this world's settings: the scheduler
+    /// every backend shares. `restart` is `Some((policy, max_restarts))`
+    /// for [`World::run_with_restart`]'s checkpoints and rollbacks.
+    /// [`LocalPool`] keeps the ranks in this process; `dist`'s pool keeps
+    /// each in a worker of its own.
+    pub fn run_on(
+        &self,
+        pool: &mut dyn RankPool,
+        restart: Option<(&CheckpointPolicy, u32)>,
+    ) -> Result<WorldRun, SimError> {
+        match restart {
+            None => runtime::run_world(self, pool),
+            Some((policy, max_restarts)) => {
+                runtime::run_world_with_restart(self, pool, policy, max_restarts)
+            }
+        }
     }
 }
 #[cfg(test)]
@@ -655,25 +623,19 @@ mod tests {
     use jlang::ast::BinOp;
     use jlang::types::PrimKind;
     use nir::{ElemTy, FuncBuilder, FuncKind, Instr, IntrinOp, Ty};
+    use runtime::{capture_world, restore_world};
+    use transport::InMemTransport;
 
     /// A fresh local pool + empty scheduler state for checkpoint tests.
     fn test_pool<'p, 'a>(
-        world: &World<'p>,
+        world: &'a World<'p>,
         entry: FuncId,
         make_args: ArgBuilder<'a>,
     ) -> (LocalPool<'p, 'a>, Vec<RankCtl>, InMemTransport) {
-        let mut pool = LocalPool::new(
-            world.program,
-            world.size,
-            entry,
-            make_args,
-            world.gpu,
-            world.fault,
-            world.host,
-        );
+        let mut pool = LocalPool::new(world, entry, make_args);
         pool.reinit().unwrap();
         let ctls = vec![RankCtl::default(); world.size as usize];
-        (pool, ctls, InMemTransport::new())
+        (pool, ctls, InMemTransport::default())
     }
 
     /// Program: each rank fills a buffer with its rank, sends it right
@@ -1074,12 +1036,10 @@ mod tests {
         let world = World::new(&p, 3).with_faults(cfg);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
         let (mut pool, ctls, mut transport) = test_pool(&world, entry, &mut args);
-        let rc = world.run_cfg();
-        let first = runtime::capture_world(&rc, &mut pool, &ctls, &transport).unwrap();
-        let ctls2 = runtime::restore_world(&rc, &mut pool, &mut transport, &first.bytes).unwrap();
-        let second = runtime::capture_world(&rc, &mut pool, &ctls2, &transport).unwrap();
-        assert_eq!(first.bytes, second.bytes);
-        assert_eq!(first.vtime, second.vtime);
+        let first = capture_world(&world, &mut pool, &ctls, &transport).unwrap();
+        let ctls2 = restore_world(&world, &mut pool, &mut transport, &first).unwrap();
+        let second = capture_world(&world, &mut pool, &ctls2, &transport).unwrap();
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -1088,25 +1048,19 @@ mod tests {
         let world = World::new(&p, 3);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
         let (mut pool, ctls, mut transport) = test_pool(&world, entry, &mut args);
-        let rc = world.run_cfg();
-        let wc = runtime::capture_world(&rc, &mut pool, &ctls, &transport).unwrap();
+        let wc = capture_world(&world, &mut pool, &ctls, &transport).unwrap();
         let smaller = World::new(&p, 2);
         let mut args2 = |_: u32, _: &mut Machine| Ok(vec![]);
         let (mut pool2, _, mut transport2) = test_pool(&smaller, entry, &mut args2);
-        assert!(
-            runtime::restore_world(&smaller.run_cfg(), &mut pool2, &mut transport2, &wc.bytes)
-                .is_err()
-        );
+        assert!(restore_world(&smaller, &mut pool2, &mut transport2, &wc).is_err());
         // Truncations and bit flips must come back typed, never panic.
-        for cut in 0..wc.bytes.len() {
-            assert!(
-                runtime::restore_world(&rc, &mut pool, &mut transport, &wc.bytes[..cut]).is_err()
-            );
+        for cut in 0..wc.len() {
+            assert!(restore_world(&world, &mut pool, &mut transport, &wc[..cut]).is_err());
         }
-        for i in 0..wc.bytes.len() {
-            let mut bad = wc.bytes.clone();
+        for i in 0..wc.len() {
+            let mut bad = wc.clone();
             bad[i] ^= 0x10;
-            let _ = runtime::restore_world(&rc, &mut pool, &mut transport, &bad);
+            let _ = restore_world(&world, &mut pool, &mut transport, &bad);
         }
     }
 
@@ -1119,11 +1073,9 @@ mod tests {
         let dist_like = World::new(&p, 2).with_ckpt_salt(0xD157_0000_0000_0001);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
         let (mut pool, ctls, mut transport) = test_pool(&dist_like, entry, &mut args);
-        let wc =
-            runtime::capture_world(&dist_like.run_cfg(), &mut pool, &ctls, &transport).unwrap();
+        let wc = capture_world(&dist_like, &mut pool, &ctls, &transport).unwrap();
         let mpi_like = World::new(&p, 2);
-        let err = runtime::restore_world(&mpi_like.run_cfg(), &mut pool, &mut transport, &wc.bytes)
-            .unwrap_err();
+        let err = restore_world(&mpi_like, &mut pool, &mut transport, &wc).unwrap_err();
         let CkptError::ScopeMismatch { expected, found } = err else {
             panic!("expected ScopeMismatch, got {err}");
         };
@@ -1335,7 +1287,7 @@ mod tests {
             args: [args, vec![Val::I32(len)]].concat(),
         };
         let mut gpu = Some(gpu);
-        let res = service_device_yield(&image, &mut thread, &mut machine, &mut gpu, 0, y);
+        let res = runtime::service_device_yield(&image, &mut thread, &mut machine, &mut gpu, 0, y);
         let charged = gpu.unwrap().vtime - before;
         (res.map(|_| ()).map_err(|e| e.to_string()), charged)
     }
@@ -1366,5 +1318,71 @@ mod tests {
     #[test]
     fn copy_from_gpu_range_refuses_negative_operands() {
         refuses_negative_range_operands(IntrinOp::CopyFromGpuRange);
+    }
+
+    /// Run `op` on a one-rank world over a 4-float buffer: `[off, count,
+    /// roff]` are its offset, its count and (sendrecv only) its receive
+    /// offset; every rank operand names rank 0.
+    fn mpi_range_run(op: IntrinOp, [off, count, roff]: [i32; 3]) -> Result<WorldRun, SimError> {
+        let mut fb = FuncBuilder::new("ranges", vec![], None, FuncKind::Host);
+        let mut konst = |v: i32| {
+            let r = fb.reg(Ty::I32);
+            fb.emit(Instr::ConstI32(r, v));
+            r
+        };
+        let (n, zero, off, count, roff) =
+            (konst(4), konst(0), konst(off), konst(count), konst(roff));
+        let buf = fb.reg(Ty::Arr(ElemTy::F32));
+        fb.emit(Instr::NewArr {
+            elem: ElemTy::F32,
+            len: n,
+            dst: buf,
+        });
+        let args = match op {
+            IntrinOp::MpiSendRecvF32 => vec![buf, off, count, zero, buf, roff, zero, zero],
+            IntrinOp::MpiBcastF32 => vec![buf, off, count, zero],
+            _ => vec![buf, off, count, zero, zero],
+        };
+        fb.emit(Instr::Intrin {
+            op,
+            args,
+            dst: None,
+        });
+        fb.emit(Instr::Ret(None));
+        let mut p = Program::default();
+        let f = p.add_func(fb.finish().unwrap());
+        p.validate().unwrap();
+        World::new(&p, 1).run(f, |_, _| Ok(vec![]))
+    }
+
+    #[test]
+    fn mpi_ops_refuse_negative_range_operands() {
+        use IntrinOp::{MpiBcastF32, MpiRecvF32, MpiSendF32, MpiSendRecvF32};
+        for op in [MpiSendF32, MpiRecvF32, MpiSendRecvF32, MpiBcastF32] {
+            // In range: done, or (a receive nobody sends) blocked.
+            match mpi_range_run(op, [1, 2, 1]) {
+                Ok(_) | Err(SimError::Deadlock { .. }) => {}
+                Err(e) => panic!("{op:?} in range: {e}"),
+            }
+            let mut rows = vec![
+                ([-1, 2, 0], "offset -1"),
+                ([0, -1, 0], "count -1"),
+                ([0, i32::MIN, 0], "count -2147483648"),
+            ];
+            if op == MpiSendRecvF32 {
+                rows.push(([0, 2, -1], "offset -1"));
+            }
+            for (operands, what) in rows {
+                let e = mpi_range_run(op, operands).expect_err("a negative operand is refused");
+                let SimError::Rank { rank: 0, message } = &e else {
+                    panic!("{op:?} {operands:?}: expected a rank error, got {e}");
+                };
+                assert!(
+                    message.starts_with("exec error in `ranges` at pc ")
+                        && message.ends_with(&format!(": negative MPI range {what}")),
+                    "{op:?} {operands:?}: {message}"
+                );
+            }
+        }
     }
 }

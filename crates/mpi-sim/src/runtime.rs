@@ -1,17 +1,18 @@
-//! # runtime — the transport-agnostic rank runtime
+//! # runtime — the rank runtime behind [`World::run_on`]
 //!
 //! The cooperative scheduler extracted from the historical
 //! `World::run`: the step loop, collective boundaries, fault hooks, and
 //! checkpoint capture, parameterized over *where the ranks live*
-//! ([`RankPool`]) and *how messages travel* ([`Transport`]).
+//! ([`RankPool`]). Messages travel through the scheduler's own
+//! in-memory queues (`InMemTransport`).
 //!
 //! `mpi-sim` itself drives a [`LocalPool`] (every rank an in-process
-//! [`exec::Thread`]) over an [`InMemTransport`](crate::InMemTransport) —
-//! bit-identical to the pre-refactor monolith. The `dist` backend drives
-//! the *same* scheduler over a pool of one OS process per rank, reached
-//! across loopback TCP; because every scheduling, cost-model, and
-//! fault-stream decision is made here, on one side of the seam, the two
-//! backends produce bit-identical rank outcomes by construction.
+//! [`exec::Thread`]) — bit-identical to the pre-refactor monolith. The
+//! `dist` backend drives the *same* scheduler over a pool of one OS
+//! process per rank, reached across loopback TCP; because every
+//! scheduling, cost-model, and fault-stream decision is made here, on
+//! one side of the seam, the two backends produce bit-identical rank
+//! outcomes by construction.
 //!
 //! The split of one historical `Rank` is:
 //! - [`RankCtl`] — the scheduler-owned half (clocks, blocked state,
@@ -19,6 +20,8 @@
 //! - the pool-owned half (thread, machine, device, fault stream), which
 //!   may live in another process and is reached only through the
 //!   [`RankPool`] methods.
+//!
+//! [`World::run_on`]: crate::World::run_on
 
 use std::path::PathBuf;
 
@@ -26,19 +29,17 @@ use exec::ckpt::chain::{self, Section};
 use exec::ckpt::{self, CkptError};
 use exec::pool::{run_batch, SliceJob};
 use exec::{
-    run, ArrStore, ExecError, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Image, Machine,
-    MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
+    run, ArrStore, ExecError, ExecutorCfg, FaultPlan, HostRegistry, Image, Machine, MsgFault,
+    ResilienceStats, Thread, TransportFault, Val, Yield,
 };
-use gpu_sim::{Gpu, GpuConfig, GpuErrorKind};
+use gpu_sim::{Gpu, GpuErrorKind};
 use nir::codec::{Reader, Wire, Writer};
 use nir::{FuncId, IntrinOp, Program};
 
-use crate::transport::Transport;
-#[cfg(test)]
-use crate::WorldCheckpoint;
+use crate::transport::InMemTransport;
 use crate::{
     device_fault_config, err_on, CheckpointPolicy, CostModel, RankOutcome, RestartStats, Schedule,
-    SimError, WorldRun,
+    SimError, World, WorldRun,
 };
 
 /// Per-rank entry-argument builder: rank id + its machine -> entry args.
@@ -47,24 +48,6 @@ pub type ArgBuilder<'a> = &'a mut dyn FnMut(u32, &mut Machine) -> Result<Vec<Val
 /// Connection attempts per rank before an injected refusal storm becomes
 /// a typed error instead of another backoff.
 pub const MAX_CONNECT_RETRIES: u32 = 16;
-
-/// The scheduler-facing slice of a world configuration — everything the
-/// scheduler loop needs that is not the program or the ranks themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct RunCfg {
-    pub size: u32,
-    pub cost: CostModel,
-    /// Fuel per scheduling slice.
-    pub slice: u64,
-    /// Per-collective fuel bound (see `World::timeout_rounds`).
-    pub timeout_rounds: Option<u64>,
-    pub schedule: Schedule,
-    /// Platform namespace stamp written into every checkpoint header: a
-    /// chain captured under one salt refuses to restore under another
-    /// ([`CkptError::ScopeMismatch`] in-run,
-    /// [`SimError::CheckpointScope`] at warm start).
-    pub ckpt_salt: u64,
-}
 
 /// What a rank is blocked on, scheduler-side.
 #[derive(Debug, Clone, Copy)]
@@ -289,14 +272,14 @@ fn sched_next(state: &mut u64) -> u64 {
 /// the yield bumped the pc first, so the faulting instruction is `pc - 1`.
 /// Used to give intrinsic-path errors the same location context the
 /// interpreter loop attaches to its own.
-pub fn yield_location(program: &Program, thread: &Thread) -> Option<(String, u32)> {
+fn yield_location(program: &Program, thread: &Thread) -> Option<(String, u32)> {
     thread
         .frame_location()
         .map(|(f, pc)| (program.func(f).name.clone(), pc.saturating_sub(1)))
 }
 
 /// Attach a yield location to a context-free [`ExecError`].
-pub fn locate(e: impl Into<ExecError>, loc: &Option<(String, u32)>) -> ExecError {
+fn locate(e: impl Into<ExecError>, loc: &Option<(String, u32)>) -> ExecError {
     let e = e.into();
     match loc {
         Some((func, pc)) => e.at(func, *pc),
@@ -367,23 +350,27 @@ fn msg_cost(cost: &CostModel, bytes: u64) -> u64 {
     cost.alpha + (bytes as f64 * cost.beta) as u64
 }
 
-/// Raw machine-side float read (context-free error; pools attach the
-/// yield location). Shared with the `dist` worker so out-of-bounds MPI
-/// buffers fail with byte-identical messages on every backend.
-pub fn read_floats(
+/// Raw machine-side float read (context-free error; the pool attaches
+/// the yield location). An offset arriving from the `dist` wire is any
+/// `u64`, so the range end is a checked sum; the message prints it exact.
+fn read_floats(
     machine: &Machine,
     buf: u32,
     off: usize,
     count: usize,
 ) -> Result<Vec<f32>, ExecError> {
     match machine.mem.arr(buf)? {
-        ArrStore::F32(v) => v.get(off..off + count).map(|s| s.to_vec()).ok_or_else(|| {
-            ExecError::msg(format!(
-                "send range {off}..{} out of bounds (len {})",
-                off + count,
-                v.len()
-            ))
-        }),
+        ArrStore::F32(v) => off
+            .checked_add(count)
+            .and_then(|end| v.get(off..end))
+            .map(|s| s.to_vec())
+            .ok_or_else(|| {
+                ExecError::msg(format!(
+                    "send range {off}..{} out of bounds (len {})",
+                    off as u128 + count as u128,
+                    v.len()
+                ))
+            }),
         other => Err(ExecError::msg(format!(
             "MPI float op on non-float array: {other}"
         ))),
@@ -391,7 +378,7 @@ pub fn read_floats(
 }
 
 /// Raw machine-side float write (see [`read_floats`]).
-pub fn write_floats(
+fn write_floats(
     machine: &mut Machine,
     buf: u32,
     off: usize,
@@ -400,10 +387,11 @@ pub fn write_floats(
     match machine.mem.arr_mut(buf)? {
         ArrStore::F32(v) => {
             let vlen = v.len();
-            let tgt = v.get_mut(off..off + payload.len()).ok_or_else(|| {
+            let range = off.checked_add(payload.len());
+            let tgt = range.and_then(|end| v.get_mut(off..end)).ok_or_else(|| {
                 ExecError::msg(format!(
                     "recv range {off}..{} out of bounds (len {vlen})",
-                    off + payload.len()
+                    off as u128 + payload.len() as u128
                 ))
             })?;
             tgt.copy_from_slice(payload);
@@ -416,15 +404,14 @@ pub fn write_floats(
 }
 
 /// Service a device yield (kernel launch or GPU memory op) against one
-/// rank's thread/machine/device triple. Shared by [`LocalPool`] and the
-/// `dist` worker so device errors carry byte-identical text everywhere.
+/// rank's thread/machine/device triple.
 ///
 /// A successful launch does **not** resume the thread (the interpreter
 /// continues past the launch on its own); GPU memory ops resume with
 /// their result. `args` has the operand count `exec::Image::build`
 /// checked for `op` (`nir::IntrinOp::shape`), so it is indexed by
 /// position.
-pub fn service_device_yield(
+pub(crate) fn service_device_yield(
     image: &Image<'_>,
     thread: &mut Thread,
     machine: &mut Machine,
@@ -557,8 +544,7 @@ pub fn service_device_yield(
 /// injected-transient retry loop (exponential virtual-time backoff up to
 /// the configured budget), call it, resume the thread with the result.
 /// Returns the total backoff cycles to charge to the rank's clock.
-/// Shared by [`LocalPool`] and the `dist` worker.
-pub fn service_host_yield(
+fn service_host_yield(
     program: &Program,
     registry: Option<&HostRegistry>,
     thread: &mut Thread,
@@ -647,7 +633,7 @@ fn post_message(
     dest: u32,
     tag: i32,
     mut payload: Vec<f32>,
-    transport: &mut dyn Transport,
+    transport: &mut InMemTransport,
 ) -> Result<(), SimError> {
     let mut avail_at = sender.vclock;
     if pool.has_fault_plan(from) {
@@ -687,7 +673,7 @@ fn contribute(pool: &mut dyn RankPool, ctl: &mut RankCtl, r: u32, v: Val) -> Res
 
 /// Collective completion time: max participant clock + base cost +
 /// a log2(size) latency term.
-fn complete_collective(cfg: &RunCfg, ctls: &mut [RankCtl], participants: &[u32]) -> u64 {
+fn complete_collective(cfg: &World<'_>, ctls: &mut [RankCtl], participants: &[u32]) -> u64 {
     let max = participants
         .iter()
         .map(|&r| ctls[r as usize].vclock)
@@ -706,7 +692,7 @@ fn complete_collective(cfg: &RunCfg, ctls: &mut [RankCtl], participants: &[u32])
 /// deadlock, timeout, and crash errors. `Recv` lines include the
 /// waited-on source/tag and the pending queue depths, so a mismatched
 /// send/recv pair is diagnosable from the error text alone.
-fn world_report(ctls: &[RankCtl], transport: &dyn Transport) -> String {
+fn world_report(ctls: &[RankCtl], transport: &InMemTransport) -> String {
     ctls.iter()
         .enumerate()
         .map(|(i, rk)| {
@@ -754,6 +740,13 @@ fn check_rank(pool: &mut dyn RankPool, size: u32, r: u32, v: i32) -> Result<u32,
     }
 }
 
+/// An MPI range offset or count as a `usize`. A negative one is refused
+/// here, typed and located, before it can become a huge `usize`.
+fn mpi_range(pool: &mut dyn RankPool, r: u32, v: Val, what: &str) -> Result<usize, SimError> {
+    let n = v.as_i32().map_err(|m| located(pool, r, m))?;
+    usize::try_from(n).map_err(|_| located(pool, r, format!("negative MPI range {what} {n}")))
+}
+
 /// Service one MPI yield against the scheduler's collective rendezvous
 /// state — the pre-refactor `service_mpi`, reading and writing rank
 /// memory through the pool seam. `args` has the operand count
@@ -761,13 +754,13 @@ fn check_rank(pool: &mut dyn RankPool, size: u32, r: u32, v: i32) -> Result<u32,
 /// is indexed by position.
 #[allow(clippy::too_many_arguments)]
 fn service_mpi(
-    cfg: &RunCfg,
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
     ctls: &mut [RankCtl],
     r: u32,
     op: IntrinOp,
     args: Vec<Val>,
-    transport: &mut dyn Transport,
+    transport: &mut InMemTransport,
     barrier_waiters: &mut Vec<u32>,
     allreduce: &mut Vec<(u32, AllOp, Val)>,
     bcast_waiters: &mut Vec<u32>,
@@ -787,8 +780,8 @@ fn service_mpi(
         IntrinOp::MpiSendF32 => {
             // sendF(buf, off, count, dest, tag)
             let buf = args[0].as_arr().map_err(|m| located(pool, r, m))?;
-            let off = args[1].as_i32().map_err(|m| located(pool, r, m))? as usize;
-            let count = args[2].as_i32().map_err(|m| located(pool, r, m))? as usize;
+            let off = mpi_range(pool, r, args[1], "offset")?;
+            let count = mpi_range(pool, r, args[2], "count")?;
             let dest_raw = args[3].as_i32().map_err(|m| located(pool, r, m))?;
             let dest = check_rank(pool, cfg.size, r, dest_raw)?;
             let tag = args[4].as_i32().map_err(|m| located(pool, r, m))?;
@@ -802,8 +795,8 @@ fn service_mpi(
         IntrinOp::MpiRecvF32 => {
             // recvF(buf, off, count, src, tag)
             let buf = args[0].as_arr().map_err(|m| located(pool, r, m))?;
-            let off = args[1].as_i32().map_err(|m| located(pool, r, m))? as usize;
-            let count = args[2].as_i32().map_err(|m| located(pool, r, m))? as usize;
+            let off = mpi_range(pool, r, args[1], "offset")?;
+            let count = mpi_range(pool, r, args[2], "count")?;
             let src_raw = args[3].as_i32().map_err(|m| located(pool, r, m))?;
             let src = check_rank(pool, cfg.size, r, src_raw)?;
             let tag = args[4].as_i32().map_err(|m| located(pool, r, m))?;
@@ -818,12 +811,12 @@ fn service_mpi(
         IntrinOp::MpiSendRecvF32 => {
             // sendrecvF(sbuf, soff, count, dest, rbuf, roff, src, tag)
             let sbuf = args[0].as_arr().map_err(|m| located(pool, r, m))?;
-            let soff = args[1].as_i32().map_err(|m| located(pool, r, m))? as usize;
-            let count = args[2].as_i32().map_err(|m| located(pool, r, m))? as usize;
+            let soff = mpi_range(pool, r, args[1], "offset")?;
+            let count = mpi_range(pool, r, args[2], "count")?;
             let dest_raw = args[3].as_i32().map_err(|m| located(pool, r, m))?;
             let dest = check_rank(pool, cfg.size, r, dest_raw)?;
             let rbuf = args[4].as_arr().map_err(|m| located(pool, r, m))?;
-            let roff = args[5].as_i32().map_err(|m| located(pool, r, m))? as usize;
+            let roff = mpi_range(pool, r, args[5], "offset")?;
             let src_raw = args[6].as_i32().map_err(|m| located(pool, r, m))?;
             let src = check_rank(pool, cfg.size, r, src_raw)?;
             let tag = args[7].as_i32().map_err(|m| located(pool, r, m))?;
@@ -843,8 +836,8 @@ fn service_mpi(
         IntrinOp::MpiBcastF32 => {
             // bcastF(buf, off, count, root)
             let buf = args[0].as_arr().map_err(|m| located(pool, r, m))?;
-            let off = args[1].as_i32().map_err(|m| located(pool, r, m))? as usize;
-            let count = args[2].as_i32().map_err(|m| located(pool, r, m))? as usize;
+            let off = mpi_range(pool, r, args[1], "offset")?;
+            let count = mpi_range(pool, r, args[2], "count")?;
             let root_raw = args[3].as_i32().map_err(|m| located(pool, r, m))?;
             let root = check_rank(pool, cfg.size, r, root_raw)?;
             ctls[ri].blocked = Some(Blocked::Bcast {
@@ -882,10 +875,10 @@ fn service_mpi(
 /// boundary, where all live ranks' clocks are synchronized and no
 /// collective is partially complete.
 fn world_sections(
-    cfg: &RunCfg,
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
     ctls: &[RankCtl],
-    transport: &dyn Transport,
+    transport: &InMemTransport,
 ) -> Result<Vec<Section>, SimError> {
     let mut header = Writer::new();
     // The platform scope stamp leads the header so a foreign chain is
@@ -927,9 +920,9 @@ fn world_sections(
 /// truncation, corruption, version/topology skew, a foreign platform
 /// salt — is a typed [`CkptError`], never a panic.
 fn world_from_sections(
-    cfg: &RunCfg,
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
-    transport: &mut dyn Transport,
+    transport: &mut InMemTransport,
     sections: &[Section],
 ) -> Result<Vec<RankCtl>, CkptError> {
     fn bad(message: impl Into<String>) -> CkptError {
@@ -1071,10 +1064,10 @@ impl CkptState {
     /// the only globally consistent cut points (see [`CheckpointPolicy`]).
     fn collective_completed(
         &mut self,
-        cfg: &RunCfg,
+        cfg: &World<'_>,
         pool: &mut dyn RankPool,
         ctls: &mut [RankCtl],
-        transport: &dyn Transport,
+        transport: &InMemTransport,
     ) -> Result<(), SimError> {
         self.since_last += 1;
         if self.since_last < self.every {
@@ -1146,9 +1139,9 @@ impl CkptState {
     /// means the base itself is gone — a cold restart.
     fn restore_latest(
         &mut self,
-        cfg: &RunCfg,
+        cfg: &World<'_>,
         pool: &mut dyn RankPool,
-        transport: &mut dyn Transport,
+        transport: &mut InMemTransport,
     ) -> Option<Vec<RankCtl>> {
         loop {
             if self.links.is_empty() {
@@ -1186,12 +1179,12 @@ impl CkptState {
 /// The cooperative scheduler: drives the pool's ranks to completion (or
 /// a typed failure), optionally checkpointing at collective boundaries.
 /// The pre-refactor `World::drive`, with every rank access behind the
-/// [`RankPool`] seam and every message behind [`Transport`].
+/// [`RankPool`] seam.
 fn drive(
-    cfg: &RunCfg,
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
     ctls: &mut [RankCtl],
-    transport: &mut dyn Transport,
+    transport: &mut InMemTransport,
     mut ckpt: Option<&mut CkptState>,
 ) -> Result<WorldRun, SimError> {
     // Connect-phase fault draws: each live rank (re-)joins the fabric at
@@ -1494,39 +1487,26 @@ fn drive(
     })
 }
 
-/// Run a world cold: fresh ranks, empty transport, one attempt.
-/// Equivalent to the pre-refactor `World::run` for a [`LocalPool`] over
-/// an in-memory transport.
-pub fn run_world(
-    cfg: &RunCfg,
-    pool: &mut dyn RankPool,
-    transport: &mut dyn Transport,
-) -> Result<WorldRun, SimError> {
+/// Run a world cold: fresh ranks, empty queues, one attempt.
+pub(crate) fn run_world(cfg: &World<'_>, pool: &mut dyn RankPool) -> Result<WorldRun, SimError> {
     pool.reinit()?;
-    transport.clear();
     let mut ctls = vec![RankCtl::default(); cfg.size as usize];
-    drive(cfg, pool, &mut ctls, transport, None)
+    drive(cfg, pool, &mut ctls, &mut InMemTransport::default(), None)
 }
 
-/// Like [`run_world`], but checkpoint every
-/// [`CheckpointPolicy::every`] completed collectives and, on
-/// [`SimError::Crash`] / [`SimError::Timeout`], roll every rank back
-/// to the last checkpoint (cold-restart when none exists yet), reseed
-/// every fault stream past its consumed cursor, and resume — up to
-/// `max_restarts` times. Other errors, and restart-budget exhaustion,
-/// propagate the typed error (with its last post-mortem) unchanged.
-///
-/// A persisted chain found at the policy's path is warm-started from —
-/// unless its platform scope salt differs from `cfg.ckpt_salt`, which
-/// fails fast with [`SimError::CheckpointScope`] (a foreign platform's
-/// chain must be neither restored nor silently overwritten).
-pub fn run_world_with_restart(
-    cfg: &RunCfg,
+/// [`run_world`] under `policy`'s checkpoints with up to `max_restarts`
+/// rollbacks (see [`World::run_with_restart`]). A persisted chain found
+/// at the policy's path is warm-started from — unless its platform scope
+/// salt differs from `cfg.ckpt_salt`, which fails fast with
+/// [`SimError::CheckpointScope`] (a foreign platform's chain must be
+/// neither restored nor silently overwritten).
+pub(crate) fn run_world_with_restart(
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
-    transport: &mut dyn Transport,
     policy: &CheckpointPolicy,
     max_restarts: u32,
 ) -> Result<WorldRun, SimError> {
+    let mut transport = InMemTransport::default();
     let mut ck = CkptState::new(policy);
     // Warm start: a killed process may have left a persisted chain
     // behind. Unreadable, corrupt, or mismatched links simply shorten
@@ -1551,7 +1531,7 @@ pub fn run_world_with_restart(
         pool.prepare_resume()?;
         // Roll back to the deepest valid snapshot in the chain,
         // degrading link by link and to a cold restart at the end.
-        let mut ctls = match ck.restore_latest(cfg, pool, transport) {
+        let mut ctls = match ck.restore_latest(cfg, pool, &mut transport) {
             Some(ctls) => ctls,
             None => {
                 pool.reinit()?;
@@ -1569,7 +1549,7 @@ pub fn run_world_with_restart(
                 pool.reseed(r, attempt)?;
             }
         }
-        match drive(cfg, pool, &mut ctls, transport, Some(&mut ck)) {
+        match drive(cfg, pool, &mut ctls, &mut transport, Some(&mut ck)) {
             Ok(mut run) => {
                 stats.checkpoints_taken = ck.taken;
                 stats.delta_checkpoints = ck.deltas;
@@ -1612,27 +1592,24 @@ pub fn run_world_with_restart(
 /// single-link chain (one sealed base). Test-only: production paths go
 /// through [`run_world_with_restart`]'s chain.
 #[cfg(test)]
-pub fn capture_world(
-    cfg: &RunCfg,
+pub(crate) fn capture_world(
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
     ctls: &[RankCtl],
-    transport: &dyn Transport,
-) -> Result<WorldCheckpoint, SimError> {
-    let sections = world_sections(cfg, pool, ctls, transport)?;
-    let vtime = ctls.iter().map(|c| c.vclock).max().unwrap_or(0);
-    Ok(WorldCheckpoint {
-        bytes: chain::base_link(&sections),
-        vtime,
-    })
+    transport: &InMemTransport,
+) -> Result<Vec<u8>, SimError> {
+    Ok(chain::base_link(&world_sections(
+        cfg, pool, ctls, transport,
+    )?))
 }
 
 /// Decode a standalone full snapshot ([`capture_world`]) back into the
 /// pool + transport. Test-only.
 #[cfg(test)]
-pub fn restore_world(
-    cfg: &RunCfg,
+pub(crate) fn restore_world(
+    cfg: &World<'_>,
     pool: &mut dyn RankPool,
-    transport: &mut dyn Transport,
+    transport: &mut InMemTransport,
     bytes: &[u8],
 ) -> Result<Vec<RankCtl>, CkptError> {
     let links = [bytes.to_vec()];
@@ -1656,23 +1633,15 @@ struct LocalRank {
 /// with its own memory space in this process. [`World::run`] and the
 /// conformance suites drive this pool; the `dist` backend substitutes
 /// one OS process per rank behind the same trait.
-///
-/// [`World::run`]: crate::World::run
 pub struct LocalPool<'p, 'a> {
-    program: &'p Program,
-    size: u32,
+    /// Program, size, device, fault plan, host registry and executor.
+    world: &'a World<'p>,
     entry: FuncId,
     make_args: ArgBuilder<'a>,
-    gpu: Option<GpuConfig>,
-    fault: Option<FaultConfig>,
-    host: Option<&'p HostRegistry>,
     ranks: Vec<Option<LocalRank>>,
     /// Device / host-call yields parked between `run_slice` and their
     /// `service_*` call.
     pending: Vec<Option<Yield>>,
-    /// OS threads each round's batch of slices runs on; 0 keeps the
-    /// historical in-process serial loop (the `run_slices` default).
-    workers: u32,
     /// The program decoded for `exec::run`: built by the first slice of
     /// the run, then borrowed by every rank, pool worker and device
     /// launch (restarts included). A pool that never runs — `dist`'s
@@ -1724,38 +1693,17 @@ fn live_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<&mut LocalRank, 
 }
 
 impl<'p, 'a> LocalPool<'p, 'a> {
-    pub fn new(
-        program: &'p Program,
-        size: u32,
-        entry: FuncId,
-        make_args: ArgBuilder<'a>,
-        gpu: Option<GpuConfig>,
-        fault: Option<FaultConfig>,
-        host: Option<&'p HostRegistry>,
-    ) -> Self {
+    /// `world`'s ranks, each entering `entry` with the arguments
+    /// `make_args` builds into its own memory space.
+    pub fn new(world: &'a World<'p>, entry: FuncId, make_args: ArgBuilder<'a>) -> Self {
         LocalPool {
-            program,
-            size,
+            world,
             entry,
             make_args,
-            gpu,
-            fault,
-            host,
             ranks: Vec::new(),
             pending: Vec::new(),
-            workers: 0,
             image: None,
         }
-    }
-
-    /// Choose who runs the slices. [`ExecutorCfg::Sim`] keeps the serial
-    /// loop; thread configurations batch each round over OS workers.
-    pub fn with_executor(mut self, cfg: ExecutorCfg) -> Self {
-        self.workers = match cfg {
-            ExecutorCfg::Sim => 0,
-            ExecutorCfg::Threads { workers, .. } => workers.max(1),
-        };
-        self
     }
 
     fn rank_mut(&mut self, r: u32) -> Result<&mut LocalRank, SimError> {
@@ -1794,18 +1742,18 @@ impl<'p, 'a> LocalPool<'p, 'a> {
 impl RankPool for LocalPool<'_, '_> {
     fn reinit(&mut self) -> Result<(), SimError> {
         self.ranks.clear();
-        self.pending = (0..self.size).map(|_| None).collect();
-        for r in 0..self.size {
-            let mut machine = Machine::with_globals(self.program);
-            if let Some(cfg) = self.fault {
+        self.pending = (0..self.world.size).map(|_| None).collect();
+        for r in 0..self.world.size {
+            let mut machine = Machine::with_globals(self.world.program);
+            if let Some(cfg) = self.world.fault {
                 machine.fault = Some(FaultPlan::for_rank(cfg, r));
             }
             let args = (self.make_args)(r, &mut machine)
                 .map_err(|m| err_on(r, format!("building entry args: {m}")))?;
-            let thread = Thread::new(self.program, self.entry, &args)
+            let thread = Thread::new(self.world.program, self.entry, &args)
                 .map_err(|e| err_on(r, e.to_string()))?;
-            let mut gpu = self.gpu.map(Gpu::new);
-            if let (Some(g), Some(cfg)) = (gpu.as_mut(), self.fault) {
+            let mut gpu = self.world.gpu.map(Gpu::new);
+            if let (Some(g), Some(cfg)) = (gpu.as_mut(), self.world.fault) {
                 g.set_fault(device_fault_config(cfg, r));
             }
             self.ranks.push(Some(LocalRank {
@@ -1819,7 +1767,7 @@ impl RankPool for LocalPool<'_, '_> {
     }
 
     fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        let image = image_of(&mut self.image, self.program)?;
+        let image = image_of(&mut self.image, self.world.program)?;
         let (y, delta) = {
             let rank = live_rank(&mut self.ranks, r)?;
             let y = run(&mut rank.thread, image, &mut rank.machine, slice)
@@ -1836,15 +1784,13 @@ impl RankPool for LocalPool<'_, '_> {
         ranks: &[u32],
         slice: u64,
     ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
-        if self.workers == 0 {
-            let mut out = Vec::with_capacity(ranks.len());
-            for &r in ranks {
-                let (y, delta) = self.run_slice(r, slice)?;
-                out.push((r, y, delta));
-            }
-            return Ok(out);
-        }
-        let image = image_of(&mut self.image, self.program)?;
+        // One worker (the `Sim` executor) runs the batch as a plain loop
+        // on this thread.
+        let workers = match self.world.executor {
+            ExecutorCfg::Sim => 1,
+            ExecutorCfg::Threads { workers, .. } => workers,
+        };
+        let image = image_of(&mut self.image, self.world.program)?;
         // Move each ready rank's execution state into a job. The device
         // and the cycle watermark stay pool-side — slices never touch
         // them (device yields are serviced after the batch).
@@ -1869,9 +1815,7 @@ impl RankPool for LocalPool<'_, '_> {
         // Results come back in batch order. Reinstall every rank before
         // surfacing any error so no state is stranded.
         let mut outcomes = Vec::with_capacity(ranks.len());
-        for (done, (gpu, last_cycles)) in
-            run_batch(self.workers, image, jobs).into_iter().zip(parked)
-        {
+        for (done, (gpu, last_cycles)) in run_batch(workers, image, jobs).into_iter().zip(parked) {
             let cycles = done.machine.counters.cycles;
             self.ranks[done.rank as usize] = Some(LocalRank {
                 thread: done.thread,
@@ -1899,7 +1843,7 @@ impl RankPool for LocalPool<'_, '_> {
         let y = self.pending[r as usize]
             .take()
             .ok_or_else(|| err_on(r, "no pending device yield"))?;
-        let image = image_of(&mut self.image, self.program)?;
+        let image = image_of(&mut self.image, self.world.program)?;
         let rank = live_rank(&mut self.ranks, r)?;
         service_device_yield(
             image,
@@ -1918,8 +1862,8 @@ impl RankPool for LocalPool<'_, '_> {
         let Yield::Host { host, args } = y else {
             return Err(err_on(r, "host service on a non-host yield"));
         };
-        let program = self.program;
-        let registry = self.host;
+        let program = self.world.program;
+        let registry = self.world.host;
         let rank = self.rank_mut(r)?;
         service_host_yield(
             program,
@@ -1939,7 +1883,7 @@ impl RankPool for LocalPool<'_, '_> {
         off: usize,
         count: usize,
     ) -> Result<Vec<f32>, SimError> {
-        let program = self.program;
+        let program = self.world.program;
         let rank = self.rank_mut(r)?;
         let loc = yield_location(program, &rank.thread);
         read_floats(&rank.machine, buf, off, count).map_err(|m| err_on(r, locate(m, &loc)))
@@ -1952,7 +1896,7 @@ impl RankPool for LocalPool<'_, '_> {
         off: usize,
         payload: &[f32],
     ) -> Result<(), SimError> {
-        let program = self.program;
+        let program = self.world.program;
         let rank = self.rank_mut(r)?;
         let loc = yield_location(program, &rank.thread);
         write_floats(&mut rank.machine, buf, off, payload).map_err(|m| err_on(r, locate(m, &loc)))
@@ -1962,7 +1906,7 @@ impl RankPool for LocalPool<'_, '_> {
         self.ranks
             .get(r as usize)
             .and_then(|o| o.as_ref())
-            .and_then(|rk| yield_location(self.program, &rk.thread))
+            .and_then(|rk| yield_location(self.world.program, &rk.thread))
     }
 
     fn has_fault_plan(&self, r: u32) -> bool {
@@ -2078,7 +2022,7 @@ impl RankPool for LocalPool<'_, '_> {
                 .ok_or_else(|| bad(format!("missing {what} section of rank {r}")))
         };
         let mut t = Reader::new(section("thread")?);
-        let thread = ckpt::read_thread(&mut t, self.program)?;
+        let thread = ckpt::read_thread(&mut t, self.world.program)?;
         let arrays = (0..n_arrays)
             .map(|i| section(&format!("array {i}")))
             .collect::<Result<Vec<_>, _>>()?;
@@ -2090,7 +2034,7 @@ impl RankPool for LocalPool<'_, '_> {
         // (their cursors advance via `Gpu::reseed_faults` on restart
         // instead).
         let gpu = if has_gpu {
-            let Some(cfg) = self.gpu else {
+            let Some(cfg) = self.world.gpu else {
                 return Err(bad("checkpoint has device state but this world has no GPU"));
             };
             let mut gr = Reader::new(section("device")?);
@@ -2098,7 +2042,7 @@ impl RankPool for LocalPool<'_, '_> {
             g.machine = ckpt::read_machine(&mut gr)?;
             g.vtime = gr.u64()?;
             g.allocated_bytes = gr.u64()?;
-            if let Some(fault) = self.fault {
+            if let Some(fault) = self.world.fault {
                 g.set_fault(device_fault_config(fault, r));
             }
             Some(g)
@@ -2106,10 +2050,10 @@ impl RankPool for LocalPool<'_, '_> {
             None
         };
         if (r as usize) >= self.ranks.len() {
-            self.ranks.resize_with(self.size as usize, || None);
+            self.ranks.resize_with(self.world.size as usize, || None);
         }
         if (r as usize) >= self.pending.len() {
-            self.pending.resize_with(self.size as usize, || None);
+            self.pending.resize_with(self.world.size as usize, || None);
         }
         self.pending[r as usize] = None;
         self.ranks[r as usize] = Some(LocalRank {

@@ -1,13 +1,14 @@
-//! # transport — the message-delivery seam under the rank runtime
+//! # transport — message queues and wire frames
 //!
-//! The scheduler in [`crate::runtime`] never touches a queue or a socket
-//! directly: every point-to-point message goes through the [`Transport`]
-//! trait. [`InMemTransport`] re-expresses the historical deterministic
-//! in-memory queues behind that seam (bit-identical to the pre-refactor
-//! `mpi-sim`, including the sorted-key checkpoint byte layout), and the
-//! `dist` backend layers the same hub over per-rank loopback TCP links.
+//! The scheduler in [`crate::runtime`] matches every point-to-point
+//! message in its own deterministic in-memory queues
+//! (`InMemTransport`; bit-identical to the pre-refactor `mpi-sim`,
+//! including the sorted-key checkpoint byte layout). This holds on every
+//! backend: a `dist` rank's payloads cross its socket on the rank
+//! protocol as reads and writes of rank memory, and the coordinator's
+//! scheduler queues them here.
 //!
-//! The bottom half of this module is the wire framing shared by every
+//! The rest of this module is the wire framing shared by every
 //! socket-backed component: length-prefixed frames carrying a magic, a
 //! wire version, and a trailing checksum, in the same
 //! versioned-checksummed idiom as `nir::codec`. Every failure mode —
@@ -213,67 +214,42 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, TransportError> {
     Ok(payload)
 }
 
-/// (from, to, tag) -> FIFO of (payload, available_at) — the historical
-/// in-memory queue shape, now owned by [`InMemTransport`].
-pub type MsgQueues = HashMap<(u32, u32, i32), VecDeque<(Vec<f32>, u64)>>;
-
-/// The message-delivery fabric under the rank runtime. Implementations
-/// must be deterministic: the same sequence of posts and receives yields
-/// the same deliveries and the same [`Transport::snapshot`] bytes —
+/// The scheduler's deterministic message queues: (from, to, tag) ->
+/// FIFO of (payload, available_at). The same posts and receives yield
+/// the same deliveries and the same [`InMemTransport::snapshot`] bytes —
 /// checkpoint bit-identity across backends depends on it.
-pub trait Transport {
-    /// Enqueue a point-to-point message available to the receiver from
-    /// virtual time `avail_at`.
-    fn post(&mut self, from: u32, to: u32, tag: i32, payload: Vec<f32>, avail_at: u64);
-    /// Pop the next matching message, if any.
-    fn try_recv(&mut self, to: u32, from: u32, tag: i32) -> Option<(Vec<f32>, u64)>;
-    /// Messages currently queued on one (from, to, tag) edge.
-    fn queued(&self, from: u32, to: u32, tag: i32) -> usize;
-    /// Messages queued toward `to` across all edges (post-mortems).
-    fn inbound_total(&self, to: u32) -> usize;
-    /// Serialize all in-flight messages as one checkpoint section, in a
-    /// deterministic (sorted-key) order.
-    fn snapshot(&self) -> Vec<u8>;
-    /// Replace in-flight state from a [`Transport::snapshot`] section.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CkptError>;
-    /// Drop every in-flight message (cold starts discard the fabric).
-    fn clear(&mut self);
+#[derive(Debug, Default)]
+pub(crate) struct InMemTransport {
+    queues: HashMap<Edge, VecDeque<(Vec<f32>, u64)>>,
 }
 
-/// The deterministic in-memory delivery fabric — the pre-refactor
-/// `mpi-sim` queues re-expressed behind [`Transport`]. Also the hub the
-/// `dist` backend's coordinator runs; worker payloads cross the sockets
-/// on the rank protocol and meet here for matching.
-#[derive(Debug, Default)]
-pub struct InMemTransport {
-    queues: MsgQueues,
-}
+/// One point-to-point edge: (from, to, tag).
+type Edge = (u32, u32, i32);
 
 impl InMemTransport {
-    pub fn new() -> Self {
-        InMemTransport::default()
-    }
-}
-
-impl Transport for InMemTransport {
-    fn post(&mut self, from: u32, to: u32, tag: i32, payload: Vec<f32>, avail_at: u64) {
+    /// Enqueue a point-to-point message available to the receiver from
+    /// virtual time `avail_at`.
+    pub(crate) fn post(&mut self, from: u32, to: u32, tag: i32, payload: Vec<f32>, avail_at: u64) {
         self.queues
             .entry((from, to, tag))
             .or_default()
             .push_back((payload, avail_at));
     }
 
-    fn try_recv(&mut self, to: u32, from: u32, tag: i32) -> Option<(Vec<f32>, u64)> {
+    /// Pop the next matching message, if any.
+    pub(crate) fn try_recv(&mut self, to: u32, from: u32, tag: i32) -> Option<(Vec<f32>, u64)> {
         self.queues
             .get_mut(&(from, to, tag))
             .and_then(|q| q.pop_front())
     }
 
-    fn queued(&self, from: u32, to: u32, tag: i32) -> usize {
+    /// Messages currently queued on one (from, to, tag) edge.
+    pub(crate) fn queued(&self, from: u32, to: u32, tag: i32) -> usize {
         self.queues.get(&(from, to, tag)).map_or(0, |q| q.len())
     }
 
-    fn inbound_total(&self, to: u32) -> usize {
+    /// Messages queued toward `to` across all edges (post-mortems).
+    pub(crate) fn inbound_total(&self, to: u32) -> usize {
         self.queues
             .iter()
             .filter(|(&(_, t, _), _)| t == to)
@@ -281,11 +257,13 @@ impl Transport for InMemTransport {
             .sum()
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    /// Serialize all in-flight messages as one checkpoint section, in a
+    /// deterministic (sorted-key) order.
+    pub(crate) fn snapshot(&self) -> Vec<u8> {
         // HashMap iteration order is nondeterministic — sort the keys so
         // identical worlds produce bit-identical checkpoints.
         let mut msgs = Writer::new();
-        let mut keys: Vec<&(u32, u32, i32)> = self.queues.keys().collect();
+        let mut keys: Vec<&Edge> = self.queues.keys().collect();
         keys.sort();
         msgs.len(keys.len());
         for key in keys {
@@ -305,9 +283,10 @@ impl Transport for InMemTransport {
         msgs.into_bytes()
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
+    /// Replace in-flight state from a [`InMemTransport::snapshot`] section.
+    pub(crate) fn restore(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = Reader::new(bytes);
-        let mut queues: MsgQueues = HashMap::new();
+        let mut queues = HashMap::new();
         let n_queues = r.len()?;
         for _ in 0..n_queues {
             let from = r.u32()?;
@@ -336,7 +315,8 @@ impl Transport for InMemTransport {
         Ok(())
     }
 
-    fn clear(&mut self) {
+    /// Drop every in-flight message (cold starts discard the queues).
+    pub(crate) fn clear(&mut self) {
         self.queues.clear();
     }
 }
@@ -446,7 +426,7 @@ mod tests {
 
     #[test]
     fn inmem_transport_matches_queue_semantics() {
-        let mut t = InMemTransport::new();
+        let mut t = InMemTransport::default();
         t.post(0, 1, 7, vec![1.0, 2.0], 10);
         t.post(0, 1, 7, vec![3.0], 20);
         t.post(2, 1, 7, vec![9.0], 5);
@@ -460,15 +440,15 @@ mod tests {
 
     #[test]
     fn inmem_snapshot_restore_is_bit_identical_and_rejects_garbage() {
-        let mut t = InMemTransport::new();
+        let mut t = InMemTransport::default();
         t.post(3, 0, -1, vec![0.5; 9], 123);
         t.post(0, 3, 2, vec![], 0);
         t.post(1, 2, 0, vec![f32::NAN], 7);
         let snap = t.snapshot();
-        let mut u = InMemTransport::new();
+        let mut u = InMemTransport::default();
         u.restore(&snap).unwrap();
         assert_eq!(u.snapshot(), snap);
-        let mut v = InMemTransport::new();
+        let mut v = InMemTransport::default();
         for cut in 0..snap.len() {
             assert!(v.restore(&snap[..cut]).is_err(), "cut {cut} must be typed");
         }

@@ -21,8 +21,8 @@ use gpu_sim::GpuConfig;
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{
-    run_world_with_restart, CheckpointPolicy, CostModel, DeviceOutcome, InMemTransport, LocalPool,
-    RankCtl, RankOutcome, RankPool, RankSnapshot, RankYield, RunCfg, Schedule, SimError,
+    CheckpointPolicy, DeviceOutcome, LocalPool, RankCtl, RankOutcome, RankPool, RankSnapshot,
+    RankYield, SimError, World,
 };
 use nir::codec::Wire;
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, HostFnSig, Instr, IntrinOp, Program, Reg, Ty};
@@ -414,36 +414,25 @@ fn run_checked(
     deepen: bool,
 ) -> (Vec<Option<Val>>, Seen) {
     let host = registry();
-    let fault = crash.map(|seed| FaultConfig {
-        crash: 0.004,
-        ..FaultConfig::seeded(seed)
-    });
+    let mut world = World::new(p, RANKS)
+        .with_gpu(GpuConfig::default())
+        .with_host(&host);
+    if let Some(seed) = crash {
+        world = world.with_faults(FaultConfig {
+            crash: 0.004,
+            ..FaultConfig::seeded(seed)
+        });
+    }
     let mut no_args = |_: u32, _: &mut Machine| Ok(vec![]);
-    let inner = LocalPool::new(
-        p,
-        RANKS,
-        entry,
-        &mut no_args,
-        Some(GpuConfig::default()),
-        fault,
-        Some(&host),
-    );
     let mut pool = Checked {
-        inner,
+        inner: LocalPool::new(&world, entry, &mut no_args),
         seen: Seen::default(),
         deepen,
         refuse_next: false,
     };
-    let cfg = RunCfg {
-        size: RANKS,
-        cost: CostModel::default(),
-        slice: 4_000_000,
-        timeout_rounds: fault.map(|_| 100_000),
-        schedule: Schedule::RankOrder,
-        ckpt_salt: 0,
-    };
     let policy = CheckpointPolicy::every(1).with_rebase_every(4);
-    let run = run_world_with_restart(&cfg, &mut pool, &mut InMemTransport::new(), &policy, 64)
+    let run = world
+        .run_on(&mut pool, Some((&policy, 64)))
         .expect("the checkpointed run completes");
     let results = run.ranks.into_iter().map(|r| r.result).collect();
     (results, pool.seen)

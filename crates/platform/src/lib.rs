@@ -44,7 +44,7 @@
 //! each rank runs the same `LocalPool` engine behind a typed,
 //! length-prefixed loopback-TCP wire protocol (threads by default, one
 //! OS process per rank via [`dist::Launch::Processes`]), coordinated by
-//! the shared transport-agnostic rank runtime. It is held to
+//! the shared rank runtime (`World::run_on`). It is held to
 //! bit-identity with `mpi-sim` by the conformance suite, and it cannot
 //! offer host FFI — foreign function pointers do not cross a process
 //! boundary.
@@ -58,7 +58,9 @@
 
 use exec::{ExecutorCfg, FaultConfig, HostRegistry, Machine, Val};
 use gpu_sim::GpuConfig;
-use mpi_sim::{CheckpointPolicy, CostModel, Schedule, SimError, World, WorldRun};
+use mpi_sim::{
+    CheckpointPolicy, CostModel, LocalPool, RankPool, Schedule, SimError, World, WorldRun,
+};
 use nir::{FuncId, Program};
 use std::sync::Arc;
 
@@ -198,7 +200,7 @@ pub trait Platform {
     /// Run `entry` under this platform's world shape. Checkpointed
     /// requests roll back and restart on crash/timeout exactly like
     /// `mpi_sim::World::run_with_restart` (they *are* that machinery —
-    /// reused through the trait, not per backend).
+    /// `World::run_on`, reused over each backend's rank pool).
     fn run(&self, req: RunRequest<'_>, make_args: ArgBuilder<'_>) -> Result<RunOutcome, SimError>;
 }
 
@@ -241,16 +243,14 @@ fn apply_request<'p>(mut world: World<'p>, req: &RunRequest<'p>, salt: u64) -> W
         .with_ckpt_salt(ckpt_scope(salt, req))
 }
 
-/// Drive the world, routing through checkpoint/restart when requested.
+/// Drive `pool` under `world`, routing through checkpoint/restart when
+/// requested.
 fn drive(
-    world: World<'_>,
+    world: &World<'_>,
     req: &RunRequest<'_>,
-    make_args: ArgBuilder<'_>,
+    pool: &mut dyn RankPool,
 ) -> Result<RunOutcome, SimError> {
-    match &req.checkpoint {
-        Some(policy) => world.run_with_restart(req.entry, make_args, policy, req.max_restarts),
-        None => world.run(req.entry, make_args),
-    }
+    world.run_on(pool, req.checkpoint.as_ref().map(|p| (p, req.max_restarts)))
 }
 
 /// The sequential host interpreter: one rank, no device. Collectives
@@ -289,7 +289,8 @@ impl Platform for InterpPlatform {
             &req,
             self.fingerprint_salt(),
         );
-        drive(world, &req, make_args)
+        let mut pool = LocalPool::new(&world, req.entry, make_args);
+        drive(&world, &req, &mut pool)
     }
 }
 
@@ -325,7 +326,8 @@ impl Platform for GpuSimPlatform {
             &req,
             self.fingerprint_salt(),
         );
-        drive(world, &req, make_args)
+        let mut pool = LocalPool::new(&world, req.entry, make_args);
+        drive(&world, &req, &mut pool)
     }
 }
 
@@ -374,7 +376,8 @@ impl Platform for MpiSimPlatform {
             world = world.with_gpu(g);
         }
         let world = apply_request(world, &req, self.fingerprint_salt());
-        drive(world, &req, make_args)
+        let mut pool = LocalPool::new(&world, req.entry, make_args);
+        drive(&world, &req, &mut pool)
     }
 }
 
@@ -472,7 +475,8 @@ impl Platform for HostMtPlatform {
             self.fingerprint_salt(),
         )
         .with_executor(effective);
-        drive(world, &req, make_args)
+        let mut pool = LocalPool::new(&world, req.entry, make_args);
+        drive(&world, &req, &mut pool)
     }
 }
 
@@ -540,20 +544,13 @@ impl Platform for DistPlatform {
                     .into(),
             });
         }
-        let mut world = dist::DistWorld::new(req.program, self.ranks)
-            .with_cost(self.cost)
-            .with_launch(self.launch.clone())
-            .with_ckpt_salt(ckpt_scope(self.fingerprint_salt(), &req));
-        if let Some(f) = req.fault {
-            world = world.with_faults(f);
-        }
-        if let Some(t) = req.timeout_rounds {
-            world = world.with_timeout(t);
-        }
-        match &req.checkpoint {
-            Some(policy) => world.run_with_restart(req.entry, make_args, policy, req.max_restarts),
-            None => world.run(req.entry, make_args),
-        }
+        let world = apply_request(
+            World::new(req.program, self.ranks).with_cost(self.cost),
+            &req,
+            self.fingerprint_salt(),
+        );
+        let mut pool = dist::RemotePool::new(&world, req.entry, make_args, self.launch.clone())?;
+        drive(&world, &req, &mut pool)
     }
 }
 
