@@ -8,7 +8,12 @@
 //! state from its own argument builder (so initialization is
 //! byte-identical to `mpi-sim`'s), and then drives the shared step
 //! loop, reaching each rank through a typed, length-prefixed,
-//! checksummed frame protocol ([`proto`]).
+//! checksummed frame protocol ([`proto`]). Each worker gets the
+//! program inline in one `Init` round; coordinator and worker may be
+//! two builds, so the `Hello` carries [`proto::PROTO_VERSION`] and a
+//! skew refuses the worker before any state moves. Every reply passes
+//! one check: the expected variant, the worker's own typed error, or a
+//! world error naming the rank.
 //!
 //! Because every scheduling, cost-model, and fault-stream decision is
 //! made in the shared runtime on the coordinator side, and the worker
@@ -34,12 +39,11 @@ pub mod proto;
 pub mod worker;
 
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use exec::ckpt::chain::Section;
 use exec::ckpt::{self, CkptError};
 use exec::{MsgFault, ResilienceStats, TransportFault, Val};
 use mpi_sim::{
@@ -49,16 +53,18 @@ use mpi_sim::{
 use nir::codec::{Reader, Wire};
 use nir::FuncId;
 
-use proto::{Request, Resp, WarmProgram, PROTO_VERSION};
+use proto::{Request, Resp, PROTO_VERSION};
 
-/// Digest seed for warm program images (`.wprog` files) — namespaced
-/// away from the artifact-seal and frame-checksum digests so a file of
-/// one kind never verifies as another.
-pub const WARM_DIGEST_SEED: u64 = 0x5750_5247; // "WPRG"
-
-/// Where a program image with `digest` lives inside a warm directory.
-pub fn warm_program_path(dir: &Path, digest: u64) -> PathBuf {
-    dir.join(format!("{digest:016x}.wprog"))
+/// A reply picker for [`RemotePool::call`]: the value the expected
+/// `Resp` variant carries, or the reply itself (boxed: off the happy
+/// path) when it is another one.
+macro_rules! pick {
+    ($($variant:pat => $value:expr),+ $(,)?) => {
+        |resp: Resp| match resp {
+            $($variant => Ok($value),)+
+            other => Err(Box::new(other)),
+        }
+    };
 }
 
 /// How a [`RemotePool`] brings its rank workers into existence.
@@ -99,14 +105,10 @@ struct Worker {
 }
 
 impl Worker {
-    fn rpc(&mut self, req: &Request) -> Result<Resp, TransportError> {
-        write_frame(&mut self.stream, &proto::encode_req(req))?;
-        proto::decode_resp(&read_frame(&mut self.stream)?)
-    }
-
     fn dispose(mut self) {
         // Best-effort: ask nicely, then make sure the process is gone.
-        let _ = self.rpc(&Request::Shutdown);
+        let _ = write_frame(&mut self.stream, &proto::encode_req(&Request::Shutdown))
+            .and_then(|()| read_frame(&mut self.stream));
         if let Some(mut child) = self.child.take() {
             let _ = child.kill();
             let _ = child.wait();
@@ -134,15 +136,8 @@ pub struct RemotePool<'p, 'a> {
     /// slices — consumed once (respawned workers never inherit it), so
     /// recovery is observable instead of an infinite kill loop.
     kill_rank_after: Option<(u32, u64)>,
-    /// Warm program store: when set, the program bytes are persisted
-    /// once as `<dir>/<digest:016x>.wprog` and every `Init` ships a
-    /// 16-byte digest reference instead of the program (workers verify
-    /// the digest; any failure falls back to inline bytes, typed).
-    warm_dir: Option<PathBuf>,
-    /// Digest of `program_bytes` under [`WARM_DIGEST_SEED`].
-    program_digest: u64,
-    /// Coordinator-side count of overlapped RPC fan-out rounds (see
-    /// [`Self::rpc_fanout`]); drained into rank 0's
+    /// Coordinator-side count of overlapped fan-out rounds (see
+    /// [`Self::call_all`]); drained into rank 0's
     /// [`ResilienceStats`] reply so the restart loop's per-attempt
     /// stats reads never double-count it.
     overlapped_rounds: u64,
@@ -170,11 +165,9 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             .local_addr()
             .map_err(|e| world_err(format!("dist: rendezvous address: {e}")))?
             .port();
-        let program_bytes = world.program.to_wire();
-        let program_digest = nir::digest64(&program_bytes, WARM_DIGEST_SEED);
         Ok(RemotePool {
             world,
-            program_bytes,
+            program_bytes: world.program.to_wire(),
             entry,
             make_args,
             launch,
@@ -183,22 +176,8 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             token: fresh_token(),
             workers: (0..world.size).map(|_| None).collect(),
             kill_rank_after: None,
-            warm_dir: None,
-            program_digest,
             overlapped_rounds: 0,
         })
-    }
-
-    /// Share the program image with spawned workers through `dir`
-    /// instead of streaming it inline over the Init frame: the
-    /// coordinator persists it once (content-addressed by digest) and
-    /// every worker — including respawns after a crash — loads and
-    /// digest-verifies it from disk. A worker that cannot resolve the
-    /// warm reference answers a typed error and the coordinator falls
-    /// back to the inline image automatically.
-    pub fn with_warm_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.warm_dir = Some(dir.into());
-        self
     }
 
     /// Chaos knob: kill `rank`'s worker after it has served
@@ -207,25 +186,6 @@ impl<'p, 'a> RemotePool<'p, 'a> {
     pub fn kill_rank_after(mut self, rank: u32, run_slices: u64) -> Self {
         self.kill_rank_after = Some((rank, run_slices));
         self
-    }
-
-    /// Persist the program image into the warm directory (idempotent:
-    /// the file is content-addressed by digest and written with
-    /// [`mpi_sim::write_atomic`], so concurrent coordinators sharing the
-    /// directory never tear it). Returns the warm reference to ship, or
-    /// `None` when persistence failed — the caller then ships the
-    /// program inline: I/O trouble degrades, it never breaks the world.
-    fn publish_warm_program(&self) -> Option<WarmProgram> {
-        let dir = self.warm_dir.as_deref()?;
-        let path = warm_program_path(dir, self.program_digest);
-        if !path.is_file() {
-            std::fs::create_dir_all(dir).ok()?;
-            mpi_sim::write_atomic(&path, &self.program_bytes).ok()?;
-        }
-        Some(WarmProgram {
-            dir: dir.to_string_lossy().into_owned(),
-            digest: self.program_digest,
-        })
     }
 
     /// Spawn + rendezvous + `Init` every rank that has no live worker.
@@ -241,77 +201,25 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             children.push(self.spawn(r)?);
         }
         self.rendezvous(&missing, &mut children)?;
-        let warm = self.publish_warm_program();
-        let kills: Vec<Option<u64>> = missing
+        // The kill knob goes to the first spawn of its rank only.
+        let kill = self
+            .kill_rank_after
+            .take_if(|(rank, _)| missing.contains(rank));
+        let reqs: Vec<(u32, Request)> = missing
             .iter()
-            .map(|&r| match self.kill_rank_after {
-                Some((kr, n)) if kr == r => {
-                    self.kill_rank_after = None;
-                    Some(n)
-                }
-                _ => None,
+            .map(|&r| {
+                let req = Request::Init {
+                    size: self.world.size,
+                    entry: self.entry.0,
+                    program: self.program_bytes.clone(),
+                    fault: self.world.fault.map(Box::new),
+                    gpu: self.world.gpu,
+                    kill_after_runs: kill.filter(|&(rank, _)| rank == r).map(|(_, n)| n),
+                };
+                (r, req)
             })
             .collect();
-        // Warm path first: ship a digest reference instead of the
-        // program image. A worker that cannot resolve it (missing
-        // file, digest mismatch) answers a typed Err and keeps its
-        // Init loop open, so that rank is retried with the bytes
-        // inline. Both rounds fan out overlapped: every Init frame is
-        // written before any reply is awaited, so a cold start pays
-        // one round-trip latency instead of one per rank.
-        let init_req = |pool: &Self, kill: Option<u64>, warm: Option<WarmProgram>| {
-            let inline = warm.is_none();
-            Request::Init {
-                size: pool.world.size,
-                entry: pool.entry.0,
-                program: if inline {
-                    pool.program_bytes.clone()
-                } else {
-                    Vec::new()
-                },
-                fault: pool.world.fault.map(Box::new),
-                gpu: pool.world.gpu,
-                kill_after_runs: kill,
-                warm,
-            }
-        };
-        let first: Vec<(u32, Request)> = missing
-            .iter()
-            .zip(&kills)
-            .map(|(&r, &kill)| (r, init_req(self, kill, warm.clone())))
-            .collect();
-        let mut retry: Vec<(u32, Request)> = Vec::new();
-        for ((r, resp), &kill) in self.rpc_fanout(&first)?.into_iter().zip(&kills) {
-            match resp {
-                Resp::Ok => {}
-                Resp::Err(e) => {
-                    if warm.is_some() {
-                        // Warm miss: queue the inline retry.
-                        retry.push((r, init_req(self, kill, None)));
-                    } else {
-                        return Err(e);
-                    }
-                }
-                other => {
-                    return Err(world_err(format!(
-                        "dist: rank {r} answered Init with {other:?}"
-                    )))
-                }
-            }
-        }
-        if !retry.is_empty() {
-            for (r, resp) in self.rpc_fanout(&retry)? {
-                match resp {
-                    Resp::Ok => {}
-                    Resp::Err(e) => return Err(e),
-                    other => {
-                        return Err(world_err(format!(
-                            "dist: rank {r} answered Init with {other:?}"
-                        )))
-                    }
-                }
-            }
-        }
+        self.call_all(&reqs, pick!(Resp::Ok => ()))?;
         Ok(())
     }
 
@@ -377,17 +285,23 @@ impl<'p, 'a> RemotePool<'p, 'a> {
                 Ok(h) => h,
                 Err(_) => continue, // stray dialer: drop it, keep waiting
             };
-            if hello.token != self.token
-                || hello.proto != PROTO_VERSION
-                || !want.contains(&hello.rank)
-                || self.workers[hello.rank as usize].is_some()
-            {
-                // Wrong token/version/rank: refuse before any state moves.
+            // Refuse before any state moves, naming the check that failed.
+            let refusal = if hello.token != self.token {
+                Some("wrong token".to_string())
+            } else if hello.proto != PROTO_VERSION {
+                Some(format!("proto {}, expected {PROTO_VERSION}", hello.proto))
+            } else if !want.contains(&hello.rank) {
+                Some(format!("rank {} is not awaited", hello.rank))
+            } else if self.workers[hello.rank as usize].is_some() {
+                Some(format!("rank {} is already connected", hello.rank))
+            } else {
+                None
+            };
+            if let Some(why) = refusal {
                 let _ = write_frame(
                     &mut stream,
                     &proto::encode_resp(&Resp::Err(world_err(format!(
-                        "dist: rendezvous refused (proto {}, expected {PROTO_VERSION})",
-                        hello.proto
+                        "dist: rendezvous refused: {why}"
                     )))),
                 );
                 continue;
@@ -420,55 +334,63 @@ impl<'p, 'a> RemotePool<'p, 'a> {
         }
     }
 
+    /// One frame of wire I/O on rank `r`'s live worker; a wire failure
+    /// buries the worker.
+    fn on_worker<T>(
+        &mut self,
+        r: u32,
+        io: impl FnOnce(&mut TcpStream) -> Result<T, TransportError>,
+    ) -> Result<T, SimError> {
+        let worker = self
+            .workers
+            .get_mut(r as usize)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| world_err(format!("dist: rank {r} has no live worker")))?;
+        io(&mut worker.stream).map_err(|e| self.bury(r, e))
+    }
+
     /// Write one request frame to rank `r` without awaiting the reply.
-    fn worker_write(&mut self, r: u32, req: &Request) -> Result<(), SimError> {
-        let res = {
-            let worker = self
-                .workers
-                .get_mut(r as usize)
-                .and_then(Option::as_mut)
-                .ok_or_else(|| world_err(format!("dist: rank {r} has no live worker")))?;
-            write_frame(&mut worker.stream, &proto::encode_req(req))
-        };
-        res.map_err(|e| self.bury(r, e))
+    fn send(&mut self, r: u32, req: &Request) -> Result<(), SimError> {
+        self.on_worker(r, |s| write_frame(s, &proto::encode_req(req)))
     }
 
     /// Await the one pending reply from rank `r`.
-    fn worker_read(&mut self, r: u32) -> Result<Resp, SimError> {
-        let res = {
-            let worker = self
-                .workers
-                .get_mut(r as usize)
-                .and_then(Option::as_mut)
-                .ok_or_else(|| world_err(format!("dist: rank {r} has no live worker")))?;
-            read_frame(&mut worker.stream).and_then(|b| proto::decode_resp(&b))
-        };
-        res.map_err(|e| self.bury(r, e))
+    fn receive(&mut self, r: u32) -> Result<Resp, SimError> {
+        self.on_worker(r, |s| proto::decode_resp(&read_frame(s)?))
     }
 
-    /// One request/response round to rank `r`'s worker. A wire failure
-    /// buries the worker and surfaces as a typed, *recoverable* crash
-    /// for that rank — the restart machinery respawns it.
-    fn rpc(&mut self, r: u32, req: &Request) -> Result<Resp, SimError> {
-        self.worker_write(r, req)?;
-        self.worker_read(r)
+    /// One request/response round to rank `r`'s worker, its reply
+    /// checked by [`check_reply`]. A wire failure buries the worker and
+    /// surfaces as a typed, *recoverable* crash for that rank — the
+    /// restart machinery respawns it.
+    fn call<T>(
+        &mut self,
+        r: u32,
+        req: &Request,
+        pick: impl FnOnce(Resp) -> Result<T, Box<Resp>>,
+    ) -> Result<T, SimError> {
+        self.send(r, req)?;
+        check_reply(r, self.receive(r)?, pick)
     }
 
-    /// Overlapped fan-out: write *every* request frame back to back,
-    /// then await the replies in the same rank order — the whole world
-    /// pays one round-trip latency instead of one per rank. A wire
-    /// failure buries its rank exactly as [`Self::rpc`] does, but the
-    /// remaining replies are still drained first so surviving workers
-    /// stay in strict lockstep (no stale reply can desynchronize a
-    /// later request); the first failure surfaces after the drain.
-    fn rpc_fanout(&mut self, reqs: &[(u32, Request)]) -> Result<Vec<(u32, Resp)>, SimError> {
+    /// Overlapped fan-out of [`Self::call`]: write *every* request frame
+    /// back to back, then await the replies in the same rank order — the
+    /// whole world pays one round-trip latency instead of one per rank.
+    /// Every reply is drained, even after a failure, so surviving
+    /// workers stay in strict lockstep (no stale reply can desynchronize
+    /// a later request); the first failure surfaces after the drain.
+    fn call_all<T>(
+        &mut self,
+        reqs: &[(u32, Request)],
+        pick: impl Fn(Resp) -> Result<T, Box<Resp>>,
+    ) -> Result<Vec<(u32, T)>, SimError> {
         if reqs.len() > 1 {
             self.overlapped_rounds += 1;
         }
         let mut first_err: Option<SimError> = None;
         let mut written: Vec<u32> = Vec::with_capacity(reqs.len());
         for (r, req) in reqs {
-            match self.worker_write(*r, req) {
+            match self.send(*r, req) {
                 Ok(()) => written.push(*r),
                 Err(e) => {
                     first_err.get_or_insert(e);
@@ -477,8 +399,8 @@ impl<'p, 'a> RemotePool<'p, 'a> {
         }
         let mut out = Vec::with_capacity(written.len());
         for r in written {
-            match self.worker_read(r) {
-                Ok(resp) => out.push((r, resp)),
+            match self.receive(r).and_then(|resp| check_reply(r, resp, &pick)) {
+                Ok(v) => out.push((r, v)),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
@@ -489,17 +411,20 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             Some(e) => Err(e),
         }
     }
+}
 
-    /// Unwrap a worker reply that should be `Ok`.
-    fn expect_ok(&mut self, r: u32, req: &Request) -> Result<(), SimError> {
-        match self.rpc(r, req)? {
-            Resp::Ok => Ok(()),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} sent mismatched reply {other:?}"
-            ))),
-        }
-    }
+/// The one reply check: the value `pick` takes out of the expected
+/// variant, the worker's own error passed through unchanged, or a world
+/// error naming the rank for any other reply.
+fn check_reply<T>(
+    r: u32,
+    resp: Resp,
+    pick: impl FnOnce(Resp) -> Result<T, Box<Resp>>,
+) -> Result<T, SimError> {
+    pick(resp).map_err(|reply| match *reply {
+        Resp::Err(e) => e,
+        reply => world_err(format!("dist: rank {r} sent mismatched reply {reply:?}")),
+    })
 }
 
 impl RankPool for RemotePool<'_, '_> {
@@ -517,28 +442,12 @@ impl RankPool for RemotePool<'_, '_> {
         drop(seed);
         let reqs: Vec<(u32, Request)> = (0..self.world.size)
             .zip(snaps)
-            .map(|(r, snap)| {
-                let n_arrays = snap.sections.len() - 2 - usize::from(snap.has_gpu);
-                let req = Request::Restore {
-                    last_cycles: snap.last_cycles,
-                    has_gpu: snap.has_gpu,
-                    n_arrays: n_arrays as u64,
-                    sections: snap.sections,
-                };
-                (r, req)
-            })
+            .map(|(r, snap)| (r, restore_request(snap)))
             .collect();
-        for (r, resp) in self.rpc_fanout(&reqs)? {
-            match resp {
-                Resp::Ok => {}
-                Resp::CkptErr(e) => return Err(world_err(format!("dist: seeding rank {r}: {e}"))),
-                Resp::Err(e) => return Err(e),
-                other => {
-                    return Err(world_err(format!(
-                        "dist: rank {r} answered Restore with {other:?}"
-                    )))
-                }
-            }
+        let replies =
+            self.call_all(&reqs, pick!(Resp::Ok => Ok(()), Resp::CkptErr(e) => Err(e)))?;
+        for (r, restored) in replies {
+            restored.map_err(|e| world_err(format!("dist: seeding rank {r}: {e}")))?;
         }
         Ok(())
     }
@@ -547,38 +456,38 @@ impl RankPool for RemotePool<'_, '_> {
         self.ensure_workers()
     }
 
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        match self.rpc(r, &Request::Run { slice })? {
-            Resp::Yielded { y, delta } => Ok((y, delta)),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered Run with {other:?}"
-            ))),
-        }
+    fn run_slices(
+        &mut self,
+        ranks: &[u32],
+        slice: u64,
+    ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
+        ranks
+            .iter()
+            .map(|&r| {
+                let (y, delta) = self.call(
+                    r,
+                    &Request::Run { slice },
+                    pick!(Resp::Yielded { y, delta } => (y, delta)),
+                )?;
+                Ok((r, y, delta))
+            })
+            .collect()
     }
 
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError> {
-        self.expect_ok(r, &Request::Resume { v })
+        self.call(r, &Request::Resume { v }, pick!(Resp::Ok => ()))
     }
 
     fn service_device(&mut self, r: u32) -> Result<DeviceOutcome, SimError> {
-        match self.rpc(r, &Request::ServiceDevice)? {
-            Resp::Device(outcome) => Ok(outcome),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered ServiceDevice with {other:?}"
-            ))),
-        }
+        self.call(r, &Request::ServiceDevice, pick!(Resp::Device(o) => o))
     }
 
     fn service_host(&mut self, r: u32) -> Result<u64, SimError> {
-        match self.rpc(r, &Request::ServiceHost)? {
-            Resp::U64(backoff) => Ok(backoff),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered ServiceHost with {other:?}"
-            ))),
-        }
+        self.call(
+            r,
+            &Request::ServiceHost,
+            pick!(Resp::U64(backoff) => backoff),
+        )
     }
 
     fn read_floats(
@@ -588,20 +497,12 @@ impl RankPool for RemotePool<'_, '_> {
         off: usize,
         count: usize,
     ) -> Result<Vec<f32>, SimError> {
-        match self.rpc(
-            r,
-            &Request::ReadFloats {
-                buf,
-                off: off as u64,
-                count: count as u64,
-            },
-        )? {
-            Resp::Floats(fs) => Ok(fs),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered ReadFloats with {other:?}"
-            ))),
-        }
+        let req = Request::ReadFloats {
+            buf,
+            off: off as u64,
+            count: count as u64,
+        };
+        self.call(r, &req, pick!(Resp::Floats(fs) => fs))
     }
 
     fn write_floats(
@@ -611,21 +512,18 @@ impl RankPool for RemotePool<'_, '_> {
         off: usize,
         payload: &[f32],
     ) -> Result<(), SimError> {
-        self.expect_ok(
-            r,
-            &Request::WriteFloats {
-                buf,
-                off: off as u64,
-                payload: payload.to_vec(),
-            },
-        )
+        let req = Request::WriteFloats {
+            buf,
+            off: off as u64,
+            payload: payload.to_vec(),
+        };
+        self.call(r, &req, pick!(Resp::Ok => ()))
     }
 
     fn location(&mut self, r: u32) -> Option<(String, u32)> {
-        match self.rpc(r, &Request::Location) {
-            Ok(Resp::Loc(loc)) => loc,
-            _ => None,
-        }
+        self.call(r, &Request::Location, pick!(Resp::Loc(loc) => loc))
+            .ok()
+            .flatten()
     }
 
     fn has_fault_plan(&self, r: u32) -> bool {
@@ -634,117 +532,67 @@ impl RankPool for RemotePool<'_, '_> {
     }
 
     fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        match self.rpc(r, &Request::MessageFault)? {
-            Resp::Msg(f) => Ok(f),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered MessageFault with {other:?}"
-            ))),
-        }
+        self.call(r, &Request::MessageFault, pick!(Resp::Msg(f) => f))
     }
 
     fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        match self.rpc(r, &Request::CollectiveFault)? {
-            Resp::Msg(f) => Ok(f),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered CollectiveFault with {other:?}"
-            ))),
-        }
+        self.call(r, &Request::CollectiveFault, pick!(Resp::Msg(f) => f))
     }
 
     fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError> {
-        match self.rpc(r, &Request::TransportFaultDraw)? {
-            Resp::Transport(f) => Ok(f),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered TransportFaultDraw with {other:?}"
-            ))),
-        }
+        self.call(
+            r,
+            &Request::TransportFaultDraw,
+            pick!(Resp::Transport(f) => f),
+        )
     }
 
     fn connect_delay(&mut self, r: u32) -> Result<u64, SimError> {
-        match self.rpc(r, &Request::ConnectDelay)? {
-            Resp::U64(total) => Ok(total),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered ConnectDelay with {other:?}"
-            ))),
-        }
+        self.call(r, &Request::ConnectDelay, pick!(Resp::U64(total) => total))
     }
 
     fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError> {
-        match self.rpc(r, &Request::CkptWriteFails)? {
-            Resp::Bool(fails) => Ok(fails),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered CkptWriteFails with {other:?}"
-            ))),
-        }
+        self.call(
+            r,
+            &Request::CkptWriteFails,
+            pick!(Resp::Bool(fails) => fails),
+        )
     }
 
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
-        match self.rpc(r, &Request::Capture)? {
-            Resp::Snapshot(snap) => Ok(snap),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered Capture with {other:?}"
-            ))),
-        }
+        self.call(r, &Request::Capture, pick!(Resp::Snapshot(snap) => snap))
     }
 
-    fn restore_rank(
-        &mut self,
-        r: u32,
-        last_cycles: u64,
-        has_gpu: bool,
-        n_arrays: usize,
-        sections: &[Section],
-    ) -> Result<(), CkptError> {
-        let req = Request::Restore {
-            last_cycles,
-            has_gpu,
-            n_arrays: n_arrays as u64,
-            sections: sections.to_vec(),
-        };
-        match self.rpc(r, &req) {
-            Ok(Resp::Ok) => Ok(()),
-            Ok(Resp::CkptErr(e)) => Err(e),
-            Ok(other) => Err(CkptError::Corrupt {
-                offset: 0,
-                message: format!("dist: rank {r} answered Restore with {other:?}"),
-            }),
-            // A dead worker degrades the chain link like a corrupt one:
-            // the restart loop falls back to a deeper ancestor (or a
-            // cold start) after prepare_resume has respawned the rank.
-            Err(e) => Err(CkptError::Corrupt {
+    fn restore_rank(&mut self, r: u32, snap: RankSnapshot) -> Result<(), CkptError> {
+        let picked = self.call(
+            r,
+            &restore_request(snap),
+            pick!(Resp::Ok => Ok(()), Resp::CkptErr(e) => Err(e)),
+        );
+        // A dead worker degrades the chain link like a corrupt one: the
+        // restart loop falls back to a deeper ancestor (or a cold start)
+        // after prepare_resume has respawned the rank.
+        picked.unwrap_or_else(|e| {
+            Err(CkptError::Corrupt {
                 offset: 0,
                 message: format!("dist: restoring rank {r}: {e}"),
-            }),
-        }
+            })
+        })
     }
 
     fn reseed(&mut self, r: u32, attempt: u64) -> Result<(), SimError> {
-        self.expect_ok(r, &Request::Reseed { attempt })
+        self.call(r, &Request::Reseed { attempt }, pick!(Resp::Ok => ()))
     }
 
     fn stats(&mut self, r: u32) -> Result<ResilienceStats, SimError> {
-        match self.rpc(r, &Request::Stats)? {
-            Resp::Stats(mut s) => {
-                if r == 0 {
-                    // The coordinator's fan-out counter rides on rank
-                    // 0's reply, drained so the restart loop's
-                    // per-attempt reads never double-count it.
-                    s.overlapped_rounds += self.overlapped_rounds;
-                    self.overlapped_rounds = 0;
-                }
-                Ok(s)
-            }
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered Stats with {other:?}"
-            ))),
+        let mut s = self.call(r, &Request::Stats, pick!(Resp::Stats(s) => s))?;
+        if r == 0 {
+            // The coordinator's fan-out counter rides on rank 0's reply,
+            // drained so the restart loop's per-attempt reads never
+            // double-count it.
+            s.overlapped_rounds += std::mem::take(&mut self.overlapped_rounds);
         }
+        Ok(s)
     }
 
     fn finish(&mut self, ctls: &[RankCtl]) -> Result<Vec<RankOutcome>, SimError> {
@@ -761,35 +609,39 @@ impl RankPool for RemotePool<'_, '_> {
                 (r as u32, req)
             })
             .collect();
-        let mut out = Vec::with_capacity(ctls.len());
-        for ((r, resp), ctl) in self.rpc_fanout(&reqs)?.into_iter().zip(ctls) {
-            match resp {
-                Resp::Outcome {
+        let replies = self.call_all(
+            &reqs,
+            pick!(Resp::Outcome { output, gpu_time, machine } => (output, gpu_time, machine)),
+        )?;
+        replies
+            .into_iter()
+            .zip(ctls)
+            .map(|((r, (output, gpu_time, machine)), ctl)| {
+                let machine = ckpt::read_machine(&mut Reader::new(&machine))
+                    .map_err(|e| world_err(format!("dist: rank {r} final machine: {e}")))?;
+                Ok(RankOutcome {
+                    result: ctl.done.flatten(),
+                    vclock: ctl.vclock,
+                    compute_cycles: ctl.compute_cycles,
+                    comm_cycles: ctl.comm_cycles,
                     output,
                     gpu_time,
                     machine,
-                } => {
-                    let machine = ckpt::read_machine(&mut Reader::new(&machine))
-                        .map_err(|e| world_err(format!("dist: rank {r} final machine: {e}")))?;
-                    out.push(RankOutcome {
-                        result: ctl.done.flatten(),
-                        vclock: ctl.vclock,
-                        compute_cycles: ctl.compute_cycles,
-                        comm_cycles: ctl.comm_cycles,
-                        output,
-                        gpu_time,
-                        machine,
-                    });
-                }
-                Resp::Err(e) => return Err(e),
-                other => {
-                    return Err(world_err(format!(
-                        "dist: rank {r} answered Finish with {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(out)
+                })
+            })
+            .collect()
+    }
+}
+
+/// The `Restore` request that ships `snap`. The wire carries its array
+/// count for the worker to check against the sections; a snapshot too
+/// short for its layout claims 0, which the worker refuses.
+fn restore_request(snap: RankSnapshot) -> Request {
+    Request::Restore {
+        last_cycles: snap.last_cycles,
+        has_gpu: snap.has_gpu,
+        n_arrays: snap.n_arrays().unwrap_or(0) as u64,
+        sections: snap.sections,
     }
 }
 
@@ -798,5 +650,120 @@ impl Drop for RemotePool<'_, '_> {
         for worker in self.workers.iter_mut().filter_map(Option::take) {
             worker.dispose();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exec::Machine;
+    use nir::{FuncKind, Function, Instr, Program, Ty};
+    use proto::Hello;
+
+    /// `int main() { r0 = 7; return r0; }`.
+    fn program() -> Program {
+        let mut p = Program::default();
+        let main = p.add_func(Function {
+            name: "main".into(),
+            params: vec![],
+            ret: Some(Ty::I32),
+            regs: vec![Ty::I32],
+            code: vec![Instr::ConstI32(0, 7), Instr::Ret(Some(0))],
+            kind: FuncKind::Host,
+        });
+        p.entry = Some(main);
+        p
+    }
+
+    fn no_args(_: u32, _: &mut Machine) -> Result<Vec<Val>, String> {
+        Ok(vec![])
+    }
+
+    #[test]
+    fn every_reply_passes_one_check() {
+        let p = program();
+        let world = World::new(&p, 1);
+        let mut args = no_args;
+        let mut pool = RemotePool::new(&world, FuncId(0), &mut args, Launch::Threads).unwrap();
+        // A fake rank-0 worker: two scripted replies, then it reads one
+        // more request and closes its socket unanswered.
+        let port = pool.port;
+        let fake = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            let rank_err = SimError::Rank {
+                rank: 0,
+                message: "boom".into(),
+            };
+            for reply in [Resp::Bool(true), Resp::Err(rank_err)] {
+                proto::decode_req(&read_frame(&mut s).unwrap()).unwrap();
+                write_frame(&mut s, &proto::encode_resp(&reply)).unwrap();
+            }
+            let _ = read_frame(&mut s);
+        });
+        let (stream, _) = pool.listener.accept().unwrap();
+        stream.set_read_timeout(Some(RPC_TIMEOUT)).unwrap();
+        pool.workers[0] = Some(Worker {
+            stream,
+            child: None,
+        });
+
+        // The wrong variant: a world error naming the rank; the worker
+        // stays live.
+        match pool.service_host(0) {
+            Err(SimError::World { message }) => {
+                assert_eq!(message, "dist: rank 0 sent mismatched reply Bool(true)")
+            }
+            other => panic!("expected a world error, got {other:?}"),
+        }
+        assert!(pool.workers[0].is_some());
+        // The worker's own error passes through unchanged.
+        match pool.service_host(0) {
+            Err(SimError::Rank { rank: 0, message }) => assert_eq!(message, "boom"),
+            other => panic!("expected the rank error, got {other:?}"),
+        }
+        assert!(pool.workers[0].is_some());
+        // A closed socket: a crash of that rank, its worker buried.
+        match pool.service_host(0) {
+            Err(SimError::Crash { rank: 0, .. }) => {}
+            other => panic!("expected a crash of rank 0, got {other:?}"),
+        }
+        assert!(pool.workers[0].is_none());
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn a_refused_dialer_learns_which_check_failed() {
+        let p = program();
+        let world = World::new(&p, 2);
+        let mut args = no_args;
+        let mut pool = RemotePool::new(&world, FuncId(0), &mut args, Launch::Threads).unwrap();
+        let hello = |token: u64, rank: u32, proto: u32| Hello { token, rank, proto };
+        let rows = [
+            (hello(pool.token ^ 1, 0, PROTO_VERSION), "wrong token"),
+            (hello(pool.token, 0, PROTO_VERSION ^ 0x100), "proto "),
+            (hello(pool.token, 9, PROTO_VERSION), "rank 9 is not awaited"),
+        ];
+        // Dialed before the workers are spawned, so the rendezvous meets
+        // these first.
+        let mut dialers: Vec<(TcpStream, &str)> = rows
+            .into_iter()
+            .map(|(h, needle)| {
+                let mut s = TcpStream::connect(("127.0.0.1", pool.port)).unwrap();
+                s.set_read_timeout(Some(RPC_TIMEOUT)).unwrap();
+                write_frame(&mut s, &proto::encode_hello(&h)).unwrap();
+                (s, needle)
+            })
+            .collect();
+        let run = world.run_on(&mut pool, None).unwrap();
+        for (s, needle) in &mut dialers {
+            let reply = format!("{:?}", proto::decode_resp(&read_frame(s).unwrap()).unwrap());
+            assert!(
+                reply.starts_with(r#"Err(World { message: "dist: rendezvous refused: "#)
+                    && reply.contains(*needle),
+                "{needle:?} not in {reply}"
+            );
+        }
+        let results: Vec<_> = run.ranks.iter().map(|r| r.result).collect();
+        assert_eq!(results, [Some(Val::I32(7)), Some(Val::I32(7))]);
     }
 }

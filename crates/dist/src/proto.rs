@@ -29,20 +29,9 @@ use nir::codec::Wire;
 /// whose layout that constant already versions: a new counter is one
 /// line in its `counters!` list and one `CKPT_VERSION` bump, nothing to
 /// edit here. The high bits count changes to every other record a
-/// payload carries (this module's, `GpuConfig`, `SimError`, ...).
-pub const PROTO_VERSION: u32 = (3 << 8) | CKPT_VERSION as u32;
-
-/// A reference to program bytes persisted in a warm artifact directory
-/// shared between coordinator and workers (same host — the spawn is
-/// loopback-local by construction). The worker loads
-/// `<dir>/<digest:016x>.wprog` and verifies the digest before trusting
-/// it; any failure is a typed `Resp::Err` and the coordinator falls
-/// back to re-sending the program inline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmProgram {
-    pub dir: String,
-    pub digest: u64,
-}
+/// payload carries (this module's, `GpuConfig`, `SimError`, ...); they
+/// are 4 since `Init` carries its program inline only.
+pub const PROTO_VERSION: u32 = (4 << 8) | CKPT_VERSION as u32;
 
 /// The first frame on a fresh worker connection: identify the rank and
 /// prove the worker was spawned by *this* coordinator (the token is
@@ -60,10 +49,7 @@ pub struct Hello {
 pub enum Request {
     /// Program + per-world configuration. Sent once per connection,
     /// before anything else; `kill_after_runs` is the chaos knob that
-    /// makes the worker die mid-protocol after that many `Run`s. When
-    /// `warm` is set the program bytes may be empty: the worker loads
-    /// them from the warm directory instead (digest-verified), so warm
-    /// restarts ship a 16-byte reference instead of the whole program.
+    /// makes the worker die mid-protocol after that many `Run`s.
     Init {
         size: u32,
         entry: u32,
@@ -71,7 +57,6 @@ pub enum Request {
         fault: Option<Box<FaultConfig>>,
         gpu: Option<GpuConfig>,
         kill_after_runs: Option<u64>,
-        warm: Option<WarmProgram>,
     },
     Run {
         slice: u64,
@@ -148,10 +133,9 @@ pub enum Resp {
     CkptErr(CkptError),
 }
 
-nir::wire_struct!(WarmProgram { dir, digest });
 nir::wire_struct!(Hello { token, rank, proto });
 nir::wire_enum!(Request {
-    1 = Init { size, entry, program, fault, gpu, kill_after_runs, warm },
+    1 = Init { size, entry, program, fault, gpu, kill_after_runs },
     2 = Run { slice },
     3 = Resume { v },
     4 = ServiceDevice,
@@ -215,117 +199,6 @@ pub fn decode_resp(bytes: &[u8]) -> Result<Resp, TransportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nir::IntrinOp;
-
-    #[test]
-    fn hello_and_request_payloads_round_trip() {
-        let h = Hello {
-            token: 0xFEED_F00D,
-            rank: 3,
-            proto: PROTO_VERSION,
-        };
-        assert_eq!(decode_hello(&encode_hello(&h)).unwrap(), h);
-
-        let mut cfg = FaultConfig::seeded(42);
-        cfg.crash = 0.25;
-        cfg.frame_truncate = 0.5;
-        cfg.translate_fail = 0.1;
-        let reqs = [
-            Request::Init {
-                size: 4,
-                entry: 7,
-                program: vec![1, 2, 3],
-                fault: Some(Box::new(cfg)),
-                gpu: Some(GpuConfig::default()),
-                kill_after_runs: Some(9),
-                warm: None,
-            },
-            Request::Init {
-                size: 2,
-                entry: 0,
-                program: vec![],
-                fault: None,
-                gpu: None,
-                kill_after_runs: None,
-                warm: Some(WarmProgram {
-                    dir: "/tmp/warm".into(),
-                    digest: 0xDEAD_BEEF,
-                }),
-            },
-            Request::Run { slice: 4_000_000 },
-            Request::Resume { v: Val::F32(1.5) },
-            Request::ReadFloats {
-                buf: 2,
-                off: 8,
-                count: 16,
-            },
-            Request::WriteFloats {
-                buf: 1,
-                off: 0,
-                payload: vec![0.5, -2.0],
-            },
-            Request::Restore {
-                last_cycles: 99,
-                has_gpu: false,
-                n_arrays: 2,
-                sections: vec![Section::from([1]), Section::from([2, 3])],
-            },
-            Request::Finish {
-                done: Some(Val::I64(-4)),
-                vclock: 10,
-                compute_cycles: 7,
-                comm_cycles: 3,
-            },
-        ];
-        for req in &reqs {
-            let decoded = decode_req(&encode_req(req)).unwrap();
-            assert_eq!(format!("{decoded:?}"), format!("{req:?}"));
-        }
-    }
-
-    #[test]
-    fn response_payloads_round_trip() {
-        let resps = [
-            Resp::Ok,
-            Resp::Yielded {
-                y: RankYield::Mpi {
-                    op: IntrinOp::MpiBarrier,
-                    args: vec![Val::I32(3), Val::Unit],
-                },
-                delta: 1234,
-            },
-            Resp::Device(DeviceOutcome::Advance(500)),
-            Resp::Loc(Some(("ring".into(), 17))),
-            Resp::Msg(MsgFault::Delay(2000)),
-            Resp::Transport(TransportFault::DelayAck(64)),
-            Resp::Snapshot(RankSnapshot {
-                last_cycles: 7,
-                has_gpu: true,
-                sections: vec![Section::from([9, 9]), Section::from([])],
-            }),
-            Resp::Stats(ResilienceStats {
-                crashes: 1,
-                truncated_frames: 2,
-                delayed_acks: 3,
-                connect_retries: 4,
-                translate_failures: 5,
-                ..ResilienceStats::default()
-            }),
-            Resp::Err(SimError::Crash {
-                rank: 2,
-                step: 77,
-                post_mortem: "boom".into(),
-            }),
-            Resp::CkptErr(CkptError::ScopeMismatch {
-                expected: 1,
-                found: 2,
-            }),
-        ];
-        for resp in &resps {
-            let decoded = decode_resp(&encode_resp(resp)).unwrap();
-            assert_eq!(format!("{decoded:?}"), format!("{resp:?}"));
-        }
-    }
 
     #[test]
     fn corrupt_payloads_decode_to_typed_errors_never_panic() {

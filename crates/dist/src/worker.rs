@@ -13,17 +13,18 @@
 //! [`RankPool`]: mpi_sim::RankPool
 
 use std::net::TcpStream;
-use std::path::Path;
 use std::time::Duration;
 
+use exec::ckpt::CkptError;
 use exec::{FaultRng, Machine, Val};
 use mpi_sim::{
-    read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError, World,
+    read_frame, write_frame, LocalPool, RankCtl, RankPool, RankSnapshot, SimError, TransportError,
+    World,
 };
 use nir::codec::Wire;
 use nir::{FuncId, Program};
 
-use crate::proto::{self, Hello, Request, Resp, WarmProgram, PROTO_VERSION};
+use crate::proto::{self, Hello, Request, Resp, PROTO_VERSION};
 
 /// Environment variables a spawned worker process reads its identity
 /// from (see [`run_if_spawned`]).
@@ -120,24 +121,11 @@ pub fn run_if_spawned() -> bool {
     true
 }
 
-/// Resolve an `Init`'s program: inline bytes win; an empty program
-/// with a [`WarmProgram`] reference loads `<dir>/<digest:016x>.wprog`
-/// and verifies the digest before trusting a byte of it. The bytes must
-/// then decode to a program that passes [`Program::validate`] and has an
-/// `entry` function, because the engine indexes both unchecked. Every
-/// failure is a typed message — the coordinator falls back to inline
-/// bytes.
-fn resolve_program(
-    program: Vec<u8>,
-    warm: Option<WarmProgram>,
-    entry: u32,
-) -> Result<Program, String> {
-    let bytes = if program.is_empty() {
-        read_warm_program(warm)?
-    } else {
-        program
-    };
-    let program = Program::from_wire(&bytes).map_err(|e| format!("decoding program: {e}"))?;
+/// Decode an `Init`'s program: the bytes must decode to a program that
+/// passes [`Program::validate`] and has an `entry` function, because the
+/// engine indexes both unchecked. Every failure is a typed message.
+fn decode_program(bytes: &[u8], entry: u32) -> Result<Program, String> {
+    let program = Program::from_wire(bytes).map_err(|e| format!("decoding program: {e}"))?;
     program
         .validate()
         .map_err(|m| format!("program failed validation: {m}"))?;
@@ -148,25 +136,6 @@ fn resolve_program(
         ));
     }
     Ok(program)
-}
-
-/// The image a [`WarmProgram`] names, once its digest checks out.
-fn read_warm_program(warm: Option<WarmProgram>) -> Result<Vec<u8>, String> {
-    let Some(warm) = warm else {
-        return Err("Init carried neither program bytes nor a warm reference".into());
-    };
-    let path = crate::warm_program_path(Path::new(&warm.dir), warm.digest);
-    let bytes =
-        std::fs::read(&path).map_err(|e| format!("warm program {}: {e}", path.display()))?;
-    let found = nir::digest64(&bytes, crate::WARM_DIGEST_SEED);
-    if found != warm.digest {
-        return Err(format!(
-            "warm program {}: digest mismatch (stored {:#018x}, computed {found:#018x})",
-            path.display(),
-            warm.digest
-        ));
-    }
-    Ok(bytes)
 }
 
 /// Serve one rank over an established coordinator connection until
@@ -198,35 +167,30 @@ pub fn serve_on(
         Resp::Ok => {}
         other => return Err(corrupt(format!("rendezvous rejected: {other:?}"))),
     }
-    // An Init whose program does not resolve (missing/corrupt `.wprog`),
-    // decode or validate is answered with a typed error; after a warm
-    // miss the coordinator re-sends Init with the program inline, so the
-    // loop admits a second attempt — never a split-brain, never a hang.
-    let mut init = proto::decode_req(&read_frame(&mut stream)?)?;
-    let (size, entry, program, fault, gpu, kill_after_runs) = loop {
-        let Request::Init {
-            size,
-            entry,
-            program,
-            fault,
-            gpu,
-            kill_after_runs,
-            warm,
-        } = init
-        else {
-            return Err(corrupt("first request after Hello must be Init"));
-        };
-        match resolve_program(program, warm, entry) {
-            Ok(program) => break (size, entry, program, fault, gpu, kill_after_runs),
-            Err(message) => {
-                write_frame(
-                    &mut stream,
-                    &proto::encode_resp(&Resp::Err(SimError::World {
-                        message: format!("dist worker rank {rank}: {message}"),
-                    })),
-                )?;
-                init = proto::decode_req(&read_frame(&mut stream)?)?;
-            }
+    let Request::Init {
+        size,
+        entry,
+        program,
+        fault,
+        gpu,
+        kill_after_runs,
+    } = proto::decode_req(&read_frame(&mut stream)?)?
+    else {
+        return Err(corrupt("first request after Hello must be Init"));
+    };
+    // An Init whose program does not decode or validate is answered
+    // with a typed error, and the worker ends.
+    let program = match decode_program(&program, entry) {
+        Ok(program) => program,
+        Err(message) => {
+            let message = format!("dist worker rank {rank}: {message}");
+            write_frame(
+                &mut stream,
+                &proto::encode_resp(&Resp::Err(SimError::World {
+                    message: message.clone(),
+                })),
+            )?;
+            return Err(corrupt(message));
         }
     };
     // Entry arguments never originate here: the coordinator seeds every
@@ -275,10 +239,10 @@ fn serve_pool(
                     }
                     *left -= 1;
                 }
-                match pool.run_slice(rank, slice) {
-                    Ok((y, delta)) => Resp::Yielded { y, delta },
-                    Err(e) => Resp::Err(e),
-                }
+                reply(pool.run_slices(&[rank], slice).map(|mut ran| {
+                    let (_, y, delta) = ran.pop().expect("one yield per rank run");
+                    Resp::Yielded { y, delta }
+                }))
             }
             Request::Resume { v } => reply(pool.resume(rank, v).map(|()| Resp::Ok)),
             Request::ServiceDevice => reply(pool.service_device(rank).map(Resp::Device)),
@@ -304,10 +268,25 @@ fn serve_pool(
                 n_arrays,
                 sections,
             } => {
-                match pool.restore_rank(rank, last_cycles, has_gpu, n_arrays as usize, &sections) {
-                    Ok(()) => Resp::Ok,
-                    Err(e) => Resp::CkptErr(e),
-                }
+                let snap = RankSnapshot {
+                    last_cycles,
+                    has_gpu,
+                    sections,
+                };
+                // The wire's count must agree with the sections it came
+                // with, or a trailing section would be dropped unread.
+                let restored = if snap.n_arrays() == Some(n_arrays as usize) {
+                    pool.restore_rank(rank, snap)
+                } else {
+                    Err(CkptError::Corrupt {
+                        offset: 0,
+                        message: format!(
+                            "Restore claims {n_arrays} arrays in {} sections",
+                            snap.sections.len()
+                        ),
+                    })
+                };
+                restored.map_or_else(Resp::CkptErr, |()| Resp::Ok)
             }
             Request::Reseed { attempt } => reply(pool.reseed(rank, attempt).map(|()| Resp::Ok)),
             Request::Stats => reply(pool.stats(rank).map(|mut s| {

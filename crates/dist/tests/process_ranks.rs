@@ -5,8 +5,7 @@
 //! collective-boundary checkpoint chain with a typed outcome — no
 //! panic, no hang (every wire wait is deadline-bounded).
 
-use dist::{warm_program_path, Launch, RemotePool, WARM_DIGEST_SEED};
-use exec::ckpt::chain::Section;
+use dist::{Launch, RemotePool};
 use exec::{CkptError, FaultConfig, Machine, MsgFault, ResilienceStats, TransportFault, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
@@ -16,25 +15,6 @@ use mpi_sim::{
 };
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Program, Ty};
 use std::path::PathBuf;
-
-/// A fresh scratch directory under the system temp root, removed on
-/// drop so repeated test runs never see stale warm images.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("wj-dist-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn worker_launch() -> Launch {
     Launch::Processes {
@@ -344,81 +324,6 @@ fn thread_workers_speak_the_same_wire_protocol() {
 }
 
 #[test]
-fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
-    let scratch = ScratchDir::new("warm");
-    let (p, entry) = ring_step_reduce(8, 4);
-    let world = World::new(&p, 4);
-    let local = world.run(entry, no_args).unwrap();
-    let warm_run = || {
-        let mut args = no_args;
-        let mut pool = RemotePool::new(&world, entry, &mut args, worker_launch())
-            .unwrap()
-            .with_warm_dir(&scratch.0);
-        world.run_on(&mut pool, None).unwrap()
-    };
-    let first = warm_run();
-    assert_runs_identical(&local, &first, "warm first boot");
-
-    // Exactly one content-addressed image on disk, digest-verifiable.
-    let images: Vec<_> = std::fs::read_dir(&scratch.0)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wprog"))
-        .collect();
-    assert_eq!(images.len(), 1, "one warm image expected: {images:?}");
-    let bytes = std::fs::read(&images[0]).unwrap();
-    let digest = nir::digest64(&bytes, WARM_DIGEST_SEED);
-    assert_eq!(
-        images[0],
-        warm_program_path(&scratch.0, digest),
-        "warm image path is addressed by its own digest"
-    );
-
-    // A second world over the same directory boots warm — no re-publish
-    // (mtime untouched) and still bit-identical results.
-    let stamp = std::fs::metadata(&images[0]).unwrap().modified().unwrap();
-    let second = warm_run();
-    assert_runs_identical(&local, &second, "warm restart");
-    assert_eq!(
-        std::fs::metadata(&images[0]).unwrap().modified().unwrap(),
-        stamp,
-        "warm restart must reuse the published image, not rewrite it"
-    );
-}
-
-#[test]
-fn a_corrupt_warm_image_falls_back_to_inline_init() {
-    let scratch = ScratchDir::new("warm-corrupt");
-    let (p, entry) = ring_step_reduce(6, 3);
-    let world = World::new(&p, 4);
-    let local = world.run(entry, no_args).unwrap();
-    let warm_run = |launch: Launch| {
-        let mut args = no_args;
-        let mut pool = RemotePool::new(&world, entry, &mut args, launch)
-            .unwrap()
-            .with_warm_dir(&scratch.0);
-        world.run_on(&mut pool, None).unwrap()
-    };
-
-    // Publish the warm image with a clean probe run, then overwrite it
-    // with garbage at the exact path the coordinator will advertise:
-    // workers digest-verify, answer a typed Err, and the coordinator
-    // must re-Init inline — the run still completes bit-identically.
-    let good = warm_run(Launch::Threads);
-    assert_runs_identical(&local, &good, "probe run");
-    let images: Vec<_> = std::fs::read_dir(&scratch.0)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wprog"))
-        .collect();
-    assert_eq!(images.len(), 1);
-    std::fs::write(&images[0], b"not a program image").unwrap();
-
-    let run = warm_run(worker_launch());
-    assert_runs_identical(&local, &run, "corrupt warm image fallback");
-}
-
-#[test]
 fn connect_retry_is_bounded_seeded_and_survives_a_late_listener() {
     use dist::worker::{connect_with_retry, retry_backoff_ms, MAX_CONNECT_ATTEMPTS};
     use std::net::TcpListener;
@@ -534,9 +439,6 @@ impl<P: RankPool> RankPool for Traced<P> {
     fn prepare_resume(&mut self) -> Result<(), SimError> {
         self.inner.prepare_resume()
     }
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        self.inner.run_slice(r, slice)
-    }
     fn run_slices(
         &mut self,
         ranks: &[u32],
@@ -597,16 +499,8 @@ impl<P: RankPool> RankPool for Traced<P> {
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
         self.inner.capture_rank(r)
     }
-    fn restore_rank(
-        &mut self,
-        r: u32,
-        last_cycles: u64,
-        has_gpu: bool,
-        n_arrays: usize,
-        sections: &[Section],
-    ) -> Result<(), CkptError> {
-        self.inner
-            .restore_rank(r, last_cycles, has_gpu, n_arrays, sections)
+    fn restore_rank(&mut self, r: u32, snap: RankSnapshot) -> Result<(), CkptError> {
+        self.inner.restore_rank(r, snap)
     }
     fn reseed(&mut self, r: u32, attempt: u64) -> Result<(), SimError> {
         self.inner.reseed(r, attempt)

@@ -2,7 +2,7 @@
 //! with literal field values. `wire_golden` pins their bytes and
 //! `wire_fuzz` mutates them; the order is the order of the pinned hex.
 
-use dist::proto::{Request, Resp, WarmProgram};
+use dist::proto::{Request, Resp};
 use exec::ckpt::chain::Section;
 use exec::ckpt::CkptError;
 use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
@@ -69,10 +69,6 @@ pub fn requests() -> Vec<Request> {
                 copy_latency: 77,
             }),
             kill_after_runs: Some(9),
-            warm: Some(WarmProgram {
-                dir: "/tmp/warm".into(),
-                digest: 0xDEAD_BEEF_0BAD_F00D,
-            }),
         },
         Request::Init {
             size: 2,
@@ -81,7 +77,6 @@ pub fn requests() -> Vec<Request> {
             fault: None,
             gpu: None,
             kill_after_runs: None,
-            warm: None,
         },
         Request::Run { slice: 4_000_000 },
         Request::Resume { v: Val::F32(1.5) },

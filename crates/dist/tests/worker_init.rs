@@ -1,17 +1,18 @@
 //! A worker decodes and validates the program an `Init` carries before it
 //! builds a rank on it: the engine indexes registers and the entry
 //! function unchecked, so an unsound program must be answered with a
-//! typed `Resp::Err`, inline or from a `.wprog` file, and must never
-//! panic the rank. The Init loop stays open after such an answer.
+//! typed `Resp::Err`, and must never panic the rank. The worker ends
+//! after such an answer. What it is sent after a sound `Init` is
+//! checked too: wire offsets, and a `Restore`'s array count against its
+//! sections.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use dist::proto::{self, Request, Resp, WarmProgram};
+use dist::proto::{self, Request, Resp};
 use dist::worker::serve_on;
-use dist::{warm_program_path, WARM_DIGEST_SEED};
-use exec::{ArrStore, Machine};
-use mpi_sim::{read_frame, write_frame, LocalPool, RankPool, SimError, World};
+use exec::{ArrStore, CkptError, Machine};
+use mpi_sim::{read_frame, write_frame, LocalPool, RankPool, RankSnapshot, SimError, World};
 use nir::codec::Wire;
 use nir::{FuncKind, Function, Instr, Program, Ty};
 
@@ -30,7 +31,7 @@ fn program(ret: u32) -> Program {
     p
 }
 
-fn init(entry: u32, program: Vec<u8>, warm: Option<WarmProgram>) -> Request {
+fn init(entry: u32, program: Vec<u8>) -> Request {
     Request::Init {
         size: 1,
         entry,
@@ -38,7 +39,6 @@ fn init(entry: u32, program: Vec<u8>, warm: Option<WarmProgram>) -> Request {
         fault: None,
         gpu: None,
         kill_after_runs: None,
-        warm,
     }
 }
 
@@ -77,51 +77,36 @@ fn worker() -> (
 }
 
 #[test]
-fn unsound_init_programs_get_a_typed_error_and_the_rank_survives() {
-    let (mut s, worker) = worker();
-
-    // `Ret` of register 5 in a one-register function, sent inline.
-    let bad = program(5).to_wire();
-    expect_err(
-        rpc(&mut s, &init(0, bad.clone(), None)),
-        "failed validation",
-    );
-
-    // The same program from a warm `.wprog` whose digest checks out.
-    let dir = std::env::temp_dir().join(format!("wj-dist-init-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let digest = nir::digest64(&bad, WARM_DIGEST_SEED);
-    std::fs::write(warm_program_path(&dir, digest), &bad).unwrap();
-    let warm = WarmProgram {
-        dir: dir.to_string_lossy().into_owned(),
-        digest,
-    };
-    let resp = rpc(&mut s, &init(0, Vec::new(), Some(warm)));
-    let _ = std::fs::remove_dir_all(&dir);
-    expect_err(resp, "failed validation");
-
-    // A sound program with an entry it does not have, and bytes that do
-    // not decode.
+fn unsound_init_programs_get_a_typed_error_and_the_worker_ends() {
     let good = program(0).to_wire();
-    expect_err(
-        rpc(&mut s, &init(1, good.clone(), None)),
-        "entry function 1",
-    );
-    expect_err(
-        rpc(&mut s, &init(0, good[..good.len() - 1].to_vec(), None)),
-        "decoding",
-    );
-
-    // Still in its Init loop: a sound Init is accepted, Shutdown ends it.
-    assert!(matches!(rpc(&mut s, &init(0, good, None)), Resp::Ok));
-    assert!(matches!(rpc(&mut s, &Request::Shutdown), Resp::Ok));
-    worker.join().unwrap().unwrap();
+    let cases = [
+        // `Ret` of register 5 in a one-register function.
+        (init(0, program(5).to_wire()), "failed validation"),
+        // A sound program with an entry it does not have.
+        (init(1, good.clone()), "entry function 1"),
+        // Bytes that do not decode.
+        (init(0, good[..good.len() - 1].to_vec()), "decoding"),
+    ];
+    for (req, needle) in cases {
+        let (mut s, worker) = worker();
+        expect_err(rpc(&mut s, &req), needle);
+        let ended = worker.join().unwrap();
+        assert!(
+            matches!(&ended, Err(e) if e.to_string().contains(needle)),
+            "{ended:?}"
+        );
+    }
 }
 
-#[test]
-fn a_huge_wire_offset_is_a_typed_range_error() {
-    // Seed the rank as a coordinator does: the capture of a local rank
-    // that holds one 4-float array.
+/// A rank-0 worker past a sound `Init`, and the capture of a local rank
+/// that holds one 4-float array (how a coordinator seeds it): the
+/// coordinator's end, the worker, the snapshot and the array's id.
+fn seeded_worker() -> (
+    TcpStream,
+    std::thread::JoinHandle<Result<(), mpi_sim::TransportError>>,
+    RankSnapshot,
+    u32,
+) {
     let p = program(0);
     let world = World::new(&p, 1);
     let mut buf = 0;
@@ -134,14 +119,59 @@ fn a_huge_wire_offset_is_a_typed_range_error() {
     let snap = seed.capture_rank(0).unwrap();
     drop(seed);
     let (mut s, worker) = worker();
-    assert!(matches!(rpc(&mut s, &init(0, p.to_wire(), None)), Resp::Ok));
-    let restore = Request::Restore {
+    assert!(matches!(rpc(&mut s, &init(0, p.to_wire())), Resp::Ok));
+    (s, worker, snap, buf)
+}
+
+fn restore(snap: &RankSnapshot, n_arrays: u64) -> Request {
+    Request::Restore {
         last_cycles: snap.last_cycles,
         has_gpu: snap.has_gpu,
-        n_arrays: 1,
-        sections: snap.sections,
-    };
-    assert!(matches!(rpc(&mut s, &restore), Resp::Ok));
+        n_arrays,
+        sections: snap.sections.clone(),
+    }
+}
+
+#[test]
+fn a_restore_whose_sections_disagree_with_its_array_count_is_refused() {
+    let (mut s, worker, snap, _) = seeded_worker();
+    assert_eq!(snap.n_arrays(), Some(1));
+    let mut trailing = snap.sections.clone();
+    trailing.push(snap.sections[1].clone());
+    let rows = [
+        // The snapshot plus one trailing section, still claiming 1 array.
+        (trailing, 1, "Restore claims 1 arrays in 4 sections"),
+        // The snapshot as captured, claiming 2.
+        (
+            snap.sections.clone(),
+            2,
+            "Restore claims 2 arrays in 3 sections",
+        ),
+    ];
+    for (sections, n_arrays, want) in rows {
+        let req = Request::Restore {
+            last_cycles: snap.last_cycles,
+            has_gpu: snap.has_gpu,
+            n_arrays,
+            sections,
+        };
+        match rpc(&mut s, &req) {
+            Resp::CkptErr(CkptError::Corrupt { message, .. }) => {
+                assert_eq!(message, want)
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+    // The rank is still served: the snapshot as captured restores.
+    assert!(matches!(rpc(&mut s, &restore(&snap, 1)), Resp::Ok));
+    assert!(matches!(rpc(&mut s, &Request::Shutdown), Resp::Ok));
+    worker.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_huge_wire_offset_is_a_typed_range_error() {
+    let (mut s, worker, snap, buf) = seeded_worker();
+    assert!(matches!(rpc(&mut s, &restore(&snap, 1)), Resp::Ok));
 
     // An offset no `i32` operand can produce: its range end overflows.
     let range_err = |resp: Resp, what: &str| match resp {

@@ -29,7 +29,7 @@ use exec::ckpt::chain::{self, Section};
 use exec::ckpt::{self, CkptError};
 use exec::pool::{run_batch, SliceJob};
 use exec::{
-    run, ArrStore, ExecError, ExecutorCfg, FaultPlan, HostRegistry, Image, Machine, MsgFault,
+    ArrStore, ExecError, ExecutorCfg, FaultPlan, HostRegistry, Image, Machine, MsgFault,
     ResilienceStats, Thread, TransportFault, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuErrorKind};
@@ -151,6 +151,17 @@ nir::wire_struct!(RankSnapshot {
     sections
 });
 
+impl RankSnapshot {
+    /// How many array sections sit between the thread and the machine
+    /// section; `None` when there are too few sections for the layout
+    /// (a snapshot off the wire is outside input).
+    pub fn n_arrays(&self) -> Option<usize> {
+        self.sections
+            .len()
+            .checked_sub(2 + usize::from(self.has_gpu))
+    }
+}
+
 /// Where ranks live. [`LocalPool`] keeps them in-process (the `mpi-sim`
 /// backend); the `dist` backend reaches one OS process per rank over
 /// loopback TCP. Every method is one scheduler-initiated operation on
@@ -170,29 +181,18 @@ pub trait RankPool {
     fn prepare_resume(&mut self) -> Result<(), SimError> {
         Ok(())
     }
-    /// Run rank `r` for one fuel slice; returns its yield and the cycles
-    /// retired (already watermarked pool-side).
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError>;
-    /// Run one scheduler round's ready ranks, returning `(rank, yield,
-    /// delta)` in *service order* — the order the scheduler must apply
-    /// the yields in. The default is the historical serial loop (run
-    /// each rank in the given order), which is exactly what every
-    /// remote pool wants; executor-backed pools override this to fan
-    /// slice execution out over OS threads. Sound because a slice only
-    /// touches its own rank's state — all cross-rank effects happen
-    /// when the *scheduler* services the returned yields.
+    /// Run one scheduler round's ready ranks for one fuel slice each,
+    /// returning `(rank, yield, delta)` in *service order* — the order
+    /// the scheduler must apply the yields in; `delta` is the cycles
+    /// retired (already watermarked pool-side). A pool may run the
+    /// slices concurrently: a slice only touches its own rank's state,
+    /// and all cross-rank effects happen when the *scheduler* services
+    /// the returned yields.
     fn run_slices(
         &mut self,
         ranks: &[u32],
         slice: u64,
-    ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
-        let mut out = Vec::with_capacity(ranks.len());
-        for &r in ranks {
-            let (y, delta) = self.run_slice(r, slice)?;
-            out.push((r, y, delta));
-        }
-        Ok(out)
-    }
+    ) -> Result<Vec<(u32, RankYield, u64)>, SimError>;
     /// Resume a blocked/yielded rank with a value.
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError>;
     /// Service the pending device yield stashed by
@@ -238,16 +238,9 @@ pub trait RankPool {
     fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError>;
     /// Capture rank `r`'s execution state as checkpoint sections.
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError>;
-    /// Replace rank `r`'s execution state from checkpoint sections
-    /// (`thread, array*, machine_rest[, device]`).
-    fn restore_rank(
-        &mut self,
-        r: u32,
-        last_cycles: u64,
-        has_gpu: bool,
-        n_arrays: usize,
-        sections: &[Section],
-    ) -> Result<(), CkptError>;
+    /// Replace rank `r`'s execution state with a snapshot
+    /// [`RankPool::capture_rank`] returned.
+    fn restore_rank(&mut self, r: u32, snap: RankSnapshot) -> Result<(), CkptError>;
     /// Zero rank `r`'s fault counters and move its streams past their
     /// consumed cursors (restart attempt `attempt`).
     fn reseed(&mut self, r: u32, attempt: u64) -> Result<(), SimError>;
@@ -584,15 +577,10 @@ fn service_host_yield(
     // call itself only runs once the attempt survives the draw.
     let mut attempt: u32 = 0;
     let mut backoff_total: u64 = 0;
-    loop {
-        let transient = machine
-            .fault
-            .as_mut()
-            .is_some_and(|p| p.host_attempt_fails());
-        if !transient {
+    while let Some(plan) = machine.fault.as_mut() {
+        if !plan.host_attempt_fails() {
             break;
         }
-        let plan = machine.fault.as_mut().unwrap();
         if attempt >= plan.config.max_host_retries {
             return Err(err_on(
                 r,
@@ -904,8 +892,16 @@ fn world_sections(
         header.bool(snap.has_gpu);
         // Count of sections elsewhere — not a same-buffer length, so
         // it must not go through the reader's `len()` sanity bound.
-        let n_arrays = snap.sections.len() - 2 - snap.has_gpu as usize;
-        header.u32(n_arrays as u32);
+        let n_arrays = snap
+            .n_arrays()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| SimError::World {
+                message: format!(
+                    "rank {r} captured {} sections, which fit no snapshot layout",
+                    snap.sections.len()
+                ),
+            })?;
+        header.u32(n_arrays);
         body.extend(snap.sections);
     }
     let mut sections = Vec::with_capacity(body.len() + 2);
@@ -975,13 +971,12 @@ fn world_from_sections(
         if pos + want > sections.len() {
             return Err(bad(format!("missing sections of rank {rank_id}")));
         }
-        pool.restore_rank(
-            rank_id as u32,
+        let snap = RankSnapshot {
             last_cycles,
             has_gpu,
-            n_arrays,
-            &sections[pos..pos + want],
-        )?;
+            sections: sections[pos..pos + want].to_vec(),
+        };
+        pool.restore_rank(rank_id as u32, snap)?;
         pos += want;
         ctls.push(RankCtl {
             vclock,
@@ -1639,7 +1634,7 @@ pub struct LocalPool<'p, 'a> {
     entry: FuncId,
     make_args: ArgBuilder<'a>,
     ranks: Vec<Option<LocalRank>>,
-    /// Device / host-call yields parked between `run_slice` and their
+    /// Device / host-call yields parked between `run_slices` and their
     /// `service_*` call.
     pending: Vec<Option<Yield>>,
     /// The program decoded for `exec::run`: built by the first slice of
@@ -1687,9 +1682,19 @@ fn live_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<&mut LocalRank, 
     ranks
         .get_mut(r as usize)
         .and_then(|o| o.as_mut())
-        .ok_or_else(|| SimError::World {
-            message: format!("rank {r} is not live in the local pool"),
-        })
+        .ok_or_else(|| not_live(r))
+}
+
+/// Move live rank `r` out of the pool.
+fn take_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<LocalRank, SimError> {
+    let rank = ranks.get_mut(r as usize).and_then(Option::take);
+    rank.ok_or_else(|| not_live(r))
+}
+
+fn not_live(r: u32) -> SimError {
+    SimError::World {
+        message: format!("rank {r} is not live in the local pool"),
+    }
 }
 
 impl<'p, 'a> LocalPool<'p, 'a> {
@@ -1720,13 +1725,7 @@ impl<'p, 'a> LocalPool<'p, 'a> {
     /// [`RankPool::finish`]. Remote pools that own a single live rank
     /// each (the `dist` workers) call this for their own rank only.
     pub fn finish_rank(&mut self, r: u32, ctl: &RankCtl) -> Result<RankOutcome, SimError> {
-        let rank = self
-            .ranks
-            .get_mut(r as usize)
-            .and_then(|o| o.take())
-            .ok_or_else(|| SimError::World {
-                message: format!("rank {r} is not live in the local pool"),
-            })?;
+        let rank = take_rank(&mut self.ranks, r)?;
         Ok(RankOutcome {
             result: ctl.done.flatten(),
             vclock: ctl.vclock,
@@ -1766,19 +1765,6 @@ impl RankPool for LocalPool<'_, '_> {
         Ok(())
     }
 
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        let image = image_of(&mut self.image, self.world.program)?;
-        let (y, delta) = {
-            let rank = live_rank(&mut self.ranks, r)?;
-            let y = run(&mut rank.thread, image, &mut rank.machine, slice)
-                .map_err(|e| err_on(r, e.to_string()))?;
-            let delta = rank.machine.counters.cycles - rank.last_cycles;
-            rank.last_cycles = rank.machine.counters.cycles;
-            (y, delta)
-        };
-        Ok((park_yield(&mut self.pending, r, y), delta))
-    }
-
     fn run_slices(
         &mut self,
         ranks: &[u32],
@@ -1797,13 +1783,7 @@ impl RankPool for LocalPool<'_, '_> {
         let mut parked: Vec<(Option<Gpu>, u64)> = Vec::with_capacity(ranks.len());
         let mut jobs = Vec::with_capacity(ranks.len());
         for &r in ranks {
-            let lr = self
-                .ranks
-                .get_mut(r as usize)
-                .and_then(|o| o.take())
-                .ok_or_else(|| SimError::World {
-                    message: format!("rank {r} is not live in the local pool"),
-                })?;
+            let lr = take_rank(&mut self.ranks, r)?;
             parked.push((lr.gpu, lr.last_cycles));
             jobs.push(SliceJob {
                 rank: r,
@@ -2002,21 +1982,20 @@ impl RankPool for LocalPool<'_, '_> {
         })
     }
 
-    fn restore_rank(
-        &mut self,
-        r: u32,
-        last_cycles: u64,
-        has_gpu: bool,
-        n_arrays: usize,
-        sections: &[Section],
-    ) -> Result<(), CkptError> {
+    fn restore_rank(&mut self, r: u32, snap: RankSnapshot) -> Result<(), CkptError> {
         fn bad(message: impl Into<String>) -> CkptError {
             CkptError::Corrupt {
                 offset: 0,
                 message: message.into(),
             }
         }
-        let mut it = sections.iter();
+        let n_arrays = snap.n_arrays().ok_or_else(|| {
+            bad(format!(
+                "rank {r}'s snapshot has {} sections, too few for its layout",
+                snap.sections.len()
+            ))
+        })?;
+        let mut it = snap.sections.iter();
         let mut section = |what: &str| {
             it.next()
                 .ok_or_else(|| bad(format!("missing {what} section of rank {r}")))
@@ -2033,7 +2012,7 @@ impl RankPool for LocalPool<'_, '_> {
         // device-side plans are re-armed from the world's fault config
         // (their cursors advance via `Gpu::reseed_faults` on restart
         // instead).
-        let gpu = if has_gpu {
+        let gpu = if snap.has_gpu {
             let Some(cfg) = self.world.gpu else {
                 return Err(bad("checkpoint has device state but this world has no GPU"));
             };
@@ -2060,7 +2039,7 @@ impl RankPool for LocalPool<'_, '_> {
             thread,
             machine,
             gpu,
-            last_cycles,
+            last_cycles: snap.last_cycles,
         });
         Ok(())
     }

@@ -248,6 +248,9 @@ struct Checked<'p, 'a> {
     /// drops the chain head and restores from its parent.
     deepen: bool,
     refuse_next: bool,
+    /// Cut every capture to its first section, as a short `Capture`
+    /// reply off a remote rank's wire would be.
+    short_capture: bool,
 }
 
 impl Checked<'_, '_> {
@@ -314,8 +317,12 @@ impl RankPool for Checked<'_, '_> {
         self.refuse_next = self.deepen;
         self.inner.prepare_resume()
     }
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        self.inner.run_slice(r, slice)
+    fn run_slices(
+        &mut self,
+        ranks: &[u32],
+        slice: u64,
+    ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
+        self.inner.run_slices(ranks, slice)
     }
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError> {
         self.inner.resume(r, v)
@@ -366,18 +373,15 @@ impl RankPool for Checked<'_, '_> {
         self.inner.ckpt_write_fails(r)
     }
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
-        let snap = self.inner.capture_rank(r)?;
+        let mut snap = self.inner.capture_rank(r)?;
+        if self.short_capture {
+            snap.sections.truncate(1);
+            return Ok(snap);
+        }
         self.check(r, &snap);
         Ok(snap)
     }
-    fn restore_rank(
-        &mut self,
-        r: u32,
-        last_cycles: u64,
-        has_gpu: bool,
-        n_arrays: usize,
-        sections: &[Section],
-    ) -> Result<(), CkptError> {
+    fn restore_rank(&mut self, r: u32, snap: RankSnapshot) -> Result<(), CkptError> {
         if std::mem::take(&mut self.refuse_next) {
             self.seen.refused += 1;
             return Err(CkptError::Corrupt {
@@ -385,11 +389,11 @@ impl RankPool for Checked<'_, '_> {
                 message: "refused: restore one link deeper".into(),
             });
         }
-        self.inner
-            .restore_rank(r, last_cycles, has_gpu, n_arrays, sections)?;
+        let arrays = snap.n_arrays().map(|n| snap.sections[1..1 + n].to_vec());
+        self.inner.restore_rank(r, snap)?;
         self.seen.restores += 1;
         if let Some(slot) = self.seen.restored.get_mut(r as usize) {
-            *slot = Some(sections[1..1 + n_arrays].to_vec());
+            *slot = arrays;
         }
         Ok(())
     }
@@ -429,6 +433,7 @@ fn run_checked(
         seen: Seen::default(),
         deepen,
         refuse_next: false,
+        short_capture: false,
     };
     let policy = CheckpointPolicy::every(1).with_rebase_every(4);
     let run = world
@@ -463,4 +468,29 @@ fn cached_capture_links_equal_reencoded_links_on_every_write_path() {
         shared_after_restore > 0,
         "a restore never seeded the capture cache"
     );
+}
+
+#[test]
+fn a_capture_too_short_for_its_layout_is_a_typed_world_error() {
+    let (p, entry) = program();
+    let host = registry();
+    let world = World::new(&p, RANKS)
+        .with_gpu(GpuConfig::default())
+        .with_host(&host);
+    let mut no_args = |_: u32, _: &mut Machine| Ok(vec![]);
+    let mut pool = Checked {
+        inner: LocalPool::new(&world, entry, &mut no_args),
+        seen: Seen::default(),
+        deepen: false,
+        refuse_next: false,
+        short_capture: true,
+    };
+    let policy = CheckpointPolicy::every(1);
+    match world.run_on(&mut pool, Some((&policy, 4))) {
+        Err(SimError::World { message }) => {
+            assert!(message.contains("rank 0 captured 1 sections"), "{message}")
+        }
+        Err(e) => panic!("expected a typed world error, got {e}"),
+        Ok(_) => panic!("a world checkpointed from short captures completed"),
+    }
 }
