@@ -11,6 +11,7 @@ mod samples;
 
 use dist::proto::{
     decode_hello, decode_req, decode_resp, encode_hello, encode_req, encode_resp, Hello,
+    PROTO_VERSION,
 };
 use samples::{requests, responses};
 
@@ -19,8 +20,8 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 const REQUEST_HEX: &[&str] = &[
-    "01040000000700000004000000deadbeef010807060504030201000000000000e03f000000000000d03f000000000000c03f000000000000b03f000000000000e83f000000000000d83f000000000000c83f000000000000ec3f000000000000dc3f000000000000d43f000000000000ee3f51c3000000000000224e00000000000005000000eb03000000000000010300000010000000840300000000000000000000000004404d0000000000000001090000000000000001090000002f746d702f7761726d0df0ad0befbeadde",
-    "0102000000000000000000000000000000",
+    "01040000000700000004000000deadbeef010807060504030201000000000000e03f000000000000d03f000000000000c03f000000000000b03f000000000000e83f000000000000d83f000000000000c83f000000000000ec3f000000000000dc3f000000000000d43f000000000000ee3f51c3000000000000224e00000000000005000000eb03000000000000010300000010000000840300000000000000000000000004404d00000000000000010900000000000000",
+    "01020000000000000000000000000000",
     "0200093d0000000000",
     "03020000c03f",
     "04",
@@ -89,10 +90,11 @@ fn hello_bytes_are_pinned() {
     let h = Hello {
         token: 0x1122_3344_5566_7788,
         rank: 3,
-        proto: 0x0000_0305,
+        proto: 0x0000_0405,
     };
+    assert_eq!(h.proto, PROTO_VERSION, "a stale Hello pin");
     let bytes = encode_hello(&h);
-    assert_eq!(hex(&bytes), "88776655443322110300000005030000");
+    assert_eq!(hex(&bytes), "88776655443322110300000005040000");
     assert_eq!(decode_hello(&bytes).unwrap(), h);
 }
 
