@@ -275,7 +275,7 @@ fn serve_pool(
                 };
                 // The wire's count must agree with the sections it came
                 // with, or a trailing section would be dropped unread.
-                let restored = if snap.n_arrays() == Some(n_arrays as usize) {
+                let restored = if snap.n_arrays().map(|n| n as u64) == Some(n_arrays) {
                     pool.restore_rank(rank, snap)
                 } else {
                     Err(CkptError::Corrupt {

@@ -1682,19 +1682,9 @@ fn live_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<&mut LocalRank, 
     ranks
         .get_mut(r as usize)
         .and_then(|o| o.as_mut())
-        .ok_or_else(|| not_live(r))
-}
-
-/// Move live rank `r` out of the pool.
-fn take_rank(ranks: &mut [Option<LocalRank>], r: u32) -> Result<LocalRank, SimError> {
-    let rank = ranks.get_mut(r as usize).and_then(Option::take);
-    rank.ok_or_else(|| not_live(r))
-}
-
-fn not_live(r: u32) -> SimError {
-    SimError::World {
-        message: format!("rank {r} is not live in the local pool"),
-    }
+        .ok_or_else(|| SimError::World {
+            message: format!("rank {r} is not live in the local pool"),
+        })
 }
 
 impl<'p, 'a> LocalPool<'p, 'a> {
@@ -1725,7 +1715,13 @@ impl<'p, 'a> LocalPool<'p, 'a> {
     /// [`RankPool::finish`]. Remote pools that own a single live rank
     /// each (the `dist` workers) call this for their own rank only.
     pub fn finish_rank(&mut self, r: u32, ctl: &RankCtl) -> Result<RankOutcome, SimError> {
-        let rank = take_rank(&mut self.ranks, r)?;
+        let rank = self
+            .ranks
+            .get_mut(r as usize)
+            .and_then(|o| o.take())
+            .ok_or_else(|| SimError::World {
+                message: format!("rank {r} is not live in the local pool"),
+            })?;
         Ok(RankOutcome {
             result: ctl.done.flatten(),
             vclock: ctl.vclock,
@@ -1783,7 +1779,13 @@ impl RankPool for LocalPool<'_, '_> {
         let mut parked: Vec<(Option<Gpu>, u64)> = Vec::with_capacity(ranks.len());
         let mut jobs = Vec::with_capacity(ranks.len());
         for &r in ranks {
-            let lr = take_rank(&mut self.ranks, r)?;
+            let lr = self
+                .ranks
+                .get_mut(r as usize)
+                .and_then(|o| o.take())
+                .ok_or_else(|| SimError::World {
+                    message: format!("rank {r} is not live in the local pool"),
+                })?;
             parked.push((lr.gpu, lr.last_cycles));
             jobs.push(SliceJob {
                 rank: r,
