@@ -1,8 +1,11 @@
 //! # worker — one rank in its own OS process (or thread)
 //!
 //! A worker dials the coordinator's loopback rendezvous port,
-//! identifies itself with a token-bearing `Hello`, receives the program
-//! and world configuration in `Init`, and then answers one
+//! identifies itself with a `Hello` carrying its token and
+//! [`PROTO_VERSION`] (a skew is refused before any state moves),
+//! receives the program inline and the world configuration in one
+//! `Init` (one that does not decode or validate is answered with a
+//! typed error, and the worker ends), and then answers one
 //! [`RankPool`]-shaped request at a time. The execution engine is the
 //! *same* [`LocalPool`] the in-process `mpi-sim` backend uses, holding
 //! exactly one live rank — so every instruction, fault draw, cost
