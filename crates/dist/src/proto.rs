@@ -199,6 +199,104 @@ pub fn decode_resp(bytes: &[u8]) -> Result<Resp, TransportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nir::IntrinOp;
+
+    #[test]
+    fn hello_and_request_payloads_round_trip() {
+        let h = Hello {
+            token: 0xFEED_F00D,
+            rank: 3,
+            proto: PROTO_VERSION,
+        };
+        assert_eq!(decode_hello(&encode_hello(&h)).unwrap(), h);
+
+        let mut cfg = FaultConfig::seeded(42);
+        cfg.crash = 0.25;
+        cfg.frame_truncate = 0.5;
+        cfg.translate_fail = 0.1;
+        let reqs = [
+            Request::Init {
+                size: 4,
+                entry: 7,
+                program: vec![1, 2, 3],
+                fault: Some(Box::new(cfg)),
+                gpu: Some(GpuConfig::default()),
+                kill_after_runs: Some(9),
+            },
+            Request::Run { slice: 4_000_000 },
+            Request::Resume { v: Val::F32(1.5) },
+            Request::ReadFloats {
+                buf: 2,
+                off: 8,
+                count: 16,
+            },
+            Request::WriteFloats {
+                buf: 1,
+                off: 0,
+                payload: vec![0.5, -2.0],
+            },
+            Request::Restore {
+                last_cycles: 99,
+                has_gpu: false,
+                n_arrays: 2,
+                sections: vec![Section::from([1]), Section::from([2, 3])],
+            },
+            Request::Finish {
+                done: Some(Val::I64(-4)),
+                vclock: 10,
+                compute_cycles: 7,
+                comm_cycles: 3,
+            },
+        ];
+        for req in &reqs {
+            let decoded = decode_req(&encode_req(req)).unwrap();
+            assert_eq!(format!("{decoded:?}"), format!("{req:?}"));
+        }
+    }
+
+    #[test]
+    fn response_payloads_round_trip() {
+        let resps = [
+            Resp::Ok,
+            Resp::Yielded {
+                y: RankYield::Mpi {
+                    op: IntrinOp::MpiBarrier,
+                    args: vec![Val::I32(3), Val::Unit],
+                },
+                delta: 1234,
+            },
+            Resp::Device(DeviceOutcome::Advance(500)),
+            Resp::Loc(Some(("ring".into(), 17))),
+            Resp::Msg(MsgFault::Delay(2000)),
+            Resp::Transport(TransportFault::DelayAck(64)),
+            Resp::Snapshot(RankSnapshot {
+                last_cycles: 7,
+                has_gpu: true,
+                sections: vec![Section::from([9, 9]), Section::from([])],
+            }),
+            Resp::Stats(ResilienceStats {
+                crashes: 1,
+                truncated_frames: 2,
+                delayed_acks: 3,
+                connect_retries: 4,
+                translate_failures: 5,
+                ..ResilienceStats::default()
+            }),
+            Resp::Err(SimError::Crash {
+                rank: 2,
+                step: 77,
+                post_mortem: "boom".into(),
+            }),
+            Resp::CkptErr(CkptError::ScopeMismatch {
+                expected: 1,
+                found: 2,
+            }),
+        ];
+        for resp in &resps {
+            let decoded = decode_resp(&encode_resp(resp)).unwrap();
+            assert_eq!(format!("{decoded:?}"), format!("{resp:?}"));
+        }
+    }
 
     #[test]
     fn corrupt_payloads_decode_to_typed_errors_never_panic() {

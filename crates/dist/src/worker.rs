@@ -276,8 +276,11 @@ fn serve_pool(
                     has_gpu,
                     sections,
                 };
-                // The wire's count must agree with the sections it came
-                // with, or a trailing section would be dropped unread.
+                // The wire's count is the coordinator's statement of the
+                // layout: a section list that disagrees with it (one
+                // section lost or added in transit) is refused by name
+                // here, not by whatever the restore makes of a section
+                // decoded in the wrong place.
                 let restored = if snap.n_arrays().map(|n| n as u64) == Some(n_arrays) {
                     pool.restore_rank(rank, snap)
                 } else {

@@ -1773,19 +1773,25 @@ impl RankPool for LocalPool<'_, '_> {
             ExecutorCfg::Threads { workers, .. } => workers,
         };
         let image = image_of(&mut self.image, self.world.program)?;
+        // Refuse a bad batch before any rank leaves the pool, so no rank
+        // listed ahead of the bad one is stranded.
+        for (i, &r) in ranks.iter().enumerate() {
+            live_rank(&mut self.ranks, r)?;
+            if ranks[..i].contains(&r) {
+                return Err(SimError::World {
+                    message: format!("rank {r} is listed twice in one batch"),
+                });
+            }
+        }
         // Move each ready rank's execution state into a job. The device
         // and the cycle watermark stay pool-side — slices never touch
         // them (device yields are serviced after the batch).
         let mut parked: Vec<(Option<Gpu>, u64)> = Vec::with_capacity(ranks.len());
         let mut jobs = Vec::with_capacity(ranks.len());
         for &r in ranks {
-            let lr = self
-                .ranks
-                .get_mut(r as usize)
-                .and_then(|o| o.take())
-                .ok_or_else(|| SimError::World {
-                    message: format!("rank {r} is not live in the local pool"),
-                })?;
+            let lr = self.ranks[r as usize]
+                .take()
+                .expect("every listed rank was checked live and distinct");
             parked.push((lr.gpu, lr.last_cycles));
             jobs.push(SliceJob {
                 rank: r,

@@ -9,10 +9,12 @@
 //! No proptest/quickcheck: cases are driven by the same xorshift64*
 //! idiom the fault plans themselves use, so the suite is deterministic.
 
-use exec::FaultConfig;
+use exec::{FaultConfig, Machine};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use mpi_sim::{CheckpointPolicy, ExecMode, ExecutorCfg, World, WorldRun};
+use mpi_sim::{
+    CheckpointPolicy, ExecMode, ExecutorCfg, LocalPool, RankPool, SimError, World, WorldRun,
+};
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Program, Ty};
 
 /// xorshift64* (the in-tree PRNG idiom) for deriving per-case parameters.
@@ -294,4 +296,31 @@ fn thread_replay_matches_sim_through_restarts() {
         recovered > 0,
         "no seed actually crashed and recovered — the restart property is vacuous"
     );
+}
+
+/// A batch that names a rank not live in the pool, or one rank twice, is
+/// refused before any rank leaves the pool: the ranks listed ahead of the
+/// bad one are still there to run.
+#[test]
+fn a_refused_batch_strands_no_rank() {
+    let (p, entry) = ring_program(2);
+    let world = World::new(&p, 2).with_executor(ExecutorCfg::Threads {
+        workers: 2,
+        mode: ExecMode::Replay,
+    });
+    let mut no_args = |_: u32, _: &mut Machine| Ok(vec![]);
+    let mut pool = LocalPool::new(&world, entry, &mut no_args);
+    pool.reinit().unwrap();
+    let rows = [
+        (&[0, 5][..], "rank 5 is not live in the local pool"),
+        (&[1, 1][..], "rank 1 is listed twice in one batch"),
+    ];
+    for (batch, want) in rows {
+        match pool.run_slices(batch, 100) {
+            Err(SimError::World { message }) => assert_eq!(message, want),
+            other => panic!("{batch:?}: expected a typed world error, got {other:?}"),
+        }
+    }
+    let ran = pool.run_slices(&[0, 1], 100).expect("both ranks are live");
+    assert_eq!(ran.len(), 2);
 }
