@@ -1,6 +1,7 @@
-//! A worker decodes and validates the program an `Init` carries before it
-//! builds a rank on it: the engine indexes registers and the entry
-//! function unchecked, so an unsound program must be answered with a
+//! A worker decodes, validates and verifies the program an `Init` carries
+//! before it builds a rank on it: the engine indexes registers and the
+//! entry function unchecked and runs on untagged registers, so an
+//! unsound program must be answered with a
 //! typed `Resp::Err`, and must never panic the rank. The worker ends
 //! after such an answer. What it is sent after a sound `Init` is
 //! checked too: wire offsets, and a `Restore`'s array count against its
@@ -28,6 +29,13 @@ fn program(ret: u32) -> Program {
         kind: FuncKind::Host,
     });
     p.entry = Some(main);
+    p
+}
+
+/// `program` with `main` declared to return a float.
+fn returns_float(mut p: Program) -> Program {
+    p.func_mut(nir::FuncId(0)).ret = Some(Ty::F32);
+    p.validate().unwrap();
     p
 }
 
@@ -86,6 +94,12 @@ fn unsound_init_programs_get_a_typed_error_and_the_worker_ends() {
         (init(1, good.clone()), "entry function 1"),
         // Bytes that do not decode.
         (init(0, good[..good.len() - 1].to_vec()), "decoding"),
+        // A program that validates but returns its int register from a
+        // float function: the verifier names the function and the pc.
+        (
+            init(0, returns_float(program(0)).to_wire()),
+            "does not verify: function `main` pc 1: return value r0 is I32, expected F32",
+        ),
     ];
     for (req, needle) in cases {
         let (mut s, worker) = worker();

@@ -277,24 +277,29 @@ pub fn read_machine_rest(r: &mut Reader, mem: MemSpace) -> Result<Machine, CkptE
     })
 }
 
-/// Serialize a resumable call stack into an open payload.
-pub fn write_thread(w: &mut Writer, t: &Thread) {
+/// Serialize a resumable call stack of `program` into an open payload.
+/// Each register goes out tagged by its declared type, a never-written
+/// one as that type's zero.
+pub fn write_thread(w: &mut Writer, t: &Thread, program: &Program) {
     w.len(t.frames.len());
     for (i, f) in t.frames.iter().enumerate() {
         w.u32(f.func.0);
         w.u32(f.pc);
         let regs = t.frame_regs(i);
         w.len(regs.len());
-        Val::put_all(regs, w);
+        for (word, ty) in regs.iter().zip(&program.func(f.func).regs) {
+            Val::of_word(*word, *ty).put(w);
+        }
         f.ret_to.put(w);
     }
-    t.pending_dst.put(w);
+    t.pending.map(|(r, _)| r).put(w);
     w.bool(t.done);
 }
 
 /// Read a call stack back, validating every frame against `program` so a
 /// checkpoint from a different program surfaces as [`CkptError::Corrupt`]
-/// rather than an interpreter panic.
+/// rather than an interpreter panic: each register must hold a value of
+/// its declared type, or `Unit` (never written, read as 0).
 pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptError> {
     let n_frames = r.len()?;
     let mut frames = Vec::with_capacity(n_frames);
@@ -330,14 +335,44 @@ pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptErro
             base: stack.len(),
             ret_to,
         });
-        stack.extend(regs);
+        for (i, (v, ty)) in regs.into_iter().zip(&f.regs).enumerate() {
+            match (v, v.to_word(*ty)) {
+                (_, Some(word)) => stack.push(word),
+                (Val::Unit, None) => stack.push(0),
+                (v, None) => {
+                    return Err(r
+                        .corrupt(format!(
+                            "register r{i} of `{}` holds {v:?}, declared {ty:?}",
+                            f.name
+                        ))
+                        .into())
+                }
+            }
+        }
     }
-    let pending_dst = Wire::get(r)?;
+    let pending_dst: Option<u32> = Wire::get(r)?;
+    let pending = match (pending_dst, frames.last()) {
+        (None, _) => None,
+        (Some(d), Some(top)) => match program.func(top.func).regs.get(d as usize) {
+            Some(ty) => Some((d, *ty)),
+            None => {
+                return Err(r
+                    .corrupt(format!("pending register r{d} out of range"))
+                    .into())
+            }
+        },
+        (Some(d), None) => {
+            return Err(r
+                .corrupt(format!("pending register r{d} without a frame"))
+                .into())
+        }
+    };
     let done = r.bool()?;
     Ok(Thread {
         frames,
         stack,
-        pending_dst,
+        pending,
+        misfit: None,
         done,
     })
 }
@@ -476,7 +511,7 @@ mod tests {
 
         let t = Thread::new(&p, entry, &[]).unwrap();
         let mut w = begin(TAG_WORLD);
-        write_thread(&mut w, &t);
+        write_thread(&mut w, &t, &p);
         let bytes = finish(w);
         let mut r = open(&bytes, TAG_WORLD).unwrap();
         let back = read_thread(&mut r, &p).unwrap();

@@ -9,7 +9,9 @@
 //! specialised by operand kind, the virtual-cycle weight, and up to three
 //! scalar operands (registers, constants, jump targets) inlined.
 //!
-//! One decoding goes past the instruction itself: five dependent pairs,
+//! Two decodings go past the instruction itself. An array load or store
+//! whose array register is declared `float[]` decodes to the float op,
+//! whose one-compare path the loop tries first; and five dependent pairs,
 //! where the second instruction reads the first one's destination, become
 //! superinstructions (see [`fuse`]).
 //!
@@ -27,7 +29,7 @@
 use crate::{weight, ExecError, GpuCoords};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use nir::{FuncId, Function, Instr, IntrinOp, Program, Reg};
+use nir::{ElemTy, FuncId, Function, Instr, IntrinOp, Program, Reg, Ty};
 
 /// An absent register operand (`Ret(None)`, a call without `dst`).
 pub(crate) const NO_REG: u32 = u32::MAX;
@@ -111,7 +113,7 @@ pub(crate) enum OpKind {
     AndBool,
     OrBool,
     /// A `Bin` whose operator does not exist for its kind (`&&` on ints):
-    /// tag-checks its operands, then fails.
+    /// fails. (The verifier rejects it; an unverified program may hold it.)
     BadBin,
     // (dst, src)
     NegI32,
@@ -121,6 +123,7 @@ pub(crate) enum OpKind {
     /// `Neg` of a boolean: always fails.
     NegBad,
     Not,
+    // (dst, src, the source kind: `CAST_FROM_*`)
     CastI32,
     CastI64,
     CastF32,
@@ -146,10 +149,12 @@ pub(crate) enum OpKind {
     PutField,
     // (dst, len); elem in the Instr
     NewArr,
-    // (dst, arr, idx)
+    // (dst, arr, idx): `LdArrF32` when `arr` is declared `float[]`
     LdArr,
-    // (arr, idx, src)
+    LdArrF32,
+    // (arr, idx, src): `StArrF32` when `arr` is declared `float[]`
     StArr,
+    StArrF32,
     // (dst, arr)
     ArrLen,
     // (arr)
@@ -182,10 +187,10 @@ pub(crate) enum OpKind {
     Sync,
     // Superinstructions: the first half's operands; the second half's
     // are those of `ops[pc + 1]` (see `fuse`).
-    /// `AddI32 t` then `LdArr{idx: t}`.
-    AddI32LdArr,
-    /// `SubI32 t` then `LdArr{idx: t}`.
-    SubI32LdArr,
+    /// `AddI32 t` then `LdArrF32{idx: t}`.
+    AddI32LdArrF32,
+    /// `SubI32 t` then `LdArrF32{idx: t}`.
+    SubI32LdArrF32,
     /// `LtI32 c` then `Br{cond: c}`.
     LtI32Br,
     /// `AddF32 t` then `AddF32{lhs: t}`.
@@ -224,12 +229,24 @@ impl<'p> Image<'p> {
     /// another shape than [`IntrinOp::shape`] (the check
     /// [`Program::validate`] makes, so a validated program always
     /// decodes), or a `NewObj` of a class the program does not have.
+    ///
+    /// The loop runs on untagged registers and trusts the types
+    /// [`Program::verify`] checked where the program was produced or
+    /// loaded (translation, artifact decode, a `dist` worker's `Init`).
+    /// A debug build verifies here too, after decoding, so every program
+    /// a test runs is one the verifier accepts.
     pub fn build(program: &'p Program) -> Result<Image<'p>, ExecError> {
         let funcs = program
             .funcs
             .iter()
             .map(|f| decode_function(f, program))
             .collect::<Result<_, _>>()?;
+        #[cfg(debug_assertions)]
+        program.verify().map_err(|e| ExecError {
+            message: format!("program does not verify: {}", e.message),
+            func: e.func,
+            pc: e.pc,
+        })?;
         Ok(Image { program, funcs })
     }
 
@@ -251,7 +268,7 @@ fn decode_function(f: &Function, program: &Program) -> Result<Vec<Op>, ExecError
     // Collecting through `Result` has no size hint and grows by doubling.
     let mut ops = Vec::with_capacity(f.code.len());
     for (pc, ins) in f.code.iter().enumerate() {
-        ops.push(decode(ins, program).map_err(|e| e.at(&f.name, pc as u32))?);
+        ops.push(decode(ins, program, &f.regs).map_err(|e| e.at(&f.name, pc as u32))?);
     }
     fuse(&mut ops);
     Ok(ops)
@@ -263,7 +280,8 @@ fn decode_function(f: &Function, program: &Program) -> Result<Vec<Op>, ExecError
 /// second half can take the value from the first without re-reading it.
 /// Which pairs: the five most frequent dependent pairs of the stencil and
 /// Fox inner loops (DESIGN §17; `exec/tests/op_pairs.rs` keeps the list
-/// and measures how much of a run each covers).
+/// and measures how much of a run each covers). The loads fuse when the
+/// array is declared `float[]`, as those loops' arrays are.
 ///
 /// `ops[pc + 1]` keeps its own decoding, so a chain (`AddF32` into
 /// `AddF32` into `AddF32`) fuses at every link, and the op a jump or a
@@ -274,8 +292,8 @@ fn fuse(ops: &mut [Op]) {
         let (first, second) = (ops[pc - 1], ops[pc]);
         let t = first.a;
         ops[pc - 1].kind = match (first.kind, second.kind) {
-            (K::AddI32, K::LdArr) if second.c == t => K::AddI32LdArr,
-            (K::SubI32, K::LdArr) if second.c == t => K::SubI32LdArr,
+            (K::AddI32, K::LdArrF32) if second.c == t => K::AddI32LdArrF32,
+            (K::SubI32, K::LdArrF32) if second.c == t => K::SubI32LdArrF32,
             (K::LtI32, K::Br) if second.a == t => K::LtI32Br,
             (K::AddF32, K::AddF32) if second.b == t => K::AddF32AddF32,
             (K::MulF32, K::AddF32) if second.c == t => K::MulF32AddF32,
@@ -284,7 +302,16 @@ fn fuse(ops: &mut [Op]) {
     }
 }
 
-fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
+/// `CAST_FROM_*`: the source kind of a cast, in its op's `c`.
+pub(crate) const CAST_FROM_I32: u32 = 0;
+pub(crate) const CAST_FROM_I64: u32 = 1;
+pub(crate) const CAST_FROM_F32: u32 = 2;
+pub(crate) const CAST_FROM_F64: u32 = 3;
+pub(crate) const CAST_FROM_BOOL: u32 = 4;
+
+/// `regs` is the function's register types: a load or store through a
+/// register declared `float[]` decodes to the float op.
+fn decode(ins: &Instr, program: &Program, regs: &[Ty]) -> Result<Op, ExecError> {
     use OpKind as K;
     let weight = u8::try_from(weight(ins)).expect("every opcode weight fits a byte");
     let op = |kind, a, b, c| Op {
@@ -323,7 +350,7 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
             op(k, *dst, *src, 0)
         }
         Instr::Not { dst, src } => op(K::Not, *dst, *src, 0),
-        Instr::Cast { to, dst, src, .. } => {
+        Instr::Cast { to, from, dst, src } => {
             let k = match to {
                 PrimKind::Int => K::CastI32,
                 PrimKind::Long => K::CastI64,
@@ -331,7 +358,14 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
                 PrimKind::Double => K::CastF64,
                 PrimKind::Boolean => K::CastBool,
             };
-            op(k, *dst, *src, 0)
+            let from = match from {
+                PrimKind::Int => CAST_FROM_I32,
+                PrimKind::Long => CAST_FROM_I64,
+                PrimKind::Float => CAST_FROM_F32,
+                PrimKind::Double => CAST_FROM_F64,
+                PrimKind::Boolean => CAST_FROM_BOOL,
+            };
+            op(k, *dst, *src, from)
         }
         Instr::Jmp(t) => op(K::Jmp, *t, 0, 0),
         Instr::Br { cond, t, f } => op(K::Br, *cond, *t, *f),
@@ -354,8 +388,22 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
         Instr::GetField { obj, slot, dst } => op(K::GetField, *dst, *obj, *slot),
         Instr::PutField { obj, slot, src } => op(K::PutField, *obj, *slot, *src),
         Instr::NewArr { len, dst, .. } => op(K::NewArr, *dst, *len, 0),
-        Instr::LdArr { arr, idx, dst } => op(K::LdArr, *dst, *arr, *idx),
-        Instr::StArr { arr, idx, src } => op(K::StArr, *arr, *idx, *src),
+        Instr::LdArr { arr, idx, dst } => {
+            let k = if is_f32_array(regs, *arr) {
+                K::LdArrF32
+            } else {
+                K::LdArr
+            };
+            op(k, *dst, *arr, *idx)
+        }
+        Instr::StArr { arr, idx, src } => {
+            let k = if is_f32_array(regs, *arr) {
+                K::StArrF32
+            } else {
+                K::StArr
+            };
+            op(k, *arr, *idx, *src)
+        }
         Instr::ArrLen { arr, dst } => op(K::ArrLen, *dst, *arr, 0),
         Instr::FreeArr { arr } => op(K::FreeArr, *arr, 0, 0),
         Instr::Intrin {
@@ -382,6 +430,14 @@ fn decode(ins: &Instr, program: &Program) -> Result<Op, ExecError> {
         Instr::SharedAlloc { len, dst, .. } => op(K::SharedAlloc, *dst, *len, 0),
         Instr::Sync => op(K::Sync, 0, 0, 0),
     })
+}
+
+/// Is register `r` declared `float[]`? The float ops' fast path reads
+/// the handle without knowing what it names: a handle from outside (an
+/// argument, a field) may name another array, which `MemSpace::load_f32`
+/// refuses and the checked path explains.
+fn is_f32_array(regs: &[Ty], r: Reg) -> bool {
+    regs.get(r as usize) == Some(&Ty::Arr(ElemTy::F32))
 }
 
 /// The opcode of an intrinsic. Its operand count and destination are

@@ -32,9 +32,9 @@ pub use fault::{FaultConfig, FaultPlan, FaultRng, MsgFault, ResilienceStats, Tra
 pub use image::Image;
 pub use pool::{ExecMode, ExecutorCfg};
 
-use image::{reg_of, Op, OpKind};
+use image::{reg_of, Op, OpKind, CAST_FROM_F32, CAST_FROM_F64, CAST_FROM_I32, CAST_FROM_I64};
 use jlang::types::PrimKind;
-use nir::{ElemTy, FuncId, Instr, IntrinOp, Program, Reg};
+use nir::{ElemTy, FuncId, Instr, IntrinOp, Program, Reg, Ty};
 
 /// A runtime value: primitives plus array/object handles into a
 /// [`MemSpace`] / [`ObjHeap`].
@@ -163,6 +163,102 @@ impl Val {
             Val::Obj(v) => Ok(v),
             other => Err(expected("object handle", other)),
         }
+    }
+}
+
+impl Val {
+    /// The bits of this value in a register declared `ty`, as
+    /// [`Val::of_word`] reads them back; `None` when the value is not of
+    /// that type. An array handle fits any array register: which array it
+    /// names, and so its element type, is the memory space's to say.
+    pub(crate) fn to_word(self, ty: Ty) -> Option<u64> {
+        Some(match (self, ty) {
+            (Val::I32(x), Ty::I32) => x.bits(),
+            (Val::I64(x), Ty::I64) => x.bits(),
+            (Val::F32(x), Ty::F32) => x.bits(),
+            (Val::F64(x), Ty::F64) => x.bits(),
+            (Val::Bool(x), Ty::Bool) => x.bits(),
+            (Val::Arr(h), Ty::Arr(_)) | (Val::Obj(h), Ty::Obj) => u64::from(h),
+            _ => return None,
+        })
+    }
+
+    /// The value of type `ty` a register holding `w` holds.
+    pub(crate) fn of_word(w: u64, ty: Ty) -> Val {
+        match ty {
+            Ty::I32 => Val::I32(Word::of(w)),
+            Ty::I64 => Val::I64(Word::of(w)),
+            Ty::F32 => Val::F32(Word::of(w)),
+            Ty::F64 => Val::F64(Word::of(w)),
+            Ty::Bool => Val::Bool(Word::of(w)),
+            Ty::Arr(_) => Val::Arr(w as u32),
+            Ty::Obj => Val::Obj(w as u32),
+        }
+    }
+}
+
+/// A scalar as the bits of one register. A [`Thread`]'s registers are
+/// untagged 64-bit words, numbered as in `nir::Function::regs`, whose
+/// declared types say how to read them: the verifier
+/// (`nir::Program::verify`) checked that every instruction reads each
+/// register as the type it was written.
+trait Word: Copy {
+    fn of(w: u64) -> Self;
+    fn bits(self) -> u64;
+}
+
+impl Word for i32 {
+    #[inline(always)]
+    fn of(w: u64) -> i32 {
+        w as u32 as i32
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        u64::from(self as u32)
+    }
+}
+
+impl Word for i64 {
+    #[inline(always)]
+    fn of(w: u64) -> i64 {
+        w as i64
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        self as u64
+    }
+}
+
+impl Word for f32 {
+    #[inline(always)]
+    fn of(w: u64) -> f32 {
+        f32::from_bits(w as u32)
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        u64::from(self.to_bits())
+    }
+}
+
+impl Word for f64 {
+    #[inline(always)]
+    fn of(w: u64) -> f64 {
+        f64::from_bits(w)
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+impl Word for bool {
+    #[inline(always)]
+    fn of(w: u64) -> bool {
+        w != 0
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        u64::from(self)
     }
 }
 
@@ -716,13 +812,27 @@ struct Frame {
 
 /// A resumable execution context (call stack). CUDA threads, MPI ranks,
 /// and plain host executions are all `Thread`s.
+///
+/// Registers are untagged 64-bit words, read as their declared types
+/// (`nir::Function::regs`), which the verifier checked: a value crosses
+/// into them, checked against the register's declared type, only at entry
+/// ([`Thread::reset`]), at [`Thread::resume_with`], at a heap field read
+/// and at a checkpoint restore; it leaves them, tagged by the declared
+/// type, in a slow op's operand list, at the entry frame's return and at
+/// a checkpoint capture.
 #[derive(Debug)]
 pub struct Thread {
     frames: Vec<Frame>,
-    /// The registers of every live frame, outermost first.
-    stack: Vec<Val>,
-    /// Where to deliver a value provided by `resume_with`.
-    pending_dst: Option<Reg>,
+    /// The registers of every live frame, outermost first. A register no
+    /// instruction has written holds 0 (the verifier's definite
+    /// assignment makes that unobservable).
+    stack: Vec<u64>,
+    /// Where to deliver a value provided by `resume_with`, and the
+    /// register's declared type.
+    pending: Option<(Reg, Ty)>,
+    /// A `resume_with` value that did not fit its register, and the
+    /// register's type: the next [`run`] fails with it.
+    misfit: Option<(Val, Ty)>,
     done: bool,
 }
 
@@ -732,7 +842,8 @@ impl Thread {
         let mut thread = Thread {
             frames: Vec::new(),
             stack: Vec::new(),
-            pending_dst: None,
+            pending: None,
+            misfit: None,
             done: false,
         };
         thread.reset(program, func, args)?;
@@ -741,7 +852,8 @@ impl Thread {
 
     /// Discard whatever this thread was doing and poise it to execute
     /// `func(args)`, keeping its allocations (gpu-sim re-arms one set of
-    /// threads block after block).
+    /// threads block after block). Each argument must be of its
+    /// parameter's type.
     pub fn reset(
         &mut self,
         program: &Program,
@@ -749,21 +861,29 @@ impl Thread {
         args: &[Val],
     ) -> Result<(), ExecError> {
         let f = program.func(func);
+        let refuse = |message: String| ExecError {
+            message,
+            func: f.name.clone(),
+            pc: 0,
+        };
         if f.params.len() != args.len() {
-            return Err(ExecError {
-                message: format!(
-                    "`{}` expects {} args, got {}",
-                    f.name,
-                    f.params.len(),
-                    args.len()
-                ),
-                func: f.name.clone(),
-                pc: 0,
-            });
+            return Err(refuse(format!(
+                "`{}` expects {} args, got {}",
+                f.name,
+                f.params.len(),
+                args.len()
+            )));
         }
         self.stack.clear();
-        self.stack.resize(f.regs.len(), Val::Unit);
-        self.stack[..args.len()].copy_from_slice(args);
+        self.stack.resize(f.regs.len(), 0);
+        for (i, (v, ty)) in args.iter().zip(&f.params).enumerate() {
+            self.stack[i] = v.to_word(*ty).ok_or_else(|| {
+                refuse(format!(
+                    "argument {i} of `{}` is {v:?}, expected {ty:?}",
+                    f.name
+                ))
+            })?;
+        }
         self.frames.clear();
         self.frames.push(Frame {
             func,
@@ -771,7 +891,8 @@ impl Thread {
             base: 0,
             ret_to: None,
         });
-        self.pending_dst = None;
+        self.pending = None;
+        self.misfit = None;
         self.done = false;
         Ok(())
     }
@@ -781,10 +902,16 @@ impl Thread {
     }
 
     /// Deliver the result of a serviced yield (pass `Val::Unit` for void).
+    /// A value that is not of the destination register's type is not
+    /// stored: the next [`run`] fails with a typed error at the yielding
+    /// instruction.
     pub fn resume_with(&mut self, v: Val) {
-        if let Some(dst) = self.pending_dst.take() {
+        if let Some((dst, ty)) = self.pending.take() {
             if let Some(top) = self.frames.last() {
-                self.stack[top.base + dst as usize] = v;
+                match v.to_word(ty) {
+                    Some(w) => self.stack[top.base + dst as usize] = w,
+                    None => self.misfit = Some((v, ty)),
+                }
             }
         }
     }
@@ -804,7 +931,7 @@ impl Thread {
     }
 
     /// The registers of frame `i` (0 = outermost).
-    fn frame_regs(&self, i: usize) -> &[Val] {
+    fn frame_regs(&self, i: usize) -> &[u64] {
         let end = self.frames.get(i + 1).map_or(self.stack.len(), |f| f.base);
         &self.stack[self.frames[i].base..end]
     }
@@ -823,17 +950,16 @@ fn error(message: std::fmt::Arguments<'_>) -> ExecError {
 }
 
 /// The error of a `Bin` whose operator does not exist for its operand
-/// kind. Operand tags are checked first, as every well-formed `Bin` does.
+/// kind (the verifier rejects it; an unverified program may hold it).
 #[cold]
-fn bad_bin(kind: PrimKind, l: Val, r: Val) -> ExecError {
-    let (tags, message) = match kind {
-        PrimKind::Int => (l.as_i32().and(r.as_i32()).err(), "logical op on int"),
-        PrimKind::Long => (l.as_i64().and(r.as_i64()).err(), "logical op on long"),
-        PrimKind::Float => (l.as_f32().and(r.as_f32()).err(), "bitwise op on float"),
-        PrimKind::Double => (l.as_f64().and(r.as_f64()).err(), "bitwise op on double"),
-        PrimKind::Boolean => (l.as_bool().and(r.as_bool()).err(), "arith op on bool"),
-    };
-    tags.unwrap_or_else(|| message.into())
+fn bad_bin(kind: PrimKind) -> ExecError {
+    ExecError::msg(match kind {
+        PrimKind::Int => "logical op on int",
+        PrimKind::Long => "logical op on long",
+        PrimKind::Float => "bitwise op on float",
+        PrimKind::Double => "bitwise op on double",
+        PrimKind::Boolean => "arith op on bool",
+    })
 }
 
 /// Why the dispatch loop left the current frame.
@@ -843,10 +969,11 @@ enum Exit {
     /// virtual call (the callee's register 0).
     Call {
         callee: FuncId,
-        recv: Option<Val>,
+        recv: Option<u32>,
         dst: Option<Reg>,
     },
-    Ret(Option<Val>),
+    /// Return the register, if any.
+    Ret(Option<Reg>),
     /// Run the op at `pc` out of line, in [`slow_op`].
     Slow,
     Yield(Yield),
@@ -858,16 +985,21 @@ enum Exit {
 /// Run `thread` until completion, a yield point, or `fuel` retired
 /// instructions.
 ///
-/// The loop dispatches on the image's decoded ops; the innermost frame's
-/// op stream, registers and pc live in locals and are written back only
-/// where control leaves the frame (call, return, an out-of-line op,
-/// yield, fuel-out, error).
+/// The loop dispatches on the image's decoded ops over untagged
+/// registers; the innermost frame's op stream, registers and pc live in
+/// locals and are written back only where control leaves the frame
+/// (call, return, an out-of-line op, yield, fuel-out, error).
 pub fn run(
     thread: &mut Thread,
     image: &Image<'_>,
     machine: &mut Machine,
     mut fuel: u64,
 ) -> Result<Yield, ExecError> {
+    let program = image.program();
+    if let Some((v, ty)) = thread.misfit.take() {
+        let (func, pc) = thread.frame_location().unwrap_or((FuncId(0), 1));
+        return Err(misfit(v, ty).at(&program.func(func).name, pc.saturating_sub(1)));
+    }
     if thread.done {
         return Ok(Yield::Done(None));
     }
@@ -876,7 +1008,6 @@ pub fn run(
     if let Some(plan) = machine.fault.as_mut() {
         fuel = plan.slice_fuel(fuel);
     }
-    let program = image.program();
     // What this slice adds to `machine.counters`. Every retired
     // instruction burns one unit of fuel, so the retired count is the fuel
     // spent; only cycles need an accumulator of their own.
@@ -897,6 +1028,7 @@ pub fn run(
         };
         let f = program.func(frame.func);
         let code = &f.code[..];
+        let tys = &f.regs[..];
         let ops = image.ops(frame.func);
         let base = frame.base;
         let regs = &mut thread.stack[base..];
@@ -921,62 +1053,38 @@ pub fn run(
                     break Exit::Fail($e)
                 };
             }
-            // dst = f(x) over one operand of variant $T.
+            // The register $r read as a $T.
+            macro_rules! get {
+                ($T:ty, $r:expr) => {
+                    <$T as Word>::of(regs[$r])
+                };
+            }
+            // dst = f(x) over one operand of type $T.
             macro_rules! un {
-                ($T:ident $what:literal => $R:ident, |$x:ident| $e:expr) => {
-                    match regs[b] {
-                        Val::$T($x) => regs[a] = Val::$R($e),
-                        other => fail!(expected($what, other)),
-                    }
-                };
+                ($T:ty, |$x:ident| $e:expr) => {{
+                    let $x = get!($T, b);
+                    regs[a] = Word::bits($e);
+                }};
             }
-            // f(x, y) over two operands of variant $T; the left operand's
-            // tag is checked first.
-            macro_rules! val {
-                ($T:ident $what:literal, |$x:ident, $y:ident| $e:expr) => {
-                    // Matched in place: a by-value pair would be built
-                    // on the stack and read back.
-                    match (&regs[b], &regs[c]) {
-                        (&Val::$T($x), &Val::$T($y)) => $e,
-                        (&Val::$T(_), &other) | (&other, _) => fail!(expected($what, other)),
-                    }
-                };
-            }
-            // dst = f(x, y), as `val!`.
+            // dst = f(x, y) over two operands of type $T.
             macro_rules! bin {
-                ($T:ident $what:literal => $R:ident, |$x:ident, $y:ident| $e:expr) => {
-                    regs[a] = Val::$R(val!($T $what, |$x, $y| $e))
-                };
+                ($T:ty, |$x:ident, $y:ident| $e:expr) => {{
+                    let ($x, $y) = (get!($T, b), get!($T, c));
+                    regs[a] = Word::bits($e);
+                }};
             }
-            macro_rules! neg {
-                ($T:ident, $kind:ident, |$x:ident| $e:expr) => {
-                    match regs[b] {
-                        Val::$T($x) => regs[a] = Val::$T($e),
-                        v => fail!(error(format_args!(
-                            "bad neg {:?} on {v:?}",
-                            PrimKind::$kind
-                        ))),
-                    }
-                };
-            }
+            // dst = (the register b, of the kind in `c`) as $T.
             macro_rules! cast {
-                ($to:ident) => {
-                    match numcast(PrimKind::$to, regs[b]) {
-                        Ok(v) => regs[a] = v,
-                        Err(e) => fail!(e),
-                    }
-                };
-            }
-            // The operand in register $r, which must be of variant $T.
-            // Matched in place: `Val::as_*` take `self` by value, which
-            // costs a copy to the stack on this path.
-            macro_rules! expect {
-                ($r:expr, $T:ident $what:literal) => {
-                    match regs[$r] {
-                        Val::$T(v) => v,
-                        other => fail!(expected($what, other)),
-                    }
-                };
+                ($T:ty, $to:literal) => {{
+                    let v = match op.c {
+                        CAST_FROM_I32 => get!(i32, b) as $T,
+                        CAST_FROM_I64 => get!(i64, b) as $T,
+                        CAST_FROM_F32 => get!(f32, b) as $T,
+                        CAST_FROM_F64 => get!(f64, b) as $T,
+                        _ => fail!(error(format_args!("cannot cast boolean to {}", $to))),
+                    };
+                    regs[a] = Word::bits(v);
+                }};
             }
             macro_rules! attempt {
                 ($e:expr) => {
@@ -987,30 +1095,33 @@ pub fn run(
                 };
             }
             // dst = arr[i], checked: every load error comes from here, in
-            // this order. `$i` is the index as an i32, its tag checked
-            // after the array's.
+            // this order. The element must be of the destination's type:
+            // a handle from outside may name an array of another.
             macro_rules! load {
                 ($dst:expr, $arr:expr, $i:expr) => {{
-                    let h = expect!($arr, Arr "array handle");
+                    let h = regs[$arr] as u32;
                     let i: i32 = $i;
                     if i < 0 {
                         fail!(error(format_args!("negative index {i}")));
                     }
                     let store = attempt!(machine.mem.arr(h));
-                    regs[$dst] = attempt!(store.get(i as usize));
+                    let v = attempt!(store.get(i as usize));
+                    match v.to_word(tys[$dst]) {
+                        Some(w) => regs[$dst] = w,
+                        None => fail!(error(format_args!(
+                            "type mismatch loading {v:?} from {store}"
+                        ))),
+                    }
                 }};
             }
-            // dst = arr[i] with index value $i: the one-compare float path,
-            // and the checked one for anything it does not take.
+            // dst = arr[i] with index value $i through a `float[]`
+            // register: the one-compare float path, and the checked one
+            // for anything it does not take.
             macro_rules! load_f32 {
                 ($dst:expr, $arr:expr, $i:expr) => {{
                     let i: i32 = $i;
-                    let hit = match regs[$arr] {
-                        Val::Arr(h) => machine.mem.load_f32(h, i),
-                        _ => None,
-                    };
-                    match hit {
-                        Some(x) => regs[$dst] = Val::F32(x),
+                    match machine.mem.load_f32(regs[$arr] as u32, i) {
+                        Some(x) => regs[$dst] = x.bits(),
                         None => load!($dst, $arr, i),
                     }
                 }};
@@ -1018,21 +1129,22 @@ pub fn run(
             // arr[idx] = src, checked: every store error comes from here.
             macro_rules! store {
                 ($arr:expr, $idx:expr, $src:expr) => {{
-                    let h = expect!($arr, Arr "array handle");
-                    let i = expect!($idx, I32 "i32");
+                    let h = regs[$arr] as u32;
+                    let i = get!(i32, $idx);
                     if i < 0 {
                         fail!(error(format_args!("negative index {i}")));
                     }
                     let store = attempt!(machine.mem.arr_mut(h));
-                    attempt!(store.set(i as usize, regs[$src]));
+                    attempt!(store.set(i as usize, Val::of_word(regs[$src], tys[$src])));
                 }};
             }
             // The first half of a superinstruction: dst = f(x, y) as
             // `bin!`, and the value, forwarded to the second half.
             macro_rules! first_half {
-                ($T:ident $what:literal => $R:ident, |$x:ident, $y:ident| $e:expr) => {{
-                    let v = val!($T $what, |$x, $y| $e);
-                    regs[a] = Val::$R(v);
+                ($T:ty, |$x:ident, $y:ident| $e:expr) => {{
+                    let ($x, $y) = (get!($T, b), get!($T, c));
+                    let v = $e;
+                    regs[a] = Word::bits(v);
                     v
                 }};
             }
@@ -1060,119 +1172,115 @@ pub fn run(
             }
 
             match op.kind {
-                OpKind::ConstI32 => regs[a] = Val::I32(op.b as i32),
-                OpKind::ConstI64 => regs[a] = Val::I64(((op.c as u64) << 32 | op.b as u64) as i64),
-                OpKind::ConstF32 => regs[a] = Val::F32(f32::from_bits(op.b)),
-                OpKind::ConstF64 => {
-                    regs[a] = Val::F64(f64::from_bits((op.c as u64) << 32 | op.b as u64))
-                }
-                OpKind::ConstBool => regs[a] = Val::Bool(op.b != 0),
+                OpKind::ConstI32 => regs[a] = (op.b as i32).bits(),
+                OpKind::ConstI64 | OpKind::ConstF64 => regs[a] = (op.c as u64) << 32 | op.b as u64,
+                OpKind::ConstF32 => regs[a] = op.b as u64,
+                OpKind::ConstBool => regs[a] = (op.b != 0).bits(),
                 OpKind::Mov => regs[a] = regs[b],
 
-                OpKind::AddI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_add(y)),
-                OpKind::SubI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_sub(y)),
-                OpKind::MulI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_mul(y)),
-                OpKind::DivI32 => bin!(I32 "i32" => I32, |x, y| {
+                OpKind::AddI32 => bin!(i32, |x, y| x.wrapping_add(y)),
+                OpKind::SubI32 => bin!(i32, |x, y| x.wrapping_sub(y)),
+                OpKind::MulI32 => bin!(i32, |x, y| x.wrapping_mul(y)),
+                OpKind::DivI32 => bin!(i32, |x, y| {
                     if y == 0 {
                         fail!("division by zero".into());
                     }
                     x.wrapping_div(y)
                 }),
-                OpKind::RemI32 => bin!(I32 "i32" => I32, |x, y| {
+                OpKind::RemI32 => bin!(i32, |x, y| {
                     if y == 0 {
                         fail!("remainder by zero".into());
                     }
                     x.wrapping_rem(y)
                 }),
-                OpKind::LtI32 => bin!(I32 "i32" => Bool, |x, y| x < y),
-                OpKind::LeI32 => bin!(I32 "i32" => Bool, |x, y| x <= y),
-                OpKind::GtI32 => bin!(I32 "i32" => Bool, |x, y| x > y),
-                OpKind::GeI32 => bin!(I32 "i32" => Bool, |x, y| x >= y),
-                OpKind::EqI32 => bin!(I32 "i32" => Bool, |x, y| x == y),
-                OpKind::NeI32 => bin!(I32 "i32" => Bool, |x, y| x != y),
-                OpKind::ShlI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_shl(y as u32 & 31)),
-                OpKind::ShrI32 => bin!(I32 "i32" => I32, |x, y| x.wrapping_shr(y as u32 & 31)),
-                OpKind::AndI32 => bin!(I32 "i32" => I32, |x, y| x & y),
-                OpKind::OrI32 => bin!(I32 "i32" => I32, |x, y| x | y),
-                OpKind::XorI32 => bin!(I32 "i32" => I32, |x, y| x ^ y),
+                OpKind::LtI32 => bin!(i32, |x, y| x < y),
+                OpKind::LeI32 => bin!(i32, |x, y| x <= y),
+                OpKind::GtI32 => bin!(i32, |x, y| x > y),
+                OpKind::GeI32 => bin!(i32, |x, y| x >= y),
+                OpKind::EqI32 => bin!(i32, |x, y| x == y),
+                OpKind::NeI32 => bin!(i32, |x, y| x != y),
+                OpKind::ShlI32 => bin!(i32, |x, y| x.wrapping_shl(y as u32 & 31)),
+                OpKind::ShrI32 => bin!(i32, |x, y| x.wrapping_shr(y as u32 & 31)),
+                OpKind::AndI32 => bin!(i32, |x, y| x & y),
+                OpKind::OrI32 => bin!(i32, |x, y| x | y),
+                OpKind::XorI32 => bin!(i32, |x, y| x ^ y),
 
-                OpKind::AddI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_add(y)),
-                OpKind::SubI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_sub(y)),
-                OpKind::MulI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_mul(y)),
-                OpKind::DivI64 => bin!(I64 "i64" => I64, |x, y| {
+                OpKind::AddI64 => bin!(i64, |x, y| x.wrapping_add(y)),
+                OpKind::SubI64 => bin!(i64, |x, y| x.wrapping_sub(y)),
+                OpKind::MulI64 => bin!(i64, |x, y| x.wrapping_mul(y)),
+                OpKind::DivI64 => bin!(i64, |x, y| {
                     if y == 0 {
                         fail!("division by zero".into());
                     }
                     x.wrapping_div(y)
                 }),
-                OpKind::RemI64 => bin!(I64 "i64" => I64, |x, y| {
+                OpKind::RemI64 => bin!(i64, |x, y| {
                     if y == 0 {
                         fail!("remainder by zero".into());
                     }
                     x.wrapping_rem(y)
                 }),
-                OpKind::LtI64 => bin!(I64 "i64" => Bool, |x, y| x < y),
-                OpKind::LeI64 => bin!(I64 "i64" => Bool, |x, y| x <= y),
-                OpKind::GtI64 => bin!(I64 "i64" => Bool, |x, y| x > y),
-                OpKind::GeI64 => bin!(I64 "i64" => Bool, |x, y| x >= y),
-                OpKind::EqI64 => bin!(I64 "i64" => Bool, |x, y| x == y),
-                OpKind::NeI64 => bin!(I64 "i64" => Bool, |x, y| x != y),
-                OpKind::ShlI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_shl(y as u32 & 63)),
-                OpKind::ShrI64 => bin!(I64 "i64" => I64, |x, y| x.wrapping_shr(y as u32 & 63)),
-                OpKind::AndI64 => bin!(I64 "i64" => I64, |x, y| x & y),
-                OpKind::OrI64 => bin!(I64 "i64" => I64, |x, y| x | y),
-                OpKind::XorI64 => bin!(I64 "i64" => I64, |x, y| x ^ y),
+                OpKind::LtI64 => bin!(i64, |x, y| x < y),
+                OpKind::LeI64 => bin!(i64, |x, y| x <= y),
+                OpKind::GtI64 => bin!(i64, |x, y| x > y),
+                OpKind::GeI64 => bin!(i64, |x, y| x >= y),
+                OpKind::EqI64 => bin!(i64, |x, y| x == y),
+                OpKind::NeI64 => bin!(i64, |x, y| x != y),
+                OpKind::ShlI64 => bin!(i64, |x, y| x.wrapping_shl(y as u32 & 63)),
+                OpKind::ShrI64 => bin!(i64, |x, y| x.wrapping_shr(y as u32 & 63)),
+                OpKind::AndI64 => bin!(i64, |x, y| x & y),
+                OpKind::OrI64 => bin!(i64, |x, y| x | y),
+                OpKind::XorI64 => bin!(i64, |x, y| x ^ y),
 
-                OpKind::AddF32 => bin!(F32 "f32" => F32, |x, y| x + y),
-                OpKind::SubF32 => bin!(F32 "f32" => F32, |x, y| x - y),
-                OpKind::MulF32 => bin!(F32 "f32" => F32, |x, y| x * y),
-                OpKind::DivF32 => bin!(F32 "f32" => F32, |x, y| x / y),
-                OpKind::RemF32 => bin!(F32 "f32" => F32, |x, y| x % y),
-                OpKind::LtF32 => bin!(F32 "f32" => Bool, |x, y| x < y),
-                OpKind::LeF32 => bin!(F32 "f32" => Bool, |x, y| x <= y),
-                OpKind::GtF32 => bin!(F32 "f32" => Bool, |x, y| x > y),
-                OpKind::GeF32 => bin!(F32 "f32" => Bool, |x, y| x >= y),
-                OpKind::EqF32 => bin!(F32 "f32" => Bool, |x, y| x == y),
-                OpKind::NeF32 => bin!(F32 "f32" => Bool, |x, y| x != y),
+                OpKind::AddF32 => bin!(f32, |x, y| x + y),
+                OpKind::SubF32 => bin!(f32, |x, y| x - y),
+                OpKind::MulF32 => bin!(f32, |x, y| x * y),
+                OpKind::DivF32 => bin!(f32, |x, y| x / y),
+                OpKind::RemF32 => bin!(f32, |x, y| x % y),
+                OpKind::LtF32 => bin!(f32, |x, y| x < y),
+                OpKind::LeF32 => bin!(f32, |x, y| x <= y),
+                OpKind::GtF32 => bin!(f32, |x, y| x > y),
+                OpKind::GeF32 => bin!(f32, |x, y| x >= y),
+                OpKind::EqF32 => bin!(f32, |x, y| x == y),
+                OpKind::NeF32 => bin!(f32, |x, y| x != y),
 
-                OpKind::AddF64 => bin!(F64 "f64" => F64, |x, y| x + y),
-                OpKind::SubF64 => bin!(F64 "f64" => F64, |x, y| x - y),
-                OpKind::MulF64 => bin!(F64 "f64" => F64, |x, y| x * y),
-                OpKind::DivF64 => bin!(F64 "f64" => F64, |x, y| x / y),
-                OpKind::RemF64 => bin!(F64 "f64" => F64, |x, y| x % y),
-                OpKind::LtF64 => bin!(F64 "f64" => Bool, |x, y| x < y),
-                OpKind::LeF64 => bin!(F64 "f64" => Bool, |x, y| x <= y),
-                OpKind::GtF64 => bin!(F64 "f64" => Bool, |x, y| x > y),
-                OpKind::GeF64 => bin!(F64 "f64" => Bool, |x, y| x >= y),
-                OpKind::EqF64 => bin!(F64 "f64" => Bool, |x, y| x == y),
-                OpKind::NeF64 => bin!(F64 "f64" => Bool, |x, y| x != y),
+                OpKind::AddF64 => bin!(f64, |x, y| x + y),
+                OpKind::SubF64 => bin!(f64, |x, y| x - y),
+                OpKind::MulF64 => bin!(f64, |x, y| x * y),
+                OpKind::DivF64 => bin!(f64, |x, y| x / y),
+                OpKind::RemF64 => bin!(f64, |x, y| x % y),
+                OpKind::LtF64 => bin!(f64, |x, y| x < y),
+                OpKind::LeF64 => bin!(f64, |x, y| x <= y),
+                OpKind::GtF64 => bin!(f64, |x, y| x > y),
+                OpKind::GeF64 => bin!(f64, |x, y| x >= y),
+                OpKind::EqF64 => bin!(f64, |x, y| x == y),
+                OpKind::NeF64 => bin!(f64, |x, y| x != y),
 
-                OpKind::EqBool => bin!(Bool "bool" => Bool, |x, y| x == y),
-                OpKind::NeBool => bin!(Bool "bool" => Bool, |x, y| x != y),
-                OpKind::AndBool => bin!(Bool "bool" => Bool, |x, y| x && y),
-                OpKind::OrBool => bin!(Bool "bool" => Bool, |x, y| x || y),
+                OpKind::EqBool => bin!(bool, |x, y| x == y),
+                OpKind::NeBool => bin!(bool, |x, y| x != y),
+                OpKind::AndBool => bin!(bool, |x, y| x && y),
+                OpKind::OrBool => bin!(bool, |x, y| x || y),
                 OpKind::BadBin => {
                     let Instr::Bin { kind, .. } = &code[pc] else {
                         unreachable!("ops[pc] decodes code[pc]")
                     };
-                    fail!(bad_bin(*kind, regs[b], regs[c]))
+                    fail!(bad_bin(*kind))
                 }
 
-                OpKind::NegI32 => neg!(I32, Int, |x| x.wrapping_neg()),
-                OpKind::NegI64 => neg!(I64, Long, |x| x.wrapping_neg()),
-                OpKind::NegF32 => neg!(F32, Float, |x| -x),
-                OpKind::NegF64 => neg!(F64, Double, |x| -x),
-                OpKind::NegBad => fail!(error(format_args!(
-                    "bad neg {:?} on {:?}",
-                    PrimKind::Boolean,
-                    regs[b]
-                ))),
-                OpKind::Not => un!(Bool "bool" => Bool, |x| !x),
-                OpKind::CastI32 => cast!(Int),
-                OpKind::CastI64 => cast!(Long),
-                OpKind::CastF32 => cast!(Float),
-                OpKind::CastF64 => cast!(Double),
-                OpKind::CastBool => cast!(Boolean),
+                OpKind::NegI32 => un!(i32, |x| x.wrapping_neg()),
+                OpKind::NegI64 => un!(i64, |x| x.wrapping_neg()),
+                OpKind::NegF32 => un!(f32, |x| -x),
+                OpKind::NegF64 => un!(f64, |x| -x),
+                OpKind::NegBad => fail!("bad neg Boolean".into()),
+                OpKind::Not => un!(bool, |x| !x),
+                OpKind::CastI32 => cast!(i32, "int"),
+                OpKind::CastI64 => cast!(i64, "long"),
+                OpKind::CastF32 => cast!(f32, "float"),
+                OpKind::CastF64 => cast!(f64, "double"),
+                OpKind::CastBool => match op.c {
+                    image::CAST_FROM_BOOL => regs[a] = regs[b],
+                    _ => fail!("cannot cast a number to boolean".into()),
+                },
 
                 OpKind::Jmp => {
                     pc = a;
@@ -1180,11 +1288,11 @@ pub fn run(
                     continue;
                 }
                 OpKind::Br => {
-                    pc = if expect!(a, Bool "bool") { b } else { c };
+                    pc = if get!(bool, a) { b } else { c };
                     fuel -= 1;
                     continue;
                 }
-                OpKind::Ret => break Exit::Ret(reg_of(op.a).map(|r| regs[r as usize])),
+                OpKind::Ret => break Exit::Ret(reg_of(op.a)),
                 OpKind::Call => {
                     if depth >= MAX_DEPTH {
                         fail!("call depth limit exceeded".into());
@@ -1199,7 +1307,7 @@ pub fn run(
                     if depth >= MAX_DEPTH {
                         fail!("call depth limit exceeded".into());
                     }
-                    let h = expect!(b, Obj "object handle");
+                    let h = regs[b] as u32;
                     let class = attempt!(machine.objs.class_of(h));
                     let meta = &program.classes[class as usize];
                     let Some(&(_, callee)) = meta.vtable.iter().find(|(s, _)| *s == op.a) else {
@@ -1210,62 +1318,58 @@ pub fn run(
                     };
                     break Exit::Call {
                         callee,
-                        recv: Some(Val::Obj(h)),
+                        recv: Some(h),
                         dst: reg_of(op.c),
                     };
                 }
-                OpKind::NewObj => regs[a] = Val::Obj(machine.objs.alloc(op.b, c)),
+                OpKind::NewObj => regs[a] = u64::from(machine.objs.alloc(op.b, c)),
+                // A field holds whatever was stored there: it must be of
+                // the destination's type, or never written (Java's zero).
                 OpKind::GetField => {
-                    let h = expect!(b, Obj "object handle");
-                    regs[a] = attempt!(machine.objs.get(h, op.c));
-                }
-                OpKind::PutField => {
-                    let h = expect!(a, Obj "object handle");
-                    attempt!(machine.objs.set(h, op.b, regs[c]));
-                }
-
-                // A float array's element is one compare away; anything
-                // else, and every error, takes the checked path.
-                OpKind::LdArr => {
-                    let hit = match (&regs[b], &regs[c]) {
-                        (&Val::Arr(h), &Val::I32(i)) => machine.mem.load_f32(h, i),
-                        _ => None,
-                    };
-                    match hit {
-                        Some(x) => regs[a] = Val::F32(x),
-                        None => load!(a, b, expect!(c, I32 "i32")),
+                    let v = attempt!(machine.objs.get(regs[b] as u32, op.c));
+                    match (v.to_word(tys[a]), v) {
+                        (Some(w), _) => regs[a] = w,
+                        (None, Val::Unit) => regs[a] = 0,
+                        (None, _) => fail!(misfit(v, tys[a])),
                     }
                 }
-                OpKind::StArr => {
-                    let hit = match (&regs[a], &regs[b], &regs[c]) {
-                        (&Val::Arr(h), &Val::I32(i), &Val::F32(x)) => {
-                            machine.mem.store_f32(h, i, x)
-                        }
-                        _ => false,
-                    };
-                    if !hit {
+                OpKind::PutField => {
+                    let v = Val::of_word(regs[c], tys[c]);
+                    attempt!(machine.objs.set(regs[a] as u32, op.b, v));
+                }
+
+                // Through a `float[]` register, the element is one
+                // compare away; anything else, and every error, takes the
+                // checked path.
+                OpKind::LdArrF32 => load_f32!(a, b, get!(i32, c)),
+                OpKind::LdArr => load!(a, b, get!(i32, c)),
+                OpKind::StArrF32 => {
+                    if !machine
+                        .mem
+                        .store_f32(regs[a] as u32, get!(i32, b), get!(f32, c))
+                    {
                         store!(a, b, c)
                     }
                 }
+                OpKind::StArr => store!(a, b, c),
                 OpKind::ArrLen => {
-                    let h = expect!(b, Arr "array handle");
-                    let n = attempt!(attempt!(machine.mem.arr(h)).len());
-                    regs[a] = Val::I32(n as i32);
+                    let n = attempt!(attempt!(machine.mem.arr(regs[b] as u32)).len());
+                    regs[a] = (n as i32).bits();
                 }
-                OpKind::SqrtF64 => un!(F64 "f64" => F64, |x| x.sqrt()),
-                OpKind::SqrtF32 => un!(F32 "f32" => F32, |x| x.sqrt()),
-                OpKind::PowF64 => bin!(F64 "f64" => F64, |x, y| x.powf(y)),
-                OpKind::ExpF64 => un!(F64 "f64" => F64, |x| x.exp()),
-                OpKind::AbsF32 => un!(F32 "f32" => F32, |x| x.abs()),
-                OpKind::AbsF64 => un!(F64 "f64" => F64, |x| x.abs()),
-                OpKind::AbsI32 => un!(I32 "i32" => I32, |x| x.wrapping_abs()),
-                OpKind::MinI32 => bin!(I32 "i32" => I32, |x, y| x.min(y)),
-                OpKind::MaxI32 => bin!(I32 "i32" => I32, |x, y| x.max(y)),
-                OpKind::MinF32 => bin!(F32 "f32" => F32, |x, y| min_f32(x, y)),
-                OpKind::MaxF32 => bin!(F32 "f32" => F32, |x, y| max_f32(x, y)),
+                OpKind::SqrtF64 => un!(f64, |x| x.sqrt()),
+                OpKind::SqrtF32 => un!(f32, |x| x.sqrt()),
+                OpKind::PowF64 => bin!(f64, |x, y| x.powf(y)),
+                OpKind::ExpF64 => un!(f64, |x| x.exp()),
+                OpKind::AbsF32 => un!(f32, |x| x.abs()),
+                OpKind::AbsF64 => un!(f64, |x| x.abs()),
+                OpKind::AbsI32 => un!(i32, |x| x.wrapping_abs()),
+                OpKind::MinI32 => bin!(i32, |x, y| x.min(y)),
+                OpKind::MaxI32 => bin!(i32, |x, y| x.max(y)),
+                OpKind::MinF32 => bin!(f32, |x, y| min_f32(x, y)),
+                OpKind::MaxF32 => bin!(f32, |x, y| max_f32(x, y)),
 
                 OpKind::Coord => match &coords {
-                    Some(c) => regs[a] = Val::I32(c[b] as i32),
+                    Some(c) => regs[a] = (c[b] as i32).bits(),
                     None => break Exit::Slow,
                 },
 
@@ -1283,18 +1387,18 @@ pub fn run(
                 // Superinstructions (`image::fuse`): the second half
                 // takes the first half's value where it would read it
                 // back from the register the first half just wrote.
-                OpKind::AddI32LdArr => {
-                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_add(y));
+                OpKind::AddI32LdArrF32 => {
+                    let t = first_half!(i32, |x, y| x.wrapping_add(y));
                     let next = second_half!();
                     load_f32!(next.a as usize, next.b as usize, t)
                 }
-                OpKind::SubI32LdArr => {
-                    let t = first_half!(I32 "i32" => I32, |x, y| x.wrapping_sub(y));
+                OpKind::SubI32LdArrF32 => {
+                    let t = first_half!(i32, |x, y| x.wrapping_sub(y));
                     let next = second_half!();
                     load_f32!(next.a as usize, next.b as usize, t)
                 }
                 OpKind::LtI32Br => {
-                    let t = first_half!(I32 "i32" => Bool, |x, y| x < y);
+                    let t = first_half!(i32, |x, y| x < y);
                     let next = second_half!();
                     pc = if t { next.b } else { next.c } as usize;
                     fuel -= 1;
@@ -1303,20 +1407,14 @@ pub fn run(
                 // Both keep the source's operand order, so a NaN operand
                 // gives the payload the unfused add gives.
                 OpKind::AddF32AddF32 => {
-                    let t = first_half!(F32 "f32" => F32, |x, y| x + y);
+                    let t = first_half!(f32, |x, y| x + y);
                     let next = second_half!();
-                    match regs[next.c as usize] {
-                        Val::F32(y) => regs[next.a as usize] = Val::F32(t + y),
-                        other => fail!(expected("f32", other)),
-                    }
+                    regs[next.a as usize] = (t + get!(f32, next.c as usize)).bits();
                 }
                 OpKind::MulF32AddF32 => {
-                    let t = first_half!(F32 "f32" => F32, |x, y| x * y);
+                    let t = first_half!(f32, |x, y| x * y);
                     let next = second_half!();
-                    match regs[next.b as usize] {
-                        Val::F32(x) => regs[next.a as usize] = Val::F32(x + t),
-                        other => fail!(expected("f32", other)),
-                    }
+                    regs[next.a as usize] = (get!(f32, next.b as usize) + t).bits();
                 }
             }
             pc += 1;
@@ -1338,12 +1436,13 @@ pub fn run(
                 &code[pc],
                 pc as u32,
                 &mut thread.stack[base..],
+                tys,
                 machine,
             ) {
                 Ok(Slow::Next) => frame.pc += 1,
                 Ok(Slow::Yield(dst, y)) => {
                     frame.pc += 1;
-                    thread.pending_dst = dst;
+                    thread.pending = dst.map(|d| (d, tys[d as usize]));
                     break Ok(y);
                 }
                 Ok(Slow::Crashed) => {
@@ -1359,16 +1458,20 @@ pub fn run(
             Exit::FellOff => {
                 break Err(ExecError::msg("fell off the end of function").at(&f.name, pc as u32))
             }
-            Exit::Ret(v) => {
+            Exit::Ret(r) => {
+                let w = r.map(|r| thread.stack[base + r as usize]);
                 let ret_to = frame.ret_to;
                 thread.frames.pop();
                 thread.stack.truncate(base);
                 let Some(caller) = thread.frames.last() else {
                     thread.done = true;
+                    let v = r.zip(w).map(|(r, w)| Val::of_word(w, tys[r as usize]));
                     break Ok(Yield::Done(v));
                 };
+                // A value-less return into a result register leaves
+                // that type's zero.
                 if let Some(dst) = ret_to {
-                    thread.stack[caller.base + dst as usize] = v.unwrap_or(Val::Unit);
+                    thread.stack[caller.base + dst as usize] = w.unwrap_or(0);
                 }
             }
             Exit::Call { callee, recv, dst } => {
@@ -1377,13 +1480,19 @@ pub fn run(
                     Instr::Call { args, .. } | Instr::CallVirt { args, .. } => args,
                     _ => unreachable!("ops[pc] decodes code[pc]"),
                 };
+                let target = program.func(callee);
+                // A virtual call's callee is known only now: its
+                // signature is checked once per call.
+                if recv.is_some() {
+                    if let Err(e) = virtual_signature(tys, args, dst, target) {
+                        break Err(e.at(&f.name, pc as u32));
+                    }
+                }
                 let callee_base = thread.stack.len();
                 let first_arg = callee_base + recv.is_some() as usize;
-                thread
-                    .stack
-                    .resize(callee_base + program.func(callee).regs.len(), Val::Unit);
-                if let Some(recv) = recv {
-                    thread.stack[callee_base] = recv;
+                thread.stack.resize(callee_base + target.regs.len(), 0);
+                if let Some(h) = recv {
+                    thread.stack[callee_base] = u64::from(h);
                 }
                 for (i, a) in args.iter().enumerate() {
                     thread.stack[first_arg + i] = thread.stack[base + *a as usize];
@@ -1402,6 +1511,36 @@ pub fn run(
     outcome
 }
 
+/// The error of a value that is not of its register's declared type.
+#[cold]
+#[inline(never)]
+fn misfit(v: Val, ty: Ty) -> ExecError {
+    ExecError::msg(format!("{v:?} does not fit a {ty:?} register"))
+}
+
+/// Does a virtual call's `target` take a receiver and the caller's
+/// `args` (of types `tys`), and return what `dst` holds?
+#[cold]
+#[inline(never)]
+fn virtual_signature(
+    tys: &[Ty],
+    args: &[Reg],
+    dst: Option<Reg>,
+    target: &nir::Function,
+) -> Result<(), ExecError> {
+    let passed = std::iter::once(Ty::Obj).chain(args.iter().map(|a| tys[*a as usize]));
+    let fits = passed.eq(target.params.iter().copied())
+        && dst.is_none_or(|d| target.ret == Some(tys[d as usize]));
+    if fits {
+        Ok(())
+    } else {
+        Err(error(format_args!(
+            "virtual call to `{}` does not match its signature",
+            target.name
+        )))
+    }
+}
+
 /// What an out-of-line op asks of the dispatch loop.
 enum Slow {
     Next,
@@ -1412,20 +1551,23 @@ enum Slow {
 }
 
 /// The ops that allocate, print or leave the loop. They run out of line,
-/// reading operand lists from the `nir::Instr` the op decodes, and
-/// outside the dispatch loop, which leaves its frame for them
-/// (`Exit::Slow`) and re-enters it after: the loop stays small enough to
-/// keep its state, fuel included, in registers.
+/// reading operand lists from the `nir::Instr` the op decodes (tagged by
+/// their declared types `tys`), and outside the dispatch loop, which
+/// leaves its frame for them (`Exit::Slow`) and re-enters it after: the
+/// loop stays small enough to keep its state, fuel included, in
+/// registers.
 #[inline(never)]
 fn slow_op(
     op: &Op,
     ins: &Instr,
     pc: u32,
-    regs: &mut [Val],
+    regs: &mut [u64],
+    tys: &[Ty],
     machine: &mut Machine,
 ) -> Result<Slow, ExecError> {
     let (a, b) = (op.a as usize, op.b as usize);
-    let read = |list: &[Reg]| list.iter().map(|r| regs[*r as usize]).collect::<Vec<Val>>();
+    let val = |r: Reg| Val::of_word(regs[r as usize], tys[r as usize]);
+    let read = |list: &[Reg]| list.iter().map(|r| val(*r)).collect::<Vec<Val>>();
     // Fault injection: yield points are the places an execution context
     // can crash. The draw happens *before* the yield is surfaced, so the
     // runtime never services an op the crashed rank would not have issued.
@@ -1449,21 +1591,21 @@ fn slow_op(
             },
         ),
         (OpKind::NewArr, Instr::NewArr { elem, .. }) => {
-            let n = regs[b].as_i32()?;
+            let n = i32::of(regs[b]);
             if n < 0 {
                 return Err(format!("negative array size {n}").into());
             }
             // Charge zero-fill cost proportional to the allocation.
             machine.counters.cycles += (n as u64) / 16;
-            regs[a] = Val::Arr(machine.mem.alloc(ArrStore::new(*elem, n as usize)));
+            regs[a] = u64::from(machine.mem.alloc(ArrStore::new(*elem, n as usize)));
             Slow::Next
         }
         (OpKind::FreeArr, _) => {
-            machine.mem.free(regs[a].as_arr()?)?;
+            machine.mem.free(regs[a] as u32)?;
             Slow::Next
         }
         (OpKind::Print, _) => {
-            let line = match regs[a] {
+            let line = match val(op.a) {
                 Val::I32(v) => v.to_string(),
                 Val::I64(v) => v.to_string(),
                 Val::F32(v) => format!("{v}"),
@@ -1491,7 +1633,7 @@ fn slow_op(
         // device runtime service (MPI ops mpi-sim).
         (OpKind::Coord, Instr::Intrin { op: intrin, .. }) => match machine.gpu_coords {
             Some(c) => {
-                regs[a] = Val::I32(c.flat()[b] as i32);
+                regs[a] = (c.flat()[b] as i32).bits();
                 Slow::Next
             }
             None => Slow::Yield(
@@ -1536,7 +1678,7 @@ fn slow_op(
             },
         ) => {
             let dim = |r: Reg| -> Result<u32, ExecError> {
-                let v = regs[r as usize].as_i32()?;
+                let v = i32::of(regs[r as usize]);
                 if v <= 0 {
                     return Err(format!("non-positive launch dimension {v}").into());
                 }
@@ -1553,7 +1695,7 @@ fn slow_op(
             )
         }
         (OpKind::SharedAlloc, Instr::SharedAlloc { elem, .. }) => {
-            let n = regs[b].as_i32()?;
+            let n = i32::of(regs[b]);
             if n < 0 {
                 return Err(format!("negative shared allocation {n}").into());
             }
@@ -1628,44 +1770,6 @@ pub fn run_to_completion(
             }
         }
     }
-}
-
-#[inline]
-fn numcast(to: PrimKind, v: Val) -> Result<Val, ExecError> {
-    Ok(match to {
-        PrimKind::Int => Val::I32(match v {
-            Val::I32(x) => x,
-            Val::I64(x) => x as i32,
-            Val::F32(x) => x as i32,
-            Val::F64(x) => x as i32,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to int"))),
-        }),
-        PrimKind::Long => Val::I64(match v {
-            Val::I32(x) => x as i64,
-            Val::I64(x) => x,
-            Val::F32(x) => x as i64,
-            Val::F64(x) => x as i64,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to long"))),
-        }),
-        PrimKind::Float => Val::F32(match v {
-            Val::I32(x) => x as f32,
-            Val::I64(x) => x as f32,
-            Val::F32(x) => x,
-            Val::F64(x) => x as f32,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to float"))),
-        }),
-        PrimKind::Double => Val::F64(match v {
-            Val::I32(x) => x as f64,
-            Val::I64(x) => x as f64,
-            Val::F32(x) => x as f64,
-            Val::F64(x) => x,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to double"))),
-        }),
-        PrimKind::Boolean => match v {
-            Val::Bool(_) => v,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to boolean"))),
-        },
-    })
 }
 
 #[cfg(test)]
@@ -1950,29 +2054,30 @@ mod tests {
 
     #[test]
     fn a_type_mismatch_names_the_array_without_its_elements() {
-        // fn f(n) { a = new float[n]; a[7] = 3; } through the float store.
-        let mut fb = FuncBuilder::new("f", vec![Ty::I32], None, FuncKind::Host);
-        let arr = fb.reg(Ty::Arr(ElemTy::F32));
+        // fn f(a: int[]) { a[7] = 3; }, handed a float array: a handle
+        // from outside carries no element type, so the store finds out.
+        let mut fb = FuncBuilder::new("f", vec![Ty::Arr(ElemTy::I32)], None, FuncKind::Host);
         let (idx, v) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
-        fb.emit(Instr::NewArr {
-            elem: ElemTy::F32,
-            len: 0,
-            dst: arr,
-        });
         fb.emit(Instr::ConstI32(idx, 7));
         fb.emit(Instr::ConstI32(v, 3));
-        fb.emit(Instr::StArr { arr, idx, src: v });
+        fb.emit(Instr::StArr {
+            arr: 0,
+            idx,
+            src: v,
+        });
         fb.emit(Instr::Ret(None));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
+        p.verify().unwrap();
         let mut m = Machine::new();
-        let e = run_to_completion(&p, id, vec![Val::I32(1_000_000)], &mut m).unwrap_err();
+        let floats = m.mem.alloc(ArrStore::F32(vec![0.0; 1_000_000]));
+        let e = run_to_completion(&p, id, vec![Val::Arr(floats)], &mut m).unwrap_err();
         assert!(e.message.len() < 200, "{} bytes", e.message.len());
         assert_eq!(
             (e.message.as_str(), e.pc),
             (
                 "type mismatch storing I32(3) into f32 array of length 1000000",
-                3
+                2
             )
         );
         assert_eq!(ArrStore::Freed.to_string(), "freed array");

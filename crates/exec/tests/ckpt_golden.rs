@@ -137,14 +137,14 @@ fn thread_payload_bytes_are_pinned() {
     assert_eq!(t.depth(), 2);
 
     let mut w = ckpt::begin(ckpt::TAG_WORLD);
-    ckpt::write_thread(&mut w, &t);
+    ckpt::write_thread(&mut w, &t, &p);
     let bytes = ckpt::finish(w);
     assert_eq!(hex(&bytes), THREAD_HEX);
     let mut r = ckpt::open(&bytes, ckpt::TAG_WORLD).unwrap();
     let back = ckpt::read_thread(&mut r, &p).unwrap();
     assert!(r.is_at_end());
     let mut w = ckpt::begin(ckpt::TAG_WORLD);
-    ckpt::write_thread(&mut w, &back);
+    ckpt::write_thread(&mut w, &back, &p);
     assert_eq!(ckpt::finish(w), bytes);
 }
 

@@ -16,7 +16,7 @@ use hpclib::{MatmulApp, MatmulBody, MatmulCalc, MatmulThread, StencilApp, Stenci
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use jvm::Value;
-use nir::codec::Writer;
+use nir::codec::{Wire, Writer};
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, Program, Ty};
 use wootinj::{build_table, JitOptions, WootinJ};
 
@@ -89,7 +89,7 @@ fn drive(
         let before = machine.counters.instrs;
         let y = run(&mut thread, &image, machine, granted).unwrap();
         let mut w = Writer::new();
-        ckpt::write_thread(&mut w, &thread);
+        ckpt::write_thread(&mut w, &thread, program);
         stops.push(Stop {
             what: format!("{y:?}"),
             instrs: machine.counters.instrs,
@@ -258,11 +258,17 @@ fn slicing_is_unobservable_and_counters_are_pinned() {
     }
 }
 
-/// `fn f(x: i32) -> i32` whose body is `emit`ted by the caller; the body
-/// leaves its result in the returned register.
+/// `fn f(x: i32)` whose body is `emit`ted by the caller; the body leaves
+/// its result in the returned register, whose type the function returns.
 fn one_function(emit: impl FnOnce(&mut FuncBuilder) -> u32) -> Program {
-    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    one_function_of(Ty::I32, emit)
+}
+
+/// [`one_function`] with a parameter of type `param`.
+fn one_function_of(param: Ty, emit: impl FnOnce(&mut FuncBuilder) -> u32) -> Program {
+    let mut fb = FuncBuilder::new("f", vec![param], None, FuncKind::Host);
     let out = emit(&mut fb);
+    fb.ret = Some(fb.reg_ty(out));
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
@@ -307,7 +313,7 @@ fn fused_load(elem: ElemTy, op: BinOp, index: i32, free_first: bool) -> Program 
     one_function(|fb| {
         let arr = fb.reg(Ty::Arr(elem));
         let (k, z, t) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
-        let out = fb.reg(Ty::I32);
+        let out = fb.reg(elem.ty());
         fb.emit(Instr::NewArr {
             elem,
             len: 0,
@@ -331,7 +337,7 @@ fn fused_load(elem: ElemTy, op: BinOp, index: i32, free_first: bool) -> Program 
 /// A `float[]` register holding what the caller passed (`f(Val::Arr(99))`
 /// is a bad handle), loaded through the fused `Add` → `LdArr` at pcs 2-3.
 fn load_from_argument(index: i32) -> Program {
-    one_function(|fb| {
+    one_function_of(Ty::Arr(ElemTy::F32), |fb| {
         let arr = fb.reg(Ty::Arr(ElemTy::F32));
         let (k, t, out) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::F32));
         fb.emit(Instr::Mov(arr, 0));
@@ -400,19 +406,6 @@ fn typed_errors_keep_message_function_and_pc() {
             "call depth limit exceeded",
             0,
         ),
-        (
-            "ill-typed bin",
-            one_function(|fb| {
-                let a = fb.reg(Ty::F32);
-                let r = fb.reg(Ty::I32);
-                fb.emit(Instr::ConstF32(a, 1.5));
-                fb.emit(int_bin(BinOp::Add, 0, a, r));
-                r
-            }),
-            four,
-            "expected i32, found F32(1.5)",
-            1,
-        ),
         // Through the superinstructions: the second half's errors carry
         // its own pc, with today's messages in today's check order.
         (
@@ -465,43 +458,48 @@ fn typed_errors_keep_message_function_and_pc() {
             3,
         ),
         (
+            // An `int[]` register handed a float array (handle 0, the
+            // `float[4]` every row's machine starts with): a handle from
+            // outside carries no element type, so the store finds out.
             "int stored into a float array",
-            one_function(|fb| {
-                let (arr, i) = (fb.reg(Ty::Arr(ElemTy::F32)), fb.reg(Ty::I32));
-                fb.emit(Instr::NewArr {
-                    elem: ElemTy::F32,
-                    len: 0,
-                    dst: arr,
-                });
+            one_function_of(Ty::Arr(ElemTy::I32), |fb| {
+                let (i, v) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
                 fb.emit(Instr::ConstI32(i, 1));
+                fb.emit(Instr::ConstI32(v, 4));
                 fb.emit(Instr::StArr {
-                    arr,
+                    arr: 0,
                     idx: i,
-                    src: 0,
+                    src: v,
                 });
-                0
+                v
             }),
-            four,
+            Val::Arr(0),
             "type mismatch storing I32(4) into f32 array of length 4",
             2,
         ),
         (
-            // Not a fusable pair: the `Br` must test its own register.
+            // Not a fusable pair: the `Br` must test its own register
+            // (true: on to the division), not the `Lt`'s (4 < 1 is false:
+            // straight to the return).
             "Lt then Br on another register",
             one_function(|fb| {
-                let (one, c) = (fb.reg(Ty::I32), fb.reg(Ty::Bool));
+                let (d, one, c) = (fb.reg(Ty::Bool), fb.reg(Ty::I32), fb.reg(Ty::Bool));
+                let (z, r) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+                fb.emit(Instr::ConstBool(d, true));
                 fb.emit(Instr::ConstI32(one, 1));
                 fb.emit(int_bin(BinOp::Lt, 0, one, c));
                 fb.emit(Instr::Br {
-                    cond: 0,
-                    t: 3,
-                    f: 3,
+                    cond: d,
+                    t: 4,
+                    f: 6,
                 });
+                fb.emit(Instr::ConstI32(z, 0));
+                fb.emit(int_bin(BinOp::Div, 0, z, r));
                 0
             }),
             four,
-            "expected bool, found I32(4)",
-            2,
+            "division by zero",
+            5,
         ),
         (
             // The jump lands on the `LdArr` of a fused pair: it loads at
@@ -532,6 +530,7 @@ fn typed_errors_keep_message_function_and_pc() {
     ];
     for (name, program, arg, message, pc) in table {
         let mut m = Machine::new();
+        m.mem.alloc(exec::ArrStore::F32(vec![0.0; 4]));
         let e = exec::run_to_completion(&program, FuncId(0), vec![arg], &mut m).expect_err(name);
         assert_eq!(
             (e.message.as_str(), e.func.as_str(), e.pc),
@@ -539,4 +538,162 @@ fn typed_errors_keep_message_function_and_pc() {
             "{name}"
         );
     }
+}
+
+/// What the loop no longer checks: an ill-typed program is the
+/// verifier's rejection, at the instruction the loop used to fail at.
+#[test]
+fn ill_typed_programs_are_verifier_rejections() {
+    let table: Vec<(&str, Program, &str, u32)> = vec![
+        (
+            "ill-typed bin",
+            one_function(|fb| {
+                let a = fb.reg(Ty::F32);
+                let r = fb.reg(Ty::I32);
+                fb.emit(Instr::ConstF32(a, 1.5));
+                fb.emit(int_bin(BinOp::Add, 0, a, r));
+                r
+            }),
+            "right operand r1 is F32, expected I32",
+            1,
+        ),
+        (
+            "int stored into a float array",
+            one_function(|fb| {
+                let (arr, i) = (fb.reg(Ty::Arr(ElemTy::F32)), fb.reg(Ty::I32));
+                fb.emit(Instr::NewArr {
+                    elem: ElemTy::F32,
+                    len: 0,
+                    dst: arr,
+                });
+                fb.emit(Instr::ConstI32(i, 1));
+                fb.emit(Instr::StArr {
+                    arr,
+                    idx: i,
+                    src: 0,
+                });
+                0
+            }),
+            "stored value r0 is I32, expected F32",
+            2,
+        ),
+        (
+            "Br on an int",
+            one_function(|fb| {
+                let (one, c) = (fb.reg(Ty::I32), fb.reg(Ty::Bool));
+                fb.emit(Instr::ConstI32(one, 1));
+                fb.emit(int_bin(BinOp::Lt, 0, one, c));
+                fb.emit(Instr::Br {
+                    cond: 0,
+                    t: 3,
+                    f: 3,
+                });
+                0
+            }),
+            "condition r0 is I32, expected Bool",
+            2,
+        ),
+    ];
+    for (name, program, message, pc) in table {
+        program.validate().expect(name);
+        let e = program.verify().expect_err(name);
+        assert_eq!(
+            (e.message.as_str(), e.func.as_str(), e.pc),
+            (message, "f", pc),
+            "{name}"
+        );
+    }
+}
+
+/// Where a value does cross into a register, it is checked against the
+/// register's declared type: entry arguments, a serviced yield's result,
+/// and a restored checkpoint frame.
+#[test]
+fn values_enter_registers_only_as_their_declared_type() {
+    // `fn f(x: i32) -> f32 { return host0(); }` with host0 declared
+    // `() -> float`.
+    let mut p = one_function(|fb| {
+        let r = fb.reg(Ty::F32);
+        fb.emit(Instr::CallHost {
+            host: 0,
+            args: vec![],
+            dst: Some(r),
+        });
+        r
+    });
+    p.host_fns.push(nir::HostFnSig {
+        name: "ext.f".into(),
+        params: vec![],
+        ret: Some(Ty::F32),
+    });
+    p.verify().unwrap();
+    let image = Image::build(&p).unwrap();
+
+    // An entry argument of another type is refused up front.
+    let e = Thread::new(&p, FuncId(0), &[Val::F32(4.0)]).unwrap_err();
+    assert_eq!(
+        (e.message.as_str(), e.func.as_str()),
+        ("argument 0 of `f` is F32(4.0), expected I32", "f")
+    );
+
+    // A host function that answers an int for a float signature: the
+    // next slice fails at the call, and stores nothing.
+    let mut m = Machine::new();
+    let mut t = Thread::new(&p, FuncId(0), &[Val::I32(4)]).unwrap();
+    let y = run(&mut t, &image, &mut m, u64::MAX).unwrap();
+    assert!(matches!(y, Yield::Host { host: 0, .. }), "{y:?}");
+    t.resume_with(Val::I32(3));
+    let e = run(&mut t, &image, &mut m, u64::MAX).unwrap_err();
+    assert_eq!(
+        (e.message.as_str(), e.func.as_str(), e.pc),
+        ("I32(3) does not fit a F32 register", "f", 0)
+    );
+    // The right type resumes the thread to its result.
+    let mut t = Thread::new(&p, FuncId(0), &[Val::I32(4)]).unwrap();
+    run(&mut t, &image, &mut m, u64::MAX).unwrap();
+    t.resume_with(Val::F32(2.5));
+    let y = run(&mut t, &image, &mut m, u64::MAX).unwrap();
+    assert!(matches!(y, Yield::Done(Some(Val::F32(2.5)))), "{y:?}");
+
+    // A checkpointed frame whose register disagrees with the program
+    // restoring it: the same frame written for `x: f32` does not restore
+    // as `x: i32`, while a never-written register's `Unit` reads as 0.
+    let mut as_float = p.clone();
+    as_float.func_mut(FuncId(0)).params[0] = Ty::F32;
+    as_float.func_mut(FuncId(0)).regs[0] = Ty::F32;
+    let t = Thread::new(&as_float, FuncId(0), &[Val::F32(4.0)]).unwrap();
+    let mut w = Writer::new();
+    ckpt::write_thread(&mut w, &t, &as_float);
+    let bytes = w.into_bytes();
+    let e = ckpt::read_thread(&mut nir::codec::Reader::new(&bytes), &p).unwrap_err();
+    assert!(
+        matches!(&e, ckpt::CkptError::Corrupt { message, .. }
+            if message == "register r0 of `f` holds F32(4.0), declared I32"),
+        "{e}"
+    );
+    let back = ckpt::read_thread(&mut nir::codec::Reader::new(&bytes), &as_float).unwrap();
+    let mut again = Writer::new();
+    ckpt::write_thread(&mut again, &back, &as_float);
+    assert_eq!(again.into_bytes(), bytes);
+    let mut unit = Writer::new();
+    unit.len(1);
+    unit.u32(0);
+    unit.u32(0);
+    vec![Val::I32(4), Val::Unit].put(&mut unit);
+    None::<u32>.put(&mut unit);
+    None::<u32>.put(&mut unit);
+    unit.bool(false);
+    let bytes = unit.into_bytes();
+    let back = ckpt::read_thread(&mut nir::codec::Reader::new(&bytes), &p).unwrap();
+    let mut w = Writer::new();
+    ckpt::write_thread(&mut w, &back, &p);
+    let mut typed_zero = Writer::new();
+    typed_zero.len(1);
+    typed_zero.u32(0);
+    typed_zero.u32(0);
+    vec![Val::I32(4), Val::F32(0.0)].put(&mut typed_zero);
+    None::<u32>.put(&mut typed_zero);
+    None::<u32>.put(&mut typed_zero);
+    typed_zero.bool(false);
+    assert_eq!(w.into_bytes(), typed_zero.into_bytes());
 }

@@ -1967,10 +1967,11 @@ impl RankPool for LocalPool<'_, '_> {
     }
 
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
+        let program = self.world.program;
         let rank = self.rank_mut(r)?;
         let mut sections: Vec<Section> = Vec::new();
         let mut t = Writer::new();
-        ckpt::write_thread(&mut t, &rank.thread);
+        ckpt::write_thread(&mut t, &rank.thread, program);
         sections.push(t.into_bytes().into());
         sections.extend(ckpt::machine_array_sections(&mut rank.machine));
         let mut m = Writer::new();

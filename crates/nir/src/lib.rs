@@ -16,6 +16,7 @@ pub mod emit;
 pub mod hash;
 pub mod ir;
 pub mod opt;
+pub mod verify;
 
 pub use codec::{digest64, seal, unseal, CodecError, CodecResult, Reader, Wire, Writer};
 pub use emit::{emit_c, DIV_BY_ZERO_EXIT};
@@ -27,3 +28,4 @@ pub use ir::{
 pub use opt::{
     kinds_splice, merge_profiles, optimize, optimize_fn, OptConfig, PassProfile, PASS_ORDER,
 };
+pub use verify::VerifyError;

@@ -1009,6 +1009,10 @@ struct LoopGen<'a> {
     /// the first loop.
     zero: Reg,
     arr: Reg,
+    /// Registers zeroed before the first loop, which steps read before
+    /// they write them: every register is written before it is read, as
+    /// the verifier requires, but not where the loop writes it.
+    spare: [Reg; 4],
 }
 
 impl LoopGen<'_> {
@@ -1063,8 +1067,13 @@ impl LoopGen<'_> {
         self.fb.br(c, body, exit);
         self.fb.bind(body);
         // Now and then a literal the loop defines and only the code after
-        // it reads: a zero-trip loop leaves it unwritten.
-        let carried = (self.rng.below(8) == 0).then(|| self.literal());
+        // it reads: a zero-trip loop leaves the value from before it.
+        let carried = (self.rng.below(8) == 0).then(|| {
+            let k = self.spare();
+            let v = self.rng.range_i32(-9, 10);
+            self.fb.emit(Instr::ConstI32(k, v));
+            k
+        });
         for _ in 0..1 + self.rng.below(4) {
             self.step(depth, i, outer, trips, latch);
         }
@@ -1086,6 +1095,10 @@ impl LoopGen<'_> {
         if let Some(k) = carried {
             self.update(BinOp::Add, k);
         }
+    }
+
+    fn spare(&mut self) -> Reg {
+        self.spare[self.rng.below(self.spare.len())]
     }
 
     fn print(&mut self, r: Reg) {
@@ -1181,20 +1194,21 @@ impl LoopGen<'_> {
             }
             10 if self.rng.below(4) == 0 => {
                 // A literal read before the loop defines it: the first
-                // iteration reads a register nothing has written.
-                let k = self.fb.reg(Ty::I32);
+                // iteration reads the value from before the loop.
+                let k = self.spare();
                 self.update(BinOp::Add, k);
                 self.fb.emit(Instr::ConstI32(k, 3));
             }
             11 => {
                 // An update whose last move sits at a join: the path that
-                // skips the update still runs `acc = u`.
+                // skips the update still runs `acc = u`, `u` as it was.
                 let (c, k) = (self.fb.reg(Ty::Bool), self.literal());
+                let u = self.spare();
                 self.bin(BinOp::Gt, c, self.acc, k);
                 let (update, join) = (self.fb.label(), self.fb.label());
                 self.fb.br(c, update, join);
                 self.fb.bind(update);
-                let (t, u) = (self.fb.reg(Ty::I32), self.fb.reg(Ty::I32));
+                let t = self.fb.reg(Ty::I32);
                 self.bin(BinOp::Mul, t, self.acc, k);
                 self.fb.emit(Instr::Mov(u, t));
                 self.fb.bind(join);
@@ -1203,9 +1217,9 @@ impl LoopGen<'_> {
             13 => {
                 // Arithmetic on `x`, on the outer induction variable, on
                 // this loop's (not invariant), or now and then on a
-                // register nothing writes.
+                // register only the code before the loop writes.
                 let r = match self.rng.below(16) {
-                    0 => self.fb.reg(Ty::I32),
+                    0 => self.spare(),
                     1..=5 => 0,
                     6..=10 => outer,
                     _ => i,
@@ -1301,6 +1315,10 @@ fn loop_program(rng: &mut Rng) -> Program {
     let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
     let (acc, zero, four) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
     let arr = fb.reg(Ty::Arr(nir::ElemTy::I32));
+    let spare = [(); 4].map(|_| fb.reg(Ty::I32));
+    for r in spare {
+        fb.emit(Instr::ConstI32(r, 0));
+    }
     fb.emit(Instr::Mov(acc, 0));
     fb.emit(Instr::ConstI32(zero, 0));
     fb.emit(Instr::ConstI32(four, 4));
@@ -1316,6 +1334,7 @@ fn loop_program(rng: &mut Rng) -> Program {
         g,
         zero,
         arr,
+        spare,
     };
     for _ in 0..1 + gen.rng.below(2) {
         gen.counted_loop(0, 0);
@@ -1337,6 +1356,7 @@ fn loop_program(rng: &mut Rng) -> Program {
     fb.jmp(a);
     p.entry = Some(p.add_func(fb.finish().unwrap()));
     p.validate().unwrap();
+    p.verify().unwrap();
     p
 }
 
@@ -1413,6 +1433,8 @@ fn loop_cleanup_agrees_on_seeded_loop_programs() {
             let mut p = base.clone();
             nir::optimize(&mut p, config);
             p.validate()
+                .unwrap_or_else(|e| panic!("case {case}, {config:?}: {e}\n{p}"));
+            p.verify()
                 .unwrap_or_else(|e| panic!("case {case}, {config:?}: {e}\n{p}"));
             let (got, i) = observe(&p, arg);
             assert_eq!(got, want, "case {case}, config {config:?}:\n{base}\n{p}");
@@ -1619,22 +1641,22 @@ fn assert_rewrites_agree(p: &Program, x: i32, rotates: bool, what: &str) {
     assert_eq!(rotated, rotates, "{what}: rotated\n{opt}");
 }
 
-/// An int division by an invariant zero stays in the body. Hoisted, it
+/// An int remainder by an invariant zero stays in the body. Hoisted, it
 /// would fail first, with its own error, ahead of the body's earlier
-/// failing read (caught: a scratch mutant that let `Div`/`Rem` hoist).
+/// division by the induction variable, which is 0 on the first trip
+/// (caught: a scratch mutant that let `Div`/`Rem` hoist).
 #[test]
 fn a_hoisted_instruction_cannot_fail() {
     let p = counted(1, |fb, i, acc| {
         let (zero, w, q) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
-        let unwritten = fb.reg(Ty::I32);
         fb.emit(Instr::ConstI32(zero, 0));
-        fb.emit(int(BinOp::Add, w, i, unwritten));
+        fb.emit(int(BinOp::Div, w, acc, i));
         fb.emit(int(BinOp::Add, acc, acc, w));
-        fb.emit(int(BinOp::Div, q, 0, zero));
+        fb.emit(int(BinOp::Rem, q, 0, zero));
         fb.emit(int(BinOp::Add, acc, acc, q));
     });
     let (want, _) = observe(&p, 7);
-    assert_eq!(want.0, Err("expected i32, found Unit".to_string()));
+    assert_eq!(want.0, Err("division by zero".to_string()));
     assert_rewrites_agree(&p, 7, true, "failing read, then a division by zero");
 }
 
@@ -1696,23 +1718,30 @@ fn hoisting_needs_a_block_local_destination() {
     assert_rewrites_agree(&p, 3, true, "a read before the body's write");
 }
 
-/// A print ahead of an invariant instruction that fails keeps it in the
-/// body: the program prints, then fails (caught: a scratch mutant that
-/// hoisted past side effects).
+/// A print ahead of an invariant instruction that stops the run keeps it
+/// in the body: the program prints, then stops. The instruction is a
+/// CUDA coordinate read, pure and operand-free, which a host machine
+/// cannot answer (caught: a scratch mutant that hoisted past side
+/// effects).
 #[test]
 fn nothing_effectful_precedes_a_hoisted_instruction() {
     let p = counted(1, |fb, _, acc| {
-        let (t, unwritten) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        let t = fb.reg(Ty::I32);
         fb.emit(Instr::Intrin {
             op: nir::IntrinOp::PrintI32,
             args: vec![acc],
             dst: None,
         });
-        fb.emit(int(BinOp::Mul, t, unwritten, 0));
+        fb.emit(Instr::Intrin {
+            op: nir::IntrinOp::ThreadIdx(0),
+            args: vec![],
+            dst: Some(t),
+        });
         fb.emit(int(BinOp::Add, acc, acc, t));
     });
     let (want, _) = observe(&p, 2);
-    assert_eq!(want.1.len(), 1, "the original prints before it fails");
+    assert_eq!(want.1.len(), 1, "the original prints before it stops");
+    assert!(want.0.is_err(), "{want:?}");
     assert_rewrites_agree(&p, 2, true, "a print, then a failing product");
 }
 

@@ -725,14 +725,14 @@ impl Database {
         lw.replay = Some(ReplayState::new(replay_memos));
         let entry = translator::lower_entry(&mut lw, key)?;
         let trace = lw.trace.take().unwrap_or_default();
-        let reused = lw.replay.take().map_or(0, |r| r.reused);
-        let translated = translator::finish_shaped(lw, entry, key, args.len())?;
+        let replay = lw.replay.take().unwrap_or_default();
+        let translated = translator::finish_shaped(lw, entry, key, args.len(), &replay.replayed)?;
 
         // Only a program that validated fills the memo.
         self.harvest(snap, &config, &trace, &translated.program);
         let mut s = self.stats.borrow_mut();
         s.lower_executed += trace.recs.len() as u64;
-        s.lower_reused += reused;
+        s.lower_reused += replay.reused;
         Ok(translated)
     }
 

@@ -134,7 +134,8 @@ impl Translated {
 
     /// Decode a sealed artifact. Never panics on hostile input: framing,
     /// checksum, every discriminant, and finally [`Program::validate`]
-    /// all gate the result behind a typed [`CodecError`]. The decoded
+    /// and [`Program::verify`] all gate the result behind a typed
+    /// [`CodecError`]. The decoded
     /// [`TransStats::passes`] is empty: no optimizer ran in this process.
     pub fn decode(bytes: &[u8]) -> CodecResult<Translated> {
         let r = &mut Reader::new(codec::unseal(bytes)?);
@@ -163,6 +164,14 @@ impl Translated {
             return Err(CodecError::Corrupt {
                 offset: 0,
                 message: format!("decoded program failed validation: {m}"),
+            });
+        }
+        // `exec` runs on untagged registers: a well-framed program whose
+        // types disagree would compute garbage rather than fail.
+        if let Err(e) = program.verify() {
+            return Err(CodecError::Corrupt {
+                offset: 0,
+                message: format!("decoded program does not verify: {e}"),
             });
         }
         if entry.0 as usize >= program.funcs.len() || program.entry != Some(entry) {

@@ -245,12 +245,20 @@ pub fn translate(
                 .map(|(what, why)| format!("skipped `{what}`: {why}"))
                 .collect();
             vl.stats.passes = nir::optimize(&mut vl.program, config.opt);
-            finish(vl.program, entry, bindings, vl.stats, config.mode, warnings)
+            finish(
+                vl.program,
+                entry,
+                bindings,
+                vl.stats,
+                config.mode,
+                warnings,
+                &[],
+            )
         }
         EntrySpec::Shaped(key) => {
             let mut lw = Lowerer::new(table, config.mode == Mode::Full, config.opt);
             let entry = lower_entry(&mut lw, &key)?;
-            finish_shaped(lw, entry, &key, args.len())
+            finish_shaped(lw, entry, &key, args.len(), &[])
         }
     }
 }
@@ -285,24 +293,36 @@ pub fn lower_entry(lw: &mut Lowerer<'_>, key: &SpecKey) -> TResult<FuncId> {
 }
 
 /// Finish a shaped translation from its lowerer: merge the pass
-/// profiles, validate the program, and bind the entry's parameters.
-/// [`translate`] and the incremental query layer both end here, so
-/// both derive identical [`Translated`] artifacts.
+/// profiles, validate and verify the program, and bind the entry's
+/// parameters. [`translate`] and the incremental query layer both end
+/// here, so both derive identical [`Translated`] artifacts. `replayed`
+/// names the functions served from memos, which were verified when they
+/// were first produced and are not verified again.
 pub fn finish_shaped(
     lw: Lowerer<'_>,
     entry: FuncId,
     key: &SpecKey,
     nargs: usize,
+    replayed: &[FuncId],
 ) -> TResult<Translated> {
     let flatten = lw.flatten_objects;
     let mut stats = lw.stats;
     stats.passes = nir::merge_profiles(std::mem::take(&mut stats.passes));
     let bindings = shaped_bindings(key, flatten, nargs);
     let mode = if flatten { Mode::Full } else { Mode::Devirt };
-    finish(lw.program, entry, bindings, stats, mode, Vec::new())
+    finish(
+        lw.program,
+        entry,
+        bindings,
+        stats,
+        mode,
+        Vec::new(),
+        replayed,
+    )
 }
 
-/// Validate an optimized program and note the platforms it uses.
+/// Validate an optimized program, verify the functions this translation
+/// produced (all but `replayed`), and note the platforms it uses.
 fn finish(
     mut program: Program,
     entry: FuncId,
@@ -310,11 +330,23 @@ fn finish(
     stats: TransStats,
     mode: Mode,
     warnings: Vec<String>,
+    replayed: &[FuncId],
 ) -> TResult<Translated> {
     program.entry = Some(entry);
     program
         .validate()
         .map_err(|m| TransError::new(format!("internal error: generated program invalid: {m}")))?;
+    let mut fresh = vec![true; program.funcs.len()];
+    for id in replayed {
+        fresh[id.0 as usize] = false;
+    }
+    for (i, _) in fresh.iter().enumerate().filter(|(_, f)| **f) {
+        program.verify_func(FuncId(i as u32)).map_err(|e| {
+            // Either a translator bug, or a source local read before it is
+            // assigned on some path (javac's definite-assignment error).
+            TransError::new(format!("generated program does not verify: {e}"))
+        })?;
+    }
     let (uses_mpi, uses_gpu) = scan_uses(&program);
     Ok(Translated {
         program,

@@ -846,8 +846,9 @@ impl<'t> Lowerer<'t> {
     }
 
     /// Default (zero) operand for primitives and arrays; arrays get an
-    /// uninitialized register that traps at runtime if read before
-    /// assignment.
+    /// unwritten register. A read of it that some path reaches before an
+    /// assignment is rejected at translate time by the verifier's
+    /// definite assignment (`nir::Program::verify`), as javac rejects it.
     fn default_opnd(&mut self, fx: &mut FnCtx, shape: &Shape) -> TResult<Opnd> {
         match shape {
             Shape::Prim(k) => {

@@ -368,3 +368,51 @@ fn min_value_literals_agree_between_jvm_and_exec() {
         assert_eq!(run_full(src, "M", &[], method, &[]), want, "exec {method}");
     }
 }
+
+/// An array local assigned on one path only is read unassigned on the
+/// other: javac's definite-assignment rule rejects that, and so does
+/// translation, through the verifier. Assigned on both paths, it
+/// translates and runs.
+#[test]
+fn an_array_local_must_be_assigned_on_every_path() {
+    let src = |other: &str| {
+        format!(
+            "@WootinJ final class A {{
+               A() {{ }}
+               int run(int n) {{
+                 float[] a;
+                 if (n > 0) {{ a = new float[n]; }} {other}
+                 return a.length;
+               }}
+             }}"
+        )
+    };
+    let one_sided = src("");
+    let table = compile_str(&one_sided).unwrap();
+    let mut jvm = Jvm::new(&table).unwrap();
+    let recv = jvm.new_instance("A", &[]).unwrap();
+    let one_sided = translate(
+        &table,
+        &jvm,
+        &recv,
+        "run",
+        &[Value::Int(3)],
+        TransConfig::full(),
+    );
+    let Err(e) = one_sided else {
+        panic!("a one-sided assignment is rejected");
+    };
+    assert!(
+        e.to_string().contains("may be read before it is written"),
+        "{e}"
+    );
+    let two_sided = src("else { a = new float[1]; }");
+    assert_eq!(
+        run_full(&two_sided, "A", &[], "run", &[Value::Int(3)]),
+        Val::I32(3)
+    );
+    assert_eq!(
+        run_full(&two_sided, "A", &[], "run", &[Value::Int(0)]),
+        Val::I32(1)
+    );
+}
