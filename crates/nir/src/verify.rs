@@ -365,7 +365,7 @@ fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg
     const ALWAYS: u32 = u32::MAX - 1;
     let mut stamp = vec![u32::MAX; f.regs.len()];
     stamp[..f.params.len().min(f.regs.len())].fill(ALWAYS);
-    let mut block_of = vec![0u32; n + 1];
+    let mut block_of = vec![0u32; n];
     let mut exposed: Vec<(u32, usize, Reg)> = Vec::new();
     let mut block = 0u32;
     for (pc, ins) in f.code.iter().enumerate() {
@@ -386,7 +386,6 @@ fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg
     if exposed.is_empty() {
         return Ok(());
     }
-    block_of[n] = block + 1;
     let blocks = block as usize + 1;
 
     // The candidates: registers some block reads before writing. Each
@@ -476,4 +475,409 @@ fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::{FuncKind, HostFnSig};
+
+    // The parameters of every test function, by register.
+    const I: Reg = 0; // i32
+    const X: Reg = 1; // f32
+    const B: Reg = 2; // bool
+    const A: Reg = 3; // float[]
+    const O: Reg = 4; // Obj
+    const L: Reg = 5; // i64
+
+    /// A program whose function 1, `f(i32, f32, bool, float[], Obj, i64)`
+    /// returning `i32`, runs `body` at pc 0 and then returns `i`; function
+    /// 0 is `g(i32, f32) -> f32`, function 2 a kernel `k(i32)`, and host
+    /// function 0 is `h(f32) -> f32`.
+    fn program(body: Instr) -> Program {
+        let mut p = Program::default();
+        let mut g =
+            crate::FuncBuilder::new("g", vec![Ty::I32, Ty::F32], Some(Ty::F32), FuncKind::Host);
+        g.emit(Instr::Ret(Some(1)));
+        p.add_func(g.finish().unwrap());
+        let params = vec![
+            Ty::I32,
+            Ty::F32,
+            Ty::Bool,
+            Ty::Arr(ElemTy::F32),
+            Ty::Obj,
+            Ty::I64,
+        ];
+        let mut f = crate::FuncBuilder::new("f", params, Some(Ty::I32), FuncKind::Host);
+        f.emit(body);
+        f.emit(Instr::Ret(Some(I)));
+        p.add_func(f.finish().unwrap());
+        let mut k = crate::FuncBuilder::new("k", vec![Ty::I32], None, FuncKind::Kernel);
+        k.emit(Instr::Ret(None));
+        p.add_func(k.finish().unwrap());
+        p.host_fns.push(HostFnSig {
+            name: "h".into(),
+            params: vec![Ty::F32],
+            ret: Some(Ty::F32),
+        });
+        p.classes.push(crate::ClassMeta {
+            name: "C".into(),
+            field_count: 1,
+            vtable: vec![],
+        });
+        p.selectors.push("m".into());
+        p
+    }
+
+    fn bin(op: BinOp, kind: PrimKind, dst: Reg, lhs: Reg, rhs: Reg) -> Instr {
+        Instr::Bin {
+            op,
+            kind,
+            dst,
+            lhs,
+            rhs,
+        }
+    }
+
+    #[test]
+    fn the_verifier_accepts_well_typed_instructions() {
+        let ok = [
+            bin(BinOp::Add, PrimKind::Int, I, I, I),
+            bin(BinOp::Lt, PrimKind::Float, B, X, X),
+            bin(BinOp::And, PrimKind::Boolean, B, B, B),
+            Instr::Cast {
+                to: PrimKind::Float,
+                from: PrimKind::Long,
+                dst: X,
+                src: L,
+            },
+            Instr::LdArr {
+                arr: A,
+                idx: I,
+                dst: X,
+            },
+            Instr::Call {
+                func: FuncId(0),
+                args: vec![I, X],
+                dst: Some(X),
+            },
+            Instr::Intrin {
+                op: IntrinOp::CopyToGpu,
+                args: vec![A],
+                dst: Some(A),
+            },
+        ];
+        for ins in ok {
+            let p = program(ins.clone());
+            p.validate().unwrap();
+            p.verify().unwrap_or_else(|e| panic!("{ins:?}: {e}"));
+        }
+    }
+
+    /// One rejecting row per operand rule: the instruction at pc 0 of `f`
+    /// and what the message says.
+    #[test]
+    fn the_verifier_rejects_one_row_per_operand_rule() {
+        use Instr as N;
+        let rows: Vec<(Instr, &str)> = vec![
+            (N::ConstF32(I, 1.0), "destination r0 is I32, expected F32"),
+            (N::Mov(I, X), "destination r0 is I32, expected F32"),
+            (
+                bin(BinOp::Add, PrimKind::Int, I, X, I),
+                "left operand r1 is F32",
+            ),
+            (
+                bin(BinOp::Add, PrimKind::Int, I, I, X),
+                "right operand r1 is F32",
+            ),
+            (
+                bin(BinOp::Lt, PrimKind::Int, I, I, I),
+                "destination r0 is I32, expected Bool",
+            ),
+            (
+                bin(BinOp::And, PrimKind::Int, I, I, I),
+                "no operator And on Int",
+            ),
+            (
+                bin(BinOp::BitXor, PrimKind::Float, X, X, X),
+                "no operator BitXor on Float",
+            ),
+            (
+                N::Neg {
+                    kind: PrimKind::Boolean,
+                    dst: B,
+                    src: B,
+                },
+                "no negation on Boolean",
+            ),
+            (
+                N::Neg {
+                    kind: PrimKind::Float,
+                    dst: X,
+                    src: I,
+                },
+                "operand r0 is I32, expected F32",
+            ),
+            (
+                N::Not { dst: B, src: I },
+                "operand r0 is I32, expected Bool",
+            ),
+            (
+                N::Cast {
+                    to: PrimKind::Boolean,
+                    from: PrimKind::Int,
+                    dst: B,
+                    src: I,
+                },
+                "no cast from Int to Boolean",
+            ),
+            (
+                N::Cast {
+                    to: PrimKind::Float,
+                    from: PrimKind::Int,
+                    dst: X,
+                    src: L,
+                },
+                "operand r5 is I64, expected I32",
+            ),
+            (
+                N::Br {
+                    cond: I,
+                    t: 1,
+                    f: 1,
+                },
+                "condition r0 is I32, expected Bool",
+            ),
+            (N::Ret(Some(X)), "return value r1 is F32, expected I32"),
+            (
+                N::Call {
+                    func: FuncId(0),
+                    args: vec![I],
+                    dst: None,
+                },
+                "call to `g`: 1 args for 2 parameters",
+            ),
+            (
+                N::Call {
+                    func: FuncId(0),
+                    args: vec![X, I],
+                    dst: None,
+                },
+                "call to `g`: argument r1 is F32, expected I32",
+            ),
+            (
+                N::Call {
+                    func: FuncId(0),
+                    args: vec![I, X],
+                    dst: Some(I),
+                },
+                "call to `g`: result r0 is I32, expected F32",
+            ),
+            (
+                N::Call {
+                    func: FuncId(2),
+                    args: vec![I],
+                    dst: Some(I),
+                },
+                "call to `k`: no result, but names r0",
+            ),
+            (
+                N::CallHost {
+                    host: 0,
+                    args: vec![I],
+                    dst: None,
+                },
+                "host call to `h`: argument r0 is I32, expected F32",
+            ),
+            (
+                N::NewObj { class: 0, dst: I },
+                "destination r0 is I32, expected Obj",
+            ),
+            (
+                N::GetField {
+                    obj: A,
+                    slot: 0,
+                    dst: I,
+                },
+                "object r3 is Arr(F32), expected Obj",
+            ),
+            (
+                N::CallVirt {
+                    selector: 0,
+                    recv: I,
+                    args: vec![],
+                    dst: None,
+                },
+                "receiver r0 is I32, expected Obj",
+            ),
+            (
+                N::NewArr {
+                    elem: ElemTy::F32,
+                    len: L,
+                    dst: A,
+                },
+                "length r5 is I64, expected I32",
+            ),
+            (
+                N::NewArr {
+                    elem: ElemTy::I32,
+                    len: I,
+                    dst: A,
+                },
+                "destination r3 is Arr(F32), expected Arr(I32)",
+            ),
+            (
+                N::LdArr {
+                    arr: O,
+                    idx: I,
+                    dst: X,
+                },
+                "array r4 is Obj, expected an array",
+            ),
+            (
+                N::LdArr {
+                    arr: A,
+                    idx: L,
+                    dst: X,
+                },
+                "index r5 is I64, expected I32",
+            ),
+            (
+                N::LdArr {
+                    arr: A,
+                    idx: I,
+                    dst: I,
+                },
+                "destination r0 is I32, expected F32",
+            ),
+            (
+                N::StArr {
+                    arr: A,
+                    idx: I,
+                    src: I,
+                },
+                "stored value r0 is I32, expected F32",
+            ),
+            (
+                N::ArrLen { arr: A, dst: X },
+                "destination r1 is F32, expected I32",
+            ),
+            (N::FreeArr { arr: I }, "array r0 is I32, expected an array"),
+            (
+                N::Intrin {
+                    op: IntrinOp::SqrtF32,
+                    args: vec![I],
+                    dst: Some(X),
+                },
+                "SqrtF32: operand r0 is I32, expected F32",
+            ),
+            (
+                N::Intrin {
+                    op: IntrinOp::MpiRank,
+                    args: vec![],
+                    dst: Some(X),
+                },
+                "MpiRank: result r1 is F32, expected I32",
+            ),
+            (
+                N::Intrin {
+                    op: IntrinOp::PrintI32,
+                    args: vec![I],
+                    dst: Some(I),
+                },
+                "PrintI32: no result, but names r0",
+            ),
+            (
+                N::Intrin {
+                    op: IntrinOp::CopyToGpu,
+                    args: vec![A],
+                    dst: Some(O),
+                },
+                "CopyToGpu: result r4 is Obj, expected an array",
+            ),
+            (
+                N::Launch {
+                    kernel: FuncId(2),
+                    grid: [I, I, L],
+                    block: [I, I, I],
+                    args: vec![I],
+                },
+                "launch dimension r5 is I64, expected I32",
+            ),
+            (
+                N::Launch {
+                    kernel: FuncId(2),
+                    grid: [I; 3],
+                    block: [I; 3],
+                    args: vec![X],
+                },
+                "launch of `k`: argument r1 is F32, expected I32",
+            ),
+        ];
+        for (ins, message) in rows {
+            let p = program(ins.clone());
+            let e = p.verify().expect_err(message);
+            assert_eq!((e.func.as_str(), e.pc), ("f", 0), "{ins:?}: {e}");
+            assert!(e.message.contains(message), "{ins:?}: {e}");
+        }
+    }
+
+    /// A register written on one path only is refused where the join
+    /// reads it; written on both, or only read where it was written, it
+    /// passes. A block no path reaches constrains nothing.
+    #[test]
+    fn definite_assignment_needs_a_write_on_every_path() {
+        // f(c: bool) -> i32 { if c { r = 1 } [else { r = 2 }] return r }
+        let diamond = |both: bool, unreachable_read: bool| {
+            let mut fb =
+                crate::FuncBuilder::new("f", vec![Ty::Bool], Some(Ty::I32), FuncKind::Host);
+            let r = fb.reg(Ty::I32);
+            let (t, e, join) = (fb.label(), fb.label(), fb.label());
+            fb.br(0, t, e);
+            fb.bind(t);
+            fb.emit(Instr::ConstI32(r, 1));
+            fb.jmp(join);
+            fb.bind(e);
+            if both {
+                fb.emit(Instr::ConstI32(r, 2));
+            }
+            fb.bind(join);
+            fb.emit(Instr::Ret(Some(r)));
+            if unreachable_read {
+                let u = fb.reg(Ty::I32);
+                fb.emit(Instr::Ret(Some(u)));
+            }
+            let mut p = Program::default();
+            p.add_func(fb.finish().unwrap());
+            p.validate().unwrap();
+            p
+        };
+        let e = diamond(false, false).verify().unwrap_err();
+        assert_eq!(
+            (e.pc, e.message.as_str()),
+            (3, "r1 may be read before it is written")
+        );
+        diamond(true, false).verify().unwrap();
+        diamond(true, true).verify().unwrap();
+
+        // A loop that reads, then writes: the first iteration reads it
+        // unwritten, although the back edge carries a write.
+        let mut fb = crate::FuncBuilder::new("f", vec![Ty::Bool], Some(Ty::I32), FuncKind::Host);
+        let (acc, r) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(Instr::ConstI32(acc, 0));
+        let (head, done) = (fb.label(), fb.label());
+        fb.bind(head);
+        fb.emit(bin(BinOp::Add, PrimKind::Int, acc, acc, r));
+        fb.emit(Instr::ConstI32(r, 1));
+        fb.br(0, head, done);
+        fb.bind(done);
+        fb.emit(Instr::Ret(Some(acc)));
+        let mut p = Program::default();
+        p.add_func(fb.finish().unwrap());
+        let e = p.verify().unwrap_err();
+        assert_eq!(
+            (e.pc, e.message.as_str()),
+            (1, "r2 may be read before it is written")
+        );
+    }
 }
