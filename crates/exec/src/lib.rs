@@ -47,7 +47,7 @@ pub enum Val {
     Bool(bool),
     Arr(u32),
     Obj(u32),
-    /// Uninitialized register / void result.
+    /// No value: a void result, or a heap field never written.
     Unit,
 }
 
@@ -101,7 +101,7 @@ fn max_f32(a: f32, b: f32) -> f32 {
     }
 }
 
-/// The tag-mismatch error every typed operand check raises.
+/// The tag-mismatch error of a `Val::as_*` check.
 #[cold]
 #[inline(never)]
 fn expected(what: &str, found: Val) -> ExecError {

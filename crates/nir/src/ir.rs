@@ -652,11 +652,13 @@ impl Program {
         self.funcs.iter().map(|f| f.code.len()).sum()
     }
 
-    /// Validate structural invariants: register indices and types, jump
-    /// targets, call arities, intrinsic shapes ([`IntrinOp::shape`]), and
-    /// placement constraints (Sync/SharedAlloc only in kernels, Launch
-    /// only outside kernels). A program it accepts is one the engine can
-    /// decode and [`crate::emit_c`] can render without panicking.
+    /// Validate structural invariants: register indices, parameter
+    /// types, jump targets, call arities, intrinsic shapes
+    /// ([`IntrinOp::shape`]), and placement constraints (Sync/SharedAlloc
+    /// only in kernels, Launch only outside kernels). A program it accepts
+    /// is one the engine can decode and [`crate::emit_c`] can render
+    /// without panicking. Operand types and definite assignment are
+    /// [`Program::verify`]'s.
     pub fn validate(&self) -> Result<(), String> {
         for (fi, f) in self.funcs.iter().enumerate() {
             let check_reg = |r: Reg| -> Result<(), String> {
