@@ -567,3 +567,65 @@ fn one_world_runs_alike_on_the_local_and_the_remote_pool() {
     assert!(local.resilience.injected() > 0, "{:?}", local.resilience);
     assert!(local.restart.restarts >= 1, "{:?}", local.restart);
 }
+
+#[test]
+fn every_fault_draw_crosses_the_seam_alike() {
+    // Every rate the scheduler draws through the pool seam: payload drop,
+    // corrupt and delay, frame truncation and ack delay, connect refusal
+    // and checkpoint-write failure (crash rides along for restarts). Each
+    // seed must end identically on both pools, or in the same typed error.
+    let (p, entry) = ring_step_reduce(2048, 6);
+    let policy = CheckpointPolicy::every(1);
+    let mut completed = ResilienceStats::default();
+    let mut lost_a_message = false;
+    for seed in 0..6 {
+        let world = World::new(&p, 4).with_faults(FaultConfig {
+            crash: 0.02,
+            msg_drop: 0.03,
+            msg_corrupt: 0.1,
+            msg_delay: 0.2,
+            frame_truncate: 0.03,
+            ack_delay: 0.2,
+            connect_refuse: 0.2,
+            ckpt_write_fail: 0.3,
+            ..FaultConfig::seeded(seed)
+        });
+        let mut args = no_args;
+        let mut local_pool = LocalPool::new(&world, entry, &mut args);
+        let local = world.run_on(&mut local_pool, Some((&policy, 16)));
+        let mut args = no_args;
+        let mut remote_pool = RemotePool::new(&world, entry, &mut args, Launch::Threads).unwrap();
+        let remote = world.run_on(&mut remote_pool, Some((&policy, 16)));
+        match (local, remote) {
+            (Ok(local), Ok(remote)) => {
+                let what = format!("seed {seed}");
+                assert_runs_identical(&local, &remote, &what);
+                assert_eq!(local.restart, remote.restart, "{what}: restarts");
+                assert_eq!(
+                    simulated(local.resilience),
+                    simulated(remote.resilience),
+                    "{what}: fault counters diverged"
+                );
+                completed.merge(&local.resilience);
+            }
+            (Err(local), Err(remote)) => {
+                assert_eq!(local.to_string(), remote.to_string(), "seed {seed}");
+                // A lost message leaves its receiver waiting on a recv
+                // with nothing queued for it.
+                lost_a_message |= matches!(&local, SimError::Deadlock { report }
+                    if report.contains("blocked on Recv") && report.contains("(0 matching queued"));
+            }
+            (local, remote) => panic!("seed {seed}: local {local:?} but remote {remote:?}"),
+        }
+    }
+    for (name, count) in [
+        ("corrupted_messages", completed.corrupted_messages),
+        ("delayed_messages", completed.delayed_messages),
+        ("ckpt_write_failures", completed.ckpt_write_failures),
+        ("connect_refusals", completed.connect_refusals),
+        ("delayed_acks", completed.delayed_acks),
+    ] {
+        assert!(count > 0, "no completed run counted {name}: {completed:?}");
+    }
+    assert!(lost_a_message, "no run failed by a drop or a truncation");
+}
