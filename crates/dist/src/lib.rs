@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use exec::ckpt::{self, CkptError};
-use exec::{MsgFault, ResilienceStats, TransportFault, Val};
+use exec::{Draw, Fate, ResilienceStats, Val};
 use mpi_sim::{
     read_frame, write_frame, ArgBuilder, DeviceOutcome, RankCtl, RankOutcome, RankPool,
     RankSnapshot, RankYield, SimError, TransportError, World,
@@ -442,7 +442,7 @@ impl RankPool for RemotePool<'_, '_> {
         drop(seed);
         let reqs: Vec<(u32, Request)> = (0..self.world.size)
             .zip(snaps)
-            .map(|(r, snap)| (r, restore_request(snap)))
+            .map(|(r, snap)| (r, Request::Restore(snap)))
             .collect();
         let replies =
             self.call_all(&reqs, pick!(Resp::Ok => Ok(()), Resp::CkptErr(e) => Err(e)))?;
@@ -526,37 +526,13 @@ impl RankPool for RemotePool<'_, '_> {
             .flatten()
     }
 
-    fn has_fault_plan(&self, r: u32) -> bool {
-        let _ = r;
-        self.world.fault.is_some()
-    }
-
-    fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        self.call(r, &Request::MessageFault, pick!(Resp::Msg(f) => f))
-    }
-
-    fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        self.call(r, &Request::CollectiveFault, pick!(Resp::Msg(f) => f))
-    }
-
-    fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError> {
-        self.call(
-            r,
-            &Request::TransportFaultDraw,
-            pick!(Resp::Transport(f) => f),
-        )
-    }
-
-    fn connect_delay(&mut self, r: u32) -> Result<u64, SimError> {
-        self.call(r, &Request::ConnectDelay, pick!(Resp::U64(total) => total))
-    }
-
-    fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError> {
-        self.call(
-            r,
-            &Request::CkptWriteFails,
-            pick!(Resp::Bool(fails) => fails),
-        )
+    fn draw(&mut self, r: u32, kind: Draw) -> Result<Fate, SimError> {
+        // Every rank's plan comes from the world's config: without one,
+        // no rank draws, so the answer needs no round trip.
+        if self.world.fault.is_none() {
+            return Ok(Fate::default());
+        }
+        self.call(r, &Request::Draw { kind }, pick!(Resp::Fate(f) => f))
     }
 
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
@@ -566,7 +542,7 @@ impl RankPool for RemotePool<'_, '_> {
     fn restore_rank(&mut self, r: u32, snap: RankSnapshot) -> Result<(), CkptError> {
         let picked = self.call(
             r,
-            &restore_request(snap),
+            &Request::Restore(snap),
             pick!(Resp::Ok => Ok(()), Resp::CkptErr(e) => Err(e)),
         );
         // A dead worker degrades the chain link like a corrupt one: the
@@ -633,18 +609,6 @@ impl RankPool for RemotePool<'_, '_> {
     }
 }
 
-/// The `Restore` request that ships `snap`. The wire carries its array
-/// count for the worker to check against the sections; a snapshot too
-/// short for its layout claims 0, which the worker refuses.
-fn restore_request(snap: RankSnapshot) -> Request {
-    Request::Restore {
-        last_cycles: snap.last_cycles,
-        has_gpu: snap.has_gpu,
-        n_arrays: snap.n_arrays().unwrap_or(0) as u64,
-        sections: snap.sections,
-    }
-}
-
 impl Drop for RemotePool<'_, '_> {
     fn drop(&mut self) {
         for worker in self.workers.iter_mut().filter_map(Option::take) {
@@ -694,7 +658,7 @@ mod tests {
                 rank: 0,
                 message: "boom".into(),
             };
-            for reply in [Resp::Bool(true), Resp::Err(rank_err)] {
+            for reply in [Resp::Ok, Resp::Err(rank_err)] {
                 proto::decode_req(&read_frame(&mut s).unwrap()).unwrap();
                 write_frame(&mut s, &proto::encode_resp(&reply)).unwrap();
             }
@@ -711,7 +675,7 @@ mod tests {
         // stays live.
         match pool.service_host(0) {
             Err(SimError::World { message }) => {
-                assert_eq!(message, "dist: rank 0 sent mismatched reply Bool(true)")
+                assert_eq!(message, "dist: rank 0 sent mismatched reply Ok")
             }
             other => panic!("expected a world error, got {other:?}"),
         }

@@ -13,9 +13,8 @@
 //!
 //! [`RankPool`]: mpi_sim::RankPool
 
-use exec::ckpt::chain::Section;
 use exec::ckpt::{CkptError, CKPT_VERSION};
-use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
+use exec::{Draw, Fate, FaultConfig, ResilienceStats, Val};
 use gpu_sim::GpuConfig;
 use mpi_sim::{DeviceOutcome, RankSnapshot, RankYield, SimError, TransportError};
 use nir::codec::Wire;
@@ -30,8 +29,9 @@ use nir::codec::Wire;
 /// line in its `counters!` list and one `CKPT_VERSION` bump, nothing to
 /// edit here. The high bits count changes to every other record a
 /// payload carries (this module's, `GpuConfig`, `SimError`, ...); they
-/// are 4 since `Init` carries its program inline only.
-pub const PROTO_VERSION: u32 = (4 << 8) | CKPT_VERSION as u32;
+/// are 5 since one `Draw` request answers every fault draw and `Restore`
+/// carries a `RankSnapshot`.
+pub const PROTO_VERSION: u32 = (5 << 8) | CKPT_VERSION as u32;
 
 /// The first frame on a fresh worker connection: identify the rank and
 /// prove the worker was spawned by *this* coordinator (the token is
@@ -77,18 +77,11 @@ pub enum Request {
         payload: Vec<f32>,
     },
     Location,
-    MessageFault,
-    CollectiveFault,
-    TransportFaultDraw,
-    ConnectDelay,
-    CkptWriteFails,
-    Capture,
-    Restore {
-        last_cycles: u64,
-        has_gpu: bool,
-        n_arrays: u64,
-        sections: Vec<Section>,
+    Draw {
+        kind: Draw,
     },
+    Capture,
+    Restore(RankSnapshot),
     Reseed {
         attempt: u64,
     },
@@ -117,9 +110,7 @@ pub enum Resp {
     U64(u64),
     Floats(Vec<f32>),
     Loc(Option<(String, u32)>),
-    Msg(MsgFault),
-    Transport(TransportFault),
-    Bool(bool),
+    Fate(Fate),
     Snapshot(RankSnapshot),
     Stats(ResilienceStats),
     /// `Finish` result: the rank's print output, device time, and its
@@ -143,13 +134,9 @@ nir::wire_enum!(Request {
     6 = ReadFloats { buf, off, count },
     7 = WriteFloats { buf, off, payload },
     8 = Location,
-    9 = MessageFault,
-    10 = CollectiveFault,
-    11 = TransportFaultDraw,
-    12 = ConnectDelay,
-    13 = CkptWriteFails,
+    9 = Draw { kind },
     14 = Capture,
-    15 = Restore { last_cycles, has_gpu, n_arrays, sections },
+    15 = Restore(snapshot),
     16 = Reseed { attempt },
     17 = Stats,
     18 = Finish { done, vclock, compute_cycles, comm_cycles },
@@ -162,9 +149,7 @@ nir::wire_enum!(Resp {
     4 = U64(v),
     5 = Floats(payload),
     6 = Loc(location),
-    7 = Msg(fault),
-    8 = Transport(fault),
-    9 = Bool(b),
+    7 = Fate(fate),
     10 = Snapshot(snapshot),
     11 = Stats(stats),
     12 = Outcome { output, gpu_time, machine },
@@ -199,6 +184,7 @@ pub fn decode_resp(bytes: &[u8]) -> Result<Resp, TransportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exec::ckpt::chain::Section;
     use nir::IntrinOp;
 
     #[test]
@@ -235,12 +221,12 @@ mod tests {
                 off: 0,
                 payload: vec![0.5, -2.0],
             },
-            Request::Restore {
+            Request::Draw { kind: Draw::Send },
+            Request::Restore(RankSnapshot {
                 last_cycles: 99,
                 has_gpu: false,
-                n_arrays: 2,
                 sections: vec![Section::from([1]), Section::from([2, 3])],
-            },
+            }),
             Request::Finish {
                 done: Some(Val::I64(-4)),
                 vclock: 10,
@@ -267,8 +253,15 @@ mod tests {
             },
             Resp::Device(DeviceOutcome::Advance(500)),
             Resp::Loc(Some(("ring".into(), 17))),
-            Resp::Msg(MsgFault::Delay(2000)),
-            Resp::Transport(TransportFault::DelayAck(64)),
+            Resp::Fate(Fate {
+                delay: 2000,
+                ..Fate::default()
+            }),
+            Resp::Fate(Fate {
+                lost: true,
+                corrupt: true,
+                delay: 64,
+            }),
             Resp::Snapshot(RankSnapshot {
                 last_cycles: 7,
                 has_gpu: true,

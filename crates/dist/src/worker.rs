@@ -18,11 +18,9 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use exec::ckpt::CkptError;
 use exec::{FaultRng, Machine, Val};
 use mpi_sim::{
-    read_frame, write_frame, LocalPool, RankCtl, RankPool, RankSnapshot, SimError, TransportError,
-    World,
+    read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError, World,
 };
 use nir::codec::Wire;
 use nir::{FuncId, Program};
@@ -264,41 +262,11 @@ fn serve_pool(
                     .map(|()| Resp::Ok),
             ),
             Request::Location => Resp::Loc(pool.location(rank)),
-            Request::MessageFault => reply(pool.message_fault(rank).map(Resp::Msg)),
-            Request::CollectiveFault => reply(pool.collective_fault(rank).map(Resp::Msg)),
-            Request::TransportFaultDraw => reply(pool.transport_fault(rank).map(Resp::Transport)),
-            Request::ConnectDelay => reply(pool.connect_delay(rank).map(Resp::U64)),
-            Request::CkptWriteFails => reply(pool.ckpt_write_fails(rank).map(Resp::Bool)),
+            Request::Draw { kind } => reply(pool.draw(rank, kind).map(Resp::Fate)),
             Request::Capture => reply(pool.capture_rank(rank).map(Resp::Snapshot)),
-            Request::Restore {
-                last_cycles,
-                has_gpu,
-                n_arrays,
-                sections,
-            } => {
-                let snap = RankSnapshot {
-                    last_cycles,
-                    has_gpu,
-                    sections,
-                };
-                // The wire's count is the coordinator's statement of the
-                // layout: a section list that disagrees with it (one
-                // section lost or added in transit) is refused by name
-                // here, not by whatever the restore makes of a section
-                // decoded in the wrong place.
-                let restored = if snap.n_arrays().map(|n| n as u64) == Some(n_arrays) {
-                    pool.restore_rank(rank, snap)
-                } else {
-                    Err(CkptError::Corrupt {
-                        offset: 0,
-                        message: format!(
-                            "Restore claims {n_arrays} arrays in {} sections",
-                            snap.sections.len()
-                        ),
-                    })
-                };
-                restored.map_or_else(Resp::CkptErr, |()| Resp::Ok)
-            }
+            Request::Restore(snap) => pool
+                .restore_rank(rank, snap)
+                .map_or_else(Resp::CkptErr, |()| Resp::Ok),
             Request::Reseed { attempt } => reply(pool.reseed(rank, attempt).map(|()| Resp::Ok)),
             Request::Stats => reply(pool.stats(rank).map(|mut s| {
                 s.connect_retries += connect_retries;

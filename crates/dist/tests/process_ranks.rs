@@ -6,7 +6,7 @@
 //! panic, no hang (every wire wait is deadline-bounded).
 
 use dist::{Launch, RemotePool};
-use exec::{CkptError, FaultConfig, Machine, MsgFault, ResilienceStats, TransportFault, Val};
+use exec::{CkptError, Draw, Fate, FaultConfig, Machine, ResilienceStats, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{
@@ -478,23 +478,8 @@ impl<P: RankPool> RankPool for Traced<P> {
     fn location(&mut self, r: u32) -> Option<(String, u32)> {
         self.inner.location(r)
     }
-    fn has_fault_plan(&self, r: u32) -> bool {
-        self.inner.has_fault_plan(r)
-    }
-    fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        self.inner.message_fault(r)
-    }
-    fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        self.inner.collective_fault(r)
-    }
-    fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError> {
-        self.inner.transport_fault(r)
-    }
-    fn connect_delay(&mut self, r: u32) -> Result<u64, SimError> {
-        self.inner.connect_delay(r)
-    }
-    fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError> {
-        self.inner.ckpt_write_fails(r)
+    fn draw(&mut self, r: u32, kind: Draw) -> Result<Fate, SimError> {
+        self.inner.draw(r, kind)
     }
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
         self.inner.capture_rank(r)

@@ -5,7 +5,7 @@
 use dist::proto::{Request, Resp};
 use exec::ckpt::chain::Section;
 use exec::ckpt::CkptError;
-use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
+use exec::{Draw, Fate, FaultConfig, ResilienceStats, Val};
 use gpu_sim::GpuConfig;
 use mpi_sim::{DeviceOutcome, RankSnapshot, RankYield, SimError};
 use nir::IntrinOp;
@@ -93,22 +93,26 @@ pub fn requests() -> Vec<Request> {
             payload: vec![0.5, -2.0, 1e-3],
         },
         Request::Location,
-        Request::MessageFault,
-        Request::CollectiveFault,
-        Request::TransportFaultDraw,
-        Request::ConnectDelay,
-        Request::CkptWriteFails,
+        Request::Draw { kind: Draw::Send },
+        Request::Draw {
+            kind: Draw::Collective,
+        },
+        Request::Draw {
+            kind: Draw::Connect,
+        },
+        Request::Draw {
+            kind: Draw::CkptWrite,
+        },
         Request::Capture,
-        Request::Restore {
+        Request::Restore(RankSnapshot {
             last_cycles: 99,
             has_gpu: true,
-            n_arrays: 2,
             sections: vec![
                 Section::from([1]),
                 Section::from([]),
                 Section::from([2, 3, 4]),
             ],
-        },
+        }),
         Request::Reseed { attempt: 6 },
         Request::Stats,
         Request::Finish {
@@ -166,14 +170,24 @@ pub fn responses() -> Vec<Resp> {
         Resp::Floats(vec![1.0, -0.5]),
         Resp::Loc(Some(("ring".into(), 17))),
         Resp::Loc(None),
-        Resp::Msg(MsgFault::None),
-        Resp::Msg(MsgFault::Drop),
-        Resp::Msg(MsgFault::Corrupt),
-        Resp::Msg(MsgFault::Delay(2000)),
-        Resp::Transport(TransportFault::None),
-        Resp::Transport(TransportFault::Truncate),
-        Resp::Transport(TransportFault::DelayAck(64)),
-        Resp::Bool(true),
+        Resp::Fate(Fate::default()),
+        Resp::Fate(Fate {
+            lost: true,
+            ..Fate::default()
+        }),
+        Resp::Fate(Fate {
+            corrupt: true,
+            ..Fate::default()
+        }),
+        Resp::Fate(Fate {
+            delay: 2000,
+            ..Fate::default()
+        }),
+        Resp::Fate(Fate {
+            lost: true,
+            corrupt: true,
+            delay: 70_000,
+        }),
         Resp::Snapshot(RankSnapshot {
             last_cycles: 7,
             has_gpu: true,

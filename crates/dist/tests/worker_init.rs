@@ -4,8 +4,8 @@
 //! unsound program must be answered with a
 //! typed `Resp::Err`, and must never panic the rank. The worker ends
 //! after such an answer. What it is sent after a sound `Init` is
-//! checked too: wire offsets, and a `Restore`'s array count against its
-//! sections.
+//! checked too: wire offsets, and a `Restore` whose sections do not fit
+//! the snapshot layout.
 
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -137,47 +137,38 @@ fn seeded_worker() -> (
     (s, worker, snap, buf)
 }
 
-fn restore(snap: &RankSnapshot, n_arrays: u64) -> Request {
-    Request::Restore {
+fn restore(snap: &RankSnapshot) -> Request {
+    Request::Restore(RankSnapshot {
         last_cycles: snap.last_cycles,
         has_gpu: snap.has_gpu,
-        n_arrays,
         sections: snap.sections.clone(),
-    }
+    })
 }
 
 #[test]
-fn a_restore_whose_sections_disagree_with_its_array_count_is_refused() {
+fn a_restore_with_a_trailing_section_is_refused() {
     let (mut s, worker, snap, _) = seeded_worker();
     assert_eq!(snap.n_arrays(), Some(1));
+    // The snapshot plus one trailing section: the layout then reads two
+    // arrays, so the machine section is decoded as an array.
     let mut trailing = snap.sections.clone();
     trailing.push(snap.sections[1].clone());
-    let rows = [
-        // The snapshot plus one trailing section, still claiming 1 array.
-        (trailing, 1, "Restore claims 1 arrays in 4 sections"),
-        // The snapshot as captured, claiming 2.
-        (
-            snap.sections.clone(),
-            2,
-            "Restore claims 2 arrays in 3 sections",
-        ),
-    ];
-    for (sections, n_arrays, want) in rows {
-        let req = Request::Restore {
-            last_cycles: snap.last_cycles,
-            has_gpu: snap.has_gpu,
-            n_arrays,
-            sections,
-        };
-        match rpc(&mut s, &req) {
-            Resp::CkptErr(CkptError::Corrupt { message, .. }) => {
-                assert_eq!(message, want)
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
+    let req = Request::Restore(RankSnapshot {
+        last_cycles: snap.last_cycles,
+        has_gpu: snap.has_gpu,
+        sections: trailing,
+    });
+    match rpc(&mut s, &req) {
+        Resp::CkptErr(CkptError::Corrupt { offset, message }) => {
+            assert_eq!(
+                (offset, message.as_str()),
+                (5, "24 trailing bytes after the payload")
+            )
         }
+        other => panic!("expected a typed refusal, got {other:?}"),
     }
     // The rank is still served: the snapshot as captured restores.
-    assert!(matches!(rpc(&mut s, &restore(&snap, 1)), Resp::Ok));
+    assert!(matches!(rpc(&mut s, &restore(&snap)), Resp::Ok));
     assert!(matches!(rpc(&mut s, &Request::Shutdown), Resp::Ok));
     worker.join().unwrap().unwrap();
 }
@@ -185,7 +176,7 @@ fn a_restore_whose_sections_disagree_with_its_array_count_is_refused() {
 #[test]
 fn a_huge_wire_offset_is_a_typed_range_error() {
     let (mut s, worker, snap, buf) = seeded_worker();
-    assert!(matches!(rpc(&mut s, &restore(&snap, 1)), Resp::Ok));
+    assert!(matches!(rpc(&mut s, &restore(&snap)), Resp::Ok));
 
     // An offset no `i32` operand can produce: its range end overflows.
     let range_err = |resp: Resp, what: &str| match resp {

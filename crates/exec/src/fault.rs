@@ -240,34 +240,46 @@ impl ResilienceStats {
     }
 }
 
-/// What happens to one outgoing message.
+/// One fault question the MPI scheduler asks a rank's stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsgFault {
-    None,
-    /// The message is silently lost (the receiver keeps waiting).
-    Drop,
+pub enum Draw {
+    /// An outgoing point-to-point message: its payload (drop, corrupt,
+    /// delay), then, unless the payload was dropped, its frame
+    /// (truncate, ack delay).
+    Send,
+    /// A collective contribution or broadcast payload: corrupt, then
+    /// delay (a lost collective is a crash, not a message fault).
+    Collective,
+    /// A rank (re-)joining the fabric: refusals, each re-dialed with
+    /// [`FaultPlan::backoff_cycles`], until one attempt succeeds or
+    /// [`MAX_CONNECT_RETRIES`] are spent.
+    Connect,
+    /// One checkpoint write.
+    CkptWrite,
+}
+
+/// What a [`Draw`] decided; the default is "nothing happens".
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fate {
+    /// The message was dropped or its frame truncated, the connect
+    /// budget ran out, or the checkpoint write failed.
+    pub lost: bool,
     /// One element of the payload has a mantissa bit flipped.
-    Corrupt,
-    /// Delivery is pushed `cycles` into the virtual future.
-    Delay(u64),
+    pub corrupt: bool,
+    /// Virtual cycles the delivery (or, for a connect, the rank) waits.
+    pub delay: u64,
 }
 
-/// What happens to one framed transport message (drawn *after* the
-/// payload-level [`MsgFault`], so armies of zero-rate configs keep their
-/// historical streams bit-identical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportFault {
-    None,
-    /// The frame is truncated in flight; the checksum rejects it typed
-    /// and the message is lost (the receiver keeps waiting).
-    Truncate,
-    /// The frame's acknowledgement is late; delivery lands `cycles`
-    /// later in virtual time.
-    DelayAck(u64),
-}
+nir::wire_enum!(Draw { 0 = Send, 1 = Collective, 2 = Connect, 3 = CkptWrite });
+nir::wire_struct!(Fate {
+    lost,
+    corrupt,
+    delay
+});
 
-nir::wire_enum!(MsgFault { 0 = None, 1 = Drop, 2 = Corrupt, 3 = Delay(cycles) });
-nir::wire_enum!(TransportFault { 0 = None, 1 = Truncate, 2 = DelayAck(cycles) });
+/// Connection attempts per rank before an injected refusal storm is a
+/// lost connect (a typed error) instead of another backoff.
+pub const MAX_CONNECT_RETRIES: u32 = 16;
 
 /// Fuel granted to a slice when exhaustion is injected — small enough to
 /// visibly perturb scheduling, large enough to keep making progress.
@@ -365,47 +377,57 @@ impl FaultPlan {
         }
     }
 
-    /// Does this checkpoint write fail with an injected I/O fault?
-    pub fn ckpt_write_fails(&mut self) -> bool {
-        if self.rng.chance(self.config.ckpt_write_fail) {
-            self.stats.ckpt_write_failures += 1;
-            true
-        } else {
-            false
+    /// Draw one fault decision. Zero rates consume nothing, so configs
+    /// predating a fault kind keep bit-identical streams.
+    pub fn draw(&mut self, kind: Draw) -> Fate {
+        let mut fate = Fate::default();
+        match kind {
+            Draw::Send => {
+                if self.rng.chance(self.config.msg_drop) {
+                    self.stats.dropped_messages += 1;
+                    fate.lost = true;
+                    return fate;
+                }
+                self.payload_fault(&mut fate);
+                if self.rng.chance(self.config.frame_truncate) {
+                    self.stats.truncated_frames += 1;
+                    fate.lost = true;
+                } else if self.rng.chance(self.config.ack_delay) {
+                    self.stats.delayed_acks += 1;
+                    fate.delay += self.config.ack_delay_cycles;
+                }
+            }
+            Draw::Collective => self.payload_fault(&mut fate),
+            Draw::Connect => {
+                let mut refused = 0;
+                while self.rng.chance(self.config.connect_refuse) {
+                    self.stats.connect_refusals += 1;
+                    refused += 1;
+                    if refused >= MAX_CONNECT_RETRIES {
+                        fate.lost = true;
+                        break;
+                    }
+                    fate.delay += self.backoff_cycles(refused);
+                }
+            }
+            Draw::CkptWrite => {
+                if self.rng.chance(self.config.ckpt_write_fail) {
+                    self.stats.ckpt_write_failures += 1;
+                    fate.lost = true;
+                }
+            }
         }
+        fate
     }
 
-    /// Fate of one outgoing point-to-point message.
-    pub fn message_fault(&mut self) -> MsgFault {
-        if self.rng.chance(self.config.msg_drop) {
-            self.stats.dropped_messages += 1;
-            return MsgFault::Drop;
-        }
-        self.collective_fault()
-    }
-
-    /// Fate of one collective payload (collectives cannot be dropped —
-    /// a lost collective is a crash, not a message fault).
-    pub fn collective_fault(&mut self) -> MsgFault {
+    /// A payload's corruption, else its delay.
+    fn payload_fault(&mut self, fate: &mut Fate) {
         if self.rng.chance(self.config.msg_corrupt) {
             self.stats.corrupted_messages += 1;
-            return MsgFault::Corrupt;
-        }
-        if self.rng.chance(self.config.msg_delay) {
+            fate.corrupt = true;
+        } else if self.rng.chance(self.config.msg_delay) {
             self.stats.delayed_messages += 1;
-            return MsgFault::Delay(self.config.delay_cycles);
-        }
-        MsgFault::None
-    }
-
-    /// Is this transport connection attempt refused? Each refusal is
-    /// counted; callers re-dial with [`FaultPlan::backoff_cycles`].
-    pub fn connect_refused(&mut self) -> bool {
-        if self.rng.chance(self.config.connect_refuse) {
-            self.stats.connect_refusals += 1;
-            true
-        } else {
-            false
+            fate.delay += self.config.delay_cycles;
         }
     }
 
@@ -419,21 +441,6 @@ impl FaultPlan {
         } else {
             false
         }
-    }
-
-    /// Fate of one framed transport message, drawn after its payload
-    /// fault. Zero rates consume nothing, so configs predating the
-    /// socket-transport faults keep bit-identical streams.
-    pub fn transport_fault(&mut self) -> TransportFault {
-        if self.rng.chance(self.config.frame_truncate) {
-            self.stats.truncated_frames += 1;
-            return TransportFault::Truncate;
-        }
-        if self.rng.chance(self.config.ack_delay) {
-            self.stats.delayed_acks += 1;
-            return TransportFault::DelayAck(self.config.ack_delay_cycles);
-        }
-        TransportFault::None
     }
 
     /// Virtual-cycle backoff before retry number `attempt` (1-based);
@@ -471,7 +478,7 @@ mod tests {
         let mut b = FaultPlan::for_rank(cfg, 3);
         for _ in 0..500 {
             assert_eq!(a.crash_at_yield(), b.crash_at_yield());
-            assert_eq!(a.message_fault(), b.message_fault());
+            assert_eq!(a.draw(Draw::Send), b.draw(Draw::Send));
             assert_eq!(a.slice_fuel(1_000_000), b.slice_fuel(1_000_000));
         }
         assert_eq!(a.stats, b.stats);
@@ -497,8 +504,9 @@ mod tests {
         for _ in 0..100 {
             assert!(!p.crash_at_yield());
             assert!(!p.host_attempt_fails());
-            assert!(!p.ckpt_write_fails());
-            assert_eq!(p.message_fault(), MsgFault::None);
+            for kind in [Draw::Send, Draw::Collective, Draw::Connect, Draw::CkptWrite] {
+                assert_eq!(p.draw(kind), Fate::default());
+            }
             assert_eq!(p.slice_fuel(500), 500);
         }
         assert_eq!(p.stats, ResilienceStats::default());
@@ -512,8 +520,8 @@ mod tests {
         };
         let mut a = FaultPlan::for_rank(cfg, 0);
         let mut b = FaultPlan::for_rank(cfg, 0);
-        let da: Vec<bool> = (0..200).map(|_| a.ckpt_write_fails()).collect();
-        let db: Vec<bool> = (0..200).map(|_| b.ckpt_write_fails()).collect();
+        let da: Vec<bool> = (0..200).map(|_| a.draw(Draw::CkptWrite).lost).collect();
+        let db: Vec<bool> = (0..200).map(|_| b.draw(Draw::CkptWrite).lost).collect();
         assert_eq!(da, db, "same seed, same checkpoint I/O faults");
         let fired = da.iter().filter(|&&x| x).count() as u64;
         assert!(fired > 0, "rate 0.4 must fire in 200 draws");
@@ -535,8 +543,8 @@ mod tests {
         let da: Vec<bool> = (0..64).map(|_| a.crash_at_yield()).collect();
         let db: Vec<bool> = (0..64)
             .map(|_| {
-                assert_eq!(b.transport_fault(), TransportFault::None);
-                assert!(!b.connect_refused());
+                assert_eq!(b.draw(Draw::Send), Fate::default());
+                assert_eq!(b.draw(Draw::Connect), Fate::default());
                 b.crash_at_yield()
             })
             .collect();
@@ -550,13 +558,28 @@ mod tests {
         };
         let mut a = FaultPlan::for_rank(cfg, 1);
         let mut b = FaultPlan::for_rank(cfg, 1);
-        let fa: Vec<TransportFault> = (0..200).map(|_| a.transport_fault()).collect();
-        let fb: Vec<TransportFault> = (0..200).map(|_| b.transport_fault()).collect();
+        let fa: Vec<Fate> = (0..200).map(|_| a.draw(Draw::Send)).collect();
+        let fb: Vec<Fate> = (0..200).map(|_| b.draw(Draw::Send)).collect();
         assert_eq!(fa, fb, "same seed, same transport faults");
         assert!(a.stats.truncated_frames > 0, "truncate rate 0.3 must fire");
         assert!(a.stats.delayed_acks > 0, "ack-delay rate 0.3 must fire");
-        let refusals = (0..64).filter(|_| a.connect_refused()).count() as u64;
-        assert!(refusals > 0, "refuse rate 0.5 must fire in 64 draws");
+        // Each connect re-dials until an attempt succeeds, charging the
+        // backoff of every refused one.
+        for _ in 0..64 {
+            let before = a.stats.connect_refusals;
+            let fate = a.draw(Draw::Connect);
+            let refused = (a.stats.connect_refusals - before) as u32;
+            let backoff = (1..=refused).map(|i| a.backoff_cycles(i)).sum();
+            assert_eq!(
+                fate,
+                Fate {
+                    delay: backoff,
+                    ..Fate::default()
+                }
+            );
+        }
+        let refusals = a.stats.connect_refusals;
+        assert!(refusals > 0, "refuse rate 0.5 must fire in 64 connects");
         assert_eq!(a.stats.connect_refusals, refusals);
         assert_eq!(
             a.stats.injected(),
@@ -566,6 +589,102 @@ mod tests {
         assert!(line.contains(&format!("connect_refusals {refusals} · ")));
         let truncated = a.stats.truncated_frames;
         assert!(line.contains(&format!("truncated_frames {truncated} · ")));
+    }
+
+    #[test]
+    fn a_connect_refused_past_the_budget_is_lost() {
+        let mut p = FaultPlan::new(FaultConfig {
+            connect_refuse: 1.0,
+            ..FaultConfig::seeded(8)
+        });
+        let backoff = (1..MAX_CONNECT_RETRIES).map(|i| p.backoff_cycles(i)).sum();
+        let fate = p.draw(Draw::Connect);
+        assert_eq!(
+            fate,
+            Fate {
+                lost: true,
+                delay: backoff,
+                ..Fate::default()
+            }
+        );
+        assert_eq!(p.stats.connect_refusals, u64::from(MAX_CONNECT_RETRIES));
+    }
+
+    #[test]
+    fn a_dropped_send_draws_no_frame() {
+        // Where a send is dropped, the stream cursor is where the payload
+        // draw alone (the same plan without frame rates) leaves it.
+        let cfg = FaultConfig {
+            msg_drop: 0.5,
+            msg_corrupt: 0.3,
+            msg_delay: 0.3,
+            frame_truncate: 0.5,
+            ack_delay: 0.5,
+            ..FaultConfig::seeded(17)
+        };
+        let payload_only = FaultConfig {
+            frame_truncate: 0.0,
+            ack_delay: 0.0,
+            ..cfg
+        };
+        let mut a = FaultPlan::for_rank(cfg, 1);
+        let mut drops = 0;
+        for _ in 0..64 {
+            let before = a.rng_state();
+            let dropped = a.stats.dropped_messages;
+            let fate = a.draw(Draw::Send);
+            if a.stats.dropped_messages > dropped {
+                drops += 1;
+                assert_eq!(
+                    fate,
+                    Fate {
+                        lost: true,
+                        ..Fate::default()
+                    }
+                );
+                let mut alone =
+                    FaultPlan::restore(payload_only, before, ResilienceStats::default());
+                assert_eq!(alone.draw(Draw::Send), fate);
+                assert_eq!(
+                    alone.rng_state(),
+                    a.rng_state(),
+                    "a frame draw followed a drop"
+                );
+            }
+        }
+        assert!(drops > 0, "drop rate 0.5 must fire in 64 sends");
+    }
+
+    #[test]
+    fn a_corrupted_then_truncated_send_is_lost() {
+        let mut p = FaultPlan::new(FaultConfig {
+            msg_corrupt: 1.0,
+            msg_delay: 1.0,
+            frame_truncate: 1.0,
+            ..FaultConfig::seeded(4)
+        });
+        let fate = p.draw(Draw::Send);
+        assert_eq!(
+            fate,
+            Fate {
+                lost: true,
+                corrupt: true,
+                delay: 0
+            }
+        );
+        assert_eq!(p.stats.corrupted_messages, 1);
+        assert_eq!(p.stats.truncated_frames, 1);
+        assert_eq!(p.stats.injected(), 2);
+        // A collective is corrupted before it can be delayed.
+        let fate = p.draw(Draw::Collective);
+        assert_eq!(
+            fate,
+            Fate {
+                corrupt: true,
+                ..Fate::default()
+            }
+        );
+        assert_eq!(p.stats.delayed_messages, 0);
     }
 
     #[test]

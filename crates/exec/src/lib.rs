@@ -28,7 +28,7 @@ mod image;
 pub mod pool;
 
 pub use ckpt::CkptError;
-pub use fault::{FaultConfig, FaultPlan, FaultRng, MsgFault, ResilienceStats, TransportFault};
+pub use fault::{Draw, Fate, FaultConfig, FaultPlan, FaultRng, ResilienceStats};
 pub use image::Image;
 pub use pool::{ExecMode, ExecutorCfg};
 

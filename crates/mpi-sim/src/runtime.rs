@@ -27,10 +27,11 @@ use std::path::PathBuf;
 
 use exec::ckpt::chain::{self, Section};
 use exec::ckpt::{self, CkptError};
+use exec::fault::MAX_CONNECT_RETRIES;
 use exec::pool::{run_batch, SliceJob};
 use exec::{
-    ArrStore, ExecError, ExecutorCfg, FaultPlan, HostRegistry, Image, Machine, MsgFault,
-    ResilienceStats, Thread, TransportFault, Val, Yield,
+    ArrStore, Draw, ExecError, ExecutorCfg, Fate, FaultPlan, HostRegistry, Image, Machine,
+    ResilienceStats, Thread, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuErrorKind};
 use nir::codec::{Reader, Wire, Writer};
@@ -44,10 +45,6 @@ use crate::{
 
 /// Per-rank entry-argument builder: rank id + its machine -> entry args.
 pub type ArgBuilder<'a> = &'a mut dyn FnMut(u32, &mut Machine) -> Result<Vec<Val>, String>;
-
-/// Connection attempts per rank before an injected refusal storm becomes
-/// a typed error instead of another backoff.
-pub const MAX_CONNECT_RETRIES: u32 = 16;
 
 /// What a rank is blocked on, scheduler-side.
 #[derive(Debug, Clone, Copy)]
@@ -164,14 +161,10 @@ impl RankSnapshot {
 
 /// Where ranks live. [`LocalPool`] keeps them in-process (the `mpi-sim`
 /// backend); the `dist` backend reaches one OS process per rank over
-/// loopback TCP. Every method is one scheduler-initiated operation on
-/// one rank; implementations must be deterministic given the same call
-/// sequence — cross-backend bit-identity depends on it.
-///
-/// Fault-stream draws are pool methods because the seeded PRNG cursors
-/// live inside each rank's machine state (so checkpoints capture them);
-/// the scheduler guards every draw with [`RankPool::has_fault_plan`] so
-/// fault-free worlds pay no seam crossings.
+/// loopback TCP. Every method is one scheduler-initiated operation, on
+/// one rank or (`reinit`, `run_slices`, `finish`) on many;
+/// implementations must be deterministic given the same call sequence —
+/// cross-backend bit-identity depends on it.
 pub trait RankPool {
     /// (Re-)create every rank from scratch: fresh machines, fresh entry
     /// args, fresh fault streams — the cold-start path.
@@ -221,21 +214,12 @@ pub trait RankPool {
     ) -> Result<(), SimError>;
     /// The (func, pc) rank `r`'s thread is yielded at — error context.
     fn location(&mut self, r: u32) -> Option<(String, u32)>;
-    /// Does rank `r` carry a fault stream? Guards every draw below.
-    fn has_fault_plan(&self, r: u32) -> bool;
-    /// Draw the fate of one outgoing point-to-point message.
-    fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError>;
-    /// Draw the fate of one collective contribution / payload.
-    fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError>;
-    /// Draw the fate of one framed transport message (after its payload
-    /// fault).
-    fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError>;
-    /// Connect-phase fault: total backoff cycles spent re-dialing
-    /// injected connection refusals (0 when none fire). A refusal storm
-    /// past [`MAX_CONNECT_RETRIES`] is a typed error.
-    fn connect_delay(&mut self, r: u32) -> Result<u64, SimError>;
-    /// Does this checkpoint write fail with an injected I/O fault?
-    fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError>;
+    /// Draw one fault decision from rank `r`'s stream
+    /// ([`FaultPlan::draw`]). The stream is a pool method because its
+    /// cursor lives in the rank's machine state, so checkpoints capture
+    /// it; a rank without a plan answers [`Fate::default`] and consumes
+    /// nothing.
+    fn draw(&mut self, r: u32, kind: Draw) -> Result<Fate, SimError>;
     /// Capture rank `r`'s execution state as checkpoint sections.
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError>;
     /// Replace rank `r`'s execution state with a snapshot
@@ -623,21 +607,14 @@ fn post_message(
     mut payload: Vec<f32>,
     transport: &mut InMemTransport,
 ) -> Result<(), SimError> {
-    let mut avail_at = sender.vclock;
-    if pool.has_fault_plan(from) {
-        match pool.message_fault(from)? {
-            MsgFault::Drop => return Ok(()),
-            MsgFault::Corrupt => exec::fault::corrupt_f32(&mut payload),
-            MsgFault::Delay(d) => avail_at += d,
-            MsgFault::None => {}
-        }
-        match pool.transport_fault(from)? {
-            TransportFault::Truncate => return Ok(()),
-            TransportFault::DelayAck(d) => avail_at += d,
-            TransportFault::None => {}
-        }
+    let fate = pool.draw(from, Draw::Send)?;
+    if fate.lost {
+        return Ok(());
     }
-    transport.post(from, dest, tag, payload, avail_at);
+    if fate.corrupt {
+        exec::fault::corrupt_f32(&mut payload);
+    }
+    transport.post(from, dest, tag, payload, sender.vclock + fate.delay);
     Ok(())
 }
 
@@ -645,18 +622,10 @@ fn post_message(
 /// contributing rank's fault stream (delay pushes the rank's clock,
 /// which delays the collective's completion time).
 fn contribute(pool: &mut dyn RankPool, ctl: &mut RankCtl, r: u32, v: Val) -> Result<Val, SimError> {
-    if !pool.has_fault_plan(r) {
-        return Ok(v);
-    }
-    Ok(match pool.collective_fault(r)? {
-        MsgFault::Corrupt => corrupt_val(v),
-        MsgFault::Delay(d) => {
-            ctl.vclock += d;
-            ctl.comm_cycles += d;
-            v
-        }
-        MsgFault::None | MsgFault::Drop => v,
-    })
+    let fate = pool.draw(r, Draw::Collective)?;
+    ctl.vclock += fate.delay;
+    ctl.comm_cycles += fate.delay;
+    Ok(if fate.corrupt { corrupt_val(v) } else { v })
 }
 
 /// Collective completion time: max participant clock + base cost +
@@ -1070,14 +1039,13 @@ impl CkptState {
         }
         self.since_last = 0;
         // Injected checkpoint-write I/O fault — a world-level decision
-        // drawn from the first live fault stream (rank 0). The write is
-        // skipped; the world keeps running on its previous snapshot.
+        // drawn from rank 0's stream (every rank's plan comes from one
+        // config, so rank 0 has one whenever any rank does). The write
+        // is skipped; the world keeps running on its previous snapshot.
         // Drawn before capture so full and delta modes see identical
         // streams.
-        if let Some(r) = (0..cfg.size).find(|&r| pool.has_fault_plan(r)) {
-            if pool.ckpt_write_fails(r)? {
-                return Ok(());
-            }
+        if pool.draw(0, Draw::CkptWrite)?.lost {
+            return Ok(());
         }
         let sections = world_sections(cfg, pool, ctls, transport)?;
         let force_base = self.rebase_every == 0
@@ -1187,13 +1155,20 @@ fn drive(
     // Zero-rate configs draw nothing, keeping legacy streams
     // bit-identical.
     for r in 0..cfg.size {
-        if ctls[r as usize].done.is_none() && pool.has_fault_plan(r) {
-            let d = pool.connect_delay(r)?;
-            if d > 0 {
-                let ctl = &mut ctls[r as usize];
-                ctl.vclock += d;
-                ctl.comm_cycles += d;
+        if ctls[r as usize].done.is_none() {
+            let fate = pool.draw(r, Draw::Connect)?;
+            if fate.lost {
+                return Err(err_on(
+                    r,
+                    format!(
+                        "transport connect refused {MAX_CONNECT_RETRIES} times \
+                         (injected refusals, retry budget exhausted)"
+                    ),
+                ));
             }
+            let ctl = &mut ctls[r as usize];
+            ctl.vclock += fate.delay;
+            ctl.comm_cycles += fate.delay;
         }
     }
 
@@ -1307,17 +1282,13 @@ fn drive(
             // Fault injection on the broadcast payload, drawn from
             // the root's stream (collectives corrupt or delay — a
             // dropped collective is a crash, not a message fault).
-            let mut extra_delay = 0;
-            if pool.has_fault_plan(root) {
-                match pool.collective_fault(root)? {
-                    MsgFault::Corrupt => exec::fault::corrupt_f32(&mut payload),
-                    MsgFault::Delay(d) => extra_delay = d,
-                    MsgFault::None | MsgFault::Drop => {}
-                }
+            let fate = pool.draw(root, Draw::Collective)?;
+            if fate.corrupt {
+                exec::fault::corrupt_f32(&mut payload);
             }
             let t = complete_collective(cfg, ctls, &bcast_waiters)
                 + msg_cost(&cfg.cost, (count * 4) as u64)
-                + extra_delay;
+                + fate.delay;
             for &r in &bcast_waiters {
                 if r != root {
                     let Some(Blocked::Bcast { buf, off, .. }) = &ctls[r as usize].blocked else {
@@ -1897,73 +1868,9 @@ impl RankPool for LocalPool<'_, '_> {
             .and_then(|rk| yield_location(self.world.program, &rk.thread))
     }
 
-    fn has_fault_plan(&self, r: u32) -> bool {
-        self.ranks
-            .get(r as usize)
-            .and_then(|o| o.as_ref())
-            .is_some_and(|rk| rk.machine.fault.is_some())
-    }
-
-    fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        Ok(self
-            .rank_mut(r)?
-            .machine
-            .fault
-            .as_mut()
-            .map(|p| p.message_fault())
-            .unwrap_or(MsgFault::None))
-    }
-
-    fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        Ok(self
-            .rank_mut(r)?
-            .machine
-            .fault
-            .as_mut()
-            .map(|p| p.collective_fault())
-            .unwrap_or(MsgFault::None))
-    }
-
-    fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError> {
-        Ok(self
-            .rank_mut(r)?
-            .machine
-            .fault
-            .as_mut()
-            .map(|p| p.transport_fault())
-            .unwrap_or(TransportFault::None))
-    }
-
-    fn connect_delay(&mut self, r: u32) -> Result<u64, SimError> {
-        let rank = self.rank_mut(r)?;
-        let Some(plan) = rank.machine.fault.as_mut() else {
-            return Ok(0);
-        };
-        let mut attempt: u32 = 0;
-        let mut total: u64 = 0;
-        while plan.connect_refused() {
-            attempt += 1;
-            if attempt >= MAX_CONNECT_RETRIES {
-                return Err(err_on(
-                    r,
-                    format!(
-                        "transport connect refused {attempt} times \
-                         (injected refusals, retry budget exhausted)"
-                    ),
-                ));
-            }
-            total += plan.backoff_cycles(attempt);
-        }
-        Ok(total)
-    }
-
-    fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError> {
-        Ok(self
-            .rank_mut(r)?
-            .machine
-            .fault
-            .as_mut()
-            .is_some_and(|p| p.ckpt_write_fails()))
+    fn draw(&mut self, r: u32, kind: Draw) -> Result<Fate, SimError> {
+        let plan = self.rank_mut(r)?.machine.fault.as_mut();
+        Ok(plan.map_or_else(Fate::default, |p| p.draw(kind)))
     }
 
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {

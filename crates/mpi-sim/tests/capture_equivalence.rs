@@ -14,8 +14,7 @@
 
 use exec::ckpt::chain::{ChainState, Section};
 use exec::{
-    ArrStore, CkptError, FaultConfig, HostRegistry, Machine, MsgFault, ResilienceStats,
-    TransportFault, Val,
+    ArrStore, CkptError, Draw, Fate, FaultConfig, HostRegistry, Machine, ResilienceStats, Val,
 };
 use gpu_sim::GpuConfig;
 use jlang::ast::BinOp;
@@ -354,23 +353,8 @@ impl RankPool for Checked<'_, '_> {
     fn location(&mut self, r: u32) -> Option<(String, u32)> {
         self.inner.location(r)
     }
-    fn has_fault_plan(&self, r: u32) -> bool {
-        self.inner.has_fault_plan(r)
-    }
-    fn message_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        self.inner.message_fault(r)
-    }
-    fn collective_fault(&mut self, r: u32) -> Result<MsgFault, SimError> {
-        self.inner.collective_fault(r)
-    }
-    fn transport_fault(&mut self, r: u32) -> Result<TransportFault, SimError> {
-        self.inner.transport_fault(r)
-    }
-    fn connect_delay(&mut self, r: u32) -> Result<u64, SimError> {
-        self.inner.connect_delay(r)
-    }
-    fn ckpt_write_fails(&mut self, r: u32) -> Result<bool, SimError> {
-        self.inner.ckpt_write_fails(r)
+    fn draw(&mut self, r: u32, kind: Draw) -> Result<Fate, SimError> {
+        self.inner.draw(r, kind)
     }
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
         let mut snap = self.inner.capture_rank(r)?;
