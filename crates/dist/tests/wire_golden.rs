@@ -29,13 +29,12 @@ const REQUEST_HEX: &[&str] = &[
     "060200000008000000000000001000000000000000",
     "07010000000300000000000000030000000000003f000000c06f12833a",
     "08",
-    "09",
-    "0a",
-    "0b",
-    "0c",
-    "0d",
+    "0900",
+    "0901",
+    "0902",
+    "0903",
     "0e",
-    "0f63000000000000000102000000000000000300000001000000010000000003000000020304",
+    "0f6300000000000000010300000001000000010000000003000000020304",
     "100600000000000000",
     "11",
     "120101fcffffffffffffff0a0000000000000007000000000000000300000000000000",
@@ -60,14 +59,11 @@ const RESPONSE_HEX: &[&str] = &[
     "05020000000000803f000000bf",
     "06010400000072696e6711000000",
     "0600",
-    "0700",
-    "0701",
-    "0702",
-    "0703d007000000000000",
-    "0800",
-    "0801",
-    "08024000000000000000",
-    "0901",
+    "0700000000000000000000",
+    "0701000000000000000000",
+    "0700010000000000000000",
+    "070000d007000000000000",
+    "0701017011010000000000",
     "0a07000000000000000103000000020000000909000000000100000001",
     "0b0100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000",
     "0c030000000500000068656c6c6f00000000020000003432580000000000000002000000cafe",
@@ -90,11 +86,11 @@ fn hello_bytes_are_pinned() {
     let h = Hello {
         token: 0x1122_3344_5566_7788,
         rank: 3,
-        proto: 0x0000_0405,
+        proto: 0x0000_0505,
     };
     assert_eq!(h.proto, PROTO_VERSION, "a stale Hello pin");
     let bytes = encode_hello(&h);
-    assert_eq!(hex(&bytes), "88776655443322110300000005040000");
+    assert_eq!(hex(&bytes), "88776655443322110300000005050000");
     assert_eq!(decode_hello(&bytes).unwrap(), h);
 }
 
