@@ -530,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn transport_faults_are_seeded_counted_and_stream_safe() {
+    fn frame_and_connect_faults_are_seeded_counted_and_stream_safe() {
         // Zero transport rates must not consume the stream: interleaving
         // the new draws with crash draws leaves the crash stream of a
         // pre-transport config bit-identical.
