@@ -880,4 +880,455 @@ mod tests {
             (1, "r2 may be read before it is written")
         );
     }
+
+    /// Every intrinsic, one per variant (the match below fails to compile
+    /// when a variant is added and not listed).
+    fn every_intrinsic() -> Vec<IntrinOp> {
+        use IntrinOp as I;
+        let all = vec![
+            I::SqrtF64,
+            I::SqrtF32,
+            I::PowF64,
+            I::ExpF64,
+            I::AbsF32,
+            I::AbsF64,
+            I::AbsI32,
+            I::MinI32,
+            I::MaxI32,
+            I::MinF32,
+            I::MaxF32,
+            I::PrintI32,
+            I::PrintI64,
+            I::PrintF32,
+            I::PrintF64,
+            I::PrintBool,
+            I::ArrayCopyF32,
+            I::ThreadIdx(0),
+            I::BlockIdx(1),
+            I::BlockDim(2),
+            I::GridDim(0),
+            I::CopyToGpu,
+            I::CopyFromGpu,
+            I::CopyToGpuRange,
+            I::CopyFromGpuRange,
+            I::GpuAllocF32,
+            I::GpuFree,
+            I::MpiRank,
+            I::MpiSize,
+            I::MpiBarrier,
+            I::MpiSendF32,
+            I::MpiRecvF32,
+            I::MpiSendRecvF32,
+            I::MpiBcastF32,
+            I::MpiAllreduceSumF64,
+            I::MpiAllreduceSumF32,
+            I::MpiAllreduceMaxF64,
+        ];
+        for op in &all {
+            match op {
+                I::SqrtF64 | I::SqrtF32 | I::PowF64 | I::ExpF64 | I::AbsF32 | I::AbsF64 => {}
+                I::AbsI32 | I::MinI32 | I::MaxI32 | I::MinF32 | I::MaxF32 => {}
+                I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => {}
+                I::ArrayCopyF32 | I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) => {}
+                I::GridDim(_) | I::CopyToGpu | I::CopyFromGpu | I::CopyToGpuRange => {}
+                I::CopyFromGpuRange | I::GpuAllocF32 | I::GpuFree | I::MpiRank => {}
+                I::MpiSize | I::MpiBarrier | I::MpiSendF32 | I::MpiRecvF32 => {}
+                I::MpiSendRecvF32 | I::MpiBcastF32 | I::MpiAllreduceSumF64 => {}
+                I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => {}
+            }
+        }
+        all
+    }
+
+    /// `fn f(r0..r7: i32) -> i32 { <intrinsic>; return r0 }`.
+    fn with_intrinsic(op: IntrinOp, args: Vec<Reg>, dst: Option<Reg>) -> Program {
+        let mut fb = crate::FuncBuilder::new("f", vec![Ty::I32; 8], Some(Ty::I32), FuncKind::Host);
+        fb.emit(Instr::Intrin { op, args, dst });
+        fb.emit(Instr::Ret(Some(0)));
+        let mut p = Program::default();
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+        p
+    }
+
+    /// [`program`] with `edit` applied.
+    fn edited(body: Instr, edit: impl FnOnce(&mut Program)) -> Program {
+        let mut p = program(body);
+        edit(&mut p);
+        p
+    }
+
+    /// [`program`] whose kernel `k(i32)` (function 2) runs `body` with
+    /// one more register, an `f32` (r1), and then returns.
+    fn in_kernel(body: Vec<Instr>) -> Program {
+        edited(Instr::Ret(Some(I)), |p| {
+            let k = p.func_mut(FuncId(2));
+            k.regs.push(Ty::F32);
+            k.code = body;
+            k.code.push(Instr::Ret(None));
+        })
+    }
+
+    /// Every program the checker must refuse, with why. Each row is well
+    /// typed and definitely assigned but for its one defect, so a check
+    /// dropped from the checker lets its row through.
+    fn rejected() -> Vec<(String, Program)> {
+        use Instr as N;
+        const R: Reg = 999;
+        let at = |ins: Instr| program(ins);
+        let rows: Vec<(&str, Program)> = vec![
+            // One out-of-range register per instruction variant that
+            // names one (`Jmp` and `Sync` name none).
+            ("const i32 destination", at(N::ConstI32(R, 1))),
+            ("const i64 destination", at(N::ConstI64(R, 1))),
+            ("const f32 destination", at(N::ConstF32(R, 1.0))),
+            ("const f64 destination", at(N::ConstF64(R, 1.0))),
+            ("const bool destination", at(N::ConstBool(R, true))),
+            ("move source", at(N::Mov(I, R))),
+            (
+                "bin destination",
+                at(bin(BinOp::Add, PrimKind::Int, R, I, I)),
+            ),
+            (
+                "neg source",
+                at(N::Neg {
+                    kind: PrimKind::Int,
+                    dst: I,
+                    src: R,
+                }),
+            ),
+            ("not destination", at(N::Not { dst: R, src: B })),
+            (
+                "cast destination",
+                at(N::Cast {
+                    to: PrimKind::Float,
+                    from: PrimKind::Int,
+                    dst: R,
+                    src: I,
+                }),
+            ),
+            (
+                "branch condition",
+                at(N::Br {
+                    cond: R,
+                    t: 1,
+                    f: 1,
+                }),
+            ),
+            ("return value", at(N::Ret(Some(R)))),
+            (
+                "call argument",
+                at(N::Call {
+                    func: FuncId(0),
+                    args: vec![I, R],
+                    dst: None,
+                }),
+            ),
+            (
+                "host call argument",
+                at(N::CallHost {
+                    host: 0,
+                    args: vec![R],
+                    dst: None,
+                }),
+            ),
+            ("new object destination", at(N::NewObj { class: 0, dst: R })),
+            (
+                "field read destination",
+                at(N::GetField {
+                    obj: O,
+                    slot: 0,
+                    dst: R,
+                }),
+            ),
+            (
+                "field write source",
+                at(N::PutField {
+                    obj: O,
+                    slot: 0,
+                    src: R,
+                }),
+            ),
+            (
+                "virtual call argument",
+                at(N::CallVirt {
+                    selector: 0,
+                    recv: O,
+                    args: vec![R],
+                    dst: None,
+                }),
+            ),
+            (
+                "virtual call destination",
+                at(N::CallVirt {
+                    selector: 0,
+                    recv: O,
+                    args: vec![],
+                    dst: Some(R),
+                }),
+            ),
+            (
+                "new array destination",
+                at(N::NewArr {
+                    elem: ElemTy::F32,
+                    len: I,
+                    dst: R,
+                }),
+            ),
+            (
+                "array load destination",
+                at(N::LdArr {
+                    arr: A,
+                    idx: I,
+                    dst: R,
+                }),
+            ),
+            (
+                "array store index",
+                at(N::StArr {
+                    arr: A,
+                    idx: R,
+                    src: X,
+                }),
+            ),
+            ("array length destination", at(N::ArrLen { arr: A, dst: R })),
+            ("array free operand", at(N::FreeArr { arr: R })),
+            (
+                "intrinsic operand",
+                at(N::Intrin {
+                    op: IntrinOp::PrintI32,
+                    args: vec![R],
+                    dst: None,
+                }),
+            ),
+            (
+                "launch argument",
+                at(N::Launch {
+                    kernel: FuncId(2),
+                    grid: [I; 3],
+                    block: [I; 3],
+                    args: vec![R],
+                }),
+            ),
+            (
+                "shared allocation destination",
+                in_kernel(vec![N::SharedAlloc {
+                    elem: ElemTy::F32,
+                    len: 0,
+                    dst: R,
+                }]),
+            ),
+            // Signatures and registers.
+            (
+                "more parameters than registers",
+                edited(N::Ret(Some(I)), |p| p.func_mut(FuncId(1)).regs.truncate(2)),
+            ),
+            (
+                "parameter register of another type",
+                edited(N::Ret(Some(I)), |p| p.func_mut(FuncId(1)).regs[1] = Ty::I32),
+            ),
+            // Control flow.
+            ("jump target", at(N::Jmp(99))),
+            (
+                "branch target",
+                at(N::Br {
+                    cond: B,
+                    t: 99,
+                    f: 1,
+                }),
+            ),
+            (
+                "no terminator",
+                edited(N::ConstI32(I, 0), |p| {
+                    p.func_mut(FuncId(1)).code.pop();
+                }),
+            ),
+            (
+                "no code",
+                edited(N::Ret(Some(I)), |p| p.func_mut(FuncId(1)).code.clear()),
+            ),
+            (
+                "entry out of range",
+                edited(N::Ret(Some(I)), |p| p.entry = Some(FuncId(9))),
+            ),
+            // Calls.
+            (
+                "call to an unknown function",
+                at(N::Call {
+                    func: FuncId(7),
+                    args: vec![],
+                    dst: None,
+                }),
+            ),
+            (
+                "call arity",
+                at(N::Call {
+                    func: FuncId(0),
+                    args: vec![I],
+                    dst: None,
+                }),
+            ),
+            (
+                "kernel calls a host function",
+                in_kernel(vec![
+                    N::ConstF32(1, 0.0),
+                    N::Call {
+                        func: FuncId(0),
+                        args: vec![0, 1],
+                        dst: None,
+                    },
+                ]),
+            ),
+            (
+                "kernel calls a host function with too few arguments",
+                in_kernel(vec![N::Call {
+                    func: FuncId(0),
+                    args: vec![],
+                    dst: None,
+                }]),
+            ),
+            (
+                "device function calls a host function",
+                edited(N::Ret(Some(I)), |p| {
+                    let d = p.func_mut(FuncId(2));
+                    d.kind = FuncKind::Device;
+                    d.regs.push(Ty::F32);
+                    d.code = vec![
+                        N::ConstF32(1, 0.0),
+                        N::Call {
+                            func: FuncId(0),
+                            args: vec![0, 1],
+                            dst: None,
+                        },
+                        N::Ret(None),
+                    ];
+                }),
+            ),
+            (
+                "call to an unknown host function",
+                at(N::CallHost {
+                    host: 5,
+                    args: vec![],
+                    dst: None,
+                }),
+            ),
+            (
+                "host call arity",
+                at(N::CallHost {
+                    host: 0,
+                    args: vec![],
+                    dst: None,
+                }),
+            ),
+            (
+                "unknown selector",
+                at(N::CallVirt {
+                    selector: 5,
+                    recv: O,
+                    args: vec![],
+                    dst: None,
+                }),
+            ),
+            ("unknown class", at(N::NewObj { class: 9, dst: O })),
+            // Placement.
+            (
+                "launch from a kernel",
+                in_kernel(vec![N::Launch {
+                    kernel: FuncId(2),
+                    grid: [0; 3],
+                    block: [0; 3],
+                    args: vec![0],
+                }]),
+            ),
+            (
+                "launch from a device function",
+                edited(N::Ret(Some(I)), |p| {
+                    let mut d = crate::FuncBuilder::new("d", vec![Ty::I32], None, FuncKind::Device);
+                    d.emit(N::Launch {
+                        kernel: FuncId(2),
+                        grid: [0; 3],
+                        block: [0; 3],
+                        args: vec![0],
+                    });
+                    d.emit(N::Ret(None));
+                    p.add_func(d.finish().unwrap());
+                }),
+            ),
+            (
+                "launch of an unknown function",
+                at(N::Launch {
+                    kernel: FuncId(9),
+                    grid: [I; 3],
+                    block: [I; 3],
+                    args: vec![],
+                }),
+            ),
+            (
+                "launch of a host function",
+                at(N::Launch {
+                    kernel: FuncId(0),
+                    grid: [I; 3],
+                    block: [I; 3],
+                    args: vec![I, X],
+                }),
+            ),
+            ("barrier outside a kernel", at(N::Sync)),
+            (
+                "shared allocation outside a kernel",
+                at(N::SharedAlloc {
+                    elem: ElemTy::F32,
+                    len: I,
+                    dst: A,
+                }),
+            ),
+        ];
+        let mut rows: Vec<(String, Program)> = rows
+            .into_iter()
+            .map(|(why, p)| (why.to_string(), p))
+            .collect();
+        // Intrinsic shapes: each operand dropped, one too many, and a
+        // missing destination; then `exec`'s image decoder's own rows.
+        let mut shape = |why: String, op: IntrinOp, args: Vec<Reg>, dst: Option<Reg>| {
+            rows.push((why, with_intrinsic(op, args, dst)))
+        };
+        for op in every_intrinsic() {
+            let (arity, returns) = op.shape();
+            let args: Vec<Reg> = (0..arity as Reg).collect();
+            let dst = returns.then_some(0);
+            for i in 0..arity {
+                let mut fewer = args.clone();
+                fewer.remove(i);
+                shape(format!("{op:?} without operand {i}"), op, fewer, dst);
+            }
+            let mut more = args.clone();
+            more.push(0);
+            shape(format!("{op:?} with an extra operand"), op, more, dst);
+            if returns {
+                shape(format!("{op:?} without a destination"), op, args, None);
+            }
+        }
+        for (op, args) in [
+            (IntrinOp::MpiSendRecvF32, vec![0, 0, 0]),
+            (IntrinOp::ArrayCopyF32, vec![0, 0]),
+            (IntrinOp::CopyFromGpuRange, vec![0]),
+        ] {
+            shape(
+                format!("{op:?} with {} operands", args.len()),
+                op,
+                args,
+                None,
+            );
+        }
+        rows
+    }
+
+    /// The checker refuses every row with an error, and panics on none.
+    #[test]
+    fn the_checker_refuses_every_malformed_program_without_panicking() {
+        let rows = rejected();
+        assert!(rows.len() > 150, "{} rows", rows.len());
+        for (why, p) in rows {
+            let checked = std::panic::catch_unwind(|| p.validate());
+            assert!(matches!(checked, Ok(Err(_))), "{why}: {checked:?}");
+        }
+    }
 }
