@@ -639,3 +639,94 @@ fn restart_recovers_device_crashes_bit_identically() {
     }
     assert!(recovered > 0, "no crashing seed to recover");
 }
+
+/// Each rank runs `steps` rounds of (post a message to rank+1 that no
+/// rank receives, allreduce): every round makes one send draw and one
+/// collective draw per rank, and a lost message stalls nobody.
+fn post_program(steps: i32) -> (Program, FuncId) {
+    let mut fb = FuncBuilder::new("post", vec![], Some(Ty::F32), FuncKind::Host);
+    let [rank, size, zero, one, limit, i, dest] = [(); 7].map(|_| fb.reg(Ty::I32));
+    let buf = fb.reg(Ty::Arr(ElemTy::F32));
+    let v = fb.reg(Ty::F32);
+    let cond = fb.reg(Ty::Bool);
+    let (head, body, done) = (fb.label(), fb.label(), fb.label());
+    let intrin = |op, args, dst| Instr::Intrin { op, args, dst };
+    let int = |op, dst, lhs, rhs| Instr::Bin {
+        op,
+        kind: PrimKind::Int,
+        dst,
+        lhs,
+        rhs,
+    };
+    fb.emit(intrin(IntrinOp::MpiRank, vec![], Some(rank)));
+    fb.emit(intrin(IntrinOp::MpiSize, vec![], Some(size)));
+    fb.emit(Instr::ConstI32(zero, 0));
+    fb.emit(Instr::ConstI32(one, 1));
+    fb.emit(Instr::ConstI32(limit, steps));
+    fb.emit(Instr::ConstI32(i, 0));
+    fb.emit(Instr::ConstF32(v, 1.0));
+    fb.emit(Instr::NewArr {
+        elem: ElemTy::F32,
+        len: one,
+        dst: buf,
+    });
+    fb.emit(int(BinOp::Add, dest, rank, one));
+    fb.emit(int(BinOp::Rem, dest, dest, size));
+    fb.bind(head);
+    fb.emit(int(BinOp::Lt, cond, i, limit));
+    fb.br(cond, body, done);
+    fb.bind(body);
+    fb.emit(intrin(
+        IntrinOp::MpiSendF32,
+        vec![buf, zero, one, dest, i],
+        None,
+    ));
+    fb.emit(intrin(IntrinOp::MpiAllreduceSumF32, vec![v], Some(v)));
+    fb.emit(int(BinOp::Add, i, i, one));
+    fb.jmp(head);
+    fb.bind(done);
+    fb.emit(Instr::Ret(Some(v)));
+    let mut p = Program::default();
+    let id = p.add_func(fb.finish().unwrap());
+    p.verify().unwrap();
+    (p, id)
+}
+
+/// The order of the fault draws, pinned at world level: a dropped
+/// message draws no frame fate after it, and a payload draws corruption
+/// before delay, collectives included. Either order changed moves these
+/// counters.
+#[test]
+fn fault_draw_order_is_pinned() {
+    use exec::ResilienceStats;
+    let (program, entry) = post_program(12);
+    let run = |cfg: FaultConfig| {
+        let run = World::new(&program, 4)
+            .with_faults(cfg)
+            .run(entry, |_, _| Ok(vec![]))
+            .unwrap();
+        (run.resilience, run.vtime)
+    };
+    let lost = FaultConfig {
+        msg_drop: 0.2,
+        frame_truncate: 0.2,
+        ..FaultConfig::seeded(0)
+    };
+    let lost_stats = ResilienceStats {
+        dropped_messages: 10,
+        truncated_frames: 9,
+        ..Default::default()
+    };
+    assert_eq!(run(lost), (lost_stats, 288_309));
+    let damaged = FaultConfig {
+        msg_corrupt: 0.2,
+        msg_delay: 0.2,
+        ..FaultConfig::seeded(0)
+    };
+    let damaged_stats = ResilienceStats {
+        corrupted_messages: 23,
+        delayed_messages: 17,
+        ..Default::default()
+    };
+    assert_eq!(run(damaged), (damaged_stats, 638_309));
+}
