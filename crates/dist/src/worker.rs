@@ -4,7 +4,7 @@
 //! identifies itself with a `Hello` carrying its token and
 //! [`PROTO_VERSION`] (a skew is refused before any state moves),
 //! receives the program inline and the world configuration in one
-//! `Init` (one that does not decode, validate or verify is answered
+//! `Init` (one that does not decode or verify is answered
 //! with a typed error, and the worker ends), and then answers one
 //! [`RankPool`]-shaped request at a time. The execution engine is the
 //! *same* [`LocalPool`] the in-process `mpi-sim` backend uses, holding
@@ -123,15 +123,11 @@ pub fn run_if_spawned() -> bool {
 }
 
 /// Decode an `Init`'s program: the bytes must decode to a program that
-/// passes [`Program::validate`] and [`Program::verify`] and has an
-/// `entry` function, because the engine indexes registers and the entry
+/// passes [`Program::verify`] and has an `entry` function, because the engine indexes registers and the entry
 /// unchecked and runs on untagged registers. Every failure is a typed
 /// message.
 fn decode_program(bytes: &[u8], entry: u32) -> Result<Program, String> {
     let program = Program::from_wire(bytes).map_err(|e| format!("decoding program: {e}"))?;
-    program
-        .validate()
-        .map_err(|m| format!("program failed validation: {m}"))?;
     program
         .verify()
         .map_err(|e| format!("program does not verify: {e}"))?;
@@ -184,7 +180,7 @@ pub fn serve_on(
     else {
         return Err(corrupt("first request after Hello must be Init"));
     };
-    // An Init whose program does not decode, validate or verify is
+    // An Init whose program does not decode or verify is
     // answered with a typed error, and the worker ends.
     let program = match decode_program(&program, entry) {
         Ok(program) => program,

@@ -271,7 +271,7 @@ fn ring_step_reduce(n: i32, steps: i32) -> (Program, FuncId) {
 
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 

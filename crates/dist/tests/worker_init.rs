@@ -35,7 +35,6 @@ fn program(ret: u32) -> Program {
 /// `program` with `main` declared to return a float.
 fn returns_float(mut p: Program) -> Program {
     p.func_mut(nir::FuncId(0)).ret = Some(Ty::F32);
-    p.validate().unwrap();
     p
 }
 
@@ -89,12 +88,15 @@ fn unsound_init_programs_get_a_typed_error_and_the_worker_ends() {
     let good = program(0).to_wire();
     let cases = [
         // `Ret` of register 5 in a one-register function.
-        (init(0, program(5).to_wire()), "failed validation"),
+        (
+            init(0, program(5).to_wire()),
+            "does not verify: function `main` pc 1: register r5 out of range",
+        ),
         // A sound program with an entry it does not have.
         (init(1, good.clone()), "entry function 1"),
         // Bytes that do not decode.
         (init(0, good[..good.len() - 1].to_vec()), "decoding"),
-        // A program that validates but returns its int register from a
+        // A well-formed program that returns its int register from a
         // float function: the verifier names the function and the pc.
         (
             init(0, returns_float(program(0)).to_wire()),

@@ -226,9 +226,9 @@ pub struct Image<'p> {
 impl<'p> Image<'p> {
     /// Decode every function of `program`. Fails, with function and pc,
     /// on an instruction the loop could only panic on: an intrinsic of
-    /// another shape than [`IntrinOp::shape`] (the check
-    /// [`Program::validate`] makes, so a validated program always
-    /// decodes), or a `NewObj` of a class the program does not have.
+    /// another shape than [`IntrinOp::shape`], or a `NewObj` of a class the
+    /// program does not have (checks [`Program::verify`] makes, so a
+    /// verified program always decodes).
     ///
     /// The loop runs on untagged registers and trusts the types
     /// [`Program::verify`] checked where the program was produced or
@@ -442,7 +442,7 @@ fn is_f32_array(regs: &[Ty], r: Reg) -> bool {
 
 /// The opcode of an intrinsic. Its operand count and destination are
 /// [`IntrinOp::shape`]'s, checked by [`decode`] as by
-/// [`Program::validate`]: the loop reads the math, print and array-copy
+/// [`Program::verify`]: the loop reads the math, print and array-copy
 /// operands by position, and the yielding ones travel as
 /// `Yield::{Mpi, GpuMem}` argument lists that
 /// `mpi_sim::runtime::{service_mpi, service_device_yield}` index by
@@ -633,9 +633,10 @@ mod tests {
         ];
         for (op, args, dst, what) in cases {
             let p = program_with(op, args, dst);
-            // `validate` rejects it with the same words, at the same place.
-            let v = p.validate().expect_err("a malformed intrinsic is invalid");
-            assert!(v.contains(what) && v.contains("`f` pc 1"), "{op:?}: {v}");
+            // `verify` rejects it with the same words, at the same place.
+            let v = p.verify().expect_err("a malformed intrinsic is invalid");
+            assert!(v.message.contains(what), "{op:?}: {v}");
+            assert_eq!((v.func.as_str(), v.pc), ("f", 1), "{op:?}: {v}");
             let e = Image::build(&p).expect_err("a malformed intrinsic must not decode");
             assert!(e.message.contains(what), "{op:?}: {e}");
             assert_eq!((e.func.as_str(), e.pc), ("f", 1), "{op:?}: {e}");

@@ -1823,7 +1823,7 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         p.entry = Some(id);
-        p.validate().unwrap();
+        p.verify().unwrap();
         (p, id)
     }
 
@@ -2020,7 +2020,7 @@ mod tests {
         });
         fbb.emit(Instr::Ret(Some(out)));
         let f = p.add_func(fbb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut m = Machine::new();
         let v = run_to_completion(&p, f, vec![Val::I32(21)], &mut m).unwrap();
         assert_eq!(v, Some(Val::I32(43)));
@@ -2046,7 +2046,7 @@ mod tests {
         fb.emit(Instr::Ret(Some(out)));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut m = Machine::new();
         let r = run_to_completion(&p, id, vec![Val::I32(8)], &mut m).unwrap();
         assert_eq!(r, Some(Val::F32(2.5)));
@@ -2195,7 +2195,7 @@ mod tests {
         });
         fb.emit(Instr::Ret(Some(out)));
         let f = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut m = Machine::new();
         assert_eq!(
             run_to_completion(&p, f, vec![Val::Bool(false), Val::I32(5)], &mut m).unwrap(),
@@ -2291,7 +2291,7 @@ mod tests {
         fb.emit(Instr::Ret(Some(a)));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut m = Machine::new();
         let image = Image::build(&p).unwrap();
         let mut t = Thread::new(&p, id, &[]).unwrap();
@@ -2326,7 +2326,7 @@ mod tests {
         });
         fb.emit(Instr::Ret(None));
         let f = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut m = Machine::new();
         let image = Image::build(&p).unwrap();
         let mut t = Thread::new(&p, f, &[]).unwrap();

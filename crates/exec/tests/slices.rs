@@ -595,7 +595,6 @@ fn ill_typed_programs_are_verifier_rejections() {
         ),
     ];
     for (name, program, message, pc) in table {
-        program.validate().expect(name);
         let e = program.verify().expect_err(name);
         assert_eq!(
             (e.message.as_str(), e.func.as_str(), e.pc),

@@ -580,7 +580,7 @@ mod tests {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
         let image = Image::build(&p).unwrap();
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
@@ -668,7 +668,7 @@ mod tests {
         let mut p = Program::default();
         let k = reverse_kernel(&mut p);
         let image = Image::build(&p).unwrap();
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu
             .copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
@@ -789,7 +789,7 @@ mod tests {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
         let image = Image::build(&p).unwrap();
-        p.validate().unwrap();
+        p.verify().unwrap();
         let run_once = || {
             let mut gpu = Gpu::new(GpuConfig::default());
             gpu.set_fault(FaultConfig {
@@ -815,7 +815,7 @@ mod tests {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
         let image = Image::build(&p).unwrap();
-        p.validate().unwrap();
+        p.verify().unwrap();
         let mut armed = Gpu::new(GpuConfig::default());
         armed.set_fault(FaultConfig::seeded(5));
         let dev = armed
@@ -1022,7 +1022,7 @@ mod tests_3d {
     fn three_dimensional_launch_coordinates() {
         let mut p = Program::default();
         let k = k3_kernel(&mut p);
-        p.validate().unwrap();
+        p.verify().unwrap();
         let image = Image::build(&p).unwrap();
 
         let mut gpu = Gpu::new(GpuConfig::default());
@@ -1213,7 +1213,7 @@ mod pins {
     fn observe(build: Builder, grid: [u32; 3], block: [u32; 3], input: Vec<f32>) -> Observed {
         let mut p = Program::default();
         let k = build(&mut p);
-        p.validate().unwrap();
+        p.verify().unwrap();
         let image = Image::build(&p).unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let n = input.len();

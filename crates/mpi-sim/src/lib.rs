@@ -766,7 +766,7 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         p.entry = Some(id);
-        p.validate().unwrap();
+        p.verify().unwrap();
         (p, id)
     }
 
@@ -816,7 +816,7 @@ mod tests {
         fb.emit(Instr::Ret(Some(s)));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         (p, id)
     }
 
@@ -881,7 +881,7 @@ mod tests {
         fb.emit(Instr::Ret(None));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let world = World::new(&p, 2);
         let e = world.run(id, |_, _| Ok(vec![])).unwrap_err();
         let SimError::Deadlock { report } = &e else {
@@ -946,7 +946,7 @@ mod tests {
         fb.emit(Instr::Ret(Some(out)));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         let world = World::new(&p, 3);
         let run = world
             .run(id, |r, machine| {
@@ -1024,7 +1024,7 @@ mod tests {
         fb.emit(Instr::Ret(Some(x)));
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         (p, id)
     }
 
@@ -1351,7 +1351,7 @@ mod tests {
         fb.emit(Instr::Ret(None));
         let mut p = Program::default();
         let f = p.add_func(fb.finish().unwrap());
-        p.validate().unwrap();
+        p.verify().unwrap();
         World::new(&p, 1).run(f, |_, _| Ok(vec![]))
     }
 

@@ -204,7 +204,7 @@ fn program() -> (Program, FuncId) {
         ret: None,
     });
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 

@@ -36,7 +36,7 @@ fn bcast_program() -> (Program, FuncId) {
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 
@@ -186,7 +186,7 @@ fn fifo_program() -> (Program, FuncId) {
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 
@@ -285,7 +285,7 @@ fn tag_program() -> (Program, FuncId) {
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 

@@ -161,7 +161,7 @@ fn ring_program(steps: i32) -> (Program, FuncId) {
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 

@@ -159,7 +159,7 @@ fn ring_program(steps: i32) -> (Program, FuncId) {
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 
@@ -312,7 +312,7 @@ fn genuine_hang_becomes_typed_timeout() {
     fb.emit(Instr::Ret(Some(out)));
     let mut p = Program::default();
     let entry = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
 
     let mut world = World::new(&p, 2);
     world.slice = 10_000; // keep each spin round cheap
@@ -558,7 +558,7 @@ fn gpu_step_program(steps: i32) -> (Program, FuncId) {
     });
     fb.emit(Instr::Ret(Some(out)));
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 

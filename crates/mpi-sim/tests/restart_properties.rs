@@ -179,7 +179,7 @@ fn ring_step_allreduce_mesh(steps: i32, mesh: i32) -> (Program, FuncId) {
     fb.emit(Instr::Ret(Some(v)));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    p.validate().unwrap();
+    p.verify().unwrap();
     (p, id)
 }
 

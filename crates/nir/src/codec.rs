@@ -982,7 +982,7 @@ wire_struct!(ClassMeta {
 });
 wire_struct!(HostFnSig { name, params, ret });
 // Structural soundness (register ranges, jump targets, arities) is *not*
-// re-checked by `Program::get`: run `Program::validate` on the result
+// re-checked by `Program::get`: run `Program::verify` on the result
 // before executing it, as `Translated::decode` and the `dist` worker do.
 wire_struct!(Program {
     funcs,
@@ -1088,7 +1088,7 @@ mod tests {
         assert_eq!(back.funcs.len(), p.funcs.len());
         assert_eq!(back.funcs[0].code, p.funcs[0].code);
         assert_eq!(back.entry, p.entry);
-        back.validate().expect("decoded program is valid");
+        back.verify().expect("decoded program is valid");
     }
 
     #[test]

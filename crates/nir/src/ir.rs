@@ -225,7 +225,7 @@ impl IntrinOp {
 
     /// Operand count, and whether the intrinsic returns a value (and so
     /// must name a destination register). This is the one table of
-    /// intrinsic shapes: [`Program::validate`] checks every `Intrin`
+    /// intrinsic shapes: [`Program::verify`] checks every `Intrin`
     /// against it, `exec` decodes by it, the MPI and GPU runtimes index
     /// their argument lists by position because of it, and the C emitter
     /// renders by it. An intrinsic whose operands change changes here.
@@ -651,151 +651,6 @@ impl Program {
     pub fn instr_count(&self) -> usize {
         self.funcs.iter().map(|f| f.code.len()).sum()
     }
-
-    /// Validate structural invariants: register indices, parameter
-    /// types, jump targets, call arities, intrinsic shapes
-    /// ([`IntrinOp::shape`]), and placement constraints (Sync/SharedAlloc
-    /// only in kernels, Launch only outside kernels). A program it accepts
-    /// is one the engine can decode and [`crate::emit_c`] can render
-    /// without panicking. Operand types and definite assignment are
-    /// [`Program::verify`]'s.
-    pub fn validate(&self) -> Result<(), String> {
-        for (fi, f) in self.funcs.iter().enumerate() {
-            let check_reg = |r: Reg| -> Result<(), String> {
-                if (r as usize) < f.regs.len() {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "function `{}`: register r{} out of range",
-                        f.name, r
-                    ))
-                }
-            };
-            if f.params.len() > f.regs.len() {
-                return Err(format!("function `{}`: params exceed registers", f.name));
-            }
-            for (i, p) in f.params.iter().enumerate() {
-                if f.regs[i] != *p {
-                    return Err(format!("function `{}`: param {} type mismatch", f.name, i));
-                }
-            }
-            for (pc, ins) in f.code.iter().enumerate() {
-                let mut operands = Ok(());
-                ins.for_each_source(|r| {
-                    if operands.is_ok() {
-                        operands = check_reg(r);
-                    }
-                });
-                operands?;
-                if let Some(d) = ins.dst() {
-                    check_reg(d)?;
-                }
-                match ins {
-                    Instr::Jmp(t) if *t as usize > f.code.len() => {
-                        return Err(format!(
-                            "function `{}` pc {}: jump target {} out of range",
-                            f.name, pc, t
-                        ));
-                    }
-                    Instr::Br { t, f: fl, .. }
-                        if (*t as usize > f.code.len() || *fl as usize > f.code.len()) =>
-                    {
-                        return Err(format!(
-                            "function `{}` pc {}: branch target out of range",
-                            f.name, pc
-                        ));
-                    }
-                    Instr::Call { func, args, .. } => {
-                        let callee = self
-                            .funcs
-                            .get(func.0 as usize)
-                            .ok_or_else(|| format!("call to unknown function {}", func.0))?;
-                        if callee.params.len() != args.len() {
-                            return Err(format!(
-                                "function `{}` pc {}: call to `{}` with {} args, expects {}",
-                                f.name,
-                                pc,
-                                callee.name,
-                                args.len(),
-                                callee.params.len()
-                            ));
-                        }
-                        if f.kind != FuncKind::Host && callee.kind == FuncKind::Host {
-                            return Err(format!(
-                                "kernel/device function `{}` calls host function `{}`",
-                                f.name, callee.name
-                            ));
-                        }
-                    }
-                    Instr::CallHost { host, args, .. } => {
-                        let sig = self
-                            .host_fns
-                            .get(*host as usize)
-                            .ok_or_else(|| format!("call to unknown host fn {host}"))?;
-                        if sig.params.len() != args.len() {
-                            return Err(format!(
-                                "function `{}` pc {}: host call to `{}` with {} args, expects {}",
-                                f.name,
-                                pc,
-                                sig.name,
-                                args.len(),
-                                sig.params.len()
-                            ));
-                        }
-                    }
-                    Instr::CallVirt { selector, .. }
-                        if *selector as usize >= self.selectors.len() =>
-                    {
-                        return Err(format!(
-                            "function `{}` pc {}: unknown selector {}",
-                            f.name, pc, selector
-                        ));
-                    }
-                    Instr::Launch { kernel, .. } => {
-                        if f.kind != FuncKind::Host {
-                            return Err(format!("launch inside non-host function `{}`", f.name));
-                        }
-                        let k = self
-                            .funcs
-                            .get(kernel.0 as usize)
-                            .ok_or_else(|| format!("launch of unknown function {}", kernel.0))?;
-                        if k.kind != FuncKind::Kernel {
-                            return Err(format!("launch of non-kernel function `{}`", k.name));
-                        }
-                    }
-                    Instr::Sync | Instr::SharedAlloc { .. } if f.kind != FuncKind::Kernel => {
-                        return Err(format!(
-                            "`{}`: __syncthreads/__shared__ outside a kernel",
-                            f.name
-                        ));
-                    }
-                    Instr::NewObj { class, .. } if *class as usize >= self.classes.len() => {
-                        return Err(format!("new of unknown class {class}"));
-                    }
-                    Instr::Intrin { op, args, dst } => op
-                        .check_operands(args.len(), dst.is_some())
-                        .map_err(|m| format!("function `{}` pc {}: {m}", f.name, pc))?,
-                    _ => {}
-                }
-            }
-            // Code must not fall off the end.
-            match f.code.last() {
-                Some(Instr::Ret(_)) | Some(Instr::Jmp(_)) | Some(Instr::Br { .. }) => {}
-                _ => {
-                    return Err(format!(
-                        "function `{}` (index {fi}) does not end in ret/jmp",
-                        f.name
-                    ))
-                }
-            }
-        }
-        if let Some(e) = self.entry {
-            if e.0 as usize >= self.funcs.len() {
-                return Err("entry function out of range".into());
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for Program {
@@ -834,7 +689,7 @@ impl fmt::Display for Program {
 /// fb.emit(Instr::Ret(Some(out)));
 /// let mut p = Program::default();
 /// p.add_func(fb.finish().unwrap());
-/// assert!(p.validate().is_ok());
+/// assert!(p.verify().is_ok());
 /// ```
 pub struct FuncBuilder {
     pub name: String,
@@ -974,7 +829,7 @@ mod tests {
     #[test]
     fn builder_produces_valid_program() {
         let p = sample_add();
-        p.validate().expect("valid");
+        p.verify().expect("valid");
         assert_eq!(p.instr_count(), 2);
     }
 
@@ -1044,48 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_register() {
-        let mut p = sample_add();
-        p.func_mut(FuncId(0)).code[0] = Instr::Bin {
-            op: BinOp::Add,
-            kind: PrimKind::Int,
-            dst: 99,
-            lhs: 0,
-            rhs: 1,
-        };
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_sync_outside_kernel() {
-        let mut p = sample_add();
-        p.func_mut(FuncId(0)).code.insert(0, Instr::Sync);
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_missing_terminator() {
-        let mut p = sample_add();
-        p.func_mut(FuncId(0)).code.pop();
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_host_call_from_kernel() {
-        let mut p = sample_add();
-        let mut fb = FuncBuilder::new("k", vec![], None, FuncKind::Kernel);
-        fb.emit(Instr::Call {
-            func: FuncId(0),
-            args: vec![],
-            dst: None,
-        });
-        fb.emit(Instr::Ret(None));
-        // wrong arg count AND host call — both should be errors; arity hits first
-        p.add_func(fb.finish().unwrap());
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
     fn instr_dst_and_sources() {
         let i = Instr::Bin {
             op: BinOp::Mul,
@@ -1103,107 +916,5 @@ mod tests {
         };
         assert_eq!(st.dst(), None);
         assert!(st.has_side_effects());
-    }
-
-    /// Every intrinsic, one per variant (the match below fails to compile
-    /// when a variant is added and not listed).
-    fn every_intrinsic() -> Vec<IntrinOp> {
-        use IntrinOp as I;
-        let all = vec![
-            I::SqrtF64,
-            I::SqrtF32,
-            I::PowF64,
-            I::ExpF64,
-            I::AbsF32,
-            I::AbsF64,
-            I::AbsI32,
-            I::MinI32,
-            I::MaxI32,
-            I::MinF32,
-            I::MaxF32,
-            I::PrintI32,
-            I::PrintI64,
-            I::PrintF32,
-            I::PrintF64,
-            I::PrintBool,
-            I::ArrayCopyF32,
-            I::ThreadIdx(0),
-            I::BlockIdx(1),
-            I::BlockDim(2),
-            I::GridDim(0),
-            I::CopyToGpu,
-            I::CopyFromGpu,
-            I::CopyToGpuRange,
-            I::CopyFromGpuRange,
-            I::GpuAllocF32,
-            I::GpuFree,
-            I::MpiRank,
-            I::MpiSize,
-            I::MpiBarrier,
-            I::MpiSendF32,
-            I::MpiRecvF32,
-            I::MpiSendRecvF32,
-            I::MpiBcastF32,
-            I::MpiAllreduceSumF64,
-            I::MpiAllreduceSumF32,
-            I::MpiAllreduceMaxF64,
-        ];
-        for op in &all {
-            match op {
-                I::SqrtF64 | I::SqrtF32 | I::PowF64 | I::ExpF64 | I::AbsF32 | I::AbsF64 => {}
-                I::AbsI32 | I::MinI32 | I::MaxI32 | I::MinF32 | I::MaxF32 => {}
-                I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => {}
-                I::ArrayCopyF32 | I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) => {}
-                I::GridDim(_) | I::CopyToGpu | I::CopyFromGpu | I::CopyToGpuRange => {}
-                I::CopyFromGpuRange | I::GpuAllocF32 | I::GpuFree | I::MpiRank => {}
-                I::MpiSize | I::MpiBarrier | I::MpiSendF32 | I::MpiRecvF32 => {}
-                I::MpiSendRecvF32 | I::MpiBcastF32 | I::MpiAllreduceSumF64 => {}
-                I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => {}
-            }
-        }
-        all
-    }
-
-    /// `fn f(r0..r7: i32) -> i32 { <intrinsic>; return r0 }`.
-    fn with_intrinsic(op: IntrinOp, args: Vec<Reg>, dst: Option<Reg>) -> Program {
-        let mut fb = FuncBuilder::new("f", vec![Ty::I32; 8], Some(Ty::I32), FuncKind::Host);
-        fb.emit(Instr::Intrin { op, args, dst });
-        fb.emit(Instr::Ret(Some(0)));
-        let mut p = Program::default();
-        p.entry = Some(p.add_func(fb.finish().unwrap()));
-        p
-    }
-
-    #[test]
-    fn validate_checks_every_intrinsic_shape_and_emit_c_renders_what_it_accepts() {
-        for op in every_intrinsic() {
-            let (arity, returns) = op.shape();
-            let args: Vec<Reg> = (0..arity as Reg).collect();
-            let dst = returns.then_some(0);
-            let ok = with_intrinsic(op, args.clone(), dst);
-            ok.validate()
-                .unwrap_or_else(|e| panic!("{op:?} well formed: {e}"));
-            let c = crate::emit_c(&ok);
-            assert!(!c.contains("/* intrinsic"), "{op:?}: {c}");
-            // Each operand dropped, one at a time, then the destination.
-            for i in 0..arity {
-                let mut fewer = args.clone();
-                fewer.remove(i);
-                let bad = with_intrinsic(op, fewer, dst);
-                let e = bad.validate().unwrap_err();
-                assert!(e.contains("operands") && e.contains("pc 0"), "{op:?}: {e}");
-                // Rendered unvalidated, it is a comment, not a panic.
-                assert!(crate::emit_c(&bad).contains("/* intrinsic"), "{op:?}");
-            }
-            let mut more = args.clone();
-            more.push(0);
-            assert!(with_intrinsic(op, more, dst).validate().is_err(), "{op:?}");
-            if returns {
-                let bad = with_intrinsic(op, args, None);
-                let e = bad.validate().unwrap_err();
-                assert!(e.contains("no destination"), "{op:?}: {e}");
-                assert!(crate::emit_c(&bad).contains("/* intrinsic"), "{op:?}");
-            }
-        }
     }
 }

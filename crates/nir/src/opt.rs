@@ -891,7 +891,7 @@ fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
 /// The loop steps are only looked for when a reachable branch goes
 /// backward. Every step is linear in the function. Branch targets are
 /// remapped once; a target may equal `code.len()`, as
-/// [`Program::validate`] allows. Returns whether a loop was rotated: its
+/// [`Program::verify`] allows. Returns whether a loop was rotated: its
 /// test copy then ends the body's last block, where another `fold` may
 /// find work.
 fn dce(f: &mut Function) -> bool {
@@ -1811,7 +1811,7 @@ mod tests {
             "DCE should drop dead consts: {:?}",
             f.code
         );
-        p.validate().unwrap();
+        p.verify().unwrap();
     }
 
     #[test]
@@ -1843,7 +1843,7 @@ mod tests {
         if let Instr::Bin { lhs, rhs, .. } = add {
             assert_eq!((*lhs, *rhs), (0, 0));
         }
-        p.validate().unwrap();
+        p.verify().unwrap();
     }
 
     #[test]
@@ -1872,7 +1872,7 @@ mod tests {
         let f = &p.funcs[0];
         assert!(f.code.iter().any(|i| matches!(i, Instr::StArr { .. })));
         assert!(!f.code.iter().any(|i| matches!(i, Instr::ConstI32(_, 42))));
-        p.validate().unwrap();
+        p.verify().unwrap();
     }
 
     #[test]
@@ -1894,7 +1894,7 @@ mod tests {
         let mut p = Program::default();
         p.add_func(fb.finish().unwrap());
         optimize(&mut p, OptConfig::standard());
-        p.validate().unwrap();
+        p.verify().unwrap();
     }
 
     #[test]
@@ -1939,7 +1939,7 @@ mod tests {
             !f.code.iter().any(|i| matches!(i, Instr::Call { .. })),
             "call should be inlined: {f:?}"
         );
-        p.validate().unwrap();
+        p.verify().unwrap();
     }
 
     fn bin(op: BinOp, dst: Reg, lhs: Reg, rhs: Reg) -> Instr {
@@ -2041,7 +2041,7 @@ mod tests {
             .iter()
             .position(|i| matches!(i, Instr::Bin { op: BinOp::Mul, .. }));
         assert!(mul.is_some_and(|pc| pc < body as usize), "{p}");
-        p.validate().unwrap();
+        p.verify().unwrap();
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn build(steps: &[Step]) -> Program {
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
     p.entry = Some(id);
-    p.validate().unwrap();
+    p.verify().unwrap();
     p
 }
 
@@ -189,7 +189,7 @@ fn all_optimization_levels_agree() {
         for config in [OptConfig::standard(), OptConfig::aggressive()] {
             let mut p = build(&steps);
             nir::optimize(&mut p, config);
-            p.validate().unwrap();
+            p.verify().unwrap();
             let (got, opt_instrs) = eval(&p, arg);
             assert_eq!(got, want, "case {case}, config {config:?}");
             assert!(
@@ -830,7 +830,7 @@ fn call_dag(rng: &mut Rng) -> Program {
         arity.push(params);
         p.entry = Some(p.add_func(fb.finish().unwrap()));
     }
-    p.validate().unwrap();
+    p.verify().unwrap();
     p
 }
 
@@ -873,7 +873,7 @@ fn inlining_agrees_on_seeded_call_dags() {
         ] {
             let mut p = base.clone();
             nir::optimize(&mut p, config);
-            p.validate().unwrap();
+            p.verify().unwrap();
             let (got, i, c) = run_entry(&p, &args);
             assert_eq!(got, want, "case {case}, config {config:?}");
             assert!(
@@ -1355,7 +1355,7 @@ fn loop_program(rng: &mut Rng) -> Program {
     fb.bind(b);
     fb.jmp(a);
     p.entry = Some(p.add_func(fb.finish().unwrap()));
-    p.validate().unwrap();
+    p.verify().unwrap();
     p.verify().unwrap();
     p
 }
@@ -1432,8 +1432,6 @@ fn loop_cleanup_agrees_on_seeded_loop_programs() {
         for config in [OptConfig::standard(), preset(), OptConfig::aggressive()] {
             let mut p = base.clone();
             nir::optimize(&mut p, config);
-            p.validate()
-                .unwrap_or_else(|e| panic!("case {case}, {config:?}: {e}\n{p}"));
             p.verify()
                 .unwrap_or_else(|e| panic!("case {case}, {config:?}: {e}\n{p}"));
             let (got, i) = observe(&p, arg);
@@ -1497,7 +1495,7 @@ fn jump_cycles_terminate() {
         for entry_jumps in [false, true] {
             let mut p = cycle(entry_jumps);
             nir::optimize(&mut p, OptConfig::aggressive());
-            p.validate().unwrap();
+            p.verify().unwrap();
         }
         done.send(()).unwrap();
     });
@@ -1612,7 +1610,7 @@ fn counted(trips: i32, body: impl FnOnce(&mut FuncBuilder, Reg, Reg)) -> Program
     fb.emit(Instr::Ret(Some(acc)));
     let mut p = Program::default();
     p.entry = Some(p.add_func(fb.finish().unwrap()));
-    p.validate().unwrap();
+    p.verify().unwrap();
     p
 }
 
@@ -1632,7 +1630,7 @@ fn assert_rewrites_agree(p: &Program, x: i32, rotates: bool, what: &str) {
     let (want, _) = observe(p, x);
     let mut opt = p.clone();
     nir::optimize(&mut opt, OptConfig::standard());
-    opt.validate().unwrap();
+    opt.verify().unwrap();
     let (got, _) = observe(&opt, x);
     assert_eq!(got, want, "{what}:\n{p}\n{opt}");
     let f = &opt.funcs[0];
@@ -1803,7 +1801,7 @@ fn rotation_needs_one_entry() {
     fb.emit(Instr::Ret(Some(acc)));
     let mut p = Program::default();
     p.entry = Some(p.add_func(fb.finish().unwrap()));
-    p.validate().unwrap();
+    p.verify().unwrap();
     for x in [-2, 2] {
         assert_rewrites_agree(&p, x, false, "a second entry");
     }

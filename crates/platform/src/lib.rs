@@ -707,7 +707,7 @@ mod tests {
         fb.emit(Instr::Ret(Some(x)));
         let mut p = Program::default();
         p.entry = Some(p.add_func(fb.finish().unwrap()));
-        p.validate().unwrap();
+        p.verify().unwrap();
         p
     }
 

@@ -10,7 +10,7 @@
 //!
 //! Decoding is defensive end to end: a truncated, bit-flipped, or
 //! version-skewed artifact yields a typed [`CodecError`], and even a
-//! well-framed payload is re-validated with [`nir::Program::validate`] before
+//! well-framed payload is re-checked with [`nir::Program::verify`] before
 //! it is allowed near an execution engine. Callers treat any decode
 //! failure as a cache miss and fall back to a cold translate.
 
@@ -133,9 +133,8 @@ impl Translated {
     }
 
     /// Decode a sealed artifact. Never panics on hostile input: framing,
-    /// checksum, every discriminant, and finally [`Program::validate`]
-    /// and [`Program::verify`] all gate the result behind a typed
-    /// [`CodecError`]. The decoded
+    /// checksum, every discriminant, and finally [`Program::verify`] all
+    /// gate the result behind a typed [`CodecError`]. The decoded
     /// [`TransStats::passes`] is empty: no optimizer ran in this process.
     pub fn decode(bytes: &[u8]) -> CodecResult<Translated> {
         let r = &mut Reader::new(codec::unseal(bytes)?);
@@ -159,13 +158,7 @@ impl Translated {
             return Err(r.corrupt("payload longer than the artifact it encodes"));
         }
         // Defense in depth: the digest catches accidental corruption, but
-        // a validated program is what the execution engines assume.
-        if let Err(m) = program.validate() {
-            return Err(CodecError::Corrupt {
-                offset: 0,
-                message: format!("decoded program failed validation: {m}"),
-            });
-        }
+        // a verified program is what the execution engines assume, and
         // `exec` runs on untagged registers: a well-framed program whose
         // types disagree would compute garbage rather than fail.
         if let Err(e) = program.verify() {

@@ -293,11 +293,12 @@ pub fn lower_entry(lw: &mut Lowerer<'_>, key: &SpecKey) -> TResult<FuncId> {
 }
 
 /// Finish a shaped translation from its lowerer: merge the pass
-/// profiles, validate and verify the program, and bind the entry's
-/// parameters. [`translate`] and the incremental query layer both end
-/// here, so both derive identical [`Translated`] artifacts. `replayed`
-/// names the functions served from memos, which were verified when they
-/// were first produced and are not verified again.
+/// profiles, verify the program, and bind the entry's parameters.
+/// [`translate`] and the incremental query layer both end here, so both
+/// derive identical [`Translated`] artifacts. `replayed` names the
+/// functions served from memos, which were verified when they were first
+/// produced: only their calls, host calls and launches are checked again
+/// ([`Program::verify_with_replayed`]).
 pub fn finish_shaped(
     lw: Lowerer<'_>,
     entry: FuncId,
@@ -321,8 +322,8 @@ pub fn finish_shaped(
     )
 }
 
-/// Validate an optimized program, verify the functions this translation
-/// produced (all but `replayed`), and note the platforms it uses.
+/// Verify an optimized program (of `replayed`, only the call edges), and
+/// note the platforms it uses.
 fn finish(
     mut program: Program,
     entry: FuncId,
@@ -333,20 +334,11 @@ fn finish(
     replayed: &[FuncId],
 ) -> TResult<Translated> {
     program.entry = Some(entry);
-    program
-        .validate()
-        .map_err(|m| TransError::new(format!("internal error: generated program invalid: {m}")))?;
-    let mut fresh = vec![true; program.funcs.len()];
-    for id in replayed {
-        fresh[id.0 as usize] = false;
-    }
-    for (i, _) in fresh.iter().enumerate().filter(|(_, f)| **f) {
-        program.verify_func(FuncId(i as u32)).map_err(|e| {
-            // Either a translator bug, or a source local read before it is
-            // assigned on some path (javac's definite-assignment error).
-            TransError::new(format!("generated program does not verify: {e}"))
-        })?;
-    }
+    program.verify_with_replayed(replayed).map_err(|e| {
+        // Either a translator bug, or a source local read before it is
+        // assigned on some path (javac's definite-assignment error).
+        TransError::new(format!("generated program does not verify: {e}"))
+    })?;
     let (uses_mpi, uses_gpu) = scan_uses(&program);
     Ok(Translated {
         program,

@@ -86,10 +86,7 @@ fn golden_fixture_decodes_bit_identically() {
     // decode → encode reproduces the committed bytes exactly; this is the
     // determinism the disk store and rank-0 broadcast rely on.
     assert_eq!(decoded.encode(), bytes, "re-encoded fixture differs");
-    decoded
-        .program
-        .validate()
-        .expect("decoded program is valid");
+    decoded.program.verify().expect("decoded program is valid");
     // The decoded artifact is semantically the fixture workload: a fully
     // specialized entry with flattened bindings.
     let fresh = translate_sample();
@@ -529,7 +526,7 @@ fn check_resealed(payload: &[u8], case: &str, failures: &mut Vec<String>) -> boo
         Err(_) => failures.push(format!("{case}: decode panicked")),
         Ok(Err(_)) => return false,
         Ok(Ok(t)) => {
-            if let Err(m) = t.program.validate() {
+            if let Err(m) = t.program.verify() {
                 failures.push(format!("{case}: decoded an invalid program: {m}"));
             }
             if t.program.entry != Some(t.entry) {
@@ -557,7 +554,7 @@ fn offsets(len: usize, rng: &mut Rng) -> Vec<usize> {
 
 /// The `wire_fuzz` recipe over whole artifacts, re-sealed so that every
 /// mutant passes the digest and reaches the program decoder,
-/// `Program::validate` and the entry check: one trailing byte, strict
+/// `Program::verify` and the entry check: one trailing byte, strict
 /// prefixes, `u32::MAX` in 4-byte windows (every one of each, but see
 /// [`offsets`]) and 2 000 seeded byte mutations. Each must decode to a typed error or to an
 /// artifact that re-encodes to the same bytes; none may panic.
