@@ -372,7 +372,6 @@ pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptErro
         frames,
         stack,
         pending,
-        misfit: None,
         done,
     })
 }

@@ -830,9 +830,6 @@ pub struct Thread {
     /// Where to deliver a value provided by `resume_with`, and the
     /// register's declared type.
     pending: Option<(Reg, Ty)>,
-    /// A `resume_with` value that did not fit its register, and the
-    /// register's type: the next [`run`] fails with it.
-    misfit: Option<(Val, Ty)>,
     done: bool,
 }
 
@@ -843,7 +840,6 @@ impl Thread {
             frames: Vec::new(),
             stack: Vec::new(),
             pending: None,
-            misfit: None,
             done: false,
         };
         thread.reset(program, func, args)?;
@@ -892,7 +888,6 @@ impl Thread {
             ret_to: None,
         });
         self.pending = None;
-        self.misfit = None;
         self.done = false;
         Ok(())
     }
@@ -903,17 +898,16 @@ impl Thread {
 
     /// Deliver the result of a serviced yield (pass `Val::Unit` for void).
     /// A value that is not of the destination register's type is not
-    /// stored: the next [`run`] fails with a typed error at the yielding
-    /// instruction.
-    pub fn resume_with(&mut self, v: Val) {
-        if let Some((dst, ty)) = self.pending.take() {
-            if let Some(top) = self.frames.last() {
-                match v.to_word(ty) {
-                    Some(w) => self.stack[top.base + dst as usize] = w,
-                    None => self.misfit = Some((v, ty)),
-                }
-            }
-        }
+    /// stored: it is an error at the yielding instruction of `program`.
+    pub fn resume_with(&mut self, program: &Program, v: Val) -> Result<(), ExecError> {
+        let (Some((dst, ty)), Some(top)) = (self.pending.take(), self.frames.last()) else {
+            return Ok(());
+        };
+        let w = v.to_word(ty).ok_or_else(|| {
+            misfit(v, ty).at(&program.func(top.func).name, top.pc.saturating_sub(1))
+        })?;
+        self.stack[top.base + dst as usize] = w;
+        Ok(())
     }
 
     /// Current call depth (for diagnostics).
@@ -996,10 +990,6 @@ pub fn run(
     mut fuel: u64,
 ) -> Result<Yield, ExecError> {
     let program = image.program();
-    if let Some((v, ty)) = thread.misfit.take() {
-        let (func, pc) = thread.frame_location().unwrap_or((FuncId(0), 1));
-        return Err(misfit(v, ty).at(&program.func(func).name, pc.saturating_sub(1)));
-    }
     if thread.done {
         return Ok(Yield::Done(None));
     }
@@ -1859,7 +1849,8 @@ mod tests {
             entries += 1;
             match run(&mut thread, &image, &mut host, u64::MAX).unwrap() {
                 Yield::GpuMem { op, .. } => {
-                    thread.resume_with(Val::I32(if op == IntrinOp::ThreadIdx(1) { 3 } else { 4 }))
+                    let v = Val::I32(if op == IntrinOp::ThreadIdx(1) { 3 } else { 4 });
+                    thread.resume_with(&p, v).unwrap()
                 }
                 Yield::Done(v) => break v,
                 other => panic!("unexpected {other:?}"),
@@ -2266,7 +2257,7 @@ mod tests {
             other => panic!("expected MPI yield, got {other:?}"),
         }
         // Service the yield: this is rank 3.
-        t.resume_with(Val::I32(3));
+        t.resume_with(&p, Val::I32(3)).unwrap();
         match run(&mut t, &image, &mut m, u64::MAX).unwrap() {
             Yield::Done(Some(Val::I32(3))) => {}
             other => panic!("unexpected {other:?}"),

@@ -127,7 +127,7 @@ fn trace(program: &Program, entry: nir::FuncId, machine: &mut Machine, args: &[V
             Yield::OutOfFuel => {}
             Yield::Mpi { op, args } => {
                 let v = world.service(machine, op, &args);
-                thread.resume_with(v);
+                thread.resume_with(program, v).unwrap();
             }
             other => panic!("unserviceable yield {other:?}"),
         }

@@ -103,7 +103,7 @@ fn drive(
             Yield::OutOfFuel => assert_eq!(machine.counters.instrs - before, granted),
             Yield::Mpi { op, args } => {
                 let v = world.service(machine, op, &args);
-                thread.resume_with(v);
+                thread.resume_with(program, v).unwrap();
             }
             other => panic!("unserviceable yield {other:?}"),
         }
@@ -636,13 +636,12 @@ fn values_enter_registers_only_as_their_declared_type() {
     );
 
     // A host function that answers an int for a float signature: the
-    // next slice fails at the call, and stores nothing.
+    // resume fails at the call, and stores nothing.
     let mut m = Machine::new();
     let mut t = Thread::new(&p, FuncId(0), &[Val::I32(4)]).unwrap();
     let y = run(&mut t, &image, &mut m, u64::MAX).unwrap();
     assert!(matches!(y, Yield::Host { host: 0, .. }), "{y:?}");
-    t.resume_with(Val::I32(3));
-    let e = run(&mut t, &image, &mut m, u64::MAX).unwrap_err();
+    let e = t.resume_with(&p, Val::I32(3)).unwrap_err();
     assert_eq!(
         (e.message.as_str(), e.func.as_str(), e.pc),
         ("I32(3) does not fit a F32 register", "f", 0)
@@ -650,7 +649,7 @@ fn values_enter_registers_only_as_their_declared_type() {
     // The right type resumes the thread to its result.
     let mut t = Thread::new(&p, FuncId(0), &[Val::I32(4)]).unwrap();
     run(&mut t, &image, &mut m, u64::MAX).unwrap();
-    t.resume_with(Val::F32(2.5));
+    t.resume_with(&p, Val::F32(2.5)).unwrap();
     let y = run(&mut t, &image, &mut m, u64::MAX).unwrap();
     assert!(matches!(y, Yield::Done(Some(Val::F32(2.5)))), "{y:?}");
 

@@ -437,7 +437,9 @@ impl Gpu {
                     let h = *shared
                         .entry(pc)
                         .or_insert_with(|| self.machine.mem.alloc(ArrStore::new(elem, len)));
-                    thread.resume_with(Val::Arr(h));
+                    thread
+                        .resume_with(image.program(), Val::Arr(h))
+                        .expect("a verified SharedAlloc's destination holds an array handle");
                 }
                 Yield::GpuMem { op, .. } => {
                     return Err(err(format!("kernel performed host-only operation {op:?}")))

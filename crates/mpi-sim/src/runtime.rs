@@ -437,7 +437,7 @@ pub(crate) fn service_device_yield(
                     err_on(r, locate(format!("negative device range {what} {n}"), &loc))
                 })
             };
-            match op {
+            let result = match op {
                 IntrinOp::CopyToGpu => {
                     let host = args[0].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
                     let store = machine
@@ -446,7 +446,7 @@ pub(crate) fn service_device_yield(
                         .map_err(|m| err_on(r, locate(m, &loc)))?
                         .clone();
                     let dev = gpu.copy_in(&store).map_err(|e| err_on(r, e.to_string()))?;
-                    thread.resume_with(Val::Arr(dev));
+                    Val::Arr(dev)
                 }
                 IntrinOp::CopyFromGpu => {
                     let host = args[0].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
@@ -462,7 +462,7 @@ pub(crate) fn service_device_yield(
                         .mem
                         .arr_mut(host)
                         .map_err(|m| err_on(r, locate(m, &loc)))? = tmp;
-                    thread.resume_with(Val::Unit);
+                    Val::Unit
                 }
                 IntrinOp::CopyToGpuRange => {
                     // (dev, devOff, host, hostOff, len)
@@ -475,7 +475,7 @@ pub(crate) fn service_device_yield(
                         .map_err(|m| err_on(r, locate(m, &loc)))?;
                     gpu.write_range(dev, doff, &payload)
                         .map_err(|e| err_on(r, e.to_string()))?;
-                    thread.resume_with(Val::Unit);
+                    Val::Unit
                 }
                 IntrinOp::CopyFromGpuRange => {
                     // (host, hostOff, dev, devOff, len)
@@ -489,20 +489,19 @@ pub(crate) fn service_device_yield(
                         .map_err(|e| err_on(r, e.to_string()))?;
                     write_floats(machine, host, hoff, &payload)
                         .map_err(|m| err_on(r, locate(m, &loc)))?;
-                    thread.resume_with(Val::Unit);
+                    Val::Unit
                 }
                 IntrinOp::GpuAllocF32 => {
                     let n = args[0].as_i32().map_err(|m| err_on(r, locate(m, &loc)))?;
                     if n < 0 {
                         return Err(err_on(r, "negative device allocation"));
                     }
-                    let dev = gpu.alloc_f32(n as usize);
-                    thread.resume_with(Val::Arr(dev));
+                    Val::Arr(gpu.alloc_f32(n as usize))
                 }
                 IntrinOp::GpuFree => {
                     let dev = args[0].as_arr().map_err(|m| err_on(r, locate(m, &loc)))?;
                     gpu.free(dev).map_err(|e| err_on(r, e.to_string()))?;
-                    thread.resume_with(Val::Unit);
+                    Val::Unit
                 }
                 other => {
                     return Err(err_on(
@@ -510,7 +509,10 @@ pub(crate) fn service_device_yield(
                         format!("CUDA thread register {other:?} read outside a kernel"),
                     ))
                 }
-            }
+            };
+            thread
+                .resume_with(image.program(), result)
+                .map_err(|e| err_on(r, e.to_string()))?;
             Ok(DeviceOutcome::Advance(gpu.vtime - before))
         }
         _ => Err(err_on(r, "device service on a non-device yield")),
@@ -586,7 +588,9 @@ fn service_host_yield(
     let v = registry
         .call(id, &args, &mut machine.mem)
         .map_err(|m| err_on(r, format!("in `{}`: {}", sig.name, locate(m, &loc))))?;
-    thread.resume_with(v);
+    thread
+        .resume_with(program, v)
+        .map_err(|e| err_on(r, e.to_string()))?;
     Ok(backoff_total)
 }
 
@@ -1794,8 +1798,10 @@ impl RankPool for LocalPool<'_, '_> {
     }
 
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError> {
-        self.rank_mut(r)?.thread.resume_with(v);
-        Ok(())
+        let program = self.world.program;
+        (self.rank_mut(r)?.thread)
+            .resume_with(program, v)
+            .map_err(|e| err_on(r, e.to_string()))
     }
 
     fn service_device(&mut self, r: u32) -> Result<DeviceOutcome, SimError> {
