@@ -10,11 +10,15 @@
 //! in its dispatch loop, and [`crate::emit_c`] renders it without a
 //! placeholder.
 //!
-//! The structural checks come first, so the type checks and the
-//! definite-assignment analysis only ever index what exists:
+//! One walk makes the structural and the type checks, instruction by
+//! instruction, and the definite-assignment analysis runs only on a
+//! function that walk accepted, so it only ever indexes what exists. The
+//! structural checks:
 //!
-//! * every source and destination register is in range, and the
-//!   parameter registers are the parameters' types;
+//! * every source and destination register is in range (read where the
+//!   instruction's match arm types it, with no second dispatch on the
+//!   instruction), and the parameter registers are the parameters'
+//!   types;
 //! * jump and branch targets are in range (`code.len()` included: the
 //!   function's end), and the last instruction is a `ret`, `jmp` or `br`;
 //! * callees, host functions, selectors and classes exist, and calls and
@@ -261,28 +265,22 @@ impl Program {
         Ok(())
     }
 
-    /// The checks of one instruction, registers in range first; the
-    /// message names the operand.
+    /// The checks of one instruction; the message names the operand.
+    /// Every register operand is range-checked as it is read.
     fn check_instr(&self, f: &Function, ins: &Instr) -> Result<(), String> {
-        let n = f.regs.len();
-        let mut out_of_range = ins.dst().filter(|&d| d as usize >= n);
-        ins.for_each_source(|r| {
-            if r as usize >= n {
-                out_of_range.get_or_insert(r);
-            }
-        });
-        if let Some(r) = out_of_range {
-            return Err(format!("register r{r} out of range ({n} registers)"));
-        }
-        // Every register is in range from here on.
-        let ty = |r: Reg| f.regs[r as usize];
+        let ty = |r: Reg| {
+            f.regs
+                .get(r as usize)
+                .copied()
+                .ok_or_else(|| format!("register r{r} out of range ({} registers)", f.regs.len()))
+        };
         let want = |what: &str, r: Reg, t: Ty| -> Result<(), String> {
-            match ty(r) {
+            match ty(r)? {
                 got if got == t => Ok(()),
                 got => Err(format!("{what} r{r} is {got:?}, expected {t:?}")),
             }
         };
-        let elem = |what: &str, r: Reg| match ty(r) {
+        let elem = |what: &str, r: Reg| match ty(r)? {
             Ty::Arr(e) => Ok(e),
             got => Err(format!("{what} r{r} is {got:?}, expected an array")),
         };
@@ -293,7 +291,7 @@ impl Program {
             Instr::ConstF32(d, _) => want("destination", *d, Ty::F32),
             Instr::ConstF64(d, _) => want("destination", *d, Ty::F64),
             Instr::ConstBool(d, _) => want("destination", *d, Ty::Bool),
-            Instr::Mov(d, s) => want("destination", *d, ty(*s)),
+            Instr::Mov(d, s) => want("destination", *d, ty(*s)?),
             Instr::Bin {
                 op,
                 kind,
@@ -363,12 +361,23 @@ impl Program {
                 }
                 want("destination", *dst, Ty::Obj)
             }
-            Instr::GetField { obj, .. } | Instr::PutField { obj, .. } => {
+            // A field's value and a virtual call's arguments and result
+            // are typed at run time, where the class is known.
+            Instr::GetField { obj, dst: r, .. } | Instr::PutField { obj, src: r, .. } => {
+                ty(*r)?;
                 want("object", *obj, Ty::Obj)
             }
-            Instr::CallVirt { selector, recv, .. } => {
+            Instr::CallVirt {
+                selector,
+                recv,
+                args,
+                dst,
+            } => {
                 if *selector as usize >= self.selectors.len() {
                     return Err(format!("unknown selector {selector}"));
+                }
+                for r in args.iter().chain(dst) {
+                    ty(*r)?;
                 }
                 want("receiver", *recv, Ty::Obj)
             }
@@ -411,7 +420,7 @@ impl Program {
                         (None, _) => {}
                     }
                     match (op, dst) {
-                        (IntrinOp::CopyToGpu, Some(d)) => want("device copy", *d, ty(args[0])),
+                        (IntrinOp::CopyToGpu, Some(d)) => want("device copy", *d, ty(args[0])?),
                         _ => Ok(()),
                     }
                 })();
@@ -617,9 +626,10 @@ mod tests {
     const A: Reg = 3; // float[]
     const O: Reg = 4; // Obj
     const L: Reg = 5; // i64
+    const D: Reg = 6; // f64
 
-    /// A program whose function 1, `f(i32, f32, bool, float[], Obj, i64)`
-    /// returning `i32`, runs `body` at pc 0 and then returns `i`; function
+    /// A program whose function 1, `f(i32, f32, bool, float[], Obj, i64,
+    /// f64)` returning `i32`, runs `body` at pc 0 and then returns `i`; function
     /// 0 is `g(i32, f32) -> f32`, function 2 a kernel `k(i32)`, and host
     /// function 0 is `h(f32) -> f32`.
     fn program(body: Instr) -> Program {
@@ -635,6 +645,7 @@ mod tests {
             Ty::Arr(ElemTy::F32),
             Ty::Obj,
             Ty::I64,
+            Ty::F64,
         ];
         let mut f = crate::FuncBuilder::new("f", params, Some(Ty::I32), FuncKind::Host);
         f.emit(body);
@@ -1535,5 +1546,152 @@ mod tests {
         });
         defect.verify().unwrap_err();
         defect.verify_with_replayed(&[FuncId(1)]).unwrap();
+    }
+
+    /// Every register operand of every instruction variant, one at a
+    /// time, out of range: refused, never a panic. The checker reads each
+    /// register in the match arm that types it, so this pins that no arm
+    /// skips one.
+    #[test]
+    fn every_register_operand_out_of_range_is_refused() {
+        use Instr as N;
+        let well_typed = vec![
+            N::ConstI32(I, 1),
+            N::ConstI64(L, 1),
+            N::ConstF32(X, 1.0),
+            N::ConstF64(D, 1.0),
+            N::ConstBool(B, true),
+            N::Mov(I, I),
+            bin(BinOp::Add, PrimKind::Int, I, I, I),
+            N::Neg {
+                kind: PrimKind::Int,
+                dst: I,
+                src: I,
+            },
+            N::Not { dst: B, src: B },
+            N::Cast {
+                to: PrimKind::Float,
+                from: PrimKind::Int,
+                dst: X,
+                src: I,
+            },
+            N::Br {
+                cond: B,
+                t: 1,
+                f: 1,
+            },
+            N::Ret(Some(I)),
+            N::Call {
+                func: FuncId(0),
+                args: vec![I, X],
+                dst: Some(X),
+            },
+            N::CallHost {
+                host: 0,
+                args: vec![X],
+                dst: Some(X),
+            },
+            N::NewObj { class: 0, dst: O },
+            N::GetField {
+                obj: O,
+                slot: 0,
+                dst: I,
+            },
+            N::PutField {
+                obj: O,
+                slot: 0,
+                src: I,
+            },
+            N::CallVirt {
+                selector: 0,
+                recv: O,
+                args: vec![I],
+                dst: Some(I),
+            },
+            N::NewArr {
+                elem: ElemTy::F32,
+                len: I,
+                dst: A,
+            },
+            N::LdArr {
+                arr: A,
+                idx: I,
+                dst: X,
+            },
+            N::StArr {
+                arr: A,
+                idx: I,
+                src: X,
+            },
+            N::ArrLen { arr: A, dst: I },
+            N::FreeArr { arr: A },
+            N::Intrin {
+                op: IntrinOp::SqrtF32,
+                args: vec![X],
+                dst: Some(X),
+            },
+            N::Launch {
+                kernel: FuncId(2),
+                grid: [I; 3],
+                block: [I; 3],
+                args: vec![I],
+            },
+            N::SharedAlloc {
+                elem: ElemTy::F32,
+                len: I,
+                dst: A,
+            },
+        ];
+        for ins in &well_typed {
+            // A new variant fails to compile here until it has a row above
+            // (`Jmp` and `Sync` name no register).
+            match ins {
+                N::ConstI32(..) | N::ConstI64(..) | N::ConstF32(..) | N::ConstF64(..) => {}
+                N::ConstBool(..) | N::Mov(..) | N::Bin { .. } | N::Neg { .. } | N::Not { .. } => {}
+                N::Cast { .. } | N::Br { .. } | N::Ret(_) | N::Call { .. } => {}
+                N::CallHost { .. } | N::NewObj { .. } | N::GetField { .. } => {}
+                N::PutField { .. } | N::CallVirt { .. } | N::NewArr { .. } | N::LdArr { .. } => {}
+                N::StArr { .. } | N::ArrLen { .. } | N::FreeArr { .. } | N::Intrin { .. } => {}
+                N::Launch { .. } | N::SharedAlloc { .. } | N::Jmp(_) | N::Sync => {}
+            }
+        }
+        let at = |ins: Instr| {
+            let kernel = matches!(ins, N::SharedAlloc { .. });
+            edited(ins, |p| {
+                if kernel {
+                    p.func_mut(FuncId(1)).kind = FuncKind::Kernel;
+                }
+            })
+        };
+        for ins in well_typed {
+            at(ins.clone())
+                .verify()
+                .unwrap_or_else(|e| panic!("{ins:?}: {e}"));
+            let mut bad = Vec::new();
+            for i in 0..ins.sources().len() {
+                let mut one = ins.clone();
+                let mut k = 0;
+                one.for_each_source_mut(|r| {
+                    if k == i {
+                        *r = 999;
+                    }
+                    k += 1;
+                });
+                bad.push(one);
+            }
+            if ins.dst().is_some() {
+                let mut one = ins.clone();
+                *one.dst_mut().unwrap() = 999;
+                bad.push(one);
+            }
+            for one in bad {
+                let p = at(one.clone());
+                let checked = std::panic::catch_unwind(|| p.verify());
+                match checked {
+                    Ok(Err(e)) => assert!(e.message.contains("r999 out of range"), "{one:?}: {e}"),
+                    other => panic!("{one:?}: {other:?}"),
+                }
+            }
+        }
     }
 }
