@@ -81,6 +81,10 @@ pub struct FaultConfig {
     /// Probability that one host-FFI attempt transiently fails.
     pub host_transient: f64,
     /// Probability that an outgoing point-to-point message is dropped.
+    /// Nothing re-sends it: a rank that waits for it stalls, and once
+    /// every rank waits the run ends in `Deadlock`, which no restart
+    /// recovers (`mpi_sim`'s `World::with_timeout` fires only while some
+    /// rank still runs). ROADMAP item 17 (a) is the fix.
     pub msg_drop: f64,
     /// Probability that a message / collective payload is bit-corrupted.
     pub msg_corrupt: f64,
@@ -95,8 +99,9 @@ pub struct FaultConfig {
     pub connect_refuse: f64,
     /// Probability that one framed transport message is truncated in
     /// flight. Truncation is *detected* (length prefix + checksum), so
-    /// the frame is discarded typed — the receiver waits on, exactly like
-    /// a dropped message, and the timeout/restart machinery recovers.
+    /// the frame is discarded typed, and the message is lost exactly like
+    /// a dropped one ([`msg_drop`](FaultConfig::msg_drop)): a rank that
+    /// waits for it stalls, as described there.
     pub frame_truncate: f64,
     /// Probability that a frame's acknowledgement is delayed, pushing the
     /// message's delivery `ack_delay_cycles` into the virtual future.

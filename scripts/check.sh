@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 # a C compiler; here a missing one must fail, not hide that gate.
 command -v cc >/dev/null || { echo "check.sh: no cc on PATH (the emitted-C gate needs one)"; exit 1; }
 
+echo "== no caller of Program::validate (a forward kept only for the frozen =="
+echo "==   benchmark until ROADMAP item 4 (e) deletes it; call verify)        =="
+if grep -rn --include='*.rs' '\.validate()' crates src tests examples; then
+    echo "check.sh: the lines above call .validate(); call Program::verify"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
