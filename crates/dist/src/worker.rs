@@ -123,9 +123,9 @@ pub fn run_if_spawned() -> bool {
 }
 
 /// Decode an `Init`'s program: the bytes must decode to a program that
-/// passes [`Program::verify`] and has an `entry` function, because the engine indexes registers and the entry
-/// unchecked and runs on untagged registers. Every failure is a typed
-/// message.
+/// passes [`Program::verify`] and has an `entry` function, because the
+/// engine indexes registers and the entry unchecked and runs on untagged
+/// registers. Every failure is a typed message.
 fn decode_program(bytes: &[u8], entry: u32) -> Result<Program, String> {
     let program = Program::from_wire(bytes).map_err(|e| format!("decoding program: {e}"))?;
     program

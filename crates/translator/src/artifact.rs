@@ -167,7 +167,8 @@ impl Translated {
                 message: format!("decoded program does not verify: {e}"),
             });
         }
-        if entry.0 as usize >= program.funcs.len() || program.entry != Some(entry) {
+        // `verify` checked that the program's own entry names a function.
+        if program.entry != Some(entry) {
             return Err(CodecError::Corrupt {
                 offset: 0,
                 message: "artifact entry point disagrees with its program".into(),
