@@ -1077,60 +1077,81 @@ mod tests {
         all
     }
 
-    /// Each intrinsic at its shape and operand types verifies and renders
-    /// as C; with an operand dropped, or without its destination, it is
-    /// refused at its pc, and rendered unverified it is a comment, not a
-    /// panic.
-    #[test]
-    fn every_intrinsic_verifies_at_its_shape_and_emit_c_renders_it() {
+    /// `fn f(<operands>, <result>, i32) { <intrinsic>; return }`: the
+    /// parameters are `op`'s operand types, its result type if it has
+    /// one, and a spare `i32`. `edit` gets the well-formed operands
+    /// (r0..) and destination to change.
+    fn intrinsic(op: IntrinOp, edit: impl FnOnce(&mut Vec<Reg>, &mut Option<Reg>)) -> Program {
         let of = |w: &Want| match w {
             Is(t) => *t,
             AnyArr => Ty::Arr(ElemTy::F32),
         };
+        let (operands, result) = intrin_types(op);
+        let mut params: Vec<Ty> = operands.iter().map(of).collect();
+        params.extend(result.as_ref().map(of));
+        params.push(Ty::I32);
+        let mut args: Vec<Reg> = (0..operands.len() as Reg).collect();
+        let mut dst = result.map(|_| operands.len() as Reg);
+        edit(&mut args, &mut dst);
+        let mut fb = crate::FuncBuilder::new("f", params, None, FuncKind::Host);
+        fb.emit(Instr::Intrin { op, args, dst });
+        fb.emit(Instr::Ret(None));
+        let mut p = Program::default();
+        p.add_func(fb.finish().unwrap());
+        p
+    }
+
+    /// Every intrinsic at a wrong shape, with the words its error names:
+    /// each operand dropped, one too many (the spare register), a
+    /// missing destination, then `exec`'s image decoder's own rows. Each
+    /// is [`intrinsic`]'s well-typed program but for that one defect.
+    fn misshapen_intrinsics() -> Vec<(String, &'static str, Program)> {
+        let mut rows = vec![];
         for op in every_intrinsic() {
-            let (operands, result) = intrin_types(op);
-            // `fn f(<operands>, <result>) { <intrinsic>; return }`
-            let mut params: Vec<Ty> = operands.iter().map(of).collect();
-            params.extend(result.as_ref().map(of));
-            let args: Vec<Reg> = (0..operands.len() as Reg).collect();
-            let dst = result.map(|_| operands.len() as Reg);
-            let at = |args: Vec<Reg>, dst| {
-                let mut fb = crate::FuncBuilder::new("f", params.clone(), None, FuncKind::Host);
-                fb.emit(Instr::Intrin { op, args, dst });
-                fb.emit(Instr::Ret(None));
-                let mut p = Program::default();
-                p.add_func(fb.finish().unwrap());
-                p
-            };
-            let ok = at(args.clone(), dst);
+            let (arity, returns) = op.shape();
+            for i in 0..arity {
+                let p = intrinsic(op, |args, _| {
+                    args.remove(i);
+                });
+                rows.push((format!("{op:?} without operand {i}"), "operands", p));
+            }
+            let spare = (arity + usize::from(returns)) as Reg;
+            let p = intrinsic(op, |args, _| args.push(spare));
+            rows.push((format!("{op:?} with an extra operand"), "operands", p));
+            if returns {
+                let p = intrinsic(op, |_, dst| *dst = None);
+                rows.push((format!("{op:?} without a destination"), "no destination", p));
+            }
+        }
+        for (op, n) in [
+            (IntrinOp::MpiSendRecvF32, 3),
+            (IntrinOp::ArrayCopyF32, 2),
+            (IntrinOp::CopyFromGpuRange, 1),
+        ] {
+            let p = intrinsic(op, |args, _| args.truncate(n));
+            rows.push((format!("{op:?} with {n} operands"), "operands", p));
+        }
+        rows
+    }
+
+    /// Each intrinsic at its shape and operand types verifies and renders
+    /// as C; at every wrong shape it is refused at its pc with what is
+    /// wrong, and rendered unverified it is a comment, not a panic.
+    #[test]
+    fn every_intrinsic_verifies_at_its_shape_and_emit_c_renders_it() {
+        for op in every_intrinsic() {
+            let ok = intrinsic(op, |_, _| {});
             ok.verify()
                 .unwrap_or_else(|e| panic!("{op:?} well formed: {e}"));
             let c = crate::emit_c(&ok);
             assert!(!c.contains("/* intrinsic"), "{op:?}: {c}");
-            let mut bad = vec![];
-            if let Some((_, fewer)) = args.split_last() {
-                bad.push((at(fewer.to_vec(), dst), "operands"));
-            }
-            if dst.is_some() {
-                bad.push((at(args, None), "no destination"));
-            }
-            for (p, what) in bad {
-                let e = p.verify().unwrap_err();
-                assert_eq!((e.func.as_str(), e.pc), ("f", 0), "{op:?}: {e}");
-                assert!(e.message.contains(what), "{op:?}: {e}");
-                assert!(crate::emit_c(&p).contains("/* intrinsic"), "{op:?}");
-            }
         }
-    }
-
-    /// `fn f(r0..r7: i32) -> i32 { <intrinsic>; return r0 }`.
-    fn with_intrinsic(op: IntrinOp, args: Vec<Reg>, dst: Option<Reg>) -> Program {
-        let mut fb = crate::FuncBuilder::new("f", vec![Ty::I32; 8], Some(Ty::I32), FuncKind::Host);
-        fb.emit(Instr::Intrin { op, args, dst });
-        fb.emit(Instr::Ret(Some(0)));
-        let mut p = Program::default();
-        p.entry = Some(p.add_func(fb.finish().unwrap()));
-        p
+        for (why, what, p) in misshapen_intrinsics() {
+            let e = p.verify().unwrap_err();
+            assert_eq!((e.func.as_str(), e.pc), ("f", 0), "{why}: {e}");
+            assert!(e.message.contains(what), "{why}: {e}");
+            assert!(crate::emit_c(&p).contains("/* intrinsic"), "{why}");
+        }
     }
 
     /// [`program`] with `edit` applied.
@@ -1468,39 +1489,11 @@ mod tests {
             .into_iter()
             .map(|(why, p)| (why.to_string(), p))
             .collect();
-        // Intrinsic shapes: each operand dropped, one too many, and a
-        // missing destination; then `exec`'s image decoder's own rows.
-        let mut shape = |why: String, op: IntrinOp, args: Vec<Reg>, dst: Option<Reg>| {
-            rows.push((why, with_intrinsic(op, args, dst)))
-        };
-        for op in every_intrinsic() {
-            let (arity, returns) = op.shape();
-            let args: Vec<Reg> = (0..arity as Reg).collect();
-            let dst = returns.then_some(0);
-            for i in 0..arity {
-                let mut fewer = args.clone();
-                fewer.remove(i);
-                shape(format!("{op:?} without operand {i}"), op, fewer, dst);
-            }
-            let mut more = args.clone();
-            more.push(0);
-            shape(format!("{op:?} with an extra operand"), op, more, dst);
-            if returns {
-                shape(format!("{op:?} without a destination"), op, args, None);
-            }
-        }
-        for (op, args) in [
-            (IntrinOp::MpiSendRecvF32, vec![0, 0, 0]),
-            (IntrinOp::ArrayCopyF32, vec![0, 0]),
-            (IntrinOp::CopyFromGpuRange, vec![0]),
-        ] {
-            shape(
-                format!("{op:?} with {} operands", args.len()),
-                op,
-                args,
-                None,
-            );
-        }
+        rows.extend(
+            misshapen_intrinsics()
+                .into_iter()
+                .map(|(why, _, p)| (why, p)),
+        );
         rows
     }
 

@@ -1356,7 +1356,6 @@ fn loop_program(rng: &mut Rng) -> Program {
     fb.jmp(a);
     p.entry = Some(p.add_func(fb.finish().unwrap()));
     p.verify().unwrap();
-    p.verify().unwrap();
     p
 }
 
