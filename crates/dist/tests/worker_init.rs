@@ -1,4 +1,4 @@
-//! A worker decodes, validates and verifies the program an `Init` carries
+//! A worker decodes and verifies the program an `Init` carries
 //! before it builds a rank on it: the engine indexes registers and the
 //! entry function unchecked and runs on untagged registers, so an
 //! unsound program must be answered with a

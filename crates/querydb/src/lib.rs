@@ -728,7 +728,7 @@ impl Database {
         let replay = lw.replay.take().unwrap_or_default();
         let translated = translator::finish_shaped(lw, entry, key, args.len(), &replay.replayed)?;
 
-        // Only a program that validated fills the memo.
+        // Only a program that verified fills the memo.
         self.harvest(snap, &config, &trace, &translated.program);
         let mut s = self.stats.borrow_mut();
         s.lower_executed += trace.recs.len() as u64;
