@@ -29,7 +29,7 @@
 use crate::{weight, ExecError, GpuCoords};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use nir::{ElemTy, FuncId, Function, Instr, IntrinOp, Program, Reg, Ty};
+use nir::{ElemTy, FuncId, Function, Instr, IntrinOp, Intrinsic, Platform, Program, Reg, Ty};
 
 /// An absent register operand (`Ret(None)`, a call without `dst`).
 pub(crate) const NO_REG: u32 = u32::MAX;
@@ -225,8 +225,9 @@ pub struct Image<'p> {
 
 impl<'p> Image<'p> {
     /// Decode every function of `program`. Fails, with function and pc,
-    /// on an instruction the loop could only panic on: an intrinsic of
-    /// another shape than [`IntrinOp::shape`], or a `NewObj` of a class the
+    /// on an instruction the loop could only panic on: an intrinsic that
+    /// [`IntrinOp::check_operands`] refuses (no table row, or another
+    /// shape than its row's), or a `NewObj` of a class the
     /// program does not have (checks [`Program::verify`] makes, so a
     /// verified program always decodes).
     ///
@@ -411,13 +412,15 @@ fn decode(ins: &Instr, program: &Program, regs: &[Ty]) -> Result<Op, ExecError> 
             args,
             dst,
         } => {
-            intrin
+            let row = intrin
                 .check_operands(args.len(), dst.is_some())
                 .map_err(ExecError::msg)?;
             if let Some(i) = GpuCoords::index(*intrin) {
                 return Ok(op(K::Coord, opt(dst), i, 0));
             }
-            let kind = intrin_kind(*intrin);
+            let kind = intrin_kind(row).ok_or_else(|| {
+                ExecError::msg(format!("host intrinsic {intrin:?} has no opcode"))
+            })?;
             let arg = |i: usize| args.get(i).copied().unwrap_or(0);
             match kind {
                 K::Print => op(kind, arg(0), 0, 0),
@@ -440,18 +443,17 @@ fn is_f32_array(regs: &[Ty], r: Reg) -> bool {
     regs.get(r as usize) == Some(&Ty::Arr(ElemTy::F32))
 }
 
-/// The opcode of an intrinsic. Its operand count and destination are
-/// [`IntrinOp::shape`]'s, checked by [`decode`] as by
-/// [`Program::verify`]: the loop reads the math, print and array-copy
-/// operands by position, and the yielding ones travel as
+/// The opcode of an intrinsic: a host op's own, or a yield to the
+/// runtime of its row's platform. The loop reads the math, print and
+/// array-copy operands by position, and the yielding ones travel as
 /// `Yield::{Mpi, GpuMem}` argument lists that
 /// `mpi_sim::runtime::{service_mpi, service_device_yield}` index by
-/// position without a length check, because a program whose counts
-/// differ never gets an image.
-fn intrin_kind(op: IntrinOp) -> OpKind {
+/// position, because [`decode`] checked their counts first. `None` for a
+/// host op the loop has no opcode for.
+fn intrin_kind(row: &Intrinsic) -> Option<OpKind> {
     use IntrinOp as I;
     use OpKind as K;
-    match op {
+    Some(match row.op {
         I::SqrtF64 => K::SqrtF64,
         I::SqrtF32 => K::SqrtF32,
         I::PowF64 => K::PowF64,
@@ -465,29 +467,12 @@ fn intrin_kind(op: IntrinOp) -> OpKind {
         I::MaxF32 => K::MaxF32,
         I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => K::Print,
         I::ArrayCopyF32 => K::ArrayCopyF32,
-        // A coordinate read with an axis past `z` (no `GpuCoords::index`)
-        // yields like the memory ops, on a device too.
-        I::ThreadIdx(_)
-        | I::BlockIdx(_)
-        | I::BlockDim(_)
-        | I::GridDim(_)
-        | I::CopyToGpu
-        | I::GpuAllocF32
-        | I::GpuFree
-        | I::CopyFromGpu
-        | I::CopyToGpuRange
-        | I::CopyFromGpuRange => K::YieldGpu,
-        I::MpiRank
-        | I::MpiSize
-        | I::MpiBarrier
-        | I::MpiAllreduceSumF64
-        | I::MpiAllreduceSumF32
-        | I::MpiAllreduceMaxF64
-        | I::MpiBcastF32
-        | I::MpiSendF32
-        | I::MpiRecvF32
-        | I::MpiSendRecvF32 => K::YieldMpi,
-    }
+        _ => match row.platform {
+            Platform::Gpu => K::YieldGpu,
+            Platform::Mpi => K::YieldMpi,
+            Platform::Host => return None,
+        },
+    })
 }
 
 fn bin_kind(op: BinOp, kind: PrimKind) -> OpKind {
@@ -606,6 +591,7 @@ mod tests {
                 Some(0),
                 "takes 0 operands, found 1",
             ),
+            (IntrinOp::GridDim(3), vec![], Some(0), "axis past z"),
             (
                 IntrinOp::CopyToGpu,
                 vec![],

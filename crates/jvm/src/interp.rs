@@ -124,6 +124,11 @@ impl<'t> Jvm<'t> {
         self.natives.insert(key.into(), f);
     }
 
+    /// Is a native registered under `key`?
+    pub fn has_native(&self, key: &str) -> bool {
+        self.natives.contains_key(key)
+    }
+
     /// Raise or lower the jlang call-depth limit. The default is small
     /// because each interpreted frame consumes several kilobytes of host
     /// stack; raise it only with a correspondingly large host stack.

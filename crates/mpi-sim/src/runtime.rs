@@ -386,7 +386,7 @@ fn write_floats(
 /// A successful launch does **not** resume the thread (the interpreter
 /// continues past the launch on its own); GPU memory ops resume with
 /// their result. `args` has the operand count `exec::Image::build`
-/// checked for `op` (`nir::IntrinOp::shape`), so it is indexed by
+/// checked for `op` (`nir::IntrinOp::check_operands`), so it is indexed by
 /// position.
 pub(crate) fn service_device_yield(
     image: &Image<'_>,
@@ -711,7 +711,7 @@ fn mpi_range(pool: &mut dyn RankPool, r: u32, v: Val, what: &str) -> Result<usiz
 /// Service one MPI yield against the scheduler's collective rendezvous
 /// state — the pre-refactor `service_mpi`, reading and writing rank
 /// memory through the pool seam. `args` has the operand count
-/// `exec::Image::build` checked for `op` (`nir::IntrinOp::shape`), so it
+/// `exec::Image::build` checked for `op` (`nir::IntrinOp::check_operands`), so it
 /// is indexed by position.
 #[allow(clippy::too_many_arguments)]
 fn service_mpi(

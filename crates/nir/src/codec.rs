@@ -61,9 +61,9 @@ use std::sync::Arc;
 use jlang::ast::BinOp;
 use jlang::types::{ClassId, PrimKind};
 
+use crate::intrin::{IntrinOp, Intrinsic};
 use crate::ir::{
-    ClassMeta, ConstVal, ElemTy, FuncId, FuncKind, Function, Global, HostFnSig, Instr, IntrinOp,
-    Program, Ty,
+    ClassMeta, ConstVal, ElemTy, FuncId, FuncKind, Function, Global, HostFnSig, Instr, Program, Ty,
 };
 use crate::opt::OptConfig;
 
@@ -630,112 +630,22 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-/// Yielded intrinsics cross the wire with the tags `.wjar` artifacts use.
+/// Intrinsics cross the wire as their row's tag and axis; a pair no row
+/// has fails typed. An op with no row (a coordinate axis past `z`, which
+/// [`crate::Program::verify`] refuses) is written as a tag no row has.
 impl Wire for IntrinOp {
     fn put(&self, w: &mut Writer) {
-        let (tag, axis) = intrin_tag(*self);
+        let (tag, axis) = self.row().map_or((u8::MAX, 0), |r| (r.tag, r.axis));
         w.u8(tag);
         w.u8(axis);
     }
     fn get(r: &mut Reader<'_>) -> CodecResult<Self> {
         let tag = r.u8()?;
         let axis = r.u8()?;
-        intrin_of(tag, axis, r)
+        Intrinsic::by_wire(tag, axis)
+            .map(|row| row.op)
+            .ok_or_else(|| r.corrupt(format!("intrinsic tag {tag} with axis {axis}")))
     }
-}
-
-/// Stable wire tag of an intrinsic op (tag, axis).
-fn intrin_tag(op: IntrinOp) -> (u8, u8) {
-    match op {
-        IntrinOp::SqrtF64 => (0, 0),
-        IntrinOp::SqrtF32 => (1, 0),
-        IntrinOp::PowF64 => (2, 0),
-        IntrinOp::ExpF64 => (3, 0),
-        IntrinOp::AbsF32 => (4, 0),
-        IntrinOp::AbsF64 => (5, 0),
-        IntrinOp::AbsI32 => (6, 0),
-        IntrinOp::MinI32 => (7, 0),
-        IntrinOp::MaxI32 => (8, 0),
-        IntrinOp::MinF32 => (9, 0),
-        IntrinOp::MaxF32 => (10, 0),
-        IntrinOp::PrintI32 => (11, 0),
-        IntrinOp::PrintI64 => (12, 0),
-        IntrinOp::PrintF32 => (13, 0),
-        IntrinOp::PrintF64 => (14, 0),
-        IntrinOp::PrintBool => (15, 0),
-        IntrinOp::ArrayCopyF32 => (16, 0),
-        IntrinOp::ThreadIdx(a) => (17, a),
-        IntrinOp::BlockIdx(a) => (18, a),
-        IntrinOp::BlockDim(a) => (19, a),
-        IntrinOp::GridDim(a) => (20, a),
-        IntrinOp::CopyToGpu => (21, 0),
-        IntrinOp::CopyFromGpu => (22, 0),
-        IntrinOp::CopyToGpuRange => (23, 0),
-        IntrinOp::CopyFromGpuRange => (24, 0),
-        IntrinOp::GpuAllocF32 => (25, 0),
-        IntrinOp::GpuFree => (26, 0),
-        IntrinOp::MpiRank => (27, 0),
-        IntrinOp::MpiSize => (28, 0),
-        IntrinOp::MpiBarrier => (29, 0),
-        IntrinOp::MpiSendF32 => (30, 0),
-        IntrinOp::MpiRecvF32 => (31, 0),
-        IntrinOp::MpiSendRecvF32 => (32, 0),
-        IntrinOp::MpiBcastF32 => (33, 0),
-        IntrinOp::MpiAllreduceSumF64 => (34, 0),
-        IntrinOp::MpiAllreduceSumF32 => (35, 0),
-        IntrinOp::MpiAllreduceMaxF64 => (36, 0),
-    }
-}
-
-/// Inverse of [`intrin_tag`]; unknown tags fail typed, and so does an
-/// axis byte other than the one [`intrin_tag`] writes (0..=2 for a CUDA
-/// register, 0 for every other op), so that decoding stays the inverse
-/// of encoding.
-fn intrin_of(tag: u8, axis: u8, r: &Reader<'_>) -> CodecResult<IntrinOp> {
-    let max_axis = if matches!(tag, 17..=20) { 2 } else { 0 };
-    if axis > max_axis {
-        return Err(r.corrupt(format!("intrinsic tag {tag} with axis {axis}")));
-    }
-    Ok(match tag {
-        0 => IntrinOp::SqrtF64,
-        1 => IntrinOp::SqrtF32,
-        2 => IntrinOp::PowF64,
-        3 => IntrinOp::ExpF64,
-        4 => IntrinOp::AbsF32,
-        5 => IntrinOp::AbsF64,
-        6 => IntrinOp::AbsI32,
-        7 => IntrinOp::MinI32,
-        8 => IntrinOp::MaxI32,
-        9 => IntrinOp::MinF32,
-        10 => IntrinOp::MaxF32,
-        11 => IntrinOp::PrintI32,
-        12 => IntrinOp::PrintI64,
-        13 => IntrinOp::PrintF32,
-        14 => IntrinOp::PrintF64,
-        15 => IntrinOp::PrintBool,
-        16 => IntrinOp::ArrayCopyF32,
-        17 => IntrinOp::ThreadIdx(axis),
-        18 => IntrinOp::BlockIdx(axis),
-        19 => IntrinOp::BlockDim(axis),
-        20 => IntrinOp::GridDim(axis),
-        21 => IntrinOp::CopyToGpu,
-        22 => IntrinOp::CopyFromGpu,
-        23 => IntrinOp::CopyToGpuRange,
-        24 => IntrinOp::CopyFromGpuRange,
-        25 => IntrinOp::GpuAllocF32,
-        26 => IntrinOp::GpuFree,
-        27 => IntrinOp::MpiRank,
-        28 => IntrinOp::MpiSize,
-        29 => IntrinOp::MpiBarrier,
-        30 => IntrinOp::MpiSendF32,
-        31 => IntrinOp::MpiRecvF32,
-        32 => IntrinOp::MpiSendRecvF32,
-        33 => IntrinOp::MpiBcastF32,
-        34 => IntrinOp::MpiAllreduceSumF64,
-        35 => IntrinOp::MpiAllreduceSumF32,
-        36 => IntrinOp::MpiAllreduceMaxF64,
-        other => return Err(r.corrupt(format!("intrinsic tag {other}"))),
-    })
 }
 
 /// `impl Wire` for a struct: the listed fields, in the listed order, in
@@ -1363,5 +1273,26 @@ mod tests {
             Shape::from_wire(&huge),
             Err(CodecError::Corrupt { .. })
         ));
+    }
+
+    /// Every two bytes either decode to an intrinsic that encodes to
+    /// them again, or fail typed: one per table row, none otherwise.
+    #[test]
+    fn intrinsic_wire_pairs_round_trip_or_fail_typed() {
+        let mut decoded = 0;
+        for tag in 0..=u8::MAX {
+            for axis in 0..=u8::MAX {
+                match IntrinOp::from_wire(&[tag, axis]) {
+                    Ok(op) => {
+                        assert_eq!(op.to_wire(), [tag, axis], "{op:?}");
+                        decoded += 1;
+                    }
+                    Err(e) => assert!(matches!(e, CodecError::Corrupt { .. }), "{e:?}"),
+                }
+            }
+        }
+        assert_eq!(decoded, crate::INTRINSICS.len());
+        // The op no row has encodes to bytes that fail to decode.
+        assert!(IntrinOp::from_wire(&IntrinOp::ThreadIdx(3).to_wire()).is_err());
     }
 }

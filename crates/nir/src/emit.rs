@@ -19,7 +19,8 @@ use std::fmt::Write as _;
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
-use crate::ir::{ConstVal, FuncKind, Function, Instr, IntrinOp, Program, Ty};
+use crate::intrin::{IntrinOp, IntrinTy, Platform};
+use crate::ir::{ConstVal, FuncKind, Function, Instr, Program, Ty};
 
 /// Exit status of an emitted program whose integer division or remainder
 /// has a zero divisor: where `exec` fails with "division by zero".
@@ -119,26 +120,7 @@ static inline void wj_print_f64(double v) { printf("0x%016" PRIx64 "\n", wj_bits
 pub fn emit_c(p: &Program) -> String {
     let mut out = String::new();
     let has_kernels = p.funcs.iter().any(|f| f.kind != FuncKind::Host);
-    let has_mpi = p.funcs.iter().any(|f| {
-        f.code.iter().any(|i| {
-            matches!(
-                i,
-                Instr::Intrin {
-                    op: IntrinOp::MpiRank
-                        | IntrinOp::MpiSize
-                        | IntrinOp::MpiBarrier
-                        | IntrinOp::MpiSendF32
-                        | IntrinOp::MpiRecvF32
-                        | IntrinOp::MpiSendRecvF32
-                        | IntrinOp::MpiBcastF32
-                        | IntrinOp::MpiAllreduceSumF64
-                        | IntrinOp::MpiAllreduceSumF32
-                        | IntrinOp::MpiAllreduceMaxF64,
-                    ..
-                }
-            )
-        })
-    });
+    let has_mpi = p.uses(Platform::Mpi);
     out.push_str(
         "#include <stdlib.h>\n#include <stdio.h>\n#include <math.h>\n\
          #include <stdbool.h>\n#include <string.h>\n#include <stdint.h>\n\
@@ -441,49 +423,48 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
             // `Program::verify` makes the same check, so a verified
             // program never renders the comment; past it, `args` has the
             // op's arity and `dst` is present wherever it is read.
-            if let Err(e) = op.check_operands(args.len(), dst.is_some()) {
-                return format!("/* {e} */");
-            }
+            let row = match op.check_operands(args.len(), dst.is_some()) {
+                Ok(row) => row,
+                Err(e) => return format!("/* {e} */"),
+            };
             let d = dst.unwrap_or_default();
             let a: Vec<String> = args.iter().map(|r| format!("r{r}")).collect();
             match op {
                 IntrinOp::ThreadIdx(_)
                 | IntrinOp::BlockIdx(_)
                 | IntrinOp::BlockDim(_)
-                | IntrinOp::GridDim(_) => format!("r{d} = {};", op.c_name()),
+                | IntrinOp::GridDim(_) => format!("r{d} = {};", row.c_name),
                 // C has no integer `min`/`max`.
                 IntrinOp::MinI32 | IntrinOp::MaxI32 => {
                     let cmp = if *op == IntrinOp::MinI32 { "<" } else { ">" };
                     let (x, y) = (args[0], args[1]);
                     format!("r{d} = r{x} {cmp} r{y} ? r{x} : r{y};")
                 }
-                IntrinOp::MpiRank => format!("MPI_Comm_rank(MPI_COMM_WORLD, &r{d});"),
-                IntrinOp::MpiSize => format!("MPI_Comm_size(MPI_COMM_WORLD, &r{d});"),
-                IntrinOp::MpiBarrier => "MPI_Barrier(MPI_COMM_WORLD);".to_string(),
-                IntrinOp::MpiSendF32 => format!(
-                    "MPI_Send({}, MPI_FLOAT, MPI_COMM_WORLD);",
-                    a.join(", ")
-                ),
+                IntrinOp::MpiRank | IntrinOp::MpiSize => {
+                    format!("{}(MPI_COMM_WORLD, &r{d});", row.c_name)
+                }
+                IntrinOp::MpiBarrier => format!("{}(MPI_COMM_WORLD);", row.c_name),
+                IntrinOp::MpiSendF32 | IntrinOp::MpiBcastF32 => {
+                    format!("{}({}, MPI_FLOAT, MPI_COMM_WORLD);", row.c_name, a.join(", "))
+                }
                 IntrinOp::MpiRecvF32 => format!(
-                    "MPI_Recv({}, MPI_FLOAT, MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+                    "{}({}, MPI_FLOAT, MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+                    row.c_name,
                     a.join(", ")
                 ),
                 IntrinOp::MpiSendRecvF32 => format!(
-                    "MPI_Sendrecv({}, MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+                    "{}({}, MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+                    row.c_name,
                     a.join(", ")
                 ),
-                IntrinOp::MpiBcastF32 => {
-                    format!("MPI_Bcast({}, MPI_FLOAT, MPI_COMM_WORLD);", a.join(", "))
+                IntrinOp::MpiAllreduceSumF64
+                | IntrinOp::MpiAllreduceSumF32
+                | IntrinOp::MpiAllreduceMaxF64 => {
+                    let f32 = row.ret == Some(IntrinTy::Is(Ty::F32));
+                    let ty = if f32 { "MPI_FLOAT" } else { "MPI_DOUBLE" };
+                    let reduce = if *op == IntrinOp::MpiAllreduceMaxF64 { "MPI_MAX" } else { "MPI_SUM" };
+                    format!("{}(MPI_IN_PLACE, &r{d}, 1, {ty}, {reduce}, MPI_COMM_WORLD);", row.c_name)
                 }
-                IntrinOp::MpiAllreduceSumF64 => format!(
-                    "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);"
-                ),
-                IntrinOp::MpiAllreduceSumF32 => format!(
-                    "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_FLOAT, MPI_SUM, MPI_COMM_WORLD);"
-                ),
-                IntrinOp::MpiAllreduceMaxF64 => format!(
-                    "MPI_Allreduce(MPI_IN_PLACE, &r{d}, 1, MPI_DOUBLE, MPI_MAX, MPI_COMM_WORLD);"
-                ),
                 IntrinOp::CopyToGpu => format!(
                     "cudaMalloc(&r{0}, sizeof(float) * wj_length(r{1})); cudaMemcpy(r{0}, r{1}, sizeof(float) * wj_length(r{1}), cudaMemcpyHostToDevice);",
                     d,
@@ -496,14 +477,13 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
                 IntrinOp::GpuAllocF32 => {
                     format!("cudaMalloc(&r{d}, sizeof(float) * r{});", args[0])
                 }
-                IntrinOp::GpuFree => format!("cudaFree(r{});", args[0]),
                 IntrinOp::ArrayCopyF32 => format!(
                     "memmove(r{2} + r{3}, r{0} + r{1}, sizeof(float) * r{4});",
                     args[0], args[1], args[2], args[3], args[4]
                 ),
                 _ => match dst {
-                    Some(d) => format!("r{d} = {}({});", op.c_name(), a.join(", ")),
-                    None => format!("{}({});", op.c_name(), a.join(", ")),
+                    Some(d) => format!("r{d} = {}({});", row.c_name, a.join(", ")),
+                    None => format!("{}({});", row.c_name, a.join(", ")),
                 },
             }
         }

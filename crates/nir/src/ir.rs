@@ -7,6 +7,7 @@
 //! (the paper's *C++* and *Template* baselines) additionally use the
 //! heap-object and vtable instructions.
 
+use crate::intrin::{IntrinOp, Platform};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use std::fmt;
@@ -102,175 +103,6 @@ impl Ty {
             Ty::Arr(e) => format!("{}*", e.c_name()),
             Ty::Obj => "struct obj*".into(),
         }
-    }
-}
-
-/// Intrinsic operations: math, I/O, CUDA registers/memory, MPI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IntrinOp {
-    // math
-    SqrtF64,
-    SqrtF32,
-    PowF64,
-    ExpF64,
-    AbsF32,
-    AbsF64,
-    AbsI32,
-    MinI32,
-    MaxI32,
-    MinF32,
-    MaxF32,
-    // printing / util
-    PrintI32,
-    PrintI64,
-    PrintF32,
-    PrintF64,
-    PrintBool,
-    ArrayCopyF32,
-    // CUDA thread registers; the axis is 0=x, 1=y, 2=z
-    ThreadIdx(u8),
-    BlockIdx(u8),
-    BlockDim(u8),
-    GridDim(u8),
-    // CUDA memory
-    CopyToGpu,
-    CopyFromGpu,
-    /// (dev, devOff, host, hostOff, len): copy a host range into a device range.
-    CopyToGpuRange,
-    /// (host, hostOff, dev, devOff, len): copy a device range into a host range.
-    CopyFromGpuRange,
-    GpuAllocF32,
-    GpuFree,
-    // MPI
-    MpiRank,
-    MpiSize,
-    MpiBarrier,
-    MpiSendF32,
-    MpiRecvF32,
-    MpiSendRecvF32,
-    MpiBcastF32,
-    MpiAllreduceSumF64,
-    MpiAllreduceSumF32,
-    MpiAllreduceMaxF64,
-}
-
-impl IntrinOp {
-    /// The C spelling used by the source emitter (which renders
-    /// `MinI32`/`MaxI32` as conditional expressions: C has no integer
-    /// `min`/`max`). The `wj_` names are functions of the emitted
-    /// prelude, which follow Java where libc does not.
-    pub fn c_name(self) -> String {
-        match self {
-            IntrinOp::SqrtF64 => "sqrt".into(),
-            IntrinOp::SqrtF32 => "sqrtf".into(),
-            IntrinOp::PowF64 => "pow".into(),
-            IntrinOp::ExpF64 => "exp".into(),
-            IntrinOp::AbsF32 => "fabsf".into(),
-            IntrinOp::AbsF64 => "fabs".into(),
-            IntrinOp::AbsI32 => "wj_abs_i32".into(),
-            IntrinOp::MinI32 => "min".into(),
-            IntrinOp::MaxI32 => "max".into(),
-            IntrinOp::MinF32 => "wj_min_f32".into(),
-            IntrinOp::MaxF32 => "wj_max_f32".into(),
-            IntrinOp::PrintI32 => "wj_print_i32".into(),
-            IntrinOp::PrintI64 => "wj_print_i64".into(),
-            IntrinOp::PrintF32 => "wj_print_f32".into(),
-            IntrinOp::PrintF64 => "wj_print_f64".into(),
-            IntrinOp::PrintBool => "wj_print_bool".into(),
-            IntrinOp::ArrayCopyF32 => "memmove".into(),
-            IntrinOp::ThreadIdx(a) => format!("threadIdx.{}", axis(a)),
-            IntrinOp::BlockIdx(a) => format!("blockIdx.{}", axis(a)),
-            IntrinOp::BlockDim(a) => format!("blockDim.{}", axis(a)),
-            IntrinOp::GridDim(a) => format!("gridDim.{}", axis(a)),
-            IntrinOp::CopyToGpu => "cudaMemcpyHostToDevice".into(),
-            IntrinOp::CopyFromGpu => "cudaMemcpyDeviceToHost".into(),
-            IntrinOp::CopyToGpuRange => "cudaMemcpy/*range,HtoD*/".into(),
-            IntrinOp::CopyFromGpuRange => "cudaMemcpy/*range,DtoH*/".into(),
-            IntrinOp::GpuAllocF32 => "cudaMalloc".into(),
-            IntrinOp::GpuFree => "cudaFree".into(),
-            IntrinOp::MpiRank => "MPI_Comm_rank".into(),
-            IntrinOp::MpiSize => "MPI_Comm_size".into(),
-            IntrinOp::MpiBarrier => "MPI_Barrier".into(),
-            IntrinOp::MpiSendF32 => "MPI_Send".into(),
-            IntrinOp::MpiRecvF32 => "MPI_Recv".into(),
-            IntrinOp::MpiSendRecvF32 => "MPI_Sendrecv".into(),
-            IntrinOp::MpiBcastF32 => "MPI_Bcast".into(),
-            IntrinOp::MpiAllreduceSumF64
-            | IntrinOp::MpiAllreduceSumF32
-            | IntrinOp::MpiAllreduceMaxF64 => "MPI_Allreduce".into(),
-        }
-    }
-
-    /// Is this intrinsic pure (no side effects, safe to DCE)?
-    pub fn is_pure(self) -> bool {
-        matches!(
-            self,
-            IntrinOp::SqrtF64
-                | IntrinOp::SqrtF32
-                | IntrinOp::PowF64
-                | IntrinOp::ExpF64
-                | IntrinOp::AbsF32
-                | IntrinOp::AbsF64
-                | IntrinOp::AbsI32
-                | IntrinOp::MinI32
-                | IntrinOp::MaxI32
-                | IntrinOp::MinF32
-                | IntrinOp::MaxF32
-                | IntrinOp::ThreadIdx(_)
-                | IntrinOp::BlockIdx(_)
-                | IntrinOp::BlockDim(_)
-                | IntrinOp::GridDim(_)
-        )
-    }
-
-    /// Operand count, and whether the intrinsic returns a value (and so
-    /// must name a destination register). This is the one table of
-    /// intrinsic shapes: [`Program::verify`] checks every `Intrin`
-    /// against it, `exec` decodes by it, the MPI and GPU runtimes index
-    /// their argument lists by position because of it, and the C emitter
-    /// renders by it. An intrinsic whose operands change changes here.
-    pub fn shape(self) -> (usize, bool) {
-        use IntrinOp as I;
-        match self {
-            I::SqrtF64 | I::SqrtF32 | I::ExpF64 | I::AbsF32 | I::AbsF64 | I::AbsI32 => (1, true),
-            I::PowF64 | I::MinI32 | I::MaxI32 | I::MinF32 | I::MaxF32 => (2, true),
-            I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => (1, false),
-            I::ArrayCopyF32 => (5, false),
-            I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) | I::GridDim(_) => (0, true),
-            I::CopyToGpu | I::GpuAllocF32 => (1, true),
-            I::GpuFree => (1, false),
-            I::CopyFromGpu => (2, false),
-            I::CopyToGpuRange | I::CopyFromGpuRange => (5, false),
-            I::MpiRank | I::MpiSize => (0, true),
-            I::MpiBarrier => (0, false),
-            I::MpiAllreduceSumF64 | I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => (1, true),
-            I::MpiBcastF32 => (4, false),
-            I::MpiSendF32 | I::MpiRecvF32 => (5, false),
-            I::MpiSendRecvF32 => (8, false),
-        }
-    }
-
-    /// Does an `Intrin` of this op with `args` operands and (`has_dst`)
-    /// a destination have the op's [`shape`](IntrinOp::shape)?
-    pub fn check_operands(self, args: usize, has_dst: bool) -> Result<(), String> {
-        let (arity, returns) = self.shape();
-        if args != arity {
-            return Err(format!(
-                "intrinsic {self:?} takes {arity} operands, found {args}"
-            ));
-        }
-        if returns && !has_dst {
-            return Err(format!("intrinsic {self:?} has no destination register"));
-        }
-        Ok(())
-    }
-}
-
-fn axis(a: u8) -> &'static str {
-    match a {
-        0 => "x",
-        1 => "y",
-        _ => "z",
     }
 }
 
@@ -545,7 +377,7 @@ impl Instr {
             // them unless the destination is provably dead AND unaliased —
             // we conservatively treat allocation as effectful.
             Instr::NewObj { .. } | Instr::NewArr { .. } | Instr::SharedAlloc { .. } => true,
-            Instr::Intrin { op, .. } => !op.is_pure(),
+            Instr::Intrin { op, .. } => !op.row().is_some_and(|r| r.pure),
             _ => false,
         }
     }
@@ -650,6 +482,21 @@ impl Program {
     /// Total instruction count (a code-size metric used by Table 3).
     pub fn instr_count(&self) -> usize {
         self.funcs.iter().map(|f| f.code.len()).sum()
+    }
+
+    /// Does some instruction need `platform`: an intrinsic of it, or, for
+    /// the GPU, a launch, a barrier or a shared allocation?
+    pub fn uses(&self, platform: Platform) -> bool {
+        self.funcs
+            .iter()
+            .flat_map(|f| &f.code)
+            .any(|ins| match ins {
+                Instr::Launch { .. } | Instr::Sync | Instr::SharedAlloc { .. } => {
+                    platform == Platform::Gpu
+                }
+                Instr::Intrin { op, .. } => op.row().is_some_and(|r| r.platform == platform),
+                _ => false,
+            })
     }
 }
 

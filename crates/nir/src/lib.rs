@@ -14,6 +14,7 @@
 pub mod codec;
 pub mod emit;
 pub mod hash;
+pub mod intrin;
 pub mod ir;
 pub mod opt;
 pub mod verify;
@@ -21,9 +22,10 @@ pub mod verify;
 pub use codec::{digest64, seal, unseal, CodecError, CodecResult, Reader, Wire, Writer};
 pub use emit::{emit_c, DIV_BY_ZERO_EXIT};
 pub use hash::{fnv1a64, Fingerprint};
+pub use intrin::{IntrinOp, IntrinTy, Intrinsic, Platform, INTRINSICS};
 pub use ir::{
     ClassMeta, ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Function, Global, HostFnSig, Instr,
-    IntrinOp, Label, Program, Reg, Ty,
+    Label, Program, Reg, Ty,
 };
 pub use opt::{
     kinds_splice, merge_profiles, optimize, optimize_fn, OptConfig, PassProfile, PASS_ORDER,

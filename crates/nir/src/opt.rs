@@ -545,7 +545,7 @@ fn is_pure(ins: &Instr) -> bool {
         | Instr::Not { .. }
         | Instr::Cast { .. }
         | Instr::Mov(..) => true,
-        Instr::Intrin { op, dst, .. } => op.is_pure() && dst.is_some(),
+        Instr::Intrin { op, dst, .. } => op.row().is_some_and(|r| r.pure) && dst.is_some(),
         _ => const_bits(ins).is_some(),
     }
 }
@@ -562,7 +562,7 @@ enum Expr {
     Not(Opnd),
     Cast(PrimKind, PrimKind, Opnd),
     /// A pure intrinsic; those take at most two operands.
-    Intrin(crate::ir::IntrinOp, Option<Opnd>, Option<Opnd>),
+    Intrin(crate::IntrinOp, Option<Opnd>, Option<Opnd>),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -592,7 +592,7 @@ impl Expr {
                 op,
                 ref args,
                 dst: Some(_),
-            } if op.is_pure() && args.len() <= 2 => {
+            } if op.row().is_some_and(|r| r.pure) && args.len() <= 2 => {
                 Expr::Intrin(op, args.first().map(|&a| o(a)), args.get(1).map(|&a| o(a)))
             }
             _ => return None,

@@ -23,7 +23,8 @@
 //!   function's end), and the last instruction is a `ret`, `jmp` or `br`;
 //! * callees, host functions, selectors and classes exist, and calls and
 //!   host calls pass as many arguments as the callee takes;
-//! * an intrinsic has its [`IntrinOp::shape`];
+//! * an intrinsic has a row of [`crate::INTRINSICS`] (no coordinate
+//!   axis past `z`) and that row's arity and result;
 //! * placement: kernel and device code calls no host function, only host
 //!   code launches, and only kernels; `Sync` and `SharedAlloc` appear only
 //!   in kernels;
@@ -40,7 +41,7 @@
 //!   the host function's) parameter types and receive its return type;
 //! * array operands: a handle of the declared element type, `i32`
 //!   indices and lengths, loads and stores of the element type;
-//! * intrinsics: the operand and result types of each `IntrinOp`;
+//! * intrinsics: the operand and result types of the op's row;
 //! * object operands: receivers, fields' objects and `NewObj` results
 //!   are `Obj` (field values and a virtual call's arguments are checked
 //!   at run time, where the class is known).
@@ -53,7 +54,8 @@
 //! It never panics: whatever a program holds, a defect is a
 //! [`VerifyError`].
 
-use crate::ir::{ElemTy, FuncId, FuncKind, Function, Instr, IntrinOp, Program, Reg, Ty};
+use crate::intrin::{IntrinOp, IntrinTy};
+use crate::ir::{FuncId, FuncKind, Function, Instr, Program, Reg, Ty};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use std::fmt;
@@ -86,57 +88,6 @@ impl fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
-
-/// An operand type an intrinsic requires.
-#[derive(Debug, Clone, Copy)]
-enum Want {
-    Is(Ty),
-    /// A handle to an array of any element type (the runtime that
-    /// services the op checks the element type of what it copies).
-    AnyArr,
-}
-
-use Want::{AnyArr, Is};
-const I32: Want = Is(Ty::I32);
-const I64: Want = Is(Ty::I64);
-const F32: Want = Is(Ty::F32);
-const F64: Want = Is(Ty::F64);
-const BOOL: Want = Is(Ty::Bool);
-const F32_ARR: Want = Is(Ty::Arr(ElemTy::F32));
-
-/// Operand and result types of an intrinsic, in [`IntrinOp::shape`]'s
-/// order. `CopyToGpu` returns a device copy of its operand, so its
-/// result has its operand's type (checked apart).
-fn intrin_types(op: IntrinOp) -> (&'static [Want], Option<Want>) {
-    use IntrinOp as I;
-    match op {
-        I::SqrtF64 | I::ExpF64 | I::AbsF64 => (&[F64], Some(F64)),
-        I::SqrtF32 | I::AbsF32 => (&[F32], Some(F32)),
-        I::AbsI32 => (&[I32], Some(I32)),
-        I::PowF64 => (&[F64, F64], Some(F64)),
-        I::MinI32 | I::MaxI32 => (&[I32, I32], Some(I32)),
-        I::MinF32 | I::MaxF32 => (&[F32, F32], Some(F32)),
-        I::PrintI32 => (&[I32], None),
-        I::PrintI64 => (&[I64], None),
-        I::PrintF32 => (&[F32], None),
-        I::PrintF64 => (&[F64], None),
-        I::PrintBool => (&[BOOL], None),
-        I::ArrayCopyF32 => (&[F32_ARR, I32, F32_ARR, I32, I32], None),
-        I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) | I::GridDim(_) => (&[], Some(I32)),
-        I::CopyToGpu => (&[AnyArr], Some(AnyArr)),
-        I::CopyFromGpu => (&[AnyArr, AnyArr], None),
-        I::CopyToGpuRange | I::CopyFromGpuRange => (&[AnyArr, I32, AnyArr, I32, I32], None),
-        I::GpuAllocF32 => (&[I32], Some(F32_ARR)),
-        I::GpuFree => (&[AnyArr], None),
-        I::MpiRank | I::MpiSize => (&[], Some(I32)),
-        I::MpiBarrier => (&[], None),
-        I::MpiSendF32 | I::MpiRecvF32 => (&[F32_ARR, I32, I32, I32, I32], None),
-        I::MpiSendRecvF32 => (&[F32_ARR, I32, I32, I32, F32_ARR, I32, I32, I32], None),
-        I::MpiBcastF32 => (&[F32_ARR, I32, I32, I32], None),
-        I::MpiAllreduceSumF64 | I::MpiAllreduceMaxF64 => (&[F64], Some(F64)),
-        I::MpiAllreduceSumF32 => (&[F32], Some(F32)),
-    }
-}
 
 /// The result type of `lhs op rhs` over operands of `kind`, or `None`
 /// when the operator does not exist for the kind (`&&` on ints, `+` on
@@ -404,17 +355,16 @@ impl Program {
             }
             Instr::FreeArr { arr } => elem("array", *arr).map(drop),
             Instr::Intrin { op, args, dst } => {
-                op.check_operands(args.len(), dst.is_some())?;
-                let (params, ret) = intrin_types(*op);
-                let check = |what: &str, r: Reg, w: Want| match w {
-                    Is(t) => want(what, r, t),
-                    AnyArr => elem(what, r).map(drop),
+                let row = op.check_operands(args.len(), dst.is_some())?;
+                let check = |what: &str, r: Reg, w: IntrinTy| match w {
+                    IntrinTy::Is(t) => want(what, r, t),
+                    IntrinTy::AnyArr => elem(what, r).map(drop),
                 };
                 let checked = (|| {
-                    for (r, w) in args.iter().zip(params) {
+                    for (r, w) in args.iter().zip(row.params) {
                         check("operand", *r, *w)?;
                     }
-                    match (dst, ret) {
+                    match (dst, row.ret) {
                         (Some(d), Some(w)) => check("result", *d, w)?,
                         (Some(d), None) => return Err(format!("no result, but names r{d}")),
                         (None, _) => {}
@@ -617,7 +567,7 @@ fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{FuncKind, HostFnSig};
+    use crate::ir::{ElemTy, FuncKind, HostFnSig};
 
     // The parameters of every test function, by register.
     const I: Reg = 0; // i32
@@ -1018,63 +968,9 @@ mod tests {
         );
     }
 
-    /// Every intrinsic, one per variant (the match below fails to compile
-    /// when a variant is added and not listed).
-    fn every_intrinsic() -> Vec<IntrinOp> {
-        use IntrinOp as I;
-        let all = vec![
-            I::SqrtF64,
-            I::SqrtF32,
-            I::PowF64,
-            I::ExpF64,
-            I::AbsF32,
-            I::AbsF64,
-            I::AbsI32,
-            I::MinI32,
-            I::MaxI32,
-            I::MinF32,
-            I::MaxF32,
-            I::PrintI32,
-            I::PrintI64,
-            I::PrintF32,
-            I::PrintF64,
-            I::PrintBool,
-            I::ArrayCopyF32,
-            I::ThreadIdx(0),
-            I::BlockIdx(1),
-            I::BlockDim(2),
-            I::GridDim(0),
-            I::CopyToGpu,
-            I::CopyFromGpu,
-            I::CopyToGpuRange,
-            I::CopyFromGpuRange,
-            I::GpuAllocF32,
-            I::GpuFree,
-            I::MpiRank,
-            I::MpiSize,
-            I::MpiBarrier,
-            I::MpiSendF32,
-            I::MpiRecvF32,
-            I::MpiSendRecvF32,
-            I::MpiBcastF32,
-            I::MpiAllreduceSumF64,
-            I::MpiAllreduceSumF32,
-            I::MpiAllreduceMaxF64,
-        ];
-        for op in &all {
-            match op {
-                I::SqrtF64 | I::SqrtF32 | I::PowF64 | I::ExpF64 | I::AbsF32 | I::AbsF64 => {}
-                I::AbsI32 | I::MinI32 | I::MaxI32 | I::MinF32 | I::MaxF32 => {}
-                I::PrintI32 | I::PrintI64 | I::PrintF32 | I::PrintF64 | I::PrintBool => {}
-                I::ArrayCopyF32 | I::ThreadIdx(_) | I::BlockIdx(_) | I::BlockDim(_) => {}
-                I::GridDim(_) | I::CopyToGpu | I::CopyFromGpu | I::CopyToGpuRange => {}
-                I::CopyFromGpuRange | I::GpuAllocF32 | I::GpuFree | I::MpiRank => {}
-                I::MpiSize | I::MpiBarrier | I::MpiSendF32 | I::MpiRecvF32 => {}
-                I::MpiSendRecvF32 | I::MpiBcastF32 | I::MpiAllreduceSumF64 => {}
-                I::MpiAllreduceSumF32 | I::MpiAllreduceMaxF64 => {}
-            }
-        }
-        all
+    /// Every intrinsic: one per row of the table.
+    fn every_intrinsic() -> impl Iterator<Item = IntrinOp> {
+        crate::INTRINSICS.iter().map(|r| r.op)
     }
 
     /// `fn f(<operands>, <result>, i32) { <intrinsic>; return }`: the
@@ -1082,11 +978,12 @@ mod tests {
     /// one, and a spare `i32`. `edit` gets the well-formed operands
     /// (r0..) and destination to change.
     fn intrinsic(op: IntrinOp, edit: impl FnOnce(&mut Vec<Reg>, &mut Option<Reg>)) -> Program {
-        let of = |w: &Want| match w {
-            Is(t) => *t,
-            AnyArr => Ty::Arr(ElemTy::F32),
+        let of = |w: &IntrinTy| match w {
+            IntrinTy::Is(t) => *t,
+            IntrinTy::AnyArr => Ty::Arr(ElemTy::F32),
         };
-        let (operands, result) = intrin_types(op);
+        let row = op.row().unwrap();
+        let (operands, result) = (row.params, row.ret);
         let mut params: Vec<Ty> = operands.iter().map(of).collect();
         params.extend(result.as_ref().map(of));
         params.push(Ty::I32);
@@ -1108,7 +1005,8 @@ mod tests {
     fn misshapen_intrinsics() -> Vec<(String, &'static str, Program)> {
         let mut rows = vec![];
         for op in every_intrinsic() {
-            let (arity, returns) = op.shape();
+            let row = op.row().unwrap();
+            let (arity, returns) = (row.params.len(), row.ret.is_some());
             for i in 0..arity {
                 let p = intrinsic(op, |args, _| {
                     args.remove(i);
@@ -1474,6 +1372,14 @@ mod tests {
                     block: [I; 3],
                     args: vec![I, X],
                 }),
+            ),
+            (
+                "coordinate axis past z",
+                in_kernel(vec![N::Intrin {
+                    op: IntrinOp::ThreadIdx(3),
+                    args: vec![],
+                    dst: Some(I),
+                }]),
             ),
             ("barrier outside a kernel", at(N::Sync)),
             (

@@ -30,7 +30,7 @@ pub mod virt;
 use jlang::table::ClassTable;
 use jlang::types::ClassId;
 use jvm::{ArrayData, Jvm, Value};
-use nir::{FuncId, Instr, IntrinOp, OptConfig, Program};
+use nir::{FuncId, OptConfig, Platform, Program};
 
 pub use artifact::CacheKey;
 pub use incr::{BodyRef, CalleeEdge, FnMemo, FnRec, MemberRef, ReplayState, TraceState};
@@ -339,7 +339,7 @@ fn finish(
         // assigned on some path (javac's definite-assignment error).
         TransError::new(format!("generated program does not verify: {e}"))
     })?;
-    let (uses_mpi, uses_gpu) = scan_uses(&program);
+    let (uses_mpi, uses_gpu) = (program.uses(Platform::Mpi), program.uses(Platform::Gpu));
     Ok(Translated {
         program,
         entry,
@@ -377,43 +377,6 @@ fn shaped_bindings(key: &SpecKey, flatten: bool, nargs: usize) -> Vec<Binding> {
         }
     }
     bindings
-}
-
-/// Scan a lowered program for the platform capabilities it exercises:
-/// `(uses_mpi, uses_gpu)`.
-fn scan_uses(program: &nir::Program) -> (bool, bool) {
-    let mut uses_mpi = false;
-    let mut uses_gpu = false;
-    for f in &program.funcs {
-        for ins in &f.code {
-            match ins {
-                Instr::Launch { .. } | Instr::Sync | Instr::SharedAlloc { .. } => uses_gpu = true,
-                Instr::Intrin { op, .. } => match op {
-                    IntrinOp::MpiRank
-                    | IntrinOp::MpiSize
-                    | IntrinOp::MpiBarrier
-                    | IntrinOp::MpiSendF32
-                    | IntrinOp::MpiRecvF32
-                    | IntrinOp::MpiSendRecvF32
-                    | IntrinOp::MpiBcastF32
-                    | IntrinOp::MpiAllreduceSumF64
-                    | IntrinOp::MpiAllreduceSumF32
-                    | IntrinOp::MpiAllreduceMaxF64 => uses_mpi = true,
-                    IntrinOp::CopyToGpu
-                    | IntrinOp::CopyFromGpu
-                    | IntrinOp::GpuAllocF32
-                    | IntrinOp::GpuFree
-                    | IntrinOp::ThreadIdx(_)
-                    | IntrinOp::BlockIdx(_)
-                    | IntrinOp::BlockDim(_)
-                    | IntrinOp::GridDim(_) => uses_gpu = true,
-                    _ => {}
-                },
-                _ => {}
-            }
-        }
-    }
-    (uses_mpi, uses_gpu)
 }
 
 /// Build the entry argument vector for the translated program from live
@@ -508,6 +471,7 @@ mod tests {
     use super::*;
     use exec::{run_to_completion, Machine, Val};
     use jlang::compile_str;
+    use nir::Instr;
 
     const APP: &str = "
         @WootinJ interface Solver { float solve(float self, int index); }

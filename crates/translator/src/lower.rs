@@ -23,12 +23,12 @@ use jlang::table::ClassTable;
 use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::{
-    ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Label, Program, Reg, Ty,
+    ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty,
 };
 
 use crate::incr;
 use crate::shape::{elem_ty_of, Shape, TransError};
-use crate::sheval::{field_shape, shape_from_decl, ShapeEval, SpecKey};
+use crate::sheval::{field_shape, native_return_shape, shape_from_decl, ShapeEval, SpecKey};
 use crate::TResult;
 
 /// Translation statistics (reported by Table 3 and the ablation benches).
@@ -1438,63 +1438,31 @@ impl<'t> Lowerer<'t> {
         for a in &args {
             regs.push(a.single()?);
         }
-        let ret_shape = match &m.ret {
-            Type::Void => None,
-            t => Some(shape_from_decl(self.table, t).ok_or_else(|| {
-                TransError::new(format!("native `{key}` returns an unsupported type"))
-            })?),
-        };
+        let ret_shape = native_return_shape(self.table, &m.ret, key)?;
         // Built-in intrinsic, or a user-registered foreign function (the
         // paper's FFI mechanism): unknown keys become direct host calls.
-        if let Some(op) = native_intrin(key) {
-            return match ret_shape {
-                None => {
-                    fx.fb.emit(Instr::Intrin {
-                        op,
-                        args: regs,
-                        dst: None,
-                    });
-                    Ok(None)
-                }
-                Some(shape) => {
-                    let ty = shape.leaf_tys()[0];
-                    let dst = fx.fb.reg(ty);
-                    fx.fb.emit(Instr::Intrin {
-                        op,
-                        args: regs,
-                        dst: Some(dst),
-                    });
-                    Ok(Some(Opnd {
-                        shape,
-                        regs: vec![dst],
-                    }))
-                }
-            };
-        }
-        let host = self.host_fn_id(key, &args, &ret_shape, fx)?;
-        match ret_shape {
-            None => {
-                fx.fb.emit(Instr::CallHost {
-                    host,
-                    args: regs,
-                    dst: None,
-                });
-                Ok(None)
-            }
-            Some(shape) => {
-                let ty = shape.leaf_tys()[0];
-                let dst = fx.fb.reg(ty);
-                fx.fb.emit(Instr::CallHost {
-                    host,
-                    args: regs,
-                    dst: Some(dst),
-                });
-                Ok(Some(Opnd {
-                    shape,
-                    regs: vec![dst],
-                }))
-            }
-        }
+        let intrin = Intrinsic::by_key(key).map(|r| r.op);
+        let host = match intrin {
+            Some(_) => 0,
+            None => self.host_fn_id(key, &args, &ret_shape, fx)?,
+        };
+        let dst = ret_shape.as_ref().map(|s| fx.fb.reg(s.leaf_tys()[0]));
+        fx.fb.emit(match intrin {
+            Some(op) => Instr::Intrin {
+                op,
+                args: regs,
+                dst,
+            },
+            None => Instr::CallHost {
+                host,
+                args: regs,
+                dst,
+            },
+        });
+        Ok(ret_shape.map(|shape| Opnd {
+            shape,
+            regs: dst.into_iter().collect(),
+        }))
     }
 
     /// Find or register the host-function signature for `key`.
@@ -1838,58 +1806,6 @@ fn const_zero(kind: PrimKind, r: Reg) -> Instr {
     }
 }
 
-/// Map `@Native` keys onto NIR intrinsics.
-pub fn native_intrin(key: &str) -> Option<IntrinOp> {
-    Some(match key {
-        "math.sqrt" => IntrinOp::SqrtF64,
-        "math.sqrtf" => IntrinOp::SqrtF32,
-        "math.pow" => IntrinOp::PowF64,
-        "math.exp" => IntrinOp::ExpF64,
-        "math.absf" => IntrinOp::AbsF32,
-        "math.absd" => IntrinOp::AbsF64,
-        "math.absi" => IntrinOp::AbsI32,
-        "math.mini" => IntrinOp::MinI32,
-        "math.maxi" => IntrinOp::MaxI32,
-        "math.minf" => IntrinOp::MinF32,
-        "math.maxf" => IntrinOp::MaxF32,
-        "wj.printInt" => IntrinOp::PrintI32,
-        "wj.printLong" => IntrinOp::PrintI64,
-        "wj.printFloat" => IntrinOp::PrintF32,
-        "wj.printDouble" => IntrinOp::PrintF64,
-        "wj.printBool" => IntrinOp::PrintBool,
-        "wj.arraycopyF" => IntrinOp::ArrayCopyF32,
-        "cuda.threadIdxX" => IntrinOp::ThreadIdx(0),
-        "cuda.threadIdxY" => IntrinOp::ThreadIdx(1),
-        "cuda.threadIdxZ" => IntrinOp::ThreadIdx(2),
-        "cuda.blockIdxX" => IntrinOp::BlockIdx(0),
-        "cuda.blockIdxY" => IntrinOp::BlockIdx(1),
-        "cuda.blockIdxZ" => IntrinOp::BlockIdx(2),
-        "cuda.blockDimX" => IntrinOp::BlockDim(0),
-        "cuda.blockDimY" => IntrinOp::BlockDim(1),
-        "cuda.blockDimZ" => IntrinOp::BlockDim(2),
-        "cuda.gridDimX" => IntrinOp::GridDim(0),
-        "cuda.gridDimY" => IntrinOp::GridDim(1),
-        "cuda.gridDimZ" => IntrinOp::GridDim(2),
-        "cuda.copyToGPU" => IntrinOp::CopyToGpu,
-        "cuda.copyInRange" => IntrinOp::CopyToGpuRange,
-        "cuda.copyOutRange" => IntrinOp::CopyFromGpuRange,
-        "cuda.copyFromGPU" => IntrinOp::CopyFromGpu,
-        "cuda.allocF32" => IntrinOp::GpuAllocF32,
-        "cuda.free" => IntrinOp::GpuFree,
-        "mpi.rank" => IntrinOp::MpiRank,
-        "mpi.size" => IntrinOp::MpiSize,
-        "mpi.barrier" => IntrinOp::MpiBarrier,
-        "mpi.sendF" => IntrinOp::MpiSendF32,
-        "mpi.recvF" => IntrinOp::MpiRecvF32,
-        "mpi.sendrecvF" => IntrinOp::MpiSendRecvF32,
-        "mpi.bcastF" => IntrinOp::MpiBcastF32,
-        "mpi.allreduceSumD" => IntrinOp::MpiAllreduceSumF64,
-        "mpi.allreduceSumF" => IntrinOp::MpiAllreduceSumF32,
-        "mpi.allreduceMaxD" => IntrinOp::MpiAllreduceMaxF64,
-        _ => return None,
-    })
-}
-
 /// The compile-time value of static field `index` of `class` (coding rule
 /// 5 guarantees a constant initializer).
 pub(crate) fn static_const(table: &ClassTable, class: ClassId, index: u32) -> TResult<ConstVal> {
@@ -2074,3 +1990,4 @@ fn collect_globals(table: &ClassTable, program: &mut Program) {
         }
     }
 }
+

@@ -70,7 +70,7 @@ impl<'t> ShapeEval<'t> {
     fn method_return_inner(&mut self, key: &SpecKey) -> TResult<Option<Shape>> {
         let m = self.table.method(key.class, key.method);
         if let Some(native) = &m.native {
-            return native_return_shape(&m.ret, native);
+            return native_return_shape(self.table, &m.ret, native);
         }
         let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new(format!(
@@ -644,20 +644,16 @@ pub fn shape_from_decl(table: &ClassTable, ty: &Type) -> Option<Shape> {
 }
 
 /// Return shape of an `@Native` method from its declared signature.
-fn native_return_shape(ret: &Type, key: &str) -> TResult<Option<Shape>> {
+pub(crate) fn native_return_shape(
+    table: &ClassTable,
+    ret: &Type,
+    key: &str,
+) -> TResult<Option<Shape>> {
     match ret {
         Type::Void => Ok(None),
-        Type::Int => Ok(Some(Shape::Prim(jlang::PrimKind::Int))),
-        Type::Long => Ok(Some(Shape::Prim(jlang::PrimKind::Long))),
-        Type::Float => Ok(Some(Shape::Prim(jlang::PrimKind::Float))),
-        Type::Double => Ok(Some(Shape::Prim(jlang::PrimKind::Double))),
-        Type::Boolean => Ok(Some(Shape::Prim(jlang::PrimKind::Boolean))),
-        Type::Array(e) => elem_ty_of(e).map(|t| Some(Shape::Arr(t))).ok_or_else(|| {
-            TransError::new(format!("native `{key}` returns a non-primitive array"))
-        }),
-        other => Err(TransError::new(format!(
-            "native `{key}` returns unsupported type {other}"
-        ))),
+        t => shape_from_decl(table, t)
+            .map(Some)
+            .ok_or_else(|| TransError::new(format!("native `{key}` returns unsupported type {t}"))),
     }
 }
 

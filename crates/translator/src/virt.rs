@@ -16,9 +16,9 @@ use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
 use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
-use nir::{FuncBuilder, FuncId, FuncKind, Instr, Label, Program, Reg, Ty};
+use nir::{FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty};
 
-use crate::lower::{native_intrin, static_const, TransStats};
+use crate::lower::{static_const, TransStats};
 use crate::shape::{elem_ty_of, TransError};
 use crate::TResult;
 
@@ -726,68 +726,48 @@ impl<'t> VirtLowerer<'t> {
                 ));
             }
             let regs = self.args(cx, b, args)?;
-            if let Some(op) = native_intrin(key) {
-                return match ret_ty {
-                    Type::Void => {
-                        cx.fb.emit(Instr::Intrin {
-                            op,
-                            args: regs,
-                            dst: None,
+            let intrin = Intrinsic::by_key(key).map(|r| r.op);
+            let host = match intrin {
+                Some(_) => 0,
+                // User-registered foreign function (the paper's FFI).
+                None => match self.program.host_fns.iter().position(|h| h.name == *key) {
+                    Some(i) => i as u32,
+                    None => {
+                        let params: Vec<Ty> = decl
+                            .params
+                            .iter()
+                            .map(|p| decl_ty(&p.ty))
+                            .collect::<TResult<_>>()?;
+                        let ret = match ret_ty {
+                            Type::Void => None,
+                            t => Some(decl_ty(t)?),
+                        };
+                        self.program.host_fns.push(nir::HostFnSig {
+                            name: key.clone(),
+                            params,
+                            ret,
                         });
-                        Ok(None)
+                        self.program.host_fns.len() as u32 - 1
                     }
-                    t => {
-                        let dst = cx.fb.reg(decl_ty(t)?);
-                        cx.fb.emit(Instr::Intrin {
-                            op,
-                            args: regs,
-                            dst: Some(dst),
-                        });
-                        Ok(Some(dst))
-                    }
-                };
-            }
-            // User-registered foreign function (the paper's FFI).
-            let host = {
-                if let Some(i) = self.program.host_fns.iter().position(|h| h.name == *key) {
-                    i as u32
-                } else {
-                    let params: Vec<Ty> = decl
-                        .params
-                        .iter()
-                        .map(|p| decl_ty(&p.ty))
-                        .collect::<TResult<_>>()?;
-                    let ret = match ret_ty {
-                        Type::Void => None,
-                        t => Some(decl_ty(t)?),
-                    };
-                    self.program.host_fns.push(nir::HostFnSig {
-                        name: key.clone(),
-                        params,
-                        ret,
-                    });
-                    self.program.host_fns.len() as u32 - 1
-                }
+                },
             };
-            return match ret_ty {
-                Type::Void => {
-                    cx.fb.emit(Instr::CallHost {
-                        host,
-                        args: regs,
-                        dst: None,
-                    });
-                    Ok(None)
-                }
-                t => {
-                    let dst = cx.fb.reg(decl_ty(t)?);
-                    cx.fb.emit(Instr::CallHost {
-                        host,
-                        args: regs,
-                        dst: Some(dst),
-                    });
-                    Ok(Some(dst))
-                }
+            let dst = match ret_ty {
+                Type::Void => None,
+                t => Some(cx.fb.reg(decl_ty(t)?)),
             };
+            cx.fb.emit(match intrin {
+                Some(op) => Instr::Intrin {
+                    op,
+                    args: regs,
+                    dst,
+                },
+                None => Instr::CallHost {
+                    host,
+                    args: regs,
+                    dst,
+                },
+            });
+            return Ok(dst);
         }
         if decl.is_global {
             return Err(TransError::new(
