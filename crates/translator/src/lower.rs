@@ -1843,15 +1843,10 @@ pub fn const_eval(table: &ClassTable, b: &TBody, e: TExprId) -> TResult<ConstVal
             ConstVal::Bool(v) => Ok(ConstVal::Bool(!v)),
             _ => Err(TransError::new("`!` on a non-boolean constant")),
         },
-        TExpr::Binary {
-            op,
-            operand_kind,
-            lhs,
-            rhs,
-        } => {
+        TExpr::Binary { op, lhs, rhs, .. } => {
             let l = const_eval(table, b, lhs)?;
             let r = const_eval(table, b, rhs)?;
-            const_bin(op, operand_kind, l, r)
+            const_bin(op, l, r)
         }
         TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
             let v = const_eval(table, b, expr)?;
@@ -1888,81 +1883,70 @@ fn const_cast(to: PrimKind, v: ConstVal) -> ConstVal {
     }
 }
 
-fn const_bin(op: BinOp, kind: PrimKind, l: ConstVal, r: ConstVal) -> TResult<ConstVal> {
+/// `l op r` over two constants of the operator's kind, as Java (and the
+/// `jvm`) computes it: integer arithmetic wraps, a shift count is masked
+/// to the width of the kind, and an integer `/` or `%` by zero, which
+/// throws, is no constant.
+fn const_bin(op: BinOp, l: ConstVal, r: ConstVal) -> TResult<ConstVal> {
     use BinOp::*;
+    use ConstVal::{Bool, F32, F64, I32, I64};
     let err = || TransError::new("unsupported constant expression");
-    Ok(match kind {
-        PrimKind::Int => {
-            let (ConstVal::I32(a), ConstVal::I32(b)) = (l, r) else {
-                return Err(err());
-            };
+    macro_rules! compare {
+        ($a:expr, $b:expr) => {
             match op {
-                Add => ConstVal::I32(a.wrapping_add(b)),
-                Sub => ConstVal::I32(a.wrapping_sub(b)),
-                Mul => ConstVal::I32(a.wrapping_mul(b)),
-                Div if b != 0 => ConstVal::I32(a.wrapping_div(b)),
-                Rem if b != 0 => ConstVal::I32(a.wrapping_rem(b)),
-                Shl => ConstVal::I32(a.wrapping_shl(b as u32 & 31)),
-                Shr => ConstVal::I32(a.wrapping_shr(b as u32 & 31)),
-                BitAnd => ConstVal::I32(a & b),
-                BitOr => ConstVal::I32(a | b),
-                BitXor => ConstVal::I32(a ^ b),
-                Lt => ConstVal::Bool(a < b),
-                Le => ConstVal::Bool(a <= b),
-                Gt => ConstVal::Bool(a > b),
-                Ge => ConstVal::Bool(a >= b),
-                Eq => ConstVal::Bool(a == b),
-                Ne => ConstVal::Bool(a != b),
+                Lt => Bool($a < $b),
+                Le => Bool($a <= $b),
+                Gt => Bool($a > $b),
+                Ge => Bool($a >= $b),
+                Eq => Bool($a == $b),
+                Ne => Bool($a != $b),
                 _ => return Err(err()),
             }
-        }
-        PrimKind::Long => {
-            let (ConstVal::I64(a), ConstVal::I64(b)) = (l, r) else {
-                return Err(err());
-            };
+        };
+    }
+    macro_rules! integral {
+        ($a:expr, $b:expr, $ctor:path, $mask:expr) => {
             match op {
-                Add => ConstVal::I64(a.wrapping_add(b)),
-                Sub => ConstVal::I64(a.wrapping_sub(b)),
-                Mul => ConstVal::I64(a.wrapping_mul(b)),
-                _ => return Err(err()),
+                Add => $ctor($a.wrapping_add($b)),
+                Sub => $ctor($a.wrapping_sub($b)),
+                Mul => $ctor($a.wrapping_mul($b)),
+                Div | Rem if $b == 0 => return Err(err()),
+                Div => $ctor($a.wrapping_div($b)),
+                Rem => $ctor($a.wrapping_rem($b)),
+                Shl => $ctor($a.wrapping_shl($b as u32 & $mask)),
+                Shr => $ctor($a.wrapping_shr($b as u32 & $mask)),
+                BitAnd => $ctor($a & $b),
+                BitOr => $ctor($a | $b),
+                BitXor => $ctor($a ^ $b),
+                _ => compare!($a, $b),
             }
-        }
-        PrimKind::Float => {
-            let (ConstVal::F32(a), ConstVal::F32(b)) = (l, r) else {
-                return Err(err());
-            };
+        };
+    }
+    macro_rules! floating {
+        ($a:expr, $b:expr, $ctor:path) => {
             match op {
-                Add => ConstVal::F32(a + b),
-                Sub => ConstVal::F32(a - b),
-                Mul => ConstVal::F32(a * b),
-                Div => ConstVal::F32(a / b),
-                _ => return Err(err()),
+                Add => $ctor($a + $b),
+                Sub => $ctor($a - $b),
+                Mul => $ctor($a * $b),
+                Div => $ctor($a / $b),
+                Rem => $ctor($a % $b),
+                _ => compare!($a, $b),
             }
-        }
-        PrimKind::Double => {
-            let (ConstVal::F64(a), ConstVal::F64(b)) = (l, r) else {
-                return Err(err());
-            };
-            match op {
-                Add => ConstVal::F64(a + b),
-                Sub => ConstVal::F64(a - b),
-                Mul => ConstVal::F64(a * b),
-                Div => ConstVal::F64(a / b),
-                _ => return Err(err()),
-            }
-        }
-        PrimKind::Boolean => {
-            let (ConstVal::Bool(a), ConstVal::Bool(b)) = (l, r) else {
-                return Err(err());
-            };
-            match op {
-                And => ConstVal::Bool(a && b),
-                Or => ConstVal::Bool(a || b),
-                Eq => ConstVal::Bool(a == b),
-                Ne => ConstVal::Bool(a != b),
-                _ => return Err(err()),
-            }
-        }
+        };
+    }
+    Ok(match (l, r) {
+        (I32(a), I32(b)) => integral!(a, b, I32, 31),
+        (I64(a), I64(b)) => integral!(a, b, I64, 63),
+        (F32(a), F32(b)) => floating!(a, b, F32),
+        (F64(a), F64(b)) => floating!(a, b, F64),
+        (Bool(a), Bool(b)) => match op {
+            And => Bool(a && b),
+            Or => Bool(a || b),
+            Eq => Bool(a == b),
+            Ne => Bool(a != b),
+            _ => return Err(err()),
+        },
+        _ => return Err(err()),
     })
 }
 
@@ -1991,3 +1975,22 @@ fn collect_globals(table: &ClassTable, program: &mut Program) {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An integer `/` or `%` by zero throws in Java, so it folds to no
+    /// constant (the `jvm` refuses such a class at its static
+    /// initializer, so no end-to-end test reaches it); a float one is
+    /// IEEE.
+    #[test]
+    fn integer_division_by_zero_is_no_constant() {
+        use ConstVal::{F64, I32, I64};
+        for op in [BinOp::Div, BinOp::Rem] {
+            assert!(const_bin(op, I32(1), I32(0)).is_err(), "{op:?}");
+            assert!(const_bin(op, I64(1), I64(0)).is_err(), "{op:?}");
+        }
+        let inf = const_bin(BinOp::Div, F64(1.0), F64(0.0)).ok();
+        assert_eq!(inf, Some(F64(f64::INFINITY)));
+    }
+}
