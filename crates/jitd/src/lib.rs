@@ -38,8 +38,9 @@ pub mod proto;
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use exec::{FaultConfig, FaultPlan};
@@ -138,7 +139,7 @@ impl Gate {
     }
 
     fn admit(&self, deadline: Instant) -> Result<(), ShedReason> {
-        let mut st = self.m.lock().unwrap();
+        let mut st = lock(&self.m);
         if st.draining {
             return Err(ShedReason::Draining);
         }
@@ -156,8 +157,7 @@ impl Gate {
                 st.queued -= 1;
                 return Err(ShedReason::Deadline);
             }
-            let (g, _t) = self.cv.wait_timeout(st, deadline - now).unwrap();
-            st = g;
+            st = wait(&self.cv, st, deadline - now);
             if st.draining {
                 st.queued -= 1;
                 self.cv.notify_all();
@@ -172,18 +172,18 @@ impl Gate {
     }
 
     fn release(&self) {
-        let mut st = self.m.lock().unwrap();
+        let mut st = lock(&self.m);
         st.active = st.active.saturating_sub(1);
         self.cv.notify_all();
     }
 
     fn drain(&self) {
-        self.m.lock().unwrap().draining = true;
+        lock(&self.m).draining = true;
         self.cv.notify_all();
     }
 
     fn snapshot(&self) -> (usize, usize, bool) {
-        let st = self.m.lock().unwrap();
+        let st = lock(&self.m);
         (st.active, st.queued, st.draining)
     }
 }
@@ -231,9 +231,9 @@ struct Shared {
 
 impl Shared {
     fn stats_snapshot(&self) -> ServiceStats {
-        let mut s = self.stats.lock().unwrap().clone();
+        let mut s = lock(&self.stats).clone();
         if let Some(plan) = &self.fault {
-            s.resilience.merge(&plan.lock().unwrap().stats);
+            s.resilience.merge(&lock(plan).stats);
         }
         s
     }
@@ -332,6 +332,30 @@ fn expired(deadline: Instant) -> bool {
     Instant::now() >= deadline
 }
 
+/// Lock `m` even if a request panicked holding it ([`unpanicked`]
+/// answers that request): counters, slot counts and flight verdicts stay
+/// usable after a half-done update, so the daemon keeps serving.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`]'s wait: up to `timeout` on `cv`, poisoned or not.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
+
+/// Run `f`; a panic in it becomes a typed error reply, so the caller
+/// still releases or resolves what it holds (a worker slot, a flight).
+fn unpanicked<T>(f: impl FnOnce() -> Result<T, Reply>) -> Result<T, Reply> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        let what = p.downcast_ref::<String>().map(String::as_str);
+        let what = what.or(p.downcast_ref::<&str>().copied()).unwrap_or("?");
+        Err(err_reply(format!("request panicked: {what}")))
+    })
+}
+
 /// Keep tenant ids path-safe: anything outside `[A-Za-z0-9._-]` maps to
 /// `_`, and a traversal-ish or empty id becomes a literal bucket.
 fn tenant_dir(root: &Path, tenant: &str) -> PathBuf {
@@ -358,7 +382,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let hello = match read_frame(&mut stream).and_then(|b| proto::decode_hello(&b)) {
         Ok(h) => h,
         Err(_) => {
-            shared.stats.lock().unwrap().bad_frames += 1;
+            lock(&shared.stats).bad_frames += 1;
             return;
         }
     };
@@ -378,7 +402,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     )
     .is_err()
     {
-        shared.stats.lock().unwrap().disconnects += 1;
+        lock(&shared.stats).disconnects += 1;
         return;
     }
 
@@ -389,7 +413,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             Err(_) => {
                 // Truncated/corrupt/timed-out framing: the stream can no
                 // longer be trusted frame-aligned — count and drop it.
-                shared.stats.lock().unwrap().bad_frames += 1;
+                lock(&shared.stats).bad_frames += 1;
                 return;
             }
         };
@@ -398,7 +422,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             Err(e) => {
                 // The frame layer was intact but the payload was not:
                 // still replyable, so the client gets a typed error.
-                shared.stats.lock().unwrap().bad_frames += 1;
+                lock(&shared.stats).bad_frames += 1;
                 let _ = write_frame(&mut stream, &proto::encode_reply(&err_reply(e)));
                 return;
             }
@@ -417,7 +441,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         // because a first write to a peer that has closed succeeds — the
         // error would surface on some later write, if there were one.
         if peer_closed(&stream) || write_frame(&mut stream, &proto::encode_reply(&reply)).is_err() {
-            shared.stats.lock().unwrap().disconnects += 1;
+            lock(&shared.stats).disconnects += 1;
             return;
         }
     }
@@ -443,8 +467,7 @@ fn peer_closed(stream: &TcpStream) -> bool {
     closed || stream.set_nonblocking(false).is_err()
 }
 
-/// One admitted-or-shed request, start to finish. Every path produces
-/// exactly one reply and bumps exactly one terminal counter.
+/// One admitted-or-shed request, start to finish.
 fn serve_jit(shared: &Arc<Shared>, tenant: &str, j: JitRequest) -> Reply {
     let budget = if j.deadline_ms == 0 {
         shared.config.default_deadline
@@ -452,23 +475,37 @@ fn serve_jit(shared: &Arc<Shared>, tenant: &str, j: JitRequest) -> Reply {
         Duration::from_millis(j.deadline_ms)
     };
     let deadline = Instant::now() + budget;
+    serve_admitted(shared, deadline, j.hold_ms, || {
+        run_admitted(shared, tenant, &j, deadline)
+    })
+}
 
+/// Admit a request or shed it, run `body` in the worker slot, release
+/// the slot. Every path produces exactly one reply and bumps exactly one
+/// terminal counter; a panic in `body` is an error reply, and the slot
+/// is released all the same.
+fn serve_admitted(
+    shared: &Shared,
+    deadline: Instant,
+    hold_ms: u64,
+    body: impl FnOnce() -> Result<Outcome, Reply>,
+) -> Reply {
     if let Err(reason) = shared.gate.admit(deadline) {
-        *shed_counter(&mut shared.stats.lock().unwrap(), reason) += 1;
+        *shed_counter(&mut lock(&shared.stats), reason) += 1;
         return shed_reply(reason, format!("admission refused: {reason}"));
     }
-    shared.stats.lock().unwrap().admitted += 1;
+    lock(&shared.stats).admitted += 1;
 
-    let outcome = run_admitted(shared, tenant, &j, deadline);
+    let outcome = unpanicked(body);
 
     // Chaos knob: keep occupying the slot (bounded) before release, so
     // tests and the bench storm can deterministically exhaust capacity.
-    if j.hold_ms > 0 {
-        std::thread::sleep(Duration::from_millis(j.hold_ms.min(10_000)));
+    if hold_ms > 0 {
+        std::thread::sleep(Duration::from_millis(hold_ms.min(10_000)));
     }
     shared.gate.release();
 
-    let mut s = shared.stats.lock().unwrap();
+    let mut s = lock(&shared.stats);
     match outcome {
         Ok(o) => {
             s.completed += 1;
@@ -533,7 +570,7 @@ fn run_admitted(
     // Single-flight: first thread in becomes the leader; concurrent
     // requests for the same key wait for its translation.
     let (leader, flight) = {
-        let mut flights = shared.flights.lock().unwrap();
+        let mut flights = lock(&shared.flights);
         match flights.get(&key) {
             Some(f) => (false, Arc::clone(f)),
             None => {
@@ -543,32 +580,17 @@ fn run_admitted(
             }
         }
     };
-
     let (mut code, translated, followed) = if leader {
-        let led = lead_translate(
-            shared, &env, &recv, j, &args, options, tenant, &dir, &key, deadline,
-        );
-        // Publish before unkeying, so followers of *this* flight get
-        // the verdict while later requests start fresh (warm from disk).
-        {
-            let mut st = flight.m.lock().unwrap();
-            *st = match &led {
-                Ok(code) => FlightState::Done(Arc::clone(&code.translated)),
-                Err(reply) => FlightState::Failed(match reply {
-                    Reply::Shed { reason, message } => format!("leader shed ({reason}): {message}"),
-                    Reply::Err { message } => message.clone(),
-                    _ => "leader failed".to_string(),
-                }),
-            };
-            flight.cv.notify_all();
-        }
-        shared.flights.lock().unwrap().remove(&key);
-        let code = led?;
+        let code = lead_flight(shared, &key, &flight, || {
+            lead_translate(
+                shared, &env, &recv, j, &args, options, tenant, &dir, &key, deadline,
+            )
+        })?;
         let translated = env.cache_stats().translations > 0;
         (code, translated, false)
     } else {
         let t = follow(&flight, deadline)?;
-        shared.stats.lock().unwrap().follower_serves += 1;
+        lock(&shared.stats).follower_serves += 1;
         (env.code_from_artifact(t, &recv, &args), false, true)
     };
 
@@ -591,6 +613,33 @@ fn run_admitted(
         compile_us,
         run_us: t_run.elapsed().as_micros() as u64,
     })
+}
+
+/// Run a flight's leader `lead` and resolve the flight with its verdict
+/// (a panic is a `Failed` one). It is published before the flight is
+/// unkeyed, so followers of *this* flight get the verdict while later
+/// requests for `key` start fresh (warm from disk).
+fn lead_flight(
+    shared: &Shared,
+    key: &CacheKey,
+    flight: &Flight,
+    lead: impl FnOnce() -> Result<JitCode, Reply>,
+) -> Result<JitCode, Reply> {
+    let led = unpanicked(lead);
+    {
+        let mut st = lock(&flight.m);
+        *st = match &led {
+            Ok(code) => FlightState::Done(Arc::clone(&code.translated)),
+            Err(reply) => FlightState::Failed(match reply {
+                Reply::Shed { reason, message } => format!("leader shed ({reason}): {message}"),
+                Reply::Err { message } => message.clone(),
+                _ => "leader failed".to_string(),
+            }),
+        };
+        flight.cv.notify_all();
+    }
+    lock(&shared.flights).remove(key);
+    led
 }
 
 /// The leader half of a flight: quota gate, injected-fault draw, then
@@ -624,7 +673,7 @@ fn lead_translate(
     // translation, counted in `ResilienceStats::translate_failures`.
     if !warm {
         if let Some(plan) = &shared.fault {
-            if plan.lock().unwrap().translate_fails() {
+            if lock(plan).translate_fails() {
                 return Err(err_reply("injected translate failure"));
             }
         }
@@ -642,7 +691,7 @@ fn lead_translate(
         .map_err(|e| err_reply(format!("translate failed: {e}")))?;
 
     let cs = env.cache_stats();
-    let mut s = shared.stats.lock().unwrap();
+    let mut s = lock(&shared.stats);
     if cs.translations > 0 {
         s.translations += cs.translations;
         for p in &code.translated.stats.passes {
@@ -670,7 +719,7 @@ fn lead_translate(
 
 /// The follower half: deadline-bounded wait for the leader's verdict.
 fn follow(flight: &Flight, deadline: Instant) -> Result<Arc<Translated>, Reply> {
-    let mut st = flight.m.lock().unwrap();
+    let mut st = lock(&flight.m);
     loop {
         match &*st {
             FlightState::Done(t) => return Ok(Arc::clone(t)),
@@ -687,8 +736,7 @@ fn follow(flight: &Flight, deadline: Instant) -> Result<Arc<Translated>, Reply> 
                         "deadline expired waiting for the in-flight translation",
                     ));
                 }
-                let (g, _t) = flight.cv.wait_timeout(st, deadline - now).unwrap();
-                st = g;
+                st = wait(&flight.cv, st, deadline - now);
             }
         }
     }
@@ -729,6 +777,76 @@ mod tests {
         gate.drain();
         assert_eq!(waiter.join().unwrap(), Err(ShedReason::Draining));
         assert_eq!(gate.admit(far), Err(ShedReason::Draining));
+    }
+
+    fn shared(workers: usize) -> Shared {
+        let config = DaemonConfig {
+            workers,
+            ..DaemonConfig::default()
+        };
+        Shared {
+            gate: Gate::new(config.workers, config.queue_cap),
+            flights: Mutex::new(HashMap::new()),
+            stats: Mutex::new(ServiceStats::default()),
+            fault: None,
+            config,
+        }
+    }
+
+    /// A request that panics in its slot, holding the stats lock (so it
+    /// is poisoned): it is answered with a typed error and counted, its
+    /// slot is released (more such requests than slots still get in),
+    /// and a drain then finds nothing active.
+    #[test]
+    fn a_panicking_request_releases_its_slot_and_is_answered() {
+        let shared = shared(2);
+        for i in 0..5 {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let reply = serve_admitted(&shared, deadline, 0, || {
+                let _held = shared.stats.lock();
+                panic!("boom {i}")
+            });
+            match reply {
+                Reply::Err { message } => {
+                    assert!(message.contains(&format!("boom {i}")), "{message}")
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        let s = shared.stats_snapshot();
+        assert_eq!((s.admitted, s.request_errors, s.completed), (5, 5, 0));
+        shared.gate.drain();
+        assert_eq!(shared.gate.snapshot(), (0, 0, true));
+    }
+
+    /// A leader that panics resolves its flight `Failed` for its
+    /// followers and unkeys it, so the next request for the key leads a
+    /// fresh flight instead of waiting out its deadline.
+    #[test]
+    fn a_panicking_leader_fails_its_flight_and_unkeys_it() {
+        let shared = shared(1);
+        let mut ws = Workspace::new();
+        ws.set_source(
+            "d.jl",
+            "@WootinJ final class D { D() { } int run() { return 1; } }",
+        )
+        .unwrap();
+        let mut env = ws.env().unwrap();
+        let recv = env.new_instance("D", &[]).unwrap();
+        let key = env
+            .cache_key(&recv, "run", &[], JitOptions::wootinj().config, 0)
+            .unwrap();
+        let flight = Arc::new(Flight::new());
+        lock(&shared.flights).insert(key.clone(), Arc::clone(&flight));
+        let led = lead_flight(&shared, &key, &flight, || panic!("leader down"));
+        assert!(matches!(led, Err(Reply::Err { message }) if message.contains("leader down")));
+        let far = Instant::now() + Duration::from_secs(5);
+        match follow(&flight, far) {
+            Err(Reply::Err { message }) => assert!(message.contains("leader down"), "{message}"),
+            Err(other) => panic!("{other:?}"),
+            Ok(_) => panic!("a failed flight served"),
+        }
+        assert!(lock(&shared.flights).is_empty(), "the next request leads");
     }
 
     #[test]
