@@ -15,6 +15,9 @@ if grep -rn --include='*.rs' '\.validate()' crates src tests examples; then
     exit 1
 fi
 
+echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
+scripts/loc.sh
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
