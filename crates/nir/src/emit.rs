@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
-use crate::intrin::{IntrinOp, IntrinTy, Platform};
+use crate::intrin::{IntrinOp, IntrinTy};
 use crate::ir::{ConstVal, FuncKind, Function, Instr, Program, Ty};
 
 /// Exit status of an emitted program whose integer division or remainder
@@ -120,7 +120,7 @@ static inline void wj_print_f64(double v) { printf("0x%016" PRIx64 "\n", wj_bits
 pub fn emit_c(p: &Program) -> String {
     let mut out = String::new();
     let has_kernels = p.funcs.iter().any(|f| f.kind != FuncKind::Host);
-    let has_mpi = p.uses(Platform::Mpi);
+    let (has_mpi, _) = p.uses();
     out.push_str(
         "#include <stdlib.h>\n#include <stdio.h>\n#include <math.h>\n\
          #include <stdbool.h>\n#include <string.h>\n#include <stdint.h>\n\
@@ -669,6 +669,66 @@ mod tests {
                 },
             );
             assert!(src.contains(want), "{src}");
+        }
+    }
+
+    /// The runtime intrinsics render as their MPI or CUDA calls: each op
+    /// at its row's arity, operands `r0..` and a destination `r8`.
+    #[test]
+    fn runtime_intrinsics_render_as_their_calls() {
+        use IntrinOp as I;
+        for (op, want) in [
+            (I::ThreadIdx(1), "r8 = threadIdx.y;"),
+            (I::GridDim(2), "r8 = gridDim.z;"),
+            (I::GpuFree, "cudaFree(r0);"),
+            (
+                I::CopyToGpuRange,
+                "cudaMemcpy/*range,HtoD*/(r0, r1, r2, r3, r4);",
+            ),
+            (I::MpiRank, "MPI_Comm_rank(MPI_COMM_WORLD, &r8);"),
+            (I::MpiSize, "MPI_Comm_size(MPI_COMM_WORLD, &r8);"),
+            (I::MpiBarrier, "MPI_Barrier(MPI_COMM_WORLD);"),
+            (
+                I::MpiSendF32,
+                "MPI_Send(r0, r1, r2, r3, r4, MPI_FLOAT, MPI_COMM_WORLD);",
+            ),
+            (
+                I::MpiRecvF32,
+                "MPI_Recv(r0, r1, r2, r3, r4, MPI_FLOAT, MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+            ),
+            (
+                I::MpiSendRecvF32,
+                "MPI_Sendrecv(r0, r1, r2, r3, r4, r5, r6, r7, MPI_COMM_WORLD, MPI_STATUS_IGNORE);",
+            ),
+            (
+                I::MpiBcastF32,
+                "MPI_Bcast(r0, r1, r2, r3, MPI_FLOAT, MPI_COMM_WORLD);",
+            ),
+            (
+                I::MpiAllreduceSumF64,
+                "MPI_Allreduce(MPI_IN_PLACE, &r8, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);",
+            ),
+            (
+                I::MpiAllreduceSumF32,
+                "MPI_Allreduce(MPI_IN_PLACE, &r8, 1, MPI_FLOAT, MPI_SUM, MPI_COMM_WORLD);",
+            ),
+            (
+                I::MpiAllreduceMaxF64,
+                "MPI_Allreduce(MPI_IN_PLACE, &r8, 1, MPI_DOUBLE, MPI_MAX, MPI_COMM_WORLD);",
+            ),
+        ] {
+            let row = op.row().unwrap();
+            let mut fb = FuncBuilder::new("f", vec![Ty::I32; 9], None, FuncKind::Host);
+            fb.emit(Instr::Intrin {
+                op,
+                args: (0..row.params.len() as u32).collect(),
+                dst: row.ret.map(|_| 8),
+            });
+            fb.emit(Instr::Ret(None));
+            let mut p = Program::default();
+            p.add_func(fb.finish().unwrap());
+            let src = emit_c(&p);
+            assert!(src.contains(&format!("    {want}\n")), "{op:?}: {src}");
         }
     }
 

@@ -484,19 +484,23 @@ impl Program {
         self.funcs.iter().map(|f| f.code.len()).sum()
     }
 
-    /// Does some instruction need `platform`: an intrinsic of it, or, for
-    /// the GPU, a launch, a barrier or a shared allocation?
-    pub fn uses(&self, platform: Platform) -> bool {
-        self.funcs
-            .iter()
-            .flat_map(|f| &f.code)
-            .any(|ins| match ins {
-                Instr::Launch { .. } | Instr::Sync | Instr::SharedAlloc { .. } => {
-                    platform == Platform::Gpu
-                }
-                Instr::Intrin { op, .. } => op.row().is_some_and(|r| r.platform == platform),
-                _ => false,
-            })
+    /// `(mpi, gpu)`: does some instruction need an MPI world, and does one
+    /// need a GPU (a GPU intrinsic, a launch, a barrier or a shared
+    /// allocation)? One walk, by each intrinsic's [`Platform`].
+    pub fn uses(&self) -> (bool, bool) {
+        let platform = |ins: &Instr| match ins {
+            Instr::Launch { .. } | Instr::Sync | Instr::SharedAlloc { .. } => Some(Platform::Gpu),
+            Instr::Intrin { op, .. } => op.row().map(|r| r.platform),
+            _ => None,
+        };
+        let (mut mpi, mut gpu) = (false, false);
+        for f in &self.funcs {
+            for p in f.code.iter().filter_map(platform) {
+                mpi |= p == Platform::Mpi;
+                gpu |= p == Platform::Gpu;
+            }
+        }
+        (mpi, gpu)
     }
 }
 

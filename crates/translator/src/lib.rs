@@ -30,7 +30,7 @@ pub mod virt;
 use jlang::table::ClassTable;
 use jlang::types::ClassId;
 use jvm::{ArrayData, Jvm, Value};
-use nir::{FuncId, OptConfig, Platform, Program};
+use nir::{FuncId, OptConfig, Program};
 
 pub use artifact::CacheKey;
 pub use incr::{BodyRef, CalleeEdge, FnMemo, FnRec, MemberRef, ReplayState, TraceState};
@@ -339,7 +339,7 @@ fn finish(
         // assigned on some path (javac's definite-assignment error).
         TransError::new(format!("generated program does not verify: {e}"))
     })?;
-    let (uses_mpi, uses_gpu) = (program.uses(Platform::Mpi), program.uses(Platform::Gpu));
+    let (uses_mpi, uses_gpu) = program.uses();
     Ok(Translated {
         program,
         entry,

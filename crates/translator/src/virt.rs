@@ -726,6 +726,10 @@ impl<'t> VirtLowerer<'t> {
                 ));
             }
             let regs = self.args(cx, b, args)?;
+            let ret = match ret_ty {
+                Type::Void => None,
+                t => Some(decl_ty(t)?),
+            };
             let intrin = Intrinsic::by_key(key).map(|r| r.op);
             let host = match intrin {
                 Some(_) => 0,
@@ -738,10 +742,6 @@ impl<'t> VirtLowerer<'t> {
                             .iter()
                             .map(|p| decl_ty(&p.ty))
                             .collect::<TResult<_>>()?;
-                        let ret = match ret_ty {
-                            Type::Void => None,
-                            t => Some(decl_ty(t)?),
-                        };
                         self.program.host_fns.push(nir::HostFnSig {
                             name: key.clone(),
                             params,
@@ -751,10 +751,7 @@ impl<'t> VirtLowerer<'t> {
                     }
                 },
             };
-            let dst = match ret_ty {
-                Type::Void => None,
-                t => Some(cx.fb.reg(decl_ty(t)?)),
-            };
+            let dst = ret.map(|t| cx.fb.reg(t));
             cx.fb.emit(match intrin {
                 Some(op) => Instr::Intrin {
                     op,

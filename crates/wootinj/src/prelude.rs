@@ -4,8 +4,8 @@
 //! calls translate into *direct* C calls (no JNI-style wrapper cost), the
 //! `dim3` / `CudaConfig` value classes for `<<<grid, block>>>` launch
 //! configurations, plus `Math` and `WJ` utility natives. The `@Native`
-//! keys bind to interpreter natives (`jvm` crate) and NIR intrinsics
-//! (`translator` crate).
+//! keys bind to interpreter natives (`jvm` crate) and to the rows of the
+//! NIR intrinsic table (`nir::INTRINSICS`).
 
 /// jlang source of the prelude, prepended to every compilation.
 pub const PRELUDE: &str = r#"
