@@ -749,6 +749,41 @@ mod tests {
         assert!(fb.finish().is_err());
     }
 
+    /// A launch needs a GPU even when neither side reads a GPU
+    /// intrinsic, and so does either range copy; an MPI op needs MPI.
+    #[test]
+    fn uses_names_each_platform_an_instruction_needs() {
+        let with = |ins: Instr| {
+            let mut fb = FuncBuilder::new("f", vec![Ty::I32; 5], None, FuncKind::Host);
+            fb.emit(ins);
+            fb.emit(Instr::Ret(None));
+            let mut p = Program::default();
+            p.add_func(fb.finish().unwrap());
+            p.uses()
+        };
+        let intrin = |op, args: Vec<Reg>| Instr::Intrin {
+            op,
+            args,
+            dst: None,
+        };
+        let launch = Instr::Launch {
+            kernel: FuncId(0),
+            grid: [0; 3],
+            block: [0; 3],
+            args: vec![],
+        };
+        assert_eq!(with(launch), (false, true));
+        for op in [IntrinOp::CopyToGpuRange, IntrinOp::CopyFromGpuRange] {
+            assert_eq!(
+                with(intrin(op, vec![0, 1, 2, 3, 4])),
+                (false, true),
+                "{op:?}"
+            );
+        }
+        assert_eq!(with(intrin(IntrinOp::MpiBarrier, vec![])), (true, false));
+        assert_eq!(with(intrin(IntrinOp::PrintI32, vec![0])), (false, false));
+    }
+
     #[test]
     fn instr_dst_and_sources() {
         let i = Instr::Bin {
