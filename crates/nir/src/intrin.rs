@@ -196,8 +196,8 @@ pub static INTRINSICS: [Intrinsic; 45] = [
 ];
 
 impl IntrinOp {
-    /// This op's row; `None` only for a coordinate axis past `z`, which
-    /// no row has. Exhaustive, so a new variant needs a row to compile.
+    /// This op's row; `None` only for a coordinate axis past `z`, which no
+    /// row has. Exhaustive: a new variant needs an arm (tested per row).
     pub fn row(self) -> Option<&'static Intrinsic> {
         let (first, axis) = match self {
             I::SqrtF64 => (0, 0),
