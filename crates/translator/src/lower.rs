@@ -1441,24 +1441,20 @@ impl<'t> Lowerer<'t> {
         let ret_shape = native_return_shape(self.table, &m.ret, key)?;
         // Built-in intrinsic, or a user-registered foreign function (the
         // paper's FFI mechanism): unknown keys become direct host calls.
-        let intrin = Intrinsic::by_key(key).map(|r| r.op);
-        let host = match intrin {
-            Some(_) => 0,
-            None => self.host_fn_id(key, &args, &ret_shape, fx)?,
-        };
         let dst = ret_shape.as_ref().map(|s| fx.fb.reg(s.leaf_tys()[0]));
-        fx.fb.emit(match intrin {
-            Some(op) => Instr::Intrin {
-                op,
+        let ins = match Intrinsic::by_key(key) {
+            Some(row) => Instr::Intrin {
+                op: row.op,
                 args: regs,
                 dst,
             },
             None => Instr::CallHost {
-                host,
+                host: self.host_fn_id(key, &args, &ret_shape, fx)?,
                 args: regs,
                 dst,
             },
-        });
+        };
+        fx.fb.emit(ins);
         Ok(ret_shape.map(|shape| Opnd {
             shape,
             regs: dst.into_iter().collect(),

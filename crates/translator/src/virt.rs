@@ -730,40 +730,40 @@ impl<'t> VirtLowerer<'t> {
                 Type::Void => None,
                 t => Some(decl_ty(t)?),
             };
-            let intrin = Intrinsic::by_key(key).map(|r| r.op);
-            let host = match intrin {
-                Some(_) => 0,
-                // User-registered foreign function (the paper's FFI).
-                None => match self.program.host_fns.iter().position(|h| h.name == *key) {
-                    Some(i) => i as u32,
-                    None => {
-                        let params: Vec<Ty> = decl
-                            .params
-                            .iter()
-                            .map(|p| decl_ty(&p.ty))
-                            .collect::<TResult<_>>()?;
-                        self.program.host_fns.push(nir::HostFnSig {
-                            name: key.clone(),
-                            params,
-                            ret,
-                        });
-                        self.program.host_fns.len() as u32 - 1
-                    }
-                },
-            };
             let dst = ret.map(|t| cx.fb.reg(t));
-            cx.fb.emit(match intrin {
-                Some(op) => Instr::Intrin {
-                    op,
+            let ins = match Intrinsic::by_key(key) {
+                Some(row) => Instr::Intrin {
+                    op: row.op,
                     args: regs,
                     dst,
                 },
-                None => Instr::CallHost {
-                    host,
-                    args: regs,
-                    dst,
-                },
-            });
+                // User-registered foreign function (the paper's FFI).
+                None => {
+                    let known = self.program.host_fns.iter().position(|h| h.name == *key);
+                    let host = match known {
+                        Some(i) => i as u32,
+                        None => {
+                            let params: Vec<Ty> = decl
+                                .params
+                                .iter()
+                                .map(|p| decl_ty(&p.ty))
+                                .collect::<TResult<_>>()?;
+                            self.program.host_fns.push(nir::HostFnSig {
+                                name: key.clone(),
+                                params,
+                                ret,
+                            });
+                            self.program.host_fns.len() as u32 - 1
+                        }
+                    };
+                    Instr::CallHost {
+                        host,
+                        args: regs,
+                        dst,
+                    }
+                }
+            };
+            cx.fb.emit(ins);
             return Ok(dst);
         }
         if decl.is_global {
