@@ -4,6 +4,14 @@
 //! [`nir::Program::verify`] accepts. `exec` runs on untagged registers,
 //! so a translator or optimizer change that breaks a type or a definite
 //! assignment must fail here, not compute garbage in a run.
+//!
+//! It also pins what every translation emits: each line of
+//! `fixtures/verify_corpus.txt` is `program @ configuration: length
+//! fnv64 fnv64`, the artifact's length, the FNV-1a digest of
+//! `Translated::encode()` and that of `nir::emit_c`'s source (or
+//! `untranslated` where the mode cannot translate the program). On a
+//! mismatch the test prints each differing line as it computed it; a
+//! change that is meant to move emitted code replaces those lines.
 
 use bench::cprogs::{C_DIFFUSION, C_MATMUL};
 use hpclib::{
@@ -18,15 +26,23 @@ use wootinj::{JitOptions, OptConfig, WootinJ};
 /// Composes a receiver in an env: the receiver, entry method and args.
 type Compose = Box<dyn Fn(&mut WootinJ<'_>) -> (Value, &'static str, Vec<Value>)>;
 
-/// Every configuration: each mode at `none`, `standard` and
-/// `aggressive`, plus the WootinJ preset.
-fn configs() -> Vec<JitOptions> {
+const FIXTURE: &str = include_str!("fixtures/verify_corpus.txt");
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Every configuration, with its name in the fixture: each mode at
+/// `none`, `standard` and `aggressive`, plus the WootinJ preset.
+fn configs() -> Vec<(String, JitOptions)> {
     let mut out = Vec::new();
     for mode in [Mode::Virtual, Mode::Devirt, Mode::Full] {
-        for opt in [
-            OptConfig::none(),
-            OptConfig::standard(),
-            OptConfig::aggressive(),
+        for (level, opt) in [
+            ("none", OptConfig::none()),
+            ("standard", OptConfig::standard()),
+            ("aggressive", OptConfig::aggressive()),
         ] {
             let mut o = JitOptions::wootinj();
             o.config = TransConfig {
@@ -34,10 +50,10 @@ fn configs() -> Vec<JitOptions> {
                 opt,
                 check_rules: true,
             };
-            out.push(o);
+            out.push((format!("{mode:?} {level}"), o));
         }
     }
-    out.push(JitOptions::wootinj());
+    out.push(("wootinj".into(), JitOptions::wootinj()));
     out
 }
 
@@ -161,25 +177,43 @@ fn reduce_corpus() -> Vec<(String, Compose)> {
 
 /// Jit every program of `corpus` on `table` in every configuration its
 /// mode can translate, and verify what comes out. Returns how many
-/// programs were verified.
-fn verify_all(table: &ClassTable, corpus: Vec<(String, Compose)>) -> usize {
+/// programs were verified; pushes each translation's fixture key and line
+/// onto `lines`.
+fn verify_all(
+    table: &ClassTable,
+    corpus: Vec<(String, Compose)>,
+    lines: &mut Vec<(String, String)>,
+) -> usize {
     let mut verified = 0;
     for (name, compose) in corpus {
-        for options in configs() {
+        for (config, options) in configs() {
             let mut env = WootinJ::new(table).unwrap();
             let (recv, method, args) = compose(&mut env);
             let mode = options.config.mode;
+            let key = format!("{name} @ {config}:");
             let code = match env.jit(&recv, method, &args, options) {
                 Ok(code) => code,
                 // Virtual mode has no kernels: a device program does not
                 // translate there, for a reason that is not a type.
-                Err(e) if mode == Mode::Virtual && !e.to_string().contains("verify") => continue,
+                Err(e) if mode == Mode::Virtual && !e.to_string().contains("verify") => {
+                    lines.push((key.clone(), format!("{key} untranslated")));
+                    continue;
+                }
                 Err(e) => panic!("{name} in {mode:?}: {e}"),
             };
             let program = &code.translated.program;
             if let Err(e) = program.verify() {
                 panic!("{name} in {mode:?}: {e}\n{program}");
             }
+            let artifact = code.translated.encode();
+            let c = nir::emit_c(program);
+            let line = format!(
+                "{key} {} {:016x} {:016x}",
+                artifact.len(),
+                fnv1a(&artifact),
+                fnv1a(c.as_bytes())
+            );
+            lines.push((key, line));
             verified += 1;
         }
     }
@@ -191,9 +225,25 @@ fn every_corpus_program_verifies_in_every_configuration() {
     let stencil = hpclib::stencil_table(&[("c_diffusion.jl", C_DIFFUSION)]).unwrap();
     let matmul = hpclib::matmul_table(&[("c_matmul.jl", C_MATMUL)]).unwrap();
     let reduce = hpclib::reduce_table(&[]).unwrap();
-    let n = verify_all(&stencil, stencil_corpus())
-        + verify_all(&matmul, matmul_corpus())
-        + verify_all(&reduce, reduce_corpus());
+    let mut lines = Vec::new();
+    let n = verify_all(&stencil, stencil_corpus(), &mut lines)
+        + verify_all(&matmul, matmul_corpus(), &mut lines)
+        + verify_all(&reduce, reduce_corpus(), &mut lines);
     eprintln!("{n} translations verified");
     assert!(n >= 300, "only {n} translations verified");
+
+    let mut moved = 0;
+    for (key, got) in &lines {
+        let want = FIXTURE.lines().find(|l| l.starts_with(key.as_str()));
+        if want != Some(got.as_str()) {
+            eprintln!("fixture {want:?}, got:\n{got}");
+            moved += 1;
+        }
+    }
+    assert_eq!(moved, 0, "{moved} translations moved");
+    assert_eq!(
+        FIXTURE.lines().count(),
+        lines.len(),
+        "the fixture has a line for a translation the corpus no longer makes"
+    );
 }
