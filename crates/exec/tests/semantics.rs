@@ -7,7 +7,7 @@
 
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use nir::{FuncBuilder, FuncKind, Instr, IntrinOp, Program, Ty};
+use nir::{ConstVal, FuncBuilder, FuncKind, Instr, IntrinOp, Program, Ty};
 
 /// Deterministic xorshift64* PRNG — same sequence on every run.
 struct Rng(u64);
@@ -329,4 +329,158 @@ fn fuel_boundary_never_changes_results() {
         }
     };
     assert_eq!(big, small);
+}
+
+/// Edge operands of each kind: zero, ±1, the extremes, the shift counts
+/// 31, 32, 63 and 64, 2^60 + 2^36 + 1 (a `long` that rounds twice on a
+/// way to `float` through `double`) and, for floats, NaN, ±0.0, ±∞ and
+/// the smallest subnormal.
+fn edge_values(kind: PrimKind) -> Vec<ConstVal> {
+    const TWICE: i64 = (1 << 60) + (1 << 36) + 1;
+    let counts = [0, 1, -1, 31, 32, 63, 64];
+    match kind {
+        PrimKind::Int => counts
+            .into_iter()
+            .chain([i32::MIN, i32::MAX])
+            .map(ConstVal::I32)
+            .collect(),
+        PrimKind::Long => counts
+            .into_iter()
+            .map(i64::from)
+            .chain([i64::MIN, i64::MAX, TWICE])
+            .map(ConstVal::I64)
+            .collect(),
+        PrimKind::Float => counts
+            .into_iter()
+            .map(|c| c as f32)
+            .chain([-0.0, f32::MIN, f32::MAX, f32::NAN, f32::INFINITY])
+            .chain([f32::NEG_INFINITY, f32::from_bits(1), TWICE as f32])
+            .map(ConstVal::F32)
+            .collect(),
+        PrimKind::Double => counts
+            .into_iter()
+            .map(f64::from)
+            .chain([-0.0, f64::MIN, f64::MAX, f64::NAN, f64::INFINITY])
+            .chain([f64::NEG_INFINITY, f64::from_bits(1), TWICE as f64])
+            .map(ConstVal::F64)
+            .collect(),
+        PrimKind::Boolean => vec![ConstVal::Bool(false), ConstVal::Bool(true)],
+    }
+}
+
+/// `v`'s register type and the instruction that loads it into `r`.
+fn load(v: &ConstVal, r: nir::Reg) -> (Ty, Instr) {
+    match *v {
+        ConstVal::I32(v) => (Ty::I32, Instr::ConstI32(r, v)),
+        ConstVal::I64(v) => (Ty::I64, Instr::ConstI64(r, v)),
+        ConstVal::F32(v) => (Ty::F32, Instr::ConstF32(r, v)),
+        ConstVal::F64(v) => (Ty::F64, Instr::ConstF64(r, v)),
+        ConstVal::Bool(v) => (Ty::Bool, Instr::ConstBool(r, v)),
+    }
+}
+
+/// The bits of a result, or the message of its error.
+type Outcome = Result<Option<u64>, String>;
+
+/// Run `op` over constant `operands`, as built and again after
+/// `OptConfig::standard()` has folded what it can.
+fn unoptimized_and_optimized(
+    operands: &[&ConstVal],
+    ret: Ty,
+    op: impl Fn(&[nir::Reg], nir::Reg) -> Instr,
+) -> [Outcome; 2] {
+    let mut fb = FuncBuilder::new("f", vec![], Some(ret), FuncKind::Host);
+    let mut regs = Vec::new();
+    for v in operands {
+        let r = fb.reg(load(v, 0).0);
+        fb.emit(load(v, r).1);
+        regs.push(r);
+    }
+    let dst = fb.reg(ret);
+    fb.emit(op(&regs, dst));
+    fb.emit(Instr::Ret(Some(dst)));
+    let mut p = Program::default();
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    let run = |p: &Program| -> Outcome {
+        let mut m = exec::Machine::new();
+        let bits = |v: exec::Val| match v {
+            exec::Val::I32(x) => x as u32 as u64,
+            exec::Val::I64(x) => x as u64,
+            exec::Val::F32(x) => x.to_bits() as u64,
+            exec::Val::F64(x) => x.to_bits(),
+            exec::Val::Bool(x) => x as u64,
+            other => panic!("not a primitive: {other:?}"),
+        };
+        match exec::run_to_completion(p, p.entry.unwrap(), vec![], &mut m) {
+            Ok(v) => Ok(v.map(bits)),
+            Err(e) => Err(e.message),
+        }
+    };
+    let plain = run(&p);
+    nir::optimize(&mut p, nir::OptConfig::standard());
+    [plain, run(&p)]
+}
+
+const KINDS: [PrimKind; 5] = [
+    PrimKind::Int,
+    PrimKind::Long,
+    PrimKind::Float,
+    PrimKind::Double,
+    PrimKind::Boolean,
+];
+
+/// The optimizer's constant folding changes no result: every operator on
+/// every kind (the 58 pairs `exec` executes, and the others, which fail
+/// alike) and every cast, over edge operands, returns the same bits, or
+/// fails with the same message, whether it runs as built or folded under
+/// `OptConfig::standard()`. An int or long division by zero stays a
+/// run-time error.
+#[test]
+fn constant_folding_changes_no_result() {
+    use BinOp::*;
+    let ops = [
+        Add, Sub, Mul, Div, Rem, Lt, Le, Gt, Ge, Eq, Ne, And, Or, BitAnd, BitOr, BitXor, Shl, Shr,
+    ];
+    let mut values = 0;
+    for kind in KINDS {
+        let edges = edge_values(kind);
+        for op in ops {
+            let ret = if op.is_comparison() {
+                Ty::Bool
+            } else {
+                Ty::of_prim(kind)
+            };
+            for a in &edges {
+                for b in &edges {
+                    let [plain, folded] =
+                        unoptimized_and_optimized(&[a, b], ret, |r, dst| Instr::Bin {
+                            op,
+                            kind,
+                            dst,
+                            lhs: r[0],
+                            rhs: r[1],
+                        });
+                    assert_eq!(plain, folded, "{op:?} on {a:?}, {b:?}");
+                    values += usize::from(plain.is_ok());
+                }
+            }
+        }
+    }
+    // The 58 pairs over 9, 10, 15, 15 and 2 edge values of each kind,
+    // less the 38 integer divisions by zero.
+    assert_eq!(values, 16 * 81 + 16 * 100 + 2 * 11 * 225 + 4 * 4 - 38);
+    for from in KINDS {
+        for to in KINDS {
+            for v in edge_values(from) {
+                let [plain, folded] =
+                    unoptimized_and_optimized(&[&v], Ty::of_prim(to), |r, dst| Instr::Cast {
+                        to,
+                        from,
+                        dst,
+                        src: r[0],
+                    });
+                assert_eq!(plain, folded, "({to:?}) {v:?}");
+            }
+        }
+    }
 }

@@ -332,11 +332,6 @@ fn bin_fn(op: BinOp, kind: PrimKind) -> Option<&'static str> {
 
 fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
     match ins {
-        Instr::ConstI32(d, v) => format!("r{d} = {};", c_const(&ConstVal::I32(*v))),
-        Instr::ConstI64(d, v) => format!("r{d} = {};", c_const(&ConstVal::I64(*v))),
-        Instr::ConstF32(d, v) => format!("r{d} = {};", c_const(&ConstVal::F32(*v))),
-        Instr::ConstF64(d, v) => format!("r{d} = {};", c_const(&ConstVal::F64(*v))),
-        Instr::ConstBool(d, v) => format!("r{d} = {};", c_const(&ConstVal::Bool(*v))),
         Instr::Mov(d, s) => format!("r{d} = r{s};"),
         Instr::Bin {
             op,
@@ -511,6 +506,11 @@ fn render(p: &Program, ins: &Instr, _pc: usize) -> String {
             format!("__shared__ {} r{dst}[/* r{len} */];", elem.c_name())
         }
         Instr::Sync => "__syncthreads();".to_string(),
+        // What is left loads a constant.
+        _ => match (ins.dst(), ins.const_val()) {
+            (Some(d), Some(v)) => format!("r{d} = {};", c_const(&v)),
+            _ => format!("/* {ins:?} */"),
+        },
     }
 }
 

@@ -8,7 +8,7 @@
 //! heap-object and vtable instructions.
 
 use crate::intrin::{IntrinOp, Platform};
-use jlang::ast::BinOp;
+use jlang::ast::{BinOp, UnOp};
 use jlang::types::PrimKind;
 use std::fmt;
 use std::sync::Arc;
@@ -352,6 +352,19 @@ impl Instr {
         source_operands!(self, f)
     }
 
+    /// The value a constant instruction loads ([`ConstVal::instr`]'s
+    /// inverse); `None` for every other instruction.
+    pub fn const_val(&self) -> Option<ConstVal> {
+        Some(match *self {
+            Instr::ConstI32(_, v) => ConstVal::I32(v),
+            Instr::ConstI64(_, v) => ConstVal::I64(v),
+            Instr::ConstF32(_, v) => ConstVal::F32(v),
+            Instr::ConstF64(_, v) => ConstVal::F64(v),
+            Instr::ConstBool(_, v) => ConstVal::Bool(v),
+            _ => return None,
+        })
+    }
+
     /// Registers read by this instruction.
     pub fn sources(&self) -> Vec<Reg> {
         let mut out = Vec::new();
@@ -433,14 +446,177 @@ pub struct Global {
     pub value: ConstVal,
 }
 
-/// Constant values storable in globals.
-#[derive(Debug, Clone, PartialEq)]
+/// A constant of one primitive kind: a global's value, a constant
+/// instruction's operand, and the one place that decides what a Java
+/// operator or cast makes of constants. The translator folds `static
+/// final` initializers with it and the optimizer folds `Bin` and `Cast`
+/// instructions with it, so the two cannot disagree with each other; both
+/// agree with `exec`, which computes the same operators at run time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConstVal {
     I32(i32),
     I64(i64),
     F32(f32),
     F64(f64),
     Bool(bool),
+}
+
+impl ConstVal {
+    /// The zero of `kind`: Java's default value for a field or local.
+    pub fn zero(kind: PrimKind) -> ConstVal {
+        match kind {
+            PrimKind::Int => ConstVal::I32(0),
+            PrimKind::Long => ConstVal::I64(0),
+            PrimKind::Float => ConstVal::F32(0.0),
+            PrimKind::Double => ConstVal::F64(0.0),
+            PrimKind::Boolean => ConstVal::Bool(false),
+        }
+    }
+
+    pub fn kind(self) -> PrimKind {
+        match self {
+            ConstVal::I32(_) => PrimKind::Int,
+            ConstVal::I64(_) => PrimKind::Long,
+            ConstVal::F32(_) => PrimKind::Float,
+            ConstVal::F64(_) => PrimKind::Double,
+            ConstVal::Bool(_) => PrimKind::Boolean,
+        }
+    }
+
+    /// The type of a register that holds it.
+    pub fn ty(self) -> Ty {
+        Ty::of_prim(self.kind())
+    }
+
+    /// Its bit pattern, zero-extended. With [`ConstVal::kind`] it is a
+    /// key under which `0` and `0.0`, or `0.0` and `-0.0`, stay apart and
+    /// a NaN equals itself.
+    pub fn bits(self) -> u64 {
+        match self {
+            ConstVal::I32(v) => u64::from(v as u32),
+            ConstVal::I64(v) => v as u64,
+            ConstVal::F32(v) => u64::from(v.to_bits()),
+            ConstVal::F64(v) => v.to_bits(),
+            ConstVal::Bool(v) => u64::from(v),
+        }
+    }
+
+    /// The instruction that loads it into `dst`.
+    pub fn instr(self, dst: Reg) -> Instr {
+        match self {
+            ConstVal::I32(v) => Instr::ConstI32(dst, v),
+            ConstVal::I64(v) => Instr::ConstI64(dst, v),
+            ConstVal::F32(v) => Instr::ConstF32(dst, v),
+            ConstVal::F64(v) => Instr::ConstF64(dst, v),
+            ConstVal::Bool(v) => Instr::ConstBool(dst, v),
+        }
+    }
+
+    /// `l op r`, as Java computes it: integer arithmetic wraps, a shift
+    /// count is masked to the width of the kind (31 or 63), float `/` and
+    /// `%` are IEEE, and every kind but `boolean` has all six comparisons.
+    /// `None` when the operands differ in kind, when the operator does
+    /// not exist for the kind (those `exec` refuses too), and for an int
+    /// or long `/` or `%` by zero, which throws at run time.
+    pub fn bin(op: BinOp, l: ConstVal, r: ConstVal) -> Option<ConstVal> {
+        use BinOp::*;
+        use ConstVal::{Bool, F32, F64, I32, I64};
+        macro_rules! compare {
+            ($a:expr, $b:expr) => {
+                match op {
+                    Lt => Bool($a < $b),
+                    Le => Bool($a <= $b),
+                    Gt => Bool($a > $b),
+                    Ge => Bool($a >= $b),
+                    Eq => Bool($a == $b),
+                    Ne => Bool($a != $b),
+                    _ => return None,
+                }
+            };
+        }
+        macro_rules! integral {
+            ($a:expr, $b:expr, $ctor:path, $mask:expr) => {
+                match op {
+                    Add => $ctor($a.wrapping_add($b)),
+                    Sub => $ctor($a.wrapping_sub($b)),
+                    Mul => $ctor($a.wrapping_mul($b)),
+                    Div | Rem if $b == 0 => return None,
+                    Div => $ctor($a.wrapping_div($b)),
+                    Rem => $ctor($a.wrapping_rem($b)),
+                    Shl => $ctor($a.wrapping_shl($b as u32 & $mask)),
+                    Shr => $ctor($a.wrapping_shr($b as u32 & $mask)),
+                    BitAnd => $ctor($a & $b),
+                    BitOr => $ctor($a | $b),
+                    BitXor => $ctor($a ^ $b),
+                    _ => compare!($a, $b),
+                }
+            };
+        }
+        macro_rules! floating {
+            ($a:expr, $b:expr, $ctor:path) => {
+                match op {
+                    Add => $ctor($a + $b),
+                    Sub => $ctor($a - $b),
+                    Mul => $ctor($a * $b),
+                    Div => $ctor($a / $b),
+                    Rem => $ctor($a % $b),
+                    _ => compare!($a, $b),
+                }
+            };
+        }
+        Some(match (l, r) {
+            (I32(a), I32(b)) => integral!(a, b, I32, 31),
+            (I64(a), I64(b)) => integral!(a, b, I64, 63),
+            (F32(a), F32(b)) => floating!(a, b, F32),
+            (F64(a), F64(b)) => floating!(a, b, F64),
+            (Bool(a), Bool(b)) => match op {
+                And => Bool(a && b),
+                Or => Bool(a || b),
+                Eq => Bool(a == b),
+                Ne => Bool(a != b),
+                _ => return None,
+            },
+            _ => return None,
+        })
+    }
+
+    /// `(to) self`, as Java converts: a number to a number rounds once
+    /// (to nearest even) and a float to an integer saturates, with NaN
+    /// going to 0; a `boolean` converts only to itself.
+    pub fn cast(self, to: PrimKind) -> Option<ConstVal> {
+        macro_rules! number {
+            ($x:expr) => {
+                match to {
+                    PrimKind::Int => ConstVal::I32($x as i32),
+                    PrimKind::Long => ConstVal::I64($x as i64),
+                    PrimKind::Float => ConstVal::F32($x as f32),
+                    PrimKind::Double => ConstVal::F64($x as f64),
+                    PrimKind::Boolean => return None,
+                }
+            };
+        }
+        Some(match self {
+            ConstVal::I32(x) => number!(x),
+            ConstVal::I64(x) => number!(x),
+            ConstVal::F32(x) => number!(x),
+            ConstVal::F64(x) => number!(x),
+            ConstVal::Bool(_) if to == PrimKind::Boolean => self,
+            ConstVal::Bool(_) => return None,
+        })
+    }
+
+    /// `op self`: `-` wraps on integers and flips a float's sign, `!`
+    /// negates a `boolean`; `None` for any other kind.
+    pub fn un(self, op: UnOp) -> Option<ConstVal> {
+        Some(match (op, self) {
+            (UnOp::Neg, ConstVal::I32(v)) => ConstVal::I32(v.wrapping_neg()),
+            (UnOp::Neg, ConstVal::I64(v)) => ConstVal::I64(v.wrapping_neg()),
+            (UnOp::Neg, ConstVal::F32(v)) => ConstVal::F32(-v),
+            (UnOp::Neg, ConstVal::F64(v)) => ConstVal::F64(-v),
+            (UnOp::Not, ConstVal::Bool(v)) => ConstVal::Bool(!v),
+            _ => return None,
+        })
+    }
 }
 
 /// A complete translated program.
@@ -573,6 +749,13 @@ impl FuncBuilder {
     pub fn reg(&mut self, ty: Ty) -> Reg {
         let r = self.regs.len() as Reg;
         self.regs.push(ty);
+        r
+    }
+
+    /// Load `v` into a fresh register.
+    pub fn constant(&mut self, v: ConstVal) -> Reg {
+        let r = self.reg(v.ty());
+        self.emit(v.instr(r));
         r
     }
 
@@ -782,6 +965,59 @@ mod tests {
         }
         assert_eq!(with(intrin(IntrinOp::MpiBarrier, vec![])), (true, false));
         assert_eq!(with(intrin(IntrinOp::PrintI32, vec![0])), (false, false));
+    }
+
+    /// An integer `/` or `%` by zero throws in Java, so it folds to no
+    /// constant; a float one is IEEE. Shift counts are masked to the
+    /// width of the kind, and a `long` rounds once on its way to `float`.
+    #[test]
+    fn constants_compute_as_java_does() {
+        use ConstVal::{F32, F64, I32, I64};
+        for op in [BinOp::Div, BinOp::Rem] {
+            assert_eq!(ConstVal::bin(op, I32(1), I32(0)), None, "{op:?}");
+            assert_eq!(ConstVal::bin(op, I64(1), I64(0)), None, "{op:?}");
+        }
+        let inf = ConstVal::bin(BinOp::Div, F64(1.0), F64(0.0));
+        assert_eq!(inf, Some(F64(f64::INFINITY)));
+        assert_eq!(ConstVal::bin(BinOp::Shl, I32(1), I32(33)), Some(I32(2)));
+        assert_eq!(
+            ConstVal::bin(BinOp::Shl, I64(1), I64(33)),
+            Some(I64(1 << 33))
+        );
+        assert_eq!(ConstVal::bin(BinOp::Shr, I64(-8), I64(65)), Some(I64(-4)));
+        assert_eq!(ConstVal::bin(BinOp::Add, I32(1), I64(1)), None);
+        let twice = (1i64 << 60) + (1 << 36) + 1;
+        let once = ((1i64 << 60) + (1 << 37)) as f32;
+        assert_eq!(I64(twice).cast(PrimKind::Float), Some(F32(once)));
+        assert_eq!(F32(f32::NAN).cast(PrimKind::Int), Some(I32(0)));
+        assert_eq!(I32(1).cast(PrimKind::Boolean), None);
+    }
+
+    /// A constant instruction and its value convert both ways, and a
+    /// register of the value's type holds it.
+    #[test]
+    fn constant_instructions_round_trip() {
+        let kinds = [
+            PrimKind::Int,
+            PrimKind::Long,
+            PrimKind::Float,
+            PrimKind::Double,
+            PrimKind::Boolean,
+        ];
+        for kind in kinds {
+            let zero = ConstVal::zero(kind);
+            assert_eq!(zero.kind(), kind);
+            assert_eq!(zero.ty(), Ty::of_prim(kind));
+            let ins = zero.instr(7);
+            assert_eq!((ins.dst(), ins.const_val()), (Some(7), Some(zero)));
+            let mut fb = FuncBuilder::new("k", vec![], Some(zero.ty()), FuncKind::Host);
+            let r = fb.constant(zero);
+            fb.emit(Instr::Ret(Some(r)));
+            let mut p = Program::default();
+            p.add_func(fb.finish().unwrap());
+            p.verify().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        }
+        assert_eq!(Instr::Mov(1, 2).const_val(), None);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
-use crate::ir::{FuncKind, Function, Instr, Program, Reg};
+use crate::ir::{ConstVal, FuncKind, Function, Instr, Program, Reg};
 
 /// The revision of what [`optimize`] makes of a program. Artifact cache
 /// keys mix it into their fingerprint, so a disk store or `jitd` root
@@ -244,11 +244,7 @@ pub fn merge_profiles(parts: impl IntoIterator<Item = PassProfile>) -> Vec<PassP
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Known {
-    I32(i32),
-    I64(i64),
-    F32(f32),
-    F64(f64),
-    Bool(bool),
+    Const(ConstVal),
     /// Copy of another register.
     Copy(Reg),
 }
@@ -274,21 +270,6 @@ struct Facts {
 }
 
 const NO_LINK: u32 = u32::MAX;
-
-impl Known {
-    /// A constant's kind (0–4: int, long, float, double, boolean) and bit
-    /// pattern, so that `ConstI32(0)` and `ConstF32(0.0)` stay apart.
-    fn bits(self) -> (u8, u64) {
-        match self {
-            Known::I32(v) => (0, v as u32 as u64),
-            Known::I64(v) => (1, v as u64),
-            Known::F32(v) => (2, u64::from(v.to_bits())),
-            Known::F64(v) => (3, v.to_bits()),
-            Known::Bool(v) => (4, u64::from(v)),
-            Known::Copy(_) => unreachable!("`Facts::const_of` resolves copies"),
-        }
-    }
-}
 
 impl Facts {
     fn new(regs: usize) -> Self {
@@ -320,10 +301,10 @@ impl Facts {
         cur
     }
 
-    fn const_of(&self, r: Reg) -> Option<Known> {
+    fn const_of(&self, r: Reg) -> Option<ConstVal> {
         match self.known[r as usize]? {
             Known::Copy(s) => self.const_of(s),
-            k => Some(k),
+            Known::Const(c) => Some(c),
         }
     }
 
@@ -469,21 +450,25 @@ fn local_fold(f: &mut Function, config: OptConfig) {
         }
 
         if config.const_fold {
-            // Try folding a binary op or a cast on known constants.
-            let folded = match &f.code[pc] {
+            // Try folding a binary op on known constants of the kind it
+            // names, or a cast of a known constant.
+            let folded = match f.code[pc] {
                 Instr::Bin {
                     op,
                     kind,
                     dst,
                     lhs,
                     rhs,
-                } => match (facts.const_of(*lhs), facts.const_of(*rhs)) {
-                    (Some(l), Some(r)) => fold_bin(*op, *kind, l, r, *dst),
+                } => match (facts.const_of(lhs), facts.const_of(rhs)) {
+                    (Some(l), Some(r)) if l.kind() == kind => {
+                        ConstVal::bin(op, l, r).map(|v| v.instr(dst))
+                    }
                     _ => None,
                 },
-                Instr::Cast { to, dst, src, .. } => {
-                    facts.const_of(*src).and_then(|v| fold_cast(*to, v, *dst))
-                }
+                Instr::Cast { to, dst, src, .. } => facts
+                    .const_of(src)
+                    .and_then(|v| v.cast(to))
+                    .map(|v| v.instr(dst)),
                 _ => None,
             };
             if let Some(folded) = folded {
@@ -513,11 +498,6 @@ fn local_fold(f: &mut Function, config: OptConfig) {
 
         // Update the facts from the (possibly rewritten) instruction.
         match &f.code[pc] {
-            Instr::ConstI32(d, v) => facts.record(*d, Known::I32(*v)),
-            Instr::ConstI64(d, v) => facts.record(*d, Known::I64(*v)),
-            Instr::ConstF32(d, v) => facts.record(*d, Known::F32(*v)),
-            Instr::ConstF64(d, v) => facts.record(*d, Known::F64(*v)),
-            Instr::ConstBool(d, v) => facts.record(*d, Known::Bool(*v)),
             Instr::Mov(d, s) => {
                 if d != s {
                     let fact = facts.known[*s as usize].unwrap_or(Known::Copy(*s));
@@ -526,7 +506,10 @@ fn local_fold(f: &mut Function, config: OptConfig) {
             }
             other => {
                 if let Some(d) = other.dst() {
-                    facts.forget(d);
+                    match other.const_val() {
+                        Some(v) => facts.record(d, Known::Const(v)),
+                        None => facts.forget(d),
+                    }
                 }
             }
         }
@@ -546,7 +529,7 @@ fn is_pure(ins: &Instr) -> bool {
         | Instr::Cast { .. }
         | Instr::Mov(..) => true,
         Instr::Intrin { op, dst, .. } => op.row().is_some_and(|r| r.pure) && dst.is_some(),
-        _ => const_bits(ins).is_some(),
+        _ => ins.const_val().is_some(),
     }
 }
 
@@ -568,17 +551,14 @@ enum Expr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Opnd {
     Reg(Reg),
-    /// A constant's kind and bits ([`Known::bits`]).
-    Const(u8, u64),
+    /// A constant's kind and bits ([`ConstVal::bits`]).
+    Const(PrimKind, u64),
 }
 
 impl Expr {
     fn of(ins: &Instr, facts: &Facts) -> Option<Expr> {
         let o = |r: Reg| match facts.const_of(r) {
-            Some(k) => {
-                let (kind, bits) = k.bits();
-                Opnd::Const(kind, bits)
-            }
+            Some(v) => Opnd::Const(v.kind(), v.bits()),
             None => Opnd::Reg(r),
         };
         Some(match *ins {
@@ -598,19 +578,6 @@ impl Expr {
             _ => return None,
         })
     }
-}
-
-/// A constant instruction's kind and bits ([`Known::bits`]).
-fn const_bits(ins: &Instr) -> Option<(u8, u64)> {
-    let k = match *ins {
-        Instr::ConstI32(_, v) => Known::I32(v),
-        Instr::ConstI64(_, v) => Known::I64(v),
-        Instr::ConstF32(_, v) => Known::F32(v),
-        Instr::ConstF64(_, v) => Known::F64(v),
-        Instr::ConstBool(_, v) => Known::Bool(v),
-        _ => return None,
-    };
-    Some(k.bits())
 }
 
 /// Block-local common subexpressions for [`local_fold`]: which register
@@ -732,142 +699,22 @@ fn coalesces(f: &Function, pc: usize, next: usize, writes: &[u32], reads: &[u32]
         return None;
     };
     let def = &f.code[pc];
-    let ok = matches!(
+    let ok = (matches!(
         def,
         Instr::Bin { .. }
             | Instr::Neg { .. }
             | Instr::Not { .. }
             | Instr::Cast { .. }
-            | Instr::ConstI32(..)
-            | Instr::ConstI64(..)
-            | Instr::ConstF32(..)
-            | Instr::ConstF64(..)
-            | Instr::ConstBool(..)
             | Instr::LdArr { .. }
             | Instr::ArrLen { .. }
-    ) && def.dst() == Some(t)
+    ) || def.const_val().is_some())
+        && def.dst() == Some(t)
         && x != t
         && t as usize >= f.params.len()
         && writes[t as usize] == 1
         && reads[t as usize] == 1
         && f.regs[t as usize] == f.regs[x as usize];
     ok.then_some(x)
-}
-
-fn fold_bin(op: BinOp, kind: PrimKind, l: Known, r: Known, dst: Reg) -> Option<Instr> {
-    use BinOp::*;
-    match kind {
-        PrimKind::Int => {
-            let (Known::I32(a), Known::I32(b)) = (l, r) else {
-                return None;
-            };
-            Some(match op {
-                Add => Instr::ConstI32(dst, a.wrapping_add(b)),
-                Sub => Instr::ConstI32(dst, a.wrapping_sub(b)),
-                Mul => Instr::ConstI32(dst, a.wrapping_mul(b)),
-                Div if b != 0 => Instr::ConstI32(dst, a.wrapping_div(b)),
-                Rem if b != 0 => Instr::ConstI32(dst, a.wrapping_rem(b)),
-                Lt => Instr::ConstBool(dst, a < b),
-                Le => Instr::ConstBool(dst, a <= b),
-                Gt => Instr::ConstBool(dst, a > b),
-                Ge => Instr::ConstBool(dst, a >= b),
-                Eq => Instr::ConstBool(dst, a == b),
-                Ne => Instr::ConstBool(dst, a != b),
-                Shl => Instr::ConstI32(dst, a.wrapping_shl(b as u32 & 31)),
-                Shr => Instr::ConstI32(dst, a.wrapping_shr(b as u32 & 31)),
-                BitAnd => Instr::ConstI32(dst, a & b),
-                BitOr => Instr::ConstI32(dst, a | b),
-                BitXor => Instr::ConstI32(dst, a ^ b),
-                _ => return None,
-            })
-        }
-        PrimKind::Long => {
-            let (Known::I64(a), Known::I64(b)) = (l, r) else {
-                return None;
-            };
-            Some(match op {
-                Add => Instr::ConstI64(dst, a.wrapping_add(b)),
-                Sub => Instr::ConstI64(dst, a.wrapping_sub(b)),
-                Mul => Instr::ConstI64(dst, a.wrapping_mul(b)),
-                Lt => Instr::ConstBool(dst, a < b),
-                Eq => Instr::ConstBool(dst, a == b),
-                _ => return None,
-            })
-        }
-        PrimKind::Float => {
-            let (Known::F32(a), Known::F32(b)) = (l, r) else {
-                return None;
-            };
-            Some(match op {
-                Add => Instr::ConstF32(dst, a + b),
-                Sub => Instr::ConstF32(dst, a - b),
-                Mul => Instr::ConstF32(dst, a * b),
-                Div => Instr::ConstF32(dst, a / b),
-                Lt => Instr::ConstBool(dst, a < b),
-                _ => return None,
-            })
-        }
-        PrimKind::Double => {
-            let (Known::F64(a), Known::F64(b)) = (l, r) else {
-                return None;
-            };
-            Some(match op {
-                Add => Instr::ConstF64(dst, a + b),
-                Sub => Instr::ConstF64(dst, a - b),
-                Mul => Instr::ConstF64(dst, a * b),
-                Div => Instr::ConstF64(dst, a / b),
-                Lt => Instr::ConstBool(dst, a < b),
-                _ => return None,
-            })
-        }
-        PrimKind::Boolean => {
-            let (Known::Bool(a), Known::Bool(b)) = (l, r) else {
-                return None;
-            };
-            Some(match op {
-                Eq => Instr::ConstBool(dst, a == b),
-                Ne => Instr::ConstBool(dst, a != b),
-                And => Instr::ConstBool(dst, a && b),
-                Or => Instr::ConstBool(dst, a || b),
-                _ => return None,
-            })
-        }
-    }
-}
-
-fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
-    let as_f64 = match v {
-        Known::I32(x) => x as f64,
-        Known::I64(x) => x as f64,
-        Known::F32(x) => x as f64,
-        Known::F64(x) => x,
-        Known::Bool(_) | Known::Copy(_) => return None,
-    };
-    Some(match to {
-        PrimKind::Int => Instr::ConstI32(
-            dst,
-            match v {
-                Known::I32(x) => x,
-                Known::I64(x) => x as i32,
-                Known::F32(x) => x as i32,
-                Known::F64(x) => x as i32,
-                _ => return None,
-            },
-        ),
-        PrimKind::Long => Instr::ConstI64(
-            dst,
-            match v {
-                Known::I32(x) => x as i64,
-                Known::I64(x) => x,
-                Known::F32(x) => x as i64,
-                Known::F64(x) => x as i64,
-                _ => return None,
-            },
-        ),
-        PrimKind::Float => Instr::ConstF32(dst, as_f64 as f32),
-        PrimKind::Double => Instr::ConstF64(dst, as_f64),
-        PrimKind::Boolean => return None,
-    })
 }
 
 /// Dead and unreachable code elimination plus the loop cleanups, in one
@@ -1211,7 +1058,7 @@ struct Hoist {
 fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
     let on_cycle = blocks_on_cycles(&f.code, &blocks.starts, &blocks.block);
     let mut hoist = Hoist::default();
-    let mut merged: HashMap<(u8, u64), Reg> = HashMap::new();
+    let mut merged: HashMap<(PrimKind, u64), Reg> = HashMap::new();
     for (pc, ins) in f.code.iter().enumerate() {
         let Some(d) = ins.dst().filter(|d| {
             keep[pc]
@@ -1220,11 +1067,11 @@ fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
         }) else {
             continue;
         };
-        let Some(bits) = const_bits(ins) else {
+        let Some(v) = ins.const_val() else {
             continue;
         };
         hoist.defs.push(pc as u32);
-        match merged.entry(bits) {
+        match merged.entry((v.kind(), v.bits())) {
             Entry::Occupied(e) => {
                 let rename = hoist
                     .rename

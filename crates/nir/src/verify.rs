@@ -237,11 +237,6 @@ impl Program {
         };
         let prim = |k: PrimKind| Ty::of_prim(k);
         match ins {
-            Instr::ConstI32(d, _) => want("destination", *d, Ty::I32),
-            Instr::ConstI64(d, _) => want("destination", *d, Ty::I64),
-            Instr::ConstF32(d, _) => want("destination", *d, Ty::F32),
-            Instr::ConstF64(d, _) => want("destination", *d, Ty::F64),
-            Instr::ConstBool(d, _) => want("destination", *d, Ty::Bool),
             Instr::Mov(d, s) => want("destination", *d, ty(*s)?),
             Instr::Bin {
                 op,
@@ -399,6 +394,11 @@ impl Program {
                     .map_err(|m| format!("launch of `{}`: {m}", k.name))
             }
             Instr::Sync => Ok(()),
+            // What is left loads a constant of its value's type.
+            _ => match (ins.dst(), ins.const_val()) {
+                (Some(d), Some(v)) => want("destination", d, v.ty()),
+                _ => Err(format!("unknown instruction {ins:?}")),
+            },
         }
     }
 }

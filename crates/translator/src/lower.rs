@@ -851,14 +851,10 @@ impl<'t> Lowerer<'t> {
     /// definite assignment (`nir::Program::verify`), as javac rejects it.
     fn default_opnd(&mut self, fx: &mut FnCtx, shape: &Shape) -> TResult<Opnd> {
         match shape {
-            Shape::Prim(k) => {
-                let r = fx.fb.reg(Ty::of_prim(*k));
-                fx.fb.emit(const_zero(*k, r));
-                Ok(Opnd {
-                    shape: shape.clone(),
-                    regs: vec![r],
-                })
-            }
+            Shape::Prim(k) => Ok(Opnd {
+                shape: shape.clone(),
+                regs: vec![fx.fb.constant(ConstVal::zero(*k))],
+            }),
             Shape::Arr(e) => {
                 let r = fx.fb.reg(Ty::Arr(*e));
                 Ok(Opnd {
@@ -907,18 +903,17 @@ impl<'t> Lowerer<'t> {
 
     pub fn expr(&mut self, fx: &mut FnCtx, b: &TBody, e: TExprId) -> TResult<Opnd> {
         match b.expr(e) {
-            TExpr::Int(v) => Ok(self.const_opnd(fx, Instr::ConstI32(0, v), Ty::I32, PrimKind::Int)),
-            TExpr::Long(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstI64(0, v), Ty::I64, PrimKind::Long))
-            }
-            TExpr::Float(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstF32(0, v), Ty::F32, PrimKind::Float))
-            }
-            TExpr::Double(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstF64(0, v), Ty::F64, PrimKind::Double))
-            }
-            TExpr::Bool(v) => {
-                Ok(self.const_opnd(fx, Instr::ConstBool(0, v), Ty::Bool, PrimKind::Boolean))
+            TExpr::Int(_)
+            | TExpr::Long(_)
+            | TExpr::Float(_)
+            | TExpr::Double(_)
+            | TExpr::Bool(_)
+            | TExpr::GetStatic { .. } => {
+                let v = const_eval(self.table, b, e)?;
+                Ok(Opnd {
+                    shape: Shape::Prim(v.kind()),
+                    regs: vec![fx.fb.constant(v)],
+                })
             }
             TExpr::Local(slot) => fx
                 .env
@@ -970,10 +965,6 @@ impl<'t> Lowerer<'t> {
                         regs: vec![dst],
                     })
                 }
-            }
-            TExpr::GetStatic { class, index } => {
-                let cv = static_const(self.table, class, index)?;
-                Ok(self.emit_const_val(fx, cv))
             }
             TExpr::Call { recv, method, args } => {
                 let r = self.expr(fx, b, recv)?;
@@ -1152,39 +1143,6 @@ impl<'t> Lowerer<'t> {
             TExpr::Ternary { .. } => Err(TransError::new(
                 "the conditional operator cannot be translated (coding rule 7)",
             )),
-        }
-    }
-
-    fn const_opnd(&mut self, fx: &mut FnCtx, template: Instr, ty: Ty, kind: PrimKind) -> Opnd {
-        let r = fx.fb.reg(ty);
-        let ins = match template {
-            Instr::ConstI32(_, v) => Instr::ConstI32(r, v),
-            Instr::ConstI64(_, v) => Instr::ConstI64(r, v),
-            Instr::ConstF32(_, v) => Instr::ConstF32(r, v),
-            Instr::ConstF64(_, v) => Instr::ConstF64(r, v),
-            Instr::ConstBool(_, v) => Instr::ConstBool(r, v),
-            other => other,
-        };
-        fx.fb.emit(ins);
-        Opnd {
-            shape: Shape::Prim(kind),
-            regs: vec![r],
-        }
-    }
-
-    fn emit_const_val(&mut self, fx: &mut FnCtx, cv: ConstVal) -> Opnd {
-        match cv {
-            ConstVal::I32(v) => self.const_opnd(fx, Instr::ConstI32(0, v), Ty::I32, PrimKind::Int),
-            ConstVal::I64(v) => self.const_opnd(fx, Instr::ConstI64(0, v), Ty::I64, PrimKind::Long),
-            ConstVal::F32(v) => {
-                self.const_opnd(fx, Instr::ConstF32(0, v), Ty::F32, PrimKind::Float)
-            }
-            ConstVal::F64(v) => {
-                self.const_opnd(fx, Instr::ConstF64(0, v), Ty::F64, PrimKind::Double)
-            }
-            ConstVal::Bool(v) => {
-                self.const_opnd(fx, Instr::ConstBool(0, v), Ty::Bool, PrimKind::Boolean)
-            }
         }
     }
 
@@ -1604,10 +1562,8 @@ impl<'t> Lowerer<'t> {
                     let decl = self.field_decl_shape(class, slot as u32)?;
                     match decl {
                         Shape::Prim(k) => {
-                            let r = fx.fb.reg(Ty::of_prim(k));
-                            fx.fb.emit(const_zero(k, r));
                             field_shapes.push(Shape::Prim(k));
-                            all_regs.push(r);
+                            all_regs.push(fx.fb.constant(ConstVal::zero(k)));
                         }
                         other => {
                             return Err(TransError::new(format!(
@@ -1792,19 +1748,9 @@ fn elem_prim(e: ElemTy) -> PrimKind {
     }
 }
 
-fn const_zero(kind: PrimKind, r: Reg) -> Instr {
-    match kind {
-        PrimKind::Int => Instr::ConstI32(r, 0),
-        PrimKind::Long => Instr::ConstI64(r, 0),
-        PrimKind::Float => Instr::ConstF32(r, 0.0),
-        PrimKind::Double => Instr::ConstF64(r, 0.0),
-        PrimKind::Boolean => Instr::ConstBool(r, false),
-    }
-}
-
 /// The compile-time value of static field `index` of `class` (coding rule
 /// 5 guarantees a constant initializer).
-pub(crate) fn static_const(table: &ClassTable, class: ClassId, index: u32) -> TResult<ConstVal> {
+fn static_const(table: &ClassTable, class: ClassId, index: u32) -> TResult<ConstVal> {
     let f = &table.class(class).statics[index as usize];
     let (init, value) = f.typed_init().ok_or_else(|| {
         TransError::new(format!("static `{}` has no constant initializer", f.name))
@@ -1822,31 +1768,14 @@ pub fn const_eval(table: &ClassTable, b: &TBody, e: TExprId) -> TResult<ConstVal
         TExpr::Double(v) => Ok(ConstVal::F64(v)),
         TExpr::Bool(v) => Ok(ConstVal::Bool(v)),
         TExpr::GetStatic { class, index } => static_const(table, class, index),
-        TExpr::Unary {
-            op: UnOp::Neg,
-            expr,
-        } => Ok(match const_eval(table, b, expr)? {
-            ConstVal::I32(v) => ConstVal::I32(v.wrapping_neg()),
-            ConstVal::I64(v) => ConstVal::I64(v.wrapping_neg()),
-            ConstVal::F32(v) => ConstVal::F32(-v),
-            ConstVal::F64(v) => ConstVal::F64(-v),
-            ConstVal::Bool(_) => return Err(TransError::new("negating a boolean constant")),
-        }),
-        TExpr::Unary {
-            op: UnOp::Not,
-            expr,
-        } => match const_eval(table, b, expr)? {
-            ConstVal::Bool(v) => Ok(ConstVal::Bool(!v)),
-            _ => Err(TransError::new("`!` on a non-boolean constant")),
-        },
+        TExpr::Unary { op, expr } => const_eval(table, b, expr)?.un(op).ok_or_else(unsupported),
         TExpr::Binary { op, lhs, rhs, .. } => {
             let l = const_eval(table, b, lhs)?;
             let r = const_eval(table, b, rhs)?;
-            const_bin(op, l, r)
+            ConstVal::bin(op, l, r).ok_or_else(unsupported)
         }
         TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
-            let v = const_eval(table, b, expr)?;
-            Ok(const_cast(to, v))
+            const_eval(table, b, expr)?.cast(to).ok_or_else(unsupported)
         }
         _ => Err(TransError::new(
             "static final initializer is not a compile-time constant",
@@ -1854,96 +1783,8 @@ pub fn const_eval(table: &ClassTable, b: &TBody, e: TExprId) -> TResult<ConstVal
     }
 }
 
-fn const_cast(to: PrimKind, v: ConstVal) -> ConstVal {
-    let as_f64 = match v {
-        ConstVal::I32(x) => x as f64,
-        ConstVal::I64(x) => x as f64,
-        ConstVal::F32(x) => x as f64,
-        ConstVal::F64(x) => x,
-        ConstVal::Bool(b) => return ConstVal::Bool(b),
-    };
-    match to {
-        PrimKind::Int => ConstVal::I32(match v {
-            ConstVal::I64(x) => x as i32,
-            ConstVal::I32(x) => x,
-            _ => as_f64 as i32,
-        }),
-        PrimKind::Long => ConstVal::I64(match v {
-            ConstVal::I32(x) => x as i64,
-            ConstVal::I64(x) => x,
-            _ => as_f64 as i64,
-        }),
-        PrimKind::Float => ConstVal::F32(as_f64 as f32),
-        PrimKind::Double => ConstVal::F64(as_f64),
-        PrimKind::Boolean => v,
-    }
-}
-
-/// `l op r` over two constants of the operator's kind, as Java (and the
-/// `jvm`) computes it: integer arithmetic wraps, a shift count is masked
-/// to the width of the kind, and an integer `/` or `%` by zero, which
-/// throws, is no constant.
-fn const_bin(op: BinOp, l: ConstVal, r: ConstVal) -> TResult<ConstVal> {
-    use BinOp::*;
-    use ConstVal::{Bool, F32, F64, I32, I64};
-    let err = || TransError::new("unsupported constant expression");
-    macro_rules! compare {
-        ($a:expr, $b:expr) => {
-            match op {
-                Lt => Bool($a < $b),
-                Le => Bool($a <= $b),
-                Gt => Bool($a > $b),
-                Ge => Bool($a >= $b),
-                Eq => Bool($a == $b),
-                Ne => Bool($a != $b),
-                _ => return Err(err()),
-            }
-        };
-    }
-    macro_rules! integral {
-        ($a:expr, $b:expr, $ctor:path, $mask:expr) => {
-            match op {
-                Add => $ctor($a.wrapping_add($b)),
-                Sub => $ctor($a.wrapping_sub($b)),
-                Mul => $ctor($a.wrapping_mul($b)),
-                Div | Rem if $b == 0 => return Err(err()),
-                Div => $ctor($a.wrapping_div($b)),
-                Rem => $ctor($a.wrapping_rem($b)),
-                Shl => $ctor($a.wrapping_shl($b as u32 & $mask)),
-                Shr => $ctor($a.wrapping_shr($b as u32 & $mask)),
-                BitAnd => $ctor($a & $b),
-                BitOr => $ctor($a | $b),
-                BitXor => $ctor($a ^ $b),
-                _ => compare!($a, $b),
-            }
-        };
-    }
-    macro_rules! floating {
-        ($a:expr, $b:expr, $ctor:path) => {
-            match op {
-                Add => $ctor($a + $b),
-                Sub => $ctor($a - $b),
-                Mul => $ctor($a * $b),
-                Div => $ctor($a / $b),
-                Rem => $ctor($a % $b),
-                _ => compare!($a, $b),
-            }
-        };
-    }
-    Ok(match (l, r) {
-        (I32(a), I32(b)) => integral!(a, b, I32, 31),
-        (I64(a), I64(b)) => integral!(a, b, I64, 63),
-        (F32(a), F32(b)) => floating!(a, b, F32),
-        (F64(a), F64(b)) => floating!(a, b, F64),
-        (Bool(a), Bool(b)) => match op {
-            And => Bool(a && b),
-            Or => Bool(a || b),
-            Eq => Bool(a == b),
-            Ne => Bool(a != b),
-            _ => return Err(err()),
-        },
-        _ => return Err(err()),
-    })
+fn unsupported() -> TransError {
+    TransError::new("unsupported constant expression")
 }
 
 /// Collect `static final` constants into the program's globals (for the C
@@ -1953,40 +1794,13 @@ fn collect_globals(table: &ClassTable, program: &mut Program) {
         for (i, f) in info.statics.iter().enumerate() {
             if f.init.is_some() {
                 if let Ok(cv) = static_const(table, info.id, i as u32) {
-                    let ty = match &cv {
-                        ConstVal::I32(_) => Ty::I32,
-                        ConstVal::I64(_) => Ty::I64,
-                        ConstVal::F32(_) => Ty::F32,
-                        ConstVal::F64(_) => Ty::F64,
-                        ConstVal::Bool(_) => Ty::Bool,
-                    };
                     program.globals.push(nir::Global {
                         name: format!("{}_{}", info.name, f.name),
-                        ty,
+                        ty: cv.ty(),
                         value: cv,
                     });
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// An integer `/` or `%` by zero throws in Java, so it folds to no
-    /// constant (the `jvm` refuses such a class at its static
-    /// initializer, so no end-to-end test reaches it); a float one is
-    /// IEEE.
-    #[test]
-    fn integer_division_by_zero_is_no_constant() {
-        use ConstVal::{F64, I32, I64};
-        for op in [BinOp::Div, BinOp::Rem] {
-            assert!(const_bin(op, I32(1), I32(0)).is_err(), "{op:?}");
-            assert!(const_bin(op, I64(1), I64(0)).is_err(), "{op:?}");
-        }
-        let inf = const_bin(BinOp::Div, F64(1.0), F64(0.0)).ok();
-        assert_eq!(inf, Some(F64(f64::INFINITY)));
     }
 }

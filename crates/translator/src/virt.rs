@@ -16,9 +16,9 @@ use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
 use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
-use nir::{FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty};
+use nir::{ConstVal, FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty};
 
-use crate::lower::{static_const, TransStats};
+use crate::lower::{const_eval, TransStats};
 use crate::shape::{elem_ty_of, TransError};
 use crate::TResult;
 
@@ -38,7 +38,6 @@ struct VCtx {
     fb: FuncBuilder,
     env: HashMap<u32, Reg>,
     recv: Option<Reg>,
-    ret_ty: Option<Ty>,
     loops: Vec<(Label, Label)>,
 }
 
@@ -189,7 +188,6 @@ impl<'t> VirtLowerer<'t> {
             fb,
             env,
             recv,
-            ret_ty,
             loops: Vec::new(),
         };
         self.block(&mut cx, body, block)?;
@@ -246,7 +244,6 @@ impl<'t> VirtLowerer<'t> {
             fb,
             env,
             recv: Some(0),
-            ret_ty: None,
             loops: Vec::new(),
         };
         let typed = ctor.typed_body();
@@ -314,7 +311,7 @@ impl<'t> VirtLowerer<'t> {
                     }
                     None => {
                         if let Some(k) = ty.prim_kind() {
-                            cx.fb.emit(zero(k, r));
+                            cx.fb.emit(ConstVal::zero(k).instr(r));
                         }
                     }
                 }
@@ -496,31 +493,12 @@ impl<'t> VirtLowerer<'t> {
 
     fn expr(&mut self, cx: &mut VCtx, b: &TBody, e: TExprId) -> TResult<Reg> {
         match b.expr(e) {
-            TExpr::Int(v) => {
-                let r = cx.fb.reg(Ty::I32);
-                cx.fb.emit(Instr::ConstI32(r, v));
-                Ok(r)
-            }
-            TExpr::Long(v) => {
-                let r = cx.fb.reg(Ty::I64);
-                cx.fb.emit(Instr::ConstI64(r, v));
-                Ok(r)
-            }
-            TExpr::Float(v) => {
-                let r = cx.fb.reg(Ty::F32);
-                cx.fb.emit(Instr::ConstF32(r, v));
-                Ok(r)
-            }
-            TExpr::Double(v) => {
-                let r = cx.fb.reg(Ty::F64);
-                cx.fb.emit(Instr::ConstF64(r, v));
-                Ok(r)
-            }
-            TExpr::Bool(v) => {
-                let r = cx.fb.reg(Ty::Bool);
-                cx.fb.emit(Instr::ConstBool(r, v));
-                Ok(r)
-            }
+            TExpr::Int(_)
+            | TExpr::Long(_)
+            | TExpr::Float(_)
+            | TExpr::Double(_)
+            | TExpr::Bool(_)
+            | TExpr::GetStatic { .. } => Ok(cx.fb.constant(const_eval(self.table, b, e)?)),
             TExpr::Local(slot) => cx
                 .env
                 .get(&slot)
@@ -538,10 +516,6 @@ impl<'t> VirtLowerer<'t> {
                     dst,
                 });
                 Ok(dst)
-            }
-            TExpr::GetStatic { class, index } => {
-                let cv = static_const(self.table, class, index)?;
-                Ok(emit_const(cx, cv))
             }
             TExpr::Call { recv, method, args } => {
                 let r = self.expr(cx, b, recv)?;
@@ -808,7 +782,6 @@ impl<'t> VirtLowerer<'t> {
                 });
             }
         }
-        let _ = &cx.ret_ty;
         Ok(dst)
     }
 }
@@ -834,44 +807,4 @@ fn expr_kind(b: &TBody, e: TExprId) -> TResult<PrimKind> {
     b.ty(e)
         .prim_kind()
         .ok_or_else(|| TransError::new("expected a primitive expression"))
-}
-
-fn zero(kind: PrimKind, r: Reg) -> Instr {
-    match kind {
-        PrimKind::Int => Instr::ConstI32(r, 0),
-        PrimKind::Long => Instr::ConstI64(r, 0),
-        PrimKind::Float => Instr::ConstF32(r, 0.0),
-        PrimKind::Double => Instr::ConstF64(r, 0.0),
-        PrimKind::Boolean => Instr::ConstBool(r, false),
-    }
-}
-
-fn emit_const(cx: &mut VCtx, cv: nir::ConstVal) -> Reg {
-    match cv {
-        nir::ConstVal::I32(v) => {
-            let r = cx.fb.reg(Ty::I32);
-            cx.fb.emit(Instr::ConstI32(r, v));
-            r
-        }
-        nir::ConstVal::I64(v) => {
-            let r = cx.fb.reg(Ty::I64);
-            cx.fb.emit(Instr::ConstI64(r, v));
-            r
-        }
-        nir::ConstVal::F32(v) => {
-            let r = cx.fb.reg(Ty::F32);
-            cx.fb.emit(Instr::ConstF32(r, v));
-            r
-        }
-        nir::ConstVal::F64(v) => {
-            let r = cx.fb.reg(Ty::F64);
-            cx.fb.emit(Instr::ConstF64(r, v));
-            r
-        }
-        nir::ConstVal::Bool(v) => {
-            let r = cx.fb.reg(Ty::Bool);
-            cx.fb.emit(Instr::ConstBool(r, v));
-            r
-        }
-    }
 }

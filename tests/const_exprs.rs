@@ -51,6 +51,9 @@ const CASES: &[(&str, &str)] = &[
         "1.0 < 2.0 && 1.0 <= 0.5 == false && 2.0 > 1.0 && 1.0 == 1.0 && 1.0 != 2.0",
     ),
     ("boolean", "true != false && (false || true) == true"),
+    // 2^60 + 2^36 + 1 rounds once, up to 2^60 + 2^37: through `double`
+    // first it would round down to 2^60.
+    ("float", "(float) 1152921573326323713L"),
 ];
 
 /// The bits of an interpreted result, by kind.
