@@ -473,6 +473,7 @@ impl ConstVal {
         }
     }
 
+    /// The primitive kind it is a value of.
     pub fn kind(self) -> PrimKind {
         match self {
             ConstVal::I32(_) => PrimKind::Int,
