@@ -60,6 +60,17 @@ impl ElemTy {
         }
     }
 
+    /// The primitive kind of an element.
+    pub fn prim(self) -> PrimKind {
+        match self {
+            ElemTy::I32 => PrimKind::Int,
+            ElemTy::I64 => PrimKind::Long,
+            ElemTy::F32 => PrimKind::Float,
+            ElemTy::F64 => PrimKind::Double,
+            ElemTy::Bool => PrimKind::Boolean,
+        }
+    }
+
     pub fn c_name(self) -> &'static str {
         match self {
             ElemTy::I32 => "int",
@@ -654,6 +665,16 @@ impl Program {
         let id = FuncId(self.funcs.len() as u32);
         self.funcs.push(f.into());
         id
+    }
+
+    /// The index of the host function named `sig.name`, registering
+    /// `sig` if there is none yet.
+    pub fn host_fn(&mut self, sig: HostFnSig) -> u32 {
+        let known = self.host_fns.iter().position(|h| h.name == sig.name);
+        known.unwrap_or_else(|| {
+            self.host_fns.push(sig);
+            self.host_fns.len() - 1
+        }) as u32
     }
 
     /// Total instruction count (a code-size metric used by Table 3).

@@ -26,6 +26,7 @@ pub mod lower;
 pub mod shape;
 pub mod sheval;
 pub mod virt;
+pub(crate) mod walk;
 
 use jlang::table::ClassTable;
 use jlang::types::ClassId;

@@ -18,17 +18,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
-use jlang::types::{ClassId, PrimKind, Type};
+use jlang::tast::{FieldSel, MethodSel, TArgs, TBlock, TBody, TExpr, TExprId, TStmt};
+use jlang::types::{ClassId, Type};
 use nir::{
     ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty,
 };
 
 use crate::incr;
-use crate::shape::{elem_ty_of, Shape, TransError};
+use crate::shape::{Shape, TransError};
 use crate::sheval::{field_shape, native_return_shape, shape_from_decl, ShapeEval, SpecKey};
+use crate::walk::{self, Frame, Lower};
 use crate::TResult;
 
 /// Translation statistics (reported by Table 3 and the ablation benches).
@@ -83,18 +83,28 @@ impl Opnd {
     }
 }
 
-/// Per-function lowering context.
+/// Per-function lowering context: the body walk's frame and what the
+/// shaped modes add to it.
 pub struct FnCtx {
-    pub fb: FuncBuilder,
-    env: HashMap<u32, Opnd>,
-    recv: Option<Opnd>,
+    frame: Frame<Opnd>,
     /// Innermost constructor field frame (absolute slot -> value), set
     /// while inlining a constructor body.
     ctor_fields: Option<Vec<Option<Opnd>>>,
     pub flatten: bool,
     device: bool,
     ret: RetMode,
-    loops: Vec<(Label, Label)>,
+}
+
+impl FnCtx {
+    fn new(frame: Frame<Opnd>, flatten: bool, device: bool) -> Self {
+        FnCtx {
+            frame,
+            ctor_fields: None,
+            flatten,
+            device,
+            ret: RetMode::Function,
+        }
+    }
 }
 
 enum RetMode {
@@ -445,22 +455,7 @@ impl<'t> Lowerer<'t> {
         };
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
         let name = self.mangle(key, device, false);
-        // Parameter layout.
-        let mut params = Vec::new();
-        if let Some(r) = &key.recv {
-            if flatten {
-                params.extend(r.leaf_tys());
-            } else {
-                params.push(Ty::Obj);
-            }
-        }
-        for a in &key.args {
-            if flatten {
-                params.extend(a.leaf_tys());
-            } else {
-                params.push(heap_ty(a));
-            }
-        }
+        let (params, recv, env) = bind_params(key, flatten);
         let ret_ty = match &ret_shape {
             None => None,
             Some(s) if flatten => {
@@ -475,45 +470,9 @@ impl<'t> Lowerer<'t> {
             FuncKind::Host
         };
         let fb = FuncBuilder::new(name, params, ret_ty, kind);
-        // Bind receiver and parameters to their registers.
-        let mut next = 0u32;
-        let recv = key.recv.as_ref().map(|r| {
-            let n = if flatten { r.leaf_count() } else { 1 };
-            let regs: Vec<Reg> = (next..next + n as u32).collect();
-            next += n as u32;
-            Opnd {
-                shape: r.clone(),
-                regs,
-            }
-        });
-        let mut env = HashMap::new();
-        for (i, a) in key.args.iter().enumerate() {
-            let n = if flatten { a.leaf_count() } else { 1 };
-            let regs: Vec<Reg> = (next..next + n as u32).collect();
-            next += n as u32;
-            env.insert(
-                i as u32,
-                Opnd {
-                    shape: a.clone(),
-                    regs,
-                },
-            );
-        }
-        // Guard: frame slots used by locals start after parameter count in
-        // the typed AST; our env is keyed by slot so no adjustment needed.
-        let _ = next;
-        let mut fx = FnCtx {
-            fb,
-            env,
-            recv,
-            ctor_fields: None,
-            flatten,
-            device,
-            ret: RetMode::Function,
-            loops: Vec::new(),
-        };
-        self.block(&mut fx, body, block)?;
-        let f = fx.fb.finish().map_err(TransError::new)?;
+        let mut fx = FnCtx::new(Frame::new(fb, recv, env), flatten, device);
+        walk::block(self, &mut fx, body, block)?;
+        let f = fx.frame.fb.finish().map_err(TransError::new)?;
         let id = self.add_fresh(f);
         self.stats.specializations += 1;
         Ok(SpecResult::Func { id, ret: ret_shape })
@@ -542,52 +501,13 @@ impl<'t> Lowerer<'t> {
             return Err(TransError::new("kernel has no body"));
         };
         let name = self.mangle(key, true, true);
-        let mut params = Vec::new();
-        if let Some(r) = &key.recv {
-            params.extend(r.leaf_tys());
-        }
-        for a in &key.args {
-            params.extend(a.leaf_tys());
-        }
+        let (params, recv, env) = bind_params(key, true);
         let fb = FuncBuilder::new(name, params, None, FuncKind::Kernel);
-        let mut next = 0u32;
-        let recv = key.recv.as_ref().map(|r| {
-            let n = r.leaf_count();
-            let regs: Vec<Reg> = (next..next + n as u32).collect();
-            next += n as u32;
-            Opnd {
-                shape: r.clone(),
-                regs,
-            }
-        });
-        let mut env = HashMap::new();
-        for (i, a) in key.args.iter().enumerate() {
-            let n = a.leaf_count();
-            let regs: Vec<Reg> = (next..next + n as u32).collect();
-            next += n as u32;
-            env.insert(
-                i as u32,
-                Opnd {
-                    shape: a.clone(),
-                    regs,
-                },
-            );
-        }
-        let mut fx = FnCtx {
-            fb,
-            env,
-            recv,
-            ctor_fields: None,
-            flatten: true,
-            device: true,
-            ret: RetMode::Function,
-            loops: Vec::new(),
-        };
+        let mut fx = FnCtx::new(Frame::new(fb, recv, env), true, true);
         self.trace_push(key, true, true);
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
-        let finished = self
-            .block(&mut fx, body, block)
-            .and_then(|()| fx.fb.finish().map_err(TransError::new));
+        let finished = walk::block(self, &mut fx, body, block)
+            .and_then(|()| fx.frame.fb.finish().map_err(TransError::new));
         let f = match finished {
             Ok(f) => f,
             Err(e) => {
@@ -604,227 +524,6 @@ impl<'t> Lowerer<'t> {
         Ok(id)
     }
 
-    // ------------------------------------------------------------------
-    // Statements
-    // ------------------------------------------------------------------
-
-    pub fn block(&mut self, fx: &mut FnCtx, b: &TBody, block: TBlock) -> TResult<()> {
-        for s in b.list(block) {
-            self.stmt(fx, b, s)?;
-        }
-        Ok(())
-    }
-
-    fn stmt(&mut self, fx: &mut FnCtx, b: &TBody, s: TStmtId) -> TResult<()> {
-        match b.stmt(s) {
-            TStmt::Local { slot, ty, init } => {
-                let ty = b.type_at(ty);
-                let opnd = match init {
-                    Some(e) => {
-                        let v = self.expr(fx, b, e)?;
-                        // Copy into fresh registers so reassignment works.
-                        self.copy_opnd(fx, &v)
-                    }
-                    None => {
-                        let shape = shape_from_decl(self.table, ty).ok_or_else(|| {
-                            TransError::new(format!(
-                                "object-typed local of type {} needs an initializer",
-                                self.table.show_type(ty)
-                            ))
-                        })?;
-                        self.default_opnd(fx, &shape)?
-                    }
-                };
-                fx.env.insert(slot, opnd);
-                Ok(())
-            }
-            TStmt::AssignLocal { slot, value } => {
-                let v = self.expr(fx, b, value)?;
-                let dst = fx.env.get(&slot).cloned().ok_or_else(|| {
-                    TransError::new(format!("assignment to undeclared slot {slot}"))
-                })?;
-                if dst.shape != v.shape {
-                    return Err(TransError::new(format!(
-                        "local changes shape from {} to {}",
-                        dst.shape.show(self.table),
-                        v.shape.show(self.table)
-                    )));
-                }
-                for (d, s) in dst.regs.iter().zip(&v.regs) {
-                    fx.fb.emit(Instr::Mov(*d, *s));
-                }
-                Ok(())
-            }
-            TStmt::AssignField { obj, field, value } => {
-                let v = self.expr(fx, b, value)?;
-                // Constructor frame write?
-                if b.expr(obj) == TExpr::This && fx.ctor_fields.is_some() {
-                    let copy = self.copy_opnd(fx, &v);
-                    // Checked `is_some` just above.
-                    fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(copy);
-                    return Ok(());
-                }
-                let o = self.expr(fx, b, obj)?;
-                if fx.flatten {
-                    let (off, fshape) = o
-                        .shape
-                        .field_leaf_range(field.slot)
-                        .ok_or_else(|| TransError::new("field assignment out of shape range"))?;
-                    if fshape != &v.shape {
-                        return Err(TransError::new(format!(
-                            "field changes shape from {} to {}",
-                            fshape.show(self.table),
-                            v.shape.show(self.table)
-                        )));
-                    }
-                    let n = v.regs.len();
-                    for i in 0..n {
-                        fx.fb.emit(Instr::Mov(o.regs[off + i], v.regs[i]));
-                    }
-                } else {
-                    let oreg = o.single()?;
-                    let vreg = v.single()?;
-                    fx.fb.emit(Instr::PutField {
-                        obj: oreg,
-                        slot: field.slot,
-                        src: vreg,
-                    });
-                }
-                Ok(())
-            }
-            TStmt::AssignStatic { .. } => Err(TransError::new(
-                "assignment to a static field cannot be translated (coding rule 5)",
-            )),
-            TStmt::AssignIndex { arr, idx, value } => {
-                let a = self.expr(fx, b, arr)?;
-                let i = self.expr(fx, b, idx)?;
-                let v = self.expr(fx, b, value)?;
-                fx.fb.emit(Instr::StArr {
-                    arr: a.single()?,
-                    idx: i.single()?,
-                    src: v.single()?,
-                });
-                Ok(())
-            }
-            TStmt::Expr(e) => {
-                self.expr_maybe_void(fx, b, e)?;
-                Ok(())
-            }
-            TStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let c = self.expr(fx, b, cond)?;
-                let tl = fx.fb.label();
-                let el = fx.fb.label();
-                let end = fx.fb.label();
-                fx.fb.br(c.single()?, tl, el);
-                fx.fb.bind(tl);
-                self.block(fx, b, then_branch)?;
-                fx.fb.jmp(end);
-                fx.fb.bind(el);
-                if let Some(e) = else_branch {
-                    self.block(fx, b, e)?;
-                }
-                fx.fb.jmp(end);
-                fx.fb.bind(end);
-                Ok(())
-            }
-            TStmt::While { cond, body } => {
-                let head = fx.fb.label();
-                let bodyl = fx.fb.label();
-                let end = fx.fb.label();
-                fx.fb.jmp(head);
-                fx.fb.bind(head);
-                let c = self.expr(fx, b, cond)?;
-                fx.fb.br(c.single()?, bodyl, end);
-                fx.fb.bind(bodyl);
-                fx.loops.push((head, end));
-                self.block(fx, b, body)?;
-                fx.loops.pop();
-                fx.fb.jmp(head);
-                fx.fb.bind(end);
-                Ok(())
-            }
-            TStmt::For {
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.stmt(fx, b, i)?;
-                }
-                let head = fx.fb.label();
-                let bodyl = fx.fb.label();
-                let cont = fx.fb.label();
-                let end = fx.fb.label();
-                fx.fb.jmp(head);
-                fx.fb.bind(head);
-                match cond {
-                    Some(c) => {
-                        let cv = self.expr(fx, b, c)?;
-                        fx.fb.br(cv.single()?, bodyl, end);
-                    }
-                    None => fx.fb.jmp(bodyl),
-                }
-                fx.fb.bind(bodyl);
-                fx.loops.push((cont, end));
-                self.block(fx, b, body)?;
-                fx.loops.pop();
-                fx.fb.jmp(cont);
-                fx.fb.bind(cont);
-                if let Some(u) = update {
-                    self.stmt(fx, b, u)?;
-                }
-                fx.fb.jmp(head);
-                fx.fb.bind(end);
-                Ok(())
-            }
-            TStmt::Return { value } => {
-                let v = match value {
-                    Some(e) => Some(self.expr(fx, b, e)?),
-                    None => None,
-                };
-                match (&fx.ret, v) {
-                    (RetMode::Function, Some(v)) => {
-                        fx.fb.emit(Instr::Ret(Some(v.single()?)));
-                    }
-                    (RetMode::Function, None) => {
-                        fx.fb.emit(Instr::Ret(None));
-                    }
-                    (RetMode::Inline { dest, end }, v) => {
-                        let dest = dest.clone();
-                        let end = *end;
-                        if let Some(v) = v {
-                            for (d, s) in dest.iter().zip(&v.regs) {
-                                fx.fb.emit(Instr::Mov(*d, *s));
-                            }
-                        }
-                        fx.fb.jmp(end);
-                    }
-                }
-                Ok(())
-            }
-            TStmt::Break => {
-                let (_, brk) = *fx.loops.last().ok_or_else(|| {
-                    TransError::new("break outside a loop reached the translator")
-                })?;
-                fx.fb.jmp(brk);
-                Ok(())
-            }
-            TStmt::Continue => {
-                let (cont, _) = *fx.loops.last().ok_or_else(|| {
-                    TransError::new("continue outside a loop reached the translator")
-                })?;
-                fx.fb.jmp(cont);
-                Ok(())
-            }
-            TStmt::Block(block) => self.block(fx, b, block),
-        }
-    }
-
     /// Copy an operand into fresh registers (value semantics: objects are
     /// bundles of locals after inlining, exactly as §3.3 describes).
     fn copy_opnd(&mut self, fx: &mut FnCtx, v: &Opnd) -> Opnd {
@@ -835,8 +534,8 @@ impl<'t> Lowerer<'t> {
         };
         let mut regs = Vec::with_capacity(v.regs.len());
         for (s, ty) in v.regs.iter().zip(tys) {
-            let d = fx.fb.reg(ty);
-            fx.fb.emit(Instr::Mov(d, *s));
+            let d = fx.frame.fb.reg(ty);
+            fx.frame.fb.emit(Instr::Mov(d, *s));
             regs.push(d);
         }
         Opnd {
@@ -853,454 +552,16 @@ impl<'t> Lowerer<'t> {
         match shape {
             Shape::Prim(k) => Ok(Opnd {
                 shape: shape.clone(),
-                regs: vec![fx.fb.constant(ConstVal::zero(*k))],
+                regs: vec![fx.frame.fb.constant(ConstVal::zero(*k))],
             }),
             Shape::Arr(e) => {
-                let r = fx.fb.reg(Ty::Arr(*e));
+                let r = fx.frame.fb.reg(Ty::Arr(*e));
                 Ok(Opnd {
                     shape: shape.clone(),
                     regs: vec![r],
                 })
             }
             Shape::Obj { .. } => Err(TransError::new("object local without initializer")),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Expressions
-    // ------------------------------------------------------------------
-
-    fn expr_maybe_void(&mut self, fx: &mut FnCtx, b: &TBody, e: TExprId) -> TResult<Option<Opnd>> {
-        match b.expr(e) {
-            TExpr::Call { recv, method, args } => {
-                let r = self.expr(fx, b, recv)?;
-                self.call_resolved(
-                    fx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    true,
-                )
-            }
-            TExpr::DirectCall { recv, method, args } => {
-                let r = self.expr(fx, b, recv)?;
-                self.call_resolved(
-                    fx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    false,
-                )
-            }
-            TExpr::StaticCall { class, index, args } => {
-                self.call_resolved(fx, None, class, index, (b, args), false)
-            }
-            _ => Ok(Some(self.expr(fx, b, e)?)),
-        }
-    }
-
-    pub fn expr(&mut self, fx: &mut FnCtx, b: &TBody, e: TExprId) -> TResult<Opnd> {
-        match b.expr(e) {
-            TExpr::Int(_)
-            | TExpr::Long(_)
-            | TExpr::Float(_)
-            | TExpr::Double(_)
-            | TExpr::Bool(_)
-            | TExpr::GetStatic { .. } => {
-                let v = const_eval(self.table, b, e)?;
-                Ok(Opnd {
-                    shape: Shape::Prim(v.kind()),
-                    regs: vec![fx.fb.constant(v)],
-                })
-            }
-            TExpr::Local(slot) => fx
-                .env
-                .get(&slot)
-                .cloned()
-                .ok_or_else(|| TransError::new(format!("read of unassigned local slot {slot}"))),
-            TExpr::This => {
-                if fx.ctor_fields.is_some() {
-                    return Err(TransError::new(
-                        "`this` used as a value inside a constructor (not semi-immutable)",
-                    ));
-                }
-                fx.recv
-                    .clone()
-                    .ok_or_else(|| TransError::new("`this` in a static translation context"))
-            }
-            TExpr::GetField { obj, field } => {
-                if b.expr(obj) == TExpr::This {
-                    if let Some(frame) = &fx.ctor_fields {
-                        return frame[field.slot as usize].clone().ok_or_else(|| {
-                            TransError::new(format!(
-                                "constructor reads field slot {} before assigning it",
-                                field.slot
-                            ))
-                        });
-                    }
-                }
-                let o = self.expr(fx, b, obj)?;
-                if fx.flatten {
-                    let (off, fshape) = o
-                        .shape
-                        .field_leaf_range(field.slot)
-                        .ok_or_else(|| TransError::new("field read out of shape range"))?;
-                    let n = fshape.leaf_count();
-                    Ok(Opnd {
-                        shape: fshape.clone(),
-                        regs: o.regs[off..off + n].to_vec(),
-                    })
-                } else {
-                    let fshape = field_shape(self.table, &o.shape, field.slot)?;
-                    let dst = fx.fb.reg(heap_ty(&fshape));
-                    fx.fb.emit(Instr::GetField {
-                        obj: o.single()?,
-                        slot: field.slot,
-                        dst,
-                    });
-                    Ok(Opnd {
-                        shape: fshape,
-                        regs: vec![dst],
-                    })
-                }
-            }
-            TExpr::Call { recv, method, args } => {
-                let r = self.expr(fx, b, recv)?;
-                self.call_resolved(
-                    fx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    true,
-                )?
-                .ok_or_else(|| TransError::new("void call used as a value"))
-            }
-            TExpr::DirectCall { recv, method, args } => {
-                let r = self.expr(fx, b, recv)?;
-                self.call_resolved(
-                    fx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    false,
-                )?
-                .ok_or_else(|| TransError::new("void super-call used as a value"))
-            }
-            TExpr::StaticCall { class, index, args } => self
-                .call_resolved(fx, None, class, index, (b, args), false)?
-                .ok_or_else(|| TransError::new("void static call used as a value")),
-            TExpr::New { class, args } => {
-                let arg_opnds = self.arg_opnds(fx, b, args)?;
-                self.lower_new(fx, class, arg_opnds)
-            }
-            TExpr::NewArray { elem, len } => {
-                let e_ty = elem_ty_of(b.type_at(elem))
-                    .ok_or_else(|| TransError::new("only primitive arrays can be translated"))?;
-                let l = self.expr(fx, b, len)?;
-                let dst = fx.fb.reg(Ty::Arr(e_ty));
-                fx.fb.emit(Instr::NewArr {
-                    elem: e_ty,
-                    len: l.single()?,
-                    dst,
-                });
-                Ok(Opnd {
-                    shape: Shape::Arr(e_ty),
-                    regs: vec![dst],
-                })
-            }
-            TExpr::Index { arr, idx } => {
-                let a = self.expr(fx, b, arr)?;
-                let i = self.expr(fx, b, idx)?;
-                let Shape::Arr(e_ty) = a.shape else {
-                    return Err(TransError::new("indexing a non-array shape"));
-                };
-                let dst = fx.fb.reg(e_ty.ty());
-                fx.fb.emit(Instr::LdArr {
-                    arr: a.single()?,
-                    idx: i.single()?,
-                    dst,
-                });
-                Ok(Opnd {
-                    shape: Shape::Prim(elem_prim(e_ty)),
-                    regs: vec![dst],
-                })
-            }
-            TExpr::ArrayLen(a) => {
-                let arr = self.expr(fx, b, a)?;
-                let dst = fx.fb.reg(Ty::I32);
-                fx.fb.emit(Instr::ArrLen {
-                    arr: arr.single()?,
-                    dst,
-                });
-                Ok(Opnd {
-                    shape: Shape::Prim(PrimKind::Int),
-                    regs: vec![dst],
-                })
-            }
-            TExpr::Unary { op, expr } => {
-                let v = self.expr(fx, b, expr)?;
-                let Shape::Prim(kind) = v.shape else {
-                    return Err(TransError::new("unary operator on non-primitive"));
-                };
-                let dst = fx.fb.reg(Ty::of_prim(kind));
-                match op {
-                    UnOp::Neg => {
-                        fx.fb.emit(Instr::Neg {
-                            kind,
-                            dst,
-                            src: v.single()?,
-                        });
-                    }
-                    UnOp::Not => {
-                        fx.fb.emit(Instr::Not {
-                            dst,
-                            src: v.single()?,
-                        });
-                    }
-                }
-                Ok(Opnd {
-                    shape: Shape::Prim(kind),
-                    regs: vec![dst],
-                })
-            }
-            TExpr::Binary {
-                op,
-                operand_kind,
-                lhs,
-                rhs,
-            } => {
-                // Short-circuit logical operators become control flow.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    return self.short_circuit(fx, op, b, lhs, rhs);
-                }
-                let l = self.expr(fx, b, lhs)?;
-                let r = self.expr(fx, b, rhs)?;
-                let out_kind = if op.is_comparison() {
-                    PrimKind::Boolean
-                } else {
-                    operand_kind
-                };
-                let dst = fx.fb.reg(Ty::of_prim(out_kind));
-                fx.fb.emit(Instr::Bin {
-                    op,
-                    kind: operand_kind,
-                    dst,
-                    lhs: l.single()?,
-                    rhs: r.single()?,
-                });
-                Ok(Opnd {
-                    shape: Shape::Prim(out_kind),
-                    regs: vec![dst],
-                })
-            }
-            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
-                let v = self.expr(fx, b, expr)?;
-                let Shape::Prim(from) = v.shape else {
-                    return Err(TransError::new("numeric cast on non-primitive"));
-                };
-                if from == to {
-                    return Ok(v);
-                }
-                let dst = fx.fb.reg(Ty::of_prim(to));
-                fx.fb.emit(Instr::Cast {
-                    to,
-                    from,
-                    dst,
-                    src: v.single()?,
-                });
-                Ok(Opnd {
-                    shape: Shape::Prim(to),
-                    regs: vec![dst],
-                })
-            }
-            TExpr::RefCast { to, expr } => {
-                let v = self.expr(fx, b, expr)?;
-                if let (Some(c), Type::Object(want, _)) = (v.shape.class(), b.type_at(to)) {
-                    if !self.table.is_subclass_of(c, *want) {
-                        return Err(TransError::new(format!(
-                            "cast of `{}` to `{}` can never succeed",
-                            self.table.name(c),
-                            self.table.name(*want)
-                        )));
-                    }
-                }
-                Ok(v)
-            }
-            TExpr::RefEq { .. } => Err(TransError::new(
-                "reference equality cannot be translated (coding rule 7)",
-            )),
-            TExpr::InstanceOf { .. } => Err(TransError::new(
-                "`instanceof` cannot be translated (coding rule 8)",
-            )),
-            TExpr::Null => Err(TransError::new(
-                "`null` cannot be translated (coding rule 8)",
-            )),
-            TExpr::Str(_) => Err(TransError::new("strings cannot be translated")),
-            TExpr::Ternary { .. } => Err(TransError::new(
-                "the conditional operator cannot be translated (coding rule 7)",
-            )),
-        }
-    }
-
-    fn short_circuit(
-        &mut self,
-        fx: &mut FnCtx,
-        op: BinOp,
-        b: &TBody,
-        lhs: TExprId,
-        rhs: TExprId,
-    ) -> TResult<Opnd> {
-        let dst = fx.fb.reg(Ty::Bool);
-        let l = self.expr(fx, b, lhs)?;
-        fx.fb.emit(Instr::Mov(dst, l.single()?));
-        let eval_rhs = fx.fb.label();
-        let end = fx.fb.label();
-        match op {
-            BinOp::And => fx.fb.br(dst, eval_rhs, end),
-            BinOp::Or => fx.fb.br(dst, end, eval_rhs),
-            _ => unreachable!(),
-        }
-        fx.fb.bind(eval_rhs);
-        let r = self.expr(fx, b, rhs)?;
-        fx.fb.emit(Instr::Mov(dst, r.single()?));
-        fx.fb.jmp(end);
-        fx.fb.bind(end);
-        Ok(Opnd {
-            shape: Shape::Prim(PrimKind::Boolean),
-            regs: vec![dst],
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Calls
-    // ------------------------------------------------------------------
-
-    /// Lower call or constructor arguments, left to right.
-    fn arg_opnds(&mut self, fx: &mut FnCtx, b: &TBody, args: TArgs) -> TResult<Vec<Opnd>> {
-        let mut out = Vec::with_capacity(args.len());
-        for a in b.list(args) {
-            out.push(self.expr(fx, b, a)?);
-        }
-        Ok(out)
-    }
-
-    /// Devirtualize (if `is_virtual`), specialize, and emit a call — or
-    /// inline the callee when its flattened return has ≠1 leaves.
-    fn call_resolved(
-        &mut self,
-        fx: &mut FnCtx,
-        recv: Option<Opnd>,
-        decl_class: ClassId,
-        index: u32,
-        (b, args): (&TBody, TArgs),
-        is_virtual: bool,
-    ) -> TResult<Option<Opnd>> {
-        let decl = self.table.method(decl_class, index);
-        // Resolve the implementation from the receiver's exact shape.
-        let (ic, im) = match (&recv, is_virtual) {
-            (Some(r), true) => {
-                let class = r
-                    .shape
-                    .class()
-                    .ok_or_else(|| TransError::new("virtual call on non-object shape"))?;
-                let target = self.table.resolve_impl(class, &decl.name).ok_or_else(|| {
-                    TransError::new(format!(
-                        "no implementation of `{}` on `{}`",
-                        decl.name,
-                        self.table.name(class)
-                    ))
-                })?;
-                self.stats.devirtualized_calls += 1;
-                target
-            }
-            _ => (decl_class, index),
-        };
-        let target = self.table.method(ic, im);
-
-        // Native intrinsic?
-        let arg_opnds = self.arg_opnds(fx, b, args)?;
-        if let Some(key) = &target.native {
-            return self.lower_native(fx, key, target, arg_opnds);
-        }
-
-        // Kernel launch?
-        if target.is_global {
-            if fx.device {
-                return Err(TransError::new(
-                    "a kernel cannot launch another kernel (@Global from device context)",
-                ));
-            }
-            self.lower_launch(fx, recv, ic, im, arg_opnds)?;
-            return Ok(None);
-        }
-
-        let key = SpecKey {
-            class: ic,
-            method: im,
-            recv: recv.as_ref().map(|r| r.shape.clone()),
-            args: arg_opnds.iter().map(|a| a.shape.clone()).collect(),
-        };
-        match self.lower_spec(&key, fx.device)? {
-            SpecResult::Func { id, ret } => {
-                let mut regs = Vec::new();
-                if let Some(r) = &recv {
-                    regs.extend(&r.regs);
-                }
-                for a in &arg_opnds {
-                    regs.extend(&a.regs);
-                }
-                match ret {
-                    None => {
-                        fx.fb.emit(Instr::Call {
-                            func: id,
-                            args: regs,
-                            dst: None,
-                        });
-                        Ok(None)
-                    }
-                    Some(shape) => {
-                        if fx.flatten && shape.leaf_count() == 0 {
-                            // Empty (zero-leaf) objects only lose their
-                            // register in flattened mode; on the heap they
-                            // are still a handle. (Flattened zero-leaf
-                            // returns are normally routed to inlining, so
-                            // this arm is a safety net.)
-                            fx.fb.emit(Instr::Call {
-                                func: id,
-                                args: regs,
-                                dst: None,
-                            });
-                            Ok(Some(Opnd {
-                                shape,
-                                regs: vec![],
-                            }))
-                        } else {
-                            let ty = if fx.flatten {
-                                shape.leaf_tys()[0]
-                            } else {
-                                heap_ty(&shape)
-                            };
-                            let dst = fx.fb.reg(ty);
-                            fx.fb.emit(Instr::Call {
-                                func: id,
-                                args: regs,
-                                dst: Some(dst),
-                            });
-                            Ok(Some(Opnd {
-                                shape,
-                                regs: vec![dst],
-                            }))
-                        }
-                    }
-                }
-            }
-            SpecResult::InlineOnly { ret } => {
-                self.lower_inline_call(fx, &key, recv, arg_opnds, ret)
-            }
         }
     }
 
@@ -1328,14 +589,14 @@ impl<'t> Lowerer<'t> {
         self.stats.inlined_calls += 1;
 
         let dest: Vec<Reg> = match &ret {
-            Some(s) => s.leaf_tys().iter().map(|t| fx.fb.reg(*t)).collect(),
+            Some(s) => s.leaf_tys().iter().map(|t| fx.frame.fb.reg(*t)).collect(),
             None => Vec::new(),
         };
-        let end = fx.fb.label();
+        let end = fx.frame.fb.label();
 
         // Save the frame, install the callee's.
-        let saved_env = std::mem::take(&mut fx.env);
-        let saved_recv = fx.recv.take();
+        let saved_env = std::mem::take(&mut fx.frame.env);
+        let saved_recv = fx.frame.recv.take();
         let saved_ret = std::mem::replace(
             &mut fx.ret,
             RetMode::Inline {
@@ -1343,19 +604,19 @@ impl<'t> Lowerer<'t> {
                 end,
             },
         );
-        let saved_loops = std::mem::take(&mut fx.loops);
-        fx.recv = recv.map(|r| self.copy_opnd(fx, &r));
+        let saved_loops = std::mem::take(&mut fx.frame.loops);
+        fx.frame.recv = recv.map(|r| self.copy_opnd(fx, &r));
         for (i, a) in args.iter().enumerate() {
             let copy = self.copy_opnd(fx, a);
-            fx.env.insert(i as u32, copy);
+            fx.frame.env.insert(i as u32, copy);
         }
-        let result = self.block(fx, body, block);
-        fx.fb.jmp(end); // void fall-through
-        fx.fb.bind(end);
-        fx.env = saved_env;
-        fx.recv = saved_recv;
+        let result = walk::block(self, fx, body, block);
+        fx.frame.fb.jmp(end); // void fall-through
+        fx.frame.fb.bind(end);
+        fx.frame.env = saved_env;
+        fx.frame.recv = saved_recv;
         fx.ret = saved_ret;
-        fx.loops = saved_loops;
+        fx.frame.loops = saved_loops;
         self.inline_stack.pop();
         result?;
         Ok(ret.map(|shape| Opnd { shape, regs: dest }))
@@ -1371,7 +632,7 @@ impl<'t> Lowerer<'t> {
     ) -> TResult<Option<Opnd>> {
         // Special forms first.
         if key == "cuda.sync" {
-            fx.fb.emit(Instr::Sync);
+            fx.frame.fb.emit(Instr::Sync);
             return Ok(None);
         }
         if key == "cuda.sharedF32" {
@@ -1381,8 +642,8 @@ impl<'t> Lowerer<'t> {
                 .first()
                 .ok_or_else(|| TransError::new("cuda.sharedF32 needs a length"))?
                 .single()?;
-            let dst = fx.fb.reg(Ty::Arr(ElemTy::F32));
-            fx.fb.emit(Instr::SharedAlloc {
+            let dst = fx.frame.fb.reg(Ty::Arr(ElemTy::F32));
+            fx.frame.fb.emit(Instr::SharedAlloc {
                 elem: ElemTy::F32,
                 len,
                 dst,
@@ -1396,62 +657,47 @@ impl<'t> Lowerer<'t> {
         for a in &args {
             regs.push(a.single()?);
         }
-        let ret_shape = native_return_shape(self.table, &m.ret, key)?;
+        let ret_shape = native_return_shape(&m.ret, key)?;
         // Built-in intrinsic, or a user-registered foreign function (the
         // paper's FFI mechanism): unknown keys become direct host calls.
-        let dst = ret_shape.as_ref().map(|s| fx.fb.reg(s.leaf_tys()[0]));
+        let dst = ret_shape.as_ref().map(|s| fx.frame.fb.reg(s.leaf_tys()[0]));
         let ins = match Intrinsic::by_key(key) {
             Some(row) => Instr::Intrin {
                 op: row.op,
                 args: regs,
                 dst,
             },
-            None => Instr::CallHost {
-                host: self.host_fn_id(key, &args, &ret_shape, fx)?,
-                args: regs,
-                dst,
-            },
+            None => {
+                if fx.device {
+                    return Err(TransError::new(format!(
+                        "foreign function `{key}` cannot be called from GPU code"
+                    )));
+                }
+                let params = (args.iter())
+                    .map(|a| match &a.shape {
+                        Shape::Obj { .. } => Err(TransError::new(format!(
+                            "foreign function `{key}` cannot take object arguments"
+                        ))),
+                        s => Ok(heap_ty(s)),
+                    })
+                    .collect::<TResult<_>>()?;
+                let sig = nir::HostFnSig {
+                    name: key.to_string(),
+                    params,
+                    ret: ret_shape.as_ref().map(|s| s.leaf_tys()[0]),
+                };
+                Instr::CallHost {
+                    host: self.program.host_fn(sig),
+                    args: regs,
+                    dst,
+                }
+            }
         };
-        fx.fb.emit(ins);
+        fx.frame.fb.emit(ins);
         Ok(ret_shape.map(|shape| Opnd {
             shape,
             regs: dst.into_iter().collect(),
         }))
-    }
-
-    /// Find or register the host-function signature for `key`.
-    fn host_fn_id(
-        &mut self,
-        key: &str,
-        args: &[Opnd],
-        ret: &Option<Shape>,
-        fx: &FnCtx,
-    ) -> TResult<u32> {
-        if fx.device {
-            return Err(TransError::new(format!(
-                "foreign function `{key}` cannot be called from GPU code"
-            )));
-        }
-        if let Some(i) = self.program.host_fns.iter().position(|h| h.name == key) {
-            return Ok(i as u32);
-        }
-        let params: Vec<Ty> = args
-            .iter()
-            .map(|a| match &a.shape {
-                Shape::Prim(k) => Ok(Ty::of_prim(*k)),
-                Shape::Arr(e) => Ok(Ty::Arr(*e)),
-                Shape::Obj { .. } => Err(TransError::new(format!(
-                    "foreign function `{key}` cannot take object arguments"
-                ))),
-            })
-            .collect::<TResult<_>>()?;
-        let ret_ty = ret.as_ref().map(|s| s.leaf_tys()[0]);
-        self.program.host_fns.push(nir::HostFnSig {
-            name: key.to_string(),
-            params,
-            ret: ret_ty,
-        });
-        Ok(self.program.host_fns.len() as u32 - 1)
     }
 
     /// Lower a `@Global` call into a kernel launch. The first argument
@@ -1500,7 +746,7 @@ impl<'t> Lowerer<'t> {
         for a in &args {
             launch_args.extend(self.flatten_opnd(fx, a)?);
         }
-        fx.fb.emit(Instr::Launch {
+        fx.frame.fb.emit(Instr::Launch {
             kernel,
             grid: [conf_leaves[0], conf_leaves[1], conf_leaves[2]],
             block: [conf_leaves[3], conf_leaves[4], conf_leaves[5]],
@@ -1521,8 +767,8 @@ impl<'t> Lowerer<'t> {
                 let obj = v.single()?;
                 let mut out = Vec::new();
                 for (slot, fshape) in fields.iter().enumerate() {
-                    let dst = fx.fb.reg(heap_ty(fshape));
-                    fx.fb.emit(Instr::GetField {
+                    let dst = fx.frame.fb.reg(heap_ty(fshape));
+                    fx.frame.fb.emit(Instr::GetField {
                         obj,
                         slot: slot as u32,
                         dst,
@@ -1563,7 +809,7 @@ impl<'t> Lowerer<'t> {
                     match decl {
                         Shape::Prim(k) => {
                             field_shapes.push(Shape::Prim(k));
-                            all_regs.push(fx.fb.constant(ConstVal::zero(k)));
+                            all_regs.push(fx.frame.fb.constant(ConstVal::zero(k)));
                         }
                         other => {
                             return Err(TransError::new(format!(
@@ -1587,8 +833,8 @@ impl<'t> Lowerer<'t> {
             })
         } else {
             // Heap mode: materialize with NewObj + PutField.
-            let obj = fx.fb.reg(Ty::Obj);
-            fx.fb.emit(Instr::NewObj {
+            let obj = fx.frame.fb.reg(Ty::Obj);
+            fx.frame.fb.emit(Instr::NewObj {
                 class: class.0,
                 dst: obj,
             });
@@ -1596,7 +842,7 @@ impl<'t> Lowerer<'t> {
             // an object reference.
             debug_assert_eq!(all_regs.len(), size);
             for (slot, src) in all_regs.into_iter().enumerate() {
-                fx.fb.emit(Instr::PutField {
+                fx.frame.fb.emit(Instr::PutField {
                     obj,
                     slot: slot as u32,
                     src,
@@ -1615,7 +861,7 @@ impl<'t> Lowerer<'t> {
             let base = info.field_base;
             if slot >= base && slot < base + info.fields.len() as u32 {
                 let ty = info.fields[(slot - base) as usize].ty.subst(&cargs);
-                return shape_from_decl(self.table, &ty)
+                return shape_from_decl(&ty)
                     .ok_or_else(|| TransError::new("unassigned object field in constructor"));
             }
         }
@@ -1646,11 +892,11 @@ impl<'t> Lowerer<'t> {
             )));
         }
         // Install the constructor frame.
-        let saved_env = std::mem::take(&mut fx.env);
-        let saved_recv = fx.recv.take();
+        let saved_env = std::mem::take(&mut fx.frame.env);
+        let saved_recv = fx.frame.recv.take();
         let saved_ctor = fx.ctor_fields.take();
         for (i, a) in args.into_iter().enumerate() {
-            fx.env.insert(i as u32, a);
+            fx.frame.env.insert(i as u32, a);
         }
         let typed = ctor.typed_body();
         // `fields` is threaded explicitly: super constructors share it.
@@ -1662,22 +908,22 @@ impl<'t> Lowerer<'t> {
                     // GetField(this) inside super argument expressions.
                     fx.ctor_fields = Some(std::mem::take(fields));
                     let sargs = match typed {
-                        Some((b, args, _)) => self.arg_opnds(fx, b, args)?,
+                        Some((b, args, _)) => walk::args(self, fx, b, args)?,
                         None => Vec::new(),
                     };
                     // Installed above; a nested `run_ctor` restores it.
                     *fields = fx.ctor_fields.take().unwrap();
                     // Recursive constructor run uses its own env.
-                    let saved = std::mem::take(&mut fx.env);
+                    let saved = std::mem::take(&mut fx.frame.env);
                     self.run_ctor(fx, *sid, sargs, fields)?;
-                    fx.env = saved;
+                    fx.frame.env = saved;
                 }
             }
             // 2. field initializers, 3. body — both with the frame visible.
             fx.ctor_fields = Some(std::mem::take(fields));
             for (i, f) in info.fields.iter().enumerate() {
                 if let Some((init, value)) = f.typed_init() {
-                    let v = self.expr(fx, init, value)?;
+                    let v = walk::expr(self, fx, init, value)?;
                     let v = self.copy_opnd(fx, &v);
                     // Installed above; a nested `run_ctor` restores it.
                     fx.ctor_fields.as_mut().unwrap()[(info.field_base + i as u32) as usize] =
@@ -1691,8 +937,8 @@ impl<'t> Lowerer<'t> {
             *fields = fx.ctor_fields.take().unwrap();
             Ok(())
         })();
-        fx.env = saved_env;
-        fx.recv = saved_recv;
+        fx.frame.env = saved_env;
+        fx.frame.recv = saved_recv;
         // Restore the outer ctor frame unconditionally: on success the
         // inner frame was already moved back into `fields`; on error any
         // leftover inner frame must be dropped.
@@ -1704,14 +950,14 @@ impl<'t> Lowerer<'t> {
     fn ctor_block(&mut self, fx: &mut FnCtx, b: &TBody, body: TBlock) -> TResult<()> {
         for s in b.list(body) {
             match b.stmt(s) {
-                TStmt::Local { .. } | TStmt::AssignLocal { .. } => self.stmt(fx, b, s)?,
+                TStmt::Local { .. } | TStmt::AssignLocal { .. } => walk::stmt(self, fx, b, s)?,
                 TStmt::AssignField { obj, field, value } => {
                     if b.expr(obj) != TExpr::This {
                         return Err(TransError::new(
                             "constructor assigns a field of another object",
                         ));
                     }
-                    let v = self.expr(fx, b, value)?;
+                    let v = walk::expr(self, fx, b, value)?;
                     let v = self.copy_opnd(fx, &v);
                     // Only `run_ctor` calls this, with the frame installed.
                     fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(v);
@@ -1729,6 +975,326 @@ impl<'t> Lowerer<'t> {
     }
 }
 
+impl Lower for Lowerer<'_> {
+    type V = Opnd;
+    type Cx = FnCtx;
+
+    fn table(&self) -> &ClassTable {
+        self.table
+    }
+
+    fn frame(fx: &mut FnCtx) -> &mut Frame<Opnd> {
+        &mut fx.frame
+    }
+
+    fn reg(v: &Opnd) -> TResult<Reg> {
+        v.single()
+    }
+
+    fn scalar(r: Reg, ty: Ty) -> Opnd {
+        let shape = match ty {
+            Ty::Arr(e) => Shape::Arr(e),
+            t => Shape::Prim(t.prim().expect("the walk wraps no object register")),
+        };
+        Opnd {
+            shape,
+            regs: vec![r],
+        }
+    }
+
+    fn local(
+        &mut self,
+        fx: &mut FnCtx,
+        b: &TBody,
+        ty: &Type,
+        init: Option<TExprId>,
+    ) -> TResult<Opnd> {
+        match init {
+            Some(e) => {
+                let v = walk::expr(self, fx, b, e)?;
+                // Copy into fresh registers so reassignment works.
+                Ok(self.copy_opnd(fx, &v))
+            }
+            None => {
+                let shape = shape_from_decl(ty).ok_or_else(|| {
+                    TransError::new(format!(
+                        "object-typed local of type {} needs an initializer",
+                        self.table.show_type(ty)
+                    ))
+                })?;
+                self.default_opnd(fx, &shape)
+            }
+        }
+    }
+
+    fn assign_local(&mut self, fx: &mut FnCtx, dst: &Opnd, v: Opnd) -> TResult<()> {
+        if dst.shape != v.shape {
+            return Err(TransError::new(format!(
+                "local changes shape from {} to {}",
+                dst.shape.show(self.table),
+                v.shape.show(self.table)
+            )));
+        }
+        for (d, s) in dst.regs.iter().zip(&v.regs) {
+            fx.frame.fb.emit(Instr::Mov(*d, *s));
+        }
+        Ok(())
+    }
+
+    fn get_field(
+        &mut self,
+        fx: &mut FnCtx,
+        b: &TBody,
+        obj: TExprId,
+        field: FieldSel,
+    ) -> TResult<Opnd> {
+        if b.expr(obj) == TExpr::This {
+            if let Some(frame) = &fx.ctor_fields {
+                return frame[field.slot as usize].clone().ok_or_else(|| {
+                    TransError::new(format!(
+                        "constructor reads field slot {} before assigning it",
+                        field.slot
+                    ))
+                });
+            }
+        }
+        let o = walk::expr(self, fx, b, obj)?;
+        if fx.flatten {
+            let (off, fshape) = o
+                .shape
+                .field_leaf_range(field.slot)
+                .ok_or_else(|| TransError::new("field read out of shape range"))?;
+            let n = fshape.leaf_count();
+            Ok(Opnd {
+                shape: fshape.clone(),
+                regs: o.regs[off..off + n].to_vec(),
+            })
+        } else {
+            let fshape = field_shape(self.table, &o.shape, field.slot)?;
+            let dst = fx.frame.fb.reg(heap_ty(&fshape));
+            fx.frame.fb.emit(Instr::GetField {
+                obj: o.single()?,
+                slot: field.slot,
+                dst,
+            });
+            Ok(Opnd {
+                shape: fshape,
+                regs: vec![dst],
+            })
+        }
+    }
+
+    fn put_field(
+        &mut self,
+        fx: &mut FnCtx,
+        b: &TBody,
+        obj: TExprId,
+        field: FieldSel,
+        value: TExprId,
+    ) -> TResult<()> {
+        let v = walk::expr(self, fx, b, value)?;
+        // Constructor frame write?
+        if b.expr(obj) == TExpr::This && fx.ctor_fields.is_some() {
+            let copy = self.copy_opnd(fx, &v);
+            // Checked `is_some` just above.
+            fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(copy);
+            return Ok(());
+        }
+        let o = walk::expr(self, fx, b, obj)?;
+        if fx.flatten {
+            let (off, fshape) = o
+                .shape
+                .field_leaf_range(field.slot)
+                .ok_or_else(|| TransError::new("field assignment out of shape range"))?;
+            if fshape != &v.shape {
+                return Err(TransError::new(format!(
+                    "field changes shape from {} to {}",
+                    fshape.show(self.table),
+                    v.shape.show(self.table)
+                )));
+            }
+            let n = v.regs.len();
+            for i in 0..n {
+                fx.frame.fb.emit(Instr::Mov(o.regs[off + i], v.regs[i]));
+            }
+        } else {
+            let oreg = o.single()?;
+            let vreg = v.single()?;
+            fx.frame.fb.emit(Instr::PutField {
+                obj: oreg,
+                slot: field.slot,
+                src: vreg,
+            });
+        }
+        Ok(())
+    }
+
+    fn this(&mut self, fx: &mut FnCtx) -> TResult<Opnd> {
+        if fx.ctor_fields.is_some() {
+            return Err(TransError::new(
+                "`this` used as a value inside a constructor (not semi-immutable)",
+            ));
+        }
+        fx.frame.this()
+    }
+
+    fn ret(&mut self, fx: &mut FnCtx, v: Option<Opnd>) -> TResult<()> {
+        match (&fx.ret, v) {
+            (RetMode::Function, Some(v)) => {
+                fx.frame.fb.emit(Instr::Ret(Some(v.single()?)));
+            }
+            (RetMode::Function, None) => {
+                fx.frame.fb.emit(Instr::Ret(None));
+            }
+            (RetMode::Inline { dest, end }, v) => {
+                let dest = dest.clone();
+                let end = *end;
+                if let Some(v) = v {
+                    for (d, s) in dest.iter().zip(&v.regs) {
+                        fx.frame.fb.emit(Instr::Mov(*d, *s));
+                    }
+                }
+                fx.frame.fb.jmp(end);
+            }
+        }
+        Ok(())
+    }
+
+    /// Devirtualize (if `is_virtual`), specialize, and emit a call — or
+    /// inline the callee when its flattened return has ≠1 leaves.
+    fn call(
+        &mut self,
+        fx: &mut FnCtx,
+        recv: Option<Opnd>,
+        method: MethodSel,
+        (b, args): (&TBody, TArgs),
+        is_virtual: bool,
+        _: &Type,
+    ) -> TResult<Option<Opnd>> {
+        let decl = self.table.method(method.decl_class, method.index);
+        // Resolve the implementation from the receiver's exact shape.
+        let (ic, im) = match (&recv, is_virtual) {
+            (Some(r), true) => {
+                let class = r
+                    .shape
+                    .class()
+                    .ok_or_else(|| TransError::new("virtual call on non-object shape"))?;
+                let target = self.table.resolve_impl(class, &decl.name).ok_or_else(|| {
+                    TransError::new(format!(
+                        "no implementation of `{}` on `{}`",
+                        decl.name,
+                        self.table.name(class)
+                    ))
+                })?;
+                self.stats.devirtualized_calls += 1;
+                target
+            }
+            _ => (method.decl_class, method.index),
+        };
+        let target = self.table.method(ic, im);
+
+        // Native intrinsic?
+        let arg_opnds = walk::args(self, fx, b, args)?;
+        if let Some(key) = &target.native {
+            return self.lower_native(fx, key, target, arg_opnds);
+        }
+
+        // Kernel launch?
+        if target.is_global {
+            if fx.device {
+                return Err(TransError::new(
+                    "a kernel cannot launch another kernel (@Global from device context)",
+                ));
+            }
+            self.lower_launch(fx, recv, ic, im, arg_opnds)?;
+            return Ok(None);
+        }
+
+        let key = SpecKey {
+            class: ic,
+            method: im,
+            recv: recv.as_ref().map(|r| r.shape.clone()),
+            args: arg_opnds.iter().map(|a| a.shape.clone()).collect(),
+        };
+        match self.lower_spec(&key, fx.device)? {
+            SpecResult::Func { id, ret } => {
+                let mut regs = Vec::new();
+                if let Some(r) = &recv {
+                    regs.extend(&r.regs);
+                }
+                for a in &arg_opnds {
+                    regs.extend(&a.regs);
+                }
+                match ret {
+                    None => {
+                        fx.frame.fb.emit(Instr::Call {
+                            func: id,
+                            args: regs,
+                            dst: None,
+                        });
+                        Ok(None)
+                    }
+                    Some(shape) => {
+                        if fx.flatten && shape.leaf_count() == 0 {
+                            // Empty (zero-leaf) objects only lose their
+                            // register in flattened mode; on the heap they
+                            // are still a handle. (Flattened zero-leaf
+                            // returns are normally routed to inlining, so
+                            // this arm is a safety net.)
+                            fx.frame.fb.emit(Instr::Call {
+                                func: id,
+                                args: regs,
+                                dst: None,
+                            });
+                            Ok(Some(Opnd {
+                                shape,
+                                regs: vec![],
+                            }))
+                        } else {
+                            let ty = if fx.flatten {
+                                shape.leaf_tys()[0]
+                            } else {
+                                heap_ty(&shape)
+                            };
+                            let dst = fx.frame.fb.reg(ty);
+                            fx.frame.fb.emit(Instr::Call {
+                                func: id,
+                                args: regs,
+                                dst: Some(dst),
+                            });
+                            Ok(Some(Opnd {
+                                shape,
+                                regs: vec![dst],
+                            }))
+                        }
+                    }
+                }
+            }
+            SpecResult::InlineOnly { ret } => {
+                self.lower_inline_call(fx, &key, recv, arg_opnds, ret)
+            }
+        }
+    }
+
+    fn new_obj(&mut self, fx: &mut FnCtx, b: &TBody, class: ClassId, args: TArgs) -> TResult<Opnd> {
+        let arg_opnds = walk::args(self, fx, b, args)?;
+        self.lower_new(fx, class, arg_opnds)
+    }
+
+    fn ref_cast(&mut self, v: Opnd, to: &Type) -> TResult<Opnd> {
+        if let (Some(c), Type::Object(want, _)) = (v.shape.class(), to) {
+            if !self.table.is_subclass_of(c, *want) {
+                return Err(TransError::new(format!(
+                    "cast of `{}` to `{}` can never succeed",
+                    self.table.name(c),
+                    self.table.name(*want)
+                )));
+            }
+        }
+        Ok(v)
+    }
+}
+
 /// Register type of a shape in heap (non-flattened) representation.
 pub fn heap_ty(s: &Shape) -> Ty {
     match s {
@@ -1738,14 +1304,28 @@ pub fn heap_ty(s: &Shape) -> Ty {
     }
 }
 
-fn elem_prim(e: ElemTy) -> PrimKind {
-    match e {
-        ElemTy::I32 => PrimKind::Int,
-        ElemTy::I64 => PrimKind::Long,
-        ElemTy::F32 => PrimKind::Float,
-        ElemTy::F64 => PrimKind::Double,
-        ElemTy::Bool => PrimKind::Boolean,
-    }
+/// Bind `key`'s receiver and arguments to the registers of the
+/// parameters, in order: one per leaf if `flatten`, else one per value.
+/// Returns the parameter types and the bindings.
+fn bind_params(key: &SpecKey, flatten: bool) -> (Vec<Ty>, Option<Opnd>, HashMap<u32, Opnd>) {
+    let mut params = Vec::new();
+    let mut bind = |shape: &Shape| {
+        let first = params.len() as Reg;
+        if flatten {
+            params.extend(shape.leaf_tys());
+        } else {
+            params.push(heap_ty(shape));
+        }
+        Opnd {
+            shape: shape.clone(),
+            regs: (first..params.len() as Reg).collect(),
+        }
+    };
+    let recv = key.recv.as_ref().map(&mut bind);
+    let env = (key.args.iter().enumerate())
+        .map(|(i, a)| (i as u32, bind(a)))
+        .collect();
+    (params, recv, env)
 }
 
 /// The compile-time value of static field `index` of `class` (coding rule

@@ -8,9 +8,10 @@
 //! and object inlining all operate on shapes.
 
 use jlang::table::ClassTable;
+use jlang::tast::{TBody, TExprId};
 use jlang::types::{ClassId, PrimKind, Type};
 use jvm::{ArrayData, Jvm, Value};
-use nir::ElemTy;
+use nir::{ElemTy, Ty};
 
 /// The exact type of a value, including the exact types of everything
 /// reachable from it.
@@ -185,6 +186,30 @@ pub fn elem_ty_of(t: &Type) -> Option<ElemTy> {
         Type::Boolean => ElemTy::Bool,
         _ => return None,
     })
+}
+
+/// NIR register type for a declared jlang type.
+pub(crate) fn decl_ty(t: &Type) -> TResult<Ty> {
+    Ok(match t {
+        Type::Int => Ty::I32,
+        Type::Long => Ty::I64,
+        Type::Float => Ty::F32,
+        Type::Double => Ty::F64,
+        Type::Boolean => Ty::Bool,
+        Type::Array(e) => Ty::Arr(
+            elem_ty_of(e)
+                .ok_or_else(|| TransError::new("only primitive arrays can be translated"))?,
+        ),
+        Type::Object(..) | Type::Var(_) => Ty::Obj,
+        other => return Err(TransError::new(format!("untranslatable type {other}"))),
+    })
+}
+
+/// The primitive kind of a typed expression.
+pub(crate) fn expr_kind(b: &TBody, e: TExprId) -> TResult<PrimKind> {
+    b.ty(e)
+        .prim_kind()
+        .ok_or_else(|| TransError::new("expected a primitive expression"))
 }
 
 /// Derive the shape of a live jvm value (the runtime type information that

@@ -70,7 +70,7 @@ impl<'t> ShapeEval<'t> {
     fn method_return_inner(&mut self, key: &SpecKey) -> TResult<Option<Shape>> {
         let m = self.table.method(key.class, key.method);
         if let Some(native) = &m.native {
-            return native_return_shape(self.table, &m.ret, native);
+            return native_return_shape(&m.ret, native);
         }
         let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new(format!(
@@ -127,7 +127,7 @@ impl<'t> ShapeEval<'t> {
             TStmt::Local { slot, ty, init } => {
                 let shape = match init {
                     Some(e) => self.expr(env, b, e)?,
-                    None => shape_from_decl(self.table, b.type_at(ty)).ok_or_else(|| {
+                    None => shape_from_decl(b.type_at(ty)).ok_or_else(|| {
                         TransError::new(format!(
                             "object-typed local needs an initializer for shape analysis (type {})",
                             self.table.show_type(b.type_at(ty))
@@ -313,7 +313,7 @@ impl<'t> ShapeEval<'t> {
             }
             TExpr::GetStatic { class, index } => {
                 let f = &self.table.class(class).statics[index as usize];
-                shape_from_decl(self.table, &f.ty).ok_or_else(|| {
+                shape_from_decl(&f.ty).ok_or_else(|| {
                     TransError::new("static fields must be primitives under the coding rules")
                 })
             }
@@ -372,13 +372,7 @@ impl<'t> ShapeEval<'t> {
             TExpr::Index { arr, idx } => {
                 self.expr(env, b, idx)?;
                 match self.expr(env, b, arr)? {
-                    Shape::Arr(e) => Ok(Shape::Prim(match e {
-                        nir::ElemTy::I32 => Int,
-                        nir::ElemTy::I64 => Long,
-                        nir::ElemTy::F32 => Float,
-                        nir::ElemTy::F64 => Double,
-                        nir::ElemTy::Bool => Boolean,
-                    })),
+                    Shape::Arr(e) => Ok(Shape::Prim(e.prim())),
                     other => Err(TransError::new(format!(
                         "indexing non-array shape {}",
                         other.show(self.table)
@@ -430,7 +424,7 @@ impl<'t> ShapeEval<'t> {
             TExpr::Null => Err(TransError::new(
                 "`null` cannot be translated (coding rule 8)",
             )),
-            TExpr::Str(_) => Err(TransError::new("string values cannot be translated")),
+            TExpr::Str(_) => Err(TransError::new("strings cannot be translated")),
             TExpr::Ternary { .. } => Err(TransError::new(
                 "the conditional operator cannot be translated (coding rule 7)",
             )),
@@ -451,7 +445,7 @@ impl<'t> ShapeEval<'t> {
                 None => {
                     // Unassigned fields default like Java: primitives to 0.
                     let decl = field_decl_type(self.table, class, slot as u32);
-                    match decl.and_then(|t| shape_from_decl(self.table, &t)) {
+                    match decl.and_then(|t| shape_from_decl(&t)) {
                         Some(s) => out.push(s),
                         None => {
                             return Err(TransError::new(format!(
@@ -534,7 +528,7 @@ impl<'t> ShapeEval<'t> {
                 TStmt::Local { slot, init, ty } => {
                     let shape = match init {
                         Some(e) => self.ctor_expr(env, b, e, fields)?,
-                        None => shape_from_decl(self.table, b.type_at(ty)).ok_or_else(|| {
+                        None => shape_from_decl(b.type_at(ty)).ok_or_else(|| {
                             TransError::new("uninitialized object local in constructor")
                         })?,
                     };
@@ -630,8 +624,7 @@ impl<'t> ShapeEval<'t> {
 
 /// Shape derivable from a declared type alone (primitives and primitive
 /// arrays — the cases where the declaration pins the exact type).
-pub fn shape_from_decl(table: &ClassTable, ty: &Type) -> Option<Shape> {
-    let _ = table;
+pub fn shape_from_decl(ty: &Type) -> Option<Shape> {
     match ty {
         Type::Int => Some(Shape::Prim(jlang::PrimKind::Int)),
         Type::Long => Some(Shape::Prim(jlang::PrimKind::Long)),
@@ -644,14 +637,10 @@ pub fn shape_from_decl(table: &ClassTable, ty: &Type) -> Option<Shape> {
 }
 
 /// Return shape of an `@Native` method from its declared signature.
-pub(crate) fn native_return_shape(
-    table: &ClassTable,
-    ret: &Type,
-    key: &str,
-) -> TResult<Option<Shape>> {
+pub(crate) fn native_return_shape(ret: &Type, key: &str) -> TResult<Option<Shape>> {
     match ret {
         Type::Void => Ok(None),
-        t => shape_from_decl(table, t)
+        t => shape_from_decl(t)
             .map(Some)
             .ok_or_else(|| TransError::new(format!("native `{key}` returns unsupported type {t}"))),
     }

@@ -12,14 +12,14 @@
 
 use std::collections::HashMap;
 
-use jlang::ast::{BinOp, UnOp};
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
-use jlang::types::{ClassId, PrimKind, Type};
-use nir::{ConstVal, FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty};
+use jlang::tast::{FieldSel, MethodSel, TArgs, TBody, TExprId};
+use jlang::types::{ClassId, Type};
+use nir::{ConstVal, FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Program, Reg, Ty};
 
-use crate::lower::{const_eval, TransStats};
-use crate::shape::{elem_ty_of, TransError};
+use crate::lower::TransStats;
+use crate::shape::{decl_ty, TransError};
+use crate::walk::{self, Frame, Lower};
 use crate::TResult;
 
 pub struct VirtLowerer<'t> {
@@ -32,13 +32,6 @@ pub struct VirtLowerer<'t> {
     /// only fatal if actually required.
     pub skipped: Vec<(String, String)>,
     pub stats: TransStats,
-}
-
-struct VCtx {
-    fb: FuncBuilder,
-    env: HashMap<u32, Reg>,
-    recv: Option<Reg>,
-    loops: Vec<(Label, Label)>,
 }
 
 impl<'t> VirtLowerer<'t> {
@@ -184,13 +177,8 @@ impl<'t> VirtLowerer<'t> {
             env.insert(i as u32, next);
             next += 1;
         }
-        let mut cx = VCtx {
-            fb,
-            env,
-            recv,
-            loops: Vec::new(),
-        };
-        self.block(&mut cx, body, block)?;
+        let mut cx = Frame::new(fb, recv, env);
+        walk::block(self, &mut cx, body, block)?;
         let f = cx.fb.finish().map_err(TransError::new)?;
         *self.program.func_mut(placeholder) = f;
         self.stats.specializations += 1;
@@ -240,19 +228,14 @@ impl<'t> VirtLowerer<'t> {
         for (i, _) in ctor.params.iter().enumerate() {
             env.insert(i as u32, i as u32 + 1);
         }
-        let mut cx = VCtx {
-            fb,
-            env,
-            recv: Some(0),
-            loops: Vec::new(),
-        };
+        let mut cx = Frame::new(fb, Some(0), env);
         let typed = ctor.typed_body();
         // 1. super constructor.
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
                 let mut sargs = vec![0];
                 if let Some((b, args, _)) = typed {
-                    sargs.extend(self.args(&mut cx, b, args)?);
+                    sargs.extend(walk::args(self, &mut cx, b, args)?);
                 }
                 let sf = self.ctor_func(*sid)?;
                 cx.fb.emit(Instr::Call {
@@ -265,7 +248,7 @@ impl<'t> VirtLowerer<'t> {
         // 2. field initializers.
         for (i, f) in info.fields.iter().enumerate() {
             if let Some((init, value)) = f.typed_init() {
-                let v = self.expr(&mut cx, init, value)?;
+                let v = walk::expr(self, &mut cx, init, value)?;
                 cx.fb.emit(Instr::PutField {
                     obj: 0,
                     slot: info.field_base + i as u32,
@@ -275,419 +258,115 @@ impl<'t> VirtLowerer<'t> {
         }
         // 3. body.
         if let Some((b, _, body)) = typed {
-            self.block(&mut cx, b, body)?;
+            walk::block(self, &mut cx, b, body)?;
         }
         let f = cx.fb.finish().map_err(TransError::new)?;
         *self.program.func_mut(placeholder) = f;
         Ok(placeholder)
     }
+}
 
-    fn block(&mut self, cx: &mut VCtx, b: &TBody, block: TBlock) -> TResult<()> {
-        for s in b.list(block) {
-            self.stmt(cx, b, s)?;
+impl Lower for VirtLowerer<'_> {
+    type V = Reg;
+    type Cx = Frame<Reg>;
+
+    fn table(&self) -> &ClassTable {
+        self.table
+    }
+
+    fn frame(cx: &mut Frame<Reg>) -> &mut Frame<Reg> {
+        cx
+    }
+
+    fn reg(v: &Reg) -> TResult<Reg> {
+        Ok(*v)
+    }
+
+    fn scalar(r: Reg, _: Ty) -> Reg {
+        r
+    }
+
+    fn local(
+        &mut self,
+        cx: &mut Frame<Reg>,
+        b: &TBody,
+        ty: &Type,
+        init: Option<TExprId>,
+    ) -> TResult<Reg> {
+        let r = cx.fb.reg(decl_ty(ty)?);
+        match init {
+            Some(e) => {
+                let v = walk::expr(self, cx, b, e)?;
+                cx.fb.emit(Instr::Mov(r, v));
+            }
+            None => {
+                if let Some(k) = ty.prim_kind() {
+                    cx.fb.emit(ConstVal::zero(k).instr(r));
+                }
+            }
         }
+        Ok(r)
+    }
+
+    fn assign_local(&mut self, cx: &mut Frame<Reg>, dst: &Reg, v: Reg) -> TResult<()> {
+        cx.fb.emit(Instr::Mov(*dst, v));
         Ok(())
     }
 
-    /// Lower call or constructor arguments, left to right.
-    fn args(&mut self, cx: &mut VCtx, b: &TBody, args: TArgs) -> TResult<Vec<Reg>> {
-        let mut out = Vec::with_capacity(args.len());
-        for a in b.list(args) {
-            out.push(self.expr(cx, b, a)?);
-        }
-        Ok(out)
+    fn get_field(
+        &mut self,
+        cx: &mut Frame<Reg>,
+        b: &TBody,
+        obj: TExprId,
+        field: FieldSel,
+    ) -> TResult<Reg> {
+        let o = walk::expr(self, cx, b, obj)?;
+        let dst = cx.fb.reg(decl_ty(b.type_at(field.ty))?);
+        cx.fb.emit(Instr::GetField {
+            obj: o,
+            slot: field.slot,
+            dst,
+        });
+        Ok(dst)
     }
 
-    fn stmt(&mut self, cx: &mut VCtx, b: &TBody, s: TStmtId) -> TResult<()> {
-        match b.stmt(s) {
-            TStmt::Local { slot, ty, init } => {
-                let ty = b.type_at(ty);
-                let ty_n = decl_ty(ty)?;
-                let r = cx.fb.reg(ty_n);
-                match init {
-                    Some(e) => {
-                        let v = self.expr(cx, b, e)?;
-                        cx.fb.emit(Instr::Mov(r, v));
-                    }
-                    None => {
-                        if let Some(k) = ty.prim_kind() {
-                            cx.fb.emit(ConstVal::zero(k).instr(r));
-                        }
-                    }
-                }
-                cx.env.insert(slot, r);
-                Ok(())
-            }
-            TStmt::AssignLocal { slot, value } => {
-                let v = self.expr(cx, b, value)?;
-                let r = *cx.env.get(&slot).ok_or_else(|| {
-                    TransError::new(format!("assignment to undeclared slot {slot}"))
-                })?;
-                cx.fb.emit(Instr::Mov(r, v));
-                Ok(())
-            }
-            TStmt::AssignField { obj, field, value } => {
-                let o = self.expr(cx, b, obj)?;
-                let v = self.expr(cx, b, value)?;
-                cx.fb.emit(Instr::PutField {
-                    obj: o,
-                    slot: field.slot,
-                    src: v,
-                });
-                Ok(())
-            }
-            TStmt::AssignStatic { .. } => Err(TransError::new(
-                "assignment to a static field cannot be translated",
-            )),
-            TStmt::AssignIndex { arr, idx, value } => {
-                let a = self.expr(cx, b, arr)?;
-                let i = self.expr(cx, b, idx)?;
-                let v = self.expr(cx, b, value)?;
-                cx.fb.emit(Instr::StArr {
-                    arr: a,
-                    idx: i,
-                    src: v,
-                });
-                Ok(())
-            }
-            TStmt::Expr(e) => {
-                self.expr_maybe_void(cx, b, e)?;
-                Ok(())
-            }
-            TStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let c = self.expr(cx, b, cond)?;
-                let tl = cx.fb.label();
-                let el = cx.fb.label();
-                let end = cx.fb.label();
-                cx.fb.br(c, tl, el);
-                cx.fb.bind(tl);
-                self.block(cx, b, then_branch)?;
-                cx.fb.jmp(end);
-                cx.fb.bind(el);
-                if let Some(e) = else_branch {
-                    self.block(cx, b, e)?;
-                }
-                cx.fb.jmp(end);
-                cx.fb.bind(end);
-                Ok(())
-            }
-            TStmt::While { cond, body } => {
-                let head = cx.fb.label();
-                let bodyl = cx.fb.label();
-                let end = cx.fb.label();
-                cx.fb.jmp(head);
-                cx.fb.bind(head);
-                let c = self.expr(cx, b, cond)?;
-                cx.fb.br(c, bodyl, end);
-                cx.fb.bind(bodyl);
-                cx.loops.push((head, end));
-                self.block(cx, b, body)?;
-                cx.loops.pop();
-                cx.fb.jmp(head);
-                cx.fb.bind(end);
-                Ok(())
-            }
-            TStmt::For {
-                init,
-                cond,
-                update,
-                body,
-            } => {
-                if let Some(i) = init {
-                    self.stmt(cx, b, i)?;
-                }
-                let head = cx.fb.label();
-                let bodyl = cx.fb.label();
-                let cont = cx.fb.label();
-                let end = cx.fb.label();
-                cx.fb.jmp(head);
-                cx.fb.bind(head);
-                match cond {
-                    Some(c) => {
-                        let cv = self.expr(cx, b, c)?;
-                        cx.fb.br(cv, bodyl, end);
-                    }
-                    None => cx.fb.jmp(bodyl),
-                }
-                cx.fb.bind(bodyl);
-                cx.loops.push((cont, end));
-                self.block(cx, b, body)?;
-                cx.loops.pop();
-                cx.fb.jmp(cont);
-                cx.fb.bind(cont);
-                if let Some(u) = update {
-                    self.stmt(cx, b, u)?;
-                }
-                cx.fb.jmp(head);
-                cx.fb.bind(end);
-                Ok(())
-            }
-            TStmt::Return { value } => {
-                match value {
-                    Some(e) => {
-                        let v = self.expr(cx, b, e)?;
-                        cx.fb.emit(Instr::Ret(Some(v)));
-                    }
-                    None => {
-                        cx.fb.emit(Instr::Ret(None));
-                    }
-                }
-                Ok(())
-            }
-            TStmt::Break => {
-                let (_, brk) = *cx
-                    .loops
-                    .last()
-                    .ok_or_else(|| TransError::new("break outside loop"))?;
-                cx.fb.jmp(brk);
-                Ok(())
-            }
-            TStmt::Continue => {
-                let (cont, _) = *cx
-                    .loops
-                    .last()
-                    .ok_or_else(|| TransError::new("continue outside loop"))?;
-                cx.fb.jmp(cont);
-                Ok(())
-            }
-            TStmt::Block(block) => self.block(cx, b, block),
-        }
+    fn put_field(
+        &mut self,
+        cx: &mut Frame<Reg>,
+        b: &TBody,
+        obj: TExprId,
+        field: FieldSel,
+        value: TExprId,
+    ) -> TResult<()> {
+        let o = walk::expr(self, cx, b, obj)?;
+        let v = walk::expr(self, cx, b, value)?;
+        cx.fb.emit(Instr::PutField {
+            obj: o,
+            slot: field.slot,
+            src: v,
+        });
+        Ok(())
     }
 
-    fn expr_maybe_void(&mut self, cx: &mut VCtx, b: &TBody, e: TExprId) -> TResult<Option<Reg>> {
-        match b.expr(e) {
-            TExpr::Call { recv, method, args } => {
-                let r = self.expr(cx, b, recv)?;
-                self.call(
-                    cx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    true,
-                    b.ty(e),
-                )
-            }
-            TExpr::DirectCall { recv, method, args } => {
-                let r = self.expr(cx, b, recv)?;
-                self.call(
-                    cx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    false,
-                    b.ty(e),
-                )
-            }
-            TExpr::StaticCall { class, index, args } => {
-                self.call(cx, None, class, index, (b, args), false, b.ty(e))
-            }
-            _ => Ok(Some(self.expr(cx, b, e)?)),
-        }
+    fn this(&mut self, cx: &mut Frame<Reg>) -> TResult<Reg> {
+        cx.this()
     }
 
-    fn expr(&mut self, cx: &mut VCtx, b: &TBody, e: TExprId) -> TResult<Reg> {
-        match b.expr(e) {
-            TExpr::Int(_)
-            | TExpr::Long(_)
-            | TExpr::Float(_)
-            | TExpr::Double(_)
-            | TExpr::Bool(_)
-            | TExpr::GetStatic { .. } => Ok(cx.fb.constant(const_eval(self.table, b, e)?)),
-            TExpr::Local(slot) => cx
-                .env
-                .get(&slot)
-                .copied()
-                .ok_or_else(|| TransError::new(format!("unassigned slot {slot}"))),
-            TExpr::This => cx
-                .recv
-                .ok_or_else(|| TransError::new("`this` in static context")),
-            TExpr::GetField { obj, field } => {
-                let o = self.expr(cx, b, obj)?;
-                let dst = cx.fb.reg(decl_ty(b.type_at(field.ty))?);
-                cx.fb.emit(Instr::GetField {
-                    obj: o,
-                    slot: field.slot,
-                    dst,
-                });
-                Ok(dst)
-            }
-            TExpr::Call { recv, method, args } => {
-                let r = self.expr(cx, b, recv)?;
-                self.call(
-                    cx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    true,
-                    b.ty(e),
-                )?
-                .ok_or_else(|| TransError::new("void call used as a value"))
-            }
-            TExpr::DirectCall { recv, method, args } => {
-                let r = self.expr(cx, b, recv)?;
-                self.call(
-                    cx,
-                    Some(r),
-                    method.decl_class,
-                    method.index,
-                    (b, args),
-                    false,
-                    b.ty(e),
-                )?
-                .ok_or_else(|| TransError::new("void call used as a value"))
-            }
-            TExpr::StaticCall { class, index, args } => self
-                .call(cx, None, class, index, (b, args), false, b.ty(e))?
-                .ok_or_else(|| TransError::new("void call used as a value")),
-            TExpr::New { class, args } => {
-                let obj = cx.fb.reg(Ty::Obj);
-                cx.fb.emit(Instr::NewObj {
-                    class: class.0,
-                    dst: obj,
-                });
-                let cf = self.ctor_func(class)?;
-                let mut argv = vec![obj];
-                argv.extend(self.args(cx, b, args)?);
-                cx.fb.emit(Instr::Call {
-                    func: cf,
-                    args: argv,
-                    dst: None,
-                });
-                Ok(obj)
-            }
-            TExpr::NewArray { elem, len } => {
-                let et = elem_ty_of(b.type_at(elem))
-                    .ok_or_else(|| TransError::new("only primitive arrays can be translated"))?;
-                let l = self.expr(cx, b, len)?;
-                let dst = cx.fb.reg(Ty::Arr(et));
-                cx.fb.emit(Instr::NewArr {
-                    elem: et,
-                    len: l,
-                    dst,
-                });
-                Ok(dst)
-            }
-            TExpr::Index { arr, idx } => {
-                let a = self.expr(cx, b, arr)?;
-                let i = self.expr(cx, b, idx)?;
-                let dst = cx.fb.reg(decl_ty(b.ty(e))?);
-                cx.fb.emit(Instr::LdArr {
-                    arr: a,
-                    idx: i,
-                    dst,
-                });
-                Ok(dst)
-            }
-            TExpr::ArrayLen(a) => {
-                let arr = self.expr(cx, b, a)?;
-                let dst = cx.fb.reg(Ty::I32);
-                cx.fb.emit(Instr::ArrLen { arr, dst });
-                Ok(dst)
-            }
-            TExpr::Unary { op, expr } => {
-                let v = self.expr(cx, b, expr)?;
-                let k = expr_kind(b, e)?;
-                let dst = cx.fb.reg(Ty::of_prim(k));
-                match op {
-                    UnOp::Neg => {
-                        cx.fb.emit(Instr::Neg {
-                            kind: k,
-                            dst,
-                            src: v,
-                        });
-                    }
-                    UnOp::Not => {
-                        cx.fb.emit(Instr::Not { dst, src: v });
-                    }
-                }
-                Ok(dst)
-            }
-            TExpr::Binary {
-                op,
-                operand_kind,
-                lhs,
-                rhs,
-            } => {
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let dst = cx.fb.reg(Ty::Bool);
-                    let l = self.expr(cx, b, lhs)?;
-                    cx.fb.emit(Instr::Mov(dst, l));
-                    let eval_rhs = cx.fb.label();
-                    let end = cx.fb.label();
-                    match op {
-                        BinOp::And => cx.fb.br(dst, eval_rhs, end),
-                        BinOp::Or => cx.fb.br(dst, end, eval_rhs),
-                        _ => unreachable!(),
-                    }
-                    cx.fb.bind(eval_rhs);
-                    let r = self.expr(cx, b, rhs)?;
-                    cx.fb.emit(Instr::Mov(dst, r));
-                    cx.fb.jmp(end);
-                    cx.fb.bind(end);
-                    return Ok(dst);
-                }
-                let l = self.expr(cx, b, lhs)?;
-                let r = self.expr(cx, b, rhs)?;
-                let out = if op.is_comparison() {
-                    PrimKind::Boolean
-                } else {
-                    operand_kind
-                };
-                let dst = cx.fb.reg(Ty::of_prim(out));
-                cx.fb.emit(Instr::Bin {
-                    op,
-                    kind: operand_kind,
-                    dst,
-                    lhs: l,
-                    rhs: r,
-                });
-                Ok(dst)
-            }
-            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
-                let v = self.expr(cx, b, expr)?;
-                let from = expr_kind(b, expr)?;
-                if from == to {
-                    return Ok(v);
-                }
-                let dst = cx.fb.reg(Ty::of_prim(to));
-                cx.fb.emit(Instr::Cast {
-                    to,
-                    from,
-                    dst,
-                    src: v,
-                });
-                Ok(dst)
-            }
-            TExpr::RefCast { expr, .. } => self.expr(cx, b, expr),
-            TExpr::RefEq { .. }
-            | TExpr::InstanceOf { .. }
-            | TExpr::Null
-            | TExpr::Str(_)
-            | TExpr::Ternary { .. } => Err(TransError::new(
-                "construct forbidden by the coding rules cannot be translated",
-            )),
-        }
+    fn ret(&mut self, cx: &mut Frame<Reg>, v: Option<Reg>) -> TResult<()> {
+        cx.fb.emit(Instr::Ret(v));
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn call(
         &mut self,
-        cx: &mut VCtx,
+        cx: &mut Frame<Reg>,
         recv: Option<Reg>,
-        decl_class: ClassId,
-        index: u32,
+        method: MethodSel,
         (b, args): (&TBody, TArgs),
         is_virtual: bool,
         ret_ty: &Type,
     ) -> TResult<Option<Reg>> {
-        let decl = self.table.method(decl_class, index);
+        let decl = self.table.method(method.decl_class, method.index);
         // Natives are intrinsics in every mode.
         if let Some(key) = &decl.native {
             if key == "cuda.sync" {
@@ -699,7 +378,7 @@ impl<'t> VirtLowerer<'t> {
                     "shared memory requires a kernel; the virtual-dispatch baseline has none",
                 ));
             }
-            let regs = self.args(cx, b, args)?;
+            let regs = walk::args(self, cx, b, args)?;
             let ret = match ret_ty {
                 Type::Void => None,
                 t => Some(decl_ty(t)?),
@@ -713,25 +392,15 @@ impl<'t> VirtLowerer<'t> {
                 },
                 // User-registered foreign function (the paper's FFI).
                 None => {
-                    let known = self.program.host_fns.iter().position(|h| h.name == *key);
-                    let host = match known {
-                        Some(i) => i as u32,
-                        None => {
-                            let params: Vec<Ty> = decl
-                                .params
-                                .iter()
-                                .map(|p| decl_ty(&p.ty))
-                                .collect::<TResult<_>>()?;
-                            self.program.host_fns.push(nir::HostFnSig {
-                                name: key.clone(),
-                                params,
-                                ret,
-                            });
-                            self.program.host_fns.len() as u32 - 1
-                        }
-                    };
+                    let params = (decl.params.iter())
+                        .map(|p| decl_ty(&p.ty))
+                        .collect::<TResult<_>>()?;
                     Instr::CallHost {
-                        host,
+                        host: self.program.host_fn(nir::HostFnSig {
+                            name: key.clone(),
+                            params,
+                            ret,
+                        }),
                         args: regs,
                         dst,
                     }
@@ -746,7 +415,7 @@ impl<'t> VirtLowerer<'t> {
                  virtual calls in CUDA kernels were avoided); use the Devirt or Full mode",
             ));
         }
-        let argv = self.args(cx, b, args)?;
+        let argv = walk::args(self, cx, b, args)?;
         let dst = match ret_ty {
             Type::Void => None,
             t => Some(cx.fb.reg(decl_ty(t)?)),
@@ -764,7 +433,7 @@ impl<'t> VirtLowerer<'t> {
             }
             (Some(r), false) => {
                 // super call: direct, non-virtual.
-                let f = self.method_func(decl_class, index)?;
+                let f = self.method_func(method.decl_class, method.index)?;
                 let mut all = vec![r];
                 all.extend(argv);
                 cx.fb.emit(Instr::Call {
@@ -774,7 +443,7 @@ impl<'t> VirtLowerer<'t> {
                 });
             }
             (None, _) => {
-                let f = self.method_func(decl_class, index)?;
+                let f = self.method_func(method.decl_class, method.index)?;
                 cx.fb.emit(Instr::Call {
                     func: f,
                     args: argv,
@@ -784,27 +453,31 @@ impl<'t> VirtLowerer<'t> {
         }
         Ok(dst)
     }
-}
 
-/// NIR register type for a declared jlang type.
-fn decl_ty(t: &Type) -> TResult<Ty> {
-    Ok(match t {
-        Type::Int => Ty::I32,
-        Type::Long => Ty::I64,
-        Type::Float => Ty::F32,
-        Type::Double => Ty::F64,
-        Type::Boolean => Ty::Bool,
-        Type::Array(e) => Ty::Arr(
-            elem_ty_of(e)
-                .ok_or_else(|| TransError::new("only primitive arrays can be translated"))?,
-        ),
-        Type::Object(..) | Type::Var(_) => Ty::Obj,
-        other => return Err(TransError::new(format!("untranslatable type {other}"))),
-    })
-}
+    fn new_obj(
+        &mut self,
+        cx: &mut Frame<Reg>,
+        b: &TBody,
+        class: ClassId,
+        args: TArgs,
+    ) -> TResult<Reg> {
+        let obj = cx.fb.reg(Ty::Obj);
+        cx.fb.emit(Instr::NewObj {
+            class: class.0,
+            dst: obj,
+        });
+        let cf = self.ctor_func(class)?;
+        let mut argv = vec![obj];
+        argv.extend(walk::args(self, cx, b, args)?);
+        cx.fb.emit(Instr::Call {
+            func: cf,
+            args: argv,
+            dst: None,
+        });
+        Ok(obj)
+    }
 
-fn expr_kind(b: &TBody, e: TExprId) -> TResult<PrimKind> {
-    b.ty(e)
-        .prim_kind()
-        .ok_or_else(|| TransError::new("expected a primitive expression"))
+    fn ref_cast(&mut self, v: Reg, _: &Type) -> TResult<Reg> {
+        Ok(v)
+    }
 }

@@ -416,3 +416,54 @@ fn an_array_local_must_be_assigned_on_every_path() {
         Val::I32(1)
     );
 }
+
+/// Each construct the coding rules forbid, in a body translated with the
+/// rule checker off: every mode refuses it with the same message.
+#[test]
+fn forbidden_constructs_are_refused_alike_in_every_mode() {
+    const CASES: &[(&str, &str)] = &[
+        (
+            "boolean run() { return this == this; }",
+            "reference equality cannot be translated (coding rule 7)",
+        ),
+        (
+            "boolean run() { return this instanceof K; }",
+            "`instanceof` cannot be translated (coding rule 8)",
+        ),
+        (
+            "int run() { K k = null; return 1; }",
+            "`null` cannot be translated (coding rule 8)",
+        ),
+        (
+            "@Native(\"ext.log\") static void log(String s);
+             int run() { log(\"x\"); return 1; }",
+            "strings cannot be translated",
+        ),
+        (
+            "int run() { int v = 3; return v > 2 ? 1 : 2; }",
+            "the conditional operator cannot be translated (coding rule 7)",
+        ),
+        (
+            "static int C = 1; int run() { C = 2; return C; }",
+            "assignment to a static field cannot be translated (coding rule 5)",
+        ),
+    ];
+    for (members, want) in CASES {
+        let src = format!("@WootinJ final class K {{ K() {{ }} {members} }}");
+        let table = compile_str(&src).unwrap_or_else(|e| panic!("{members}: {e:?}"));
+        let mut jvm = Jvm::new(&table).unwrap();
+        let k = jvm.new_instance("K", &[]).unwrap();
+        for base in [
+            TransConfig::virtual_dispatch(),
+            TransConfig::devirt(),
+            TransConfig::full(),
+        ] {
+            let config = TransConfig {
+                check_rules: false,
+                ..base
+            };
+            let err = translate(&table, &jvm, &k, "run", &[], config).unwrap_err();
+            assert_eq!(err.message, *want, "{members} in {:?}", config.mode);
+        }
+    }
+}

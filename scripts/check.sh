@@ -15,6 +15,20 @@ if grep -rn --include='*.rs' '\.validate()' crates src tests examples; then
     exit 1
 fi
 
+echo "== one body walk: a loop or a numeric cast is lowered in walk.rs only =="
+echo "==   (sheval.rs walks shapes; lower.rs's const_eval folds constants)  =="
+stray="$(grep -rn --include='*.rs' -e 'TStmt::For' -e 'TExpr::NumCast' crates/translator/src \
+    | grep -v -e '^crates/translator/src/walk\.rs:' -e '^crates/translator/src/sheval\.rs:' || true)"
+read -r from to < <(awk '/^pub fn const_eval\(/ { f = NR } f && !t && /^}/ { t = NR } END { print f + 0, t + 0 }' \
+    crates/translator/src/lower.rs)
+stray="$(printf '%s\n' "$stray" | awk -F: -v f="$from" -v t="$to" \
+    '$0 != "" && !($1 == "crates/translator/src/lower.rs" && $2 >= f && $2 <= t)')"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above lower a statement or expression outside walk.rs"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
