@@ -1350,8 +1350,10 @@ fn blocks_on_cycles(code: &[Instr], starts: &[u32], block: &[u32]) -> Vec<bool> 
 /// this function and only ever used as the direct receiver of
 /// `GetField`/`PutField` — possibly through single-assignment `Mov`
 /// aliases (inlined call arguments) — is replaced by one register per
-/// field slot. The translator's inlined constructors initialize every
-/// slot at the allocation site, so every read is dominated by a write.
+/// field slot. The shaped modes initialize every slot at the allocation
+/// site; a Virtual-mode constructor leaves an unassigned field at the
+/// heap's zero, so a read of a slot that no `PutField` writes is that
+/// zero (or, for a reference or array slot, the unwritten register).
 fn sroa(f: &mut Function) {
     use std::collections::HashSet;
 
@@ -1461,13 +1463,15 @@ fn sroa(f: &mut Function) {
         return;
     }
 
-    // Slot register types, inferred from accesses.
+    // Slot register types, inferred from accesses, and the written slots.
     let mut slot_ty: HashMap<(Reg, u32), crate::ir::Ty> = HashMap::new();
+    let mut written: HashSet<(Reg, u32)> = HashSet::new();
     for ins in &f.code {
         match ins {
             Instr::PutField { obj, slot, src } => {
                 if let Some(&r) = root.get(obj) {
                     slot_ty.entry((r, *slot)).or_insert(f.regs[*src as usize]);
+                    written.insert((r, *slot));
                 }
             }
             Instr::GetField { obj, slot, dst } => {
@@ -1506,7 +1510,12 @@ fn sroa(f: &mut Function) {
                     f.regs.push(ty);
                     f.regs.len() as Reg - 1
                 });
-                f.code.push(Instr::Mov(dst, sr));
+                match ty.prim() {
+                    Some(k) if !written.contains(&(r, slot)) => {
+                        f.code.push(ConstVal::zero(k).instr(dst))
+                    }
+                    _ => f.code.push(Instr::Mov(dst, sr)),
+                }
             }
             other => f.code.push(other),
         }
@@ -1656,6 +1665,56 @@ mod tests {
         assert!(
             f.code.len() <= 2,
             "DCE should drop dead consts: {:?}",
+            f.code
+        );
+        p.verify().unwrap();
+    }
+
+    #[test]
+    fn sroa_reads_zero_from_a_slot_no_put_writes() {
+        // A Virtual-mode constructor, spliced: `o = new C; o.0 = p;
+        // return o.0 + o.1`, where slot 1 keeps the heap's zero.
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let o = fb.reg(Ty::Obj);
+        let a = fb.reg(Ty::I32);
+        let b = fb.reg(Ty::I32);
+        let c = fb.reg(Ty::I32);
+        fb.emit(Instr::NewObj { class: 0, dst: o });
+        fb.emit(Instr::PutField {
+            obj: o,
+            slot: 0,
+            src: 0,
+        });
+        fb.emit(Instr::GetField {
+            obj: o,
+            slot: 0,
+            dst: a,
+        });
+        fb.emit(Instr::GetField {
+            obj: o,
+            slot: 1,
+            dst: b,
+        });
+        fb.emit(Instr::Bin {
+            op: BinOp::Add,
+            kind: PrimKind::Int,
+            dst: c,
+            lhs: a,
+            rhs: b,
+        });
+        fb.emit(Instr::Ret(Some(c)));
+        let mut p = Program::default();
+        p.classes.push(crate::ClassMeta {
+            name: "C".into(),
+            field_count: 2,
+            vtable: Vec::new(),
+        });
+        p.add_func(fb.finish().unwrap());
+        optimize(&mut p, OptConfig::aggressive());
+        let f = &p.funcs[0];
+        assert!(
+            !(f.code.iter()).any(|i| matches!(i, Instr::NewObj { .. } | Instr::GetField { .. })),
+            "the object is scalar-replaced: {:?}",
             f.code
         );
         p.verify().unwrap();
