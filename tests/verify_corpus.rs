@@ -5,6 +5,10 @@
 //! so a translator or optimizer change that breaks a type or a definite
 //! assignment must fail here, not compute garbage in a run.
 //!
+//! The programs of `control_flow.rs` (loops with `break` and `continue`,
+//! short-circuit operators, casts, arrays and constructor chains) are
+//! jitted and pinned the same way, each on its own table.
+//!
 //! It also pins what every translation emits: each line of
 //! `fixtures/verify_corpus.txt` is `program @ configuration: length
 //! fnv64 fnv64`, the artifact's length, the FNV-1a digest of
@@ -22,6 +26,9 @@ use jlang::table::ClassTable;
 use jvm::Value;
 use translator::{Mode, TransConfig};
 use wootinj::{JitOptions, OptConfig, WootinJ};
+
+#[path = "support/programs.rs"]
+mod programs;
 
 /// Composes a receiver in an env: the receiver, entry method and args.
 type Compose = Box<dyn Fn(&mut WootinJ<'_>) -> (Value, &'static str, Vec<Value>)>;
@@ -175,6 +182,23 @@ fn reduce_corpus() -> Vec<(String, Compose)> {
     out
 }
 
+/// The programs of `control_flow.rs`, each composed on its own table:
+/// `new P().run(INPUT)`. Returns how many translations were verified.
+fn verify_programs(lines: &mut Vec<(String, String)>) -> usize {
+    let mut verified = 0;
+    for (name, classes, members) in programs::PROGRAMS {
+        let src = programs::source(classes, members);
+        let table = wootinj::build_table(&[("p.jl", &src)]).unwrap();
+        let compose: Compose = Box::new(|env| {
+            let p = env.new_instance("P", &[]).unwrap();
+            let a = env.jvm.new_i32_array(&programs::INPUT);
+            (p, "run", vec![a])
+        });
+        verified += verify_all(&table, vec![(name.to_string(), compose)], lines);
+    }
+    verified
+}
+
 /// Jit every program of `corpus` on `table` in every configuration its
 /// mode can translate, and verify what comes out. Returns how many
 /// programs were verified; pushes each translation's fixture key and line
@@ -228,7 +252,8 @@ fn every_corpus_program_verifies_in_every_configuration() {
     let mut lines = Vec::new();
     let n = verify_all(&stencil, stencil_corpus(), &mut lines)
         + verify_all(&matmul, matmul_corpus(), &mut lines)
-        + verify_all(&reduce, reduce_corpus(), &mut lines);
+        + verify_all(&reduce, reduce_corpus(), &mut lines)
+        + verify_programs(&mut lines);
     eprintln!("{n} translations verified");
     assert!(n >= 300, "only {n} translations verified");
 
