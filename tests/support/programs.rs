@@ -227,6 +227,23 @@ pub const PROGRAMS: &[(&str, &str, &str)] = &[
          }
          int run(int[] a) { fill(a, a[1]); return make(a[4]); }",
     ),
+    (
+        "a subclass initializer reads its superclass's fields",
+        "class Base2 { int v; Base2(int v0) { v = v0 * 5; } }
+         final class Sub2 extends Base2 {
+           int seen = v + 1; long twice = (long) v * 2L;
+           Sub2(int k) { super(k - 1); v = k; }
+         }",
+        "void fill(int[] a, int k) {
+           Sub2 s = new Sub2(k);
+           a[4] = s.seen; a[5] = s.v + (int) s.twice;
+         }
+         int make(int k) {
+           Sub2 s = new Sub2(k);
+           return s.seen * 1000 + s.v * 10 + (int) s.twice;
+         }
+         int run(int[] a) { fill(a, a[0]); return make(a[6]); }",
+    ),
 ];
 
 /// The source of a program: its classes, then `P`.
