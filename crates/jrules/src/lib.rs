@@ -113,6 +113,18 @@ enum CtorSite {
     This,
 }
 
+impl CtorSite {
+    /// How a diagnostic words this site: "constructor of `C` {what}".
+    fn what(self) -> &'static str {
+        match self {
+            CtorSite::Branch => "contains a conditional or loop",
+            CtorSite::This => "uses `this` as a value",
+            CtorSite::Call => "calls a method",
+            CtorSite::Ternary => "contains a conditional operator",
+        }
+    }
+}
+
 /// Everything the coding rules read from one typed body, each list in the
 /// order a walk of the body meets it. It is a pure function of the body,
 /// computed in one walk ([`BodyFacts::of`]); the checks run over facts and
@@ -152,6 +164,13 @@ impl BodyFacts {
             TRoot::Init(init) => facts.walk_expr(body, init),
         }
         facts
+    }
+
+    /// The first thing precondition (d) forbids in this constructor or
+    /// initializer, worded as the rules word it ("calls a method"), or
+    /// `None` when it holds.
+    pub fn ctor_violation(&self) -> Option<&'static str> {
+        self.ctor_sites.first().map(|&(site, _)| site.what())
     }
 
     /// An expression outside any statement: a `super(...)` argument or an
@@ -647,13 +666,7 @@ impl<'t> Analysis<'t> {
         if info.ctor.is_some() {
             let sites = self.facts.ctor(id).into_iter().flat_map(|f| &f.ctor_sites);
             for &(site, span) in sites {
-                let what = match site {
-                    CtorSite::Branch => "contains a conditional or loop",
-                    CtorSite::This => "uses `this` as a value",
-                    CtorSite::Call => "calls a method",
-                    CtorSite::Ternary => "contains a conditional operator",
-                };
-                let msg = format!("constructor of `{}` {what}", info.name);
+                let msg = format!("constructor of `{}` {}", info.name, site.what());
                 out.push(Diagnostic::error("rules", span, msg));
             }
         }

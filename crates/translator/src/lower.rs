@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use jlang::table::ClassTable;
-use jlang::tast::{FieldSel, MethodSel, TArgs, TBlock, TBody, TExpr, TExprId, TStmt};
+use jlang::tast::{FieldSel, MethodSel, TArgs, TBody, TExpr, TExprId};
 use jlang::types::{ClassId, Type};
 use nir::{
     ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Instr, Intrinsic, Label, Program, Reg, Ty,
@@ -27,7 +27,10 @@ use nir::{
 
 use crate::incr;
 use crate::shape::{Shape, TransError};
-use crate::sheval::{field_shape, native_return_shape, shape_from_decl, ShapeEval, SpecKey};
+use crate::sheval::{
+    call_target, check_cast, field_shape, frame_field, native_return_shape, same_shape,
+    unassigned_field, uninit_local, ShapeEval, SpecKey,
+};
 use crate::walk::{self, Frame, Lower};
 use crate::TResult;
 
@@ -87,8 +90,9 @@ impl Opnd {
 /// shaped modes add to it.
 pub struct FnCtx {
     frame: Frame<Opnd>,
-    /// Innermost constructor field frame (absolute slot -> value), set
-    /// while inlining a constructor body.
+    /// The field frame of the constructor chain being run inline
+    /// (absolute slot -> value once assigned), installed by `lower_new`
+    /// for the whole chain.
     ctor_fields: Option<Vec<Option<Opnd>>>,
     pub flatten: bool,
     device: bool,
@@ -544,24 +548,19 @@ impl<'t> Lowerer<'t> {
         }
     }
 
-    /// Default (zero) operand for primitives and arrays; arrays get an
-    /// unwritten register. A read of it that some path reaches before an
-    /// assignment is rejected at translate time by the verifier's
-    /// definite assignment (`nir::Program::verify`), as javac rejects it.
-    fn default_opnd(&mut self, fx: &mut FnCtx, shape: &Shape) -> TResult<Opnd> {
-        match shape {
-            Shape::Prim(k) => Ok(Opnd {
-                shape: shape.clone(),
-                regs: vec![fx.frame.fb.constant(ConstVal::zero(*k))],
-            }),
-            Shape::Arr(e) => {
-                let r = fx.frame.fb.reg(Ty::Arr(*e));
-                Ok(Opnd {
-                    shape: shape.clone(),
-                    regs: vec![r],
-                })
-            }
-            Shape::Obj { .. } => Err(TransError::new("object local without initializer")),
+    /// Default operand for a local declared without an initializer: a
+    /// primitive's zero, or an unwritten array register. A read of it
+    /// that some path reaches before an assignment is rejected at
+    /// translate time by the verifier's definite assignment
+    /// (`nir::Program::verify`), as javac rejects it.
+    fn default_opnd(&mut self, fx: &mut FnCtx, shape: Shape) -> Opnd {
+        let reg = match shape {
+            Shape::Prim(k) => fx.frame.fb.constant(ConstVal::zero(k)),
+            _ => fx.frame.fb.reg(heap_ty(&shape)),
+        };
+        Opnd {
+            shape,
+            regs: vec![reg],
         }
     }
 
@@ -788,37 +787,35 @@ impl<'t> Lowerer<'t> {
     // Object construction (constructor inlining)
     // ------------------------------------------------------------------
 
-    /// Lower `new class(args)` by inlining the entire constructor chain.
+    /// Lower `new class(args)` by running the constructor chain inline,
+    /// once the chain has passed the constructor rule.
     fn lower_new(&mut self, fx: &mut FnCtx, class: ClassId, args: Vec<Opnd>) -> TResult<Opnd> {
+        self.sheval.ctor_rule(class)?;
+        self.trace_body(class, incr::MemberRef::Ctor);
         let size = self.table.class(class).instance_size() as usize;
-        let mut fields: Vec<Option<Opnd>> = vec![None; size];
-        self.run_ctor(fx, class, args, &mut fields)?;
+        // One frame for the whole chain; a `new` inside the chain installs
+        // its own and puts this one back. The chain has no receiver.
+        let outer = fx.ctor_fields.replace(vec![None; size]);
+        let recv = fx.frame.recv.take();
+        let table = self.table;
+        let run = walk::ctor(self, fx, table, class, args);
+        fx.frame.recv = recv;
+        let fields = std::mem::replace(&mut fx.ctor_fields, outer);
+        run?;
         self.stats.inlined_ctors += 1;
         // Assemble the object value.
         let mut field_shapes = Vec::with_capacity(size);
         let mut all_regs = Vec::new();
-        for (slot, f) in fields.iter().enumerate() {
+        for (slot, f) in fields.into_iter().flatten().enumerate() {
             match f {
                 Some(op) => {
-                    field_shapes.push(op.shape.clone());
-                    all_regs.extend(&op.regs);
+                    field_shapes.push(op.shape);
+                    all_regs.extend(op.regs);
                 }
                 None => {
-                    // Default-initialize primitives like Java.
-                    let decl = self.field_decl_shape(class, slot as u32)?;
-                    match decl {
-                        Shape::Prim(k) => {
-                            field_shapes.push(Shape::Prim(k));
-                            all_regs.push(fx.frame.fb.constant(ConstVal::zero(k)));
-                        }
-                        other => {
-                            return Err(TransError::new(format!(
-                                "field slot {slot} of `{}` ({}) is never assigned by a constructor",
-                                self.table.name(class),
-                                other.show(self.table)
-                            )))
-                        }
-                    }
+                    let k = unassigned_field(self.table, class, slot as u32)?;
+                    field_shapes.push(Shape::Prim(k));
+                    all_regs.push(fx.frame.fb.constant(ConstVal::zero(k)));
                 }
             }
         }
@@ -853,125 +850,6 @@ impl<'t> Lowerer<'t> {
                 regs: vec![obj],
             })
         }
-    }
-
-    fn field_decl_shape(&self, class: ClassId, slot: u32) -> TResult<Shape> {
-        for (cid, cargs) in self.table.super_chain(class) {
-            let info = self.table.class(cid);
-            let base = info.field_base;
-            if slot >= base && slot < base + info.fields.len() as u32 {
-                let ty = info.fields[(slot - base) as usize].ty.subst(&cargs);
-                return shape_from_decl(&ty)
-                    .ok_or_else(|| TransError::new("unassigned object field in constructor"));
-            }
-        }
-        Err(TransError::new("field slot out of range"))
-    }
-
-    /// Execute a constructor chain at translation time, emitting code for
-    /// field-value computations into the current function.
-    fn run_ctor(
-        &mut self,
-        fx: &mut FnCtx,
-        class: ClassId,
-        args: Vec<Opnd>,
-        fields: &mut Vec<Option<Opnd>>,
-    ) -> TResult<()> {
-        let info = self.table.class(class);
-        let Some(ctor) = &info.ctor else {
-            return Err(TransError::new(format!(
-                "`{}` has no constructor",
-                info.name
-            )));
-        };
-        self.trace_body(class, incr::MemberRef::Ctor);
-        if ctor.params.len() != args.len() {
-            return Err(TransError::new(format!(
-                "constructor of `{}` arity mismatch",
-                info.name
-            )));
-        }
-        // Install the constructor frame.
-        let saved_env = std::mem::take(&mut fx.frame.env);
-        let saved_recv = fx.frame.recv.take();
-        let saved_ctor = fx.ctor_fields.take();
-        for (i, a) in args.into_iter().enumerate() {
-            fx.frame.env.insert(i as u32, a);
-        }
-        let typed = ctor.typed_body();
-        // `fields` is threaded explicitly: super constructors share it.
-        let result = (|| -> TResult<()> {
-            // 1. super constructor.
-            if let Some((sid, _)) = &info.superclass {
-                if *sid != jlang::OBJECT {
-                    // Temporarily expose the shared field frame for
-                    // GetField(this) inside super argument expressions.
-                    fx.ctor_fields = Some(std::mem::take(fields));
-                    let sargs = match typed {
-                        Some((b, args, _)) => walk::args(self, fx, b, args)?,
-                        None => Vec::new(),
-                    };
-                    // Installed above; a nested `run_ctor` restores it.
-                    *fields = fx.ctor_fields.take().unwrap();
-                    // Recursive constructor run uses its own env.
-                    let saved = std::mem::take(&mut fx.frame.env);
-                    self.run_ctor(fx, *sid, sargs, fields)?;
-                    fx.frame.env = saved;
-                }
-            }
-            // 2. field initializers, 3. body — both with the frame visible.
-            fx.ctor_fields = Some(std::mem::take(fields));
-            for (i, f) in info.fields.iter().enumerate() {
-                if let Some((init, value)) = f.typed_init() {
-                    let v = walk::expr(self, fx, init, value)?;
-                    let v = self.copy_opnd(fx, &v);
-                    // Installed above; a nested `run_ctor` restores it.
-                    fx.ctor_fields.as_mut().unwrap()[(info.field_base + i as u32) as usize] =
-                        Some(v);
-                }
-            }
-            if let Some((b, _, body)) = typed {
-                self.ctor_block(fx, b, body)?;
-            }
-            // Installed above; a nested `run_ctor` restores it.
-            *fields = fx.ctor_fields.take().unwrap();
-            Ok(())
-        })();
-        fx.frame.env = saved_env;
-        fx.frame.recv = saved_recv;
-        // Restore the outer ctor frame unconditionally: on success the
-        // inner frame was already moved back into `fields`; on error any
-        // leftover inner frame must be dropped.
-        fx.ctor_fields = saved_ctor;
-        result
-    }
-
-    /// Constructor bodies: assignments and locals only.
-    fn ctor_block(&mut self, fx: &mut FnCtx, b: &TBody, body: TBlock) -> TResult<()> {
-        for s in b.list(body) {
-            match b.stmt(s) {
-                TStmt::Local { .. } | TStmt::AssignLocal { .. } => walk::stmt(self, fx, b, s)?,
-                TStmt::AssignField { obj, field, value } => {
-                    if b.expr(obj) != TExpr::This {
-                        return Err(TransError::new(
-                            "constructor assigns a field of another object",
-                        ));
-                    }
-                    let v = walk::expr(self, fx, b, value)?;
-                    let v = self.copy_opnd(fx, &v);
-                    // Only `run_ctor` calls this, with the frame installed.
-                    fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(v);
-                }
-                TStmt::Block(block) => self.ctor_block(fx, b, block)?,
-                _ => {
-                    return Err(TransError::new(format!(
-                        "constructor statement at line {} breaks semi-immutability",
-                        b.stmt_span(s).line
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1016,25 +894,14 @@ impl Lower for Lowerer<'_> {
                 Ok(self.copy_opnd(fx, &v))
             }
             None => {
-                let shape = shape_from_decl(ty).ok_or_else(|| {
-                    TransError::new(format!(
-                        "object-typed local of type {} needs an initializer",
-                        self.table.show_type(ty)
-                    ))
-                })?;
-                self.default_opnd(fx, &shape)
+                let shape = uninit_local(self.table, ty)?;
+                Ok(self.default_opnd(fx, shape))
             }
         }
     }
 
     fn assign_local(&mut self, fx: &mut FnCtx, dst: &Opnd, v: Opnd) -> TResult<()> {
-        if dst.shape != v.shape {
-            return Err(TransError::new(format!(
-                "local changes shape from {} to {}",
-                dst.shape.show(self.table),
-                v.shape.show(self.table)
-            )));
-        }
+        same_shape(self.table, &dst.shape, &v.shape)?;
         for (d, s) in dst.regs.iter().zip(&v.regs) {
             fx.frame.fb.emit(Instr::Mov(*d, *s));
         }
@@ -1048,15 +915,8 @@ impl Lower for Lowerer<'_> {
         obj: TExprId,
         field: FieldSel,
     ) -> TResult<Opnd> {
-        if b.expr(obj) == TExpr::This {
-            if let Some(frame) = &fx.ctor_fields {
-                return frame[field.slot as usize].clone().ok_or_else(|| {
-                    TransError::new(format!(
-                        "constructor reads field slot {} before assigning it",
-                        field.slot
-                    ))
-                });
-            }
+        if let (TExpr::This, Some(frame)) = (b.expr(obj), &fx.ctor_fields) {
+            return frame_field(&frame[field.slot as usize], field.slot);
         }
         let o = walk::expr(self, fx, b, obj)?;
         if fx.flatten {
@@ -1093,12 +953,8 @@ impl Lower for Lowerer<'_> {
         value: TExprId,
     ) -> TResult<()> {
         let v = walk::expr(self, fx, b, value)?;
-        // Constructor frame write?
         if b.expr(obj) == TExpr::This && fx.ctor_fields.is_some() {
-            let copy = self.copy_opnd(fx, &v);
-            // Checked `is_some` just above.
-            fx.ctor_fields.as_mut().unwrap()[field.slot as usize] = Some(copy);
-            return Ok(());
+            return self.init_field(fx, field.slot, v);
         }
         let o = walk::expr(self, fx, b, obj)?;
         if fx.flatten {
@@ -1130,11 +986,6 @@ impl Lower for Lowerer<'_> {
     }
 
     fn this(&mut self, fx: &mut FnCtx) -> TResult<Opnd> {
-        if fx.ctor_fields.is_some() {
-            return Err(TransError::new(
-                "`this` used as a value inside a constructor (not semi-immutable)",
-            ));
-        }
         fx.frame.this()
     }
 
@@ -1171,21 +1022,10 @@ impl Lower for Lowerer<'_> {
         is_virtual: bool,
         _: &Type,
     ) -> TResult<Option<Opnd>> {
-        let decl = self.table.method(method.decl_class, method.index);
         // Resolve the implementation from the receiver's exact shape.
         let (ic, im) = match (&recv, is_virtual) {
             (Some(r), true) => {
-                let class = r
-                    .shape
-                    .class()
-                    .ok_or_else(|| TransError::new("virtual call on non-object shape"))?;
-                let target = self.table.resolve_impl(class, &decl.name).ok_or_else(|| {
-                    TransError::new(format!(
-                        "no implementation of `{}` on `{}`",
-                        decl.name,
-                        self.table.name(class)
-                    ))
-                })?;
+                let target = call_target(self.table, &r.shape, method)?;
                 self.stats.devirtualized_calls += 1;
                 target
             }
@@ -1282,16 +1122,24 @@ impl Lower for Lowerer<'_> {
     }
 
     fn ref_cast(&mut self, v: Opnd, to: &Type) -> TResult<Opnd> {
-        if let (Some(c), Type::Object(want, _)) = (v.shape.class(), to) {
-            if !self.table.is_subclass_of(c, *want) {
-                return Err(TransError::new(format!(
-                    "cast of `{}` to `{}` can never succeed",
-                    self.table.name(c),
-                    self.table.name(*want)
-                )));
-            }
-        }
+        check_cast(self.table, &v.shape, to)?;
         Ok(v)
+    }
+
+    fn super_ctor(&mut self, fx: &mut FnCtx, class: ClassId, args: Vec<Opnd>) -> TResult<()> {
+        self.trace_body(class, incr::MemberRef::Ctor);
+        let table = self.table;
+        walk::ctor(self, fx, table, class, args)
+    }
+
+    /// The value goes into the chain's field frame, copied so that a
+    /// later write to its source does not reach the field.
+    fn init_field(&mut self, fx: &mut FnCtx, slot: u32, v: Opnd) -> TResult<()> {
+        let v = self.copy_opnd(fx, &v);
+        if let Some(frame) = &mut fx.ctor_fields {
+            frame[slot as usize] = Some(v);
+        }
+        Ok(())
     }
 }
 

@@ -7,14 +7,24 @@
 //! objects. The coding rules make this sound and terminating:
 //! constructors are branch-free, shapes of locals are fixed at their
 //! declaration, and recursion is forbidden.
+//!
+//! A constructor chain runs here as [`walk::ctor`] runs it for the
+//! lowerers, through the ordinary statement and expression walk with a
+//! field frame in the environment. It keeps its own short chain because
+//! it emits nothing and so cannot drive [`walk::Lower`]. Both shaped
+//! analyses hold a chain to one rule before it runs
+//! ([`ShapeEval::ctor_rule`]); the checks they share on shapes are the
+//! free functions at the end of this file.
 
 use std::collections::{HashMap, HashSet};
 
 use jlang::table::ClassTable;
-use jlang::tast::{TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
-use jlang::types::{ClassId, Type};
+use jlang::tast::{MethodSel, TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
+use jlang::types::{ClassId, PrimKind, Type};
+use jrules::BodyFacts;
 
 use crate::shape::{elem_ty_of, Shape, TransError};
+use crate::walk::{self, refused};
 use crate::TResult;
 
 /// Identity of a shape specialization of a method.
@@ -31,11 +41,27 @@ pub struct ShapeEval<'t> {
     pub table: &'t ClassTable,
     ret_cache: HashMap<SpecKey, Option<Shape>>,
     in_progress: HashSet<SpecKey>,
+    /// Classes whose constructor chain passed [`ShapeEval::ctor_rule`].
+    ctor_ok: HashSet<ClassId>,
 }
 
 struct Env {
     locals: HashMap<u32, Shape>,
     recv: Option<Shape>,
+    /// The field frame of the constructor chain being run (absolute slot
+    /// -> shape once assigned); `None` in a method.
+    fields: Option<Vec<Option<Shape>>>,
+}
+
+impl Env {
+    /// The frame entry that `obj.field` names when `obj` is `this` in a
+    /// running constructor chain.
+    fn frame_slot(&mut self, b: &TBody, obj: TExprId, slot: u32) -> Option<&mut Option<Shape>> {
+        match (&mut self.fields, b.expr(obj)) {
+            (Some(frame), TExpr::This) => Some(&mut frame[slot as usize]),
+            _ => None,
+        }
+    }
 }
 
 impl<'t> ShapeEval<'t> {
@@ -44,6 +70,7 @@ impl<'t> ShapeEval<'t> {
             table,
             ret_cache: HashMap::new(),
             in_progress: HashSet::new(),
+            ctor_ok: HashSet::new(),
         }
     }
 
@@ -85,12 +112,10 @@ impl<'t> ShapeEval<'t> {
             return Ok(None);
         }
         let mut env = Env {
-            locals: HashMap::new(),
+            locals: (0..).zip(key.args.iter().cloned()).collect(),
             recv: key.recv.clone(),
+            fields: None,
         };
-        for (i, a) in key.args.iter().enumerate() {
-            env.locals.insert(i as u32, a.clone());
-        }
         let mut ret: Option<Option<Shape>> = None;
         self.block(&mut env, body, block, &mut ret)?;
         match ret {
@@ -127,12 +152,7 @@ impl<'t> ShapeEval<'t> {
             TStmt::Local { slot, ty, init } => {
                 let shape = match init {
                     Some(e) => self.expr(env, b, e)?,
-                    None => shape_from_decl(b.type_at(ty)).ok_or_else(|| {
-                        TransError::new(format!(
-                            "object-typed local needs an initializer for shape analysis (type {})",
-                            self.table.show_type(b.type_at(ty))
-                        ))
-                    })?,
+                    None => uninit_local(self.table, b.type_at(ty))?,
                 };
                 env.locals.insert(slot, shape);
                 Ok(())
@@ -140,20 +160,19 @@ impl<'t> ShapeEval<'t> {
             TStmt::AssignLocal { slot, value } => {
                 let new = self.expr(env, b, value)?;
                 if let Some(old) = env.locals.get(&slot) {
-                    if old != &new {
-                        return Err(TransError::new(format!(
-                            "local changes shape from {} to {} — exact types must be static",
-                            old.show(self.table),
-                            new.show(self.table)
-                        )));
-                    }
+                    same_shape(self.table, old, &new)?;
                 }
                 env.locals.insert(slot, new);
                 Ok(())
             }
-            TStmt::AssignField { obj, value, .. } => {
-                self.expr(env, b, obj)?;
-                self.expr(env, b, value)?;
+            TStmt::AssignField { obj, field, value } => {
+                if env.frame_slot(b, obj, field.slot).is_none() {
+                    self.expr(env, b, obj)?;
+                }
+                let s = self.expr(env, b, value)?;
+                if let Some(entry) = env.frame_slot(b, obj, field.slot) {
+                    *entry = Some(s);
+                }
                 Ok(())
             }
             TStmt::AssignIndex { arr, idx, value } => {
@@ -167,7 +186,7 @@ impl<'t> ShapeEval<'t> {
                 Ok(())
             }
             TStmt::Expr(e) => {
-                self.expr_stmt(env, b, e)?;
+                self.expr_maybe_void(env, b, e)?;
                 Ok(())
             }
             TStmt::If {
@@ -228,59 +247,34 @@ impl<'t> ShapeEval<'t> {
         }
     }
 
-    /// Statement-position expression: void calls are fine here.
-    fn expr_stmt(&mut self, env: &mut Env, b: &TBody, e: TExprId) -> TResult<()> {
-        match b.expr(e) {
+    /// An expression in statement position: a call may be void (`None`).
+    fn expr_maybe_void(&mut self, env: &mut Env, b: &TBody, e: TExprId) -> TResult<Option<Shape>> {
+        let key = match b.expr(e) {
             TExpr::Call { recv, method, args } => {
                 let rs = self.expr(env, b, recv)?;
-                let Some(class) = rs.class() else {
-                    return Err(TransError::new("call on non-object shape"));
-                };
-                let name = &self.table.method(method.decl_class, method.index).name;
-                let (ic, im) = self.table.resolve_impl(class, name).ok_or_else(|| {
-                    TransError::new(format!(
-                        "no implementation of `{name}` on `{}`",
-                        self.table.name(class)
-                    ))
-                })?;
-                let arg_shapes = self.arg_shapes(env, b, args)?;
-                let key = SpecKey {
-                    class: ic,
-                    method: im,
-                    recv: Some(rs),
-                    args: arg_shapes,
-                };
-                self.method_return(&key)?;
-                Ok(())
-            }
-            TExpr::DirectCall { recv, method, args } => {
-                let rs = self.expr(env, b, recv)?;
-                let arg_shapes = self.arg_shapes(env, b, args)?;
-                let key = SpecKey {
-                    class: method.decl_class,
-                    method: method.index,
-                    recv: Some(rs),
-                    args: arg_shapes,
-                };
-                self.method_return(&key)?;
-                Ok(())
-            }
-            TExpr::StaticCall { class, index, args } => {
-                let arg_shapes = self.arg_shapes(env, b, args)?;
-                let key = SpecKey {
+                let (class, method) = call_target(self.table, &rs, method)?;
+                SpecKey {
                     class,
-                    method: index,
-                    recv: None,
-                    args: arg_shapes,
-                };
-                self.method_return(&key)?;
-                Ok(())
+                    method,
+                    recv: Some(rs),
+                    args: self.arg_shapes(env, b, args)?,
+                }
             }
-            _ => {
-                self.expr(env, b, e)?;
-                Ok(())
-            }
-        }
+            TExpr::DirectCall { recv, method, args } => SpecKey {
+                class: method.decl_class,
+                method: method.index,
+                recv: Some(self.expr(env, b, recv)?),
+                args: self.arg_shapes(env, b, args)?,
+            },
+            TExpr::StaticCall { class, index, args } => SpecKey {
+                class,
+                method: index,
+                recv: None,
+                args: self.arg_shapes(env, b, args)?,
+            },
+            _ => return self.expr(env, b, e).map(Some),
+        };
+        self.method_return(&key)
     }
 
     /// The shapes of call or constructor arguments, left to right.
@@ -293,7 +287,7 @@ impl<'t> ShapeEval<'t> {
     }
 
     fn expr(&mut self, env: &mut Env, b: &TBody, e: TExprId) -> TResult<Shape> {
-        use jlang::types::PrimKind::*;
+        use PrimKind::*;
         match b.expr(e) {
             TExpr::Int(_) => Ok(Shape::Prim(Int)),
             TExpr::Long(_) => Ok(Shape::Prim(Long)),
@@ -306,61 +300,22 @@ impl<'t> ShapeEval<'t> {
             TExpr::This => env
                 .recv
                 .clone()
-                .ok_or_else(|| TransError::new("`this` in static translation context")),
-            TExpr::GetField { obj, field } => {
-                let os = self.expr(env, b, obj)?;
-                field_shape(self.table, &os, field.slot)
-            }
+                .ok_or_else(|| TransError::new("`this` in a static translation context")),
+            TExpr::GetField { obj, field } => match env.frame_slot(b, obj, field.slot) {
+                Some(entry) => frame_field(entry, field.slot),
+                None => {
+                    let os = self.expr(env, b, obj)?;
+                    field_shape(self.table, &os, field.slot)
+                }
+            },
             TExpr::GetStatic { class, index } => {
                 let f = &self.table.class(class).statics[index as usize];
                 shape_from_decl(&f.ty).ok_or_else(|| {
                     TransError::new("static fields must be primitives under the coding rules")
                 })
             }
-            TExpr::Call { recv, method, args } => {
-                let rs = self.expr(env, b, recv)?;
-                let Some(class) = rs.class() else {
-                    return Err(TransError::new("call on non-object shape"));
-                };
-                let name = &self.table.method(method.decl_class, method.index).name;
-                let (ic, im) = self.table.resolve_impl(class, name).ok_or_else(|| {
-                    TransError::new(format!(
-                        "no implementation of `{name}` on `{}`",
-                        self.table.name(class)
-                    ))
-                })?;
-                let arg_shapes = self.arg_shapes(env, b, args)?;
-                let key = SpecKey {
-                    class: ic,
-                    method: im,
-                    recv: Some(rs),
-                    args: arg_shapes,
-                };
-                self.method_return(&key)?
-                    .ok_or_else(|| TransError::new(format!("void call `{name}` used as a value")))
-            }
-            TExpr::DirectCall { recv, method, args } => {
-                let rs = self.expr(env, b, recv)?;
-                let arg_shapes = self.arg_shapes(env, b, args)?;
-                let key = SpecKey {
-                    class: method.decl_class,
-                    method: method.index,
-                    recv: Some(rs),
-                    args: arg_shapes,
-                };
-                self.method_return(&key)?
-                    .ok_or_else(|| TransError::new("void super-call used as a value"))
-            }
-            TExpr::StaticCall { class, index, args } => {
-                let arg_shapes = self.arg_shapes(env, b, args)?;
-                let key = SpecKey {
-                    class,
-                    method: index,
-                    recv: None,
-                    args: arg_shapes,
-                };
-                self.method_return(&key)?
-                    .ok_or_else(|| TransError::new("void static call used as a value"))
+            x @ (TExpr::Call { .. } | TExpr::DirectCall { .. } | TExpr::StaticCall { .. }) => {
+                self.expr_maybe_void(env, b, e)?.ok_or_else(|| refused(x))
             }
             TExpr::New { class, args, .. } => {
                 let arg_shapes = self.arg_shapes(env, b, args)?;
@@ -404,222 +359,117 @@ impl<'t> ShapeEval<'t> {
             }
             TExpr::RefCast { to, expr } => {
                 let s = self.expr(env, b, expr)?;
-                if let (Some(c), Type::Object(want, _)) = (s.class(), b.type_at(to)) {
-                    if !self.table.is_subclass_of(c, *want) {
-                        return Err(TransError::new(format!(
-                            "cast of `{}` to `{}` can never succeed",
-                            self.table.name(c),
-                            self.table.name(*want)
-                        )));
-                    }
-                }
+                check_cast(self.table, &s, b.type_at(to))?;
                 Ok(s)
             }
-            TExpr::RefEq { .. } => Err(TransError::new(
-                "reference equality cannot be translated (coding rule 7)",
-            )),
-            TExpr::InstanceOf { .. } => Err(TransError::new(
-                "`instanceof` cannot be translated (coding rule 8)",
-            )),
-            TExpr::Null => Err(TransError::new(
-                "`null` cannot be translated (coding rule 8)",
-            )),
-            TExpr::Str(_) => Err(TransError::new("strings cannot be translated")),
-            TExpr::Ternary { .. } => Err(TransError::new(
-                "the conditional operator cannot be translated (coding rule 7)",
-            )),
+            x @ (TExpr::RefEq { .. }
+            | TExpr::InstanceOf { .. }
+            | TExpr::Null
+            | TExpr::Str(_)
+            | TExpr::Ternary { .. }) => Err(refused(x)),
         }
+    }
+
+    /// The one rule the shaped modes hold a constructor chain to before
+    /// it runs inline: semi-immutable precondition (d) as `jrules` finds
+    /// and words it ([`BodyFacts::ctor_violation`]) in every constructor
+    /// and field initializer of the chain, and what an inline run cannot
+    /// hold, a `return` or a write to another object's field. Array
+    /// element stores pass, as `jrules` lets them. The rule walks each
+    /// constructor once per translation.
+    pub fn ctor_rule(&mut self, class: ClassId) -> TResult<()> {
+        if self.ctor_ok.contains(&class) {
+            return Ok(());
+        }
+        for (cid, _) in self.table.super_chain(class) {
+            let info = self.table.class(cid);
+            if let Some(ctor) = &info.ctor {
+                let facts = ctor.body.as_deref().map(BodyFacts::of);
+                let inline = ctor
+                    .typed_body()
+                    .and_then(|(b, _, body)| inline_blocker(b, body));
+                if let Some(what) = facts.and_then(|f| f.ctor_violation()).or(inline) {
+                    let msg = format!("constructor of `{}` {what}", info.name);
+                    return Err(TransError::new(msg));
+                }
+            }
+            for f in &info.fields {
+                let facts = f.init.as_deref().map(BodyFacts::of);
+                if let Some(what) = facts.and_then(|f| f.ctor_violation()) {
+                    let msg = format!("initializer of `{}.{}` {what}", info.name, f.name);
+                    return Err(TransError::new(msg));
+                }
+            }
+        }
+        self.ctor_ok.insert(class);
+        Ok(())
     }
 
     /// Abstractly run the constructor chain of `new class(args)` and
-    /// assemble the resulting object shape. Constructors are straight-line
-    /// under the semi-immutable rules; anything else is reported.
-    pub fn ctor_shape(&mut self, class: ClassId, arg_shapes: &[Shape]) -> TResult<Shape> {
+    /// assemble the object's shape.
+    pub fn ctor_shape(&mut self, class: ClassId, args: &[Shape]) -> TResult<Shape> {
+        self.ctor_rule(class)?;
         let size = self.table.class(class).instance_size() as usize;
-        let mut fields: Vec<Option<Shape>> = vec![None; size];
-        self.run_ctor_abstract(class, arg_shapes, &mut fields)?;
-        let mut out = Vec::with_capacity(size);
-        for (slot, s) in fields.into_iter().enumerate() {
-            match s {
-                Some(s) => out.push(s),
-                None => {
-                    // Unassigned fields default like Java: primitives to 0.
-                    let decl = field_decl_type(self.table, class, slot as u32);
-                    match decl.and_then(|t| shape_from_decl(&t)) {
-                        Some(s) => out.push(s),
-                        None => {
-                            return Err(TransError::new(format!(
-                                "field slot {slot} of `{}` is not assigned by any constructor; \
-                                 its exact type cannot be determined",
-                                self.table.name(class)
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Shape::Obj { class, fields: out })
-    }
-
-    fn run_ctor_abstract(
-        &mut self,
-        class: ClassId,
-        arg_shapes: &[Shape],
-        fields: &mut Vec<Option<Shape>>,
-    ) -> TResult<()> {
-        let info = self.table.class(class);
-        let Some(ctor) = &info.ctor else {
-            return Err(TransError::new(format!(
-                "`{}` has no constructor",
-                info.name
-            )));
-        };
-        if ctor.params.len() != arg_shapes.len() {
-            return Err(TransError::new(format!(
-                "constructor of `{}` expects {} args, got {}",
-                info.name,
-                ctor.params.len(),
-                arg_shapes.len()
-            )));
-        }
         let mut env = Env {
             locals: HashMap::new(),
             recv: None,
+            fields: Some(vec![None; size]),
         };
-        for (i, s) in arg_shapes.iter().enumerate() {
-            env.locals.insert(i as u32, s.clone());
-        }
-        let typed = ctor.typed_body();
-        // 1. super constructor.
+        self.ctor_chain(&mut env, class, args.to_vec())?;
+        let fields = (env.fields.into_iter().flatten().enumerate())
+            .map(|(slot, s)| match s {
+                Some(s) => Ok(s),
+                None => unassigned_field(self.table, class, slot as u32).map(Shape::Prim),
+            })
+            .collect::<TResult<_>>()?;
+        Ok(Shape::Obj { class, fields })
+    }
+
+    /// One level of a constructor chain, in [`walk::ctor`]'s order, with
+    /// `args` as the locals: the `super(...)` arguments, the superclass's
+    /// level, the field initializers, the body.
+    fn ctor_chain(&mut self, env: &mut Env, class: ClassId, args: Vec<Shape>) -> TResult<()> {
+        let info = self.table.class(class);
+        let typed = walk::ctor_of(self.table, class)?.typed_body();
+        env.locals = (0..).zip(args).collect();
         if let Some((sid, _)) = &info.superclass {
             if *sid != jlang::OBJECT {
-                let mut sargs = Vec::new();
-                if let Some((b, args, _)) = typed {
-                    for a in b.list(args) {
-                        sargs.push(self.ctor_expr(&mut env, b, a, fields)?);
-                    }
-                }
-                self.run_ctor_abstract(*sid, &sargs, fields)?;
+                let sargs = match typed {
+                    Some((b, sargs, _)) => self.arg_shapes(env, b, sargs)?,
+                    None => Vec::new(),
+                };
+                let locals = std::mem::take(&mut env.locals);
+                self.ctor_chain(env, *sid, sargs)?;
+                env.locals = locals;
             }
         }
-        // 2. field initializers.
         for (i, f) in info.fields.iter().enumerate() {
             if let Some((init, value)) = f.typed_init() {
-                let s = self.ctor_expr(&mut env, init, value, fields)?;
-                fields[(info.field_base + i as u32) as usize] = Some(s);
+                let s = self.expr(env, init, value)?;
+                if let Some(frame) = &mut env.fields {
+                    frame[(info.field_base + i as u32) as usize] = Some(s);
+                }
             }
         }
-        // 3. constructor body (straight-line assignments only).
-        if let Some((b, _, body)) = typed {
-            self.ctor_block(&mut env, b, body, fields)?;
+        match typed {
+            Some((b, _, body)) => self.block(env, b, body, &mut None),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
 
-    fn ctor_block(
-        &mut self,
-        env: &mut Env,
-        b: &TBody,
-        body: TBlock,
-        fields: &mut Vec<Option<Shape>>,
-    ) -> TResult<()> {
-        for s in b.list(body) {
-            match b.stmt(s) {
-                TStmt::Local { slot, init, ty } => {
-                    let shape = match init {
-                        Some(e) => self.ctor_expr(env, b, e, fields)?,
-                        None => shape_from_decl(b.type_at(ty)).ok_or_else(|| {
-                            TransError::new("uninitialized object local in constructor")
-                        })?,
-                    };
-                    env.locals.insert(slot, shape);
-                }
-                TStmt::AssignLocal { slot, value } => {
-                    let shape = self.ctor_expr(env, b, value, fields)?;
-                    env.locals.insert(slot, shape);
-                }
-                TStmt::AssignField { obj, field, value } => {
-                    if b.expr(obj) != TExpr::This {
-                        return Err(TransError::new(
-                            "constructor assigns a field of another object (not semi-immutable)",
-                        ));
-                    }
-                    let shape = self.ctor_expr(env, b, value, fields)?;
-                    fields[field.slot as usize] = Some(shape);
-                }
-                TStmt::Block(block) => self.ctor_block(env, b, block, fields)?,
-                _ => {
-                    return Err(TransError::new(format!(
-                        "constructor contains a statement that breaks semi-immutability \
-                         (line {}); only assignments are allowed",
-                        b.stmt_span(s).line
-                    )))
-                }
-            }
+/// What a constructor body holds that its inline run cannot: a `return`,
+/// or a write to a field of an object other than `this`. Precondition
+/// (d) leaves the body no branch or loop to look into.
+fn inline_blocker(b: &TBody, block: TBlock) -> Option<&'static str> {
+    b.list(block).find_map(|s| match b.stmt(s) {
+        TStmt::Return { .. } => Some("contains a `return`"),
+        TStmt::AssignField { obj, .. } if b.expr(obj) != TExpr::This => {
+            Some("writes a field of another object")
         }
-        Ok(())
-    }
-
-    /// Expressions inside constructors: like `expr` but `this.field` reads
-    /// resolve against the in-progress field map instead of a receiver.
-    fn ctor_expr(
-        &mut self,
-        env: &mut Env,
-        b: &TBody,
-        e: TExprId,
-        fields: &mut Vec<Option<Shape>>,
-    ) -> TResult<Shape> {
-        match b.expr(e) {
-            TExpr::GetField { obj, field } if b.expr(obj) == TExpr::This => {
-                fields[field.slot as usize].clone().ok_or_else(|| {
-                    TransError::new(format!(
-                        "constructor reads field slot {} before assigning it",
-                        field.slot
-                    ))
-                })
-            }
-            TExpr::This => Err(TransError::new(
-                "constructor uses `this` as a value (not semi-immutable)",
-            )),
-            // Allocation inside a constructor is fine (e.g. field inits).
-            TExpr::New { class, args } => {
-                let mut arg_shapes = Vec::with_capacity(args.len());
-                for a in b.list(args) {
-                    arg_shapes.push(self.ctor_expr(env, b, a, fields)?);
-                }
-                self.ctor_shape(class, &arg_shapes)
-            }
-            TExpr::NewArray { elem, len } => {
-                self.ctor_expr(env, b, len, fields)?;
-                elem_ty_of(b.type_at(elem))
-                    .map(Shape::Arr)
-                    .ok_or_else(|| TransError::new("only primitive arrays can be translated"))
-            }
-            TExpr::Binary {
-                op,
-                operand_kind,
-                lhs,
-                rhs,
-            } => {
-                self.ctor_expr(env, b, lhs, fields)?;
-                self.ctor_expr(env, b, rhs, fields)?;
-                if op.is_comparison() {
-                    Ok(Shape::Prim(jlang::PrimKind::Boolean))
-                } else {
-                    Ok(Shape::Prim(operand_kind))
-                }
-            }
-            TExpr::Unary { expr, .. } => self.ctor_expr(env, b, expr, fields),
-            TExpr::NumCast { to, expr } | TExpr::Convert { to, expr } => {
-                self.ctor_expr(env, b, expr, fields)?;
-                Ok(Shape::Prim(to))
-            }
-            TExpr::Call { .. } | TExpr::DirectCall { .. } | TExpr::StaticCall { .. } => Err(
-                TransError::new("constructor calls a method (not semi-immutable)"),
-            ),
-            _ => self.expr(env, b, e),
-        }
-    }
+        TStmt::Block(inner) => inline_blocker(b, inner),
+        _ => None,
+    })
 }
 
 /// Shape derivable from a declared type alone (primitives and primitive
@@ -646,16 +496,96 @@ pub(crate) fn native_return_shape(ret: &Type, key: &str) -> TResult<Option<Shape
     }
 }
 
-/// Declared type of the field at absolute `slot` of `class`.
-fn field_decl_type(table: &ClassTable, class: ClassId, slot: u32) -> Option<Type> {
-    for (cid, args) in table.super_chain(class) {
-        let info = table.class(cid);
-        let base = info.field_base;
-        if slot >= base && slot < base + info.fields.len() as u32 {
-            return Some(info.fields[(slot - base) as usize].ty.subst(&args));
+/// What field `slot` of a `class` object holds when its constructor
+/// chain never assigns it: a primitive reads zero, as in Java; any other
+/// field is refused, since nothing pins its exact type.
+pub(crate) fn unassigned_field(table: &ClassTable, class: ClassId, slot: u32) -> TResult<PrimKind> {
+    let field = table
+        .super_chain(class)
+        .into_iter()
+        .find_map(|(cid, args)| {
+            let info = table.class(cid);
+            let f = info
+                .fields
+                .get(slot.checked_sub(info.field_base)? as usize)?;
+            Some((&info.name, &f.name, f.ty.subst(&args)))
+        });
+    let Some((owner, name, ty)) = field else {
+        let class = table.name(class);
+        return Err(TransError::new(format!(
+            "`{class}` has no field slot {slot}"
+        )));
+    };
+    ty.prim_kind().ok_or_else(|| {
+        TransError::new(format!(
+            "field `{owner}.{name}` ({}) is not assigned by the constructor chain of `{}`; \
+             only a primitive field defaults",
+            table.show_type(&ty),
+            table.name(class)
+        ))
+    })
+}
+
+/// The shape a constructor's field frame holds for `slot`, once assigned.
+pub(crate) fn frame_field<T: Clone>(entry: &Option<T>, slot: u32) -> TResult<T> {
+    entry.clone().ok_or_else(|| {
+        TransError::new(format!(
+            "constructor reads field slot {slot} before assigning it"
+        ))
+    })
+}
+
+/// The implementation a virtual call of `method` on a `recv` runs.
+pub(crate) fn call_target(
+    table: &ClassTable,
+    recv: &Shape,
+    method: MethodSel,
+) -> TResult<(ClassId, u32)> {
+    let name = &table.method(method.decl_class, method.index).name;
+    let target = recv.class().and_then(|c| table.resolve_impl(c, name));
+    target.ok_or_else(|| {
+        let on = recv
+            .class()
+            .map_or_else(|| recv.show(table), |c| table.name(c).into());
+        TransError::new(format!("no implementation of `{name}` on `{on}`"))
+    })
+}
+
+/// `(to) v` for a `v` of shape `s`: refused when it can never succeed.
+pub(crate) fn check_cast(table: &ClassTable, s: &Shape, to: &Type) -> TResult<()> {
+    if let (Some(c), Type::Object(want, _)) = (s.class(), to) {
+        if !table.is_subclass_of(c, *want) {
+            return Err(TransError::new(format!(
+                "cast of `{}` to `{}` can never succeed",
+                table.name(c),
+                table.name(*want)
+            )));
         }
     }
-    None
+    Ok(())
+}
+
+/// The shape of a local declared as `ty` without an initializer: only a
+/// primitive or array declaration pins it.
+pub(crate) fn uninit_local(table: &ClassTable, ty: &Type) -> TResult<Shape> {
+    shape_from_decl(ty).ok_or_else(|| {
+        TransError::new(format!(
+            "object-typed local of type {} needs an initializer",
+            table.show_type(ty)
+        ))
+    })
+}
+
+/// A local keeps the shape of its first value: exact types are static.
+pub(crate) fn same_shape(table: &ClassTable, old: &Shape, new: &Shape) -> TResult<()> {
+    if old != new {
+        return Err(TransError::new(format!(
+            "local changes shape from {} to {}",
+            old.show(table),
+            new.show(table)
+        )));
+    }
+    Ok(())
 }
 
 /// Shape of field `slot` within an object shape.

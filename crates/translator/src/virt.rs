@@ -199,19 +199,16 @@ impl<'t> VirtLowerer<'t> {
     }
 
     /// Compile (or fetch) the constructor function of `class`:
-    /// `C_init(obj, params...)` running super ctor, field inits, body.
+    /// `C_init(obj, params...)`, which runs the chain as [`walk::ctor`]
+    /// orders it and calls the superclass's `C_init` for `super(...)`.
+    /// Unlike the shaped modes' inline run, it may branch, call and pass
+    /// `this`: this mode has no coding-rule restrictions.
     fn ctor_func(&mut self, class: ClassId) -> TResult<FuncId> {
         if let Some(&f) = self.ctors.get(&class) {
             return Ok(f);
         }
-        let info = self.table.class(class);
-        let Some(ctor) = &info.ctor else {
-            return Err(TransError::new(format!(
-                "`{}` has no constructor",
-                info.name
-            )));
-        };
-        let placeholder = self.reserve_placeholder(&format!("{}_init", info.name));
+        let ctor = walk::ctor_of(self.table, class)?;
+        let placeholder = self.reserve_placeholder(&format!("{}_init", self.table.name(class)));
         self.ctors.insert(class, placeholder);
 
         let mut params = vec![Ty::Obj];
@@ -224,42 +221,15 @@ impl<'t> VirtLowerer<'t> {
             None,
             FuncKind::Host,
         );
-        let mut env = HashMap::new();
-        for (i, _) in ctor.params.iter().enumerate() {
-            env.insert(i as u32, i as u32 + 1);
-        }
-        let mut cx = Frame::new(fb, Some(0), env);
-        let typed = ctor.typed_body();
-        // 1. super constructor.
-        if let Some((sid, _)) = &info.superclass {
-            if *sid != jlang::OBJECT {
-                let mut sargs = vec![0];
-                if let Some((b, args, _)) = typed {
-                    sargs.extend(walk::args(self, &mut cx, b, args)?);
-                }
-                let sf = self.ctor_func(*sid)?;
-                cx.fb.emit(Instr::Call {
-                    func: sf,
-                    args: sargs,
-                    dst: None,
-                });
-            }
-        }
-        // 2. field initializers.
-        for (i, f) in info.fields.iter().enumerate() {
-            if let Some((init, value)) = f.typed_init() {
-                let v = walk::expr(self, &mut cx, init, value)?;
-                cx.fb.emit(Instr::PutField {
-                    obj: 0,
-                    slot: info.field_base + i as u32,
-                    src: v,
-                });
-            }
-        }
-        // 3. body.
-        if let Some((b, _, body)) = typed {
-            walk::block(self, &mut cx, b, body)?;
-        }
+        let mut cx = Frame::new(fb, Some(0), HashMap::new());
+        let table = self.table;
+        walk::ctor(
+            self,
+            &mut cx,
+            table,
+            class,
+            (1..=ctor.params.len() as Reg).collect(),
+        )?;
         let f = cx.fb.finish().map_err(TransError::new)?;
         *self.program.func_mut(placeholder) = f;
         Ok(placeholder)
@@ -479,5 +449,23 @@ impl Lower for VirtLowerer<'_> {
 
     fn ref_cast(&mut self, v: Reg, _: &Type) -> TResult<Reg> {
         Ok(v)
+    }
+
+    fn super_ctor(&mut self, cx: &mut Frame<Reg>, class: ClassId, args: Vec<Reg>) -> TResult<()> {
+        let func = self.ctor_func(class)?;
+        let mut argv = vec![cx.this()?];
+        argv.extend(args);
+        cx.fb.emit(Instr::Call {
+            func,
+            args: argv,
+            dst: None,
+        });
+        Ok(())
+    }
+
+    fn init_field(&mut self, cx: &mut Frame<Reg>, slot: u32, src: Reg) -> TResult<()> {
+        let obj = cx.this()?;
+        cx.fb.emit(Instr::PutField { obj, slot, src });
+        Ok(())
     }
 }

@@ -5,10 +5,12 @@
 //! virtual-dispatch one ([`VirtLowerer`], Virtual) hold different values —
 //! a shaped operand with one register per leaf, or one register — and
 //! mean different things by a local, a field, `this`, `return`, a call,
-//! `new` and a reference cast. Those are the hooks of [`Lower`]. Every
-//! other construct is lowered here: control flow, arrays, literals and
-//! `static final` constants, operators, numeric casts, and the refusal of
-//! the constructs the coding rules forbid. A scalar's kind comes from its
+//! `new`, a reference cast, a `super(...)` call and a field initializer.
+//! Those are the hooks of [`Lower`]. Every other construct is lowered
+//! here: control flow, arrays, literals and `static final` constants,
+//! operators, numeric casts, the refusal of the constructs the coding
+//! rules forbid, and the order a constructor chain runs in ([`ctor`]).
+//! A scalar's kind comes from its
 //! node's type in the typed AST; of a value the walk needs only its one
 //! register ([`Lower::reg`]) and a way to wrap a fresh one
 //! ([`Lower::scalar`]).
@@ -19,7 +21,7 @@
 use std::collections::HashMap;
 
 use jlang::ast::{BinOp, UnOp};
-use jlang::table::ClassTable;
+use jlang::table::{ClassTable, CtorInfo};
 use jlang::tast::{FieldSel, MethodSel, TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use nir::{FuncBuilder, Instr, Label, Reg, Ty};
@@ -127,6 +129,59 @@ pub trait Lower {
     ) -> TResult<Self::V>;
     /// `(to) v` for a reference type `to`.
     fn ref_cast(&mut self, v: Self::V, to: &Type) -> TResult<Self::V>;
+    /// `super(args)`: run the constructor chain of `class`, the
+    /// superclass, on the object under construction.
+    fn super_ctor(&mut self, cx: &mut Self::Cx, class: ClassId, args: Vec<Self::V>) -> TResult<()>;
+    /// Field `slot` of the object under construction gets `v`, its
+    /// initializer's value.
+    fn init_field(&mut self, cx: &mut Self::Cx, slot: u32, v: Self::V) -> TResult<()>;
+}
+
+/// The constructor of `class`.
+pub fn ctor_of(table: &ClassTable, class: ClassId) -> TResult<&CtorInfo> {
+    let info = table.class(class);
+    (info.ctor.as_ref())
+        .ok_or_else(|| TransError::new(format!("`{}` has no constructor", info.name)))
+}
+
+/// Run the constructor chain of `class` (a class of `table`) on `argv`,
+/// in Java's order: the `super(...)` arguments, the superclass's chain
+/// ([`Lower::super_ctor`]), each instance-field initializer
+/// ([`Lower::init_field`]), then the body. The constructor's parameters
+/// are the frame's locals while it runs.
+pub fn ctor<L: Lower>(
+    lw: &mut L,
+    cx: &mut L::Cx,
+    table: &ClassTable,
+    class: ClassId,
+    argv: Vec<L::V>,
+) -> TResult<()> {
+    let info = table.class(class);
+    let typed = ctor_of(table, class)?.typed_body();
+    let outer = std::mem::replace(&mut L::frame(cx).env, (0..).zip(argv).collect());
+    let run = (|| {
+        if let Some((sid, _)) = &info.superclass {
+            if *sid != jlang::OBJECT {
+                let sargs = match typed {
+                    Some((b, sargs, _)) => args(lw, cx, b, sargs)?,
+                    None => Vec::new(),
+                };
+                lw.super_ctor(cx, *sid, sargs)?;
+            }
+        }
+        for (i, f) in info.fields.iter().enumerate() {
+            if let Some((init, value)) = f.typed_init() {
+                let v = expr(lw, cx, init, value)?;
+                lw.init_field(cx, info.field_base + i as u32, v)?;
+            }
+        }
+        match typed {
+            Some((b, _, body)) => block(lw, cx, b, body),
+            None => Ok(()),
+        }
+    })();
+    L::frame(cx).env = outer;
+    run
 }
 
 pub fn block<L: Lower>(lw: &mut L, cx: &mut L::Cx, b: &TBody, block: TBlock) -> TResult<()> {
@@ -340,12 +395,9 @@ pub fn expr<L: Lower>(lw: &mut L, cx: &mut L::Cx, b: &TBody, e: TExprId) -> TRes
             .ok_or_else(|| TransError::new(format!("read of unassigned local slot {slot}"))),
         TExpr::This => lw.this(cx),
         TExpr::GetField { obj, field } => lw.get_field(cx, b, obj, field),
-        TExpr::Call { .. } => expr_maybe_void(lw, cx, b, e)?
-            .ok_or_else(|| TransError::new("void call used as a value")),
-        TExpr::DirectCall { .. } => expr_maybe_void(lw, cx, b, e)?
-            .ok_or_else(|| TransError::new("void super-call used as a value")),
-        TExpr::StaticCall { .. } => expr_maybe_void(lw, cx, b, e)?
-            .ok_or_else(|| TransError::new("void static call used as a value")),
+        x @ (TExpr::Call { .. } | TExpr::DirectCall { .. } | TExpr::StaticCall { .. }) => {
+            expr_maybe_void(lw, cx, b, e)?.ok_or_else(|| refused(x))
+        }
         TExpr::New { class, args } => lw.new_obj(cx, b, class, args),
         TExpr::NewArray { elem, len } => {
             let elem = elem_ty_of(b.type_at(elem))
@@ -428,20 +480,29 @@ pub fn expr<L: Lower>(lw: &mut L, cx: &mut L::Cx, b: &TBody, e: TExprId) -> TRes
             let v = expr(lw, cx, b, operand)?;
             lw.ref_cast(v, b.type_at(to))
         }
-        TExpr::RefEq { .. } => Err(TransError::new(
-            "reference equality cannot be translated (coding rule 7)",
-        )),
-        TExpr::InstanceOf { .. } => Err(TransError::new(
-            "`instanceof` cannot be translated (coding rule 8)",
-        )),
-        TExpr::Null => Err(TransError::new(
-            "`null` cannot be translated (coding rule 8)",
-        )),
-        TExpr::Str(_) => Err(TransError::new("strings cannot be translated")),
-        TExpr::Ternary { .. } => Err(TransError::new(
-            "the conditional operator cannot be translated (coding rule 7)",
-        )),
+        x @ (TExpr::RefEq { .. }
+        | TExpr::InstanceOf { .. }
+        | TExpr::Null
+        | TExpr::Str(_)
+        | TExpr::Ternary { .. }) => Err(refused(x)),
     }
+}
+
+/// Why `e` cannot be translated: a construct the coding rules forbid, or
+/// a void call used as a value. The walk and the shape evaluator refuse
+/// with these texts.
+pub fn refused(e: TExpr) -> TransError {
+    TransError::new(match e {
+        TExpr::RefEq { .. } => "reference equality cannot be translated (coding rule 7)",
+        TExpr::InstanceOf { .. } => "`instanceof` cannot be translated (coding rule 8)",
+        TExpr::Null => "`null` cannot be translated (coding rule 8)",
+        TExpr::Str(_) => "strings cannot be translated",
+        TExpr::Ternary { .. } => "the conditional operator cannot be translated (coding rule 7)",
+        TExpr::Call { .. } => "void call used as a value",
+        TExpr::DirectCall { .. } => "void super-call used as a value",
+        TExpr::StaticCall { .. } => "void static call used as a value",
+        _ => "this expression cannot be translated",
+    })
 }
 
 /// `lhs && rhs` or `lhs || rhs` as control flow: `rhs` runs only when

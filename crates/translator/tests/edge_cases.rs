@@ -467,3 +467,90 @@ fn forbidden_constructs_are_refused_alike_in_every_mode() {
         }
     }
 }
+
+/// What a constructor may not hold when the shaped modes run it inline
+/// at its `new` site, with the rule checker off: Devirt and Full refuse
+/// each with one text, whether the `new` is in a void method (which only
+/// the lowerer walks) or a valued one (which the shape evaluator walks
+/// first). Virtual mode runs every such constructor as the `jvm` does.
+#[test]
+fn constructors_the_inline_run_cannot_hold_are_refused_alike() {
+    const CASES: &[(&str, &str, &str)] = &[
+        (
+            "final class X { int v; X(int k) { v = twice(k); } int twice(int k) { return k * 2; } }",
+            "new X(3)",
+            "constructor of `X` calls a method",
+        ),
+        (
+            "final class X { int v; X(int k) { if (k > 0) { v = k; } else { v = -k; } } }",
+            "new X(3)",
+            "constructor of `X` contains a conditional or loop",
+        ),
+        (
+            "final class X { int v; X(int k) { X me = this; v = k; } }",
+            "new X(3)",
+            "constructor of `X` uses `this` as a value",
+        ),
+        (
+            "final class X { int v; X(int k) { v = k; return; } }",
+            "new X(3)",
+            "constructor of `X` contains a `return`",
+        ),
+        (
+            "final class Y { int w; Y() { w = 1; } } \
+             final class X { int v; X(Y y) { v = 3; y.w = 4; } }",
+            "new X(new Y())",
+            "constructor of `X` writes a field of another object",
+        ),
+        // `q.pair()` returns a two-leaf object, which Full mode splices
+        // into the constructor run: its `this.p` must not read `X`'s
+        // field frame.
+        (
+            "final class Pair { int a; int b; Pair(int a0, int b0) { a = a0; b = b0; } } \
+             final class Q { Pair p; Q() { p = new Pair(1, 2); } Pair pair() { return p; } } \
+             final class X { Pair mine; int v; \
+               X(Q q) { mine = new Pair(5, 6); Pair pp = q.pair(); v = pp.a; } }",
+            "new X(new Q())",
+            "constructor of `X` calls a method",
+        ),
+    ];
+    for (classes, new, want) in CASES {
+        let src = format!(
+            "{classes} @WootinJ final class K {{ K() {{ }}
+               void fill(int[] a) {{ X x = {new}; a[0] = x.v; }}
+               int make() {{ X x = {new}; return x.v; }}
+               int void_new(int[] a) {{ fill(a); return a[0]; }}
+               int valued_new(int[] a) {{ return make(); }}
+             }}"
+        );
+        let table = compile_str(&src).unwrap_or_else(|e| panic!("{classes}: {e:?}"));
+        let mut jvm = Jvm::new(&table).unwrap();
+        let k = jvm.new_instance("K", &[]).unwrap();
+        for entry in ["void_new", "valued_new"] {
+            let args = [jvm.new_i32_array(&[0])];
+            let java = jvm.call(&k, entry, &args).unwrap().as_i32().unwrap();
+            for base in [
+                TransConfig::virtual_dispatch(),
+                TransConfig::devirt(),
+                TransConfig::full(),
+            ] {
+                let config = TransConfig {
+                    check_rules: false,
+                    ..base
+                };
+                let what = format!("{classes}, {entry} in {:?}", config.mode);
+                let t = translate(&table, &jvm, &k, entry, &args, config);
+                if config.mode != Mode::Virtual {
+                    let err = t.err().unwrap_or_else(|| panic!("{what}: translated"));
+                    assert_eq!(err.message, *want, "{what}");
+                    continue;
+                }
+                let t = t.unwrap_or_else(|e| panic!("{what}: {e}"));
+                let mut m = Machine::with_globals(&t.program);
+                let vals = bind_entry_args(&jvm, &k, &args, &t.bindings, &mut m).unwrap();
+                let got = run_to_completion(&t.program, t.entry, vals, &mut m).unwrap();
+                assert_eq!(got, Some(Val::I32(java)), "{what}");
+            }
+        }
+    }
+}

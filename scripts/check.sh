@@ -29,6 +29,16 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one constructor run: a constructor chain is read in walk.rs (the   =="
+echo "==   lowerers' walk::ctor) and sheval.rs (the shape evaluator) only   =="
+stray="$(grep -rn --include='*.rs' -e '\.superclass' -e 'ctor\.typed_body()' crates/translator/src \
+    | grep -v -e '^crates/translator/src/walk\.rs:' -e '^crates/translator/src/sheval\.rs:' || true)"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above read a constructor chain outside walk.rs and sheval.rs"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 

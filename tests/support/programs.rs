@@ -244,6 +244,32 @@ pub const PROGRAMS: &[(&str, &str, &str)] = &[
          }
          int run(int[] a) { fill(a, a[0]); return make(a[6]); }",
     ),
+    (
+        "a constructor reads an array field's length",
+        "final class Buf { float[] buf; int n; Buf(int k) { buf = new float[k]; n = buf.length + 1; } }",
+        "void fill(int[] a, int k) {
+           Buf b = new Buf(k);
+           a[0] = b.n;
+         }
+         int make(int k) {
+           Buf b = new Buf(k);
+           return b.n * 10 + b.buf.length;
+         }
+         int run(int[] a) { fill(a, 3); return make(4); }",
+    ),
+    (
+        "a constructor stores an array element",
+        "final class St { float[] buf; St(int k) { buf = new float[k]; buf[0] = 2.0f; } }",
+        "void fill(int[] a, int k) {
+           St s = new St(k);
+           a[1] = (int) (s.buf[0] * 3f);
+         }
+         int make(int k) {
+           St s = new St(k);
+           return (int) s.buf[0] * 100 + s.buf.length;
+         }
+         int run(int[] a) { fill(a, 2); return make(5); }",
+    ),
 ];
 
 /// The source of a program: its classes, then `P`.
