@@ -1506,6 +1506,8 @@ fn sroa(f: &mut Function) {
             Instr::GetField { obj, slot, dst } if root.contains_key(&obj) => {
                 let r = root[&obj];
                 let ty = slot_ty[&(r, slot)];
+                // An unwritten slot gets its register too, so a function
+                // whose read of it is dead keeps its register count.
                 let sr = *slot_regs.entry((r, slot)).or_insert_with(|| {
                     f.regs.push(ty);
                     f.regs.len() as Reg - 1
