@@ -375,8 +375,8 @@ impl<'t> ShapeEval<'t> {
     /// and words it ([`BodyFacts::ctor_violation`]) in every constructor
     /// and field initializer of the chain, and what an inline run cannot
     /// hold, a `return` or a write to another object's field. Array
-    /// element stores pass, as `jrules` lets them. The rule walks each
-    /// constructor once per translation.
+    /// element stores pass, as `jrules` lets them. A class whose chain
+    /// passed is not walked again in the same translation.
     pub fn ctor_rule(&mut self, class: ClassId) -> TResult<()> {
         if self.ctor_ok.contains(&class) {
             return Ok(());

@@ -144,11 +144,12 @@ pub fn ctor_of(table: &ClassTable, class: ClassId) -> TResult<&CtorInfo> {
         .ok_or_else(|| TransError::new(format!("`{}` has no constructor", info.name)))
 }
 
-/// Run the constructor chain of `class` (a class of `table`) on `argv`,
-/// in Java's order: the `super(...)` arguments, the superclass's chain
+/// Run the constructor chain of `class` on `argv`, in Java's order: the
+/// `super(...)` arguments, the superclass's chain
 /// ([`Lower::super_ctor`]), each instance-field initializer
 /// ([`Lower::init_field`]), then the body. The constructor's parameters
-/// are the frame's locals while it runs.
+/// are the frame's locals while it runs. `table` is `lw`'s own, passed
+/// apart so that the chain's bodies stay borrowed while `lw` lowers them.
 pub fn ctor<L: Lower>(
     lw: &mut L,
     cx: &mut L::Cx,
