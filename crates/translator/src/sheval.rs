@@ -8,10 +8,10 @@
 //! constructors are branch-free, shapes of locals are fixed at their
 //! declaration, and recursion is forbidden.
 //!
-//! A constructor chain runs here as [`walk::ctor`] runs it for the
+//! A constructor chain runs here as `walk::ctor` runs it for the
 //! lowerers, through the ordinary statement and expression walk with a
 //! field frame in the environment. It keeps its own short chain because
-//! it emits nothing and so cannot drive [`walk::Lower`]. Both shaped
+//! it emits nothing and so cannot drive `walk::Lower`. Both shaped
 //! analyses hold a chain to one rule before it runs
 //! ([`ShapeEval::ctor_rule`]); the checks they share on shapes are the
 //! free functions at the end of this file.
