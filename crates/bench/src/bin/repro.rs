@@ -5,6 +5,8 @@
 //! repro <id> --quick     smoke-test-sized variant (where supported)
 //! repro all              run everything in paper order
 //! repro list             list experiment ids
+//! repro figures          print the smoke-sized JSON of every pinned figure
+//! repro figures --write  ... into `BENCH_figures.json` instead
 //! ```
 //!
 //! Output: an aligned table on stdout plus `results/<id>.json`.
@@ -19,12 +21,15 @@ fn main() {
         return;
     }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = if let Some(i) = args.iter().position(|a| a == "--quick") {
-        args.remove(i);
-        true
-    } else {
-        false
+    let mut flag = |name: &str| match args.iter().position(|a| a == name) {
+        Some(i) => {
+            args.remove(i);
+            true
+        }
+        None => false,
     };
+    let quick = flag("--quick");
+    let write = flag("--write");
     let dir = Path::new("results");
     match args.first().map(|s| s.as_str()) {
         None | Some("list") => {
@@ -32,7 +37,20 @@ fn main() {
             for (id, _) in bench::EXPERIMENTS {
                 println!("  {id}");
             }
-            println!("usage: repro <id> [--quick] | all | list");
+            println!("usage: repro <id> [--quick] | all | list | figures [--write]");
+        }
+        Some("figures") => {
+            let json = bench::figures_json();
+            if write {
+                let path = Path::new("BENCH_figures.json");
+                if let Err(e) = std::fs::write(path, &json) {
+                    eprintln!("could not write {}: {e}", path.display());
+                    std::process::exit(1);
+                }
+                println!("wrote {} ({} figures)", path.display(), bench::PINNED.len());
+            } else {
+                print!("{json}");
+            }
         }
         Some("all") => {
             for (id, _) in bench::EXPERIMENTS {

@@ -97,6 +97,64 @@ pub fn run_experiment_with(id: &str, quick: bool) -> Option<Figure> {
     Some(run(quick))
 }
 
+/// The experiments whose smoke-sized JSON is the same on every run, in
+/// [`EXPERIMENTS`] order: every one but those that report wall time
+/// (`tab3`, `tab3-amortized`, `pass-profile`, `wallclock`, `incremental`,
+/// `service`) and `dist`, which re-executes `repro` as a rank worker.
+pub const PINNED: &[&str] = &[
+    "fig3",
+    "tab1",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "tab2",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "ablate-devirt",
+    "ablate-inline",
+    "ablate-comm",
+    "ablate-gpu",
+    "ext-reduce",
+    "fault-matrix",
+    "restart-cost",
+    "chaos",
+    "backend-matrix",
+];
+
+/// One experiment's entry in `BENCH_figures.json`: its id as the key and
+/// its figure's [`Figure::to_json`] as the value, one point per line.
+pub fn pin_entry(id: &str, json: &str) -> String {
+    format!("\"{id}\": {}", json.trim_end_matches('\n'))
+}
+
+/// The text of `BENCH_figures.json`: one JSON object holding the
+/// smoke-sized figure of every [`PINNED`] experiment, keyed by id, so a
+/// diff of the file names each point that moved.
+pub fn figures_json() -> String {
+    let entries: Vec<String> = PINNED
+        .iter()
+        .map(|id| {
+            let fig = run_experiment_with(id, true).expect("every pinned id is an experiment");
+            pin_entry(id, &fig.to_json())
+        })
+        .collect();
+    pin_file(&entries)
+}
+
+/// `BENCH_figures.json`'s layout around its [`pin_entry`]s: one object.
+pub fn pin_file(entries: &[String]) -> String {
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
+}
+
 /// The evaluation series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {

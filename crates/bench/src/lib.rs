@@ -5,7 +5,8 @@
 //!   the DESIGN.md ablations, and the gates `scripts/check.sh` runs;
 //! * [`cprogs`] — the hand-inlined *C* baseline programs;
 //! * the `repro` binary — `repro fig4`, `repro all`, ... prints the series
-//!   and writes `results/<id>.json`.
+//!   and writes `results/<id>.json`; `repro figures --write` writes
+//!   `BENCH_figures.json`, the committed JSON of every [`PINNED`] figure.
 //!
 //! Wall time per operation and per layer is measured by `benchmark/`,
 //! not here.
@@ -16,5 +17,7 @@ pub mod cprogs;
 pub mod experiments;
 pub mod series;
 
-pub use experiments::{run_experiment_with, Experiment, EXPERIMENTS};
+pub use experiments::{
+    figures_json, pin_entry, pin_file, run_experiment_with, Experiment, EXPERIMENTS, PINNED,
+};
 pub use series::{Figure, Point, Series};

@@ -123,6 +123,13 @@ cargo run --release --offline -q --example incremental
 echo "== repro all --quick: every figure, table and gate =="
 cargo run --release --offline -q -p bench --bin repro -- all --quick
 
+echo "== BENCH_figures.json: the pinned figures, regenerated in release and =="
+echo "==   on real OS threads, must equal the committed file byte for byte  =="
+cargo run --release --offline -q -p bench --bin repro -- figures --write
+git diff --exit-code -- BENCH_figures.json
+WJ_EXECUTOR=threads cargo run --release --offline -q -p bench --bin repro -- figures \
+    | diff BENCH_figures.json -
+
 echo "== the ruler: benchmark/ is frozen and builds against layer-internal =="
 echo "==   names, so a source-incompatible change must fail here, not in   =="
 echo "==   the driver; then one smoke pass over all seven workloads        =="
