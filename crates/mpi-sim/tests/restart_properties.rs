@@ -404,6 +404,59 @@ fn delta_chains_match_full_snapshots_and_write_fewer_bytes() {
     );
 }
 
+/// Persisting a chain changes where its links go, not the run: a
+/// crashing world with and without `persist`, under a write cost that
+/// charges each link by its length, answers with the same bits, the same
+/// virtual time and the same eight restart counters, for full snapshots
+/// and delta chains alike.
+#[test]
+fn persisting_the_chain_changes_no_result_time_or_counter() {
+    const SIZE: u32 = 4;
+    let dir = std::env::temp_dir().join(format!("wj-persist-alike-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (program, entry) = ring_step_allreduce_mesh(10, 512);
+    let clean = results(
+        World::new(&program, SIZE)
+            .run(entry, |_, _| Ok(vec![]))
+            .unwrap(),
+    );
+    let mut restarted = 0;
+    for seed in 0..6u64 {
+        let mut cfg = FaultConfig::seeded(0x9E25_1570 ^ seed);
+        cfg.crash = 0.004;
+        let world = World::new(&program, SIZE)
+            .with_faults(cfg)
+            .with_timeout(5_000);
+        for rebase_every in [0u32, 3] {
+            let policy = CheckpointPolicy::every(1)
+                .with_rebase_every(rebase_every)
+                .with_write_cost(200, 32);
+            let path = dir.join(format!("s{seed}-r{rebase_every}.wckpt"));
+            let what = format!("seed {seed}, rebase_every {rebase_every}");
+            let run = |policy: &CheckpointPolicy| {
+                world
+                    .run_with_restart(entry, |_, _| Ok(vec![]), policy, 128)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+            };
+            let plain = run(&policy);
+            let persisted = run(&policy.clone().with_persist(&path));
+            assert!(path.exists(), "{what}: nothing persisted");
+            assert_eq!(plain.vtime, persisted.vtime, "{what}: vtime");
+            assert_eq!(plain.restart, persisted.restart, "{what}: restart counters");
+            restarted += (plain.restart.restarts > 0) as u32;
+            let (a, b) = (results(plain), results(persisted));
+            assert_eq!(a, b, "{what}: results");
+            assert_eq!(a, clean, "{what}: not the fault-free answer");
+        }
+    }
+    assert!(
+        restarted >= 6,
+        "only {restarted} of 12 runs restarted — the property is vacuous"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The chain-corruption sweep: damage each persisted link in turn
 /// (truncation and a flipped bit), and require the probe to stop at
 /// exactly that link with a typed error, and a warm restart to roll back
