@@ -1353,7 +1353,10 @@ fn blocks_on_cycles(code: &[Instr], starts: &[u32], block: &[u32]) -> Vec<bool> 
 /// field slot. The shaped modes initialize every slot at the allocation
 /// site; a Virtual-mode constructor leaves an unassigned field at the
 /// heap's zero, so a read of a slot that no `PutField` writes is that
-/// zero (or, for a reference or array slot, the unwritten register).
+/// zero (or, for a reference or array slot, the unwritten register), and
+/// a primitive slot that a read may reach before any write (a
+/// constructor that reads a field it assigns later) is zeroed where its
+/// object is allocated.
 fn sroa(f: &mut Function) {
     use std::collections::HashSet;
 
@@ -1485,10 +1488,12 @@ fn sroa(f: &mut Function) {
 
     // Rewrite.
     let mut slot_regs: HashMap<(Reg, u32), Reg> = HashMap::new();
+    let mut allocs: Vec<(usize, Reg)> = Vec::new();
     let old = std::mem::take(&mut f.code);
     for ins in old {
         match ins {
             Instr::NewObj { dst, .. } if root.get(&dst) == Some(&dst) => {
+                allocs.push((f.code.len(), dst));
                 f.code.push(Instr::Mov(dst, dst)); // keeps pc alignment; DCE removes
             }
             Instr::Mov(d, src) if root.contains_key(&src) && root.get(&d) == root.get(&src) => {
@@ -1522,6 +1527,70 @@ fn sroa(f: &mut Function) {
             other => f.code.push(other),
         }
     }
+
+    // Zero each slot register that a read may reach unwritten, before
+    // every allocation of its object: one register per check, until every
+    // read is definitely assigned (or the one left is no slot's). The
+    // checker sees each placeholder self-move, which DCE drops, as the
+    // write it stands in for rather than as a read.
+    let rewritten = std::mem::take(&mut f.code);
+    let mut zeroed: Vec<(Reg, Instr)> = Vec::new();
+    loop {
+        f.code = insert_before(&rewritten, |pc| {
+            let at = allocs.iter().find(|(a, _)| *a == pc).map(|(_, r)| *r);
+            (zeroed.iter())
+                .filter(move |(r, _)| Some(*r) == at)
+                .map(|(_, ins)| ins.clone())
+        });
+        let mut probe = f.clone();
+        for ins in &mut probe.code {
+            if let Instr::Mov(d, s) = *ins {
+                if d == s {
+                    *ins = Instr::ConstI32(d, 0);
+                }
+            }
+        }
+        let leaders = leaders(&probe.code, |_| {});
+        let Err((_, reg)) = crate::verify::definitely_assigned(&probe, &leaders) else {
+            return;
+        };
+        let slot = slot_regs.iter().find(|(_, sr)| **sr == reg);
+        let (Some((&(r, _), _)), Some(k)) = (slot, f.regs[reg as usize].prim()) else {
+            return;
+        };
+        if zeroed.iter().any(|(_, ins)| ins.dst() == Some(reg)) {
+            return;
+        }
+        zeroed.push((r, ConstVal::zero(k).instr(reg)));
+    }
+}
+
+/// `code` with `extra(pc)`, which holds no branch, inserted before each
+/// pc, and branch targets remapped so that a jump to a pc runs what was
+/// inserted before it.
+fn insert_before<I: Iterator<Item = Instr>>(
+    code: &[Instr],
+    mut extra: impl FnMut(usize) -> I,
+) -> Vec<Instr> {
+    let mut new_pc = Vec::with_capacity(code.len() + 1);
+    let mut out = Vec::with_capacity(code.len());
+    for (pc, ins) in code.iter().enumerate() {
+        new_pc.push(out.len() as u32);
+        out.extend(extra(pc));
+        out.push(ins.clone());
+    }
+    new_pc.push(out.len() as u32);
+    for ins in &mut out {
+        match ins {
+            Instr::Jmp(t) => *t = new_pc[*t as usize],
+            Instr::Br { t, f, .. } => {
+                *t = new_pc[*t as usize];
+                *f = new_pc[*f as usize];
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// How `callee` splices: whether its parameters need copies (only when
@@ -1720,6 +1789,68 @@ mod tests {
             f.code
         );
         p.verify().unwrap();
+    }
+
+    #[test]
+    fn sroa_zeroes_a_slot_read_before_its_write() {
+        // A Virtual-mode constructor that reads a field it assigns later,
+        // in a loop: `o = new C; do { a = o.0; o.0 = a + p; } while (a
+        // == 0); return a`. The first read is the heap's zero.
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let o = fb.reg(Ty::Obj);
+        let a = fb.reg(Ty::I32);
+        let b = fb.reg(Ty::I32);
+        let zero = fb.reg(Ty::I32);
+        let again = fb.reg(Ty::Bool);
+        fb.emit(Instr::NewObj { class: 0, dst: o });
+        fb.emit(Instr::GetField {
+            obj: o,
+            slot: 0,
+            dst: a,
+        });
+        fb.emit(Instr::Bin {
+            op: BinOp::Add,
+            kind: PrimKind::Int,
+            dst: b,
+            lhs: a,
+            rhs: 0,
+        });
+        fb.emit(Instr::PutField {
+            obj: o,
+            slot: 0,
+            src: b,
+        });
+        fb.emit(Instr::ConstI32(zero, 0));
+        fb.emit(Instr::Bin {
+            op: BinOp::Eq,
+            kind: PrimKind::Int,
+            dst: again,
+            lhs: a,
+            rhs: zero,
+        });
+        fb.emit(Instr::Br {
+            cond: again,
+            t: 1,
+            f: 7,
+        });
+        fb.emit(Instr::Ret(Some(a)));
+        let mut p = Program::default();
+        p.classes.push(crate::ClassMeta {
+            name: "C".into(),
+            field_count: 1,
+            vtable: Vec::new(),
+        });
+        p.add_func(fb.finish().unwrap());
+        p.verify().unwrap();
+        optimize(&mut p, OptConfig::aggressive());
+        let f = &p.funcs[0];
+        assert!(
+            !(f.code.iter()).any(|i| matches!(i, Instr::NewObj { .. } | Instr::GetField { .. })),
+            "the object is scalar-replaced: {:?}",
+            f.code
+        );
+        p.verify()
+            .unwrap_or_else(|e| panic!("{e}: {:?}", p.funcs[0].code));
     }
 
     #[test]

@@ -442,7 +442,7 @@ fn signature(
 /// it? `leaders[pc]` marks the first instruction of each basic block
 /// (`leaders[len]` is the function's end). On failure: the pc of a read
 /// that some path reaches unwritten, and its register.
-fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg)> {
+pub(crate) fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg)> {
     let n = f.code.len();
     // Walk 1: the reads a block makes before writing the register (its
     // upward-exposed reads), found with a per-register stamp of the last

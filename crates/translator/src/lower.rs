@@ -916,7 +916,15 @@ impl Lower for Lowerer<'_> {
         field: FieldSel,
     ) -> TResult<Opnd> {
         if let (TExpr::This, Some(frame)) = (b.expr(obj), &fx.ctor_fields) {
-            return frame_field(&frame[field.slot as usize], field.slot);
+            return Ok(
+                match frame_field(self.table, &frame[field.slot as usize], field)? {
+                    Ok(v) => v,
+                    Err(k) => Opnd {
+                        shape: Shape::Prim(k),
+                        regs: vec![fx.frame.fb.constant(ConstVal::zero(k))],
+                    },
+                },
+            );
         }
         let o = walk::expr(self, fx, b, obj)?;
         if fx.flatten {

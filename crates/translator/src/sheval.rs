@@ -19,7 +19,7 @@
 use std::collections::{HashMap, HashSet};
 
 use jlang::table::ClassTable;
-use jlang::tast::{MethodSel, TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
+use jlang::tast::{FieldSel, MethodSel, TArgs, TBlock, TBody, TExpr, TExprId, TStmt, TStmtId};
 use jlang::types::{ClassId, PrimKind, Type};
 use jrules::BodyFacts;
 
@@ -302,7 +302,9 @@ impl<'t> ShapeEval<'t> {
                 .clone()
                 .ok_or_else(|| TransError::new("`this` in a static translation context")),
             TExpr::GetField { obj, field } => match env.frame_slot(b, obj, field.slot) {
-                Some(entry) => frame_field(entry, field.slot),
+                Some(entry) => {
+                    Ok(frame_field(self.table, entry, field)?.unwrap_or_else(Shape::Prim))
+                }
                 None => {
                     let os = self.expr(env, b, obj)?;
                     field_shape(self.table, &os, field.slot)
@@ -526,13 +528,25 @@ pub(crate) fn unassigned_field(table: &ClassTable, class: ClassId, slot: u32) ->
     })
 }
 
-/// The shape a constructor's field frame holds for `slot`, once assigned.
-pub(crate) fn frame_field<T: Clone>(entry: &Option<T>, slot: u32) -> TResult<T> {
-    entry.clone().ok_or_else(|| {
-        TransError::new(format!(
-            "constructor reads field slot {slot} before assigning it"
-        ))
-    })
+/// What a constructor chain reads from its field frame's `field`: the
+/// value once assigned; before that, as in Java, a primitive field reads
+/// zero (`Err` with its kind), and any other field is refused.
+pub(crate) fn frame_field<T: Clone>(
+    table: &ClassTable,
+    entry: &Option<T>,
+    field: FieldSel,
+) -> TResult<Result<T, PrimKind>> {
+    match entry {
+        Some(v) => Ok(Ok(v.clone())),
+        None => unassigned_field(table, field.owner, field.slot)
+            .map(Err)
+            .map_err(|_| {
+                TransError::new(format!(
+                    "constructor reads field slot {} before assigning it",
+                    field.slot
+                ))
+            }),
+    }
 }
 
 /// The implementation a virtual call of `method` on a `recv` runs.

@@ -76,7 +76,11 @@ fn control_flow_matches_the_jvm_in_every_mode_and_opt_level() {
             TransConfig::devirt(),
             TransConfig::full(),
         ] {
-            for opt in [OptConfig::none(), OptConfig::standard()] {
+            for opt in [
+                OptConfig::none(),
+                OptConfig::standard(),
+                OptConfig::aggressive(),
+            ] {
                 let config = TransConfig { opt, ..base };
                 let what = format!("{name}, {:?}, {opt:?}", config.mode);
                 let arr = env.jvm.new_i32_array(&INPUT);

@@ -270,6 +270,19 @@ pub const PROGRAMS: &[(&str, &str, &str)] = &[
          }
          int run(int[] a) { fill(a, 2); return make(5); }",
     ),
+    (
+        "a constructor reads its own field before assigning it",
+        "final class R { int a; int b; R(int k) { a = b + k; b = 3; } }",
+        "void fill(int[] a, int k) {
+           R r = new R(k);
+           a[3] = r.a * 10 + r.b;
+         }
+         int make(int k) {
+           R r = new R(k);
+           return r.a * 10 + r.b;
+         }
+         int run(int[] a) { fill(a, a[4]); return make(4); }",
+    ),
 ];
 
 /// The source of a program: its classes, then `P`.
