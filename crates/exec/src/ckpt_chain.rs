@@ -27,7 +27,7 @@
 //! the next hop's parent field is compared with.
 
 use super::{begin_sized, finish, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
-use nir::codec::Reader;
+use nir::codec::{Reader, CONTAINER_OVERHEAD};
 use std::sync::Arc;
 
 /// One snapshot section: immutable bytes, shared between the capture that
@@ -178,65 +178,105 @@ fn diff_section<'a>(old: &[u8], new: &'a [u8]) -> Option<Change<'a>> {
 /// the section count.
 const LINK_HEADER_LEN: usize = 2 + 8 + 8 + 4;
 
-fn encode_base(sections: &[Section]) -> Vec<u8> {
-    let size = LINK_HEADER_LEN + sections.iter().map(|s| 4 + s.len()).sum::<usize>();
-    let mut w = begin_sized(TAG_CHAIN_BASE, size);
-    w.u64(0); // seq
-    w.u64(0); // parent digest
-    w.len(sections.len());
-    for s in sections {
-        w.len(s.len());
-        w.bytes(s);
-    }
-    finish(w)
+/// What one link carries, decided but not yet written: every section (a
+/// base) or the changes since the parent (a delta), which borrow the new
+/// sections' bytes.
+enum Body<'a> {
+    Base(&'a [Section]),
+    Delta {
+        sections: usize,
+        changed: Vec<(usize, Change<'a>)>,
+    },
 }
 
-fn encode_delta(parent: &[Section], sections: &[Section], seq: u64, parent_digest: u64) -> Vec<u8> {
-    let mut changed: Vec<(usize, Change)> = Vec::new();
-    for (idx, new) in sections.iter().enumerate() {
-        let old: &[u8] = match parent.get(idx) {
-            // The same allocation is the same bytes: no diff needed.
-            Some(old) if Arc::ptr_eq(old, new) => continue,
-            Some(old) => old,
-            None => &[],
-        };
-        if let Some(c) = diff_section(old, new) {
-            changed.push((idx, c));
+impl<'a> Body<'a> {
+    /// The delta from `parent` to `sections`. A section that is the
+    /// parent's own allocation is unchanged without a look at its bytes;
+    /// one past the parent's last is always carried, even when empty, so
+    /// that a delta's section count is bounded by its parent's and its
+    /// changes (see [`apply_delta`]).
+    fn delta(parent: &[Section], sections: &'a [Section]) -> Self {
+        let mut changed = Vec::new();
+        for (idx, new) in sections.iter().enumerate() {
+            let change = match parent.get(idx) {
+                Some(old) if Arc::ptr_eq(old, new) => continue,
+                Some(old) => diff_section(old, new),
+                None => Some(Change::Full(new)),
+            };
+            if let Some(c) = change {
+                changed.push((idx, c));
+            }
+        }
+        Body::Delta {
+            sections: sections.len(),
+            changed,
         }
     }
-    let size = LINK_HEADER_LEN
-        + 4
-        + changed
-            .iter()
-            .map(|(_, c)| 4 + c.encoded_len())
-            .sum::<usize>();
-    let mut w = begin_sized(TAG_CHAIN_DELTA, size);
-    w.u64(seq);
-    w.u64(parent_digest);
-    w.len(sections.len());
-    w.len(changed.len());
-    for (idx, change) in &changed {
-        // Indices and offsets are positions, not lengths — the reader's
-        // `len()` sanity bound does not apply to them.
-        w.u32(*idx as u32);
-        match change {
-            Change::Full(bytes) => {
-                w.u8(0);
-                w.len(bytes.len());
-                w.bytes(bytes);
+
+    /// Payload bytes, version and kind included.
+    fn payload_len(&self) -> usize {
+        LINK_HEADER_LEN
+            + match self {
+                Body::Base(sections) => sections.iter().map(|s| 4 + s.len()).sum::<usize>(),
+                Body::Delta { changed, .. } => {
+                    4 + changed
+                        .iter()
+                        .map(|(_, c)| 4 + c.encoded_len())
+                        .sum::<usize>()
+                }
             }
-            Change::Patch(runs) => {
-                w.u8(1);
-                w.len(runs.len());
-                for (offset, bytes) in runs {
-                    w.u64(*offset as u64);
-                    w.len(bytes.len());
-                    w.bytes(bytes);
+    }
+
+    /// The sealed link's length, without writing it.
+    fn sealed_len(&self) -> usize {
+        self.payload_len() + CONTAINER_OVERHEAD
+    }
+
+    /// Write the link into a container sized for it and seal it.
+    fn seal(&self, seq: u64, parent_digest: u64) -> Vec<u8> {
+        let tag = match self {
+            Body::Base(_) => TAG_CHAIN_BASE,
+            Body::Delta { .. } => TAG_CHAIN_DELTA,
+        };
+        let mut w = begin_sized(tag, self.payload_len());
+        w.u64(seq);
+        w.u64(parent_digest);
+        match self {
+            Body::Base(sections) => {
+                w.len(sections.len());
+                for s in sections.iter() {
+                    w.len(s.len());
+                    w.bytes(s);
+                }
+            }
+            Body::Delta { sections, changed } => {
+                w.len(*sections);
+                w.len(changed.len());
+                for (idx, change) in changed {
+                    // Indices and offsets are positions, not lengths — the
+                    // reader's `len()` sanity bound does not apply to them.
+                    w.u32(*idx as u32);
+                    match change {
+                        Change::Full(bytes) => {
+                            w.u8(0);
+                            w.len(bytes.len());
+                            w.bytes(bytes);
+                        }
+                        Change::Patch(runs) => {
+                            w.u8(1);
+                            w.len(runs.len());
+                            for (offset, bytes) in runs {
+                                w.u64(*offset as u64);
+                                w.len(bytes.len());
+                                w.bytes(bytes);
+                            }
+                        }
+                    }
                 }
             }
         }
+        finish(w)
     }
-    finish(w)
 }
 
 fn read_sections_of_base(r: &mut Reader) -> Result<Vec<Section>, CkptError> {
@@ -254,10 +294,22 @@ fn read_sections_of_base(r: &mut Reader) -> Result<Vec<Section>, CkptError> {
 /// patched one is copied once, so the parent is intact when the delta
 /// turns out bad halfway.
 fn apply_delta(r: &mut Reader, parent: &[Section]) -> Result<Vec<Section>, CkptError> {
-    let n_total = r.len()?;
+    // The section count is not a length of bytes in this payload (most
+    // sections stay the parent's), so the reader's `len()` bound does not
+    // apply to it; every section past the parent's is a change, which
+    // bounds it instead.
+    let n_total = r.u32()? as usize;
+    let n_changed = r.len()?;
+    if n_total > parent.len() + n_changed {
+        return Err(r
+            .corrupt(format!(
+                "delta has {n_total} sections, its parent {} and {n_changed} changes",
+                parent.len()
+            ))
+            .into());
+    }
     let mut sections: Vec<Section> = parent.iter().take(n_total).cloned().collect();
     sections.resize(n_total, Arc::from([]));
-    let n_changed = r.len()?;
     for _ in 0..n_changed {
         let idx = r.u32()? as usize;
         if idx >= n_total {
@@ -309,18 +361,50 @@ pub struct ResolveOutcome {
     pub error: Option<CkptError>,
 }
 
+/// One link of a chain as the snapshot it stands for: its sections and
+/// its seal digest, which a child link names as its parent (0 for a link
+/// [`ChainState::advance`] never sealed).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Resolved {
+    pub sections: Vec<Section>,
+    pub digest: u64,
+}
+
 /// Walk `links` (base first), verifying every link's digest (one pass
 /// over its bytes) and its version, kind, sequence, and parent digest at
 /// every hop, applying deltas as it goes. Never fails outright: a damaged
 /// link simply ends the valid prefix, which is the deepest valid ancestor
 /// rollback degrades to.
 pub fn resolve_prefix(links: &[Vec<u8>]) -> ResolveOutcome {
-    let mut sections: Vec<Section> = Vec::new();
-    let mut prev_digest = 0u64;
+    let mut valid_links = 0;
+    let (sections, error) = walk(links, |_| valid_links += 1);
+    ResolveOutcome {
+        valid_links,
+        sections,
+        error,
+    }
+}
+
+/// [`resolve_prefix`], keeping the snapshot of every valid link, base
+/// first: a warm start's in-process chain, resolved once.
+pub fn resolve_all(links: &[Vec<u8>]) -> (Vec<Resolved>, Option<CkptError>) {
+    let mut resolved = Vec::with_capacity(links.len());
+    let (_, error) = walk(links, |link| resolved.push(link.clone()));
+    (resolved, error)
+}
+
+/// The walk behind [`resolve_prefix`] and [`resolve_all`]: `each` sees
+/// every link that validated and applied, in order. Returns the last such
+/// link's sections and the error that ended the walk early.
+fn walk(links: &[Vec<u8>], mut each: impl FnMut(&Resolved)) -> (Vec<Section>, Option<CkptError>) {
+    let mut head = Resolved {
+        sections: Vec::new(),
+        digest: 0,
+    };
     for (i, bytes) in links.iter().enumerate() {
-        let step = || -> Result<(Vec<Section>, u64), CkptError> {
-            let (info, seal_digest, mut r) = open_link(bytes)?;
-            let next = if i == 0 {
+        let step = || -> Result<Resolved, CkptError> {
+            let (info, digest, mut r) = open_link(bytes)?;
+            let sections = if i == 0 {
                 if !info.is_base {
                     return Err(CkptError::ChainBroken {
                         seq: info.seq,
@@ -341,47 +425,60 @@ pub fn resolve_prefix(links: &[Vec<u8>]) -> ResolveOutcome {
                         message: format!("link claims seq {}, expected {i}", info.seq),
                     });
                 }
-                if info.parent_digest != prev_digest {
+                if info.parent_digest != head.digest {
                     return Err(CkptError::ChainBroken {
                         seq: info.seq,
                         message: format!(
                             "parent digest {:#018x} does not match {:#018x}",
-                            info.parent_digest, prev_digest
+                            info.parent_digest, head.digest
                         ),
                     });
                 }
-                apply_delta(&mut r, &sections)?
+                apply_delta(&mut r, &head.sections)?
             };
-            Ok((next, seal_digest))
+            Ok(Resolved { sections, digest })
         };
         match step() {
-            Ok((next, seal_digest)) => {
-                sections = next;
-                prev_digest = seal_digest;
+            Ok(next) => {
+                head = next;
+                each(&head);
             }
-            Err(e) => {
-                return ResolveOutcome {
-                    valid_links: i,
-                    sections,
-                    error: Some(e),
-                }
-            }
+            Err(e) => return (head.sections, Some(e)),
         }
     }
-    ResolveOutcome {
-        valid_links: links.len(),
-        sections,
-        error: None,
-    }
+    (head.sections, None)
 }
 
 /// Incremental chain encoder: holds the sections of the chain head so
-/// the next [`ChainState::push`] can diff against them.
+/// the next [`ChainState::push`] or [`ChainState::advance`] can diff
+/// against them.
 #[derive(Debug, Default, Clone)]
 pub struct ChainState {
     sections: Vec<Section>,
     head_digest: u64,
     next_seq: u64,
+}
+
+/// One link a chain advanced by without writing it
+/// ([`ChainState::advance`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    pub seq: u64,
+    pub is_base: bool,
+    /// The sealed link's length: what [`ChainState::push`] would have
+    /// returned as `bytes.len()`.
+    pub len: usize,
+}
+
+impl Link {
+    /// What this link advanced its chain by.
+    pub fn step(&self) -> Step {
+        Step {
+            seq: self.seq,
+            is_base: self.is_base,
+            len: self.bytes.len(),
+        }
+    }
 }
 
 impl ChainState {
@@ -390,40 +487,67 @@ impl ChainState {
         ChainState::default()
     }
 
-    /// Rebuild the encoder at the head of an already-resolved chain
-    /// (warm start, or rollback to a shorter valid prefix). `head_bytes`
-    /// is the sealed last link of the prefix, as [`resolve_prefix`]
-    /// verified it.
-    pub fn resume(sections: Vec<Section>, head_bytes: &[u8], links_in_chain: u64) -> Self {
+    /// Rebuild the encoder at `head`, the last of the `links_in_chain`
+    /// links of a chain (warm start, or rollback to a shorter prefix).
+    pub fn resume(head: Resolved, links_in_chain: u64) -> Self {
         ChainState {
-            sections,
-            head_digest: seal_digest_of(head_bytes),
+            sections: head.sections,
+            head_digest: head.digest,
             next_seq: links_in_chain,
         }
     }
 
-    /// Encode the next link. `force_base` starts a fresh epoch (rebase);
-    /// the first push of a chain is always a base regardless. A section
-    /// that is the head's own allocation is unchanged without a look at
-    /// its bytes.
-    pub fn push(&mut self, sections: Vec<Section>, force_base: bool) -> Link {
-        let is_base = force_base || self.next_seq == 0;
-        let (bytes, seq) = if is_base {
-            (encode_base(&sections), 0)
+    /// The next link's sequence number and what it carries. `force_base`
+    /// starts a fresh epoch (rebase); the first link of a chain is always
+    /// a base regardless.
+    fn next<'a>(&self, sections: &'a [Section], force_base: bool) -> (u64, Body<'a>) {
+        if force_base || self.next_seq == 0 {
+            (0, Body::Base(sections))
         } else {
-            let seq = self.next_seq;
-            (
-                encode_delta(&self.sections, &sections, seq, self.head_digest),
-                seq,
-            )
-        };
+            (self.next_seq, Body::delta(&self.sections, sections))
+        }
+    }
+
+    /// Encode and seal the next link (see [`ChainState::advance`] for
+    /// which kind it is).
+    pub fn push(&mut self, sections: Vec<Section>, force_base: bool) -> Link {
+        let (seq, body) = self.next(&sections, force_base);
+        let bytes = body.seal(seq, self.head_digest);
         self.head_digest = seal_digest_of(&bytes);
         self.next_seq = seq + 1;
         self.sections = sections;
         Link {
             bytes,
             seq,
-            is_base,
+            is_base: seq == 0,
+        }
+    }
+
+    /// Move the head to `sections` by one link that is diffed and sized
+    /// but never written or digested: for a chain whose bytes nobody
+    /// reads. `force_base` starts a fresh epoch (rebase); the first link
+    /// of a chain is always a base regardless. The link has no seal
+    /// digest, so a chain is advanced this way or sealed link by link
+    /// with [`ChainState::push`], not both.
+    pub fn advance(&mut self, sections: Vec<Section>, force_base: bool) -> Step {
+        let (seq, body) = self.next(&sections, force_base);
+        let len = body.sealed_len();
+        self.head_digest = 0;
+        self.next_seq = seq + 1;
+        self.sections = sections;
+        Step {
+            seq,
+            is_base: seq == 0,
+            len,
+        }
+    }
+
+    /// The chain head as a snapshot: its sections (what the next delta
+    /// diffs against) and its seal digest.
+    pub fn head(&self) -> Resolved {
+        Resolved {
+            sections: self.sections.clone(),
+            digest: self.head_digest,
         }
     }
 
@@ -436,7 +560,7 @@ impl ChainState {
 
 /// A standalone full snapshot is just a single-link chain.
 pub fn base_link(sections: &[Section]) -> Vec<u8> {
-    encode_base(sections)
+    Body::Base(sections).seal(0, 0)
 }
 
 #[cfg(test)]
@@ -594,6 +718,26 @@ mod tests {
         assert_eq!(out.sections, s);
     }
 
+    /// A delta's section count is no length of its own bytes: a world of
+    /// many sections of which none changed still resolves, and so does
+    /// one that appends an empty section.
+    #[test]
+    fn many_unchanged_sections_and_an_appended_empty_one_resolve() {
+        let many: Vec<Section> = (0..64u8).map(|i| Section::from(&[i; 3][..])).collect();
+        let copy: Vec<Section> = many.iter().map(|s| Section::from(&s[..])).collect();
+        let mut grown = copy.clone();
+        grown.push(Section::from(&[][..]));
+        let mut enc = ChainState::new();
+        let links: Vec<Vec<u8>> = [many, copy, grown.clone()]
+            .into_iter()
+            .map(|s| enc.push(s, false).bytes)
+            .collect();
+        let out = resolve_prefix(&links);
+        assert!(out.error.is_none(), "{:?}", out.error);
+        assert_eq!(out.valid_links, 3);
+        assert_eq!(out.sections, grown);
+    }
+
     #[test]
     fn length_changes_and_section_count_changes_resolve() {
         let mut enc = ChainState::new();
@@ -720,14 +864,50 @@ mod tests {
         let l0 = enc.push(s0, false);
         let l1 = enc.push(s1.clone(), false);
         // A fresh process resolves the persisted chain, then resumes it.
-        let out = resolve_prefix(&[l0.bytes.clone(), l1.bytes.clone()]);
-        let mut resumed = ChainState::resume(out.sections, &l1.bytes, 2);
+        let (resolved, error) = resolve_all(&[l0.bytes.clone(), l1.bytes.clone()]);
+        assert!(error.is_none(), "{error:?}");
+        let mut resumed = ChainState::resume(resolved[1].clone(), 2);
         let s2 = snap(&[b"ALPHA", b"BETA"]);
         let l2 = resumed.push(s2.clone(), false);
         assert_eq!(l2.seq, 2);
         let out = resolve_prefix(&[l0.bytes, l1.bytes, l2.bytes]);
         assert_eq!(out.valid_links, 3);
         assert_eq!(out.sections, s2);
+    }
+
+    /// `resolve_all` holds, per valid link, what `resolve_prefix` of the
+    /// prefix ending there resolves to, and the digest that seals it.
+    #[test]
+    fn resolve_all_keeps_every_prefix() {
+        let mut enc = ChainState::new();
+        let mut links: Vec<Vec<u8>> = [
+            snap(&[b"h0", b"aaaaaaaaaaaaaaaaaaaa"]),
+            snap(&[b"h1", b"aaaaaaaaaXaaaaaaaaaa"]),
+            snap(&[b"h2", b"aaaaaaaaaXaaaaaaaaaa", b"more"]),
+            snap(&[b"h3"]),
+        ]
+        .into_iter()
+        .map(|s| enc.push(s, false).bytes)
+        .collect();
+        let (resolved, error) = resolve_all(&links);
+        assert!(error.is_none(), "{error:?}");
+        assert_eq!(resolved.len(), links.len());
+        for (k, link) in resolved.iter().enumerate() {
+            assert_eq!(
+                link.sections,
+                resolve_prefix(&links[..=k]).sections,
+                "link {k}"
+            );
+            assert_eq!(link.digest, seal_digest_of(&links[k]), "link {k}");
+        }
+        assert_eq!(enc.head(), resolved[3]);
+        // A damaged link ends the list where `resolve_prefix` stops.
+        let last = links[2].len() - 1;
+        links[2][last] ^= 1;
+        let (resolved, error) = resolve_all(&links);
+        assert_eq!(resolved.len(), resolve_prefix(&links).valid_links);
+        assert_eq!(resolved.len(), 2);
+        assert!(error.is_some());
     }
 
     #[test]

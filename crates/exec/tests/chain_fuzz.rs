@@ -11,7 +11,7 @@
 //! Inputs come from a seeded xorshift generator (as in
 //! `crates/dist/tests/wire_fuzz.rs`), so a failure is a reproducer.
 
-use exec::ckpt::chain::{resolve_prefix, ChainState, ResolveOutcome, Section};
+use exec::ckpt::chain::{resolve_prefix, ChainState, ResolveOutcome, Section, Step};
 use exec::ckpt::CkptError;
 use nir::codec::{seal_ckpt, unseal_ckpt};
 
@@ -33,10 +33,11 @@ impl Rng {
     }
 }
 
-/// A base and three deltas that between them use every change kind: byte
-/// patches (one run, several runs), a full replacement from a length
-/// change, an appended section, a dropped section and an untouched one.
-fn chain() -> Vec<Vec<u8>> {
+/// The snapshots of [`chain`]: a base and three deltas that between them
+/// use every change kind: byte patches (one run, several runs), a full
+/// replacement from a length change, an appended section, a dropped
+/// section and an untouched one.
+fn snapshots() -> Vec<Vec<Section>> {
     let mesh: Vec<u8> = (0..160u32).map(|i| (i * 7) as u8).collect();
     let mut mesh1 = mesh.clone();
     mesh1[40] ^= 0xFF;
@@ -55,13 +56,18 @@ fn chain() -> Vec<Vec<u8>> {
         ],
         vec![b"hdr-3-grew".to_vec(), mesh2, b"q".to_vec()],
     ];
-    let mut enc = ChainState::new();
     snaps
         .into_iter()
-        .map(|s| {
-            enc.push(s.into_iter().map(Section::from).collect(), false)
-                .bytes
-        })
+        .map(|s| s.into_iter().map(Section::from).collect())
+        .collect()
+}
+
+/// [`snapshots`] as sealed links.
+fn chain() -> Vec<Vec<u8>> {
+    let mut enc = ChainState::new();
+    snapshots()
+        .into_iter()
+        .map(|s| enc.push(s, false).bytes)
         .collect()
 }
 
@@ -199,4 +205,102 @@ fn resealed_payload_mutations_resolve_or_stop_typed_never_panic() {
             }
         }
     }
+}
+
+/// `snaps` through a sealing and an unsealed encoder side by side, each
+/// snapshot a base where `base(k)` says: the unsealed steps take exactly
+/// the sealed links' lengths, and the unsealed head is what the sealed
+/// epoch resolves to.
+fn advance_matches_push(snaps: &[Vec<Section>], base: impl Fn(usize) -> bool, what: &str) {
+    let (mut sealed, mut unsealed) = (ChainState::new(), ChainState::new());
+    let mut epoch: Vec<Vec<u8>> = Vec::new();
+    for (k, s) in snaps.iter().enumerate() {
+        let link = sealed.push(s.clone(), base(k));
+        let step = unsealed.advance(s.clone(), base(k));
+        assert_eq!(step, link.step(), "{what}: snapshot {k}");
+        assert_eq!(step.len, link.bytes.len(), "{what}: snapshot {k}");
+        if link.is_base {
+            epoch.clear();
+        }
+        epoch.push(link.bytes);
+        let out = resolve_prefix(&epoch);
+        assert!(out.error.is_none(), "{what}: snapshot {k}: {:?}", out.error);
+        assert_eq!(
+            unsealed.head().sections,
+            out.sections,
+            "{what}: snapshot {k}"
+        );
+    }
+}
+
+/// Up to `max` random bytes as a fresh section.
+fn random_section(rng: &mut Rng, max: usize) -> Section {
+    let len = rng.below(max);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// A seeded run of snapshots: at each step a section keeps its very
+/// allocation, has a few bytes flipped, is rewritten at a new length, or
+/// comes back as the same bytes in a fresh allocation; and sections
+/// appear and vanish at the end.
+fn random_snapshots(rng: &mut Rng, n: usize) -> Vec<Vec<Section>> {
+    let mut cur: Vec<Section> = (0..4).map(|_| random_section(rng, 300)).collect();
+    (0..n)
+        .map(|_| {
+            for sec in cur.iter_mut() {
+                match rng.below(5) {
+                    0 | 1 => {}
+                    2 => {
+                        let mut bytes = sec.to_vec();
+                        for _ in 0..1 + rng.below(4) {
+                            if !bytes.is_empty() {
+                                let at = rng.below(bytes.len());
+                                bytes[at] ^= 1 + rng.below(255) as u8;
+                            }
+                        }
+                        *sec = bytes.into();
+                    }
+                    3 => *sec = random_section(rng, 400),
+                    _ => *sec = Section::from(sec.as_ref()),
+                }
+            }
+            match rng.below(10) {
+                0 if cur.len() > 1 => drop(cur.pop()),
+                1 => cur.push(random_section(rng, 200)),
+                _ => {}
+            }
+            cur.clone()
+        })
+        .collect()
+}
+
+#[test]
+fn unsealed_advance_takes_the_sealed_lengths_and_resolves_alike() {
+    let snaps = snapshots();
+    advance_matches_push(&snaps, |_| false, "the fuzz chain");
+    // Full snapshots (`rebase_every` 0): every link a base.
+    advance_matches_push(&snaps, |_| true, "the fuzz chain as bases");
+    let mut rng = Rng(0x5EA1_ED0F);
+    for round in 0..8 {
+        let snaps = random_snapshots(&mut rng, 60);
+        let every = [0, 1, 3, 7, 64][round % 5];
+        let rebase = |k: usize| every == 0 || (k > 0 && k.is_multiple_of(every));
+        advance_matches_push(
+            &snaps,
+            rebase,
+            &format!("round {round}, rebase every {every}"),
+        );
+    }
+    // The unsealed chain carries no digest; a sealed one carries its
+    // last link's.
+    let mut sealed = ChainState::new();
+    let mut unsealed = ChainState::new();
+    let link = sealed.push(snaps[0].clone(), false);
+    let step: Step = unsealed.advance(snaps[0].clone(), false);
+    assert_eq!(step.len, link.bytes.len());
+    assert_eq!(unsealed.head().digest, 0);
+    assert_eq!(
+        sealed.head().digest,
+        u64::from_le_bytes(*link.bytes.last_chunk::<8>().unwrap())
+    );
 }

@@ -971,24 +971,19 @@ fn world_from_sections(
     Ok(ctls)
 }
 
-/// The platform scope salt of a resolved persisted chain, or `None` when
-/// the chain is empty/unresolvable (those degrade to a cold start
-/// instead of failing the scope check).
-fn chain_salt(links: &[Vec<u8>]) -> Option<u64> {
-    if links.is_empty() {
-        return None;
-    }
-    let out = chain::resolve_prefix(links);
-    if out.valid_links == 0 {
-        return None;
-    }
-    let header = out.sections.first()?;
-    Reader::new(header).u64().ok()
+/// The platform scope salt a snapshot's header carries, or `None` when
+/// it has none to read (such a chain degrades to a cold start instead of
+/// failing the scope check).
+fn snapshot_salt(sections: &[Section]) -> Option<u64> {
+    Reader::new(sections.first()?).u64().ok()
 }
 
 /// Live checkpointing state threaded through the scheduler by
-/// [`run_world_with_restart`]: the current chain epoch (sealed links,
-/// base first) plus the incremental encoder positioned at its head.
+/// [`run_world_with_restart`]: the current chain epoch as a stack of
+/// snapshots, base first, plus the incremental encoder positioned at its
+/// top. Only a persisted chain's links are sealed and written; in
+/// process, each entry is the snapshot a rollback restores, sharing every
+/// section that did not change with the entry below it.
 struct CkptState {
     every: u64,
     rebase_every: u64,
@@ -997,7 +992,7 @@ struct CkptState {
     persist: Option<PathBuf>,
     since_last: u64,
     chain: chain::ChainState,
-    links: Vec<Vec<u8>>,
+    stack: Vec<chain::Resolved>,
     deltas_since_base: u64,
     latest_vtime: Option<u64>,
     taken: u64,
@@ -1017,7 +1012,7 @@ impl CkptState {
             persist: policy.persist.clone(),
             since_last: 0,
             chain: chain::ChainState::new(),
-            links: Vec::new(),
+            stack: Vec::new(),
             deltas_since_base: 0,
             latest_vtime: None,
             taken: 0,
@@ -1026,6 +1021,33 @@ impl CkptState {
             bytes_written: 0,
             links_dropped: 0,
         }
+    }
+
+    /// Seed the stack from the chain persisted at the policy's path, if
+    /// any, resolving it once: every link is verified, a damaged or
+    /// orphaned tail is dropped (counted), and a bad base leaves the
+    /// stack empty — a cold start, never an error. A *valid* chain from
+    /// a different platform namespace is the one hard stop.
+    fn warm_start(&mut self, cfg: &World<'_>) -> Result<(), SimError> {
+        let Some(path) = &self.persist else {
+            return Ok(());
+        };
+        let links = crate::load_chain_files(path);
+        let (resolved, _) = chain::resolve_all(&links);
+        if let Some(found) = resolved
+            .last()
+            .and_then(|head| snapshot_salt(&head.sections))
+        {
+            if found != cfg.ckpt_salt {
+                return Err(SimError::CheckpointScope {
+                    expected: cfg.ckpt_salt,
+                    found,
+                });
+            }
+        }
+        self.links_dropped += (links.len() - resolved.len()) as u64;
+        self.stack = resolved;
+        Ok(())
     }
 
     /// Called by the scheduler immediately after a collective completes —
@@ -1053,34 +1075,42 @@ impl CkptState {
         }
         let sections = world_sections(cfg, pool, ctls, transport)?;
         let force_base = self.rebase_every == 0
-            || self.links.is_empty()
+            || self.stack.is_empty()
             || self.deltas_since_base >= self.rebase_every;
-        let link = self.chain.push(sections, force_base);
-        self.bytes_written += link.bytes.len() as u64;
+        let link = match &self.persist {
+            // Nothing reads an in-process link's bytes: the stack holds
+            // its snapshot, so it is only sized.
+            None => self.chain.advance(sections, force_base),
+            Some(path) => {
+                let link = self.chain.push(sections, force_base);
+                if link.is_base {
+                    // Old-epoch deltas go first so a crash mid-rebase
+                    // leaves either the old base alone (a valid, older
+                    // ancestor) or the new base alone — never a base with
+                    // foreign deltas (parent digests would reject those
+                    // anyway).
+                    crate::remove_persisted_deltas(path);
+                    // Best-effort: a failed write costs only the warm
+                    // restart.
+                    let _ = crate::write_atomic(path, &link.bytes);
+                } else {
+                    let _ = crate::write_atomic(&crate::delta_path(path, link.seq), &link.bytes);
+                }
+                link.step()
+            }
+        };
+        self.bytes_written += link.len as u64;
         if link.is_base {
-            if !self.links.is_empty() && self.rebase_every > 0 {
+            if !self.stack.is_empty() && self.rebase_every > 0 {
                 self.rebases += 1;
             }
-            if let Some(path) = &self.persist {
-                // Old-epoch deltas go first so a crash mid-rebase leaves
-                // either the old base alone (a valid, older ancestor) or
-                // the new base alone — never a base with foreign deltas
-                // (parent digests would reject those anyway).
-                crate::remove_persisted_deltas(path);
-                // Best-effort: a failed write costs only the warm restart.
-                let _ = crate::write_atomic(path, &link.bytes);
-            }
-            self.links.clear();
+            self.stack.clear();
             self.deltas_since_base = 0;
         } else {
             self.deltas += 1;
             self.deltas_since_base += 1;
-            if let Some(path) = &self.persist {
-                let _ = crate::write_atomic(&crate::delta_path(path, link.seq), &link.bytes);
-            }
         }
-        let link_len = link.bytes.len() as u64;
-        self.links.push(link.bytes);
+        self.stack.push(self.chain.head());
         self.latest_vtime = Some(ctls.iter().map(|c| c.vclock).max().unwrap_or(0));
         self.taken += 1;
         // Charge the write cost after capture: the snapshot itself is
@@ -1088,7 +1118,7 @@ impl CkptState {
         // exactly the term delta chains shrink.
         // bytes_per_cycle == 0 means "size is free" (the default).
         let cost = self.write_alpha
-            + link_len
+            + (link.len as u64)
                 .checked_div(self.write_bytes_per_cycle)
                 .unwrap_or(0);
         if cost > 0 {
@@ -1100,46 +1130,37 @@ impl CkptState {
         Ok(())
     }
 
-    /// Resolve the current chain into runnable world state, degrading to
-    /// the deepest valid ancestor: any damaged or undecodable tail link
-    /// is dropped (counted) and the next-older snapshot is tried. `None`
-    /// means the base itself is gone — a cold restart.
+    /// Restore the snapshot on top of the stack, degrading to the deepest
+    /// one this world can decode: an entry that fails is dropped
+    /// (counted) and the one below it is tried. `None` means the stack
+    /// ran out — a cold restart.
     fn restore_latest(
         &mut self,
         cfg: &World<'_>,
         pool: &mut dyn RankPool,
         transport: &mut InMemTransport,
     ) -> Option<Vec<RankCtl>> {
-        loop {
-            if self.links.is_empty() {
-                self.latest_vtime = None;
-                self.deltas_since_base = 0;
-                return None;
-            }
-            let out = chain::resolve_prefix(&self.links);
-            if out.valid_links == self.links.len() {
-                match world_from_sections(cfg, pool, transport, &out.sections) {
-                    Ok(ctls) => {
-                        let head = self.links.last().expect("non-empty chain");
-                        self.chain =
-                            chain::ChainState::resume(out.sections, head, self.links.len() as u64);
-                        self.deltas_since_base = (self.links.len() - 1) as u64;
-                        self.latest_vtime = Some(ctls.iter().map(|c| c.vclock).max().unwrap_or(0));
-                        return Some(ctls);
-                    }
-                    Err(_) => {
-                        // Chain-valid but not decodable by this world
-                        // (program/topology skew, or a pool that lost a
-                        // worker mid-restore): try one link deeper.
-                        self.links.pop();
-                        self.links_dropped += 1;
-                    }
+        while let Some(top) = self.stack.last() {
+            match world_from_sections(cfg, pool, transport, &top.sections) {
+                Ok(ctls) => {
+                    let depth = self.stack.len() as u64;
+                    self.chain = chain::ChainState::resume(top.clone(), depth);
+                    self.deltas_since_base = depth - 1;
+                    self.latest_vtime = Some(ctls.iter().map(|c| c.vclock).max().unwrap_or(0));
+                    return Some(ctls);
                 }
-            } else {
-                self.links_dropped += (self.links.len() - out.valid_links) as u64;
-                self.links.truncate(out.valid_links);
+                Err(_) => {
+                    // Not decodable by this world (program/topology skew,
+                    // or a pool that lost a worker mid-restore): try one
+                    // snapshot deeper.
+                    self.stack.pop();
+                    self.links_dropped += 1;
+                }
             }
         }
+        self.latest_vtime = None;
+        self.deltas_since_base = 0;
+        None
     }
 }
 
@@ -1479,21 +1500,8 @@ pub(crate) fn run_world_with_restart(
     let mut transport = InMemTransport::default();
     let mut ck = CkptState::new(policy);
     // Warm start: a killed process may have left a persisted chain
-    // behind. Unreadable, corrupt, or mismatched links simply shorten
-    // the chain (deepest valid ancestor); a bad base means a cold
-    // start — never an error, never a panic. A *valid* chain from a
-    // different platform namespace is the one hard stop.
-    if let Some(path) = ck.persist.clone() {
-        ck.links = crate::load_chain_files(&path);
-        if let Some(found) = chain_salt(&ck.links) {
-            if found != cfg.ckpt_salt {
-                return Err(SimError::CheckpointScope {
-                    expected: cfg.ckpt_salt,
-                    found,
-                });
-            }
-        }
-    }
+    // behind.
+    ck.warm_start(cfg)?;
     let mut stats = RestartStats::default();
     let mut carried = ResilienceStats::default();
     loop {

@@ -135,6 +135,9 @@ type SealDigest = fn(&[u8], u64) -> u64;
 /// Bytes before the payload: magic, version, payload length.
 const HEADER_LEN: usize = MAGIC.len() + 1 + 8;
 
+/// Bytes a container adds to its payload: the header and the digest.
+pub const CONTAINER_OVERHEAD: usize = HEADER_LEN + 8;
+
 /// Wrap an artifact payload in the artifact container ([`VERSION`]).
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     Sealer::with_payload(payload).seal()

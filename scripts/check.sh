@@ -39,6 +39,20 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one resolve per warm start: mpi-sim resolves a chain's bytes only  =="
+echo "==   in CkptState::warm_start, probe_chain and the test-only          =="
+echo "==   restore_world; a rollback restores the cached snapshot           =="
+stray="$(awk '
+    match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /resolve_(prefix|all)\(/ && f != "warm_start" && f != "probe_chain" && f != "restore_world" {
+        print FILENAME ":" FNR ": " $0
+    }' crates/mpi-sim/src/*.rs)"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above resolve a checkpoint chain outside the warm start"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
