@@ -15,16 +15,26 @@
 //! section by pointer before any content diff, and resolving a delta
 //! shares its parent's unchanged sections instead of copying them.
 //!
-//! Every link is a sealed, checksummed `nir::codec` checkpoint container
+//! A link is encoded in two steps: the diff against the head decides
+//! what it carries and so its exact sealed length, and only then is it
+//! written. [`ChainState::push`] takes both steps and seals the link;
+//! [`ChainState::advance`] takes only the first, for a chain whose bytes
+//! nobody reads: `mpi-sim` keeps its in-process chain as the snapshots
+//! themselves and seals links only when it persists them, yet charges
+//! and counts every link by the length it would have.
+//!
+//! Every sealed link is a checksummed `nir::codec` checkpoint container
 //! and carries its *parent's seal digest* — the 64-bit digest over the
 //! parent's whole payload that closes the parent's container — plus a
 //! sequence number, so the chain is self-validating end to end: a
 //! truncated, bit-flipped, or swapped-in link surfaces as a typed
 //! [`CkptError`] at exactly the first bad hop, and [`resolve_prefix`]
-//! hands back the deepest valid ancestor instead of giving up. Only a
-//! damaged base forces a cold restart. Each hop verifies its link's bytes
-//! exactly once; the digest that verification has just checked is what
-//! the next hop's parent field is compared with.
+//! hands back the deepest valid ancestor instead of giving up
+//! ([`resolve_all`] hands back every valid link's snapshot, which is what
+//! a warm start resumes from). Only a damaged base forces a cold restart.
+//! Each hop verifies its link's bytes exactly once; the digest that
+//! verification has just checked is what the next hop's parent field is
+//! compared with.
 
 use super::{begin_sized, finish, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
 use nir::codec::{Reader, CONTAINER_OVERHEAD};
@@ -549,12 +559,6 @@ impl ChainState {
             sections: self.sections.clone(),
             digest: self.head_digest,
         }
-    }
-
-    /// Sections at the current chain head (what the next delta diffs
-    /// against).
-    pub fn head_sections(&self) -> &[Section] {
-        &self.sections
     }
 }
 
