@@ -103,3 +103,43 @@ fn a_callee_that_shrinks_under_the_limit_is_spliced_after_the_edit() {
     assert_eq!(calls(&t), 0, "apply is spliced now");
     assert_eq!(t.encode(), from_scratch(SRC));
 }
+
+/// `split` returns a two-leaf `Pair`, so Full mode splices it into `run`
+/// and counts what its body does (a devirtualized call of `apply`, a
+/// constructor run) as `run`'s own. A replayed `run` adds the counts its
+/// memo recorded, so the artifact, statistics included, must equal a
+/// fresh build's whichever functions replay.
+#[test]
+fn a_spliced_composite_return_replays_with_its_callers_counts() {
+    let src = SRC.replace(
+        "float twice(float x)",
+        "Pair split(float x) { return new Pair(apply(x), x - 1f); }
+         float twice(float x)",
+    )
+    .replace("return s.apply(x) + 1.0f;", "Pair p = s.split(x); return p.a + p.b;")
+        + "@WootinJ final class Pair { float a; float b; Pair(float a0, float b0) { a = a0; b = b0; } }";
+    let mut db = Database::new();
+    db.set_source("app.jl", &src).unwrap();
+    let cold = jit(&db);
+    assert_eq!(cold.stats.inlined_calls, 1, "split is spliced into run");
+    assert_eq!(cold.encode(), from_scratch(&src));
+
+    // An edit to a body neither function read replays both, the counts
+    // of the splice included.
+    let unrelated = src.replace("x * 2f", "x * 3f");
+    db.edit("app.jl", &unrelated).unwrap();
+    let before = db.stats();
+    let warm = jit(&db).encode();
+    let d = db.stats().since(&before);
+    assert_eq!((d.lower_executed, d.lower_reused), (0, 2), "{d:?}");
+    assert_eq!(warm, from_scratch(&unrelated));
+
+    // `run` read the spliced body: an edit there re-lowers `run` alone.
+    let edited = unrelated.replace("x - 1f", "x - 2f");
+    db.edit("app.jl", &edited).unwrap();
+    let before = db.stats();
+    let warm = jit(&db).encode();
+    let d = db.stats().since(&before);
+    assert_eq!((d.lower_executed, d.lower_reused), (1, 1), "{d:?}");
+    assert_eq!(warm, from_scratch(&edited));
+}

@@ -3,7 +3,9 @@
 //! whose right operand has an effect, unary operators, every numeric cast,
 //! the array operations and constructor chains (`super(...)` arguments,
 //! field initializers, overwritten and unassigned fields, a `new` in a
-//! `super(...)` argument). Each program runs interpreted once and
+//! `super(...)` argument) and methods that return composite objects (a
+//! getter, a nested object, two `return`s, a `return` in a loop, an
+//! interface call). Each program runs interpreted once and
 //! translated in Virtual, Devirt and Full mode at `none` and `standard`;
 //! the translated result and the contents of the array argument must
 //! equal the interpreter's bit for bit.

@@ -283,6 +283,122 @@ pub const PROGRAMS: &[(&str, &str, &str)] = &[
          }
          int run(int[] a) { fill(a, a[4]); return make(4); }",
     ),
+    // Composite returns. Full mode splices a callee whose flattened
+    // return has more than one leaf into each call site; Devirt returns
+    // it as a heap object. Each is reached from a void method (`fill`)
+    // and a valued one (`make`).
+    (
+        "a getter returns a two-field object",
+        "final class Pt { int x; int y; Pt(int x0, int y0) { x = x0; y = y0 * 2; } }
+         final class Src { Pt p; Src(int k) { p = new Pt(k, k + 1); } Pt get() { return p; } }",
+        "void fill(int[] a, int k) {
+           Src s = new Src(k);
+           Pt p = s.get();
+           a[0] = p.x; a[1] = p.y;
+         }
+         int make(int k) {
+           Src s = new Src(k);
+           Pt p = s.get();
+           return p.x * 100 + p.y;
+         }
+         int run(int[] a) { fill(a, a[4]); return make(a[0]); }",
+    ),
+    (
+        "a nested composite is returned and passed on",
+        "final class In2 { int v; long w; In2(int k) { v = k; w = (long) k * 3L; } }
+         final class Out2 {
+           In2 a; In2 b; int n;
+           Out2(int k) { a = new In2(k); b = new In2(k + 1); n = k - 1; }
+         }",
+        "Out2 build(int k) { return new Out2(k); }
+         In2 second(Out2 o) { return o.b; }
+         void fill(int[] a, int k) {
+           Out2 o = build(k);
+           In2 i = second(o);
+           a[2] = o.a.v + i.v; a[3] = (int) o.b.w + o.n;
+         }
+         int make(int k) {
+           Out2 o = build(k);
+           return o.a.v * 1000 + second(o).v * 10 + (int) o.a.w + o.n;
+         }
+         int run(int[] a) { fill(a, a[1]); return make(a[4]); }",
+    ),
+    (
+        "two returns of one shape",
+        "final class Two { int a; int b; Two(int a0, int b0) { a = a0; b = b0; } }",
+        "Two pick(int k) {
+           if (k > 3) { return new Two(k, 1); }
+           return new Two(-k, 2);
+         }
+         void fill(int[] a, int k) {
+           Two t = pick(k);
+           Two u = pick(k - 10);
+           a[4] = t.a * 10 + t.b; a[5] = u.a * 10 + u.b;
+         }
+         int make(int k) {
+           Two t = pick(k);
+           return t.a * 10 + t.b;
+         }
+         int run(int[] a) { fill(a, a[4]); return make(a[5]) + make(a[0]); }",
+    ),
+    (
+        "a composite returned from inside a loop",
+        "final class Hit { int at; int val; Hit(int i, int v) { at = i; val = v; } }",
+        "Hit find(int[] a, int lim) {
+           for (int i = 0; i < a.length; i++) {
+             if (a[i] > lim) { return new Hit(i, a[i]); }
+           }
+           return new Hit(-1, 0);
+         }
+         void fill(int[] a, int k) {
+           Hit h = find(a, k);
+           a[6] = h.at; a[7] = h.val % 1000;
+         }
+         int make(int[] a, int k) {
+           Hit h = find(a, k);
+           return h.at * 1000 + h.val % 1000;
+         }
+         int run(int[] a) { int r = make(a, 50); fill(a, 10); return r + make(a, 1000000); }",
+    ),
+    (
+        "a composite returned through an interface call",
+        "final class Two2 { int a; float b; Two2(int a0, float b0) { a = a0; b = b0; } }
+         interface Mk { Two2 mk(int k); }
+         final class MkA implements Mk {
+           int base;
+           MkA(int b0) { base = b0; }
+           Two2 mk(int k) { return new Two2(base + k, (float) k * 0.5f); }
+         }",
+        "Mk m = new MkA(7);
+         void fill(int[] a, int k) {
+           Two2 t = m.mk(k);
+           a[0] = t.a; a[1] = (int) (t.b * 4f);
+         }
+         int make(int k) {
+           Two2 t = m.mk(k);
+           return t.a * 100 + (int) t.b;
+         }
+         int run(int[] a) { fill(a, a[4]); return make(a[6]); }",
+    ),
+    (
+        "a composite-returning method calls a scalar-returning one",
+        "final class Acc2 { int s; int n; Acc2(int s0, int n0) { s = s0; n = n0; } }",
+        "int sq(int v) { return v * v % 1000; }
+         Acc2 sum(int[] a, int k) {
+           int s = 0;
+           for (int i = 0; i < a.length; i++) { s += sq(a[i] % 100 + k); }
+           return new Acc2(s, sq(k));
+         }
+         void fill(int[] a, int k) {
+           Acc2 c = sum(a, k);
+           a[2] = c.s; a[3] = c.n;
+         }
+         int make(int[] a, int k) {
+           Acc2 c = sum(a, k);
+           return c.s * 7 + c.n;
+         }
+         int run(int[] a) { fill(a, a[4]); return make(a, a[0]) + sq(3); }",
+    ),
 ];
 
 /// The source of a program: its classes, then `P`.

@@ -6,7 +6,8 @@
 //! assignment must fail here, not compute garbage in a run.
 //!
 //! The programs of `control_flow.rs` (loops with `break` and `continue`,
-//! short-circuit operators, casts, arrays and constructor chains) are
+//! short-circuit operators, casts, arrays, constructor chains and
+//! composite returns) are
 //! jitted and pinned the same way, each on its own table.
 //!
 //! It also pins what every translation emits: each line of
