@@ -408,7 +408,7 @@ impl Instr {
 }
 
 /// Where a function runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuncKind {
     /// Ordinary host function.
     Host,

@@ -11,7 +11,7 @@
 //!   and its *exclusive* statistics delta. The database harvests these
 //!   records into per-function memos after a successful translate.
 //! * [`ReplayState`]: a set of still-valid memos from a previous
-//!   revision. When `lower_spec` misses its session map, it first
+//!   revision. When `lower_fn` misses its session map, it first
 //!   consults the replay set: a valid memo is *replayed* by recursively
 //!   ensuring every recorded callee lands on its recorded [`FuncId`]
 //!   (the natural DFS order), then injecting the memoized, already
@@ -122,10 +122,6 @@ pub(crate) struct Frame {
     pub kernel: bool,
     pub callees: Vec<CalleeEdge>,
     pub bodies: Vec<BodyRef>,
-    /// Inclusive stats snapshot at frame entry.
-    pub base: StatsDelta,
-    /// Sum of children's inclusive deltas, for exclusive attribution.
-    pub child: StatsDelta,
 }
 
 /// Dependency-trace collector attached to a [`Lowerer`].

@@ -285,7 +285,7 @@ pub fn check_entry_class(table: &ClassTable, jvm: &Jvm<'_>, recv: &Value) -> TRe
 /// it adds it. The entry must return void or a scalar: a composite
 /// return has no function to call.
 pub fn lower_entry(lw: &mut Lowerer<'_>, key: &SpecKey) -> TResult<FuncId> {
-    match lw.lower_spec(key, false)? {
+    match lw.lower_fn(key, nir::FuncKind::Host)? {
         lower::SpecResult::Func { id, .. } => Ok(id),
         lower::SpecResult::InlineOnly { .. } => Err(TransError::new(
             "the entry method returns a composite object; return void or a scalar",

@@ -60,7 +60,7 @@ pub enum SpecResult {
     /// Flattened mode only: the return value has ≠1 leaves, so the callee
     /// is spliced into each call site instead of being a function.
     InlineOnly {
-        ret: Option<Shape>,
+        ret: Shape,
     },
 }
 
@@ -106,14 +106,25 @@ impl FnCtx {
             ctor_fields: None,
             flatten,
             device,
-            ret: RetMode::Function,
+            ret: RetMode::Function(None),
         }
     }
 }
 
+/// What a `return` does, and the shape it must return.
 enum RetMode {
-    Function,
-    Inline { dest: Vec<Reg>, end: Label },
+    /// A function's `return`; the shape of the first one, once seen
+    /// (`Some(None)` for a `return;`), is the function's.
+    Function(Option<Option<Shape>>),
+    /// A spliced body's `return`: its value goes into `dest`, whose shape
+    /// is the one its function recorded, and control to `end`.
+    Inline { dest: Opnd, end: Label },
+}
+
+/// Why a `return` is refused: its shape is not the one an earlier
+/// `return` of the body fixed.
+fn divergent() -> TransError {
+    TransError::new("return statements produce different shapes — exact types must be static")
 }
 
 pub struct Lowerer<'t> {
@@ -121,10 +132,11 @@ pub struct Lowerer<'t> {
     pub program: Program,
     pub sheval: ShapeEval<'t>,
     pub flatten_objects: bool,
-    specs: HashMap<(SpecKey, bool), SpecResult>,
-    kernel_specs: HashMap<SpecKey, FuncId>,
-    spec_stack: Vec<(SpecKey, bool)>,
-    inline_stack: Vec<SpecKey>,
+    specs: HashMap<(SpecKey, FuncKind), SpecResult>,
+    spec_stack: Vec<(SpecKey, FuncKind)>,
+    /// For each specialization being lowered or replayed, innermost
+    /// last: `stats6()` at its entry, and what its children counted.
+    open: Vec<(incr::StatsDelta, incr::StatsDelta)>,
     pub stats: TransStats,
     /// Dependency-trace collector for the incremental query layer
     /// (`None` in the classic whole-program path — zero overhead).
@@ -158,9 +170,8 @@ impl<'t> Lowerer<'t> {
             sheval: ShapeEval::new(table),
             flatten_objects,
             specs: HashMap::new(),
-            kernel_specs: HashMap::new(),
             spec_stack: Vec::new(),
-            inline_stack: Vec::new(),
+            open: Vec::new(),
             stats: TransStats::default(),
             trace: None,
             replay: None,
@@ -194,17 +205,20 @@ impl<'t> Lowerer<'t> {
         ]
     }
 
-    fn add_stats6(&mut self, d: incr::StatsDelta) {
-        self.stats.specializations += d[0];
-        self.stats.devirtualized_calls += d[1];
-        self.stats.virtual_calls += d[2];
-        self.stats.inlined_ctors += d[3];
-        self.stats.inlined_calls += d[4];
-        self.stats.kernels += d[5];
+    fn set_stats6(&mut self, d: incr::StatsDelta) {
+        [
+            self.stats.specializations,
+            self.stats.devirtualized_calls,
+            self.stats.virtual_calls,
+            self.stats.inlined_ctors,
+            self.stats.inlined_calls,
+            self.stats.kernels,
+        ] = d;
     }
 
-    fn trace_push(&mut self, key: &SpecKey, device: bool, kernel: bool) {
-        let base = self.stats6();
+    /// Open the frame of a specialization being lowered or replayed.
+    fn push_frame(&mut self, key: &SpecKey, device: bool, kernel: bool) {
+        self.open.push((self.stats6(), [0; 6]));
         if let Some(tr) = &mut self.trace {
             tr.frames.push(incr::Frame {
                 key: key.clone(),
@@ -212,23 +226,33 @@ impl<'t> Lowerer<'t> {
                 kernel,
                 callees: Vec::new(),
                 bodies: Vec::new(),
-                base,
-                child: [0; 6],
             });
         }
     }
 
-    /// Complete the innermost frame into a harvestable record.
-    fn trace_pop_fresh(&mut self, id: FuncId, ret: &Option<Shape>) {
-        let now = self.stats6();
-        if let Some(tr) = &mut self.trace {
-            // Every pop closes the frame its specialization pushed.
-            let fr = tr.frames.pop().expect("trace frame underflow");
-            let incl = incr::sub6(now, fr.base);
-            if let Some(p) = tr.frames.last_mut() {
-                p.child = incr::add6(p.child, incl);
-            }
-            let excl = incr::sub6(incl, fr.child);
+    /// Close the innermost frame and credit what it counted, its
+    /// children included, to its parent, so that exclusive attribution
+    /// stays exact. A dropped body (`own` false) first takes its own
+    /// counts back out of `stats`, so that only its children's are
+    /// credited: the splice that replaces it counts its own again.
+    /// Returns the trace frame, if tracing, with the frame's own counts.
+    fn pop_frame(&mut self, own: bool) -> Option<(incr::Frame, incr::StatsDelta)> {
+        // Every pop closes the frame its specialization pushed.
+        let (base, child) = self.open.pop().expect("frame underflow");
+        if !own {
+            self.set_stats6(incr::add6(base, child));
+        }
+        let incl = incr::sub6(self.stats6(), base);
+        if let Some(p) = self.open.last_mut() {
+            p.1 = incr::add6(p.1, incl);
+        }
+        let fr = self.trace.as_mut()?.frames.pop();
+        Some((fr.expect("trace frame underflow"), incr::sub6(incl, child)))
+    }
+
+    /// Close the innermost frame into a harvestable record.
+    fn pop_fresh(&mut self, id: FuncId, ret: &Option<Shape>) {
+        if let (Some((fr, excl)), Some(tr)) = (self.pop_frame(true), &mut self.trace) {
             tr.recs.push(incr::FnRec {
                 key: fr.key,
                 device: fr.device,
@@ -239,21 +263,6 @@ impl<'t> Lowerer<'t> {
                 bodies: fr.bodies,
                 excl,
             });
-        }
-    }
-
-    /// Drop the innermost frame (replayed or failed specialization),
-    /// still propagating its inclusive delta to the parent so exclusive
-    /// attribution stays exact.
-    fn trace_pop_discard(&mut self) {
-        let now = self.stats6();
-        if let Some(tr) = &mut self.trace {
-            // Every pop closes the frame its specialization pushed.
-            let fr = tr.frames.pop().expect("trace frame underflow");
-            let incl = incr::sub6(now, fr.base);
-            if let Some(p) = tr.frames.last_mut() {
-                p.child = incr::add6(p.child, incl);
-            }
         }
     }
 
@@ -306,30 +315,20 @@ impl<'t> Lowerer<'t> {
             return Ok(None); // corrupt memo cycle; lower freshly
         }
         self.replay_stack.push(frame_key);
-        self.trace_push(key, device, kernel);
+        self.push_frame(key, device, kernel);
         let ready = self.replay_children(&memo);
         self.replay_stack.pop();
-        match ready {
-            Err(e) => {
-                self.trace_pop_discard();
-                Err(e)
-            }
-            Ok(false) => {
-                self.trace_pop_discard();
-                Ok(None)
-            }
-            Ok(true) => {
-                let id = self.program.add_func(Arc::clone(&memo.func));
-                debug_assert_eq!(id, memo.id, "replay id drift");
-                self.add_stats6(memo.excl);
-                if let Some(rp) = &mut self.replay {
-                    rp.replayed.push(id);
-                    rp.reused += 1;
-                }
-                self.trace_pop_discard();
-                Ok(Some((id, memo.ret.clone())))
+        if let Ok(true) = ready {
+            let id = self.program.add_func(Arc::clone(&memo.func));
+            debug_assert_eq!(id, memo.id, "replay id drift");
+            self.set_stats6(incr::add6(self.stats6(), memo.excl));
+            if let Some(rp) = &mut self.replay {
+                rp.replayed.push(id);
+                rp.reused += 1;
             }
         }
+        self.pop_frame(true);
+        Ok(ready?.then(|| (memo.id, memo.ret.clone())))
     }
 
     /// Ensure every recorded callee of `memo` exists at its recorded id,
@@ -337,16 +336,14 @@ impl<'t> Lowerer<'t> {
     /// same body where it was spliced, still over the limit where not.
     fn replay_children(&mut self, memo: &incr::FnMemo) -> TResult<bool> {
         for e in &memo.callees {
-            let actual = if e.kernel {
-                self.lower_kernel(&e.key)?
-            } else {
-                match self.lower_spec(&e.key, e.device)? {
-                    SpecResult::Func { id, .. } => id,
-                    SpecResult::InlineOnly { .. } => return Ok(false),
-                }
+            let kind = match (e.kernel, e.device) {
+                (true, _) => FuncKind::Kernel,
+                (_, true) => FuncKind::Device,
+                _ => FuncKind::Host,
             };
-            if actual != e.expect {
-                return Ok(false);
+            match self.lower_fn(&e.key, kind)? {
+                SpecResult::Func { id, .. } if id == e.expect => {}
+                _ => return Ok(false),
             }
         }
         let funcs = &self.program.funcs;
@@ -359,64 +356,48 @@ impl<'t> Lowerer<'t> {
             }))
     }
 
-    /// Lower (or fetch) the specialization of `key` for host or device.
-    pub fn lower_spec(&mut self, key: &SpecKey, device: bool) -> TResult<SpecResult> {
-        if let Some(r) = self.specs.get(&(key.clone(), device)) {
-            let r = r.clone();
-            if let SpecResult::Func { id, .. } = &r {
-                self.trace_edge(key, device, false, *id);
-            }
-            return Ok(r);
-        }
-        if self.spec_stack.contains(&(key.clone(), device)) {
-            return Err(TransError::new(format!(
-                "recursive call chain reaches `{}::{}` (coding rule 6)",
-                self.table.name(key.class),
-                self.table.method(key.class, key.method).name
-            )));
-        }
-        // Replay a still-valid memo from a previous revision, if any.
-        // Memos exist only for `Func` results, so this happens before
-        // the InlineOnly shortcut (whose recompute is cheap anyway).
-        if let Some((id, ret)) = self.try_replay(key, device, false)? {
-            let r = SpecResult::Func { id, ret };
-            self.specs.insert((key.clone(), device), r.clone());
-            self.trace_edge(key, device, false, id);
-            return Ok(r);
-        }
-        let flatten = self.flatten_objects || device;
-        let ret_shape = self.sheval.method_return(key)?;
-        if flatten {
-            if let Some(s) = &ret_shape {
-                if s.leaf_count() != 1 {
-                    let r = SpecResult::InlineOnly {
-                        ret: ret_shape.clone(),
-                    };
-                    self.specs.insert((key.clone(), device), r.clone());
-                    return Ok(r);
+    /// Lower (or fetch) the specialization of `key` as a host, device or
+    /// kernel function: from this translation's map, from a still-valid
+    /// memo, or by lowering its body.
+    pub fn lower_fn(&mut self, key: &SpecKey, kind: FuncKind) -> TResult<SpecResult> {
+        let (device, kernel) = (kind != FuncKind::Host, kind == FuncKind::Kernel);
+        let slot = (key.clone(), kind);
+        let r = match self.specs.get(&slot) {
+            Some(r) => r.clone(),
+            None => {
+                if self.spec_stack.contains(&slot) {
+                    return Err(TransError::new(format!(
+                        "recursive call chain reaches `{}::{}` (coding rule 6)",
+                        self.table.name(key.class),
+                        self.table.method(key.class, key.method).name
+                    )));
                 }
+                let r = match self.try_replay(key, device, kernel)? {
+                    Some((id, ret)) => SpecResult::Func { id, ret },
+                    None => {
+                        self.spec_stack.push(slot.clone());
+                        self.push_frame(key, device, kernel);
+                        let r = self.lower_body(key, kind);
+                        self.spec_stack.pop();
+                        match &r {
+                            Ok(SpecResult::Func { id, ret }) => self.pop_fresh(*id, ret),
+                            Ok(SpecResult::InlineOnly { .. }) => drop(self.pop_frame(false)),
+                            Err(_) => drop(self.pop_frame(true)),
+                        }
+                        r?
+                    }
+                };
+                self.specs.insert(slot, r.clone());
+                r
             }
-        }
-        self.spec_stack.push((key.clone(), device));
-        self.trace_push(key, device, false);
-        let result = self.lower_spec_inner(key, device, flatten, ret_shape);
-        self.spec_stack.pop();
-        match &result {
-            Ok(SpecResult::Func { id, ret }) => {
-                let (id, ret) = (*id, ret.clone());
-                self.trace_pop_fresh(id, &ret);
-            }
-            _ => self.trace_pop_discard(),
-        }
-        let r = result?;
-        self.specs.insert((key.clone(), device), r.clone());
+        };
         if let SpecResult::Func { id, .. } = &r {
-            self.trace_edge(key, device, false, *id);
+            self.trace_edge(key, device, kernel, *id);
         }
         Ok(r)
     }
 
-    fn mangle(&self, key: &SpecKey, device: bool, kernel: bool) -> String {
+    fn mangle(&self, key: &SpecKey, kind: FuncKind) -> String {
         let m = self.table.method(key.class, key.method);
         let mut name = format!("{}_{}", self.table.name(key.class), m.name);
         if let Some(r) = &key.recv {
@@ -427,10 +408,10 @@ impl<'t> Lowerer<'t> {
             name.push('_');
             name.push_str(&a.mangle(self.table));
         }
-        if kernel {
-            name.push_str("_krn");
-        } else if device {
-            name.push_str("_dev");
+        match kind {
+            FuncKind::Kernel => name.push_str("_krn"),
+            FuncKind::Device => name.push_str("_dev"),
+            FuncKind::Host => {}
         }
         // Disambiguate collisions deterministically.
         let mut final_name = name.clone();
@@ -442,90 +423,53 @@ impl<'t> Lowerer<'t> {
         final_name
     }
 
-    fn lower_spec_inner(
-        &mut self,
-        key: &SpecKey,
-        device: bool,
-        flatten: bool,
-        ret_shape: Option<Shape>,
-    ) -> TResult<SpecResult> {
-        let m = self.table.method(key.class, key.method);
+    /// Lower the body of `key` as a function of `kind` (device and kernel
+    /// code always flattened). The walk learns the return shape from the
+    /// body's `return`s ([`Lower::ret`]). A flattened shape of other than
+    /// one leaf has no register to return in, so the function is dropped
+    /// and each call site splices the body ([`SpecResult::InlineOnly`]).
+    fn lower_body(&mut self, key: &SpecKey, kind: FuncKind) -> TResult<SpecResult> {
+        let table = self.table;
+        let m = table.method(key.class, key.method);
+        let who = || format!("`{}::{}`", table.name(key.class), m.name);
+        if kind == FuncKind::Kernel && m.ret != Type::Void {
+            let msg = format!("@Global method `{}` must return void", m.name);
+            return Err(TransError::new(msg));
+        }
         let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new(format!(
-                "cannot lower body-less method `{}::{}`",
-                self.table.name(key.class),
-                m.name
+                "cannot lower body-less method {}",
+                who()
             )));
         };
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
-        let name = self.mangle(key, device, false);
+        let flatten = self.flatten_objects || kind != FuncKind::Host;
+        let name = self.mangle(key, kind);
         let (params, recv, env) = bind_params(key, flatten);
-        let ret_ty = match &ret_shape {
-            None => None,
-            Some(s) if flatten => {
-                debug_assert_eq!(s.leaf_count(), 1);
-                Some(s.leaf_tys()[0])
-            }
-            Some(s) => Some(heap_ty(s)),
-        };
-        let kind = if device {
-            FuncKind::Device
-        } else {
-            FuncKind::Host
-        };
-        let fb = FuncBuilder::new(name, params, ret_ty, kind);
-        let mut fx = FnCtx::new(Frame::new(fb, recv, env), flatten, device);
+        let fb = FuncBuilder::new(name, params, None, kind);
+        let mut fx = FnCtx::new(Frame::new(fb, recv, env), flatten, kind != FuncKind::Host);
         walk::block(self, &mut fx, body, block)?;
+        let ret = match fx.ret {
+            RetMode::Function(Some(ret)) => ret,
+            _ if m.ret == Type::Void => None,
+            _ => {
+                let msg = format!("could not determine return shape of {}", who());
+                return Err(TransError::new(msg));
+            }
+        };
+        fx.frame.fb.ret = match &ret {
+            None => None,
+            Some(s) if !flatten => Some(heap_ty(s)),
+            Some(s) => match s.leaf_tys()[..] {
+                [ty] => Some(ty),
+                _ => return Ok(SpecResult::InlineOnly { ret: s.clone() }),
+            },
+        };
         let f = fx.frame.fb.finish().map_err(TransError::new)?;
         let id = self.add_fresh(f);
         self.stats.specializations += 1;
-        Ok(SpecResult::Func { id, ret: ret_shape })
-    }
-
-    /// Lower a `@Global` kernel specialization (always flattened).
-    pub fn lower_kernel(&mut self, key: &SpecKey) -> TResult<FuncId> {
-        if let Some(id) = self.kernel_specs.get(key) {
-            let id = *id;
-            self.trace_edge(key, true, true, id);
-            return Ok(id);
-        }
-        if let Some((id, _)) = self.try_replay(key, true, true)? {
-            self.kernel_specs.insert(key.clone(), id);
-            self.trace_edge(key, true, true, id);
-            return Ok(id);
-        }
-        let m = self.table.method(key.class, key.method);
-        if m.ret != Type::Void {
-            return Err(TransError::new(format!(
-                "@Global method `{}` must return void",
-                m.name
-            )));
-        }
-        let Some((body, block)) = m.typed_body() else {
-            return Err(TransError::new("kernel has no body"));
-        };
-        let name = self.mangle(key, true, true);
-        let (params, recv, env) = bind_params(key, true);
-        let fb = FuncBuilder::new(name, params, None, FuncKind::Kernel);
-        let mut fx = FnCtx::new(Frame::new(fb, recv, env), true, true);
-        self.trace_push(key, true, true);
-        self.trace_body(key.class, incr::MemberRef::Method(key.method));
-        let finished = walk::block(self, &mut fx, body, block)
-            .and_then(|()| fx.frame.fb.finish().map_err(TransError::new));
-        let f = match finished {
-            Ok(f) => f,
-            Err(e) => {
-                self.trace_pop_discard();
-                return Err(e);
-            }
-        };
-        let id = self.add_fresh(f);
-        self.kernel_specs.insert(key.clone(), id);
-        self.stats.kernels += 1;
-        self.stats.specializations += 1;
-        self.trace_pop_fresh(id, &None);
-        self.trace_edge(key, true, true, id);
-        Ok(id)
+        self.stats.kernels += u32::from(kind == FuncKind::Kernel);
+        Ok(SpecResult::Func { id, ret })
     }
 
     /// Copy an operand into fresh registers (value semantics: objects are
@@ -564,32 +508,28 @@ impl<'t> Lowerer<'t> {
         }
     }
 
-    /// Splice a callee into the current function (used when a flattened
-    /// return value has more than one leaf).
+    /// Splice a callee whose flattened return `ret` has ≠1 leaves into
+    /// the current function. Its function was lowered and dropped first,
+    /// so every callee of the body is lowered already and no call chain
+    /// through it is recursive.
     fn lower_inline_call(
         &mut self,
         fx: &mut FnCtx,
         key: &SpecKey,
         recv: Option<Opnd>,
         args: Vec<Opnd>,
-        ret: Option<Shape>,
-    ) -> TResult<Option<Opnd>> {
-        if self.inline_stack.contains(key) {
-            return Err(TransError::new(
-                "recursive call chain reached inlining (coding rule 6)",
-            ));
-        }
+        ret: Shape,
+    ) -> TResult<Opnd> {
         let m = self.table.method(key.class, key.method);
         let Some((body, block)) = m.typed_body() else {
             return Err(TransError::new("cannot inline a body-less method"));
         };
         self.trace_body(key.class, incr::MemberRef::Method(key.method));
-        self.inline_stack.push(key.clone());
         self.stats.inlined_calls += 1;
 
-        let dest: Vec<Reg> = match &ret {
-            Some(s) => s.leaf_tys().iter().map(|t| fx.frame.fb.reg(*t)).collect(),
-            None => Vec::new(),
+        let dest = Opnd {
+            regs: ret.leaf_tys().iter().map(|t| fx.frame.fb.reg(*t)).collect(),
+            shape: ret,
         };
         let end = fx.frame.fb.label();
 
@@ -616,9 +556,8 @@ impl<'t> Lowerer<'t> {
         fx.frame.recv = saved_recv;
         fx.ret = saved_ret;
         fx.frame.loops = saved_loops;
-        self.inline_stack.pop();
         result?;
-        Ok(ret.map(|shape| Opnd { shape, regs: dest }))
+        Ok(dest)
     }
 
     /// Map an `@Native` call onto a NIR intrinsic.
@@ -737,7 +676,9 @@ impl<'t> Lowerer<'t> {
             recv: recv.as_ref().map(|r| r.shape.clone()),
             args: args.iter().map(|a| a.shape.clone()).collect(),
         };
-        let kernel = self.lower_kernel(&key)?;
+        let SpecResult::Func { id: kernel, .. } = self.lower_fn(&key, FuncKind::Kernel)? else {
+            unreachable!("a kernel returns void, so it is a function");
+        };
         let mut launch_args = Vec::new();
         if let Some(r) = &recv {
             launch_args.extend(self.flatten_opnd(fx, r)?);
@@ -997,23 +938,30 @@ impl Lower for Lowerer<'_> {
         fx.frame.this()
     }
 
+    /// A function's first `return` fixes its return shape; a spliced
+    /// body's was fixed by its function. A `return` of another shape is
+    /// refused.
     fn ret(&mut self, fx: &mut FnCtx, v: Option<Opnd>) -> TResult<()> {
-        match (&fx.ret, v) {
-            (RetMode::Function, Some(v)) => {
-                fx.frame.fb.emit(Instr::Ret(Some(v.single()?)));
-            }
-            (RetMode::Function, None) => {
-                fx.frame.fb.emit(Instr::Ret(None));
-            }
-            (RetMode::Inline { dest, end }, v) => {
-                let dest = dest.clone();
-                let end = *end;
-                if let Some(v) = v {
-                    for (d, s) in dest.iter().zip(&v.regs) {
-                        fx.frame.fb.emit(Instr::Mov(*d, *s));
-                    }
+        match &mut fx.ret {
+            RetMode::Function(seen) => {
+                let shape = v.as_ref().map(|v| &v.shape);
+                match seen {
+                    None => *seen = Some(shape.cloned()),
+                    Some(s) if s.as_ref() != shape => return Err(divergent()),
+                    Some(_) => {}
                 }
-                fx.frame.fb.jmp(end);
+                // A value of ≠1 registers is a flattened composite, whose
+                // function is dropped for a splice.
+                fx.frame
+                    .fb
+                    .emit(Instr::Ret(v.and_then(|v| v.single().ok())));
+            }
+            RetMode::Inline { dest, end } => {
+                let v = v.filter(|v| v.shape == dest.shape).ok_or_else(divergent)?;
+                for (d, s) in dest.regs.iter().zip(&v.regs) {
+                    fx.frame.fb.emit(Instr::Mov(*d, *s));
+                }
+                fx.frame.fb.jmp(*end);
             }
         }
         Ok(())
@@ -1064,7 +1012,12 @@ impl Lower for Lowerer<'_> {
             recv: recv.as_ref().map(|r| r.shape.clone()),
             args: arg_opnds.iter().map(|a| a.shape.clone()).collect(),
         };
-        match self.lower_spec(&key, fx.device)? {
+        let kind = if fx.device {
+            FuncKind::Device
+        } else {
+            FuncKind::Host
+        };
+        match self.lower_fn(&key, kind)? {
             SpecResult::Func { id, ret } => {
                 let mut regs = Vec::new();
                 if let Some(r) = &recv {
@@ -1073,54 +1026,24 @@ impl Lower for Lowerer<'_> {
                 for a in &arg_opnds {
                     regs.extend(&a.regs);
                 }
-                match ret {
-                    None => {
-                        fx.frame.fb.emit(Instr::Call {
-                            func: id,
-                            args: regs,
-                            dst: None,
-                        });
-                        Ok(None)
-                    }
-                    Some(shape) => {
-                        if fx.flatten && shape.leaf_count() == 0 {
-                            // Empty (zero-leaf) objects only lose their
-                            // register in flattened mode; on the heap they
-                            // are still a handle. (Flattened zero-leaf
-                            // returns are normally routed to inlining, so
-                            // this arm is a safety net.)
-                            fx.frame.fb.emit(Instr::Call {
-                                func: id,
-                                args: regs,
-                                dst: None,
-                            });
-                            Ok(Some(Opnd {
-                                shape,
-                                regs: vec![],
-                            }))
-                        } else {
-                            let ty = if fx.flatten {
-                                shape.leaf_tys()[0]
-                            } else {
-                                heap_ty(&shape)
-                            };
-                            let dst = fx.frame.fb.reg(ty);
-                            fx.frame.fb.emit(Instr::Call {
-                                func: id,
-                                args: regs,
-                                dst: Some(dst),
-                            });
-                            Ok(Some(Opnd {
-                                shape,
-                                regs: vec![dst],
-                            }))
-                        }
-                    }
-                }
+                // A flattened function returns its one leaf (`lower_body`).
+                let dst = ret.as_ref().map(|s| match fx.flatten {
+                    true => fx.frame.fb.reg(s.leaf_tys()[0]),
+                    false => fx.frame.fb.reg(heap_ty(s)),
+                });
+                fx.frame.fb.emit(Instr::Call {
+                    func: id,
+                    args: regs,
+                    dst,
+                });
+                Ok(ret.map(|shape| Opnd {
+                    shape,
+                    regs: dst.into_iter().collect(),
+                }))
             }
-            SpecResult::InlineOnly { ret } => {
-                self.lower_inline_call(fx, &key, recv, arg_opnds, ret)
-            }
+            SpecResult::InlineOnly { ret } => self
+                .lower_inline_call(fx, &key, recv, arg_opnds, ret)
+                .map(Some),
         }
     }
 

@@ -490,9 +490,8 @@ pub fn expr<L: Lower>(lw: &mut L, cx: &mut L::Cx, b: &TBody, e: TExprId) -> TRes
 }
 
 /// Why `e` cannot be translated: a construct the coding rules forbid, or
-/// a void call used as a value. The walk and the shape evaluator refuse
-/// with these texts.
-pub fn refused(e: TExpr) -> TransError {
+/// a void call used as a value.
+fn refused(e: TExpr) -> TransError {
     TransError::new(match e {
         TExpr::RefEq { .. } => "reference equality cannot be translated (coding rule 7)",
         TExpr::InstanceOf { .. } => "`instanceof` cannot be translated (coding rule 8)",

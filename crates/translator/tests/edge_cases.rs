@@ -1,6 +1,7 @@
 //! Translator edge cases: zero-leaf objects, static-final constant
-//! folding, reference casts, device-context specialization, and the
-//! documented unsupported-construct errors.
+//! folding, reference casts, device-context specialization, return shapes
+//! and constructed shapes, and the documented unsupported-construct
+//! errors.
 
 use exec::{run_to_completion, Machine, Val};
 use jlang::compile_str;
@@ -470,9 +471,8 @@ fn forbidden_constructs_are_refused_alike_in_every_mode() {
 
 /// What a constructor may not hold when the shaped modes run it inline
 /// at its `new` site, with the rule checker off: Devirt and Full refuse
-/// each with one text, whether the `new` is in a void method (which only
-/// the lowerer walks) or a valued one (which the shape evaluator walks
-/// first). Virtual mode runs every such constructor as the `jvm` does.
+/// each with one text, whether the `new` is in a void method or a valued
+/// one. Virtual mode runs every such constructor as the `jvm` does.
 #[test]
 fn constructors_the_inline_run_cannot_hold_are_refused_alike() {
     const CASES: &[(&str, &str, &str)] = &[
@@ -552,5 +552,146 @@ fn constructors_the_inline_run_cannot_hold_are_refused_alike() {
                 assert_eq!(got, Some(Val::I32(java)), "{what}");
             }
         }
+    }
+}
+
+/// `new class().method(args)` translated in Devirt and in Full mode, with
+/// the rule checker as `check_rules` says, and run: each mode's program
+/// and result, or its refusal.
+fn shaped(
+    src: &str,
+    class: &str,
+    method: &str,
+    args: &[Value],
+    check_rules: bool,
+) -> [Result<(translator::Translated, Val), String>; 2] {
+    let table = compile_str(src).unwrap();
+    let mut jvm = Jvm::new(&table).unwrap();
+    let recv = jvm.new_instance(class, &[]).unwrap();
+    [TransConfig::devirt(), TransConfig::full()].map(|base| {
+        let config = TransConfig {
+            check_rules,
+            ..base
+        };
+        let t = translate(&table, &jvm, &recv, method, args, config).map_err(|e| e.message)?;
+        let mut m = Machine::with_globals(&t.program);
+        let vals = bind_entry_args(&jvm, &recv, args, &t.bindings, &mut m).unwrap();
+        let out = run_to_completion(&t.program, t.entry, vals, &mut m).unwrap();
+        Ok((t, out.unwrap()))
+    })
+}
+
+/// The return type of the function whose name starts with `name`.
+fn ret_ty(t: &translator::Translated, name: &str) -> Option<nir::Ty> {
+    let f = t.program.funcs.iter().find(|f| f.name.starts_with(name));
+    f.unwrap_or_else(|| panic!("no function `{name}`")).ret
+}
+
+#[test]
+fn return_shape_through_dispatch() {
+    let src = "
+        @WootinJ interface Solver { float solve(float x); }
+        @WootinJ final class Mul implements Solver { float a; Mul(float a0) { a = a0; }
+          float solve(float x) { return a * x; } }
+        @WootinJ final class App { Solver s = new Mul(3f); App() { }
+          float run(float x) { return s.solve(x); } }";
+    for run in shaped(src, "App", "run", &[Value::Float(1.0)], true) {
+        let (t, out) = run.unwrap();
+        assert_eq!(out, Val::F32(3.0), "{:?}", t.mode);
+        assert_eq!(ret_ty(&t, "Mul_solve"), Some(nir::Ty::F32), "{:?}", t.mode);
+    }
+}
+
+#[test]
+fn object_return_shapes() {
+    let src = "
+        @WootinJ final class Cell { float v; Cell(float v0) { v = v0; } }
+        @WootinJ final class Maker { Maker() { }
+          Cell make(float x) { return new Cell(x + 1f); }
+          float run(float x) { Cell c = make(x); return c.v; } }";
+    let [devirt, full] = shaped(src, "Maker", "run", &[Value::Float(2.0)], true);
+    let (devirt, full) = (devirt.unwrap(), full.unwrap());
+    assert_eq!((devirt.1, full.1), (Val::F32(3.0), Val::F32(3.0)));
+    // On the heap a `Cell` is a handle; flattened, its one leaf.
+    assert_eq!(ret_ty(&devirt.0, "Maker_make"), Some(nir::Ty::Obj));
+    assert_eq!(ret_ty(&full.0, "Maker_make"), Some(nir::Ty::F32));
+}
+
+#[test]
+fn ctor_chain_with_super_and_inits() {
+    let src = "
+        @WootinJ class Base { int a; Base(int a0) { a = a0; } }
+        @WootinJ final class Sub extends Base { float[] buf = new float[4]; int b;
+          Sub(int x) { super(x); b = a + 1; } }
+        @WootinJ final class App { App() { }
+          Sub make(int x) { return new Sub(x); }
+          int run(int x) { Sub s = make(x); return s.a * 100 + s.b * 10 + s.buf.length; } }";
+    for run in shaped(src, "App", "run", &[Value::Int(5)], true) {
+        let (t, out) = run.unwrap();
+        assert_eq!(out, Val::I32(564), "{:?}", t.mode);
+        // Three leaves: Full splices `make`, Devirt returns the object.
+        let make = t
+            .program
+            .funcs
+            .iter()
+            .any(|f| f.name.starts_with("App_make"));
+        assert_eq!(make, t.mode == Mode::Devirt, "{:?}", t.mode);
+    }
+}
+
+#[test]
+fn divergent_return_shapes_rejected() {
+    let src = "
+        interface I { } final class A implements I { A() { } } final class B implements I { B() { } }
+        @WootinJ final class F { F() { }
+          I pick(boolean b) { if (b) { return new A(); } return new B(); }
+          int run(boolean b) { I i = pick(b); return 1; } }";
+    for entry in ["pick", "run"] {
+        for run in shaped(src, "F", entry, &[Value::Bool(true)], false) {
+            let err = run.expect_err("translated");
+            assert_eq!(
+                err, "return statements produce different shapes — exact types must be static",
+                "{entry}"
+            );
+        }
+    }
+}
+
+#[test]
+fn recursion_detected() {
+    let src = "
+        @WootinJ final class R { R() { }
+          int f(int n) { if (n <= 0) { return 0; } return f(n - 1); } }";
+    for run in shaped(src, "R", "f", &[Value::Int(3)], false) {
+        let err = run.expect_err("translated");
+        assert_eq!(err, "recursive call chain reaches `R::f` (coding rule 6)");
+    }
+}
+
+#[test]
+fn unassigned_object_field_rejected() {
+    let src = "
+        @WootinJ final class Inner { Inner() { } }
+        @WootinJ final class Outer { Inner i; Outer() { } }
+        @WootinJ final class App { App() { }
+          int run() { Outer o = new Outer(); return 1; } }";
+    for run in shaped(src, "App", "run", &[], true) {
+        let err = run.expect_err("translated");
+        assert!(
+            err.contains("is not assigned by the constructor chain"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn unassigned_primitive_field_defaults() {
+    let src = "
+        @WootinJ final class P { int x; float y; P() { } }
+        @WootinJ final class App { App() { }
+          float run() { P p = new P(); return (float) p.x + p.y + 1f; } }";
+    for run in shaped(src, "App", "run", &[], true) {
+        let (t, out) = run.unwrap();
+        assert_eq!(out, Val::F32(1.0), "{:?}", t.mode);
     }
 }

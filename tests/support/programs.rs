@@ -146,8 +146,7 @@ pub const PROGRAMS: &[(&str, &str, &str)] = &[
          }",
     ),
     // Constructor chains. Each `new` is reached from a void method
-    // (`fill`, which only the lowerer walks) and from a valued one
-    // (`make`, whose return shape the shape evaluator computes first).
+    // (`fill`) and from a valued one (`make`).
     (
         "3-level chain with computed super arguments",
         "class A3 { int x; long w; A3(int x0, long w0) { x = x0 * 2 + 1; w = w0 - (long) x0; } }
