@@ -63,13 +63,13 @@ pub struct Link {
     pub is_base: bool,
 }
 
-/// Header of a decoded link, for inspection and validation.
+/// Header of a decoded link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkInfo {
-    pub is_base: bool,
-    pub seq: u64,
+struct LinkInfo {
+    is_base: bool,
+    seq: u64,
     /// The parent link's seal digest (0 for a base).
-    pub parent_digest: u64,
+    parent_digest: u64,
 }
 
 /// Verify a sealed link (its one digest pass) and parse its header: the
@@ -91,11 +91,6 @@ fn open_link(bytes: &[u8]) -> Result<(LinkInfo, u64, Reader<'_>), CkptError> {
         parent_digest: r.u64()?,
     };
     Ok((info, seal_digest, r))
-}
-
-/// Decode just the header of a sealed link.
-pub fn inspect(bytes: &[u8]) -> Result<LinkInfo, CkptError> {
-    open_link(bytes).map(|(info, ..)| info)
 }
 
 /// The seal digest of a link this process sealed or has just verified:
@@ -918,9 +913,13 @@ mod tests {
     fn base_link_round_trips_standalone() {
         let s = snap(&[b"only"]);
         let bytes = base_link(&s);
-        let info = inspect(&bytes).unwrap();
-        assert!(info.is_base);
-        assert_eq!(info.seq, 0);
+        let (info, ..) = open_link(&bytes).unwrap();
+        let base = LinkInfo {
+            is_base: true,
+            seq: 0,
+            parent_digest: 0,
+        };
+        assert_eq!(info, base);
         let out = resolve_prefix(&[bytes]);
         assert_eq!(out.valid_links, 1);
         assert_eq!(out.sections, s);
