@@ -16,9 +16,9 @@ if grep -rn --include='*.rs' '\.validate()' crates src tests examples; then
 fi
 
 echo "== one body walk: a loop or a numeric cast is lowered in walk.rs only =="
-echo "==   (sheval.rs walks shapes; lower.rs's const_eval folds constants)  =="
+echo "==   (lower.rs's const_eval folds constants)                          =="
 stray="$(grep -rn --include='*.rs' -e 'TStmt::For' -e 'TExpr::NumCast' crates/translator/src \
-    | grep -v -e '^crates/translator/src/walk\.rs:' -e '^crates/translator/src/sheval\.rs:' || true)"
+    | grep -v -e '^crates/translator/src/walk\.rs:' || true)"
 read -r from to < <(awk '/^pub fn const_eval\(/ { f = NR } f && !t && /^}/ { t = NR } END { print f + 0, t + 0 }' \
     crates/translator/src/lower.rs)
 stray="$(printf '%s\n' "$stray" | awk -F: -v f="$from" -v t="$to" \
@@ -29,8 +29,18 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one shaped walk: sheval.rs holds no second walk of a body; the  =="
+echo "==   lowering learns each return shape from the body's returns      =="
+stray="$(grep -n -E 'fn (method_return|ctor_shape|ctor_chain|stmt|expr|block)\b' \
+    crates/translator/src/sheval.rs || true)"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above walk a body in sheval.rs; lower it in walk.rs"
+    exit 1
+fi
+
 echo "== one constructor run: a constructor chain is read in walk.rs (the   =="
-echo "==   lowerers' walk::ctor) and sheval.rs (the shape evaluator) only   =="
+echo "==   lowerers' walk::ctor) and sheval.rs (ctor_rule) only             =="
 stray="$(grep -rn --include='*.rs' -e '\.superclass' -e 'ctor\.typed_body()' crates/translator/src \
     | grep -v -e '^crates/translator/src/walk\.rs:' -e '^crates/translator/src/sheval\.rs:' || true)"
 if [ -n "$stray" ]; then
