@@ -385,3 +385,170 @@ fn shutdown_drains_in_flight_work_then_sheds_new_requests() {
         "every admitted request must terminate: {stats:?}"
     );
 }
+
+const SVC_A: &str = "@WootinJ final class Svc {
+    Svc() { }
+    int run(int x) {
+        int s = 0;
+        for (int i = 0; i < x; i++) { s += i * 3; }
+        return s;
+    }
+}";
+
+/// `SVC_A` with only whitespace changed: the same cache key.
+const SVC_A_SPACED: &str = "@WootinJ   final class Svc {
+  Svc() { }
+
+  int run(int x) { int s = 0; for (int i = 0; i < x; i++) { s += i * 3; } return s; }
+}";
+
+const SVC_B: &str = "final class Scale {
+    final float k;
+    Scale(float f) { k = f; }
+    float apply(float v) { return v * k; }
+}
+@WootinJ final class Svc {
+    final Scale s;
+    Svc() { s = new Scale(0.5f); }
+    float run(float[] a) {
+        float t = 0f;
+        for (int i = 0; i < a.length; i++) { t += s.apply(a[i]); }
+        return t;
+    }
+}";
+
+const SVC_UNPARSABLE: &str = "@WootinJ final class Svc {
+    Svc() { }
+    int run(int x) { return x * ; }
+}";
+
+const SVC_ILL_TYPED: &str = "@WootinJ final class Svc {
+    Svc() { }
+    int run(int x) { return y; }
+}";
+
+/// A second file whose class has the first file's name.
+const SVC_OTHER: &str = "@WootinJ final class Svc {
+    Svc() { }
+    int run(int x) { return x - 7; }
+}";
+
+/// One request of [`resident_and_fresh_connections_serve_alike`]'s
+/// script: the file name, the text, and the argument.
+fn svc_req(file: &str, source: &str, arg: Arg) -> jitd::proto::JitRequest {
+    jit_request(file, source, "Svc", "run", vec![arg])
+}
+
+/// A reply as the script compares it: the result's bits, `translated`
+/// and `followed` of a `Done`; the message of an `Err`; the reason of a
+/// shed.
+fn reply_view(r: &Reply) -> String {
+    match r {
+        Reply::Done(o) => {
+            let bits = match o.result {
+                Some(wootinj::Val::F32(v)) => format!("f32 {:#010x}", v.to_bits()),
+                Some(wootinj::Val::F64(v)) => format!("f64 {:#018x}", v.to_bits()),
+                other => format!("{other:?}"),
+            };
+            format!(
+                "done {bits} translated={} followed={}",
+                o.translated, o.followed
+            )
+        }
+        Reply::Err { message } => format!("err {message}"),
+        Reply::Shed { reason, .. } => format!("shed {reason:?}"),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Play `script` against a fresh daemon, over one connection or over a
+/// new connection per request. Returns each reply's view, the final
+/// counters (`completed`, `request_errors`, `translations`,
+/// `warm_hits`), and the artifact file names in the tenant's store.
+fn play(
+    tag: &str,
+    script: &[jitd::proto::JitRequest],
+    one_connection: bool,
+) -> (Vec<String>, [u64; 4], Vec<String>) {
+    let scratch = ScratchDir::new(tag);
+    let (port, handle) = boot(DaemonConfig {
+        root: scratch.0.clone(),
+        ..DaemonConfig::default()
+    });
+    let mut conn = Client::connect(port, "acme").unwrap();
+    let mut replies = Vec::new();
+    for req in script {
+        if !one_connection {
+            conn = Client::connect(port, "acme").unwrap();
+        }
+        replies.push(reply_view(&conn.jit(req.clone()).unwrap()));
+    }
+    drop(conn);
+    let s = drain(port, handle);
+    let mut wjars: Vec<String> = std::fs::read_dir(scratch.0.join("acme"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".wjar"))
+        .collect();
+    wjars.sort();
+    (
+        replies,
+        [s.completed, s.request_errors, s.translations, s.warm_hits],
+        wjars,
+    )
+}
+
+/// A connection that sends program after program under one file name
+/// (and then under another) is served exactly as if every request came
+/// on its own connection: the same replies, counters and artifacts.
+#[test]
+fn resident_and_fresh_connections_serve_alike() {
+    let arr = || Arg::F32Arr(vec![1.5, -2.25, 3.0, 0.125]);
+    let script = vec![
+        svc_req("svc.jl", SVC_A, Arg::I32(10)),
+        svc_req("svc.jl", SVC_A, Arg::I32(4)),
+        svc_req("svc.jl", SVC_B, arr()),
+        svc_req("svc.jl", SVC_A, Arg::I32(7)),
+        svc_req("svc.jl", SVC_A_SPACED, Arg::I32(9)),
+        svc_req("svc.jl", SVC_UNPARSABLE, Arg::I32(1)),
+        svc_req("svc.jl", SVC_ILL_TYPED, Arg::I32(1)),
+        svc_req("svc.jl", SVC_A, Arg::I32(3)),
+        svc_req("other.jl", SVC_OTHER, Arg::I32(50)),
+        svc_req("svc.jl", SVC_A, Arg::I32(5)),
+    ];
+    let resident = play("pin-resident", &script, true);
+    let fresh = play("pin-fresh", &script, false);
+    assert_eq!(resident.0, fresh.0, "replies");
+    assert_eq!(
+        resident.1, fresh.1,
+        "completed, errors, translations, warm hits"
+    );
+    assert_eq!(resident.2, fresh.2, "artifact names");
+
+    // What the script exercises, read off the fresh run.
+    let (replies, counters, wjars) = fresh;
+    assert!(
+        replies[0].ends_with("translated=true followed=false"),
+        "{replies:?}"
+    );
+    assert_eq!(
+        replies[1],
+        "done Some(I32(18)) translated=false followed=false"
+    );
+    assert_eq!(
+        replies[2],
+        "done f32 0x3f980000 translated=true followed=false"
+    );
+    assert!(
+        replies[4].ends_with("translated=false followed=false"),
+        "{replies:?}"
+    );
+    assert!(replies[5].starts_with("err compile failed"), "{replies:?}");
+    assert!(replies[6].starts_with("err compile failed"), "{replies:?}");
+    assert_eq!(
+        replies[8],
+        "done Some(I32(43)) translated=true followed=false"
+    );
+    assert_eq!(counters, [8, 2, 3, 5]);
+    assert_eq!(wjars.len(), 3, "{wjars:?}");
+}
