@@ -406,6 +406,9 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         return;
     }
 
+    // The connection's resident workspace (see `check_out`): it lives as
+    // long as the connection, on this thread only.
+    let mut slot: Option<Resident> = None;
     loop {
         let buf = match read_frame(&mut stream) {
             Ok(b) => b,
@@ -434,7 +437,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                 let _ = write_frame(&mut stream, &proto::encode_reply(&Reply::Bye));
                 return;
             }
-            Request::Jit(j) => serve_jit(shared, &hello.tenant, j),
+            Request::Jit(j) => serve_jit(shared, &hello.tenant, j, &mut slot),
         };
         // Client died between request and reply: the work is done and
         // accounted; only the delivery fails. Asked before writing,
@@ -468,7 +471,12 @@ fn peer_closed(stream: &TcpStream) -> bool {
 }
 
 /// One admitted-or-shed request, start to finish.
-fn serve_jit(shared: &Arc<Shared>, tenant: &str, j: JitRequest) -> Reply {
+fn serve_jit(
+    shared: &Arc<Shared>,
+    tenant: &str,
+    j: JitRequest,
+    slot: &mut Option<Resident>,
+) -> Reply {
     let budget = if j.deadline_ms == 0 {
         shared.config.default_deadline
     } else {
@@ -476,7 +484,7 @@ fn serve_jit(shared: &Arc<Shared>, tenant: &str, j: JitRequest) -> Reply {
     };
     let deadline = Instant::now() + budget;
     serve_admitted(shared, deadline, j.hold_ms, || {
-        run_admitted(shared, tenant, &j, deadline)
+        run_admitted(shared, tenant, &j, deadline, slot)
     })
 }
 
@@ -521,30 +529,71 @@ fn serve_admitted(
     }
 }
 
+/// A connection's compiled program: the file name it last compiled and
+/// the workspace that holds it, prelude included.
+struct Resident {
+    file: String,
+    ws: Workspace,
+}
+
+/// Take the connection's workspace out of `slot` for a request under
+/// `file`: the resident one if it last compiled `file`, else a fresh
+/// one, so classes of two files never meet in one table. The one place
+/// the daemon builds a `Workspace`.
+fn check_out(slot: &mut Option<Resident>, file: &str) -> Resident {
+    match slot.take() {
+        Some(r) if r.file == file => r,
+        _ => Resident {
+            file: file.to_string(),
+            ws: Workspace::new(),
+        },
+    }
+}
+
 /// The slot-holding body: compile, key, single-flight translate (or
 /// follow), run. Returns the outcome or the typed reply to send instead.
+/// The connection's workspace goes back into `slot` on every return, a
+/// failed compile included; a panic unwinds past the put-back, so the
+/// next request starts from a fresh workspace.
 fn run_admitted(
     shared: &Arc<Shared>,
     tenant: &str,
     j: &JitRequest,
     deadline: Instant,
+    slot: &mut Option<Resident>,
 ) -> Result<Outcome, Reply> {
-    let t0 = Instant::now();
     if expired(deadline) {
         return Err(shed_reply(
             ShedReason::Deadline,
             "deadline expired in the admission queue",
         ));
     }
+    let mut resident = check_out(slot, &j.file);
+    let outcome = run_resident(shared, tenant, j, deadline, &mut resident.ws);
+    *slot = Some(resident);
+    outcome
+}
 
-    // Per-request compile + env. The facade is deliberately not shared
-    // across threads (it is !Send by design); what *is* shared is the
-    // expensive part — the sealed translation artifact. Compiling
-    // through a `Workspace` (not a bare table) matters for correctness:
-    // its cache keys carry the source fingerprint, so two different
-    // programs whose classes happen to share ids can never collide on
-    // one artifact — and formatting-only differences still dedup.
-    let mut ws = Workspace::new();
+/// [`run_admitted`] on the checked-out workspace.
+fn run_resident(
+    shared: &Arc<Shared>,
+    tenant: &str,
+    j: &JitRequest,
+    deadline: Instant,
+    ws: &mut Workspace,
+) -> Result<Outcome, Reply> {
+    let t0 = Instant::now();
+    // Compile into the connection's workspace: unchanged text reuses
+    // its snapshot, a changed one rebuilds incrementally and keeps the
+    // prelude's parse and typeck memos. The env is per request (it
+    // borrows the workspace; its heap holds this request's objects),
+    // and neither crosses a thread (the facade is !Send by design); what
+    // *is* shared is the expensive part — the sealed translation
+    // artifact. Compiling through a `Workspace` (not a bare table)
+    // matters for correctness: its cache keys carry the source
+    // fingerprint, so two different programs whose classes happen to
+    // share ids can never collide on one artifact — and
+    // formatting-only differences still dedup.
     ws.set_source(&j.file, &j.source)
         .map_err(|e| err_reply(format!("compile failed: {e:?}")))?;
     let mut env = ws.env().map_err(err_reply)?;
