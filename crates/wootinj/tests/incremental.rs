@@ -19,7 +19,10 @@
 //! * bodies are shared between revisions, not copied: an edit that
 //!   changes nothing semantic leaves the snapshot alone, and after a
 //!   failed edit and its fix every body of the rebuilt table is the
-//!   allocation the previous good revision held.
+//!   allocation the previous good revision held;
+//! * replacing a file's whole text, program after program (a class
+//!   renamed, failed compiles in between), keys and translates each
+//!   program as a workspace that only ever held it.
 
 use std::sync::Arc;
 
@@ -427,4 +430,133 @@ fn seeded_edit_scripts_stay_bit_identical_to_scratch() {
             assert_eq!(incr_result, scratch_result, "seed {seed:#x} step {step}");
         }
     }
+}
+
+/// The entry argument of a program in
+/// [`whole_file_replacement_keys_and_translates_as_a_fresh_workspace`].
+enum Arg {
+    Int(i32),
+    Floats(&'static [f32]),
+}
+
+/// One text that replaces the whole of `svc.jl`: a program whose entry
+/// is `class.run(arg)`, or a text that fails to compile.
+enum Text {
+    Program {
+        text: String,
+        class: &'static str,
+        arg: Arg,
+    },
+    Fails(&'static str),
+}
+
+/// The cache key and encoded artifact of `class.run(arg)`, jitted in a
+/// fresh env (an empty memory tier) over `ws`, and the jit's query delta.
+fn key_and_artifact(
+    ws: &Workspace,
+    class: &str,
+    arg: &Arg,
+) -> (wootinj::cache::CacheKey, Vec<u8>, QueryStats) {
+    let mut env = ws.env().unwrap();
+    let recv = env.new_instance(class, &[]).unwrap();
+    let arg = match arg {
+        Arg::Int(x) => Value::Int(*x),
+        Arg::Floats(xs) => env.new_f32_array(xs),
+    };
+    let options = JitOptions::wootinj();
+    let key = env
+        .cache_key(&recv, "run", std::slice::from_ref(&arg), options.config, 0)
+        .unwrap();
+    let code = env.jit(&recv, "run", &[arg], options).unwrap();
+    (key, code.translated.encode(), code.query_stats())
+}
+
+/// A daemon connection replaces one file's whole text request after
+/// request. After every successful `set_source`, the workspace keys and
+/// translates the program exactly as a fresh workspace holding only
+/// that text does.
+#[test]
+fn whole_file_replacement_keys_and_translates_as_a_fresh_workspace() {
+    let a = "
+        final class Step {
+          Step() { }
+          int next(int s, int i) { return s + i * 3; }
+        }
+        @WootinJ final class Svc {
+          Step st;
+          Svc() { st = new Step(); }
+          int run(int x) {
+            int s = 0;
+            for (int i = 0; i < x; i++) { s = st.next(s, i); }
+            return s;
+          }
+        }";
+    let program = |text: &str, class, arg| Text::Program {
+        text: text.to_string(),
+        class,
+        arg,
+    };
+    let script = [
+        program(a, "Svc", Arg::Int(6)),
+        // A body edit: `Step.next`'s memo replays.
+        program(&a.replace("i < x", "i <= x"), "Svc", Arg::Int(6)),
+        // The class renamed; `Step` unchanged at the same class id.
+        program(
+            &a.replace("Svc", "Job").replace("i < x", "i < x + 1"),
+            "Job",
+            Arg::Int(6),
+        ),
+        Text::Fails("@WootinJ final class Svc { Svc() { } int run(int x) { return x * ; } }"),
+        program(
+            "final class Scale {
+              final float k;
+              Scale(float f) { k = f; }
+              float apply(float v) { return v * k; }
+            }
+            @WootinJ final class Svc {
+              final Scale s;
+              Svc() { s = new Scale(0.5f); }
+              float run(float[] a) {
+                float t = 0f;
+                for (int i = 0; i < a.length; i++) { t += s.apply(a[i]); }
+                return t;
+              }
+            }",
+            "Svc",
+            Arg::Floats(&[1.5, -2.25, 3.0]),
+        ),
+        Text::Fails("@WootinJ final class Svc { Svc() { } int run(int x) { return y; } }"),
+        program(a, "Svc", Arg::Int(9)),
+        // `Step` changed and moved behind a new class, so ids shift.
+        program(
+            &format!(
+                "final class Pad {{ Pad() {{ }} }} {}",
+                a.replace("i * 3", "i * 5")
+            ),
+            "Svc",
+            Arg::Int(6),
+        ),
+    ];
+
+    let mut ws = Workspace::new();
+    let (mut checked, mut replayed) = (0, 0);
+    for (step, t) in script.iter().enumerate() {
+        let (text, class, arg) = match t {
+            Text::Fails(text) => {
+                assert!(ws.set_source("svc.jl", text).is_err(), "step {step}");
+                continue;
+            }
+            Text::Program { text, class, arg } => (text.as_str(), *class, arg),
+        };
+        ws.set_source("svc.jl", text).unwrap();
+        let (key, bytes, delta) = key_and_artifact(&ws, class, arg);
+        let fresh = workspace(&[("svc.jl", text)]);
+        let (fresh_key, fresh_bytes, _) = key_and_artifact(&fresh, class, arg);
+        assert!(key == fresh_key, "step {step}: the cache key diverged");
+        assert!(bytes == fresh_bytes, "step {step}: the artifact diverged");
+        checked += 1;
+        replayed += delta.lower_reused;
+    }
+    assert_eq!(checked, 6);
+    assert!(replayed > 0, "the body edit replays `Step.next`'s memo");
 }
