@@ -63,6 +63,21 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one workspace per connection: jitd builds a Workspace only in   =="
+echo "==   check_out, which fills or refills a connection's slot          =="
+stray="$(awk '
+    FNR == 1 { t = 0 }
+    /^#\[cfg\(test\)\]/ { t = 1 }
+    match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    !t && /Workspace::(new|default)\(/ && f != "check_out" {
+        print FILENAME ":" FNR ": " $0
+    }' crates/jitd/src/*.rs crates/jitd/src/bin/*.rs)"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above build a Workspace per request; check one out of the slot"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
