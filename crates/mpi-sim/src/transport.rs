@@ -341,6 +341,21 @@ mod tests {
         );
     }
 
+    /// `write_frame(b"payload")` at wire version 1, checksummed with
+    /// FNV-1a and a final avalanche.
+    const V1_FRAME_HEX: &str = "574652310107000000000000007061796c6f61646d9ee52f09c20b0b";
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"payload").unwrap();
+        assert_eq!(hex(&wire), V1_FRAME_HEX);
+    }
+
     #[test]
     fn version_skew_is_typed() {
         let mut wire = Vec::new();

@@ -12,9 +12,11 @@
 //!
 //! It also pins what every translation emits: each line of
 //! `fixtures/verify_corpus.txt` is `program @ configuration: length
-//! fnv64 fnv64`, the artifact's length, the FNV-1a digest of
-//! `Translated::encode()` and that of `nir::emit_c`'s source (or
-//! `untranslated` where the mode cannot translate the program). On a
+//! fnv64 fnv64`: the length and FNV-1a digest of the artifact's
+//! unsealed payload (`nir::codec::unseal(&Translated::encode())`) and the
+//! FNV-1a digest of `nir::emit_c`'s source (or `untranslated` where the
+//! mode cannot translate the program). The pin covers what translation
+//! decided; the container's seal belongs to the store. On a
 //! mismatch the test prints each differing line as it computed it; a
 //! change that is meant to move emitted code replaces those lines.
 
@@ -230,12 +232,13 @@ fn verify_all(
             if let Err(e) = program.verify() {
                 panic!("{name} in {mode:?}: {e}\n{program}");
             }
-            let artifact = code.translated.encode();
+            let sealed = code.translated.encode();
+            let payload = nir::codec::unseal(&sealed).expect("a fresh artifact unseals");
             let c = nir::emit_c(program);
             let line = format!(
                 "{key} {} {:016x} {:016x}",
-                artifact.len(),
-                fnv1a(&artifact),
+                payload.len(),
+                fnv1a(payload),
                 fnv1a(c.as_bytes())
             );
             lines.push((key, line));
