@@ -3,15 +3,13 @@
 //! Everything a resumable execution context owns — call stack (pc, locals,
 //! return plumbing), heap arrays, object heap, globals, captured output,
 //! work counters, and the fault-plan PRNG cursor — round-trips through the
-//! sealed `nir::codec` container. Checkpoints are sealed as container
-//! **version 3** (`WJAR` magic, version byte 3, `nir::hash::digest64_words`
-//! over the payload): the artifact framing with a digest that absorbs a
-//! word per step in four independent lanes, because a checkpoint is
-//! sealed at every collective and verified on every rollback. The
-//! payload is written in place into its container ([`begin`] /
-//! [`finish`]). A version-1 or version-2 container — an artifact, or a
-//! `.wckpt` written before the four-lane digest — is
-//! [`CkptError::VersionSkew`].
+//! sealed `nir::codec` container, the one `.wjar` artifacts use
+//! (`WJAR` magic, version byte 3, `nir::hash::digest64` over the
+//! payload). The payload is written in place into its container
+//! ([`begin`], then `Sealer::seal`). A version-1 or version-2
+//! container — a `.wckpt` written before the four-lane digest — is
+//! [`CkptError::VersionSkew`]; an artifact's payload fails the
+//! checkpoint's own version and kind bytes.
 //!
 //! Every record ([`Val`], [`ArrStore`], [`Counters`], the fault plan)
 //! declares its layout once through `nir::codec::Wire`; numeric arrays
@@ -26,7 +24,7 @@
 
 use crate::{ArrStore, Counters, Encoded, Frame, Machine, MemSpace, ObjHeap, Thread, Val};
 use chain::Section;
-use nir::codec::{unseal_ckpt, CodecError, Reader, Sealer, Wire, Writer};
+use nir::codec::{unseal, CodecError, Reader, Sealer, Wire, Writer};
 use nir::{FuncId, Program};
 
 /// Version byte of the checkpoint payload (inside the sealed container,
@@ -126,17 +124,10 @@ pub(crate) fn begin_sized(tag: u8, payload_len: usize) -> Sealer {
     w
 }
 
-/// Seal a finished checkpoint payload: its container bytes.
-pub fn finish(w: Sealer) -> Vec<u8> {
-    w.seal_ckpt()
-}
-
 /// Unseal container bytes and check the payload version: a reader
-/// positioned at the kind byte, and the seal digest that vouched for
-/// every byte of the payload.
-fn open_payload(bytes: &[u8]) -> Result<(Reader<'_>, u64), CkptError> {
-    let (payload, seal_digest) = unseal_ckpt(bytes)?;
-    let mut r = Reader::new(payload);
+/// positioned at the kind byte.
+fn open_payload(bytes: &[u8]) -> Result<Reader<'_>, CkptError> {
+    let mut r = Reader::new(unseal(bytes)?);
     let found = r.u8()?;
     if found != CKPT_VERSION {
         return Err(CkptError::VersionSkew {
@@ -144,13 +135,13 @@ fn open_payload(bytes: &[u8]) -> Result<(Reader<'_>, u64), CkptError> {
             expected: CKPT_VERSION,
         });
     }
-    Ok((r, seal_digest))
+    Ok(r)
 }
 
 /// Unseal container bytes and position a reader past the version/kind
 /// header, verifying both.
 pub fn open(bytes: &[u8], tag: u8) -> Result<Reader<'_>, CkptError> {
-    let (mut r, _) = open_payload(bytes)?;
+    let mut r = open_payload(bytes)?;
     let kind = r.u8()?;
     if kind != tag {
         return Err(r
@@ -381,7 +372,7 @@ impl Machine {
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = begin(TAG_MACHINE);
         write_machine(&mut w, self);
-        finish(w)
+        w.seal()
     }
 
     /// Rebuild a machine from [`Machine::snapshot`] bytes. Corruption,
@@ -480,7 +471,7 @@ mod tests {
         let m = busy_machine();
         let mut w = begin(TAG_WORLD);
         write_machine(&mut w, &m);
-        let as_world = finish(w);
+        let as_world = w.seal();
         assert!(matches!(
             Machine::restore(&as_world),
             Err(CkptError::Corrupt { .. })
@@ -490,12 +481,23 @@ mod tests {
         w.u8(CKPT_VERSION + 1);
         w.u8(TAG_MACHINE);
         write_machine(&mut w, &m);
-        let skewed = finish(w);
+        let skewed = w.seal();
         assert!(matches!(
             Machine::restore(&skewed),
             Err(CkptError::VersionSkew { found, expected })
                 if found == CKPT_VERSION + 1 && expected == CKPT_VERSION
         ));
+
+        // An artifact shares the container and its seal: its payload's
+        // first bytes are what refuse it.
+        let artifact = include_bytes!("../../translator/tests/fixtures/golden.wjar");
+        assert_eq!(
+            Machine::restore(artifact).err(),
+            Some(CkptError::VersionSkew {
+                found: artifact[13],
+                expected: CKPT_VERSION
+            })
+        );
     }
 
     #[test]
@@ -511,7 +513,7 @@ mod tests {
         let t = Thread::new(&p, entry, &[]).unwrap();
         let mut w = begin(TAG_WORLD);
         write_thread(&mut w, &t, &p);
-        let bytes = finish(w);
+        let bytes = w.seal();
         let mut r = open(&bytes, TAG_WORLD).unwrap();
         let back = read_thread(&mut r, &p).unwrap();
         assert_eq!(back.depth(), t.depth());

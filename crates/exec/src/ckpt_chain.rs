@@ -23,7 +23,7 @@
 //! themselves and seals links only when it persists them, yet charges
 //! and counts every link by the length it would have.
 //!
-//! Every sealed link is a checksummed `nir::codec` checkpoint container
+//! Every sealed link is a checksummed `nir::codec` container
 //! and carries its *parent's seal digest* — the 64-bit digest over the
 //! parent's whole payload that closes the parent's container — plus a
 //! sequence number, so the chain is self-validating end to end: a
@@ -36,7 +36,7 @@
 //! verification has just checked is what the next hop's parent field is
 //! compared with.
 
-use super::{begin_sized, finish, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
+use super::{begin_sized, open_payload, CkptError, TAG_CHAIN_BASE, TAG_CHAIN_DELTA};
 use nir::codec::{Reader, CONTAINER_OVERHEAD};
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ struct LinkInfo {
 /// Verify a sealed link (its one digest pass) and parse its header: the
 /// header, the link's own seal digest, and a reader at the link body.
 fn open_link(bytes: &[u8]) -> Result<(LinkInfo, u64, Reader<'_>), CkptError> {
-    let (mut r, seal_digest) = open_payload(bytes)?;
+    let mut r = open_payload(bytes)?;
     let is_base = match r.u8()? {
         TAG_CHAIN_BASE => true,
         TAG_CHAIN_DELTA => false,
@@ -90,7 +90,7 @@ fn open_link(bytes: &[u8]) -> Result<(LinkInfo, u64, Reader<'_>), CkptError> {
         seq: r.u64()?,
         parent_digest: r.u64()?,
     };
-    Ok((info, seal_digest, r))
+    Ok((info, seal_digest_of(bytes), r))
 }
 
 /// The seal digest of a link this process sealed or has just verified:
@@ -280,7 +280,7 @@ impl<'a> Body<'a> {
                 }
             }
         }
-        finish(w)
+        w.seal()
     }
 }
 
@@ -826,7 +826,7 @@ mod tests {
             w.u64(offset);
             w.len(len);
             w.bytes(&vec![b'X'; len]);
-            let out = resolve_prefix(&[base.bytes.clone(), finish(w)]);
+            let out = resolve_prefix(&[base.bytes.clone(), w.seal()]);
             assert_eq!(out.valid_links, 1, "run {offset}+{len}");
             assert!(
                 matches!(out.error, Some(CkptError::Corrupt { .. })),

@@ -13,7 +13,7 @@
 
 use exec::ckpt::chain::{resolve_prefix, ChainState, ResolveOutcome, Section, Step};
 use exec::ckpt::CkptError;
-use nir::codec::{seal_ckpt, unseal_ckpt};
+use nir::codec::{seal, unseal};
 
 /// Deterministic xorshift64* PRNG — same sequence on every run.
 struct Rng(u64);
@@ -78,7 +78,7 @@ fn total_len(sections: &[Section]) -> usize {
 /// `links[k]`'s payload replaced by `payload` under a correct seal.
 fn with_payload(links: &[Vec<u8>], k: usize, payload: &[u8]) -> Vec<Vec<u8>> {
     let mut out = links.to_vec();
-    out[k] = seal_ckpt(payload);
+    out[k] = seal(payload);
     out
 }
 
@@ -146,7 +146,7 @@ fn resealed_payload_mutations_resolve_or_stop_typed_never_panic() {
     let links = chain();
     let payloads: Vec<&[u8]> = links
         .iter()
-        .map(|l| unseal_ckpt(l).expect("a clean link unseals").0)
+        .map(|l| unseal(l).expect("a clean link unseals"))
         .collect();
     let parents: Vec<Vec<Section>> = (0..links.len())
         .map(|k| resolve_prefix(&links[..k]).sections)

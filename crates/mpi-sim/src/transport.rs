@@ -10,8 +10,11 @@
 //!
 //! The rest of this module is the wire framing shared by every
 //! socket-backed component: length-prefixed frames carrying a magic, a
-//! wire version, and a trailing checksum, in the same
-//! versioned-checksummed idiom as `nir::codec`. Every failure mode —
+//! wire version, and a trailing checksum, the `nir::hash::digest64` that
+//! closes every `nir::codec` container, under the same seed. The frame
+//! keeps its own magic and version, and a streaming reader with an
+//! allocation bound: tying the socket version to the container's would
+//! make an artifact layout bump refuse live peers. Every failure mode —
 //! short read, bad magic, version skew, checksum mismatch, timeout,
 //! peer death — is a typed [`TransportError`], never a panic and never
 //! an unbounded wait (socket reads are expected to carry OS timeouts).
@@ -21,14 +24,16 @@ use std::io::{Read, Write};
 
 use exec::ckpt::CkptError;
 use nir::codec::{Reader, Writer};
-use nir::hash::fnv1a64_avalanche;
+use nir::codec::SEAL_SEED;
+use nir::hash::digest64;
 
 /// Leading magic of every transport frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"WFR1";
 /// Wire protocol version; bump on any frame-layout change. A peer
 /// speaking another version is rejected typed ([`TransportError::
-/// VersionSkew`]), never mis-decoded.
-pub const WIRE_VERSION: u8 = 1;
+/// VersionSkew`]), never mis-decoded. Version 1 frames closed with
+/// FNV-1a and an avalanche.
+pub const WIRE_VERSION: u8 = 2;
 /// Upper bound on a single frame payload. A corrupt length prefix must
 /// produce a typed error, not an attempted multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: u64 = 256 << 20;
@@ -114,7 +119,7 @@ fn io_error(op: &'static str, e: std::io::Error) -> TransportError {
 }
 
 /// Write one framed payload: magic, version, little-endian length,
-/// payload bytes, trailing [`fnv1a64_avalanche`] checksum. The frame is built in
+/// payload bytes, trailing [`digest64`] checksum. The frame is built in
 /// one buffer and handed over in one write — one syscall and, when it
 /// fits, one segment on a `TCP_NODELAY` stream.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), TransportError> {
@@ -123,7 +128,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), TransportEr
     frame.push(WIRE_VERSION);
     frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     frame.extend_from_slice(payload);
-    frame.extend_from_slice(&fnv1a64_avalanche(payload).to_le_bytes());
+    frame.extend_from_slice(&digest64(payload, SEAL_SEED).to_le_bytes());
     w.write_all(&frame)
         .map_err(|e| io_error("frame write", e))?;
     w.flush().map_err(|e| io_error("frame flush", e))?;
@@ -203,7 +208,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, TransportError> {
     let mut sum = [0u8; 8];
     read_exact_counted(r, &mut sum, "frame checksum read")?;
     let found = u64::from_le_bytes(sum);
-    let expect = fnv1a64_avalanche(&payload);
+    let expect = digest64(&payload, SEAL_SEED);
     if found != expect {
         return Err(TransportError::Corrupt {
             message: format!(
@@ -341,19 +346,25 @@ mod tests {
         );
     }
 
-    /// `write_frame(b"payload")` at wire version 1, checksummed with
-    /// FNV-1a and a final avalanche.
-    const V1_FRAME_HEX: &str = "574652310107000000000000007061796c6f61646d9ee52f09c20b0b";
-
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
     }
 
     #[test]
     fn frame_bytes_are_pinned() {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"payload").unwrap();
-        assert_eq!(hex(&wire), V1_FRAME_HEX);
+        assert_eq!(
+            hex(&wire),
+            "574652310207000000000000007061796c6f61649cae99b57b1d1b6a"
+        );
     }
 
     #[test]
@@ -361,14 +372,19 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"payload").unwrap();
         wire[4] = WIRE_VERSION + 7;
-        let err = read_frame(&mut &wire[..]).unwrap_err();
-        assert_eq!(
-            err,
-            TransportError::VersionSkew {
-                found: WIRE_VERSION + 7,
-                expected: WIRE_VERSION
-            }
-        );
+        // What version 1 wrote for the same payload (FNV-1a and an
+        // avalanche for a checksum): a peer still speaking it.
+        let v1 = unhex("574652310107000000000000007061796c6f61646d9ee52f09c20b0b");
+        for (frame, found) in [(wire, WIRE_VERSION + 7), (v1, 1)] {
+            let err = read_frame(&mut &frame[..]).unwrap_err();
+            assert_eq!(
+                err,
+                TransportError::VersionSkew {
+                    found,
+                    expected: WIRE_VERSION
+                }
+            );
+        }
     }
 
     #[test]

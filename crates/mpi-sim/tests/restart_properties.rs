@@ -185,6 +185,13 @@ fn ring_step_allreduce_mesh(steps: i32, mesh: i32) -> (Program, FuncId) {
 
 /// Final per-rank buffers, bit-comparable across runs (F32 results are
 /// compared by identity, not tolerance: restart must be exact).
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
 fn results(run: WorldRun) -> Vec<Option<Val>> {
     run.ranks.into_iter().map(|r| r.result).collect()
 }
@@ -311,20 +318,29 @@ fn corrupt_persisted_checkpoints_degrade_to_cold_restart() {
             b
         },
         b"not a checkpoint at all".to_vec(),
-        // Not damage at all: the same payload in a valid version-1
-        // container, i.e. a `.wckpt` from before checkpoints moved to
-        // container version 2. Version skew, so a cold start too.
-        {
-            // `seal` frames as version 1 did; only the version byte moved.
-            let mut v1 = nir::codec::seal(nir::codec::unseal_ckpt(&good).unwrap().0);
-            v1[4] = 1;
-            v1
-        },
+        // An artifact: the same container, sealed soundly, whose payload
+        // is not a checkpoint.
+        include_bytes!("../../translator/tests/fixtures/golden.wjar").to_vec(),
+        // Not damage at all: a sound version-1 container, i.e. a `.wckpt`
+        // from before checkpoints moved to container version 2 (the
+        // thread payload `exec/tests/ckpt_golden.rs` pins as
+        // `THREAD_HEX_V1`). Version skew, so a cold start too.
+        unhex("574a415201350000000000000005b7020000000100000002000000020000000200002040000500000000000000000000000001000000000500000001010000000000c803eb9002cf1b5e"),
     ];
     for (i, bytes) in damaged.iter().enumerate() {
         std::fs::write(&path, bytes).unwrap();
         let probe = probe_chain(&path);
         assert_eq!(probe.links_valid, 0, "damage case {i}");
+        if i + 2 == damaged.len() {
+            // The payload's first byte where a checkpoint keeps its version.
+            assert_eq!(
+                probe.error,
+                Some(CkptError::VersionSkew {
+                    found: bytes[13],
+                    expected: exec::ckpt::CKPT_VERSION
+                })
+            );
+        }
         if i + 1 == damaged.len() {
             assert_eq!(
                 probe.error,

@@ -12,8 +12,9 @@
 //!   format version byte; decoding a container written under a different
 //!   version fails with [`CodecError::VersionSkew`] instead of
 //!   misinterpreting bytes.
-//! * **Checksummed** — the payload is followed by a xorshift64\*-based
-//!   content digest; any bit flip fails with [`CodecError::Corrupt`], and
+//! * **Checksummed** — the payload is followed by its
+//!   [`digest64`](crate::hash::digest64), the repo's one integrity
+//!   digest; any bit flip fails with [`CodecError::Corrupt`], and
 //!   truncation fails with [`CodecError::Truncated`]. Decode never panics
 //!   on hostile input: every discriminant is checked and every length is
 //!   bounded by the remaining input.
@@ -24,25 +25,26 @@
 //! "WJAR" | version: u8 | payload_len: u64 LE | payload | digest(payload): u64 LE
 //! ```
 //!
-//! and two versions of it are written, told apart by what the payload is,
-//! never by an option:
+//! and one version of it is written, for every payload that is kept:
+//! `.wjar` artifacts and `.wckpt` checkpoints (machine snapshots and chain
+//! links) alike, sealed by [`seal`] / [`Sealer::seal`] and opened by
+//! [`unseal`]. What the payload is, its own first bytes say.
 //!
-//! | version | payload | digest | written / read by |
+//! | version | payload | digest | read as |
 //! |---|---|---|---|
-//! | 1 (retired) | `.wjar` artifacts with pass profiles | [`digest64`] | — (version skew) |
-//! | [`VERSION`] = 2 | `.wjar` artifacts | [`digest64`], a byte per step | [`seal`] / [`unseal`] |
-//! | 2 (retired) | checkpoints | `digest64_words` in one lane | — (version skew in [`unseal_ckpt`]) |
-//! | [`CKPT_CONTAINER_VERSION`] = 3 | checkpoints | [`digest64_words`], eight bytes per step in four lanes | [`seal_ckpt`] / [`unseal_ckpt`] |
+//! | 1 (retired) | artifacts with pass profiles | a byte-per-step digest | version skew |
+//! | 2 (retired) | artifacts; checkpoints | a byte-per-step digest; the word digest in one lane | version skew |
+//! | [`VERSION`] = 3 | artifacts and checkpoints | [`digest64`](crate::hash::digest64), eight bytes per step in four lanes | [`unseal`] |
 //!
-//! Version 1 artifacts also carried the optimizer's per-pass wall times,
-//! so no two translations encoded alike; version 2 holds only what
-//! translation decided. The committed `golden.wjar` pins version 2 byte
-//! for byte and `golden_v1.wjar` the retired layout. A retired
-//! checkpoint container relabelled as an artifact fails the byte digest
-//! ([`CodecError::Corrupt`]). Both go through one framing routine,
-//! [`Sealer`], which writes the payload in place behind a reserved header
-//! and appends the digest: no regrowth when the size is known, no second
-//! copy.
+//! Version 3 is the checkpoint container as it already was, so no
+//! `.wckpt` byte moved when artifacts joined it; a version-2 artifact on
+//! disk is a counted miss, deleted and re-translated. The committed
+//! `golden.wjar` pins version 3 byte for byte, `golden_v2.wjar` and
+//! `golden_v1.wjar` the retired layouts. One layout version for both
+//! means a future artifact layout bump also sends persisted checkpoints
+//! to a cold start. [`Sealer`] writes the payload in place behind a
+//! reserved header and appends the digest: no regrowth when the size is
+//! known, no second copy.
 //!
 //! All multi-byte integers are little-endian; floats are stored as their
 //! IEEE-754 bit patterns, so encode→decode→encode is bit-identical (the
@@ -70,10 +72,10 @@ use crate::opt::OptConfig;
 /// Magic prefix of a sealed artifact container.
 pub const MAGIC: [u8; 4] = *b"WJAR";
 
-/// Current artifact format version. Bump on any layout change: decoders
-/// reject other versions with [`CodecError::VersionSkew`] rather than
-/// guessing. Version 1 artifacts carried pass profiles.
-pub const VERSION: u8 = 2;
+/// Current container version, artifacts and checkpoints alike. Bump on
+/// any layout change: decoders reject other versions with
+/// [`CodecError::VersionSkew`] rather than guessing.
+pub const VERSION: u8 = 3;
 
 /// Typed decode failure. `Truncated`/`BadMagic`/`VersionSkew` are
 /// structural (the container is not a complete current-version artifact);
@@ -113,24 +115,11 @@ impl std::error::Error for CodecError {}
 
 pub type CodecResult<T> = Result<T, CodecError>;
 
-pub use crate::hash::digest64;
-use crate::hash::digest64_words;
+use crate::hash::digest64;
 
-/// Container version of checkpoint payloads (`exec::ckpt`: machine
-/// snapshots and `.wckpt` chain links). Same framing as [`VERSION`],
-/// closed by [`digest64_words`] instead of [`digest64`]: a checkpoint is
-/// sealed at every collective and verified link by link on every
-/// rollback, so its digest has to run at memory speed, while artifacts
-/// keep the byte digest their containers have always had. Version 2 sealed with
-/// the one-lane form of the word digest; its containers are now version
-/// skew, which every restore path degrades to a cold start.
-pub const CKPT_CONTAINER_VERSION: u8 = 3;
-
-/// Seed of the container checksum, every version.
-const SEAL_SEED: u64 = 0x57_4A_41_52_00_00_00_01; // "WJAR" | 1
-
-/// A container's payload digest, by version.
-type SealDigest = fn(&[u8], u64) -> u64;
+/// Seed of the container checksum, every version; the WFR1 frame
+/// checksum of `mpi_sim::transport` uses it too.
+pub const SEAL_SEED: u64 = 0x57_4A_41_52_00_00_00_01; // "WJAR" | 1
 
 /// Bytes before the payload: magic, version, payload length.
 const HEADER_LEN: usize = MAGIC.len() + 1 + 8;
@@ -138,33 +127,16 @@ const HEADER_LEN: usize = MAGIC.len() + 1 + 8;
 /// Bytes a container adds to its payload: the header and the digest.
 pub const CONTAINER_OVERHEAD: usize = HEADER_LEN + 8;
 
-/// Wrap an artifact payload in the artifact container ([`VERSION`]).
+/// Wrap a payload in the container.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    Sealer::with_payload(payload).seal()
-}
-
-/// Verify an artifact container's framing and checksum; return the
-/// payload slice.
-pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
-    unseal_with(VERSION, digest64, bytes).map(|(payload, _)| payload)
-}
-
-/// Wrap a checkpoint payload in the checkpoint container.
-pub fn seal_ckpt(payload: &[u8]) -> Vec<u8> {
-    Sealer::with_payload(payload).seal_ckpt()
-}
-
-/// Verify a checkpoint container's framing and checksum; return the
-/// payload slice and the digest that vouched for it (the container's
-/// last eight bytes — what a checkpoint chain links a child to).
-pub fn unseal_ckpt(bytes: &[u8]) -> CodecResult<(&[u8], u64)> {
-    unseal_with(CKPT_CONTAINER_VERSION, digest64_words, bytes)
+    let mut s = Sealer::new(payload.len());
+    s.bytes(payload);
+    s.seal()
 }
 
 /// A payload written straight into its container: the header is reserved
 /// up front, the payload goes in place behind it (through the [`Writer`]
-/// it dereferences to), and [`Sealer::seal`] / [`Sealer::seal_ckpt`]
-/// patch the header and append the digest. A payload whose size is known
+/// it dereferences to), and [`Sealer::seal`] patches the header and append the digest. A payload whose size is known
 /// ahead is written into a buffer that never regrows, and nothing is
 /// copied a second time.
 pub struct Sealer(Writer);
@@ -178,31 +150,15 @@ impl Sealer {
         Sealer(Writer { buf })
     }
 
-    fn with_payload(payload: &[u8]) -> Sealer {
-        let mut s = Sealer::new(payload.len());
-        s.bytes(payload);
-        s
-    }
-
-    /// Close the payload as an artifact container ([`VERSION`]).
+    /// Close the payload: the container is
+    /// `MAGIC | VERSION | payload_len | payload | digest64(payload)`.
     pub fn seal(self) -> Vec<u8> {
-        self.seal_with(VERSION, digest64)
-    }
-
-    /// Close the payload as a checkpoint container.
-    pub fn seal_ckpt(self) -> Vec<u8> {
-        self.seal_with(CKPT_CONTAINER_VERSION, digest64_words)
-    }
-
-    /// The one framing routine: every container is
-    /// `MAGIC | version | payload_len | payload | digest(payload)`.
-    fn seal_with(self, version: u8, digest: SealDigest) -> Vec<u8> {
         let mut out = self.0.buf;
         let payload_len = (out.len() - HEADER_LEN) as u64;
         out[..MAGIC.len()].copy_from_slice(&MAGIC);
-        out[MAGIC.len()] = version;
+        out[MAGIC.len()] = VERSION;
         out[MAGIC.len() + 1..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-        let d = digest(&out[HEADER_LEN..], SEAL_SEED);
+        let d = digest64(&out[HEADER_LEN..], SEAL_SEED);
         out.extend_from_slice(&d.to_le_bytes());
         out
     }
@@ -221,9 +177,9 @@ impl std::ops::DerefMut for Sealer {
     }
 }
 
-/// Inverse of [`Sealer`]'s framing: the payload and its verified digest, or the
-/// first thing wrong with the container.
-fn unseal_with(version: u8, digest: SealDigest, bytes: &[u8]) -> CodecResult<(&[u8], u64)> {
+/// Inverse of [`Sealer`]'s framing: the payload, once the container's
+/// framing and digest check out, or the first thing wrong with it.
+pub fn unseal(bytes: &[u8]) -> CodecResult<&[u8]> {
     if bytes.len() < MAGIC.len() {
         return Err(CodecError::Truncated {
             offset: bytes.len(),
@@ -237,10 +193,10 @@ fn unseal_with(version: u8, digest: SealDigest, bytes: &[u8]) -> CodecResult<(&[
             offset: bytes.len(),
         });
     };
-    if found != version {
+    if found != VERSION {
         return Err(CodecError::VersionSkew {
             found,
-            expected: version,
+            expected: VERSION,
         });
     }
     if bytes.len() < HEADER_LEN {
@@ -275,14 +231,14 @@ fn unseal_with(version: u8, digest: SealDigest, bytes: &[u8]) -> CodecResult<(&[
     let mut dig8 = [0u8; 8];
     dig8.copy_from_slice(&bytes[HEADER_LEN + payload_len..total]);
     let stored = u64::from_le_bytes(dig8);
-    let actual = digest(payload, SEAL_SEED);
+    let actual = digest64(payload, SEAL_SEED);
     if stored != actual {
         return Err(CodecError::Corrupt {
             offset: HEADER_LEN,
             message: format!("content digest mismatch: stored {stored:#x}, computed {actual:#x}"),
         });
     }
-    Ok((payload, stored))
+    Ok(payload)
 }
 
 /// Append-only byte sink for artifact payloads.
@@ -919,7 +875,7 @@ wire_struct!(OptConfig {
 /// scopes a checkpoint to the program it was captured from: a frame's
 /// saved pc means something only in that code.
 pub fn program_digest(p: &Program, seed: u64) -> u64 {
-    digest64_words(&p.to_wire(), seed)
+    digest64(&p.to_wire(), seed)
 }
 
 #[cfg(test)]
@@ -1012,59 +968,18 @@ mod tests {
     }
 
     #[test]
-    fn artifact_seal_bytes_are_pinned() {
-        // Artifacts on disk: `seal` must keep writing exactly this. Only
-        // the version byte (byte 4) differs from a version-1 container.
+    fn seal_bytes_are_pinned() {
+        // Artifacts and checkpoints on disk: `seal` must keep writing
+        // exactly this. It is the bytes the checkpoint container wrote
+        // for this payload before artifacts joined it.
         let hex: String = seal(b"the artifact payload")
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
         assert_eq!(
             hex,
-            "574a4152021400000000000000746865206172746966616374207061796c6f61641a2a3947eb512b28"
+            "574a4152031400000000000000746865206172746966616374207061796c6f616444c22d7f8632c5ee"
         );
-    }
-
-    #[test]
-    fn container_versions_share_the_framing_and_reject_each_other() {
-        let payload = b"payload bytes here";
-        let (v1, v2) = (seal(payload), seal_ckpt(payload));
-        assert_eq!(v1.len(), v2.len());
-        assert_eq!((v1[4], v2[4]), (VERSION, CKPT_CONTAINER_VERSION));
-        assert_eq!(v1[..4], v2[..4]);
-        assert_eq!(v1[5..v1.len() - 8], v2[5..v2.len() - 8]);
-        let (back, digest) = unseal_ckpt(&v2).unwrap();
-        assert_eq!(back, payload);
-        assert_eq!(digest.to_le_bytes(), v2[v2.len() - 8..]);
-        assert_eq!(
-            unseal_ckpt(&v1),
-            Err(CodecError::VersionSkew {
-                found: VERSION,
-                expected: CKPT_CONTAINER_VERSION
-            })
-        );
-        assert_eq!(
-            unseal(&v2),
-            Err(CodecError::VersionSkew {
-                found: CKPT_CONTAINER_VERSION,
-                expected: VERSION
-            })
-        );
-        // Relabelling the version byte does not convert one into the other.
-        let mut relabelled = v1.clone();
-        relabelled[4] = CKPT_CONTAINER_VERSION;
-        assert!(matches!(
-            unseal_ckpt(&relabelled),
-            Err(CodecError::Corrupt { .. })
-        ));
-        for n in 0..v2.len() {
-            assert!(unseal_ckpt(&v2[..n]).is_err(), "prefix of {n} bytes");
-        }
-        for byte in 5..v2.len() {
-            let mut flip = v2.clone();
-            flip[byte] ^= 0x10;
-            assert!(unseal_ckpt(&flip).is_err(), "bit flip at {byte}");
-        }
     }
 
     #[test]
@@ -1094,14 +1009,20 @@ mod tests {
                 "prefix of {n} bytes must be rejected"
             );
         }
-        // Any single payload bit flip is a digest mismatch.
-        for byte in [13usize, 20, sealed.len() - 9] {
+        // Any single payload or digest bit flip is a digest mismatch,
+        // and a flip anywhere past the magic is caught.
+        for byte in [13usize, 20, sealed.len() - 9, sealed.len() - 1] {
             let mut flip = sealed.clone();
             flip[byte] ^= 0x10;
             assert!(
                 matches!(unseal(&flip), Err(CodecError::Corrupt { .. })),
                 "bit flip at {byte} must be caught"
             );
+        }
+        for byte in 4..sealed.len() {
+            let mut flip = sealed.clone();
+            flip[byte] ^= 0x10;
+            assert!(unseal(&flip).is_err(), "bit flip at {byte}");
         }
         // Trailing garbage is rejected too.
         let mut long = sealed.clone();

@@ -1,54 +1,29 @@
 //! The repo's one stable-hash implementation.
 //!
 //! Every hash baked into a persisted format or a wire frame lives here
-//! and nowhere else. There are four, all 64-bit, and none of them may
-//! change by a bit without a version bump of what it is baked into:
+//! and nowhere else. There are two, both 64-bit, and neither may change
+//! by a bit without a version bump of what it is baked into:
 //!
-//! * [`digest64`] — the xorshift64\* stream digest, one byte per step.
-//!   Baked into the version-1 (`WJAR` artifact) container seal, the
-//!   `CacheKey` fingerprint pair, `dist`'s warm-program digest and the
-//!   committed `golden.wjar`. Seeded, so two seeds give an independent
-//!   128-bit fingerprint.
-//! * [`digest64_words`] — the same step absorbing eight bytes at a time,
-//!   in four lanes. Baked into the version-3 container seal, which frames
-//!   checkpoints (`.wckpt` chain links and machine snapshots), and into
-//!   the program digest that scopes a checkpoint to its program.
-//! * [`fnv1a64`] — FNV-1a, baked into platform salts, on-disk cache
-//!   namespaces and the query fingerprints of the incremental database.
-//! * [`fnv1a64_avalanche`] — FNV-1a with a final avalanche, baked into
-//!   the WFR1 frame header of `mpi_sim::transport` (behind `dist` and
-//!   `jitd`).
+//! * [`digest64`] — the integrity digest: a xorshift64\* step absorbing
+//!   eight bytes at a time, in four lanes. Baked into the `nir::codec`
+//!   container seal (`.wjar` artifacts and `.wckpt` checkpoints alike),
+//!   the `CacheKey` fingerprint pair, the program digest that scopes a
+//!   checkpoint to its program, the WFR1 frame checksum of
+//!   `mpi_sim::transport` (behind `dist` and `jitd`) and the committed
+//!   `golden.wjar`. Seeded, so two seeds give an independent 128-bit
+//!   fingerprint.
+//! * [`fnv1a64`] — FNV-1a, a structural hash baked into platform salts,
+//!   on-disk cache namespaces and the query fingerprints of the
+//!   incremental database.
 //!
 //! [`Fingerprint`] is a tiny streaming wrapper over FNV-1a so query
 //! fingerprints over structured data (item trees, bodies) are built
 //! from typed pushes instead of ad-hoc byte buffers.
 
-/// Content digest: a xorshift64\* stream absorbing one byte per step.
-/// Not cryptographic — it detects accidental corruption (bit flips,
-/// truncated tails hidden by padding), which is all a local artifact
-/// store needs. Different `seed`s give independent digests, so a pair of
-/// seeded digests serves as a 128-bit fingerprint.
-pub fn digest64(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = seed | 1;
-    for &b in bytes {
-        // Spelled out rather than calling `absorb`: at opt-level 0 this
-        // loop is most of a disk-cache warm start, and going through the
-        // call read ≈20 % slower there (`wootinj/tests/disk_cache.rs`
-        // asserts a wall-clock ratio on it).
-        h ^= u64::from(b).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // xorshift64* step.
-        h ^= h >> 12;
-        h ^= h << 25;
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    }
-    h
-}
-
-/// The step of [`digest64`]'s loop body, absorbing a whole `word` into
-/// the state `h`. For a fixed `word` it is a bijection of `h` (an xor,
-/// three invertible shift-xors and a multiply by an odd constant); for a
-/// fixed `h` it is injective in `word` (the first multiplier is odd too).
+/// One xorshift64\* step, absorbing a whole `word` into the state `h`.
+/// For a fixed `word` it is a bijection of `h` (an xor, three invertible
+/// shift-xors and a multiply by an odd constant); for a fixed `h` it is
+/// injective in `word` (the first multiplier is odd too).
 #[inline(always)]
 fn absorb(mut h: u64, word: u64) -> u64 {
     h ^= word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -58,15 +33,18 @@ fn absorb(mut h: u64, word: u64) -> u64 {
     h.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// [`digest64`]'s step over eight little-endian bytes at a time, in four
+/// Content digest over eight little-endian bytes at a time, in four
 /// independent lanes: lane `k` starts at `absorb(seed | 1, k)`, and each
 /// 32-byte block gives one word to every lane in turn. The lanes are then
 /// folded into one state with `absorb`, which goes on through the words
 /// left over, each tail byte as its own step, and the length (so `[1]`
-/// and `[1, 0, 0, 0, 0, 0, 0, 0]` differ). Same integrity model as one
-/// lane, but four dependency chains run side by side — checkpoints are
-/// hashed on every capture and every rollback, so theirs has to run at
-/// memory speed.
+/// and `[1, 0, 0, 0, 0, 0, 0, 0]` differ). Not cryptographic — it detects
+/// accidental corruption (bit flips, truncated tails hidden by padding),
+/// which is all a local store or a socket needs. Four dependency chains
+/// run side by side, so it runs at memory speed: checkpoints are sealed
+/// on every capture and verified on every rollback. Different `seed`s
+/// give independent digests, so a pair of seeded digests serves as a
+/// 128-bit fingerprint.
 ///
 /// A change confined to one absorbed word — every single-bit flip, in
 /// particular — always changes the digest: the damaged step's output
@@ -74,7 +52,7 @@ fn absorb(mut h: u64, word: u64) -> u64 {
 /// bijection of the lane's state, the fold absorbs that lane either as
 /// its starting state (a bijection from there on) or as a word
 /// (injective), and every step after the fold is a bijection again.
-pub fn digest64_words(bytes: &[u8], seed: u64) -> u64 {
+pub fn digest64(bytes: &[u8], seed: u64) -> u64 {
     let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
     let s = seed | 1;
     let mut lanes = [0, 1, 2, 3].map(|lane| absorb(s, lane));
@@ -107,16 +85,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// [`fnv1a64`] folded through a final avalanche (xor-shift, multiply,
-/// xor-shift), so every input bit reaches every output bit. Baked into
-/// the WFR1 frame header `mpi_sim::transport` writes.
-pub fn fnv1a64_avalanche(bytes: &[u8]) -> u64 {
-    let mut h = fnv1a64(bytes);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^ (h >> 33)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -202,13 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a64_avalanche_is_pinned() {
-        // Baked into every WFR1 frame header.
-        assert_eq!(fnv1a64_avalanche(b""), 0xecba_3df2_c338_3c52);
-        assert_eq!(fnv1a64_avalanche(b"foobar"), 0x6916_ce8b_48d4_bc55);
-    }
-
-    #[test]
     fn fingerprint_streams_like_fnv() {
         let mut f = Fingerprint::new();
         f.bytes(b"foobar");
@@ -226,31 +187,22 @@ mod tests {
 
     #[test]
     fn digest64_is_pinned() {
-        // Baked into WJAR seals, `CacheKey` fingerprints and `golden.wjar`.
-        assert_eq!(digest64(b"hello", 1), 0xb03a_58ee_959b_2224);
-        assert_ne!(digest64(b"hello", 1), digest64(b"hello", 2));
-        // Its loop body and `absorb` are the same step, written twice.
-        let by_steps = b"hello".iter().fold(1, |h, &b| absorb(h, u64::from(b)));
-        assert_eq!(digest64(b"hello", 1), by_steps);
-    }
-
-    #[test]
-    fn digest64_words_is_pinned() {
-        // Baked into every persisted `.wckpt`: a drift here silently
-        // invalidates them all, so it has to fail a test first.
+        // Baked into every persisted `.wckpt` and `.wjar`, every cache-key
+        // name and every frame: a drift here silently invalidates them
+        // all, so it has to fail a test first.
         let long: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(29)).collect();
-        assert_eq!(digest64_words(b"", 1), 0xc658_b118_03d8_dbf9);
-        assert_eq!(digest64_words(b"hello", 1), 0xd982_cc23_9b5e_6f77);
+        assert_eq!(digest64(b"", 1), 0xc658_b118_03d8_dbf9);
+        assert_eq!(digest64(b"hello", 1), 0xd982_cc23_9b5e_6f77);
         assert_eq!(
-            digest64_words(b"0123456789abcdef-tail", 0x57_4A_41_52_00_00_00_01),
+            digest64(b"0123456789abcdef-tail", 0x57_4A_41_52_00_00_00_01),
             0xd6bd_ae66_a99c_d43d
         );
         // Three whole blocks, a leftover word and four tail bytes.
-        assert_eq!(digest64_words(&long, 7), 0x9181_52fc_2c0f_afaa);
+        assert_eq!(digest64(&long, 7), 0x9181_52fc_2c0f_afaa);
     }
 
     #[test]
-    fn digest64_words_sees_every_bit_and_the_length() {
+    fn digest64_sees_every_bit_and_the_length() {
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         // Two whole 32-byte blocks (every lane twice), then every tail: 0..=3
         // leftover words and 0..=7 leftover bytes.
@@ -261,23 +213,23 @@ mod tests {
                     (seed >> 56) as u8
                 })
                 .collect();
-            let clean = digest64_words(&bytes, 7);
+            let clean = digest64(&bytes, 7);
             for bit in 0..len * 8 {
                 let mut bad = bytes.clone();
                 bad[bit / 8] ^= 1 << (bit % 8);
-                assert_ne!(digest64_words(&bad, 7), clean, "len {len} bit {bit}");
+                assert_ne!(digest64(&bad, 7), clean, "len {len} bit {bit}");
             }
             // Seed sensitivity, and truncation by one byte.
-            assert_ne!(digest64_words(&bytes, 9), clean, "len {len}");
+            assert_ne!(digest64(&bytes, 9), clean, "len {len}");
             if let Some((_, shorter)) = bytes.split_last() {
-                assert_ne!(digest64_words(shorter, 7), clean, "len {len}");
+                assert_ne!(digest64(shorter, 7), clean, "len {len}");
             }
         }
         // Zero padding up to a word boundary is not invisible.
         assert_ne!(
-            digest64_words(&[1], 7),
-            digest64_words(&[1, 0, 0, 0, 0, 0, 0, 0], 7)
+            digest64(&[1], 7),
+            digest64(&[1, 0, 0, 0, 0, 0, 0, 0], 7)
         );
-        assert_ne!(digest64_words(&[], 7), digest64_words(&[0], 7));
+        assert_ne!(digest64(&[], 7), digest64(&[0], 7));
     }
 }

@@ -19,9 +19,9 @@ pub mod ir;
 pub mod opt;
 pub mod verify;
 
-pub use codec::{digest64, seal, unseal, CodecError, CodecResult, Reader, Wire, Writer};
+pub use codec::{seal, unseal, CodecError, CodecResult, Reader, Wire, Writer};
 pub use emit::{emit_c, DIV_BY_ZERO_EXIT};
-pub use hash::{fnv1a64, Fingerprint};
+pub use hash::{digest64, fnv1a64, Fingerprint};
 pub use intrin::{IntrinOp, IntrinTy, Intrinsic, Platform, INTRINSICS};
 pub use ir::{
     ClassMeta, ConstVal, ElemTy, FuncBuilder, FuncId, FuncKind, Function, Global, HostFnSig, Instr,

@@ -299,8 +299,8 @@ impl CacheKey {
         }
         w.u32(self.opt_revision);
         let bytes = w.into_bytes();
-        let a = codec::digest64(&bytes, 0x9E37_79B9_7F4A_7C15);
-        let b = codec::digest64(&bytes, 0xC2B2_AE3D_27D4_EB4F);
+        let a = nir::digest64(&bytes, 0x9E37_79B9_7F4A_7C15);
+        let b = nir::digest64(&bytes, 0xC2B2_AE3D_27D4_EB4F);
         format!("wj01-{a:016x}{b:016x}")
     }
 }

@@ -112,48 +112,48 @@ fn encode_is_a_pure_function_of_the_translation() {
     assert_eq!(diffusion(preset).encode(), diffusion(preset).encode());
 }
 
-/// The parent layout's `golden.wjar` (version 1: pass profiles and two
-/// zero slots in the payload), kept byte for byte: an artifact already on
-/// disk is version skew, which the disk tier counts as a decode failure,
-/// deletes and re-translates over.
+/// A machine-thread checkpoint (`exec/tests/ckpt_golden.rs`'s
+/// `THREAD_HEX`): the artifact container and a sound seal around a
+/// payload that is no artifact.
+const CHECKPOINT_HEX: &str = "574a415203350000000000000005b70200000001000000020000000200000002000020400005000000000000000000000000010000000005000000010100000000007c371677d567cb96";
+
+/// Bytes a disk store may hold under an artifact's name but must not
+/// serve: the retired layouts' `golden.wjar`, kept byte for byte
+/// (version 1: pass profiles and two zero slots in the payload; version
+/// 2: today's payload under a byte-per-step seal), and a checkpoint.
+/// Each is a decode failure, which the disk tier counts, deletes and
+/// re-translates over.
 #[test]
 fn a_version_1_artifact_is_a_counted_disk_miss() {
     use translator::{CacheKey, EntrySpec};
     use wootinj::cache::{artifact_path, CacheBackend, DiskStore};
 
-    let v1 = std::fs::read(fixture("golden_v1.wjar")).unwrap();
-    assert_eq!(
-        Translated::decode(&v1).err(),
-        Some(CodecError::VersionSkew {
-            found: 1,
-            expected: VERSION
-        })
-    );
+    let checkpoint: Vec<u8> = (0..CHECKPOINT_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&CHECKPOINT_HEX[i..i + 2], 16).unwrap())
+        .collect();
+    let old = [
+        ("golden_v1.wjar", std::fs::read(fixture("golden_v1.wjar")).unwrap()),
+        ("golden_v2.wjar", std::fs::read(fixture("golden_v2.wjar")).unwrap()),
+        ("a checkpoint", checkpoint),
+    ];
+    for (found, (name, bytes)) in [1, 2].into_iter().zip(&old) {
+        assert_eq!(
+            Translated::decode(bytes).err(),
+            Some(CodecError::VersionSkew {
+                found,
+                expected: VERSION
+            }),
+            "{name}"
+        );
+    }
+    assert!(matches!(
+        Translated::decode(&old[2].1),
+        Err(CodecError::Corrupt { .. })
+    ));
 
-    // The store: one decode failure, a miss, and the file gone.
-    let dir = TempDir::new("v1-store");
-    let key = CacheKey::new(
-        EntrySpec::Opaque {
-            class: jlang::types::ClassId(1),
-            method: 0,
-            arity: 2,
-        },
-        TransConfig::full(),
-        vec![],
-    );
-    let path = artifact_path(&dir.0, &key);
-    std::fs::write(&path, &v1).unwrap();
-    let mut store = DiskStore::open(&dir.0).unwrap();
-    assert!(store.lookup(&key).is_none());
-    let stats = store.stats();
-    assert_eq!((stats.decode_failures, stats.disk_misses), (1, 1));
-    assert!(!path.exists(), "the version-1 file is removed");
-
-    // The facade: a jit whose key holds a version-1 file translates cold
-    // and persists the same bytes as a jit into an empty store.
-    let dir = TempDir::new("v1-jit");
     let table = build_table(&[("app.jl", APP)]).unwrap();
-    let jit_sample = || {
+    let jit_sample = |dir: &TempDir| {
         let mut env = WootinJ::new(&table).unwrap();
         let stepper = env
             .new_instance("Axpy", &[Value::Float(0.5), Value::Float(0.25)])
@@ -164,21 +164,47 @@ fn a_version_1_artifact_is_a_counted_disk_miss() {
         env.jit(&fix, "run", &[data, Value::Int(2)], opts).unwrap();
         env.cache_stats()
     };
-    jit_sample();
-    let files: Vec<PathBuf> = std::fs::read_dir(&dir.0)
+    let cold_dir = TempDir::new("cold-jit");
+    jit_sample(&cold_dir);
+    let files: Vec<PathBuf> = std::fs::read_dir(&cold_dir.0)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "wjar"))
         .collect();
     assert_eq!(files.len(), 1);
     let cold = std::fs::read(&files[0]).unwrap();
-    std::fs::write(&files[0], &v1).unwrap();
-    let stats = jit_sample();
-    assert_eq!(
-        (stats.decode_failures, stats.disk_hits, stats.translations),
-        (1, 0, 1)
-    );
-    assert_eq!(std::fs::read(&files[0]).unwrap(), cold);
+
+    for (name, bytes) in &old {
+        // The store: one decode failure, a miss, and the file gone.
+        let dir = TempDir::new("old-store");
+        let key = CacheKey::new(
+            EntrySpec::Opaque {
+                class: jlang::types::ClassId(1),
+                method: 0,
+                arity: 2,
+            },
+            TransConfig::full(),
+            vec![],
+        );
+        let path = artifact_path(&dir.0, &key);
+        std::fs::write(&path, bytes).unwrap();
+        let mut store = DiskStore::open(&dir.0).unwrap();
+        assert!(store.lookup(&key).is_none(), "{name}");
+        let stats = store.stats();
+        assert_eq!((stats.decode_failures, stats.disk_misses), (1, 1), "{name}");
+        assert!(!path.exists(), "{name}: the file is removed");
+
+        // The facade: a jit whose key holds these bytes translates cold
+        // and persists the same bytes as a jit into an empty store.
+        std::fs::write(&files[0], bytes).unwrap();
+        let stats = jit_sample(&cold_dir);
+        assert_eq!(
+            (stats.decode_failures, stats.disk_hits, stats.translations),
+            (1, 0, 1),
+            "{name}"
+        );
+        assert_eq!(std::fs::read(&files[0]).unwrap(), cold, "{name}");
+    }
 }
 
 /// A directory under the system temp dir, removed on drop.
