@@ -419,7 +419,9 @@ fn compile_path_output_is_pinned() {
 /// unsorted hosts, a shaped spec with nested objects and no receiver,
 /// each `TransConfig` preset and the `JitOptions::wootinj()` config, a
 /// platform salt, and a source fingerprint. Every key mixes in
-/// `nir::opt::REVISION`, so all of them move when it is bumped.
+/// `nir::opt::REVISION`, so all of them move when it is bumped; and
+/// every name is two seeded `nir::hash::digest64`s, so all of them move
+/// with that digest.
 #[test]
 fn cache_key_fingerprints_are_pinned() {
     use jlang::types::{ClassId, PrimKind};
@@ -490,15 +492,15 @@ fn cache_key_fingerprints_are_pinned() {
         ),
     ];
     let pinned = [
-        "wj01-eb249e3263fad1ace7488ec8ffe5aa43",
-        "wj01-112a1b491559c83600b66d8d35c1f88b",
-        "wj01-9fb6e773067a29dfca60a12cfe380a25",
-        "wj01-569d7c4d0ae7bc0036194b466b367e44",
-        "wj01-8ea96b170ff71d29d5cc30824e2395ef",
-        "wj01-cf08b470ba200ff2fd76a94bce951872",
-        "wj01-27958b1a0b2b8e36fca24786d6bc5048",
-        "wj01-1d666290b2319c9bee7bfceaec265817",
-        "wj01-7dc8b8f28f7e12ac7c027c63ece30a4d",
+        "wj01-d798f145808f695df5f114edf361b17f",
+        "wj01-6bab2b7fc73d00a9e21ca2e8f85ebc46",
+        "wj01-95b4191d7a6756ceefd86cd29ff93ec0",
+        "wj01-3d3d96201b60ee6a747ed518072d4f46",
+        "wj01-7c21fa554f479116decf218104b638d9",
+        "wj01-80b9e29699153a4acfd70896ea34d9d4",
+        "wj01-b2bde12240fa47524144a75933970d69",
+        "wj01-a454abd7750b730b425ef00a2c77c34c",
+        "wj01-e6cef37d088d1f209fd78100c29f459d",
     ];
     let mut moved = Vec::new();
     for ((name, key), want) in keys.iter().zip(pinned) {
