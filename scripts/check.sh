@@ -78,6 +78,20 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one integrity digest: artifacts, checkpoints and frames close with =="
+echo "==   nir::hash::digest64 and one container version; no second digest, =="
+echo "==   container version or seal pair comes back                        =="
+stray="$( (grep -rn --include='*.rs' -E \
+        'digest64_words|fnv1a64_avalanche|seal_ckpt|unseal_ckpt|CKPT_CONTAINER_VERSION|SealDigest' \
+        crates/*/src || true
+    grep -rn --include='*.rs' -E 'fn digest64\b' crates/*/src \
+        | grep -v '^crates/nir/src/hash\.rs:' || true) )"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above name a second integrity digest, container version or seal"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
