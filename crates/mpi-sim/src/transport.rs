@@ -23,16 +23,14 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 
 use exec::ckpt::CkptError;
-use nir::codec::{Reader, Writer};
-use nir::codec::SEAL_SEED;
+use nir::codec::{Reader, Writer, SEAL_SEED};
 use nir::hash::digest64;
 
 /// Leading magic of every transport frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"WFR1";
 /// Wire protocol version; bump on any frame-layout change. A peer
 /// speaking another version is rejected typed ([`TransportError::
-/// VersionSkew`]), never mis-decoded. Version 1 frames closed with
-/// FNV-1a and an avalanche.
+/// VersionSkew`]), never mis-decoded.
 pub const WIRE_VERSION: u8 = 2;
 /// Upper bound on a single frame payload. A corrupt length prefix must
 /// produce a typed error, not an attempted multi-gigabyte allocation.
@@ -346,10 +344,6 @@ mod tests {
         );
     }
 
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
     fn unhex(hex: &str) -> Vec<u8> {
         (0..hex.len())
             .step_by(2)
@@ -362,8 +356,8 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"payload").unwrap();
         assert_eq!(
-            hex(&wire),
-            "574652310207000000000000007061796c6f61649cae99b57b1d1b6a"
+            wire,
+            unhex("574652310207000000000000007061796c6f61649cae99b57b1d1b6a")
         );
     }
 

@@ -63,6 +63,7 @@ use std::sync::Arc;
 use jlang::ast::BinOp;
 use jlang::types::{ClassId, PrimKind};
 
+use crate::hash::digest64;
 use crate::intrin::{IntrinOp, Intrinsic};
 use crate::ir::{
     ClassMeta, ConstVal, ElemTy, FuncId, FuncKind, Function, Global, HostFnSig, Instr, Program, Ty,
@@ -114,8 +115,6 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 pub type CodecResult<T> = Result<T, CodecError>;
-
-use crate::hash::digest64;
 
 /// Seed of the container checksum, every version; the WFR1 frame
 /// checksum of `mpi_sim::transport` uses it too.

@@ -226,10 +226,7 @@ mod tests {
             }
         }
         // Zero padding up to a word boundary is not invisible.
-        assert_ne!(
-            digest64(&[1], 7),
-            digest64(&[1, 0, 0, 0, 0, 0, 0, 0], 7)
-        );
+        assert_ne!(digest64(&[1], 7), digest64(&[1, 0, 0, 0, 0, 0, 0, 0], 7));
         assert_ne!(digest64(&[], 7), digest64(&[0], 7));
     }
 }

@@ -133,8 +133,14 @@ fn a_version_1_artifact_is_a_counted_disk_miss() {
         .map(|i| u8::from_str_radix(&CHECKPOINT_HEX[i..i + 2], 16).unwrap())
         .collect();
     let old = [
-        ("golden_v1.wjar", std::fs::read(fixture("golden_v1.wjar")).unwrap()),
-        ("golden_v2.wjar", std::fs::read(fixture("golden_v2.wjar")).unwrap()),
+        (
+            "golden_v1.wjar",
+            std::fs::read(fixture("golden_v1.wjar")).unwrap(),
+        ),
+        (
+            "golden_v2.wjar",
+            std::fs::read(fixture("golden_v2.wjar")).unwrap(),
+        ),
         ("a checkpoint", checkpoint),
     ];
     for (found, (name, bytes)) in [1, 2].into_iter().zip(&old) {
