@@ -12,9 +12,9 @@
 //!   format version byte; decoding a container written under a different
 //!   version fails with [`CodecError::VersionSkew`] instead of
 //!   misinterpreting bytes.
-//! * **Checksummed** — the payload is followed by its
-//!   [`digest64`](crate::hash::digest64), the repo's one integrity
-//!   digest; any bit flip fails with [`CodecError::Corrupt`], and
+//! * **Checksummed** — the payload is followed by its [`digest64`],
+//!   the repo's one integrity digest; any bit flip fails with
+//!   [`CodecError::Corrupt`], and
 //!   truncation fails with [`CodecError::Truncated`]. Decode never panics
 //!   on hostile input: every discriminant is checked and every length is
 //!   bounded by the remaining input.
@@ -34,7 +34,7 @@
 //! |---|---|---|---|
 //! | 1 (retired) | artifacts with pass profiles | a byte-per-step digest | version skew |
 //! | 2 (retired) | artifacts; checkpoints | a byte-per-step digest; the word digest in one lane | version skew |
-//! | [`VERSION`] = 3 | artifacts and checkpoints | [`digest64`](crate::hash::digest64), eight bytes per step in four lanes | [`unseal`] |
+//! | [`VERSION`] = 3 | artifacts and checkpoints | [`digest64`], eight bytes per step in four lanes | [`unseal`] |
 //!
 //! Version 3 is the checkpoint container as it already was, so no
 //! `.wckpt` byte moved when artifacts joined it; a version-2 artifact on
