@@ -7,6 +7,8 @@
 //! repro list             list experiment ids
 //! repro figures          print the smoke-sized JSON of every pinned figure
 //! repro figures --write  ... into `BENCH_figures.json` instead
+//! repro counts           print the work each ruler program does, counted
+//! repro counts --write   ... into `BENCH_counts.json` instead
 //! ```
 //!
 //! Output: an aligned table on stdout plus `results/<id>.json`.
@@ -37,21 +39,12 @@ fn main() {
             for (id, _) in bench::EXPERIMENTS {
                 println!("  {id}");
             }
-            println!("usage: repro <id> [--quick] | all | list | figures [--write]");
+            println!(
+                "usage: repro <id> [--quick] | all | list | figures [--write] | counts [--write]"
+            );
         }
-        Some("figures") => {
-            let json = bench::figures_json();
-            if write {
-                let path = Path::new("BENCH_figures.json");
-                if let Err(e) = std::fs::write(path, &json) {
-                    eprintln!("could not write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-                println!("wrote {} ({} figures)", path.display(), bench::PINNED.len());
-            } else {
-                print!("{json}");
-            }
-        }
+        Some("figures") => emit(bench::figures_json(), write.then_some("BENCH_figures.json")),
+        Some("counts") => emit(bench::counts_json(), write.then_some("BENCH_counts.json")),
         Some("all") => {
             for (id, _) in bench::EXPERIMENTS {
                 run_one(id, quick, dir);
@@ -59,6 +52,19 @@ fn main() {
         }
         Some(id) => run_one(id, quick, dir),
     }
+}
+
+/// Print `json`, or write it to `file`.
+fn emit(json: String, file: Option<&str>) {
+    let Some(path) = file else {
+        print!("{json}");
+        return;
+    };
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
 
 fn run_one(id: &str, quick: bool, dir: &Path) {

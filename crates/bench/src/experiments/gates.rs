@@ -47,7 +47,7 @@ const RING_REDUCE: &str = r#"
 /// (16n floats, written once) models the mostly-constant rank heap of a
 /// real mesh code — the shape delta checkpoints exist for: full
 /// snapshots re-serialize it at every cut point, deltas never do.
-const RING_STEP_REDUCE: &str = r#"
+pub(super) const RING_STEP_REDUCE: &str = r#"
     @WootinJ final class RingStepReduce {
       RingStepReduce() { }
       float run(int n, int steps) {

@@ -13,7 +13,7 @@ use crate::series::{Figure, Series};
 /// visible. `salt` perturbs one literal (a "value edit"); `extra_stmt`
 /// adds a statement (a "body edit"); `extra_method` adds a method (a
 /// "signature edit" — the item tree changes, the body does not).
-fn incr_stage(i: usize, salt: u64, extra_stmt: bool, extra_method: bool) -> String {
+pub(super) fn incr_stage(i: usize, salt: u64, extra_stmt: bool, extra_method: bool) -> String {
     let mut body = format!("    float a = x * {}.{}f + k;\n", 1 + i % 3, salt % 10);
     for j in 0..192 {
         body.push_str(&format!(

@@ -19,6 +19,7 @@
 //! series (a deterministic model, converted to cycles), while Figures
 //! 13–16 repeat the strong-scaling figures with compilation excluded.
 
+mod counts;
 mod gates;
 mod incremental;
 mod paper;
@@ -31,6 +32,8 @@ use hpclib::{MatmulApp, MatmulBody, MatmulCalc, MatmulThread, StencilApp, Stenci
 use jlang::ClassTable;
 use jvm::Value;
 use wootinj::{GpuConfig, JitCode, JitOptions, MpiCostModel, Val, WootinJ};
+
+pub use counts::counts_json;
 
 use crate::cprogs::{C_DIFFUSION, C_MATMUL};
 use crate::series::Figure;

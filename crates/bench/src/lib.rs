@@ -6,7 +6,9 @@
 //! * [`cprogs`] — the hand-inlined *C* baseline programs;
 //! * the `repro` binary — `repro fig4`, `repro all`, ... prints the series
 //!   and writes `results/<id>.json`; `repro figures --write` writes
-//!   `BENCH_figures.json`, the committed JSON of every [`PINNED`] figure.
+//!   `BENCH_figures.json`, the committed JSON of every [`PINNED`] figure,
+//!   and `repro counts --write` writes `BENCH_counts.json`, the work each
+//!   ruler program does, counted ([`counts_json`]).
 //!
 //! Wall time per operation and per layer is measured by `benchmark/`,
 //! not here.
@@ -18,6 +20,7 @@ pub mod experiments;
 pub mod series;
 
 pub use experiments::{
-    figures_json, pin_entry, pin_file, run_experiment_with, Experiment, EXPERIMENTS, PINNED,
+    counts_json, figures_json, pin_entry, pin_file, run_experiment_with, Experiment, EXPERIMENTS,
+    PINNED,
 };
 pub use series::{Figure, Point, Series};

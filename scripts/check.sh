@@ -183,6 +183,13 @@ git diff --exit-code -- BENCH_figures.json
 WJ_EXECUTOR=threads cargo run --release --offline -q -p bench --bin repro -- figures \
     | diff BENCH_figures.json -
 
+echo "== BENCH_counts.json: what each ruler program retires and counts,    =="
+echo "==   regenerated in release and on real OS threads, byte for byte     =="
+cargo run --release --offline -q -p bench --bin repro -- counts --write
+git diff --exit-code -- BENCH_counts.json
+WJ_EXECUTOR=threads cargo run --release --offline -q -p bench --bin repro -- counts \
+    | diff BENCH_counts.json -
+
 echo "== the ruler: benchmark/ is frozen and builds against layer-internal =="
 echo "==   names, so a source-incompatible change must fail here, not in   =="
 echo "==   the driver; then one smoke pass over all seven workloads        =="
