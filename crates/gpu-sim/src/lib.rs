@@ -368,6 +368,7 @@ impl Gpu {
     /// while any thread is parked at a barrier, the parked ones in the
     /// same order. Threads that already returned count as arrived (the
     /// common hardware behavior for exited threads).
+    /// The block's `__shared__` arrays are freed when its last phase ends.
     fn run_block(
         &mut self,
         l: &Launch<'_, '_>,
@@ -377,6 +378,21 @@ impl Gpu {
     ) -> Result<(), GpuError> {
         // Per-block shared arrays, keyed by allocation site (pc).
         let mut shared: HashMap<u32, u32> = HashMap::new();
+        let res = self.run_phases(l, block_idx, sm, cx, &mut shared);
+        for h in shared.into_values() {
+            self.machine.mem.free(h)?;
+        }
+        res
+    }
+
+    fn run_phases(
+        &mut self,
+        l: &Launch<'_, '_>,
+        block_idx: [u32; 3],
+        sm: u32,
+        cx: &mut Contexts,
+        shared: &mut HashMap<u32, u32>,
+    ) -> Result<(), GpuError> {
         let mut coords = GpuCoords {
             thread_idx: [0; 3],
             block_idx,
@@ -389,7 +405,7 @@ impl Gpu {
                 for tx in 0..l.block[0] {
                     coords.thread_idx = [tx, ty, tz];
                     cx.scratch.reset(program, l.kernel, l.args)?;
-                    if self.run_thread(l.image, &mut cx.scratch, coords, &mut shared, sm)? {
+                    if self.run_thread(l.image, &mut cx.scratch, coords, shared, sm)? {
                         let fresh = match cx.free.pop() {
                             Some(t) => t,
                             None => Thread::new(program, l.kernel, l.args)?,
@@ -408,7 +424,7 @@ impl Gpu {
             std::mem::swap(&mut cx.parked, &mut cx.resuming);
             for mut p in cx.resuming.drain(..) {
                 coords.thread_idx = p.idx;
-                if self.run_thread(l.image, &mut p.thread, coords, &mut shared, sm)? {
+                if self.run_thread(l.image, &mut p.thread, coords, shared, sm)? {
                     cx.parked.push(p);
                 } else {
                     cx.free.push(p.thread);
@@ -699,6 +715,32 @@ mod tests {
         let mut out = ArrStore::F32(vec![0.0; 3]);
         gpu.copy_out(dev, &mut out).unwrap();
         assert_eq!(out, ArrStore::F32(vec![1.0, 2.0, 3.0]));
+    }
+
+    /// A block's `__shared__` arrays die with the block: after any number
+    /// of launches, only what the host allocated is live (a device
+    /// checkpoint writes every array the device memory holds).
+    #[test]
+    fn shared_arrays_are_freed_when_their_block_ends() {
+        let mut p = Program::default();
+        let k = reverse_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 4])).unwrap();
+        let spare = gpu.alloc_f32(4);
+        let live = |gpu: &Gpu| -> Vec<u32> {
+            let arrays = gpu.machine.mem.arrays().iter();
+            (0u32..)
+                .zip(arrays)
+                .filter(|(_, a)| !matches!(a, ArrStore::Freed))
+                .map(|(h, _)| h)
+                .collect()
+        };
+        for _ in 0..3 {
+            gpu.launch(&image, k, [16, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+                .unwrap();
+            assert_eq!(live(&gpu), vec![dev, spare]);
+        }
     }
 
     #[test]
