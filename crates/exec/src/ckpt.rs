@@ -265,6 +265,8 @@ pub fn read_machine_rest(r: &mut Reader, mem: MemSpace) -> Result<Machine, CkptE
         counters: Wire::get(r)?,
         fault: Wire::get(r)?,
         gpu_coords: None,
+        gpu_entry: None,
+        gpu_left: 0,
     })
 }
 

@@ -595,6 +595,14 @@ pub struct Machine {
     /// [`Yield::GpuMem`]. Never checkpointed; it is set again before
     /// every slice.
     pub gpu_coords: Option<GpuCoords>,
+    /// The kernel launch running on this device, set by the device
+    /// runtime for the launch's duration: the kernel's checked entry,
+    /// which re-arms a thread for each block position
+    /// ([`Machine::next_position`]). Never checkpointed.
+    pub gpu_entry: Option<Entry>,
+    /// How many positions of the running block are still to start after
+    /// the one at [`Machine::gpu_coords`].
+    pub gpu_left: u32,
 }
 
 /// One CUDA thread's coordinate registers, by axis.
@@ -619,6 +627,21 @@ impl GpuCoords {
             _ => return None,
         };
         (axis < 3).then_some(group * 3 + u32::from(axis))
+    }
+
+    /// Step `thread_idx` to the block's next position in (z, y, x)
+    /// order: x fastest, carrying into y, then into z.
+    pub fn advance(&mut self) {
+        let [x, y, z] = &mut self.thread_idx;
+        *x += 1;
+        if *x == self.block_dim[0] {
+            *x = 0;
+            *y += 1;
+            if *y == self.block_dim[1] {
+                *y = 0;
+                *z += 1;
+            }
+        }
     }
 
     /// All twelve coordinates, in [`GpuCoords::index`] order.
@@ -657,6 +680,27 @@ impl Machine {
             globals,
             ..Default::default()
         }
+    }
+
+    /// Start the running block's next position on `thread`: advance
+    /// [`Machine::gpu_coords`] and re-arm `thread` from
+    /// [`Machine::gpu_entry`]. `None`, with nothing changed, when no
+    /// position is left or no launch is running. [`run`] calls it when a
+    /// kernel thread returns on an unarmed device, and the device runtime
+    /// between `run` entries; out of line, so the dispatch loop does not
+    /// carry the re-arm.
+    #[inline(never)]
+    pub fn next_position(&mut self, thread: &mut Thread) -> Option<GpuCoords> {
+        if self.gpu_left == 0 {
+            return None;
+        }
+        let (Some(coords), Some(entry)) = (self.gpu_coords.as_mut(), &self.gpu_entry) else {
+            return None;
+        };
+        self.gpu_left -= 1;
+        coords.advance();
+        thread.arm(entry);
+        Some(*coords)
     }
 }
 
@@ -816,11 +860,11 @@ struct Frame {
 /// Registers are untagged 64-bit words, read as their declared types
 /// (`nir::Function::regs`), which the verifier checked: a value crosses
 /// into them, checked against the register's declared type, only at entry
-/// ([`Thread::reset`]), at [`Thread::resume_with`], at a heap field read
+/// ([`Entry::new`]), at [`Thread::resume_with`], at a heap field read
 /// and at a checkpoint restore; it leaves them, tagged by the declared
 /// type, in a slow op's operand list, at the entry frame's return and at
 /// a checkpoint capture.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Thread {
     frames: Vec<Frame>,
     /// The registers of every live frame, outermost first. A register no
@@ -833,29 +877,19 @@ pub struct Thread {
     done: bool,
 }
 
-impl Thread {
-    /// Create a thread poised to execute `func(args)`.
-    pub fn new(program: &Program, func: FuncId, args: &[Val]) -> Result<Thread, ExecError> {
-        let mut thread = Thread {
-            frames: Vec::new(),
-            stack: Vec::new(),
-            pending: None,
-            done: false,
-        };
-        thread.reset(program, func, args)?;
-        Ok(thread)
-    }
+/// A function's checked arguments: the register file a thread starts it
+/// with, the parameters' words and then zeros. A kernel launch checks its
+/// arguments once, here, and re-arms each thread from it ([`Thread::arm`]).
+#[derive(Debug, Clone)]
+pub struct Entry {
+    func: FuncId,
+    regs: Vec<u64>,
+}
 
-    /// Discard whatever this thread was doing and poise it to execute
-    /// `func(args)`, keeping its allocations (gpu-sim re-arms one set of
-    /// threads block after block). Each argument must be of its
+impl Entry {
+    /// Check `args` against `func`'s parameters: as many, each of its
     /// parameter's type.
-    pub fn reset(
-        &mut self,
-        program: &Program,
-        func: FuncId,
-        args: &[Val],
-    ) -> Result<(), ExecError> {
+    pub fn new(program: &Program, func: FuncId, args: &[Val]) -> Result<Entry, ExecError> {
         let f = program.func(func);
         let refuse = |message: String| ExecError {
             message,
@@ -870,26 +904,42 @@ impl Thread {
                 args.len()
             )));
         }
-        self.stack.clear();
-        self.stack.resize(f.regs.len(), 0);
+        let mut regs = vec![0; f.regs.len()];
         for (i, (v, ty)) in args.iter().zip(&f.params).enumerate() {
-            self.stack[i] = v.to_word(*ty).ok_or_else(|| {
+            regs[i] = v.to_word(*ty).ok_or_else(|| {
                 refuse(format!(
                     "argument {i} of `{}` is {v:?}, expected {ty:?}",
                     f.name
                 ))
             })?;
         }
+        Ok(Entry { func, regs })
+    }
+}
+
+impl Thread {
+    /// Create a thread poised to execute `func(args)`.
+    pub fn new(program: &Program, func: FuncId, args: &[Val]) -> Result<Thread, ExecError> {
+        let mut thread = Thread::default();
+        thread.arm(&Entry::new(program, func, args)?);
+        Ok(thread)
+    }
+
+    /// Discard whatever this thread was doing and poise it to execute
+    /// `entry`, keeping its allocations (gpu-sim re-arms one context
+    /// position after position).
+    pub fn arm(&mut self, entry: &Entry) {
+        self.stack.clear();
+        self.stack.extend_from_slice(&entry.regs);
         self.frames.clear();
         self.frames.push(Frame {
-            func,
+            func: entry.func,
             pc: 0,
             base: 0,
             ret_to: None,
         });
         self.pending = None;
         self.done = false;
-        Ok(())
     }
 
     pub fn is_done(&self) -> bool {
@@ -1007,7 +1057,7 @@ pub fn run(
     // loop: not on a host (no coordinates: the read yields) and not on an
     // armed device (each read draws a crash first, DESIGN §8). Both of
     // those run out of line.
-    let coords = machine
+    let mut coords = machine
         .gpu_coords
         .filter(|_| machine.fault.is_none())
         .map(|c| c.flat());
@@ -1454,6 +1504,14 @@ pub fn run(
                 thread.frames.pop();
                 thread.stack.truncate(base);
                 let Some(caller) = thread.frames.last() else {
+                    // A kernel thread on an unarmed device: the block's
+                    // next position, if any, runs on, in this entry.
+                    if coords.is_some() {
+                        if let Some(next) = machine.next_position(thread) {
+                            coords = Some(next.flat());
+                            continue;
+                        }
+                    }
                     thread.done = true;
                     let v = r.zip(w).map(|(r, w)| Val::of_word(w, tys[r as usize]));
                     break Ok(Yield::Done(v));
@@ -1935,6 +1993,23 @@ mod tests {
             assert_eq!(GpuCoords::index(op(3)), None, "no axis past z");
         }
         assert_eq!(GpuCoords::index(IntrinOp::SqrtF32), None);
+    }
+
+    #[test]
+    fn positions_advance_x_fastest_then_y_then_z() {
+        let mut c = GpuCoords {
+            block_dim: [2, 3, 2],
+            ..GpuCoords::default()
+        };
+        let mut seen = vec![c.thread_idx];
+        for _ in 1..12 {
+            c.advance();
+            seen.push(c.thread_idx);
+        }
+        let want: Vec<[u32; 3]> = (0..2)
+            .flat_map(|z| (0..3).flat_map(move |y| (0..2).map(move |x| [x, y, z])))
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]

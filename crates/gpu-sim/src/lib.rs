@@ -23,8 +23,8 @@
 #![forbid(unsafe_code)]
 
 use exec::{
-    run, ArrStore, ExecError, FaultConfig, FaultPlan, GpuCoords, Image, Machine, ResilienceStats,
-    Thread, Val, Yield,
+    run, ArrStore, Entry, ExecError, FaultConfig, FaultPlan, GpuCoords, Image, Machine,
+    ResilienceStats, Thread, Val, Yield,
 };
 use nir::FuncId;
 use std::collections::HashMap;
@@ -130,19 +130,20 @@ fn err(message: impl Into<String>) -> GpuError {
     }
 }
 
-/// A CUDA thread stopped at a barrier: its context and its position in
-/// the block.
+/// A CUDA thread stopped at a barrier: its context and its coordinates.
 struct Parked {
     thread: Thread,
-    idx: [u32; 3],
+    coords: Option<GpuCoords>,
 }
 
-/// The kernel-thread contexts of one launch. Every thread position runs
-/// on `scratch`, reset in place, until it finishes; only a thread that
-/// stops at `__syncthreads` keeps a context, parked in position order,
-/// and `scratch` is replaced from `free`, where a parked context goes
-/// back when its thread finishes. A kernel that never reaches a barrier
-/// runs the whole launch on `scratch`.
+/// The kernel-thread contexts of one launch. Every block position runs
+/// on `scratch`, re-armed in place from the launch's [`Entry`], until it
+/// finishes; only a thread that stops at `__syncthreads` keeps a
+/// context, parked in position order, and `scratch` is replaced from
+/// `free`, where a parked context goes back when its thread finishes. A
+/// kernel that never reaches a barrier runs the whole launch on
+/// `scratch`.
+#[derive(Default)]
 struct Contexts {
     scratch: Thread,
     free: Vec<Thread>,
@@ -154,8 +155,6 @@ struct Contexts {
 /// What every block of one launch shares.
 struct Launch<'l, 'p> {
     image: &'l Image<'p>,
-    kernel: FuncId,
-    args: &'l [Val],
     grid: [u32; 3],
     block: [u32; 3],
     /// Threads per block: what releasing a barrier costs, in cycles.
@@ -308,48 +307,20 @@ impl Gpu {
             }
             (_, None) => return Err(err(format!("grid {grid:?} has more than 2^64 blocks"))),
         };
+        // The arguments are checked once, before any instruction retires.
+        let entry = Entry::new(image.program(), kernel, &args)?;
         let start_cycles = self.machine.counters.cycles;
         let launch = Launch {
             image,
-            kernel,
-            args: &args,
             grid,
             block,
             threads_per_block,
         };
-        let mut cx = Contexts {
-            scratch: Thread::new(image.program(), kernel, &args)?,
-            free: Vec::new(),
-            parked: Vec::new(),
-            resuming: Vec::new(),
-        };
-
-        let mut linear: u64 = 0;
-        for bz in 0..grid[2] {
-            for by in 0..grid[1] {
-                for bx in 0..grid[0] {
-                    // Round-robin block-to-SM assignment; the block's
-                    // threads draw fault decisions from that SM's stream
-                    // (installed as the machine's plan for the duration).
-                    let sm = (linear % self.sm_plans.len().max(1) as u64) as usize;
-                    let armed = !self.sm_plans.is_empty();
-                    let saved = self.machine.fault.take();
-                    if armed {
-                        self.machine.fault = Some(self.sm_plans[sm].clone());
-                    }
-                    let res = self.run_block(&launch, [bx, by, bz], sm as u32, &mut cx);
-                    self.machine.gpu_coords = None;
-                    if armed {
-                        if let Some(plan) = self.machine.fault.take() {
-                            self.sm_plans[sm] = plan;
-                        }
-                    }
-                    self.machine.fault = saved;
-                    res?;
-                    linear += 1;
-                }
-            }
-        }
+        self.machine.gpu_entry = Some(entry);
+        let res = self.run_grid(&launch, &mut Contexts::default());
+        self.machine.gpu_entry = None;
+        self.machine.gpu_left = 0;
+        res?;
 
         let executed = self.machine.counters.cycles - start_cycles;
         let lanes = (self.config.n_sms * self.config.lanes_per_sm) as u64;
@@ -363,12 +334,39 @@ impl Gpu {
         })
     }
 
-    /// Run one block's threads in lockstep phases separated by
-    /// `__syncthreads`: every position in (z, y, x) order first, then,
-    /// while any thread is parked at a barrier, the parked ones in the
-    /// same order. Threads that already returned count as arrived (the
-    /// common hardware behavior for exited threads).
-    /// The block's `__shared__` arrays are freed when its last phase ends.
+    /// Run every block in (z, y, x) order.
+    fn run_grid(&mut self, l: &Launch<'_, '_>, cx: &mut Contexts) -> Result<(), GpuError> {
+        let mut linear: u64 = 0;
+        for bz in 0..l.grid[2] {
+            for by in 0..l.grid[1] {
+                for bx in 0..l.grid[0] {
+                    // Round-robin block-to-SM assignment; the block's
+                    // threads draw fault decisions from that SM's stream
+                    // (installed as the machine's plan for the duration).
+                    let sm = (linear % self.sm_plans.len().max(1) as u64) as usize;
+                    let armed = !self.sm_plans.is_empty();
+                    let saved = self.machine.fault.take();
+                    if armed {
+                        self.machine.fault = Some(self.sm_plans[sm].clone());
+                    }
+                    let res = self.run_block(l, [bx, by, bz], sm as u32, cx);
+                    self.machine.gpu_coords = None;
+                    if armed {
+                        if let Some(plan) = self.machine.fault.take() {
+                            self.sm_plans[sm] = plan;
+                        }
+                    }
+                    self.machine.fault = saved;
+                    res?;
+                    linear += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Run one block; its `__shared__` arrays are freed when its last
+    /// phase ends.
     fn run_block(
         &mut self,
         l: &Launch<'_, '_>,
@@ -385,6 +383,18 @@ impl Gpu {
         res
     }
 
+    /// Run one block's threads in lockstep phases separated by
+    /// `__syncthreads`: every position in (z, y, x) order first, then,
+    /// while any thread is parked at a barrier, the parked ones in the
+    /// same order. Threads that already returned count as arrived (the
+    /// common hardware behavior for exited threads).
+    ///
+    /// The first phase is one cursor loop: arm, run, park at a barrier,
+    /// advance. On an unarmed device `run` itself starts the next
+    /// position when a thread returns ([`Machine::next_position`]), so it
+    /// comes back only at a barrier or after the block's last position;
+    /// on an armed one it comes back after every thread, as it must for
+    /// each fault draw to fall where it does, and the loop advances.
     fn run_phases(
         &mut self,
         l: &Launch<'_, '_>,
@@ -393,29 +403,27 @@ impl Gpu {
         cx: &mut Contexts,
         shared: &mut HashMap<u32, u32>,
     ) -> Result<(), GpuError> {
-        let mut coords = GpuCoords {
+        self.machine.gpu_coords = Some(GpuCoords {
             thread_idx: [0; 3],
             block_idx,
             block_dim: l.block,
             grid_dim: l.grid,
-        };
-        let program = l.image.program();
-        for tz in 0..l.block[2] {
-            for ty in 0..l.block[1] {
-                for tx in 0..l.block[0] {
-                    coords.thread_idx = [tx, ty, tz];
-                    cx.scratch.reset(program, l.kernel, l.args)?;
-                    if self.run_thread(l.image, &mut cx.scratch, coords, shared, sm)? {
-                        let fresh = match cx.free.pop() {
-                            Some(t) => t,
-                            None => Thread::new(program, l.kernel, l.args)?,
-                        };
-                        cx.parked.push(Parked {
-                            thread: std::mem::replace(&mut cx.scratch, fresh),
-                            idx: coords.thread_idx,
-                        });
-                    }
-                }
+        });
+        // At most 1024 (checked at launch).
+        self.machine.gpu_left = (l.threads_per_block - 1) as u32;
+        if let Some(entry) = &self.machine.gpu_entry {
+            cx.scratch.arm(entry);
+        }
+        loop {
+            if self.run_thread(l.image, &mut cx.scratch, shared, sm)? {
+                let fresh = cx.free.pop().unwrap_or_default();
+                cx.parked.push(Parked {
+                    thread: std::mem::replace(&mut cx.scratch, fresh),
+                    coords: self.machine.gpu_coords,
+                });
+            }
+            if self.machine.next_position(&mut cx.scratch).is_none() {
+                break;
             }
         }
         while !cx.parked.is_empty() {
@@ -423,8 +431,8 @@ impl Gpu {
             self.machine.counters.cycles += l.threads_per_block;
             std::mem::swap(&mut cx.parked, &mut cx.resuming);
             for mut p in cx.resuming.drain(..) {
-                coords.thread_idx = p.idx;
-                if self.run_thread(l.image, &mut p.thread, coords, shared, sm)? {
+                self.machine.gpu_coords = p.coords;
+                if self.run_thread(l.image, &mut p.thread, shared, sm)? {
                     cx.parked.push(p);
                 } else {
                     cx.free.push(p.thread);
@@ -434,17 +442,16 @@ impl Gpu {
         Ok(())
     }
 
-    /// Run one kernel thread until it finishes (`false`) or stops at a
-    /// barrier (`true`); `run` answers its coordinate reads.
+    /// Run kernel threads from `thread` at [`Machine::gpu_coords`] until
+    /// one stops at a barrier (`true`) or `run` returns `Done` (`false`);
+    /// `run` answers their coordinate reads.
     fn run_thread(
         &mut self,
         image: &Image<'_>,
         thread: &mut Thread,
-        coords: GpuCoords,
         shared: &mut HashMap<u32, u32>,
         sm: u32,
     ) -> Result<bool, GpuError> {
-        self.machine.gpu_coords = Some(coords);
         loop {
             match run(thread, image, &mut self.machine, u64::MAX)? {
                 Yield::Done(_) => return Ok(false),
@@ -741,6 +748,38 @@ mod tests {
                 .unwrap();
             assert_eq!(live(&gpu), vec![dev, spare]);
         }
+    }
+
+    /// A launch checks its arguments once, against the kernel's
+    /// parameters, and refuses a wrong one with the text a thread's
+    /// entry gives, before any instruction retires.
+    #[test]
+    fn launch_arguments_are_refused_before_any_thread_runs() {
+        let mut p = Program::default();
+        let k = scale_kernel(&mut p);
+        let image = Image::build(&p).unwrap();
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 8])).unwrap();
+        let before = gpu.vtime;
+        let cases = [
+            (
+                vec![Val::Arr(dev), Val::I32(1)],
+                "`scale` expects 1 args, got 2",
+            ),
+            (
+                vec![Val::I32(3)],
+                "argument 0 of `scale` is I32(3), expected Arr(F32)",
+            ),
+        ];
+        for (args, why) in cases {
+            let e = gpu
+                .launch(&image, k, [2, 1, 1], [4, 1, 1], args)
+                .unwrap_err();
+            assert_eq!(e.message, format!("exec error in `scale` at pc 0: {why}"));
+            assert_eq!(e.kind, GpuErrorKind::Fatal);
+        }
+        let c = gpu.machine.counters;
+        assert_eq!((c.instrs, c.cycles, gpu.vtime), (0, 0, before));
     }
 
     #[test]
@@ -1255,30 +1294,41 @@ mod pins {
     type Observed = (u64, u64, u64, u64, u64, u64, Vec<f32>);
 
     fn observe(build: Builder, grid: [u32; 3], block: [u32; 3], input: Vec<f32>) -> Observed {
+        let gpu = Gpu::new(GpuConfig::default());
+        let (Ok(s), vtime, instrs, out) = launch_on(gpu, build, grid, block, input) else {
+            panic!("the launch failed");
+        };
+        (s.0, s.1, s.2, s.3, vtime, instrs, out)
+    }
+
+    /// What one launch on `gpu` shows: its `(blocks, threads,
+    /// executed_cycles, kernel_time)` or its error text, then the device
+    /// clock, the retired instructions and the array afterwards.
+    type Outcome = (Result<(u64, u64, u64, u64), String>, u64, u64, Vec<f32>);
+
+    fn launch_on(
+        mut gpu: Gpu,
+        build: Builder,
+        grid: [u32; 3],
+        block: [u32; 3],
+        input: Vec<f32>,
+    ) -> Outcome {
         let mut p = Program::default();
         let k = build(&mut p);
         p.verify().unwrap();
         let image = Image::build(&p).unwrap();
-        let mut gpu = Gpu::new(GpuConfig::default());
         let n = input.len();
         let dev = gpu.copy_in(&ArrStore::F32(input)).unwrap();
-        let s = gpu
+        let stats = gpu
             .launch(&image, k, grid, block, vec![Val::Arr(dev)])
-            .unwrap();
+            .map(|s| (s.blocks, s.threads, s.executed_cycles, s.kernel_time))
+            .map_err(|e| e.message);
         let mut out = ArrStore::F32(vec![0.0; n]);
         gpu.copy_out(dev, &mut out).unwrap();
         let ArrStore::F32(out) = out else {
             unreachable!()
         };
-        (
-            s.blocks,
-            s.threads,
-            s.executed_cycles,
-            s.kernel_time,
-            gpu.vtime,
-            gpu.machine.counters.instrs,
-            out,
-        )
+        (stats, gpu.vtime, gpu.machine.counters.instrs, out)
     }
 
     /// The injected crash `(step, sm)`, the merged fault counters and the
@@ -1307,6 +1357,124 @@ mod pins {
 
     fn ramp(n: usize) -> Vec<f32> {
         (0..n).map(|i| i as f32 + 1.0).collect()
+    }
+
+    /// `a[block offset + (tz·bdy + ty)·bdx + tx] = tx + 10·ty + 100·tz`:
+    /// every position of a 3-D block writes its own element.
+    fn positions_kernel(p: &mut Program) -> FuncId {
+        let mut kb = FuncBuilder::new("pos", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
+        let t = [0, 1, 2].map(|a| coord(&mut kb, IntrinOp::ThreadIdx(a)));
+        let d = [0, 1, 2].map(|a| coord(&mut kb, IntrinOp::BlockDim(a)));
+        let bx = coord(&mut kb, IntrinOp::BlockIdx(0));
+        let plane = int(&mut kb, BinOp::Mul, d[0], d[1]);
+        let volume = int(&mut kb, BinOp::Mul, plane, d[2]);
+        let base = int(&mut kb, BinOp::Mul, bx, volume);
+        let row = int(&mut kb, BinOp::Mul, t[2], d[1]);
+        let row = int(&mut kb, BinOp::Add, row, t[1]);
+        let at = int(&mut kb, BinOp::Mul, row, d[0]);
+        let at = int(&mut kb, BinOp::Add, at, t[0]);
+        let at = int(&mut kb, BinOp::Add, at, base);
+        let (ten, hundred) = (konst(&mut kb, 10), konst(&mut kb, 100));
+        let y = int(&mut kb, BinOp::Mul, t[1], ten);
+        let z = int(&mut kb, BinOp::Mul, t[2], hundred);
+        let v = int(&mut kb, BinOp::Add, t[0], y);
+        let v = int(&mut kb, BinOp::Add, v, z);
+        let f = kb.reg(Ty::F32);
+        kb.emit(Instr::Cast {
+            to: PrimKind::Float,
+            from: PrimKind::Int,
+            dst: f,
+            src: v,
+        });
+        kb.emit(Instr::StArr {
+            arr: 0,
+            idx: at,
+            src: f,
+        });
+        kb.emit(Instr::Ret(None));
+        p.add_func(kb.finish().unwrap())
+    }
+
+    /// `a[tid] = 1 / (37 - threadIdx.x)`: thread 37 divides by zero.
+    fn div_kernel(p: &mut Program) -> FuncId {
+        let mut kb = FuncBuilder::new("div", vec![Ty::Arr(ElemTy::F32)], None, FuncKind::Kernel);
+        let tid = coord(&mut kb, IntrinOp::ThreadIdx(0));
+        let k = konst(&mut kb, 37);
+        let one = konst(&mut kb, 1);
+        let d = int(&mut kb, BinOp::Sub, k, tid);
+        let q = int(&mut kb, BinOp::Div, one, d);
+        let f = kb.reg(Ty::F32);
+        kb.emit(Instr::Cast {
+            to: PrimKind::Float,
+            from: PrimKind::Int,
+            dst: f,
+            src: q,
+        });
+        kb.emit(Instr::StArr {
+            arr: 0,
+            idx: tid,
+            src: f,
+        });
+        kb.emit(Instr::Ret(None));
+        p.add_func(kb.finish().unwrap())
+    }
+
+    /// An unarmed device runs a block's threads back to back in one `run`
+    /// entry; a zero-rate armed device enters `run` once per thread. Both
+    /// must agree on the launch statistics, the device clock, the retired
+    /// instructions and the output, for every kernel and block shape, and
+    /// on a thread's error: its text, function and pc.
+    #[test]
+    fn back_to_back_threads_match_one_run_entry_per_thread() {
+        let kernels: [(&str, Builder); 6] = [
+            ("scale", scale_kernel),
+            ("reverse", reverse_kernel),
+            ("k3", k3_kernel),
+            ("odd", odd_return_kernel),
+            ("two", two_sync_kernel),
+            ("pos", positions_kernel),
+        ];
+        let armed = || {
+            let mut gpu = Gpu::new(GpuConfig::default());
+            gpu.set_fault(FaultConfig::seeded(5));
+            gpu
+        };
+        let both = |build, grid, block, input: Vec<f32>| {
+            let plain = launch_on(
+                Gpu::new(GpuConfig::default()),
+                build,
+                grid,
+                block,
+                input.clone(),
+            );
+            (plain, launch_on(armed(), build, grid, block, input))
+        };
+        for (name, build) in kernels {
+            for block in [[4, 3, 2], [1, 1, 7], [7, 1, 1]] {
+                let (plain, one_by_one) = both(build, [3, 1, 1], block, ramp(512));
+                assert!(plain.0.is_ok(), "{name} {block:?}: {:?}", plain.0);
+                assert_eq!(plain, one_by_one, "{name} {block:?}");
+                if name == "pos" {
+                    let [x, y, z] = block;
+                    let want = (0..3).flat_map(|_| {
+                        (0..z).flat_map(move |tz| {
+                            (0..y).flat_map(move |ty| (0..x).map(move |tx| tx + 10 * ty + 100 * tz))
+                        })
+                    });
+                    let want: Vec<f32> = want.map(|v| v as f32).collect();
+                    assert_eq!(plain.3[..want.len()], want[..], "{block:?}");
+                }
+            }
+        }
+        let (plain, one_by_one) = both(div_kernel, [1, 1, 1], [64, 1, 1], ramp(64));
+        let Err(e) = &plain.0 else {
+            panic!("thread 37 divided by zero and the launch succeeded");
+        };
+        assert!(
+            e.contains("`div`") && e.ends_with("division by zero"),
+            "{e}"
+        );
+        assert_eq!(plain, one_by_one);
     }
 
     #[test]
