@@ -92,6 +92,18 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one entry check per launch: gpu-sim re-arms kernel threads from  =="
+echo "==   the launch's exec::Entry (Thread::arm, Machine::next_position);   =="
+echo "==   it builds or resets no thread from arguments, and exec has no     =="
+echo "==   per-thread argument check left                                    =="
+stray="$( (grep -rn --include='*.rs' -E 'Thread::new|\.reset\(' crates/gpu-sim/src || true
+    grep -rn --include='*.rs' -E 'fn reset\b' crates/exec/src || true) )"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above check a kernel's arguments per thread; arm from the launch's Entry"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
