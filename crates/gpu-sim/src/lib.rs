@@ -319,7 +319,6 @@ impl Gpu {
         self.machine.gpu_entry = Some(entry);
         let res = self.run_grid(&launch, &mut Contexts::default());
         self.machine.gpu_entry = None;
-        self.machine.gpu_left = 0;
         res?;
 
         let executed = self.machine.counters.cycles - start_cycles;
@@ -365,24 +364,6 @@ impl Gpu {
         Ok(())
     }
 
-    /// Run one block; its `__shared__` arrays are freed when its last
-    /// phase ends.
-    fn run_block(
-        &mut self,
-        l: &Launch<'_, '_>,
-        block_idx: [u32; 3],
-        sm: u32,
-        cx: &mut Contexts,
-    ) -> Result<(), GpuError> {
-        // Per-block shared arrays, keyed by allocation site (pc).
-        let mut shared: HashMap<u32, u32> = HashMap::new();
-        let res = self.run_phases(l, block_idx, sm, cx, &mut shared);
-        for h in shared.into_values() {
-            self.machine.mem.free(h)?;
-        }
-        res
-    }
-
     /// Run one block's threads in lockstep phases separated by
     /// `__syncthreads`: every position in (z, y, x) order first, then,
     /// while any thread is parked at a barrier, the parked ones in the
@@ -395,14 +376,19 @@ impl Gpu {
     /// comes back only at a barrier or after the block's last position;
     /// on an armed one it comes back after every thread, as it must for
     /// each fault draw to fall where it does, and the loop advances.
-    fn run_phases(
+    ///
+    /// The block's `__shared__` arrays are freed when its last phase
+    /// ends. A failed block fails its launch, and a world that recovers
+    /// from it restores the whole device.
+    fn run_block(
         &mut self,
         l: &Launch<'_, '_>,
         block_idx: [u32; 3],
         sm: u32,
         cx: &mut Contexts,
-        shared: &mut HashMap<u32, u32>,
     ) -> Result<(), GpuError> {
+        // Per-block shared arrays, keyed by allocation site (pc).
+        let mut shared: HashMap<u32, u32> = HashMap::new();
         self.machine.gpu_coords = Some(GpuCoords {
             thread_idx: [0; 3],
             block_idx,
@@ -415,7 +401,7 @@ impl Gpu {
             cx.scratch.arm(entry);
         }
         loop {
-            if self.run_thread(l.image, &mut cx.scratch, shared, sm)? {
+            if self.run_thread(l.image, &mut cx.scratch, &mut shared, sm)? {
                 let fresh = cx.free.pop().unwrap_or_default();
                 cx.parked.push(Parked {
                     thread: std::mem::replace(&mut cx.scratch, fresh),
@@ -432,12 +418,15 @@ impl Gpu {
             std::mem::swap(&mut cx.parked, &mut cx.resuming);
             for mut p in cx.resuming.drain(..) {
                 self.machine.gpu_coords = p.coords;
-                if self.run_thread(l.image, &mut p.thread, shared, sm)? {
+                if self.run_thread(l.image, &mut p.thread, &mut shared, sm)? {
                     cx.parked.push(p);
                 } else {
                     cx.free.push(p.thread);
                 }
             }
+        }
+        for h in shared.into_values() {
+            self.machine.mem.free(h)?;
         }
         Ok(())
     }
