@@ -48,7 +48,7 @@ use exec::ckpt::{self, CkptError};
 use exec::{Draw, Fate, ResilienceStats, Val};
 use mpi_sim::{
     read_frame, write_frame, ArgBuilder, DeviceOutcome, RankCtl, RankOutcome, RankPool,
-    RankSnapshot, RankYield, SimError, TransportError, World,
+    RankSnapshot, RankYield, SimError, TransportError, World, WorldBody, WorldRun,
 };
 use nir::codec::{Reader, Wire};
 use nir::FuncId;
@@ -428,6 +428,9 @@ fn check_reply<T>(
 }
 
 impl RankPool for RemotePool<'_, '_> {
+    fn wrap_run(&mut self, run: &mut WorldBody<'_>) -> Result<WorldRun, SimError> {
+        run(self)
+    }
     fn reinit(&mut self) -> Result<(), SimError> {
         self.ensure_workers()?;
         // Build the pristine rank states with the *in-process* engine —

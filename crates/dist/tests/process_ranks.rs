@@ -11,7 +11,7 @@ use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{
     CheckpointPolicy, CostModel, DeviceOutcome, LocalPool, RankCtl, RankOutcome, RankPool,
-    RankSnapshot, RankYield, Schedule, SimError, World, WorldRun,
+    RankSnapshot, RankYield, Schedule, SimError, World, WorldBody, WorldRun,
 };
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Program, Ty};
 use std::path::PathBuf;
@@ -433,6 +433,9 @@ struct Traced<P> {
 }
 
 impl<P: RankPool> RankPool for Traced<P> {
+    fn wrap_run(&mut self, run: &mut WorldBody<'_>) -> Result<WorldRun, SimError> {
+        run(self)
+    }
     fn reinit(&mut self) -> Result<(), SimError> {
         self.inner.reinit()
     }

@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 
 pub use runtime::{
     ArgBuilder, Blocked, DeviceOutcome, LocalPool, RankCtl, RankPool, RankSnapshot, RankYield,
+    WorldBody,
 };
 pub use transport::{
     read_frame, write_frame, TransportError, FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
@@ -608,12 +609,12 @@ impl<'p> World<'p> {
         pool: &mut dyn RankPool,
         restart: Option<(&CheckpointPolicy, u32)>,
     ) -> Result<WorldRun, SimError> {
-        match restart {
+        pool.wrap_run(&mut |pool| match restart {
             None => runtime::run_world(self, pool),
             Some((policy, max_restarts)) => {
                 runtime::run_world_with_restart(self, pool, policy, max_restarts)
             }
-        }
+        })
     }
 }
 #[cfg(test)]

@@ -24,14 +24,15 @@
 //! [`World::run_on`]: crate::World::run_on
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use exec::ckpt::chain::{self, Section};
 use exec::ckpt::{self, CkptError};
 use exec::fault::MAX_CONNECT_RETRIES;
-use exec::pool::{run_batch, SliceJob};
+use exec::pool::{self, Crew};
 use exec::{
-    ArrStore, Draw, ExecError, ExecutorCfg, Fate, FaultPlan, HostRegistry, Image, Machine,
-    ResilienceStats, Thread, Val, Yield,
+    run, ArrStore, Draw, ExecError, Fate, FaultPlan, HostRegistry, Image, Machine, ResilienceStats,
+    Thread, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuErrorKind};
 use nir::codec::{Reader, Wire, Writer};
@@ -45,6 +46,10 @@ use crate::{
 
 /// Per-rank entry-argument builder: rank id + its machine -> entry args.
 pub type ArgBuilder<'a> = &'a mut dyn FnMut(u32, &mut Machine) -> Result<Vec<Val>, String>;
+
+/// The scheduler's side of one world run, handed to
+/// [`RankPool::wrap_run`].
+pub type WorldBody<'b> = dyn FnMut(&mut dyn RankPool) -> Result<WorldRun, SimError> + 'b;
 
 /// What a rank is blocked on, scheduler-side.
 #[derive(Debug, Clone, Copy)]
@@ -166,6 +171,12 @@ impl RankSnapshot {
 /// implementations must be deterministic given the same call sequence —
 /// cross-backend bit-identity depends on it.
 pub trait RankPool {
+    /// Run one whole world — every attempt of it, restarts included — on
+    /// this pool: `run` is the scheduler, handed the pool back. A pool
+    /// sets up what lives as long as the run here; the local pool builds
+    /// its image and opens its worker crew, any other pool just calls
+    /// `run(self)`.
+    fn wrap_run(&mut self, run: &mut WorldBody<'_>) -> Result<WorldRun, SimError>;
     /// (Re-)create every rank from scratch: fresh machines, fresh entry
     /// args, fresh fault streams — the cold-start path.
     fn reinit(&mut self) -> Result<(), SimError>;
@@ -1620,23 +1631,63 @@ pub struct LocalPool<'p, 'a> {
     /// Device / host-call yields parked between `run_slices` and their
     /// `service_*` call.
     pending: Vec<Option<Yield>>,
-    /// The program decoded for `exec::run`: built by the first slice of
-    /// the run, then borrowed by every rank, pool worker and device
-    /// launch (restarts included). A pool that never runs — `dist`'s
-    /// cold-start seed — never builds one.
-    image: Option<Image<'p>>,
+    /// The program decoded for `exec::run`: built when a run starts (or
+    /// by the first slice or device launch of a pool driven without one,
+    /// as a `dist` worker's is), then shared by every rank, crew worker
+    /// and device launch (restarts included). A pool that never runs —
+    /// `dist`'s cold-start seed — never builds one.
+    image: Option<Arc<Image<'p>>>,
+    /// The run's worker crew while [`RankPool::wrap_run`] holds one open
+    /// (`Threads` executors only); without it a batch runs on the
+    /// calling thread.
+    crew: Option<Crew<'p, SliceJob, SliceDone>>,
+}
+
+/// One ready rank's execution state, moved onto a worker for one slice
+/// (slice execution owns it — that exclusivity is what makes parallel
+/// batches sound). The device and the cycle watermark stay pool-side.
+struct SliceJob {
+    rank: u32,
+    thread: Thread,
+    machine: Machine,
+    slice: u64,
+}
+
+/// A finished slice: the rank's state handed back, plus how it stopped.
+struct SliceDone {
+    rank: u32,
+    thread: Thread,
+    machine: Machine,
+    outcome: Result<Yield, ExecError>,
+}
+
+fn run_slice(image: &Image<'_>, job: SliceJob) -> SliceDone {
+    let SliceJob {
+        rank,
+        mut thread,
+        mut machine,
+        slice,
+    } = job;
+    let outcome = run(&mut thread, image, &mut machine, slice);
+    SliceDone {
+        rank,
+        thread,
+        machine,
+        outcome,
+    }
 }
 
 /// The pool's image, built on first use. A free function over the two
 /// fields it needs so callers can hold it next to `&mut` ranks.
 fn image_of<'i, 'p>(
-    slot: &'i mut Option<Image<'p>>,
+    slot: &'i mut Option<Arc<Image<'p>>>,
     program: &'p Program,
-) -> Result<&'i Image<'p>, SimError> {
+) -> Result<&'i Arc<Image<'p>>, SimError> {
     if slot.is_none() {
-        *slot = Some(Image::build(program).map_err(|e| SimError::World {
+        let image = Image::build(program).map_err(|e| SimError::World {
             message: e.to_string(),
-        })?);
+        })?;
+        *slot = Some(Arc::new(image));
     }
     Ok(slot.as_ref().expect("filled above"))
 }
@@ -1681,6 +1732,7 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             ranks: Vec::new(),
             pending: Vec::new(),
             image: None,
+            crew: None,
         }
     }
 
@@ -1718,6 +1770,24 @@ impl<'p, 'a> LocalPool<'p, 'a> {
 }
 
 impl RankPool for LocalPool<'_, '_> {
+    fn wrap_run(&mut self, run: &mut WorldBody<'_>) -> Result<WorldRun, SimError> {
+        let image = Arc::clone(image_of(&mut self.image, self.world.program)?);
+        let helpers = pool::helpers(self.world.executor, self.world.size);
+        if helpers == 0 {
+            return run(self);
+        }
+        pool::crew(
+            helpers + 1,
+            move |job| run_slice(&image, job),
+            |crew| {
+                self.crew = Some(crew);
+                let out = run(self);
+                self.crew = None;
+                out
+            },
+        )
+    }
+
     fn reinit(&mut self) -> Result<(), SimError> {
         self.ranks.clear();
         self.pending = (0..self.world.size).map(|_| None).collect();
@@ -1749,12 +1819,6 @@ impl RankPool for LocalPool<'_, '_> {
         ranks: &[u32],
         slice: u64,
     ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
-        // One worker (the `Sim` executor) runs the batch as a plain loop
-        // on this thread.
-        let workers = match self.world.executor {
-            ExecutorCfg::Sim => 1,
-            ExecutorCfg::Threads { workers, .. } => workers,
-        };
         let image = image_of(&mut self.image, self.world.program)?;
         // Refuse a bad batch before any rank leaves the pool, so no rank
         // listed ahead of the bad one is stranded.
@@ -1783,10 +1847,17 @@ impl RankPool for LocalPool<'_, '_> {
                 slice,
             });
         }
-        // Results come back in batch order. Reinstall every rank before
-        // surfacing any error so no state is stranded.
+        // Results come back in batch order, from the run's crew or, outside
+        // one (the `Sim` executor, a `dist` worker), from a plain loop on
+        // this thread.
+        // Reinstall every rank before surfacing any error so no state is
+        // stranded.
+        let done = match &mut self.crew {
+            Some(crew) => crew.map(jobs),
+            None => jobs.into_iter().map(|j| run_slice(image, j)).collect(),
+        };
         let mut outcomes = Vec::with_capacity(ranks.len());
-        for (done, (gpu, last_cycles)) in run_batch(workers, image, jobs).into_iter().zip(parked) {
+        for (done, (gpu, last_cycles)) in done.into_iter().zip(parked) {
             let cycles = done.machine.counters.cycles;
             self.ranks[done.rank as usize] = Some(LocalRank {
                 thread: done.thread,

@@ -21,7 +21,7 @@ use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{
     CheckpointPolicy, DeviceOutcome, LocalPool, RankCtl, RankOutcome, RankPool, RankSnapshot,
-    RankYield, SimError, World,
+    RankYield, SimError, World, WorldBody, WorldRun,
 };
 use nir::codec::Wire;
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, HostFnSig, Instr, IntrinOp, Program, Reg, Ty};
@@ -309,6 +309,9 @@ impl Checked<'_, '_> {
 }
 
 impl RankPool for Checked<'_, '_> {
+    fn wrap_run(&mut self, run: &mut WorldBody<'_>) -> Result<WorldRun, SimError> {
+        run(self)
+    }
     fn reinit(&mut self) -> Result<(), SimError> {
         self.inner.reinit()
     }

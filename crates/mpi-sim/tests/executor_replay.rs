@@ -2,8 +2,8 @@
 //! world size, and worker count, a world whose slices run on OS threads
 //! ([`ExecutorCfg::Threads`]) is observationally identical to the
 //! historical serial loop — same results, same per-rank virtual clocks,
-//! same resilience counters, same typed error on failure — because
-//! `exec::pool::run_batch` hands slices back in the seeded batch order
+//! same resilience counters, same typed error on failure — because the
+//! world's `exec::pool` crew hands slices back in the seeded batch order
 //! the scheduler chose.
 //!
 //! No proptest/quickcheck: cases are driven by the same xorshift64*
@@ -36,6 +36,13 @@ fn unit(state: &mut u64) -> f64 {
 /// point-to-point traffic for the fault plan to chew on, a collective,
 /// and plenty of yield points for crash/fuel draws to land.
 fn ring_program(steps: i32) -> (Program, FuncId) {
+    ring_program_failing(steps, None)
+}
+
+/// [`ring_program`], but with `fail = Some((rank, step))` that rank
+/// divides by zero after its `step`-th exchange (`1 / ((rank - r) * 100
+/// + (i - step))`, zero only there) while the others wait on it.
+fn ring_program_failing(steps: i32, fail: Option<(i32, i32)>) -> (Program, FuncId) {
     let mut fb = FuncBuilder::new("ring", vec![], Some(Ty::F32), FuncKind::Host);
     let rank = fb.reg(Ty::I32);
     let size = fb.reg(Ty::I32);
@@ -139,6 +146,27 @@ fn ring_program(steps: i32) -> (Program, FuncId) {
         args: vec![buf, zero, n, src, tag],
         dst: None,
     });
+    if let Some((bad_rank, bad_step)) = fail {
+        let [r, k, hundred, q] = [0; 4].map(|_| fb.reg(Ty::I32));
+        fb.emit(Instr::ConstI32(r, bad_rank));
+        fb.emit(Instr::ConstI32(k, bad_step));
+        fb.emit(Instr::ConstI32(hundred, 100));
+        for (op, dst, lhs, rhs) in [
+            (BinOp::Sub, r, rank, r),
+            (BinOp::Mul, r, r, hundred),
+            (BinOp::Sub, k, i, k),
+            (BinOp::Add, r, r, k),
+            (BinOp::Div, q, one, r),
+        ] {
+            fb.emit(Instr::Bin {
+                op,
+                kind: PrimKind::Int,
+                dst,
+                lhs,
+                rhs,
+            });
+        }
+    }
     fb.emit(Instr::Bin {
         op: BinOp::Add,
         kind: PrimKind::Int,
@@ -296,6 +324,86 @@ fn thread_replay_matches_sim_through_restarts() {
         recovered > 0,
         "no seed actually crashed and recovered — the restart property is vacuous"
     );
+}
+
+fn threads(workers: u32) -> ExecutorCfg {
+    ExecutorCfg::Threads {
+        workers,
+        mode: ExecMode::Replay,
+    }
+}
+
+/// A rank whose code fails mid-run (a division by zero at its third
+/// exchange, while its neighbours wait on it) fails the world with the
+/// same typed error under a crew of 2 and of 4 workers as under `Sim`.
+#[test]
+fn a_rank_that_fails_mid_run_fails_alike_on_every_crew() {
+    for (size, bad_rank) in [(4u32, 1i32), (4, 3), (3, 0)] {
+        let (program, entry) = ring_program_failing(6, Some((bad_rank, 2)));
+        let run = |executor| {
+            World::new(&program, size)
+                .with_timeout(5_000)
+                .with_executor(executor)
+                .run(entry, |_, _| Ok(vec![]))
+                .map(|r| fingerprint(&r))
+        };
+        let reference = run(ExecutorCfg::Sim);
+        match &reference {
+            Err(SimError::Rank { rank, message }) => {
+                assert_eq!(*rank, bad_rank as u32);
+                assert!(message.contains("division by zero"), "{message}");
+            }
+            other => panic!("size {size}: expected rank {bad_rank} to fail, got {other:?}"),
+        }
+        for workers in [2, 4] {
+            let threaded = run(threads(workers));
+            assert_eq!(
+                format!("{reference:?}"),
+                format!("{threaded:?}"),
+                "size {size} rank {bad_rank} workers {workers}"
+            );
+        }
+    }
+}
+
+/// `run_with_restart` under crash faults — worlds that recover and worlds
+/// that run out of restarts — returns the same result or typed error and
+/// the same `RestartStats`, field for field, under a crew of 2 and of 4
+/// workers as under `Sim`.
+#[test]
+fn restarts_return_the_same_stats_and_errors_on_every_crew() {
+    let (program, entry) = ring_program(4);
+    let policy = CheckpointPolicy::every(1);
+    let (mut recovered, mut exhausted) = (0, 0);
+    for seed in 0..10u64 {
+        let mut cfg = FaultConfig::seeded(0x5EED_C4A5 + seed);
+        cfg.crash = 0.02;
+        let max_restarts = if seed % 2 == 0 { 16 } else { 1 };
+        let run = |executor| {
+            World::new(&program, 4)
+                .with_faults(cfg)
+                .with_timeout(20_000)
+                .with_executor(executor)
+                .run_with_restart(entry, |_, _| Ok(vec![]), &policy, max_restarts)
+                .map(|r| (fingerprint(&r), r.restart))
+                .map_err(|e| format!("{e:?}"))
+        };
+        let reference = run(ExecutorCfg::Sim);
+        for workers in [2, 4] {
+            assert_eq!(
+                reference,
+                run(threads(workers)),
+                "seed {seed} workers {workers}"
+            );
+        }
+        match &reference {
+            Ok((_, stats)) if stats.restarts > 0 => recovered += 1,
+            Err(_) => exhausted += 1,
+            Ok(_) => {}
+        }
+    }
+    assert!(recovered > 0, "no world crashed and recovered");
+    assert!(exhausted > 0, "no world ran out of restarts");
 }
 
 /// A batch that names a rank not live in the pool, or one rank twice, is

@@ -104,6 +104,19 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one worker crew per world: exec::pool opens one thread scope (the =="
+echo "==   crew's) and has no per-batch run_batch; mpi-sim starts no thread  =="
+echo "==   and opens no scope of its own, it maps batches on that crew       =="
+scopes="$(grep -n 'thread::scope' crates/exec/src/pool.rs | grep -v -E '^[0-9]+: *//' || true)"
+stray="$( ( [ "$(printf '%s' "$scopes" | grep -c .)" -le 1 ] || printf '%s\n' "$scopes"
+    grep -n -E 'fn run_batch\b' crates/exec/src/pool.rs || true
+    grep -rn --include='*.rs' -E 'thread::(spawn|scope|Builder)|\.spawn\(' crates/mpi-sim/src || true) )"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above spawn workers per batch or outside exec::pool's one crew"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
