@@ -205,10 +205,6 @@ impl<'t> Jvm<'t> {
         Value::Arr(self.heap.alloc_arr(ArrayData::F32(data.to_vec())))
     }
 
-    pub fn new_f64_array(&mut self, data: &[f64]) -> Value {
-        Value::Arr(self.heap.alloc_arr(ArrayData::F64(data.to_vec())))
-    }
-
     pub fn new_i32_array(&mut self, data: &[i32]) -> Value {
         Value::Arr(self.heap.alloc_arr(ArrayData::I32(data.to_vec())))
     }
@@ -219,14 +215,6 @@ impl<'t> Jvm<'t> {
         match self.heap.arr(r) {
             ArrayData::F32(d) => Ok(d.clone()),
             other => Err(JvmError::new(format!("not a float array: {other}"))),
-        }
-    }
-
-    pub fn f64_array(&self, v: &Value) -> JResult<Vec<f64>> {
-        let r = v.as_arr().map_err(JvmError::new)?;
-        match self.heap.arr(r) {
-            ArrayData::F64(d) => Ok(d.clone()),
-            other => Err(JvmError::new(format!("not a double array: {other}"))),
         }
     }
 

@@ -266,14 +266,7 @@ fn emit_func(out: &mut String, p: &Program, f: &Function) {
     // Which pcs are jump targets (need labels)?
     let mut target = vec![false; f.code.len() + 1];
     for ins in &f.code {
-        match ins {
-            Instr::Jmp(t) => target[*t as usize] = true,
-            Instr::Br { t, f: fl, .. } => {
-                target[*t as usize] = true;
-                target[*fl as usize] = true;
-            }
-            _ => {}
-        }
+        ins.for_each_target(|t| target[t as usize] = true);
     }
     for (pc, ins) in f.code.iter().enumerate() {
         if target[pc] {

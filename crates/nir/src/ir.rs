@@ -363,6 +363,36 @@ impl Instr {
         source_operands!(self, f)
     }
 
+    /// Does this instruction end a basic block (`ret`, `jmp` or `br`)?
+    pub(crate) fn ends_block(&self) -> bool {
+        matches!(self, Instr::Ret(_) | Instr::Jmp(_) | Instr::Br { .. })
+    }
+
+    /// Call `f` on every branch target, a `br`'s true target first.
+    pub(crate) fn for_each_target(&self, mut f: impl FnMut(u32)) {
+        match *self {
+            Instr::Jmp(t) => f(t),
+            Instr::Br { t, f: e, .. } => {
+                f(t);
+                f(e);
+            }
+            _ => {}
+        }
+    }
+
+    /// Call `f` on every branch target, in [`Instr::for_each_target`]'s
+    /// order, so a pass can remap where the instruction goes.
+    pub(crate) fn for_each_target_mut(&mut self, mut f: impl FnMut(&mut u32)) {
+        match self {
+            Instr::Jmp(t) => f(t),
+            Instr::Br { t, f: e, .. } => {
+                f(t);
+                f(e);
+            }
+            _ => {}
+        }
+    }
+
     /// The value a constant instruction loads ([`ConstVal::instr`]'s
     /// inverse); `None` for every other instruction.
     pub fn const_val(&self) -> Option<ConstVal> {
@@ -749,7 +779,7 @@ pub struct FuncBuilder {
     code: Vec<Instr>,
     /// label -> resolved pc
     labels: Vec<Option<u32>>,
-    /// (pc, which-slot, label) fixups
+    /// (pc, which target in `for_each_target` order, label) fixups
     fixups: Vec<(usize, u8, Label)>,
 }
 
@@ -812,8 +842,8 @@ impl FuncBuilder {
             t: u32::MAX,
             f: u32::MAX,
         });
-        self.fixups.push((pc, 1, t));
-        self.fixups.push((pc, 2, f));
+        self.fixups.push((pc, 0, t));
+        self.fixups.push((pc, 1, f));
     }
 
     /// Current instruction count (useful for tests).
@@ -827,25 +857,25 @@ impl FuncBuilder {
 
     /// Resolve labels and produce the function.
     pub fn finish(mut self) -> Result<Function, String> {
-        for (pc, slot, label) in &self.fixups {
+        for &(pc, slot, label) in &self.fixups {
             let target = self.labels[label.0 as usize]
                 .ok_or_else(|| format!("unbound label {} in `{}`", label.0, self.name))?;
-            match (&mut self.code[*pc], slot) {
-                (Instr::Jmp(t), 0) => *t = target,
-                (Instr::Br { t, .. }, 1) => *t = target,
-                (Instr::Br { f, .. }, 2) => *f = target,
-                other => return Err(format!("bad fixup {other:?}")),
-            }
+            let mut i = 0;
+            self.code[pc].for_each_target_mut(|t| {
+                if i == slot {
+                    *t = target;
+                }
+                i += 1;
+            });
         }
         // Ensure control cannot fall (or jump) off the end: a label bound
         // after the last instruction (e.g. the end label of a trailing
         // `if`) needs a real terminator to land on.
         let len = self.code.len() as u32;
-        let jumps_to_end = self.code.iter().any(|i| match i {
-            Instr::Jmp(t) => *t == len,
-            Instr::Br { t, f, .. } => *t == len || *f == len,
-            _ => false,
-        });
+        let mut jumps_to_end = false;
+        for ins in &self.code {
+            ins.for_each_target(|t| jumps_to_end |= t == len);
+        }
         if jumps_to_end || !matches!(self.code.last(), Some(Instr::Ret(_))) {
             self.code.push(Instr::Ret(None));
         }

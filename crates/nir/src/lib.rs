@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+mod cfg;
 pub mod codec;
 pub mod emit;
 pub mod hash;

@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 
+use crate::cfg::{self, Cfg, NONE};
 use crate::ir::{ConstVal, FuncKind, Function, Instr, Program, Reg};
 
 /// The revision of what [`optimize`] makes of a program. Artifact cache
@@ -341,31 +342,6 @@ impl Facts {
     }
 }
 
-/// Block leaders, by pc (one past the end included): the entry, every
-/// branch target, and every instruction after a `Jmp`, `Br` or `Ret`.
-/// `each` sees every instruction in the same sweep.
-fn leaders(code: &[Instr], mut each: impl FnMut(&Instr)) -> Vec<bool> {
-    let mut leader = vec![false; code.len() + 1];
-    leader[0] = true;
-    for (pc, ins) in code.iter().enumerate() {
-        match ins {
-            Instr::Jmp(t) => {
-                leader[*t as usize] = true;
-                leader[pc + 1] = true;
-            }
-            Instr::Br { t, f, .. } => {
-                leader[*t as usize] = true;
-                leader[*f as usize] = true;
-                leader[pc + 1] = true;
-            }
-            Instr::Ret(_) => leader[pc + 1] = true,
-            _ => {}
-        }
-        each(ins);
-    }
-    leader
-}
-
 /// Per-basic-block constant folding and copy propagation. Linear in the
 /// block: facts live in a table indexed by register ([`Facts`]), and no
 /// step scans what the block has recorded so far.
@@ -394,7 +370,7 @@ fn local_fold(f: &mut Function, config: OptConfig) {
     // For CSE, about how many instructions its table keys (pure
     // intrinsics are counted with the rest), to size the table once.
     let mut keyed = 0;
-    let leader = leaders(&f.code, |ins| {
+    let count = |_, ins: &Instr| {
         if with_dce {
             match *ins {
                 Instr::Bin {
@@ -433,7 +409,11 @@ fn local_fold(f: &mut Function, config: OptConfig) {
                 }
             }
         }
-    });
+        Ok(())
+    };
+    let Ok(leader) = cfg::leaders(&f.code, count, |_, _| ()) else {
+        return;
+    };
 
     let mut facts = Facts::new(f.regs.len());
     let mut cse = with_dce.then(|| Cse::new(f.regs.len(), keyed));
@@ -787,8 +767,8 @@ fn dce(f: &mut Function) -> bool {
         });
     }
 
-    let (hoist, loops) = if backward {
-        let blocks = Blocks::of(f, &keep);
+    let blocks = backward.then(|| Blocks::of(f, &keep)).flatten();
+    let (hoist, loops) = if let Some(blocks) = blocks {
         let hoist = loop_constants(f, &keep, &blocks);
         for h in &hoist.defs {
             keep[*h as usize] = false;
@@ -875,14 +855,7 @@ fn dce(f: &mut Function) -> bool {
         if !keep[i] {
             continue;
         }
-        match &mut ins {
-            Instr::Jmp(t) => *t = target(*t, i),
-            Instr::Br { t, f: fl, .. } => {
-                *t = target(*t, i);
-                *fl = target(*fl, i);
-            }
-            _ => {}
-        }
+        ins.for_each_target_mut(|t| *t = target(*t, i));
         match l.filter(|l| l.latch as usize == i) {
             // The back jump becomes the header's test, which branches
             // back past the preheader.
@@ -899,17 +872,11 @@ fn dce(f: &mut Function) -> bool {
     }
     // Only input that could already fall off its end can end without a
     // terminator here; give it the one the builder would have.
-    if !matches!(
-        f.code.last(),
-        Some(Instr::Ret(_) | Instr::Jmp(_) | Instr::Br { .. })
-    ) {
+    if !f.code.last().is_some_and(Instr::ends_block) {
         f.code.push(Instr::Ret(None));
     }
     !loops.is_empty()
 }
-
-/// "No instruction" / "no register" in the optimizer's index tables.
-const NONE: u32 = u32::MAX;
 
 /// How many jumps one target is threaded through.
 const THREAD_HOPS: usize = 8;
@@ -970,13 +937,10 @@ fn thread_and_reach(code: &mut [Instr]) -> (Vec<bool>, bool, bool) {
     (reach, changed, backward)
 }
 
-/// The basic blocks of the kept instructions, and the registers whose
-/// value is local to one block.
+/// The basic blocks of a function, and the registers whose value is
+/// local to one block among the kept instructions.
 struct Blocks {
-    /// By pc: its block, numbered in pc order.
-    block: Vec<u32>,
-    /// By block: its first pc; one past the last block, `code.len()`.
-    starts: Vec<u32>,
+    cfg: Cfg,
     /// By register: the pc of its only kept definition when it is not a
     /// parameter and every kept read of it comes later in that
     /// definition's block; [`NONE`] otherwise. Such a register holds, at
@@ -986,19 +950,10 @@ struct Blocks {
 }
 
 impl Blocks {
-    fn of(f: &Function, keep: &[bool]) -> Blocks {
+    fn of(f: &Function, keep: &[bool]) -> Option<Blocks> {
         let code = &f.code;
-        let n = code.len();
-        let leader = leaders(code, |_| {});
-        let mut starts = Vec::new();
-        let mut block = vec![0u32; n];
-        for pc in 0..n {
-            if leader[pc] {
-                starts.push(pc as u32);
-            }
-            block[pc] = starts.len() as u32 - 1;
-        }
-        starts.push(n as u32);
+        let cfg = Cfg::of(code).ok()?;
+        let block = &cfg.block;
 
         // One pass in pc order: a read before its register's (first)
         // definition or in another block, or a second definition,
@@ -1027,11 +982,7 @@ impl Blocks {
                 *l = NONE;
             }
         }
-        Blocks {
-            block,
-            starts,
-            local,
-        }
+        Some(Blocks { cfg, local })
     }
 }
 
@@ -1056,14 +1007,14 @@ struct Hoist {
 /// read in another block may see the register before the loop first
 /// defines it, or after something else did.
 fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
-    let on_cycle = blocks_on_cycles(&f.code, &blocks.starts, &blocks.block);
+    let on_cycle = blocks.cfg.on_cycles();
     let mut hoist = Hoist::default();
     let mut merged: HashMap<(PrimKind, u64), Reg> = HashMap::new();
     for (pc, ins) in f.code.iter().enumerate() {
         let Some(d) = ins.dst().filter(|d| {
             keep[pc]
                 && blocks.local[*d as usize] == pc as u32
-                && on_cycle[blocks.block[pc] as usize]
+                && on_cycle[blocks.cfg.block[pc] as usize]
         }) else {
             continue;
         };
@@ -1157,18 +1108,11 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
                 next_back[pc] = pc as u32;
             }
         };
-        match *ins {
-            Instr::Jmp(t) => {
-                edge(t);
-                if (t as usize) < pc && latch[t as usize] == NONE {
-                    latch[t as usize] = pc as u32;
-                }
+        ins.for_each_target(&mut edge);
+        if let Instr::Jmp(t) = *ins {
+            if (t as usize) < pc && latch[t as usize] == NONE {
+                latch[t as usize] = pc as u32;
             }
-            Instr::Br { t, f, .. } => {
-                edge(t);
-                edge(f);
-            }
-            _ => {}
         }
     }
 
@@ -1184,9 +1128,7 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
             continue;
         }
         let e = e as usize;
-        let Some(k) = (h..e).find(|&pc| {
-            keep[pc] && matches!(code[pc], Instr::Jmp(_) | Instr::Br { .. } | Instr::Ret(_))
-        }) else {
+        let Some(k) = (h..e).find(|&pc| keep[pc] && code[pc].ends_block()) else {
             continue;
         };
         let Instr::Br { t, f: exit, .. } = code[k] else {
@@ -1233,8 +1175,8 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
         }
 
         let (mut hoisted, mut pre) = (Vec::new(), Vec::new());
-        let entry = blocks.block[k + 1];
-        for pc in (k + 1..e).take_while(|&pc| blocks.block[pc] == entry) {
+        let block = &blocks.cfg.block;
+        for pc in (k + 1..e).take_while(|&pc| block[pc] == block[k + 1]) {
             let ins = &code[pc];
             if !keep[pc] {
                 continue;
@@ -1272,78 +1214,6 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
         });
     }
     loops
-}
-
-/// By block: is it on a cycle of the control-flow graph, i.e. in a
-/// strongly connected component of more than one block, or its own
-/// successor? Tarjan's algorithm from the entry block, iteratively (the
-/// recursion would be as deep as the function is long).
-fn blocks_on_cycles(code: &[Instr], starts: &[u32], block: &[u32]) -> Vec<bool> {
-    let nb = starts.len() - 1;
-    // A target past the last instruction leaves the function.
-    let to = |t: u32| block.get(t as usize).copied().unwrap_or(NONE);
-    let succs = |b: usize| -> [u32; 2] {
-        let end = starts[b + 1];
-        match code[end as usize - 1] {
-            Instr::Jmp(t) => [to(t), NONE],
-            Instr::Br { t, f, .. } => [to(t), to(f)],
-            Instr::Ret(_) => [NONE, NONE],
-            _ => [to(end), NONE],
-        }
-    };
-    let mut on_cycle = vec![false; nb];
-    let mut index = vec![NONE; nb];
-    let mut low = vec![0u32; nb];
-    let mut on_stack = vec![false; nb];
-    let mut stack: Vec<u32> = vec![0];
-    // The explicit call stack: (block, next successor slot to visit).
-    let mut calls: Vec<(u32, u8)> = vec![(0, 0)];
-    index[0] = 0;
-    on_stack[0] = true;
-    let mut next = 1;
-    while let Some(top) = calls.last_mut() {
-        let (b, slot) = *top;
-        let bu = b as usize;
-        if slot < 2 {
-            top.1 += 1;
-            let s = succs(bu)[slot as usize];
-            if s == NONE {
-                continue;
-            }
-            let su = s as usize;
-            if s == b {
-                on_cycle[bu] = true;
-            } else if index[su] == NONE {
-                index[su] = next;
-                low[su] = next;
-                next += 1;
-                stack.push(s);
-                on_stack[su] = true;
-                calls.push((s, 0));
-            } else if on_stack[su] {
-                low[bu] = low[bu].min(index[su]);
-            }
-            continue;
-        }
-        calls.pop();
-        if let Some(&(parent, _)) = calls.last() {
-            low[parent as usize] = low[parent as usize].min(low[bu]);
-        }
-        if low[bu] == index[bu] {
-            // `b` roots a component: everything above it on the stack.
-            let root = stack
-                .iter()
-                .rposition(|&m| m == b)
-                .expect("a component's root is on the stack");
-            let cycle = stack.len() - root > 1;
-            for &m in &stack[root..] {
-                on_stack[m as usize] = false;
-                on_cycle[m as usize] |= cycle;
-            }
-            stack.truncate(root);
-        }
-    }
-    on_cycle
 }
 
 /// Scalar replacement of aggregates: a heap object that is allocated in
@@ -1550,8 +1420,10 @@ fn sroa(f: &mut Function) {
                 }
             }
         }
-        let leaders = leaders(&probe.code, |_| {});
-        let Err((_, reg)) = crate::verify::definitely_assigned(&probe, &leaders) else {
+        let Ok(cfg) = Cfg::of(&probe.code) else {
+            return;
+        };
+        let Err((_, reg)) = crate::verify::definitely_assigned(&probe, &cfg) else {
             return;
         };
         let slot = slot_regs.iter().find(|(_, sr)| **sr == reg);
@@ -1581,14 +1453,7 @@ fn insert_before<I: Iterator<Item = Instr>>(
     }
     new_pc.push(out.len() as u32);
     for ins in &mut out {
-        match ins {
-            Instr::Jmp(t) => *t = new_pc[*t as usize],
-            Instr::Br { t, f, .. } => {
-                *t = new_pc[*t as usize];
-                *f = new_pc[*f as usize];
-            }
-            _ => {}
-        }
+        ins.for_each_target_mut(|t| *t = new_pc[*t as usize]);
     }
     out
 }
@@ -1665,6 +1530,7 @@ fn inline_calls(f: &mut Function, done: &[Arc<Function>], limit: usize) {
                     if let Some(d) = ins.dst_mut() {
                         *d = reg(*d);
                     }
+                    ins.for_each_target_mut(|t| *t = start + at[*t as usize]);
                     match ins {
                         Instr::Ret(r) => {
                             if let (Some(d), Some(r)) = (dst, r) {
@@ -1674,23 +1540,14 @@ fn inline_calls(f: &mut Function, done: &[Arc<Function>], limit: usize) {
                                 f.code.push(Instr::Jmp(new_pc[pc + 1]));
                             }
                         }
-                        Instr::Jmp(t) => f.code.push(Instr::Jmp(start + at[t as usize])),
-                        Instr::Br { cond, t, f: fl } => f.code.push(Instr::Br {
-                            cond,
-                            t: start + at[t as usize],
-                            f: start + at[fl as usize],
-                        }),
                         other => f.code.push(other),
                     }
                 }
             }
-            (_, Instr::Jmp(t)) => f.code.push(Instr::Jmp(new_pc[t as usize])),
-            (_, Instr::Br { cond, t, f: fl }) => f.code.push(Instr::Br {
-                cond,
-                t: new_pc[t as usize],
-                f: new_pc[fl as usize],
-            }),
-            (_, other) => f.code.push(other),
+            (_, mut other) => {
+                other.for_each_target_mut(|t| *t = new_pc[*t as usize]);
+                f.code.push(other);
+            }
         }
     }
 }

@@ -11,9 +11,9 @@
 //! placeholder.
 //!
 //! One walk makes the structural and the type checks, instruction by
-//! instruction, and the definite-assignment analysis runs only on a
-//! function that walk accepted, so it only ever indexes what exists. The
-//! structural checks:
+//! instruction, in the sweep that finds the block leaders, and the
+//! definite-assignment analysis runs only on a function that walk
+//! accepted, so it only ever indexes what exists. The structural checks:
 //!
 //! * every source and destination register is in range (read where the
 //!   instruction's match arm types it, with no second dispatch on the
@@ -54,6 +54,7 @@
 //! It never panics: whatever a program holds, a defect is a
 //! [`VerifyError`].
 
+use crate::cfg::{self, Cfg, NONE};
 use crate::intrin::{IntrinOp, IntrinTy};
 use crate::ir::{FuncId, FuncKind, Function, Instr, Program, Reg, Ty};
 use jlang::ast::BinOp;
@@ -172,36 +173,18 @@ impl Program {
                 format!("parameter {i} is {p:?}, its register {r:?}"),
             ));
         }
-        let mut leaders = vec![false; f.code.len() + 1];
-        leaders[0] = true;
-        for (pc, ins) in f.code.iter().enumerate() {
-            self.check_instr(f, ins).map_err(|m| fail(pc, m))?;
-            let mut lead = |t: u32| match leaders.get_mut(t as usize) {
-                Some(l) => {
-                    *l = true;
-                    Ok(())
-                }
-                None => Err(fail(pc, format!("jump target {t} out of range"))),
-            };
-            match ins {
-                Instr::Jmp(t) => lead(*t)?,
-                Instr::Br { t, f: e, .. } => {
-                    lead(*t)?;
-                    lead(*e)?;
-                }
-                Instr::Ret(_) => {}
-                _ => continue,
-            }
-            leaders[pc + 1] = true;
-        }
-        if !matches!(
-            f.code.last(),
-            Some(Instr::Ret(_) | Instr::Jmp(_) | Instr::Br { .. })
-        ) {
+        // The sweep that finds the leaders checks each instruction before
+        // its targets.
+        let leader = cfg::leaders(
+            &f.code,
+            |pc, ins| self.check_instr(f, ins).map_err(|m| fail(pc, m)),
+            |pc, t| fail(pc, format!("jump target {t} out of range")),
+        )?;
+        if !f.code.last().is_some_and(Instr::ends_block) {
             let message = "falls off its end: the last instruction is not ret, jmp or br";
             return Err(fail(f.code.len(), message.into()));
         }
-        definitely_assigned(f, &leaders)
+        definitely_assigned(f, &Cfg::new(&f.code, &leader))
             .map_err(|(pc, r)| fail(pc, format!("r{r} may be read before it is written")))
     }
 
@@ -439,11 +422,9 @@ fn signature(
 }
 
 /// Is every register read only where every path from entry has written
-/// it? `leaders[pc]` marks the first instruction of each basic block
-/// (`leaders[len]` is the function's end). On failure: the pc of a read
-/// that some path reaches unwritten, and its register.
-pub(crate) fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), (usize, Reg)> {
-    let n = f.code.len();
+/// it? On failure: the pc of a read that some path reaches unwritten, and
+/// its register.
+pub(crate) fn definitely_assigned(f: &Function, cfg: &Cfg) -> Result<(), (usize, Reg)> {
     // Walk 1: the reads a block makes before writing the register (its
     // upward-exposed reads), found with a per-register stamp of the last
     // block that wrote it, so nothing is cleared between blocks. Every
@@ -452,14 +433,8 @@ pub(crate) fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), 
     const ALWAYS: u32 = u32::MAX - 1;
     let mut stamp = vec![u32::MAX; f.regs.len()];
     stamp[..f.params.len().min(f.regs.len())].fill(ALWAYS);
-    let mut block_of = vec![0u32; n];
     let mut exposed: Vec<(u32, usize, Reg)> = Vec::new();
-    let mut block = 0u32;
-    for (pc, ins) in f.code.iter().enumerate() {
-        if leaders[pc] && pc > 0 {
-            block += 1;
-        }
-        block_of[pc] = block;
+    for (pc, (ins, &block)) in f.code.iter().zip(&cfg.block).enumerate() {
         ins.for_each_source(|r| match stamp.get(r as usize) {
             Some(&s) if s == block || s == ALWAYS => {}
             _ => exposed.push((block, pc, r)),
@@ -473,7 +448,7 @@ pub(crate) fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), 
     if exposed.is_empty() {
         return Ok(());
     }
-    let blocks = block as usize + 1;
+    let blocks = cfg.succs.len();
 
     // The candidates: registers some block reads before writing. Each
     // gets a bit; the sets are a few words.
@@ -491,33 +466,15 @@ pub(crate) fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), 
     let has =
         |sets: &[u64], b: usize, i: u32| sets[b * words + i as usize / 64] >> (i % 64) & 1 == 1;
 
-    // Walk 2: what each block writes of the candidates, and where control
-    // goes after it.
+    // Walk 2: what each block writes of the candidates.
     let mut gen = vec![0u64; blocks * words];
-    let mut succs: Vec<[u32; 2]> = vec![[u32::MAX; 2]; blocks];
-    for (pc, ins) in f.code.iter().enumerate() {
-        let b = block_of[pc] as usize;
+    for (ins, &b) in f.code.iter().zip(&cfg.block) {
         if let Some(i) = ins
             .dst()
             .and_then(|d| bit.get(d as usize))
             .filter(|i| **i != u32::MAX)
         {
-            set(&mut gen, b, *i);
-        }
-        let to = |t: u32| {
-            // A jump to the end falls off the function: no successor.
-            if (t as usize) < n {
-                block_of[t as usize]
-            } else {
-                u32::MAX
-            }
-        };
-        match ins {
-            Instr::Jmp(t) => succs[b] = [to(*t), u32::MAX],
-            Instr::Br { t, f: e, .. } => succs[b] = [to(*t), to(*e)],
-            Instr::Ret(_) => {}
-            _ if leaders[pc + 1] => succs[b] = [to(pc as u32 + 1), u32::MAX],
-            _ => {}
+            set(&mut gen, b as usize, *i);
         }
     }
 
@@ -540,8 +497,8 @@ pub(crate) fn definitely_assigned(f: &Function, leaders: &[bool]) -> Result<(), 
             for w in 0..words {
                 out[w] = ins[b * words + w] | gen[b * words + w];
             }
-            for s in succs[b] {
-                if s == u32::MAX {
+            for s in cfg.succs[b] {
+                if s == NONE {
                     continue;
                 }
                 let s = s as usize;
@@ -965,6 +922,54 @@ mod tests {
         assert_eq!(
             (e.pc, e.message.as_str()),
             (1, "r2 may be read before it is written")
+        );
+    }
+
+    /// At each pc the instruction's own check comes before its targets'
+    /// range check, and the first failing pc is the one reported: a type
+    /// error at pc 1 wins over a jump out of range at pc 3, which wins
+    /// over a type error after it, and an ill-typed branch out of range
+    /// reports its type error.
+    #[test]
+    fn the_first_failing_pc_is_reported() {
+        let f = |code: Vec<Instr>| {
+            edited(Instr::Sync, |p| p.func_mut(FuncId(1)).code = code)
+                .verify()
+                .unwrap_err()
+        };
+        let ill_typed = Instr::Mov(I, X);
+        let e = f(vec![
+            Instr::Jmp(1),
+            ill_typed.clone(),
+            Instr::ConstI32(I, 0),
+            Instr::Jmp(99),
+            Instr::Ret(Some(I)),
+        ]);
+        assert_eq!(e.pc, 1, "{e}");
+        assert!(e.message.contains("destination r0 is I32"), "{e}");
+        let e = f(vec![
+            Instr::Jmp(1),
+            Instr::Br {
+                cond: B,
+                t: 2,
+                f: 99,
+            },
+            ill_typed,
+            Instr::Ret(Some(I)),
+        ]);
+        assert_eq!(
+            (e.pc, e.message.as_str()),
+            (1, "jump target 99 out of range")
+        );
+        // One pc, both faults: the branch's own check is reported.
+        let e = f(vec![Instr::Br {
+            cond: I,
+            t: 99,
+            f: 0,
+        }]);
+        assert_eq!(
+            (e.pc, e.message.as_str()),
+            (0, "condition r0 is I32, expected Bool")
         );
     }
 

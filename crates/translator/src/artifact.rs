@@ -243,11 +243,6 @@ impl CacheKey {
         self
     }
 
-    /// The platform salt this key is scoped to (0 = portable).
-    pub fn platform_salt(&self) -> u64 {
-        self.salt
-    }
-
     /// Scope this key to a source revision: the query database's stable
     /// fingerprint over every file's item trees and body hashes
     /// (whitespace- and comment-insensitive). Entry specs only capture

@@ -146,20 +146,6 @@ impl Shape {
             }
         }
     }
-
-    /// Does the exact class of this shape conform to declared type `ty`?
-    pub fn conforms_to(&self, table: &ClassTable, ty: &Type) -> bool {
-        match (self, ty) {
-            (Shape::Prim(k), t) => t.prim_kind() == Some(*k),
-            (Shape::Arr(e), Type::Array(elem)) => elem_ty_of(elem) == Some(*e),
-            (Shape::Obj { class, .. }, Type::Object(want, _)) => {
-                table.is_subclass_of(*class, *want)
-            }
-            // Generic positions are erased in shapes.
-            (Shape::Obj { .. }, Type::Var(_)) => true,
-            _ => false,
-        }
-    }
 }
 
 struct ElemShape(ElemTy);

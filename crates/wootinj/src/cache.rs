@@ -147,11 +147,6 @@ impl MemoryLru {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Keys in recency order, least recently used first (test hook).
-    pub fn lru_order(&self) -> &[CacheKey] {
-        &self.order
-    }
 }
 
 impl CacheBackend for MemoryLru {

@@ -837,24 +837,11 @@ impl JitCode {
         self.timeout_rounds = Some(rounds);
     }
 
-    /// Enable (or replace) the checkpoint/restart policy for this code's
-    /// runs — the post-`jit` twin of [`JitOptions::with_checkpointing`].
-    pub fn set_checkpointing(&mut self, policy: CheckpointPolicy) {
-        self.checkpoint = Some(policy);
-    }
-
     /// Bound how many rollback-and-resume cycles one `invoke` may spend
     /// before the underlying typed error propagates
     /// ([`DEFAULT_MAX_RESTARTS`] unless set).
     pub fn set_max_restarts(&mut self, max_restarts: u32) {
         self.max_restarts = max_restarts;
-    }
-
-    /// Execute this code's world slices on real OS threads (or back on
-    /// the cooperative loop) — the post-`jit` twin of
-    /// [`JitOptions::with_executor`].
-    pub fn set_executor(&mut self, executor: ExecutorCfg) {
-        self.executor = executor;
     }
 
     /// The generated C/CUDA source (Listing 5 analogue).

@@ -117,6 +117,18 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one control-flow graph: nir's leader rule, block numbering and  =="
+echo "==   successor table live in cfg.rs; no other file of crates/nir/src =="
+echo "==   finds leaders, numbers blocks or builds a successor table       =="
+stray="$(grep -rn --include='*.rs' -E \
+        'fn (leaders|blocks_on_cycles)\b|let (mut )?succs\b|\bsuccs *:|leaders?\[pc \+ 1\] *=[^=]' \
+        crates/nir/src | grep -v '^crates/nir/src/cfg\.rs:' || true)"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above work out a function's blocks outside nir::cfg; read a Cfg"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
