@@ -861,9 +861,7 @@ wire_struct!(Program {
     entry
 });
 wire_struct!(OptConfig {
-    const_fold,
-    copy_prop,
-    dce,
+    local,
     inline_limit,
     sroa
 });

@@ -3,10 +3,10 @@
 //!
 //! Passes:
 //! * **fold** — const-fold + copy-propagation (per basic block, linear in
-//!   the block): replaces arithmetic on known constants and forwards
-//!   `Mov` chains; with `dce` on, it also coalesces result moves
-//!   (`t = op …; x = t` becomes `x = op …`) and eliminates common
-//!   subexpressions (a value a register still holds is read from it);
+//!   the block): replaces arithmetic on known constants, forwards `Mov`
+//!   chains, coalesces result moves (`t = op …; x = t` becomes
+//!   `x = op …`) and eliminates common subexpressions (a value a register
+//!   still holds is read from it);
 //! * **dce** — one rebuild of the function that threads jumps through
 //!   jumps, removes unreachable code, removes pure instructions whose
 //!   results are never used (whole-function liveness), hoists loop
@@ -18,6 +18,9 @@
 //!   earlier callees (see [`optimize_fn`]), as the paper's C compiler
 //!   inlines the flat C that WootinJ emits;
 //! * **sroa** — scalar replacement of non-escaping heap objects.
+//!
+//! [`OptConfig::local`] runs fold and dce together: nothing ships one
+//! without the other, and fold leaves self-moves for dce to drop.
 //!
 //! Every pass sees only the function it rewrites and its callees' final
 //! bodies; fold, dce and inline are linear in it. Loop cleanup is what the
@@ -50,9 +53,9 @@ pub const REVISION: u32 = 2;
 /// Tables 1 and 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptConfig {
-    pub const_fold: bool,
-    pub copy_prop: bool,
-    pub dce: bool,
+    /// The local passes: `fold` (constant folding, copy propagation,
+    /// result-move coalescing, block-local CSE), then `dce`.
+    pub local: bool,
     /// Inline callees with at most this many instructions (0 = off).
     pub inline_limit: usize,
     /// Scalar replacement of non-escaping heap objects (models C++ value
@@ -66,9 +69,7 @@ impl OptConfig {
     /// WootinJ preset adds [`OptConfig::aggressive`]'s inline limit).
     pub fn standard() -> Self {
         OptConfig {
-            const_fold: true,
-            copy_prop: true,
-            dce: true,
+            local: true,
             inline_limit: 0,
             sroa: false,
         }
@@ -79,9 +80,7 @@ impl OptConfig {
     /// *Template w/o virt.* series).
     pub fn aggressive() -> Self {
         OptConfig {
-            const_fold: true,
-            copy_prop: true,
-            dce: true,
+            local: true,
             inline_limit: 128,
             sroa: true,
         }
@@ -90,9 +89,7 @@ impl OptConfig {
     /// All passes off (`-O0`).
     pub fn none() -> Self {
         OptConfig {
-            const_fold: false,
-            copy_prop: false,
-            dce: false,
+            local: false,
             inline_limit: 0,
             sroa: false,
         }
@@ -175,14 +172,13 @@ pub fn optimize_fn(
 /// block, where `fold` has not looked yet, so a round that rotates runs
 /// both once more; the second `dce` finds no loop left to rotate.
 fn local_round(f: &mut Function, config: OptConfig, parts: &mut Vec<PassProfile>) {
+    if !config.local {
+        return;
+    }
     for _ in 0..2 {
-        if config.const_fold || config.copy_prop {
-            parts.push(PassProfile::record("fold", f, |f| local_fold(f, config)));
-        }
+        parts.push(PassProfile::record("fold", f, local_fold));
         let mut rotated = false;
-        if config.dce {
-            parts.push(PassProfile::record("dce", f, |f| rotated = dce(f)));
-        }
+        parts.push(PassProfile::record("dce", f, |f| rotated = dce(f)));
         if !rotated {
             break;
         }
@@ -346,67 +342,60 @@ impl Facts {
 /// block: facts live in a table indexed by register ([`Facts`]), and no
 /// step scans what the block has recorded so far.
 ///
-/// With `dce` also on, it coalesces result moves: `t = op …; x = t`
-/// becomes `x = op …` when `t` is a temporary that lives for exactly
-/// those two instructions ([`coalesces`]). The emptied `Mov` is left as
-/// the self-move `x = x`, so no pc moves here; [`dce`]'s rebuild drops it.
-/// It also eliminates common subexpressions within the block ([`Cse`]):
-/// a pure instruction that recomputes what a register still holds becomes
-/// a `Mov` from that register, which copy propagation forwards and `dce`
-/// drops once nothing reads it.
+/// It also coalesces result moves: `t = op …; x = t` becomes `x = op …`
+/// when `t` is a temporary that lives for exactly those two instructions
+/// ([`coalesces`]). The emptied `Mov` is left as the self-move `x = x`, so
+/// no pc moves here; [`dce`]'s rebuild drops it. And it eliminates common
+/// subexpressions within the block ([`Cse`]): a pure instruction that
+/// recomputes what a register still holds becomes a `Mov` from that
+/// register, which copy propagation forwards and `dce` drops once nothing
+/// reads it.
 #[allow(clippy::needless_range_loop)] // `pc` indexes both code and leader
-fn local_fold(f: &mut Function, config: OptConfig) {
-    let with_dce = config.copy_prop && config.dce;
+fn local_fold(f: &mut Function) {
     // For coalescing, how often each register is written and read,
     // counted in the sweep that finds the leaders. The three commonest
     // instructions are counted in one match (patterns that name every
     // field, so a changed variant fails to compile here); the rest go
     // through the generic operand walk, which dispatches twice.
-    let (mut writes, mut reads) = if with_dce {
-        (vec![0u32; f.regs.len()], vec![0u32; f.regs.len()])
-    } else {
-        (Vec::new(), Vec::new())
-    };
+    let (mut writes, mut reads) = (vec![0u32; f.regs.len()], vec![0u32; f.regs.len()]);
     // For CSE, about how many instructions its table keys (pure
     // intrinsics are counted with the rest), to size the table once.
     let mut keyed = 0;
     let count = |_, ins: &Instr| {
-        if with_dce {
-            match *ins {
-                Instr::Bin {
-                    op: _,
-                    kind: _,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    writes[dst as usize] += 1;
-                    reads[lhs as usize] += 1;
-                    reads[rhs as usize] += 1;
-                    keyed += 1;
-                }
-                Instr::ConstI32(d, _)
-                | Instr::ConstI64(d, _)
-                | Instr::ConstF32(d, _)
-                | Instr::ConstF64(d, _)
-                | Instr::ConstBool(d, _) => writes[d as usize] += 1,
-                Instr::Mov(d, s) => {
+        match *ins {
+            Instr::Bin {
+                op: _,
+                kind: _,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                writes[dst as usize] += 1;
+                reads[lhs as usize] += 1;
+                reads[rhs as usize] += 1;
+                keyed += 1;
+            }
+            Instr::ConstI32(d, _)
+            | Instr::ConstI64(d, _)
+            | Instr::ConstF32(d, _)
+            | Instr::ConstF64(d, _)
+            | Instr::ConstBool(d, _) => writes[d as usize] += 1,
+            Instr::Mov(d, s) => {
+                writes[d as usize] += 1;
+                reads[s as usize] += 1;
+            }
+            _ => {
+                if let Some(d) = ins.dst() {
                     writes[d as usize] += 1;
-                    reads[s as usize] += 1;
                 }
-                _ => {
-                    if let Some(d) = ins.dst() {
-                        writes[d as usize] += 1;
-                    }
-                    ins.for_each_source(|s| reads[s as usize] += 1);
-                    keyed += usize::from(matches!(
-                        ins,
-                        Instr::Neg { .. }
-                            | Instr::Not { .. }
-                            | Instr::Cast { .. }
-                            | Instr::Intrin { .. }
-                    ));
-                }
+                ins.for_each_source(|s| reads[s as usize] += 1);
+                keyed += usize::from(matches!(
+                    ins,
+                    Instr::Neg { .. }
+                        | Instr::Not { .. }
+                        | Instr::Cast { .. }
+                        | Instr::Intrin { .. }
+                ));
             }
         }
         Ok(())
@@ -416,44 +405,38 @@ fn local_fold(f: &mut Function, config: OptConfig) {
     };
 
     let mut facts = Facts::new(f.regs.len());
-    let mut cse = with_dce.then(|| Cse::new(f.regs.len(), keyed));
+    let mut cse = Cse::new(f.regs.len(), keyed);
     for pc in 0..f.code.len() {
         if leader[pc] {
             facts.start_block();
-            if let Some(cse) = &mut cse {
-                cse.start_block(pc);
-            }
+            cse.start_block(pc);
         }
         // Resolve copies in sources first.
-        if config.copy_prop {
-            f.code[pc].for_each_source_mut(|r| *r = facts.resolve(*r));
-        }
+        f.code[pc].for_each_source_mut(|r| *r = facts.resolve(*r));
 
-        if config.const_fold {
-            // Try folding a binary op on known constants of the kind it
-            // names, or a cast of a known constant.
-            let folded = match f.code[pc] {
-                Instr::Bin {
-                    op,
-                    kind,
-                    dst,
-                    lhs,
-                    rhs,
-                } => match (facts.const_of(lhs), facts.const_of(rhs)) {
-                    (Some(l), Some(r)) if l.kind() == kind => {
-                        ConstVal::bin(op, l, r).map(|v| v.instr(dst))
-                    }
-                    _ => None,
-                },
-                Instr::Cast { to, dst, src, .. } => facts
-                    .const_of(src)
-                    .and_then(|v| v.cast(to))
-                    .map(|v| v.instr(dst)),
+        // Try folding a binary op on known constants of the kind it
+        // names, or a cast of a known constant.
+        let folded = match f.code[pc] {
+            Instr::Bin {
+                op,
+                kind,
+                dst,
+                lhs,
+                rhs,
+            } => match (facts.const_of(lhs), facts.const_of(rhs)) {
+                (Some(l), Some(r)) if l.kind() == kind => {
+                    ConstVal::bin(op, l, r).map(|v| v.instr(dst))
+                }
                 _ => None,
-            };
-            if let Some(folded) = folded {
-                f.code[pc] = folded;
-            }
+            },
+            Instr::Cast { to, dst, src, .. } => facts
+                .const_of(src)
+                .and_then(|v| v.cast(to))
+                .map(|v| v.instr(dst)),
+            _ => None,
+        };
+        if let Some(folded) = folded {
+            f.code[pc] = folded;
         }
 
         // Coalesce before the `Mov` is seen: once it records `x` as a
@@ -462,7 +445,7 @@ fn local_fold(f: &mut Function, config: OptConfig) {
         // into a temporary, then into a variable) goes link by link: each
         // emptied move is a self-move, a no-op between the two.
         let mut next = pc + 1;
-        while with_dce && !leader[next] {
+        while !leader[next] {
             let Some(x) = coalesces(f, pc, next, &writes, &reads) else {
                 break;
             };
@@ -472,9 +455,7 @@ fn local_fold(f: &mut Function, config: OptConfig) {
         }
 
         // A value some register still holds: read it from there.
-        if let Some(cse) = &mut cse {
-            cse.visit(pc, &mut f.code[pc], &facts);
-        }
+        cse.visit(pc, &mut f.code[pc], &facts);
 
         // Update the facts from the (possibly rewritten) instruction.
         match &f.code[pc] {
@@ -1971,5 +1952,732 @@ mod tests {
         let once = format!("{p}");
         optimize(&mut p, OptConfig::standard());
         assert_eq!(once, format!("{p}"));
+    }
+}
+
+/// [`local_fold`] against a second implementation written the slow,
+/// obvious way, sharing no table or helper with it: facts in a `HashMap`
+/// that every write scans whole (the pass `fold` replaced when it became
+/// linear), result-move coalescing decided by counting a temporary's
+/// writes and reads across the whole function, and common subexpressions
+/// found by scanning the block back for the newest instruction that
+/// computed the same value. Constants are evaluated by [`ConstVal`], which
+/// `tests/const_exprs.rs` checks against the `jvm`. The shipped pass must
+/// match it instruction for instruction, constants bit for bit.
+#[cfg(test)]
+mod fold_reference {
+    use std::collections::HashMap;
+    use std::time::Instant;
+
+    use jlang::ast::BinOp;
+    use jlang::types::PrimKind;
+
+    use super::local_fold;
+    use crate::ir::{ConstVal, FuncKind, Function, Instr, Reg, Ty};
+
+    #[derive(Debug, Clone, Copy)]
+    enum Known {
+        Const(ConstVal),
+        Copy(Reg),
+    }
+
+    /// An operand of a computation: the constant its register is known to
+    /// hold (kind and bits), or else the register.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Operand {
+        Reg(Reg),
+        Const(PrimKind, u64),
+    }
+
+    /// What a pure computation computes: the instruction with its
+    /// destination and operands blanked, and its operands.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Key(Instr, Vec<Operand>);
+
+    /// The register `ins` writes, if any.
+    fn dst_of(ins: &mut Instr) -> Option<&mut Reg> {
+        match ins {
+            Instr::ConstI32(d, _)
+            | Instr::ConstI64(d, _)
+            | Instr::ConstF32(d, _)
+            | Instr::ConstF64(d, _)
+            | Instr::ConstBool(d, _)
+            | Instr::Mov(d, _) => Some(d),
+            Instr::Bin { dst, .. }
+            | Instr::Neg { dst, .. }
+            | Instr::Not { dst, .. }
+            | Instr::Cast { dst, .. }
+            | Instr::NewObj { dst, .. }
+            | Instr::GetField { dst, .. }
+            | Instr::NewArr { dst, .. }
+            | Instr::LdArr { dst, .. }
+            | Instr::ArrLen { dst, .. }
+            | Instr::SharedAlloc { dst, .. } => Some(dst),
+            Instr::Call { dst, .. }
+            | Instr::CallHost { dst, .. }
+            | Instr::CallVirt { dst, .. }
+            | Instr::Intrin { dst, .. } => dst.as_mut(),
+            Instr::Jmp(_)
+            | Instr::Br { .. }
+            | Instr::Ret(_)
+            | Instr::PutField { .. }
+            | Instr::StArr { .. }
+            | Instr::FreeArr { .. }
+            | Instr::Launch { .. }
+            | Instr::Sync => None,
+        }
+    }
+
+    /// The registers `ins` reads, one entry per read.
+    fn reads_of(ins: &mut Instr) -> Vec<&mut Reg> {
+        match ins {
+            Instr::Mov(_, s) => vec![s],
+            Instr::Bin { lhs, rhs, .. } => vec![lhs, rhs],
+            Instr::Neg { src, .. } | Instr::Not { src, .. } | Instr::Cast { src, .. } => vec![src],
+            Instr::Br { cond, .. } => vec![cond],
+            Instr::Ret(r) => r.iter_mut().collect(),
+            Instr::Call { args, .. }
+            | Instr::CallHost { args, .. }
+            | Instr::Intrin { args, .. } => args.iter_mut().collect(),
+            Instr::CallVirt { recv, args, .. } => std::iter::once(recv).chain(args).collect(),
+            Instr::GetField { obj, .. } => vec![obj],
+            Instr::PutField { obj, src, .. } => vec![obj, src],
+            Instr::NewArr { len, .. } | Instr::SharedAlloc { len, .. } => vec![len],
+            Instr::LdArr { arr, idx, .. } => vec![arr, idx],
+            Instr::StArr { arr, idx, src } => vec![arr, idx, src],
+            Instr::ArrLen { arr, .. } | Instr::FreeArr { arr } => vec![arr],
+            Instr::Launch {
+                grid, block, args, ..
+            } => grid.iter_mut().chain(block).chain(args).collect(),
+            Instr::ConstI32(..)
+            | Instr::ConstI64(..)
+            | Instr::ConstF32(..)
+            | Instr::ConstF64(..)
+            | Instr::ConstBool(..)
+            | Instr::Jmp(_)
+            | Instr::NewObj { .. }
+            | Instr::Sync => Vec::new(),
+        }
+    }
+
+    fn dst(ins: &Instr) -> Option<Reg> {
+        dst_of(&mut ins.clone()).copied()
+    }
+
+    fn reads(ins: &Instr) -> Vec<Reg> {
+        reads_of(&mut ins.clone()).into_iter().map(|r| *r).collect()
+    }
+
+    fn constant(ins: &Instr) -> Option<ConstVal> {
+        Some(match *ins {
+            Instr::ConstI32(_, v) => ConstVal::I32(v),
+            Instr::ConstI64(_, v) => ConstVal::I64(v),
+            Instr::ConstF32(_, v) => ConstVal::F32(v),
+            Instr::ConstF64(_, v) => ConstVal::F64(v),
+            Instr::ConstBool(_, v) => ConstVal::Bool(v),
+            _ => return None,
+        })
+    }
+
+    fn is_self_move(ins: &Instr) -> bool {
+        matches!(ins, Instr::Mov(d, s) if d == s)
+    }
+
+    fn resolve(known: &HashMap<Reg, Known>, r: Reg) -> Reg {
+        let mut cur = r;
+        let mut hops = 0;
+        while let Some(Known::Copy(s)) = known.get(&cur) {
+            cur = *s;
+            hops += 1;
+            if hops > 32 {
+                break;
+            }
+        }
+        cur
+    }
+
+    fn const_of(known: &HashMap<Reg, Known>, r: Reg) -> Option<ConstVal> {
+        match *known.get(&r)? {
+            Known::Copy(s) => const_of(known, s),
+            Known::Const(v) => Some(v),
+        }
+    }
+
+    /// `d` was written: forget every register recorded as a copy of it.
+    fn forget_copies_of(known: &mut HashMap<Reg, Known>, d: Reg) {
+        let stale: Vec<Reg> = (known.iter())
+            .filter(|(_, k)| matches!(k, Known::Copy(s) if *s == d))
+            .map(|(r, _)| *r)
+            .collect();
+        for r in stale {
+            known.remove(&r);
+        }
+    }
+
+    /// May `pc` write `x` in place of `t`, dropping the `x = t` after it?
+    /// When `pc` is a pure computation of `t`, a constant, an array load or
+    /// an array length; `t` is no parameter, has `x`'s type and is written
+    /// once and read once in the whole function as it was handed in.
+    fn may_coalesce(f: &Function, input: &[Instr], pc: usize, x: Reg, t: Reg) -> bool {
+        let def = &f.code[pc];
+        let computes = matches!(
+            def,
+            Instr::Bin { .. }
+                | Instr::Neg { .. }
+                | Instr::Not { .. }
+                | Instr::Cast { .. }
+                | Instr::LdArr { .. }
+                | Instr::ArrLen { .. }
+        ) || constant(def).is_some();
+        let writes = input.iter().filter(|i| dst(i) == Some(t)).count();
+        let read: usize = (input.iter())
+            .map(|i| reads(i).into_iter().filter(|&r| r == t).count())
+            .sum();
+        computes
+            && dst(def) == Some(t)
+            && x != t
+            && t as usize >= f.params.len()
+            && writes == 1
+            && read == 1
+            && f.regs[t as usize] == f.regs[x as usize]
+    }
+
+    /// The [`Key`] of `ins` under `known`, when it is a pure computation:
+    /// arithmetic, a cast, or a pure intrinsic of at most two operands
+    /// that writes a register.
+    fn key(ins: &Instr, known: &HashMap<Reg, Known>) -> Option<Key> {
+        let pure = match ins {
+            Instr::Bin { .. } | Instr::Neg { .. } | Instr::Not { .. } | Instr::Cast { .. } => true,
+            Instr::Intrin {
+                op,
+                args,
+                dst: Some(_),
+            } => op.row().is_some_and(|r| r.pure) && args.len() <= 2,
+            _ => false,
+        };
+        if !pure {
+            return None;
+        }
+        let operands = (reads(ins).into_iter())
+            .map(|r| match const_of(known, r) {
+                Some(v) => Operand::Const(v.kind(), v.bits()),
+                None => Operand::Reg(r),
+            })
+            .collect();
+        let mut blank = ins.clone();
+        for r in reads_of(&mut blank) {
+            *r = 0;
+        }
+        *dst_of(&mut blank).expect("a pure computation writes") = 0;
+        Some(Key(blank, operands))
+    }
+
+    /// How often the reference folded a constant, coalesced a move and
+    /// reused a value, so a test can check its functions exercise each.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Seen {
+        folded: usize,
+        coalesced: usize,
+        reused: usize,
+    }
+
+    /// What `fold` makes of `f`, worked out slowly.
+    #[allow(clippy::needless_range_loop)] // `pc` indexes code, leader and `computed`
+    fn reference(f: &mut Function) -> Seen {
+        let input = f.code.clone();
+        let n = f.code.len();
+        let mut leader = vec![false; n + 1];
+        leader[0] = true;
+        for (pc, ins) in input.iter().enumerate() {
+            match *ins {
+                Instr::Jmp(t) => leader[t as usize] = true,
+                Instr::Br { t, f, .. } => {
+                    leader[t as usize] = true;
+                    leader[f as usize] = true;
+                }
+                Instr::Ret(_) => {}
+                _ => continue,
+            }
+            leader[pc + 1] = true;
+        }
+
+        let mut seen = Seen::default();
+        let mut known: HashMap<Reg, Known> = HashMap::new();
+        // By pc: what the instruction there computed, when it may hold it
+        // for a later one: it was not itself replaced by a `Mov` and does
+        // not read what it writes.
+        let mut computed: Vec<Option<Key>> = vec![None; n];
+        let mut block = 0;
+        for pc in 0..n {
+            if leader[pc] {
+                known.clear();
+                block = pc;
+            }
+            for r in reads_of(&mut f.code[pc]) {
+                *r = resolve(&known, *r);
+            }
+
+            let folded = match f.code[pc] {
+                Instr::Bin {
+                    op,
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                } => match (const_of(&known, lhs), const_of(&known, rhs)) {
+                    (Some(l), Some(r)) if l.kind() == kind => {
+                        ConstVal::bin(op, l, r).map(|v| v.instr(dst))
+                    }
+                    _ => None,
+                },
+                Instr::Cast { to, dst, src, .. } => const_of(&known, src)
+                    .and_then(|v| v.cast(to))
+                    .map(|v| v.instr(dst)),
+                _ => None,
+            };
+            if let Some(folded) = folded {
+                f.code[pc] = folded;
+                seen.folded += 1;
+            }
+
+            let mut next = pc + 1;
+            while next < n && !leader[next] {
+                let Instr::Mov(x, t) = f.code[next] else {
+                    break;
+                };
+                if !may_coalesce(f, &input, pc, x, t) {
+                    break;
+                }
+                *dst_of(&mut f.code[pc]).expect("coalesced") = x;
+                f.code[next] = Instr::Mov(x, x);
+                next += 1;
+                seen.coalesced += 1;
+            }
+
+            let ins = f.code[pc].clone();
+            if let (Some(d), Some(key)) = (dst(&ins), key(&ins, &known)) {
+                let srcs = reads(&ins);
+                let written = |r: Reg, from: usize| {
+                    (from..pc).any(|i| dst(&f.code[i]) == Some(r) && !is_self_move(&f.code[i]))
+                };
+                let newest = (block..pc)
+                    .rev()
+                    .find(|&j| computed[j].as_ref() == Some(&key));
+                let holder = newest.and_then(|j| {
+                    let h = dst(&f.code[j]).expect("a computation writes");
+                    let fresh = !written(h, j + 1)
+                        && (srcs.iter()).all(|&s| const_of(&known, s).is_some() || !written(s, j));
+                    fresh.then_some(h)
+                });
+                match holder {
+                    Some(h) => {
+                        f.code[pc] = Instr::Mov(d, h);
+                        seen.reused += 1;
+                    }
+                    None if !srcs.contains(&d) => computed[pc] = Some(key),
+                    None => {}
+                }
+            }
+
+            let ins = &f.code[pc];
+            match *ins {
+                Instr::Mov(d, s) if d == s => {}
+                Instr::Mov(d, s) => {
+                    let k = known.get(&s).copied().unwrap_or(Known::Copy(s));
+                    known.insert(d, k);
+                    forget_copies_of(&mut known, d);
+                }
+                _ => {
+                    if let Some(d) = dst(ins) {
+                        match constant(ins) {
+                            Some(v) => known.insert(d, Known::Const(v)),
+                            None => known.remove(&d),
+                        };
+                        forget_copies_of(&mut known, d);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// The same instructions, constants compared bit for bit (so a NaN
+    /// equals itself and `0.0` is not `-0.0`).
+    fn same(a: &[Instr], b: &[Instr]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| match (constant(x), constant(y)) {
+                    (Some(u), Some(v)) => {
+                        dst(x) == dst(y) && u.kind() == v.kind() && u.bits() == v.bits()
+                    }
+                    _ => x == y,
+                })
+    }
+
+    /// Fold `f` with the shipped pass and with [`reference`].
+    fn assert_matches_reference(f: &Function, what: &str) -> Seen {
+        let mut want = f.clone();
+        let seen = reference(&mut want);
+        let mut got = f.clone();
+        local_fold(&mut got);
+        assert!(
+            same(&got.code, &want.code),
+            "{what}: folded\n{:?}\ninto\n{:?}\nreference\n{:?}",
+            f.code,
+            got.code,
+            want.code
+        );
+        seen
+    }
+
+    /// Deterministic xorshift64* PRNG — same sequence on every run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Rng(seed.max(1))
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545F4914F6CDD1D)
+        }
+
+        /// Uniform-ish value in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+
+        fn range_i32(&mut self, lo: i32, hi: i32) -> i32 {
+            lo + (self.next_u64() % (hi - lo) as u64) as i32
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// A function over `regs` registers: fold looks at operand numbers,
+    /// constants and (to coalesce) whether two registers' types match, so
+    /// the generator is free to reuse a small pool and make facts collide.
+    fn fold_subject(regs: Vec<Ty>, code: Vec<Instr>) -> Function {
+        Function {
+            name: "f".into(),
+            params: vec![Ty::I32],
+            ret: Some(Ty::I32),
+            regs,
+            code,
+            kind: FuncKind::Host,
+        }
+    }
+
+    const KINDS: [PrimKind; 4] = [
+        PrimKind::Int,
+        PrimKind::Long,
+        PrimKind::Float,
+        PrimKind::Double,
+    ];
+
+    /// A pure computation into `dst` over the pool: arithmetic of every
+    /// numeric kind, a negation, a cast from `int` or `long`, or a pure
+    /// intrinsic.
+    fn computation(rng: &mut Rng, dst: Reg, regs: usize) -> Instr {
+        let mut r = || rng.below(regs) as Reg;
+        let (a, b) = (r(), r());
+        match rng.below(5) {
+            0 | 1 => Instr::Bin {
+                op: rng.pick(&[
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Div,
+                    BinOp::Rem,
+                    BinOp::Lt,
+                    BinOp::Shl,
+                ]),
+                kind: rng.pick(&KINDS),
+                dst,
+                lhs: a,
+                rhs: b,
+            },
+            2 => Instr::Neg {
+                kind: rng.pick(&KINDS),
+                dst,
+                src: a,
+            },
+            3 => Instr::Cast {
+                to: rng.pick(&KINDS),
+                from: rng.pick(&[PrimKind::Int, PrimKind::Long]),
+                dst,
+                src: a,
+            },
+            _ => Instr::Intrin {
+                op: crate::IntrinOp::MaxI32,
+                args: vec![a, b],
+                dst: Some(dst),
+            },
+        }
+    }
+
+    /// A constant of a random kind into `d`; a `long` is sometimes
+    /// 2^60 + 2^36 + 1, which a `float` cast must round once.
+    fn load(rng: &mut Rng, d: Reg) -> Instr {
+        match rng.below(6) {
+            0 | 1 => Instr::ConstI32(d, rng.range_i32(-9, 9)),
+            2 => Instr::ConstI64(
+                d,
+                rng.pick(&[(1 << 60) + (1 << 36) + 1, -3, 0, 7, i64::MIN]),
+            ),
+            3 => Instr::ConstF32(d, rng.pick(&[0.5, -0.0, 3.0, f32::NAN])),
+            4 => Instr::ConstF64(d, rng.pick(&[0.25, 0.0, -7.5, f64::INFINITY])),
+            _ => Instr::ConstBool(d, rng.below(2) == 0),
+        }
+    }
+
+    /// Shapes the translator rarely produces: a small register pool
+    /// written over and over, `Mov` chains past the 32-hop cap, a source
+    /// redefined under its copies, `Mov(d, s)` with `s` already a copy of
+    /// `d`, self-moves, constants and arithmetic of every numeric kind
+    /// (operands of another kind than the operator names included),
+    /// result moves (a parameter's among them), a computation repeated
+    /// after its holder or an operand may have been written, and branches
+    /// that land in the middle of a chain so a block starts with the facts
+    /// of another.
+    fn random_fold_function(rng: &mut Rng) -> Function {
+        const TEMPS: usize = 8;
+        let regs = rng.pick(&[3, 6, 12, 80]);
+        let r = |rng: &mut Rng| rng.below(regs) as Reg;
+        let mut code = Vec::new();
+        let mut jumps = Vec::new();
+        for _ in 0..1 + rng.below(12) {
+            match rng.below(15) {
+                0 => {
+                    // A chain d1 = d0, d2 = d1, ... sometimes longer than the cap.
+                    let len = 1 + rng.below(if regs > 40 { 48 } else { regs });
+                    let start = r(rng);
+                    for i in 0..len as Reg {
+                        code.push(Instr::Mov(
+                            (start + i + 1) % regs as Reg,
+                            (start + i) % regs as Reg,
+                        ));
+                    }
+                }
+                1 => {
+                    // Copies of `a`, then `a` redefined.
+                    let a = r(rng);
+                    for _ in 0..1 + rng.below(3) {
+                        code.push(Instr::Mov(r(rng), a));
+                    }
+                    code.push(Instr::ConstI32(a, rng.range_i32(-9, 9)));
+                }
+                2 => {
+                    // `s` becomes a copy of `d`, then `d` is moved from `s`.
+                    let (d, s) = (r(rng), r(rng));
+                    code.push(Instr::Mov(s, d));
+                    code.push(Instr::Mov(d, s));
+                }
+                3 => {
+                    let a = r(rng);
+                    code.push(Instr::Mov(a, a));
+                }
+                4 | 5 => {
+                    let d = r(rng);
+                    code.push(load(rng, d));
+                }
+                6 => {
+                    let d = r(rng);
+                    code.push(computation(rng, d, regs));
+                }
+                7 => {
+                    // A result moved on, through a temporary or two: one
+                    // of the registers past the pool, which nothing else
+                    // names, or the parameter, or any register.
+                    let temp = |rng: &mut Rng| match rng.below(8) {
+                        0 => 0,
+                        1 => r(rng),
+                        _ => (regs + rng.below(TEMPS)) as Reg,
+                    };
+                    let t = temp(rng);
+                    code.push(match rng.below(4) {
+                        0 => load(rng, t),
+                        1 => Instr::LdArr {
+                            arr: r(rng),
+                            idx: r(rng),
+                            dst: t,
+                        },
+                        2 => Instr::ArrLen {
+                            arr: r(rng),
+                            dst: t,
+                        },
+                        _ => computation(rng, t, regs),
+                    });
+                    let mut from = t;
+                    if rng.below(2) == 0 {
+                        let u = temp(rng);
+                        code.push(Instr::Mov(u, t));
+                        from = u;
+                    }
+                    let x = r(rng);
+                    code.push(Instr::Mov(x, from));
+                }
+                8 => {
+                    // A computation, maybe a write to its holder, an
+                    // operand or any register, and the computation again.
+                    let d = r(rng);
+                    let first = computation(rng, d, regs);
+                    let mut again = first.clone();
+                    *dst_of(&mut again).expect("a computation writes") = r(rng);
+                    let mut touched = reads(&first);
+                    touched.push(dst(&first).expect("a computation writes"));
+                    code.push(first);
+                    if rng.below(2) == 0 {
+                        let w = if rng.below(3) == 0 {
+                            r(rng)
+                        } else {
+                            rng.pick(&touched)
+                        };
+                        code.push(load(rng, w));
+                    }
+                    code.push(again);
+                }
+                9 => {
+                    // Constants, then a computation that may read them.
+                    for _ in 0..2 {
+                        let d = r(rng);
+                        code.push(load(rng, d));
+                    }
+                    let (a, b, d) = (code.len() - 2, code.len() - 1, r(rng));
+                    let mut ins = computation(rng, d, regs);
+                    let loaded = [dst(&code[a]), dst(&code[b])].map(|r| r.expect("a load writes"));
+                    for (r, &l) in reads_of(&mut ins).into_iter().zip(&loaded) {
+                        *r = l;
+                    }
+                    code.push(ins);
+                }
+                10 => code.push(Instr::Intrin {
+                    op: crate::IntrinOp::MaxI32,
+                    args: vec![r(rng), r(rng)],
+                    dst: (rng.below(2) == 0).then(|| r(rng)),
+                }),
+                11 => code.push(Instr::StArr {
+                    arr: r(rng),
+                    idx: r(rng),
+                    src: r(rng),
+                }),
+                12 => {
+                    jumps.push(code.len());
+                    code.push(Instr::Br {
+                        cond: r(rng),
+                        t: 0,
+                        f: 0,
+                    });
+                }
+                _ => {
+                    jumps.push(code.len());
+                    code.push(Instr::Jmp(0));
+                }
+            }
+        }
+        code.push(Instr::Ret(Some(r(rng))));
+        for pc in jumps {
+            let (a, b) = (rng.below(code.len()) as u32, rng.below(code.len()) as u32);
+            match &mut code[pc] {
+                Instr::Jmp(t) => *t = a,
+                Instr::Br { t, f, .. } => (*t, *f) = (a, b),
+                _ => unreachable!(),
+            }
+        }
+        // Mostly ints, so that temporaries and their targets often match.
+        let types =
+            (0..regs + TEMPS).map(|_| rng.pick(&[Ty::I32, Ty::I32, Ty::I32, Ty::I64, Ty::F32]));
+        fold_subject(types.collect(), code)
+    }
+
+    #[test]
+    fn fold_matches_the_reference_on_register_reusing_functions() {
+        let mut rng = Rng::new(0x0707_0019);
+        let mut total = Seen::default();
+        for case in 0..2000 {
+            let f = random_fold_function(&mut rng);
+            let seen = assert_matches_reference(&f, &format!("case {case}"));
+            total.folded += seen.folded;
+            total.coalesced += seen.coalesced;
+            total.reused += seen.reused;
+        }
+        // Every rewrite is exercised, not only checked when it happens.
+        assert!(
+            total.folded >= 100 && total.coalesced >= 100 && total.reused >= 100,
+            "{total:?}"
+        );
+    }
+
+    /// Many small blocks over many registers: what a block costs to start
+    /// must be what the previous block recorded, and the facts of one block
+    /// must not leak into the next. Each block copies a register the previous
+    /// block defined and defines one for the next.
+    #[test]
+    fn fold_matches_the_reference_on_a_thousand_two_instruction_blocks() {
+        let mut code = Vec::new();
+        for b in 0..1000u32 {
+            code.push(Instr::Mov(2 * b + 1, 2 * b));
+            code.push(Instr::Br {
+                cond: 2 * b + 1,
+                t: 2 * b + 2,
+                f: 2 * b + 2,
+            });
+        }
+        code.push(Instr::Ret(Some(1999)));
+        assert_matches_reference(&fold_subject(vec![Ty::I32; 2000], code), "1000 blocks");
+    }
+
+    /// One straight-line block in which every fact stays live: each group
+    /// copies the parameter into a fresh register, loads a constant and adds
+    /// the two. A pass that scans its facts on every write takes time
+    /// quadratic in the block (64× for 8× the instructions); a linear one
+    /// takes 8×. Best of three at each size, and a bar of 24×, so neither a
+    /// descheduled run nor the larger working set can fail it.
+    #[test]
+    fn fold_is_linear() {
+        let block = |groups: u32| {
+            let mut code = Vec::new();
+            for g in 0..groups {
+                let (copy, k, sum) = (3 * g + 1, 3 * g + 2, 3 * g + 3);
+                code.push(Instr::Mov(copy, 0));
+                code.push(Instr::ConstI32(k, g as i32));
+                code.push(Instr::Bin {
+                    op: BinOp::Add,
+                    kind: PrimKind::Int,
+                    dst: sum,
+                    lhs: copy,
+                    rhs: k,
+                });
+            }
+            code.push(Instr::Ret(Some(3 * groups)));
+            fold_subject(vec![Ty::I32; 3 * groups as usize + 1], code)
+        };
+        let best_of_3 = |f: &Function| {
+            (0..3)
+                .map(|_| {
+                    let mut f = f.clone();
+                    let start = Instant::now();
+                    local_fold(&mut f);
+                    let wall = start.elapsed();
+                    assert!(matches!(f.code[2], Instr::Bin { lhs: 0, .. }));
+                    wall
+                })
+                .min()
+                .unwrap()
+        };
+        let small = best_of_3(&block(4_000 / 3));
+        let large = best_of_3(&block(32_000 / 3));
+        assert!(
+            large < small * 24,
+            "fold took {small:?} on 4k instructions and {large:?} on 32k"
+        );
     }
 }

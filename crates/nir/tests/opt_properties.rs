@@ -214,532 +214,6 @@ fn optimizer_is_idempotent_on_random_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Fold: the table-driven pass against the map-driven one it replaced
-// ---------------------------------------------------------------------
-
-/// The fold pass as it was before it became linear — a `HashMap` of facts
-/// and a scan of the whole map on every write — kept here, and only here,
-/// as the reference the shipped pass must match instruction for
-/// instruction.
-mod reference_fold {
-    use super::*;
-    use std::collections::HashMap;
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Known {
-        I32(i32),
-        I64(i64),
-        F32(f32),
-        F64(f64),
-        Bool(bool),
-        Copy(Reg),
-    }
-
-    #[allow(clippy::needless_range_loop)] // `pc` indexes both code and leader
-    pub fn run(f: &mut nir::Function, const_fold: bool, copy_prop: bool) {
-        let mut leader = vec![false; f.code.len() + 1];
-        leader[0] = true;
-        for (pc, ins) in f.code.iter().enumerate() {
-            match ins {
-                Instr::Jmp(t) => {
-                    leader[*t as usize] = true;
-                    leader[pc + 1] = true;
-                }
-                Instr::Br { t, f: fl, .. } => {
-                    leader[*t as usize] = true;
-                    leader[*fl as usize] = true;
-                    leader[pc + 1] = true;
-                }
-                Instr::Ret(_) => leader[pc + 1] = true,
-                _ => {}
-            }
-        }
-
-        let mut known: HashMap<Reg, Known> = HashMap::new();
-        for pc in 0..f.code.len() {
-            if leader[pc] {
-                known.clear();
-            }
-            let resolve = |known: &HashMap<Reg, Known>, r: Reg| -> Reg {
-                let mut cur = r;
-                let mut hops = 0;
-                while let Some(Known::Copy(s)) = known.get(&cur) {
-                    cur = *s;
-                    hops += 1;
-                    if hops > 32 {
-                        break;
-                    }
-                }
-                cur
-            };
-            if copy_prop {
-                match &mut f.code[pc] {
-                    Instr::Mov(_, s) => *s = resolve(&known, *s),
-                    Instr::Bin { lhs, rhs, .. } => {
-                        *lhs = resolve(&known, *lhs);
-                        *rhs = resolve(&known, *rhs);
-                    }
-                    Instr::Neg { src, .. } | Instr::Not { src, .. } | Instr::Cast { src, .. } => {
-                        *src = resolve(&known, *src);
-                    }
-                    Instr::Br { cond, .. } => *cond = resolve(&known, *cond),
-                    Instr::Ret(Some(r)) => *r = resolve(&known, *r),
-                    Instr::Call { args, .. }
-                    | Instr::CallHost { args, .. }
-                    | Instr::Intrin { args, .. } => {
-                        for a in args {
-                            *a = resolve(&known, *a);
-                        }
-                    }
-                    Instr::CallVirt { recv, args, .. } => {
-                        *recv = resolve(&known, *recv);
-                        for a in args {
-                            *a = resolve(&known, *a);
-                        }
-                    }
-                    Instr::GetField { obj, .. } => *obj = resolve(&known, *obj),
-                    Instr::PutField { obj, src, .. } => {
-                        *obj = resolve(&known, *obj);
-                        *src = resolve(&known, *src);
-                    }
-                    Instr::NewArr { len, .. } | Instr::SharedAlloc { len, .. } => {
-                        *len = resolve(&known, *len);
-                    }
-                    Instr::LdArr { arr, idx, .. } => {
-                        *arr = resolve(&known, *arr);
-                        *idx = resolve(&known, *idx);
-                    }
-                    Instr::StArr { arr, idx, src } => {
-                        *arr = resolve(&known, *arr);
-                        *idx = resolve(&known, *idx);
-                        *src = resolve(&known, *src);
-                    }
-                    Instr::ArrLen { arr, .. } | Instr::FreeArr { arr } => {
-                        *arr = resolve(&known, *arr);
-                    }
-                    Instr::Launch {
-                        grid, block, args, ..
-                    } => {
-                        for g in grid
-                            .iter_mut()
-                            .chain(block.iter_mut())
-                            .chain(args.iter_mut())
-                        {
-                            *g = resolve(&known, *g);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            if const_fold {
-                if let Instr::Bin {
-                    op,
-                    kind,
-                    dst,
-                    lhs,
-                    rhs,
-                } = f.code[pc].clone()
-                {
-                    if let (Some(l), Some(r)) = (const_of(&known, lhs), const_of(&known, rhs)) {
-                        if let Some(folded) = fold_bin(op, kind, l, r, dst) {
-                            f.code[pc] = folded;
-                        }
-                    }
-                }
-                if let Instr::Cast { to, dst, src, .. } = f.code[pc].clone() {
-                    if let Some(v) = const_of(&known, src) {
-                        if let Some(folded) = fold_cast(to, v, dst) {
-                            f.code[pc] = folded;
-                        }
-                    }
-                }
-            }
-
-            match f.code[pc].clone() {
-                Instr::ConstI32(d, v) => {
-                    known.insert(d, Known::I32(v));
-                    invalidate_copies(&mut known, d);
-                }
-                Instr::ConstI64(d, v) => {
-                    known.insert(d, Known::I64(v));
-                    invalidate_copies(&mut known, d);
-                }
-                Instr::ConstF32(d, v) => {
-                    known.insert(d, Known::F32(v));
-                    invalidate_copies(&mut known, d);
-                }
-                Instr::ConstF64(d, v) => {
-                    known.insert(d, Known::F64(v));
-                    invalidate_copies(&mut known, d);
-                }
-                Instr::ConstBool(d, v) => {
-                    known.insert(d, Known::Bool(v));
-                    invalidate_copies(&mut known, d);
-                }
-                Instr::Mov(d, s) => {
-                    if d != s {
-                        let k = known.get(&s).copied().unwrap_or(Known::Copy(s));
-                        known.insert(d, k);
-                        invalidate_copies(&mut known, d);
-                    }
-                }
-                other => {
-                    if let Some(d) = other.dst() {
-                        known.remove(&d);
-                        invalidate_copies(&mut known, d);
-                    }
-                }
-            }
-        }
-    }
-
-    fn invalidate_copies(known: &mut HashMap<Reg, Known>, written: Reg) {
-        let stale: Vec<Reg> = known
-            .iter()
-            .filter(|(_, k)| matches!(k, Known::Copy(s) if *s == written))
-            .map(|(r, _)| *r)
-            .collect();
-        for r in stale {
-            known.remove(&r);
-        }
-    }
-
-    fn const_of(known: &HashMap<Reg, Known>, r: Reg) -> Option<Known> {
-        match known.get(&r)? {
-            Known::Copy(s) => const_of(known, *s),
-            k => Some(*k),
-        }
-    }
-
-    fn fold_bin(op: BinOp, kind: PrimKind, l: Known, r: Known, dst: Reg) -> Option<Instr> {
-        use BinOp::*;
-        match kind {
-            PrimKind::Int => {
-                let (Known::I32(a), Known::I32(b)) = (l, r) else {
-                    return None;
-                };
-                Some(match op {
-                    Add => Instr::ConstI32(dst, a.wrapping_add(b)),
-                    Sub => Instr::ConstI32(dst, a.wrapping_sub(b)),
-                    Mul => Instr::ConstI32(dst, a.wrapping_mul(b)),
-                    Div if b != 0 => Instr::ConstI32(dst, a.wrapping_div(b)),
-                    Rem if b != 0 => Instr::ConstI32(dst, a.wrapping_rem(b)),
-                    Lt => Instr::ConstBool(dst, a < b),
-                    Le => Instr::ConstBool(dst, a <= b),
-                    Gt => Instr::ConstBool(dst, a > b),
-                    Ge => Instr::ConstBool(dst, a >= b),
-                    Eq => Instr::ConstBool(dst, a == b),
-                    Ne => Instr::ConstBool(dst, a != b),
-                    Shl => Instr::ConstI32(dst, a.wrapping_shl(b as u32 & 31)),
-                    Shr => Instr::ConstI32(dst, a.wrapping_shr(b as u32 & 31)),
-                    BitAnd => Instr::ConstI32(dst, a & b),
-                    BitOr => Instr::ConstI32(dst, a | b),
-                    BitXor => Instr::ConstI32(dst, a ^ b),
-                    _ => return None,
-                })
-            }
-            PrimKind::Long => {
-                let (Known::I64(a), Known::I64(b)) = (l, r) else {
-                    return None;
-                };
-                Some(match op {
-                    Add => Instr::ConstI64(dst, a.wrapping_add(b)),
-                    Sub => Instr::ConstI64(dst, a.wrapping_sub(b)),
-                    Mul => Instr::ConstI64(dst, a.wrapping_mul(b)),
-                    Lt => Instr::ConstBool(dst, a < b),
-                    Eq => Instr::ConstBool(dst, a == b),
-                    _ => return None,
-                })
-            }
-            PrimKind::Float => {
-                let (Known::F32(a), Known::F32(b)) = (l, r) else {
-                    return None;
-                };
-                Some(match op {
-                    Add => Instr::ConstF32(dst, a + b),
-                    Sub => Instr::ConstF32(dst, a - b),
-                    Mul => Instr::ConstF32(dst, a * b),
-                    Div => Instr::ConstF32(dst, a / b),
-                    Lt => Instr::ConstBool(dst, a < b),
-                    _ => return None,
-                })
-            }
-            PrimKind::Double => {
-                let (Known::F64(a), Known::F64(b)) = (l, r) else {
-                    return None;
-                };
-                Some(match op {
-                    Add => Instr::ConstF64(dst, a + b),
-                    Sub => Instr::ConstF64(dst, a - b),
-                    Mul => Instr::ConstF64(dst, a * b),
-                    Div => Instr::ConstF64(dst, a / b),
-                    Lt => Instr::ConstBool(dst, a < b),
-                    _ => return None,
-                })
-            }
-            PrimKind::Boolean => {
-                let (Known::Bool(a), Known::Bool(b)) = (l, r) else {
-                    return None;
-                };
-                Some(match op {
-                    Eq => Instr::ConstBool(dst, a == b),
-                    Ne => Instr::ConstBool(dst, a != b),
-                    And => Instr::ConstBool(dst, a && b),
-                    Or => Instr::ConstBool(dst, a || b),
-                    _ => return None,
-                })
-            }
-        }
-    }
-
-    fn fold_cast(to: PrimKind, v: Known, dst: Reg) -> Option<Instr> {
-        let as_f64 = match v {
-            Known::I32(x) => x as f64,
-            Known::I64(x) => x as f64,
-            Known::F32(x) => x as f64,
-            Known::F64(x) => x,
-            Known::Bool(_) | Known::Copy(_) => return None,
-        };
-        Some(match to {
-            PrimKind::Int => Instr::ConstI32(
-                dst,
-                match v {
-                    Known::I32(x) => x,
-                    Known::I64(x) => x as i32,
-                    Known::F32(x) => x as i32,
-                    Known::F64(x) => x as i32,
-                    _ => return None,
-                },
-            ),
-            PrimKind::Long => Instr::ConstI64(
-                dst,
-                match v {
-                    Known::I32(x) => x as i64,
-                    Known::I64(x) => x,
-                    Known::F32(x) => x as i64,
-                    Known::F64(x) => x as i64,
-                    _ => return None,
-                },
-            ),
-            PrimKind::Float => Instr::ConstF32(dst, as_f64 as f32),
-            PrimKind::Double => Instr::ConstF64(dst, as_f64),
-            PrimKind::Boolean => return None,
-        })
-    }
-}
-
-/// An untyped function over `regs` int registers: fold looks at operand
-/// numbers and constants, never at `regs`' types, so the generator is free
-/// to reuse a small pool and make facts collide.
-fn fold_subject(regs: usize, code: Vec<Instr>) -> nir::Function {
-    nir::Function {
-        name: "f".into(),
-        params: vec![Ty::I32],
-        ret: Some(Ty::I32),
-        regs: vec![Ty::I32; regs],
-        code,
-        kind: FuncKind::Host,
-    }
-}
-
-/// Fold `f` with the shipped pass and with [`reference_fold`], under each
-/// combination of the two switches that runs the pass at all.
-fn assert_fold_matches_reference(f: &nir::Function, what: &str) {
-    for (const_fold, copy_prop) in [(true, true), (true, false), (false, true)] {
-        let mut want = f.clone();
-        reference_fold::run(&mut want, const_fold, copy_prop);
-        let mut p = Program::default();
-        p.add_func(f.clone());
-        nir::optimize(
-            &mut p,
-            OptConfig {
-                const_fold,
-                copy_prop,
-                ..OptConfig::none()
-            },
-        );
-        assert!(
-            p.funcs[0].code == want.code,
-            "{what} (const_fold {const_fold}, copy_prop {copy_prop}): folded\n{:?}\ninto\n{:?}\nreference\n{:?}",
-            f.code, p.funcs[0].code, want.code
-        );
-    }
-}
-
-/// Shapes `random_steps` never produces (it defines every register once):
-/// a small register pool written over and over, `Mov` chains past the
-/// 32-hop cap, a source redefined under its copies, `Mov(d, s)` with `s`
-/// already a copy of `d`, self-moves, and branches that land in the
-/// middle of a chain so a block starts with the facts of another.
-fn random_fold_function(rng: &mut Rng) -> nir::Function {
-    let regs = [3, 6, 12, 80][rng.below(4)];
-    let r = |rng: &mut Rng| rng.below(regs) as Reg;
-    let mut code = Vec::new();
-    let mut jumps = Vec::new();
-    for _ in 0..1 + rng.below(12) {
-        match rng.below(12) {
-            0 => {
-                // A chain d1 = d0, d2 = d1, ... sometimes longer than the cap.
-                let len = 1 + rng.below(if regs > 40 { 48 } else { regs });
-                let start = r(rng);
-                for i in 0..len as Reg {
-                    code.push(Instr::Mov(
-                        (start + i + 1) % regs as Reg,
-                        (start + i) % regs as Reg,
-                    ));
-                }
-            }
-            1 => {
-                // Copies of `a`, then `a` redefined.
-                let a = r(rng);
-                for _ in 0..1 + rng.below(3) {
-                    code.push(Instr::Mov(r(rng), a));
-                }
-                code.push(Instr::ConstI32(a, rng.range_i32(-9, 9)));
-            }
-            2 => {
-                // `s` becomes a copy of `d`, then `d` is moved from `s`.
-                let (d, s) = (r(rng), r(rng));
-                code.push(Instr::Mov(s, d));
-                code.push(Instr::Mov(d, s));
-            }
-            3 => {
-                let a = r(rng);
-                code.push(Instr::Mov(a, a));
-            }
-            4 => code.push(Instr::ConstI32(r(rng), rng.range_i32(-9, 9))),
-            5 => code.push(Instr::ConstBool(r(rng), rng.below(2) == 0)),
-            6 => code.push(Instr::Bin {
-                op: [BinOp::Add, BinOp::Mul, BinOp::Lt, BinOp::Div][rng.below(4)],
-                kind: PrimKind::Int,
-                dst: r(rng),
-                lhs: r(rng),
-                rhs: r(rng),
-            }),
-            7 => code.push(Instr::Cast {
-                to: [PrimKind::Long, PrimKind::Float, PrimKind::Int][rng.below(3)],
-                from: PrimKind::Int,
-                dst: r(rng),
-                src: r(rng),
-            }),
-            8 => code.push(Instr::Intrin {
-                op: nir::IntrinOp::MaxI32,
-                args: vec![r(rng), r(rng)],
-                dst: (rng.below(2) == 0).then(|| r(rng)),
-            }),
-            9 => code.push(Instr::StArr {
-                arr: r(rng),
-                idx: r(rng),
-                src: r(rng),
-            }),
-            10 => {
-                jumps.push(code.len());
-                code.push(Instr::Br {
-                    cond: r(rng),
-                    t: 0,
-                    f: 0,
-                });
-            }
-            _ => {
-                jumps.push(code.len());
-                code.push(Instr::Jmp(0));
-            }
-        }
-    }
-    code.push(Instr::Ret(Some(r(rng))));
-    for pc in jumps {
-        let (a, b) = (rng.below(code.len()) as u32, rng.below(code.len()) as u32);
-        match &mut code[pc] {
-            Instr::Jmp(t) => *t = a,
-            Instr::Br { t, f, .. } => (*t, *f) = (a, b),
-            _ => unreachable!(),
-        }
-    }
-    fold_subject(regs, code)
-}
-
-#[test]
-fn fold_matches_the_reference_on_register_reusing_functions() {
-    let mut rng = Rng::new(0x0707_0019);
-    for case in 0..2000 {
-        let f = random_fold_function(&mut rng);
-        assert_fold_matches_reference(&f, &format!("case {case}"));
-    }
-}
-
-/// Many small blocks over many registers: what a block costs to start
-/// must be what the previous block recorded, and the facts of one block
-/// must not leak into the next. Each block copies a register the previous
-/// block defined and defines one for the next.
-#[test]
-fn fold_matches_the_reference_on_a_thousand_two_instruction_blocks() {
-    let mut code = Vec::new();
-    for b in 0..1000u32 {
-        code.push(Instr::Mov(2 * b + 1, 2 * b));
-        code.push(Instr::Br {
-            cond: 2 * b + 1,
-            t: 2 * b + 2,
-            f: 2 * b + 2,
-        });
-    }
-    code.push(Instr::Ret(Some(1999)));
-    assert_fold_matches_reference(&fold_subject(2000, code), "1000 blocks");
-}
-
-/// One straight-line block in which every fact stays live: each group
-/// copies the parameter into a fresh register, loads a constant and adds
-/// the two. A pass that scans its facts on every write takes time
-/// quadratic in the block (64× for 8× the instructions); a linear one
-/// takes 8×. Best of three at each size, and a bar of 24×, so neither a
-/// descheduled run nor the larger working set can fail it.
-#[test]
-fn fold_is_linear() {
-    let block = |groups: u32| {
-        let mut code = Vec::new();
-        for g in 0..groups {
-            let (copy, k, sum) = (3 * g + 1, 3 * g + 2, 3 * g + 3);
-            code.push(Instr::Mov(copy, 0));
-            code.push(Instr::ConstI32(k, g as i32));
-            code.push(Instr::Bin {
-                op: BinOp::Add,
-                kind: PrimKind::Int,
-                dst: sum,
-                lhs: copy,
-                rhs: k,
-            });
-        }
-        code.push(Instr::Ret(Some(3 * groups)));
-        fold_subject(3 * groups as usize + 1, code)
-    };
-    let best_of_3 = |f: &nir::Function| {
-        (0..3)
-            .map(|_| {
-                let mut p = Program::default();
-                p.add_func(f.clone());
-                let profile = nir::optimize(
-                    &mut p,
-                    OptConfig {
-                        const_fold: true,
-                        copy_prop: true,
-                        ..OptConfig::none()
-                    },
-                );
-                assert!(matches!(p.funcs[0].code[2], Instr::Bin { lhs: 0, .. }));
-                profile[0].wall
-            })
-            .min()
-            .unwrap()
-    };
-    let small = best_of_3(&block(4_000 / 3));
-    let large = best_of_3(&block(32_000 / 3));
-    assert!(
-        large < small * 24,
-        "fold took {small:?} on 4k instructions and {large:?} on 32k"
-    );
-}
-
-// ---------------------------------------------------------------------
 // Inlining: seeded call DAGs, and the cost of one splice pass
 // ---------------------------------------------------------------------
 
