@@ -498,15 +498,15 @@ fn cache_key_fingerprints_are_pinned() {
         ),
     ];
     let pinned = [
-        "wj01-d798f145808f695df5f114edf361b17f",
-        "wj01-6bab2b7fc73d00a9e21ca2e8f85ebc46",
-        "wj01-95b4191d7a6756ceefd86cd29ff93ec0",
-        "wj01-3d3d96201b60ee6a747ed518072d4f46",
-        "wj01-7c21fa554f479116decf218104b638d9",
-        "wj01-80b9e29699153a4acfd70896ea34d9d4",
-        "wj01-b2bde12240fa47524144a75933970d69",
-        "wj01-a454abd7750b730b425ef00a2c77c34c",
-        "wj01-e6cef37d088d1f209fd78100c29f459d",
+        "wj01-3a1531519b67d6cf18ad988d0f73f8eb",
+        "wj01-c6e3bf9f3337922c69e6b1f1b18621c9",
+        "wj01-4baca62e4ca772afab9db2ef99ae70b4",
+        "wj01-0ac0fa5d746c6eab4f35a394b0f172bb",
+        "wj01-a94c91e2a0ffac19fe3197dbb25e5ebf",
+        "wj01-93c143ef23e591440726ee8dfb142ef2",
+        "wj01-fefe1358030754b3b12c8bf21f5b7962",
+        "wj01-e08e427fe742ff350fdec1cef55b6326",
+        "wj01-73f412491fe4a90470479e3d10b13bcb",
     ];
     let mut moved = Vec::new();
     for ((name, key), want) in keys.iter().zip(pinned) {
