@@ -2182,24 +2182,26 @@ mod fold_reference {
     }
 
     /// What `fold` makes of `f`, worked out slowly.
-    #[allow(clippy::needless_range_loop)] // `pc` indexes code, leader and `computed`
     fn reference(f: &mut Function) -> Seen {
         let input = f.code.clone();
         let n = f.code.len();
-        let mut leader = vec![false; n + 1];
-        leader[0] = true;
-        for (pc, ins) in input.iter().enumerate() {
-            match *ins {
-                Instr::Jmp(t) => leader[t as usize] = true,
-                Instr::Br { t, f, .. } => {
-                    leader[t as usize] = true;
-                    leader[f as usize] = true;
-                }
-                Instr::Ret(_) => {}
-                _ => continue,
-            }
-            leader[pc + 1] = true;
-        }
+        // A block starts at pc 0, at a branch target and after a branch or
+        // a return.
+        let targets: Vec<usize> = (input.iter())
+            .flat_map(|ins| match *ins {
+                Instr::Jmp(t) => vec![t as usize],
+                Instr::Br { t, f, .. } => vec![t as usize, f as usize],
+                _ => Vec::new(),
+            })
+            .collect();
+        let starts_block = |pc: usize| {
+            pc == 0
+                || targets.contains(&pc)
+                || matches!(
+                    input[pc - 1],
+                    Instr::Jmp(_) | Instr::Br { .. } | Instr::Ret(_)
+                )
+        };
 
         let mut seen = Seen::default();
         let mut known: HashMap<Reg, Known> = HashMap::new();
@@ -2209,7 +2211,7 @@ mod fold_reference {
         let mut computed: Vec<Option<Key>> = vec![None; n];
         let mut block = 0;
         for pc in 0..n {
-            if leader[pc] {
+            if starts_block(pc) {
                 known.clear();
                 block = pc;
             }
@@ -2241,7 +2243,7 @@ mod fold_reference {
             }
 
             let mut next = pc + 1;
-            while next < n && !leader[next] {
+            while next < n && !starts_block(next) {
                 let Instr::Mov(x, t) = f.code[next] else {
                     break;
                 };
@@ -2260,6 +2262,8 @@ mod fold_reference {
                 let written = |r: Reg, from: usize| {
                     (from..pc).any(|i| dst(&f.code[i]) == Some(r) && !is_self_move(&f.code[i]))
                 };
+                // Only the newest: `fold` remembers one holder per value,
+                // and an older one is never consulted.
                 let newest = (block..pc)
                     .rev()
                     .find(|&j| computed[j].as_ref() == Some(&key));
