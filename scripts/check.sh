@@ -129,6 +129,19 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one optimizer switch: OptConfig::local runs fold and dce together; =="
+echo "==   no switch turns one local rewrite on without the others, and     =="
+echo "==   local_fold takes the function and nothing else                   =="
+stray="$( (grep -rnw --include='*.rs' -E 'const_fold|copy_prop|with_dce' crates/*/src || true
+    grep -rn --include='*.rs' 'config\.dce' crates/*/src || true
+    grep -rn --include='*.rs' -E 'fn local_fold\b' crates/*/src \
+        | grep -v -E 'fn local_fold\([a-z_]+: &mut Function\)' || true) )"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above configure fold's rewrites one by one; use OptConfig::local"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
