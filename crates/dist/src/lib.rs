@@ -580,7 +580,7 @@ impl RankPool for RemotePool<'_, '_> {
             .enumerate()
             .map(|(r, ctl)| {
                 let req = Request::Finish {
-                    done: ctl.done.flatten(),
+                    done: ctl.result(),
                     vclock: ctl.vclock,
                     compute_cycles: ctl.compute_cycles,
                     comm_cycles: ctl.comm_cycles,
@@ -599,7 +599,7 @@ impl RankPool for RemotePool<'_, '_> {
                 let machine = ckpt::read_machine(&mut Reader::new(&machine))
                     .map_err(|e| world_err(format!("dist: rank {r} final machine: {e}")))?;
                 Ok(RankOutcome {
-                    result: ctl.done.flatten(),
+                    result: ctl.result(),
                     vclock: ctl.vclock,
                     compute_cycles: ctl.compute_cycles,
                     comm_cycles: ctl.comm_cycles,

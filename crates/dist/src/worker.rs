@@ -20,7 +20,8 @@ use std::time::Duration;
 
 use exec::{FaultRng, Machine, Val};
 use mpi_sim::{
-    read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError, World,
+    read_frame, write_frame, LocalPool, RankCtl, RankPool, RankState, SimError, TransportError,
+    World,
 };
 use nir::codec::Wire;
 use nir::{FuncId, Program};
@@ -278,7 +279,7 @@ fn serve_pool(
                     vclock,
                     compute_cycles,
                     comm_cycles,
-                    done: Some(done),
+                    state: RankState::Done(done),
                     ..RankCtl::default()
                 };
                 match pool.finish_rank(rank, &ctl) {

@@ -27,8 +27,8 @@ pub mod transport;
 use std::path::{Path, PathBuf};
 
 pub use runtime::{
-    ArgBuilder, Blocked, DeviceOutcome, LocalPool, RankCtl, RankPool, RankSnapshot, RankYield,
-    WorldBody,
+    ArgBuilder, Blocked, DeviceOutcome, LocalPool, RankCtl, RankPool, RankSnapshot, RankState,
+    RankYield, WorldBody,
 };
 pub use transport::{
     read_frame, write_frame, TransportError, FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,

@@ -15,8 +15,9 @@
 //! outcomes by construction.
 //!
 //! The split of one historical `Rank` is:
-//! - [`RankCtl`] — the scheduler-owned half (clocks, blocked state,
-//!   completion), always on the driver side of the seam;
+//! - [`RankCtl`] — the scheduler-owned half (the three clocks and one
+//!   [`RankState`]: ready, blocked, done or crashed), always on the
+//!   driver side of the seam;
 //! - the pool-owned half (thread, machine, device, fault stream), which
 //!   may live in another process and is reached only through the
 //!   [`RankPool`] methods.
@@ -51,7 +52,10 @@ pub type ArgBuilder<'a> = &'a mut dyn FnMut(u32, &mut Machine) -> Result<Vec<Val
 /// [`RankPool::wrap_run`].
 pub type WorldBody<'b> = dyn FnMut(&mut dyn RankPool) -> Result<WorldRun, SimError> + 'b;
 
-/// What a rank is blocked on, scheduler-side.
+/// What a rank is blocked on, scheduler-side. A collective's variant is
+/// the rank's whole part in the rendezvous: a collective completes when
+/// every live rank is blocked on the same kind of collective, and no
+/// other record of who has arrived exists.
 #[derive(Debug, Clone, Copy)]
 pub enum Blocked {
     Recv {
@@ -62,7 +66,12 @@ pub enum Blocked {
         tag: i32,
     },
     Barrier,
-    Allreduce,
+    /// `op` is the allreduce intrinsic; `v` is the rank's contribution,
+    /// after its fault draw.
+    Allreduce {
+        op: IntrinOp,
+        v: Val,
+    },
     Bcast {
         buf: u32,
         off: usize,
@@ -71,21 +80,74 @@ pub enum Blocked {
     },
 }
 
-/// The scheduler-owned half of one rank: virtual clocks, blocked state,
-/// and completion. The execution state behind it (thread, machine,
-/// device, fault stream) lives in the [`RankPool`].
+/// Where one rank is, scheduler-side.
+#[derive(Debug, Clone, Default)]
+pub enum RankState {
+    /// Runnable: the next round runs it for a slice.
+    #[default]
+    Ready,
+    Blocked(Blocked),
+    /// Returned from its entry, with the entry's result.
+    Done(Option<Val>),
+    /// Killed by an injected fault at this step count.
+    Crashed(u64),
+}
+
+/// The scheduler-owned half of one rank: its virtual clocks and its
+/// [`RankState`]. The execution state behind it (thread, machine,
+/// device, fault stream) lives in the [`RankPool`]. Only this type's
+/// methods move the clocks, so `vclock == compute_cycles + comm_cycles`
+/// holds by construction.
 #[derive(Debug, Clone, Default)]
 pub struct RankCtl {
     pub vclock: u64,
     pub compute_cycles: u64,
     pub comm_cycles: u64,
-    pub blocked: Option<Blocked>,
-    pub done: Option<Option<Val>>,
-    /// Step count at which an injected fault killed this rank.
-    pub crashed: Option<u64>,
+    pub state: RankState,
     /// Consecutive scheduler rounds spent in the current blocked state
     /// (the per-collective timeout clock).
     pub blocked_rounds: u64,
+}
+
+impl RankCtl {
+    /// Not yet returned. A crashed rank is live: it holds back every
+    /// collective until the world fails or rolls back.
+    pub fn is_live(&self) -> bool {
+        !matches!(self.state, RankState::Done(_))
+    }
+
+    /// The entry's result, once the rank has returned one.
+    pub fn result(&self) -> Option<Val> {
+        match self.state {
+            RankState::Done(v) => v,
+            _ => None,
+        }
+    }
+
+    fn blocked(&self) -> Option<&Blocked> {
+        match &self.state {
+            RankState::Blocked(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Charge `d` cycles of computation.
+    fn compute(&mut self, d: u64) {
+        self.vclock += d;
+        self.compute_cycles += d;
+    }
+
+    /// Charge `d` cycles of communication (a device or host-call wait
+    /// counts as one).
+    fn wait(&mut self, d: u64) {
+        self.vclock += d;
+        self.comm_cycles += d;
+    }
+
+    /// Wait until virtual time `t`; a clock already past `t` stays.
+    fn wait_until(&mut self, t: u64) {
+        self.wait(t.saturating_sub(self.vclock));
+    }
 }
 
 /// What one scheduling slice ended with, as seen across the pool seam.
@@ -292,45 +354,29 @@ fn corrupt_val(v: Val) -> Val {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum AllOp {
-    SumF64,
-    SumF32,
-    MaxF64,
-}
-
-/// Fold allreduce contributions **in rank order**, not arrival order.
-/// Ranks reach the collective in schedule-dependent order; sorting by
-/// rank id first makes the float reduction's association (and so its
-/// exact bits) a function of the world alone — the property the
-/// backend-matrix sweep asserts across schedules and platforms.
-fn combine(op: AllOp, contributions: &[(u32, AllOp, Val)]) -> Result<Val, ExecError> {
-    let mut contributions: Vec<(u32, AllOp, Val)> = contributions.to_vec();
-    contributions.sort_by_key(|(r, _, _)| *r);
-    let contributions = &contributions;
-    match op {
-        AllOp::SumF64 => {
-            let mut s = 0.0f64;
-            for (_, _, v) in contributions {
-                s += v.as_f64()?;
-            }
-            Ok(Val::F64(s))
+/// Fold the allreduce contributions in `ctls` under `op` **in rank
+/// order**, not arrival order. Ranks reach the collective in
+/// schedule-dependent order; reading the contributions by rank id makes
+/// the float reduction's association (and so its exact bits) a function
+/// of the world alone — the property the backend-matrix sweep asserts
+/// across schedules and platforms.
+fn combine(op: IntrinOp, ctls: &[RankCtl]) -> Result<Val, ExecError> {
+    let mut vs = ctls.iter().filter_map(|c| match c.blocked() {
+        Some(Blocked::Allreduce { v, .. }) => Some(*v),
+        _ => None,
+    });
+    Ok(match op {
+        IntrinOp::MpiAllreduceSumF64 => {
+            Val::F64(vs.try_fold(0.0f64, |s, v| v.as_f64().map(|x| s + x))?)
         }
-        AllOp::SumF32 => {
-            let mut s = 0.0f32;
-            for (_, _, v) in contributions {
-                s += v.as_f32()?;
-            }
-            Ok(Val::F32(s))
+        IntrinOp::MpiAllreduceSumF32 => {
+            Val::F32(vs.try_fold(0.0f32, |s, v| v.as_f32().map(|x| s + x))?)
         }
-        AllOp::MaxF64 => {
-            let mut m = f64::NEG_INFINITY;
-            for (_, _, v) in contributions {
-                m = m.max(v.as_f64()?);
-            }
-            Ok(Val::F64(m))
+        IntrinOp::MpiAllreduceMaxF64 => {
+            Val::F64(vs.try_fold(f64::NEG_INFINITY, |m, v| v.as_f64().map(|x| m.max(x)))?)
         }
-    }
+        other => return Err(ExecError::msg(format!("{other:?} is no allreduce"))),
+    })
 }
 
 /// Point-to-point / broadcast payload cost: `alpha + beta·bytes`.
@@ -638,26 +684,84 @@ fn post_message(
 /// which delays the collective's completion time).
 fn contribute(pool: &mut dyn RankPool, ctl: &mut RankCtl, r: u32, v: Val) -> Result<Val, SimError> {
     let fate = pool.draw(r, Draw::Collective)?;
-    ctl.vclock += fate.delay;
-    ctl.comm_cycles += fate.delay;
+    ctl.wait(fate.delay);
     Ok(if fate.corrupt { corrupt_val(v) } else { v })
 }
 
-/// Collective completion time: max participant clock + base cost +
-/// a log2(size) latency term.
-fn complete_collective(cfg: &World<'_>, ctls: &mut [RankCtl], participants: &[u32]) -> u64 {
-    let max = participants
+/// Complete the collective the live ranks wait at, if every one of them
+/// is blocked on the same kind; `Ok(false)` when they are not (most
+/// rounds — the check allocates nothing). The completion time is the
+/// latest participant clock + base cost + a log2(size) latency term,
+/// plus, for a broadcast, the payload's cost and its injected delay.
+/// Each participant waits until then and resumes in rank order with the
+/// collective's value: unit for a barrier, the rank-ordered fold for an
+/// allreduce ([`combine`]), unit after the root's payload is copied in
+/// for a broadcast. A broadcast makes one fault draw, from the root's
+/// stream (collectives corrupt or delay — a dropped collective is a
+/// crash, not a message fault).
+fn complete_collective(
+    cfg: &World<'_>,
+    pool: &mut dyn RankPool,
+    ctls: &mut [RankCtl],
+) -> Result<bool, SimError> {
+    let mut live = ctls.iter().filter(|c| c.is_live());
+    let Some(first) = live.next().and_then(RankCtl::blocked) else {
+        return Ok(false);
+    };
+    let kind = std::mem::discriminant(first);
+    if matches!(first, Blocked::Recv { .. })
+        || !live.all(|c| {
+            c.blocked()
+                .is_some_and(|b| std::mem::discriminant(b) == kind)
+        })
+    {
+        return Ok(false);
+    }
+    let first = *first;
+    let latest = ctls
         .iter()
-        .map(|&r| ctls[r as usize].vclock)
+        .filter(|c| c.is_live())
+        .map(|c| c.vclock)
         .max()
         .unwrap_or(0);
     let log2 = 32 - (cfg.size.max(1)).leading_zeros() as u64;
-    let t = max + cfg.cost.collective_alpha + cfg.cost.alpha * log2;
-    for &r in participants {
-        let ctl = &mut ctls[r as usize];
-        ctl.comm_cycles += t - ctl.vclock;
+    let mut t = latest + cfg.cost.collective_alpha + cfg.cost.alpha * log2;
+    let value = match first {
+        Blocked::Allreduce { op, .. } => combine(op, ctls).map_err(|m| SimError::World {
+            message: m.to_string(),
+        })?,
+        Blocked::Bcast { root, .. } => {
+            let Some(&Blocked::Bcast {
+                buf, off, count, ..
+            }) = ctls[root as usize].blocked()
+            else {
+                return Err(err_on(root, "bcast root is not at the bcast"));
+            };
+            let mut payload = pool.read_floats(root, buf, off, count)?;
+            let fate = pool.draw(root, Draw::Collective)?;
+            if fate.corrupt {
+                exec::fault::corrupt_f32(&mut payload);
+            }
+            for (r, ctl) in ctls.iter().enumerate() {
+                if let Some(&Blocked::Bcast { buf, off, .. }) = ctl.blocked() {
+                    if r as u32 != root {
+                        pool.write_floats(r as u32, buf, off, &payload)?;
+                    }
+                }
+            }
+            t += msg_cost(&cfg.cost, (count * 4) as u64) + fate.delay;
+            Val::Unit
+        }
+        _ => Val::Unit,
+    };
+    for (r, ctl) in ctls.iter_mut().enumerate() {
+        if ctl.is_live() {
+            ctl.wait_until(t);
+            ctl.state = RankState::Ready;
+            pool.resume(r as u32, value)?;
+        }
     }
-    t
+    Ok(true)
 }
 
 /// One line per rank describing its state — the post-mortem attached to
@@ -668,30 +772,25 @@ fn world_report(ctls: &[RankCtl], transport: &InMemTransport) -> String {
     ctls.iter()
         .enumerate()
         .map(|(i, rk)| {
-            let state = if let Some(step) = rk.crashed {
-                format!("crashed at step {step} (injected fault)")
-            } else if rk.done.is_some() {
-                "done".to_string()
-            } else if let Some(b) = &rk.blocked {
-                match b {
-                    Blocked::Recv {
-                        src, tag, count, ..
-                    } => {
-                        let matching = transport.queued(*src, i as u32, *tag);
-                        let inbound = transport.inbound_total(i as u32);
-                        format!(
-                            "blocked on Recv {{ {count} floats from rank {src}, tag {tag} }} \
-                             ({matching} matching queued, {inbound} inbound total)"
-                        )
-                    }
-                    Blocked::Barrier => "blocked on Barrier".to_string(),
-                    Blocked::Allreduce => "blocked on Allreduce".to_string(),
-                    Blocked::Bcast { root, count, .. } => {
-                        format!("blocked on Bcast {{ {count} floats, root {root} }}")
-                    }
+            let state = match &rk.state {
+                RankState::Crashed(step) => format!("crashed at step {step} (injected fault)"),
+                RankState::Done(_) => "done".to_string(),
+                RankState::Blocked(Blocked::Recv {
+                    src, tag, count, ..
+                }) => {
+                    let matching = transport.queued(*src, i as u32, *tag);
+                    let inbound = transport.inbound_total(i as u32);
+                    format!(
+                        "blocked on Recv {{ {count} floats from rank {src}, tag {tag} }} \
+                         ({matching} matching queued, {inbound} inbound total)"
+                    )
                 }
-            } else {
-                format!("runnable (vclock {})", rk.vclock)
+                RankState::Blocked(Blocked::Barrier) => "blocked on Barrier".to_string(),
+                RankState::Blocked(Blocked::Allreduce { .. }) => "blocked on Allreduce".to_string(),
+                RankState::Blocked(Blocked::Bcast { root, count, .. }) => {
+                    format!("blocked on Bcast {{ {count} floats, root {root} }}")
+                }
+                RankState::Ready => format!("runnable (vclock {})", rk.vclock),
             };
             format!("rank {i}: {state}")
         })
@@ -719,12 +818,11 @@ fn mpi_range(pool: &mut dyn RankPool, r: u32, v: Val, what: &str) -> Result<usiz
     usize::try_from(n).map_err(|_| located(pool, r, format!("negative MPI range {what} {n}")))
 }
 
-/// Service one MPI yield against the scheduler's collective rendezvous
-/// state — the pre-refactor `service_mpi`, reading and writing rank
-/// memory through the pool seam. `args` has the operand count
-/// `exec::Image::build` checked for `op` (`nir::IntrinOp::check_operands`), so it
-/// is indexed by position.
-#[allow(clippy::too_many_arguments)]
+/// Service one MPI yield: a point-to-point op runs here, reading and
+/// writing rank memory through the pool seam; a receive or collective
+/// only sets the rank's [`RankState`], which `drive` completes. `args`
+/// has the operand count `exec::Image::build` checked for `op`
+/// (`nir::IntrinOp::check_operands`), so it is indexed by position.
 fn service_mpi(
     cfg: &World<'_>,
     pool: &mut dyn RankPool,
@@ -733,9 +831,6 @@ fn service_mpi(
     op: IntrinOp,
     args: Vec<Val>,
     transport: &mut InMemTransport,
-    barrier_waiters: &mut Vec<u32>,
-    allreduce: &mut Vec<(u32, AllOp, Val)>,
-    bcast_waiters: &mut Vec<u32>,
 ) -> Result<(), SimError> {
     let ri = r as usize;
     match op {
@@ -746,8 +841,7 @@ fn service_mpi(
             pool.resume(r, Val::I32(cfg.size as i32))?;
         }
         IntrinOp::MpiBarrier => {
-            ctls[ri].blocked = Some(Blocked::Barrier);
-            barrier_waiters.push(r);
+            ctls[ri].state = RankState::Blocked(Blocked::Barrier);
         }
         IntrinOp::MpiSendF32 => {
             // sendF(buf, off, count, dest, tag)
@@ -758,9 +852,7 @@ fn service_mpi(
             let dest = check_rank(pool, cfg.size, r, dest_raw)?;
             let tag = args[4].as_i32().map_err(|m| located(pool, r, m))?;
             let payload = pool.read_floats(r, buf, off, count)?;
-            let cost = msg_cost(&cfg.cost, (count * 4) as u64);
-            ctls[ri].vclock += cost;
-            ctls[ri].comm_cycles += cost;
+            ctls[ri].wait(msg_cost(&cfg.cost, (count * 4) as u64));
             post_message(pool, &mut ctls[ri], r, dest, tag, payload, transport)?;
             pool.resume(r, Val::Unit)?;
         }
@@ -772,7 +864,7 @@ fn service_mpi(
             let src_raw = args[3].as_i32().map_err(|m| located(pool, r, m))?;
             let src = check_rank(pool, cfg.size, r, src_raw)?;
             let tag = args[4].as_i32().map_err(|m| located(pool, r, m))?;
-            ctls[ri].blocked = Some(Blocked::Recv {
+            ctls[ri].state = RankState::Blocked(Blocked::Recv {
                 buf,
                 off,
                 count,
@@ -793,11 +885,9 @@ fn service_mpi(
             let src = check_rank(pool, cfg.size, r, src_raw)?;
             let tag = args[7].as_i32().map_err(|m| located(pool, r, m))?;
             let payload = pool.read_floats(r, sbuf, soff, count)?;
-            let cost = msg_cost(&cfg.cost, (count * 4) as u64);
-            ctls[ri].vclock += cost;
-            ctls[ri].comm_cycles += cost;
+            ctls[ri].wait(msg_cost(&cfg.cost, (count * 4) as u64));
             post_message(pool, &mut ctls[ri], r, dest, tag, payload, transport)?;
-            ctls[ri].blocked = Some(Blocked::Recv {
+            ctls[ri].state = RankState::Blocked(Blocked::Recv {
                 buf: rbuf,
                 off: roff,
                 count,
@@ -812,28 +902,18 @@ fn service_mpi(
             let count = mpi_range(pool, r, args[2], "count")?;
             let root_raw = args[3].as_i32().map_err(|m| located(pool, r, m))?;
             let root = check_rank(pool, cfg.size, r, root_raw)?;
-            ctls[ri].blocked = Some(Blocked::Bcast {
+            ctls[ri].state = RankState::Blocked(Blocked::Bcast {
                 buf,
                 off,
                 count,
                 root,
             });
-            bcast_waiters.push(r);
         }
-        IntrinOp::MpiAllreduceSumF64 => {
-            ctls[ri].blocked = Some(Blocked::Allreduce);
+        IntrinOp::MpiAllreduceSumF64
+        | IntrinOp::MpiAllreduceSumF32
+        | IntrinOp::MpiAllreduceMaxF64 => {
             let v = contribute(pool, &mut ctls[ri], r, args[0])?;
-            allreduce.push((r, AllOp::SumF64, v));
-        }
-        IntrinOp::MpiAllreduceSumF32 => {
-            ctls[ri].blocked = Some(Blocked::Allreduce);
-            let v = contribute(pool, &mut ctls[ri], r, args[0])?;
-            allreduce.push((r, AllOp::SumF32, v));
-        }
-        IntrinOp::MpiAllreduceMaxF64 => {
-            ctls[ri].blocked = Some(Blocked::Allreduce);
-            let v = contribute(pool, &mut ctls[ri], r, args[0])?;
-            allreduce.push((r, AllOp::MaxF64, v));
+            ctls[ri].state = RankState::Blocked(Blocked::Allreduce { op, v });
         }
         other => return Err(err_on(r, format!("unexpected MPI op {other:?}"))),
     }
@@ -861,13 +941,13 @@ fn world_sections(
     let mut body: Vec<Section> = Vec::new();
     for (r, ctl) in ctls.iter().enumerate() {
         let snap = pool.capture_rank(r as u32)?;
-        match &ctl.done {
-            None => header.u8(0),
-            Some(None) => header.u8(1),
-            Some(Some(v)) => {
+        match &ctl.state {
+            RankState::Done(None) => header.u8(1),
+            RankState::Done(Some(v)) => {
                 header.u8(2);
                 v.put(&mut header);
             }
+            _ => header.u8(0),
         }
         header.u64(ctl.vclock);
         header.u64(ctl.compute_cycles);
@@ -933,10 +1013,10 @@ fn world_from_sections(
     let mut ctls = Vec::with_capacity(n);
     let mut pos = 1usize;
     for rank_id in 0..n {
-        let done = match h.u8()? {
-            0 => None,
-            1 => Some(None),
-            2 => Some(Some(Val::get(&mut h)?)),
+        let state = match h.u8()? {
+            0 => RankState::Ready,
+            1 => RankState::Done(None),
+            2 => RankState::Done(Some(Val::get(&mut h)?)),
             t => return Err(bad(format!("bad rank-done tag {t:#x}"))),
         };
         let vclock = h.u64()?;
@@ -966,9 +1046,7 @@ fn world_from_sections(
             vclock,
             compute_cycles,
             comm_cycles,
-            blocked: None,
-            done,
-            crashed: None,
+            state,
             blocked_rounds: 0,
         });
     }
@@ -1133,9 +1211,8 @@ impl CkptState {
                 .checked_div(self.write_bytes_per_cycle)
                 .unwrap_or(0);
         if cost > 0 {
-            for ctl in ctls.iter_mut().filter(|c| c.done.is_none()) {
-                ctl.vclock += cost;
-                ctl.comm_cycles += cost;
+            for ctl in ctls.iter_mut().filter(|c| c.is_live()) {
+                ctl.wait(cost);
             }
         }
         Ok(())
@@ -1191,7 +1268,7 @@ fn drive(
     // Zero-rate configs draw nothing, keeping legacy streams
     // bit-identical.
     for r in 0..cfg.size {
-        if ctls[r as usize].done.is_none() {
+        if ctls[r as usize].is_live() {
             let fate = pool.draw(r, Draw::Connect)?;
             if fate.lost {
                 return Err(err_on(
@@ -1202,16 +1279,10 @@ fn drive(
                     ),
                 ));
             }
-            let ctl = &mut ctls[r as usize];
-            ctl.vclock += fate.delay;
-            ctl.comm_cycles += fate.delay;
+            ctls[r as usize].wait(fate.delay);
         }
     }
 
-    // Collective rendezvous state.
-    let mut barrier_waiters: Vec<u32> = Vec::new();
-    let mut allreduce: Vec<(u32, AllOp, Val)> = Vec::new();
-    let mut bcast_waiters: Vec<u32> = Vec::new();
     // Scheduler rounds so far (the global half of the timeout bound).
     let mut rounds: u64 = 0;
     // PRNG for `Schedule::Seeded` (fresh per drive, so every restart
@@ -1225,16 +1296,16 @@ fn drive(
     loop {
         let mut progress = false;
 
-        // 1. Try to unblock receivers / collectives.
+        // 1. Complete the receives whose message has arrived.
         #[allow(clippy::needless_range_loop)] // ctls + transport are both indexed by r
         for r in 0..cfg.size as usize {
-            let Some(Blocked::Recv {
+            let Some(&Blocked::Recv {
                 buf,
                 off,
                 count,
                 src,
                 tag,
-            }) = ctls[r].blocked
+            }) = ctls[r].blocked()
             else {
                 continue;
             };
@@ -1252,93 +1323,14 @@ fn drive(
                 ));
             }
             pool.write_floats(r as u32, buf, off, &payload)?;
-            let ctl = &mut ctls[r];
-            let arrival = ctl.vclock.max(avail_at);
-            ctl.comm_cycles += arrival - ctl.vclock;
-            ctl.vclock = arrival;
-            ctl.blocked = None;
+            ctls[r].wait_until(avail_at);
+            ctls[r].state = RankState::Ready;
             pool.resume(r as u32, Val::Unit)?;
             progress = true;
         }
 
-        // 2. Complete collectives when everyone arrived.
-        let live = ctls.iter().filter(|c| c.done.is_none()).count() as u32;
-        if !barrier_waiters.is_empty() && barrier_waiters.len() as u32 == live {
-            let t = complete_collective(cfg, ctls, &barrier_waiters);
-            for &r in &barrier_waiters {
-                let ctl = &mut ctls[r as usize];
-                ctl.vclock = t;
-                ctl.blocked = None;
-                pool.resume(r, Val::Unit)?;
-            }
-            barrier_waiters.clear();
-            progress = true;
-            if let Some(ck) = ckpt.as_deref_mut() {
-                ck.collective_completed(cfg, pool, ctls, transport)?;
-            }
-        }
-        if !allreduce.is_empty() && allreduce.len() as u32 == live {
-            let participants: Vec<u32> = allreduce.iter().map(|(r, _, _)| *r).collect();
-            let t = complete_collective(cfg, ctls, &participants);
-            let op = allreduce[0].1;
-            let combined = combine(op, &allreduce).map_err(|m| SimError::World {
-                message: m.to_string(),
-            })?;
-            for &(r, _, _) in allreduce.iter() {
-                let ctl = &mut ctls[r as usize];
-                ctl.vclock = t;
-                ctl.blocked = None;
-                pool.resume(r, combined)?;
-            }
-            allreduce.clear();
-            progress = true;
-            if let Some(ck) = ckpt.as_deref_mut() {
-                ck.collective_completed(cfg, pool, ctls, transport)?;
-            }
-        }
-        if !bcast_waiters.is_empty() && bcast_waiters.len() as u32 == live {
-            // Copy the root's payload into everyone else's buffer.
-            let (root, count) = {
-                let Some(Blocked::Bcast { root, count, .. }) =
-                    &ctls[bcast_waiters[0] as usize].blocked
-                else {
-                    return Err(SimError::World {
-                        message: "inconsistent bcast state".into(),
-                    });
-                };
-                (*root, *count)
-            };
-            let mut payload = {
-                let Some(Blocked::Bcast { buf, off, .. }) = &ctls[root as usize].blocked else {
-                    return Err(err_on(root, "bcast root is not at the bcast"));
-                };
-                let (buf, off) = (*buf, *off);
-                pool.read_floats(root, buf, off, count)?
-            };
-            // Fault injection on the broadcast payload, drawn from
-            // the root's stream (collectives corrupt or delay — a
-            // dropped collective is a crash, not a message fault).
-            let fate = pool.draw(root, Draw::Collective)?;
-            if fate.corrupt {
-                exec::fault::corrupt_f32(&mut payload);
-            }
-            let t = complete_collective(cfg, ctls, &bcast_waiters)
-                + msg_cost(&cfg.cost, (count * 4) as u64)
-                + fate.delay;
-            for &r in &bcast_waiters {
-                if r != root {
-                    let Some(Blocked::Bcast { buf, off, .. }) = &ctls[r as usize].blocked else {
-                        unreachable!()
-                    };
-                    let (buf, off) = (*buf, *off);
-                    pool.write_floats(r, buf, off, &payload)?;
-                }
-                let ctl = &mut ctls[r as usize];
-                ctl.vclock = t;
-                ctl.blocked = None;
-                pool.resume(r, Val::Unit)?;
-            }
-            bcast_waiters.clear();
+        // 2. Complete the collective every live rank waits at, if any.
+        if complete_collective(cfg, pool, ctls)? {
             progress = true;
             if let Some(ck) = ckpt.as_deref_mut() {
                 ck.collective_completed(cfg, pool, ctls, transport)?;
@@ -1362,9 +1354,7 @@ fn drive(
         // loop did — bit-identical by construction.
         let ready: Vec<u32> = order
             .iter()
-            .filter(|&&r| {
-                ctls[r].done.is_none() && ctls[r].blocked.is_none() && ctls[r].crashed.is_none()
-            })
+            .filter(|&&r| matches!(ctls[r].state, RankState::Ready))
             .map(|&r| r as u32)
             .collect();
         if !ready.is_empty() {
@@ -1372,19 +1362,15 @@ fn drive(
         }
         for (r, y, delta) in pool.run_slices(&ready, cfg.slice)? {
             let r = r as usize;
-            {
-                let ctl = &mut ctls[r];
-                ctl.vclock += delta;
-                ctl.compute_cycles += delta;
-            }
+            ctls[r].compute(delta);
             match y {
-                RankYield::Done(v) => ctls[r].done = Some(v),
+                RankYield::Done(v) => ctls[r].state = RankState::Done(v),
                 RankYield::OutOfFuel => {}
                 RankYield::Crashed { step } => {
                     // The rank is dead. Let the survivors run on —
                     // the world fails with a post-mortem once no one
                     // can make progress (see below).
-                    ctls[r].crashed = Some(step);
+                    ctls[r].state = RankState::Crashed(step);
                 }
                 RankYield::Misplaced => {
                     return Err(err_on(
@@ -1393,47 +1379,29 @@ fn drive(
                     ));
                 }
                 RankYield::Device => match pool.service_device(r as u32)? {
-                    DeviceOutcome::Advance(d) => {
-                        let ctl = &mut ctls[r];
-                        ctl.vclock += d;
-                        ctl.comm_cycles += d;
-                    }
-                    DeviceOutcome::Crashed(step) => ctls[r].crashed = Some(step),
+                    DeviceOutcome::Advance(d) => ctls[r].wait(d),
+                    DeviceOutcome::Crashed(step) => ctls[r].state = RankState::Crashed(step),
                 },
                 RankYield::HostCall => {
                     let backoff = pool.service_host(r as u32)?;
-                    let ctl = &mut ctls[r];
-                    ctl.vclock += backoff;
-                    ctl.comm_cycles += backoff;
+                    ctls[r].wait(backoff);
                 }
                 RankYield::Mpi { op, args } => {
-                    service_mpi(
-                        cfg,
-                        pool,
-                        ctls,
-                        r as u32,
-                        op,
-                        args,
-                        transport,
-                        &mut barrier_waiters,
-                        &mut allreduce,
-                        &mut bcast_waiters,
-                    )?;
+                    service_mpi(cfg, pool, ctls, r as u32, op, args, transport)?;
                 }
             }
         }
 
-        if ctls.iter().all(|c| c.done.is_some()) {
+        if !ctls.iter().any(RankCtl::is_live) {
             break;
         }
         if !progress {
             // A crashed rank explains the stall: fail with its
             // post-mortem instead of reporting a plain deadlock.
-            if let Some((cr, step)) = ctls
-                .iter()
-                .enumerate()
-                .find_map(|(i, rk)| rk.crashed.map(|s| (i as u32, s)))
-            {
+            if let Some((cr, step)) = ctls.iter().enumerate().find_map(|(i, rk)| match rk.state {
+                RankState::Crashed(s) => Some((i as u32, s)),
+                _ => None,
+            }) {
                 return Err(SimError::Crash {
                     rank: cr,
                     step,
@@ -1450,7 +1418,7 @@ fn drive(
         // receiver while its sender spins) becomes a typed Timeout.
         rounds += 1;
         for ctl in ctls.iter_mut() {
-            if ctl.blocked.is_some() {
+            if ctl.blocked().is_some() {
                 ctl.blocked_rounds += 1;
             } else {
                 ctl.blocked_rounds = 0;
@@ -1460,7 +1428,7 @@ fn drive(
             let over = ctls
                 .iter()
                 .enumerate()
-                .filter(|(_, rk)| rk.blocked.is_some())
+                .filter(|(_, rk)| rk.blocked().is_some())
                 .map(|(i, rk)| (i as u32, rk.blocked_rounds))
                 .max_by_key(|&(_, w)| w)
                 .filter(|&(_, w)| w > bound || rounds > bound);
@@ -1529,7 +1497,7 @@ pub(crate) fn run_world_with_restart(
             }
         };
         if attempt > 0 {
-            stats.ranks_rolled_back += ctls.iter().filter(|c| c.done.is_none()).count() as u64;
+            stats.ranks_rolled_back += ctls.iter().filter(|c| c.is_live()).count() as u64;
             // Everything the failed attempt observed is already in
             // `carried`; zero the counters and move every stream past
             // its consumed cursor so the fault that killed the last
@@ -1758,7 +1726,7 @@ impl<'p, 'a> LocalPool<'p, 'a> {
                 message: format!("rank {r} is not live in the local pool"),
             })?;
         Ok(RankOutcome {
-            result: ctl.done.flatten(),
+            result: ctl.result(),
             vclock: ctl.vclock,
             compute_cycles: ctl.compute_cycles,
             comm_cycles: ctl.comm_cycles,

@@ -1,10 +1,11 @@
 //! MPI-sim collectives and messaging edge cases: broadcast, max-reduce,
-//! FIFO ordering, tag separation, and cost-model monotonicity.
+//! mixed collectives, an early return at a barrier, FIFO ordering, tag
+//! separation, and cost-model monotonicity.
 
 use exec::{ArrStore, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use mpi_sim::{CostModel, World};
+use mpi_sim::{CostModel, SimError, World, WorldRun};
 use nir::{ElemTy, FuncBuilder, FuncId, FuncKind, Instr, IntrinOp, Program, Ty};
 
 /// Every rank calls bcastF(buf, 0, 4, root=1) and returns buf[0]. Rank 1
@@ -53,6 +54,104 @@ fn broadcast_distributes_the_roots_buffer() {
     for (r, out) in run.ranks.iter().enumerate() {
         assert_eq!(out.result, Some(Val::F32(42.5)), "rank {r}");
     }
+    // The payload's cost is communication like the rest of the wait.
+    assert_clocks_add_up(&run);
+}
+
+/// Every rank's clock is its compute plus its communication, nothing else.
+fn assert_clocks_add_up(run: &WorldRun) {
+    for (r, out) in run.ranks.iter().enumerate() {
+        assert_eq!(
+            out.vclock,
+            out.compute_cycles + out.comm_cycles,
+            "rank {r}: vclock vs compute {} + comm {}",
+            out.compute_cycles,
+            out.comm_cycles
+        );
+    }
+}
+
+/// `r = MPI.rank()`; rank 0 runs what `zero_arm` emits, every other rank
+/// what `rest_arm` emits, then each returns its rank.
+fn split_program(
+    name: &str,
+    zero_arm: fn(&mut FuncBuilder),
+    rest_arm: fn(&mut FuncBuilder),
+) -> (Program, FuncId) {
+    let mut fb = FuncBuilder::new(name, vec![], Some(Ty::I32), FuncKind::Host);
+    let rank = fb.reg(Ty::I32);
+    let zero = fb.reg(Ty::I32);
+    let cond = fb.reg(Ty::Bool);
+    let (first, rest, done) = (fb.label(), fb.label(), fb.label());
+    fb.emit(Instr::Intrin {
+        op: IntrinOp::MpiRank,
+        args: vec![],
+        dst: Some(rank),
+    });
+    fb.emit(Instr::ConstI32(zero, 0));
+    fb.emit(Instr::Bin {
+        op: BinOp::Eq,
+        kind: PrimKind::Int,
+        dst: cond,
+        lhs: rank,
+        rhs: zero,
+    });
+    fb.br(cond, first, rest);
+    fb.bind(first);
+    zero_arm(&mut fb);
+    fb.jmp(done);
+    fb.bind(rest);
+    rest_arm(&mut fb);
+    fb.jmp(done);
+    fb.bind(done);
+    fb.emit(Instr::Ret(Some(rank)));
+    let mut p = Program::default();
+    let id = p.add_func(fb.finish().unwrap());
+    p.verify().unwrap();
+    (p, id)
+}
+
+fn barrier(fb: &mut FuncBuilder) {
+    fb.emit(Instr::Intrin {
+        op: IntrinOp::MpiBarrier,
+        args: vec![],
+        dst: None,
+    });
+}
+
+fn allreduce_one(fb: &mut FuncBuilder) {
+    let (v, sum) = (fb.reg(Ty::F64), fb.reg(Ty::F64));
+    fb.emit(Instr::ConstF64(v, 1.0));
+    fb.emit(Instr::Intrin {
+        op: IntrinOp::MpiAllreduceSumF64,
+        args: vec![v],
+        dst: Some(sum),
+    });
+}
+
+/// A collective completes only when every live rank waits at the same
+/// kind: a barrier and an allreduce never meet, whatever their count.
+#[test]
+fn mixed_collectives_deadlock_with_each_rank_named() {
+    let (p, entry) = split_program("mixed", barrier, allreduce_one);
+    let e = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap_err();
+    let SimError::Deadlock { report } = &e else {
+        panic!("expected a deadlock, got {e}");
+    };
+    assert!(report.contains("rank 0: blocked on Barrier"), "{report}");
+    assert!(report.contains("rank 3: blocked on Allreduce"), "{report}");
+}
+
+/// A rank that returns before a barrier does not hold it back: the
+/// barrier completes over the ranks still running (DESIGN §6's caveat).
+#[test]
+fn a_rank_that_returned_does_not_hold_a_barrier_back() {
+    let (p, entry) = split_program("early", |_| {}, barrier);
+    let run = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    for (r, out) in run.ranks.iter().enumerate() {
+        assert_eq!(out.result, Some(Val::I32(r as i32)), "rank {r}");
+    }
+    assert_clocks_add_up(&run);
 }
 
 fn allreduce_max_program() -> (Program, FuncId) {

@@ -460,6 +460,15 @@ fn persisting_the_chain_changes_no_result_time_or_counter() {
             assert!(path.exists(), "{what}: nothing persisted");
             assert_eq!(plain.vtime, persisted.vtime, "{what}: vtime");
             assert_eq!(plain.restart, persisted.restart, "{what}: restart counters");
+            for run in [&plain, &persisted] {
+                for (r, out) in run.ranks.iter().enumerate() {
+                    assert_eq!(
+                        out.vclock,
+                        out.compute_cycles + out.comm_cycles,
+                        "{what}: rank {r}'s clock is not compute + comm"
+                    );
+                }
+            }
             restarted += (plain.restart.restarts > 0) as u32;
             let (a, b) = (results(plain), results(persisted));
             assert_eq!(a, b, "{what}: results");

@@ -136,9 +136,9 @@ pub struct RunRequest<'p> {
     pub max_restarts: u32,
     /// Who executes ready slices each round (see `exec::pool`):
     /// the in-process cooperative loop ([`ExecutorCfg::Sim`], the
-    /// default) or real OS-thread workers. Platforms with their own
-    /// executor preference (see [`HostMtPlatform::with_executor`])
-    /// apply it only when the request keeps the default.
+    /// default) or real OS-thread workers. Every platform runs the
+    /// request's choice; the two are bit-identical, so no fingerprint
+    /// salt depends on it.
     pub executor: ExecutorCfg,
 }
 
@@ -401,11 +401,6 @@ pub struct HostMtPlatform {
     /// Scheduling seed for the per-round worker permutation.
     pub seed: u64,
     pub cost: CostModel,
-    /// Who executes slices: the cooperative loop by default, real OS
-    /// threads via [`HostMtPlatform::with_executor`]. Threads are
-    /// bit-identical to the loop, so the platform's fingerprint salt
-    /// does not depend on this (warm caches survive the switch).
-    pub executor: ExecutorCfg,
 }
 
 impl HostMtPlatform {
@@ -420,20 +415,11 @@ impl HostMtPlatform {
                 beta: 0.05,
                 collective_alpha: 200,
             },
-            executor: ExecutorCfg::Sim,
         }
     }
 
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Back this platform with a specific executor (real OS threads). A
-    /// non-default executor on the [`RunRequest`] still wins over this
-    /// platform-level choice.
-    pub fn with_executor(mut self, executor: ExecutorCfg) -> Self {
-        self.executor = executor;
         self
     }
 }
@@ -453,28 +439,14 @@ impl Platform for HostMtPlatform {
         }
     }
 
-    /// One salt whatever the executor: OS-thread batches are
-    /// bit-identical to the cooperative loop, so warm artifacts and
-    /// `.wckpt` chains stay valid across the switch.
-    fn fingerprint_salt(&self) -> u64 {
-        fnv1a64(b"host-mt")
-    }
-
     fn run(&self, req: RunRequest<'_>, make_args: ArgBuilder<'_>) -> Result<RunOutcome, SimError> {
-        // The request's executor wins when set; otherwise the
-        // platform-level choice applies.
-        let effective = match req.executor {
-            ExecutorCfg::Sim => self.executor,
-            e => e,
-        };
         let world = apply_request(
             World::new(req.program, self.workers)
                 .with_cost(self.cost)
                 .with_schedule(Schedule::Seeded(self.seed)),
             &req,
             self.fingerprint_salt(),
-        )
-        .with_executor(effective);
+        );
         let mut pool = LocalPool::new(&world, req.entry, make_args);
         drive(&world, &req, &mut pool)
     }
@@ -576,7 +548,6 @@ pub fn by_id(id: &str) -> Option<Arc<dyn Platform>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exec::ExecMode;
 
     #[test]
     fn registry_ids_are_unique_and_complete() {
@@ -601,13 +572,6 @@ mod tests {
             fnv1a64(b"host-mt")
         );
         assert_eq!(by_id("dist").unwrap().fingerprint_salt(), fnv1a64(b"dist"));
-        // OS threads are bit-identical to the cooperative loop, so warm
-        // caches must survive the executor switch.
-        let threads = HostMtPlatform::new(4).with_executor(ExecutorCfg::Threads {
-            workers: 4,
-            mode: ExecMode::Replay,
-        });
-        assert_eq!(threads.fingerprint_salt(), fnv1a64(b"host-mt"));
     }
 
     #[test]

@@ -142,6 +142,30 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+echo "== one rendezvous: a collective meets in RankCtl's state, with no     =="
+echo "==   waiter list or AllOp of drive's own; RankCtl holds one state, not =="
+echo "==   blocked/done/crashed, and only RankCtl's methods move its clocks  =="
+stray="$( (grep -rn --include='*.rs' -E '_waiters|\bAllOp\b' crates/mpi-sim/src || true
+    awk '
+        /^pub struct RankCtl \{/ { s = 1; next }
+        s && /^\}/ { s = 0 }
+        s && /^ *(pub )?(blocked|done|crashed):/ { print FILENAME ":" FNR ": " $0 }
+    ' crates/mpi-sim/src/runtime.rs
+    awk '
+        FNR == 1 { m = 0 }
+        /^impl RankCtl \{/ { m = 1 }
+        m && /^\}/ { m = 0 }
+        /\.(vclock|compute_cycles|comm_cycles) *[-+*]?=[^=]/ &&
+            !(m && /self\.(vclock|compute_cycles|comm_cycles)/) {
+            print FILENAME ":" FNR ": " $0
+        }
+    ' crates/mpi-sim/src/*.rs crates/dist/src/*.rs) )"
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "check.sh: the lines above keep rank state outside RankCtl or move its clocks by hand"
+    exit 1
+fi
+
 echo "== non-test lines under crates/*/src (aim 2's cost; scripts/loc.sh) =="
 scripts/loc.sh
 
