@@ -35,6 +35,12 @@ impl Rng {
     fn range_i32(&mut self, lo: i32, hi: i32) -> i32 {
         lo + (self.next_u64() % (hi - lo) as u64) as i32
     }
+
+    /// A literal from a pool of six, so that equal literals recur within
+    /// a block, beside the hoisted loop constants and inside rotated loops.
+    fn literal(&mut self) -> i32 {
+        [-3, 0, 1, 2, 7, 9][self.below(6)]
+    }
 }
 
 /// A random instruction recipe over int registers.
@@ -49,7 +55,7 @@ enum Step {
 
 fn random_step(rng: &mut Rng) -> Step {
     match rng.below(5) {
-        0 => Step::Const(rng.range_i32(-1000, 1000)),
+        0 => Step::Const(rng.literal()),
         1 => Step::Add(rng.below(1 << 16), rng.below(1 << 16)),
         2 => Step::Sub(rng.below(1 << 16), rng.below(1 << 16)),
         3 => Step::Mul(rng.below(1 << 16), rng.below(1 << 16)),
@@ -277,7 +283,7 @@ fn call_dag(rng: &mut Rng) -> Program {
             let r = fb.reg(Ty::I32);
             let (lhs, rhs) = (pick(rng, &defined), pick(rng, &defined));
             fb.emit(match rng.below(4) {
-                0 => Instr::ConstI32(r, rng.range_i32(-50, 50)),
+                0 => Instr::ConstI32(r, rng.literal()),
                 1 => Instr::Mov(r, lhs),
                 _ => Instr::Bin {
                     op: [BinOp::Add, BinOp::Sub, BinOp::Mul][rng.below(3)],
@@ -510,7 +516,7 @@ impl LoopGen<'_> {
 
     fn literal(&mut self) -> Reg {
         let k = self.fb.reg(Ty::I32);
-        let v = self.rng.range_i32(-9, 10);
+        let v = self.rng.literal();
         self.fb.emit(Instr::ConstI32(k, v));
         k
     }
@@ -1298,5 +1304,187 @@ fn rotation_and_hoisting_cost_nothing_on_a_zero_trip_loop() {
         assert_eq!(got, want);
         let saved = (2 * trips - 1).max(0) as u64;
         assert_eq!(base - retired, saved, "{trips} trips:\n{opt}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Constant merging: each safety rule against the program it protects
+// ---------------------------------------------------------------------
+
+/// `standard()` leaves what `p` shows on `x` as it was, and what it
+/// makes verifies: every register read is written before, with its type.
+fn assert_merge_agrees(p: &Program, x: i32, what: &str) -> Program {
+    let (want, _) = observe(p, x);
+    let mut opt = p.clone();
+    nir::optimize(&mut opt, OptConfig::standard());
+    opt.verify()
+        .unwrap_or_else(|e| panic!("{what}: {e}\n{p}\n{opt}"));
+    let (got, _) = observe(&opt, x);
+    assert_eq!(got, want, "{what}:\n{p}\n{opt}");
+    opt
+}
+
+/// An int, long, float, double and boolean zero in one block: equal bits,
+/// five kinds, each read by an instruction of its own kind. Merged on
+/// their bits, a float add would read the int zero's register, which
+/// the verifier refuses (caught: a scratch mutant that keyed the merge
+/// on bits only).
+#[test]
+fn equal_bits_of_other_kinds_stay_apart() {
+    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let (zi, si) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+    let (zl, xl, sl) = (fb.reg(Ty::I64), fb.reg(Ty::I64), fb.reg(Ty::I64));
+    let (zf, xf, sf) = (fb.reg(Ty::F32), fb.reg(Ty::F32), fb.reg(Ty::F32));
+    let (zd, xd, sd) = (fb.reg(Ty::F64), fb.reg(Ty::F64), fb.reg(Ty::F64));
+    let (zb, nb) = (fb.reg(Ty::Bool), fb.reg(Ty::Bool));
+    let out = fb.reg(Ty::I32);
+    fb.emit(Instr::ConstI32(zi, 0));
+    fb.emit(int(BinOp::Add, si, 0, zi));
+    let widen = |fb: &mut FuncBuilder, to: PrimKind, dst: Reg, src: Reg, from: PrimKind| {
+        fb.emit(Instr::Cast { to, from, dst, src });
+    };
+    for (kind, z, x, s, zero) in [
+        (PrimKind::Long, zl, xl, sl, Instr::ConstI64(zl, 0)),
+        (PrimKind::Float, zf, xf, sf, Instr::ConstF32(zf, 0.0)),
+        (PrimKind::Double, zd, xd, sd, Instr::ConstF64(zd, 0.0)),
+    ] {
+        fb.emit(zero);
+        widen(&mut fb, kind, x, si, PrimKind::Int);
+        fb.emit(Instr::Bin {
+            op: BinOp::Add,
+            kind,
+            dst: s,
+            lhs: x,
+            rhs: z,
+        });
+    }
+    fb.emit(Instr::ConstBool(zb, false));
+    fb.emit(Instr::Not { dst: nb, src: zb });
+    // out = (int) (sl + sf + sd), plus 1 when !false.
+    let (fl, dl) = (fb.reg(Ty::I64), fb.reg(Ty::I64));
+    widen(&mut fb, PrimKind::Long, fl, sf, PrimKind::Float);
+    widen(&mut fb, PrimKind::Long, dl, sd, PrimKind::Double);
+    for r in [fl, dl] {
+        fb.emit(Instr::Bin {
+            op: BinOp::Add,
+            kind: PrimKind::Long,
+            dst: sl,
+            lhs: sl,
+            rhs: r,
+        });
+    }
+    widen(&mut fb, PrimKind::Int, out, sl, PrimKind::Long);
+    let (yes, done) = (fb.label(), fb.label());
+    fb.br(nb, yes, done);
+    fb.bind(yes);
+    let one = fb.reg(Ty::I32);
+    fb.emit(Instr::ConstI32(one, 1));
+    fb.emit(int(BinOp::Add, out, out, one));
+    fb.bind(done);
+    fb.emit(Instr::Ret(Some(out)));
+    let mut p = Program::default();
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    p.verify().unwrap();
+    assert_eq!(observe(&p, 4).0 .0, Ok(Some(exec::Val::I32(13))));
+    let opt = assert_merge_agrees(&p, 4, "five zeros of five kinds");
+    let zeros = (opt.funcs[0].code.iter())
+        .filter(|i| i.const_val().is_some_and(|v| v.bits() == 0))
+        .count();
+    assert_eq!(zeros, 5, "one zero per kind:\n{opt}");
+}
+
+/// A loop's `i = 0` shares its block with an earlier, block-local `0`,
+/// but the loop's header reads it. Merged, the header would read the
+/// other zero, which the body never increments, and the loop would not
+/// end (caught: a scratch mutant that dropped the `Blocks::local`
+/// condition).
+#[test]
+fn a_constant_another_block_reads_is_kept() {
+    let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+    let r: Vec<Reg> = (0..6).map(|_| fb.reg(Ty::I32)).collect();
+    let (z, acc, i, n, one, c) = (r[0], r[1], r[2], r[3], r[4], fb.reg(Ty::Bool));
+    fb.emit(Instr::ConstI32(z, 0));
+    fb.emit(int(BinOp::Add, acc, 0, z));
+    fb.emit(Instr::ConstI32(i, 0));
+    fb.emit(Instr::ConstI32(n, 3));
+    fb.emit(Instr::ConstI32(one, 1));
+    let (head, body, exit) = (fb.label(), fb.label(), fb.label());
+    fb.bind(head);
+    fb.emit(int(BinOp::Lt, c, i, n));
+    fb.br(c, body, exit);
+    fb.bind(body);
+    fb.emit(int(BinOp::Add, acc, acc, i));
+    fb.emit(int(BinOp::Add, i, i, one));
+    fb.jmp(head);
+    fb.bind(exit);
+    fb.emit(Instr::Ret(Some(acc)));
+    let mut p = Program::default();
+    p.entry = Some(p.add_func(fb.finish().unwrap()));
+    p.verify().unwrap();
+    assert_eq!(observe(&p, 10).0 .0, Ok(Some(exec::Val::I32(13))));
+    assert_merge_agrees(&p, 10, "a loop counter's zero beside another zero");
+}
+
+/// A rotated loop whose body repeats the prefix's literals and its own,
+/// with an early return inside the loop that repeats them once more,
+/// followed by straight-line code that repeats them again: every read
+/// the merge renames must still come after the definition it now reads,
+/// wherever rotation moved the test and hoisting the invariants.
+#[test]
+fn no_renamed_read_lands_above_its_definition() {
+    for trips in 0..4 {
+        let mut fb = FuncBuilder::new("f", vec![Ty::I32], Some(Ty::I32), FuncKind::Host);
+        let r: Vec<Reg> = (0..14).map(|_| fb.reg(Ty::I32)).collect();
+        let (acc, i, n, one) = (r[0], r[1], r[2], r[3]);
+        let (k1, k2, t, u, w, k3, k4, v, e1, e2) = (
+            r[4], r[5], r[6], r[7], r[8], r[9], r[10], r[11], r[12], r[13],
+        );
+        let (c, quit) = (fb.reg(Ty::Bool), fb.reg(Ty::Bool));
+        fb.emit(Instr::ConstI32(acc, 0));
+        fb.emit(Instr::ConstI32(i, 0));
+        fb.emit(Instr::ConstI32(n, trips));
+        let (head, body, leave, go_on, exit) =
+            (fb.label(), fb.label(), fb.label(), fb.label(), fb.label());
+        fb.bind(head);
+        fb.emit(int(BinOp::Lt, c, i, n));
+        fb.br(c, body, exit);
+        fb.bind(body);
+        // The body's entry block: two 7s and an invariant `x * 7`.
+        fb.emit(Instr::ConstI32(k1, 7));
+        fb.emit(int(BinOp::Mul, t, 0, k1));
+        fb.emit(Instr::ConstI32(k2, 7));
+        fb.emit(int(BinOp::Add, u, acc, k2));
+        fb.emit(int(BinOp::Add, acc, u, t));
+        fb.emit(int(BinOp::Gt, quit, acc, 0));
+        fb.br(quit, leave, go_on);
+        // Inside the loop, off its cycle: a return that repeats the 7.
+        fb.bind(leave);
+        fb.emit(Instr::ConstI32(e1, 7));
+        fb.emit(Instr::ConstI32(e2, 7));
+        fb.emit(int(BinOp::Mul, w, acc, e1));
+        fb.emit(int(BinOp::Sub, w, w, e2));
+        fb.emit(Instr::Ret(Some(w)));
+        fb.bind(go_on);
+        fb.emit(Instr::ConstI32(one, 1));
+        fb.emit(int(BinOp::Add, i, i, one));
+        fb.jmp(head);
+        fb.bind(exit);
+        // After the loop: the 7 and the 1 again, twice each.
+        fb.emit(Instr::ConstI32(k3, 7));
+        fb.emit(int(BinOp::Mul, v, acc, k3));
+        fb.emit(Instr::ConstI32(k4, 7));
+        fb.emit(int(BinOp::Add, v, v, k4));
+        let (o1, o2) = (fb.reg(Ty::I32), fb.reg(Ty::I32));
+        fb.emit(Instr::ConstI32(o1, 1));
+        fb.emit(int(BinOp::Add, v, v, o1));
+        fb.emit(Instr::ConstI32(o2, 1));
+        fb.emit(int(BinOp::Sub, v, v, o2));
+        fb.emit(Instr::Ret(Some(v)));
+        let mut p = Program::default();
+        p.entry = Some(p.add_func(fb.finish().unwrap()));
+        p.verify().unwrap();
+        for x in [-40, -3, 2] {
+            assert_merge_agrees(&p, x, &format!("{trips} trips, x = {x}"));
+        }
     }
 }
