@@ -6,9 +6,11 @@
 //! ranks, the checkpointed ring with seeded crashes, and a generated app's
 //! cold compile plus one body edit. Each record holds the result's bits,
 //! the retired instructions of every rank's machine, virtual time and
-//! cycles, and the translator's, the query database's and the restart
-//! path's counters (`TransStats`, and `QueryStats` and `RestartStats`
-//! through `fields()`). `repro counts --write` writes the file and
+//! cycles, the static size of the translated program (functions and
+//! instructions after optimization, artifact bytes), and the
+//! translator's, the query database's and the restart path's counters
+//! (`TransStats`, and `QueryStats` and `RestartStats` through
+//! `fields()`). `repro counts --write` writes the file and
 //! `crates/bench/tests/counts_pin.rs` holds the tree to it.
 
 use hpclib::{MatmulApp, MatmulBody, MatmulCalc, MatmulThread, StencilApp, StencilPlatform};
@@ -45,6 +47,17 @@ fn run_counts(code: &JitCode, report: &RunReport) -> Record {
             report.per_rank.iter().map(|p| p.gpu_time).sum(),
         ),
     ];
+    // The static size of what it ran: the optimized program and its
+    // artifact.
+    let t = &code.translated;
+    r.extend([
+        ("nir.funcs".into(), t.program.funcs.len() as u64),
+        (
+            "nir.instrs".into(),
+            t.program.funcs.iter().map(|f| f.code.len() as u64).sum(),
+        ),
+        ("artifact_bytes".into(), t.encode().len() as u64),
+    ]);
     r.extend(trans_counts(&code.translated.stats));
     r.extend(
         report
