@@ -11,8 +11,8 @@
 //!   jumps, removes unreachable code, removes pure instructions whose
 //!   results are never used (whole-function liveness), hoists loop
 //!   constants into a prefix at pc 0, rotates innermost loops and hoists
-//!   their invariant instructions into a preheader, and removes jumps to
-//!   the next instruction;
+//!   their invariant instructions into a preheader, keeps one definition
+//!   per constant per block, and removes jumps to the next instruction;
 //! * **inline** — splices small callees into their callers, bottom-up:
 //!   each function, in `FuncId` order, takes in the final bodies of its
 //!   earlier callees (see [`optimize_fn`]), as the paper's C compiler
@@ -46,8 +46,9 @@ use crate::ir::{ConstVal, FuncKind, Function, Instr, Program, Reg};
 /// filled by another revision misses instead of serving that revision's
 /// code. Bump when `compile_path_output_is_pinned` moves. Revision 1 is
 /// every optimizer before block-local CSE and loop rotation; its keys
-/// carry no revision.
-pub const REVISION: u32 = 2;
+/// carry no revision. Revision 2 re-loaded a literal at every use outside
+/// loops; revision 3 keeps one definition per constant per block.
+pub const REVISION: u32 = 3;
 
 /// Optimizer configuration; maps onto the compiler-option rows of
 /// Tables 1 and 2.
@@ -498,7 +499,8 @@ fn is_pure(ins: &Instr) -> bool {
 /// and its operands, each the register it reads or, when [`Facts`] knows
 /// one, the constant that register holds (so `x + k` matches `x + 1`
 /// whatever register holds the `1`). Constants themselves are not keys:
-/// [`dce`] gathers loop constants into a prefix and merges equal ones.
+/// [`dce`] gathers loop constants into a prefix, and keeps one definition
+/// per constant per block ([`merge_constants`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Expr {
     Bin(BinOp, PrimKind, Opnd, Opnd),
@@ -693,6 +695,8 @@ fn coalesces(f: &Function, pc: usize, next: usize, writes: &[u32], reads: &[u32]
 /// * **loop rotation and invariant hoisting** — see [`rotations`]: a
 ///   loop's back `Jmp` becomes a copy of its header test, and invariant
 ///   instructions of its body's entry block move into a preheader;
+/// * **repeated constants** — see [`merge_constants`]: a block-local
+///   constant that its block or the prefix already holds goes;
 /// * **jumps to the next instruction** — a forward `Jmp` whose target is
 ///   the next kept instruction goes.
 ///
@@ -748,17 +752,20 @@ fn dce(f: &mut Function) -> bool {
         });
     }
 
-    let blocks = backward.then(|| Blocks::of(f, &keep)).flatten();
-    let (hoist, loops) = if let Some(blocks) = blocks {
-        let hoist = loop_constants(f, &keep, &blocks);
-        for h in &hoist.defs {
-            keep[*h as usize] = false;
+    let (mut hoist, mut loops) = (Hoist::default(), Vec::new());
+    if let Some(blocks) = Blocks::of(f, &keep) {
+        if backward {
+            hoist = loop_constants(f, &keep, &blocks);
+            for h in &hoist.defs {
+                keep[*h as usize] = false;
+            }
+            loops = rotations(f, &keep, &blocks);
         }
-        let loops = rotations(f, &keep, &blocks);
-        (hoist, loops)
-    } else {
-        (Hoist::default(), Vec::new())
-    };
+        // After `rotations`, which judges invariance on the code as it
+        // stands: renamed first, a read could look invariant while the
+        // definition it now reads is in the loop.
+        changed |= merge_constants(f, &mut keep, &blocks, &mut hoist);
+    }
     changed |= !hoist.defs.is_empty() || !loops.is_empty();
 
     // Where the rotated loops change the instruction count: `extra[i]`
@@ -801,8 +808,8 @@ fn dce(f: &mut Function) -> bool {
         return false;
     }
     // Rebuild: the hoisted constants, then every kept instruction with
-    // its targets remapped (and, where two hoisted constants merged, its
-    // operands renamed). Old pc `t` lands after the prefix and whatever is
+    // its targets remapped (and, where two constants merged, its operands
+    // renamed). Old pc `t` lands after the prefix and whatever is
     // emitted before it, so a branch to a body's first instruction lands
     // on its preheader; every branch but the loop's guard skips that.
     let Hoist { prefix, rename, .. } = hoist;
@@ -967,16 +974,45 @@ impl Blocks {
     }
 }
 
-/// The constants [`dce`] hoists into a prefix at pc 0.
+/// The constants [`dce`] hoists into a prefix at pc 0, and those it
+/// merges into another register holding the same constant.
 #[derive(Default)]
 struct Hoist {
     /// One constant per distinct kind and bit pattern, in pc order.
     prefix: Vec<Instr>,
     /// Pcs of the definitions that move into the prefix.
     defs: Vec<u32>,
-    /// By register: the register that now holds its value, when two
-    /// hoisted constants merged (`None` when none did).
+    /// By kind and bits: the register that holds the constant, and the
+    /// block it holds it in ([`NONE`]: the prefix, which holds it
+    /// everywhere).
+    held: HashMap<(PrimKind, u64), (Reg, u32), BuildHasherDefault<ExprHasher>>,
+    /// By register: the register that now holds its value, when its
+    /// definition merged into another (`None` when none did).
     rename: Option<Vec<Reg>>,
+}
+
+impl Hoist {
+    /// `v`, defined in `d` in `block` (`NONE`: hoisted): does a register
+    /// already hold it there? Then `d`'s readers read that one; otherwise
+    /// `d` holds it from here on.
+    fn merge(&mut self, v: ConstVal, d: Reg, block: u32, regs: usize) -> bool {
+        match self.held.entry((v.kind(), v.bits())) {
+            Entry::Occupied(mut e) => {
+                let (r, at) = *e.get();
+                if at != NONE && at != block {
+                    e.insert((d, block));
+                    return false;
+                }
+                let rename = (self.rename).get_or_insert_with(|| (0..regs as Reg).collect());
+                rename[d as usize] = r;
+                true
+            }
+            Entry::Vacant(e) => {
+                e.insert((d, block));
+                false
+            }
+        }
+    }
 }
 
 /// Find the loop constants among the kept instructions: [`Blocks::local`]
@@ -990,7 +1026,6 @@ struct Hoist {
 fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
     let on_cycle = blocks.cfg.on_cycles();
     let mut hoist = Hoist::default();
-    let mut merged: HashMap<(PrimKind, u64), Reg> = HashMap::new();
     for (pc, ins) in f.code.iter().enumerate() {
         let Some(d) = ins.dst().filter(|d| {
             keep[pc]
@@ -1003,20 +1038,36 @@ fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
             continue;
         };
         hoist.defs.push(pc as u32);
-        match merged.entry((v.kind(), v.bits())) {
-            Entry::Occupied(e) => {
-                let rename = hoist
-                    .rename
-                    .get_or_insert_with(|| (0..f.regs.len() as Reg).collect());
-                rename[d as usize] = *e.get();
-            }
-            Entry::Vacant(e) => {
-                e.insert(d);
-                hoist.prefix.push(ins.clone());
-            }
+        if !hoist.merge(v, d, NONE, f.regs.len()) {
+            hoist.prefix.push(ins.clone());
         }
     }
     hoist
+}
+
+/// One definition per constant per block: a kept `Const*` whose register
+/// is [`Blocks::local`] to it goes when an earlier kept block-local
+/// constant of its block, or one hoisted into the prefix, has the same
+/// kind and bits, and its readers read that register instead. They all
+/// follow the definition in its block, where that register already holds
+/// the constant: it, too, has one kept definition, earlier in the block
+/// or at pc 0. A constant read in another block stays. Returns whether
+/// one went.
+fn merge_constants(f: &Function, keep: &mut [bool], blocks: &Blocks, hoist: &mut Hoist) -> bool {
+    let mut merged = false;
+    for (pc, ins) in f.code.iter().enumerate() {
+        let (Some(v), Some(d)) = (ins.const_val(), ins.dst()) else {
+            continue;
+        };
+        if keep[pc] && blocks.local[d as usize] == pc as u32 {
+            let block = blocks.cfg.block[pc];
+            if hoist.merge(v, d, block, f.regs.len()) {
+                keep[pc] = false;
+                merged = true;
+            }
+        }
+    }
+    merged
 }
 
 /// One loop [`dce`] rotates: the header ends in `Br { t: body, .. }` at
