@@ -375,9 +375,9 @@ fn compile_path_output_is_pinned() {
         (
             "diffusion",
             diffusion,
-            (0x0b51_4220_86e8_15a3, 172),
-            (0x3920_3c89_cd06_f3b3, 296),
-            (0x3920_3c89_cd06_f3b3, 296),
+            (0x0491_86bc_62eb_6af5, 170),
+            (0xbd45_5b08_1cc5_5c03, 294),
+            (0xbd45_5b08_1cc5_5c03, 294),
         ),
         (
             "matmul-fox",
@@ -391,9 +391,9 @@ fn compile_path_output_is_pinned() {
         (
             "pipeline8",
             pipeline8,
-            (0x5a72_94b7_95ac_ecfa, 7882),
-            (0x5a72_94b7_95ac_ecfa, 7882),
-            (0x5a72_94b7_95ac_ecfa, 7882),
+            (0xcb60_47d0_bbee_d70e, 4938),
+            (0xcb60_47d0_bbee_d70e, 4938),
+            (0xcb60_47d0_bbee_d70e, 4938),
         ),
     ];
     let mut moved = Vec::new();
