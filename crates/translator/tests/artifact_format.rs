@@ -498,15 +498,15 @@ fn cache_key_fingerprints_are_pinned() {
         ),
     ];
     let pinned = [
-        "wj01-3a1531519b67d6cf18ad988d0f73f8eb",
-        "wj01-c6e3bf9f3337922c69e6b1f1b18621c9",
-        "wj01-4baca62e4ca772afab9db2ef99ae70b4",
-        "wj01-0ac0fa5d746c6eab4f35a394b0f172bb",
-        "wj01-a94c91e2a0ffac19fe3197dbb25e5ebf",
-        "wj01-93c143ef23e591440726ee8dfb142ef2",
-        "wj01-fefe1358030754b3b12c8bf21f5b7962",
-        "wj01-e08e427fe742ff350fdec1cef55b6326",
-        "wj01-73f412491fe4a90470479e3d10b13bcb",
+        "wj01-bfa2525f4112d9e164fa015d31043120",
+        "wj01-f4d7be9d2609c27b6cb8f5c233d197a5",
+        "wj01-95be7400ec5ce883f06a216d42553cd3",
+        "wj01-6d4c543298d2d29033a217850ae5dc7c",
+        "wj01-b477cfbfa3b8f752d354a6f54e0bc8fc",
+        "wj01-bb9b2bceaf2515834870c13dcadd44e5",
+        "wj01-a13754b415e22344d6e4eaf795878c10",
+        "wj01-854f3d03765774187ee0a07518f470b3",
+        "wj01-ac907b889d0bf518cf54c2427fb0405b",
     ];
     let mut moved = Vec::new();
     for ((name, key), want) in keys.iter().zip(pinned) {
