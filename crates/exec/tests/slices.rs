@@ -134,7 +134,7 @@ fn cases() -> Vec<Case> {
             method: "invoke",
             args: [8, 8, 8, 2].map(Value::Int).to_vec(),
             options: JitOptions::wootinj,
-            pinned: (26759, 32619, "Done(Some(F32(240.84772)))"),
+            pinned: (26758, 32618, "Done(Some(F32(240.84772)))"),
         },
         Case {
             name: "fox-matmul",
@@ -155,7 +155,7 @@ fn cases() -> Vec<Case> {
             method: "run",
             args: [64, 6].map(Value::Int).to_vec(),
             options: JitOptions::wootinj,
-            pinned: (2782, 3785, "Done(Some(F32(0.0)))"),
+            pinned: (2780, 3783, "Done(Some(F32(0.0)))"),
         },
         Case {
             name: "stencil-virtual",
@@ -164,7 +164,7 @@ fn cases() -> Vec<Case> {
             method: "invoke",
             args: [6, 6, 6, 2].map(Value::Int).to_vec(),
             options: JitOptions::cpp,
-            pinned: (13223, 22842, "Done(Some(F32(101.71479)))"),
+            pinned: (13221, 22840, "Done(Some(F32(101.71479)))"),
         },
     ]
 }
