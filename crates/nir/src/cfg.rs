@@ -42,8 +42,6 @@ pub(crate) fn leaders<E>(
 pub(crate) struct Cfg {
     /// By pc: its block, numbered in pc order.
     pub block: Vec<u32>,
-    /// By block: its first pc; one past the last block, `code.len()`.
-    pub starts: Vec<u32>,
     /// By block: where control goes after it, [`NONE`] for no edge (a
     /// `ret`, a branch to the function's end, or falling off it).
     pub succs: Vec<[u32; 2]>,
@@ -57,99 +55,110 @@ impl Cfg {
 
     /// The graph of `code`, whose [`leaders`] are `leader`.
     pub fn new(code: &[Instr], leader: &[bool]) -> Cfg {
-        let n = code.len();
-        let mut starts: Vec<u32> = (leader[..n].iter().enumerate())
-            .filter_map(|(pc, &l)| l.then_some(pc as u32))
-            .collect();
-        starts.push(n as u32);
-        let mut block = Vec::with_capacity(n);
-        for (b, w) in starts.windows(2).enumerate() {
-            block.extend(std::iter::repeat_n(b as u32, (w[1] - w[0]) as usize));
-        }
-        let to = |t: u32| block.get(t as usize).copied().unwrap_or(NONE);
-        let mut succs = vec![[NONE; 2]; starts.len() - 1];
-        for (s, w) in succs.iter_mut().zip(starts.windows(2)) {
-            let (last, mut i) = (&code[w[1] as usize - 1], 0);
-            let mut edge = |t: u32| {
-                s[i] = to(t);
-                i += 1;
-            };
-            if last.ends_block() {
-                last.for_each_target(edge);
-            } else {
-                edge(w[1]);
-            }
-        }
-        Cfg {
-            block,
-            starts,
-            succs,
+        let (block, starts) = numbering(leader);
+        let succs = successors(code, &block, &starts);
+        Cfg { block, succs }
+    }
+}
+
+/// The blocks of a function whose [`leaders`] are `leader`: by pc, its
+/// block, numbered in pc order ([`Cfg::block`]); and by block, its first
+/// pc, with the function's end one past the last block.
+pub(crate) fn numbering(leader: &[bool]) -> (Vec<u32>, Vec<u32>) {
+    let n = leader.len() - 1;
+    let mut starts: Vec<u32> = (leader[..n].iter().enumerate())
+        .filter_map(|(pc, &l)| l.then_some(pc as u32))
+        .collect();
+    starts.push(n as u32);
+    let mut block = Vec::with_capacity(n);
+    for (b, w) in starts.windows(2).enumerate() {
+        block.extend(std::iter::repeat_n(b as u32, (w[1] - w[0]) as usize));
+    }
+    (block, starts)
+}
+
+/// The successor table of `code` numbered as [`numbering`] numbers it:
+/// by block, where control goes after it ([`Cfg::succs`]).
+pub(crate) fn successors(code: &[Instr], block: &[u32], starts: &[u32]) -> Vec<[u32; 2]> {
+    let to = |t: u32| block.get(t as usize).copied().unwrap_or(NONE);
+    let mut succs = vec![[NONE; 2]; starts.len() - 1];
+    for (s, w) in succs.iter_mut().zip(starts.windows(2)) {
+        let (last, mut i) = (&code[w[1] as usize - 1], 0);
+        let mut edge = |t: u32| {
+            s[i] = to(t);
+            i += 1;
+        };
+        if last.ends_block() {
+            last.for_each_target(edge);
+        } else {
+            edge(w[1]);
         }
     }
+    succs
+}
 
-    /// By block: is it on a cycle, i.e. in a strongly connected component
-    /// of more than one block, or its own successor? Tarjan's algorithm
-    /// from the entry block, iteratively (the recursion would be as deep as
-    /// the function is long).
-    pub fn on_cycles(&self) -> Vec<bool> {
-        let nb = self.starts.len() - 1;
-        let mut on_cycle = vec![false; nb];
-        if nb == 0 {
-            return on_cycle;
-        }
-        let mut index = vec![NONE; nb];
-        let mut low = vec![0u32; nb];
-        let mut on_stack = vec![false; nb];
-        let mut stack: Vec<u32> = vec![0];
-        // The explicit call stack: (block, next successor slot to visit).
-        let mut calls: Vec<(u32, u8)> = vec![(0, 0)];
-        index[0] = 0;
-        on_stack[0] = true;
-        let mut next = 1;
-        while let Some(top) = calls.last_mut() {
-            let (b, slot) = *top;
-            let bu = b as usize;
-            if slot < 2 {
-                top.1 += 1;
-                let s = self.succs[bu][slot as usize];
-                if s == NONE {
-                    continue;
-                }
-                let su = s as usize;
-                if s == b {
-                    on_cycle[bu] = true;
-                } else if index[su] == NONE {
-                    index[su] = next;
-                    low[su] = next;
-                    next += 1;
-                    stack.push(s);
-                    on_stack[su] = true;
-                    calls.push((s, 0));
-                } else if on_stack[su] {
-                    low[bu] = low[bu].min(index[su]);
-                }
+/// By block of the successor table `succs`: is it on a cycle, i.e. in a
+/// strongly connected component of more than one block, or its own
+/// successor? Tarjan's algorithm from the entry block, iteratively (the
+/// recursion would be as deep as the function is long).
+pub(crate) fn on_cycles(succs: &[[u32; 2]]) -> Vec<bool> {
+    let nb = succs.len();
+    let mut on_cycle = vec![false; nb];
+    if nb == 0 {
+        return on_cycle;
+    }
+    let mut index = vec![NONE; nb];
+    let mut low = vec![0u32; nb];
+    let mut on_stack = vec![false; nb];
+    let mut stack: Vec<u32> = vec![0];
+    // The explicit call stack: (block, next successor slot to visit).
+    let mut calls: Vec<(u32, u8)> = vec![(0, 0)];
+    index[0] = 0;
+    on_stack[0] = true;
+    let mut next = 1;
+    while let Some(top) = calls.last_mut() {
+        let (b, slot) = *top;
+        let bu = b as usize;
+        if slot < 2 {
+            top.1 += 1;
+            let s = succs[bu][slot as usize];
+            if s == NONE {
                 continue;
             }
-            calls.pop();
-            if let Some(&(parent, _)) = calls.last() {
-                low[parent as usize] = low[parent as usize].min(low[bu]);
+            let su = s as usize;
+            if s == b {
+                on_cycle[bu] = true;
+            } else if index[su] == NONE {
+                index[su] = next;
+                low[su] = next;
+                next += 1;
+                stack.push(s);
+                on_stack[su] = true;
+                calls.push((s, 0));
+            } else if on_stack[su] {
+                low[bu] = low[bu].min(index[su]);
             }
-            if low[bu] == index[bu] {
-                // `b` roots a component: everything above it on the stack.
-                let root = stack
-                    .iter()
-                    .rposition(|&m| m == b)
-                    .expect("a component's root is on the stack");
-                let cycle = stack.len() - root > 1;
-                for &m in &stack[root..] {
-                    on_stack[m as usize] = false;
-                    on_cycle[m as usize] |= cycle;
-                }
-                stack.truncate(root);
-            }
+            continue;
         }
-        on_cycle
+        calls.pop();
+        if let Some(&(parent, _)) = calls.last() {
+            low[parent as usize] = low[parent as usize].min(low[bu]);
+        }
+        if low[bu] == index[bu] {
+            // `b` roots a component: everything above it on the stack.
+            let root = stack
+                .iter()
+                .rposition(|&m| m == b)
+                .expect("a component's root is on the stack");
+            let cycle = stack.len() - root > 1;
+            for &m in &stack[root..] {
+                on_stack[m as usize] = false;
+                on_cycle[m as usize] |= cycle;
+            }
+            stack.truncate(root);
+        }
     }
+    on_cycle
 }
 
 #[cfg(test)]
@@ -175,14 +184,19 @@ mod tests {
     /// where `block` changes.
     fn check(code: &[Instr], block: &[u32], succs: &[[u32; 2]], on_cycles: &[bool]) {
         let cfg = Cfg::of(code).unwrap();
+        let leader = leaders(code, |_, _| Ok::<_, ()>(()), |_, _| ()).unwrap();
         let mut starts: Vec<u32> = (0..code.len() as u32)
             .filter(|&pc| pc == 0 || block[pc as usize] != block[pc as usize - 1])
             .collect();
         starts.push(code.len() as u32);
         assert_eq!(cfg.block, block, "block of {code:?}");
-        assert_eq!(cfg.starts, starts, "starts of {code:?}");
+        assert_eq!(numbering(&leader).1, starts, "starts of {code:?}");
         assert_eq!(cfg.succs, succs, "succs of {code:?}");
-        assert_eq!(cfg.on_cycles(), on_cycles, "on_cycles of {code:?}");
+        assert_eq!(
+            super::on_cycles(&cfg.succs),
+            on_cycles,
+            "on_cycles of {code:?}"
+        );
     }
 
     #[test]

@@ -926,9 +926,13 @@ fn thread_and_reach(code: &mut [Instr]) -> (Vec<bool>, bool, bool) {
 }
 
 /// The basic blocks of a function, and the registers whose value is
-/// local to one block among the kept instructions.
+/// local to one block among the kept instructions. Only the loop steps
+/// read the edges between blocks, so [`loop_constants`] builds those.
 struct Blocks {
-    cfg: Cfg,
+    /// By pc: its block, numbered in pc order ([`cfg::numbering`]).
+    block: Vec<u32>,
+    /// By block: its first pc, then the function's end.
+    starts: Vec<u32>,
     /// By register: the pc of its only kept definition when it is not a
     /// parameter and every kept read of it comes later in that
     /// definition's block; [`NONE`] otherwise. Such a register holds, at
@@ -940,8 +944,8 @@ struct Blocks {
 impl Blocks {
     fn of(f: &Function, keep: &[bool]) -> Option<Blocks> {
         let code = &f.code;
-        let cfg = Cfg::of(code).ok()?;
-        let block = &cfg.block;
+        let leader = cfg::leaders(code, |_, _| Ok(()), |_, _| ()).ok()?;
+        let (block, starts) = cfg::numbering(&leader);
 
         // One pass in pc order: a read before its register's (first)
         // definition or in another block, or a second definition,
@@ -970,7 +974,11 @@ impl Blocks {
                 *l = NONE;
             }
         }
-        Some(Blocks { cfg, local })
+        Some(Blocks {
+            block,
+            starts,
+            local,
+        })
     }
 }
 
@@ -1024,13 +1032,13 @@ impl Hoist {
 /// read in another block may see the register before the loop first
 /// defines it, or after something else did.
 fn loop_constants(f: &Function, keep: &[bool], blocks: &Blocks) -> Hoist {
-    let on_cycle = blocks.cfg.on_cycles();
+    let on_cycle = cfg::on_cycles(&cfg::successors(&f.code, &blocks.block, &blocks.starts));
     let mut hoist = Hoist::default();
     for (pc, ins) in f.code.iter().enumerate() {
         let Some(d) = ins.dst().filter(|d| {
             keep[pc]
                 && blocks.local[*d as usize] == pc as u32
-                && on_cycle[blocks.cfg.block[pc] as usize]
+                && on_cycle[blocks.block[pc] as usize]
         }) else {
             continue;
         };
@@ -1060,7 +1068,7 @@ fn merge_constants(f: &Function, keep: &mut [bool], blocks: &Blocks, hoist: &mut
             continue;
         };
         if keep[pc] && blocks.local[d as usize] == pc as u32 {
-            let block = blocks.cfg.block[pc];
+            let block = blocks.block[pc];
             if hoist.merge(v, d, block, f.regs.len()) {
                 keep[pc] = false;
                 merged = true;
@@ -1207,7 +1215,7 @@ fn rotations(f: &Function, keep: &[bool], blocks: &Blocks) -> Vec<Rotation> {
         }
 
         let (mut hoisted, mut pre) = (Vec::new(), Vec::new());
-        let block = &blocks.cfg.block;
+        let block = &blocks.block;
         for pc in (k + 1..e).take_while(|&pc| block[pc] == block[k + 1]) {
             let ins = &code[pc];
             if !keep[pc] {
