@@ -1,6 +1,6 @@
 //! Pins `BENCH_counts.json` at the repository root: the retired
-//! instructions, virtual cycles and translator, query and restart counters
-//! of each ruler program ([`bench::counts_json`]; `repro counts --write`
+//! instructions, virtual cycles, static size and translator, query and
+//! restart counters of each ruler program ([`bench::counts_json`]; `repro counts --write`
 //! writes the file). A change meant to move a count rewrites the file and
 //! commits it on its own, saying why.
 
