@@ -26,6 +26,7 @@ use crate::{ArrStore, Counters, Encoded, Frame, Machine, MemSpace, ObjHeap, Thre
 use chain::Section;
 use nir::codec::{unseal, CodecError, Reader, Sealer, Wire, Writer};
 use nir::{FuncId, Program};
+use std::sync::Arc;
 
 /// Version byte of the checkpoint payload (inside the sealed container,
 /// independent of the container's own version). It versions every
@@ -203,7 +204,7 @@ pub fn machine_array_sections(m: &mut Machine) -> Vec<Section> {
         .map(|(store, e)| match &e.bytes {
             Some(bytes) if !e.written => bytes.clone(),
             _ => {
-                let bytes: Section = store.to_wire().into();
+                let bytes = array_section(store);
                 *e = Encoded {
                     written: false,
                     bytes: Some(bytes.clone()),
@@ -214,24 +215,102 @@ pub fn machine_array_sections(m: &mut Machine) -> Vec<Section> {
         .collect()
 }
 
-/// The heap arrays of one machine, decoded from their
+/// `store.to_wire()`, written straight into its shared section: one
+/// allocation of the exact length and one copy of the elements, where
+/// encoding into a `Vec` and converting that would allocate and copy
+/// twice. The bytes are the array's `Wire` layout (`array_sections_are_
+/// the_wire_encoding` checks every kind): its tag, then a live array's
+/// element count and its elements as one little-endian block.
+fn array_section(store: &ArrStore) -> Section {
+    /// The section of a live array of tag `tag` holding `items`, each
+    /// written as `N` bytes by `bytes`.
+    fn block<T, const N: usize>(tag: u8, items: &[T], bytes: impl Fn(&T) -> [u8; N]) -> Section {
+        let mut section: Section = std::iter::repeat_n(0, 5 + N * items.len()).collect();
+        let out = Arc::get_mut(&mut section).expect("a section just allocated has one owner");
+        out[0] = tag;
+        out[1..5].copy_from_slice(&(items.len() as u32).to_le_bytes());
+        for (dst, x) in out[5..].chunks_exact_mut(N).zip(items) {
+            dst.copy_from_slice(&bytes(x));
+        }
+        section
+    }
+    match store {
+        ArrStore::I32(v) => block(0, v, |x| x.to_le_bytes()),
+        ArrStore::I64(v) => block(1, v, |x| x.to_le_bytes()),
+        ArrStore::F32(v) => block(2, v, |x| x.to_le_bytes()),
+        ArrStore::F64(v) => block(3, v, |x| x.to_le_bytes()),
+        ArrStore::Bool(v) => block(4, v, |x| [u8::from(*x)]),
+        ArrStore::Freed => Section::from([5]),
+    }
+}
+
+/// The heap arrays of one machine, rebuilt from their
 /// [`machine_array_sections`]. Each section stays cached as its array's
 /// encoding, so a capture right after a restore re-encodes nothing: the
 /// array decoder is strict (tags, lengths, bool bytes and trailing bytes
 /// are all checked), so an accepted section is exactly what encoding
 /// its array writes.
+///
+/// An array of `live` (the memory the machine has now) whose cache is
+/// unwritten and is the very section it is restored from already holds
+/// what that section decodes to, so it is kept instead of decoded again.
+/// Every other section is decoded here; the kept arrays move out of
+/// `live` only in [`PendingMem::finish`], so a caller that refuses the
+/// snapshot on a later section drops the [`PendingMem`] and `live` is
+/// whole.
 pub fn mem_from_sections<'a>(
-    sections: impl IntoIterator<Item = &'a Section>,
-) -> Result<MemSpace, CkptError> {
-    let mut mem = MemSpace::new();
-    for bytes in sections {
-        mem.arrays.push(Wire::from_wire(bytes)?);
-        mem.encoded.push(Encoded {
-            written: false,
-            bytes: Some(bytes.clone()),
-        });
+    sections: &'a [Section],
+    live: &'a mut MemSpace,
+) -> Result<PendingMem<'a>, CkptError> {
+    let decoded = sections
+        .iter()
+        .enumerate()
+        .map(|(i, bytes)| match live.encoded.get(i) {
+            Some(Encoded {
+                written: false,
+                bytes: Some(cached),
+            }) if Arc::ptr_eq(cached, bytes) => Ok(None),
+            _ => ArrStore::from_wire(bytes).map(Some),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(PendingMem {
+        sections,
+        decoded,
+        live,
+    })
+}
+
+/// Heap arrays decoded by [`mem_from_sections`], not yet taken from the
+/// live memory they keep.
+pub struct PendingMem<'a> {
+    sections: &'a [Section],
+    /// Per section, its decoded array, or `None` where `live`'s is kept.
+    decoded: Vec<Option<ArrStore>>,
+    live: &'a mut MemSpace,
+}
+
+impl PendingMem<'_> {
+    /// The restored memory; the kept arrays leave `live` (marked written,
+    /// as a freed slot).
+    pub fn finish(self) -> MemSpace {
+        let live = self.live;
+        let mut mem = MemSpace {
+            arrays: Vec::with_capacity(self.sections.len()),
+            encoded: Vec::with_capacity(self.sections.len()),
+        };
+        for (i, (bytes, store)) in self.sections.iter().zip(self.decoded).enumerate() {
+            let store = store.unwrap_or_else(|| {
+                live.encoded[i].written = true;
+                std::mem::replace(&mut live.arrays[i], ArrStore::Freed)
+            });
+            mem.arrays.push(store);
+            mem.encoded.push(Encoded {
+                written: false,
+                bytes: Some(bytes.clone()),
+            });
+        }
+        mem
     }
-    Ok(mem)
 }
 
 /// Everything in [`write_machine`] except the heap arrays: object heap,
@@ -440,6 +519,24 @@ mod tests {
         let back = Machine::restore(&bytes).expect("restore");
         assert_machines_eq(&m, &back);
         assert_eq!(bytes, back.snapshot(), "snapshot must be deterministic");
+    }
+
+    #[test]
+    fn array_sections_are_the_wire_encoding() {
+        let stores = [
+            ArrStore::I32(vec![-1, 0, i32::MAX]),
+            ArrStore::I64(vec![i64::MIN, 7]),
+            ArrStore::F32(vec![1.5, -0.0, f32::INFINITY]),
+            ArrStore::F64(vec![0.1 + 0.2]),
+            ArrStore::Bool(vec![true, false, true]),
+            ArrStore::F32(Vec::new()),
+            ArrStore::Freed,
+        ];
+        for store in &stores {
+            let section = array_section(store);
+            assert_eq!(&section[..], &store.to_wire()[..], "{store}");
+            assert_eq!(&ArrStore::from_wire(&section).unwrap(), store, "{store}");
+        }
     }
 
     #[test]

@@ -127,14 +127,66 @@ fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(w)
 }
 
+/// Bytes [`diff_section`] compares per step: eight words.
+const BLOCK: usize = 64;
+
+/// The byte runs of a patch as [`diff_section`] finds them, and what the
+/// patch costs so far. The cost only grows, so once it reaches the
+/// section's length the answer is a full replacement.
+#[derive(Default)]
+struct Runs {
+    /// `(start, end)` of each run, in order.
+    runs: Vec<(usize, usize)>,
+    cost: usize,
+}
+
+impl Runs {
+    /// Take in differing bytes from `start` to `end`, whose equal bytes
+    /// are all in gaps shorter than [`RUN_MERGE_GAP`]: they join the open
+    /// run when the gap before `start` is short too, else open a new one.
+    fn add(&mut self, start: usize, end: usize) {
+        match self.runs.last_mut() {
+            Some((_, e)) if start - *e < RUN_MERGE_GAP => {
+                self.cost += end - *e;
+                *e = end;
+            }
+            _ => {
+                self.cost += end - start + RUN_OVERHEAD;
+                self.runs.push((start, end));
+            }
+        }
+    }
+
+    /// Take in the word at offset `at` whose differing bytes are the
+    /// nonzero bytes of `x` (nonzero). Inside one word at most six equal
+    /// bytes lie between two differing ones, so they always merge.
+    fn word(&mut self, at: usize, x: u64) {
+        self.add(first_byte(at, x), end_byte(at, x));
+    }
+}
+
+/// The offset of the first nonzero byte of the (nonzero) word `x` at `at`.
+fn first_byte(at: usize, x: u64) -> usize {
+    at + x.trailing_zeros() as usize / 8
+}
+
+/// The offset just past the last nonzero byte of the (nonzero) word `x`
+/// at `at`.
+fn end_byte(at: usize, x: u64) -> usize {
+    at + 8 - x.leading_zeros() as usize / 8
+}
+
 /// Diff one section against its parent version: the maximal runs of
 /// differing bytes, merged across equal gaps shorter than
 /// [`RUN_MERGE_GAP`], or the whole section when the runs would cost as
 /// much.
 ///
-/// It compares a word at a time. Inside one 8-byte word at most six equal
-/// bytes lie between two differing ones, and they always merge, so only a
-/// word's first and last differing bytes can end a gap that does not.
+/// It compares a [`BLOCK`] of eight words at a time and skips an equal
+/// block. In a block whose eight words all differ, no two differing bytes
+/// are [`RUN_MERGE_GAP`] apart, so once its first word has joined or
+/// opened a run, that run reaches the block's last differing byte. The
+/// cost is checked once per block: it only grows, so the answer is the
+/// same.
 fn diff_section<'a>(old: &[u8], new: &'a [u8]) -> Option<Change<'a>> {
     if old == new {
         return None;
@@ -143,39 +195,49 @@ fn diff_section<'a>(old: &[u8], new: &'a [u8]) -> Option<Change<'a>> {
     if old.len() != len {
         return Some(Change::Full(new));
     }
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // (start, end)
-                                                    // The patch's cost so far. It only grows, so once it reaches the
-                                                    // section's length the answer is a full replacement.
-    let mut cost = 0;
-    let mut add = |at: usize, x: u64| {
-        let start = at + x.trailing_zeros() as usize / 8;
-        let end = at + 8 - x.leading_zeros() as usize / 8;
-        match runs.last_mut() {
-            Some((_, e)) if start - *e < RUN_MERGE_GAP => {
-                cost += end - *e;
-                *e = end;
-            }
-            _ => {
-                cost += end - start + RUN_OVERHEAD;
-                runs.push((start, end));
+    let mut runs = Runs::default();
+    let (a, a_rest) = old.as_chunks::<BLOCK>();
+    let (b, b_rest) = new.as_chunks::<BLOCK>();
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let at = i * BLOCK;
+        let (x, y) = (x.as_chunks::<8>().0, y.as_chunks::<8>().0);
+        let mut w = [0u64; 8];
+        for (d, (x, y)) in w.iter_mut().zip(x.iter().zip(y)) {
+            *d = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        }
+        if w.iter().fold(0, |acc, &d| acc | d) == 0 {
+            continue;
+        }
+        if w.iter().fold(true, |all, &d| all & (d != 0)) {
+            runs.add(first_byte(at, w[0]), end_byte(at + BLOCK - 8, w[7]));
+        } else {
+            for (k, &d) in w.iter().enumerate() {
+                if d != 0 {
+                    runs.word(at + 8 * k, d);
+                }
             }
         }
-        cost < len
-    };
-    let (a, b) = (old.chunks_exact(8), new.chunks_exact(8));
-    let tail = (a.remainder(), b.remainder());
-    for (at, (x, y)) in a.zip(b).enumerate() {
-        let x = word(x) ^ word(y);
-        if x != 0 && !add(at * 8, x) {
+        if runs.cost >= len {
             return Some(Change::Full(new));
         }
     }
-    let x = word(tail.0) ^ word(tail.1);
-    if x != 0 && !add(len - tail.0.len(), x) {
+    // The last partial block, a word at a time, then its tail.
+    let at = len - b_rest.len();
+    let (a, b) = (a_rest.chunks(8), b_rest.chunks(8));
+    for (k, (x, y)) in a.zip(b).enumerate() {
+        let d = word(x) ^ word(y);
+        if d != 0 {
+            runs.word(at + 8 * k, d);
+        }
+    }
+    if runs.cost >= len {
         return Some(Change::Full(new));
     }
     Some(Change::Patch(
-        runs.into_iter().map(|(s, e)| (s, &new[s..e])).collect(),
+        runs.runs
+            .into_iter()
+            .map(|(s, e)| (s, &new[s..e]))
+            .collect(),
     ))
 }
 
@@ -644,6 +706,95 @@ mod tests {
             }
         }
         assert!(cases >= 20_000, "{cases} cases");
+    }
+
+    /// A float array's section: its tag, its length and its elements.
+    fn f32_section(v: &[f32]) -> Vec<u8> {
+        let mut bytes = vec![2u8];
+        bytes.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        for x in v {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// The block-wise diff against the byte definition on sections shaped
+    /// like a checkpoint's array sections, whose 5-byte header puts every
+    /// float across a block edge somewhere: whole arrays rewritten,
+    /// alternating changed and equal blocks, one byte at either side of
+    /// each block edge, and every length around one block count.
+    #[test]
+    fn block_wise_diff_matches_the_byte_definition_on_array_sections() {
+        let mut cases = 0;
+        let mut check = |old: &[u8], new: &[u8], what: &str| {
+            assert_eq!(
+                diff_section(old, new),
+                diff_ref(old, new),
+                "{what}, len {}",
+                old.len()
+            );
+            cases += 1;
+        };
+        for n in [1023usize, 1024, 1025] {
+            let v: Vec<f32> = (0..n).map(|i| i as f32 * 0.75 + 1.0).collect();
+            let old = f32_section(&v);
+            let halved: Vec<f32> = v.iter().map(|x| x * 0.5).collect();
+            check(&old, &f32_section(&halved), "every float halved");
+            let mut tail_halved = v.clone();
+            for x in &mut tail_halved[n / 2..] {
+                *x *= 0.5;
+            }
+            check(&old, &f32_section(&tail_halved), "second half halved");
+            // One run after the header that costs exactly the section's
+            // length (a full replacement), and one a byte shorter.
+            for short in [0, 1] {
+                let mut new = old.clone();
+                let end = old.len() - RUN_OVERHEAD + 5 - short;
+                new[5..end].iter_mut().for_each(|x| *x = !*x);
+                check(&old, &new, &format!("one run to {end}"));
+            }
+            for first in [0, 1] {
+                let mut new = old.clone();
+                for (b, block) in new.chunks_mut(BLOCK).enumerate() {
+                    if b % 2 == first {
+                        block.iter_mut().for_each(|x| *x = !*x);
+                    }
+                }
+                check(&old, &new, "alternating blocks");
+            }
+            for edge in (BLOCK..old.len()).step_by(BLOCK) {
+                for at in [edge - 1, edge] {
+                    let mut new = old.clone();
+                    new[at] ^= 0x40;
+                    check(&old, &new, &format!("one byte at {at}"));
+                    // And a second byte a gap away on the block's other
+                    // side, as long or a byte shorter than the merge gap.
+                    for gap in [RUN_MERGE_GAP - 1, RUN_MERGE_GAP, RUN_MERGE_GAP + 1] {
+                        if let Some(b) = new.get_mut(at + gap) {
+                            *b ^= 0x40;
+                            check(&old, &new, &format!("bytes at {at} and {}", at + gap));
+                            new[at + gap] ^= 0x40;
+                        }
+                    }
+                }
+            }
+        }
+        for len in 4096..=4105usize {
+            let old: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            for stride in [1, 3, 9, 17, 63, 64, 65] {
+                let mut new = old.clone();
+                for b in new.iter_mut().step_by(stride) {
+                    *b ^= 0x81;
+                }
+                check(&old, &new, &format!("every {stride}th byte"));
+            }
+            let mut last = old.clone();
+            last[len - 1] ^= 1;
+            check(&old, &last, "the last byte");
+            let all: Vec<u8> = old.iter().map(|b| !b).collect();
+            check(&old, &all, "every byte");
+        }
+        assert!(cases >= 1_000, "{cases} cases");
     }
 
     /// The payload is written into a buffer sized for it up front: a

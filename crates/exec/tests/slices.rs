@@ -296,6 +296,28 @@ fn load_at(index: i32, free_first: bool) -> Program {
     })
 }
 
+/// `arr = new float[x]; idx = <index>; v = 1.5; [free arr;] arr[idx] = v`,
+/// returning `v`: the store is at pc 3, or 4 after a free.
+fn store_at(index: i32, free_first: bool) -> Program {
+    one_function(|fb| {
+        let arr = fb.reg(Ty::Arr(ElemTy::F32));
+        let idx = fb.reg(Ty::I32);
+        let v = fb.reg(Ty::F32);
+        fb.emit(Instr::NewArr {
+            elem: ElemTy::F32,
+            len: 0,
+            dst: arr,
+        });
+        fb.emit(Instr::ConstI32(idx, index));
+        fb.emit(Instr::ConstF32(v, 1.5));
+        if free_first {
+            fb.emit(Instr::FreeArr { arr });
+        }
+        fb.emit(Instr::StArr { arr, idx, src: v });
+        v
+    })
+}
+
 fn int_bin(op: BinOp, lhs: u32, rhs: u32, dst: u32) -> Instr {
     Instr::Bin {
         op,
@@ -389,6 +411,20 @@ fn typed_errors_keep_message_function_and_pc() {
             load_at(0, true),
             four,
             "use of freed array",
+            3,
+        ),
+        (
+            "store after free",
+            store_at(0, true),
+            four,
+            "use of freed array",
+            4,
+        ),
+        (
+            "store out of bounds",
+            store_at(4, false),
+            four,
+            "array index 4 out of bounds (len 4)",
             3,
         ),
         (

@@ -32,8 +32,8 @@ use exec::ckpt::{self, CkptError};
 use exec::fault::MAX_CONNECT_RETRIES;
 use exec::pool::{self, Crew};
 use exec::{
-    run, ArrStore, Draw, ExecError, Fate, FaultPlan, HostRegistry, Image, Machine, ResilienceStats,
-    Thread, Val, Yield,
+    run, ArrStore, Draw, ExecError, Fate, FaultPlan, HostRegistry, Image, Machine, MemSpace,
+    ResilienceStats, Thread, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuErrorKind};
 use nir::codec::{Reader, Wire, Writer};
@@ -717,6 +717,9 @@ fn complete_collective(
     {
         return Ok(false);
     }
+    if let Some(message) = disagreement(first, ctls) {
+        return Err(SimError::World { message });
+    }
     let first = *first;
     let latest = ctls
         .iter()
@@ -762,6 +765,49 @@ fn complete_collective(
         }
     }
     Ok(true)
+}
+
+/// Why the live ranks, every one blocked on the same kind of collective
+/// as `first`, cannot complete it together: an allreduce whose ranks
+/// passed different ops, or a broadcast whose ranks name different roots
+/// or counts. MPI calls either program erroneous; here it is a typed
+/// error naming each rank and what it passed. `None` when they agree.
+fn disagreement(first: &Blocked, ctls: &[RankCtl]) -> Option<String> {
+    let agrees = |b: &Blocked| match (b, first) {
+        (Blocked::Allreduce { op, .. }, Blocked::Allreduce { op: want, .. }) => op == want,
+        (
+            Blocked::Bcast { root, count, .. },
+            Blocked::Bcast {
+                root: want_root,
+                count: want_count,
+                ..
+            },
+        ) => (root, count) == (want_root, want_count),
+        _ => true,
+    };
+    let blocked = || {
+        ctls.iter()
+            .enumerate()
+            .filter_map(|(r, c)| Some((r, c.blocked()?)))
+    };
+    if blocked().all(|(_, b)| agrees(b)) {
+        return None;
+    }
+    let kind = match first {
+        Blocked::Allreduce { .. } => "an allreduce",
+        _ => "a broadcast",
+    };
+    let what = |b: &Blocked| match *b {
+        Blocked::Allreduce { op, .. } => op
+            .row()
+            .map_or_else(|| format!("{op:?}"), |row| row.key.to_string()),
+        Blocked::Bcast { root, count, .. } => format!("root {root}, count {count}"),
+        other => format!("{other:?}"),
+    };
+    let passed: Vec<String> = blocked()
+        .map(|(r, b)| format!("rank {r} passed {}", what(b)))
+        .collect();
+    Some(format!("ranks disagree at {kind}: {}", passed.join("; ")))
 }
 
 /// One line per rank describing its state — the post-mortem attached to
@@ -932,7 +978,10 @@ fn world_sections(
     ctls: &[RankCtl],
     transport: &InMemTransport,
 ) -> Result<Vec<Section>, SimError> {
-    let mut header = Writer::new();
+    // Eight bytes of salt, a size and a count, then per rank at most 47:
+    // the state tag and its value, four clocks, the device flag and the
+    // array count.
+    let mut header = Writer::with_capacity(16 + 47 * ctls.len());
     // The platform scope stamp leads the header so a foreign chain is
     // rejected before any state is decoded.
     header.u64(cfg.ckpt_salt);
@@ -1609,6 +1658,11 @@ pub struct LocalPool<'p, 'a> {
     /// (`Threads` executors only); without it a batch runs on the
     /// calling thread.
     crew: Option<Crew<'p, SliceJob, SliceDone>>,
+    /// Per rank, the lengths of its last captured thread, machine-rest
+    /// and device sections: the next capture presizes its writers from
+    /// them, since one checkpoint's sections are about as long as the
+    /// last one's.
+    capture_lens: Vec<[usize; 3]>,
 }
 
 /// One ready rank's execution state, moved onto a worker for one slice
@@ -1701,6 +1755,7 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             pending: Vec::new(),
             image: None,
             crew: None,
+            capture_lens: Vec::new(),
         }
     }
 
@@ -1928,22 +1983,36 @@ impl RankPool for LocalPool<'_, '_> {
 
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
         let program = self.world.program;
-        let rank = self.rank_mut(r)?;
-        let mut sections: Vec<Section> = Vec::new();
-        let mut t = Writer::new();
+        let rank = live_rank(&mut self.ranks, r)?;
+        let ri = r as usize;
+        if ri >= self.capture_lens.len() {
+            self.capture_lens.resize(ri + 1, [0; 3]);
+        }
+        let lens = &mut self.capture_lens[ri];
+        let mut t = Writer::with_capacity(lens[0]);
         ckpt::write_thread(&mut t, &rank.thread, program);
-        sections.push(t.into_bytes().into());
-        sections.extend(ckpt::machine_array_sections(&mut rank.machine));
-        let mut m = Writer::new();
+        let thread: Section = t.into_bytes().into();
+        let arrays = ckpt::machine_array_sections(&mut rank.machine);
+        let mut m = Writer::with_capacity(lens[1]);
         ckpt::write_machine_rest(&mut m, &rank.machine);
-        sections.push(m.into_bytes().into());
-        if let Some(gpu) = &rank.gpu {
-            let mut g = Writer::new();
+        let rest: Section = m.into_bytes().into();
+        let device: Option<Section> = rank.gpu.as_ref().map(|gpu| {
+            let mut g = Writer::with_capacity(lens[2]);
             ckpt::write_machine(&mut g, &gpu.machine);
             g.u64(gpu.vtime);
             g.u64(gpu.allocated_bytes);
-            sections.push(g.into_bytes().into());
-        }
+            g.into_bytes().into()
+        });
+        *lens = [
+            thread.len(),
+            rest.len(),
+            device.as_ref().map_or(0, |d| d.len()),
+        ];
+        let mut sections = Vec::with_capacity(arrays.len() + 3);
+        sections.push(thread);
+        sections.extend(arrays);
+        sections.push(rest);
+        sections.extend(device);
         Ok(RankSnapshot {
             last_cycles: rank.last_cycles,
             has_gpu: rank.gpu.is_some(),
@@ -1964,19 +2033,19 @@ impl RankPool for LocalPool<'_, '_> {
                 snap.sections.len()
             ))
         })?;
-        let mut it = snap.sections.iter();
-        let mut section = |what: &str| {
-            it.next()
-                .ok_or_else(|| bad(format!("missing {what} section of rank {r}")))
+        let sections = &snap.sections;
+        // The rank's live arrays that still hold their snapshot section
+        // are kept rather than decoded; they move over only once every
+        // section has decoded, so a refused snapshot leaves them in place.
+        let mut none = MemSpace::new();
+        let live = match self.ranks.get_mut(r as usize) {
+            Some(Some(rank)) => &mut rank.machine.mem,
+            _ => &mut none,
         };
-        let mut t = Reader::new(section("thread")?);
-        let thread = ckpt::read_thread(&mut t, self.world.program)?;
-        let arrays = (0..n_arrays)
-            .map(|i| section(&format!("array {i}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mem = ckpt::mem_from_sections(arrays)?;
-        let mut m = Reader::new(section("machine")?);
-        let machine = ckpt::read_machine_rest(&mut m, mem)?;
+        let thread = ckpt::read_thread(&mut Reader::new(&sections[0]), self.world.program)?;
+        let mem = ckpt::mem_from_sections(&sections[1..1 + n_arrays], live)?;
+        let mut m = Reader::new(&sections[1 + n_arrays]);
+        let mut machine = ckpt::read_machine_rest(&mut m, MemSpace::new())?;
         // Fault plans are restored with their exact PRNG cursors;
         // device-side plans are re-armed from the world's fault config
         // (their cursors advance via `Gpu::reseed_faults` on restart
@@ -1985,7 +2054,7 @@ impl RankPool for LocalPool<'_, '_> {
             let Some(cfg) = self.world.gpu else {
                 return Err(bad("checkpoint has device state but this world has no GPU"));
             };
-            let mut gr = Reader::new(section("device")?);
+            let mut gr = Reader::new(&sections[2 + n_arrays]);
             let mut g = Gpu::new(cfg);
             g.machine = ckpt::read_machine(&mut gr)?;
             g.vtime = gr.u64()?;
@@ -1997,6 +2066,7 @@ impl RankPool for LocalPool<'_, '_> {
         } else {
             None
         };
+        machine.mem = mem.finish();
         if (r as usize) >= self.ranks.len() {
             self.ranks.resize_with(self.world.size as usize, || None);
         }

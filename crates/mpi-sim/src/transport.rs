@@ -23,7 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 
 use exec::ckpt::CkptError;
-use nir::codec::{Reader, Writer, SEAL_SEED};
+use nir::codec::{Reader, Wire, Writer, SEAL_SEED};
 use nir::hash::digest64;
 
 /// Leading magic of every transport frame.
@@ -265,9 +265,13 @@ impl InMemTransport {
     pub(crate) fn snapshot(&self) -> Vec<u8> {
         // HashMap iteration order is nondeterministic — sort the keys so
         // identical worlds produce bit-identical checkpoints.
-        let mut msgs = Writer::new();
         let mut keys: Vec<&Edge> = self.queues.keys().collect();
         keys.sort();
+        let len = 4
+            + (self.queues.values())
+                .map(|q| 16 + q.iter().map(|(p, _)| 12 + 4 * p.len()).sum::<usize>())
+                .sum::<usize>();
+        let mut msgs = Writer::with_capacity(len);
         msgs.len(keys.len());
         for key in keys {
             let q = &self.queues[key];
@@ -276,10 +280,7 @@ impl InMemTransport {
             msgs.i32(key.2);
             msgs.len(q.len());
             for (payload, avail_at) in q {
-                msgs.len(payload.len());
-                for &f in payload {
-                    msgs.f32(f);
-                }
+                payload.put(&mut msgs);
                 msgs.u64(*avail_at);
             }
         }

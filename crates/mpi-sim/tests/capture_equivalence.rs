@@ -481,3 +481,84 @@ fn a_capture_too_short_for_its_layout_is_a_typed_world_error() {
         Ok(_) => panic!("a world checkpointed from short captures completed"),
     }
 }
+
+/// `fn hold(a: float[], b: float[]) -> int { return 0 }`: a rank whose
+/// two arrays come from its entry arguments.
+fn hold_program() -> (Program, FuncId) {
+    let f32s = Ty::Arr(ElemTy::F32);
+    let mut fb = FuncBuilder::new("hold", vec![f32s, f32s], Some(Ty::I32), FuncKind::Host);
+    let zero = konst(&mut fb, 0);
+    fb.emit(Instr::Ret(Some(zero)));
+    let mut p = Program::default();
+    let id = p.add_func(fb.finish().unwrap());
+    (p, id)
+}
+
+fn copy_of(snap: &RankSnapshot) -> RankSnapshot {
+    RankSnapshot {
+        last_cycles: snap.last_cycles,
+        has_gpu: snap.has_gpu,
+        sections: snap.sections.clone(),
+    }
+}
+
+/// Where array `h` of rank 0 keeps its elements, and what they are.
+fn elements(pool: &LocalPool<'_, '_>, h: usize) -> (*const f32, Vec<f32>) {
+    match &pool.machine(0).expect("rank 0 is live").mem.arrays()[h] {
+        ArrStore::F32(v) => (v.as_ptr(), v.clone()),
+        other => panic!("array {h} is {other}"),
+    }
+}
+
+/// A rollback keeps every live array that still holds its snapshot
+/// section (its cache unwritten and the very allocation restored from)
+/// and decodes the rest: array `b`, untouched since the capture, keeps
+/// its storage, while `a`, written since, comes back as the snapshot's
+/// bytes. A restore that fails to decode leaves the live arrays alone.
+#[test]
+fn a_rollback_decodes_written_arrays_and_keeps_the_rest() {
+    let (p, entry) = hold_program();
+    let world = World::new(&p, 1);
+    let mut args = |_: u32, m: &mut Machine| {
+        let a = m.mem.alloc(ArrStore::F32(vec![1.0; 64]));
+        let b = m.mem.alloc(ArrStore::F32(vec![2.0; 64]));
+        Ok(vec![Val::Arr(a), Val::Arr(b)])
+    };
+    let mut pool = LocalPool::new(&world, entry, &mut args);
+    pool.reinit().unwrap();
+    let snap = pool.capture_rank(0).unwrap();
+    let (b_at, _) = elements(&pool, 1);
+    // What a crashed attempt leaves behind: `a` written, `b` not.
+    pool.write_floats(0, 0, 0, &[7.0; 64]).unwrap();
+
+    // A snapshot whose `a` section, or whose machine section after the
+    // arrays, does not decode is refused whole.
+    for at in [1, 3] {
+        let mut bad = copy_of(&snap);
+        bad.sections[at] = Section::from(&b"\x02\xff\xff\xff\xff"[..]);
+        assert!(pool.restore_rank(0, bad).is_err(), "section {at}");
+        assert_eq!(elements(&pool, 0).1, vec![7.0; 64], "section {at}");
+        assert_eq!(elements(&pool, 1), (b_at, vec![2.0; 64]), "section {at}");
+    }
+
+    pool.restore_rank(0, copy_of(&snap)).unwrap();
+    assert_eq!(
+        elements(&pool, 0).1,
+        vec![1.0; 64],
+        "a: the snapshot's bytes"
+    );
+    assert_eq!(
+        elements(&pool, 1),
+        (b_at, vec![2.0; 64]),
+        "b: kept, not decoded"
+    );
+    // Both sections stay cached: the next capture hands back the
+    // snapshot's own allocations.
+    let again = pool.capture_rank(0).unwrap();
+    for i in [1, 2] {
+        assert!(
+            Section::ptr_eq(&again.sections[i], &snap.sections[i]),
+            "section {i}"
+        );
+    }
+}

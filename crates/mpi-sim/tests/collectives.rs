@@ -154,6 +154,98 @@ fn a_rank_that_returned_does_not_hold_a_barrier_back() {
     assert_clocks_add_up(&run);
 }
 
+/// `allreduce<op>(5.0)`.
+fn allreduce_five(fb: &mut FuncBuilder, op: IntrinOp) {
+    let (v, out) = (fb.reg(Ty::F64), fb.reg(Ty::F64));
+    fb.emit(Instr::ConstF64(v, 5.0));
+    fb.emit(Instr::Intrin {
+        op,
+        args: vec![v],
+        dst: Some(out),
+    });
+}
+
+/// `buf = new float[4]; buf[3] = 9; bcastF(buf, 0, count, root)`.
+fn bcast_into_four(fb: &mut FuncBuilder, count: i32, root: i32) {
+    let buf = fb.reg(Ty::Arr(ElemTy::F32));
+    let (four, three, nine) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::F32));
+    let (zero, n, at) = (fb.reg(Ty::I32), fb.reg(Ty::I32), fb.reg(Ty::I32));
+    fb.emit(Instr::ConstI32(four, 4));
+    fb.emit(Instr::NewArr {
+        elem: ElemTy::F32,
+        len: four,
+        dst: buf,
+    });
+    fb.emit(Instr::ConstI32(three, 3));
+    fb.emit(Instr::ConstF32(nine, 9.0));
+    fb.emit(Instr::StArr {
+        arr: buf,
+        idx: three,
+        src: nine,
+    });
+    fb.emit(Instr::ConstI32(zero, 0));
+    fb.emit(Instr::ConstI32(n, count));
+    fb.emit(Instr::ConstI32(at, root));
+    fb.emit(Instr::Intrin {
+        op: IntrinOp::MpiBcastF32,
+        args: vec![buf, zero, n, at],
+        dst: None,
+    });
+}
+
+/// An allreduce or broadcast whose ranks disagree is an erroneous MPI
+/// program: refused typed, naming every rank and what it passed, where
+/// it used to complete under the first rank's op, root or count.
+#[test]
+fn collectives_whose_ranks_disagree_are_refused_naming_each_rank() {
+    type Arm = fn(&mut FuncBuilder);
+    let cases: [(&str, Arm, Arm, &[&str]); 3] = [
+        (
+            "ops",
+            |fb| allreduce_five(fb, IntrinOp::MpiAllreduceSumF64),
+            |fb| allreduce_five(fb, IntrinOp::MpiAllreduceMaxF64),
+            &[
+                "ranks disagree at an allreduce",
+                "rank 0 passed mpi.allreduceSumD",
+                "rank 1 passed mpi.allreduceMaxD",
+            ],
+        ),
+        (
+            "counts",
+            |fb| bcast_into_four(fb, 4, 0),
+            |fb| bcast_into_four(fb, 2, 0),
+            &[
+                "ranks disagree at a broadcast",
+                "rank 0 passed root 0, count 4",
+                "rank 1 passed root 0, count 2",
+            ],
+        ),
+        (
+            "roots",
+            |fb| bcast_into_four(fb, 4, 0),
+            |fb| bcast_into_four(fb, 4, 1),
+            &[
+                "rank 0 passed root 0, count 4",
+                "rank 1 passed root 1, count 4",
+            ],
+        ),
+    ];
+    for (name, zero_arm, rest_arm, want) in cases {
+        let (p, entry) = split_program(name, zero_arm, rest_arm);
+        let e = World::new(&p, 2).run(entry, |_, _| Ok(vec![])).unwrap_err();
+        let SimError::World { message } = &e else {
+            panic!("{name}: expected a world error, got {e}");
+        };
+        for w in want {
+            assert!(message.contains(w), "{name}: {message}");
+        }
+    }
+    // Ranks that agree still complete.
+    let agree: Arm = |fb| bcast_into_four(fb, 4, 0);
+    let (p, entry) = split_program("agree", agree, agree);
+    World::new(&p, 2).run(entry, |_, _| Ok(vec![])).unwrap();
+}
+
 fn allreduce_max_program() -> (Program, FuncId) {
     let mut fb = FuncBuilder::new("mx", vec![Ty::F64], Some(Ty::F64), FuncKind::Host);
     let out = fb.reg(Ty::F64);

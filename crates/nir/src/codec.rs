@@ -251,6 +251,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer with room for `len` bytes (a hint: more still
+    /// fits), for a payload whose size is known or was seen last time.
+    pub fn with_capacity(len: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(len),
+        }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
