@@ -199,21 +199,19 @@ fn diff_section<'a>(old: &[u8], new: &'a [u8]) -> Option<Change<'a>> {
     let (a, a_rest) = old.as_chunks::<BLOCK>();
     let (b, b_rest) = new.as_chunks::<BLOCK>();
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        let at = i * BLOCK;
-        let (x, y) = (x.as_chunks::<8>().0, y.as_chunks::<8>().0);
-        let mut w = [0u64; 8];
-        for (d, (x, y)) in w.iter_mut().zip(x.iter().zip(y)) {
-            *d = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
-        }
-        if w.iter().fold(0, |acc, &d| acc | d) == 0 {
+        if x == y {
             continue;
         }
-        if w.iter().fold(true, |all, &d| all & (d != 0)) {
-            runs.add(first_byte(at, w[0]), end_byte(at + BLOCK - 8, w[7]));
+        let at = i * BLOCK;
+        let (x, y) = (x.as_chunks::<8>().0, y.as_chunks::<8>().0);
+        let d = |k: usize| u64::from_le_bytes(x[k]) ^ u64::from_le_bytes(y[k]);
+        // `&`, not `&&`: eight compares without a branch between them.
+        if x.iter().zip(y).fold(true, |all, (p, q)| all & (p != q)) {
+            runs.add(first_byte(at, d(0)), end_byte(at + BLOCK - 8, d(7)));
         } else {
-            for (k, &d) in w.iter().enumerate() {
-                if d != 0 {
-                    runs.word(at + 8 * k, d);
+            for k in 0..8 {
+                if d(k) != 0 {
+                    runs.word(at + 8 * k, d(k));
                 }
             }
         }
