@@ -1755,7 +1755,7 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             pending: Vec::new(),
             image: None,
             crew: None,
-            capture_lens: Vec::new(),
+            capture_lens: vec![[0; 3]; world.size as usize],
         }
     }
 
@@ -1984,11 +1984,7 @@ impl RankPool for LocalPool<'_, '_> {
     fn capture_rank(&mut self, r: u32) -> Result<RankSnapshot, SimError> {
         let program = self.world.program;
         let rank = live_rank(&mut self.ranks, r)?;
-        let ri = r as usize;
-        if ri >= self.capture_lens.len() {
-            self.capture_lens.resize(ri + 1, [0; 3]);
-        }
-        let lens = &mut self.capture_lens[ri];
+        let lens = &mut self.capture_lens[r as usize];
         let mut t = Writer::with_capacity(lens[0]);
         ckpt::write_thread(&mut t, &rank.thread, program);
         let thread: Section = t.into_bytes().into();
